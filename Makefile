@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
+.PHONY: all vet build test allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
 
 all: check
 
@@ -14,6 +14,14 @@ build:
 # the suites free of inter-test ordering dependencies.
 test:
 	$(GO) test -shuffle=on ./...
+
+# The structural performance guards: allocation counts (testing.AllocsPerRun)
+# on the GET/PUT hot path, the durable insert, the replication batch decode
+# and the client pool's synchronous round trip, plus the replicated-apply heap
+# retention bound. Counts do not depend on host speed, so unlike wall-clock
+# ratios they are asserted on every run (-count=1: never from the test cache).
+allocs:
+	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...
 
 # Guards the fine-grained server locking: the packages that own or exercise
 # the lock-free hot path must stay race-clean.
@@ -62,7 +70,7 @@ race-hlc:
 race-chaos:
 	CHAOS_SECONDS=$${CHAOS_SECONDS:-30} $(GO) test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos/
 
-check: vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
+check: vet build test allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
 
 # Hot-path microbenchmarks (the numbers tracked across PRs), published as a
 # dated JSON trajectory: `make bench` runs the Fig-adjacent cluster

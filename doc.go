@@ -306,9 +306,60 @@
 // in-process sessions. Sizing: a handful of connections saturates a
 // listener; throughput comes from pipelining depth, not socket count.
 // Pipelined throughput on one connection measures >5x the text protocol's
-// (BenchmarkFrontDoorPipelined, enforced by TestFrontDoorPipelinedSpeedup;
-// make race-frontdoor guards the path under -race). pocccli and poccbench's
-// frontdoor experiment ride the binary path; -text falls back.
+// (BenchmarkFrontDoorPipelined; TestFrontDoorPipelinedSpeedup checks the
+// ratio when run by name — a wall-clock ratio is not asserted inside go test
+// ./... — and make race-frontdoor guards the path under -race). pocccli and
+// poccbench's frontdoor experiment ride the binary path; -text falls back.
+//
+// # Ownership at each hand-off
+//
+// A replicated PUT crosses eight layers, and at each boundary exactly one
+// side may keep a key, value or dependency slice and at most one side copies.
+// The rules, in path order — allocation guards and race-enabled ownership
+// tests pin them (make allocs; TestFrontDoorValueOwnership,
+// TestDecodedBatchOwnsItsBytes, TestFrontDoorCallReuse*):
+//
+//   - client.Pool → front-door frame. A request is encoded into the writer's
+//     scratch before its call completes; the pool keeps nothing of the
+//     caller's key or value afterwards. A synchronous RemoteSession call
+//     reuses the session's one Call (completion is a CAS on the request id,
+//     so a teardown racing a response cannot reach the next use); *Async
+//     calls allocate their own. A response's value is copied out of the
+//     reader's buffer once and is the caller's.
+//   - front-door frame → core.Put. wire.DecodeFrontDoorRequest copies key
+//     and value out of the read buffer (the buffer is reused for the next
+//     frame while the request waits in its session's queue), so the decoded
+//     request owns them. kvserver hands them to Session.PutOwned: no second
+//     copy. In-process callers use Session.Put, which makes the one copy at
+//     that edge; the session clones its dependency vector per PUT.
+//   - core.Put → engine. core.Server.Put takes ownership of value and
+//     dependency vector: they become the stored item.Version's, immutable
+//     from then on and shared by pointer with the replication buffer (and,
+//     on the emulated transport, with every replica).
+//   - engine → wal. storage.Durable encodes a version's record into pooled
+//     scratch; wal.Log frames (copies) records into its staging buffer
+//     before Append/AppendAsync return and never retains the caller's bytes,
+//     so the scratch serves the next insert.
+//   - repl flush → tcpnet. A flush hands its buffer to the ReplicateBatch
+//     message (boxed once for all target DCs) and starts the next window in
+//     a fresh one of the same capacity. tcpnet's out-queue holds a message
+//     until its flush succeeds, then clears the slot: a drained link
+//     references nothing it sent, and its two queue buffers swap rather than
+//     reallocate.
+//   - wire batch → repl → engine. A decoded version list (ReplicateBatch,
+//     CatchUpReply, SlotHandoff) never aliases the decoder's reused frame
+//     buffer: the decoder copies the frame's tail once, and keys, values,
+//     version structs and dependency vectors are carved from that copy and
+//     two slabs sized from the list — so a batch allocates in proportion to
+//     its frame (5 allocations whatever its length) and a hostile count
+//     cannot size anything the remaining bytes could not encode. The price
+//     is retention at batch granularity: a live version keeps its batch's
+//     copy reachable, at most one frame of dead neighbors.
+//   - what storage may keep of a decoded key. Only what it keeps of the
+//     version: the chain map's key is re-pointed at the chain head's Key on
+//     every insert, so it never pins the frame of a version that has been
+//     collected. InsertBatch retains neither the batch slice nor anything
+//     outside the versions themselves.
 //
 // # Chaos plane
 //

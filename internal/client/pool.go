@@ -106,7 +106,10 @@ func (p *Pool) Close() {
 // the server); open one per client thread of execution.
 func (p *Pool) Session() *RemoteSession {
 	pc := p.conns[p.nextConn.Add(1)%uint64(len(p.conns))]
-	return &RemoteSession{pool: p, pc: pc, id: p.nextSession.Add(1)}
+	s := &RemoteSession{pool: p, pc: pc, id: p.nextSession.Add(1)}
+	s.call.reuse = true
+	s.call.done = make(chan struct{}, 1) // one token per round trip
+	return s
 }
 
 // RemoteError is an error reported by the server over the front door. It
@@ -134,25 +137,41 @@ func (e *RemoteError) Unwrap() error {
 }
 
 // Call is one in-flight front-door request. Issue many before waiting to
-// pipeline them on the session's connection. The request rides inside the
-// Call so one allocation covers the whole round trip.
+// pipeline them on the session's connection.
 type Call struct {
-	req  wire.FrontDoorRequest
-	resp wire.FrontDoorResponse
-	err  error
-	once sync.Once
-	done chan struct{}
+	// state is the request id while the call is in flight, callDone once it
+	// has completed and 0 while a reusable call is idle. Completion is a CAS
+	// from the id: of the parties that can race to finish one request — the
+	// reader with its response, a connection teardown, the sender finding
+	// the link dead — exactly one delivers, and a late one holding a stale id
+	// cannot touch the call's next use.
+	state atomic.Uint64
+	resp  wire.FrontDoorResponse
+	err   error
+	done  chan struct{}
+	// reuse marks a session's own call, used for one synchronous round trip
+	// after another: completion sends one token on done instead of closing
+	// it.
+	reuse bool
 }
 
-// complete finishes the call exactly once. A call can race two outcomes —
-// its response arriving while the connection is being torn down — and the
-// first completion wins; either way the caller learns the connection died
-// or got its answer, both acceptable for an op that raced the teardown.
-func (c *Call) complete(resp wire.FrontDoorResponse, err error) {
-	c.once.Do(func() {
-		c.resp, c.err = resp, err
+const callDone = ^uint64(0) // never a request id
+
+// complete finishes the request id on this call, once (see state). A call
+// can race two outcomes — its response arriving while the connection is
+// being torn down — and the first completion wins; either way the caller
+// learns the connection died or got its answer, both acceptable for an op
+// that raced the teardown.
+func (c *Call) complete(id uint64, resp wire.FrontDoorResponse, err error) {
+	if !c.state.CompareAndSwap(id, callDone) {
+		return
+	}
+	c.resp, c.err = resp, err
+	if c.reuse {
+		c.done <- struct{}{}
+	} else {
 		close(c.done)
-	})
+	}
 }
 
 // Done is closed when the call completes.
@@ -179,6 +198,25 @@ type RemoteSession struct {
 	pool *Pool
 	pc   *poolConn
 	id   uint64
+	call Call // the synchronous operations' reusable call, see roundTrip
+}
+
+// roundTrip runs one synchronous request on the session's own call: a
+// session is one thread of execution, so at most one synchronous request is
+// in flight and nothing need be allocated for it.
+func (s *RemoteSession) roundTrip(req wire.FrontDoorRequest) (wire.FrontDoorResponse, error) {
+	c := &s.call
+	req.ID = s.pc.nextID.Add(1)
+	if !c.state.CompareAndSwap(0, req.ID) {
+		// The call is busy: the session is being driven from two goroutines
+		// against its contract. Stay correct; pay the allocation.
+		return s.pc.send(req).Wait()
+	}
+	s.pc.submit(req, c)
+	resp, err := c.Wait()
+	c.resp, c.err = wire.FrontDoorResponse{}, nil
+	c.state.Store(0)
+	return resp, err
 }
 
 // PingAsync issues a liveness check.
@@ -214,7 +252,7 @@ func (s *RemoteSession) AdminAsync(line string) *Call {
 
 // Ping checks liveness.
 func (s *RemoteSession) Ping() error {
-	_, err := s.PingAsync().Wait()
+	_, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDPing, Session: s.id})
 	return err
 }
 
@@ -223,7 +261,7 @@ func (s *RemoteSession) Ping() error {
 func (s *RemoteSession) Put(key string, value []byte) error {
 	var deadline time.Time
 	for {
-		_, err := s.PutAsync(key, value).Wait()
+		_, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDPut, Session: s.id, Key: key, Value: value})
 		if err == nil {
 			return nil
 		}
@@ -237,7 +275,7 @@ func (s *RemoteSession) Put(key string, value []byte) error {
 func (s *RemoteSession) Get(key string) ([]byte, error) {
 	var deadline time.Time
 	for {
-		resp, err := s.GetAsync(key).Wait()
+		resp, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Session: s.id, Key: key})
 		if err == nil {
 			if !resp.Exists {
 				return nil, nil
@@ -255,7 +293,7 @@ func (s *RemoteSession) Get(key string) ([]byte, error) {
 func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
 	var deadline time.Time
 	for {
-		resp, err := s.ROTxAsync(keys).Wait()
+		resp, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Session: s.id, Keys: keys})
 		if err == nil {
 			out := make(map[string][]byte, len(resp.Items))
 			for _, it := range resp.Items {
@@ -310,13 +348,22 @@ func (s *RemoteSession) retrySlotEpoch(err error, deadline *time.Time) bool {
 // frames, a reader goroutine completing in-flight calls by request id.
 type poolConn struct {
 	conn   net.Conn
-	wq     chan *Call
+	wq     chan queuedCall
 	dead   chan struct{}
 	nextID atomic.Uint64
 
 	mu       sync.Mutex
 	inflight map[uint64]*Call
 	err      error // sticky death reason
+}
+
+// queuedCall is a request on its way to the writer. The request travels by
+// value, beside the call and not inside it: a call completed early (its
+// sender found the link dead) may already be carrying the session's next
+// request while the writer still holds this one.
+type queuedCall struct {
+	req  wire.FrontDoorRequest
+	call *Call
 }
 
 func dialPoolConn(addr string, timeout time.Duration) (*poolConn, error) {
@@ -332,7 +379,7 @@ func dialPoolConn(addr string, timeout time.Duration) (*poolConn, error) {
 	}
 	pc := &poolConn{
 		conn:     conn,
-		wq:       make(chan *Call, poolWriteQueue),
+		wq:       make(chan queuedCall, poolWriteQueue),
 		dead:     make(chan struct{}),
 		inflight: make(map[uint64]*Call),
 	}
@@ -341,19 +388,27 @@ func dialPoolConn(addr string, timeout time.Duration) (*poolConn, error) {
 	return pc, nil
 }
 
-// send queues one request and returns its Call handle. On a dead connection
-// the call completes immediately with the death reason.
+// send queues one request on a call of its own and returns the handle.
 func (pc *poolConn) send(req wire.FrontDoorRequest) *Call {
 	req.ID = pc.nextID.Add(1)
-	call := &Call{req: req, done: make(chan struct{})}
+	call := &Call{done: make(chan struct{})}
+	call.state.Store(req.ID)
+	pc.submit(req, call)
+	return call
+}
+
+// submit queues one request (its ID set, call armed with it). On a dead
+// connection the call completes immediately with the death reason.
+func (pc *poolConn) submit(req wire.FrontDoorRequest, call *Call) {
+	q := queuedCall{req: req, call: call}
 	select {
-	case pc.wq <- call: // non-blocking fast path: the queue has room
+	case pc.wq <- q: // non-blocking fast path: the queue has room
 	default:
 		select {
-		case pc.wq <- call:
+		case pc.wq <- q:
 		case <-pc.dead:
-			call.complete(wire.FrontDoorResponse{}, pc.deathErr())
-			return call
+			call.complete(req.ID, wire.FrontDoorResponse{}, pc.deathErr())
+			return
 		}
 	}
 	// The writer may have died (and drained the queue) between the enqueue
@@ -361,10 +416,9 @@ func (pc *poolConn) send(req wire.FrontDoorRequest) *Call {
 	// it up, completion is idempotent.
 	select {
 	case <-pc.dead:
-		call.complete(wire.FrontDoorResponse{}, pc.deathErr())
+		call.complete(req.ID, wire.FrontDoorResponse{}, pc.deathErr())
 	default:
 	}
-	return call
 }
 
 // writer registers each call in the in-flight table (before the bytes hit
@@ -373,23 +427,27 @@ func (pc *poolConn) send(req wire.FrontDoorRequest) *Call {
 // batch. The whole batch registers under one lock acquisition.
 func (pc *poolConn) writer() {
 	var scratch []byte
-	batch := make([]*Call, 0, 64)
+	type registration struct {
+		id   uint64
+		call *Call
+	}
+	batch := make([]registration, 0, 64)
 	for {
-		var c *Call
+		var q queuedCall
 		select {
-		case c = <-pc.wq:
+		case q = <-pc.wq:
 		case <-pc.dead:
 			pc.drainQueue()
 			return
 		}
-		batch = append(batch[:0], c)
-		scratch = wire.AppendFrontDoorRequest(scratch[:0], &c.req)
+		batch = append(batch[:0], registration{q.req.ID, q.call})
+		scratch = wire.AppendFrontDoorRequest(scratch[:0], &q.req)
 	coalesce:
 		for len(scratch) < poolFlushBytes {
 			select {
-			case more := <-pc.wq:
-				batch = append(batch, more)
-				scratch = wire.AppendFrontDoorRequest(scratch, &more.req)
+			case q = <-pc.wq:
+				batch = append(batch, registration{q.req.ID, q.call})
+				scratch = wire.AppendFrontDoorRequest(scratch, &q.req)
 			default:
 				break coalesce
 			}
@@ -402,13 +460,13 @@ func (pc *poolConn) writer() {
 			err := pc.err
 			pc.mu.Unlock()
 			for _, b := range batch {
-				b.complete(wire.FrontDoorResponse{}, err)
+				b.call.complete(b.id, wire.FrontDoorResponse{}, err)
 			}
 			pc.drainQueue()
 			return
 		}
 		for _, b := range batch {
-			pc.inflight[b.req.ID] = b
+			pc.inflight[b.id] = b.call
 		}
 		pc.mu.Unlock()
 		if _, err := pc.conn.Write(scratch); err != nil {
@@ -423,8 +481,8 @@ func (pc *poolConn) writer() {
 func (pc *poolConn) drainQueue() {
 	for {
 		select {
-		case c := <-pc.wq:
-			c.complete(wire.FrontDoorResponse{}, pc.deathErr())
+		case q := <-pc.wq:
+			q.call.complete(q.req.ID, wire.FrontDoorResponse{}, pc.deathErr())
 		default:
 			return
 		}
@@ -471,7 +529,7 @@ func (pc *poolConn) reader() {
 		pc.mu.Unlock()
 		for i := range batch {
 			if batch[i].call != nil {
-				batch[i].call.complete(batch[i].resp, nil)
+				batch[i].call.complete(batch[i].resp.ID, batch[i].resp, nil)
 			}
 			batch[i].call = nil
 		}
@@ -493,8 +551,8 @@ func (pc *poolConn) fail(err error) {
 	pc.mu.Unlock()
 	close(pc.dead)
 	_ = pc.conn.Close()
-	for _, call := range stranded {
-		call.complete(wire.FrontDoorResponse{}, err)
+	for id, call := range stranded {
+		call.complete(id, wire.FrontDoorResponse{}, err)
 	}
 }
 

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/racedetect"
+	"repro/internal/vclock"
+)
+
+func skipUnderRace(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+}
+
+// The structural performance guards of the server's hot path: allocation
+// counts do not depend on the host's speed, so they are asserted in tier-1
+// (make allocs) where wall-clock ratios are not.
+
+// TestGetAllocs: an optimistic GET is a vector check plus a chain-head read
+// and allocates nothing.
+func TestGetAllocs(t *testing.T) {
+	skipUnderRace(t)
+	r := newRig(t, Config{})
+	if _, err := r.srv.Put("k", []byte("value"), vclock.New(3), Optimistic); err != nil {
+		t.Fatal(err)
+	}
+	rdv := vclock.New(3)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := r.srv.Get("k", rdv, Optimistic); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Server.Get allocates %v times per call, want 0", n)
+	}
+}
+
+// TestPutAllocs: a PUT on the in-memory engine allocates the version it
+// stores and nothing else — value and dependency vector are the caller's,
+// handed over (the vector is allocated here, per call, as a session does).
+// The deployment's Δ = 1 ms batches replication, so the flush — like chain
+// growth — is amortized over the window's PUTs to less than one each. (Three
+// before the value copy moved out to the session edge.)
+func TestPutAllocs(t *testing.T) {
+	skipUnderRace(t)
+	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	value := []byte("value")
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := r.srv.Put("k", value, vclock.New(3), Optimistic); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("Server.Put allocates %v times per call, want at most 2 (version, vector)", n)
+	}
+}

@@ -952,8 +952,12 @@ func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error
 // the update timestamp, store the version, and replicate it asynchronously
 // in timestamp order (buffered; see flushRepBufLocked).
 //
-// The server takes ownership of dv — it becomes the new version's dependency
-// vector — so callers must not mutate it after the call.
+// The server takes ownership of value and dv — they become the new version's
+// payload and dependency vector, shared with every replica of an emulated
+// deployment — so callers must not mutate either after the call. The copy
+// that protects a caller's buffer is made once, where one is needed: the
+// in-process session's Put (client.Session); a front-door request's value is
+// already a private copy of its frame.
 func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
 	if !s.ownsKey(key) {
 		return 0, ErrWrongSlotEpoch
@@ -976,11 +980,12 @@ func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.
 	// nothing here.
 	s.clk.SleepUntilAfter(dv.MaxEntry())
 
-	val := make([]byte, len(value))
-	copy(val, value)
+	if value == nil {
+		value = []byte{} // a nil payload reads back as "no such key"
+	}
 	d := &item.Version{
 		Key:        key,
-		Value:      val,
+		Value:      value,
 		SrcReplica: s.m,
 		Deps:       dv,
 		Optimistic: mode == Optimistic,

@@ -210,7 +210,8 @@ func (fd *fdConn) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontD
 	case wire.FDPing:
 		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
 	case wire.FDPut:
-		if err := ss.sess.Put(req.Key, req.Value); err != nil {
+		// The decoded value is a private copy of its frame: hand it over.
+		if err := ss.sess.PutOwned(req.Key, req.Value); err != nil {
 			return fdError(req.ID, err)
 		}
 		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}

@@ -316,3 +316,49 @@ func TestFrontDoorUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontDoorValueOwnership pins the hand-off from the front door's read
+// buffer to the engine. A decoded PUT owns a private copy of its key and
+// value, which the server stores as is (PutOwned, no second copy): the
+// requests that follow through the same reused read buffer, and whatever the
+// client does to its own slices afterwards, must not reach a stored version.
+// The in-process session makes its one copy at its own edge.
+func TestFrontDoorValueOwnership(t *testing.T) {
+	srv := testServer(t)
+	sess := testPool(t, srv, 0, 1).Session()
+
+	// Same-sized frames, pipelined: each lands on the same bytes of the
+	// server's read buffer while its predecessors are still being executed.
+	const n = 64
+	values := make([][]byte, n)
+	calls := make([]*client.Call, n)
+	for i := range values {
+		values[i] = bytes.Repeat([]byte{byte('A' + i%26)}, 48)
+		calls[i] = sess.PutAsync(fmt.Sprintf("own-%03d", i), values[i])
+	}
+	for i, c := range calls {
+		if _, err := c.Wait(); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		clear(values[i]) // the client reuses its buffer
+	}
+	for i := 0; i < n; i++ {
+		want := bytes.Repeat([]byte{byte('A' + i%26)}, 48)
+		if v, err := sess.Get(fmt.Sprintf("own-%03d", i)); err != nil || !bytes.Equal(v, want) {
+			t.Fatalf("get %d = %q err=%v, want %q", i, v, err, want)
+		}
+	}
+
+	local, err := srv.store.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("in-process value")
+	if err := local.Put("own-local", buf); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	if v, err := local.Get("own-local"); err != nil || string(v) != "in-process value" {
+		t.Fatalf("in-process get = %q err=%v: Put must copy the caller's buffer", v, err)
+	}
+}

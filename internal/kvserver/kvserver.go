@@ -246,7 +246,7 @@ func (s *Server) handleLine(w *bufio.Writer, sess *occ.Session, line string) boo
 			fmt.Fprintln(w, "ERR usage: PUT <key> <value>")
 			return false
 		}
-		if err := sess.Put(key, []byte(value)); err != nil {
+		if err := sess.PutOwned(key, []byte(value)); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}

@@ -1285,7 +1285,8 @@ func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
 // flushLocked stamps the buffered updates with the next batch sequence and
 // sends them to every member DC. Called with mu held so batches (and
 // heartbeats) leave each link in timestamp order. The buffer's slice is
-// handed to the message (versions are immutable and shared across DCs).
+// handed to the message (versions are immutable and shared across DCs;
+// receivers of an emulated deployment read the very same slice).
 // With an empty fan-out (a deployment not yet grown) the sequence still
 // advances and the versions rest in the WAL — a later joiner's first
 // contact sees the sequence and pulls them through catch-up.
@@ -1298,9 +1299,18 @@ func (r *Manager) flushLocked() {
 	if hb > r.lastTS {
 		r.lastTS = hb
 	}
-	m := msg.ReplicateBatch{Versions: r.buf, HBTime: hb, Epoch: r.epoch, Seq: r.seq,
+	// Boxed once: every target DC's link gets the same immutable message.
+	var m any = msg.ReplicateBatch{Versions: r.buf, HBTime: hb, Epoch: r.epoch, Seq: r.seq,
 		Floor: r.floor, SlotEpoch: r.be.SlotEpoch()}
-	r.buf = nil
+	// The message owns the old buffer now. The next window starts with the
+	// capacity this one reached — one allocation per flush instead of a
+	// doubling chain from nil — halved after a window that left most of it
+	// unused, so it follows the load down as well as up.
+	c := cap(r.buf)
+	if len(r.buf) < c/4 {
+		c /= 2
+	}
+	r.buf = make([]*item.Version, 0, c)
 	for _, dc := range *r.targets.Load() {
 		r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, m)
 	}
@@ -1332,7 +1342,7 @@ func (r *Manager) heartbeatLoop() {
 			if ct > r.lastTS {
 				r.lastTS = ct
 			}
-			hb := msg.Heartbeat{Time: ct, Epoch: r.epoch, Seq: r.seq, Floor: r.floor}
+			var hb any = msg.Heartbeat{Time: ct, Epoch: r.epoch, Seq: r.seq, Floor: r.floor}
 			for _, dc := range *r.targets.Load() {
 				r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, hb)
 			}

@@ -245,18 +245,34 @@ func (d *Durable) fail(err error) {
 func (d *Durable) Insert(v *item.Version) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	sc := recScratch.Get().(*recordScratch)
+	sc.buf = wire.AppendVersion(sc.buf[:0], v)
 	var err error
 	if d.ackGrouped {
-		err = d.log.AppendAsync(wire.AppendVersion(nil, v))
+		err = d.log.AppendAsync(sc.buf)
 	} else {
-		err = d.log.Append(wire.AppendVersion(nil, v))
+		err = d.log.Append(sc.buf)
 	}
+	recScratch.Put(sc)
 	if err != nil {
 		d.fail(err)
 		return
 	}
 	d.mem.Insert(v)
 }
+
+// recordScratch is the reusable encode space of one Insert or InsertBatch
+// call: the log frames (copies) records into its staging buffer before an
+// append returns and keeps no reference to them, so the same bytes serve the
+// next call. Pooled rather than per-engine because local PUTs and the
+// replicated batches of every inbound link encode concurrently.
+type recordScratch struct {
+	buf  []byte   // record encodings, back to back
+	ends []int    // ends[i] is where record i stops in buf
+	recs [][]byte // buf resliced per record, for the log's append
+}
+
+var recScratch = sync.Pool{New: func() any { return new(recordScratch) }}
 
 // InsertBatch logs the whole batch as one commit — a single write and fsync
 // on the replication-batch boundary — then installs it in one shard pass.
@@ -275,20 +291,21 @@ func (d *Durable) InsertBatch(vs []*item.Version) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	// Encode the whole batch into one arena and reslice it afterwards
-	// (growth may move the buffer), keeping the allocation count constant
-	// per batch instead of linear in its size.
-	buf := make([]byte, 0, 48*len(vs))
-	offs := make([]int, len(vs)+1)
-	for i, v := range vs {
-		buf = wire.AppendVersion(buf, v)
-		offs[i+1] = len(buf)
+	// Encode the whole batch back to back and reslice it afterwards (growth
+	// may move the buffer).
+	sc := recScratch.Get().(*recordScratch)
+	sc.buf, sc.ends, sc.recs = sc.buf[:0], sc.ends[:0], sc.recs[:0]
+	for _, v := range vs {
+		sc.buf = wire.AppendVersion(sc.buf, v)
+		sc.ends = append(sc.ends, len(sc.buf))
 	}
-	recs := make([][]byte, len(vs))
-	for i := range recs {
-		recs[i] = buf[offs[i]:offs[i+1]]
+	start := 0
+	for _, end := range sc.ends {
+		sc.recs = append(sc.recs, sc.buf[start:end])
+		start = end
 	}
-	d.fail(d.log.Append(recs...))
+	d.fail(d.log.Append(sc.recs...))
+	recScratch.Put(sc)
 	d.mem.InsertBatch(vs)
 }
 

@@ -57,7 +57,9 @@ func (s *Mem) shardOf(key string) *shard {
 
 // Insert adds a version to its key's chain, keeping the chain in LWW order.
 // Inserting the same version twice is a no-op, making replication delivery
-// idempotent.
+// idempotent. The engine keeps v and everything it references (key, value,
+// dependency vector) until garbage collection drops the version, and nothing
+// of it afterwards — see insertLocked for the chain map's key.
 func (s *Mem) Insert(v *item.Version) {
 	sh := s.shardOf(v.Key)
 	sh.mu.Lock()
@@ -67,8 +69,9 @@ func (s *Mem) Insert(v *item.Version) {
 
 // InsertBatch adds many versions, grouping them by shard so each shard lock
 // is taken at most once per call — the apply path of batched replication.
-// The batch slice is not mutated (it may be shared with other receivers);
-// grouping uses an index chain, costing one small allocation per call.
+// The batch slice is not mutated (it may be shared with other receivers) or
+// retained; grouping uses an index chain, on the stack for anything up to a
+// full replication batch (repl's default cap).
 func (s *Mem) InsertBatch(vs []*item.Version) {
 	if len(vs) == 0 {
 		return
@@ -83,7 +86,11 @@ func (s *Mem) InsertBatch(vs []*item.Version) {
 	for i := range head {
 		head[i] = -1
 	}
-	next := make([]int32, len(vs))
+	var nextBuf [128]int32
+	next := nextBuf[:]
+	if len(vs) > len(nextBuf) {
+		next = make([]int32, len(vs))
+	}
 	for i := len(vs) - 1; i >= 0; i-- {
 		sh := s.shardIndex(vs[i].Key)
 		next[i] = head[sh]
@@ -120,7 +127,11 @@ func (sh *shard) insertLocked(v *item.Version) {
 	chain = append(chain, nil)
 	copy(chain[i+1:], chain[i:])
 	chain[i] = v
-	sh.chains[v.Key] = chain
+	// Assigning under the head's Key, not v's: Go stores the assigned key
+	// string in place of an equal one, so the entry's key always belongs to a
+	// version that is in the chain and never keeps alive the buffer of one
+	// that is gone (a replicated version's key aliases its decoded batch).
+	sh.chains[chain[0].Key] = chain
 }
 
 // ReadResult describes the outcome of a read.
@@ -255,7 +266,7 @@ func (s *Mem) DropAbove(src int, after vclock.Timestamp) int {
 			if kept == 0 {
 				delete(sh.chains, key)
 			} else {
-				sh.chains[key] = chain[:kept]
+				sh.chains[chain[0].Key] = chain[:kept] // see insertLocked
 			}
 		}
 		sh.mu.Unlock()

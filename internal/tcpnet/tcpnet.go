@@ -196,9 +196,14 @@ type outLink struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []any
+	q      []any // messages awaiting the writer
+	spare  []any // the drained buffer q swaps with, see run
 	closed bool
 }
+
+// maxIdleQueue is the largest queue buffer an outLink keeps between drains;
+// one grown past it by a burst (a catch-up stream) is left to the collector.
+const maxIdleQueue = 4096
 
 func newOutLink(n *Node, addr string) *outLink {
 	l := &outLink{node: n, addr: addr}
@@ -239,21 +244,13 @@ func (l *outLink) run() {
 		}
 	}()
 	backoff := time.Millisecond
+	var batch []any // taken off the queue, not yet flushed
 	for {
-		l.mu.Lock()
-		for len(l.q) == 0 && !l.closed {
-			l.cond.Wait()
+		if len(batch) == 0 {
+			if batch = l.take(); batch == nil {
+				return // closed and drained
+			}
 		}
-		if l.closed && len(l.q) == 0 {
-			l.mu.Unlock()
-			return
-		}
-		// Snapshot the whole backlog: everything queued drains in one
-		// buffered write. The full-slice expression pins the batch's length
-		// so concurrent enqueues (which may grow the same backing array)
-		// stay out of it; the batch is only popped after a successful flush.
-		batch := l.q[:len(l.q):len(l.q)]
-		l.mu.Unlock()
 
 		if conn == nil {
 			c, err := net.Dial("tcp", l.addr)
@@ -299,10 +296,40 @@ func (l *outLink) run() {
 			conn, bw, enc = nil, nil, nil
 			continue
 		}
-		l.mu.Lock()
-		l.q = l.q[len(batch):]
-		l.mu.Unlock()
+		l.recycle(batch)
+		batch = nil
 	}
+}
+
+// take blocks until messages are queued and returns the whole backlog —
+// everything queued drains in one buffered write — leaving the other buffer
+// for enqueues, so at steady state the two swap and nothing is allocated. It
+// returns nil once the link is closed and drained.
+func (l *outLink) take() []any {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.q) == 0 && !l.closed {
+		l.cond.Wait()
+	}
+	if len(l.q) == 0 {
+		return nil
+	}
+	batch := l.q
+	l.q, l.spare = l.spare, nil
+	return batch
+}
+
+// recycle takes back a flushed batch: its references are dropped (a queued
+// replication batch pins its versions) and the emptied buffer is parked for
+// the next swap.
+func (l *outLink) recycle(batch []any) {
+	clear(batch)
+	if cap(batch) > maxIdleQueue {
+		return
+	}
+	l.mu.Lock()
+	l.spare = batch[:0]
+	l.mu.Unlock()
 }
 
 func (l *outLink) isClosed() bool {

@@ -3,12 +3,14 @@ package tcpnet
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/item"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/racedetect"
 	"repro/internal/vclock"
 )
 
@@ -301,6 +303,83 @@ func TestBurstDrainsInBatches(t *testing.T) {
 		}
 		if len(m.Versions) != 1 || !bytes.Equal(m.Versions[0].Value, payload) {
 			t.Fatalf("payload corrupted at %d", i)
+		}
+	}
+}
+
+// TestOutLinkQueueSwapsBuffers drives the out-queue by hand: once both
+// buffers have grown to the burst size, enqueue/take/recycle swaps between
+// the same two backing arrays and allocates nothing, and a recycled buffer
+// holds no reference to what it carried.
+func TestOutLinkQueueSwapsBuffers(t *testing.T) {
+	l := &outLink{}
+	l.cond = sync.NewCond(&l.mu)
+	var m any = msg.Heartbeat{Time: 42} // boxed once, as repl's flush does
+	round := func() []any {
+		for i := 0; i < 8; i++ {
+			l.enqueue(m)
+		}
+		batch := l.take()
+		if len(batch) != 8 {
+			t.Fatalf("take returned %d messages, want 8", len(batch))
+		}
+		l.recycle(batch)
+		return batch[:cap(batch)]
+	}
+	first, second := round(), round() // each buffer grows once
+	for i := 0; i < 4; i++ {
+		b := round()
+		if want := []*any{&first[0], &second[0]}[i%2]; &b[0] != want {
+			t.Fatalf("round %d used a new backing array", i)
+		}
+		for j, slot := range b {
+			if slot != nil {
+				t.Fatalf("recycled buffer still references a sent message at slot %d", j)
+			}
+		}
+	}
+	if !racedetect.Enabled {
+		if n := testing.AllocsPerRun(100, func() { round() }); n != 0 {
+			t.Fatalf("steady-state enqueue/take/recycle allocates %v times per round, want 0", n)
+		}
+	}
+	l.close()
+	if l.take() != nil {
+		t.Fatal("take on a closed, drained link returned a batch")
+	}
+}
+
+// TestOutLinkDrainedHoldsNoMessages is the same retention rule on a live
+// link: once everything sent has arrived, neither queue buffer references a
+// sent batch (which would pin its versions until the slot is overwritten).
+func TestOutLinkDrainedHoldsNoMessages(t *testing.T) {
+	a, b := pair(t)
+	var received atomic.Int64
+	b.SetHandler(func(netemu.NodeID, any) { received.Add(1) })
+	const sent = 200
+	for i := 0; i < sent; i++ {
+		a.Send(b.ID(), msg.ReplicateBatch{HBTime: 7, Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}})
+		if i%16 == 0 {
+			time.Sleep(200 * time.Microsecond) // let the writer take a few partial backlogs
+		}
+	}
+	a.mu.Lock()
+	link := a.outs[b.ID()]
+	a.mu.Unlock()
+	var q, spare []any
+	if !waitCond(t, 5*time.Second, func() bool {
+		link.mu.Lock()
+		defer link.mu.Unlock()
+		q, spare = link.q[:cap(link.q)], link.spare[:cap(link.spare)]
+		return received.Load() == sent && len(link.q) == 0 && link.spare != nil
+	}) {
+		t.Fatalf("link did not drain: %d of %d received", received.Load(), sent)
+	}
+	for _, buf := range [][]any{q, spare} {
+		for i, m := range buf {
+			if m != nil {
+				t.Fatalf("drained link still references a sent message at slot %d: %T", i, m)
+			}
 		}
 	}
 }

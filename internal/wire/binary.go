@@ -15,8 +15,11 @@
 //
 // The encoder reuses two scratch buffers across calls, so a steady-state
 // Encode performs zero allocations and exactly one Write (one frame). The
-// decoder reuses its frame buffer; only the decoded values themselves
-// (strings, payloads, vectors) are allocated.
+// decoder reuses its frame buffer and a decoded message never aliases it:
+// strings, payloads and vectors are allocated individually, except in the
+// version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff), which
+// copy the frame's tail once and carve everything out of that copy and two
+// right-sized slabs (see frameReader.versions).
 package wire
 
 import (
@@ -24,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"repro/internal/item"
 	"repro/internal/keyspace"
@@ -547,73 +551,22 @@ func appendItemReply(b []byte, r *msg.ItemReply) []byte {
 
 var errShortFrame = fmt.Errorf("wire: short frame")
 
-// versionArena amortizes the per-version allocations of a batch decode:
-// Version structs, dependency-vector entries and value bytes are carved out
-// of chunked slabs, so an n-version ReplicateBatch or CatchUpReply costs
-// O(n/chunk) allocations instead of ~4n. A full chunk is retired and a fresh
-// one allocated — never grown in place — so pointers handed out stay valid
-// for the life of the decoded versions. The trade-off is retention: one
-// long-lived version keeps its chunk's neighbors reachable, which is fine
-// for replication batches (versions enter the store together and are pruned
-// by the same GC vector) but wrong for messages whose versions have
-// independent lifetimes — only the batch decode paths install an arena.
-type versionArena struct {
-	vers []item.Version
-	deps []vclock.Timestamp
-	blob []byte
-}
-
-const (
-	arenaVersionChunk = 64
-	arenaDepsChunk    = 512
-	arenaBlobChunk    = 16 << 10
-)
-
-func (a *versionArena) newVersion() *item.Version {
-	if len(a.vers) == cap(a.vers) {
-		a.vers = make([]item.Version, 0, arenaVersionChunk)
-	}
-	a.vers = a.vers[:len(a.vers)+1]
-	return &a.vers[len(a.vers)-1]
-}
-
-// ts returns an n-entry timestamp slice from the deps slab (oversize vectors
-// fall through to a direct allocation).
-func (a *versionArena) ts(n int) []vclock.Timestamp {
-	if n > arenaDepsChunk/4 {
-		return make([]vclock.Timestamp, n)
-	}
-	if a.deps == nil || cap(a.deps)-len(a.deps) < n {
-		a.deps = make([]vclock.Timestamp, 0, arenaDepsChunk)
-	}
-	s := a.deps[len(a.deps) : len(a.deps)+n : len(a.deps)+n]
-	a.deps = a.deps[:len(a.deps)+n]
-	return s
-}
-
-// bytes returns an n-byte slice from the blob slab (oversize values fall
-// through to a direct allocation).
-func (a *versionArena) bytes(n int) []byte {
-	if n > arenaBlobChunk/2 {
-		return make([]byte, n)
-	}
-	if a.blob == nil || cap(a.blob)-len(a.blob) < n {
-		a.blob = make([]byte, 0, arenaBlobChunk)
-	}
-	s := a.blob[len(a.blob) : len(a.blob)+n : len(a.blob)+n]
-	a.blob = a.blob[:len(a.blob)+n]
-	return s
-}
-
 // frameReader walks one decoded frame. Methods record the first error; the
-// caller checks err once at the end. When arena is set, decoded versions
-// (structs, deps, values) are carved out of it instead of allocated
-// individually.
+// caller checks err once at the end.
+//
+// While a version list is being decoded (owned is set, see versions), b is a
+// private copy of the frame's tail: keys and values alias it instead of being
+// copied out one by one, and version structs and dependency entries are
+// carved from two slabs sized from the list's count and the bytes left.
 type frameReader struct {
-	b     []byte
-	pos   int
-	err   error
-	arena *versionArena
+	b   []byte
+	pos int
+	err error
+
+	owned bool
+	vers  []item.Version
+	deps  []vclock.Timestamp
+	left  int // versions of the list not yet decoded, this one included
 }
 
 func (f *frameReader) fail() {
@@ -661,8 +614,12 @@ func (f *frameReader) take(n uint64) []byte {
 }
 
 func (f *frameReader) string() string {
-	n := f.uint()
-	return string(f.take(n))
+	raw := f.take(f.uint())
+	if !f.owned || len(raw) == 0 {
+		return string(raw)
+	}
+	// The bytes belong to the list's private, never-mutated copy.
+	return unsafe.String(&raw[0], len(raw))
 }
 
 func (f *frameReader) bytes() []byte {
@@ -674,14 +631,54 @@ func (f *frameReader) bytes() []byte {
 	if f.err != nil {
 		return nil
 	}
-	var out []byte
-	if f.arena != nil {
-		out = f.arena.bytes(len(raw))
-	} else {
-		out = make([]byte, len(raw))
+	if f.owned {
+		return raw[:len(raw):len(raw)]
 	}
+	out := make([]byte, len(raw))
 	copy(out, raw)
 	return out
+}
+
+// newVC returns an n-entry vector: carved from the dependency slab inside a
+// version list, allocated on its own otherwise. The caller has checked that
+// n entries fit in the unread bytes.
+func (f *frameReader) newVC(n int) vclock.VC {
+	if !f.owned || n == 0 {
+		return make(vclock.VC, n)
+	}
+	if cap(f.deps)-len(f.deps) < n {
+		// Versions of one list carry vectors of one length (an entry per
+		// DC), so size the slab for the versions still to come — capped by
+		// what the unread bytes can encode, an entry taking at least one.
+		c := n * f.left
+		if rest := len(f.b) - f.pos; c > rest {
+			c = rest
+		}
+		f.deps = make([]vclock.Timestamp, 0, c)
+	}
+	s := f.deps[len(f.deps) : len(f.deps)+n : len(f.deps)+n]
+	f.deps = f.deps[:len(f.deps)+n]
+	return s
+}
+
+// newVersion returns a zeroed version struct: carved from the version slab
+// inside a version list, allocated on its own otherwise. The slab is sized
+// when the list's first record turns up, for the versions still to come —
+// capped by how many records the unread bytes can hold (this one's presence
+// byte is already read) — so a list of nil markers gets none.
+func (f *frameReader) newVersion() *item.Version {
+	if !f.owned {
+		return &item.Version{}
+	}
+	if len(f.vers) == cap(f.vers) {
+		c := (len(f.b) - f.pos + 1) / minVersionBytes
+		if c > f.left {
+			c = f.left
+		}
+		f.vers = make([]item.Version, 0, max(c, 1))
+	}
+	f.vers = f.vers[:len(f.vers)+1]
+	return &f.vers[len(f.vers)-1]
 }
 
 func (f *frameReader) vc() vclock.VC {
@@ -696,12 +693,7 @@ func (f *frameReader) vc() vclock.VC {
 		f.fail()
 		return nil
 	}
-	var out vclock.VC
-	if f.arena != nil {
-		out = vclock.VC(f.arena.ts(int(n)))
-	} else {
-		out = make(vclock.VC, n)
-	}
+	out := f.newVC(int(n))
 	for i := range out {
 		out[i] = vclock.Timestamp(f.uint())
 	}
@@ -712,12 +704,7 @@ func (f *frameReader) version() *item.Version {
 	if f.byteVal() == 0 {
 		return nil
 	}
-	var v *item.Version
-	if f.arena != nil {
-		v = f.arena.newVersion()
-	} else {
-		v = &item.Version{}
-	}
+	v := f.newVersion()
 	v.Key = f.string()
 	v.Value = f.bytes()
 	v.SrcReplica = int(f.uint())
@@ -737,12 +724,7 @@ func (f *frameReader) versionDelta(base uint64) *item.Version {
 	if f.byteVal() == 0 {
 		return nil
 	}
-	var v *item.Version
-	if f.arena != nil {
-		v = f.arena.newVersion()
-	} else {
-		v = &item.Version{}
-	}
+	v := f.newVersion()
 	v.Key = f.string()
 	v.Value = f.bytes()
 	v.SrcReplica = int(f.uint())
@@ -767,12 +749,7 @@ func (f *frameReader) vcDelta(base uint64) vclock.VC {
 		f.fail()
 		return nil
 	}
-	var out vclock.VC
-	if f.arena != nil {
-		out = vclock.VC(f.arena.ts(int(n)))
-	} else {
-		out = make(vclock.VC, n)
-	}
+	out := f.newVC(int(n))
 	for i := range out {
 		if z := f.uint(); z != 0 {
 			out[i] = vclock.Timestamp(base + unzigzag(z-1))
@@ -780,6 +757,51 @@ func (f *frameReader) vcDelta(base uint64) vclock.VC {
 			out[i] = 0
 		}
 	}
+	return out
+}
+
+// minVersionBytes is the shortest encoding of a non-nil version record:
+// presence byte, empty key, nil value, one-byte replica id and timestamp, nil
+// dependency vector, optimistic flag.
+const minVersionBytes = 7
+
+// versions decodes a nil-preserving version list — the body of
+// ReplicateBatch (delta or absolute records), CatchUpReply and SlotHandoff —
+// allocating in proportion to the frame, not to the count it claims: one
+// copy of the unread bytes that every key and value then aliases, one slab
+// of version structs bounded by how many records those bytes can hold
+// (newVersion), one slab of dependency entries (newVC) and the pointer list.
+// The cost is retention at list granularity: a live version keeps its list's
+// copy and slabs reachable, so one that outlives its batch-mates holds at
+// most one frame's worth of neighbors. Whoever stores a decoded version must
+// keep nothing of it past the version itself (storage's chain map follows
+// that rule for the key, see storage.Mem).
+func (f *frameReader) versions(delta bool, base uint64) []*item.Version {
+	marker := f.uint()
+	if marker == 0 || f.err != nil {
+		return nil
+	}
+	n := marker - 1
+	rest := uint64(len(f.b) - f.pos)
+	if rest < n { // a nil version takes one byte
+		f.fail()
+		return nil
+	}
+	out := make([]*item.Version, 0, n)
+	if n == 0 {
+		return out
+	}
+	own := make([]byte, rest)
+	copy(own, f.b[f.pos:])
+	f.b, f.pos, f.owned = own, 0, true
+	for f.left = int(n); f.left > 0 && f.err == nil; f.left-- {
+		if delta {
+			out = append(out, f.versionDelta(base))
+		} else {
+			out = append(out, f.version())
+		}
+	}
+	f.owned = false
 	return out
 }
 
@@ -844,22 +866,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		if format > batchDelta {
 			f.fail()
 		}
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				f.arena = &versionArena{}
-				m.Versions = make([]*item.Version, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					if format == batchDelta {
-						m.Versions = append(m.Versions, f.versionDelta(uint64(m.HBTime)))
-					} else {
-						m.Versions = append(m.Versions, f.version())
-					}
-				}
-			}
-		}
+		m.Versions = f.versions(format == batchDelta, uint64(m.HBTime))
 		m.Epoch = f.uint()
 		m.Seq = f.uint()
 		m.Floor = vclock.Timestamp(f.uint())
@@ -914,18 +921,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		var m msg.CatchUpReply
 		m.ReqID = f.uint()
 		m.Chunk = f.uint()
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				f.arena = &versionArena{}
-				m.Versions = make([]*item.Version, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					m.Versions = append(m.Versions, f.version())
-				}
-			}
-		}
+		m.Versions = f.versions(false, 0)
 		m.Done = f.bool()
 		m.Unsupported = f.bool()
 		m.ResumeEpoch = f.uint()
@@ -967,18 +963,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.SlotMapUpdate{Map: f.slotMap()}
 	case tagSlotHandoff:
 		var m msg.SlotHandoff
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				f.arena = &versionArena{}
-				m.Versions = make([]*item.Version, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					m.Versions = append(m.Versions, f.version())
-				}
-			}
-		}
+		m.Versions = f.versions(false, 0)
 		env.Msg = m
 	default:
 		return env, fmt.Errorf("wire: unknown message tag %d", tag)

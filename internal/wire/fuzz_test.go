@@ -53,6 +53,11 @@ func FuzzCatchUpDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// Short frames whose version list claims a huge count: the decoder must
+	// size nothing from the claim.
+	f.Add(hostileListFrame(catchUpHead, 1<<40, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add(hostileListFrame(catchUpHead, 60, make([]byte, 64)))
+	f.Add(hostileListFrame(handoffHead, 1<<27, []byte{1, 1, 'k'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewBinaryDecoder(bytes.NewReader(data))
@@ -243,6 +248,9 @@ func FuzzHLCDecode(f *testing.F) {
 	}
 	f.Add(bad.Bytes())
 	f.Add([]byte{})
+	// Short delta batches whose version list claims a huge count.
+	f.Add(hostileListFrame(batchHead, 1<<40, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add(hostileListFrame(batchHead, 60, make([]byte, 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewBinaryDecoder(bytes.NewReader(data))

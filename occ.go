@@ -644,6 +644,11 @@ func (s *Session) Get(key string) ([]byte, error) { return s.inner.Get(key) }
 // everything the session has read and written.
 func (s *Session) Put(key string, value []byte) error { return s.inner.Put(key, value) }
 
+// PutOwned is Put without the defensive copy of value: the store keeps the
+// slice itself, so the caller must never modify it afterwards. The serving
+// path uses it for values it has already copied off the wire.
+func (s *Session) PutOwned(key string, value []byte) error { return s.inner.PutOwned(key, value) }
+
 // ROTx reads keys atomically from a causally consistent snapshot. Missing
 // keys map to nil values.
 func (s *Session) ROTx(keys []string) (map[string][]byte, error) { return s.inner.ROTx(keys) }
