@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
+.PHONY: all vet build test bench-module allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
 
 all: check
 
@@ -15,8 +15,14 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# bench/ is a module of its own (the benchmark the driver runs), so ./...
+# above does not reach it; it compiles against this module's exported API.
+bench-module:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
 # The structural performance guards: allocation counts (testing.AllocsPerRun)
-# on the GET/PUT hot path, the durable insert, the replication batch decode
+# on the GET/PUT hot path, the RO-TX fan-out, a blocked request's park + wake,
+# the netemu link queue, the durable insert, the replication batch decode
 # and the client pool's synchronous round trip, plus the replicated-apply heap
 # retention bound. Counts do not depend on host speed, so unlike wall-clock
 # ratios they are asserted on every run (-count=1: never from the test cache).
@@ -24,9 +30,11 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...
 
 # Guards the fine-grained server locking: the packages that own or exercise
-# the lock-free hot path must stay race-clean.
+# the lock-free hot path must stay race-clean — including the recycled RO-TX
+# fan-in state and waiters, driven end to end by the sessions' RO-TX tests.
 race:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/storage/... ./internal/wal/... ./internal/tcpnet/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/storage/... ./internal/wal/... ./internal/tcpnet/... ./internal/netemu/...
+	$(GO) test -race -count=1 -run 'ROTx' ./internal/client/ ./internal/cluster/
 
 # Guards durability: the crash-recovery scenarios (mid-workload server
 # restarts, cold restarts, the recovery drill) must stay race-clean too.
@@ -70,7 +78,7 @@ race-hlc:
 race-chaos:
 	CHAOS_SECONDS=$${CHAOS_SECONDS:-30} $(GO) test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos/
 
-check: vet build test allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
+check: vet build test bench-module allocs race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
 
 # Hot-path microbenchmarks (the numbers tracked across PRs), published as a
 # dated JSON trajectory: `make bench` runs the Fig-adjacent cluster

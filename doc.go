@@ -361,6 +361,39 @@
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
 //
+// A read-only transaction crosses fewer layers, and allocates only what
+// leaves the coordinating goroutine (TestROTxCoordinatorAllocs: 12 objects
+// for 4 partitions × 1 key; TestWaitOnBlockedAllocs, TestNetemuSendAllocs,
+// and under -race TestROTxPendingReuseIgnoresLateReply,
+// TestWaiterRecycleNoStaleWake):
+//
+//   - core.ROTx → slice requests. The keys are sorted by partition into one
+//     array, and the snapshot vector TV is taken once; every SliceReq of the
+//     transaction points into both. They are shared read-only with requests
+//     that may still be parked after the transaction has failed, so they are
+//     allocated per transaction and never pooled.
+//   - the inline rule. A slice runs on the delivering goroutine iff its TV
+//     is already covered by the server's version vector: it cannot park then
+//     (the vector only grows), and its reads cost less than a hand-off. For a
+//     remote slice that goroutine is the link's; for the coordinator's own
+//     slice it is the caller's, which writes its items straight into the
+//     result. A slice that must wait gets a goroutine and a pooled waiter.
+//   - slice reply → coordinator. A SliceResp's Items belong to the
+//     coordinator once folded in (they are copied into the result array and
+//     dropped). The fan-in completes on the last reply or the first error;
+//     replies find it by transaction id under the coordinator's lock, never
+//     by pointer, so a late or duplicate reply meets a missing id, not the
+//     state's next user.
+//   - coordinator → caller. The returned reply slice is the caller's, sized
+//     to the read set once. Fan-in state (counters, seen set, completion
+//     channel, grouping scratch) and blocked-request waiters are recycled
+//     inside core and never escape it; each goes back to its pool only with
+//     its channel empty.
+//   - netemu. A link's queue is a ring that clears a slot as it delivers
+//     (a drained link references nothing it carried —
+//     TestLinkDrainedHoldsNoMessages) and keeps its buffer, so a send
+//     allocates nothing beyond the boxed message.
+//
 // # Chaos plane
 //
 // internal/chaos is the standing fault-injection harness tying the above

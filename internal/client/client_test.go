@@ -125,6 +125,65 @@ func TestROTxTracksReads(t *testing.T) {
 	}
 }
 
+// TestROTxRepliesOnePerKey: whatever the read set looks like — keys sharing
+// a partition, a key named twice, a missing key — and whichever partition
+// coordinates (so each key is read by the coordinator's own slice in some
+// transaction and by a remote slice in another), ROTxReplies returns one reply
+// per requested key, every reply is for a requested key and carries what was
+// written, and ROTx maps each distinct key once. Replies come grouped by
+// partition, not in request order.
+func TestROTxRepliesOnePerKey(t *testing.T) {
+	c := twoDC(t, cluster.POCC)
+	writer, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k1", "ghost", "k0"}
+	asked := map[string]int{}
+	for _, k := range keys {
+		asked[k]++
+	}
+	for k := range asked {
+		if k != "ghost" {
+			if err := writer.Put(k, []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // sessions take their coordinators round-robin
+		s, err := c.NewSession(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies, err := s.ROTxReplies(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for _, r := range replies {
+			got[r.Key]++
+			if wrote := r.Key != "ghost"; r.Exists != wrote || wrote && string(r.Value) != "v-"+r.Key {
+				t.Fatalf("reply for %q = (%q, exists %v)", r.Key, r.Value, r.Exists)
+			}
+		}
+		if len(replies) != len(keys) || len(got) != len(asked) {
+			t.Fatalf("replies for %v, asked %v", got, asked)
+		}
+		for k, n := range asked {
+			if got[k] != n {
+				t.Fatalf("key %q: %d replies for %d requests (all: %v)", k, got[k], n, got)
+			}
+		}
+		vals, err := s.ROTx(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vals) != len(asked) {
+			t.Fatalf("ROTx mapped %d keys, want %d distinct: %v", len(vals), len(asked), vals)
+		}
+	}
+}
+
 func TestROTxMissingKeys(t *testing.T) {
 	c := twoDC(t, cluster.POCC)
 	s, err := c.NewSession(0)

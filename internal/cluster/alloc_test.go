@@ -1,0 +1,46 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/keyspace"
+	"repro/internal/racedetect"
+	"repro/internal/vclock"
+)
+
+// TestROTxCoordinatorAllocs is the structural guard of the RO-TX path: one
+// key on each of 4 partitions, every snapshot already covered (no heartbeat
+// ever moves a version vector here), so all four slices run inline and the
+// count is exact. What a transaction allocates is what leaves the
+// coordinating goroutine: the grouped key array, the snapshot vector and the
+// result (3), and per remote slice the boxed request, the items and the boxed
+// reply (3 × 3). Fan-in state and the netemu queues are reused. (31 before,
+// with nothing blocking either: a map and a slice per partition, fan-in state
+// and a goroutine per slice, a queue reallocation on nearly every message.)
+func TestROTxCoordinatorAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 4}, WithHeartbeat(time.Hour))
+	tbl := keyspace.Build(4, 1)
+	c.SeedTable(tbl)
+	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}
+	coord, rdv := c.Server(0, 0), vclock.New(1)
+	tx := func() {
+		items, err := coord.ROTx(keys, rdv, core.Optimistic, c.PartitionOf)
+		if err != nil || len(items) != len(keys) {
+			t.Fatalf("ROTx = %d items, %v", len(items), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		tx() // warm-up: pooled fan-in state, link queues
+	}
+	const want = 12
+	if n := testing.AllocsPerRun(1000, tx); n > want+1 {
+		t.Fatalf("a 4-partition RO-TX allocates %v times, want at most %d", n, want+1)
+	} else {
+		t.Logf("a 4-partition RO-TX allocates %v times", n)
+	}
+}

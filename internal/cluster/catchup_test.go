@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +113,7 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 	reg := causaltest.NewRegistry()
 
 	var wg sync.WaitGroup
+	var healed atomic.Bool
 	for dc := 0; dc < dcs; dc++ {
 		for si := 0; si < sessions; si++ {
 			sess, err := c.NewSession(dc)
@@ -123,7 +125,10 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 			go func(dc, si int, cs *causaltest.Session) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(1010, uint64(dc*1000+si)))
-				for op := 0; op < opsPer; op++ {
+				// At least opsPer operations, and in any case until the link
+				// has healed: how long an operation takes must not decide
+				// whether the drop window sees traffic.
+				for op := 0; op < opsPer || !healed.Load(); op++ {
 					key := tbl.Key(int(rng.Uint64N(partitions)), int(rng.Uint64N(keys)))
 					var err error
 					switch {
@@ -154,6 +159,7 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 	if err := c.DropInboundReplication(2, 0, false); err != nil {
 		t.Fatal(err)
 	}
+	healed.Store(true)
 	wg.Wait()
 
 	for _, v := range reg.Violations() {

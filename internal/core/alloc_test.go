@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -52,5 +53,40 @@ func TestPutAllocs(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Fatalf("Server.Put allocates %v times per call, want at most 2 (version, vector)", n)
+	}
+}
+
+// TestWaitOnBlockedAllocs: parking a request and waking it recycles the
+// waiter and its channel, so after warm-up a blocked GET, PUT or slice
+// allocates nothing for having blocked. (Two per block before: the waiter
+// and the channel that was closed to release it.)
+func TestWaitOnBlockedAllocs(t *testing.T) {
+	skipUnderRace(t)
+	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	need := vclock.New(3)
+	park, woken := make(chan struct{}), make(chan error)
+	go func() {
+		for range park {
+			_, err := r.srv.waitVV(need, 0)
+			woken <- err
+		}
+	}()
+	defer close(park)
+	ts := vclock.Timestamp(0)
+	blockOnce := func() {
+		ts++
+		need[1] = ts
+		park <- struct{}{}
+		for r.srv.vvWaiters.active.Load() == 0 {
+			runtime.Gosched()
+		}
+		(*replBackend)(r.srv).RaiseVV(1, ts)
+		if err := <-woken; err != nil {
+			t.Fatal(err)
+		}
+	}
+	blockOnce() // warm-up: the pooled waiter and the wait list's capacity
+	if n := testing.AllocsPerRun(1000, blockOnce); n != 0 {
+		t.Fatalf("a park + wake allocates %v times, want 0", n)
 	}
 }

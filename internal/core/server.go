@@ -29,15 +29,18 @@
 //     through the Backend interface.
 //   - gssMu guards the stabilization inputs (peer VVs) and GSS recomputation.
 //   - gcMu guards the garbage-collection contributions.
-//   - txMu guards RO-TX coordinator state (active snapshots, pending fan-in).
+//   - txMu guards RO-TX coordinator state: one table of in-flight
+//     transactions, each entry holding its snapshot vector and its fan-in.
 //   - Blocked requests live on per-vector wait lists (one for VV, one for
 //     GSS) with their own locks and a fast lock-free empty check, so writers
-//     that advance a vector pay nothing when nobody is blocked.
+//     that advance a vector pay nothing when nobody is blocked. Waiters and
+//     fan-in entries are pooled; neither leaves this package.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,11 +359,16 @@ func (a *atomicVC) covers(need vclock.VC, skip int) bool {
 
 // waiter represents one blocked request: it is released when the watched
 // vector covers need on every entry except skip (-1 to check all entries).
+// Waiters are recycled through waiterPool: release is one token on the
+// 1-buffered wake channel, sent by whoever takes the waiter off its list, so
+// a waiter that is off the list with an empty channel is safe to reuse.
 type waiter struct {
 	need vclock.VC
 	skip int
-	done chan struct{}
+	wake chan struct{}
 }
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
 
 // waitList is the per-vector condition structure: blocked requests register
 // here and writers that advance the vector wake the satisfied ones. The
@@ -380,18 +388,22 @@ func (l *waitList) add(w *waiter) {
 	l.mu.Unlock()
 }
 
-func (l *waitList) remove(w *waiter) {
+// remove takes w off the list and reports whether it was still on it. False
+// means wake released w first: its token is already in w.wake (wake sends
+// under l.mu), and the caller must take it before recycling w.
+func (l *waitList) remove(w *waiter) bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for i, x := range l.ws {
 		if x == w {
 			l.ws[i] = l.ws[len(l.ws)-1]
 			l.ws[len(l.ws)-1] = nil
 			l.ws = l.ws[:len(l.ws)-1]
-			break
+			l.active.Store(int32(len(l.ws)))
+			return true
 		}
 	}
-	l.active.Store(int32(len(l.ws)))
-	l.mu.Unlock()
+	return false
 }
 
 // wake releases every waiter the vector now satisfies.
@@ -403,7 +415,7 @@ func (l *waitList) wake() {
 	out := l.ws[:0]
 	for _, w := range l.ws {
 		if l.vec.covers(w.need, w.skip) {
-			close(w.done)
+			w.wake <- struct{}{} // never blocks: one token per registration
 		} else {
 			out = append(out, w)
 		}
@@ -461,10 +473,10 @@ type Server struct {
 	gcMu      sync.Mutex
 	gcContrib []vclock.VC // last GC contribution per same-DC partition
 
-	// txMu guards RO-TX coordinator state.
-	txMu      sync.Mutex
-	activeTx  map[uint64]vclock.VC  // snapshot vectors of in-flight RO-TXs
-	pendingTx map[uint64]*txPending // coordinator fan-in state
+	// txMu guards RO-TX coordinator state: the in-flight table and the fan-in
+	// fields of its entries.
+	txMu     sync.Mutex
+	inflight map[uint64]*txPending // RO-TXs this server coordinates, by txID
 
 	vvWaiters  waitList // requests blocked on VV advances
 	gssWaiters waitList // requests blocked on GSS advances
@@ -477,16 +489,72 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// txPending tracks a coordinator's outstanding slice requests. seen marks
-// the partitions that already responded: transports are at-least-once (TCP
-// reconnects redeliver), and a duplicate reply must not decrement remaining
-// or the fan-in would complete with another partition's items missing.
+// txPending is one in-flight RO-TX at its coordinator: the snapshot vector
+// the GC contribution must not overtake, and the fan-in of its slice replies.
+// seen marks the partitions that already responded: transports are
+// at-least-once (TCP reconnects redeliver), and a duplicate reply must not
+// decrement remaining or the fan-in would complete with another partition's
+// items missing.
+//
+// Entries are recycled through txPendingPool and never leave the package.
+// Replies reach one only by looking its txID up in Server.inflight under
+// txMu, so a late or duplicate reply can never touch the entry's next use.
 type txPending struct {
-	remaining int
-	seen      []bool // by responder partition
-	items     []msg.ItemReply
-	err       string
-	done      chan struct{}
+	tv        vclock.VC       // snapshot vector; shared read-only with the slice requests
+	remaining int             // slices still awaited; 0 once completed or failed
+	seen      []bool          // by responder partition
+	items     []msg.ItemReply // replies folded in so far (the tail of the result array)
+	err       string          // first slice error
+	done      chan struct{}   // 1-buffered; one token when remaining reaches 0
+
+	// Scratch of the grouping pass, touched by the coordinating goroutine only.
+	part []int // partition of each key
+	end  []int // per partition: end offset of its keys in the grouped array
+}
+
+var txPendingPool = sync.Pool{New: func() any { return &txPending{done: make(chan struct{}, 1)} }}
+
+// group sorts keys by owning partition into one freshly allocated array (a
+// stable counting sort; the array is shared with the slice requests, so it is
+// never pooled) and returns it with the number of partitions that own a key;
+// keysOf then cuts a partition's keys out of it.
+func (p *txPending) group(keys []string, partitionOf func(string) int, parts int) ([]string, int, error) {
+	p.part = p.part[:0]
+	p.end = slices.Grow(p.end[:0], parts)[:parts]
+	clear(p.end)
+	for _, k := range keys {
+		q := partitionOf(k)
+		if q < 0 || q >= parts {
+			return nil, 0, fmt.Errorf("core: key %q routed to partition %d outside the layout (%d)", k, q, parts)
+		}
+		p.part = append(p.part, q)
+		p.end[q]++
+	}
+	// Counts become start offsets; placing a partition's keys then advances
+	// its offset to its end.
+	owners, sum := 0, 0
+	for q, c := range p.end {
+		if c > 0 {
+			owners++
+		}
+		p.end[q] = sum
+		sum += c
+	}
+	grouped := make([]string, len(keys))
+	for i, k := range keys {
+		grouped[p.end[p.part[i]]] = k
+		p.end[p.part[i]]++
+	}
+	return grouped, owners, nil
+}
+
+// keysOf returns partition q's part of the array group built.
+func (p *txPending) keysOf(grouped []string, q int) []string {
+	lo := 0
+	if q > 0 {
+		lo = p.end[q-1]
+	}
+	return grouped[lo:p.end[q]]
 }
 
 // NewServer builds and starts a partition server: its network handler is
@@ -525,8 +593,7 @@ func NewServer(cfg Config) (*Server, error) {
 		gss:       newAtomicVC(maxDCs),
 		peerVV:    make([]vclock.VC, maxParts),
 		gcContrib: make([]vclock.VC, maxParts),
-		activeTx:  make(map[uint64]vclock.VC),
-		pendingTx: make(map[uint64]*txPending),
+		inflight:  make(map[uint64]*txPending),
 		stop:      make(chan struct{}),
 	}
 	if cfg.SlotMap != nil {
@@ -645,15 +712,6 @@ func (s *Server) shutdown(flush bool) {
 		return
 	}
 	close(s.stop)
-	s.txMu.Lock()
-	for _, p := range s.pendingTx {
-		if p.err == "" {
-			p.err = ErrStopped.Error()
-		}
-		close(p.done)
-	}
-	s.pendingTx = make(map[uint64]*txPending)
-	s.txMu.Unlock()
 	s.wg.Wait()
 	// On a graceful close the manager hands buffered updates to the
 	// transport so siblings do not lose the tail of the update stream; on a
@@ -1111,56 +1169,67 @@ func (b *replBackend) Joined() {
 
 // ROTx coordinates a causally consistent read-only transaction (Algorithm 2,
 // lines 29-38): compute the snapshot vector TV, fan SliceReqs out to the
-// partitions holding the keys, and gather the replies.
+// partitions holding the keys, and gather the replies. The first slice error
+// fails the transaction without waiting for the remaining slices. The
+// returned slice is the caller's: one reply per requested key, grouped by
+// partition in no particular order.
 func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	byPartition := make(map[int][]string)
-	for _, k := range keys {
-		p := partitionOf(k)
-		byPartition[p] = append(byPartition[p], k)
+	p := txPendingPool.Get().(*txPending)
+	grouped, owners, err := p.group(keys, partitionOf, s.maxParts)
+	if err != nil {
+		txPendingPool.Put(p)
+		return nil, err
 	}
+	p.seen = slices.Grow(p.seen[:0], s.maxParts)[:s.maxParts]
+	clear(p.seen)
+	local := p.keysOf(grouped, s.n)
+	result := make([]msg.ItemReply, 0, len(keys))
 
 	// Snapshot boundary: the optimistic protocol snapshots what the
 	// coordinator has *received* (VV); the pessimistic one snapshots what is
 	// *stable* (GSS). Both include the client's history (rdv).
 	//
 	// tv is computed and registered under txMu so it serializes against
-	// localGCContribution: either the GC pass sees this transaction in
-	// activeTx, or it snapshotted the visibility vector before we did — in
-	// which case tv covers the GC base and no version inside the snapshot
-	// can be pruned.
+	// localGCContribution: either the GC pass sees this transaction in the
+	// in-flight table, or it snapshotted the visibility vector before we did
+	// — in which case tv covers the GC base and no version inside the
+	// snapshot can be pruned.
 	txID := s.txSeq.Add(1)
-	pending := &txPending{
-		remaining: len(byPartition),
-		seen:      make([]bool, s.maxParts),
-		done:      make(chan struct{}),
-	}
-	var tv vclock.VC
 	s.txMu.Lock()
 	if s.stopped.Load() {
 		s.txMu.Unlock()
+		txPendingPool.Put(p)
 		return nil, ErrStopped
 	}
+	var tv vclock.VC
 	if mode == Pessimistic {
 		tv = s.gss.snapshot()
 	} else {
 		tv = s.vv.snapshot()
 	}
 	tv.MaxInPlace(rdv)
-	s.activeTx[txID] = tv
-	s.pendingTx[txID] = pending
+	// The coordinator's own slice follows the inline rule (see handle): with
+	// its snapshot already covered it runs on this goroutine and writes the
+	// head of the result array, while the fan-in appends the other slices'
+	// items behind it — two regions of one array that never overlap, so the
+	// local reads need no lock.
+	inline := len(local) > 0 && s.vv.covers(tv, -1)
+	if inline {
+		result = result[:len(local)]
+		owners--
+	}
+	p.tv, p.remaining, p.items = tv, owners, result[len(result):]
+	s.inflight[txID] = p
 	s.txMu.Unlock()
 
-	defer func() {
-		s.txMu.Lock()
-		delete(s.activeTx, txID)
-		delete(s.pendingTx, txID)
-		s.txMu.Unlock()
-	}()
-
-	for p, ks := range byPartition {
+	for q := range p.end {
+		ks := p.keysOf(grouped, q)
+		if len(ks) == 0 || (inline && q == s.n) {
+			continue
+		}
 		req := msg.SliceReq{
 			TxID:        txID,
 			Coordinator: s.cfg.ID,
@@ -1168,37 +1237,67 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 			TV:          tv,
 			Pessimistic: mode == Pessimistic,
 		}
-		if p == s.n {
-			// Serve the local slice on a separate goroutine: it may block on
-			// the same conditions as a remote one.
-			go s.serveSlice(s.cfg.ID, req)
+		if q == s.n {
+			go s.serveSlice(s.cfg.ID, req) // has to park first
 		} else {
-			s.ep.Send(netemu.NodeID{DC: s.m, Partition: p}, req)
+			s.ep.Send(netemu.NodeID{DC: s.m, Partition: q}, req)
 		}
 	}
 
-	select {
-	case <-pending.done:
-	case <-s.stop:
-		return nil, ErrStopped
-	}
-	s.txMu.Lock()
-	items, errStr := pending.items, pending.err
-	s.txMu.Unlock()
-	if errStr != "" {
-		// Slice errors travel as strings (they cross the wire); map the
-		// sentinels back so callers can errors.Is them.
-		switch errStr {
-		case ErrSessionClosed.Error():
-			return nil, ErrSessionClosed
-		case ErrStopped.Error():
-			return nil, ErrStopped
-		case ErrWrongSlotEpoch.Error():
-			return nil, ErrWrongSlotEpoch
+	if inline {
+		if s.ownsAll(local) {
+			s.mx.TxBlocking.Record(0)
+			s.readSlice(result[:0], local, tv)
+		} else {
+			err = ErrWrongSlotEpoch
 		}
-		return nil, errors.New(errStr)
 	}
-	return items, nil
+	if owners > 0 && err == nil {
+		select {
+		case <-p.done:
+		case <-s.stop:
+			err = ErrStopped
+		}
+	}
+
+	// Off the table no reply can reach p any more, so it can be recycled —
+	// once a completion token nobody waited for (the two early exits above)
+	// is out of the channel.
+	s.txMu.Lock()
+	delete(s.inflight, txID)
+	if err == nil {
+		err = sliceError(p.err)
+	}
+	// Normally p.items still is result's tail and this copies it onto itself.
+	result = append(result, p.items...)
+	p.tv, p.items, p.err = nil, nil, ""
+	s.txMu.Unlock()
+	select {
+	case <-p.done:
+	default:
+	}
+	txPendingPool.Put(p)
+
+	if err != nil {
+		return nil, err
+	}
+	return result, nil
+}
+
+// sliceError maps a slice reply's error string back to its sentinel, so
+// callers can errors.Is it (slice errors cross the wire as strings).
+func sliceError(e string) error {
+	switch e {
+	case "":
+		return nil
+	case ErrSessionClosed.Error():
+		return ErrSessionClosed
+	case ErrStopped.Error():
+		return ErrStopped
+	case ErrWrongSlotEpoch.Error():
+		return ErrWrongSlotEpoch
+	}
+	return errors.New(e)
 }
 
 // ---------------------------------------------------------------------------
@@ -1250,8 +1349,15 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		// origins' gap-free prefixes, so the VV must not move here.
 		s.store.InsertBatch(mm.Versions)
 	case msg.SliceReq:
-		// Slice reads may block on VV/GSS; never stall the link goroutine.
-		go s.serveSlice(src, mm)
+		// The inline rule: a slice runs on the delivering goroutine iff its
+		// snapshot is already covered — it cannot park then (VV only grows),
+		// and its reads cost less than the hand-off. A slice that has to wait
+		// must never stall the link, so it gets a goroutine.
+		if s.vv.covers(mm.TV, -1) {
+			s.serveSlice(src, mm)
+		} else {
+			go s.serveSlice(src, mm)
+		}
 	case msg.SliceResp:
 		s.applySliceResp(src.Partition, mm)
 	}
@@ -1380,7 +1486,8 @@ func (s *Server) gcVectorLocked() vclock.VC {
 // active transaction may still read (see DESIGN.md §3).
 func (s *Server) localGCContribution() vclock.VC {
 	// The base snapshot is taken under txMu (see ROTx): a transaction not
-	// yet in activeTx is guaranteed to compute a tv covering this base.
+	// yet in the in-flight table is guaranteed to compute a tv covering this
+	// base.
 	s.txMu.Lock()
 	var base vclock.VC
 	if s.cfg.StabilizationInterval > 0 {
@@ -1388,8 +1495,8 @@ func (s *Server) localGCContribution() vclock.VC {
 	} else {
 		base = s.vv.snapshot()
 	}
-	for _, tv := range s.activeTx {
-		base.MinInPlace(tv)
+	for _, p := range s.inflight {
+		base.MinInPlace(p.tv)
 	}
 	s.txMu.Unlock()
 	// Clamp to the replication plane's holdback floors: a frozen or
@@ -1432,32 +1539,17 @@ func (s *Server) gcMaxHoldback() time.Duration {
 // failure).
 func (s *Server) serveSlice(src netemu.NodeID, req msg.SliceReq) {
 	resp := msg.SliceResp{TxID: req.TxID}
-	for _, k := range req.Keys {
-		if !s.ownsKey(k) {
-			// The coordinator routed this slice with a stale slot table; the
-			// whole transaction retries after a refresh.
-			resp.Err = ErrWrongSlotEpoch.Error()
-			break
-		}
-	}
-	if resp.Err != "" {
-		if src == s.cfg.ID {
-			s.applySliceResp(s.n, resp)
-			return
-		}
-		s.ep.Send(src, resp)
-		return
-	}
-	blocked, err := s.waitVV(req.TV, -1)
-	s.mx.TxBlocking.Record(blocked)
-	if err != nil {
-		resp.Err = err.Error()
+	if !s.ownsAll(req.Keys) {
+		// The coordinator routed this slice with a stale slot table; the
+		// whole transaction retries after a refresh.
+		resp.Err = ErrWrongSlotEpoch.Error()
 	} else {
-		resp.Items = make([]msg.ItemReply, 0, len(req.Keys))
-		for _, k := range req.Keys {
-			res := s.store.ReadWithin(k, req.TV)
-			s.mx.TxStale.Record(res.Fresher, res.Invisible)
-			resp.Items = append(resp.Items, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
+		blocked, err := s.waitVV(req.TV, -1)
+		s.mx.TxBlocking.Record(blocked)
+		if err != nil {
+			resp.Err = err.Error()
+		} else {
+			resp.Items = s.readSlice(make([]msg.ItemReply, 0, len(req.Keys)), req.Keys, req.TV)
 		}
 	}
 	if src == s.cfg.ID {
@@ -1467,13 +1559,35 @@ func (s *Server) serveSlice(src netemu.NodeID, req msg.SliceReq) {
 	s.ep.Send(src, resp)
 }
 
+func (s *Server) ownsAll(keys []string) bool {
+	for _, k := range keys {
+		if !s.ownsKey(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// readSlice appends to dst the freshest version within tv of every key. The
+// caller has established that VV covers tv.
+func (s *Server) readSlice(dst []msg.ItemReply, keys []string, tv vclock.VC) []msg.ItemReply {
+	for _, k := range keys {
+		res := s.store.ReadWithin(k, tv)
+		s.mx.TxStale.Record(res.Fresher, res.Invisible)
+		dst = append(dst, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
+	}
+	return dst
+}
+
 // applySliceResp folds partition from's slice reply into the coordinator's
-// pending state.
+// fan-in; the items become the coordinator's. The fan-in completes when the
+// last slice has replied or the first one fails — the slices still out then
+// answer to a finished transaction and are dropped here.
 func (s *Server) applySliceResp(from int, m msg.SliceResp) {
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
-	p, ok := s.pendingTx[m.TxID]
-	if !ok {
+	p, ok := s.inflight[m.TxID]
+	if !ok || p.remaining == 0 {
 		// Transaction already completed or failed.
 		return
 	}
@@ -1483,17 +1597,15 @@ func (s *Server) applySliceResp(from int, m msg.SliceResp) {
 		return
 	}
 	p.seen[from] = true
-	if m.Err != "" && p.err == "" {
+	if m.Err != "" {
 		p.err = m.Err
+		p.remaining = 0
+	} else {
+		p.items = append(p.items, m.Items...)
+		p.remaining--
 	}
-	p.items = append(p.items, m.Items...)
-	p.remaining--
 	if p.remaining == 0 {
-		// Drop the entry as the channel closes (still under txMu), so Close
-		// — which closes every channel left in the map — can never close a
-		// completed transaction's channel a second time.
-		close(p.done)
-		delete(s.pendingTx, m.TxID)
+		p.done <- struct{}{} // never blocks: remaining reaches 0 once per use
 	}
 }
 
@@ -1621,7 +1733,8 @@ func (s *Server) waitOn(l *waitList, need vclock.VC, skip int) (time.Duration, e
 	if l.vec.covers(need, skip) {
 		return 0, nil
 	}
-	w := &waiter{need: need, skip: skip, done: make(chan struct{})}
+	w := waiterPool.Get().(*waiter)
+	w.need, w.skip = need, skip
 	l.add(w)
 	// Re-check after registration: a writer that advanced the vector between
 	// the fast-path check and add would have seen an empty wait list. wake
@@ -1635,24 +1748,26 @@ func (s *Server) waitOn(l *waitList, need vclock.VC, skip int) (time.Duration, e
 		defer timer.Stop()
 		timeout = timer.C
 	}
+	var err error
 	select {
-	case <-w.done:
-		return time.Since(start), nil
+	case <-w.wake:
 	case <-s.stop:
-		l.remove(w)
-		return time.Since(start), ErrStopped
+		err = ErrStopped
 	case <-timeout:
-		// The waiter may have been released concurrently with the timer
-		// firing; prefer success in that case.
-		select {
-		case <-w.done:
-			return time.Since(start), nil
-		default:
-		}
-		l.remove(w)
-		s.suspectedAt.Store(time.Now().UnixNano())
-		return time.Since(start), ErrSessionClosed
+		err = ErrSessionClosed
 	}
+	if err != nil && !l.remove(w) {
+		// Released concurrently with the stop or the timer: prefer success,
+		// and take the token so the recycled waiter starts empty.
+		<-w.wake
+		err = nil
+	}
+	w.need = nil
+	waiterPool.Put(w)
+	if err == ErrSessionClosed {
+		s.suspectedAt.Store(time.Now().UnixNano())
+	}
+	return time.Since(start), err
 }
 
 // pessimisticVisible returns the Cure* visibility predicate for the given

@@ -14,10 +14,15 @@ func TestApplySliceRespDeduplicatesPartitions(t *testing.T) {
 	r := newRig(t, Config{})
 	s := r.srv
 
-	p := &txPending{remaining: 2, seen: make([]bool, 2), done: make(chan struct{})}
+	p := &txPending{remaining: 2, seen: make([]bool, 2), done: make(chan struct{}, 1)}
 	s.txMu.Lock()
-	s.pendingTx[99] = p
+	s.inflight[99] = p
 	s.txMu.Unlock()
+	defer func() {
+		s.txMu.Lock()
+		delete(s.inflight, 99)
+		s.txMu.Unlock()
+	}()
 
 	reply := func(from int, key string) {
 		s.applySliceResp(from, msg.SliceResp{TxID: 99, Items: []msg.ItemReply{{Key: key}}})
@@ -42,13 +47,13 @@ func TestApplySliceRespDeduplicatesPartitions(t *testing.T) {
 	if len(p.items) != 2 {
 		t.Fatalf("items=%d, want 2", len(p.items))
 	}
-	// Completion removed the entry, so a late duplicate is a no-op and Close
-	// cannot double-close the channel.
-	s.txMu.Lock()
-	_, live := s.pendingTx[99]
-	s.txMu.Unlock()
-	if live {
-		t.Fatal("completed transaction still pending")
-	}
+	// The coordinator takes the entry off the table; until then a completed
+	// fan-in ignores late duplicates and is never signalled a second time.
 	reply(1, "late")
+	s.txMu.Lock()
+	items := len(p.items)
+	s.txMu.Unlock()
+	if items != 2 || len(p.done) != 0 {
+		t.Fatalf("late duplicate reached a completed fan-in: items=%d tokens=%d", items, len(p.done))
+	}
 }

@@ -225,9 +225,44 @@ type link struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []envelope
+	q      queue
 	down   bool
 	closed bool
+}
+
+// queue is the link's FIFO: a ring over a power-of-two buffer. Popping clears
+// the slot, so a delivered message is not retained by the link, and keeps the
+// buffer, so a link in steady state enqueues without allocating.
+type queue struct {
+	buf  []envelope
+	head int // index of the oldest entry
+	n    int // entries queued
+}
+
+// maxIdleQueue bounds the buffer an empty queue keeps: a backlog built up
+// while the link was down must not stay allocated for the life of the link.
+const maxIdleQueue = 4096
+
+func (q *queue) push(e envelope) {
+	if q.n == len(q.buf) {
+		grown := make([]envelope, max(8, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *queue) pop() envelope {
+	e := q.buf[q.head]
+	q.buf[q.head] = envelope{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	if q.n == 0 && len(q.buf) > maxIdleQueue {
+		*q = queue{}
+	}
+	return e
 }
 
 // newLink must be called with n.mu held.
@@ -262,7 +297,7 @@ func (l *link) enqueue(e envelope) {
 		l.mu.Unlock()
 		return
 	}
-	l.q = append(l.q, e)
+	l.q.push(e)
 	l.mu.Unlock()
 	l.cond.Signal()
 }
@@ -277,7 +312,7 @@ func (l *link) setDown(down bool) {
 func (l *link) close() {
 	l.mu.Lock()
 	l.closed = true
-	l.q = nil
+	l.q = queue{}
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -286,15 +321,14 @@ func (l *link) run() {
 	var lastDelivery time.Time
 	for {
 		l.mu.Lock()
-		for (len(l.q) == 0 || l.down) && !l.closed {
+		for (l.q.n == 0 || l.down) && !l.closed {
 			l.cond.Wait()
 		}
 		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		e := l.q[0]
-		l.q = l.q[1:]
+		e := l.q.pop()
 		l.mu.Unlock()
 
 		delay := l.latency

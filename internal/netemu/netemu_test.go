@@ -1,10 +1,13 @@
 package netemu
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/racedetect"
 )
 
 func collect(t *testing.T, n *Network, id NodeID) (*Endpoint, func() []any) {
@@ -252,5 +255,113 @@ func TestConcurrentSendersFIFOPerLink(t *testing.T) {
 				t.Fatalf("link from %v violated FIFO at %d: %v", src, j, v)
 			}
 		}
+	}
+}
+
+// TestQueueRingOrderAcrossWrapAndGrowth drives the link's ring through wrapped
+// heads and two growths: entries come out in push order, the buffer is reused
+// while the backlog fits, and a backlog above maxIdleQueue is released once
+// drained.
+func TestQueueRingOrderAcrossWrapAndGrowth(t *testing.T) {
+	var q queue
+	next, want := 0, 0
+	push := func(k int) {
+		for i := 0; i < k; i++ {
+			q.push(envelope{msg: next})
+			next++
+		}
+	}
+	pop := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if got := q.pop().msg.(int); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push(5)
+	pop(3) // head = 3
+	push(6)
+	if len(q.buf) != 8 {
+		t.Fatalf("8 queued entries grew the buffer to %d", len(q.buf))
+	}
+	push(9) // grows with a wrapped head
+	pop(10)
+	push(20)
+	pop(q.n)
+	if len(q.buf) == 0 || q.n != 0 {
+		t.Fatalf("a small drained queue must keep its buffer: len=%d n=%d", len(q.buf), q.n)
+	}
+	push(maxIdleQueue + 1)
+	pop(q.n)
+	if q.buf != nil {
+		t.Fatalf("a drained queue kept a %d-entry buffer", len(q.buf))
+	}
+}
+
+// TestLinkDrainedHoldsNoMessages is tcpnet's retention rule on the emulated
+// link: once everything sent has been delivered, no slot of the queue's
+// buffer references a message (a whole ReplicateBatch on replication links,
+// pinned until the slot is overwritten).
+func TestLinkDrainedHoldsNoMessages(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	a := n.Register(NodeID{0, 0}, nil)
+	var received atomic.Int64
+	n.Register(NodeID{1, 0}, func(NodeID, any) { received.Add(1) })
+	const sent = 200
+	for i := 0; i < sent; i++ {
+		a.Send(NodeID{1, 0}, &[64]byte{})
+		if i%16 == 0 {
+			time.Sleep(200 * time.Microsecond) // let the link take a few partial backlogs
+		}
+	}
+	n.mu.Lock()
+	l := n.links[linkKey{NodeID{0, 0}, NodeID{1, 0}}]
+	n.mu.Unlock()
+	waitFor(t, 5*time.Second, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return received.Load() == sent && l.q.n == 0
+	})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.q.buf) == 0 {
+		t.Fatal("a drained link dropped its queue buffer")
+	}
+	for i, e := range l.q.buf {
+		if e.msg != nil {
+			t.Fatalf("drained link still references a delivered message at slot %d: %T", i, e.msg)
+		}
+	}
+}
+
+// TestNetemuSendAllocs: a link in steady state reuses its queue buffer, so a
+// send — enqueue, hand-off to the link goroutine, delivery — allocates
+// nothing. (Before the ring, popping with q = q[1:] gave up the buffer's
+// capacity and a near-empty link reallocated on nearly every message.)
+func TestNetemuSendAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n := New(Config{})
+	defer n.Close()
+	a := n.Register(NodeID{0, 0}, nil)
+	var received atomic.Int64
+	n.Register(NodeID{1, 0}, func(NodeID, any) { received.Add(1) })
+	var m any = &[64]byte{} // boxed once: the message is the caller's allocation
+	send := func(k int) {
+		target := received.Load() + int64(k)
+		for i := 0; i < k; i++ {
+			a.Send(NodeID{1, 0}, m)
+		}
+		for received.Load() != target {
+			runtime.Gosched()
+		}
+	}
+	send(1000) // creates the link and sizes its buffer
+	if avg := testing.AllocsPerRun(10, func() { send(1000) }); avg != 0 {
+		t.Fatalf("1000 sends through a draining link allocate %v times, want 0", avg)
 	}
 }
