@@ -22,13 +22,18 @@ bench-module:
 
 # The structural performance guards: allocation counts (testing.AllocsPerRun)
 # on the GET/PUT hot path, the RO-TX fan-out, a blocked request's park + wake,
-# the netemu link queue, the durable insert, the replication batch decode
-# and the client pool's synchronous round trip, plus the replicated-apply heap
-# retention bound. Counts do not depend on host speed, so unlike wall-clock
+# the netemu link queue, the durable insert (single and batched), the
+# replication batch decode, the front-door request decode, and a pooled round
+# trip from both ends (client side against an echo server, server side against
+# the same operation in process), plus the replicated-apply heap retention
+# bound. Counts do not depend on host speed, so unlike wall-clock
 # ratios they are asserted on every run (-count=1: never from the test cache).
 allocs:
 	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...
 
+# CI runs the race-* targets below by name (.github/workflows/ci.yml), so a
+# guard added to a recipe here is added there too.
+#
 # Guards the fine-grained server locking: the packages that own or exercise
 # the lock-free hot path must stay race-clean — including the recycled RO-TX
 # fan-in state and waiters, driven end to end by the sessions' RO-TX tests.
@@ -60,7 +65,9 @@ race-reshard:
 # Guards the binary front door: the pipelined serving path (per-session FIFO
 # workers, out-of-order completion across sessions, single coalescing writer)
 # and the client pool (in-flight table, multiplexed sessions) under -race,
-# including the blocked-GET no-stall and restart/reshard churn scenarios.
+# including the blocked-GET no-stall and restart/reshard churn scenarios and
+# the leased request frames (a parked GET keeps its frame, a PUT and an RO-TX
+# keep nothing of theirs, a large frame is not kept at all).
 race-frontdoor:
 	$(GO) test -race -count=1 -run 'FrontDoor|TextLarge' ./internal/kvserver/ ./internal/client/ ./internal/wire/
 

@@ -298,7 +298,8 @@
 // in a dependency wait never head-of-line-blocks the other sessions
 // multiplexed on the connection; and one writer goroutine owns the socket's
 // write side, coalescing whatever responses are ready into a single write
-// per batch. The client half (internal/client.Pool) holds a few pooled
+// per batch (a fourth rule, who owns a request's frame buffer, is part of
+// the ownership ladder below). The client half (internal/client.Pool) holds a few pooled
 // connections per data center, multiplexes RemoteSessions onto them
 // round-robin, matches responses to in-flight requests by id, reconstructs
 // canonical error values from wire codes (errors.Is works across the wire),
@@ -316,7 +317,8 @@
 // A replicated PUT crosses eight layers, and at each boundary exactly one
 // side may keep a key, value or dependency slice and at most one side copies.
 // The rules, in path order — allocation guards and race-enabled ownership
-// tests pin them (make allocs; TestFrontDoorValueOwnership,
+// tests pin them (make allocs; TestFrontDoorPutOwnsItsBytes,
+// TestFrontDoorLeaseSurvivesBlockedGet, TestFrontDoorLeaseCap,
 // TestDecodedBatchOwnsItsBytes, TestFrontDoorCallReuse*):
 //
 //   - client.Pool → front-door frame. A request is encoded into the writer's
@@ -325,13 +327,31 @@
 //     reuses the session's one Call (completion is a CAS on the request id,
 //     so a teardown racing a response cannot reach the next use); *Async
 //     calls allocate their own. A response's value is copied out of the
-//     reader's buffer once and is the caller's.
-//   - front-door frame → core.Put. wire.DecodeFrontDoorRequest copies key
-//     and value out of the read buffer (the buffer is reused for the next
-//     frame while the request waits in its session's queue), so the decoded
-//     request owns them. kvserver hands them to Session.PutOwned: no second
-//     copy. In-process callers use Session.Put, which makes the one copy at
-//     that edge; the session clones its dependency vector per PUT.
+//     reader's buffer once and is the caller's: the reader zeroes a run's
+//     slots once delivered, so an idle connection pins no response.
+//   - front-door frame → session worker → core. The connection reader takes
+//     a frame buffer on lease from a pool, reads one frame into it and
+//     decodes it in place: wire.DecodeFrontDoorRequest aliases the frame, so
+//     the request lives as long as whoever holds the lease lets it. The
+//     borrowing rule: a request borrows its lease iff nothing can read its
+//     strings after execute returns. A GET qualifies — its key is looked up,
+//     never stored (client.Session.getReply, core.Server.Get, the wait lists
+//     and trackRead keep nothing of it) — so the lease rides the session's
+//     queue with the request, and a GET crosses the server without a copy.
+//     Everything else is detached before it is queued
+//     (wire.FrontDoorRequest.Detach): a PUT's key and value become the stored
+//     version's and leave the frame in one allocation, which kvserver hands
+//     to Session.PutOwned — no second copy; an RO-TX's keys travel in slice
+//     requests that can outlive a first-error return; an admin line is rare;
+//     PING and STATS carry no bytes and detach for free. Who returns the
+//     lease: the session worker once execute has returned (or, the
+//     connection down, as it drains its queue unexecuted); the reader itself
+//     for a detached request — it reads the next frame into the same buffer —
+//     and on a read or decode error or a refused dispatch, on its way out. A
+//     buffer above 64 KiB is dropped rather than returned, so one large frame
+//     pins neither the pool nor its connection. In-process callers use
+//     Session.Put, which makes the one copy at that edge; the session clones
+//     its dependency vector per PUT.
 //   - core.Put → engine. core.Server.Put takes ownership of value and
 //     dependency vector: they become the stored item.Version's, immutable
 //     from then on and shared by pointer with the replication buffer (and,

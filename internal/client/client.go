@@ -209,7 +209,7 @@ func (s *Session) Put(key string, value []byte) error {
 
 // PutOwned is Put without the copy: the store keeps value itself as the new
 // version's payload, so the caller must never modify it again. For callers
-// whose value is already a private buffer (the front door's decoded frames).
+// whose value is already a private buffer (the front door's detached PUTs).
 func (s *Session) PutOwned(key string, value []byte) error {
 	_, _, err := s.put(key, value)
 	return err

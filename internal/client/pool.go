@@ -355,6 +355,11 @@ type poolConn struct {
 	mu       sync.Mutex
 	inflight map[uint64]*Call
 	err      error // sticky death reason
+
+	// Owned by the reader goroutine: the frame buffer and the run of
+	// responses being delivered (see readRun).
+	rbuf     []byte
+	arrivals []arrival
 }
 
 // queuedCall is a request on its way to the writer. The request travels by
@@ -489,51 +494,61 @@ func (pc *poolConn) drainQueue() {
 	}
 }
 
+// arrival is one decoded response on its way to the call it answers.
+type arrival struct {
+	resp wire.FrontDoorResponse
+	call *Call
+}
+
 // reader completes in-flight calls as response frames arrive — in whatever
-// order the server finished them. Frames already sitting in the read buffer
-// (the server coalesces its writes, so they arrive in runs) are decoded
-// together and resolved against the in-flight table under one lock.
+// order the server finished them.
 func (pc *poolConn) reader() {
 	br := bufio.NewReader(pc.conn)
-	var buf []byte
-	type arrival struct {
-		resp wire.FrontDoorResponse
-		call *Call
-	}
-	batch := make([]arrival, 0, 64)
 	for {
-		batch = batch[:0]
-		for {
-			frame, err := wire.ReadFrontDoorFrame(br, buf)
-			if err != nil {
-				pc.fail(fmt.Errorf("client: pool read: %w", err))
-				return
-			}
-			buf = frame[:0]
-			resp, err := wire.DecodeFrontDoorResponse(frame)
-			if err != nil {
-				pc.fail(fmt.Errorf("client: pool decode: %w", err))
-				return
-			}
-			batch = append(batch, arrival{resp: resp})
-			if br.Buffered() == 0 || len(batch) >= 256 {
-				break
-			}
-		}
-		pc.mu.Lock()
-		for i := range batch {
-			id := batch[i].resp.ID
-			batch[i].call = pc.inflight[id]
-			delete(pc.inflight, id)
-		}
-		pc.mu.Unlock()
-		for i := range batch {
-			if batch[i].call != nil {
-				batch[i].call.complete(batch[i].resp.ID, batch[i].resp, nil)
-			}
-			batch[i].call = nil
+		if err := pc.readRun(br); err != nil {
+			pc.fail(err)
+			return
 		}
 	}
+}
+
+// readRun delivers one run of responses: the frames already sitting in the
+// read buffer (the server coalesces its writes, so they arrive in runs) are
+// decoded together and resolved against the in-flight table under one lock.
+// A delivered response belongs to its caller: the run's slots are zeroed, so
+// an idle connection keeps no value, item list or text reachable.
+func (pc *poolConn) readRun(br *bufio.Reader) error {
+	batch := pc.arrivals[:0]
+	for {
+		frame, err := wire.ReadFrontDoorFrame(br, pc.rbuf)
+		if err != nil {
+			return fmt.Errorf("client: pool read: %w", err)
+		}
+		pc.rbuf = frame[:0]
+		resp, err := wire.DecodeFrontDoorResponse(frame)
+		if err != nil {
+			return fmt.Errorf("client: pool decode: %w", err)
+		}
+		batch = append(batch, arrival{resp: resp})
+		if br.Buffered() == 0 || len(batch) >= 256 {
+			break
+		}
+	}
+	pc.arrivals = batch
+	pc.mu.Lock()
+	for i := range batch {
+		id := batch[i].resp.ID
+		batch[i].call = pc.inflight[id]
+		delete(pc.inflight, id)
+	}
+	pc.mu.Unlock()
+	for i := range batch {
+		if batch[i].call != nil {
+			batch[i].call.complete(batch[i].resp.ID, batch[i].resp, nil)
+		}
+		batch[i] = arrival{}
+	}
+	return nil
 }
 
 // fail kills the connection once: records the reason, releases the writer,
@@ -548,8 +563,11 @@ func (pc *poolConn) fail(err error) {
 	pc.err = err
 	stranded := pc.inflight
 	pc.inflight = make(map[uint64]*Call)
-	pc.mu.Unlock()
+	// Closed under mu: whoever finds err set finds dead closed. A writer
+	// that saw err and left while dead was still open would strand the
+	// request a sender queues in between (it checks dead, finds it open).
 	close(pc.dead)
+	pc.mu.Unlock()
 	_ = pc.conn.Close()
 	for id, call := range stranded {
 		call.complete(id, wire.FrontDoorResponse{}, err)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,6 +104,48 @@ func TestRemoteSessionAllocs(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Fatalf("RemoteSession.Put allocates %v times per call on the client side, want 0", n)
+	}
+}
+
+// TestFrontDoorPoolDeliveredHoldsNoResponses is the client-side retention
+// rule: a delivered response belongs to its caller, so once a run of
+// responses has been handed out the reader's run buffer references none of
+// them — a long run followed by short ones must not pin its values until a
+// run of the same length overwrites the slots.
+func TestFrontDoorPoolDeliveredHoldsNoResponses(t *testing.T) {
+	pc := &poolConn{inflight: make(map[uint64]*Call)}
+	var calls []*Call
+	run := func(n int) *bufio.Reader {
+		var stream []byte
+		for i := 0; i < n; i++ {
+			id := uint64(len(calls) + 1)
+			c := &Call{done: make(chan struct{})}
+			c.state.Store(id)
+			pc.inflight[id] = c
+			calls = append(calls, c)
+			stream = wire.AppendFrontDoorResponse(stream, &wire.FrontDoorResponse{
+				Kind: wire.FDValue, ID: id, Exists: true, Value: []byte(fmt.Sprintf("value-%d", id)),
+			})
+		}
+		return bufio.NewReader(bytes.NewReader(stream))
+	}
+	for _, n := range []int{100, 3} {
+		if err := pc.readRun(run(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range calls {
+		if resp, err := c.Wait(); err != nil || string(resp.Value) != fmt.Sprintf("value-%d", i+1) {
+			t.Fatalf("call %d = %q, %v", i+1, resp.Value, err)
+		}
+	}
+	if cap(pc.arrivals) < 100 {
+		t.Fatalf("the run buffer holds %d slots, want the long run's 100", cap(pc.arrivals))
+	}
+	for i, a := range pc.arrivals[:cap(pc.arrivals)] {
+		if a.call != nil || a.resp.Value != nil || a.resp.Items != nil || a.resp.Text != "" {
+			t.Fatalf("slot %d still references a delivered response: %+v", i, a.resp)
+		}
 	}
 }
 

@@ -1014,8 +1014,8 @@ func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error
 // payload and dependency vector, shared with every replica of an emulated
 // deployment — so callers must not mutate either after the call. The copy
 // that protects a caller's buffer is made once, where one is needed: the
-// in-process session's Put (client.Session); a front-door request's value is
-// already a private copy of its frame.
+// in-process session's Put (client.Session); a front-door PUT's key and value
+// left their frame together, in one private copy (wire's Detach).
 func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
 	if !s.ownsKey(key) {
 		return 0, ErrWrongSlotEpoch

@@ -3,7 +3,7 @@ package kvserver
 // The binary front door: the pipelined, multiplexed serving path. A
 // connection that opens with wire.FrontDoorMagic carries a stream of
 // length-prefixed request frames (see internal/wire/frontdoor.go) instead of
-// text lines. Three rules shape the implementation:
+// text lines. Four rules shape the implementation:
 //
 //  1. Requests of one wire session execute in FIFO order — a session is a
 //     single thread of execution in the causality order, so reordering
@@ -22,6 +22,16 @@ package kvserver
 //     finished responses over a channel; it coalesces whatever is ready
 //     into a single buffer and issues one write per batch, so a burst of
 //     pipelined completions costs one syscall, not one per response.
+//
+//  4. A request borrows its frame iff nothing can read its strings after
+//     execute returns. The reader decodes each frame in place, in a buffer
+//     on lease from fdLeases. A GET's key is looked up and never stored, so
+//     the lease travels with the request through the session's queue and the
+//     worker returns it once execute has returned. Every other request is
+//     detached first — a PUT's key and value become the stored version's, an
+//     RO-TX's keys travel in slice requests that can outlive a first-error
+//     return, an admin line is rare — and the reader keeps the lease for the
+//     next frame.
 
 import (
 	"bufio"
@@ -46,7 +56,35 @@ const (
 	// flushes even with more responses queued, bounding response latency
 	// under sustained load and the scratch buffer's growth.
 	fdFlushBytes = 256 * 1024
+	// fdLeaseMin is a new frame buffer's capacity: room for an ordinary
+	// request, so buffers are not regrown frame by longer frame after every
+	// collection empties the pool. fdLeaseMax caps the buffers that are kept
+	// for reuse: one large PUT must not leave its buffer pinned by the pool
+	// or its connection.
+	fdLeaseMin = 512
+	fdLeaseMax = 64 * 1024
 )
+
+// fdLeases holds the frame buffers of requests that are not being read,
+// queued or executed: at most one per request in flight is out on lease.
+var fdLeases = sync.Pool{New: func() any {
+	buf := make([]byte, 0, fdLeaseMin)
+	return &buf
+}}
+
+// fdRelease ends a lease; nil (the request borrowed nothing) is fine.
+func fdRelease(lease *[]byte) {
+	if lease != nil && cap(*lease) <= fdLeaseMax {
+		fdLeases.Put(lease)
+	}
+}
+
+// fdWork is one queued request and, when the request borrows its frame
+// (rule 4), the lease its session worker returns after executing it.
+type fdWork struct {
+	req   wire.FrontDoorRequest
+	lease *[]byte
+}
 
 // fdAdminCommands is the allow-list of text-protocol commands an FDAdmin
 // frame may run. They are exactly the commands that never touch a client
@@ -72,7 +110,7 @@ type fdConn struct {
 type fdSession struct {
 	sess    *occ.Session
 	sessErr error // Session(dc) failure, reported on every request
-	in      chan wire.FrontDoorRequest
+	in      chan fdWork
 }
 
 // handleBinaryConn runs one binary front-door connection. The caller has
@@ -93,21 +131,32 @@ func (s *Server) handleBinaryConn(dc int, conn net.Conn, br *bufio.Reader) {
 		fd.writer()
 	}()
 
-	var buf []byte
+	var lease *[]byte // the reader's own between frames, nil while a request borrows it
 	for {
-		frame, err := wire.ReadFrontDoorFrame(br, buf)
+		if lease == nil || cap(*lease) > fdLeaseMax { // an outsize buffer serves one frame
+			lease = fdLeases.Get().(*[]byte)
+		}
+		frame, err := wire.ReadFrontDoorFrame(br, *lease)
 		if err != nil {
 			break // EOF or protocol corruption: drop the connection
 		}
-		buf = frame[:0]
+		*lease = frame
 		req, err := wire.DecodeFrontDoorRequest(frame)
 		if err != nil {
 			break
 		}
-		if !fd.dispatch(req) {
+		w := fdWork{req: req}
+		if req.Op == wire.FDGet {
+			w.lease, lease = lease, nil // borrowed: the worker returns it
+		} else {
+			w.req.Detach()
+		}
+		if !fd.dispatch(w) {
+			fdRelease(w.lease)
 			break // writer died: no way to answer anything anymore
 		}
 	}
+	fdRelease(lease)
 	for _, ss := range fd.sessions {
 		close(ss.in)
 	}
@@ -118,12 +167,12 @@ func (s *Server) handleBinaryConn(dc int, conn net.Conn, br *bufio.Reader) {
 
 // dispatch routes one request to its session's worker, creating session and
 // worker on first use. It reports false when the writer is gone.
-func (fd *fdConn) dispatch(req wire.FrontDoorRequest) bool {
-	ss := fd.sessions[req.Session]
+func (fd *fdConn) dispatch(w fdWork) bool {
+	ss := fd.sessions[w.req.Session]
 	if ss == nil {
-		ss = &fdSession{in: make(chan wire.FrontDoorRequest, fdSessionQueue)}
+		ss = &fdSession{in: make(chan fdWork, fdSessionQueue)}
 		ss.sess, ss.sessErr = fd.s.store.Session(fd.dc)
-		fd.sessions[req.Session] = ss
+		fd.sessions[w.req.Session] = ss
 		fd.workers.Add(1)
 		go func() {
 			defer fd.workers.Done()
@@ -134,25 +183,28 @@ func (fd *fdConn) dispatch(req wire.FrontDoorRequest) bool {
 	// almost always has room. Fall back to the two-way select only when the
 	// session's worker is backed up.
 	select {
-	case ss.in <- req:
+	case ss.in <- w:
 		return true
 	default:
 	}
 	select {
-	case ss.in <- req:
+	case ss.in <- w:
 		return true
 	case <-fd.dead:
 		return false
 	}
 }
 
-// sessionWorker executes one session's requests in order.
+// sessionWorker executes one session's requests in order, returning each
+// borrowed lease once nothing reads the request anymore.
 func (fd *fdConn) sessionWorker(ss *fdSession) {
-	for req := range ss.in {
+	for w := range ss.in {
 		if fd.down.Load() {
+			fdRelease(w.lease)
 			continue // connection is gone; drain without executing
 		}
-		resp := fd.execute(ss, &req)
+		resp := fd.execute(ss, &w.req)
+		fdRelease(w.lease)
 		select {
 		case fd.out <- resp: // non-blocking fast path
 			continue
@@ -210,7 +262,8 @@ func (fd *fdConn) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontD
 	case wire.FDPing:
 		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
 	case wire.FDPut:
-		// The decoded value is a private copy of its frame: hand it over.
+		// Key and value were detached from the frame, in one private copy:
+		// hand them over.
 		if err := ss.sess.PutOwned(req.Key, req.Value); err != nil {
 			return fdError(req.ID, err)
 		}

@@ -22,6 +22,78 @@ func testPool(t *testing.T, srv *Server, dc, conns int) *client.Pool {
 	return pool
 }
 
+// severedDeps opens a 2-DC deployment behind a kvserver listener and builds a
+// dependency DC1 cannot satisfy: replication between the DCs is cut for the
+// partitions in cut, then a DC0 session writes one key per partition (value
+// "v-"+key) — the cut partitions' first, so every other key causally depends
+// on them — and the other keys are awaited at DC1. A DC1 session that reads
+// one of those parks on the cut partitions (waitVV) until the link heals.
+// keys[p] is partition p's key.
+func severedDeps(t *testing.T, cfg occ.Config, cut ...int) (*occ.Store, *Server, []string) {
+	t.Helper()
+	cfg.DataCenters, cfg.Engine = 2, occ.POCC
+	cfg.Latency = occ.UniformProfile(20*time.Microsecond, 500*time.Microsecond)
+	store, err := occ.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(store, "127.0.0.1", 0)
+	if err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); store.Close() })
+
+	keys := make([]string, cfg.Partitions)
+	for i, found := 0, 0; found < len(keys); i++ {
+		k := fmt.Sprintf("key%d", i)
+		if p := store.PartitionOf(k); keys[p] == "" {
+			keys[p] = k
+			found++
+		}
+	}
+	severed := make([]bool, len(keys))
+	for _, p := range cut {
+		store.PartitionReplication(0, 1, p, true)
+		severed[p] = true
+	}
+	w, err := store.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []bool{true, false} {
+		for p, k := range keys {
+			if severed[p] == first {
+				if err := w.Put(k, []byte("v-"+k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p, k := range keys {
+		if severed[p] {
+			continue
+		}
+		for { // until k is visible at DC1
+			fresh, err := store.Session(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := fresh.Get(k); err != nil {
+				t.Fatal(err)
+			} else if string(v) == "v-"+k {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never replicated to DC1", k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return store, srv, keys
+}
+
 func TestFrontDoorBasicOps(t *testing.T) {
 	srv := testServer(t)
 	pool := testPool(t, srv, 0, 2)
@@ -139,66 +211,14 @@ func TestTextLargeValueAndTooLongLine(t *testing.T) {
 // A second session pipelined on the SAME connection must complete dozens of
 // operations while that GET stays parked; only healing the link releases it.
 func TestFrontDoorBlockedGetDoesNotStallPipeline(t *testing.T) {
-	store, err := occ.Open(occ.Config{
-		DataCenters: 2, Partitions: 2, Engine: occ.POCC,
-		Latency: occ.UniformProfile(20*time.Microsecond, 500*time.Microsecond),
-		Seed:    7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(store, "127.0.0.1", 0)
-	if err != nil {
-		store.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); store.Close() })
-
-	kA, kB := "", ""
-	for i := 0; kA == "" || kB == ""; i++ {
-		k := fmt.Sprintf("key%d", i)
-		if store.PartitionOf(k) == 0 && kA == "" {
-			kA = k
-		}
-		if store.PartitionOf(k) == 1 && kB == "" {
-			kB = k
-		}
-	}
-	// Cut partition 0 between the DCs, then write kA -> kB causally: kB
-	// replicates, kA cannot.
-	store.PartitionReplication(0, 1, 0, true)
-	w, err := store.Session(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(kA, []byte("a1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(kB, []byte("b1")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fresh, err := store.Session(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := fresh.Get(kB); err != nil {
-			t.Fatal(err)
-		} else if string(v) == "b1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("kB never replicated to DC1")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	store, srv, keys := severedDeps(t, occ.Config{Partitions: 2, Seed: 7}, 0)
+	kA, kB := keys[0], keys[1]
 
 	// One connection, two sessions: the blocked GET and the bystanders
 	// share a socket.
 	pool := testPool(t, srv, 1, 1)
 	s1, s2 := pool.Session(), pool.Session()
-	if v, err := s1.Get(kB); err != nil || string(v) != "b1" {
+	if v, err := s1.Get(kB); err != nil || string(v) != "v-"+kB {
 		t.Fatalf("s1 read kB = %q err=%v", v, err)
 	}
 	blocked := s1.GetAsync(kA) // parks in waitVV server-side
@@ -225,7 +245,7 @@ func TestFrontDoorBlockedGetDoesNotStallPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Exists || string(resp.Value) != "a1" {
+	if !resp.Exists || string(resp.Value) != "v-"+kA {
 		t.Fatalf("blocked GET = %q exists=%v", resp.Value, resp.Exists)
 	}
 }
@@ -314,51 +334,5 @@ func TestFrontDoorUnderChurn(t *testing.T) {
 		case <-time.After(2 * time.Minute):
 			t.Fatal("churn workers timed out")
 		}
-	}
-}
-
-// TestFrontDoorValueOwnership pins the hand-off from the front door's read
-// buffer to the engine. A decoded PUT owns a private copy of its key and
-// value, which the server stores as is (PutOwned, no second copy): the
-// requests that follow through the same reused read buffer, and whatever the
-// client does to its own slices afterwards, must not reach a stored version.
-// The in-process session makes its one copy at its own edge.
-func TestFrontDoorValueOwnership(t *testing.T) {
-	srv := testServer(t)
-	sess := testPool(t, srv, 0, 1).Session()
-
-	// Same-sized frames, pipelined: each lands on the same bytes of the
-	// server's read buffer while its predecessors are still being executed.
-	const n = 64
-	values := make([][]byte, n)
-	calls := make([]*client.Call, n)
-	for i := range values {
-		values[i] = bytes.Repeat([]byte{byte('A' + i%26)}, 48)
-		calls[i] = sess.PutAsync(fmt.Sprintf("own-%03d", i), values[i])
-	}
-	for i, c := range calls {
-		if _, err := c.Wait(); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		clear(values[i]) // the client reuses its buffer
-	}
-	for i := 0; i < n; i++ {
-		want := bytes.Repeat([]byte{byte('A' + i%26)}, 48)
-		if v, err := sess.Get(fmt.Sprintf("own-%03d", i)); err != nil || !bytes.Equal(v, want) {
-			t.Fatalf("get %d = %q err=%v, want %q", i, v, err, want)
-		}
-	}
-
-	local, err := srv.store.Session(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := []byte("in-process value")
-	if err := local.Put("own-local", buf); err != nil {
-		t.Fatal(err)
-	}
-	clear(buf)
-	if v, err := local.Get("own-local"); err != nil || string(v) != "in-process value" {
-		t.Fatalf("in-process get = %q err=%v: Put must copy the caller's buffer", v, err)
 	}
 }

@@ -57,6 +57,35 @@ func TestDurableInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestDurableInsertBatchAllocs is the same guard on the replicated apply:
+// logging a batch costs no allocation on top of the in-memory inserts — not
+// even an error value when the append succeeds.
+func TestDurableInsertBatchAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool sheds items)")
+	}
+	const runs, batchLen = 500, 4
+	perBatch := func(e Engine) float64 {
+		vs := testVersions(0, (runs+1)*batchLen, 64)
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			e.InsertBatch(vs[i : i+batchLen])
+			i += batchLen
+		})
+	}
+	dur, err := OpenDurable(t.TempDir(), DurableOptions{AckMode: AckGrouped, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	if mem, d := perBatch(New()), perBatch(dur); d > mem {
+		t.Fatalf("Durable.InsertBatch allocates %v times per batch, Mem.InsertBatch %v: the log append must add none", d, mem)
+	}
+	if err := dur.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // replicate runs vs through the wire as one ReplicateBatch and returns the
 // receiver's decoded copy, as a tcpnet read loop would hand it to the apply
 // path.

@@ -227,7 +227,10 @@ func (d *Durable) Err() error {
 
 func (d *Durable) fail(err error) {
 	if err != nil {
-		d.werr.CompareAndSwap(nil, &err)
+		// Copied here: taking the parameter's address would move it to the
+		// heap on every call, the nil ones included.
+		first := err
+		d.werr.CompareAndSwap(nil, &first)
 	}
 }
 

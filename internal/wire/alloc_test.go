@@ -153,3 +153,43 @@ func TestHostileCountAllocs(t *testing.T) {
 		t.Fatalf("%d-byte frame claiming %d versions allocated %d bytes, want <= %d", size, size-10, n, limit)
 	}
 }
+
+// TestFrontDoorDecodeAllocs pins what a request costs the server before it
+// reaches a session: decoding allocates nothing (the request aliases its
+// frame), detaching a PUT allocates once for key and value together, and a
+// request without bytes detaches for free. The RO-TX key list is the decode's
+// one allocation, its detached keys a second.
+func TestFrontDoorDecodeAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	payload := func(r FrontDoorRequest) []byte {
+		frame := AppendFrontDoorRequest(nil, &r)
+		_, n := binary.Uvarint(frame)
+		return frame[n:]
+	}
+	for _, c := range []struct {
+		name   string
+		req    FrontDoorRequest
+		detach bool
+		want   float64
+	}{
+		{"GET", FrontDoorRequest{Op: FDGet, ID: 1 << 20, Session: 7, Key: "p0-k000042"}, false, 0},
+		{"PUT detached", FrontDoorRequest{Op: FDPut, ID: 1 << 20, Session: 7, Key: "p0-k000042", Value: []byte("12345678")}, true, 1},
+		{"PING detached", FrontDoorRequest{Op: FDPing, ID: 1 << 20, Session: 7}, true, 0},
+		{"RO-TX detached", FrontDoorRequest{Op: FDROTx, ID: 1 << 20, Session: 7, Keys: []string{"p0-k000042", "p1-k000042"}}, true, 2},
+	} {
+		frame := payload(c.req)
+		if n := testing.AllocsPerRun(500, func() {
+			req, err := DecodeFrontDoorRequest(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.detach {
+				req.Detach()
+			}
+		}); n > c.want {
+			t.Errorf("%s: %v allocations per request, want <= %v", c.name, n, c.want)
+		}
+	}
+}

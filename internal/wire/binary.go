@@ -554,10 +554,12 @@ var errShortFrame = fmt.Errorf("wire: short frame")
 // frameReader walks one decoded frame. Methods record the first error; the
 // caller checks err once at the end.
 //
-// While a version list is being decoded (owned is set, see versions), b is a
-// private copy of the frame's tail: keys and values alias it instead of being
-// copied out one by one, and version structs and dependency entries are
-// carved from two slabs sized from the list's count and the bytes left.
+// While owned is set, keys and values alias b instead of being copied out one
+// by one: the caller answers for b's lifetime. A version list sets it for a
+// private copy of the frame's tail (see versions), and carves version structs
+// and dependency entries from two slabs sized from the list's count and the
+// bytes left; a front-door request sets it for the frame itself, whose holder
+// decides how long the request lives (see DecodeFrontDoorRequest).
 type frameReader struct {
 	b   []byte
 	pos int
@@ -618,7 +620,8 @@ func (f *frameReader) string() string {
 	if !f.owned || len(raw) == 0 {
 		return string(raw)
 	}
-	// The bytes belong to the list's private, never-mutated copy.
+	// Nobody writes to b while the string is in use: b is a version list's
+	// private copy, or a request frame its holder keeps untouched.
 	return unsafe.String(&raw[0], len(raw))
 }
 

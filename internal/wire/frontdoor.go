@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // FrontDoorMagic is the first byte of a binary front-door connection. Text
@@ -238,10 +239,14 @@ func ReadFrontDoorFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 }
 
 // DecodeFrontDoorRequest parses one request payload (the frame body, length
-// prefix already stripped). Corrupted input yields an error, never a panic.
+// prefix already stripped) in place: the request's Key, Value, Keys and Line
+// alias frame, so it is valid only while the caller keeps frame untouched.
+// Whoever must keep the request past that — or hand its strings to something
+// that stores them — calls Detach first. Corrupted input yields an error,
+// never a panic.
 func DecodeFrontDoorRequest(frame []byte) (FrontDoorRequest, error) {
 	var r FrontDoorRequest
-	f := &frameReader{b: frame}
+	f := &frameReader{b: frame, owned: true}
 	r.Op = f.byteVal()
 	r.ID = f.uint()
 	r.Session = f.uint()
@@ -272,6 +277,38 @@ func DecodeFrontDoorRequest(frame []byte) (FrontDoorRequest, error) {
 		}
 	}
 	return r, f.finish()
+}
+
+// Detach makes the request independent of the frame it was decoded from:
+// every byte that aliases the frame moves into one allocation — a PUT's key
+// and value share the stored version's lifetime, as the versions of a decoded
+// replication batch share one copy — after which the frame may be reused. A
+// request that carries no bytes (PING, STATS) allocates nothing.
+func (r *FrontDoorRequest) Detach() {
+	n := len(r.Key) + len(r.Value) + len(r.Line)
+	for _, k := range r.Keys {
+		n += len(k)
+	}
+	own := make([]byte, 0, n)
+	own, r.Key = detachString(own, r.Key)
+	own, r.Line = detachString(own, r.Line)
+	for i, k := range r.Keys {
+		own, r.Keys[i] = detachString(own, k)
+	}
+	if r.Value != nil { // nil and empty stay distinct
+		own = append(own, r.Value...)
+		r.Value = own[len(own)-len(r.Value) : len(own) : len(own)]
+	}
+}
+
+// detachString appends s to own, which has room for it, and returns the
+// string re-pointed at those bytes; nothing writes to them again.
+func detachString(own []byte, s string) ([]byte, string) {
+	if s == "" {
+		return own, ""
+	}
+	own = append(own, s...)
+	return own, unsafe.String(&own[len(own)-len(s)], len(s))
 }
 
 // DecodeFrontDoorResponse parses one response payload.

@@ -13,7 +13,10 @@ import (
 // off an untrusted client socket. Corrupted or truncated input must only
 // ever produce errors, never panics or runaway allocations, and any frame
 // that decodes must re-encode to the same value (the client pool relies on
-// responses surviving re-serialization in proxies and tests).
+// responses surviving re-serialization in proxies and tests). A request is
+// decoded in place, so it is first detached the way kvserver detaches what a
+// PUT or an RO-TX keeps, and its frame overwritten: the round trip runs on
+// the copies alone.
 func FuzzFrontDoorDecode(f *testing.F) {
 	reqs := []FrontDoorRequest{
 		{Op: FDPing, ID: 1, Session: 1},
@@ -59,7 +62,12 @@ func FuzzFrontDoorDecode(f *testing.F) {
 				}
 				return
 			}
-			if req, err := DecodeFrontDoorRequest(frame); err == nil {
+			scratch := bytes.Clone(frame) // frame itself is decoded again below
+			if req, err := DecodeFrontDoorRequest(scratch); err == nil {
+				req.Detach()
+				for i := range scratch {
+					scratch[i] ^= 0xFF
+				}
 				re := AppendFrontDoorRequest(nil, &req)
 				frame2, err := ReadFrontDoorFrame(bufio.NewReader(bytes.NewReader(re)), nil)
 				if err != nil {

@@ -106,6 +106,49 @@ func TestFrontDoorRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontDoorDetachOwnsItsBytes pins the decode contract from both sides: a
+// decoded request aliases its frame (so the frame's owner decides how long it
+// lives), and a detached one shares nothing with it — overwriting the frame
+// afterwards changes no key, value, key list or line, and nil and empty
+// values stay what they were.
+func TestFrontDoorDetachOwnsItsBytes(t *testing.T) {
+	r := rand.New(rand.NewPCG(17, 19))
+	var buf []byte
+	for i := 0; i < 2000; i++ {
+		want := genFrontDoorRequest(r)
+		buf = AppendFrontDoorRequest(buf[:0], &want)
+		frame, err := ReadFrontDoorFrame(bufio.NewReader(bytes.NewReader(buf)), nil)
+		if err != nil {
+			t.Fatalf("read frame: %v (req %+v)", err, want)
+		}
+		got, err := DecodeFrontDoorRequest(frame)
+		if err != nil {
+			t.Fatalf("decode: %v (req %+v)", err, want)
+		}
+		got.Detach()
+		for j := range frame {
+			frame[j] ^= 0xFF
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a detached request changed with its frame:\n got %+v\nwant %+v", got, want)
+		}
+	}
+
+	get := FrontDoorRequest{Op: FDGet, ID: 9, Session: 1, Key: "user:42"}
+	frame, err := ReadFrontDoorFrame(bufio.NewReader(bytes.NewReader(AppendFrontDoorRequest(nil, &get))), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFrontDoorRequest(frame)
+	if err != nil || got.Key != get.Key {
+		t.Fatalf("decode = %+v, %v", got, err)
+	}
+	copy(frame[len(frame)-len(get.Key):], "USER")
+	if got.Key != "USER:42" {
+		t.Fatalf("a decoded key reads %q after its frame changed: it must alias the frame, not copy it", got.Key)
+	}
+}
+
 // TestFrontDoorResponseRoundTrip is the response-side twin.
 func TestFrontDoorResponseRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewPCG(29, 31))
