@@ -1,27 +1,28 @@
 // Command pocccli is a line client for a pocckv server: it connects to one
-// data center's port and forwards commands, printing replies.
+// data center's port through a pooled binary front-door connection and
+// forwards commands, printing replies.
 //
-// By default it speaks the binary front-door protocol through a pooled
-// connection (the fast path pocckv serves alongside the text protocol);
-// -text falls back to the legacy line protocol, byte for byte what a telnet
-// session would send.
+// It types and prints the text encoding of the protocol (internal/wire) and
+// speaks the binary one: each line is parsed into a request, sent as a frame,
+// and the response frame is rendered as the lines a telnet session would
+// have read. nc or telnet on the same port is the text client.
 //
 //	pocccli -addr 127.0.0.1:7070
 //	> put user:1 ada
 //	OK
-//	> get user:1
-//	VALUE ada
+//	> whereis user:1
+//	PARTITION 3
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 
 	"repro/internal/client"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -30,12 +31,8 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7070", "pocckv data-center address")
-	text := flag.Bool("text", false, "use the legacy line-text protocol instead of the binary front door")
 	flag.Parse()
 
-	if *text {
-		return runText(*addr)
-	}
 	pool, err := client.DialPool(client.PoolConfig{Addr: *addr, Conns: 1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -60,125 +57,18 @@ func run() int {
 		if line == "" {
 			continue
 		}
-		if strings.EqualFold(line, "QUIT") {
+		req, err := wire.ParseTextRequest(line)
+		if err == wire.ErrTextQuit {
 			fmt.Println("BYE")
 			return 0
 		}
-		for _, out := range runBinary(sess, line) {
-			fmt.Println(out)
+		var resp wire.FrontDoorResponse
+		if err == nil {
+			resp, err = sess.RoundTrip(req)
 		}
-	}
-}
-
-// runBinary executes one REPL line against a front-door session, rendering
-// replies in the text protocol's familiar shapes.
-func runBinary(sess *client.RemoteSession, line string) []string {
-	cmd, rest, _ := strings.Cut(line, " ")
-	switch strings.ToUpper(cmd) {
-	case "PING":
-		if err := sess.Ping(); err != nil {
-			return []string{"ERR " + err.Error()}
+		if err != nil { // a usage error, a server-reported error or a dead link
+			resp = wire.FrontDoorResponse{Kind: wire.FDErr, Text: err.Error()}
 		}
-		return []string{"PONG"}
-	case "PUT":
-		key, value, ok := strings.Cut(rest, " ")
-		if !ok || key == "" {
-			return []string{"ERR usage: PUT <key> <value>"}
-		}
-		if err := sess.Put(key, []byte(value)); err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		return []string{"OK"}
-	case "GET":
-		key := strings.TrimSpace(rest)
-		if key == "" {
-			return []string{"ERR usage: GET <key>"}
-		}
-		v, err := sess.Get(key)
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		if v == nil {
-			return []string{"NIL"}
-		}
-		return []string{"VALUE " + string(v)}
-	case "TX":
-		keys := strings.Fields(rest)
-		if len(keys) == 0 {
-			return []string{"ERR usage: TX <key> [key...]"}
-		}
-		vals, err := sess.ROTx(keys)
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		out := make([]string, 0, len(keys)+1)
-		for _, k := range keys {
-			if vals[k] == nil {
-				out = append(out, "TXNIL "+k)
-			} else {
-				out = append(out, "TXVAL "+k+" "+string(vals[k]))
-			}
-		}
-		return append(out, "TXEND")
-	case "STATS":
-		text, err := sess.Stats()
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		return strings.Split(text, "\n")
-	default:
-		// Everything else (WHEREIS/SPLIT/MOVESLOTS/SLOTS/JOIN/LEAVE/EVICT)
-		// rides the admin frame; the server enforces its allow-list.
-		text, err := sess.Admin(line)
-		if err != nil {
-			return []string{"ERR " + err.Error()}
-		}
-		return strings.Split(text, "\n")
-	}
-}
-
-// runText is the legacy raw loop: lines out, lines in.
-func runText(addr string) int {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer func() { _ = conn.Close() }()
-	fmt.Printf("connected to %s (text protocol)\n", addr)
-
-	serverReader := bufio.NewReader(conn)
-	stdin := bufio.NewScanner(os.Stdin)
-	for {
-		fmt.Print("> ")
-		if !stdin.Scan() {
-			fmt.Println()
-			return 0
-		}
-		line := strings.TrimSpace(stdin.Text())
-		if line == "" {
-			continue
-		}
-		if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		upper := strings.ToUpper(line)
-		multiline := strings.HasPrefix(upper, "TX ") || upper == "SLOTS"
-		for {
-			resp, err := serverReader.ReadString('\n')
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "connection closed")
-				return 0
-			}
-			resp = strings.TrimRight(resp, "\n")
-			fmt.Println(resp)
-			if !multiline || resp == "TXEND" || resp == "SLOTEND" || strings.HasPrefix(resp, "ERR") {
-				break
-			}
-		}
-		if upper == "QUIT" {
-			return 0
-		}
+		_, _ = os.Stdout.Write(wire.AppendTextResponse(nil, req.Op, &resp))
 	}
 }

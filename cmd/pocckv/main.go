@@ -1,10 +1,10 @@
 // Command pocckv runs a geo-replicated causal key-value store and serves it
 // over TCP, one port per data center. Clients connect to "their" data
-// center's port and speak either protocol the listener serves: the
+// center's port and speak either encoding of the protocol it serves: the
 // pipelined binary front door (what cmd/pocccli and internal/client.Pool
-// use — multiplexed sessions, out-of-order completion) or the line protocol
-// documented in internal/kvserver (PUT/GET/TX/STATS — try it with telnet or
-// pocccli -text).
+// use — multiplexed sessions, out-of-order completion) or the same requests
+// as text lines (PUT/GET/TX/STATS, documented in internal/wire; the admin
+// commands in internal/kvserver) — type them into telnet or nc.
 //
 //	pocckv -engine pocc -dcs 3 -partitions 8 -port 7070
 //
@@ -52,10 +52,8 @@ func run() int {
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "WAL growth that arms a snapshot checkpoint (0 = 1 MiB, negative disables; needs -data-dir)")
 		segBytes   = flag.Int64("segment-bytes", 0, "WAL segment roll size (0 = 4 MiB; needs -data-dir)")
 		noSync     = flag.Bool("no-sync", false, "skip the per-commit fsync (faster, loses the latest commits on a machine crash)")
-		noFsync    = flag.Bool("no-fsync", false, "deprecated alias for -no-sync")
 		ackMode    = flag.String("ack", "sync", "local PUT durability: sync (ack after group fsync) or grouped (ack after staging; fsync trails)")
 		groupWin   = flag.Duration("group-commit-window", 0, "extra linger coalescing concurrent commits into one fsync (0 = pipeline batching only)")
-		catchUp    = flag.String("catchup", "auto", "replication catch-up mode: auto (on when durable), on, off")
 		catchUpWin = flag.Int("catchup-max-inflight", 0, "max un-acked bytes per WAL-shipped catch-up stream (0 = 1 MiB)")
 		maxDCs     = flag.Int("max-dcs", 0, "DC-slot capacity for runtime joins via the JOIN admin command (0 = -dcs, fixed membership; needs -data-dir to join)")
 		maxParts   = flag.Int("max-partitions", 0, "partition capacity for live keyspace splits via the SPLIT admin command (0 = -partitions, fixed layout)")
@@ -87,19 +85,6 @@ func run() int {
 		return 2
 	}
 
-	var catchUpMode occ.CatchUpMode
-	switch strings.ToLower(*catchUp) {
-	case "auto":
-		catchUpMode = occ.CatchUpAuto
-	case "on":
-		catchUpMode = occ.CatchUpOn
-	case "off":
-		catchUpMode = occ.CatchUpOff
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -catchup mode %q (want auto, on or off)\n", *catchUp)
-		return 2
-	}
-
 	cfg := occ.Config{
 		DataCenters:        *dcs,
 		Partitions:         *partitions,
@@ -109,10 +94,9 @@ func run() int {
 		DataDir:            *dataDir,
 		CheckpointBytes:    *ckptBytes,
 		SegmentBytes:       *segBytes,
-		NoSync:             *noSync || *noFsync,
+		NoSync:             *noSync,
 		AckMode:            ack,
 		GroupCommitWindow:  *groupWin,
-		CatchUp:            catchUpMode,
 		CatchUpMaxInFlight: *catchUpWin,
 		MaxDataCenters:     *maxDCs,
 		MaxPartitions:      *maxParts,

@@ -19,8 +19,7 @@
 // applying each batch in a single pass over the storage shards. Deployments
 // that cross a real network (internal/tcpnet) frame messages with a
 // hand-rolled length-prefixed binary codec whose encode path performs zero
-// allocations; the reflection-based gob codec remains available as a
-// compatibility fallback. Three engines are provided:
+// allocations — the only replication codec. Three engines are provided:
 //
 //   - POCC — the paper's system: reads return the freshest received version;
 //     requests with unresolved dependencies block until the dependency
@@ -148,7 +147,7 @@
 // the safety argument). BenchmarkRemoteVisibility and the poccbench
 // visibility experiment track the three axes — bytes per version, remote
 // visibility p50/p99, GSS lag — with and without emulated skew, and make
-// race-hlc guards the clock plane under -race.
+// race guards the clock plane under -race.
 //
 // # Replication plane and catch-up
 //
@@ -167,9 +166,9 @@
 // bounded in-flight window. Crash recovery thus becomes per-replica resync:
 // a server killed with unflushed replication buffers — or cut off from the
 // stream entirely — rejoins and converges without restarting the world.
-// Config.CatchUp selects the mode (enabled automatically for durable
-// deployments); Stats exposes per-DC and per-link replication lag and
-// catch-up counters.
+// Catch-up needs a log to stream from, so it runs exactly when the
+// deployment is durable (Config.DataDir) and there is nothing to select;
+// Stats exposes per-DC and per-link replication lag and catch-up counters.
 //
 // # Dynamic membership
 //
@@ -280,16 +279,32 @@
 // a concurrent failure aborts by rolling the table forward onto the old
 // owners (the lattice cannot go back). The kvserver SPLIT/MOVESLOTS/SLOTS
 // commands, occ.Store.SlotTable and poccshell split/moveslots/slots expose
-// the same operations; make race-reshard guards the path under -race.
+// the same operations; make race guards the path under -race.
 //
 // # The front door
 //
-// Deployments served over TCP (internal/kvserver) speak two protocols on
-// the same listener, negotiated by the first byte of each connection: a
-// line-oriented text protocol (telnet-friendly, one blocking round trip per
-// command) and, when the connection opens with wire.FrontDoorMagic, the
-// binary front door — the production serving path. Binary connections carry
-// a stream of length-prefixed request frames (internal/wire/frontdoor.go),
+// Deployments served over TCP (internal/kvserver) speak one protocol in two
+// encodings on the same listener, negotiated by the first byte of each
+// connection: text lines (telnet-friendly, one blocking round trip per
+// command) and, when the connection opens with wire.FrontDoorMagic, binary
+// frames — the production serving path.
+//
+// There is one serving path. Both encodings live in internal/wire and meet
+// in the same two values, so every socket runs the same three steps and the
+// middle one exists once:
+//
+//	            parse                        execute            render
+//	text line   wire.ParseTextRequest        kvserver.execute   wire.AppendTextResponse
+//	frame       wire.DecodeFrontDoorRequest  (the same call)    wire.AppendFrontDoorResponse
+//
+// execute is the only caller of the session's PUT, GET and RO-TX and of the
+// admin commands (one function returning text or an error), so a blocking
+// hook, a counter or a fix lands once, whichever way a request arrived.
+// pocccli is the same picture run backwards: it parses the typed line with
+// the same parser, sends the frame, and renders the response frame with the
+// same renderer.
+//
+// Binary connections carry a stream of length-prefixed request frames,
 // each tagged with a request id and a client-chosen wire-session id, over
 // the same zero-allocation codec the replication plane uses. Three rules
 // shape the server: requests of one wire session execute in FIFO order (a
@@ -306,11 +321,12 @@
 // and retries through reshard fences under the same slot-retry budget as
 // in-process sessions. Sizing: a handful of connections saturates a
 // listener; throughput comes from pipelining depth, not socket count.
-// Pipelined throughput on one connection measures >5x the text protocol's
-// (BenchmarkFrontDoorPipelined; TestFrontDoorPipelinedSpeedup checks the
-// ratio when run by name — a wall-clock ratio is not asserted inside go test
-// ./... — and make race-frontdoor guards the path under -race). pocccli and
-// poccbench's frontdoor experiment ride the binary path; -text falls back.
+// Pipelined throughput on one connection measures >5x one synchronous round
+// trip at a time on the same connection (BenchmarkFrontDoorPipelined;
+// TestFrontDoorPipelinedSpeedup checks the ratio when run by name — a
+// wall-clock ratio is not asserted inside go test ./... — and make race
+// guards the path under -race). pocccli and poccbench's frontdoor
+// experiment ride the binary path; nc or telnet is the text client.
 //
 // # Ownership at each hand-off
 //
@@ -427,8 +443,8 @@
 // asserts stabilization progress whenever no fault legitimately freezes it.
 // Every run ends with a heal-and-quiesce epilogue that requires full
 // convergence. A failure reports the seed and the executed fault trace;
-// replaying the seed reproduces the identical schedule (make race-chaos,
-// CHAOS_SECONDS/CHAOS_SEED).
+// replaying the seed reproduces the identical schedule (the last row of
+// make race, CHAOS_SECONDS/CHAOS_SEED).
 //
 // Quick start:
 //

@@ -58,7 +58,7 @@ func TestScheduleCoversAllKinds(t *testing.T) {
 }
 
 // TestChaosSoak runs the full fault-injection soak. The default is a short
-// smoke (CI's race-chaos target and the nightly job raise it):
+// smoke (make race's last row and the nightly job raise it):
 //
 //	CHAOS_SECONDS=30 CHAOS_SEED=12345 go test -race -run TestChaosSoak ./internal/chaos
 //

@@ -198,15 +198,17 @@ type RemoteSession struct {
 	pool *Pool
 	pc   *poolConn
 	id   uint64
-	call Call // the synchronous operations' reusable call, see roundTrip
+	call Call // the synchronous operations' reusable call, see RoundTrip
 }
 
-// roundTrip runs one synchronous request on the session's own call: a
-// session is one thread of execution, so at most one synchronous request is
-// in flight and nothing need be allocated for it.
-func (s *RemoteSession) roundTrip(req wire.FrontDoorRequest) (wire.FrontDoorResponse, error) {
+// RoundTrip runs one synchronous request — whatever its op; ID and Session
+// are filled in here — on the session's own call: a session is one thread of
+// execution, so at most one synchronous request is in flight and nothing
+// need be allocated for it. It is the typed operations below without their
+// reshard retry.
+func (s *RemoteSession) RoundTrip(req wire.FrontDoorRequest) (wire.FrontDoorResponse, error) {
 	c := &s.call
-	req.ID = s.pc.nextID.Add(1)
+	req.ID, req.Session = s.pc.nextID.Add(1), s.id
 	if !c.state.CompareAndSwap(0, req.ID) {
 		// The call is busy: the session is being driven from two goroutines
 		// against its contract. Stay correct; pay the allocation.
@@ -252,7 +254,7 @@ func (s *RemoteSession) AdminAsync(line string) *Call {
 
 // Ping checks liveness.
 func (s *RemoteSession) Ping() error {
-	_, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDPing, Session: s.id})
+	_, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDPing})
 	return err
 }
 
@@ -261,7 +263,7 @@ func (s *RemoteSession) Ping() error {
 func (s *RemoteSession) Put(key string, value []byte) error {
 	var deadline time.Time
 	for {
-		_, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDPut, Session: s.id, Key: key, Value: value})
+		_, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDPut, Key: key, Value: value})
 		if err == nil {
 			return nil
 		}
@@ -275,7 +277,7 @@ func (s *RemoteSession) Put(key string, value []byte) error {
 func (s *RemoteSession) Get(key string) ([]byte, error) {
 	var deadline time.Time
 	for {
-		resp, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Session: s.id, Key: key})
+		resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Key: key})
 		if err == nil {
 			if !resp.Exists {
 				return nil, nil
@@ -293,7 +295,7 @@ func (s *RemoteSession) Get(key string) ([]byte, error) {
 func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
 	var deadline time.Time
 	for {
-		resp, err := s.roundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Session: s.id, Keys: keys})
+		resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Keys: keys})
 		if err == nil {
 			out := make(map[string][]byte, len(resp.Items))
 			for _, it := range resp.Items {

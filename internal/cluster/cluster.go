@@ -114,13 +114,6 @@ type Config struct {
 	// trigger, segment size and fsync policy (storage.DurableOptions).
 	// Ignored without DataDir.
 	Durable storage.DurableOptions
-	// CatchUp selects the replication catch-up mode (sequenced streams +
-	// WAL-shipped resync, internal/repl). CatchUpAuto — the default —
-	// enables it exactly when the deployment is durable (DataDir set);
-	// CatchUpOn forces it (senders without a WAL answer catch-up requests
-	// with Unsupported); CatchUpOff keeps the optimistic pre-catch-up
-	// application everywhere.
-	CatchUp CatchUpMode
 	// CatchUpMaxInFlight bounds the un-acked bytes per outbound catch-up
 	// stream (0 = 1 MiB): the sender's backpressure window.
 	CatchUpMaxInFlight int
@@ -153,32 +146,6 @@ type Config struct {
 	// (core.Config.GCMaxHoldback). 0 selects the core default (10 s);
 	// negative never releases.
 	GCMaxHoldback time.Duration
-}
-
-// CatchUpMode selects the replication catch-up behavior (Config.CatchUp).
-type CatchUpMode int
-
-// Catch-up modes.
-const (
-	// CatchUpAuto enables catch-up exactly when the deployment is durable.
-	CatchUpAuto CatchUpMode = iota
-	// CatchUpOn forces catch-up on (useful for mixed experiments).
-	CatchUpOn
-	// CatchUpOff disables catch-up (the pre-sequencing semantics: a crashed
-	// server's unflushed replication tail is silently lost).
-	CatchUpOff
-)
-
-// enabled resolves the mode against the deployment's durability.
-func (m CatchUpMode) enabled(durable bool) bool {
-	switch m {
-	case CatchUpOn:
-		return true
-	case CatchUpOff:
-		return false
-	default:
-		return durable
-	}
 }
 
 func (c *Config) withDefaults() Config {
@@ -277,7 +244,7 @@ type relay struct {
 // joiner's re-sent requests).
 func isReplPlane(m any) bool {
 	switch m.(type) {
-	case msg.Replicate, msg.ReplicateBatch, msg.Heartbeat,
+	case msg.ReplicateBatch, msg.Heartbeat,
 		msg.CatchUpRequest, msg.CatchUpReply, msg.CatchUpAck,
 		msg.JoinRequest, msg.JoinAccept, msg.MembershipUpdate, msg.LeaveNotice,
 		msg.EvictProposal, msg.EvictAck, msg.EvictNotice,
@@ -509,7 +476,7 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		ReplicationFlushInterval: c.cfg.ReplicationFlushInterval,
 		DataDir:                  dataDir,
 		DurableOptions:           c.cfg.Durable,
-		CatchUp:                  c.catchUp(),
+		CatchUp:                  c.cfg.DataDir != "",
 		CatchUpMaxInFlight:       c.cfg.CatchUpMaxInFlight,
 		MaxDCs:                   c.maxDCs,
 		Joining:                  joining,
@@ -520,9 +487,6 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 	}
 }
 
-// catchUp resolves the configured catch-up mode for this deployment.
-func (c *Cluster) catchUp() bool { return c.cfg.CatchUp.enabled(c.cfg.DataDir != "") }
-
 // RestartServer simulates a partition-server crash and recovery: the server
 // is killed, a fresh one reopens the same durable data directory — its
 // version chains and VV floor rebuilt from the snapshot and log tail — and
@@ -532,15 +496,13 @@ func (c *Cluster) catchUp() bool { return c.cfg.CatchUp.enabled(c.cfg.DataDir !=
 // It requires Config.DataDir: an in-memory server would restart empty, which
 // is a data loss, not a recovery.
 //
-// With catch-up enabled (the default for durable deployments), the kill is
-// a real crash: the outgoing replication buffer is discarded, not flushed —
-// sibling DCs lose the tail of the update stream — and replication-plane
-// messages arriving during the down window are dropped, as a dead machine
-// would drop them. The restarted server and its siblings then detect the
-// discontinuities through the link sequence numbers and resynchronize by
-// WAL-shipped catch-up (internal/repl). With catch-up off, the legacy
-// graceful semantics apply: the buffer is flushed and delivery pauses
-// (never drops) through the swap. The torn-log recovery paths are covered
+// The kill is a real crash: the outgoing replication buffer is discarded,
+// not flushed — sibling DCs lose the tail of the update stream — and
+// replication-plane messages arriving during the down window are dropped,
+// as a dead machine would drop them. The restarted server and its siblings
+// then detect the discontinuities through the link sequence numbers and
+// resynchronize by WAL-shipped catch-up (internal/repl), which a durable
+// deployment always runs. The torn-log recovery paths are covered
 // separately by tests that truncate segment files on disk between a close
 // and a reopen.
 func (c *Cluster) RestartServer(dc, p int) error {
@@ -554,23 +516,16 @@ func (c *Cluster) RestartServer(dc, p int) error {
 	if old == nil {
 		return fmt.Errorf("cluster: no running server dc%d-p%d (DC departed)", dc, p)
 	}
-	crash := c.catchUp()
 	rl := c.relays[dc][p]
-	if crash {
-		// A dead machine receives nothing: drop replication traffic for the
-		// whole down window (in-flight deliveries included, before the gate
-		// settles). Catch-up repairs the loss after the restart — so the
-		// drop must end when this function does, even on a failed reopen.
-		rl.dropRepl.Store(true)
-		defer rl.dropRepl.Store(false)
-	}
+	// A dead machine receives nothing: drop replication traffic for the
+	// whole down window (in-flight deliveries included, before the gate
+	// settles). Catch-up repairs the loss after the restart — so the drop
+	// must end when this function does, even on a failed reopen.
+	rl.dropRepl.Store(true)
+	defer rl.dropRepl.Store(false)
 	rl.gate.Lock() // drain in-flight request deliveries, pause new ones
 	defer rl.gate.Unlock()
-	if crash {
-		old.Crash()
-	} else {
-		old.Close()
-	}
+	old.Crash()
 	srv, err := core.NewServer(c.serverConfig(dc, p))
 	if err != nil {
 		return fmt.Errorf("cluster: restart dc%d-p%d: %w", dc, p, err)
@@ -622,9 +577,6 @@ func (c *Cluster) AddDC() (int, error) {
 	defer c.memberMu.Unlock()
 	if c.cfg.DataDir == "" {
 		return 0, errors.New("cluster: AddDC requires Config.DataDir (joiners bootstrap from the siblings' WALs)")
-	}
-	if !c.catchUp() {
-		return 0, errors.New("cluster: AddDC requires catch-up (CatchUpOff disables the join bootstrap)")
 	}
 	dc := int(c.dcs.Load())
 	if dc >= c.maxDCs {

@@ -70,8 +70,6 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 			switch mm := m.(type) {
 			case msg.ReplicateBatch:
 				total += len(mm.Versions)
-			case msg.Replicate:
-				total++
 			}
 		}
 		return total == 3

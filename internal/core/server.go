@@ -1312,8 +1312,6 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		return
 	}
 	switch mm := m.(type) {
-	case msg.Replicate:
-		s.applyReplicate(src, mm)
 	case msg.ReplicateBatch:
 		s.repl.HandleBatch(src, mm)
 	case msg.Heartbeat:
@@ -1360,17 +1358,6 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		}
 	case msg.SliceResp:
 		s.applySliceResp(src.Partition, mm)
-	}
-}
-
-// applyReplicate installs a legacy single-version replicate message and
-// advances the version vector optimistically (Algorithm 2, lines 16-18).
-// The replication manager only emits sequenced batches now; this path
-// remains for unsequenced senders (tests and old peers).
-func (s *Server) applyReplicate(src netemu.NodeID, m msg.Replicate) {
-	s.store.Insert(m.V)
-	if s.vv.raiseTo(src.DC, m.V.UpdateTime) {
-		s.vvWaiters.wake()
 	}
 }
 

@@ -118,8 +118,6 @@ func TestHeartbeatSuppressedByPuts(t *testing.T) {
 		switch mm := m.(type) {
 		case msg.Heartbeat:
 			hb++
-		case msg.Replicate:
-			repl++
 		case msg.ReplicateBatch:
 			repl += len(mm.Versions)
 		}
@@ -237,10 +235,10 @@ func TestVVNeverRegresses(t *testing.T) {
 				if i%2 == 0 {
 					r.inject(netemu.NodeID{DC: dc, Partition: 0}, msg.Heartbeat{Time: ts})
 				} else {
-					r.inject(netemu.NodeID{DC: dc, Partition: 0}, msg.Replicate{V: &item.Version{
+					r.inject(netemu.NodeID{DC: dc, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{{
 						Key: fmt.Sprintf("k%d", i%4), Value: []byte("x"),
 						SrcReplica: dc, UpdateTime: ts, Deps: vclock.New(3),
-					}})
+					}}})
 				}
 				time.Sleep(50 * time.Microsecond)
 			}
@@ -282,7 +280,7 @@ func TestPessimisticROTxExcludesUnstable(t *testing.T) {
 		SrcReplica: 1, UpdateTime: 1, Deps: vclock.VC{0, 0, 0}})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 50000, Deps: vclock.VC{0, 40000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: fresh})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 50000 }) {
 		t.Fatal("replication not applied")
 	}

@@ -246,7 +246,7 @@ func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
 	v := &item.Version{Key: "k0", Value: []byte("remote"), SrcReplica: 1,
 		UpdateTime: 12345, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: v})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{v}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 12345 }) {
 		t.Fatalf("VV[1] = %d, want 12345", r.srv.VV().Get(1))
 	}
@@ -291,7 +291,7 @@ func TestGetBlocksUntilDependencyArrives(t *testing.T) {
 	// The missing dependency arrives.
 	v := &item.Version{Key: "k0", Value: []byte("dep"), SrcReplica: 1,
 		UpdateTime: need, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: v})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{v}})
 
 	select {
 	case res := <-done:
@@ -421,7 +421,7 @@ func TestPessimisticGetHidesUnstableVersion(t *testing.T) {
 	// fake peer partition never exchanges a VV.
 	fresh := &item.Version{Key: "k0", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 100000, Deps: vclock.VC{0, 90000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: fresh})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 100000 }) {
 		t.Fatal("replication not applied")
 	}
@@ -642,7 +642,7 @@ func TestROTxSnapshotIncludesUnstableReceived(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 1})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 60000, Deps: vclock.VC{0, 50000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: fresh})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 60000 }) {
 		t.Fatal("replication not applied")
 	}

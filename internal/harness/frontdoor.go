@@ -14,12 +14,10 @@ import (
 // FrontDoor measures the serving path itself — the same store behind three
 // client shapes:
 //
-//   - "text": the legacy line protocol, one synchronous round trip at a
-//     time on one connection (the pre-front-door baseline),
-//   - "binary-sync": the binary front door driven synchronously, isolating
-//     the codec win from the pipelining win,
+//   - "binary-sync": one synchronous round trip at a time on one
+//     connection, the baseline the other two are read against,
 //   - "binary-pipelined": one connection, one session, a window of
-//     in-flight requests (the tentpole configuration), and
+//     in-flight requests, and
 //   - "binary-pooled": a small connection pool multiplexing many sessions,
 //     the production shape.
 //
@@ -57,11 +55,6 @@ func FrontDoor(ctx context.Context, sc Scale, dur time.Duration) (*Table, error)
 		value[i] = byte('a' + i%26)
 	}
 
-	text, err := frontDoorText(ctx, addr, value, dur)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, text)
 	sync1, err := frontDoorBinary(ctx, addr, value, dur, 1, 1, 1)
 	if err != nil {
 		return nil, err
@@ -78,33 +71,6 @@ func FrontDoor(ctx context.Context, sc Scale, dur time.Duration) (*Table, error)
 	}
 	t.Rows = append(t.Rows, pooled)
 	return t, nil
-}
-
-// frontDoorText drives the legacy protocol: one blocking round trip at a
-// time.
-func frontDoorText(ctx context.Context, addr string, value []byte, dur time.Duration) ([]string, error) {
-	c, err := kvserver.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("frontdoor text: %w", err)
-	}
-	defer func() { _ = c.Close() }()
-	var lats []time.Duration
-	deadline := time.Now().Add(dur)
-	val := string(value)
-	for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-		key := fmt.Sprintf("fd%d", i%1024)
-		start := time.Now()
-		if i%2 == 0 {
-			err = c.Put(key, val)
-		} else {
-			_, _, err = c.Get(key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("frontdoor text: %w", err)
-		}
-		lats = append(lats, time.Since(start))
-	}
-	return frontDoorRow("text", 1, 1, 1, lats, dur), nil
 }
 
 // frontDoorBinary drives the binary front door with `sessions` sessions

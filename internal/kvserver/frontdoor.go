@@ -35,10 +35,7 @@ package kvserver
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -84,14 +81,6 @@ func fdRelease(lease *[]byte) {
 type fdWork struct {
 	req   wire.FrontDoorRequest
 	lease *[]byte
-}
-
-// fdAdminCommands is the allow-list of text-protocol commands an FDAdmin
-// frame may run. They are exactly the commands that never touch a client
-// session, so the admin path can reuse handleLine with a nil session.
-var fdAdminCommands = map[string]bool{
-	"WHEREIS": true, "STATS": true, "SPLIT": true, "MOVESLOTS": true,
-	"SLOTS": true, "JOIN": true, "LEAVE": true, "EVICT": true,
 }
 
 type fdConn struct {
@@ -203,7 +192,7 @@ func (fd *fdConn) sessionWorker(ss *fdSession) {
 			fdRelease(w.lease)
 			continue // connection is gone; drain without executing
 		}
-		resp := fd.execute(ss, &w.req)
+		resp := fd.s.execute(ss, &w.req)
 		fdRelease(w.lease)
 		select {
 		case fd.out <- resp: // non-blocking fast path
@@ -245,106 +234,5 @@ func (fd *fdConn) writer() {
 			_ = fd.conn.Close()
 			return
 		}
-	}
-}
-
-// execute runs one request against its session and builds the response.
-func (fd *fdConn) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontDoorResponse {
-	if ss.sessErr != nil {
-		// The session could not be opened — the DC left the deployment (or
-		// the store is closing). Permanent for this connection.
-		return wire.FrontDoorResponse{
-			Kind: wire.FDErr, ID: req.ID,
-			Code: wire.FDCodeNoDataCenter, Text: ss.sessErr.Error(),
-		}
-	}
-	switch req.Op {
-	case wire.FDPing:
-		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
-	case wire.FDPut:
-		// Key and value were detached from the frame, in one private copy:
-		// hand them over.
-		if err := ss.sess.PutOwned(req.Key, req.Value); err != nil {
-			return fdError(req.ID, err)
-		}
-		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
-	case wire.FDGet:
-		v, err := ss.sess.Get(req.Key)
-		if err != nil {
-			return fdError(req.ID, err)
-		}
-		return wire.FrontDoorResponse{
-			Kind: wire.FDValue, ID: req.ID, Exists: v != nil, Value: v,
-		}
-	case wire.FDROTx:
-		items := []wire.FrontDoorTxItem{}
-		if len(req.Keys) > 0 {
-			vals, err := ss.sess.ROTx(req.Keys)
-			if err != nil {
-				return fdError(req.ID, err)
-			}
-			items = make([]wire.FrontDoorTxItem, 0, len(req.Keys))
-			for _, k := range req.Keys {
-				v := vals[k]
-				items = append(items, wire.FrontDoorTxItem{
-					Key: k, Exists: v != nil, Value: v,
-				})
-			}
-		}
-		return wire.FrontDoorResponse{Kind: wire.FDTx, ID: req.ID, Items: items}
-	case wire.FDStats:
-		return fd.runAdminLine(req.ID, "STATS")
-	case wire.FDAdmin:
-		cmd, _, _ := strings.Cut(strings.TrimSpace(req.Line), " ")
-		if !fdAdminCommands[strings.ToUpper(cmd)] {
-			return wire.FrontDoorResponse{
-				Kind: wire.FDErr, ID: req.ID, Code: wire.FDCodeGeneric,
-				Text: "not an admin command: " + cmd,
-			}
-		}
-		return fd.runAdminLine(req.ID, req.Line)
-	default:
-		return wire.FrontDoorResponse{
-			Kind: wire.FDErr, ID: req.ID, Code: wire.FDCodeGeneric,
-			Text: "unknown op",
-		}
-	}
-}
-
-// runAdminLine reuses the text-protocol command dispatch for admin frames:
-// the line's text output (possibly multi-line, e.g. SLOTS) becomes an
-// FDText payload. Only allow-listed commands reach here, none of which use
-// the session argument.
-func (fd *fdConn) runAdminLine(id uint64, line string) wire.FrontDoorResponse {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	fd.s.handleLine(w, nil, line)
-	_ = w.Flush()
-	text := strings.TrimRight(buf.String(), "\n")
-	if strings.HasPrefix(text, "ERR ") {
-		return wire.FrontDoorResponse{
-			Kind: wire.FDErr, ID: id, Code: wire.FDCodeGeneric,
-			Text: strings.TrimPrefix(text, "ERR "),
-		}
-	}
-	return wire.FrontDoorResponse{Kind: wire.FDText, ID: id, Text: text}
-}
-
-// fdError maps an operation error onto an FDErr response with a
-// machine-readable code, so the client pool can reconstruct the canonical
-// error value (errors.Is works on the far side) and drive retry policy
-// without string matching.
-func fdError(id uint64, err error) wire.FrontDoorResponse {
-	code := wire.FDCodeGeneric
-	switch {
-	case errors.Is(err, occ.ErrWrongSlotEpoch):
-		code = wire.FDCodeWrongSlotEpoch
-	case errors.Is(err, occ.ErrSessionClosed):
-		code = wire.FDCodeSessionClosed
-	case errors.Is(err, occ.ErrStopped):
-		code = wire.FDCodeStopped
-	}
-	return wire.FrontDoorResponse{
-		Kind: wire.FDErr, ID: id, Code: code, Text: err.Error(),
 	}
 }

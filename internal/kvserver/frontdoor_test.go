@@ -185,20 +185,16 @@ func TestFrontDoorLargeValue(t *testing.T) {
 // long" reply instead of a silently dropped connection.
 func TestTextLargeValueAndTooLongLine(t *testing.T) {
 	srv := testServer(t)
-	c := dial(t, srv, 0)
+	c := dial(t, srv.Addr(0))
 	big := strings.Repeat("y", 100*1024)
-	if err := c.Put("big", big); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := c.Get("big")
-	if err != nil || !ok || v != big {
-		t.Fatalf("big text value corrupted: len=%d ok=%v err=%v", len(v), ok, err)
+	c.put(t, "big", big)
+	if resp := c.send(t, "GET big"); resp != "VALUE "+big {
+		t.Fatalf("big text value corrupted: len=%d", len(resp))
 	}
 
-	tooLong := dial(t, srv, 0)
-	err = tooLong.Put("big", strings.Repeat("z", maxTextLine+16))
-	if err == nil || !strings.Contains(err.Error(), "too long") {
-		t.Fatalf("oversized line: err=%v, want ERR too long", err)
+	tooLong := dial(t, srv.Addr(0))
+	if resp := tooLong.send(t, "PUT big "+strings.Repeat("z", maxTextLine+16)); resp != "ERR too long" {
+		t.Fatalf("oversized line = %.40q, want ERR too long", resp)
 	}
 }
 
@@ -251,8 +247,8 @@ func TestFrontDoorBlockedGetDoesNotStallPipeline(t *testing.T) {
 }
 
 // TestFrontDoorUnderChurn drives pipelined pooled clients through a
-// concurrent partition split and server restarts — the race-frontdoor
-// workload. Sessions must keep their read-your-writes guarantee across the
+// concurrent partition split and server restarts — the front-door row of
+// make race. Sessions must keep their read-your-writes guarantee across the
 // churn; transient ErrStopped from a restarting server is the only
 // tolerated failure.
 func TestFrontDoorUnderChurn(t *testing.T) {

@@ -1,45 +1,43 @@
-// Package kvserver exposes a running occ.Store over a plain text TCP
-// protocol, one listener per data center, so external clients (telnet, the
-// pocccli binary, or any language) can use the store without linking Go
-// code. Every connection gets its own client session bound to the
-// listener's data center, matching the paper's model of clients attached to
-// one DC.
+// Package kvserver exposes a running occ.Store over TCP, one listener per
+// data center, so external clients (internal/client's pool, telnet, or any
+// language) can use the store without linking Go code. Every session gets
+// its own client session bound to the listener's data center, matching the
+// paper's model of clients attached to one DC.
 //
-// Protocol (one request per line, responses line-oriented):
+// A listener speaks the front-door protocol in both of its encodings
+// (internal/wire): binary frames, pipelined and multiplexed (frontdoor.go),
+// and text lines, one request at a time. The first byte of a connection
+// selects the encoding; after that each socket runs one loop — decode a
+// wire.FrontDoorRequest, execute it, encode the wire.FrontDoorResponse — and
+// both loops call the same execute. The data commands (PING, PUT, GET, TX,
+// STATS, QUIT) are documented with the text encoding in internal/wire; the
+// admin commands below are lines this package interprets, typed as they are
+// on a text connection or carried verbatim in an FDAdmin frame:
 //
-//	PING                      -> PONG
-//	PUT <key> <value>         -> OK
-//	GET <key>                 -> VALUE <value> | NIL
-//	TX <key> [key...]         -> TXVAL <key> <value> | TXNIL <key> (one per
-//	                             key, any order) then TXEND
 //	WHEREIS <key>             -> PARTITION <n> (the key's current owner —
 //	                             slot-table routing after a reshard)
-//	STATS                     -> STATS ops=<n> blocked=<n> ...
-//	SPLIT <partition>         -> SPLITDONE <new-partition> (admin: grow every
-//	                             DC by one partition server; half the donor's
-//	                             hash slots move to it, history migrates,
-//	                             routing flips — needs -max-partitions
-//	                             headroom)
-//	MOVESLOTS <to> <slot...>  -> MOVED <n> <to> (admin: reassign hash slots
-//	                             to an existing partition, migrating their
-//	                             history first)
+//	SPLIT <partition>         -> SPLITDONE <new-partition> (grow every DC by
+//	                             one partition server; half the donor's hash
+//	                             slots move to it, history migrates, routing
+//	                             flips — needs -max-partitions headroom)
+//	MOVESLOTS <to> <slot...>  -> MOVED <n> <to> (reassign hash slots to an
+//	                             existing partition, migrating their history
+//	                             first)
 //	SLOTS                     -> SLOTS epoch=<e> parts=<n> then one line
 //	                             "SLOT <owner> <slots...>" per partition,
 //	                             then SLOTEND (the current routing table;
 //	                             epoch 0 = static hash layout)
-//	JOIN                      -> JOINED <dc> <addr> (admin: grow the
-//	                             deployment by one DC; the new DC boots,
-//	                             catches up from its siblings' WALs, and
-//	                             gets its own listener)
-//	LEAVE <dc>                -> LEFT <dc> (admin: remove a DC; its history
-//	                             stays on the survivors)
-//	EVICT <dc>                -> EVICTED <dc> (admin: forcibly remove a
-//	                             crashed DC; the survivors agree on its final
-//	                             replicated timestamps and resume)
-//	QUIT                      -> BYE (server closes the connection)
+//	JOIN                      -> JOINED <dc> <addr> (grow the deployment by
+//	                             one DC; the new DC boots, catches up from
+//	                             its siblings' WALs, and gets its own
+//	                             listener)
+//	LEAVE <dc>                -> LEFT <dc> (remove a DC; its history stays on
+//	                             the survivors)
+//	EVICT <dc>                -> EVICTED <dc> (forcibly remove a crashed DC;
+//	                             the survivors agree on its final replicated
+//	                             timestamps and resume)
 //
-// Errors are reported as "ERR <message>". Keys must not contain spaces;
-// values may (everything after the key is the value).
+// A failed command answers "ERR <message>" (an FDErr frame).
 package kvserver
 
 import (
@@ -190,9 +188,8 @@ func (s *Server) handleConn(dc int, conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// Negotiate the protocol on the first byte: wire.FrontDoorMagic selects
-	// the binary pipelined front door, anything else (printable ASCII) is a
-	// legacy text-protocol line.
+	// Negotiate the encoding on the first byte: wire.FrontDoorMagic selects
+	// binary frames, anything else (printable ASCII) starts a text line.
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
 	if err != nil {
@@ -203,191 +200,210 @@ func (s *Server) handleConn(dc int, conn net.Conn) {
 		s.handleBinaryConn(dc, conn, br)
 		return
 	}
-	sess, err := s.store.Session(dc)
-	w := bufio.NewWriter(conn)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		_ = w.Flush()
-		return
-	}
+	// A text connection is one session answered in order: parse, execute,
+	// render, one line at a time.
+	ss := &fdSession{}
+	ss.sess, ss.sessErr = s.store.Session(dc)
 	scanner := bufio.NewScanner(br)
 	scanner.Buffer(make([]byte, 64*1024), maxTextLine)
+	var out []byte
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" {
 			continue
 		}
-		quit := s.handleLine(w, sess, line)
-		if err := w.Flush(); err != nil {
+		req, err := wire.ParseTextRequest(line)
+		if err == wire.ErrTextQuit {
+			_, _ = conn.Write([]byte("BYE\n"))
 			return
 		}
-		if quit {
+		resp := wire.FrontDoorResponse{Kind: wire.FDErr}
+		if err != nil {
+			resp.Text = err.Error()
+		} else {
+			resp = s.execute(ss, &req)
+		}
+		out = wire.AppendTextResponse(out[:0], req.Op, &resp)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
-	// A line past maxTextLine used to kill the connection silently; tell the
-	// client what happened before hanging up.
+	// Tell the client why a line past maxTextLine loses it the connection.
 	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-		fmt.Fprintln(w, "ERR too long")
-		_ = w.Flush()
+		_, _ = conn.Write([]byte("ERR too long\n"))
 	}
 }
 
-// handleLine executes one protocol line; it returns true when the
-// connection should close.
-func (s *Server) handleLine(w *bufio.Writer, sess *occ.Session, line string) bool {
-	cmd, rest, _ := strings.Cut(line, " ")
-	switch strings.ToUpper(cmd) {
-	case "PING":
-		fmt.Fprintln(w, "PONG")
-	case "PUT":
-		key, value, ok := strings.Cut(rest, " ")
-		if !ok || key == "" {
-			fmt.Fprintln(w, "ERR usage: PUT <key> <value>")
-			return false
+// execute runs one request against its session and builds the response: the
+// one dispatcher behind both encodings.
+func (s *Server) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontDoorResponse {
+	if ss.sessErr != nil {
+		// The session could not be opened — the DC left the deployment (or
+		// the store is closing). Permanent for this connection.
+		return wire.FrontDoorResponse{
+			Kind: wire.FDErr, ID: req.ID,
+			Code: wire.FDCodeNoDataCenter, Text: ss.sessErr.Error(),
 		}
-		if err := sess.PutOwned(key, []byte(value)); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+	}
+	switch req.Op {
+	case wire.FDPing:
+		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
+	case wire.FDPut:
+		// Key and value are the request's own (a binary frame's were
+		// detached, in one private copy): hand them over.
+		if err := ss.sess.PutOwned(req.Key, req.Value); err != nil {
+			return fdError(req.ID, err)
 		}
-		fmt.Fprintln(w, "OK")
-	case "GET":
-		key := strings.TrimSpace(rest)
-		if key == "" || strings.ContainsRune(key, ' ') {
-			fmt.Fprintln(w, "ERR usage: GET <key>")
-			return false
-		}
-		v, err := sess.Get(key)
+		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
+	case wire.FDGet:
+		v, err := ss.sess.Get(req.Key)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return fdError(req.ID, err)
 		}
-		if v == nil {
-			fmt.Fprintln(w, "NIL")
-		} else {
-			fmt.Fprintf(w, "VALUE %s\n", v)
+		return wire.FrontDoorResponse{
+			Kind: wire.FDValue, ID: req.ID, Exists: v != nil, Value: v,
 		}
-	case "TX":
-		keys := strings.Fields(rest)
-		if len(keys) == 0 {
-			fmt.Fprintln(w, "ERR usage: TX <key> [key...]")
-			return false
-		}
-		vals, err := sess.ROTx(keys)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		for _, k := range keys {
-			if vals[k] == nil {
-				fmt.Fprintf(w, "TXNIL %s\n", k)
-			} else {
-				fmt.Fprintf(w, "TXVAL %s %s\n", k, vals[k])
+	case wire.FDROTx:
+		items := []wire.FrontDoorTxItem{}
+		if len(req.Keys) > 0 {
+			vals, err := ss.sess.ROTx(req.Keys)
+			if err != nil {
+				return fdError(req.ID, err)
+			}
+			items = make([]wire.FrontDoorTxItem, 0, len(req.Keys))
+			for _, k := range req.Keys {
+				v := vals[k]
+				items = append(items, wire.FrontDoorTxItem{
+					Key: k, Exists: v != nil, Value: v,
+				})
 			}
 		}
-		fmt.Fprintln(w, "TXEND")
-	case "WHEREIS":
-		key := strings.TrimSpace(rest)
-		if key == "" {
-			fmt.Fprintln(w, "ERR usage: WHEREIS <key>")
-			return false
+		return wire.FrontDoorResponse{Kind: wire.FDTx, ID: req.ID, Items: items}
+	case wire.FDStats, wire.FDAdmin:
+		line := req.Line
+		if req.Op == wire.FDStats {
+			line = "STATS"
 		}
-		fmt.Fprintf(w, "PARTITION %d\n", s.store.PartitionOf(key))
-	case "STATS":
-		st := s.store.Stats()
-		fmt.Fprintf(w, "STATS ops=%d blocked=%d block_prob=%.3e old_pct=%.3f unmerged_pct=%.3f keys=%d versions=%d messages=%d dcs=%d max_lag_ms=%.3f link_lag_ms=%s catchups=%d catchups_served=%d catchups_active=%d full_resyncs=%d links=%s gc_holdback_ms=%.3f fsyncs=%d commit_groups=%d wal_records=%d group_p50=%d group_max=%d ack_lag_mean_us=%.1f ack_lag_max_us=%.1f seek_hits=%d full_scans=%d parts_skipped=%d partitions=%d slot_epoch=%d\n",
-			st.Operations, st.BlockedOperations, st.BlockingProbability,
-			st.PercentOldReads, st.PercentUnmergedReads, st.Keys, st.Versions, s.store.Messages(),
-			s.store.DataCenters(),
-			float64(st.MaxReplicationLag())/float64(time.Millisecond),
-			formatLinkLag(st.ReplicationLagPerLink),
-			st.CatchUps, st.CatchUpsServed, st.CatchUpsActive,
-			st.FullResyncs, formatLinkStates(st.LinkStates),
-			float64(st.GCHoldbackAge)/float64(time.Millisecond),
-			st.Fsyncs, st.CommitGroups, st.WALRecords, st.CommitGroupP50, st.CommitGroupMax,
-			float64(st.AckToDurableMean)/float64(time.Microsecond),
-			float64(st.AckToDurableMax)/float64(time.Microsecond),
-			st.SeekHits, st.FullScans, st.PartsSkipped,
-			st.Partitions, st.SlotEpoch)
-	case "SPLIT":
-		donor, err := strconv.Atoi(strings.TrimSpace(rest))
+		text, err := s.admin(line)
 		if err != nil {
-			fmt.Fprintln(w, "ERR usage: SPLIT <partition>")
-			return false
+			return fdError(req.ID, err)
+		}
+		return wire.FrontDoorResponse{Kind: wire.FDText, ID: req.ID, Text: text}
+	default:
+		return wire.FrontDoorResponse{
+			Kind: wire.FDErr, ID: req.ID, Code: wire.FDCodeGeneric,
+			Text: "unknown op",
+		}
+	}
+}
+
+// fdError maps an operation error onto an FDErr response with a
+// machine-readable code, so the client pool can reconstruct the canonical
+// error value (errors.Is works on the far side) and drive retry policy
+// without string matching.
+func fdError(id uint64, err error) wire.FrontDoorResponse {
+	code := wire.FDCodeGeneric
+	switch {
+	case errors.Is(err, occ.ErrWrongSlotEpoch):
+		code = wire.FDCodeWrongSlotEpoch
+	case errors.Is(err, occ.ErrSessionClosed):
+		code = wire.FDCodeSessionClosed
+	case errors.Is(err, occ.ErrStopped):
+		code = wire.FDCodeStopped
+	}
+	return wire.FrontDoorResponse{
+		Kind: wire.FDErr, ID: id, Code: code, Text: err.Error(),
+	}
+}
+
+// admin runs one admin command line — the commands that never touch a client
+// session — and returns its output, lines joined by "\n" with no trailing
+// newline. Its switch is the allow-list: any other verb, a data command
+// smuggled into an FDAdmin frame included, is an unknown command.
+func (s *Server) admin(line string) (string, error) {
+	cmd, rest, _ := strings.Cut(strings.TrimSpace(line), " ")
+	rest = strings.TrimSpace(rest)
+	switch verb := strings.ToUpper(cmd); verb {
+	case "WHEREIS":
+		if rest == "" {
+			return "", errors.New("usage: WHEREIS <key>")
+		}
+		return fmt.Sprintf("PARTITION %d", s.store.PartitionOf(rest)), nil
+	case "STATS":
+		return s.statsLine(), nil
+	case "SPLIT":
+		donor, err := strconv.Atoi(rest)
+		if err != nil {
+			return "", errors.New("usage: SPLIT <partition>")
 		}
 		np, err := s.store.SplitPartition(donor)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return "", err
 		}
-		fmt.Fprintf(w, "SPLITDONE %d\n", np)
+		return fmt.Sprintf("SPLITDONE %d", np), nil
 	case "MOVESLOTS":
 		fields := strings.Fields(rest)
 		if len(fields) < 2 {
-			fmt.Fprintln(w, "ERR usage: MOVESLOTS <to> <slot> [slot...]")
-			return false
+			return "", errors.New("usage: MOVESLOTS <to> <slot> [slot...]")
 		}
 		to, err := strconv.Atoi(fields[0])
 		if err != nil {
-			fmt.Fprintln(w, "ERR usage: MOVESLOTS <to> <slot> [slot...]")
-			return false
+			return "", errors.New("usage: MOVESLOTS <to> <slot> [slot...]")
 		}
 		slots := make([]int, 0, len(fields)-1)
 		for _, f := range fields[1:] {
 			sl, err := strconv.Atoi(f)
 			if err != nil {
-				fmt.Fprintf(w, "ERR bad slot %q\n", f)
-				return false
+				return "", fmt.Errorf("bad slot %q", f)
 			}
 			slots = append(slots, sl)
 		}
 		if err := s.store.MoveSlots(slots, to); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return "", err
 		}
-		fmt.Fprintf(w, "MOVED %d %d\n", len(slots), to)
+		return fmt.Sprintf("MOVED %d %d", len(slots), to), nil
 	case "SLOTS":
 		tbl := s.store.SlotTable()
 		if tbl == nil {
-			fmt.Fprintf(w, "SLOTS epoch=0 parts=%d\n", s.store.Partitions())
-			fmt.Fprintln(w, "SLOTEND")
-			return false
+			return fmt.Sprintf("SLOTS epoch=0 parts=%d\nSLOTEND", s.store.Partitions()), nil
 		}
-		fmt.Fprintf(w, "SLOTS epoch=%d parts=%d\n", tbl.Epoch, tbl.Parts)
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "SLOTS epoch=%d parts=%d\n", tbl.Epoch, tbl.Parts)
 		for p := 0; p < tbl.Parts; p++ {
-			owned := tbl.SlotsOwnedBy(p)
-			var sb strings.Builder
-			for _, sl := range owned {
+			fmt.Fprintf(&sb, "SLOT %d", p)
+			for _, sl := range tbl.SlotsOwnedBy(p) {
 				fmt.Fprintf(&sb, " %d", sl)
 			}
-			fmt.Fprintf(w, "SLOT %d%s\n", p, sb.String())
+			sb.WriteByte('\n')
 		}
-		fmt.Fprintln(w, "SLOTEND")
+		sb.WriteString("SLOTEND")
+		return sb.String(), nil
 	case "JOIN":
 		dc, err := s.store.AddDataCenter()
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return "", err
 		}
 		if err := s.store.WaitForJoin(dc, time.Minute); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return "", err
 		}
 		addr, err := s.ServeDC(dc)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+			return "", err
 		}
-		fmt.Fprintf(w, "JOINED %d %s\n", dc, addr)
-	case "LEAVE":
-		dc, err := strconv.Atoi(strings.TrimSpace(rest))
+		return fmt.Sprintf("JOINED %d %s", dc, addr), nil
+	case "LEAVE", "EVICT":
+		dc, err := strconv.Atoi(rest)
 		if err != nil {
-			fmt.Fprintln(w, "ERR usage: LEAVE <dc>")
-			return false
+			return "", fmt.Errorf("usage: %s <dc>", verb)
 		}
-		if err := s.store.RemoveDataCenter(dc); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+		done := "LEFT"
+		if verb == "LEAVE" {
+			err = s.store.RemoveDataCenter(dc)
+		} else {
+			done, err = "EVICTED", s.store.ForceRemoveDataCenter(dc, 0)
+		}
+		if err != nil {
+			return "", err
 		}
 		s.mu.Lock()
 		if dc < len(s.listeners) && s.listeners[dc] != nil {
@@ -395,31 +411,29 @@ func (s *Server) handleLine(w *bufio.Writer, sess *occ.Session, line string) boo
 			s.listeners[dc] = nil
 		}
 		s.mu.Unlock()
-		fmt.Fprintf(w, "LEFT %d\n", dc)
-	case "EVICT":
-		dc, err := strconv.Atoi(strings.TrimSpace(rest))
-		if err != nil {
-			fmt.Fprintln(w, "ERR usage: EVICT <dc>")
-			return false
-		}
-		if err := s.store.ForceRemoveDataCenter(dc, 0); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		s.mu.Lock()
-		if dc < len(s.listeners) && s.listeners[dc] != nil {
-			_ = s.listeners[dc].Close()
-			s.listeners[dc] = nil
-		}
-		s.mu.Unlock()
-		fmt.Fprintf(w, "EVICTED %d\n", dc)
-	case "QUIT":
-		fmt.Fprintln(w, "BYE")
-		return true
+		return fmt.Sprintf("%s %d", done, dc), nil
 	default:
-		fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
+		return "", fmt.Errorf("unknown command %q", cmd)
 	}
-	return false
+}
+
+// statsLine renders the store's counters as the one-line STATS reply.
+func (s *Server) statsLine() string {
+	st := s.store.Stats()
+	return fmt.Sprintf("STATS ops=%d blocked=%d block_prob=%.3e old_pct=%.3f unmerged_pct=%.3f keys=%d versions=%d messages=%d dcs=%d max_lag_ms=%.3f link_lag_ms=%s catchups=%d catchups_served=%d catchups_active=%d full_resyncs=%d links=%s gc_holdback_ms=%.3f fsyncs=%d commit_groups=%d wal_records=%d group_p50=%d group_max=%d ack_lag_mean_us=%.1f ack_lag_max_us=%.1f seek_hits=%d full_scans=%d parts_skipped=%d partitions=%d slot_epoch=%d",
+		st.Operations, st.BlockedOperations, st.BlockingProbability,
+		st.PercentOldReads, st.PercentUnmergedReads, st.Keys, st.Versions, s.store.Messages(),
+		s.store.DataCenters(),
+		float64(st.MaxReplicationLag())/float64(time.Millisecond),
+		formatLinkLag(st.ReplicationLagPerLink),
+		st.CatchUps, st.CatchUpsServed, st.CatchUpsActive,
+		st.FullResyncs, formatLinkStates(st.LinkStates),
+		float64(st.GCHoldbackAge)/float64(time.Millisecond),
+		st.Fsyncs, st.CommitGroups, st.WALRecords, st.CommitGroupP50, st.CommitGroupMax,
+		float64(st.AckToDurableMean)/float64(time.Microsecond),
+		float64(st.AckToDurableMax)/float64(time.Microsecond),
+		st.SeekHits, st.FullScans, st.PartsSkipped,
+		st.Partitions, st.SlotEpoch)
 }
 
 // formatLinkLag renders the per-link lag matrix as "dst<src:ms" pairs for
@@ -464,150 +478,4 @@ func formatLinkStates(states [][]string) string {
 		return "-"
 	}
 	return sb.String()
-}
-
-// Client is a minimal client for the kvserver protocol, used by tests and
-// cmd/pocccli.
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-// Dial connects to a kvserver listener.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("kvserver: dial: %w", err)
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) roundTrip(req string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", req); err != nil {
-		return "", err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\n"), nil
-}
-
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	resp, err := c.roundTrip("PING")
-	if err != nil {
-		return err
-	}
-	if resp != "PONG" {
-		return fmt.Errorf("kvserver: unexpected ping reply %q", resp)
-	}
-	return nil
-}
-
-// Put writes a key.
-func (c *Client) Put(key, value string) error {
-	resp, err := c.roundTrip("PUT " + key + " " + value)
-	if err != nil {
-		return err
-	}
-	if resp != "OK" {
-		return errors.New(resp)
-	}
-	return nil
-}
-
-// Get reads a key; ok is false when the key has no visible version.
-func (c *Client) Get(key string) (value string, ok bool, err error) {
-	resp, err := c.roundTrip("GET " + key)
-	if err != nil {
-		return "", false, err
-	}
-	switch {
-	case resp == "NIL":
-		return "", false, nil
-	case strings.HasPrefix(resp, "VALUE "):
-		return strings.TrimPrefix(resp, "VALUE "), true, nil
-	default:
-		return "", false, errors.New(resp)
-	}
-}
-
-// Tx runs a read-only transaction; missing keys are absent from the map.
-func (c *Client) Tx(keys ...string) (map[string]string, error) {
-	if _, err := fmt.Fprintf(c.conn, "TX %s\n", strings.Join(keys, " ")); err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(keys))
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case line == "TXEND":
-			return out, nil
-		case strings.HasPrefix(line, "TXVAL "):
-			kv := strings.TrimPrefix(line, "TXVAL ")
-			k, v, _ := strings.Cut(kv, " ")
-			out[k] = v
-		case strings.HasPrefix(line, "TXNIL "):
-			// missing key: leave it out of the map
-		default:
-			return nil, errors.New(line)
-		}
-	}
-}
-
-// Stats returns the raw stats line.
-func (c *Client) Stats() (string, error) { return c.roundTrip("STATS") }
-
-// Join grows the deployment by one data center and returns its id and
-// listen address. It blocks until the new DC has bootstrapped.
-func (c *Client) Join() (dc int, addr string, err error) {
-	resp, err := c.roundTrip("JOIN")
-	if err != nil {
-		return 0, "", err
-	}
-	var rest string
-	ok := strings.HasPrefix(resp, "JOINED ")
-	if ok {
-		rest = strings.TrimPrefix(resp, "JOINED ")
-		dcStr, addrStr, found := strings.Cut(rest, " ")
-		if found {
-			if dc, err = strconv.Atoi(dcStr); err == nil {
-				return dc, addrStr, nil
-			}
-		}
-	}
-	return 0, "", errors.New(resp)
-}
-
-// Leave removes a data center from the deployment.
-func (c *Client) Leave(dc int) error {
-	resp, err := c.roundTrip(fmt.Sprintf("LEAVE %d", dc))
-	if err != nil {
-		return err
-	}
-	if resp != fmt.Sprintf("LEFT %d", dc) {
-		return errors.New(resp)
-	}
-	return nil
-}
-
-// Evict forcibly removes a crashed data center: the survivors agree on its
-// final replicated timestamps and drop it from the membership.
-func (c *Client) Evict(dc int) error {
-	resp, err := c.roundTrip(fmt.Sprintf("EVICT %d", dc))
-	if err != nil {
-		return err
-	}
-	if resp != fmt.Sprintf("EVICTED %d", dc) {
-		return errors.New(resp)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -33,120 +34,28 @@ func testServer(t *testing.T) *Server {
 	return srv
 }
 
-func dial(t *testing.T, srv *Server, dc int) *Client {
+// textConn is one text-protocol connection to a listener: what a telnet
+// session is to the server.
+type textConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+func dial(t *testing.T, addr string) textConn {
 	t.Helper()
-	c, err := Dial(srv.Addr(dc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
-}
-
-func TestPingPutGet(t *testing.T) {
-	srv := testServer(t)
-	c := dial(t, srv, 0)
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("lang", "go"); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := c.Get("lang")
-	if err != nil || !ok || v != "go" {
-		t.Fatalf("get = %q ok=%v err=%v", v, ok, err)
-	}
-}
-
-func TestGetMissing(t *testing.T) {
-	srv := testServer(t)
-	c := dial(t, srv, 0)
-	_, ok, err := c.Get("nope")
-	if err != nil || ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-}
-
-func TestValueWithSpaces(t *testing.T) {
-	srv := testServer(t)
-	c := dial(t, srv, 0)
-	if err := c.Put("quote", "hello causal world"); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, _ := c.Get("quote")
-	if !ok || v != "hello causal world" {
-		t.Fatalf("got %q", v)
-	}
-}
-
-func TestTx(t *testing.T) {
-	srv := testServer(t)
-	c := dial(t, srv, 0)
-	if err := c.Put("a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("b", "2"); err != nil {
-		t.Fatal(err)
-	}
-	vals, err := c.Tx("a", "b", "ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals["a"] != "1" || vals["b"] != "2" {
-		t.Fatalf("tx = %v", vals)
-	}
-	if _, present := vals["ghost"]; present {
-		t.Fatal("missing key must be absent from the result")
-	}
-}
-
-func TestCrossDCSessions(t *testing.T) {
-	srv := testServer(t)
-	writer := dial(t, srv, 0)
-	reader := dial(t, srv, 1)
-	if err := writer.Put("geo", "replicated"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, ok, err := reader.Get("geo")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && v == "replicated" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("write never visible in the other DC")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestStats(t *testing.T) {
-	srv := testServer(t)
-	c := dial(t, srv, 0)
-	if err := c.Put("s", "1"); err != nil {
-		t.Fatal(err)
-	}
-	line, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(line, "STATS ops=") {
-		t.Fatalf("stats = %q", line)
-	}
-}
-
-// rawConn exercises the wire protocol directly (errors, QUIT, unknown).
-func rawConn(t *testing.T, srv *Server) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	conn, err := net.Dial("tcp", srv.Addr(0))
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	return conn, bufio.NewReader(conn)
+	return textConn{conn, bufio.NewReader(conn)}
+}
+
+// rawConn exercises the wire protocol directly at DC 0.
+func rawConn(t *testing.T, srv *Server) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	c := dial(t, srv.Addr(0))
+	return c.conn, c.r
 }
 
 func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, line string) string {
@@ -154,11 +63,108 @@ func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, line string) string 
 	if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
 		t.Fatal(err)
 	}
+	return readLine(t, r)
+}
+
+func readLine(t *testing.T, r *bufio.Reader) string {
+	t.Helper()
 	resp, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
 	return strings.TrimRight(resp, "\n")
+}
+
+// send runs a one-line-reply command.
+func (c textConn) send(t *testing.T, line string) string {
+	t.Helper()
+	return sendLine(t, c.conn, c.r, line)
+}
+
+// put writes a key and insists on OK.
+func (c textConn) put(t *testing.T, key, value string) {
+	t.Helper()
+	if resp := c.send(t, "PUT "+key+" "+value); resp != "OK" {
+		t.Fatalf("PUT %s = %q", key, resp)
+	}
+}
+
+func TestPingPutGet(t *testing.T) {
+	srv := testServer(t)
+	c := dial(t, srv.Addr(0))
+	if resp := c.send(t, "PING"); resp != "PONG" {
+		t.Fatalf("ping = %q", resp)
+	}
+	c.put(t, "lang", "go")
+	if resp := c.send(t, "GET lang"); resp != "VALUE go" {
+		t.Fatalf("get = %q", resp)
+	}
+}
+
+func TestGetMissing(t *testing.T) {
+	srv := testServer(t)
+	c := dial(t, srv.Addr(0))
+	if resp := c.send(t, "GET nope"); resp != "NIL" {
+		t.Fatalf("get = %q", resp)
+	}
+}
+
+func TestValueWithSpaces(t *testing.T) {
+	srv := testServer(t)
+	c := dial(t, srv.Addr(0))
+	c.put(t, "quote", "hello causal world")
+	if resp := c.send(t, "GET quote"); resp != "VALUE hello causal world" {
+		t.Fatalf("got %q", resp)
+	}
+}
+
+func TestTx(t *testing.T) {
+	srv := testServer(t)
+	c := dial(t, srv.Addr(0))
+	c.put(t, "a", "1")
+	c.put(t, "b", "2")
+	// One line per key in request order, a missing key as TXNIL, then TXEND.
+	got := []string{c.send(t, "TX a b ghost"), readLine(t, c.r), readLine(t, c.r), readLine(t, c.r)}
+	want := []string{"TXVAL a 1", "TXVAL b 2", "TXNIL ghost", "TXEND"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tx = %q, want %q", got, want)
+	}
+}
+
+// awaitValue polls GET key on c until it reads want.
+func awaitValue(t *testing.T, c textConn, key, want string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		resp := c.send(t, "GET "+key)
+		if resp == "VALUE "+want {
+			return
+		}
+		if resp != "NIL" {
+			t.Fatalf("GET %s = %q", key, resp)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s=%s never visible", key, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestCrossDCSessions(t *testing.T) {
+	srv := testServer(t)
+	writer := dial(t, srv.Addr(0))
+	reader := dial(t, srv.Addr(1))
+	writer.put(t, "geo", "replicated")
+	awaitValue(t, reader, "geo", "replicated", 5*time.Second)
+}
+
+func TestStats(t *testing.T) {
+	srv := testServer(t)
+	c := dial(t, srv.Addr(0))
+	c.put(t, "s", "1")
+	if line := c.send(t, "STATS"); !strings.HasPrefix(line, "STATS ops=") {
+		t.Fatalf("stats = %q", line)
+	}
 }
 
 func TestProtocolErrors(t *testing.T) {
@@ -211,33 +217,15 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 
 func TestCausalChainOverWire(t *testing.T) {
 	srv := testServer(t)
-	alice := dial(t, srv, 0)
-	bob := dial(t, srv, 1)
-	if err := alice.Put("photo", "cat.jpg"); err != nil {
-		t.Fatal(err)
-	}
-	if err := alice.Put("comment", "cute!"); err != nil {
-		t.Fatal(err)
-	}
+	alice := dial(t, srv.Addr(0))
+	bob := dial(t, srv.Addr(1))
+	alice.put(t, "photo", "cat.jpg")
+	alice.put(t, "comment", "cute!")
 	// Once Bob sees the comment, the photo must be visible too (Bob's
 	// session carries the comment's dependency vector).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, ok, err := bob.Get("comment")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("comment never replicated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	v, ok, err := bob.Get("photo")
-	if err != nil || !ok || v != "cat.jpg" {
-		t.Fatalf("photo = %q ok=%v err=%v: causality violated over the wire", v, ok, err)
+	awaitValue(t, bob, "comment", "cute!", 5*time.Second)
+	if resp := bob.send(t, "GET photo"); resp != "VALUE cat.jpg" {
+		t.Fatalf("photo = %q: causality violated over the wire", resp)
 	}
 }
 
@@ -265,59 +253,40 @@ func TestJoinLeaveAdminCommands(t *testing.T) {
 		store.Close()
 	})
 
-	admin := dial(t, srv, 0)
-	if err := admin.Put("greeting", "hello"); err != nil {
-		t.Fatal(err)
+	admin := dial(t, srv.Addr(0))
+	admin.put(t, "greeting", "hello")
+
+	const dc = 2
+	addr := srv.Addr(dc)
+	if addr != "" {
+		t.Fatalf("DC %d has listener %q before JOIN", dc, addr)
+	}
+	resp := admin.send(t, "JOIN")
+	addr = srv.Addr(dc)
+	if addr == "" || resp != fmt.Sprintf("JOINED %d %s", dc, addr) {
+		t.Fatalf("JOIN = %q (server says dc %d listens on %q)", resp, dc, addr)
 	}
 
-	dc, addr, err := admin.Join()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc != 2 || addr == "" || srv.Addr(dc) != addr {
-		t.Fatalf("JOIN returned dc=%d addr=%q (server says %q)", dc, addr, srv.Addr(dc))
-	}
+	// The new port serves the pre-join key.
+	awaitValue(t, dial(t, addr), "greeting", "hello", 10*time.Second)
 
-	joined, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = joined.Close() })
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, ok, err := joined.Get("greeting")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && v == "hello" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("joined DC never served the pre-join key (got %q ok=%v)", v, ok)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	stats, err := admin.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := admin.send(t, "STATS")
 	if !strings.Contains(stats, "dcs=3") || !strings.Contains(stats, "link_lag_ms=") {
 		t.Fatalf("stats line missing membership fields: %q", stats)
 	}
 
-	if err := admin.Leave(dc); err != nil {
-		t.Fatal(err)
+	if resp := admin.send(t, "LEAVE 2"); resp != "LEFT 2" {
+		t.Fatalf("LEAVE = %q", resp)
 	}
 	if srv.Addr(dc) != "" {
 		t.Fatalf("departed DC still has listener %q", srv.Addr(dc))
 	}
-	if err := admin.Leave(dc); err == nil {
-		t.Fatal("double LEAVE must fail")
+	if resp := admin.send(t, "LEAVE 2"); !strings.HasPrefix(resp, "ERR ") {
+		t.Fatalf("double LEAVE = %q, must fail", resp)
 	}
 	// The survivors keep serving.
-	if v, ok, err := admin.Get("greeting"); err != nil || !ok || v != "hello" {
-		t.Fatalf("survivor get = %q ok=%v err=%v", v, ok, err)
+	if resp := admin.send(t, "GET greeting"); resp != "VALUE hello" {
+		t.Fatalf("survivor get = %q", resp)
 	}
 }
 
@@ -325,20 +294,9 @@ func TestJoinLeaveAdminCommands(t *testing.T) {
 // every SLOT line through SLOTEND.
 func readSlots(t *testing.T, conn net.Conn, r *bufio.Reader) (header string, slotLines []string) {
 	t.Helper()
-	if _, err := fmt.Fprintf(conn, "SLOTS\n"); err != nil {
-		t.Fatal(err)
-	}
-	line, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	header = strings.TrimRight(line, "\n")
+	header = sendLine(t, conn, r, "SLOTS")
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		line = strings.TrimRight(line, "\n")
+		line := readLine(t, r)
 		if line == "SLOTEND" {
 			return header, slotLines
 		}
@@ -365,13 +323,11 @@ func TestSplitAndSlotsAdminCommands(t *testing.T) {
 		store.Close()
 	})
 
-	admin := dial(t, srv, 0)
+	admin := dial(t, srv.Addr(0))
 	keys := make([]string, 24)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("reshard-%d", i)
-		if err := admin.Put(keys[i], "v"); err != nil {
-			t.Fatal(err)
-		}
+		admin.put(t, keys[i], "v")
 	}
 
 	conn, r := rawConn(t, srv)
@@ -404,18 +360,15 @@ func TestSplitAndSlotsAdminCommands(t *testing.T) {
 	}
 
 	// STATS surfaces the live layout.
-	stats, err := admin.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := admin.send(t, "STATS")
 	if !strings.Contains(stats, "partitions=3") || !strings.Contains(stats, "slot_epoch=1") {
 		t.Fatalf("stats missing layout fields: %q", stats)
 	}
 
 	// Every pre-split key is still served, now through the wider layout.
 	for _, k := range keys {
-		if v, ok, err := admin.Get(k); err != nil || !ok || v != "v" {
-			t.Fatalf("get %q after split = %q ok=%v err=%v", k, v, ok, err)
+		if resp := admin.send(t, "GET "+k); resp != "VALUE v" {
+			t.Fatalf("get %q after split = %q", k, resp)
 		}
 	}
 

@@ -11,15 +11,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// Replicate carries a freshly created version to the sibling replicas of its
-// partition in the other data centers. Replication messages from one node are
-// sent in update-timestamp order (the FIFO links preserve it).
-type Replicate struct {
-	V *item.Version
-}
-
 // ReplicateBatch carries a batch of freshly created versions, in update-
-// timestamp order, to the sibling replicas. Senders accumulate updates and
+// timestamp order (the FIFO links preserve it), to the sibling replicas of
+// their partition in the other data centers. Senders accumulate updates and
 // flush on the heartbeat tick (Δ) or when a size threshold is reached;
 // HBTime is the covering heartbeat timestamp — receivers advance the sender
 // DC's version-vector entry to max(HBTime, last version's update time), so a
@@ -30,8 +24,9 @@ type Replicate struct {
 // batches 1, 2, 3, … within that incarnation. Because every flush goes to
 // every sibling DC, each link observes the same gap-free sequence; a
 // receiver that sees a hole — or a new epoch — knows updates were lost on
-// that link and can request a catch-up (internal/repl). Epoch 0 marks a
-// legacy, unsequenced batch: receivers apply it optimistically.
+// that link and can request a catch-up (internal/repl). A sender's epoch is
+// never 0, and a receiver gives epoch 0 no special treatment: to it, that is
+// one more incarnation it has not seen.
 //
 // Floor is the sender incarnation's starting history floor: every version
 // it originated before this incarnation has a timestamp ≤ Floor (the
@@ -58,8 +53,8 @@ type ReplicateBatch struct {
 // Seq mirror ReplicateBatch: Seq is the sender's last flushed batch
 // sequence, letting receivers verify the link is gap-free before advancing
 // their version vector on an otherwise data-free message (an idle restarted
-// sender is detected exactly here). Epoch 0 marks a legacy heartbeat; Floor
-// is the incarnation's starting history floor (see ReplicateBatch).
+// sender is detected exactly here). Floor is the incarnation's starting
+// history floor (see ReplicateBatch).
 type Heartbeat struct {
 	Time  vclock.Timestamp
 	Epoch uint64
@@ -80,7 +75,7 @@ type Heartbeat struct {
 // of its own log, and claims the shipped bound per DC on the Done reply
 // (CatchUpReply.Departed). This is how a joiner — or a survivor left short by
 // a forced eviction — obtains history whose origin is no longer around to
-// serve it. Nil Have requests own-origin history only (legacy shape).
+// serve it. Nil Have requests own-origin history only.
 type CatchUpRequest struct {
 	ReqID uint64
 	From  vclock.Timestamp
@@ -136,7 +131,7 @@ type CatchUpReply struct {
 	// only advances an origin's claim while its log walk visits that
 	// origin's versions in ascending timestamp order (checkpoint-snapshot
 	// segments are not globally ordered), so the claim is always safe to
-	// resume a later round from. Nil on legacy streams.
+	// resume a later round from. Nil when the chunk advances no claim.
 	Progress vclock.VC
 }
 

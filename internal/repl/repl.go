@@ -1454,12 +1454,12 @@ func (r *Manager) HandleBatch(src netemu.NodeID, m msg.ReplicateBatch) {
 	// HLC receive rule: fold the remote attestation into the local clock so
 	// the next local write is stamped past everything it could depend on.
 	r.clk.Observe(adv)
-	if r.cfg.CatchUp && m.Epoch != 0 && r.deferWhilePending(src.DC, m, adv) {
+	if r.cfg.CatchUp && r.deferWhilePending(src.DC, m, adv) {
 		return
 	}
 	r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
-	if !r.cfg.CatchUp || m.Epoch == 0 {
-		// Catch-up disabled, or a legacy unsequenced batch: optimistic apply.
+	if !r.cfg.CatchUp {
+		// No log to resync from: optimistic apply.
 		r.be.RaiseVV(src.DC, adv)
 		return
 	}
@@ -1504,7 +1504,7 @@ func (r *Manager) HandleHeartbeat(src netemu.NodeID, m msg.Heartbeat) {
 		return
 	}
 	r.clk.Observe(m.Time)
-	if !r.cfg.CatchUp || m.Epoch == 0 {
+	if !r.cfg.CatchUp {
 		r.be.RaiseVV(src.DC, m.Time)
 		return
 	}

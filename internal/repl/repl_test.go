@@ -295,6 +295,28 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 	}
 }
 
+// TestEpochZeroIsNoBypass: epoch 0 used to mark an unsequenced sender whose
+// messages raised the receiver's VV with no gap check. No sender stamps it —
+// an epoch is a clock reading — so off the wire it is a corrupt or hostile
+// frame, and it must not thaw a link a sequence hole has frozen.
+func TestEpochZeroIsNoBypass(t *testing.T) {
+	m, _, be := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+	})
+	src := netemu.NodeID{DC: 1, Partition: 0}
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	// Seq 2 and 3 lost; 4 arrives and freezes the entry at 100.
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900})
+	if got := be.VVEntry(1); got != 100 {
+		t.Fatalf("VV[1] = %d after an epoch-0 batch on a frozen link, want 100", got)
+	}
+	m.HandleHeartbeat(src, msg.Heartbeat{Time: 950})
+	if got := be.VVEntry(1); got != 100 {
+		t.Fatalf("VV[1] = %d after an epoch-0 heartbeat on a frozen link, want 100", got)
+	}
+}
+
 // TestEpochChangeTriggersCatchUp: a restarted sender (new epoch) is
 // detected even when idle — on its first heartbeat.
 func TestEpochChangeTriggersCatchUp(t *testing.T) {

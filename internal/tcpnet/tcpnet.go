@@ -2,10 +2,12 @@
 // the engine is transport-agnostic: each node owns a listener, keeps one
 // persistent outbound connection per destination (TCP ordering gives the
 // lossless FIFO channel the system model assumes), and encodes messages
-// with internal/wire — the zero-allocation binary codec by default, with
-// gob available as a compatibility fallback (ListenCodec). Intended for
-// single-host/loopback deployments and demos; the emulated transport
-// (internal/netemu) remains the tool for latency and partition injection.
+// with internal/wire's binary codec. What an accepted connection decodes is
+// input from outside the process: a frame reaches the handler only when its
+// envelope names a source in this node's directory, so a handler may answer
+// with Send(src, …). Intended for single-host/loopback deployments and
+// demos; the emulated transport (internal/netemu) remains the tool for
+// latency and partition injection.
 package tcpnet
 
 import (
@@ -23,7 +25,6 @@ import (
 // Node is a TCP-backed core.Transport.
 type Node struct {
 	id       netemu.NodeID
-	codec    wire.Codec
 	listener net.Listener
 	handler  atomic.Pointer[netemu.Handler]
 
@@ -37,23 +38,14 @@ type Node struct {
 	wg   sync.WaitGroup
 }
 
-// Listen binds a node on addr ("127.0.0.1:0" for an ephemeral port) using
-// the default binary wire codec.
+// Listen binds a node on addr ("127.0.0.1:0" for an ephemeral port).
 func Listen(id netemu.NodeID, addr string) (*Node, error) {
-	return ListenCodec(id, addr, wire.Binary)
-}
-
-// ListenCodec binds a node with an explicit wire codec. All nodes of one
-// deployment must use the same codec; wire.Gob is the compatibility
-// fallback for peers running the reflection-based codec.
-func ListenCodec(id netemu.NodeID, addr string, codec wire.Codec) (*Node, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
 	n := &Node{
 		id:       id,
-		codec:    codec,
 		listener: l,
 		peers:    make(map[netemu.NodeID]string),
 		outs:     make(map[netemu.NodeID]*outLink),
@@ -164,7 +156,11 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop decodes envelopes from one inbound connection and dispatches them
-// sequentially, preserving the sender's FIFO order.
+// sequentially, preserving the sender's FIFO order. A frame whose source is
+// not a directory peer is dropped: handlers answer with Send(src, …), which
+// panics on an unknown node, and a corrupt or hostile frame must not be able
+// to bring that about. A peer's link stamps every frame with the one source,
+// so the directory is consulted once per connection.
 func (n *Node) readLoop(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -172,16 +168,34 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.ins, conn)
 		n.mu.Unlock()
 	}()
-	dec := n.codec.NewDecoder(conn)
+	dec := wire.NewBinaryDecoder(conn)
+	var peer netemu.NodeID // the last source found in the directory
+	checked := false
 	for {
 		env, err := dec.Decode()
 		if err != nil {
 			return
 		}
+		if !checked || env.Src != peer {
+			if !n.isPeer(env.Src) {
+				continue
+			}
+			peer, checked = env.Src, true
+		}
 		if hp := n.handler.Load(); hp != nil {
 			(*hp)(env.Src, env.Msg)
 		}
 	}
+}
+
+// isPeer reports whether frames from src may reach the handler. A node
+// without a directory (Connect never called: a receive-only endpoint) can
+// send to nobody, so nothing it hears can be answered and everything passes.
+func (n *Node) isPeer(src netemu.NodeID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	_, known := n.peers[src]
+	return known || len(n.peers) == 0
 }
 
 // outLink is a persistent ordered connection to one destination with an
@@ -237,7 +251,7 @@ func (l *outLink) close() {
 func (l *outLink) run() {
 	var conn net.Conn
 	var bw *bufio.Writer
-	var enc wire.Encoder
+	var enc *wire.BinaryEncoder
 	defer func() {
 		if conn != nil {
 			_ = conn.Close()
@@ -273,7 +287,7 @@ func (l *outLink) run() {
 			}
 			conn = c
 			bw = bufio.NewWriterSize(conn, 64*1024)
-			enc = l.node.codec.NewEncoder(bw)
+			enc = wire.NewBinaryEncoder(bw)
 			backoff = time.Millisecond
 		}
 		ok := true
@@ -288,7 +302,7 @@ func (l *outLink) run() {
 		}
 		if !ok {
 			// Connection broke: drop it and retransmit the whole batch on a
-			// fresh connection (neither codec can resume mid-stream). A
+			// fresh connection (the codec cannot resume mid-stream). A
 			// partially-flushed batch means duplicates on the receiver,
 			// which the protocol tolerates: sequenced replication drops
 			// already-seen (epoch, seq) pairs, and a gap triggers catch-up.

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/netemu"
 	"repro/internal/racedetect"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 func pair(t *testing.T) (*Node, *Node) {
@@ -181,6 +183,51 @@ func TestSendToUnknownPanics(t *testing.T) {
 		}
 	}()
 	a.Send(netemu.NodeID{DC: 9, Partition: 9}, msg.Heartbeat{})
+}
+
+// TestHostileSourceIsDropped: what an accepted connection decodes is outside
+// input, and the handlers answer it with Send(src, …), which panics on a node
+// outside the directory. A frame whose envelope names such a source — here a
+// CatchUpRequest with a plausible DC and an absent partition, which repl's
+// own DC-range check lets through, and a SliceReq, which nothing checks —
+// must never reach the handler; the connection then carries on, and the next
+// frame from a real peer is answered.
+func TestHostileSourceIsDropped(t *testing.T) {
+	a, b := pair(t)
+	answered := make(chan any, 1)
+	a.SetHandler(func(_ netemu.NodeID, m any) { answered <- m })
+	b.SetHandler(func(src netemu.NodeID, m any) {
+		if hb, ok := m.(msg.Heartbeat); ok {
+			b.Send(src, msg.CatchUpAck{ReqID: uint64(hb.Time)}) // as repl and core do
+			return
+		}
+		b.Send(src, msg.CatchUpAck{})
+	})
+
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	enc := wire.NewBinaryEncoder(conn)
+	stranger := netemu.NodeID{DC: 0, Partition: 9}
+	for _, env := range []wire.Envelope{
+		{Src: stranger, Msg: msg.CatchUpRequest{ReqID: 1, From: 5}},
+		{Src: stranger, Msg: msg.SliceReq{TxID: 2, Coordinator: stranger, Keys: []string{"k"}}},
+		{Src: a.ID(), Msg: msg.Heartbeat{Time: 77}},
+	} {
+		if err := enc.Encode(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case m := <-answered:
+		if ack, ok := m.(msg.CatchUpAck); !ok || ack.ReqID != 77 {
+			t.Fatalf("first answer = %#v, want the reply to the valid frame", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the valid frame behind two hostile ones was never answered")
+	}
 }
 
 func TestSentCounterAndCloseIdempotent(t *testing.T) {

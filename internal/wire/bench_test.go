@@ -28,10 +28,9 @@ func benchEnvelope() Envelope {
 	return Envelope{Src: netemu.NodeID{DC: 1, Partition: 3}, Msg: batch}
 }
 
-func benchEncode(b *testing.B, codec Codec) {
-	b.Helper()
+func BenchmarkWireCodecEncodeBinary(b *testing.B) {
 	env := benchEnvelope()
-	enc := codec.NewEncoder(io.Discard)
+	enc := NewBinaryEncoder(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,18 +40,17 @@ func benchEncode(b *testing.B, codec Codec) {
 	}
 }
 
-func benchDecode(b *testing.B, codec Codec) {
-	b.Helper()
+func BenchmarkWireCodecDecodeBinary(b *testing.B) {
 	env := benchEnvelope()
 	// Pre-encode b.N frames into one stream so decode cost dominates.
 	var buf bytes.Buffer
-	enc := codec.NewEncoder(&buf)
+	enc := NewBinaryEncoder(&buf)
 	for i := 0; i < b.N; i++ {
 		if err := enc.Encode(env); err != nil {
 			b.Fatal(err)
 		}
 	}
-	dec := codec.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec := NewBinaryDecoder(bytes.NewReader(buf.Bytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,11 +59,6 @@ func benchDecode(b *testing.B, codec Codec) {
 		}
 	}
 }
-
-func BenchmarkWireCodecEncodeBinary(b *testing.B) { benchEncode(b, Binary) }
-func BenchmarkWireCodecEncodeGob(b *testing.B)    { benchEncode(b, Gob) }
-func BenchmarkWireCodecDecodeBinary(b *testing.B) { benchDecode(b, Binary) }
-func BenchmarkWireCodecDecodeGob(b *testing.B)    { benchDecode(b, Gob) }
 
 // BenchmarkWireCodecHeartbeat measures the smallest frame — the steady
 // idle-DC traffic.

@@ -35,9 +35,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// Message tags.
+// Message tags. Tag 1 carried the single-version Replicate message; it stays
+// reserved, so a frame that carries it is an unknown-tag decode error.
 const (
-	tagReplicate = iota + 1
+	_ = iota + 1
 	tagReplicateBatch
 	tagHeartbeat
 	tagSliceReq
@@ -139,8 +140,6 @@ func (d *BinaryDecoder) Decode() (Envelope, error) {
 func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	var tag byte
 	switch env.Msg.(type) {
-	case msg.Replicate:
-		tag = tagReplicate
 	case msg.ReplicateBatch:
 		tag = tagReplicateBatch
 	case msg.Heartbeat:
@@ -184,8 +183,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	b = appendUint(b, uint64(env.Src.DC))
 	b = appendUint(b, uint64(env.Src.Partition))
 	switch m := env.Msg.(type) {
-	case msg.Replicate:
-		b = appendVersion(b, m.V)
 	case msg.ReplicateBatch:
 		// HBTime leads the payload: it is the delta base for the version
 		// timestamps that follow. A format byte picks between the compact
@@ -464,9 +461,9 @@ func appendVersionDelta(b []byte, v *item.Version, base uint64) []byte {
 }
 
 // AppendVersion appends the codec's encoding of a version record to b — the
-// same bytes a Replicate payload carries on the wire. The write-ahead log
-// (internal/wal) reuses it for its durable version records, so a WAL record
-// and a replication message agree byte for byte.
+// same bytes an absolute-layout version list carries per version. The
+// write-ahead log (internal/wal) reuses it for its durable version records,
+// so a WAL record and a shipped catch-up version agree byte for byte.
 func AppendVersion(b []byte, v *item.Version) []byte { return appendVersion(b, v) }
 
 // VersionTag extracts just (SrcReplica, UpdateTime) from an encoded version
@@ -860,8 +857,6 @@ func parsePayload(frame []byte) (Envelope, error) {
 	env.Src.DC = int(f.uint())
 	env.Src.Partition = int(f.uint())
 	switch tag {
-	case tagReplicate:
-		env.Msg = msg.Replicate{V: f.version()}
 	case tagReplicateBatch:
 		var m msg.ReplicateBatch
 		m.HBTime = vclock.Timestamp(f.uint())
@@ -971,11 +966,5 @@ func parsePayload(frame []byte) (Envelope, error) {
 	default:
 		return env, fmt.Errorf("wire: unknown message tag %d", tag)
 	}
-	if f.err != nil {
-		return env, f.err
-	}
-	if f.pos != len(f.b) {
-		return env, fmt.Errorf("wire: %d trailing bytes in frame", len(f.b)-f.pos)
-	}
-	return env, nil
+	return env, f.finish()
 }

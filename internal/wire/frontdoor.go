@@ -26,7 +26,7 @@
 // A binary connection is negotiated by its first byte: a client opens with
 // FrontDoorMagic (0xB1, never the first byte of a text-protocol line), and
 // everything after it is frames. Connections that open with anything else
-// speak the legacy line-text protocol.
+// carry the same requests and responses as text lines (text.go).
 package wire
 
 import (
@@ -354,8 +354,7 @@ func DecodeFrontDoorResponse(frame []byte) (FrontDoorResponse, error) {
 }
 
 // finish returns the first recorded error, or a trailing-bytes error when
-// the frame was not fully consumed — a strict decode, mirroring
-// parsePayload.
+// the frame was not fully consumed: every decode in this package is strict.
 func (f *frameReader) finish() error {
 	if f.err != nil {
 		return f.err

@@ -58,6 +58,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 	f.Add(hostileListFrame(catchUpHead, 1<<40, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 	f.Add(hostileListFrame(catchUpHead, 60, make([]byte, 64)))
 	f.Add(hostileListFrame(handoffHead, 1<<27, []byte{1, 1, 'k'}))
+	f.Add(reservedTagFrame()) // the retired single-version message: an unknown tag
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewBinaryDecoder(bytes.NewReader(data))

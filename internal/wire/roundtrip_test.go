@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/item"
@@ -131,8 +132,6 @@ func genSlotMap(r *rand.Rand) *keyspace.SlotMap {
 func genMsg(r *rand.Rand, kind int) any {
 	switch kind % numMsgKinds {
 	case 0:
-		return msg.Replicate{V: genVersion(r)}
-	case 1:
 		m := msg.ReplicateBatch{
 			HBTime:    vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch:     r.Uint64(),
@@ -150,14 +149,14 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 2:
+	case 1:
 		return msg.Heartbeat{
 			Time:  vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch: r.Uint64(),
 			Seq:   r.Uint64(),
 			Floor: vclock.Timestamp(r.Uint64N(1 << 62)),
 		}
-	case 3:
+	case 2:
 		m := msg.SliceReq{
 			TxID:        r.Uint64(),
 			Coordinator: netemu.NodeID{DC: r.IntN(8), Partition: r.IntN(8)},
@@ -174,7 +173,7 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 4:
+	case 3:
 		m := msg.SliceResp{TxID: r.Uint64(), Err: genString(r)}
 		switch r.IntN(4) {
 		case 0: // nil Items
@@ -186,14 +185,14 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 5:
+	case 4:
 		return msg.VVExchange{Partition: r.IntN(8), VV: genVC(r),
 			Watermark: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 6:
+	case 5:
 		return msg.GCExchange{Partition: r.IntN(8), TV: genVC(r)}
-	case 7:
+	case 6:
 		return msg.CatchUpRequest{ReqID: r.Uint64(), From: vclock.Timestamp(r.Uint64N(1 << 62)), Have: genVC(r)}
-	case 8:
+	case 7:
 		m := msg.CatchUpReply{
 			ReqID:       r.Uint64(),
 			Chunk:       r.Uint64(),
@@ -217,23 +216,23 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 9:
+	case 8:
 		return msg.CatchUpAck{ReqID: r.Uint64(), Chunk: r.Uint64()}
-	case 10:
+	case 9:
 		return msg.JoinRequest{DC: r.IntN(8), View: genMembership(r)}
-	case 11:
+	case 10:
 		return msg.JoinAccept{View: genMembership(r), Through: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 12:
+	case 11:
 		return msg.MembershipUpdate{View: genMembership(r)}
-	case 13:
+	case 12:
 		return msg.LeaveNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 14:
+	case 13:
 		return msg.EvictProposal{DC: r.IntN(8), ReqID: r.Uint64(), View: genMembership(r)}
-	case 15:
+	case 14:
 		return msg.EvictAck{DC: r.IntN(8), ReqID: r.Uint64(), Entry: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 16:
+	case 15:
 		return msg.EvictNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 17:
+	case 16:
 		return msg.SlotMapUpdate{Map: genSlotMap(r)}
 	default:
 		m := msg.SlotHandoff{}
@@ -253,7 +252,7 @@ func genMsg(r *rand.Rand, kind int) any {
 // numMsgKinds is the number of distinct message types genMsg produces —
 // keep it in sync with the switch above so the property tests cover every
 // wire type.
-const numMsgKinds = 19
+const numMsgKinds = 18
 
 func binaryRoundTrip(t *testing.T, env Envelope) Envelope {
 	t.Helper()
@@ -269,60 +268,9 @@ func binaryRoundTrip(t *testing.T, env Envelope) Envelope {
 	return out
 }
 
-func gobRoundTrip(t *testing.T, env Envelope) Envelope {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := NewGobEncoder(&buf).Encode(env); err != nil {
-		t.Fatalf("gob encode %T: %v", env.Msg, err)
-	}
-	out, err := NewGobDecoder(&buf).Decode()
-	if err != nil {
-		t.Fatalf("gob decode %T: %v", env.Msg, err)
-	}
-	return out
-}
-
-// normalize maps nil and empty slices to one canonical shape so the binary
-// codec (which preserves nil vs empty exactly) can be compared against gob
-// (which collapses empty slices to nil).
-func normalize(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Ptr:
-		if !v.IsNil() {
-			normalize(v.Elem())
-		}
-	case reflect.Interface:
-		if !v.IsNil() {
-			inner := reflect.New(v.Elem().Type()).Elem()
-			inner.Set(v.Elem())
-			normalize(inner)
-			v.Set(inner)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			normalize(v.Field(i))
-		}
-	case reflect.Slice:
-		if v.Len() == 0 && !v.IsNil() && v.CanSet() {
-			v.Set(reflect.Zero(v.Type()))
-		}
-		for i := 0; i < v.Len(); i++ {
-			normalize(v.Index(i))
-		}
-	}
-}
-
-func normalized(env Envelope) Envelope {
-	v := reflect.New(reflect.TypeOf(env)).Elem()
-	v.Set(reflect.ValueOf(env))
-	normalize(v)
-	return v.Interface().(Envelope)
-}
-
 // TestBinaryRoundTripProperty: for every message type and hundreds of
 // random instances (plus nil/empty edge cases), the binary codec decodes
-// exactly what was encoded — including the nil-vs-empty distinction — and
-// agrees with gob modulo gob's empty-slice collapsing.
+// exactly what was encoded — including the nil-vs-empty distinction.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 42))
 	for kind := 0; kind < numMsgKinds; kind++ {
@@ -336,13 +284,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 				if !reflect.DeepEqual(env, got) {
 					t.Fatalf("binary round-trip mangled message:\n in: %#v\nout: %#v", env, got)
 				}
-				// Cross-check: both codecs decode to the same message, up
-				// to gob's nil/empty collapsing.
-				viaGob := normalized(gobRoundTrip(t, env))
-				viaBin := normalized(got)
-				if !reflect.DeepEqual(viaGob, viaBin) {
-					t.Fatalf("codecs disagree:\n gob: %#v\n bin: %#v", viaGob, viaBin)
-				}
 			}
 		})
 	}
@@ -351,8 +292,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 // TestBinaryRoundTripEdgeCases pins the shapes most likely to regress.
 func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	cases := []any{
-		msg.Replicate{V: &item.Version{}},
-		msg.Replicate{V: &item.Version{Deps: vclock.VC{}}},
+		msg.SlotHandoff{Versions: []*item.Version{{}}},
+		msg.SlotHandoff{Versions: []*item.Version{{Deps: vclock.VC{}}}},
 		msg.ReplicateBatch{},
 		msg.ReplicateBatch{Versions: []*item.Version{}},
 		msg.ReplicateBatch{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}, HBTime: 9},
@@ -431,14 +372,20 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBinaryNilVersionInReplicate: a nil version pointer survives the
-// binary codec (gob cannot carry it, so no cross-check).
-func TestBinaryNilVersionInReplicate(t *testing.T) {
-	env := Envelope{Src: netemu.NodeID{}, Msg: msg.Replicate{}}
-	got := binaryRoundTrip(t, env)
-	if !reflect.DeepEqual(env, got) {
-		t.Fatalf("nil version mangled: %#v", got)
+// TestBinaryRejectsReservedTag: tag 1 carried the single-version Replicate
+// message, which nothing sends anymore. The tag stays reserved, so a frame
+// that carries it — here the exact bytes the old encoder produced for an
+// version of key k from node (1,2) — is a decode error, not a message.
+func TestBinaryRejectsReservedTag(t *testing.T) {
+	env, err := NewBinaryDecoder(bytes.NewReader(reservedTagFrame())).Decode()
+	if err == nil || !strings.Contains(err.Error(), "unknown message tag 1") {
+		t.Fatalf("tag-1 frame decoded to %#v, err = %v; want an unknown-tag error", env.Msg, err)
 	}
+}
+
+func reservedTagFrame() []byte {
+	pay := appendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})
+	return append([]byte{byte(len(pay))}, pay...)
 }
 
 // TestBinaryRejectsTruncatedFrames: every prefix of a valid frame must fail

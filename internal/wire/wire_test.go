@@ -15,12 +15,12 @@ import (
 func roundTrip(t *testing.T, m any) any {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := NewBinaryEncoder(&buf)
 	src := netemu.NodeID{DC: 1, Partition: 3}
 	if err := enc.Encode(Envelope{Src: src, Msg: m}); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
+	dec := NewBinaryDecoder(&buf)
 	env, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -31,17 +31,14 @@ func roundTrip(t *testing.T, m any) any {
 	return env.Msg
 }
 
-func TestRoundTripReplicate(t *testing.T) {
-	in := msg.Replicate{V: &item.Version{
+func TestRoundTripReplicateBatch(t *testing.T) {
+	in := msg.ReplicateBatch{Versions: []*item.Version{{
 		Key: "k", Value: []byte("v"), SrcReplica: 2, UpdateTime: 42,
 		Deps: vclock.VC{1, 2, 3}, Optimistic: true,
-	}}
-	out, ok := roundTrip(t, in).(msg.Replicate)
-	if !ok {
-		t.Fatalf("decoded %T", out)
-	}
-	if !reflect.DeepEqual(in.V, out.V) {
-		t.Fatalf("version mangled: %+v vs %+v", in.V, out.V)
+	}}, HBTime: 50, Epoch: 7, Seq: 1}
+	out, ok := roundTrip(t, in).(msg.ReplicateBatch)
+	if !ok || !reflect.DeepEqual(in, out) {
+		t.Fatalf("decoded %+v", out)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestRoundTripExchanges(t *testing.T) {
 
 func TestStreamMultipleEnvelopes(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := NewBinaryEncoder(&buf)
 	for i := 0; i < 10; i++ {
 		if err := enc.Encode(Envelope{
 			Src: netemu.NodeID{DC: 0, Partition: i},
@@ -100,7 +97,7 @@ func TestStreamMultipleEnvelopes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dec := NewDecoder(&buf)
+	dec := NewBinaryDecoder(&buf)
 	for i := 0; i < 10; i++ {
 		env, err := dec.Decode()
 		if err != nil {
@@ -116,7 +113,7 @@ func TestStreamMultipleEnvelopes(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	dec := NewDecoder(bytes.NewReader([]byte("not gob at all")))
+	dec := NewBinaryDecoder(bytes.NewReader([]byte("not a frame at all")))
 	if _, err := dec.Decode(); err == nil || err == io.EOF {
 		t.Fatalf("garbage must fail with a real error, got %v", err)
 	}

@@ -123,8 +123,13 @@ type Config struct {
 	// DataDir enables durable storage: every partition server persists its
 	// versions to a write-ahead log under DataDir/dc<m>-p<n> and recovers
 	// them when reopened — both on RestartServer and when a whole Store is
-	// re-Opened over the same directory. Empty (the default) keeps the
-	// in-memory engines: fastest, but a killed server loses its partition.
+	// re-Opened over the same directory. A durable deployment also runs
+	// replication catch-up: a replica that loses part of the update stream —
+	// a crashed sender's unflushed tail, or a receiver cut off from the
+	// network — detects the gap through per-link sequence numbers and
+	// recovers the missing versions from its sibling's write-ahead log, with
+	// bounded data in flight. Empty (the default) keeps the in-memory
+	// engines: fastest, but a killed server loses its partition.
 	DataDir string
 	// CheckpointBytes is the WAL growth that arms a snapshot checkpoint on
 	// the next garbage-collection pass (0 = 1 MiB, negative disables
@@ -138,10 +143,6 @@ type Config struct {
 	// slow filesystems, but a machine crash may lose the latest commits (a
 	// process crash usually does not). Ignored without DataDir.
 	NoSync bool
-	// NoFsync is the old name for NoSync; either field enables it.
-	//
-	// Deprecated: set NoSync (the WAL and storage layers' canonical name).
-	NoFsync bool
 	// AckMode picks where on the durability ladder local PUTs are
 	// acknowledged: AckSync (default) returns only after the write's commit
 	// group is fsynced; AckGrouped returns after the in-memory insert and
@@ -155,17 +156,9 @@ type Config struct {
 	// alone already batches whatever accumulates during the previous
 	// fsync). Ignored without DataDir.
 	GroupCommitWindow time.Duration
-	// CatchUp selects the replication catch-up mode. CatchUpAuto (default)
-	// enables sequenced replication streams and WAL-shipped resync exactly
-	// when the deployment is durable (DataDir set): a replica that loses
-	// part of the update stream — a crashed sender's unflushed tail, or a
-	// receiver cut off from the network — detects the gap through per-link
-	// sequence numbers and recovers the missing versions from its sibling's
-	// write-ahead log, with bounded data in flight. CatchUpOn forces it,
-	// CatchUpOff disables it.
-	CatchUp CatchUpMode
 	// CatchUpMaxInFlight bounds the un-acked bytes per catch-up stream
-	// (0 = 1 MiB): the sender's backpressure window.
+	// (0 = 1 MiB): the sender's backpressure window. Ignored without
+	// DataDir.
 	CatchUpMaxInFlight int
 	// MaxDataCenters reserves capacity for data centers joining at runtime
 	// (AddDataCenter): every server's causal metadata vectors are sized to
@@ -203,20 +196,6 @@ const (
 	AckGrouped
 )
 
-// CatchUpMode selects the replication catch-up behavior (Config.CatchUp).
-type CatchUpMode int
-
-// Catch-up modes.
-const (
-	// CatchUpAuto enables catch-up exactly when the deployment is durable.
-	CatchUpAuto CatchUpMode = iota
-	// CatchUpOn forces catch-up on.
-	CatchUpOn
-	// CatchUpOff disables catch-up: a crashed server's unflushed
-	// replication tail is silently lost (the pre-catch-up semantics).
-	CatchUpOff
-)
-
 // Store is a running geo-replicated deployment.
 type Store struct {
 	inner  *cluster.Cluster
@@ -243,13 +222,6 @@ func Open(cfg Config) (*Store, error) {
 			return profile(src.DC, dst.DC)
 		}
 	}
-	var catchUp cluster.CatchUpMode
-	switch cfg.CatchUp {
-	case CatchUpOn:
-		catchUp = cluster.CatchUpOn
-	case CatchUpOff:
-		catchUp = cluster.CatchUpOff
-	}
 	ackMode := storage.AckSync
 	if cfg.AckMode == AckGrouped {
 		ackMode = storage.AckGrouped
@@ -274,11 +246,10 @@ func Open(cfg Config) (*Store, error) {
 		Durable: storage.DurableOptions{
 			CheckpointBytes: cfg.CheckpointBytes,
 			SegmentBytes:    cfg.SegmentBytes,
-			NoSync:          cfg.NoSync || cfg.NoFsync,
+			NoSync:          cfg.NoSync,
 			AckMode:         ackMode,
 			GroupWindow:     cfg.GroupCommitWindow,
 		},
-		CatchUp:            catchUp,
 		CatchUpMaxInFlight: cfg.CatchUpMaxInFlight,
 		MaxDCs:             cfg.MaxDataCenters,
 		MaxPartitions:      cfg.MaxPartitions,
