@@ -385,7 +385,7 @@ func BenchmarkDurablePut(b *testing.B) {
 // BenchmarkCatchUpSmallGap measures serving a small catch-up gap — the
 // common case after a brief link freeze: the lagging replica is missing the
 // last ~1k versions of a 16k-version history. The sender seeks through the
-// WAL's per-segment range index (ForEachDurableRange) instead of replaying
+// WAL's per-segment range index (a windowed ForEachDurable) instead of replaying
 // the full durable history, so the cost scales with the gap, not the store.
 // The benchmark fails if the seek ever degrades to a full scan.
 func BenchmarkCatchUpSmallGap(b *testing.B) {
@@ -427,7 +427,7 @@ func BenchmarkCatchUpSmallGap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shipped := 0
-		if err := d.ForEachDurableRange(lo, hi, func(v *item.Version) error {
+		if err := d.ForEachDurable(lo, hi, func(v *item.Version, _ bool) error {
 			if v.UpdateTime > total-gap {
 				shipped++
 			}
@@ -559,7 +559,7 @@ func BenchmarkCatchUpThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shipped := 0
-		if err := d.ForEachDurable(func(v *item.Version) error {
+		if err := d.ForEachDurable(nil, nil, func(v *item.Version, _ bool) error {
 			if v.SrcReplica == 0 && v.UpdateTime > 0 {
 				shipped++
 			}

@@ -54,11 +54,6 @@ func experiments() []experiment {
 		{"fig3c", "POCC blocking behaviour (RO-TX + PUT)", txSweep([]string{"fig3c"})},
 		{"fig3d", "transactional staleness POCC vs Cure*", txSweep([]string{"fig3d"})},
 		{"tx-sweep", "fig3b + fig3c + fig3d from one sweep", txSweep([]string{"fig3b", "fig3c", "fig3d"})},
-		{"frontdoor", "serving path: binary synchronous vs pipelined vs pooled",
-			func(ctx context.Context, sc harness.Scale) ([]*harness.Table, error) {
-				t, err := harness.FrontDoor(ctx, sc, 0)
-				return []*harness.Table{t}, err
-			}},
 		{"partition", "behaviour across a network partition (paper's future work)",
 			func(ctx context.Context, sc harness.Scale) ([]*harness.Table, error) {
 				t, err := harness.PartitionExperiment(ctx, sc, sc.Measure/2)
@@ -196,7 +191,6 @@ func run() int {
 		want = map[string]bool{
 			"fig1a": true, "fig1c": true, "getput-sweep": true,
 			"fig3a": true, "tx-sweep": true, "partition": true,
-			"frontdoor":     true,
 			"ablation-stab": true, "ablation-hb": true,
 			"ablation-skew": true, "ablation-think": true,
 			"visibility": true,

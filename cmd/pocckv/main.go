@@ -54,7 +54,6 @@ func run() int {
 		noSync     = flag.Bool("no-sync", false, "skip the per-commit fsync (faster, loses the latest commits on a machine crash)")
 		ackMode    = flag.String("ack", "sync", "local PUT durability: sync (ack after group fsync) or grouped (ack after staging; fsync trails)")
 		groupWin   = flag.Duration("group-commit-window", 0, "extra linger coalescing concurrent commits into one fsync (0 = pipeline batching only)")
-		catchUpWin = flag.Int("catchup-max-inflight", 0, "max un-acked bytes per WAL-shipped catch-up stream (0 = 1 MiB)")
 		maxDCs     = flag.Int("max-dcs", 0, "DC-slot capacity for runtime joins via the JOIN admin command (0 = -dcs, fixed membership; needs -data-dir to join)")
 		maxParts   = flag.Int("max-partitions", 0, "partition capacity for live keyspace splits via the SPLIT admin command (0 = -partitions, fixed layout)")
 		join       = flag.Int("join", 0, "grow the deployment by this many DCs at startup through the membership protocol (needs -max-dcs headroom and -data-dir)")
@@ -86,20 +85,19 @@ func run() int {
 	}
 
 	cfg := occ.Config{
-		DataCenters:        *dcs,
-		Partitions:         *partitions,
-		Engine:             engine,
-		Seed:               uint64(time.Now().UnixNano()),
-		TCP:                *tcp,
-		DataDir:            *dataDir,
-		CheckpointBytes:    *ckptBytes,
-		SegmentBytes:       *segBytes,
-		NoSync:             *noSync,
-		AckMode:            ack,
-		GroupCommitWindow:  *groupWin,
-		CatchUpMaxInFlight: *catchUpWin,
-		MaxDataCenters:     *maxDCs,
-		MaxPartitions:      *maxParts,
+		DataCenters:       *dcs,
+		Partitions:        *partitions,
+		Engine:            engine,
+		Seed:              uint64(time.Now().UnixNano()),
+		TCP:               *tcp,
+		DataDir:           *dataDir,
+		CheckpointBytes:   *ckptBytes,
+		SegmentBytes:      *segBytes,
+		NoSync:            *noSync,
+		AckMode:           ack,
+		GroupCommitWindow: *groupWin,
+		MaxDataCenters:    *maxDCs,
+		MaxPartitions:     *maxParts,
 	}
 	if !*tcp {
 		cfg.Latency = occ.AWSProfile(*latency)

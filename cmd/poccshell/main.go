@@ -24,6 +24,7 @@ import (
 	"time"
 
 	occ "repro"
+	"repro/internal/repl"
 )
 
 func main() {
@@ -318,7 +319,7 @@ func (sh *shell) cmdStats(out io.Writer) {
 	}
 	for dst, row := range st.LinkStates {
 		for src, state := range row {
-			if src != dst && state != "" && state != "self" && state != "active" {
+			if src != dst && state != repl.LinkActive.String() {
 				fmt.Fprintf(out, "  link dc%d<-dc%d state=%s\n", dst, src, state)
 			}
 		}

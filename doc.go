@@ -78,14 +78,16 @@
 //
 // Each WAL segment carries a per-origin [min,max] update-timestamp range,
 // maintained as records are staged, persisted as a trailer when the segment
-// seals, and rebuilt on recovery. A catch-up request for a small recent gap
-// seeks through this index (storage.RangedCatchUpSource): snapshot and
-// segments whose ranges cannot intersect the requested window are skipped
-// without being read, so re-shipping a brief outage's worth of versions
-// costs O(gap), not O(store). The index is advisory — readers keep their
-// per-version filters — and Stats reports seek hits, full scans and parts
-// skipped, alongside the commit-pipeline counters (fsyncs, group sizes,
-// ack-to-durable lag).
+// seals, and rebuilt on recovery. There is one walk over durable history —
+// storage.Durable.ForEachDurable, which the replication plane declares as
+// repl.Source — and it always seeks through this index: snapshot and
+// segments whose ranges cannot intersect the requested per-origin window are
+// skipped without being read, so re-shipping a brief outage's worth of
+// versions costs O(gap), not O(store), and a nil window (the reshard donor
+// copy) is the whole history. The index is advisory — readers keep their
+// per-version filters — and Stats reports seek hits (walks that skipped a
+// part), full scans (walks that skipped none) and parts skipped, alongside
+// the commit-pipeline counters (fsyncs, group sizes, ack-to-durable lag).
 //
 // Recovery reopens the data directory, replays the snapshot plus the log
 // tail — tolerating a torn final record from a mid-commit crash — and
@@ -95,9 +97,8 @@
 // in place (sessions keep working; operations racing the restart fail with
 // a retriable error), and re-Opening a Store over the same DataDir
 // cold-starts the whole deployment from disk. The causal guarantees —
-// session guarantees and convergence — hold across both, which
-// internal/harness.RecoveryDrill and the cluster recovery tests verify by
-// killing servers mid-workload.
+// session guarantees and convergence — hold across both, which the cluster
+// recovery tests verify by killing servers mid-workload.
 //
 // The recovered floor covers more than the replayed versions: a server's
 // version vector also advances through heartbeats and catch-up claims —
@@ -152,8 +153,9 @@
 // # Replication plane and catch-up
 //
 // Geo-replication is an explicit subsystem (internal/repl): each partition
-// server's replication manager owns the outbound buffers, the flush and
-// heartbeat cadence, and stamps every batch and heartbeat with its
+// server's replication manager owns the outbound buffers and their one
+// cadence (a flush at every heartbeat tick Δ, earlier under load, inline at
+// 128 buffered updates), and stamps every batch and heartbeat with its
 // incarnation epoch and a monotone sequence number. A receiver advances a
 // link's version-vector entry — the claim "I hold every version from that
 // DC up to t" — only while the sequence is gap-free. A hole, a restarted
@@ -166,9 +168,12 @@
 // bounded in-flight window. Crash recovery thus becomes per-replica resync:
 // a server killed with unflushed replication buffers — or cut off from the
 // stream entirely — rejoins and converges without restarting the world.
-// Catch-up needs a log to stream from, so it runs exactly when the
-// deployment is durable (Config.DataDir) and there is nothing to select;
-// Stats exposes per-DC and per-link replication lag and catch-up counters.
+// Every deployment is sequenced — there is one inbound rule and nothing to
+// select: on the lossless FIFO links of an in-memory deployment the check
+// never fires, and if it ever does, a sender without a log to stream from
+// answers Unsupported and the receiver resumes on its word, which is what an
+// unsequenced link would have done silently. Stats exposes per-DC and
+// per-link replication lag and catch-up counters.
 //
 // # Dynamic membership
 //
@@ -316,17 +321,18 @@
 // per batch (a fourth rule, who owns a request's frame buffer, is part of
 // the ownership ladder below). The client half (internal/client.Pool) holds a few pooled
 // connections per data center, multiplexes RemoteSessions onto them
-// round-robin, matches responses to in-flight requests by id, reconstructs
-// canonical error values from wire codes (errors.Is works across the wire),
-// and retries through reshard fences under the same slot-retry budget as
-// in-process sessions. Sizing: a handful of connections saturates a
-// listener; throughput comes from pipelining depth, not socket count.
+// round-robin, matches responses to in-flight requests by id, and
+// reconstructs canonical error values from wire codes (errors.Is works
+// across the wire); a reshard fence is retried once, by the server-side
+// session, never again by the pool. Sizing: a handful of connections
+// saturates a listener; throughput comes from pipelining depth, not socket
+// count.
 // Pipelined throughput on one connection measures >5x one synchronous round
 // trip at a time on the same connection (BenchmarkFrontDoorPipelined;
 // TestFrontDoorPipelinedSpeedup checks the ratio when run by name — a
 // wall-clock ratio is not asserted inside go test ./... — and make race
-// guards the path under -race). pocccli and poccbench's frontdoor
-// experiment ride the binary path; nc or telnet is the text client.
+// guards the path under -race). pocccli rides the binary path; nc or
+// telnet is the text client.
 //
 // # Ownership at each hand-off
 //

@@ -62,10 +62,6 @@ type Config struct {
 	NumDCs int
 	// Mode is the session's starting protocol. Defaults to Optimistic.
 	Mode core.Mode
-	// RequestLatency, when positive, is the injected one-way client↔server
-	// delay inside the DC (clients are collocated with servers in the paper,
-	// so the default is zero).
-	RequestLatency time.Duration
 	// AutoFallback enables HA-POCC session recovery: on ErrSessionClosed the
 	// session re-initializes pessimistically and retries; it promotes back
 	// to optimistic when the coordinator stops suspecting a partition.
@@ -180,9 +176,7 @@ func (s *Session) getReply(key string) (msg.ItemReply, error) {
 			return msg.ItemReply{}, ErrNoDataCenter
 		}
 		mode, rdv := s.opContext()
-		s.injectLatency()
 		reply, err := srv.Get(key, rdv, mode)
-		s.injectLatency()
 		if err != nil {
 			if s.handleSessionError(err) {
 				continue
@@ -235,9 +229,7 @@ func (s *Session) put(key string, value []byte) (vclock.Timestamp, int, error) {
 		// the new version's dependency vector).
 		dv := s.dv.Clone()
 		s.mu.Unlock()
-		s.injectLatency()
 		ut, err := srv.Put(key, value, dv, mode)
-		s.injectLatency()
 		if err != nil {
 			if s.handleSessionError(err) {
 				continue
@@ -298,9 +290,7 @@ func (s *Session) ROTxReplies(keys []string) ([]msg.ItemReply, error) {
 		s.opScratch = vclock.MaxInto(s.opScratch, s.rdv, s.dv)
 		rdv := s.opScratch
 		s.mu.Unlock()
-		s.injectLatency()
 		replies, err := coord.ROTx(keys, rdv, mode, s.cfg.Router.PartitionOf)
-		s.injectLatency()
 		if err != nil {
 			if s.handleSessionError(err) {
 				continue
@@ -403,12 +393,5 @@ func (s *Session) maybePromote() {
 		// stable), so it is kept.
 		s.mode = core.Optimistic
 		s.promotions++
-	}
-}
-
-// injectLatency emulates the client↔server hop inside the DC.
-func (s *Session) injectLatency() {
-	if s.cfg.RequestLatency > 0 {
-		time.Sleep(s.cfg.RequestLatency)
 	}
 }

@@ -212,26 +212,3 @@ func TestModeLifecycle(t *testing.T) {
 		t.Fatal("fresh session must have no fallbacks/promotions")
 	}
 }
-
-func TestSessionLatencyInjection(t *testing.T) {
-	c, err := cluster.New(cluster.Config{
-		NumDCs: 1, NumPartitions: 1, Engine: cluster.POCC,
-		SessionLatency: 5 * time.Millisecond,
-		Seed:           32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	s, err := c.NewSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := s.Get("k"); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("round trip %v, want >= 2x injected latency", elapsed)
-	}
-}

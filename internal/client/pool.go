@@ -7,10 +7,10 @@
 // into one write per batch — the pipelining primitive) and a reader
 // goroutine (matching response frames to in-flight requests by request id;
 // the server completes requests out of order, so the table, not arrival
-// order, ties responses back). A RemoteSession's synchronous operations ride
-// the same slot-epoch retry policy as the in-process Session: a reshard
-// rejection is retried with fresh routing (server-side) until
-// SlotRetryBudget expires.
+// order, ties responses back). A RemoteSession's synchronous operations are
+// one round trip each: the server-side session behind the wire session has
+// already retried a reshard rejection with fresh routing for its own budget
+// (Config.SlotRetryBudget) before ErrWrongSlotEpoch reaches the client.
 package client
 
 import (
@@ -51,10 +51,6 @@ type PoolConfig struct {
 	Conns int
 	// DialTimeout bounds each connection attempt. 0 selects 5s.
 	DialTimeout time.Duration
-	// SlotRetryBudget bounds how long one synchronous operation keeps
-	// retrying through ErrWrongSlotEpoch while a reshard migrates its key's
-	// slot. 0 selects the same 60s default as the in-process session.
-	SlotRetryBudget time.Duration
 }
 
 // Pool is a set of pooled binary-protocol connections to one kvserver
@@ -75,9 +71,6 @@ func DialPool(cfg PoolConfig) (*Pool, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.SlotRetryBudget <= 0 {
-		cfg.SlotRetryBudget = defaultSlotRetryBudget
 	}
 	p := &Pool{cfg: cfg}
 	for i := 0; i < cfg.Conns; i++ {
@@ -204,8 +197,8 @@ type RemoteSession struct {
 // RoundTrip runs one synchronous request — whatever its op; ID and Session
 // are filled in here — on the session's own call: a session is one thread of
 // execution, so at most one synchronous request is in flight and nothing
-// need be allocated for it. It is the typed operations below without their
-// reshard retry.
+// need be allocated for it. The typed operations below are this plus the
+// shaping of their result.
 func (s *RemoteSession) RoundTrip(req wire.FrontDoorRequest) (wire.FrontDoorResponse, error) {
 	c := &s.call
 	req.ID, req.Session = s.pc.nextID.Add(1), s.id
@@ -258,59 +251,37 @@ func (s *RemoteSession) Ping() error {
 	return err
 }
 
-// Put writes key=value, retrying through reshard rejections within the
-// pool's SlotRetryBudget.
+// Put writes key=value.
 func (s *RemoteSession) Put(key string, value []byte) error {
-	var deadline time.Time
-	for {
-		_, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDPut, Key: key, Value: value})
-		if err == nil {
-			return nil
-		}
-		if !s.retrySlotEpoch(err, &deadline) {
-			return err
-		}
-	}
+	_, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDPut, Key: key, Value: value})
+	return err
 }
 
 // Get reads key; nil means the key has no visible version.
 func (s *RemoteSession) Get(key string) ([]byte, error) {
-	var deadline time.Time
-	for {
-		resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Key: key})
-		if err == nil {
-			if !resp.Exists {
-				return nil, nil
-			}
-			return resp.Value, nil
-		}
-		if !s.retrySlotEpoch(err, &deadline) {
-			return nil, err
-		}
+	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Key: key})
+	if err != nil || !resp.Exists {
+		return nil, err
 	}
+	return resp.Value, nil
 }
 
 // ROTx reads keys atomically from a causal snapshot; missing keys map to
 // nil, matching the in-process Session.
 func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
-	var deadline time.Time
-	for {
-		resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Keys: keys})
-		if err == nil {
-			out := make(map[string][]byte, len(resp.Items))
-			for _, it := range resp.Items {
-				if it.Exists {
-					out[it.Key] = it.Value
-				} else {
-					out[it.Key] = nil
-				}
-			}
-			return out, nil
-		}
-		if !s.retrySlotEpoch(err, &deadline) {
-			return nil, err
+	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Keys: keys})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, len(resp.Items))
+	for _, it := range resp.Items {
+		if it.Exists {
+			out[it.Key] = it.Value
+		} else {
+			out[it.Key] = nil
 		}
 	}
+	return out, nil
 }
 
 // Stats returns the raw stats line.
@@ -329,21 +300,6 @@ func (s *RemoteSession) Admin(line string) (string, error) {
 		return "", err
 	}
 	return resp.Text, nil
-}
-
-// retrySlotEpoch is the pool twin of Session.handleSlotEpoch: pace retries
-// through a reshard's drain, bounded by the pool's budget.
-func (s *RemoteSession) retrySlotEpoch(err error, deadline *time.Time) bool {
-	if !errors.Is(err, core.ErrWrongSlotEpoch) {
-		return false
-	}
-	if deadline.IsZero() {
-		*deadline = time.Now().Add(s.pool.cfg.SlotRetryBudget)
-	} else if time.Now().After(*deadline) {
-		return false
-	}
-	time.Sleep(slotRetryDelay)
-	return true
 }
 
 // poolConn is one pooled connection: a writer goroutine coalescing queued

@@ -8,18 +8,21 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/racedetect"
 	"repro/internal/wire"
 )
 
-// echoServer speaks just enough of the binary front door to drive a Pool
+// frontDoorStub speaks just enough of the binary front door to drive a Pool
 // without a deployment behind it — and without allocating per request, so
-// allocation counts taken around a client call are the client's own. A GET
-// is answered with its key as the value; everything else with OK.
-func echoServer(t testing.TB) string {
+// allocation counts taken around a client call are the client's own. Every
+// request is answered with reply(op, id, rest), rest being the frame after
+// its session id (for the keyed ops: uvarint(len(key)) || key ...).
+func frontDoorStub(t testing.TB, reply func(op byte, id uint64, rest []byte) wire.FrontDoorResponse) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -32,13 +35,25 @@ func echoServer(t testing.TB) string {
 			if err != nil {
 				return
 			}
-			go echoConn(conn)
+			go stubConn(conn, reply)
 		}
 	}()
 	return ln.Addr().String()
 }
 
-func echoConn(conn net.Conn) {
+// echoServer is the stub that answers a GET with its key as the value and
+// everything else with OK.
+func echoServer(t testing.TB) string { return frontDoorStub(t, echoReply) }
+
+func echoReply(op byte, id uint64, rest []byte) wire.FrontDoorResponse {
+	if op != wire.FDGet {
+		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: id}
+	}
+	klen, n := binary.Uvarint(rest)
+	return wire.FrontDoorResponse{Kind: wire.FDValue, ID: id, Exists: true, Value: rest[n : n+int(klen)]}
+}
+
+func stubConn(conn net.Conn, reply func(op byte, id uint64, rest []byte) wire.FrontDoorResponse) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	if magic, err := br.ReadByte(); err != nil || magic != wire.FrontDoorMagic {
@@ -51,17 +66,12 @@ func echoConn(conn net.Conn) {
 			return
 		}
 		buf = frame[:0]
-		// op || uvarint(id) || uvarint(session) || uvarint(len(key)) || key ...
+		// op || uvarint(id) || uvarint(session) || ...
 		op, rest := frame[0], frame[1:]
 		id, n := binary.Uvarint(rest)
 		rest = rest[n:]
 		_, n = binary.Uvarint(rest)
-		rest = rest[n:]
-		resp := wire.FrontDoorResponse{Kind: wire.FDOK, ID: id}
-		if op == wire.FDGet {
-			klen, n := binary.Uvarint(rest)
-			resp = wire.FrontDoorResponse{Kind: wire.FDValue, ID: id, Exists: true, Value: rest[n : n+int(klen)]}
-		}
+		resp := reply(op, id, rest[n:])
 		out = wire.AppendFrontDoorResponse(out[:0], &resp)
 		if _, err := conn.Write(out); err != nil {
 			return
@@ -104,6 +114,38 @@ func TestRemoteSessionAllocs(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Fatalf("RemoteSession.Put allocates %v times per call on the client side, want 0", n)
+	}
+}
+
+// TestFrontDoorPoolSurfacesWrongSlotEpoch: by the time a reshard rejection
+// reaches the wire, the server-side session has retried it for its whole
+// budget — so the pool does not start a second one. The operation is one
+// request, and the caller gets the canonical error at once.
+func TestFrontDoorPoolSurfacesWrongSlotEpoch(t *testing.T) {
+	ops := map[string]func(*RemoteSession) error{
+		"Put":  func(s *RemoteSession) error { return s.Put("k", []byte("v")) },
+		"Get":  func(s *RemoteSession) error { _, err := s.Get("k"); return err },
+		"ROTx": func(s *RemoteSession) error { _, err := s.ROTx([]string{"k"}); return err },
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			var requests atomic.Int32
+			// Rejects the first request only: a retry would succeed.
+			addr := frontDoorStub(t, func(op byte, id uint64, rest []byte) wire.FrontDoorResponse {
+				if requests.Add(1) == 1 {
+					return wire.FrontDoorResponse{Kind: wire.FDErr, ID: id,
+						Code: wire.FDCodeWrongSlotEpoch, Text: "slot moved"}
+				}
+				return echoReply(op, id, rest)
+			})
+			err := op(dialEcho(t, addr).Session())
+			if !errors.Is(err, core.ErrWrongSlotEpoch) {
+				t.Fatalf("err = %v, want core.ErrWrongSlotEpoch", err)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("the stub saw %d requests, want 1", n)
+			}
+		})
 	}
 }
 

@@ -10,24 +10,33 @@ import (
 
 	"repro/internal/causaltest"
 	"repro/internal/keyspace"
+	"repro/internal/repl"
 )
 
-// TestCatchUpAfterCrashLostBufferTail is the deterministic buffer-tail-loss
-// scenario: with timed flushing effectively disabled, every write sits in
-// the origin server's replication buffer, so crashing that server (crash
-// restarts discard the buffer — no graceful flush) guarantees the sibling
-// DC never received any of them. The restarted incarnation's WAL still
-// holds the versions, and the sibling must detect the new epoch and recover
-// every acknowledged write via WAL-shipped catch-up.
+// TestCatchUpAfterCrashLostBufferTail is the deterministic tail-loss
+// scenario: the sibling DC is cut off from the update stream while the
+// origin servers take writes, and the origin servers then crash (crash
+// restarts discard the replication buffer — no graceful flush), so the
+// sibling never received any of the writes and the incarnation that sent
+// them is gone. The restarted incarnation's WAL still holds the versions,
+// and the sibling must detect the new epoch and recover every acknowledged
+// write via WAL-shipped catch-up.
 func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 	c := newCluster(t, Config{
 		NumDCs: 2, NumPartitions: 2, Engine: POCC,
-		HeartbeatInterval:        time.Millisecond,
-		ReplicationFlushInterval: time.Hour, // buffer never flushes on time
-		PutDepWait:               true,
-		DataDir:                  t.TempDir(),
-		Seed:                     909,
+		HeartbeatInterval: time.Millisecond,
+		PutDepWait:        true,
+		DataDir:           t.TempDir(),
+		Seed:              909,
 	})
+	dropAtDC1 := func(drop bool) {
+		for p := 0; p < 2; p++ {
+			if err := c.DropInboundReplication(1, p, drop); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dropAtDC1(true)
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,25 +50,26 @@ func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 		}
 		want[key] = val
 	}
-	// Nothing may have replicated: the buffers are sitting on their tails.
-	// (Heartbeats are suppressed while updates are buffered, so DC1's VV for
-	// DC0 cannot have covered these writes either.)
+	// Nothing may have replicated: every flush was dropped on DC1's doorstep.
 	for key := range want {
 		reply, err := c.ReadAt(1, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reply.Exists {
-			t.Fatalf("key %s leaked to DC1 before the crash; the scenario needs a buffered tail", key)
+			t.Fatalf("key %s leaked to DC1 before the crash; the scenario needs a lost tail", key)
 		}
 	}
 
-	// Crash both DC0 servers: their buffered tails are gone for good.
+	// Crash both DC0 servers: the incarnations that sent the tail — and
+	// whatever still sat in their buffers — are gone for good. Only then
+	// does DC1 hear from DC0 again.
 	for p := 0; p < 2; p++ {
 		if err := c.RestartServer(0, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	dropAtDC1(false)
 
 	// The restarted incarnations heartbeat with a fresh epoch; DC1 detects
 	// the discontinuity and pulls the lost tail out of DC0's WALs.
@@ -196,6 +206,29 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 	t.Logf("catch-up stats: %+v, max lag %v", st, st.MaxLag())
 	if err := c.StorageErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatchUpSilentOnLosslessLinks: an in-memory deployment holds every
+// inbound replication message to the same (epoch, seq) rule as a durable one.
+// Its links are lossless and FIFO, so under a checked workload the rule must
+// never fire: every link adopts its stream at first contact and stays active,
+// and no catch-up round is ever requested.
+func TestCatchUpSilentOnLosslessLinks(t *testing.T) {
+	c := runStress(t, stressConfig{
+		engine: POCC, dcs: 3, partitions: 2, keys: 8,
+		sessions: 4, opsPer: 200, txEvery: 10, putEvery: 3, seed: 1717,
+	})
+	st := c.ReplicationStats()
+	if st.CatchUpsRequested != 0 || st.CatchUpsActive != 0 {
+		t.Fatalf("catch-up rounds on lossless links: %+v", st)
+	}
+	for dst, row := range st.LinkStates {
+		for src, state := range row {
+			if src != dst && state != repl.LinkActive {
+				t.Errorf("link dc%d<-dc%d is %v, want %v", dst, src, state, repl.LinkActive)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/storage"
 	"repro/internal/tcpnet"
 	"repro/internal/vclock"
@@ -71,12 +72,6 @@ type Config struct {
 	GCInterval time.Duration
 	// PutDepWait enables Algorithm 2 line 6 (the evaluation enables it).
 	PutDepWait bool
-	// ReplicationBatchSize caps the per-DC replication buffer before an
-	// inline flush (0 = core default, 1 = unbatched).
-	ReplicationBatchSize int
-	// ReplicationFlushInterval is the replication buffer flush cadence
-	// (0 defaults to the heartbeat interval Δ; negative disables batching).
-	ReplicationFlushInterval time.Duration
 	// BlockTimeout enables HA-POCC partition suspicion (HAPOCC only).
 	BlockTimeout time.Duration
 	// ClockSkew bounds the per-node clock offset: each node's skew is drawn
@@ -97,8 +92,6 @@ type Config struct {
 	Latency netemu.LatencyFunc
 	// JitterFrac adds uniform jitter to every message delay.
 	JitterFrac float64
-	// SessionLatency is the injected one-way client↔server delay.
-	SessionLatency time.Duration
 	// Seed drives all emulated randomness.
 	Seed uint64
 	// TCP runs the inter-node traffic over real loopback TCP connections
@@ -114,9 +107,6 @@ type Config struct {
 	// trigger, segment size and fsync policy (storage.DurableOptions).
 	// Ignored without DataDir.
 	Durable storage.DurableOptions
-	// CatchUpMaxInFlight bounds the un-acked bytes per outbound catch-up
-	// stream (0 = 1 MiB): the sender's backpressure window.
-	CatchUpMaxInFlight int
 	// MaxDCs reserves capacity for data centers joining at runtime (AddDC):
 	// every server's version vector is sized to it up front, because the
 	// lock-free hot path cannot repoint vectors. 0 means NumDCs — fixed
@@ -224,12 +214,11 @@ type Cluster struct {
 //
 // When dropRepl is set, replication-plane messages (batches, heartbeats,
 // catch-up traffic) are discarded instead of paused — a dead machine
-// receives nothing. RestartServer sets it for the crash window on
-// catch-up-enabled deployments, and tests set it directly
-// (DropInboundReplication) to sever a link mid-workload. Request/response
-// traffic (slice reads, exchanges) still pauses: in a real deployment it
-// rides an RPC layer with its own retries, and dropping it would wedge
-// remote RO-TX coordinators.
+// receives nothing. RestartServer sets it for the crash window, and tests
+// set it directly (DropInboundReplication) to sever a link mid-workload.
+// Request/response traffic (slice reads, exchanges) still pauses: in a real
+// deployment it rides an RPC layer with its own retries, and dropping it
+// would wedge remote RO-TX coordinators.
 type relay struct {
 	inner    core.Transport
 	gate     sync.RWMutex
@@ -458,32 +447,28 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		}
 	}
 	return core.Config{
-		ID:                       netemu.NodeID{DC: dc, Partition: p},
-		NumDCs:                   numDCs,
-		NumPartitions:            numParts,
-		MaxPartitions:            c.maxParts,
-		SlotMap:                  slots,
-		Clock:                    c.newClock(dc, p),
-		Endpoint:                 c.transports[dc][p],
-		DefaultMode:              mode,
-		HeartbeatInterval:        c.cfg.HeartbeatInterval,
-		StabilizationInterval:    stab,
-		LeanStabilization:        c.cfg.LeanStabilization,
-		GCInterval:               c.cfg.GCInterval,
-		PutDepWait:               c.cfg.PutDepWait,
-		BlockTimeout:             blockTimeout,
-		ReplicationBatchSize:     c.cfg.ReplicationBatchSize,
-		ReplicationFlushInterval: c.cfg.ReplicationFlushInterval,
-		DataDir:                  dataDir,
-		DurableOptions:           c.cfg.Durable,
-		CatchUp:                  c.cfg.DataDir != "",
-		CatchUpMaxInFlight:       c.cfg.CatchUpMaxInFlight,
-		MaxDCs:                   c.maxDCs,
-		Joining:                  joining,
-		JoinTimeout:              c.cfg.JoinTimeout,
-		GCMaxHoldback:            c.cfg.GCMaxHoldback,
-		Membership:               view,
-		Metrics:                  c.mx[dc][p],
+		ID:                    netemu.NodeID{DC: dc, Partition: p},
+		NumDCs:                numDCs,
+		NumPartitions:         numParts,
+		MaxPartitions:         c.maxParts,
+		SlotMap:               slots,
+		Clock:                 c.newClock(dc, p),
+		Endpoint:              c.transports[dc][p],
+		DefaultMode:           mode,
+		HeartbeatInterval:     c.cfg.HeartbeatInterval,
+		StabilizationInterval: stab,
+		LeanStabilization:     c.cfg.LeanStabilization,
+		GCInterval:            c.cfg.GCInterval,
+		PutDepWait:            c.cfg.PutDepWait,
+		BlockTimeout:          blockTimeout,
+		DataDir:               dataDir,
+		DurableOptions:        c.cfg.Durable,
+		MaxDCs:                c.maxDCs,
+		Joining:               joining,
+		JoinTimeout:           c.cfg.JoinTimeout,
+		GCMaxHoldback:         c.cfg.GCMaxHoldback,
+		Membership:            view,
+		Metrics:               c.mx[dc][p],
 	}
 }
 
@@ -501,10 +486,9 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 // replication-plane messages arriving during the down window are dropped,
 // as a dead machine would drop them. The restarted server and its siblings
 // then detect the discontinuities through the link sequence numbers and
-// resynchronize by WAL-shipped catch-up (internal/repl), which a durable
-// deployment always runs. The torn-log recovery paths are covered
-// separately by tests that truncate segment files on disk between a close
-// and a reopen.
+// resynchronize by WAL-shipped catch-up (internal/repl). The torn-log
+// recovery paths are covered separately by tests that truncate segment
+// files on disk between a close and a reopen.
 func (c *Cluster) RestartServer(dc, p int) error {
 	if c.relays == nil {
 		return errors.New("cluster: RestartServer requires Config.DataDir (durable engines)")
@@ -547,8 +531,8 @@ func (c *Cluster) RestartServer(dc, p int) error {
 // replication-plane delivery to one node: while severed, batches,
 // heartbeats and catch-up traffic addressed to the node are discarded — not
 // buffered — emulating a receiver cut off from the update stream. On
-// restore the node sees a sequence gap on each inbound link and, with
-// catch-up enabled, resynchronizes from its siblings' logs. Requires
+// restore the node sees a sequence gap on each inbound link and
+// resynchronizes from its siblings' logs. Requires
 // Config.DataDir (the relay interposer exists only on durable
 // deployments).
 func (c *Cluster) DropInboundReplication(dc, p int, drop bool) error {
@@ -940,30 +924,13 @@ type ReplicationStats struct {
 	// (the requested range was checkpoint-pruned on the sender).
 	FullResyncs uint64
 	// LinkStates[dst][src] is the health of DC dst's inbound link from DC
-	// src — the worst state any of dst's partition servers reports: active,
-	// catching-up, frozen, evicted, idle, or self on the diagonal. Empty for
-	// departed/never-joined dst rows.
-	LinkStates [][]string
+	// src — the worst state any of dst's partition servers reports
+	// (repl.LinkState is ordered by severity), LinkSelf on the diagonal. The
+	// row of a departed DC is empty.
+	LinkStates [][]repl.LinkState
 	// GCHoldbackAge is the age of the oldest live GC holdback anywhere in
 	// the deployment — how long the worst laggard has been deferring GC.
 	GCHoldbackAge time.Duration
-}
-
-// linkStateRank orders link states by severity for the per-DC aggregation.
-func linkStateRank(s string) int {
-	switch s {
-	case "evicted":
-		return 5
-	case "frozen":
-		return 4
-	case "catching-up":
-		return 3
-	case "idle":
-		return 2
-	case "active":
-		return 1
-	}
-	return 0
 }
 
 // MaxLag returns the worst per-DC lag.
@@ -985,10 +952,9 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 		LagPerDC:   make([]time.Duration, dcs),
 		LagPerLink: make([][]time.Duration, dcs),
 	}
-	st.LinkStates = make([][]string, dcs)
+	st.LinkStates = make([][]repl.LinkState, dcs)
 	for dc := 0; dc < dcs; dc++ {
 		st.LagPerLink[dc] = make([]time.Duration, dcs)
-		st.LinkStates[dc] = make([]string, dcs)
 		for p := 0; p < c.numParts(); p++ {
 			srv := c.Server(dc, p)
 			if srv == nil {
@@ -1002,9 +968,12 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 					st.LagPerDC[dc] = lag
 				}
 			}
+			if st.LinkStates[dc] == nil {
+				st.LinkStates[dc] = make([]repl.LinkState, dcs)
+			}
 			for src, state := range srv.LinkStates() {
-				if src < dcs && linkStateRank(state) > linkStateRank(st.LinkStates[dc][src]) {
-					st.LinkStates[dc][src] = state
+				if src < dcs {
+					st.LinkStates[dc][src] = max(st.LinkStates[dc][src], state)
 				}
 			}
 			if age := srv.GCHoldbackAge(); age > st.GCHoldbackAge {
@@ -1187,10 +1156,9 @@ func (c *Cluster) newSession(dc int, autoFallback bool) (*client.Session, error)
 		// Dependency vectors are sized to the deployment's capacity, not its
 		// current width, so a session opened before a DC joins tracks the
 		// joiner's writes without resizing mid-flight.
-		NumDCs:         c.maxDCs,
-		Mode:           mode,
-		RequestLatency: c.cfg.SessionLatency,
-		AutoFallback:   autoFallback,
+		NumDCs:       c.maxDCs,
+		Mode:         mode,
+		AutoFallback: autoFallback,
 		// A session parked on a fenced slot must outlast the slowest healthy
 		// reshard, whose drain phase is bounded by the cluster's configured
 		// timeout — otherwise it surfaces ErrWrongSlotEpoch for a migration

@@ -418,7 +418,6 @@ func TestJoinerStabilizationGate(t *testing.T) {
 		DefaultMode:           core.Optimistic,
 		HeartbeatInterval:     time.Millisecond,
 		StabilizationInterval: time.Millisecond,
-		CatchUp:               true,
 		Joining:               true,
 		Metrics:               &core.Metrics{},
 	})

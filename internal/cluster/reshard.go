@@ -338,12 +338,12 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 			}
 			var err error
 			switch st := src.Store().(type) {
-			case storage.CatchUpSource:
-				err = st.ForEachDurable(func(v *item.Version) error {
+			case *storage.Durable:
+				err = st.ForEachDurable(nil, nil, func(v *item.Version, _ bool) error {
 					collect(v)
 					return nil
 				})
-			case versionEnumerator:
+			case *storage.Mem:
 				st.ForEachVersion(collect)
 			default:
 				err = fmt.Errorf("cluster: reshard: donor dc%d-p%d store cannot enumerate history", dc, p)
@@ -427,9 +427,4 @@ func (c *Cluster) abortReshard(cur, next *keyspace.SlotMap, moved []int, members
 	}
 	c.finishReshard(rb, members, newPart)
 	return cause
-}
-
-// versionEnumerator is the in-memory donor's history walk (storage.Mem).
-type versionEnumerator interface {
-	ForEachVersion(fn func(v *item.Version))
 }

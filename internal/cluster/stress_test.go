@@ -26,7 +26,7 @@ type stressConfig struct {
 	partitioned bool // flap one inter-DC link mid-run
 }
 
-func runStress(t *testing.T, cfg stressConfig) {
+func runStress(t *testing.T, cfg stressConfig) *Cluster {
 	t.Helper()
 	c := newCluster(t, Config{
 		NumDCs: cfg.dcs, NumPartitions: cfg.partitions, Engine: cfg.engine,
@@ -131,6 +131,7 @@ func runStress(t *testing.T, cfg stressConfig) {
 	}) {
 		t.Fatal("replicas did not converge after quiescence")
 	}
+	return c
 }
 
 func sessionName(dc, si int) string {

@@ -10,14 +10,15 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestReplicationBatchFlushOnSize: once ReplicationBatchSize updates are
-// buffered, a batch goes out immediately — no heartbeat tick needed.
+// TestReplicationBatchFlushOnSize: once the replication plane's batch cap
+// (128 updates) is buffered, a batch goes out immediately — no heartbeat tick
+// needed.
 func TestReplicationBatchFlushOnSize(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:    time.Hour, // timed flush effectively disabled
-		ReplicationBatchSize: 4,
+		HeartbeatInterval: time.Hour, // timed flush effectively disabled
 	})
-	for i := 0; i < 8; i++ {
+	const puts = 2 * 128
+	for i := 0; i < puts; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
 			t.Fatal(err)
 		}
@@ -30,9 +31,9 @@ func TestReplicationBatchFlushOnSize(t *testing.T) {
 				total += len(b.Versions)
 			}
 		}
-		return total == 8
+		return total == puts
 	}) {
-		t.Fatalf("sibling received %v, want 8 versions in batches", r.received(id))
+		t.Fatalf("sibling received %d messages, want %d versions in batches", len(r.received(id)), puts)
 	}
 	// Versions inside each batch must be in update-timestamp order.
 	var prev vclock.Timestamp
@@ -78,19 +79,24 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 	}
 }
 
-// TestReplicationFlushIntervalKnob: a flush cadence faster than the
-// heartbeat drains the buffer without waiting for Δ.
+// TestReplicationFlushIntervalKnob: the flush cadence is Δ, with one
+// load-sensitive refinement inside it — a buffer that has filled a quarter of
+// the batch cap drains at the next quarter-Δ, without waiting for the tick.
 func TestReplicationFlushIntervalKnob(t *testing.T) {
-	r := newRig(t, Config{
-		HeartbeatInterval:        time.Hour,
-		ReplicationFlushInterval: time.Millisecond,
-	})
-	if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != nil {
-		t.Fatal(err)
+	const delta = 2 * time.Second
+	r := newRig(t, Config{HeartbeatInterval: delta})
+	start := time.Now()
+	for i := 0; i < 128/4; i++ {
+		if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != nil {
+			t.Fatal(err)
+		}
 	}
 	id := netemu.NodeID{DC: 1, Partition: 0}
-	if !waitUntil(t, time.Second, func() bool { return len(r.received(id)) >= 1 }) {
-		t.Fatal("dedicated flush loop never drained the buffer")
+	if !waitUntil(t, delta, func() bool { return len(r.received(id)) >= 1 }) {
+		t.Fatal("the adaptive flush never drained the buffer")
+	}
+	if took := time.Since(start); took >= delta {
+		t.Fatalf("buffer drained after %v: that was the Δ tick (%v), not the quarter-Δ flush", took, delta)
 	}
 }
 

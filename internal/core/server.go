@@ -149,45 +149,20 @@ type Config struct {
 	// requests blocked longer than this return ErrSessionClosed. 0 waits
 	// forever (the paper's POCC, evaluated without partitions).
 	BlockTimeout time.Duration
-	// ReplicationBatchSize caps how many outgoing updates may accumulate in
-	// the per-DC replication buffer before an inline flush. 0 selects the
-	// default (128); 1 flushes after every PUT (no batching, as the original
-	// one-message-per-update protocol).
-	ReplicationBatchSize int
-	// ReplicationFlushInterval is the periodic flush cadence of the
-	// replication buffer. 0 defaults to HeartbeatInterval, preserving the
-	// paper's Δ semantics: a buffered update is delayed at most one
-	// heartbeat period. A negative value disables timed batching entirely
-	// (every PUT flushes inline). An interval above Δ trades remote
-	// freshness for batch size; heartbeats are suppressed while updates
-	// are buffered so they never overtake the batch.
-	ReplicationFlushInterval time.Duration
-	// Engine is the storage engine backing this server. Nil selects a
-	// default: a fresh in-memory engine (storage.New), or — when DataDir is
-	// set — a durable WAL-backed engine opened (and crash-recovered) from
-	// DataDir. The server owns its engine and closes it on Close. When the
-	// engine reports a recovered version-vector floor (storage.Recovered),
-	// the server's VV starts from that floor, so reads never miss versions
-	// the replayed state already contains.
-	Engine storage.Engine
-	// DataDir, when non-empty and Engine is nil, selects a storage.Durable
-	// engine rooted at this directory, tuned by DurableOptions.
+	// DataDir selects the storage engine backing this server: empty, a
+	// fresh in-memory engine (storage.New); otherwise a durable WAL-backed
+	// engine opened (and crash-recovered) from this directory, tuned by
+	// DurableOptions. The server owns its engine and closes it on Close. A
+	// recovered engine reports a version-vector floor (storage.Recovered) and
+	// the server's VV starts from it, so reads never miss versions the
+	// replayed state already contains. A durable engine also serves the
+	// replication plane's catch-up streams out of its log (internal/repl); a
+	// server without one answers Unsupported and peers resume on its word.
 	DataDir string
 	// DurableOptions tunes the durable engine opened for DataDir
-	// (checkpoint trigger, segment size, fsync policy). Ignored when Engine
-	// is provided or DataDir is empty.
+	// (checkpoint trigger, segment size, fsync policy). Ignored when DataDir
+	// is empty.
 	DurableOptions storage.DurableOptions
-	// CatchUp enables the replication catch-up protocol: outgoing batches
-	// and heartbeats carry incarnation epochs and sequence numbers, and the
-	// receive side freezes a link's version-vector advancement on a gap (or
-	// a restarted sender) until the missing history has been re-shipped out
-	// of the sender's write-ahead log (internal/repl). Requires a durable
-	// engine to serve streams; a server without one answers Unsupported and
-	// peers fall back to optimistic application.
-	CatchUp bool
-	// CatchUpMaxInFlight bounds the un-acked catch-up bytes per outbound
-	// stream (0 = default 1 MiB).
-	CatchUpMaxInFlight int
 	// MaxDCs caps the data-center ids this server can ever track: the
 	// version-vector and GSS capacity, reserved up front because the hot
 	// path reads those vectors lock-free and cannot repoint them. 0 means
@@ -199,7 +174,7 @@ type Config struct {
 	// deployment: its replication manager pulls every partition's history
 	// from its siblings through WAL-shipped catch-up, and the stabilization
 	// loop does not start — this server contributes nothing to the GSS —
-	// until the bootstrap completes. Requires CatchUp.
+	// until the bootstrap completes.
 	Joining bool
 	// JoinTimeout bounds how long a Joining server keeps soliciting the
 	// deployment before giving up: past it the join solicitation stops and
@@ -255,12 +230,6 @@ func (c *Config) validate() error {
 	}
 	if c.DefaultMode == Pessimistic && c.StabilizationInterval <= 0 {
 		return errors.New("core: pessimistic mode requires a stabilization interval")
-	}
-	if c.ReplicationBatchSize < 0 {
-		return errors.New("core: ReplicationBatchSize must be >= 0")
-	}
-	if c.CatchUpMaxInFlight < 0 {
-		return errors.New("core: CatchUpMaxInFlight must be >= 0")
 	}
 	if c.MaxDCs != 0 && c.MaxDCs < c.NumDCs {
 		return fmt.Errorf("core: MaxDCs %d below NumDCs %d", c.MaxDCs, c.NumDCs)
@@ -564,17 +533,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		if cfg.DataDir != "" {
-			var err error
-			eng, err = storage.OpenDurable(cfg.DataDir, cfg.DurableOptions)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		} else {
-			eng = storage.New()
+	var eng storage.Engine
+	var src repl.Source // stays nil without a durable log to serve from
+	if cfg.DataDir == "" {
+		eng = storage.New()
+	} else {
+		d, err := storage.OpenDurable(cfg.DataDir, cfg.DurableOptions)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
+		eng, src = d, d
 	}
 	maxDCs := cfg.maxDCs()
 	maxParts := cfg.maxPartitions()
@@ -658,7 +626,6 @@ func NewServer(cfg Config) (*Server, error) {
 	// The replication manager must exist before the handler is installed
 	// (inbound messages delegate to it) and after the VV floor is restored
 	// (its resume floor starts at the recovered local entry).
-	src, _ := eng.(repl.Source)
 	mgr, err := repl.NewManager(repl.Config{
 		ID:                cfg.ID,
 		NumDCs:            cfg.NumDCs,
@@ -666,11 +633,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Endpoint:          cfg.Endpoint,
 		Backend:           (*replBackend)(s),
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		BatchSize:         cfg.ReplicationBatchSize,
-		FlushInterval:     cfg.ReplicationFlushInterval,
-		CatchUp:           cfg.CatchUp,
 		Source:            src,
-		MaxInFlightBytes:  cfg.CatchUpMaxInFlight,
 		MaxDCs:            cfg.MaxDCs,
 		Joining:           cfg.Joining,
 		JoinTimeout:       cfg.JoinTimeout,
@@ -785,8 +748,8 @@ func (s *Server) AnnounceLeave() vclock.Timestamp { return s.repl.Leave() }
 func (s *Server) CatchUpStats() repl.Stats { return s.repl.Stats() }
 
 // LinkStates reports the health of every inbound replication link by DC id
-// (self, active, catching-up, frozen, evicted, idle).
-func (s *Server) LinkStates() []string { return s.repl.LinkStates() }
+// (see repl.LinkState).
+func (s *Server) LinkStates() []repl.LinkState { return s.repl.LinkStates() }
 
 // GCHoldbackAge reports how long the oldest live GC holdback (a frozen,
 // catching-up or joining link deferring this server's GC contribution) has

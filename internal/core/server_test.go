@@ -23,6 +23,7 @@ type rig struct {
 	mu     sync.Mutex
 	inbox  map[netemu.NodeID][]any // messages received by fake peers
 	fakeEP map[netemu.NodeID]*netemu.Endpoint
+	seq    map[netemu.NodeID]uint64 // last batch sequence each fake peer sent
 }
 
 func newRig(t *testing.T, cfg Config) *rig {
@@ -31,6 +32,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t:      t,
 		inbox:  make(map[netemu.NodeID][]any),
 		fakeEP: make(map[netemu.NodeID]*netemu.Endpoint),
+		seq:    make(map[netemu.NodeID]uint64),
 	}
 	r.net = netemu.New(netemu.Config{})
 	if cfg.NumDCs == 0 {
@@ -89,8 +91,22 @@ func (r *rig) received(id netemu.NodeID) []any {
 	return out
 }
 
-// inject sends a message from a fake peer to the server.
+// inject sends a message from a fake peer to the server. Replication
+// messages are stamped the way a real sender's outbound stream stamps them:
+// one incarnation per peer, a batch takes the next sequence number and a
+// heartbeat re-attests the current one — so the server sees a gap-free link.
 func (r *rig) inject(from netemu.NodeID, m any) {
+	r.mu.Lock()
+	defer r.mu.Unlock() // stamp and send as one step: link order is sequence order
+	switch mm := m.(type) {
+	case msg.ReplicateBatch:
+		r.seq[from]++
+		mm.Epoch, mm.Seq = 1, r.seq[from]
+		m = mm
+	case msg.Heartbeat:
+		mm.Epoch, mm.Seq = 1, r.seq[from]
+		m = mm
+	}
 	r.fakeEP[from].Send(netemu.NodeID{DC: 0, Partition: 0}, m)
 }
 
@@ -168,28 +184,40 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 }
 
 func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
-	// BatchSize 1 disables batching: every PUT flushes inline as a
-	// single-version sequenced batch (the original one-message-per-update
-	// protocol, now with the link's gap-free sequence numbers).
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, ReplicationBatchSize: 1})
+	// Each PUT waits for the Δ tick to flush its predecessor, so every one
+	// leaves as a single-version sequenced batch (the original
+	// one-message-per-update protocol, with the link's gap-free sequence
+	// numbers); idle heartbeats may interleave.
+	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	batches := func(id netemu.NodeID) []msg.ReplicateBatch {
+		var out []msg.ReplicateBatch
+		for i, m := range r.received(id) {
+			switch mm := m.(type) {
+			case msg.ReplicateBatch:
+				out = append(out, mm)
+			case msg.Heartbeat:
+			default:
+				t.Fatalf("message %d is %T, want ReplicateBatch or Heartbeat", i, m)
+			}
+		}
+		return out
+	}
 	const puts = 20
 	for i := 0; i < puts; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
 			t.Fatal(err)
 		}
+		for dc := 1; dc < 3; dc++ {
+			id := netemu.NodeID{DC: dc, Partition: 0}
+			if !waitUntil(t, time.Second, func() bool { return len(batches(id)) > i }) {
+				t.Fatalf("dc%d received %d batches, want %d", dc, len(batches(id)), i+1)
+			}
+		}
 	}
 	for dc := 1; dc < 3; dc++ {
-		id := netemu.NodeID{DC: dc, Partition: 0}
-		if !waitUntil(t, time.Second, func() bool { return len(r.received(id)) >= puts }) {
-			t.Fatalf("dc%d received %d replication messages, want %d", dc, len(r.received(id)), puts)
-		}
 		var prev vclock.Timestamp
 		var prevSeq uint64
-		for i, m := range r.received(id) {
-			rep, ok := m.(msg.ReplicateBatch)
-			if !ok {
-				t.Fatalf("message %d is %T, want ReplicateBatch", i, m)
-			}
+		for i, rep := range batches(netemu.NodeID{DC: dc, Partition: 0}) {
 			if len(rep.Versions) != 1 {
 				t.Fatalf("message %d carries %d versions, want 1 (unbatched)", i, len(rep.Versions))
 			}

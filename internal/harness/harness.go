@@ -120,14 +120,6 @@ func run(ctx context.Context, spec runSpec) (Point, error) {
 	if partitions == 0 {
 		partitions = sc.Partitions
 	}
-	hb := spec.heartbeat
-	if hb == 0 {
-		hb = time.Millisecond
-	}
-	stab := spec.stabilization
-	if stab == 0 && spec.engine == cluster.Cure {
-		stab = 5 * time.Millisecond
-	}
 	skew := sc.ClockSkew
 	if spec.clockSkew > 0 {
 		skew = spec.clockSkew
@@ -143,8 +135,8 @@ func run(ctx context.Context, spec runSpec) (Point, error) {
 		NumDCs:                sc.DCs,
 		NumPartitions:         partitions,
 		Engine:                spec.engine,
-		HeartbeatInterval:     hb,
-		StabilizationInterval: stab,
+		HeartbeatInterval:     spec.heartbeat,
+		StabilizationInterval: spec.stabilization,
 		GCInterval:            100 * time.Millisecond,
 		PutDepWait:            true,
 		ClockSkew:             skew,

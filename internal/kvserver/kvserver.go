@@ -465,7 +465,7 @@ func formatLinkStates(states [][]string) string {
 	var sb strings.Builder
 	for dst, row := range states {
 		for src, st := range row {
-			if src == dst || st == "" || st == "self" {
+			if src == dst {
 				continue
 			}
 			if sb.Len() > 0 {

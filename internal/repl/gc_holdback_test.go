@@ -11,15 +11,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// compactedSource is a fakeSource whose history below a per-DC floor has
-// been checkpoint-compacted away (storage.Durable.CompactedFloor).
-type compactedSource struct {
-	fakeSource
-	floor vclock.VC
-}
-
-func (s *compactedSource) CompactedFloor() vclock.VC { return s.floor }
-
 // catchUpReplies filters a transport's sends to one destination down to the
 // CatchUpReply stream.
 func catchUpReplies(tr *fakeTransport, dst netemu.NodeID) []msg.CatchUpReply {
@@ -38,19 +29,19 @@ func catchUpReplies(tr *fakeTransport, dst netemu.NodeID) []msg.CatchUpReply {
 // restart the stream from zero and say so — never ship a silently
 // incomplete range.
 func TestFullResyncBelowCompactedFloor(t *testing.T) {
-	src := &compactedSource{
-		fakeSource: fakeSource{vs: []*item.Version{
+	src := &fakeSource{
+		vs: []*item.Version{
 			// Everything below 200 was compacted: only the surviving heads
 			// remain in the log. 150's survival is incidental (it is a head);
 			// other versions below 200 are gone for good.
 			ver(0, 150, "head-a"),
 			ver(0, 250, "b"),
 			ver(0, 400, "c"),
-		}},
+		},
 		floor: vclock.VC{200, 0},
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -96,15 +87,15 @@ func TestFullResyncBelowCompactedFloor(t *testing.T) {
 // TestIncrementalAboveCompactedFloor: a resume floor at or above the
 // compacted boundary is served incrementally, no resync flag.
 func TestIncrementalAboveCompactedFloor(t *testing.T) {
-	src := &compactedSource{
-		fakeSource: fakeSource{vs: []*item.Version{
+	src := &fakeSource{
+		vs: []*item.Version{
 			ver(0, 250, "b"),
 			ver(0, 400, "c"),
-		}},
+		},
 		floor: vclock.VC{200, 0},
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -139,7 +130,7 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 // its stats — the regression is observable, not silent.
 func TestReceiverCountsFullResync(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	// A gap starts a round: seq 5 with no history known resyncs.
@@ -171,7 +162,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 // garbage forever.
 func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	dst := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{
@@ -208,7 +199,7 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 // presence zeroes the GC contribution entirely until it announces Active.
 func TestClampGCJoinerPinsZero(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3,
 		Membership: msg.Membership{
 			Epoch:  4,
 			Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining},
@@ -250,7 +241,6 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 		}
 		m, _, _ := newTestManager(t, Config{
 			ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: maxDCs, MaxDCs: maxDCs,
-			CatchUp:    true,
 			Membership: msg.Membership{Epoch: uint64(iter), Status: append([]uint8(nil), status...)},
 		})
 

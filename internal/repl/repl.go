@@ -12,15 +12,18 @@
 // advancing its version vector, which asserts "I hold every version from
 // this DC up to t" — that it did not miss a batch. A hole in the sequence,
 // or a new epoch (the sender restarted and its in-memory buffer tail died
-// with it), freezes the link's VV advancement and triggers catch-up.
+// with it), freezes the link's VV advancement and triggers catch-up. Every
+// manager holds every inbound message to this rule, whatever its storage
+// engine; on the lossless FIFO links Algorithm 2 assumes, the check is
+// silent.
 //
 // # WAL-shipped catch-up
 //
 // The lagging receiver sends a msg.CatchUpRequest carrying the timestamp
 // through which its prefix is complete (its VV entry for that DC). The
 // sender streams every version it originated after that point straight out
-// of its durable log (storage.CatchUpSource over the internal/wal cursor) in
-// acknowledged chunks, never holding more than Config.MaxInFlightBytes of
+// of its durable log (Source: storage.Durable over the internal/wal cursor)
+// in acknowledged chunks, never holding more than catchUpWindow (1 MiB) of
 // un-acked data on the wire — backpressure instead of unbounded buffers.
 // The final chunk carries the resume point (epoch, sequence, timestamp): on
 // receipt the receiver raises its VV through the streamed history, splices
@@ -29,10 +32,10 @@
 // again from the new, strictly higher floor, so rounds always make
 // progress.
 //
-// Deployments without a durable engine (no catch-up source) answer
-// Unsupported and the receiver falls back to the optimistic pre-catch-up
-// semantics, exactly the behavior of in-memory deployments where a crashed
-// replica has nothing to re-ship anyway.
+// A sender without a durable engine (Config.Source nil: an in-memory
+// deployment, where a crashed replica has nothing to re-ship anyway) answers
+// Unsupported, and the receiver resumes on the reply's word — the optimistic
+// pre-catch-up semantics, reached through the sequenced rule.
 //
 // # Membership
 //
@@ -163,51 +166,35 @@ type Backend interface {
 	Joined()
 }
 
-// Source feeds catch-up streams from durable storage; storage.Durable
-// implements it (see storage.CatchUpSource, an identical interface kept
-// separate so neither package imports the other). A Source that cannot
-// prove its history is complete (a sticky persistence error) must fail the
-// stream; the manager then answers Unsupported instead of claiming
-// completeness it cannot back.
+// Source is the durable history a manager serves catch-up streams from;
+// storage.Durable implements it. A Source that cannot prove its history is
+// complete (a sticky persistence error) must fail the walk; the manager then
+// answers Unsupported instead of claiming completeness it cannot back.
 type Source interface {
-	ForEachDurable(fn func(v *item.Version) error) error
-}
-
-// RangedSource is optionally implemented by a Source that can seek: the
-// stream visits only the durable history that may fall inside the per-origin
-// (lo, hi] window, using a storage-side index to skip cold segments (see
-// storage.RangedCatchUpSource). The window is advisory — versions outside it
-// may still be streamed — so the manager keeps its per-version filter; the
-// win is that serving a small recent gap stops scanning the full store.
-type RangedSource interface {
-	ForEachDurableRange(lo, hi vclock.VC, fn func(v *item.Version) error) error
-}
-
-// TailSource is optionally implemented by a Source whose ranged walk can
-// flag, per version, that the record came from the append-ordered live log
-// (tail) rather than the unordered snapshot (see
-// storage.TailCatchUpSource). Own-origin tail versions arrive in ascending
-// timestamp order after all own-origin snapshot history, which is what lets
-// serveCatchUp stamp sound mid-stream progress claims: when an own-origin
-// tail version with timestamp t has been shipped, every own-origin version
-// at or below t the requester asked for is in the chunks sent so far.
-type TailSource interface {
-	ForEachDurableTail(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error
-}
-
-// CompactedSource is optionally implemented by a Source whose log discards
-// superseded history at checkpoints (storage.Durable). The floor is the
-// per-origin boundary below which only pruned state survives: an
-// incremental catch-up range starting under it cannot be proven complete,
-// so the manager answers with a full resync instead.
-type CompactedSource interface {
+	// ForEachDurable walks the durable history that may fall inside the
+	// per-origin (lo, hi] window — snapshot first, then the log tail — using
+	// a storage-side index to skip cold parts; a nil window is the whole
+	// history. The window is advisory (versions outside it may still be
+	// visited), so callers keep their per-version filter. tail is true for a
+	// version read from the append-ordered live log rather than the
+	// unordered snapshot: own-origin tail versions arrive in ascending
+	// timestamp order after all own-origin snapshot history, which is what
+	// lets serveCatchUp stamp sound mid-stream progress claims — once an
+	// own-origin tail version with timestamp t has been shipped, every
+	// own-origin version at or below t the requester asked for is in the
+	// chunks sent so far.
+	ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error
+	// CompactedFloor is the per-origin boundary below which checkpoints have
+	// discarded superseded history: an incremental catch-up range starting
+	// under it cannot be proven complete, so the manager answers with a full
+	// resync instead. Nil when nothing has been compacted.
 	CompactedFloor() vclock.VC
 }
 
-// Tuning defaults.
+// Tuning constants.
 const (
-	defaultBatchSize      = 128
-	defaultMaxInFlight    = 1 << 20 // catch-up bytes on the wire, un-acked
+	batchCap              = 128     // buffered updates that force an inline flush
+	catchUpWindow         = 1 << 20 // catch-up bytes on the wire, un-acked
 	catchUpChunkBytes     = 64 << 10
 	minReRequestInterval  = 100 * time.Millisecond
 	maxReRequestInterval  = 2 * time.Second
@@ -238,26 +225,12 @@ type Config struct {
 	Endpoint Transport
 	// Backend is the owning partition server.
 	Backend Backend
-	// HeartbeatInterval is Δ: the idle-heartbeat cadence and the default
-	// flush cadence.
+	// HeartbeatInterval is Δ: the idle-heartbeat cadence and the flush
+	// cadence (a buffered update waits at most one Δ).
 	HeartbeatInterval time.Duration
-	// BatchSize caps the outbound buffer before an inline flush
-	// (0 = default 128, 1 = flush on every update).
-	BatchSize int
-	// FlushInterval is the timed flush cadence (0 = HeartbeatInterval,
-	// negative = flush inline on every update).
-	FlushInterval time.Duration
-	// CatchUp enables sequenced-stream verification and gap recovery on the
-	// inbound side. Disabled, the manager applies whatever arrives and
-	// advances the VV optimistically — the pre-catch-up semantics, right for
-	// in-memory deployments.
-	CatchUp bool
 	// Source serves outbound catch-up streams; nil answers requests with
 	// Unsupported.
 	Source Source
-	// MaxInFlightBytes bounds the un-acked catch-up data per stream
-	// (0 = default 1 MiB).
-	MaxInFlightBytes int
 	// MaxDCs caps the DC ids this node can ever track — the capacity of the
 	// membership view and the inbound link table. 0 means NumDCs: fixed
 	// membership, no joins possible.
@@ -265,8 +238,7 @@ type Config struct {
 	// Joining marks this node's DC as bootstrapping into an existing
 	// deployment: the manager sends JoinRequests to every active sibling,
 	// pulls each link's history through catch-up, and announces the DC
-	// Active when every link is synced. Requires CatchUp (bootstrap *is* the
-	// catch-up protocol).
+	// Active when every link is synced.
 	Joining bool
 	// JoinTimeout abandons a bootstrap that has not completed within the
 	// given duration: the manager stops soliciting and JoinFailed reports
@@ -445,12 +417,8 @@ type Manager struct {
 	holdbacks map[int]*holdback
 	joinSeen  map[int]time.Time
 
-	fanout        bool // MaxDCs > 1: there may be someone to replicate to
-	batchSize     int
-	syncFlush     bool
-	hbDrivesFlush bool
-	maxInFlight   int
-	reRequest     time.Duration
+	fanout    bool // MaxDCs > 1: there may be someone to replicate to
+	reRequest time.Duration
 
 	// floor is the incarnation's starting history floor: every version this
 	// node originated before this incarnation has a timestamp ≤ floor (the
@@ -487,17 +455,14 @@ type Manager struct {
 	wg      sync.WaitGroup
 }
 
-// NewManager builds and starts a replication manager: its flush and
-// heartbeat loops are running when it returns.
+// NewManager builds and starts a replication manager: its heartbeat and
+// adaptive flush loops are running when it returns.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Clock == nil || cfg.Endpoint == nil || cfg.Backend == nil {
 		return nil, errors.New("repl: Clock, Endpoint and Backend are required")
 	}
 	if cfg.NumDCs < 1 {
 		return nil, fmt.Errorf("repl: invalid NumDCs %d", cfg.NumDCs)
-	}
-	if cfg.BatchSize < 0 || cfg.MaxInFlightBytes < 0 {
-		return nil, errors.New("repl: BatchSize and MaxInFlightBytes must be >= 0")
 	}
 	maxDCs := cfg.MaxDCs
 	if maxDCs == 0 {
@@ -510,28 +475,23 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("repl: initial membership names %d DCs, capacity is %d",
 			len(cfg.Membership.Status), maxDCs)
 	}
-	if cfg.Joining && !cfg.CatchUp {
-		return nil, errors.New("repl: Joining requires CatchUp (bootstrap is the catch-up protocol)")
-	}
 	if cfg.ID.DC < 0 || cfg.ID.DC >= maxDCs {
 		return nil, fmt.Errorf("repl: id %v outside the DC capacity %d", cfg.ID, maxDCs)
 	}
 	r := &Manager{
-		cfg:         cfg,
-		m:           cfg.ID.DC,
-		n:           cfg.ID.Partition,
-		maxDCs:      maxDCs,
-		clk:         cfg.Clock,
-		ep:          cfg.Endpoint,
-		be:          cfg.Backend,
-		epoch:       uint64(cfg.Clock.Now()), // monotone across in-process restarts
-		fanout:      maxDCs > 1,
-		batchSize:   cfg.BatchSize,
-		maxInFlight: cfg.MaxInFlightBytes,
-		serving:     make(map[int]*catchUpServe),
-		holdbacks:   make(map[int]*holdback),
-		joinSeen:    make(map[int]time.Time),
-		stop:        make(chan struct{}),
+		cfg:       cfg,
+		m:         cfg.ID.DC,
+		n:         cfg.ID.Partition,
+		maxDCs:    maxDCs,
+		clk:       cfg.Clock,
+		ep:        cfg.Endpoint,
+		be:        cfg.Backend,
+		epoch:     uint64(cfg.Clock.Now()), // monotone across in-process restarts
+		fanout:    maxDCs > 1,
+		serving:   make(map[int]*catchUpServe),
+		holdbacks: make(map[int]*holdback),
+		joinSeen:  make(map[int]time.Time),
+		stop:      make(chan struct{}),
 	}
 	// The membership view lives at full capacity; slots beyond the current
 	// deployment stay DCUnknown until a join claims them.
@@ -558,18 +518,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	r.view = msg.Membership{Epoch: cfg.Membership.Epoch, Status: status, Final: final}
 	r.rebuildTargetsLocked()
-	if r.batchSize == 0 {
-		r.batchSize = defaultBatchSize
-	}
-	if r.maxInFlight == 0 {
-		r.maxInFlight = defaultMaxInFlight
-	}
-	flushInterval := cfg.FlushInterval
-	if flushInterval == 0 {
-		flushInterval = cfg.HeartbeatInterval
-	}
-	r.syncFlush = r.batchSize == 1 || flushInterval <= 0
-	r.hbDrivesFlush = !r.syncFlush && flushInterval == cfg.HeartbeatInterval
 	r.reRequest = reRequestPerHeartbeat * cfg.HeartbeatInterval
 	if r.reRequest < minReRequestInterval {
 		r.reRequest = minReRequestInterval
@@ -602,14 +550,10 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.HeartbeatInterval > 0 && r.fanout {
 		r.wg.Add(1)
 		go r.heartbeatLoop()
-	}
-	if !r.syncFlush && r.fanout && !r.hbDrivesFlush {
-		r.wg.Add(1)
-		go r.flushLoop(flushInterval)
-	}
-	if !r.syncFlush && r.fanout && flushInterval/4 > 0 {
-		r.wg.Add(1)
-		go r.adaptiveFlushLoop(flushInterval)
+		if cfg.HeartbeatInterval/4 > 0 {
+			r.wg.Add(1)
+			go r.adaptiveFlushLoop(cfg.HeartbeatInterval)
+		}
 	}
 	return r, nil
 }
@@ -630,38 +574,52 @@ func (r *Manager) Stats() Stats {
 	}
 }
 
+// LinkState is the health of one inbound replication link. The values are
+// ordered by severity, so the worst state several servers report for a link
+// is their max.
+type LinkState uint8
+
+const (
+	LinkSelf       LinkState = iota // this node's own slot
+	LinkActive                      // synced
+	LinkIdle                        // never made contact (unknown or unused capacity)
+	LinkCatchingUp                  // a recovery round is making progress
+	LinkFrozen                      // a pending round has gone quiet: the sender is not answering
+	LinkEvicted                     // the DC has departed (graceful or forced)
+)
+
+var linkStateNames = [...]string{"self", "active", "idle", "catching-up", "frozen", "evicted"}
+
+func (s LinkState) String() string { return linkStateNames[s] }
+
 // LinkStates reports the health of every inbound replication link, indexed
-// by source DC: "self" for this node's own slot, "evicted" for a departed
-// DC (graceful or forced), "catching-up" while a recovery round is making
-// progress, "frozen" when a pending round has gone quiet (the sender is not
-// answering), "active" for a synced link, and "idle" for a slot that has
-// never made contact (unknown or unused capacity).
-func (r *Manager) LinkStates() []string {
+// by source DC.
+func (r *Manager) LinkStates() []LinkState {
 	r.viewMu.Lock()
 	status := make([]uint8, r.maxDCs)
 	copy(status, r.view.Status)
 	r.viewMu.Unlock()
-	out := make([]string, r.maxDCs)
+	out := make([]LinkState, r.maxDCs)
 	for dc := 0; dc < r.maxDCs; dc++ {
 		switch {
 		case dc == r.m:
-			out[dc] = "self"
+			out[dc] = LinkSelf
 			continue
 		case status[dc] == msg.DCLeft:
-			out[dc] = "evicted"
+			out[dc] = LinkEvicted
 			continue
 		}
 		st := r.in[dc]
 		st.mu.Lock()
 		switch {
 		case st.pending && time.Since(st.reqAt) <= 2*r.reRequest:
-			out[dc] = "catching-up"
+			out[dc] = LinkCatchingUp
 		case st.pending:
-			out[dc] = "frozen"
+			out[dc] = LinkFrozen
 		case st.known:
-			out[dc] = "active"
+			out[dc] = LinkActive
 		default:
-			out[dc] = "idle"
+			out[dc] = LinkIdle
 		}
 		st.mu.Unlock()
 	}
@@ -823,10 +781,9 @@ func (r *Manager) sealDeparted(dc int, final vclock.Timestamp) {
 		return
 	}
 	r.be.DropAbove(dc, final)
-	if !r.cfg.CatchUp || r.be.VVEntry(dc) >= final {
-		return
+	if r.be.VVEntry(dc) < final {
+		r.fillDepartedGaps()
 	}
-	r.fillDepartedGaps()
 }
 
 // fillDepartedGaps starts a catch-up round on every quiet surviving link
@@ -1258,7 +1215,7 @@ func (r *Manager) Locked(fn func()) {
 
 // Publish runs the local write path: under the outbound lock it lets the
 // backend assign v its timestamp and install it, then enqueues v for
-// replication, flushing inline when the batch is full (or unbatched). It
+// replication, flushing inline when the buffer reaches batchCap. It
 // returns ErrRetired when the DC has left the deployment, and surfaces the
 // backend's refusal (stopped, or the key's slot moved away) verbatim.
 func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
@@ -1274,7 +1231,7 @@ func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
 	}
 	if r.fanout {
 		r.buf = append(r.buf, v)
-		if r.syncFlush || len(r.buf) >= r.batchSize {
+		if len(r.buf) >= batchCap {
 			r.flushLocked()
 		}
 	}
@@ -1316,7 +1273,7 @@ func (r *Manager) flushLocked() {
 	}
 }
 
-// heartbeatLoop flushes the buffer every Δ (when Δ is the flush cadence) and
+// heartbeatLoop flushes the buffer every Δ — the flush cadence — and
 // broadcasts the local clock when no update has advanced the local
 // version-vector entry for a heartbeat interval (Algorithm 2, lines 19-26).
 // Heartbeats are suppressed while updates sit in the buffer, so they never
@@ -1332,9 +1289,7 @@ func (r *Manager) heartbeatLoop() {
 		case <-t.C:
 		}
 		r.mu.Lock()
-		if r.hbDrivesFlush {
-			r.flushLocked()
-		}
+		r.flushLocked()
 		ct := r.clk.Now()
 		idle := len(r.buf) == 0 &&
 			ct >= r.be.VVEntry(r.m)+vclock.Timestamp(r.cfg.HeartbeatInterval)
@@ -1376,47 +1331,23 @@ func (r *Manager) heartbeatLoop() {
 				r.maybeFinishJoin()
 			}
 		}
-		if r.cfg.CatchUp {
-			// Departed-DC gaps heal through ordinary catch-up on the live
-			// links; retry until the recorded finals are reached (a one-shot
-			// round can race a survivor that has not yet learned of the
-			// departure and answers without a claim).
-			r.fillDepartedGaps()
-		}
-	}
-}
-
-// flushLoop drains the buffer on a cadence distinct from the heartbeat
-// interval (FlushInterval ≠ Δ).
-func (r *Manager) flushLoop(interval time.Duration) {
-	defer r.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-		}
-		r.mu.Lock()
-		r.flushLocked()
-		r.mu.Unlock()
+		// Departed-DC gaps heal through ordinary catch-up on the live links;
+		// retry until the recorded finals are reached (a one-shot round can
+		// race a survivor that has not yet learned of the departure and
+		// answers without a claim).
+		r.fillDepartedGaps()
 	}
 }
 
 // adaptiveFlushLoop is the load-sensitive half of the flush cadence: at a
-// quarter of the flush interval it flushes any buffer that has already
-// filled a quarter of the batch cap. Under load this shrinks the effective Δ
-// (remote visibility improves) without touching the idle cadence — it only
-// ever flushes earlier than the timed/heartbeat flush, never later, so the
-// Δ freshness bound is preserved. The size trigger keeps the extra wakeups
-// from fragmenting batches when traffic is light.
+// quarter of Δ it flushes any buffer that has already filled a quarter of
+// batchCap. Under load this shrinks the effective Δ (remote visibility
+// improves) without touching the idle cadence — it only ever flushes earlier
+// than the heartbeat tick, never later, so the Δ freshness bound is
+// preserved. The size trigger keeps the extra wakeups from fragmenting
+// batches when traffic is light.
 func (r *Manager) adaptiveFlushLoop(interval time.Duration) {
 	defer r.wg.Done()
-	threshold := r.batchSize / 4
-	if threshold < 2 {
-		threshold = 2
-	}
 	t := time.NewTicker(interval / 4)
 	defer t.Stop()
 	for {
@@ -1426,7 +1357,7 @@ func (r *Manager) adaptiveFlushLoop(interval time.Duration) {
 		case <-t.C:
 		}
 		r.mu.Lock()
-		if len(r.buf) >= threshold {
+		if len(r.buf) >= batchCap/4 {
 			r.flushLocked()
 		}
 		r.mu.Unlock()
@@ -1454,15 +1385,10 @@ func (r *Manager) HandleBatch(src netemu.NodeID, m msg.ReplicateBatch) {
 	// HLC receive rule: fold the remote attestation into the local clock so
 	// the next local write is stamped past everything it could depend on.
 	r.clk.Observe(adv)
-	if r.cfg.CatchUp && r.deferWhilePending(src.DC, m, adv) {
+	if r.deferWhilePending(src.DC, m, adv) {
 		return
 	}
 	r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
-	if !r.cfg.CatchUp {
-		// No log to resync from: optimistic apply.
-		r.be.RaiseVV(src.DC, adv)
-		return
-	}
 	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, adv, true)
 }
 
@@ -1504,10 +1430,6 @@ func (r *Manager) HandleHeartbeat(src netemu.NodeID, m msg.Heartbeat) {
 		return
 	}
 	r.clk.Observe(m.Time)
-	if !r.cfg.CatchUp {
-		r.be.RaiseVV(src.DC, m.Time)
-		return
-	}
 	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, m.Time, false)
 }
 
@@ -1973,10 +1895,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	// Per-origin stream bounds: own origin in (from, through], each claimed
 	// departed origin in (Have[d], claim]. A floor below the checkpoint-
 	// compacted boundary drops to zero and flags the full resync.
-	var compacted vclock.VC
-	if cs, ok := r.cfg.Source.(CompactedSource); ok {
-		compacted = cs.CompactedFloor()
-	}
+	compacted := r.cfg.Source.CompactedFloor()
 	if from < compacted.Get(r.m) {
 		from = 0
 		done.FullResync = true
@@ -1998,7 +1917,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	// version at or below it that the requester asked for rides in chunks
 	// 1..k — so a round that dies mid-stream can resume past the claim
 	// instead of restarting from the request floor. The claim only advances
-	// on own-origin tail versions (TailSource): those arrive in ascending
+	// on own-origin tail versions: those arrive in ascending
 	// timestamp order after all own-origin snapshot history, making the
 	// assertion sound the moment the version is shipped. It freezes if the
 	// ascending order is ever violated (defensive — local commits append in
@@ -2026,7 +1945,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		// Backpressure: wait for acks while the window is full. The first
 		// chunk always goes out, so a window smaller than one chunk still
 		// streams (one chunk at a time).
-		for inFlight > 0 && inFlight+chunkBytes > r.maxInFlight {
+		for inFlight > 0 && inFlight+chunkBytes > catchUpWindow {
 			select {
 			case <-s.cancel:
 				return errCanceled
@@ -2093,22 +2012,10 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		}
 		return nil
 	}
-	var err error
-	switch sc := r.cfg.Source.(type) {
-	case TailSource:
-		// Seek plus provenance: segments outside the requested windows are
-		// skipped, and tail versions carry the ordering guarantee the
-		// progress claims need.
-		err = sc.ForEachDurableTail(shipFloor, shipCeil, walk)
-	case RangedSource:
-		// Seek: let the storage index skip every segment outside the
-		// requested windows, so a small gap is served in O(gap).
-		err = sc.ForEachDurableRange(shipFloor, shipCeil,
-			func(v *item.Version) error { return walk(v, false) })
-	default:
-		err = r.cfg.Source.ForEachDurable(
-			func(v *item.Version) error { return walk(v, false) })
-	}
+	// Seek plus provenance: segments outside the requested windows are
+	// skipped, so a small gap is served in O(gap), and tail versions carry
+	// the ordering guarantee the progress claims need.
+	err := r.cfg.Source.ForEachDurable(shipFloor, shipCeil, walk)
 	if err == nil {
 		err = sendChunk()
 	}

@@ -132,16 +132,32 @@ func (b *fakeBackend) appliedCount() int {
 	return len(b.applied)
 }
 
-// fakeSource serves a fixed version list as the durable history.
-type fakeSource struct{ vs []*item.Version }
+// fakeSource serves a fixed version list as the durable history — unordered
+// and unindexed, like a snapshot: the window skips nothing and no version is
+// flagged tail. floor is the checkpoint-compacted boundary
+// (storage.Durable.CompactedFloor).
+type fakeSource struct {
+	vs    []*item.Version
+	floor vclock.VC
+}
 
-func (s *fakeSource) ForEachDurable(fn func(v *item.Version) error) error {
+func (s *fakeSource) ForEachDurable(_, _ vclock.VC, fn func(v *item.Version, tail bool) error) error {
 	for _, v := range s.vs {
-		if err := fn(v); err != nil {
+		if err := fn(v, false); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (s *fakeSource) CompactedFloor() vclock.VC { return s.floor }
+
+// flush hands the buffered updates to the transport now, as the heartbeat
+// tick would (most managers here run without one).
+func flush(m *Manager) {
+	m.mu.Lock()
+	m.flushLocked()
+	m.mu.Unlock()
 }
 
 func newTestManager(t *testing.T, cfg Config) (*Manager, *fakeTransport, *fakeBackend) {
@@ -183,10 +199,10 @@ func ver(dc int, ts vclock.Timestamp, key string) *item.Version {
 // and gap-free sequence numbers, identically on every link.
 func TestPublishSequencesBatches(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, BatchSize: 2,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 		HeartbeatInterval: time.Hour, // timed flushing effectively off: size-driven flushes only
 	})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3*batchCap; i++ {
 		if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 			t.Fatal("publish refused")
 		}
@@ -205,8 +221,8 @@ func TestPublishSequencesBatches(t *testing.T) {
 				t.Fatalf("dc%d message %d: (epoch %d, seq %d), want (%d, %d)",
 					dc, i, b.Epoch, b.Seq, m.Epoch(), i+1)
 			}
-			if len(b.Versions) != 2 {
-				t.Fatalf("batch of %d versions, want 2", len(b.Versions))
+			if len(b.Versions) != batchCap {
+				t.Fatalf("batch of %d versions, want %d", len(b.Versions), batchCap)
 			}
 		}
 	}
@@ -216,7 +232,7 @@ func TestPublishSequencesBatches(t *testing.T) {
 // VV; a duplicate redelivery does not regress anything.
 func TestInOrderBatchesAdvanceVV(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	b1 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1}
@@ -245,7 +261,7 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 // the batches that arrived meanwhile.
 func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -301,7 +317,7 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 // frame, and it must not thaw a link a sequence hole has frozen.
 func TestEpochZeroIsNoBypass(t *testing.T) {
 	m, _, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -321,7 +337,7 @@ func TestEpochZeroIsNoBypass(t *testing.T) {
 // detected even when idle — on its first heartbeat.
 func TestEpochChangeTriggersCatchUp(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -342,7 +358,7 @@ func TestEpochChangeTriggersCatchUp(t *testing.T) {
 // link (it restarted) must resync when the sender's stream has history.
 func TestFirstContactWithHistoryResyncs(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	be.RaiseVV(1, 250) // recovered floor from the WAL
@@ -368,7 +384,7 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 // round's applied prefix — instead of the frozen VV entry.
 func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -441,7 +457,7 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 		ver(1, 180, "remote"), // other DC's origin: not ours to ship
 	}}
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	be.RaiseVV(0, 300) // local progress; NewManager picked up 0, raise lastTS via publishes instead
 	// Publish one version so lastTS covers the history (the manager's
@@ -492,20 +508,25 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 	}
 }
 
-// TestServeCatchUpBackpressure: with a one-byte window, each chunk waits for
-// the previous chunk's ack before going out.
+// TestServeCatchUpBackpressure: a stream larger than the in-flight window
+// stalls once the window is full, and each ack lets more out.
 func TestServeCatchUpBackpressure(t *testing.T) {
-	big := bytes.Repeat([]byte("x"), 40<<10) // 40 KiB values → ~2 versions/chunk
+	// 40 KiB values → 2 versions per chunk; 4 windows' worth of them. The
+	// versions share one value: the window counts wire bytes, not heap.
+	big := bytes.Repeat([]byte("x"), 40<<10)
+	const perChunk = 2
+	chunkBytes := perChunk * versionBytes(&item.Version{Key: "k", Value: big, Deps: vclock.New(3)})
+	chunks := 4 * catchUpWindow / chunkBytes
+	fits := catchUpWindow / chunkBytes // chunks the window admits un-acked
 	var vs []*item.Version
-	for i := 0; i < 8; i++ {
+	for i := 0; i < perChunk*chunks; i++ {
 		v := ver(0, vclock.Timestamp(100+i), "k")
 		v.Value = big
 		vs = append(vs, v)
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
-		Source:           &fakeSource{vs: vs},
-		MaxInFlightBytes: 1, // every chunk must be acked before the next
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+		Source: &fakeSource{vs: vs},
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -522,16 +543,16 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		}
 		return out
 	}
-	if !waitUntil(t, 2*time.Second, func() bool { return len(replies()) == 1 }) {
-		t.Fatalf("first chunk never sent: %d replies", len(replies()))
+	if !waitUntil(t, 2*time.Second, func() bool { return len(replies()) == fits }) {
+		t.Fatalf("window never filled: %d replies, want %d", len(replies()), fits)
 	}
 	// No ack: the stream must stall on the window.
 	time.Sleep(20 * time.Millisecond)
-	if got := len(replies()); got != 1 {
-		t.Fatalf("%d replies without an ack, want the window to hold at 1", got)
+	if got := len(replies()); got != fits {
+		t.Fatalf("%d replies without an ack, want the window to hold at %d", got, fits)
 	}
 	// Ack chunks until Done.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*chunks; i++ {
 		rs := replies()
 		last := rs[len(rs)-1]
 		if last.Done {
@@ -552,7 +573,7 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 // answers Unsupported and the receiver resumes on the reply's word alone.
 func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
@@ -570,22 +591,6 @@ func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 	}
 }
 
-// TestCatchUpDisabledAppliesOptimistically: without the knob, sequenced
-// batches behave exactly like the pre-catch-up protocol.
-func TestCatchUpDisabledAppliesOptimistically(t *testing.T) {
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: false,
-	})
-	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
-	if got := be.VVEntry(1); got != 900 {
-		t.Fatalf("VV[1] = %d, want the optimistic advance to 900", got)
-	}
-	if out := tr.msgs(src); len(out) != 0 {
-		t.Fatalf("outbound = %v, want silence", out)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Membership
 // ---------------------------------------------------------------------------
@@ -596,7 +601,6 @@ func TestCatchUpDisabledAppliesOptimistically(t *testing.T) {
 func TestJoinRequestExtendsFanout(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, MaxDCs: 3,
-		CatchUp: true, BatchSize: 1,
 	})
 	joiner := netemu.NodeID{DC: 2, Partition: 0}
 	view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}}
@@ -616,6 +620,7 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
+	flush(m)
 	batches := 0
 	for _, raw := range tr.msgs(joiner) {
 		if _, ok := raw.(msg.ReplicateBatch); ok {
@@ -635,7 +640,7 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 // completeness claim rests on), then goes silent.
 func TestLeaveFlushesThenNotifies(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, BatchSize: 64,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 		HeartbeatInterval: time.Hour,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
@@ -677,7 +682,7 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 // announced final timestamp, and drops the DC from the fan-out.
 func TestLeaveNoticeRetiresLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true, BatchSize: 1,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -699,6 +704,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
+	flush(m)
 	for _, raw := range tr.msgs(src) {
 		if _, ok := raw.(msg.ReplicateBatch); ok {
 			t.Fatal("batch sent to a departed DC")
@@ -720,7 +726,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 // announcement and the backend signal.
 func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 2, Partition: 0}, NumDCs: 3, CatchUp: true, Joining: true,
+		ID: netemu.NodeID{DC: 2, Partition: 0}, NumDCs: 3, Joining: true,
 		Membership: msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}},
 	})
 	sib0 := netemu.NodeID{DC: 0, Partition: 0}
@@ -790,18 +796,5 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want 400 (adopted heartbeat)", got)
-	}
-}
-
-// TestJoiningRequiresCatchUp: the bootstrap IS the catch-up protocol, so a
-// joining manager without it must be refused outright rather than wedge.
-func TestJoiningRequiresCatchUp(t *testing.T) {
-	be := newFakeBackend(2)
-	_, err := NewManager(Config{
-		ID: netemu.NodeID{DC: 1, Partition: 0}, NumDCs: 2, Joining: true,
-		Clock: be.clk, Endpoint: &fakeTransport{}, Backend: be,
-	})
-	if err == nil {
-		t.Fatal("Joining without CatchUp must be rejected")
 	}
 }

@@ -36,7 +36,7 @@ func TestAttestVVRestoresFloor(t *testing.T) {
 	// The attestation is floor bookkeeping, not history: catch-up streams
 	// must not see it.
 	n := 0
-	if err := r.ForEachDurable(func(*item.Version) error { n++; return nil }); err != nil {
+	if err := r.ForEachDurable(nil, nil, func(*item.Version, bool) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -118,7 +118,7 @@ func TestAttestDoesNotDefeatRangeIndex(t *testing.T) {
 		t.Fatal("writes did not roll enough segments for a meaningful skip test")
 	}
 	// A range above all stored versions must skip the sealed segments.
-	if err := d.ForEachDurableRange(vclock.VC{10000}, vclock.VC{20000}, func(*item.Version) error {
+	if err := d.ForEachDurable(vclock.VC{10000}, vclock.VC{20000}, func(*item.Version, bool) error {
 		return nil
 	}); err != nil {
 		t.Fatal(err)

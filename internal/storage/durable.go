@@ -74,12 +74,10 @@ type DurableOptions struct {
 // counters plus the engine's catch-up seek counters. Aggregate with Merge.
 type DurableStats struct {
 	wal.Stats
-	// FullScans counts unranged ForEachDurable streams (every part read).
-	FullScans uint64
-	// RangedReads counts ForEachDurableRange streams, SeekHits the subset
-	// that skipped at least one part via the segment range index, and
-	// PartsSkipped the total parts (segments/snapshots) never read.
-	RangedReads  uint64
+	// Every ForEachDurable walk is either a seek hit — the segment range
+	// index let it skip at least one part (segment or snapshot) — or a full
+	// scan that read every part; PartsSkipped totals the parts never read.
+	FullScans    uint64
 	SeekHits     uint64
 	PartsSkipped uint64
 }
@@ -88,7 +86,6 @@ type DurableStats struct {
 func (s *DurableStats) Merge(o DurableStats) {
 	s.Stats.Merge(o.Stats)
 	s.FullScans += o.FullScans
-	s.RangedReads += o.RangedReads
 	s.SeekHits += o.SeekHits
 	s.PartsSkipped += o.PartsSkipped
 }
@@ -117,7 +114,6 @@ type Durable struct {
 
 	// Catch-up seek counters (see DurableStats).
 	fullScans    atomic.Uint64
-	rangedReads  atomic.Uint64
 	seekHits     atomic.Uint64
 	partsSkipped atomic.Uint64
 
@@ -395,17 +391,29 @@ func (d *Durable) checkpoint() {
 	d.gcMu.Unlock()
 }
 
-// DurableFloor returns the WAL's snapshot floor — the segment sequence at
-// and below which history exists only in compacted (snapshot) form.
-// Observability today; the hook for segment-skipping catch-up reads later.
-func (d *Durable) DurableFloor() uint64 { return d.log.SnapshotSeq() }
-
-// ForEachDurable streams every durable version in committed order — the
-// snapshot's compacted history first, then the log tail — decoding each
-// record through the shared wire codec. It reads through a WAL cursor that
-// pins its files open, so concurrent inserts and checkpoints proceed
-// untouched; versions committed after the call starts are not included.
-// This is the replication catch-up feed (internal/repl).
+// ForEachDurable streams the durable history that may fall inside the
+// per-origin window (lo[o], hi[o]] in committed order — the snapshot's
+// compacted history first, then the log tail — decoding each record through
+// the shared wire codec. Entries past either vector's length are unbounded,
+// so a nil window is the whole history. It seeks through the WAL's segment
+// range index, skipping the snapshot and any segment that cannot intersect
+// the window, so catching up a small recent gap reads O(gap) bytes instead
+// of the full compacted history. The window is advisory: versions outside it
+// may still be streamed (per-part ranges are summaries), so callers keep
+// their per-version filter. The read goes through a WAL cursor that pins its
+// files open, so concurrent inserts and checkpoints proceed untouched;
+// versions committed after the call starts are not included. This is the
+// replication catch-up feed (repl.Source) and the reshard donor copy.
+//
+// tail is true when the record was read from the live log — where records
+// sit in append order, so versions this node originated appear in ascending
+// timestamp order — and false for the unordered snapshot (and,
+// conservatively, for the first segment the walk touches when the snapshot
+// boundary cannot be pinned exactly). Every snapshot version is streamed
+// before any tail version, so once a tail version of some origin appears,
+// all earlier history of that origin in the walk's window has already been
+// delivered. This is what lets the catch-up server stamp sound mid-stream
+// progress claims.
 //
 // A sticky persistence error fails the stream up front: once an append has
 // failed, the log may be missing versions the in-memory state acknowledged,
@@ -414,45 +422,7 @@ func (d *Durable) DurableFloor() uint64 { return d.log.SnapshotSeq() }
 // also waits on the WAL barrier first: with grouped acks, versions the local
 // server acknowledged may still be in flight on the commit pipeline, and a
 // completeness claim ("everything through t") must only cover fsynced bytes.
-func (d *Durable) ForEachDurable(fn func(v *item.Version) error) error {
-	if err := d.barrier(); err != nil {
-		return err
-	}
-	d.fullScans.Add(1)
-	return d.log.ReadFrom(0, func(_ uint64, rec []byte) error {
-		if isAttest(rec) {
-			return nil // local floor bookkeeping, not history to re-ship
-		}
-		v, _, err := wire.DecodeVersion(rec)
-		if err != nil {
-			return err
-		}
-		return fn(v)
-	})
-}
-
-// ForEachDurableRange is ForEachDurable restricted to the per-origin window
-// (lo[o], hi[o]] — entries past either vector's length are unbounded. It
-// seeks through the WAL's segment range index, skipping the snapshot and any
-// segment that cannot intersect the window, so catching up a small recent
-// gap reads O(gap) bytes instead of the full compacted history. The window
-// is advisory: versions outside it may still be streamed (per-part ranges
-// are summaries), so callers keep their per-version filter.
-func (d *Durable) ForEachDurableRange(lo, hi vclock.VC, fn func(v *item.Version) error) error {
-	return d.ForEachDurableTail(lo, hi, func(v *item.Version, _ bool) error { return fn(v) })
-}
-
-// ForEachDurableTail is ForEachDurableRange plus a per-version provenance
-// flag: tail is true when the record was read from the live log — where
-// records sit in append order, so versions this node originated appear in
-// ascending timestamp order — and false for the unordered snapshot (and,
-// conservatively, for the first segment the walk touches when the snapshot
-// boundary cannot be pinned exactly). Every snapshot version is streamed
-// before any tail version, so once a tail version of some origin appears,
-// all earlier history of that origin in the walk's window has already been
-// delivered. This is what lets the catch-up server stamp sound mid-stream
-// progress claims (repl.TailSource).
-func (d *Durable) ForEachDurableTail(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error {
+func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error {
 	if err := d.barrier(); err != nil {
 		return err
 	}
@@ -490,10 +460,11 @@ func (d *Durable) ForEachDurableTail(lo, hi vclock.VC, fn func(v *item.Version, 
 		}
 		return fn(v, seg > boundary)
 	})
-	d.rangedReads.Add(1)
 	if skipped > 0 {
 		d.seekHits.Add(1)
 		d.partsSkipped.Add(uint64(skipped))
+	} else {
+		d.fullScans.Add(1)
 	}
 	return err
 }
@@ -518,7 +489,6 @@ func (d *Durable) DurableStats() DurableStats {
 	return DurableStats{
 		Stats:        d.log.Stats(),
 		FullScans:    d.fullScans.Load(),
-		RangedReads:  d.rangedReads.Load(),
 		SeekHits:     d.seekHits.Load(),
 		PartsSkipped: d.partsSkipped.Load(),
 	}

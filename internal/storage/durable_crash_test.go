@@ -134,7 +134,7 @@ func TestDurableCatchUpWaitsForGroupedAcks(t *testing.T) {
 	}
 
 	var got int
-	if err := d.ForEachDurable(func(v *item.Version) error {
+	if err := d.ForEachDurable(nil, nil, func(*item.Version, bool) error {
 		got++
 		return nil
 	}); err != nil {
@@ -148,7 +148,7 @@ func TestDurableCatchUpWaitsForGroupedAcks(t *testing.T) {
 	}
 }
 
-// TestDurableForEachDurableRangeSkipsColdParts: a ranged catch-up of a small
+// TestDurableForEachDurableRangeSkipsColdParts: a windowed catch-up of a small
 // recent gap reads only the parts whose index ranges overlap the window —
 // the seek-hit and parts-skipped counters prove cold segments stayed cold.
 func TestDurableForEachDurableRangeSkipsColdParts(t *testing.T) {
@@ -173,7 +173,7 @@ func TestDurableForEachDurableRangeSkipsColdParts(t *testing.T) {
 	lo := vclock.VC{vclock.Timestamp(n - 10)}
 	hi := vclock.VC{vclock.Timestamp(n)}
 	seen := make(map[vclock.Timestamp]bool)
-	if err := d.ForEachDurableRange(lo, hi, func(v *item.Version) error {
+	if err := d.ForEachDurable(lo, hi, func(v *item.Version, _ bool) error {
 		seen[v.UpdateTime] = true
 		return nil
 	}); err != nil {
@@ -185,9 +185,6 @@ func TestDurableForEachDurableRangeSkipsColdParts(t *testing.T) {
 		}
 	}
 	st := d.DurableStats()
-	if st.RangedReads != 1 {
-		t.Fatalf("RangedReads = %d, want 1", st.RangedReads)
-	}
 	if st.SeekHits != 1 || st.PartsSkipped == 0 {
 		t.Fatalf("seek did not skip cold segments: hits=%d skipped=%d", st.SeekHits, st.PartsSkipped)
 	}

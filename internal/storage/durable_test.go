@@ -219,8 +219,7 @@ func TestDurableIdempotentReplay(t *testing.T) {
 
 // TestDurableForEachDurable: the catch-up feed streams every committed
 // version in order — across a checkpoint (compacted history first, then the
-// log tail) — and reports the snapshot floor, while the engine keeps
-// serving writes.
+// log tail, flagged as such) — while the engine keeps serving writes.
 func TestDurableForEachDurable(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{CheckpointBytes: 1, NoSync: true})
@@ -233,19 +232,17 @@ func TestDurableForEachDurable(t *testing.T) {
 		// snapshot only carries survivors.
 		d.Insert(durableVersion(fmt.Sprintf("k%02d", i), 0, vclock.Timestamp(i*10), vclock.VC{0, 0}))
 	}
-	if d.DurableFloor() != 0 {
-		t.Fatalf("floor = %d before any checkpoint", d.DurableFloor())
-	}
 	// GC nothing (gv below every dep) but trigger the armed checkpoint.
 	d.CollectGarbage(vclock.VC{0, 0})
-	if d.DurableFloor() == 0 {
-		t.Fatal("checkpoint did not raise the durable floor")
-	}
 	d.Insert(durableVersion("k99", 0, 999, vclock.VC{0, 0}))
 
 	var got []vclock.Timestamp
-	if err := d.ForEachDurable(func(v *item.Version) error {
+	var tails int
+	if err := d.ForEachDurable(nil, nil, func(v *item.Version, tail bool) error {
 		got = append(got, v.UpdateTime)
+		if tail {
+			tails++
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -256,6 +253,11 @@ func TestDurableForEachDurable(t *testing.T) {
 	}
 	if got[len(got)-1] != 999 {
 		t.Fatalf("tail version = %d, want the post-checkpoint 999", got[len(got)-1])
+	}
+	// The checkpoint compacted the 20 into the unordered snapshot; only the
+	// version appended after it comes from the append-ordered live log.
+	if tails != 1 {
+		t.Fatalf("%d versions flagged tail, want only the post-checkpoint one", tails)
 	}
 	seen := make(map[vclock.Timestamp]bool, len(got))
 	for _, ts := range got {
@@ -288,7 +290,7 @@ func TestDurableForEachDurableRefusesAfterStickyError(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("no sticky error after insert-on-closed; the scenario lost its teeth")
 	}
-	if err := d.ForEachDurable(func(*item.Version) error { return nil }); err == nil {
+	if err := d.ForEachDurable(nil, nil, func(*item.Version, bool) error { return nil }); err == nil {
 		t.Fatal("ForEachDurable streamed from an engine with a sticky persistence error")
 	}
 }

@@ -12,7 +12,11 @@ import (
 //     but a killed server loses its partition.
 //   - Durable: Mem fronting a segmented write-ahead log (internal/wal) with
 //     snapshot checkpoints, so a crashed server recovers its version chains
-//     (and version-vector floor) from disk via OpenDurable.
+//     (and version-vector floor) from disk via OpenDurable. It also replays
+//     its durable history (ForEachDurable, CompactedFloor): the feed of the
+//     replication catch-up protocol, whose consumer declares the interface
+//     (repl.Source). Mem has no such walk — a crashed in-memory server has
+//     nothing to re-ship.
 //
 // All methods must be safe for concurrent use. Read methods (Head,
 // ReadVisible, ReadWithin, Stats, ForEachHead) sit on the protocol hot path
@@ -60,53 +64,8 @@ type Recovered interface {
 	RecoveredVV() vclock.VC
 }
 
-// CatchUpSource is implemented by engines that can replay their durable
-// history, the feed of the replication catch-up protocol (internal/repl): a
-// lagging replica that lost part of the update stream asks its sibling to
-// re-ship versions, and the sibling streams them straight out of this
-// interface instead of keeping unbounded in-memory replication buffers. The
-// in-memory engine does not implement it — a crashed in-memory server has
-// nothing to re-ship. (Durable additionally exposes DurableFloor, the WAL's
-// snapshot-floor segment sequence, as observability and the future hook for
-// segment-skipping reads.)
-type CatchUpSource interface {
-	// ForEachDurable streams every durable version — snapshot first, then
-	// the log tail — in committed order. The version values are freshly
-	// decoded and owned by the callee; returning an error stops the stream
-	// and is reported back. It must fail (rather than stream a partial
-	// history) when the engine cannot prove the log is complete, e.g. after
-	// a sticky persistence error.
-	ForEachDurable(fn func(v *item.Version) error) error
-}
-
-// RangedCatchUpSource is implemented by catch-up sources that can seek:
-// ForEachDurableRange streams only the durable history that may fall inside
-// a per-origin (lo, hi] timestamp window, using an index to skip cold
-// storage parts entirely. The window is advisory — versions outside it may
-// still be streamed — so consumers keep their per-version filter; the win is
-// that a small recent gap no longer pays an O(store) scan.
-type RangedCatchUpSource interface {
-	CatchUpSource
-	ForEachDurableRange(lo, hi vclock.VC, fn func(v *item.Version) error) error
-}
-
-// TailCatchUpSource is implemented by catch-up sources whose ranged walk can
-// additionally flag, per version, whether the record came from the
-// append-ordered live log (tail — versions of one origin arrive in ascending
-// timestamp order, after all of that origin's snapshot history) or from the
-// unordered snapshot. Consumers that make mid-stream completeness claims
-// (resumable catch-up in internal/repl) may only advance a claim on tail
-// versions.
-type TailCatchUpSource interface {
-	RangedCatchUpSource
-	ForEachDurableTail(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error
-}
-
 var (
-	_ Engine              = (*Mem)(nil)
-	_ Engine              = (*Durable)(nil)
-	_ Recovered           = (*Durable)(nil)
-	_ CatchUpSource       = (*Durable)(nil)
-	_ RangedCatchUpSource = (*Durable)(nil)
-	_ TailCatchUpSource   = (*Durable)(nil)
+	_ Engine    = (*Mem)(nil)
+	_ Engine    = (*Durable)(nil)
+	_ Recovered = (*Durable)(nil)
 )

@@ -87,8 +87,9 @@ const (
 	// FDCodeGeneric is any error without a dedicated code.
 	FDCodeGeneric byte = iota
 	// FDCodeWrongSlotEpoch: the key's slot moved mid-reshard and the
-	// server-side retry budget expired. Retryable — the client pool keeps
-	// retrying within its own SlotRetryBudget.
+	// server-side retry budget expired. Retryable, but not by the client
+	// pool, which surfaces it: the budget already outlasted a healthy
+	// reshard.
 	FDCodeWrongSlotEpoch
 	// FDCodeSessionClosed: the server closed the session (HA-POCC suspected
 	// a network partition). The client must re-initialize its session state.

@@ -123,13 +123,14 @@ type Config struct {
 	// DataDir enables durable storage: every partition server persists its
 	// versions to a write-ahead log under DataDir/dc<m>-p<n> and recovers
 	// them when reopened — both on RestartServer and when a whole Store is
-	// re-Opened over the same directory. A durable deployment also runs
+	// re-Opened over the same directory. A durable deployment also serves
 	// replication catch-up: a replica that loses part of the update stream —
 	// a crashed sender's unflushed tail, or a receiver cut off from the
-	// network — detects the gap through per-link sequence numbers and
-	// recovers the missing versions from its sibling's write-ahead log, with
-	// bounded data in flight. Empty (the default) keeps the in-memory
-	// engines: fastest, but a killed server loses its partition.
+	// network — detects the gap through per-link sequence numbers (every
+	// deployment checks them) and recovers the missing versions from its
+	// sibling's write-ahead log, with bounded data in flight. Empty (the
+	// default) keeps the in-memory engines: fastest, but a killed server
+	// loses its partition and a gap is resumed on the sender's word.
 	DataDir string
 	// CheckpointBytes is the WAL growth that arms a snapshot checkpoint on
 	// the next garbage-collection pass (0 = 1 MiB, negative disables
@@ -156,10 +157,6 @@ type Config struct {
 	// alone already batches whatever accumulates during the previous
 	// fsync). Ignored without DataDir.
 	GroupCommitWindow time.Duration
-	// CatchUpMaxInFlight bounds the un-acked bytes per catch-up stream
-	// (0 = 1 MiB): the sender's backpressure window. Ignored without
-	// DataDir.
-	CatchUpMaxInFlight int
 	// MaxDataCenters reserves capacity for data centers joining at runtime
 	// (AddDataCenter): every server's causal metadata vectors are sized to
 	// it up front. 0 means DataCenters — fixed membership, no joins. A
@@ -250,11 +247,10 @@ func Open(cfg Config) (*Store, error) {
 			AckMode:         ackMode,
 			GroupWindow:     cfg.GroupCommitWindow,
 		},
-		CatchUpMaxInFlight: cfg.CatchUpMaxInFlight,
-		MaxDCs:             cfg.MaxDataCenters,
-		MaxPartitions:      cfg.MaxPartitions,
-		JoinTimeout:        cfg.JoinTimeout,
-		GCMaxHoldback:      cfg.GCMaxHoldback,
+		MaxDCs:        cfg.MaxDataCenters,
+		MaxPartitions: cfg.MaxPartitions,
+		JoinTimeout:   cfg.JoinTimeout,
+		GCMaxHoldback: cfg.GCMaxHoldback,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("occ: %w", err)
@@ -414,8 +410,7 @@ func (s *Store) Messages() uint64 { return s.inner.Messages() }
 // RestartServer simulates a partition-server crash and recovery: the server
 // is killed and a fresh one reopens the same durable data directory,
 // rebuilding its version chains and version-vector floor from the snapshot
-// and log tail. With catch-up enabled (the default for durable
-// deployments), the kill is a true crash — the unflushed replication tail
+// and log tail. The kill is a true crash — the unflushed replication tail
 // is discarded and messages arriving while the server is down are dropped —
 // and the replicas resynchronize afterwards by WAL-shipped catch-up.
 // In-flight operations against the restarting server fail with ErrStopped
@@ -470,7 +465,7 @@ type Stats struct {
 	// CatchUps counts completed inbound catch-up rounds (a replica detected
 	// a gap in a replication stream and resynchronized from its sibling's
 	// WAL); CatchUpsServed counts the streams shipped to lagging siblings.
-	// Both stay zero unless catch-up is enabled (Config.CatchUp).
+	// Both stay zero while every link delivers its stream gap-free.
 	CatchUps       uint64
 	CatchUpsServed uint64
 	// CatchUpsActive is the number of replication links currently frozen
@@ -481,9 +476,8 @@ type Stats struct {
 	// the sender.
 	FullResyncs uint64
 	// LinkStates[dst][src] is the health of DC dst's inbound replication
-	// link from DC src: "active", "catching-up", "frozen", "evicted",
-	// "idle", or "self" on the diagonal (the worst state across dst's
-	// partition servers).
+	// link from DC src, by name (repl.LinkState.String): the worst state
+	// across dst's partition servers, self on the diagonal.
 	LinkStates [][]string
 	// GCHoldbackAge is how long the oldest laggard (a frozen, catching-up or
 	// joining link) has been deferring garbage collection, 0 when none is.
@@ -507,10 +501,10 @@ type Stats struct {
 	// its acknowledgement.
 	AckToDurableMean time.Duration
 	AckToDurableMax  time.Duration
-	// SeekHits counts catch-up streams served through the WAL's segment
-	// range index; FullScans counts streams that walked the full durable
-	// history; PartsSkipped is the number of cold snapshot/segment parts
-	// the index let those seeks skip entirely.
+	// SeekHits counts walks over the durable history (catch-up streams,
+	// reshard donor copies) that the WAL's segment range index let skip at
+	// least one cold snapshot/segment part; FullScans counts the walks that
+	// skipped none; PartsSkipped totals the parts never read.
 	SeekHits     uint64
 	FullScans    uint64
 	PartsSkipped uint64
@@ -555,8 +549,14 @@ func (s *Store) Stats() Stats {
 		CatchUpsServed:        repl.CatchUpsServed,
 		CatchUpsActive:        repl.CatchUpsActive,
 		FullResyncs:           repl.FullResyncs,
-		LinkStates:            repl.LinkStates,
+		LinkStates:            make([][]string, len(repl.LinkStates)),
 		GCHoldbackAge:         repl.GCHoldbackAge,
+	}
+	for dst, row := range repl.LinkStates {
+		st.LinkStates[dst] = make([]string, len(row))
+		for src, state := range row {
+			st.LinkStates[dst][src] = state.String()
+		}
 	}
 	durable := s.inner.DurableStats()
 	st.Fsyncs = durable.Fsyncs
