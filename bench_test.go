@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation at CI
-// scale (shapes, not absolute numbers — see EXPERIMENTS.md), plus
-// microbenchmarks of the individual operations. Full paper-scale sweeps are
-// produced by cmd/poccbench.
+// scale (shapes, not absolute numbers), plus microbenchmarks of the
+// individual operations. Full paper-scale sweeps are produced by
+// cmd/poccbench (-scale paper).
 package occ_test
 
 import (

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/client"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -57,18 +56,10 @@ func run() int {
 		if line == "" {
 			continue
 		}
-		req, err := wire.ParseTextRequest(line)
-		if err == wire.ErrTextQuit {
-			fmt.Println("BYE")
+		reply, quit := sess.TextRoundTrip(nil, line)
+		_, _ = os.Stdout.Write(reply)
+		if quit {
 			return 0
 		}
-		var resp wire.FrontDoorResponse
-		if err == nil {
-			resp, err = sess.RoundTrip(req)
-		}
-		if err != nil { // a usage error, a server-reported error or a dead link
-			resp = wire.FrontDoorResponse{Kind: wire.FDErr, Text: err.Error()}
-		}
-		_, _ = os.Stdout.Write(wire.AppendTextResponse(nil, req.Op, &resp))
 	}
 }

@@ -60,16 +60,9 @@ func run() int {
 	)
 	flag.Parse()
 
-	var engine occ.Engine
-	switch strings.ToLower(*engineFlag) {
-	case "pocc":
-		engine = occ.POCC
-	case "cure", "cure*", "curestar":
-		engine = occ.CureStar
-	case "hapocc", "ha-pocc":
-		engine = occ.HAPOCC
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engineFlag)
+	engine, err := occ.ParseEngine(*engineFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -116,20 +109,10 @@ func run() int {
 	}
 	defer srv.Close()
 
-	// -join exercises elastic membership at startup: each new DC registers,
-	// bootstraps every partition's history from its siblings' WALs through
-	// the catch-up protocol, and gets its own listener once it is active.
+	// -join exercises elastic membership at startup, one JOIN per DC.
 	for i := 0; i < *join; i++ {
-		dc, err := store.AddDataCenter()
+		dc, _, err := srv.Join()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := store.WaitForJoin(dc, time.Minute); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if _, err := srv.ServeDC(dc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

@@ -1,10 +1,13 @@
-// Command poccshell is an interactive shell over a POCC deployment: it
-// opens an in-process multi-DC store and lets you issue GETs, PUTs and
-// read-only transactions from sessions in different data centers, inject
-// and heal network partitions, grow and shrink the deployment (join/leave,
-// with -max-dcs headroom), split hot partitions live (split/moveslots, with
-// -max-partitions headroom), and inspect statistics — a hands-on tour of
-// optimistic causal consistency.
+// Command poccshell is an interactive shell over a POCC deployment — a
+// hands-on tour of optimistic causal consistency. It opens an in-process
+// multi-DC store, serves it on loopback through the real front door
+// (internal/kvserver) and is that front door's client: a typed line is a line
+// of the text protocol (PUT, GET, TX, STATS, WHEREIS, JOIN, SPLIT, …; the
+// grammar lives in internal/wire and internal/kvserver, nowhere here), sent
+// to the current data center's listener exactly as cmd/pocccli sends it and
+// answered in the protocol's lines. The shell adds only what needs the store
+// handle or its own state and has no front-door spelling: switching data
+// centers, cutting and healing inter-DC links, and crashing a DC.
 //
 // Usage:
 //
@@ -24,33 +27,39 @@ import (
 	"time"
 
 	occ "repro"
-	"repro/internal/repl"
+	"repro/internal/client"
+	"repro/internal/kvserver"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		engineFlag = flag.String("engine", "pocc", "pocc, cure or hapocc")
 		dcs        = flag.Int("dcs", 3, "number of data centers")
 		partitions = flag.Int("partitions", 4, "partitions per data center")
 		latency    = flag.Float64("latency", 0.05, "AWS latency scale (1.0 = real)")
-		maxDCs     = flag.Int("max-dcs", 0, "DC-slot capacity for the join command (0 = -dcs, fixed membership)")
-		maxParts   = flag.Int("max-partitions", 0, "partition capacity for the split command (0 = -partitions, fixed keyspace layout)")
-		dataDir    = flag.String("data-dir", "", "durable WAL-backed storage root (required for join; a temp dir is used when -max-dcs is set without it)")
+		maxDCs     = flag.Int("max-dcs", 0, "DC-slot capacity for the JOIN command (0 = -dcs, fixed membership)")
+		maxParts   = flag.Int("max-partitions", 0, "partition capacity for the SPLIT command (0 = -partitions, fixed keyspace layout)")
+		dataDir    = flag.String("data-dir", "", "durable WAL-backed storage root (required for JOIN; a temp dir is used when -max-dcs is set without it)")
 	)
 	flag.Parse()
 
-	engine, err := parseEngine(*engineFlag)
+	engine, err := occ.ParseEngine(*engineFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	dir := *dataDir
 	if dir == "" && *maxDCs > *dcs {
 		// Joins bootstrap from the siblings' WALs, so an elastic shell needs
 		// durable storage even if the user did not ask for a specific root.
 		if dir, err = os.MkdirTemp("", "poccshell-*"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer os.RemoveAll(dir)
 	}
@@ -65,8 +74,7 @@ func main() {
 		MaxPartitions:  *maxParts,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer store.Close()
 
@@ -74,45 +82,35 @@ func main() {
 		engine, *dcs, *partitions)
 	sh, err := newShell(store)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := sh.repl(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	defer sh.close()
+	return sh.repl(os.Stdin, os.Stdout)
 }
 
-func parseEngine(s string) (occ.Engine, error) {
-	switch strings.ToLower(s) {
-	case "pocc":
-		return occ.POCC, nil
-	case "cure", "cure*", "curestar":
-		return occ.CureStar, nil
-	case "hapocc", "ha-pocc":
-		return occ.HAPOCC, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want pocc, cure or hapocc)", s)
-	}
-}
-
-// shell holds the REPL state: one session per data center, one current DC.
+// shell holds the REPL state: the store's front door, one client session per
+// data center visited so far, one current DC.
 type shell struct {
 	store    *occ.Store
-	sessions []*occ.Session
+	srv      *kvserver.Server
 	dc       int
+	pools    []*client.Pool
+	sessions map[int]*client.RemoteSession // by DC, dialled on first use
 }
 
 func newShell(store *occ.Store) (*shell, error) {
-	sh := &shell{store: store}
-	for dc := 0; dc < store.DataCenters(); dc++ {
-		s, err := store.Session(dc)
-		if err != nil {
-			return nil, err
-		}
-		sh.sessions = append(sh.sessions, s)
+	srv, err := kvserver.Serve(store, "127.0.0.1", 0)
+	if err != nil {
+		return nil, err
 	}
-	return sh, nil
+	return &shell{store: store, srv: srv, sessions: make(map[int]*client.RemoteSession)}, nil
+}
+
+func (sh *shell) close() {
+	for _, p := range sh.pools {
+		p.Close()
+	}
+	sh.srv.Close()
 }
 
 func (sh *shell) repl(in io.Reader, out io.Writer) error {
@@ -127,379 +125,116 @@ func (sh *shell) repl(in io.Reader, out io.Writer) error {
 		if line == "" {
 			continue
 		}
-		if line == "quit" || line == "exit" {
+		if !sh.exec(out, line) {
 			return nil
 		}
-		sh.exec(out, line)
 	}
 }
 
-// exec runs one command line.
-func (sh *shell) exec(out io.Writer, line string) {
-	fields := strings.Fields(line)
-	cmd, args := fields[0], fields[1:]
-	switch cmd {
-	case "help":
-		fmt.Fprint(out, helpText)
-	case "dc":
-		sh.cmdDC(out, args)
-	case "put":
-		sh.cmdPut(out, args)
-	case "get":
-		sh.cmdGet(out, args)
-	case "tx":
-		sh.cmdTx(out, args)
-	case "partition":
-		sh.cmdPartition(out, args, true)
-	case "heal":
-		sh.cmdPartition(out, args, false)
-	case "stats":
-		sh.cmdStats(out)
-	case "whereis":
-		sh.cmdWhereis(out, args)
-	case "join":
-		sh.cmdJoin(out)
-	case "leave":
-		sh.cmdLeave(out, args)
-	case "kill":
-		sh.cmdKill(out, args)
-	case "evict":
-		sh.cmdEvict(out, args)
-	case "split":
-		sh.cmdSplit(out, args)
-	case "moveslots":
-		sh.cmdMoveSlots(out, args)
-	case "slots":
-		sh.cmdSlots(out)
-	default:
-		fmt.Fprintf(out, "unknown command %q (try \"help\")\n", cmd)
-	}
-}
-
-const helpText = `commands:
-  dc <i>                switch the current session to data center i
-  put <key> <value>     write a key from the current DC's session
-  get <key>             read a key from the current DC's session
-  tx <key> [key...]     causally consistent read-only transaction
-  whereis <key>         show the partition a key maps to
-  partition <a> <b>     cut all network links between DCs a and b
-  heal <a> <b>          heal the links between DCs a and b
-  join                  grow the deployment by one DC (bootstraps its full
-                        history from the others via WAL catch-up; needs
-                        -max-dcs headroom)
-  leave <dc>            remove a DC (its history survives on the others)
-  kill <dc>             crash every server of a DC (needs -data-dir; the
-                        others' stabilization freezes until you evict it)
-  evict <dc>            forcibly remove a crashed DC: the survivors agree on
-                        its final replicated timestamps and resume
-  split <p>             grow every DC by one partition server: half of
-                        partition p's hash slots (and their history) move to
-                        it live (needs -max-partitions headroom)
-  moveslots <to> <s...> reassign hash slots to an existing partition,
-                        migrating their history first
-  slots                 show the slot routing table (epoch 0 = static
-                        layout)
-  stats                 server-side blocking/staleness statistics, link
-                        health and GC holdback
-  quit                  exit
+const helpText = `local commands:
+  dc <dc>              switch the shell's session to a data center
+  partition <dc> <dc>  cut all network links between two DCs
+  heal <dc> <dc>       heal them
+  kill <dc>            crash every server of a DC (needs -data-dir; the
+                       others' stabilization freezes until you EVICT it)
+  help, quit
+every other line goes to the current DC's listener, as pocccli or nc would
+send it, and is answered in the protocol's lines (a bare verb answers with
+its usage):
+  PING PUT GET TX STATS                            go doc repro/internal/wire
+  WHEREIS SPLIT MOVESLOTS SLOTS JOIN LEAVE EVICT   go doc repro/internal/kvserver
 `
 
-func (sh *shell) cmdDC(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: dc <i>")
-		return
+// exec runs one non-empty command line; false means the line asked to leave.
+// The shell's own verbs are the ones that need the store handle or the
+// shell's state and have no front-door spelling; like the protocol's they are
+// case-insensitive and their errors are ERR lines.
+func (sh *shell) exec(out io.Writer, line string) bool {
+	fields := strings.Fields(line)
+	verb, args := strings.ToLower(fields[0]), fields[1:]
+	var err error
+	switch verb {
+	case "quit", "exit":
+		return false
+	case "help":
+		fmt.Fprint(out, helpText)
+	case "dc", "kill":
+		err = sh.local(out, verb, args, 1)
+	case "partition", "heal":
+		err = sh.local(out, verb, args, 2)
+	default:
+		sh.forward(out, line)
 	}
-	i, err := strconv.Atoi(args[0])
-	if err != nil || i < 0 || i >= len(sh.sessions) || sh.sessions[i] == nil {
-		fmt.Fprintf(out, "no data center %q (have 0..%d)\n", args[0], len(sh.sessions)-1)
-		return
-	}
-	sh.dc = i
-}
-
-func (sh *shell) cmdPut(out io.Writer, args []string) {
-	if len(args) < 2 {
-		fmt.Fprintln(out, "usage: put <key> <value>")
-		return
-	}
-	key, val := args[0], strings.Join(args[1:], " ")
-	start := time.Now()
-	if err := sh.sessions[sh.dc].Put(key, []byte(val)); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "OK (%v)\n", time.Since(start).Round(time.Microsecond))
-}
-
-func (sh *shell) cmdGet(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: get <key>")
-		return
-	}
-	start := time.Now()
-	v, err := sh.sessions[sh.dc].Get(args[0])
 	if err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
+		fmt.Fprintf(out, "ERR %v\n", err)
 	}
-	if v == nil {
-		fmt.Fprintf(out, "(nil) (%v)\n", time.Since(start).Round(time.Microsecond))
-		return
-	}
-	fmt.Fprintf(out, "%q (%v)\n", v, time.Since(start).Round(time.Microsecond))
+	return true
 }
 
-func (sh *shell) cmdTx(out io.Writer, args []string) {
-	if len(args) == 0 {
-		fmt.Fprintln(out, "usage: tx <key> [key...]")
-		return
+// local runs one of the shell's own verbs; each takes n data centers.
+func (sh *shell) local(out io.Writer, verb string, args []string, n int) error {
+	if len(args) != n {
+		return fmt.Errorf("usage: %s%s", verb, strings.Repeat(" <dc>", n))
 	}
-	start := time.Now()
-	vals, err := sh.sessions[sh.dc].ROTx(args)
-	if err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	for _, k := range args {
-		if vals[k] == nil {
-			fmt.Fprintf(out, "  %s = (nil)\n", k)
-		} else {
-			fmt.Fprintf(out, "  %s = %q\n", k, vals[k])
+	dcs := make([]int, len(args))
+	for i, arg := range args {
+		dc, err := strconv.Atoi(arg)
+		if err != nil || dc < 0 || dc >= sh.store.DataCenters() {
+			return fmt.Errorf("no data center %q (have 0..%d)", arg, sh.store.DataCenters()-1)
 		}
+		dcs[i] = dc
 	}
-	fmt.Fprintf(out, "snapshot read in %v\n", time.Since(start).Round(time.Microsecond))
-}
-
-func (sh *shell) cmdPartition(out io.Writer, args []string, down bool) {
-	if len(args) != 2 {
-		fmt.Fprintln(out, "usage: partition|heal <dcA> <dcB>")
-		return
-	}
-	a, errA := strconv.Atoi(args[0])
-	b, errB := strconv.Atoi(args[1])
-	if errA != nil || errB != nil {
-		fmt.Fprintln(out, "data centers must be numbers")
-		return
-	}
-	sh.store.PartitionNetwork(a, b, down)
-	if down {
-		fmt.Fprintf(out, "links between dc%d and dc%d are down\n", a, b)
-	} else {
-		fmt.Fprintf(out, "links between dc%d and dc%d healed\n", a, b)
-	}
-}
-
-func (sh *shell) cmdStats(out io.Writer) {
-	st := sh.store.Stats()
-	fmt.Fprintf(out, "ops=%d blocked=%d (prob %.2e, mean %v)\n",
-		st.Operations, st.BlockedOperations, st.BlockingProbability, st.MeanBlockingTime)
-	fmt.Fprintf(out, "old reads=%.3f%% unmerged=%.3f%% keys=%d versions=%d messages=%d\n",
-		st.PercentOldReads, st.PercentUnmergedReads, st.Keys, st.Versions, sh.store.Messages())
-	fmt.Fprintf(out, "layout: partitions=%d slot_epoch=%d\n", st.Partitions, st.SlotEpoch)
-	fmt.Fprintf(out, "replication: max lag=%v catchups=%d served=%d active=%d full_resyncs=%d\n",
-		st.MaxReplicationLag().Round(time.Microsecond), st.CatchUps, st.CatchUpsServed,
-		st.CatchUpsActive, st.FullResyncs)
-	if st.GCHoldbackAge > 0 {
-		fmt.Fprintf(out, "gc holdback: oldest laggard deferring GC for %v\n",
-			st.GCHoldbackAge.Round(time.Millisecond))
-	}
-	if st.CommitGroups > 0 {
-		fmt.Fprintf(out, "durable: fsyncs=%d groups=%d records=%d group_p50=%d group_max=%d ack_lag mean=%v max=%v\n",
-			st.Fsyncs, st.CommitGroups, st.WALRecords, st.CommitGroupP50, st.CommitGroupMax,
-			st.AckToDurableMean.Round(time.Microsecond), st.AckToDurableMax.Round(time.Microsecond))
-		fmt.Fprintf(out, "catch-up seeks: hits=%d full_scans=%d parts_skipped=%d\n",
-			st.SeekHits, st.FullScans, st.PartsSkipped)
-	}
-	for dst, row := range st.ReplicationLagPerLink {
-		for src, lag := range row {
-			if src != dst && lag > 0 {
-				fmt.Fprintf(out, "  link dc%d<-dc%d lag=%v\n", dst, src, lag.Round(time.Microsecond))
-			}
+	switch verb {
+	case "dc":
+		if sh.srv.Addr(dcs[0]) == "" {
+			return fmt.Errorf("no data center %d: it left the deployment", dcs[0])
 		}
-	}
-	for dst, row := range st.LinkStates {
-		for src, state := range row {
-			if src != dst && state != repl.LinkActive.String() {
-				fmt.Fprintf(out, "  link dc%d<-dc%d state=%s\n", dst, src, state)
-			}
+		sh.dc = dcs[0]
+	case "kill":
+		if err := sh.store.KillDataCenter(dcs[0]); err != nil {
+			return err
 		}
-	}
-	for i, s := range sh.sessions {
-		if s == nil {
-			fmt.Fprintf(out, "session dc%d: (left the deployment)\n", i)
-			continue
+		fmt.Fprintf(out, "dc%d crashed; stabilization on the others freezes until \"EVICT %d\"\n", dcs[0], dcs[0])
+	default: // partition, heal
+		if dcs[0] == dcs[1] {
+			// The emulated network would match no link and say nothing.
+			return fmt.Errorf("no data center pair: dc%d has no link to itself", dcs[0])
 		}
-		mode := "optimistic"
-		if s.Pessimistic() {
-			mode = "pessimistic"
+		down, state := verb == "partition", "healed"
+		if down {
+			state = "are down"
 		}
-		fmt.Fprintf(out, "session dc%d: %s (fallbacks=%d promotions=%d)\n",
-			i, mode, s.Fallbacks(), s.Promotions())
+		sh.store.PartitionNetwork(dcs[0], dcs[1], down)
+		fmt.Fprintf(out, "links between dc%d and dc%d %s\n", dcs[0], dcs[1], state)
 	}
+	return nil
 }
 
-func (sh *shell) cmdJoin(out io.Writer) {
-	dc, err := sh.store.AddDataCenter()
-	if err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "dc%d starting: bootstrapping history via WAL catch-up...\n", dc)
-	start := time.Now()
-	if err := sh.store.WaitForJoin(dc, time.Minute); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	sess, err := sh.store.Session(dc)
-	if err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	sh.sessions = append(sh.sessions, sess)
-	fmt.Fprintf(out, "dc%d joined and is active (%v); \"dc %d\" switches to it\n",
-		dc, time.Since(start).Round(time.Millisecond), dc)
-}
-
-func (sh *shell) cmdLeave(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: leave <dc>")
-		return
-	}
-	dc, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprintln(out, "data center must be a number")
-		return
-	}
-	if err := sh.store.RemoveDataCenter(dc); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	if dc < len(sh.sessions) {
-		sh.sessions[dc] = nil
-	}
-	if sh.dc == dc {
-		for i, s := range sh.sessions {
-			if s != nil {
-				sh.dc = i
-				break
-			}
-		}
-	}
-	fmt.Fprintf(out, "dc%d left; its history lives on in the remaining DCs\n", dc)
-}
-
-func (sh *shell) cmdKill(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: kill <dc>")
-		return
-	}
-	dc, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprintln(out, "data center must be a number")
-		return
-	}
-	if err := sh.store.KillDataCenter(dc); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "dc%d crashed; stabilization on the others freezes until \"evict %d\"\n", dc, dc)
-}
-
-func (sh *shell) cmdEvict(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: evict <dc>")
-		return
-	}
-	dc, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprintln(out, "data center must be a number")
-		return
-	}
-	start := time.Now()
-	if err := sh.store.ForceRemoveDataCenter(dc, 0); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	if dc < len(sh.sessions) {
-		sh.sessions[dc] = nil
-	}
-	if sh.dc == dc {
-		for i, s := range sh.sessions {
-			if s != nil {
-				sh.dc = i
-				break
-			}
-		}
-	}
-	fmt.Fprintf(out, "dc%d evicted in %v: survivors agreed on its final timestamps and resumed\n",
-		dc, time.Since(start).Round(time.Millisecond))
-}
-
-func (sh *shell) cmdWhereis(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: whereis <key>")
-		return
-	}
-	fmt.Fprintf(out, "partition %d\n", sh.store.PartitionOf(args[0]))
-}
-
-func (sh *shell) cmdSplit(out io.Writer, args []string) {
-	if len(args) != 1 {
-		fmt.Fprintln(out, "usage: split <partition>")
-		return
-	}
-	donor, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprintln(out, "partition must be a number")
-		return
-	}
-	start := time.Now()
-	np, err := sh.store.SplitPartition(donor)
-	if err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "partition %d split in %v: p%d now serves half its slots (epoch %d)\n",
-		donor, time.Since(start).Round(time.Millisecond), np, sh.store.Stats().SlotEpoch)
-}
-
-func (sh *shell) cmdMoveSlots(out io.Writer, args []string) {
-	if len(args) < 2 {
-		fmt.Fprintln(out, "usage: moveslots <to> <slot> [slot...]")
-		return
-	}
-	to, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprintln(out, "target partition must be a number")
-		return
-	}
-	var slots []int
-	for _, a := range args[1:] {
-		sl, err := strconv.Atoi(a)
+// forward sends one line to the current DC's listener and prints the reply:
+// the whole of the shell's part in a front-door command. (QUIT, in any case,
+// never gets here: exec leaves on it.)
+func (sh *shell) forward(out io.Writer, line string) {
+	sess := sh.sessions[sh.dc]
+	if sess == nil {
+		pool, err := client.DialPool(client.PoolConfig{Addr: sh.srv.Addr(sh.dc), Conns: 1})
 		if err != nil {
-			fmt.Fprintf(out, "bad slot %q\n", a)
+			fmt.Fprintf(out, "ERR %v\n", err)
 			return
 		}
-		slots = append(slots, sl)
+		sh.pools = append(sh.pools, pool)
+		sess = pool.Session()
+		sh.sessions[sh.dc] = sess
 	}
-	start := time.Now()
-	if err := sh.store.MoveSlots(slots, to); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "%d slot(s) moved to p%d in %v\n",
-		len(slots), to, time.Since(start).Round(time.Millisecond))
-}
-
-func (sh *shell) cmdSlots(out io.Writer) {
-	tbl := sh.store.SlotTable()
-	if tbl == nil {
-		fmt.Fprintf(out, "epoch 0 (static layout): %d partitions, slot s -> s mod %d\n",
-			sh.store.Partitions(), sh.store.Partitions())
-		return
-	}
-	fmt.Fprintf(out, "epoch %d: %d partitions\n", tbl.Epoch, tbl.Parts)
-	for p := 0; p < tbl.Parts; p++ {
-		fmt.Fprintf(out, "  p%d: %d slot(s)\n", p, len(tbl.SlotsOwnedBy(p)))
+	reply, _ := sess.TextRoundTrip(nil, line)
+	_, _ = out.Write(reply)
+	if sh.srv.Addr(sh.dc) == "" {
+		// The line was a LEAVE or EVICT of the current DC: its listener is
+		// gone, so move to the lowest DC still served.
+		for dc := 0; dc < sh.store.DataCenters(); dc++ {
+			if sh.srv.Addr(dc) != "" {
+				sh.dc = dc
+				break
+			}
+		}
 	}
 }

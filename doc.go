@@ -104,7 +104,7 @@
 // version vector also advances through heartbeats and catch-up claims —
 // entries no WAL record backs — and those values flow into the DC's
 // garbage-collection exchange. Before sharing a GC contribution the server
-// therefore durably attests it (storage.Attester): a small WAL record
+// therefore durably attests it (storage.Durable.AttestVV): a small WAL record
 // carrying the vector, folded into the floor on replay and re-emitted by
 // checkpoints so truncation cannot lose it. The invariant — every shared
 // contribution is recoverable — means a crash-restarted partition can never
@@ -195,8 +195,9 @@
 // hold the departed history in full, freeze its vector entries at the
 // announced final timestamp, and keep stabilizing without it. A departed
 // DC's id is never reused — its timestamps live on in the surviving
-// stores. The kvserver JOIN/LEAVE admin commands, pocckv -max-dcs/-join
-// and the poccshell join/leave commands expose the same operations.
+// stores. The kvserver JOIN/LEAVE admin commands (which poccshell
+// forwards like any other line) and pocckv -max-dcs/-join expose the same
+// operations.
 //
 // # Forced removal of a crashed data center
 //
@@ -222,8 +223,8 @@
 // from the survivors, and sessions that read a now-discarded suffix version
 // are re-initialized (their dependency state reset) rather than served an
 // impossible dependency. Exposed as cluster.ForceRemoveDC,
-// occ.Store.ForceRemoveDataCenter, the kvserver EVICT command, and
-// poccshell kill/evict.
+// occ.Store.ForceRemoveDataCenter and the kvserver EVICT command;
+// poccshell forwards EVICT and has kill to crash the DC first.
 //
 // # Catch-up- and membership-aware garbage collection
 //
@@ -283,8 +284,9 @@
 // and no causal dependency is ever served out of order; a drain defeated by
 // a concurrent failure aborts by rolling the table forward onto the old
 // owners (the lattice cannot go back). The kvserver SPLIT/MOVESLOTS/SLOTS
-// commands, occ.Store.SlotTable and poccshell split/moveslots/slots expose
-// the same operations; make race guards the path under -race.
+// commands (typed into nc, pocccli or poccshell, which forwards them) and
+// occ.Store.SlotTable expose the same operations; make race guards the
+// path under -race.
 //
 // # The front door
 //
@@ -298,16 +300,21 @@
 // in the same two values, so every socket runs the same three steps and the
 // middle one exists once:
 //
-//	            parse                        execute            render
-//	text line   wire.ParseTextRequest        kvserver.execute   wire.AppendTextResponse
-//	frame       wire.DecodeFrontDoorRequest  (the same call)    wire.AppendFrontDoorResponse
+//	             parse                        execute            render
+//	text line    wire.ParseTextRequest        kvserver.execute   wire.AppendTextResponse
+//	frame        wire.DecodeFrontDoorRequest  (the same call)    wire.AppendFrontDoorResponse
+//	typed line   wire.ParseTextRequest        (sent as a frame)  wire.AppendTextResponse
 //
 // execute is the only caller of the session's PUT, GET and RO-TX and of the
 // admin commands (one function returning text or an error), so a blocking
-// hook, a counter or a fix lands once, whichever way a request arrived.
-// pocccli is the same picture run backwards: it parses the typed line with
-// the same parser, sends the frame, and renders the response frame with the
-// same renderer.
+// hook, a counter or a fix lands once, whichever way a request arrived — and
+// that is true of every tool. The third row is both line tools, pocccli
+// against a pocckv port and poccshell against the loopback listener it puts
+// in front of its own in-process store: one function
+// (client.RemoteSession.TextRoundTrip) parses the typed line with the same
+// parser, sends the frame, and renders the response frame with the same
+// renderer. The shell adds only the verbs that need the store handle and
+// have no front-door spelling (dc, partition, heal, kill).
 //
 // Binary connections carry a stream of length-prefixed request frames,
 // each tagged with a request id and a client-chosen wire-session id, over

@@ -56,7 +56,6 @@ type PoolConfig struct {
 // Pool is a set of pooled binary-protocol connections to one kvserver
 // listener. It is safe for concurrent use.
 type Pool struct {
-	cfg         PoolConfig
 	conns       []*poolConn
 	nextConn    atomic.Uint64 // round-robin session placement
 	nextSession atomic.Uint64
@@ -72,7 +71,7 @@ func DialPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	p := &Pool{cfg: cfg}
+	p := &Pool{}
 	for i := 0; i < cfg.Conns; i++ {
 		pc, err := dialPoolConn(cfg.Addr, cfg.DialTimeout)
 		if err != nil {
@@ -99,7 +98,7 @@ func (p *Pool) Close() {
 // the server); open one per client thread of execution.
 func (p *Pool) Session() *RemoteSession {
 	pc := p.conns[p.nextConn.Add(1)%uint64(len(p.conns))]
-	s := &RemoteSession{pool: p, pc: pc, id: p.nextSession.Add(1)}
+	s := &RemoteSession{pc: pc, id: p.nextSession.Add(1)}
 	s.call.reuse = true
 	s.call.done = make(chan struct{}, 1) // one token per round trip
 	return s
@@ -188,7 +187,6 @@ func (c *Call) Wait() (wire.FrontDoorResponse, error) {
 // operations to form a single thread of execution — different sessions of
 // the same pool are fully independent.
 type RemoteSession struct {
-	pool *Pool
 	pc   *poolConn
 	id   uint64
 	call Call // the synchronous operations' reusable call, see RoundTrip
@@ -214,11 +212,6 @@ func (s *RemoteSession) RoundTrip(req wire.FrontDoorRequest) (wire.FrontDoorResp
 	return resp, err
 }
 
-// PingAsync issues a liveness check.
-func (s *RemoteSession) PingAsync() *Call {
-	return s.pc.send(wire.FrontDoorRequest{Op: wire.FDPing, Session: s.id})
-}
-
 // PutAsync issues a write without waiting for it.
 func (s *RemoteSession) PutAsync(key string, value []byte) *Call {
 	return s.pc.send(wire.FrontDoorRequest{Op: wire.FDPut, Session: s.id, Key: key, Value: value})
@@ -232,17 +225,6 @@ func (s *RemoteSession) GetAsync(key string) *Call {
 // ROTxAsync issues a read-only transaction without waiting for it.
 func (s *RemoteSession) ROTxAsync(keys []string) *Call {
 	return s.pc.send(wire.FrontDoorRequest{Op: wire.FDROTx, Session: s.id, Keys: keys})
-}
-
-// StatsAsync requests the server's stats line.
-func (s *RemoteSession) StatsAsync() *Call {
-	return s.pc.send(wire.FrontDoorRequest{Op: wire.FDStats, Session: s.id})
-}
-
-// AdminAsync runs one admin command line (WHEREIS/SPLIT/MOVESLOTS/SLOTS/
-// JOIN/LEAVE/EVICT/STATS).
-func (s *RemoteSession) AdminAsync(line string) *Call {
-	return s.pc.send(wire.FrontDoorRequest{Op: wire.FDAdmin, Session: s.id, Line: line})
 }
 
 // Ping checks liveness.
@@ -286,20 +268,38 @@ func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
 
 // Stats returns the raw stats line.
 func (s *RemoteSession) Stats() (string, error) {
-	resp, err := s.StatsAsync().Wait()
-	if err != nil {
-		return "", err
-	}
-	return resp.Text, nil
+	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDStats})
+	return resp.Text, err
 }
 
-// Admin runs one admin command line and returns its text output.
+// Admin runs one admin command line (WHEREIS/SPLIT/MOVESLOTS/SLOTS/JOIN/
+// LEAVE/EVICT/STATS) and returns its text output.
 func (s *RemoteSession) Admin(line string) (string, error) {
-	resp, err := s.AdminAsync(line).Wait()
-	if err != nil {
-		return "", err
+	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDAdmin, Line: line})
+	return resp.Text, err
+}
+
+// TextRoundTrip runs one typed line of the text protocol over the binary
+// front door — what a line tool (pocccli, poccshell) does with its input:
+// parse it into a request, send the frame, and append to dst the response
+// rendered as the lines a text connection would have read. A usage error (it
+// never leaves the client), a server-reported error and a dead link all
+// render as the protocol's "ERR <message>" line. QUIT is not a request: it
+// is answered "BYE" here, as the server's text loop does, and reported so the
+// caller can leave.
+func (s *RemoteSession) TextRoundTrip(dst []byte, line string) (out []byte, quit bool) {
+	req, err := wire.ParseTextRequest(line)
+	if err == wire.ErrTextQuit {
+		return append(dst, "BYE\n"...), true
 	}
-	return resp.Text, nil
+	var resp wire.FrontDoorResponse
+	if err == nil {
+		resp, err = s.RoundTrip(req)
+	}
+	if err != nil {
+		resp = wire.FrontDoorResponse{Kind: wire.FDErr, Text: err.Error()}
+	}
+	return wire.AppendTextResponse(dst, req.Op, &resp), false
 }
 
 // poolConn is one pooled connection: a writer goroutine coalescing queued

@@ -52,9 +52,6 @@ func NewHLC(skew time.Duration) *Clock {
 // processEpoch anchors all clocks so Timestamps stay small and positive.
 var processEpoch = time.Now()
 
-// Hybrid reports whether this is a hybrid logical/physical clock.
-func (c *Clock) Hybrid() bool { return c.hybrid }
-
 // Now returns the current timestamp. Successive calls on the same Clock are
 // strictly increasing, emulating the paper's assumption that each server's
 // physical clock provides monotonically increasing timestamps.

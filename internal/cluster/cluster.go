@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,22 @@ func (e Engine) String() string {
 		return "HA-POCC"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
+	}
+}
+
+// ParseEngine is String's inverse, case-insensitively, plus the spellings a
+// command line takes without quoting: cure and curestar for Cure*, hapocc
+// for HA-POCC.
+func ParseEngine(s string) (Engine, error) {
+	switch strings.ToLower(s) {
+	case "pocc":
+		return POCC, nil
+	case "cure", "cure*", "curestar":
+		return Cure, nil
+	case "hapocc", "ha-pocc":
+		return HAPOCC, nil
+	default:
+		return 0, fmt.Errorf("unknown engine %q (want pocc, cure or hapocc)", s)
 	}
 }
 
@@ -891,9 +908,7 @@ func (c *Cluster) DurableStats() storage.DurableStats {
 			if srv == nil {
 				continue // departed DC
 			}
-			if d, ok := srv.Store().(interface{ DurableStats() storage.DurableStats }); ok {
-				st.Merge(d.DurableStats())
-			}
+			st.Merge(srv.DurableStats())
 		}
 	}
 	return st
@@ -1036,9 +1051,6 @@ func (c *Cluster) Close() {
 		n.Close()
 	}
 }
-
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Network exposes the emulated network (partition injection, message
 // counts). It returns nil in TCP mode.

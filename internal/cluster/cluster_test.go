@@ -56,6 +56,23 @@ func TestEngineString(t *testing.T) {
 	}
 }
 
+func TestParseEngine(t *testing.T) {
+	for in, want := range map[string]Engine{
+		"pocc": POCC, "cure": Cure, "CURE*": Cure, "curestar": Cure,
+		"hapocc": HAPOCC, "HA-POCC": HAPOCC,
+		// Every name String prints parses back.
+		POCC.String(): POCC, Cure.String(): Cure, HAPOCC.String(): HAPOCC,
+	} {
+		got, err := ParseEngine(in)
+		if err != nil || got != want {
+			t.Fatalf("ParseEngine(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseEngine("mongo"); err == nil {
+		t.Fatal("unknown engine must be rejected")
+	}
+}
+
 func TestPutIsReplicatedAcrossDCs(t *testing.T) {
 	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2},
 		WithLatency(UniformLatency(100*time.Microsecond, 2*time.Millisecond), 0))

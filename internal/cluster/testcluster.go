@@ -55,12 +55,6 @@ func WithClockSkew(skew time.Duration) Option {
 	return func(c *Config) { c.ClockSkew = skew }
 }
 
-// WithRawClocks reverts every node to a raw skewed physical clock — the
-// pre-HLC ablation variant whose PUT clock-wait is skew-sensitive.
-func WithRawClocks() Option {
-	return func(c *Config) { c.RawPhysicalClocks = true }
-}
-
 // WithLeanStabilization switches the GSS exchange to scalar HLC watermarks
 // on most ticks (Okapi-style lean stabilization).
 func WithLeanStabilization() Option {

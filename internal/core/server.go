@@ -153,7 +153,7 @@ type Config struct {
 	// fresh in-memory engine (storage.New); otherwise a durable WAL-backed
 	// engine opened (and crash-recovered) from this directory, tuned by
 	// DurableOptions. The server owns its engine and closes it on Close. A
-	// recovered engine reports a version-vector floor (storage.Recovered) and
+	// recovered engine reports a version-vector floor (Durable.RecoveredVV) and
 	// the server's VV starts from it, so reads never miss versions the
 	// replayed state already contains. A durable engine also serves the
 	// replication plane's catch-up streams out of its log (internal/repl); a
@@ -408,6 +408,7 @@ type Server struct {
 	clk      *clock.Clock
 	ep       Transport
 	store    storage.Engine
+	durable  *storage.Durable // store, when DataDir opened it from a log; nil in memory
 	mx       *Metrics
 
 	// slots is the current slot table (immutable; swapped whole under
@@ -534,6 +535,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	var eng storage.Engine
+	var durable *storage.Durable
 	var src repl.Source // stays nil without a durable log to serve from
 	if cfg.DataDir == "" {
 		eng = storage.New()
@@ -542,7 +544,7 @@ func NewServer(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		eng, src = d, d
+		eng, durable, src = d, d, d
 	}
 	maxDCs := cfg.maxDCs()
 	maxParts := cfg.maxPartitions()
@@ -555,6 +557,7 @@ func NewServer(cfg Config) (*Server, error) {
 		clk:       cfg.Clock,
 		ep:        cfg.Endpoint,
 		store:     eng,
+		durable:   durable,
 		mx:        cfg.Metrics,
 		joined:    make(chan struct{}),
 		vv:        newAtomicVC(maxDCs),
@@ -585,9 +588,9 @@ func NewServer(cfg Config) (*Server, error) {
 	// clock, and a new write assigned a timestamp below existing versions
 	// would be shadowed by LWW and fall outside the catch-up protocol's
 	// completion claims.
-	if rec, ok := eng.(storage.Recovered); ok {
+	if durable != nil {
 		var maxFloor vclock.Timestamp
-		for i, t := range rec.RecoveredVV() {
+		for i, t := range durable.RecoveredVV() {
 			// A DC the view records as departed is frozen at its final
 			// timestamp: recovered state above it is the un-agreed suffix a
 			// forced removal discarded, so the restored floor must not
@@ -691,16 +694,24 @@ func (s *Server) ID() netemu.NodeID { return s.cfg.ID }
 // Store exposes the underlying storage engine for tests and seeding.
 func (s *Server) Store() storage.Engine { return s.store }
 
-// StorageErr reports the engine's sticky persistence error, if the engine
-// tracks one (storage.Durable does; the in-memory engine never fails). A
-// non-nil error means acknowledged writes may not be durable: the server
-// keeps serving from memory, but monitoring should treat the node as having
-// lost its crash tolerance.
+// StorageErr reports the durable engine's sticky persistence error (the
+// in-memory engine never fails). A non-nil error means acknowledged writes
+// may not be durable: the server keeps serving from memory, but monitoring
+// should treat the node as having lost its crash tolerance.
 func (s *Server) StorageErr() error {
-	if e, ok := s.store.(interface{ Err() error }); ok {
-		return e.Err()
+	if s.durable == nil {
+		return nil
 	}
-	return nil
+	return s.durable.Err()
+}
+
+// DurableStats returns the durable engine's commit-pipeline and catch-up
+// seek counters; all-zero for an in-memory server.
+func (s *Server) DurableStats() storage.DurableStats {
+	if s.durable == nil {
+		return storage.DurableStats{}
+	}
+	return s.durable.DurableStats()
 }
 
 // VV returns a copy of the current version vector.
@@ -1063,7 +1074,7 @@ func (b *replBackend) PrepareLocal(v *item.Version) (vclock.Timestamp, error) {
 	// claimed by the local VV entry, or enqueued for replication — any of
 	// those would let the causal order observe a version no replica durably
 	// holds, a hole no catch-up can repair.
-	if e, ok := s.store.(interface{ Err() error }); ok && e.Err() != nil {
+	if s.durable != nil && s.durable.Err() != nil {
 		return 0, ErrStopped
 	}
 	s.vv.raiseTo(s.m, ut)
@@ -1458,10 +1469,10 @@ func (s *Server) localGCContribution() vclock.VC {
 	// recover a VV below one — heartbeat-attested entries with no backing
 	// version record would otherwise collapse to the last stored version
 	// and hand out snapshot vectors under the prune point (see
-	// storage.Attester). Persist the vector before sharing it; if the log
+	// Durable.AttestVV). Persist the vector before sharing it; if the log
 	// is sticky-failed, contribute the last durable attestation instead.
-	if a, ok := s.store.(storage.Attester); ok {
-		c = a.AttestVV(c)
+	if s.durable != nil {
+		c = s.durable.AttestVV(c)
 	}
 	return c
 }

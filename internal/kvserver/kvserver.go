@@ -71,8 +71,7 @@ type Server struct {
 // basePort ("host:0" semantics are supported by passing basePort 0, in which
 // case each DC gets an ephemeral port). It returns once all listeners are
 // bound; handling runs in the background until Close. Data centers joined
-// later (the JOIN admin command, or Store.AddDataCenter followed by
-// ServeDC) get the next consecutive port.
+// later (Join) get the next consecutive port.
 func Serve(store *occ.Store, host string, basePort int) (*Server, error) {
 	s := &Server{store: store, host: host, basePort: basePort, conns: make(map[net.Conn]struct{})}
 	for dc := 0; dc < store.DataCenters(); dc++ {
@@ -115,6 +114,21 @@ func (s *Server) ServeDC(dc int) (string, error) {
 		s.acceptLoop(dc, l)
 	}()
 	return l.Addr().String(), nil
+}
+
+// Join grows the deployment by one data center — the JOIN admin command and
+// pocckv's -join: the new DC registers, bootstraps every partition's history
+// from its siblings' write-ahead logs through the catch-up protocol, and gets
+// its own listener once it is active. It returns the new DC's id and address.
+func (s *Server) Join() (dc int, addr string, err error) {
+	if dc, err = s.store.AddDataCenter(); err != nil {
+		return 0, "", err
+	}
+	if err = s.store.WaitForJoin(dc, time.Minute); err != nil {
+		return 0, "", err
+	}
+	addr, err = s.ServeDC(dc)
+	return dc, addr, err
 }
 
 // Addr returns the listen address for a data center ("" for a departed or
@@ -379,14 +393,7 @@ func (s *Server) admin(line string) (string, error) {
 		sb.WriteString("SLOTEND")
 		return sb.String(), nil
 	case "JOIN":
-		dc, err := s.store.AddDataCenter()
-		if err != nil {
-			return "", err
-		}
-		if err := s.store.WaitForJoin(dc, time.Minute); err != nil {
-			return "", err
-		}
-		addr, err := s.ServeDC(dc)
+		dc, addr, err := s.Join()
 		if err != nil {
 			return "", err
 		}
@@ -425,9 +432,11 @@ func (s *Server) statsLine() string {
 		st.PercentOldReads, st.PercentUnmergedReads, st.Keys, st.Versions, s.store.Messages(),
 		s.store.DataCenters(),
 		float64(st.MaxReplicationLag())/float64(time.Millisecond),
-		formatLinkLag(st.ReplicationLagPerLink),
+		formatLinks(st.ReplicationLagPerLink, func(l time.Duration) string {
+			return strconv.FormatFloat(float64(l)/float64(time.Millisecond), 'f', 3, 64)
+		}),
 		st.CatchUps, st.CatchUpsServed, st.CatchUpsActive,
-		st.FullResyncs, formatLinkStates(st.LinkStates),
+		st.FullResyncs, formatLinks(st.LinkStates, func(state string) string { return state }),
 		float64(st.GCHoldbackAge)/float64(time.Millisecond),
 		st.Fsyncs, st.CommitGroups, st.WALRecords, st.CommitGroupP50, st.CommitGroupMax,
 		float64(st.AckToDurableMean)/float64(time.Microsecond),
@@ -436,42 +445,21 @@ func (s *Server) statsLine() string {
 		st.Partitions, st.SlotEpoch)
 }
 
-// formatLinkLag renders the per-link lag matrix as "dst<src:ms" pairs for
-// every distinct live link, e.g. "0<1:0.012,0<2:0.034,1<0:0.008". A "-"
-// stands for a deployment with no remote links.
-func formatLinkLag(lag [][]time.Duration) string {
+// formatLinks renders a [dst][src] link matrix as "dst<src:cell" pairs for
+// every distinct link — the lag in ms, e.g. "0<1:0.012,1<0:0.008", or the
+// health, e.g. "0<1:active,1<0:frozen". A "-" stands for a deployment with no
+// remote links.
+func formatLinks[T any](links [][]T, cell func(T) string) string {
 	var sb strings.Builder
-	for dst, row := range lag {
-		for src, l := range row {
+	for dst, row := range links {
+		for src, v := range row {
 			if src == dst {
 				continue
 			}
 			if sb.Len() > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, "%d<%d:%.3f", dst, src, float64(l)/float64(time.Millisecond))
-		}
-	}
-	if sb.Len() == 0 {
-		return "-"
-	}
-	return sb.String()
-}
-
-// formatLinkStates renders the link-health matrix as "dst<src:state" pairs
-// for every distinct link, e.g. "0<1:active,1<0:frozen". A "-" stands for a
-// deployment with no remote links.
-func formatLinkStates(states [][]string) string {
-	var sb strings.Builder
-	for dst, row := range states {
-		for src, st := range row {
-			if src == dst {
-				continue
-			}
-			if sb.Len() > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d<%d:%s", dst, src, st)
+			fmt.Fprintf(&sb, "%d<%d:%s", dst, src, cell(v))
 		}
 	}
 	if sb.Len() == 0 {

@@ -83,11 +83,6 @@ func (n *Network) SetLatencyScale(f float64) {
 	n.scale.Store(math.Float64bits(f))
 }
 
-// LatencyScale returns the current latency multiplier.
-func (n *Network) LatencyScale() float64 {
-	return math.Float64frombits(n.scale.Load())
-}
-
 // Endpoint is a node's attachment point to the network.
 type Endpoint struct {
 	net     *Network

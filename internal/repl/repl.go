@@ -281,16 +281,18 @@ type Stats struct {
 // a link are handled by one goroutine at a time in the common case, but TCP
 // reconnects can briefly run two, so the state is locked.
 type inLink struct {
-	mu    sync.Mutex
-	known bool   // first contact made; epoch/seq below are meaningful
+	mu sync.Mutex
+	// state is LinkIdle until first contact, LinkActive while the link is
+	// synced to (epoch, seq), LinkCatchingUp while a catch-up round is in
+	// flight. Written only by setStateLocked.
+	state LinkState
 	epoch uint64 // sender incarnation the link is synced to
 	seq   uint64 // last batch sequence applied in order
 
-	// Catch-up round state. While pending, arriving versions are installed
-	// but the VV entry is frozen; chain* tracks the contiguous run of
-	// sequenced messages seen during the round so it can be spliced onto the
-	// resume point when Done arrives.
-	pending    bool
+	// Catch-up round state. While the link is catching up, arriving versions
+	// are installed but the VV entry is frozen; chain* tracks the contiguous
+	// run of sequenced messages seen during the round so it can be spliced
+	// onto the resume point when Done arrives.
 	reqID      uint64
 	reqAt      time.Time
 	chainSet   bool
@@ -534,7 +536,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	r.floor = r.lastTS
 	r.in = make([]*inLink, maxDCs)
 	for i := range r.in {
-		r.in[i] = &inLink{}
+		r.in[i] = &inLink{state: LinkIdle}
 	}
 
 	// The join bootstrap starts before the background loops: heartbeatLoop
@@ -611,15 +613,9 @@ func (r *Manager) LinkStates() []LinkState {
 		}
 		st := r.in[dc]
 		st.mu.Lock()
-		switch {
-		case st.pending && time.Since(st.reqAt) <= 2*r.reRequest:
-			out[dc] = LinkCatchingUp
-		case st.pending:
-			out[dc] = LinkFrozen
-		case st.known:
-			out[dc] = LinkActive
-		default:
-			out[dc] = LinkIdle
+		out[dc] = st.state
+		if st.state == LinkCatchingUp && time.Since(st.reqAt) > 2*r.reRequest {
+			out[dc] = LinkFrozen // a property of elapsed time, not a transition
 		}
 		st.mu.Unlock()
 	}
@@ -740,9 +736,10 @@ func (r *Manager) applyView(v msg.Membership) {
 func (r *Manager) retireLink(dc int) {
 	st := r.in[dc]
 	st.mu.Lock()
-	if st.pending {
-		st.pending = false
-		r.activeIn.Add(-1)
+	if st.state == LinkCatchingUp {
+		// The round is cancelled; the link's state is not read again (its DC
+		// is marked Left, which every handler and LinkStates check first).
+		r.setStateLocked(st, LinkIdle)
 	}
 	batches := st.deferred
 	st.deferred, st.deferredBytes = nil, 0
@@ -816,7 +813,7 @@ func (r *Manager) fillDepartedGaps() {
 	for _, dc := range live {
 		st := r.in[dc]
 		st.mu.Lock()
-		if !st.pending && time.Since(st.reqAt) > r.reRequest {
+		if st.state != LinkCatchingUp && time.Since(st.reqAt) > r.reRequest {
 			r.startCatchUpLocked(st, dc)
 		}
 		st.mu.Unlock()
@@ -867,7 +864,7 @@ func (r *Manager) maybeFinishJoin() {
 		}
 		l := r.in[dc]
 		l.mu.Lock()
-		ok := l.known && !l.pending
+		ok := l.state == LinkActive
 		l.mu.Unlock()
 		if !ok {
 			r.viewMu.Unlock()
@@ -1404,7 +1401,7 @@ func (r *Manager) deferWhilePending(dc int, m msg.ReplicateBatch, adv vclock.Tim
 	st := r.in[dc]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.pending || st.deferredBytes >= deferMaxBytes {
+	if st.state != LinkCatchingUp || st.deferredBytes >= deferMaxBytes {
 		return false
 	}
 	for _, v := range m.Versions {
@@ -1511,7 +1508,7 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		base = seq - 1
 	}
 	switch {
-	case st.pending:
+	case st.state == LinkCatchingUp:
 		// Catch-up in flight: track the chain for the splice at Done, and
 		// re-issue the request if the round has gone quiet (a request lost
 		// to a dropping link must not freeze the link forever).
@@ -1519,13 +1516,14 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		if time.Since(st.reqAt) > r.reRequest {
 			r.startCatchUpLocked(st, dc)
 		}
-	case !st.known:
+	case st.state == LinkIdle:
 		if base == 0 && floor <= r.be.VVEntry(dc) {
 			// Nothing precedes this message in the sender's incarnation
 			// (batch 1, or an idle heartbeat before any flush) and this
 			// node's progress covers the incarnation's starting floor, so
 			// the sender's entire past is already here: adopt the stream.
-			st.known, st.epoch, st.seq = true, epoch, seq
+			r.setStateLocked(st, LinkActive)
+			st.epoch, st.seq = epoch, seq
 			raise = adv
 		} else {
 			// The link has history this node never saw — it is the one that
@@ -1568,14 +1566,26 @@ func (r *Manager) haveVV() vclock.VC {
 	return have
 }
 
+// setStateLocked moves the link to state s: the only writer of inLink.state
+// and the only place activeIn — the count of links catching up — moves.
+// Called with st.mu held.
+func (r *Manager) setStateLocked(st *inLink, s LinkState) {
+	if st.state == s {
+		return
+	}
+	if s == LinkCatchingUp {
+		r.activeIn.Add(1)
+	} else if st.state == LinkCatchingUp {
+		r.activeIn.Add(-1)
+	}
+	st.state = s
+}
+
 // startCatchUpLocked opens a new catch-up round on the link: freeze VV
 // advancement, reset the observed chain, and ask the sender for everything
 // after this node's completion point. Called with st.mu held.
 func (r *Manager) startCatchUpLocked(st *inLink, dc int) {
-	if !st.pending {
-		st.pending = true
-		r.activeIn.Add(1)
-	}
+	r.setStateLocked(st, LinkCatchingUp)
 	st.chainSet = false
 	st.reqID = r.reqSeq.Add(1)
 	st.reqAt = time.Now()
@@ -1643,7 +1653,7 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		r.ep.Send(src, msg.CatchUpAck{ReqID: m.ReqID, Chunk: m.Chunk})
 		st := r.in[src.DC]
 		st.mu.Lock()
-		if st.pending && st.reqID == m.ReqID {
+		if st.state == LinkCatchingUp && st.reqID == m.ReqID {
 			// A flowing stream is alive: refresh the re-request clock so a
 			// long stream is not superseded mid-flight, and persist the
 			// sender's progress claim once every chunk up to this one has
@@ -1665,7 +1675,7 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	st := r.in[src.DC]
 	st.mu.Lock()
 	for {
-		if !st.pending || st.reqID != m.ReqID {
+		if st.state != LinkCatchingUp || st.reqID != m.ReqID {
 			st.mu.Unlock()
 			return // a stale stream; the live round will complete on its own
 		}
@@ -1686,9 +1696,7 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		}
 		st.mu.Lock()
 	}
-	st.pending = false
 	st.resume, st.nextChunk = nil, 0
-	r.activeIn.Add(-1)
 	r.statDone.Add(1)
 	if m.FullResync {
 		r.statFullResync.Add(1)
@@ -1697,11 +1705,13 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	again := false
 	switch {
 	case !st.chainSet:
-		st.known, st.epoch, st.seq = true, m.ResumeEpoch, m.ResumeSeq
+		r.setStateLocked(st, LinkActive)
+		st.epoch, st.seq = m.ResumeEpoch, m.ResumeSeq
 	case st.chainEpoch == m.ResumeEpoch && st.chainBase <= m.ResumeSeq:
 		// The observed chain connects to the resume point: everything
 		// between Through and the chain's tip has been applied in order.
-		st.known, st.epoch = true, st.chainEpoch
+		r.setStateLocked(st, LinkActive)
+		st.epoch = st.chainEpoch
 		st.seq = st.chainSeq
 		if m.ResumeSeq > st.seq {
 			st.seq = m.ResumeSeq
@@ -1711,8 +1721,9 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		}
 	default:
 		// Still a hole between the resume point and what arrived during the
-		// round — go again. The next round starts from Through (raised
-		// below), strictly past this one's floor, so rounds make progress.
+		// round — go again: the link stays catching-up. The next round
+		// starts from Through (raised below), strictly past this one's
+		// floor, so rounds make progress.
 		again = true
 	}
 	// The sender guarantees every version it originated with a timestamp ≤
@@ -1742,7 +1753,9 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	}
 	if again {
 		st.mu.Lock()
-		if !st.pending {
+		// Unless a quiet-round re-request already replaced the round this
+		// Done closed, or the link retired, while the lock was released.
+		if st.state == LinkCatchingUp && st.reqID == m.ReqID {
 			r.startCatchUpLocked(st, src.DC)
 		}
 		st.mu.Unlock()

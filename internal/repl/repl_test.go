@@ -311,6 +311,65 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 	}
 }
 
+// TestDoneWithHoleGoesAgain: a round whose resume point does not reach the
+// chain observed meanwhile needs another one. The link never leaves
+// catching-up in between — no flap through idle or active for LinkStates,
+// CatchUpsActive or a join's "every link synced" test to see — and the
+// follow-up starts from the first round's Through.
+func TestDoneWithHoleGoesAgain(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+	})
+	src := netemu.NodeID{DC: 1, Partition: 0}
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	first := tr.msgs(src)[0].(msg.CatchUpRequest)
+	// A second hole opens during the round: seq 5-6 are lost too, so the
+	// chain restarts at 7 and cannot splice onto a resume point of 4.
+	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 700, "g")}, HBTime: 700, Epoch: 7, Seq: 7})
+	m.HandleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: first.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+	})
+	if got := be.VVEntry(1); got != 400 {
+		t.Fatalf("VV[1] = %d, want 400: Through is attested, the unspliced chain is not", got)
+	}
+	out := tr.msgs(src)
+	if len(out) != 2 {
+		t.Fatalf("outbound = %v, want a second CatchUpRequest", out)
+	}
+	second := out[1].(msg.CatchUpRequest)
+	if second.ReqID == first.ReqID || second.From != 400 {
+		t.Fatalf("follow-up = %#v, want a new round from 400", second)
+	}
+	if st := m.Stats(); st.Completed != 1 || st.Requested != 2 || st.ActiveIn != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got := m.LinkStates()[1]; got != LinkCatchingUp {
+		t.Fatalf("link = %v between the rounds, want catching-up", got)
+	}
+	// A duplicate of the first Done is stale now, not a second completion.
+	m.HandleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: first.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+	})
+	if st := m.Stats(); st.Completed != 1 || st.Requested != 2 {
+		t.Fatalf("duplicate Done was not ignored: %+v", st)
+	}
+	// The second round covers the new hole and connects to the chain.
+	m.HandleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: second.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 7, Through: 700,
+		Versions: []*item.Version{ver(1, 500, "e"), ver(1, 600, "f")},
+	})
+	if got := be.VVEntry(1); got != 700 {
+		t.Fatalf("VV[1] = %d after the second round, want 700", got)
+	}
+	if st := m.Stats(); st.Completed != 2 || st.ActiveIn != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got := m.LinkStates()[1]; got != LinkActive {
+		t.Fatalf("link = %v, want active", got)
+	}
+}
+
 // TestEpochZeroIsNoBypass: epoch 0 used to mark an unsequenced sender whose
 // messages raised the receiver's VV with no gap check. No sender stamps it —
 // an epoch is a clock reading — so off the wire it is a corrupt or hostile

@@ -68,21 +68,14 @@ func parseAttest(rec []byte) (vclock.VC, bool) {
 	return vv, true
 }
 
-// Attester is implemented by engines that persist version-vector
-// attestations: AttestVV returns only once the floor claim is durable, and
-// the engine's recovered VV after any later crash covers it. The partition
-// server attests each GC contribution before sharing it (see
-// core.Server.localGCContribution).
-type Attester interface {
-	AttestVV(vv vclock.VC) vclock.VC
-}
-
 // AttestVV persists vv as a version-vector floor: once it returns, a
 // crash-recovered engine reports a RecoveredVV covering vv even where no
-// stored version backs an entry. It returns the vector now durably
-// attested — vv itself on success, the entry-wise minimum of vv and the
-// previous attestation when the append fails (sticky error) — which is the
-// safe value to expose in a GC contribution.
+// stored version backs an entry. The partition server attests each GC
+// contribution before sharing it (core.Server.localGCContribution). It
+// returns the vector now durably attested — vv itself on success, the
+// entry-wise minimum of vv and the previous attestation when the append
+// fails (sticky error) — which is the safe value to expose in a GC
+// contribution.
 //
 // Entries already covered by an earlier attestation cost nothing; an
 // advance is one small record on the group-commit pipeline, committed

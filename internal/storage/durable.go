@@ -208,7 +208,8 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 
 // RecoveredVV returns the version-vector floor replayed at open: entry i is
 // the highest update timestamp of any recovered version originating at DC i,
-// raised to the last durable attestation (AttestVV).
+// raised to the last durable attestation (AttestVV); empty when the engine
+// started empty.
 func (d *Durable) RecoveredVV() vclock.VC { return d.floor.Clone() }
 
 // Err returns the first persistence error, or nil. The in-memory state keeps

@@ -54,18 +54,7 @@ type Engine interface {
 	Close() error
 }
 
-// Recovered is implemented by engines that rebuild state from stable
-// storage. The partition server uses it to restore its version-vector floor
-// after a crash.
-type Recovered interface {
-	// RecoveredVV is the version-vector floor replayed at open: entry i is
-	// the highest update timestamp of any recovered version originating at
-	// DC i. Nil when the engine started empty.
-	RecoveredVV() vclock.VC
-}
-
 var (
-	_ Engine    = (*Mem)(nil)
-	_ Engine    = (*Durable)(nil)
-	_ Recovered = (*Durable)(nil)
+	_ Engine = (*Mem)(nil)
+	_ Engine = (*Durable)(nil)
 )

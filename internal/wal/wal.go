@@ -563,13 +563,6 @@ func (l *Log) Barrier() error {
 	}
 }
 
-// Err returns the sticky persistence error, if the committer has failed.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Stats returns a snapshot of the log's durable-path counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
@@ -936,9 +929,6 @@ func readPart(p cursorPart, fn func(seg uint64, rec []byte) error) error {
 	}
 	return nil
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Close drains the commit pipeline, then syncs and closes the active
 // segment. Further operations return ErrClosed.

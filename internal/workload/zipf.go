@@ -41,9 +41,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws a rank using r.
 func (z *Zipf) Sample(r *rand.Rand) int {
 	u := r.Float64()

@@ -1,7 +1,6 @@
 package occ
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,34 +12,27 @@ import (
 	"repro/internal/storage"
 )
 
-// Engine selects the consistency protocol of a Store.
-type Engine int
+// Engine selects the consistency protocol of a Store. It is the deployment
+// layer's own type under its public name: one set of values, one String.
+type Engine = cluster.Engine
 
 // Engines.
 const (
 	// POCC is Optimistic Causal Consistency: maximum freshness, blocking
 	// lazy dependency resolution.
-	POCC Engine = iota + 1
+	POCC = cluster.POCC
 	// CureStar is the pessimistic baseline (a Cure re-implementation with
 	// GET/PUT support): stable-visibility reads via a stabilization protocol.
-	CureStar
+	CureStar = cluster.Cure
 	// HAPOCC is highly available POCC: optimistic with pessimistic fallback
 	// during network partitions.
-	HAPOCC
+	HAPOCC = cluster.HAPOCC
 )
 
-func (e Engine) String() string {
-	switch e {
-	case POCC:
-		return "POCC"
-	case CureStar:
-		return "Cure*"
-	case HAPOCC:
-		return "HA-POCC"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
+// ParseEngine maps an engine's name — what Engine.String prints, in any
+// case, or the unpunctuated spellings pocc, cure, curestar, hapocc — to its
+// value.
+func ParseEngine(s string) (Engine, error) { return cluster.ParseEngine(s) }
 
 // ErrSessionClosed is returned by HA-POCC sessions without auto-fallback
 // when the server suspects a network partition.
@@ -181,16 +173,17 @@ type Config struct {
 }
 
 // AckMode selects where on the durability ladder local PUTs are
-// acknowledged (Config.AckMode).
-type AckMode int
+// acknowledged (Config.AckMode). It is the storage engine's own type under
+// its public name.
+type AckMode = storage.AckMode
 
 // Ack modes.
 const (
 	// AckSync acknowledges a PUT only after its commit group is durable.
-	AckSync AckMode = iota
+	AckSync = storage.AckSync
 	// AckGrouped acknowledges a PUT once it is staged on the WAL commit
 	// pipeline; the fsync it rides happens in the background.
-	AckGrouped
+	AckGrouped = storage.AckGrouped
 )
 
 // Store is a running geo-replicated deployment.
@@ -201,17 +194,6 @@ type Store struct {
 
 // Open builds and starts a Store.
 func Open(cfg Config) (*Store, error) {
-	var eng cluster.Engine
-	switch cfg.Engine {
-	case POCC:
-		eng = cluster.POCC
-	case CureStar:
-		eng = cluster.Cure
-	case HAPOCC:
-		eng = cluster.HAPOCC
-	default:
-		return nil, errors.New("occ: Config.Engine must be POCC, CureStar or HAPOCC")
-	}
 	var lat netemu.LatencyFunc
 	if cfg.Latency != nil {
 		profile := cfg.Latency
@@ -219,14 +201,10 @@ func Open(cfg Config) (*Store, error) {
 			return profile(src.DC, dst.DC)
 		}
 	}
-	ackMode := storage.AckSync
-	if cfg.AckMode == AckGrouped {
-		ackMode = storage.AckGrouped
-	}
 	inner, err := cluster.New(cluster.Config{
 		NumDCs:                cfg.DataCenters,
 		NumPartitions:         cfg.Partitions,
-		Engine:                eng,
+		Engine:                cfg.Engine,
 		HeartbeatInterval:     cfg.HeartbeatInterval,
 		StabilizationInterval: cfg.StabilizationInterval,
 		GCInterval:            cfg.GCInterval,
@@ -244,7 +222,7 @@ func Open(cfg Config) (*Store, error) {
 			CheckpointBytes: cfg.CheckpointBytes,
 			SegmentBytes:    cfg.SegmentBytes,
 			NoSync:          cfg.NoSync,
-			AckMode:         ackMode,
+			AckMode:         cfg.AckMode,
 			GroupWindow:     cfg.GroupCommitWindow,
 		},
 		MaxDCs:        cfg.MaxDataCenters,
