@@ -15,7 +15,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18470
+LOC_CEILING = 18600
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l); \
 	echo $$n; \
@@ -35,6 +35,7 @@ bench-module:
 
 # The structural performance guards: allocation counts (testing.AllocsPerRun)
 # on the GET/PUT hot path, the RO-TX fan-out, a blocked request's park + wake,
+# a parked slice from arrival to reply (and no goroutine while it waits),
 # the netemu link queue, the durable insert (single and batched), the
 # replication batch decode, the front-door request decode, and a pooled round
 # trip from both ends (client side against an echo server, server side against

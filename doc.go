@@ -121,13 +121,33 @@
 // still reads as nanoseconds and every duration computed from one stays
 // meaningful. A node's clock advances as max(wall, last+1) locally and
 // absorbs every remote timestamp it handles (replicated batches, heartbeats,
-// catch-up claims, and PUT dependency vectors), which changes two costs that
-// scale with clock skew under raw physical clocks:
+// catch-up claims, PUT dependency vectors and RO-TX snapshot vectors), which
+// changes three costs that scale with clock skew under raw physical clocks:
 //
 //   - The PUT clock-wait (Algorithm 2, line 7) waits on the physical
 //     component only and satisfies the ordering with a logical bump, so a
 //     writer whose clock trails its dependencies' source pays nothing
 //     instead of sleeping out the skew.
+//   - An RO-TX slice never waits for its own DC. Its snapshot TV is ahead
+//     of a sibling on the local entry m almost always (only the sibling's
+//     own PUTs and Δ ticks advance it), yet which local versions exist at
+//     TV[m] is the sibling's to say. On arrival it absorbs TV[m] into its
+//     clock and, under the replication manager's outbound lock, reads
+//     t = Now() and raises VV[m] to t iff t ≥ TV[m] (core's serveSlice).
+//     Safe, because a PUT assigns ut = Now(), inserts and raises VV[m]
+//     inside that same lock and Now() is strictly increasing: under the
+//     lock every local version with ut ≤ t is installed and every later one
+//     gets ut > t — exactly what VV[m] = t claims, and what a heartbeat
+//     tick already does. A raw clock absorbs nothing: a sibling skewed
+//     behind the coordinator reads t < TV[m], raises nothing and parks
+//     until its tick (Metrics.TxParkLocal; 0 under hybrid clocks) — nothing
+//     sleeps on a delivering goroutine. The trust model is the PUT's, whose
+//     dependency vector moves the clock the same way. What remains is the
+//     wait for remote updates (TxParkRemote), the price of TV = VV. And as
+//     slices raise VV[m] without sending, the heartbeat rule reads what the
+//     links last carried (repl's lastTS), not VV[m]: a partition serving
+//     RO-TX and no PUT would otherwise go silent and freeze its DC's entry
+//     elsewhere, under remote reads and reshard drains that wait on it.
 //   - The stable snapshot stops trailing the slowest clock: a DC running
 //     50 ms behind pins every GSS entry under raw clocks (the poccbench
 //     visibility experiment measures ~66 ms GSS lag and a 4x stable-
@@ -410,34 +430,46 @@
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
 //
-// A read-only transaction crosses fewer layers, and allocates only what
-// leaves the coordinating goroutine (TestROTxCoordinatorAllocs: 12 objects
-// for 4 partitions × 1 key; TestWaitOnBlockedAllocs, TestNetemuSendAllocs,
-// and under -race TestROTxPendingReuseIgnoresLateReply,
-// TestWaiterRecycleNoStaleWake):
+// A read-only transaction crosses fewer layers, and allocates only what no
+// one else can own (TestROTxCoordinatorAllocs: 4 objects for 4 partitions ×
+// 1 key; TestParkedSliceAllocs: 0 in a serving server, parked or not, and no
+// goroutine; TestWaitOnBlockedAllocs, TestNetemuSendAllocs, and under -race
+// TestROTxPendingReuseIgnoresLateReply, TestWaiterRecycleNoStaleWake):
 //
 //   - core.ROTx → slice requests. The keys are sorted by partition into one
-//     array, and the snapshot vector TV is taken once; every SliceReq of the
-//     transaction points into both. They are shared read-only with requests
-//     that may still be parked after the transaction has failed, so they are
-//     allocated per transaction and never pooled.
-//   - the inline rule. A slice runs on the delivering goroutine iff its TV
-//     is already covered by the server's version vector: it cannot park then
-//     (the vector only grows), and its reads cost less than a hand-off. For a
-//     remote slice that goroutine is the link's; for the coordinator's own
-//     slice it is the caller's, which writes its items straight into the
-//     result. A slice that must wait gets a goroutine and a pooled waiter.
-//   - slice reply → coordinator. A SliceResp's Items belong to the
-//     coordinator once folded in (they are copied into the result array and
-//     dropped). The fan-in completes on the last reply or the first error;
-//     replies find it by transaction id under the coordinator's lock, never
-//     by pointer, so a late or duplicate reply meets a missing id, not the
-//     state's next user.
+//     array, the snapshot vector TV is taken once, and the requests live in
+//     one array; each travels as a pointer into it. All three are shared
+//     read-only with requests that may still be parked after the transaction
+//     has failed, so they are allocated per transaction and never pooled.
+//   - one serving path. core's serveSlice never blocks its caller — a
+//     link's delivery goroutine, or the coordinator for its own slice. A
+//     snapshot the version vector covers (the local entry satisfied first,
+//     see "Hybrid clocks") is read and answered there: it cannot park — the
+//     vector only grows — and its reads cost less than a hand-off. One that
+//     must wait parks as a request, not a goroutine: a pooled waiter carries
+//     it on the VV wait list, and whoever advances the vector far enough — a
+//     link delivering a batch or heartbeat, a PUT's caller, another slice —
+//     takes it off, releases the list lock, then reads and answers (so that
+//     continuation stays out of repl's inbound path: it reads storage,
+//     records a metric and sends). A park ends badly through the same door:
+//     the waiter's block timer (HA-POCC), if it wins the removal, or
+//     shutdown, which empties the list and answers ErrStopped.
+//   - slice reply → coordinator. A SliceResp and its Items buffer come from
+//     a pool in msg and have one owner, who releases them; Send transfers
+//     ownership. On netemu the same pointer reaches the coordinator, whose
+//     applySliceResp copies the items into the result and releases it
+//     (duplicates and replies to finished transactions too). On tcpnet the
+//     writer releases it once its flush succeeded — a broken connection
+//     retransmits the batch it still holds — and the decoder draws the
+//     inbound one from the pool, releasing it itself if the frame is bad.
+//     Release clears the items, which alias stored values. The fan-in
+//     completes on the last reply or the first error; replies find it by
+//     transaction id under the coordinator's lock, never by pointer, so a
+//     late or duplicate reply meets a missing id, not the state's next user.
 //   - coordinator → caller. The returned reply slice is the caller's, sized
-//     to the read set once. Fan-in state (counters, seen set, completion
-//     channel, grouping scratch) and blocked-request waiters are recycled
-//     inside core and never escape it; each goes back to its pool only with
-//     its channel empty.
+//     to the read set once. Fan-in state and waiters are recycled inside
+//     core and never escape it; each goes back to its pool only with its
+//     channel empty — a waiter whose timer could not be stopped, not at all.
 //   - netemu. A link's queue is a ring that clears a slot as it delivers
 //     (a drained link references nothing it carried —
 //     TestLinkDrainedHoldsNoMessages) and keeps its buffer, so a send

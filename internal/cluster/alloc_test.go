@@ -12,13 +12,13 @@ import (
 
 // TestROTxCoordinatorAllocs is the structural guard of the RO-TX path: one
 // key on each of 4 partitions, every snapshot already covered (no heartbeat
-// ever moves a version vector here), so all four slices run inline and the
-// count is exact. What a transaction allocates is what leaves the
-// coordinating goroutine: the grouped key array, the snapshot vector and the
-// result (3), and per remote slice the boxed request, the items and the boxed
-// reply (3 × 3). Fan-in state and the netemu queues are reused. (31 before,
-// with nothing blocking either: a map and a slice per partition, fan-in state
-// and a goroutine per slice, a queue reallocation on nearly every message.)
+// ever moves a version vector here), so all four slices are read on arrival
+// and the count is exact. What a transaction allocates is what it alone can
+// own: the grouped key array, the snapshot vector, the result and the array
+// its three requests live in (4). Requests and replies travel as pointers, a
+// reply and its items are pooled, fan-in state and the netemu queues are
+// reused. (12 before: a boxed request, an items array and a boxed reply per
+// remote slice; 31 before that.)
 func TestROTxCoordinatorAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -37,7 +37,7 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tx() // warm-up: pooled fan-in state, link queues
 	}
-	const want = 12
+	const want = 4
 	if n := testing.AllocsPerRun(1000, tx); n > want+1 {
 		t.Fatalf("a 4-partition RO-TX allocates %v times, want at most %d", n, want+1)
 	} else {

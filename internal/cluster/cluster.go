@@ -1218,6 +1218,9 @@ type Aggregate struct {
 	TxBlocking  metrics.BlockingSnapshot
 	GetStale    metrics.StalenessSnapshot
 	TxStale     metrics.StalenessSnapshot
+	// Parked slices by the entry they waited on (core.Metrics).
+	TxParkLocal  uint64
+	TxParkRemote uint64
 }
 
 // Blocking merges GET, PUT and slice-read blocking, the aggregate Fig. 2a /
@@ -1242,6 +1245,8 @@ func (c *Cluster) Metrics() Aggregate {
 			agg.TxBlocking.Add(m.TxBlocking.Snapshot())
 			agg.GetStale.Add(m.GetStale.Snapshot())
 			agg.TxStale.Add(m.TxStale.Snapshot())
+			agg.TxParkLocal += m.TxParkLocal.Load()
+			agg.TxParkRemote += m.TxParkRemote.Load()
 		}
 	}
 	return agg

@@ -540,3 +540,43 @@ func TestGarbageCollectionAcrossCluster(t *testing.T) {
 		t.Fatal("GC must keep the freshest version")
 	}
 }
+
+// TestROTxDoesNotWaitForOwnDC: a slice's snapshot is ahead of a sibling on
+// the local DC's entry almost always — here by a PUT the session made on
+// partition 0, in a deployment where nothing else ever moves a version vector
+// (one DC, so no heartbeats at all). Which local versions exist at that
+// timestamp is the sibling's own to say, so under hybrid clocks it satisfies
+// the entry on arrival and the transaction neither hangs nor parks.
+func TestROTxDoesNotWaitForOwnDC(t *testing.T) {
+	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 4}, WithHeartbeat(time.Hour))
+	tbl := keyspace.Build(4, 1)
+	c.SeedTable(tbl)
+	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}
+	sess, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Put(keys[0], []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		vals map[string][]byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		vals, err := sess.ROTx(keys)
+		done <- result{vals, err}
+	}()
+	select {
+	case out := <-done:
+		if out.err != nil || string(out.vals[keys[0]]) != "fresh" || len(out.vals) != len(keys) {
+			t.Fatalf("ROTx = %q, %v; want the session's own write and all four keys", out.vals, out.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the transaction waited for the siblings' local entry, which only they can advance")
+	}
+	if agg := c.Metrics(); agg.TxParkLocal != 0 || agg.TxParkRemote != 0 {
+		t.Fatalf("parked slices: %d on the local entry, %d on a remote one; want none", agg.TxParkLocal, agg.TxParkRemote)
+	}
+}

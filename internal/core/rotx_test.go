@@ -30,17 +30,17 @@ func startROTx(s *Server, keys []string, rdv vclock.VC) <-chan txResult {
 }
 
 // sliceReqs returns the slice requests a fake peer has received so far.
-func (r *rig) sliceReqs(id netemu.NodeID) []msg.SliceReq {
-	var out []msg.SliceReq
+func (r *rig) sliceReqs(id netemu.NodeID) []*msg.SliceReq {
+	var out []*msg.SliceReq
 	for _, m := range r.received(id) {
-		if req, ok := m.(msg.SliceReq); ok {
+		if req, ok := m.(*msg.SliceReq); ok {
 			out = append(out, req)
 		}
 	}
 	return out
 }
 
-func (r *rig) awaitSliceReq(id netemu.NodeID, n int) msg.SliceReq {
+func (r *rig) awaitSliceReq(id netemu.NodeID, n int) *msg.SliceReq {
 	r.t.Helper()
 	if !waitUntil(r.t, 2*time.Second, func() bool { return len(r.sliceReqs(id)) >= n }) {
 		r.t.Fatalf("%v never received slice request %d", id, n)
@@ -67,7 +67,7 @@ func TestROTxGroupsKeysByPartition(t *testing.T) {
 		for i, k := range ks {
 			items[i].Key = k
 		}
-		r.inject(peer, msg.SliceResp{TxID: txID, Items: items})
+		r.inject(peer, &msg.SliceResp{TxID: txID, Items: items})
 	}
 	out := <-done
 	if out.err != nil {
@@ -124,7 +124,7 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 	if !waitUntil(t, 2*time.Second, func() bool { return blocked.vvWaiters.active.Load() == 1 }) {
 		t.Fatal("partition 1's slice never parked")
 	}
-	r.inject(failing, msg.SliceResp{TxID: req.TxID, Err: ErrWrongSlotEpoch.Error()})
+	r.inject(failing, &msg.SliceResp{TxID: req.TxID, Err: ErrWrongSlotEpoch.Error()})
 	select {
 	case out := <-done:
 		if !errors.Is(out.err, ErrWrongSlotEpoch) {
@@ -147,14 +147,24 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 // TestROTxPendingReuseIgnoresLateReply: fan-in state is recycled, and replies
 // find it by txID under txMu only — so a duplicate or post-completion reply
 // of an earlier transaction never reaches the transaction now using the same
-// state. Run under -race.
+// state. The replies are recycled too: each comes from msg's pool, as a
+// sibling's would, and the coordinator releases it whatever it does with it —
+// so a late or duplicate one is, more often than not, an object an earlier
+// reply already travelled in. Run under -race.
 func TestROTxPendingReuseIgnoresLateReply(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 3})
 	p1 := netemu.NodeID{DC: 0, Partition: 1}
 	p2 := netemu.NodeID{DC: 0, Partition: 2}
 	keys := []string{"p0/k", "p1/k", "p2/k"}
-	reply := func(txID uint64, key string) msg.SliceResp {
-		return msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: key}}}
+	reply := func(txID uint64, key string) *msg.SliceResp {
+		resp := msg.NewSliceResp(txID)
+		resp.Items = append(resp.Items[:0], msg.ItemReply{Key: key})
+		return resp
+	}
+	failure := func(txID uint64) *msg.SliceResp {
+		resp := msg.NewSliceResp(txID)
+		resp.Items, resp.Err = nil, ErrSessionClosed.Error()
+		return resp
 	}
 	var earlier []uint64
 	for round := 1; round <= 50; round++ {
@@ -164,7 +174,7 @@ func TestROTxPendingReuseIgnoresLateReply(t *testing.T) {
 		// Replies to finished transactions: with items, and with an error.
 		for _, old := range earlier {
 			r.inject(p1, reply(old, "stale"))
-			r.inject(p2, msg.SliceResp{TxID: old, Err: ErrSessionClosed.Error()})
+			r.inject(p2, failure(old))
 		}
 		r.inject(p1, reply(txID, "p1/k"))
 		r.inject(p1, reply(txID, "p1/k")) // duplicate before completion
@@ -194,12 +204,19 @@ func TestROTxPendingReuseIgnoresLateReply(t *testing.T) {
 // when its BlockTimeout fires while wake is signalling it. Each round races
 // the two, then parks on an unsatisfiable vector from the same goroutine (so
 // the pool hands the same waiter back): a token left over from the race would
-// release that wait at once instead of letting it time out. Run under -race.
+// release that wait at once instead of letting it time out. Between the two
+// sits a parked slice that needs the same advance, so its timer races the
+// wake as well and its waiter — which has no goroutine and takes no token —
+// is recycled into the blocked callers' pool and back: it must be answered
+// exactly once, and a timer outliving its slice must never reach the waiter's
+// next user. Run under -race.
 func TestWaiterRecycleNoStaleWake(t *testing.T) {
 	const timeout = time.Millisecond
+	const rounds = 200
 	r := newRig(t, Config{HeartbeatInterval: time.Hour, BlockTimeout: timeout})
+	peer := netemu.NodeID{DC: 0, Partition: 1}
 	never := vclock.VC{0, 0, 1 << 60}
-	for round := 1; round <= 200; round++ {
+	for round := 1; round <= rounds; round++ {
 		need := vclock.VC{0, vclock.Timestamp(round), 0}
 		raised := make(chan struct{})
 		go func() {
@@ -207,6 +224,7 @@ func TestWaiterRecycleNoStaleWake(t *testing.T) {
 			time.Sleep(timeout - 50*time.Microsecond)
 			(*replBackend)(r.srv).RaiseVV(1, vclock.Timestamp(round))
 		}()
+		r.srv.handle(peer, &msg.SliceReq{TxID: uint64(round), Coordinator: peer, Keys: []string{"k"}, TV: need})
 		if _, err := r.srv.waitVV(need, 0); err != nil && !errors.Is(err, ErrSessionClosed) {
 			t.Fatal(err)
 		}
@@ -217,6 +235,24 @@ func TestWaiterRecycleNoStaleWake(t *testing.T) {
 		<-raised
 		if n := r.srv.vvWaiters.active.Load(); n != 0 {
 			t.Fatalf("round %d: %d waiters left on the list", round, n)
+		}
+	}
+	answered := func() map[uint64]int {
+		got := map[uint64]int{}
+		for _, m := range r.received(peer) {
+			if resp, ok := m.(*msg.SliceResp); ok && (resp.Err == "" || resp.Err == ErrSessionClosed.Error()) {
+				got[resp.TxID]++
+			}
+		}
+		return got
+	}
+	if !waitUntil(t, 2*time.Second, func() bool { return len(answered()) == rounds }) {
+		t.Fatalf("%d of %d parked slices were answered", len(answered()), rounds)
+	}
+	time.Sleep(2 * timeout) // a second answer would come from a timer still armed
+	for txID, n := range answered() {
+		if n != 1 {
+			t.Fatalf("slice %d was answered %d times", txID, n)
 		}
 	}
 }

@@ -110,6 +110,9 @@ type Metrics struct {
 	TxBlocking  metrics.Blocking // transactional slice reads (Fig. 3c)
 	GetStale    metrics.Staleness
 	TxStale     metrics.Staleness
+	// Parked slices by where they waited: on the local DC's entry (the cost
+	// of skew under raw clocks; 0 under hybrid ones) or on remote updates only.
+	TxParkLocal, TxParkRemote atomic.Uint64
 }
 
 // Config parameterizes a Server.
@@ -328,6 +331,9 @@ func (a *atomicVC) covers(need vclock.VC, skip int) bool {
 
 // waiter represents one blocked request: it is released when the watched
 // vector covers need on every entry except skip (-1 to check all entries).
+// A GET or PUT blocks its caller's goroutine on wake; a parked RO-TX slice has
+// none — the waiter carries the request and whoever takes it off the list
+// serves it (Server.unpark).
 // Waiters are recycled through waiterPool: release is one token on the
 // 1-buffered wake channel, sent by whoever takes the waiter off its list, so
 // a waiter that is off the list with an empty channel is safe to reuse.
@@ -335,6 +341,12 @@ type waiter struct {
 	need vclock.VC
 	skip int
 	wake chan struct{}
+
+	req    *msg.SliceReq // a parked slice, who sent it and when it parked
+	src    netemu.NodeID
+	parked time.Time
+	timer  *time.Timer // its block timeout (HA-POCC), else nil
+	next   *waiter     // chains the slices one release took off the list
 }
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
@@ -348,6 +360,7 @@ type waitList struct {
 	mu     sync.Mutex
 	active atomic.Int32
 	ws     []*waiter
+	serve  func(w *waiter, err error) // ends a parked slice: Server.unpark
 }
 
 func (l *waitList) add(w *waiter) {
@@ -376,16 +389,26 @@ func (l *waitList) remove(w *waiter) bool {
 }
 
 // wake releases every waiter the vector now satisfies.
-func (l *waitList) wake() {
+func (l *waitList) wake() { l.release(false) }
+
+// release takes every waiter the vector satisfies off the list — and, when
+// the server is stopping, every parked slice. A blocked goroutine gets its
+// token under the list lock; the slices are served by this goroutine once the
+// lock is released, so their reads and replies hold up no other park or wake.
+func (l *waitList) release(stopping bool) {
 	if l.active.Load() == 0 {
 		return
 	}
+	var ready *waiter
 	l.mu.Lock()
 	out := l.ws[:0]
 	for _, w := range l.ws {
-		if l.vec.covers(w.need, w.skip) {
+		switch covered := l.vec.covers(w.need, w.skip); {
+		case w.req != nil && (covered || stopping):
+			w.next, ready = ready, w
+		case covered:
 			w.wake <- struct{}{} // never blocks: one token per registration
-		} else {
+		default:
 			out = append(out, w)
 		}
 	}
@@ -396,6 +419,11 @@ func (l *waitList) wake() {
 	l.ws = out
 	l.active.Store(int32(len(out)))
 	l.mu.Unlock()
+	for ready != nil {
+		w := ready
+		ready, w.next = w.next, nil
+		l.serve(w, nil)
+	}
 }
 
 // Server is one partition replica p_n^m.
@@ -574,7 +602,7 @@ func NewServer(cfg Config) (*Server, error) {
 		close(s.joined)
 		s.joinedOnce.Do(func() {})
 	}
-	s.vvWaiters.vec = s.vv
+	s.vvWaiters.vec, s.vvWaiters.serve = s.vv, s.unpark
 	s.gssWaiters.vec = s.gss
 	for i := range s.peerVV {
 		s.peerVV[i] = vclock.New(maxDCs)
@@ -678,6 +706,9 @@ func (s *Server) shutdown(flush bool) {
 		return
 	}
 	close(s.stop)
+	// A parked slice has no goroutine watching s.stop: answer it here, so a
+	// live coordinator's transaction fails instead of hanging.
+	s.vvWaiters.release(true)
 	s.wg.Wait()
 	// On a graceful close the manager hands buffered updates to the
 	// transport so siblings do not lose the tail of the update stream; on a
@@ -1159,8 +1190,6 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 	}
 	p.seen = slices.Grow(p.seen[:0], s.maxParts)[:s.maxParts]
 	clear(p.seen)
-	local := p.keysOf(grouped, s.n)
-	result := make([]msg.ItemReply, 0, len(keys))
 
 	// Snapshot boundary: the optimistic protocol snapshots what the
 	// coordinator has *received* (VV); the pessimistic one snapshots what is
@@ -1185,65 +1214,42 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 		tv = s.vv.snapshot()
 	}
 	tv.MaxInPlace(rdv)
-	// The coordinator's own slice follows the inline rule (see handle): with
-	// its snapshot already covered it runs on this goroutine and writes the
-	// head of the result array, while the fan-in appends the other slices'
-	// items behind it — two regions of one array that never overlap, so the
-	// local reads need no lock.
-	inline := len(local) > 0 && s.vv.covers(tv, -1)
-	if inline {
-		result = result[:len(local)]
-		owners--
-	}
-	p.tv, p.remaining, p.items = tv, owners, result[len(result):]
+	// The fan-in appends every slice's items to the result, the caller's.
+	p.tv, p.remaining, p.items = tv, owners, make([]msg.ItemReply, 0, len(keys))
 	s.inflight[txID] = p
 	s.txMu.Unlock()
 
+	// One array of requests per transaction, never pooled: a sibling may
+	// still hold a parked one after this transaction has failed.
+	reqs := make([]msg.SliceReq, 0, owners)
 	for q := range p.end {
 		ks := p.keysOf(grouped, q)
-		if len(ks) == 0 || (inline && q == s.n) {
+		if len(ks) == 0 {
 			continue
 		}
-		req := msg.SliceReq{
-			TxID:        txID,
-			Coordinator: s.cfg.ID,
-			Keys:        ks,
-			TV:          tv,
-			Pessimistic: mode == Pessimistic,
-		}
-		if q == s.n {
-			go s.serveSlice(s.cfg.ID, req) // has to park first
+		reqs = append(reqs, msg.SliceReq{TxID: txID, Coordinator: s.cfg.ID, Keys: ks, TV: tv})
+		if req := &reqs[len(reqs)-1]; q == s.n {
+			s.serveSlice(s.cfg.ID, req) // the coordinator's own: reads now, or parks
 		} else {
 			s.ep.Send(netemu.NodeID{DC: s.m, Partition: q}, req)
 		}
 	}
 
-	if inline {
-		if s.ownsAll(local) {
-			s.mx.TxBlocking.Record(0)
-			s.readSlice(result[:0], local, tv)
-		} else {
-			err = ErrWrongSlotEpoch
-		}
-	}
-	if owners > 0 && err == nil {
-		select {
-		case <-p.done:
-		case <-s.stop:
-			err = ErrStopped
-		}
+	select {
+	case <-p.done:
+	case <-s.stop:
+		err = ErrStopped
 	}
 
 	// Off the table no reply can reach p any more, so it can be recycled —
-	// once a completion token nobody waited for (the two early exits above)
-	// is out of the channel.
+	// once a completion token nobody waited for (the early exit above) is out
+	// of the channel.
 	s.txMu.Lock()
 	delete(s.inflight, txID)
 	if err == nil {
 		err = sliceError(p.err)
 	}
-	// Normally p.items still is result's tail and this copies it onto itself.
-	result = append(result, p.items...)
+	result := p.items
 	p.tv, p.items, p.err = nil, nil, ""
 	s.txMu.Unlock()
 	select {
@@ -1320,17 +1326,9 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		// Idempotent store inserts only: the forwarder cannot vouch for the
 		// origins' gap-free prefixes, so the VV must not move here.
 		s.store.InsertBatch(mm.Versions)
-	case msg.SliceReq:
-		// The inline rule: a slice runs on the delivering goroutine iff its
-		// snapshot is already covered — it cannot park then (VV only grows),
-		// and its reads cost less than the hand-off. A slice that has to wait
-		// must never stall the link, so it gets a goroutine.
-		if s.vv.covers(mm.TV, -1) {
-			s.serveSlice(src, mm)
-		} else {
-			go s.serveSlice(src, mm)
-		}
-	case msg.SliceResp:
+	case *msg.SliceReq:
+		s.serveSlice(src, mm) // never blocks the link: reads now, or parks
+	case *msg.SliceResp:
 		s.applySliceResp(src.Partition, mm)
 	}
 }
@@ -1487,8 +1485,12 @@ func (s *Server) gcMaxHoldback() time.Duration {
 }
 
 // serveSlice executes a transactional slice read (Algorithm 2, lines 39-47):
-// wait until this node has installed every update in the snapshot, then read
-// the freshest version of each key within TV.
+// once this node has installed every update in the snapshot, read the
+// freshest version of each key within TV. It never blocks its caller (a link,
+// or the coordinator): the local DC's entry it satisfies itself, by a
+// heartbeat tick's effect on demand (doc.go, "Hybrid clocks", argues it); a
+// snapshot covered then is answered here; otherwise remote updates are
+// missing, and the request parks for whoever advances the vector (unpark).
 //
 // Visibility within a slice is exactly Deps ≤ TV for both protocols: the
 // snapshot vector already encodes the protocol's visibility rule (the
@@ -1498,19 +1500,82 @@ func (s *Server) gcMaxHoldback() time.Duration {
 // coordinator's — would hide versions that are inside the snapshot and
 // break the transaction's causal cut (the seed's flaky Cure* stress
 // failure).
-func (s *Server) serveSlice(src netemu.NodeID, req msg.SliceReq) {
-	resp := msg.SliceResp{TxID: req.TxID}
+func (s *Server) serveSlice(src netemu.NodeID, req *msg.SliceReq) {
 	if !s.ownsAll(req.Keys) {
 		// The coordinator routed this slice with a stale slot table; the
 		// whole transaction retries after a refresh.
-		resp.Err = ErrWrongSlotEpoch.Error()
+		s.replySlice(src, req, ErrWrongSlotEpoch)
+		return
+	}
+	if need := req.TV.Get(s.m); need > s.vv.get(s.m) {
+		s.clk.Observe(need)
+		s.repl.Locked(func() {
+			if t := s.clk.Now(); t >= need {
+				s.vv.raiseTo(s.m, t)
+			}
+		})
+		s.vvWaiters.wake() // after the lock is released, as a PUT does
+	}
+	if s.vv.covers(req.TV, -1) {
+		s.mx.TxBlocking.Record(0)
+		s.replySlice(src, req, nil)
+		return
+	}
+	if req.TV.Get(s.m) > s.vv.get(s.m) {
+		s.mx.TxParkLocal.Add(1)
 	} else {
-		blocked, err := s.waitVV(req.TV, -1)
-		s.mx.TxBlocking.Record(blocked)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Items = s.readSlice(make([]msg.ItemReply, 0, len(req.Keys)), req.Keys, req.TV)
+		s.mx.TxParkRemote.Add(1)
+	}
+	w := waiterPool.Get().(*waiter)
+	w.need, w.skip, w.req, w.src, w.parked = req.TV, -1, req, src, time.Now()
+	l := &s.vvWaiters
+	l.mu.Lock()
+	if s.cfg.BlockTimeout > 0 {
+		// Armed under the list lock: the callback cannot look for w before it
+		// is on the list. Whoever takes w off the list serves it.
+		w.timer = time.AfterFunc(s.cfg.BlockTimeout, func() {
+			if l.remove(w) {
+				s.suspectedAt.Store(time.Now().UnixNano())
+				s.unpark(w, ErrSessionClosed)
+			}
+		})
+	}
+	l.ws = append(l.ws, w)
+	l.active.Store(int32(len(l.ws)))
+	l.mu.Unlock()
+	// Re-check after registration, as waitOn does: an advance of the vector
+	// or a shutdown in between saw no waiter.
+	l.release(s.stopped.Load())
+}
+
+// unpark ends a parked slice whose waiter the caller took off the list: the
+// goroutine that advanced the vector or shut down (err nil), or the timer.
+func (s *Server) unpark(w *waiter, err error) {
+	if err == nil && s.stopped.Load() {
+		err = ErrStopped
+	}
+	s.mx.TxBlocking.Record(time.Since(w.parked))
+	s.replySlice(w.src, w.req, err)
+	// A timer past stopping may still run its callback against w: such a
+	// waiter is left to the collector, not reused.
+	if w.timer == nil || w.timer.Stop() {
+		w.need, w.req, w.timer = nil, nil, nil
+		waiterPool.Put(w)
+	}
+}
+
+// replySlice answers a slice however it got here: with the freshest version
+// within TV of every key (the caller has established that VV covers TV) or
+// with the error that ended it. The pooled reply is the receiver's to release.
+func (s *Server) replySlice(src netemu.NodeID, req *msg.SliceReq, err error) {
+	resp := msg.NewSliceResp(req.TxID)
+	if err != nil {
+		resp.Err = err.Error()
+	} else {
+		for _, k := range req.Keys {
+			res := s.store.ReadWithin(k, req.TV)
+			s.mx.TxStale.Record(res.Fresher, res.Invisible)
+			resp.Items = append(resp.Items, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
 		}
 	}
 	if src == s.cfg.ID {
@@ -1529,22 +1594,12 @@ func (s *Server) ownsAll(keys []string) bool {
 	return true
 }
 
-// readSlice appends to dst the freshest version within tv of every key. The
-// caller has established that VV covers tv.
-func (s *Server) readSlice(dst []msg.ItemReply, keys []string, tv vclock.VC) []msg.ItemReply {
-	for _, k := range keys {
-		res := s.store.ReadWithin(k, tv)
-		s.mx.TxStale.Record(res.Fresher, res.Invisible)
-		dst = append(dst, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
-	}
-	return dst
-}
-
 // applySliceResp folds partition from's slice reply into the coordinator's
-// fan-in; the items become the coordinator's. The fan-in completes when the
-// last slice has replied or the first one fails — the slices still out then
-// answer to a finished transaction and are dropped here.
-func (s *Server) applySliceResp(from int, m msg.SliceResp) {
+// fan-in and releases it: the items are copied into the result. The fan-in
+// completes when the last slice has replied or the first one fails — the
+// slices still out then answer to a finished transaction and are dropped here.
+func (s *Server) applySliceResp(from int, m *msg.SliceResp) {
+	defer m.Release()
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
 	p, ok := s.inflight[m.TxID]

@@ -71,7 +71,7 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 	// server incarnation, not 1-based).
 	var txID uint64
 	for _, m := range r.received(netemu.NodeID{DC: 0, Partition: 1}) {
-		if req, ok := m.(msg.SliceReq); ok {
+		if req, ok := m.(*msg.SliceReq); ok {
 			txID = req.TxID
 		}
 	}
@@ -79,7 +79,7 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 		t.Fatal("fake peer never received the SliceReq")
 	}
 	r.inject(netemu.NodeID{DC: 0, Partition: 1},
-		msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "peer-key"}}})
+		&msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "peer-key"}}})
 	if err := <-txDone; err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDuplicateSliceRespIgnored(t *testing.T) {
 	var txID uint64
 	if !waitUntil(t, 2*time.Second, func() bool {
 		for _, m := range r.received(peer) {
-			if req, ok := m.(msg.SliceReq); ok {
+			if req, ok := m.(*msg.SliceReq); ok {
 				txID = req.TxID
 				return true
 			}
@@ -197,9 +197,13 @@ func TestDuplicateSliceRespIgnored(t *testing.T) {
 	}) {
 		t.Fatal("SliceReq never sent")
 	}
-	reply := msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "remote"}}}
-	r.inject(peer, reply)
-	r.inject(peer, reply) // duplicate
+	// Two objects: the coordinator recycles each reply it is handed, and a
+	// transport's redelivery is a second decode, not the same pointer.
+	reply := func() *msg.SliceResp {
+		return &msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "remote"}}}
+	}
+	r.inject(peer, reply())
+	r.inject(peer, reply()) // duplicate
 	select {
 	case out := <-done:
 		if out.err != nil {

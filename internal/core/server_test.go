@@ -717,12 +717,12 @@ func TestSliceReqFromPeerGetsResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := netemu.NodeID{DC: 0, Partition: 1}
-	r.inject(peer, msg.SliceReq{
+	r.inject(peer, &msg.SliceReq{
 		TxID: 77, Coordinator: peer, Keys: []string{"a"}, TV: r.srv.VV(),
 	})
 	if !waitUntil(t, 2*time.Second, func() bool {
 		for _, m := range r.received(peer) {
-			if resp, ok := m.(msg.SliceResp); ok && resp.TxID == 77 {
+			if resp, ok := m.(*msg.SliceResp); ok && resp.TxID == 77 {
 				return len(resp.Items) == 1 && string(resp.Items[0].Value) == "va"
 			}
 		}

@@ -25,7 +25,7 @@ func TestApplySliceRespDeduplicatesPartitions(t *testing.T) {
 	}()
 
 	reply := func(from int, key string) {
-		s.applySliceResp(from, msg.SliceResp{TxID: 99, Items: []msg.ItemReply{{Key: key}}})
+		s.applySliceResp(from, &msg.SliceResp{TxID: 99, Items: []msg.ItemReply{{Key: key}}})
 	}
 	reply(0, "a")
 	reply(0, "a") // duplicate delivery from partition 0

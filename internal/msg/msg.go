@@ -5,6 +5,8 @@
 package msg
 
 import (
+	"sync"
+
 	"repro/internal/item"
 	"repro/internal/keyspace"
 	"repro/internal/netemu"
@@ -365,26 +367,49 @@ type SlotHandoff struct {
 }
 
 // SliceReq asks a same-DC partition to read keys within the transactional
-// snapshot TV on behalf of a RO-TX coordinator.
+// snapshot TV on behalf of a RO-TX coordinator. Visibility is fully encoded
+// in TV (the coordinator builds it from its GSS for pessimistic transactions).
+// Requests travel as pointers and are never reused: one may still be parked
+// at a sibling after its transaction has failed.
 type SliceReq struct {
 	TxID        uint64
 	Coordinator netemu.NodeID
 	Keys        []string
 	TV          vclock.VC
-	// Pessimistic marks slices of transactions issued by pessimistic
-	// (fallback) sessions. Visibility is fully encoded in TV (the
-	// coordinator builds it from its GSS for pessimistic transactions), so
-	// responders do not branch on this flag; it is kept for diagnostics and
-	// wire-format stability.
-	Pessimistic bool
 }
 
 // SliceResp returns the versions read for a SliceReq. Err is non-empty when
-// the responder had to abort the slice (HA-POCC block timeout).
+// the responder had to abort the slice (block timeout, shutdown, moved slot).
+// Replies are pooled: NewSliceResp draws one and its last holder calls
+// Release — Send hands that duty over (doc.go, "Ownership at each hand-off").
 type SliceResp struct {
 	TxID  uint64
 	Items []ItemReply
 	Err   string
+}
+
+// maxPooledItems is the largest Items buffer a released reply keeps.
+const maxPooledItems = 64
+
+var sliceRespPool = sync.Pool{New: func() any { return new(SliceResp) }}
+
+// NewSliceResp returns an empty reply for txID; Items keeps the capacity an
+// earlier use grew.
+func NewSliceResp(txID uint64) *SliceResp {
+	r := sliceRespPool.Get().(*SliceResp)
+	r.TxID = txID
+	return r
+}
+
+// Release recycles r, which the caller must not touch again. The items alias
+// stored values, so they are cleared.
+func (r *SliceResp) Release() {
+	clear(r.Items)
+	if cap(r.Items) > maxPooledItems {
+		r.Items = nil
+	}
+	*r = SliceResp{Items: r.Items[:0]}
+	sliceRespPool.Put(r)
 }
 
 // VVExchange is the stabilization message of the pessimistic protocol: nodes

@@ -1203,7 +1203,8 @@ var ErrRetired = errors.New("repl: local DC has left the deployment")
 // inside Locked guarantees that every write committed under the old table
 // has already raised the local version-vector entry when the install
 // returns, so a reshard's drain marks (captured after the install) cover
-// every version the old layout will ever produce.
+// every version the old layout will ever produce. An RO-TX slice raises the
+// local entry to a clock reading in here: no PUT's timestamp can straddle it.
 func (r *Manager) Locked(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1271,10 +1272,13 @@ func (r *Manager) flushLocked() {
 }
 
 // heartbeatLoop flushes the buffer every Δ — the flush cadence — and
-// broadcasts the local clock when no update has advanced the local
-// version-vector entry for a heartbeat interval (Algorithm 2, lines 19-26).
-// Heartbeats are suppressed while updates sit in the buffer, so they never
-// overtake buffered versions with smaller timestamps.
+// broadcasts the local clock when the sibling DCs have been told nothing for
+// a heartbeat interval (Algorithm 2, lines 19-26). Heartbeats are suppressed
+// while updates sit in the buffer, so they never overtake buffered versions
+// with smaller timestamps. The rule reads lastTS, what the links last carried,
+// not the local version-vector entry: RO-TX slices raise that entry and send
+// nothing (core.Server.serveSlice), so a partition serving slices but no PUT
+// would look busy forever and its siblings' entry for this DC would freeze.
 func (r *Manager) heartbeatLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HeartbeatInterval)
@@ -1288,8 +1292,7 @@ func (r *Manager) heartbeatLoop() {
 		r.mu.Lock()
 		r.flushLocked()
 		ct := r.clk.Now()
-		idle := len(r.buf) == 0 &&
-			ct >= r.be.VVEntry(r.m)+vclock.Timestamp(r.cfg.HeartbeatInterval)
+		idle := len(r.buf) == 0 && ct >= r.lastTS+vclock.Timestamp(r.cfg.HeartbeatInterval)
 		if idle {
 			if ct > r.lastTS {
 				r.lastTS = ct

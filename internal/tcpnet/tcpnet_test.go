@@ -213,7 +213,7 @@ func TestHostileSourceIsDropped(t *testing.T) {
 	stranger := netemu.NodeID{DC: 0, Partition: 9}
 	for _, env := range []wire.Envelope{
 		{Src: stranger, Msg: msg.CatchUpRequest{ReqID: 1, From: 5}},
-		{Src: stranger, Msg: msg.SliceReq{TxID: 2, Coordinator: stranger, Keys: []string{"k"}}},
+		{Src: stranger, Msg: &msg.SliceReq{TxID: 2, Coordinator: stranger, Keys: []string{"k"}}},
 		{Src: a.ID(), Msg: msg.Heartbeat{Time: 77}},
 	} {
 		if err := enc.Encode(env); err != nil {

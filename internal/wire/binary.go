@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"unsafe"
 
 	"repro/internal/item"
@@ -144,9 +145,9 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		tag = tagReplicateBatch
 	case msg.Heartbeat:
 		tag = tagHeartbeat
-	case msg.SliceReq:
+	case *msg.SliceReq:
 		tag = tagSliceReq
-	case msg.SliceResp:
+	case *msg.SliceResp:
 		tag = tagSliceResp
 	case msg.VVExchange:
 		tag = tagVVExchange
@@ -222,7 +223,7 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		b = appendUint(b, m.Epoch)
 		b = appendUint(b, m.Seq)
 		b = appendUint(b, uint64(m.Floor))
-	case msg.SliceReq:
+	case *msg.SliceReq:
 		b = appendUint(b, m.TxID)
 		b = appendUint(b, uint64(m.Coordinator.DC))
 		b = appendUint(b, uint64(m.Coordinator.Partition))
@@ -235,8 +236,7 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 			}
 		}
 		b = appendVC(b, m.TV)
-		b = appendBool(b, m.Pessimistic)
-	case msg.SliceResp:
+	case *msg.SliceResp:
 		b = appendUint(b, m.TxID)
 		if m.Items == nil {
 			b = appendUint(b, 0)
@@ -837,6 +837,9 @@ func (f *frameReader) slotMap() *keyspace.SlotMap {
 	return m
 }
 
+// minItemReplyBytes is the shortest item reply: eight one-byte fields.
+const minItemReplyBytes = 8
+
 func (f *frameReader) itemReply() msg.ItemReply {
 	var r msg.ItemReply
 	r.Key = f.string()
@@ -874,8 +877,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.Heartbeat{Time: vclock.Timestamp(f.uint()), Epoch: f.uint(),
 			Seq: f.uint(), Floor: vclock.Timestamp(f.uint())}
 	case tagSliceReq:
-		var m msg.SliceReq
-		m.TxID = f.uint()
+		m := &msg.SliceReq{TxID: f.uint()}
 		m.Coordinator.DC = int(f.uint())
 		m.Coordinator.Partition = int(f.uint())
 		if marker := f.uint(); marker > 0 && f.err == nil {
@@ -890,23 +892,28 @@ func parsePayload(frame []byte) (Envelope, error) {
 			}
 		}
 		m.TV = f.vc()
-		m.Pessimistic = f.bool()
 		env.Msg = m
 	case tagSliceResp:
-		var m msg.SliceResp
-		m.TxID = f.uint()
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				m.Items = make([]msg.ItemReply, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					m.Items = append(m.Items, f.itemReply())
-				}
+		// Pooled: the coordinator releases the reply — or this function, when
+		// the frame is bad. A count the unread bytes cannot encode is refused
+		// before the pooled buffer is sized from it.
+		m := msg.NewSliceResp(f.uint())
+		if marker := f.uint(); marker == 0 || f.err != nil {
+			m.Items = nil
+		} else if n := marker - 1; uint64(len(f.b)-f.pos)/minItemReplyBytes < n {
+			f.fail()
+		} else {
+			// Room for one at least: an empty list stays distinct from nil.
+			m.Items = slices.Grow(m.Items[:0], max(int(n), 1))
+			for i := uint64(0); i < n && f.err == nil; i++ {
+				m.Items = append(m.Items, f.itemReply())
 			}
 		}
 		m.Err = f.string()
+		if err := f.finish(); err != nil {
+			m.Release()
+			return env, err
+		}
 		env.Msg = m
 	case tagVVExchange:
 		env.Msg = msg.VVExchange{Partition: int(f.uint()), VV: f.vc(),

@@ -274,3 +274,74 @@ func FuzzHLCDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSliceDecode drives the binary decoder with mutations of the RO-TX slice
+// pair, the two messages that travel as pointers. A decoded reply and its item
+// buffer come from msg's pool, so on top of the usual contract — corrupted
+// input fails cleanly, whatever decodes survives a re-encode — a frame must
+// not be able to size the pooled buffer from the count it claims (an item
+// takes minItemReplyBytes at least), and a decode that fails returns what it
+// drew: every reply a test run sees is released, so one corrupted by an
+// earlier failure would turn up here as a mangled round trip.
+func FuzzSliceDecode(f *testing.F) {
+	item := msg.ItemReply{
+		Key: "user:42", Exists: true, Value: []byte("payload"), SrcReplica: 1,
+		UpdateTime: 123456, Deps: vclock.VC{7, 0, 99}, Fresher: 2, Invisible: 1,
+	}
+	seeds := []any{
+		&msg.SliceReq{TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1}, Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}},
+		&msg.SliceReq{TxID: 9, Keys: []string{}, TV: vclock.VC{}},
+		&msg.SliceReq{TxID: 9},
+		&msg.SliceResp{TxID: 9, Items: []msg.ItemReply{item, item, item}},
+		&msg.SliceResp{TxID: 10},
+		&msg.SliceResp{TxID: 11, Items: []msg.ItemReply{}},
+		&msg.SliceResp{TxID: 13, Err: "core: server stopped"},
+	}
+	for _, m := range seeds {
+		var buf bytes.Buffer
+		if err := NewBinaryEncoder(&buf).Encode(Envelope{
+			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
+		}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
+	}
+	f.Add([]byte{})
+	// Short replies whose item list claims a huge count, and one whose count
+	// the bytes could just about hold if an item took a single byte.
+	respHead := []byte{tagSliceResp, 1, 2, 9}
+	f.Add(hostileListFrame(respHead, 1<<40, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add(hostileListFrame(respHead, 60, make([]byte, 64)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := NewBinaryDecoder(bytes.NewReader(data))
+		for {
+			env, err := dec.Decode()
+			if err != nil {
+				return // corrupted input must fail, not panic
+			}
+			// What the bytes can encode, doubled for the allocator's rounding,
+			// on top of what a recycled buffer may already hold.
+			if r, ok := env.Msg.(*msg.SliceResp); ok && cap(r.Items) > 64+2*len(data)/minItemReplyBytes {
+				t.Fatalf("a %d-byte input left a reply holding room for %d items", len(data), cap(r.Items))
+			}
+			var buf bytes.Buffer
+			if err := NewBinaryEncoder(&buf).Encode(env); err != nil {
+				t.Fatalf("decoded envelope failed to re-encode: %v (%#v)", err, env)
+			}
+			re, err := NewBinaryDecoder(bytes.NewReader(buf.Bytes())).Decode()
+			if err != nil {
+				t.Fatalf("re-encoded envelope failed to decode: %v (%#v)", err, env)
+			}
+			if !reflect.DeepEqual(env, re) {
+				t.Fatalf("re-encode changed the message:\n in: %#v\nout: %#v", env, re)
+			}
+			for _, m := range []any{env.Msg, re.Msg} {
+				if r, ok := m.(*msg.SliceResp); ok {
+					r.Release()
+				}
+			}
+		}
+	})
+}

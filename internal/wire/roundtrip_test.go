@@ -157,11 +157,10 @@ func genMsg(r *rand.Rand, kind int) any {
 			Floor: vclock.Timestamp(r.Uint64N(1 << 62)),
 		}
 	case 2:
-		m := msg.SliceReq{
+		m := &msg.SliceReq{
 			TxID:        r.Uint64(),
 			Coordinator: netemu.NodeID{DC: r.IntN(8), Partition: r.IntN(8)},
 			TV:          genVC(r),
-			Pessimistic: r.IntN(2) == 0,
 		}
 		switch r.IntN(4) {
 		case 0: // nil Keys
@@ -174,7 +173,7 @@ func genMsg(r *rand.Rand, kind int) any {
 		}
 		return m
 	case 3:
-		m := msg.SliceResp{TxID: r.Uint64(), Err: genString(r)}
+		m := &msg.SliceResp{TxID: r.Uint64(), Err: genString(r)}
 		switch r.IntN(4) {
 		case 0: // nil Items
 		case 1:
@@ -298,10 +297,12 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.ReplicateBatch{Versions: []*item.Version{}},
 		msg.ReplicateBatch{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}, HBTime: 9},
 		msg.Heartbeat{},
-		msg.SliceReq{},
-		msg.SliceReq{Keys: []string{""}, TV: vclock.VC{0}},
-		msg.SliceResp{},
-		msg.SliceResp{Items: []msg.ItemReply{{}}},
+		&msg.SliceReq{},
+		&msg.SliceReq{Keys: []string{}},
+		&msg.SliceReq{Keys: []string{""}, TV: vclock.VC{0}},
+		&msg.SliceResp{},
+		&msg.SliceResp{Items: []msg.ItemReply{}},
+		&msg.SliceResp{Items: []msg.ItemReply{{}}},
 		msg.VVExchange{},
 		msg.VVExchange{VV: vclock.VC{}},
 		msg.GCExchange{TV: vclock.New(3)},
@@ -395,7 +396,7 @@ func TestBinaryRejectsTruncatedFrames(t *testing.T) {
 	enc := NewBinaryEncoder(&buf)
 	if err := enc.Encode(Envelope{
 		Src: netemu.NodeID{DC: 1, Partition: 1},
-		Msg: msg.SliceReq{TxID: 7, Keys: []string{"a", "b"}, TV: vclock.VC{1, 2, 3}},
+		Msg: &msg.SliceReq{TxID: 7, Keys: []string{"a", "b"}, TV: vclock.VC{1, 2, 3}},
 	}); err != nil {
 		t.Fatal(err)
 	}

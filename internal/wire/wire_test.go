@@ -49,29 +49,39 @@ func TestRoundTripHeartbeat(t *testing.T) {
 	}
 }
 
+// The slice pair travels as pointers; nil and empty lists stay distinct.
 func TestRoundTripSliceReq(t *testing.T) {
-	in := msg.SliceReq{
-		TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1},
-		Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}, Pessimistic: true,
-	}
-	out, ok := roundTrip(t, in).(msg.SliceReq)
-	if !ok || !reflect.DeepEqual(in, out) {
-		t.Fatalf("decoded %+v", out)
+	for _, in := range []*msg.SliceReq{
+		{TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1}, Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}},
+		{TxID: 9, Keys: []string{}, TV: vclock.VC{}},
+		{TxID: 9},
+	} {
+		out, ok := roundTrip(t, in).(*msg.SliceReq)
+		if !ok || !reflect.DeepEqual(in, out) {
+			t.Fatalf("decoded %+v, want %+v", out, in)
+		}
 	}
 }
 
+// A decoded reply comes from msg's pool; each is released here so the next
+// row decodes into a recycled reply (and item buffer), which must not show.
 func TestRoundTripSliceResp(t *testing.T) {
-	in := msg.SliceResp{
-		TxID: 9,
-		Items: []msg.ItemReply{{
-			Key: "a", Exists: true, Value: []byte("x"), SrcReplica: 1,
-			UpdateTime: 11, Deps: vclock.VC{1, 0, 0}, Fresher: 2, Invisible: 1,
-		}},
-		Err: "boom",
+	item := msg.ItemReply{
+		Key: "a", Exists: true, Value: []byte("x"), SrcReplica: 1,
+		UpdateTime: 11, Deps: vclock.VC{1, 0, 0}, Fresher: 2, Invisible: 1,
 	}
-	out, ok := roundTrip(t, in).(msg.SliceResp)
-	if !ok || !reflect.DeepEqual(in, out) {
-		t.Fatalf("decoded %+v", out)
+	for _, in := range []*msg.SliceResp{
+		{TxID: 9, Items: []msg.ItemReply{item, item, item}, Err: "boom"},
+		{TxID: 10},
+		{TxID: 11, Items: []msg.ItemReply{}},
+		{TxID: 12, Items: []msg.ItemReply{item}},
+		{TxID: 13, Err: "core: server stopped"},
+	} {
+		out, ok := roundTrip(t, in).(*msg.SliceResp)
+		if !ok || !reflect.DeepEqual(in, out) {
+			t.Fatalf("decoded %+v, want %+v", out, in)
+		}
+		out.Release()
 	}
 }
 
