@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build loc test bench-module allocs race check bench
+.PHONY: all vet build loc test bench-module allocs race fuzz check bench
 
 all: check
 
@@ -15,10 +15,13 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18600
+LOC_CEILING = 18580
 loc:
-	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l); \
+	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
+	n=$$(cat $$files | wc -l); \
 	echo $$n; \
+	echo "largest non-test files (for the next re-anchor, not a gate):"; \
+	wc -l $$files | sort -rn | sed -n '2,6p'; \
 	if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "make loc: $$n non-test Go lines exceed LOC_CEILING = $(LOC_CEILING) (Makefile)" >&2; exit 1; \
 	fi
@@ -90,6 +93,31 @@ race:
 		case "$$row" in ''|'#'*) continue;; esac; \
 		echo "$(GO) test -race -count=1 $$row"; \
 		eval "$(GO) test -race -count=1 $$row" || exit 1; \
+	done
+
+# The fuzz smoke, one row each: a target and its package, 15 s apiece (go test
+# takes one -fuzz target per run). CI calls `make fuzz` once, so a target
+# added here runs there too.
+define FUZZ_ROWS
+# Replication-plane decoders: catch-up chunks, membership views and the retired
+# view-only frames, slot tables, HLC delta batches, RO-TX slices into pooled replies.
+FuzzCatchUpDecode ./internal/wire/
+FuzzMembershipDecode ./internal/wire/
+FuzzSlotMapDecode ./internal/wire/
+FuzzHLCDecode ./internal/wire/
+FuzzSliceDecode ./internal/wire/
+# The front door's request and response frames.
+FuzzFrontDoorDecode ./internal/wire/
+# WAL records and segment tails as recovery reads them.
+FuzzWALDecode ./internal/wal/
+endef
+export FUZZ_ROWS
+
+fuzz:
+	@echo "$$FUZZ_ROWS" | while read -r target pkg; do \
+		case "$$target" in ''|'#'*) continue;; esac; \
+		echo "$(GO) test -run '^$$' -fuzz $$target -fuzztime 15s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz $$target -fuzztime 15s $$pkg || exit 1; \
 	done
 
 check: vet build loc test bench-module allocs race

@@ -172,94 +172,53 @@
 //
 // # Replication plane and catch-up
 //
-// Geo-replication is an explicit subsystem (internal/repl): each partition
-// server's replication manager owns the outbound buffers and their one
-// cadence (a flush at every heartbeat tick Δ, earlier under load, inline at
-// 128 buffered updates), and stamps every batch and heartbeat with its
-// incarnation epoch and a monotone sequence number. A receiver advances a
-// link's version-vector entry — the claim "I hold every version from that
-// DC up to t" — only while the sequence is gap-free. A hole, a restarted
-// sender (new epoch), or first contact with a sender whose advertised
-// history floor exceeds the receiver's progress freezes the entry and
-// triggers catch-up: the lagging replica asks for everything after its
-// completion point and the sender streams those versions straight out of
-// its write-ahead log (a cursor over snapshot + segments that pins files
-// open and never blocks the append path), in acknowledged chunks with a
-// bounded in-flight window. Crash recovery thus becomes per-replica resync:
-// a server killed with unflushed replication buffers — or cut off from the
-// stream entirely — rejoins and converges without restarting the world.
-// Every deployment is sequenced — there is one inbound rule and nothing to
-// select: on the lossless FIFO links of an in-memory deployment the check
-// never fires, and if it ever does, a sender without a log to stream from
-// answers Unsupported and the receiver resumes on its word, which is what an
-// unsequenced link would have done silently. Stats exposes per-DC and
-// per-link replication lag and catch-up counters.
+// Geo-replication is an explicit subsystem, internal/repl, and each of its
+// arguments is written once, at the head of the file that implements it.
+// outbound.go is the write path and its one cadence: a buffered update ships
+// on the next heartbeat tick Δ, or inline once 128 have gathered — nothing
+// else flushes. inbound.go is the receiver's rule: batches and heartbeats are
+// sequenced per sender incarnation, a link's version-vector entry advances
+// only while the sequence is gap-free, and a hole, a restarted sender or
+// unseen history freezes it and opens a catch-up round — the link's state
+// machine is a table there, walked row by row by TestLinkTransitions.
+// serve.go answers a round out of the write-ahead log in acknowledged chunks
+// (without a log: Unsupported, and the receiver resumes on its word), which
+// makes crash recovery a per-replica resync. Stats exposes per-DC and
+// per-link lag, link states and catch-up counters.
 //
 // # Dynamic membership
 //
-// The set of data centers is elastic: with Config.MaxDataCenters headroom
-// (vector capacity is reserved up front — the lock-free hot path cannot
-// repoint its atomic vectors) and durable storage, AddDataCenter grows a
-// running deployment. Each server of the joining DC sends a JoinRequest to
-// its sibling partition in every active DC; the sibling merges the joiner
-// into its epoch-stamped membership view — per-DC statuses Joining →
-// Active → Left, merged entry-wise as a lattice so concurrent changes
-// converge — and starts streaming live updates to it. The bootstrap is the
-// catch-up protocol itself: the joiner's first contact with each inbound
-// link pulls that DC's full history out of its write-ahead log, and the
-// joiner announces itself Active (and only then enters the stabilization
-// protocol, so a half-filled version vector never drags the GSS down) once
-// every link is synced; WaitForJoin blocks until then. RemoveDataCenter is
-// the reverse: each departing server flushes its replication buffer and
-// follows it with a LeaveNotice on the same FIFO links, so the survivors
-// hold the departed history in full, freeze its vector entries at the
-// announced final timestamp, and keep stabilizing without it. A departed
-// DC's id is never reused — its timestamps live on in the surviving
-// stores. The kvserver JOIN/LEAVE admin commands (which poccshell
-// forwards like any other line) and pocckv -max-dcs/-join expose the same
-// operations.
+// With Config.MaxDataCenters headroom (vector capacity is reserved up front
+// — the lock-free hot path cannot repoint its atomic vectors) and durable
+// storage, AddDataCenter grows a running deployment, WaitForJoin blocks
+// until the joiner has bootstrapped every link through catch-up and
+// announced itself Active, and RemoveDataCenter retires a DC behind a final
+// flush; a departed DC's id is never reused. internal/repl/membership.go
+// argues the view lattice, the join and the leave. The kvserver JOIN/LEAVE
+// admin commands (which poccshell forwards like any other line) and pocckv
+// -max-dcs/-join expose the same operations.
 //
 // # Forced removal of a crashed data center
 //
-// A graceful leave announces its final timestamp; a whole DC that crashes
-// announces nothing, and the survivors' global stable snapshot freezes on
-// its entry forever — pessimistic reads and HA-POCC fallback would wedge.
-// ForceRemoveDataCenter evicts the dead member: for every partition link a
-// surviving proposer broadcasts an EvictProposal; each survivor freezes its
-// entry for the dead DC (an ack attests "I hold everything through t", so
-// the entry must not move before the verdict) and answers with an EvictAck
-// carrying that attestation. The agreed final is the maximum attestation —
-// the highest timestamp any survivor actually replicated from the dead DC —
-// and the EvictNotice installs it everywhere: membership freezes at
-// Left(final), every version above the final is discarded (no survivor can
-// prove the prefix below a higher cut complete), and survivors re-ship each
-// other the (attestation, final] gaps out of their logs. The consistency
-// argument is the leave argument with the attested maximum substituted for
-// the announced final: below the agreed final the surviving history is
-// provably prefix-complete, above it the suffix existed only on the dead
-// machine — the same loss a client sees when its coordinator dies before
-// replicating, surfaced as a membership event instead of silent divergence.
-// Stabilization then resumes, later joiners bootstrap the departed history
-// from the survivors, and sessions that read a now-discarded suffix version
-// are re-initialized (their dependency state reset) rather than served an
-// impossible dependency. Exposed as cluster.ForceRemoveDC,
-// occ.Store.ForceRemoveDataCenter and the kvserver EVICT command;
-// poccshell forwards EVICT and has kill to crash the DC first.
+// A whole DC that crashes announces nothing, and the survivors' stable
+// snapshot would freeze on its entry forever. ForceRemoveDataCenter evicts
+// it: the survivors attest how much of its history each holds, agree on the
+// maximum as its final, discard what lies above and re-ship each other what
+// lies below (internal/repl/evict.go has the round and its consistency
+// argument). Sessions that read a now-discarded suffix version are
+// re-initialized rather than served an impossible dependency. Exposed as
+// cluster.ForceRemoveDC, occ.Store.ForceRemoveDataCenter and the kvserver
+// EVICT command; poccshell forwards EVICT and has kill to crash the DC first.
 //
 // # Catch-up- and membership-aware garbage collection
 //
-// The GC exchange computes a global prune point from every server's
-// contribution; a replica that is frozen, catching up, or joining must not
-// have the history it still needs pruned out from under its resync. Each
-// server therefore clamps its contribution (repl.Manager.ClampGC) to the
-// floors of every recently-served catch-up requester — what the laggard
-// actually holds, per origin — and to zero while any DC is mid-join.
-// Config.GCMaxHoldback bounds the deferral: past it the holdback releases,
-// GC advances, and the laggard's next incremental request lands below the
-// sender's checkpoint-compacted boundary — which is answered with a
-// CatchUpReply.FullResync full re-bootstrap, never a silently incomplete
-// range. Stats surfaces per-link health states, the oldest holdback age and
-// the full-resync count.
+// A replica that is frozen, catching up or joining must not have the history
+// it still needs pruned from under its resync: each server clamps its GC
+// contribution to what the laggards it serves hold (repl.Manager.ClampGC,
+// argued in internal/repl/serve.go). Config.GCMaxHoldback bounds the
+// deferral; past it the laggard's next request is answered with a full
+// re-bootstrap, never a silently incomplete range. Stats surfaces the oldest
+// holdback age and the full-resync count.
 //
 // # Partitioning and resharding
 //

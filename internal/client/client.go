@@ -284,7 +284,7 @@ func (s *Session) ROTxReplies(keys []string) ([]msg.ItemReply, error) {
 		// The snapshot must include everything the client has read AND
 		// written (Proposition 4 of the paper assumes the client's writes are
 		// in the snapshot): send max(RDV, DV), which covers the writes the
-		// plain RDV of Algorithm 1 line 15 would miss. See DESIGN.md §3.
+		// plain RDV of Algorithm 1 line 15 would miss.
 		s.mu.Lock()
 		mode := s.mode
 		s.opScratch = vclock.MaxInto(s.opScratch, s.rdv, s.dv)

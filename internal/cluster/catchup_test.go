@@ -254,3 +254,25 @@ func TestCatchUpCountersExposed(t *testing.T) {
 		t.Fatalf("replication plane never settled: %+v", c.ReplicationStats())
 	}
 }
+
+// TestDropInboundReplicationValidates: like RestartServer, cutting a node off
+// names a node that exists or fails — a coordinate outside the matrix and a
+// slot nothing ever came up in are errors, not panics.
+func TestDropInboundReplicationValidates(t *testing.T) {
+	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2, MaxDCs: 5},
+		WithHeartbeat(time.Millisecond), WithDataDir(t.TempDir()))
+	for _, at := range [][2]int{{5, 0}, {-1, 0}, {0, 2}, {0, -1}, {3, 0}} {
+		if err := c.DropInboundReplication(at[0], at[1], true); err == nil {
+			t.Errorf("DropInboundReplication(%d, %d) succeeded, want \"no server\"", at[0], at[1])
+		}
+	}
+	if err := c.DropInboundReplication(2, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropInboundReplication(2, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillDC(3); err == nil {
+		t.Error("KillDC of a never-joined slot succeeded")
+	}
+}

@@ -89,12 +89,12 @@ func TestForcedRemovalEvictsCrashedDC(t *testing.T) {
 	}
 	// Every survivor's authoritative view must mark the slot Left with an
 	// agreed final covering the replicated history (the proposer is settled
-	// when ForceRemoveDC returns; its EvictNotice to the other survivors may
+	// when ForceRemoveDC returns; its verdict to the other survivors may
 	// still be in flight).
 	if !waitUntil(t, 10*time.Second, func() bool {
 		for _, dc := range []int{0, 1} {
 			for p := 0; p < 2; p++ {
-				view := c.Server(dc, p).Membership()
+				view := c.Server(dc, p).Repl().View()
 				if view.Status[dead] != msg.DCLeft || view.FinalOf(dead) == 0 {
 					return false
 				}
@@ -104,7 +104,7 @@ func TestForcedRemovalEvictsCrashedDC(t *testing.T) {
 	}) {
 		for _, dc := range []int{0, 1} {
 			for p := 0; p < 2; p++ {
-				view := c.Server(dc, p).Membership()
+				view := c.Server(dc, p).Repl().View()
 				t.Logf("dc%d-p%d: status[%d]=%d final=%d", dc, p, dead, view.Status[dead], view.FinalOf(dead))
 			}
 		}
@@ -299,8 +299,8 @@ func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sever the joiner's inbound replication plane: no JoinAccept, no
-	// catch-up stream — the bootstrap cannot finish.
+	// Sever the joiner's inbound replication plane: no answer to its
+	// JoinRequests, no catch-up stream — the bootstrap cannot finish.
 	for p := 0; p < 2; p++ {
 		if err := c.DropInboundReplication(joiner, p, true); err != nil {
 			t.Fatal(err)
@@ -331,5 +331,92 @@ func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 		return err == nil && r.Exists
 	}) {
 		t.Fatal("replication between the seed DCs broken after the unwind")
+	}
+}
+
+// TestEvictAfterSplitJoinLeave runs a forced removal on a deployment that has
+// already been reshaped every other way — a partition split, a DC joined, that
+// DC gracefully gone again — the sequence a shell session once stalled on. The
+// eviction verdict travels as a plain MembershipUpdate, so this is also its
+// end-to-end guard: the round completes on the split's new partition too,
+// every survivor's view freezes the dead DC at an agreed final, and
+// stabilization resumes.
+func TestEvictAfterSplitJoinLeave(t *testing.T) {
+	const dead = 1
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxDCs: 4, MaxPartitions: 4, Engine: HAPOCC,
+		HeartbeatInterval:     time.Millisecond,
+		StabilizationInterval: 10 * time.Millisecond,
+		BlockTimeout:          200 * time.Millisecond,
+		PutDepWait:            true,
+		Latency:               UniformLatency(50*time.Microsecond, time.Millisecond),
+		JitterFrac:            0.2,
+		DataDir:               t.TempDir(),
+		Seed:                  78,
+	})
+	if _, err := c.SplitPartition(0); err != nil {
+		t.Fatal(err)
+	}
+	joiner, err := c.AddDC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitForJoin(joiner, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveDC(joiner); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillDC(dead); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ForceRemoveDC(dead, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	survivors := []int{0, 2}
+	parts := c.NumPartitions()
+	if parts != 3 {
+		t.Fatalf("%d partitions after the split, want 3", parts)
+	}
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for _, dc := range survivors {
+			for p := 0; p < parts; p++ {
+				view := c.Server(dc, p).Repl().View()
+				if view.Get(dead) != msg.DCLeft || view.FinalOf(dead) == 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}) {
+		for _, dc := range survivors {
+			for p := 0; p < parts; p++ {
+				view := c.Server(dc, p).Repl().View()
+				t.Logf("dc%d-p%d: status[%d]=%d final=%d", dc, p, dead, view.Get(dead), view.FinalOf(dead))
+			}
+		}
+		t.Fatal("the eviction never reached every survivor's view")
+	}
+	// A write made after the eviction becomes stable on every survivor:
+	// impossible while a dead member pins the GSS.
+	s0, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Put("post-evict", []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	ut := c.Server(0, c.PartitionOf("post-evict")).VV().Get(0)
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for _, dc := range survivors {
+			for p := 0; p < parts; p++ {
+				if c.Server(dc, p).GSS().Get(0) < ut {
+					return false
+				}
+			}
+		}
+		return true
+	}) {
+		t.Fatalf("GSS never covered a post-eviction write (%d): %+v", ut, c.ReplicationStats())
 	}
 }

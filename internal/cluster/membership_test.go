@@ -103,7 +103,7 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < partitions; p++ {
-		if !c.Server(newDC, p).Bootstrapped() {
+		if !c.Server(newDC, p).Repl().Bootstrapped() {
 			t.Fatalf("dc%d-p%d not bootstrapped after WaitForJoin", newDC, p)
 		}
 	}
@@ -136,7 +136,7 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 	if !waitUntil(t, 5*time.Second, func() bool {
 		for dc := 0; dc <= dcs; dc++ {
 			for p := 0; p < partitions; p++ {
-				if c.Server(dc, p).Membership().Get(newDC) != msg.DCActive {
+				if c.Server(dc, p).Repl().View().Get(newDC) != msg.DCActive {
 					return false
 				}
 			}
@@ -256,14 +256,14 @@ func TestMembershipLeave(t *testing.T) {
 	if !waitUntil(t, 5*time.Second, func() bool {
 		for dc := 0; dc < 2; dc++ {
 			for p := 0; p < partitions; p++ {
-				if c.Server(dc, p).Membership().Get(2) != msg.DCLeft {
+				if c.Server(dc, p).Repl().View().Get(2) != msg.DCLeft {
 					return false
 				}
 			}
 		}
 		return true
 	}) {
-		t.Fatalf("survivors never marked dc2 departed (dc0-p0 view %+v)", c.Server(0, 0).Membership())
+		t.Fatalf("survivors never marked dc2 departed (dc0-p0 view %+v)", c.Server(0, 0).Repl().View())
 	}
 	if c.Server(2, 0) != nil {
 		t.Fatal("departed DC still resolves a server")
@@ -434,7 +434,7 @@ func TestJoinerStabilizationGate(t *testing.T) {
 		t.Fatal("joiner never sent a JoinRequest")
 	}
 	time.Sleep(20 * time.Millisecond) // ~20 stabilization intervals
-	if srv.Bootstrapped() {
+	if srv.Repl().Bootstrapped() {
 		t.Fatal("joiner bootstrapped with a silent sibling")
 	}
 	if n := count(&peer, isVVX); n != 0 {
@@ -446,7 +446,7 @@ func TestJoinerStabilizationGate(t *testing.T) {
 	// completes, and stabilization opens up.
 	remoteEP.Send(netemu.NodeID{DC: 1, Partition: 0},
 		msg.Heartbeat{Time: vclock.Timestamp(time.Now().UnixNano()), Epoch: 7, Seq: 0, Floor: 0})
-	if !waitUntil(t, 2*time.Second, func() bool { return srv.Bootstrapped() }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return srv.Repl().Bootstrapped() }) {
 		t.Fatal("joiner did not bootstrap after first contact")
 	}
 	if !waitUntil(t, 2*time.Second, func() bool { return count(&peer, isVVX) > 0 }) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/netemu"
 	"repro/internal/storage"
-	"repro/internal/tcpnet"
 	"repro/internal/vclock"
 )
 
@@ -143,49 +142,20 @@ func (c *Cluster) memberDCs() []int {
 }
 
 // startPartitionServers brings partition index np up in every member DC:
-// endpoints (and relays) first, so a started server can heartbeat every
+// the nodes first (registerNodes), so a started server can heartbeat every
 // sibling, then the servers themselves — gated behind the stabilization
 // gate with the next-epoch slot table, so they own their slots-to-be from
 // birth but contribute nothing to GSS until their bootstrap completes.
-// Endpoints are kept across a failed attempt and reused by the next one.
+// Nodes are kept across a failed attempt and reused by the next one.
 func (c *Cluster) startPartitionServers(np int, next *keyspace.SlotMap, members []int) error {
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
-	rng := rand.New(rand.NewPCG(c.cfg.Seed, 0x511707<<8|uint64(np)))
-	for _, dc := range members {
-		if c.transports[dc][np] != nil {
-			continue // left over from a failed attempt
-		}
-		id := netemu.NodeID{DC: dc, Partition: np}
-		if c.cfg.ClockSkew > 0 {
-			c.skews[dc][np] = time.Duration(rng.Int64N(int64(2*c.cfg.ClockSkew))) - c.cfg.ClockSkew
-		}
-		var transport core.Transport
-		if c.cfg.TCP {
-			node, err := tcpnet.Listen(id, "127.0.0.1:0")
-			if err != nil {
-				return fmt.Errorf("cluster: split p%d: %w", np, err)
-			}
-			c.tcpNodes = append(c.tcpNodes, node)
-			c.tcpDir[id] = node.Addr()
-			transport = node
-		} else {
-			transport = c.net.Register(id, nil)
-		}
-		if c.relays != nil {
-			rl := newRelay(transport)
-			c.relays[dc][np] = rl
-			transport = rl
-		}
-		c.transports[dc][np] = transport
-		c.mx[dc][np] = &core.Metrics{}
+	ids := make([]netemu.NodeID, len(members))
+	for i, dc := range members {
+		ids[i] = netemu.NodeID{DC: dc, Partition: np}
 	}
-	if c.cfg.TCP {
-		// Every node — old and new — needs the extended directory before
-		// the first send to or from the new servers.
-		for _, n := range c.tcpNodes {
-			n.Connect(c.tcpDir)
-		}
+	if err := c.registerNodes(ids, rand.New(rand.NewPCG(c.cfg.Seed, 0x511707<<8|uint64(np)))); err != nil {
+		return fmt.Errorf("cluster: split p%d: %w", np, err)
 	}
 	for _, dc := range members {
 		cfg := c.serverConfigLocked(dc, np, false)
@@ -195,13 +165,13 @@ func (c *Cluster) startPartitionServers(np int, next *keyspace.SlotMap, members 
 		srv, err := core.NewServer(cfg)
 		if err != nil {
 			for _, q := range members {
-				if started := c.servers[q][np].Swap(nil); started != nil {
+				if started := c.nodes[q][np].srv.Swap(nil); started != nil {
 					started.Close()
 				}
 			}
 			return fmt.Errorf("cluster: split dc%d-p%d: %w", dc, np, err)
 		}
-		c.servers[dc][np].Store(srv)
+		c.nodes[dc][np].srv.Store(srv)
 	}
 	return nil
 }
@@ -242,16 +212,8 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 	// pre-reshard one (serverConfigLocked consults the staged pointer);
 	// finishReshard clears the stage on every exit path, abort included.
 	c.pendingSlots.Store(next.Clone())
-	liveParts := c.numParts()
-	if newPart >= 0 {
-		liveParts = newPart + 1
-	}
-	for _, dc := range members {
-		for p := 0; p < liveParts; p++ {
-			if srv := c.Server(dc, p); srv != nil {
-				srv.InstallSlotMap(next)
-			}
-		}
+	for _, srv := range c.live() {
+		srv.InstallSlotMap(next)
 	}
 
 	// 2. Drain. Every moved-slot version that will ever exist under the old
@@ -403,12 +365,8 @@ func (c *Cluster) finishReshard(m *keyspace.SlotMap, members []int, newPart int)
 	// operation, so clients just retry across the hand-over.
 	c.slots.Store(m.Clone())
 	c.pendingSlots.Store(nil)
-	for _, dc := range members {
-		for p := 0; p < c.numParts(); p++ {
-			if srv := c.Server(dc, p); srv != nil {
-				srv.InstallSlotMap(m)
-			}
-		}
+	for _, srv := range c.live() {
+		srv.InstallSlotMap(m)
 	}
 }
 

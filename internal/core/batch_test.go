@@ -79,24 +79,34 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 	}
 }
 
-// TestReplicationFlushIntervalKnob: the flush cadence is Δ, with one
-// load-sensitive refinement inside it — a buffer that has filled a quarter of
-// the batch cap drains at the next quarter-Δ, without waiting for the tick.
+// TestReplicationFlushIntervalKnob: the flush cadence is Δ and nothing else,
+// pinned from both sides. A buffer short of the batch cap waits for the tick
+// — a quarter-full one used to drain at the next quarter-Δ — and a buffer
+// that reaches the cap is shipped at once.
 func TestReplicationFlushIntervalKnob(t *testing.T) {
 	const delta = 2 * time.Second
+	const batchCap = 128 // repl's inline-flush threshold
 	r := newRig(t, Config{HeartbeatInterval: delta})
 	start := time.Now()
-	for i := 0; i < 128/4; i++ {
-		if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != nil {
-			t.Fatal(err)
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	id := netemu.NodeID{DC: 1, Partition: 0}
-	if !waitUntil(t, delta, func() bool { return len(r.received(id)) >= 1 }) {
-		t.Fatal("the adaptive flush never drained the buffer")
+	put(batchCap / 4)
+	time.Sleep(delta/4 + 100*time.Millisecond) // past the quarter-Δ, well short of the tick
+	if got, took := len(r.received(id)), time.Since(start); got != 0 && took < delta {
+		t.Fatalf("%d message(s) shipped %v after a quarter-full buffer, before the Δ tick (%v)", got, took, delta)
 	}
-	if took := time.Since(start); took >= delta {
-		t.Fatalf("buffer drained after %v: that was the Δ tick (%v), not the quarter-Δ flush", took, delta)
+	put(batchCap - batchCap/4)
+	if !waitUntil(t, delta/4, func() bool { return len(r.received(id)) >= 1 }) {
+		t.Fatal("a buffer at the batch cap was not flushed inline")
+	}
+	if b, ok := r.received(id)[0].(msg.ReplicateBatch); !ok || len(b.Versions) != batchCap {
+		t.Fatalf("first message = %T, want one batch of %d versions", r.received(id)[0], batchCap)
 	}
 }
 

@@ -40,7 +40,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,10 +82,6 @@ const (
 	// pessimistic sessions are always visible.
 	Pessimistic
 )
-
-// defaultGCMaxHoldback is how long a frozen or catching-up replication link
-// defers garbage collection before being released (Config.GCMaxHoldback).
-const defaultGCMaxHoldback = 10 * time.Second
 
 // Sentinel errors returned by server operations.
 var (
@@ -267,165 +262,6 @@ func (c *Config) maxPartitions() int {
 	return c.NumPartitions
 }
 
-// atomicVC is a vector clock whose entries are read and written atomically,
-// giving readers lock-free monotone snapshots. Cross-entry consistency is
-// not required by the protocol: every entry only grows, so any interleaved
-// load yields a vector that was a valid lower bound of the true state.
-type atomicVC struct {
-	e []atomic.Uint64
-}
-
-func newAtomicVC(n int) *atomicVC { return &atomicVC{e: make([]atomic.Uint64, n)} }
-
-func (a *atomicVC) get(i int) vclock.Timestamp { return vclock.Timestamp(a.e[i].Load()) }
-
-// raiseTo lifts entry i to at least t, reporting whether it advanced. The
-// CAS loop keeps the entry monotone even with racing writers (e.g. a TCP
-// reconnect briefly running two reader goroutines for one link).
-func (a *atomicVC) raiseTo(i int, t vclock.Timestamp) bool {
-	for {
-		cur := a.e[i].Load()
-		if uint64(t) <= cur {
-			return false
-		}
-		if a.e[i].CompareAndSwap(cur, uint64(t)) {
-			return true
-		}
-	}
-}
-
-// load fills dst (reallocating only on length mismatch) with an atomic
-// snapshot of the vector and returns it.
-func (a *atomicVC) load(dst vclock.VC) vclock.VC {
-	if len(dst) != len(a.e) {
-		dst = make(vclock.VC, len(a.e))
-	}
-	for i := range a.e {
-		dst[i] = vclock.Timestamp(a.e[i].Load())
-	}
-	return dst
-}
-
-// snapshot returns a fresh copy of the vector.
-func (a *atomicVC) snapshot() vclock.VC { return a.load(nil) }
-
-// covers reports whether the vector satisfies need on every entry except
-// skip (-1 checks all entries), the lock-free form of vclock.LessEqExcept.
-func (a *atomicVC) covers(need vclock.VC, skip int) bool {
-	for i, t := range need {
-		if i == skip {
-			continue
-		}
-		if i >= len(a.e) {
-			if t > 0 {
-				return false
-			}
-			continue
-		}
-		if uint64(t) > a.e[i].Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// waiter represents one blocked request: it is released when the watched
-// vector covers need on every entry except skip (-1 to check all entries).
-// A GET or PUT blocks its caller's goroutine on wake; a parked RO-TX slice has
-// none — the waiter carries the request and whoever takes it off the list
-// serves it (Server.unpark).
-// Waiters are recycled through waiterPool: release is one token on the
-// 1-buffered wake channel, sent by whoever takes the waiter off its list, so
-// a waiter that is off the list with an empty channel is safe to reuse.
-type waiter struct {
-	need vclock.VC
-	skip int
-	wake chan struct{}
-
-	req    *msg.SliceReq // a parked slice, who sent it and when it parked
-	src    netemu.NodeID
-	parked time.Time
-	timer  *time.Timer // its block timeout (HA-POCC), else nil
-	next   *waiter     // chains the slices one release took off the list
-}
-
-var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
-
-// waitList is the per-vector condition structure: blocked requests register
-// here and writers that advance the vector wake the satisfied ones. The
-// active counter lets writers skip the lock entirely when nobody waits —
-// the common case on the optimistic hot path.
-type waitList struct {
-	vec    *atomicVC
-	mu     sync.Mutex
-	active atomic.Int32
-	ws     []*waiter
-	serve  func(w *waiter, err error) // ends a parked slice: Server.unpark
-}
-
-func (l *waitList) add(w *waiter) {
-	l.mu.Lock()
-	l.ws = append(l.ws, w)
-	l.active.Store(int32(len(l.ws)))
-	l.mu.Unlock()
-}
-
-// remove takes w off the list and reports whether it was still on it. False
-// means wake released w first: its token is already in w.wake (wake sends
-// under l.mu), and the caller must take it before recycling w.
-func (l *waitList) remove(w *waiter) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, x := range l.ws {
-		if x == w {
-			l.ws[i] = l.ws[len(l.ws)-1]
-			l.ws[len(l.ws)-1] = nil
-			l.ws = l.ws[:len(l.ws)-1]
-			l.active.Store(int32(len(l.ws)))
-			return true
-		}
-	}
-	return false
-}
-
-// wake releases every waiter the vector now satisfies.
-func (l *waitList) wake() { l.release(false) }
-
-// release takes every waiter the vector satisfies off the list — and, when
-// the server is stopping, every parked slice. A blocked goroutine gets its
-// token under the list lock; the slices are served by this goroutine once the
-// lock is released, so their reads and replies hold up no other park or wake.
-func (l *waitList) release(stopping bool) {
-	if l.active.Load() == 0 {
-		return
-	}
-	var ready *waiter
-	l.mu.Lock()
-	out := l.ws[:0]
-	for _, w := range l.ws {
-		switch covered := l.vec.covers(w.need, w.skip); {
-		case w.req != nil && (covered || stopping):
-			w.next, ready = ready, w
-		case covered:
-			w.wake <- struct{}{} // never blocks: one token per registration
-		default:
-			out = append(out, w)
-		}
-	}
-	// Clear the tail so released waiters are not retained.
-	for i := len(out); i < len(l.ws); i++ {
-		l.ws[i] = nil
-	}
-	l.ws = out
-	l.active.Store(int32(len(out)))
-	l.mu.Unlock()
-	for ready != nil {
-		w := ready
-		ready, w.next = w.next, nil
-		l.serve(w, nil)
-	}
-}
-
 // Server is one partition replica p_n^m.
 type Server struct {
 	cfg      Config
@@ -485,74 +321,6 @@ type Server struct {
 	stopped atomic.Bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
-}
-
-// txPending is one in-flight RO-TX at its coordinator: the snapshot vector
-// the GC contribution must not overtake, and the fan-in of its slice replies.
-// seen marks the partitions that already responded: transports are
-// at-least-once (TCP reconnects redeliver), and a duplicate reply must not
-// decrement remaining or the fan-in would complete with another partition's
-// items missing.
-//
-// Entries are recycled through txPendingPool and never leave the package.
-// Replies reach one only by looking its txID up in Server.inflight under
-// txMu, so a late or duplicate reply can never touch the entry's next use.
-type txPending struct {
-	tv        vclock.VC       // snapshot vector; shared read-only with the slice requests
-	remaining int             // slices still awaited; 0 once completed or failed
-	seen      []bool          // by responder partition
-	items     []msg.ItemReply // replies folded in so far (the tail of the result array)
-	err       string          // first slice error
-	done      chan struct{}   // 1-buffered; one token when remaining reaches 0
-
-	// Scratch of the grouping pass, touched by the coordinating goroutine only.
-	part []int // partition of each key
-	end  []int // per partition: end offset of its keys in the grouped array
-}
-
-var txPendingPool = sync.Pool{New: func() any { return &txPending{done: make(chan struct{}, 1)} }}
-
-// group sorts keys by owning partition into one freshly allocated array (a
-// stable counting sort; the array is shared with the slice requests, so it is
-// never pooled) and returns it with the number of partitions that own a key;
-// keysOf then cuts a partition's keys out of it.
-func (p *txPending) group(keys []string, partitionOf func(string) int, parts int) ([]string, int, error) {
-	p.part = p.part[:0]
-	p.end = slices.Grow(p.end[:0], parts)[:parts]
-	clear(p.end)
-	for _, k := range keys {
-		q := partitionOf(k)
-		if q < 0 || q >= parts {
-			return nil, 0, fmt.Errorf("core: key %q routed to partition %d outside the layout (%d)", k, q, parts)
-		}
-		p.part = append(p.part, q)
-		p.end[q]++
-	}
-	// Counts become start offsets; placing a partition's keys then advances
-	// its offset to its end.
-	owners, sum := 0, 0
-	for q, c := range p.end {
-		if c > 0 {
-			owners++
-		}
-		p.end[q] = sum
-		sum += c
-	}
-	grouped := make([]string, len(keys))
-	for i, k := range keys {
-		grouped[p.end[p.part[i]]] = k
-		p.end[p.part[i]]++
-	}
-	return grouped, owners, nil
-}
-
-// keysOf returns partition q's part of the array group built.
-func (p *txPending) keysOf(grouped []string, q int) []string {
-	lo := 0
-	if q > 0 {
-		lo = p.end[q-1]
-	}
-	return grouped[lo:p.end[q]]
 }
 
 // NewServer builds and starts a partition server: its network handler is
@@ -770,310 +538,41 @@ func (s *Server) ReplicationLag() []time.Duration {
 	return lag
 }
 
-// Membership returns the server's current epoch-stamped membership view.
-func (s *Server) Membership() msg.Membership { return s.repl.View() }
-
-// Bootstrapped reports whether this server participates fully in
-// replication: always true for ordinary members; for a server started with
-// Config.Joining it turns true once every active inbound link has been
-// synced via catch-up and the DC announced itself Active.
-func (s *Server) Bootstrapped() bool { return s.repl.Bootstrapped() }
-
-// AnnounceLeave announces this server's departure from the deployment: the
-// replication buffer is flushed and a LeaveNotice follows it on every link,
-// so sibling DCs hold the complete local history and drop this DC from
-// their fan-out. The server keeps serving until Close; it returns the final
-// announced timestamp.
-func (s *Server) AnnounceLeave() vclock.Timestamp { return s.repl.Leave() }
-
-// CatchUpStats returns the replication manager's catch-up counters.
-func (s *Server) CatchUpStats() repl.Stats { return s.repl.Stats() }
-
-// LinkStates reports the health of every inbound replication link by DC id
-// (see repl.LinkState).
-func (s *Server) LinkStates() []repl.LinkState { return s.repl.LinkStates() }
-
-// GCHoldbackAge reports how long the oldest live GC holdback (a frozen,
-// catching-up or joining link deferring this server's GC contribution) has
-// been held, or 0 when none is.
-func (s *Server) GCHoldbackAge() time.Duration { return s.repl.HoldbackAge() }
-
-// JoinFailed reports whether a Joining server gave up soliciting the
-// deployment (Config.JoinTimeout elapsed before the bootstrap completed).
-func (s *Server) JoinFailed() bool { return s.repl.JoinFailed() }
-
-// ForceRemove coordinates the forced removal of a crashed data center: the
-// survivors agree on the highest update timestamp each of them holds from
-// dead, freeze its membership entry at that final, and discard any version
-// above it. It returns the agreed final timestamp. The caller must be sure
-// dead is actually gone — evicting a live DC discards its un-replicated
-// suffix (it can re-join under a fresh id). timeout bounds the proposal
-// round (0 selects a default).
-func (s *Server) ForceRemove(dead int, timeout time.Duration) (vclock.Timestamp, error) {
-	return s.repl.ProposeEvict(dead, timeout)
-}
+// Repl returns the server's replication plane: its membership view and link
+// states, its catch-up counters, and the join, leave and eviction protocols.
+func (s *Server) Repl() *repl.Manager { return s.repl }
 
 // GSS returns a copy of the current globally stable snapshot.
 func (s *Server) GSS() vclock.VC { return s.gss.snapshot() }
 
-// GSSLag reports how far the globally-stable snapshot trails this node's own
-// visibility: the largest per-member-DC gap between the VV and GSS entries,
-// as a physical duration. It is the stable-visibility penalty a pessimistic
-// read pays on top of replication, and the stabilization benchmark's third
-// axis (bytes/version, remote visibility, GSS lag). Zero when stabilization
-// is disabled.
-func (s *Server) GSSLag() time.Duration {
-	if s.cfg.StabilizationInterval <= 0 {
-		return 0
+// handle is the server's network handler. It serves the same-DC exchanges,
+// the slot-table gossip and the RO-TX slices itself; everything else belongs
+// to the replication plane, which has one door.
+func (s *Server) handle(src netemu.NodeID, m any) {
+	if s.stopped.Load() {
+		// A stopped (crashed, or departed) server receives nothing: racing
+		// senders that have not yet processed the shutdown must not reach a
+		// half-closed engine.
+		return
 	}
-	view := s.repl.View()
-	vv, gss := s.vv.snapshot(), s.gss.snapshot()
-	var lag time.Duration
-	for d := range vv {
-		if !view.IsMember(d) {
-			continue
-		}
-		if v, g := vv.Get(d).Physical(), gss.Get(d).Physical(); v > g {
-			if l := time.Duration(v - g); l > lag {
-				lag = l
-			}
-		}
+	switch mm := m.(type) {
+	case msg.VVExchange:
+		s.applyVVExchange(mm)
+	case msg.GCExchange:
+		s.applyGCExchange(mm)
+	case msg.SlotMapUpdate:
+		s.InstallSlotMap(mm.Map)
+	case msg.SlotHandoff:
+		// Idempotent store inserts only: the forwarder cannot vouch for the
+		// origins' gap-free prefixes, so the VV must not move here.
+		s.store.InsertBatch(mm.Versions)
+	case *msg.SliceReq:
+		s.serveSlice(src, mm) // never blocks the link: reads now, or parks
+	case *msg.SliceResp:
+		s.applySliceResp(src.Partition, mm)
+	default:
+		s.repl.Handle(src, m) // the replication plane's, or nobody's
 	}
-	return lag
-}
-
-// SlotTable returns the server's current slot table (nil under the static
-// layout). The returned map is immutable — callers must not modify it.
-func (s *Server) SlotTable() *keyspace.SlotMap { return s.slots.Load() }
-
-// SlotEpoch returns the epoch of the current slot table (0 under the static
-// layout).
-func (s *Server) SlotEpoch() uint64 {
-	if sm := s.slots.Load(); sm != nil {
-		return sm.Epoch
-	}
-	return 0
-}
-
-// liveParts is the number of partition servers currently live in this DC:
-// the slot table's count when it exceeds the configured layout (a split
-// grew the DC after this server started), clamped to the reserved capacity.
-func (s *Server) liveParts() int {
-	n := s.cfg.NumPartitions
-	if sm := s.slots.Load(); sm != nil && sm.Parts > n {
-		n = sm.Parts
-	}
-	if n > s.maxParts {
-		n = s.maxParts
-	}
-	return n
-}
-
-// ownsKey reports whether this server currently owns the key's slot. Under
-// the static layout (nil table) every key the old hash routed here is
-// accepted unchecked — the pre-reshard behavior.
-func (s *Server) ownsKey(key string) bool {
-	sm := s.slots.Load()
-	return sm == nil || int(sm.Owner[keyspace.SlotOf(key)]) == s.n
-}
-
-// InstallSlotMap folds a slot table into the server's own by the lattice
-// merge and, when the merge changed anything, gossips the merged table to
-// the same-DC partitions and the cross-DC siblings. Because the merge is
-// idempotent, the gossip converges: a receiver that learns nothing new
-// re-sends nothing. It returns whether the local table changed.
-func (s *Server) InstallSlotMap(m *keyspace.SlotMap) bool {
-	if m == nil || s.stopped.Load() {
-		return false
-	}
-	s.slotMu.Lock()
-	cur := s.slots.Load()
-	var merged *keyspace.SlotMap
-	changed := false
-	if cur == nil {
-		merged, changed = m.Clone(), true
-	} else {
-		merged = cur.Clone()
-		changed = merged.Merge(m)
-	}
-	if changed {
-		// Store under the replication manager's outbound lock — the same
-		// lock PrepareLocal checks ownership under — so the install is a
-		// hard fence: when it returns, every write the old table admitted
-		// has committed and raised the local VV entry, and the reshard's
-		// drain marks (captured after the install) provably cover the old
-		// layout's entire output.
-		s.repl.Locked(func() { s.slots.Store(merged) })
-	}
-	s.slotMu.Unlock()
-	if !changed {
-		return false
-	}
-	// Same-DC fan-out first (routing within the DC is what the table
-	// protects), then the sibling in every member DC.
-	for p := 0; p < s.liveParts(); p++ {
-		if p != s.n {
-			s.ep.Send(netemu.NodeID{DC: s.m, Partition: p}, msg.SlotMapUpdate{Map: merged})
-		}
-	}
-	view := s.repl.View()
-	for dc := 0; dc < s.maxDCs; dc++ {
-		if dc != s.m && view.IsMember(dc) {
-			s.ep.Send(netemu.NodeID{DC: dc, Partition: s.n}, msg.SlotMapUpdate{Map: merged})
-		}
-	}
-	return true
-}
-
-// ReleaseGate opens the stabilization gate of a server started with
-// Config.Gated: its history bootstrap (the reshard copy) is complete, so its
-// version vector may now feed the DC's GSS. Idempotent.
-func (s *Server) ReleaseGate() { s.joinedOnce.Do(func() { close(s.joined) }) }
-
-// AdvanceClock lifts the server's physical clock to at least t. The reshard
-// copy uses it so a new slot owner never assigns an update timestamp below a
-// version it inherited from the donor — LWW would shadow the new write and
-// the catch-up protocol's completion claims would not cover it.
-func (s *Server) AdvanceClock(t vclock.Timestamp) { s.clk.AdvanceTo(t) }
-
-// SeedVV raises the server's version-vector entries to at least vv and wakes
-// any requests the advance unblocks — the reshard bootstrap claim. It is only
-// sound when the caller has installed into this server every version with a
-// timestamp at or below vv whose key this server's slot table routes here:
-// for a freshly split owner that is the donor's VV after the drain, because
-// the copied history is complete for exactly the moved slots and nothing else
-// resolves to the new owner.
-func (s *Server) SeedVV(vv vclock.VC) {
-	woke := false
-	for dc, t := range vv {
-		if dc >= 0 && dc < s.maxDCs && s.vv.raiseTo(dc, t) {
-			woke = true
-		}
-	}
-	if woke {
-		s.vvWaiters.wake()
-	}
-}
-
-// Suspected reports whether the server recently suspected a network
-// partition (a blocked request hit the block timeout). HA-POCC clients use
-// it to decide when to promote sessions back to the optimistic protocol.
-func (s *Server) Suspected() bool {
-	at := s.suspectedAt.Load()
-	if at == 0 {
-		return false
-	}
-	window := 4 * s.cfg.BlockTimeout
-	if window <= 0 {
-		window = time.Second
-	}
-	return time.Since(time.Unix(0, at)) < window
-}
-
-// ---------------------------------------------------------------------------
-// Client-facing operations
-// ---------------------------------------------------------------------------
-
-// Get serves a GET(k) with the client's read dependency vector (Algorithm 2,
-// lines 1-4). Under Optimistic it blocks until VV covers rdv on every remote
-// entry, then returns the freshest version. Under Pessimistic it waits until
-// the GSS covers rdv, then returns the freshest stable version.
-func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error) {
-	var reply msg.ItemReply
-	if !s.ownsKey(key) {
-		return reply, ErrWrongSlotEpoch
-	}
-	var res storage.ReadResult
-	blocked, err := func() (time.Duration, error) {
-		if mode == Pessimistic {
-			blocked, err := s.waitGSS(rdv, s.m)
-			if err != nil {
-				return blocked, err
-			}
-			gss := s.gss.snapshot()
-			res = s.store.ReadVisible(key, s.pessimisticVisible(gss))
-			return blocked, nil
-		}
-		blocked, err := s.waitVV(rdv, s.m)
-		if err != nil {
-			return blocked, err
-		}
-		res = s.store.ReadVisible(key, nil)
-		return blocked, nil
-	}()
-	s.mx.GetBlocking.Record(blocked)
-	if err != nil {
-		return reply, err
-	}
-	s.mx.GetStale.Record(res.Fresher, res.Invisible)
-	return msg.FromVersion(key, res.V, res.Fresher, res.Invisible), nil
-}
-
-// Put serves a PUT(k, v) with the client's dependency vector (Algorithm 2,
-// lines 5-15): optionally wait until the server's state covers the client's
-// dependencies, wait until the local clock exceeds every dependency, assign
-// the update timestamp, store the version, and replicate it asynchronously
-// in timestamp order (buffered; see flushRepBufLocked).
-//
-// The server takes ownership of value and dv — they become the new version's
-// payload and dependency vector, shared with every replica of an emulated
-// deployment — so callers must not mutate either after the call. The copy
-// that protects a caller's buffer is made once, where one is needed: the
-// in-process session's Put (client.Session); a front-door PUT's key and value
-// left their frame together, in one private copy (wire's Detach).
-func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
-	if !s.ownsKey(key) {
-		return 0, ErrWrongSlotEpoch
-	}
-	var blocked time.Duration
-	if s.cfg.PutDepWait {
-		var err error
-		blocked, err = s.waitVV(dv, s.m)
-		if err != nil {
-			s.mx.PutBlocking.Record(blocked)
-			return 0, err
-		}
-	}
-	s.mx.PutBlocking.Record(blocked)
-
-	// Ensure the new version's timestamp exceeds all its dependencies (the
-	// clock-wait of Algorithm 2, line 7). A raw physical clock sleeps out
-	// the skew; a hybrid clock waits on the physical component only and
-	// satisfies the ordering with a logical bump, so skewed writers pay
-	// nothing here.
-	s.clk.SleepUntilAfter(dv.MaxEntry())
-
-	if value == nil {
-		value = []byte{} // a nil payload reads back as "no such key"
-	}
-	d := &item.Version{
-		Key:        key,
-		Value:      value,
-		SrcReplica: s.m,
-		Deps:       dv,
-		Optimistic: mode == Optimistic,
-	}
-	if d.Deps == nil {
-		d.Deps = vclock.New(s.maxDCs)
-	}
-
-	// Publish runs the write path under the replication manager's outbound
-	// lock: timestamp assignment, storage insert and the local VV advance
-	// (PrepareLocal below) stay atomic with enqueueing for replication, so
-	// per-link FIFO order matches timestamp order. Slot ownership is
-	// re-checked there too — the lock-free check above is only a fast path,
-	// and a reshard's fence is sound only if no write can commit under a
-	// table that InstallSlotMap (which serializes on the same lock) already
-	// replaced.
-	ut, err := s.repl.Publish(d)
-	if err != nil {
-		if err == ErrWrongSlotEpoch {
-			return 0, ErrWrongSlotEpoch
-		}
-		return 0, ErrStopped
-	}
-	s.vvWaiters.wake()
-	return ut, nil
 }
 
 // replBackend adapts the server to the replication manager's Backend
@@ -1172,618 +671,107 @@ func (b *replBackend) Joined() {
 	s.joinedOnce.Do(func() { close(s.joined) })
 }
 
-// ROTx coordinates a causally consistent read-only transaction (Algorithm 2,
-// lines 29-38): compute the snapshot vector TV, fan SliceReqs out to the
-// partitions holding the keys, and gather the replies. The first slice error
-// fails the transaction without waiting for the remaining slices. The
-// returned slice is the caller's: one reply per requested key, grouped by
-// partition in no particular order.
-func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
-	if len(keys) == 0 {
-		return nil, nil
+// Get serves a GET(k) with the client's read dependency vector (Algorithm 2,
+// lines 1-4). Under Optimistic it blocks until VV covers rdv on every remote
+// entry, then returns the freshest version. Under Pessimistic it waits until
+// the GSS covers rdv, then returns the freshest stable version.
+func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error) {
+	var reply msg.ItemReply
+	if !s.ownsKey(key) {
+		return reply, ErrWrongSlotEpoch
 	}
-	p := txPendingPool.Get().(*txPending)
-	grouped, owners, err := p.group(keys, partitionOf, s.maxParts)
+	var res storage.ReadResult
+	blocked, err := func() (time.Duration, error) {
+		if mode == Pessimistic {
+			blocked, err := s.waitGSS(rdv, s.m)
+			if err != nil {
+				return blocked, err
+			}
+			gss := s.gss.snapshot()
+			res = s.store.ReadVisible(key, s.pessimisticVisible(gss))
+			return blocked, nil
+		}
+		blocked, err := s.waitVV(rdv, s.m)
+		if err != nil {
+			return blocked, err
+		}
+		res = s.store.ReadVisible(key, nil)
+		return blocked, nil
+	}()
+	s.mx.GetBlocking.Record(blocked)
 	if err != nil {
-		txPendingPool.Put(p)
-		return nil, err
+		return reply, err
 	}
-	p.seen = slices.Grow(p.seen[:0], s.maxParts)[:s.maxParts]
-	clear(p.seen)
+	s.mx.GetStale.Record(res.Fresher, res.Invisible)
+	return msg.FromVersion(key, res.V, res.Fresher, res.Invisible), nil
+}
 
-	// Snapshot boundary: the optimistic protocol snapshots what the
-	// coordinator has *received* (VV); the pessimistic one snapshots what is
-	// *stable* (GSS). Both include the client's history (rdv).
-	//
-	// tv is computed and registered under txMu so it serializes against
-	// localGCContribution: either the GC pass sees this transaction in the
-	// in-flight table, or it snapshotted the visibility vector before we did
-	// — in which case tv covers the GC base and no version inside the
-	// snapshot can be pruned.
-	txID := s.txSeq.Add(1)
-	s.txMu.Lock()
-	if s.stopped.Load() {
-		s.txMu.Unlock()
-		txPendingPool.Put(p)
-		return nil, ErrStopped
+// Put serves a PUT(k, v) with the client's dependency vector (Algorithm 2,
+// lines 5-15): optionally wait until the server's state covers the client's
+// dependencies, wait until the local clock exceeds every dependency, assign
+// the update timestamp, store the version, and replicate it asynchronously
+// in timestamp order (buffered by repl.Manager.Publish, shipped on its flush
+// cadence: internal/repl/outbound.go).
+//
+// The server takes ownership of value and dv — they become the new version's
+// payload and dependency vector, shared with every replica of an emulated
+// deployment — so callers must not mutate either after the call. The copy
+// that protects a caller's buffer is made once, where one is needed: the
+// in-process session's Put (client.Session); a front-door PUT's key and value
+// left their frame together, in one private copy (wire's Detach).
+func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
+	if !s.ownsKey(key) {
+		return 0, ErrWrongSlotEpoch
 	}
-	var tv vclock.VC
-	if mode == Pessimistic {
-		tv = s.gss.snapshot()
-	} else {
-		tv = s.vv.snapshot()
-	}
-	tv.MaxInPlace(rdv)
-	// The fan-in appends every slice's items to the result, the caller's.
-	p.tv, p.remaining, p.items = tv, owners, make([]msg.ItemReply, 0, len(keys))
-	s.inflight[txID] = p
-	s.txMu.Unlock()
-
-	// One array of requests per transaction, never pooled: a sibling may
-	// still hold a parked one after this transaction has failed.
-	reqs := make([]msg.SliceReq, 0, owners)
-	for q := range p.end {
-		ks := p.keysOf(grouped, q)
-		if len(ks) == 0 {
-			continue
-		}
-		reqs = append(reqs, msg.SliceReq{TxID: txID, Coordinator: s.cfg.ID, Keys: ks, TV: tv})
-		if req := &reqs[len(reqs)-1]; q == s.n {
-			s.serveSlice(s.cfg.ID, req) // the coordinator's own: reads now, or parks
-		} else {
-			s.ep.Send(netemu.NodeID{DC: s.m, Partition: q}, req)
+	var blocked time.Duration
+	if s.cfg.PutDepWait {
+		var err error
+		blocked, err = s.waitVV(dv, s.m)
+		if err != nil {
+			s.mx.PutBlocking.Record(blocked)
+			return 0, err
 		}
 	}
+	s.mx.PutBlocking.Record(blocked)
 
-	select {
-	case <-p.done:
-	case <-s.stop:
-		err = ErrStopped
+	// Ensure the new version's timestamp exceeds all its dependencies (the
+	// clock-wait of Algorithm 2, line 7). A raw physical clock sleeps out
+	// the skew; a hybrid clock waits on the physical component only and
+	// satisfies the ordering with a logical bump, so skewed writers pay
+	// nothing here.
+	s.clk.SleepUntilAfter(dv.MaxEntry())
+
+	if value == nil {
+		value = []byte{} // a nil payload reads back as "no such key"
+	}
+	d := &item.Version{
+		Key:        key,
+		Value:      value,
+		SrcReplica: s.m,
+		Deps:       dv,
+		Optimistic: mode == Optimistic,
+	}
+	if d.Deps == nil {
+		d.Deps = vclock.New(s.maxDCs)
 	}
 
-	// Off the table no reply can reach p any more, so it can be recycled —
-	// once a completion token nobody waited for (the early exit above) is out
-	// of the channel.
-	s.txMu.Lock()
-	delete(s.inflight, txID)
-	if err == nil {
-		err = sliceError(p.err)
-	}
-	result := p.items
-	p.tv, p.items, p.err = nil, nil, ""
-	s.txMu.Unlock()
-	select {
-	case <-p.done:
-	default:
-	}
-	txPendingPool.Put(p)
-
+	// Publish runs the write path under the replication manager's outbound
+	// lock: timestamp assignment, storage insert and the local VV advance
+	// (PrepareLocal below) stay atomic with enqueueing for replication, so
+	// per-link FIFO order matches timestamp order. Slot ownership is
+	// re-checked there too — the lock-free check above is only a fast path,
+	// and a reshard's fence is sound only if no write can commit under a
+	// table that InstallSlotMap (which serializes on the same lock) already
+	// replaced.
+	ut, err := s.repl.Publish(d)
 	if err != nil {
-		return nil, err
-	}
-	return result, nil
-}
-
-// sliceError maps a slice reply's error string back to its sentinel, so
-// callers can errors.Is it (slice errors cross the wire as strings).
-func sliceError(e string) error {
-	switch e {
-	case "":
-		return nil
-	case ErrSessionClosed.Error():
-		return ErrSessionClosed
-	case ErrStopped.Error():
-		return ErrStopped
-	case ErrWrongSlotEpoch.Error():
-		return ErrWrongSlotEpoch
-	}
-	return errors.New(e)
-}
-
-// ---------------------------------------------------------------------------
-// Network message handling
-// ---------------------------------------------------------------------------
-
-func (s *Server) handle(src netemu.NodeID, m any) {
-	if s.stopped.Load() {
-		// A stopped (crashed, or departed) server receives nothing: racing
-		// senders that have not yet processed the shutdown must not reach a
-		// half-closed engine.
-		return
-	}
-	switch mm := m.(type) {
-	case msg.ReplicateBatch:
-		s.repl.HandleBatch(src, mm)
-	case msg.Heartbeat:
-		s.repl.HandleHeartbeat(src, mm)
-	case msg.CatchUpRequest:
-		s.repl.HandleCatchUpRequest(src, mm)
-	case msg.CatchUpReply:
-		s.repl.HandleCatchUpReply(src, mm)
-	case msg.CatchUpAck:
-		s.repl.HandleCatchUpAck(src, mm)
-	case msg.JoinRequest:
-		s.repl.HandleJoinRequest(src, mm)
-	case msg.JoinAccept:
-		s.repl.HandleJoinAccept(src, mm)
-	case msg.MembershipUpdate:
-		s.repl.HandleMembershipUpdate(src, mm)
-	case msg.LeaveNotice:
-		s.repl.HandleLeaveNotice(src, mm)
-	case msg.EvictProposal:
-		s.repl.HandleEvictProposal(src, mm)
-	case msg.EvictAck:
-		s.repl.HandleEvictAck(src, mm)
-	case msg.EvictNotice:
-		s.repl.HandleEvictNotice(src, mm)
-	case msg.VVExchange:
-		s.applyVVExchange(mm)
-	case msg.GCExchange:
-		s.applyGCExchange(mm)
-	case msg.SlotMapUpdate:
-		s.InstallSlotMap(mm.Map)
-	case msg.SlotHandoff:
-		// Idempotent store inserts only: the forwarder cannot vouch for the
-		// origins' gap-free prefixes, so the VV must not move here.
-		s.store.InsertBatch(mm.Versions)
-	case *msg.SliceReq:
-		s.serveSlice(src, mm) // never blocks the link: reads now, or parks
-	case *msg.SliceResp:
-		s.applySliceResp(src.Partition, mm)
-	}
-}
-
-// applyVVExchange records a same-DC peer's version vector and recomputes the
-// GSS as the aggregate minimum (§IV-C).
-//
-// A lean exchange (VV nil, Watermark set) raises the already-nonzero entries
-// of the sender's last known full vector to the watermark. Safety of the
-// fold — no entry may ever exceed the sender's true VV entry — follows from
-// three facts:
-//
-//  1. The sender computed the watermark as the minimum over its nonzero
-//     member entries, so for every DC that is still a member, watermark ≤
-//     that entry of the sender's VV. An entry nonzero in our (older) copy is
-//     necessarily nonzero at the (monotone) sender, hence in that minimum.
-//  2. An entry that is zero in our copy is never raised, so a DC that joined
-//     after the sender's last full exchange stays conservatively at zero
-//     until the next full vector arrives (bounded by leanFullVVEvery ticks).
-//  3. A DC departed since our copy was taken has a frozen final timestamp;
-//     raising its entry past the final is vacuous — the leave/evict
-//     protocols guarantee no version beyond the final exists anywhere.
-//
-// A watermark arriving before any full vector has nothing to fold into and
-// is dropped; the sender's periodic full exchanges repair this.
-func (s *Server) applyVVExchange(m msg.VVExchange) {
-	if m.Partition < 0 || m.Partition >= s.maxParts {
-		return
-	}
-	s.gssMu.Lock()
-	if m.VV == nil {
-		if pv := s.peerVV[m.Partition]; pv != nil {
-			for i, t := range pv {
-				if t > 0 && m.Watermark > t {
-					pv[i] = m.Watermark
-				}
-			}
-			s.recomputeGSSLocked()
+		if err == ErrWrongSlotEpoch {
+			return 0, ErrWrongSlotEpoch
 		}
-	} else {
-		// Copy rather than alias: the sender broadcasts one VV slice to every
-		// same-DC peer, and the watermark fold above writes into peerVV
-		// entries — mutating the shared message would race with the other
-		// receivers.
-		s.peerVV[m.Partition] = s.peerVV[m.Partition].CopyFrom(m.VV)
-		s.recomputeGSSLocked()
-	}
-	s.gssMu.Unlock()
-}
-
-// recomputeGSSLocked folds the freshest known VV of every partition in the
-// DC (including this node's own) into the GSS. Entries are raised
-// individually: every input only grows, so the aggregate minimum is monotone
-// per entry. Called with gssMu held.
-func (s *Server) recomputeGSSLocked() {
-	s.peerVV[s.n] = s.vv.load(s.peerVV[s.n])
-	// Fold only the live partitions: the reserved tail (split headroom) has
-	// never spoken and would pin the aggregate minimum at zero. A partition
-	// that just went live contributes its zero vector until its first
-	// exchange arrives — the GSS merely stalls (it is monotone), it cannot
-	// regress.
-	live := s.peerVV[:s.liveParts()]
-	min := s.gssScratch.CopyFrom(live[0])
-	for _, v := range live[1:] {
-		min.MinInPlace(v)
-	}
-	s.gssScratch = min
-	advanced := false
-	for i, t := range min {
-		if s.gss.raiseTo(i, t) {
-			advanced = true
-		}
-	}
-	if advanced {
-		s.gssWaiters.wake()
-	}
-}
-
-// applyGCExchange records a peer's GC contribution; when contributions from
-// every partition are known, prune with their aggregate minimum.
-func (s *Server) applyGCExchange(m msg.GCExchange) {
-	if m.Partition < 0 || m.Partition >= s.maxParts {
-		return
-	}
-	s.gcMu.Lock()
-	s.gcContrib[m.Partition] = m.TV
-	gv := s.gcVectorLocked()
-	s.gcMu.Unlock()
-	if gv != nil {
-		s.store.CollectGarbage(gv)
-	}
-}
-
-// gcVectorLocked returns the DC-wide GC vector, or nil if some partition has
-// not contributed yet. Called with gcMu held.
-func (s *Server) gcVectorLocked() vclock.VC {
-	s.gcContrib[s.n] = s.localGCContribution()
-	live := s.gcContrib[:s.liveParts()]
-	vs := make([]vclock.VC, 0, len(live))
-	for _, c := range live {
-		if c == nil {
-			return nil
-		}
-		vs = append(vs, c)
-	}
-	return vclock.AggregateMin(vs)
-}
-
-// localGCContribution is the node's GC input: the minimum of its
-// visibility vector (VV for optimistic deployments, GSS when stabilization
-// runs) and the snapshot vectors of its active transactions. Taking the
-// minimum (rather than the paper's "aggregate maximum" wording) is the
-// conservative-safe choice: the GC vector never overtakes a snapshot an
-// active transaction may still read (see DESIGN.md §3).
-func (s *Server) localGCContribution() vclock.VC {
-	// The base snapshot is taken under txMu (see ROTx): a transaction not
-	// yet in the in-flight table is guaranteed to compute a tv covering this
-	// base.
-	s.txMu.Lock()
-	var base vclock.VC
-	if s.cfg.StabilizationInterval > 0 {
-		base = s.gss.snapshot()
-	} else {
-		base = s.vv.snapshot()
-	}
-	for _, p := range s.inflight {
-		base.MinInPlace(p.tv)
-	}
-	s.txMu.Unlock()
-	// Clamp to the replication plane's holdback floors: a frozen or
-	// catching-up link must not have the history it still needs pruned out
-	// from under its resume point (bounded by GCMaxHoldback).
-	c := s.repl.ClampGC(base, s.gcMaxHoldback())
-	// A contribution is a promise about this node's post-crash state: the
-	// DC prunes to the aggregate of these vectors, so a restart must never
-	// recover a VV below one — heartbeat-attested entries with no backing
-	// version record would otherwise collapse to the last stored version
-	// and hand out snapshot vectors under the prune point (see
-	// Durable.AttestVV). Persist the vector before sharing it; if the log
-	// is sticky-failed, contribute the last durable attestation instead.
-	if s.durable != nil {
-		c = s.durable.AttestVV(c)
-	}
-	return c
-}
-
-// gcMaxHoldback resolves Config.GCMaxHoldback: 0 selects the default,
-// negative means hold back forever.
-func (s *Server) gcMaxHoldback() time.Duration {
-	if s.cfg.GCMaxHoldback == 0 {
-		return defaultGCMaxHoldback
-	}
-	return s.cfg.GCMaxHoldback
-}
-
-// serveSlice executes a transactional slice read (Algorithm 2, lines 39-47):
-// once this node has installed every update in the snapshot, read the
-// freshest version of each key within TV. It never blocks its caller (a link,
-// or the coordinator): the local DC's entry it satisfies itself, by a
-// heartbeat tick's effect on demand (doc.go, "Hybrid clocks", argues it); a
-// snapshot covered then is answered here; otherwise remote updates are
-// missing, and the request parks for whoever advances the vector (unpark).
-//
-// Visibility within a slice is exactly Deps ≤ TV for both protocols: the
-// snapshot vector already encodes the protocol's visibility rule (the
-// coordinator builds it from its VV for optimistic transactions and from
-// its GSS for pessimistic ones, plus the client's history either way).
-// Re-checking stability against this server's own GSS — which may lag the
-// coordinator's — would hide versions that are inside the snapshot and
-// break the transaction's causal cut (the seed's flaky Cure* stress
-// failure).
-func (s *Server) serveSlice(src netemu.NodeID, req *msg.SliceReq) {
-	if !s.ownsAll(req.Keys) {
-		// The coordinator routed this slice with a stale slot table; the
-		// whole transaction retries after a refresh.
-		s.replySlice(src, req, ErrWrongSlotEpoch)
-		return
-	}
-	if need := req.TV.Get(s.m); need > s.vv.get(s.m) {
-		s.clk.Observe(need)
-		s.repl.Locked(func() {
-			if t := s.clk.Now(); t >= need {
-				s.vv.raiseTo(s.m, t)
-			}
-		})
-		s.vvWaiters.wake() // after the lock is released, as a PUT does
-	}
-	if s.vv.covers(req.TV, -1) {
-		s.mx.TxBlocking.Record(0)
-		s.replySlice(src, req, nil)
-		return
-	}
-	if req.TV.Get(s.m) > s.vv.get(s.m) {
-		s.mx.TxParkLocal.Add(1)
-	} else {
-		s.mx.TxParkRemote.Add(1)
-	}
-	w := waiterPool.Get().(*waiter)
-	w.need, w.skip, w.req, w.src, w.parked = req.TV, -1, req, src, time.Now()
-	l := &s.vvWaiters
-	l.mu.Lock()
-	if s.cfg.BlockTimeout > 0 {
-		// Armed under the list lock: the callback cannot look for w before it
-		// is on the list. Whoever takes w off the list serves it.
-		w.timer = time.AfterFunc(s.cfg.BlockTimeout, func() {
-			if l.remove(w) {
-				s.suspectedAt.Store(time.Now().UnixNano())
-				s.unpark(w, ErrSessionClosed)
-			}
-		})
-	}
-	l.ws = append(l.ws, w)
-	l.active.Store(int32(len(l.ws)))
-	l.mu.Unlock()
-	// Re-check after registration, as waitOn does: an advance of the vector
-	// or a shutdown in between saw no waiter.
-	l.release(s.stopped.Load())
-}
-
-// unpark ends a parked slice whose waiter the caller took off the list: the
-// goroutine that advanced the vector or shut down (err nil), or the timer.
-func (s *Server) unpark(w *waiter, err error) {
-	if err == nil && s.stopped.Load() {
-		err = ErrStopped
-	}
-	s.mx.TxBlocking.Record(time.Since(w.parked))
-	s.replySlice(w.src, w.req, err)
-	// A timer past stopping may still run its callback against w: such a
-	// waiter is left to the collector, not reused.
-	if w.timer == nil || w.timer.Stop() {
-		w.need, w.req, w.timer = nil, nil, nil
-		waiterPool.Put(w)
-	}
-}
-
-// replySlice answers a slice however it got here: with the freshest version
-// within TV of every key (the caller has established that VV covers TV) or
-// with the error that ended it. The pooled reply is the receiver's to release.
-func (s *Server) replySlice(src netemu.NodeID, req *msg.SliceReq, err error) {
-	resp := msg.NewSliceResp(req.TxID)
-	if err != nil {
-		resp.Err = err.Error()
-	} else {
-		for _, k := range req.Keys {
-			res := s.store.ReadWithin(k, req.TV)
-			s.mx.TxStale.Record(res.Fresher, res.Invisible)
-			resp.Items = append(resp.Items, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
-		}
-	}
-	if src == s.cfg.ID {
-		s.applySliceResp(s.n, resp)
-		return
-	}
-	s.ep.Send(src, resp)
-}
-
-func (s *Server) ownsAll(keys []string) bool {
-	for _, k := range keys {
-		if !s.ownsKey(k) {
-			return false
-		}
-	}
-	return true
-}
-
-// applySliceResp folds partition from's slice reply into the coordinator's
-// fan-in and releases it: the items are copied into the result. The fan-in
-// completes when the last slice has replied or the first one fails — the
-// slices still out then answer to a finished transaction and are dropped here.
-func (s *Server) applySliceResp(from int, m *msg.SliceResp) {
-	defer m.Release()
-	s.txMu.Lock()
-	defer s.txMu.Unlock()
-	p, ok := s.inflight[m.TxID]
-	if !ok || p.remaining == 0 {
-		// Transaction already completed or failed.
-		return
-	}
-	if from < 0 || from >= len(p.seen) || p.seen[from] {
-		// Duplicate delivery (TCP reconnects are at-least-once): this
-		// partition's items are already folded in.
-		return
-	}
-	p.seen[from] = true
-	if m.Err != "" {
-		p.err = m.Err
-		p.remaining = 0
-	} else {
-		p.items = append(p.items, m.Items...)
-		p.remaining--
-	}
-	if p.remaining == 0 {
-		p.done <- struct{}{} // never blocks: remaining reaches 0 once per use
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Background loops
-// ---------------------------------------------------------------------------
-
-// stabilizationLoop periodically broadcasts this node's VV to its same-DC
-// peers so everyone can maintain the GSS (§IV-C).
-func (s *Server) stabilizationLoop() {
-	defer s.wg.Done()
-	// A joining server enters the GSS protocol only after its bootstrap: its
-	// version vector is a hole until catch-up fills it, and the GSS is an
-	// aggregate minimum — one half-bootstrapped contributor would stall
-	// stable visibility for the whole data center.
-	select {
-	case <-s.joined:
-	case <-s.stop:
-		return
-	}
-	t := time.NewTicker(s.cfg.StabilizationInterval)
-	defer t.Stop()
-	tick := 0
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		vv := s.vv.snapshot()
-		s.gssMu.Lock()
-		s.recomputeGSSLocked()
-		s.gssMu.Unlock()
-		out := msg.VVExchange{Partition: s.n, VV: vv}
-		if s.cfg.LeanStabilization && tick%leanFullVVEvery != 0 {
-			if w := s.stableWatermark(vv); w > 0 {
-				out = msg.VVExchange{Partition: s.n, Watermark: w}
-			}
-		}
-		tick++
-		for p := 0; p < s.liveParts(); p++ {
-			if p != s.n {
-				s.ep.Send(netemu.NodeID{DC: s.m, Partition: p}, out)
-			}
-		}
-	}
-}
-
-// leanFullVVEvery is the cadence of full-vector exchanges under lean
-// stabilization: one full VV establishes/refreshes the per-entry baseline,
-// then leanFullVVEvery-1 scalar watermark ticks ride on it.
-const leanFullVVEvery = 16
-
-// stableWatermark computes the scalar attestation a lean stabilization tick
-// broadcasts: the minimum over the node's nonzero VV entries of member DCs.
-// Zero entries (a member with no shipped data yet, typically a fresh joiner)
-// are excluded — including them would pin the watermark at zero — which is
-// safe because receivers never raise a zero entry from a watermark. Departed
-// DCs are excluded so their frozen final timestamps do not pin the watermark
-// in the past. Returns 0 when no entry qualifies; the caller then falls back
-// to a full-vector exchange.
-func (s *Server) stableWatermark(vv vclock.VC) vclock.Timestamp {
-	view := s.repl.View()
-	var w vclock.Timestamp
-	for d, t := range vv {
-		if t == 0 || !view.IsMember(d) {
-			continue
-		}
-		if w == 0 || t < w {
-			w = t
-		}
-	}
-	return w
-}
-
-// gcLoop periodically broadcasts this node's GC contribution and prunes with
-// the DC-wide minimum when known.
-func (s *Server) gcLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.GCInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		s.gcMu.Lock()
-		contrib := s.localGCContribution()
-		gv := s.gcVectorLocked()
-		s.gcMu.Unlock()
-		for p := 0; p < s.liveParts(); p++ {
-			if p != s.n {
-				s.ep.Send(netemu.NodeID{DC: s.m, Partition: p}, msg.GCExchange{Partition: s.n, TV: contrib})
-			}
-		}
-		if gv != nil {
-			s.store.CollectGarbage(gv)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Blocking machinery
-// ---------------------------------------------------------------------------
-
-// waitVV blocks until the version vector covers need on every entry except
-// skip. It returns how long the caller was blocked. With a BlockTimeout
-// configured, a wait that exceeds it marks the server suspected and returns
-// ErrSessionClosed (the HA-POCC recovery trigger).
-func (s *Server) waitVV(need vclock.VC, skip int) (time.Duration, error) {
-	return s.waitOn(&s.vvWaiters, need, skip)
-}
-
-// waitGSS blocks until the GSS covers need on every entry except skip.
-func (s *Server) waitGSS(need vclock.VC, skip int) (time.Duration, error) {
-	return s.waitOn(&s.gssWaiters, need, skip)
-}
-
-func (s *Server) waitOn(l *waitList, need vclock.VC, skip int) (time.Duration, error) {
-	if s.stopped.Load() {
 		return 0, ErrStopped
 	}
-	// Lock-free fast path: the vector already covers the dependencies.
-	if l.vec.covers(need, skip) {
-		return 0, nil
-	}
-	w := waiterPool.Get().(*waiter)
-	w.need, w.skip = need, skip
-	l.add(w)
-	// Re-check after registration: a writer that advanced the vector between
-	// the fast-path check and add would have seen an empty wait list. wake
-	// also releases any other now-satisfied waiter, which is harmless.
-	l.wake()
-
-	start := time.Now()
-	var timeout <-chan time.Time
-	if s.cfg.BlockTimeout > 0 {
-		timer := time.NewTimer(s.cfg.BlockTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	var err error
-	select {
-	case <-w.wake:
-	case <-s.stop:
-		err = ErrStopped
-	case <-timeout:
-		err = ErrSessionClosed
-	}
-	if err != nil && !l.remove(w) {
-		// Released concurrently with the stop or the timer: prefer success,
-		// and take the token so the recycled waiter starts empty.
-		<-w.wake
-		err = nil
-	}
-	w.need = nil
-	waiterPool.Put(w)
-	if err == ErrSessionClosed {
-		s.suspectedAt.Store(time.Now().UnixNano())
-	}
-	return time.Since(start), err
+	s.vvWaiters.wake()
+	return ut, nil
 }
 
 // pessimisticVisible returns the Cure* visibility predicate for the given

@@ -172,7 +172,7 @@ const (
 // concurrent changes convergent.
 // Final records, per DC id, the final timestamp a departed (DCLeft) member
 // was frozen at: a graceful leaver announces its own (LeaveNotice.Final), a
-// forcibly evicted DC gets the value the survivors agreed on (EvictNotice).
+// forcibly evicted DC gets the value the survivors agreed on (repl's ProposeEvict).
 // Entries merge by numeric maximum alongside the statuses, so the view
 // carries the freeze point wherever it travels; zero means "not known /
 // no cap". Entries for non-departed DCs are meaningless and stay zero.
@@ -280,19 +280,11 @@ type JoinRequest struct {
 	View Membership
 }
 
-// JoinAccept is the sibling's reply to a JoinRequest: its merged membership
-// view, plus Through — the acceptor's own-origin progress at accept time,
-// the point the joiner must at least catch up through before its view of
-// this link is complete (informational; the catch-up protocol enforces the
-// real bound).
-type JoinAccept struct {
-	View    Membership
-	Through vclock.Timestamp
-}
-
-// MembershipUpdate broadcasts a view change — most importantly a joiner
-// announcing itself DCActive once every inbound link has bootstrapped.
-// Receivers fold the view in by the lattice merge.
+// MembershipUpdate carries a view to be folded in by the lattice merge: a
+// joiner announcing itself DCActive once every inbound link has bootstrapped,
+// a sibling's answer to a JoinRequest, or the verdict of a forced removal —
+// the evicted DC recorded DCLeft with the final the survivors agreed on. What
+// a receiver does on learning of a departure is repl's applyView.
 type MembershipUpdate struct {
 	View Membership
 }
@@ -330,20 +322,6 @@ type EvictAck struct {
 	DC    int
 	ReqID uint64
 	Entry vclock.Timestamp
-}
-
-// EvictNotice concludes a forced removal: the survivors agreed that Final is
-// the highest prefix-complete timestamp any of them holds from the dead DC.
-// Receivers mark the DC DCLeft with that final in their view (lattice merge,
-// exactly like a LeaveNotice), drop any version above Final the dead DC
-// managed to slip to them outside the agreed prefix, cancel catch-up rounds
-// pending on the dead link, and — if their own entry is below Final — pull
-// the missing suffix from a surviving holder via CatchUpRequest.Have. The
-// evicted DC's id is never reused.
-type EvictNotice struct {
-	DC    int
-	Final vclock.Timestamp
-	View  Membership
 }
 
 // SlotMapUpdate gossips an epoch-stamped slot table (keyspace.SlotMap).

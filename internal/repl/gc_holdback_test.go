@@ -48,7 +48,7 @@ func TestFullResyncBelowCompactedFloor(t *testing.T) {
 	}
 	dst := netemu.NodeID{DC: 1, Partition: 0}
 	// The requester resumes from 100 — below the compacted boundary 200.
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 7, From: 100})
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 7, From: 100})
 	if !waitUntil(t, 2*time.Second, func() bool {
 		reps := catchUpReplies(tr, dst)
 		return len(reps) > 0 && reps[len(reps)-1].Done
@@ -101,7 +101,7 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 		t.Fatal("publish refused")
 	}
 	dst := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 8, From: 250})
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 8, From: 250})
 	if !waitUntil(t, 2*time.Second, func() bool {
 		reps := catchUpReplies(tr, dst)
 		return len(reps) > 0 && reps[len(reps)-1].Done
@@ -134,7 +134,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	// A gap starts a round: seq 5 with no history known resyncs.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "z")}, HBTime: 500, Epoch: 3, Seq: 5})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "z")}, HBTime: 500, Epoch: 3, Seq: 5})
 	out := tr.msgs(src)
 	if len(out) == 0 {
 		t.Fatal("no catch-up request sent")
@@ -143,7 +143,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 	if !ok {
 		t.Fatalf("outbound = %#v, want CatchUpRequest", out[len(out)-1])
 	}
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req.ReqID, Done: true, FullResync: true,
 		ResumeEpoch: 3, ResumeSeq: 5, Through: 500,
 	})
@@ -165,7 +165,7 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	dst := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{
 		ReqID: 1, From: 60, Have: vclock.VC{50, 80, 120},
 	})
 	// The laggard holds (60, 80, 120): our own entry is its request floor
@@ -179,7 +179,7 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 		t.Fatal("HoldbackAge = 0, want a live holdback")
 	}
 	// Floors only rise: a second request after partial progress.
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{
 		ReqID: 2, From: 90, Have: vclock.VC{90, 200, 100},
 	})
 	gv = m.ClampGC(vclock.VC{500, 500, 500}, -1)
@@ -257,7 +257,7 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 				have[i] = vclock.Timestamp(rng.IntN(1000))
 			}
 			from := vclock.Timestamp(rng.IntN(1000))
-			m.HandleCatchUpRequest(netemu.NodeID{DC: dc, Partition: 0},
+			m.handleCatchUpRequest(netemu.NodeID{DC: dc, Partition: 0},
 				msg.CatchUpRequest{ReqID: uint64(n + 1), From: from, Have: have.Clone()})
 			want := have.Clone()
 			if from > want[0] {

@@ -237,9 +237,9 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	b1 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1}
 	b2 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2}
-	m.HandleBatch(src, b1)
-	m.HandleBatch(src, b2)
-	m.HandleBatch(src, b2) // at-least-once redelivery
+	m.handleBatch(src, b1)
+	m.handleBatch(src, b2)
+	m.handleBatch(src, b2) // at-least-once redelivery
 	if got := be.VVEntry(1); got != 200 {
 		t.Fatalf("VV[1] = %d, want 200", got)
 	}
@@ -249,7 +249,7 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 	if reqs := tr.msgs(src); len(reqs) != 0 {
 		t.Fatalf("unexpected outbound traffic %v", reqs)
 	}
-	m.HandleHeartbeat(src, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 2})
+	m.handleHeartbeat(src, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 2})
 	if got := be.VVEntry(1); got != 500 {
 		t.Fatalf("VV[1] = %d after in-sequence heartbeat, want 500", got)
 	}
@@ -264,9 +264,9 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2 and 3 lost; 4 arrives.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after a gap, want it frozen at 100", got)
 	}
@@ -282,16 +282,16 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Batch 5 arrives during the round: applied, chained, VV still frozen.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d during catch-up, want 100", got)
 	}
 	// The stream ships the missing seq 2-3 versions and resumes at seq 4.
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req.ReqID, Chunk: 1,
 		Versions: []*item.Version{ver(1, 200, "b"), ver(1, 300, "c")},
 	})
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
 	// Through=400 plus the chained seq-5 batch: VV lands at 500.
@@ -302,7 +302,7 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The link is resynced: seq 6 continues normally.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
 	if got := be.VVEntry(1); got != 600 {
 		t.Fatalf("VV[1] = %d after resync, want 600", got)
 	}
@@ -321,13 +321,13 @@ func TestDoneWithHoleGoesAgain(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	first := tr.msgs(src)[0].(msg.CatchUpRequest)
 	// A second hole opens during the round: seq 5-6 are lost too, so the
 	// chain restarts at 7 and cannot splice onto a resume point of 4.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 700, "g")}, HBTime: 700, Epoch: 7, Seq: 7})
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 700, "g")}, HBTime: 700, Epoch: 7, Seq: 7})
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: first.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
 	if got := be.VVEntry(1); got != 400 {
@@ -348,14 +348,14 @@ func TestDoneWithHoleGoesAgain(t *testing.T) {
 		t.Fatalf("link = %v between the rounds, want catching-up", got)
 	}
 	// A duplicate of the first Done is stale now, not a second completion.
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: first.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
 	if st := m.Stats(); st.Completed != 1 || st.Requested != 2 {
 		t.Fatalf("duplicate Done was not ignored: %+v", st)
 	}
 	// The second round covers the new hole and connects to the chain.
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: second.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 7, Through: 700,
 		Versions: []*item.Version{ver(1, 500, "e"), ver(1, 600, "f")},
 	})
@@ -379,14 +379,14 @@ func TestEpochZeroIsNoBypass(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2 and 3 lost; 4 arrives and freezes the entry at 100.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after an epoch-0 batch on a frozen link, want 100", got)
 	}
-	m.HandleHeartbeat(src, msg.Heartbeat{Time: 950})
+	m.handleHeartbeat(src, msg.Heartbeat{Time: 950})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after an epoch-0 heartbeat on a frozen link, want 100", got)
 	}
@@ -399,8 +399,8 @@ func TestEpochChangeTriggersCatchUp(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.HandleHeartbeat(src, msg.Heartbeat{Time: 900, Epoch: 8, Seq: 0}) // new incarnation
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleHeartbeat(src, msg.Heartbeat{Time: 900, Epoch: 8, Seq: 0}) // new incarnation
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d, want the heartbeat of a new epoch held back", got)
 	}
@@ -421,7 +421,7 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	be.RaiseVV(1, 250) // recovered floor from the WAL
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
 	if got := be.VVEntry(1); got != 250 {
 		t.Fatalf("VV[1] = %d, want the floor held at 250", got)
 	}
@@ -446,9 +446,9 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2-3 lost; the gap opens round 1.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	out := tr.msgs(src)
 	req1, ok := out[len(out)-1].(msg.CatchUpRequest)
 	if !ok || req1.From != 100 {
@@ -456,14 +456,14 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	}
 	// Chunk 1 applies contiguously: its claim (own history ≤ 250 delivered)
 	// becomes the persisted resume floor.
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req1.ReqID, Chunk: 1,
 		Versions: []*item.Version{ver(1, 200, "b")},
 		Progress: vclock.VC{0, 250, 0},
 	})
 	// Chunk 3 arrives with chunk 2 missing: versions install, but the claim
 	// must be ignored — it vouches for chunk 2's contents too.
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req1.ReqID, Chunk: 3,
 		Versions: []*item.Version{ver(1, 380, "c2")},
 		Progress: vclock.VC{0, 380, 0},
@@ -474,7 +474,7 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	// The stream dies here (no Done). After the re-request interval the next
 	// sequenced arrival re-opens the round from the resume floor.
 	time.Sleep(120 * time.Millisecond)
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
 	out = tr.msgs(src)
 	req2, ok := out[len(out)-1].(msg.CatchUpRequest)
 	if !ok || req2.ReqID == req1.ReqID {
@@ -488,18 +488,18 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	}
 	// Round 2 completes at the sender's live resume point (its stream is at
 	// seq 5, everything through ts 500 streamed or previously delivered).
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req2.ReqID, Chunk: 1,
 		Versions: []*item.Version{ver(1, 300, "c")},
 	})
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req2.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 5, Through: 500,
 	})
 	if got := be.VVEntry(1); got != 500 {
 		t.Fatalf("VV[1] = %d after resumed round, want 500", got)
 	}
 	// The link is healthy again: sequencing continues without a new round.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
 	if got := be.VVEntry(1); got != 600 {
 		t.Fatalf("VV[1] = %d after resync, want 600", got)
 	}
@@ -525,7 +525,7 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 		t.Fatal("publish refused")
 	}
 	dst := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 42, From: 100})
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 42, From: 100})
 	if !waitUntil(t, 2*time.Second, func() bool {
 		msgs := tr.msgs(dst)
 		if len(msgs) == 0 {
@@ -591,7 +591,7 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		t.Fatal("publish refused")
 	}
 	dst := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 1, From: 0})
+	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 1, From: 0})
 
 	replies := func() []msg.CatchUpReply {
 		var out []msg.CatchUpReply
@@ -620,7 +620,7 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 			}
 			return
 		}
-		m.HandleCatchUpAck(dst, msg.CatchUpAck{ReqID: 1, Chunk: last.Chunk})
+		m.handleCatchUpAck(dst, msg.CatchUpAck{ReqID: 1, Chunk: last.Chunk})
 		if !waitUntil(t, 2*time.Second, func() bool { return len(replies()) > len(rs) }) {
 			t.Fatalf("ack of chunk %d did not open the window", last.Chunk)
 		}
@@ -635,16 +635,16 @@ func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
 	out := tr.msgs(src)
 	req := out[0].(msg.CatchUpRequest)
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
+	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req.ReqID, Done: true, Unsupported: true, ResumeEpoch: 7, ResumeSeq: 3, Through: 300,
 	})
 	if got := be.VVEntry(1); got != 300 {
 		t.Fatalf("VV[1] = %d, want the optimistic fallback advance to 300", got)
 	}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want 400 (link resynced)", got)
 	}
@@ -663,15 +663,15 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 	})
 	joiner := netemu.NodeID{DC: 2, Partition: 0}
 	view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}}
-	m.HandleJoinRequest(joiner, msg.JoinRequest{DC: 2, View: view})
+	m.handleJoinRequest(joiner, msg.JoinRequest{DC: 2, View: view})
 
 	out := tr.msgs(joiner)
 	if len(out) != 1 {
-		t.Fatalf("outbound to joiner = %v, want one JoinAccept", out)
+		t.Fatalf("outbound to joiner = %v, want the merged view", out)
 	}
-	acc, ok := out[0].(msg.JoinAccept)
+	acc, ok := out[0].(msg.MembershipUpdate)
 	if !ok {
-		t.Fatalf("reply is %T, want JoinAccept", out[0])
+		t.Fatalf("reply is %T, want MembershipUpdate", out[0])
 	}
 	if acc.View.Get(2) != msg.DCJoining || acc.View.Get(0) != msg.DCActive {
 		t.Fatalf("accepted view = %+v", acc.View)
@@ -744,13 +744,13 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if st := m.Stats(); st.ActiveIn != 1 {
 		t.Fatalf("stats = %+v, want one frozen link", st)
 	}
 	view := msg.Membership{Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}}
-	m.HandleLeaveNotice(src, msg.LeaveNotice{DC: 1, Final: 400, View: view})
+	m.handleLeaveNotice(src, msg.LeaveNotice{DC: 1, Final: 400, View: view})
 	if st := m.Stats(); st.ActiveIn != 0 {
 		t.Fatalf("stats = %+v, want the pending round cancelled", st)
 	}
@@ -773,7 +773,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 		t.Fatal("surviving sibling fell out of the fan-out")
 	}
 	// A straggler from the departed DC is applied but starts no round.
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 380, "s")}, HBTime: 380, Epoch: 7, Seq: 3})
+	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 380, "s")}, HBTime: 380, Epoch: 7, Seq: 3})
 	if st := m.Stats(); st.ActiveIn != 0 {
 		t.Fatalf("stats = %+v after a straggler, want no round toward the dead DC", st)
 	}
@@ -804,7 +804,7 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 
 	// dc0 has history (seq 5): the joiner must pull it via catch-up.
-	m.HandleHeartbeat(sib0, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 5, Floor: 0})
+	m.handleHeartbeat(sib0, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 5, Floor: 0})
 	var req msg.CatchUpRequest
 	found := false
 	for _, raw := range tr.msgs(sib0) {
@@ -820,16 +820,16 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 
 	// dc1 is fresh (seq 0, floor 0): first contact adopts it outright.
-	m.HandleHeartbeat(sib1, msg.Heartbeat{Time: 400, Epoch: 9, Seq: 0, Floor: 0})
+	m.handleHeartbeat(sib1, msg.Heartbeat{Time: 400, Epoch: 9, Seq: 0, Floor: 0})
 	if m.Bootstrapped() {
 		t.Fatal("bootstrapped while dc0's catch-up is still pending")
 	}
 
 	// dc0's stream arrives and completes.
-	m.HandleCatchUpReply(sib0, msg.CatchUpReply{
+	m.handleCatchUpReply(sib0, msg.CatchUpReply{
 		ReqID: req.ReqID, Chunk: 1, Versions: []*item.Version{ver(0, 100, "a"), ver(0, 450, "b")},
 	})
-	m.HandleCatchUpReply(sib0, msg.CatchUpReply{
+	m.handleCatchUpReply(sib0, msg.CatchUpReply{
 		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 5, Through: 500,
 	})
 
@@ -855,5 +855,47 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want 400 (adopted heartbeat)", got)
+	}
+}
+
+// TestEvictRoundExcusesDepartedSurvivor: a survivor that leaves while an
+// eviction round is open — its LeaveNotice was in flight when the proposals
+// went out — will never ack, and the round must not wait for it.
+func TestEvictRoundExcusesDepartedSurvivor(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 4})
+	be.RaiseVV(1, 300)
+	type verdict struct {
+		final vclock.Timestamp
+		err   error
+	}
+	done := make(chan verdict, 1)
+	go func() {
+		final, err := m.ProposeEvict(1, 2*time.Second)
+		done <- verdict{final, err}
+	}()
+	sib2, sib3 := netemu.NodeID{DC: 2, Partition: 0}, netemu.NodeID{DC: 3, Partition: 0}
+	var prop msg.EvictProposal
+	if !waitUntil(t, time.Second, func() bool {
+		for _, raw := range tr.msgs(sib3) {
+			if p, ok := raw.(msg.EvictProposal); ok {
+				prop = p
+				return true
+			}
+		}
+		return false
+	}) {
+		t.Fatal("no proposal reached the survivor that is about to leave")
+	}
+	m.handleEvictAck(sib2, msg.EvictAck{DC: 1, ReqID: prop.ReqID, Entry: 400})
+	m.handleLeaveNotice(sib3, msg.LeaveNotice{DC: 3, Final: 900, View: msg.Membership{
+		Epoch: 2, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive, msg.DCLeft},
+	}})
+	select {
+	case v := <-done:
+		if v.err != nil || v.final != 400 {
+			t.Fatalf("round ended with (%d, %v), want the acked maximum 400", v.final, v.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the round still awaits the departed survivor's ack")
 	}
 }

@@ -36,8 +36,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// Message tags. Tag 1 carried the single-version Replicate message; it stays
-// reserved, so a frame that carries it is an unknown-tag decode error.
+// Message tags. Three are reserved, so a frame that carries one is an
+// unknown-tag decode error: tag 1 carried the single-version Replicate
+// message, tags 12 and 17 JoinAccept and EvictNotice — each a membership view
+// under a tag of its own, sent as a MembershipUpdate now.
 const (
 	_ = iota + 1
 	tagReplicateBatch
@@ -50,12 +52,12 @@ const (
 	tagCatchUpReply
 	tagCatchUpAck
 	tagJoinRequest
-	tagJoinAccept
+	_ // 12, reserved
 	tagMembershipUpdate
 	tagLeaveNotice
 	tagEvictProposal
 	tagEvictAck
-	tagEvictNotice
+	_ // 17, reserved
 	tagSlotMapUpdate
 	tagSlotHandoff
 )
@@ -161,8 +163,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		tag = tagCatchUpAck
 	case msg.JoinRequest:
 		tag = tagJoinRequest
-	case msg.JoinAccept:
-		tag = tagJoinAccept
 	case msg.MembershipUpdate:
 		tag = tagMembershipUpdate
 	case msg.LeaveNotice:
@@ -171,8 +171,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		tag = tagEvictProposal
 	case msg.EvictAck:
 		tag = tagEvictAck
-	case msg.EvictNotice:
-		tag = tagEvictNotice
 	case msg.SlotMapUpdate:
 		tag = tagSlotMapUpdate
 	case msg.SlotHandoff:
@@ -292,9 +290,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	case msg.JoinRequest:
 		b = appendUint(b, uint64(m.DC))
 		b = appendMembership(b, m.View)
-	case msg.JoinAccept:
-		b = appendMembership(b, m.View)
-		b = appendUint(b, uint64(m.Through))
 	case msg.MembershipUpdate:
 		b = appendMembership(b, m.View)
 	case msg.LeaveNotice:
@@ -309,10 +304,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		b = appendUint(b, uint64(m.DC))
 		b = appendUint(b, m.ReqID)
 		b = appendUint(b, uint64(m.Entry))
-	case msg.EvictNotice:
-		b = appendUint(b, uint64(m.DC))
-		b = appendUint(b, uint64(m.Final))
-		b = appendMembership(b, m.View)
 	case msg.SlotMapUpdate:
 		b = appendSlotMap(b, m.Map)
 	case msg.SlotHandoff:
@@ -952,8 +943,6 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.CatchUpAck{ReqID: f.uint(), Chunk: f.uint()}
 	case tagJoinRequest:
 		env.Msg = msg.JoinRequest{DC: int(f.uint()), View: f.membership()}
-	case tagJoinAccept:
-		env.Msg = msg.JoinAccept{View: f.membership(), Through: vclock.Timestamp(f.uint())}
 	case tagMembershipUpdate:
 		env.Msg = msg.MembershipUpdate{View: f.membership()}
 	case tagLeaveNotice:
@@ -962,8 +951,6 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.EvictProposal{DC: int(f.uint()), ReqID: f.uint(), View: f.membership()}
 	case tagEvictAck:
 		env.Msg = msg.EvictAck{DC: int(f.uint()), ReqID: f.uint(), Entry: vclock.Timestamp(f.uint())}
-	case tagEvictNotice:
-		env.Msg = msg.EvictNotice{DC: int(f.uint()), Final: vclock.Timestamp(f.uint()), View: f.membership()}
 	case tagSlotMapUpdate:
 		env.Msg = msg.SlotMapUpdate{Map: f.slotMap()}
 	case tagSlotHandoff:

@@ -58,7 +58,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 	f.Add(hostileListFrame(catchUpHead, 1<<40, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 	f.Add(hostileListFrame(catchUpHead, 60, make([]byte, 64)))
 	f.Add(hostileListFrame(handoffHead, 1<<27, []byte{1, 1, 'k'}))
-	f.Add(reservedTagFrame()) // the retired single-version message: an unknown tag
+	f.Add(reservedTagFrames()[1]) // the retired single-version message: an unknown tag
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewBinaryDecoder(bytes.NewReader(data))
@@ -78,12 +78,13 @@ func FuzzCatchUpDecode(f *testing.F) {
 }
 
 // FuzzMembershipDecode drives the binary decoder with mutations of the
-// membership message set (join/accept/update/leave). Membership views carry
-// a length-marked status vector and are merged into per-node state on
-// receipt, so a corrupted frame must fail cleanly — and any frame that does
-// decode must re-encode byte-identically: the membership protocol relies on
-// relayed views (a JoinAccept forwards the merged view) surviving
-// re-serialization unchanged.
+// membership message set (join/update/leave, the eviction round) and of the
+// two retired view-only frames, whose tags must stay unknown. Membership
+// views carry a length-marked status vector and are merged into per-node
+// state on receipt, so a corrupted frame must fail cleanly — and any frame
+// that does decode must re-encode byte-identically: the membership protocol
+// relies on relayed views (the answer to a JoinRequest forwards the merged
+// view) surviving re-serialization unchanged.
 func FuzzMembershipDecode(f *testing.F) {
 	views := []msg.Membership{
 		{},
@@ -96,12 +97,15 @@ func FuzzMembershipDecode(f *testing.F) {
 	for _, v := range views {
 		seeds = append(seeds,
 			msg.JoinRequest{DC: 3, View: v},
-			msg.JoinAccept{View: v, Through: 123456},
 			msg.MembershipUpdate{View: v},
 			msg.LeaveNotice{DC: 1, Final: 98765, View: v},
 			msg.EvictProposal{DC: 1, ReqID: 7, View: v},
-			msg.EvictNotice{DC: 1, Final: 98765, View: v},
 		)
+		// The two retired view-only frames, as they were encoded.
+		for _, frame := range [][]byte{retiredJoinAccept(v, 123456), retiredEvictNotice(1, 98765, v)} {
+			f.Add(frame)
+			f.Add(frame[:len(frame)/2])
+		}
 	}
 	seeds = append(seeds, msg.EvictAck{DC: 1, ReqID: 7, Entry: 98765})
 	for _, m := range seeds {

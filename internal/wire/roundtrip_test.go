@@ -220,18 +220,14 @@ func genMsg(r *rand.Rand, kind int) any {
 	case 9:
 		return msg.JoinRequest{DC: r.IntN(8), View: genMembership(r)}
 	case 10:
-		return msg.JoinAccept{View: genMembership(r), Through: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 11:
 		return msg.MembershipUpdate{View: genMembership(r)}
-	case 12:
+	case 11:
 		return msg.LeaveNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 13:
+	case 12:
 		return msg.EvictProposal{DC: r.IntN(8), ReqID: r.Uint64(), View: genMembership(r)}
-	case 14:
+	case 13:
 		return msg.EvictAck{DC: r.IntN(8), ReqID: r.Uint64(), Entry: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 15:
-		return msg.EvictNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 16:
+	case 14:
 		return msg.SlotMapUpdate{Map: genSlotMap(r)}
 	default:
 		m := msg.SlotHandoff{}
@@ -251,7 +247,7 @@ func genMsg(r *rand.Rand, kind int) any {
 // numMsgKinds is the number of distinct message types genMsg produces —
 // keep it in sync with the switch above so the property tests cover every
 // wire type.
-const numMsgKinds = 18
+const numMsgKinds = 16
 
 func binaryRoundTrip(t *testing.T, env Envelope) Envelope {
 	t.Helper()
@@ -320,8 +316,6 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.JoinRequest{},
 		msg.JoinRequest{DC: 3, View: msg.Membership{Epoch: 9, Status: []uint8{}}},
 		msg.JoinRequest{DC: 3, View: msg.Membership{Epoch: 9, Status: []uint8{msg.DCActive, msg.DCJoining}}},
-		msg.JoinAccept{},
-		msg.JoinAccept{View: msg.Membership{Epoch: 2, Status: []uint8{msg.DCActive}}, Through: 77},
 		msg.MembershipUpdate{},
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 4, Status: []uint8{msg.DCLeft, msg.DCActive, msg.DCUnknown}}},
 		msg.LeaveNotice{},
@@ -336,8 +330,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.EvictProposal{DC: 2, ReqID: 9, View: msg.Membership{Epoch: 3, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive}}},
 		msg.EvictAck{},
 		msg.EvictAck{DC: 2, ReqID: 9, Entry: 123},
-		msg.EvictNotice{},
-		msg.EvictNotice{DC: 2, Final: 456, View: msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 456}}},
+		msg.MembershipUpdate{View: msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 456}}},
 		msg.SlotMapUpdate{},
 		msg.SlotMapUpdate{Map: keyspace.DefaultMap(4)},
 		msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3, SlotEpoch: 4},
@@ -373,21 +366,43 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectsReservedTag: tag 1 carried the single-version Replicate
-// message, which nothing sends anymore. The tag stays reserved, so a frame
-// that carries it — here the exact bytes the old encoder produced for an
-// version of key k from node (1,2) — is a decode error, not a message.
+// TestBinaryRejectsReservedTag: three tags carried messages nothing sends
+// anymore — 1 the single-version Replicate, 12 and 17 the two view-only
+// membership messages that are a MembershipUpdate now. The tags stay reserved,
+// so a frame that carries one — here the exact bytes the old encoder produced,
+// from node (1,2) — is a decode error, not a message.
 func TestBinaryRejectsReservedTag(t *testing.T) {
-	env, err := NewBinaryDecoder(bytes.NewReader(reservedTagFrame())).Decode()
-	if err == nil || !strings.Contains(err.Error(), "unknown message tag 1") {
-		t.Fatalf("tag-1 frame decoded to %#v, err = %v; want an unknown-tag error", env.Msg, err)
+	for tag, frame := range reservedTagFrames() {
+		env, err := NewBinaryDecoder(bytes.NewReader(frame)).Decode()
+		if want := fmt.Sprintf("unknown message tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tag-%d frame decoded to %#v, err = %v; want %q", tag, env.Msg, err, want)
+		}
 	}
 }
 
-func reservedTagFrame() []byte {
-	pay := appendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})
-	return append([]byte{byte(len(pay))}, pay...)
+// reservedTagFrames returns, by reserved tag, a frame as its retired message
+// was encoded.
+func reservedTagFrames() map[byte][]byte {
+	view := msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 456}}
+	return map[byte][]byte{
+		1:  frameOf(appendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})), // Replicate{Version}
+		12: retiredJoinAccept(view, 77),
+		17: retiredEvictNotice(1, 456, view),
+	}
 }
+
+// retiredJoinAccept is the frame JoinAccept{View, Through} was, from node (1,2).
+func retiredJoinAccept(view msg.Membership, through uint64) []byte {
+	return frameOf(appendUint(appendMembership([]byte{12, 1, 2}, view), through))
+}
+
+// retiredEvictNotice is the frame EvictNotice{DC, Final, View} was, from node (1,2).
+func retiredEvictNotice(dc, final uint64, view msg.Membership) []byte {
+	return frameOf(appendMembership(appendUint(appendUint([]byte{17, 1, 2}, dc), final), view))
+}
+
+// frameOf length-prefixes a payload short enough for a one-byte prefix.
+func frameOf(pay []byte) []byte { return append([]byte{byte(len(pay))}, pay...) }
 
 // TestBinaryRejectsTruncatedFrames: every prefix of a valid frame must fail
 // cleanly (error, not panic or garbage success).
