@@ -15,7 +15,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18580
+LOC_CEILING = 18230
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -123,9 +123,12 @@ fuzz:
 check: vet build loc test bench-module allocs race
 
 # Hot-path microbenchmarks (the numbers tracked across PRs), published as a
-# dated JSON trajectory: `make bench` runs the Fig-adjacent cluster
-# benchmarks plus the durable-path and catch-up-seek ones and writes
-# BENCH_<date>.json via cmd/benchjson (commit it to extend the trajectory).
+# dated JSON trajectory: `make bench` runs the operation microbenchmarks
+# (GET, PUT, RO-TX on an in-process 3 × 4 deployment), remote visibility, the
+# durable-path, catch-up and reshard ones and the per-package codec, front
+# door, routing, vector and storage benchmarks, and writes BENCH_<date>.json
+# via cmd/benchjson (commit it to extend the trajectory). The paper's figures
+# are not in this list: `go run ./cmd/poccbench` prints them.
 BENCH_DATE ?= $(shell date +%F)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 bench:

@@ -1,13 +1,13 @@
-// Benchmarks regenerating every figure of the paper's evaluation at CI
-// scale (shapes, not absolute numbers), plus microbenchmarks of the
-// individual operations. Full paper-scale sweeps are produced by
-// cmd/poccbench (-scale paper).
+// Microbenchmarks of the individual operations and of remote visibility:
+// the rows `make bench` publishes as BENCH_<date>.json. The paper's figures
+// are not benchmarks here: cmd/poccbench prints them from
+// harness.Experiments, and the gated end-to-end numbers (getput_inproc is the
+// contention row: 24 zero-think clients on zipf-0.99 keys) live in bench/.
 package occ_test
 
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,10 +19,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/item"
-	"repro/internal/keyspace"
 	"repro/internal/storage"
 	"repro/internal/vclock"
-	"repro/internal/workload"
 )
 
 // benchScale is CIScale with windows small enough for the bench suite to
@@ -32,178 +30,6 @@ func benchScale() harness.Scale {
 	sc.Warmup = 150 * time.Millisecond
 	sc.Measure = 500 * time.Millisecond
 	return sc
-}
-
-func reportPoint(b *testing.B, label string, p harness.Point) {
-	b.ReportMetric(p.Throughput, label+"_ops/s")
-	b.ReportMetric(float64(p.MeanResp)/float64(time.Millisecond), label+"_resp_ms")
-}
-
-// BenchmarkFig1aScalability — Fig. 1a: throughput vs number of partitions,
-// GET:PUT = p:1, POCC vs Cure*.
-func BenchmarkFig1aScalability(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tab, err := harness.Fig1a(context.Background(), sc, []int{2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 2 {
-			b.Fatalf("rows = %d", len(tab.Rows))
-		}
-	}
-}
-
-// BenchmarkFig1bResponseTime — Fig. 1b: response time vs throughput under a
-// 32:1 GET:PUT workload (one moderate-load point per system).
-func BenchmarkFig1bResponseTime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.GetPutSweep(context.Background(), sc, []int{16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPoint(b, "cure", points[0][0])
-		reportPoint(b, "pocc", points[0][1])
-	}
-}
-
-// BenchmarkFig1cWriteIntensity — Fig. 1c: throughput vs GET:PUT ratio.
-func BenchmarkFig1cWriteIntensity(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tab, err := harness.Fig1c(context.Background(), sc, []int{8, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 2 {
-			b.Fatalf("rows = %d", len(tab.Rows))
-		}
-	}
-}
-
-// BenchmarkFig2aBlocking — Fig. 2a: POCC blocking probability and blocking
-// time under load.
-func BenchmarkFig2aBlocking(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.GetPutSweep(context.Background(), sc, []int{32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pocc := points[0][1]
-		b.ReportMetric(pocc.BlockProb, "block_prob")
-		b.ReportMetric(float64(pocc.MeanBlock)/float64(time.Millisecond), "block_ms")
-	}
-}
-
-// BenchmarkFig2bStaleness — Fig. 2b: Cure* staleness under load.
-func BenchmarkFig2bStaleness(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.GetPutSweep(context.Background(), sc, []int{32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cure := points[0][0]
-		b.ReportMetric(cure.GetStale.PercentOld(), "pct_old")
-		b.ReportMetric(cure.GetStale.PercentUnmerged(), "pct_unmerged")
-	}
-}
-
-// BenchmarkFig3aTxScalability — Fig. 3a: throughput vs partitions contacted
-// per RO-TX.
-func BenchmarkFig3aTxScalability(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tab, err := harness.Fig3a(context.Background(), sc, []int{1, sc.Partitions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 2 {
-			b.Fatalf("rows = %d", len(tab.Rows))
-		}
-	}
-}
-
-// BenchmarkFig3bTxLoad — Fig. 3b: throughput and RO-TX response time vs
-// clients per partition.
-func BenchmarkFig3bTxLoad(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.TxSweep(context.Background(), sc, []int{16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cure, pocc := points[0][0], points[0][1]
-		b.ReportMetric(cure.Throughput, "cure_ops/s")
-		b.ReportMetric(pocc.Throughput, "pocc_ops/s")
-		b.ReportMetric(float64(pocc.TxResp)/float64(time.Millisecond), "pocc_tx_ms")
-	}
-}
-
-// BenchmarkFig3cTxBlocking — Fig. 3c: POCC blocking under the transactional
-// workload.
-func BenchmarkFig3cTxBlocking(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.TxSweep(context.Background(), sc, []int{32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pocc := points[0][1]
-		b.ReportMetric(pocc.BlockProb, "block_prob")
-		b.ReportMetric(float64(pocc.MeanBlock)/float64(time.Millisecond), "block_ms")
-	}
-}
-
-// BenchmarkFig3dTxStaleness — Fig. 3d: staleness of transactional reads,
-// POCC vs Cure*.
-func BenchmarkFig3dTxStaleness(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := harness.TxSweep(context.Background(), sc, []int{16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cure, pocc := points[0][0], points[0][1]
-		b.ReportMetric(cure.TxStale.PercentOld(), "cure_pct_old")
-		b.ReportMetric(pocc.TxStale.PercentOld(), "pocc_pct_old")
-	}
-}
-
-// BenchmarkAblationStabilizationInterval — Cure*'s throughput/staleness
-// trade-off over the stabilization interval (§V-B discussion).
-func BenchmarkAblationStabilizationInterval(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationStabilization(context.Background(), sc,
-			[]time.Duration{2 * time.Millisecond, 20 * time.Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationHeartbeatInterval — POCC blocking time vs heartbeat Δ.
-func BenchmarkAblationHeartbeatInterval(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationHeartbeat(context.Background(), sc,
-			[]time.Duration{time.Millisecond, 10 * time.Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationClockSkew — PUT clock-wait cost vs emulated NTP skew.
-func BenchmarkAblationClockSkew(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationClockSkew(context.Background(), sc,
-			[]time.Duration{0, 2 * time.Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRemoteVisibility — update visibility as a benchmark axis: the
@@ -234,32 +60,6 @@ func BenchmarkRemoteVisibility(b *testing.B) {
 				b.ReportMetric(st.AbsBytesPerVersion, "abs_B/version")
 			}
 		})
-	}
-}
-
-// BenchmarkAblationThinkTime — blocking probability vs client think time.
-func BenchmarkAblationThinkTime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationThinkTime(context.Background(), sc,
-			[]time.Duration{200 * time.Microsecond, 2 * time.Millisecond}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPartitionRecovery — the paper's future-work experiment: per-phase
-// availability across a network partition for all three engines.
-func BenchmarkPartitionRecovery(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tab, err := harness.PartitionExperiment(context.Background(), sc, 200*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 9 {
-			b.Fatalf("rows = %d", len(tab.Rows))
-		}
 	}
 }
 
@@ -447,72 +247,6 @@ func BenchmarkCatchUpSmallGap(b *testing.B) {
 	}
 	b.ReportMetric(float64(gap)*float64(b.N)/b.Elapsed().Seconds(), "shipped_versions/s")
 	b.ReportMetric(float64(st.PartsSkipped)/float64(b.N), "parts_skipped/op")
-}
-
-// BenchmarkClusterContended measures raw multi-client throughput against a
-// zero-latency POCC cluster, sweeping concurrent sessions × partitions, to
-// quantify the fine-grained server locking (PR 1's lock split) under real
-// contention: many sessions per DC hammering zipf(0.99) hot keys with a 4:1
-// GET:PUT mix and no think time. More sessions than cores on few partitions
-// maximizes lock pressure; more partitions spreads it.
-func BenchmarkClusterContended(b *testing.B) {
-	const keysPerPart = 64
-	for _, partitions := range []int{2, 8} {
-		for _, sessions := range []int{8, 64} {
-			b.Run(fmt.Sprintf("parts=%d/sessions=%d", partitions, sessions), func(b *testing.B) {
-				c, err := cluster.New(cluster.Config{
-					NumDCs: 3, NumPartitions: partitions, Engine: cluster.POCC,
-					HeartbeatInterval: time.Millisecond,
-					PutDepWait:        true,
-					Seed:              42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(c.Close)
-				tbl := keyspace.Build(partitions, keysPerPart)
-				c.SeedTable(tbl)
-				zipf := workload.NewZipf(keysPerPart, 0.99)
-
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				for s := 0; s < sessions; s++ {
-					sess, err := c.NewSession(s % 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					wg.Add(1)
-					go func(s int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewPCG(42, uint64(s)))
-						val := []byte("abcdefgh")
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							key := tbl.Key(int(rng.Uint64N(uint64(partitions))), zipf.Sample(rng))
-							if i%5 == 0 {
-								if err := sess.Put(key, val); err != nil {
-									b.Error(err)
-									return
-								}
-							} else if _, err := sess.Get(key); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(s)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-			})
-		}
-	}
 }
 
 // BenchmarkCatchUpThroughput measures the replication catch-up feed: how

@@ -450,6 +450,21 @@
 // replaying the seed reproduces the identical schedule (the last row of
 // make race, CHAOS_SECONDS/CHAOS_SEED).
 //
+// # Reproducing the evaluation
+//
+// The paper's evaluation (§V) is one table, harness.Experiments, printed by
+// cmd/poccbench; `poccbench -list` shows every sweep and the figures it
+// yields, and -experiment takes either id. Fig. 1a, 1c and 3a are their own
+// sweeps (fig1a, fig1c, fig3a); Fig. 1b, 2a and 2b are three views of
+// getput-sweep, Fig. 3b-3d of tx-sweep, so `-experiment fig1b,fig2a` measures
+// once. Beyond the paper: partition (its stated future work), visibility, and
+// ablation-stab, -hb, -skew and -think over the parameters §V discusses.
+// -scale ci takes seconds per figure on 3 DCs × 4 partitions, medium a few
+// seconds per point on 3 × 8, paper (3 × 32, 25 ms think time, full AWS
+// latencies) minutes per figure. POCC against Cure* is the control arm: these
+// tables show the paper's shapes on an emulated network, not gated numbers.
+// The numbers a change is held to are bench/'s (BENCHMARK.json).
+//
 // Quick start:
 //
 //	store, err := occ.Open(occ.Config{DataCenters: 3, Partitions: 4, Engine: occ.POCC})

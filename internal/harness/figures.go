@@ -9,371 +9,305 @@ import (
 	"repro/internal/cluster"
 )
 
-// bothEngines is the comparison pair of the evaluation.
-var bothEngines = []cluster.Engine{cluster.Cure, cluster.POCC}
+// Experiment is one entry of the evaluation: a sweep of one parameter over
+// the arms being compared, and the figures read off the measured points.
+type Experiment struct {
+	ID string
+	// Axis is the swept parameter's values at a scale. Durations are in µs.
+	Axis func(Scale) []int
+	Arms []Arm
+	// At applies axis value v to one point, in place: to the deployment
+	// (Scale.config of the arm) and to the client load (the scale's clients
+	// and think time). It is the one place the experiment's parameters are set.
+	At func(v int, cfg *cluster.Config, load *Load)
+	// Views are the figures one pass over the axis yields (Fig. 1b, 2a and
+	// 2b are three views of one sweep, Fig. 3b-3d of another).
+	Views []View
+	// rows fills the single view of the two entries that are not a sweep of
+	// independent points (partition, visibility) in place of Axis/Arms/At.
+	rows func(context.Context, Scale) ([][]string, error)
+}
 
-// Fig1a — throughput while varying the number of partitions (GET:PUT = p:1).
-func Fig1a(ctx context.Context, sc Scale, partitions []int) (*Table, error) {
-	if len(partitions) == 0 {
-		partitions = []int{2, 4, 8, 16, 24, 32}
+// Arm is one system measured at every axis value.
+type Arm struct {
+	Engine    cluster.Engine
+	RawClocks bool // raw skewed physical clocks, the pre-HLC system
+}
+
+// cureVsPOCC is the evaluation's comparison pair; cure and pocc index its points.
+var cureVsPOCC = []Arm{{Engine: cluster.Cure}, {Engine: cluster.POCC}}
+
+const cure, pocc = 0, 1
+
+// View is one printed figure: a row per axis value from the arms' points,
+// in Arms order.
+type View struct {
+	ID, Title string
+	Columns   []string
+	Row       func(v int, arms []Point) []string
+}
+
+// Points measures the sweep and returns the raw grid, one row per axis value
+// and one Point per arm.
+func (e Experiment) Points(ctx context.Context, sc Scale) ([][]Point, error) {
+	if e.rows != nil {
+		return nil, fmt.Errorf("harness: %s is not a sweep", e.ID)
 	}
-	t := &Table{
-		ID:      "fig1a",
-		Title:   "Throughput (ops/s) vs #partitions, GET:PUT = p:1",
-		Columns: []string{"partitions", "Cure* ops/s", "POCC ops/s", "POCC/Cure*"},
-	}
-	for _, p := range partitions {
-		var thr [2]float64
-		for i, eng := range bothEngines {
-			pt, err := run(ctx, runSpec{scale: sc, engine: eng, partitions: p,
-				kind: getPutWorkload, mixParam: p})
-			if err != nil {
-				return nil, fmt.Errorf("fig1a %s p=%d: %w", eng, p, err)
+	var grid [][]Point
+	for _, v := range e.Axis(sc) {
+		points := make([]Point, len(e.Arms))
+		for i, arm := range e.Arms {
+			cfg := sc.config(arm.Engine)
+			cfg.RawPhysicalClocks = arm.RawClocks
+			load := Load{ClientsPerPart: sc.ClientsPerPart, ThinkTime: sc.ThinkTime}
+			e.At(v, &cfg, &load)
+			var err error
+			if points[i], err = run(ctx, sc, cfg, load); err != nil {
+				return nil, fmt.Errorf("%s %s at %d: %w", e.ID, arm.Engine, v, err)
 			}
-			thr[i] = pt.Throughput
 		}
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(p), fmtOps(thr[0]), fmtOps(thr[1]), fmt.Sprintf("%.2f", ratio(thr[1], thr[0])),
-		})
+		grid = append(grid, points)
 	}
-	return t, nil
+	return grid, nil
 }
 
-// GetPutSweep runs the 32:1 GET:PUT load sweep shared by Fig. 1b, 2a and 2b:
-// for each client count it measures both systems and returns the raw points
-// (Cure* then POCC per count).
-func GetPutSweep(ctx context.Context, sc Scale, clientsPerPart []int) ([][2]Point, error) {
-	if len(clientsPerPart) == 0 {
-		clientsPerPart = []int{8, 16, 32, 64}
+// Run measures the experiment once and returns one table per view.
+func (e Experiment) Run(ctx context.Context, sc Scale) ([]*Table, error) {
+	tables := make([]*Table, len(e.Views))
+	for i, view := range e.Views {
+		tables[i] = &Table{ID: view.ID, Title: view.Title, Columns: view.Columns}
 	}
-	out := make([][2]Point, 0, len(clientsPerPart))
-	for _, cpp := range clientsPerPart {
-		var pair [2]Point
-		for i, eng := range bothEngines {
-			pt, err := run(ctx, runSpec{scale: sc, engine: eng,
-				kind: getPutWorkload, mixParam: 32,
-				clients: cpp * sc.Partitions * sc.DCs})
-			if err != nil {
-				return nil, fmt.Errorf("getput sweep %s cpp=%d: %w", eng, cpp, err)
+	if e.rows != nil {
+		var err error
+		tables[0].Rows, err = e.rows(ctx, sc)
+		return tables, err
+	}
+	grid, err := e.Points(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range e.Axis(sc) {
+		for j, view := range e.Views {
+			tables[j].Rows = append(tables[j].Rows, view.Row(v, grid[i]))
+		}
+	}
+	return tables, nil
+}
+
+// Experiments is the evaluation: the paper's Fig. 1a-3d, the partition
+// experiment it leaves as future work, and the ablations over the design
+// parameters it discusses.
+func Experiments() []Experiment {
+	return []Experiment{{
+		ID:    "fig1a",
+		Axis:  func(sc Scale) []int { return paperPartitions(sc, 2) },
+		Arms:  cureVsPOCC,
+		At:    func(p int, cfg *cluster.Config, l *Load) { cfg.NumPartitions = p; l.GetsPerPut = p },
+		Views: []View{ratioView("fig1a", "Throughput (ops/s) vs #partitions, GET:PUT = p:1", "partitions", strconv.Itoa)},
+	}, {
+		ID:   "fig1c",
+		Axis: fixed(32, 16, 8, 4, 2, 1),
+		Arms: cureVsPOCC,
+		At:   func(ratio int, _ *cluster.Config, l *Load) { l.GetsPerPut = ratio },
+		Views: []View{ratioView("fig1c", "Throughput vs GET:PUT ratio", "ratio",
+			func(ratio int) string { return fmt.Sprintf("%d:1", ratio) })},
+	}, {
+		ID:   "getput-sweep",
+		Axis: clientSweep,
+		Arms: cureVsPOCC,
+		At:   func(cpp int, _ *cluster.Config, l *Load) { l.GetsPerPut = 32; l.ClientsPerPart = cpp },
+		Views: []View{
+			respView("fig1b", "Avg. response time vs throughput, 32:1 GET:PUT", "resp ms",
+				func(p Point) time.Duration { return p.MeanResp }),
+			blockingView("fig2a", "POCC blocking behaviour, 32:1 GET:PUT"),
+			{
+				ID: "fig2b", Title: "Cure* data staleness, 32:1 GET:PUT",
+				Columns: []string{"clients/part", "ops/s", "% old", "% unmerged", "# fresher", "# unmerged"},
+				Row: func(cpp int, arms []Point) []string {
+					p := arms[cure]
+					return []string{
+						strconv.Itoa(cpp), fmtOps(p.Throughput),
+						fmtPct(p.GetStale.PercentOld()), fmtPct(p.GetStale.PercentUnmerged()),
+						fmt.Sprintf("%.2f", p.GetStale.MeanFresher()),
+						fmt.Sprintf("%.2f", p.GetStale.MeanUnmergedVersions()),
+					}
+				},
+			},
+		},
+	}, {
+		ID:    "fig3a",
+		Axis:  func(sc Scale) []int { return paperPartitions(sc, 1) },
+		Arms:  cureVsPOCC,
+		At:    func(fanout int, _ *cluster.Config, l *Load) { l.TxPartitions = fanout },
+		Views: []View{ratioView("fig3a", "Throughput vs partitions contacted per RO-TX", "partitions/tx", strconv.Itoa)},
+	}, {
+		ID:   "tx-sweep",
+		Axis: clientSweep,
+		Arms: cureVsPOCC,
+		At: func(cpp int, cfg *cluster.Config, l *Load) {
+			l.TxPartitions = max(1, cfg.NumPartitions/2)
+			l.ClientsPerPart = cpp
+		},
+		Views: []View{
+			respView("fig3b", "Throughput and RO-TX response time vs clients/partition (tx over N/2 partitions)", "tx ms",
+				func(p Point) time.Duration { return p.TxResp }),
+			blockingView("fig3c", "POCC blocking behaviour, RO-TX + PUT workload"),
+			{
+				// In POCC transactional old and unmerged coincide (§V-C).
+				ID: "fig3d", Title: "Transactional data staleness: POCC vs Cure*",
+				Columns: []string{"clients/part", "Cure* % old", "Cure* % unmerged", "POCC % old"},
+				Row: func(cpp int, arms []Point) []string {
+					return []string{
+						strconv.Itoa(cpp),
+						fmtPct(arms[cure].TxStale.PercentOld()), fmtPct(arms[cure].TxStale.PercentUnmerged()),
+						fmtPct(arms[pocc].TxStale.PercentOld()),
+					}
+				},
+			},
+		},
+	}, {
+		ID:   "partition",
+		rows: partitionRows,
+		Views: []View{{
+			ID: "partition", Title: "Behaviour across a network partition (phases: healthy / partitioned / healed)",
+			Columns: []string{"engine", "phase", "ops", "errors", "blocked", "fallbacks"},
+		}},
+	}, {
+		// Cure*'s throughput-vs-staleness trade-off the paper points out in §V-B.
+		ID:   "ablation-stab",
+		Axis: fixed(1000, 5000, 20_000, 100_000),
+		Arms: []Arm{{Engine: cluster.Cure}},
+		At:   func(us int, cfg *cluster.Config, l *Load) { cfg.StabilizationInterval = usec(us); l.GetsPerPut = 8 },
+		Views: []View{{
+			ID: "ablation-stab", Title: "Cure*: stabilization interval vs throughput and staleness",
+			Columns: []string{"interval ms", "ops/s", "% old", "% unmerged"},
+			Row: func(us int, arms []Point) []string {
+				p := arms[0]
+				return []string{fmtMs(usec(us)), fmtOps(p.Throughput),
+					fmtPct(p.GetStale.PercentOld()), fmtPct(p.GetStale.PercentUnmerged())}
+			},
+		}},
+	}, {
+		// Heartbeats bound how long a blocked request waits when the missing
+		// dependency does not exist.
+		ID:   "ablation-hb",
+		Axis: fixed(500, 1000, 5000, 20_000),
+		Arms: []Arm{{Engine: cluster.POCC}},
+		At:   func(us int, cfg *cluster.Config, l *Load) { cfg.HeartbeatInterval = usec(us); l.GetsPerPut = 4 },
+		Views: []View{{
+			ID: "ablation-hb", Title: "POCC: heartbeat interval vs blocking",
+			Columns: []string{"interval ms", "ops/s", "block prob", "block time ms"},
+			Row: func(us int, arms []Point) []string {
+				p := arms[0]
+				return []string{fmtMs(usec(us)), fmtOps(p.Throughput), fmtProb(p.BlockProb), fmtMs(p.MeanBlock)}
+			},
+		}},
+	}, {
+		// With raw clocks the PUT clock-wait (Algorithm 2 line 7) stretches
+		// with the skew while correctness is unaffected; the hybrid variant
+		// absorbs remote timestamps into its logical component, so its wait —
+		// and hence its response time — should stay flat across the sweep.
+		ID:   "ablation-skew",
+		Axis: fixed(0, 1000, 5000, 20_000),
+		Arms: []Arm{{Engine: cluster.POCC, RawClocks: true}, {Engine: cluster.POCC}},
+		At:   func(us int, cfg *cluster.Config, l *Load) { cfg.ClockSkew = usec(us); l.GetsPerPut = 2 },
+		Views: []View{{
+			ID: "ablation-skew", Title: "POCC: clock skew vs throughput and response time, raw vs hybrid clocks",
+			Columns: []string{"skew ms", "raw ops/s", "raw resp ms", "hlc ops/s", "hlc resp ms"},
+			Row: func(us int, arms []Point) []string {
+				raw, hlc := arms[0], arms[1]
+				return []string{fmtMs(usec(us)), fmtOps(raw.Throughput), fmtMs(raw.MeanResp),
+					fmtOps(hlc.Throughput), fmtMs(hlc.MeanResp)}
+			},
+		}},
+	}, {
+		ID:   "visibility",
+		rows: visibilityRows,
+		Views: []View{{
+			ID: "visibility", Title: "HA-POCC: remote visibility and GSS lag by clock/stabilization variant",
+			Columns: []string{"variant", "skew ms", "vis p50 ms", "vis p99 ms",
+				"stable p50 ms", "stable p99 ms", "gss lag ms", "B/ver delta", "B/ver abs"},
+		}},
+	}, {
+		// Longer think times give servers time to receive missing
+		// dependencies before the next request (§V-A).
+		ID:   "ablation-think",
+		Axis: fixed(100, 500, 1000, 5000),
+		Arms: []Arm{{Engine: cluster.POCC}},
+		At:   func(us int, _ *cluster.Config, l *Load) { l.GetsPerPut = 4; l.ThinkTime = usec(us) },
+		Views: []View{{
+			ID: "ablation-think", Title: "POCC: think time vs blocking probability",
+			Columns: []string{"think ms", "ops/s", "block prob"},
+			Row: func(us int, arms []Point) []string {
+				return []string{fmtMs(usec(us)), fmtOps(arms[0].Throughput), fmtProb(arms[0].BlockProb)}
+			},
+		}},
+	}}
+}
+
+// paperPartitions is the paper's partition axis (Fig. 1a, 3a) from `from`
+// up to the deployment's partition count.
+func paperPartitions(sc Scale, from int) []int {
+	var axis []int
+	for _, p := range []int{1, 2, 4, 8, 16, 24, 32} {
+		if p >= from && p <= sc.Partitions {
+			axis = append(axis, p)
+		}
+	}
+	return axis
+}
+
+// clientSweep is the load axis of the two client sweeps: the scale's clients
+// per partition × {¼, ½, 1, 2}.
+func clientSweep(sc Scale) []int {
+	c := sc.ClientsPerPart
+	return []int{c / 4, c / 2, c, 2 * c}
+}
+
+func fixed(values ...int) func(Scale) []int {
+	return func(Scale) []int { return values }
+}
+
+func usec(us int) time.Duration { return time.Duration(us) * time.Microsecond }
+
+// ratioView compares the pair's throughput.
+func ratioView(id, title, axis string, label func(int) string) View {
+	return View{
+		ID: id, Title: title,
+		Columns: []string{axis, "Cure* ops/s", "POCC ops/s", "POCC/Cure*"},
+		Row: func(v int, arms []Point) []string {
+			ratio := 0.0
+			if arms[cure].Throughput != 0 {
+				ratio = arms[pocc].Throughput / arms[cure].Throughput
 			}
-			pt.Param = cpp
-			pair[i] = pt
-		}
-		out = append(out, pair)
+			return []string{label(v), fmtOps(arms[cure].Throughput), fmtOps(arms[pocc].Throughput),
+				fmt.Sprintf("%.2f", ratio)}
+		},
 	}
-	return out, nil
 }
 
-// Fig1b — average response time vs throughput (32 partitions, 32:1).
-func Fig1b(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig1b",
-		Title:   "Avg. response time vs throughput, 32:1 GET:PUT",
-		Columns: []string{"clients/part", "Cure* ops/s", "Cure* resp ms", "POCC ops/s", "POCC resp ms"},
+// respView is the pair's throughput against a response time (Fig. 1b, 3b).
+func respView(id, title, unit string, resp func(Point) time.Duration) View {
+	return View{
+		ID: id, Title: title,
+		Columns: []string{"clients/part", "Cure* ops/s", "Cure* " + unit, "POCC ops/s", "POCC " + unit},
+		Row: func(cpp int, arms []Point) []string {
+			return []string{strconv.Itoa(cpp),
+				fmtOps(arms[cure].Throughput), fmtMs(resp(arms[cure])),
+				fmtOps(arms[pocc].Throughput), fmtMs(resp(arms[pocc]))}
+		},
 	}
-	for _, pair := range points {
-		cure, pocc := pair[0], pair[1]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(cure.Param),
-			fmtOps(cure.Throughput), fmtMs(cure.MeanResp),
-			fmtOps(pocc.Throughput), fmtMs(pocc.MeanResp),
-		})
-	}
-	return t
 }
 
-// Fig2a — POCC blocking probability and mean blocking time vs throughput.
-func Fig2a(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig2a",
-		Title:   "POCC blocking behaviour, 32:1 GET:PUT",
+// blockingView is POCC's blocking probability and mean blocking time against
+// its throughput (Fig. 2a, 3c).
+func blockingView(id, title string) View {
+	return View{
+		ID: id, Title: title,
 		Columns: []string{"clients/part", "ops/s", "block prob", "block time ms"},
+		Row: func(cpp int, arms []Point) []string {
+			p := arms[pocc]
+			return []string{strconv.Itoa(cpp), fmtOps(p.Throughput), fmtProb(p.BlockProb), fmtMs(p.MeanBlock)}
+		},
 	}
-	for _, pair := range points {
-		pocc := pair[1]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(pocc.Param), fmtOps(pocc.Throughput),
-			fmtProb(pocc.BlockProb), fmtMs(pocc.MeanBlock),
-		})
-	}
-	return t
-}
-
-// Fig2b — Cure* staleness vs throughput: % old and % unmerged GETs, fresher
-// and unmerged version counts.
-func Fig2b(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig2b",
-		Title:   "Cure* data staleness, 32:1 GET:PUT",
-		Columns: []string{"clients/part", "ops/s", "% old", "% unmerged", "# fresher", "# unmerged"},
-	}
-	for _, pair := range points {
-		cure := pair[0]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(cure.Param), fmtOps(cure.Throughput),
-			fmtPct(cure.GetStale.PercentOld()), fmtPct(cure.GetStale.PercentUnmerged()),
-			fmt.Sprintf("%.2f", cure.GetStale.MeanFresher()),
-			fmt.Sprintf("%.2f", cure.GetStale.MeanUnmergedVersions()),
-		})
-	}
-	return t
-}
-
-// Fig1c — throughput vs GET:PUT ratio on the default partition count.
-func Fig1c(ctx context.Context, sc Scale, ratios []int) (*Table, error) {
-	if len(ratios) == 0 {
-		ratios = []int{32, 16, 8, 4, 2, 1}
-	}
-	t := &Table{
-		ID:      "fig1c",
-		Title:   "Throughput vs GET:PUT ratio",
-		Columns: []string{"ratio", "Cure* ops/s", "POCC ops/s", "POCC/Cure*"},
-	}
-	for _, r := range ratios {
-		var thr [2]float64
-		for i, eng := range bothEngines {
-			pt, err := run(ctx, runSpec{scale: sc, engine: eng,
-				kind: getPutWorkload, mixParam: r})
-			if err != nil {
-				return nil, fmt.Errorf("fig1c %s ratio=%d: %w", eng, r, err)
-			}
-			thr[i] = pt.Throughput
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d:1", r), fmtOps(thr[0]), fmtOps(thr[1]),
-			fmt.Sprintf("%.2f", ratio(thr[1], thr[0])),
-		})
-	}
-	return t, nil
-}
-
-// Fig3a — throughput while varying the number of partitions contacted per
-// RO-TX (RO-TX + PUT workload).
-func Fig3a(ctx context.Context, sc Scale, fanouts []int) (*Table, error) {
-	if len(fanouts) == 0 {
-		fanouts = []int{1, 2, 4, 8, 16, 24, 32}
-	}
-	t := &Table{
-		ID:      "fig3a",
-		Title:   "Throughput vs partitions contacted per RO-TX",
-		Columns: []string{"partitions/tx", "Cure* ops/s", "POCC ops/s", "POCC/Cure*"},
-	}
-	for _, f := range fanouts {
-		if f > sc.Partitions {
-			continue
-		}
-		var thr [2]float64
-		for i, eng := range bothEngines {
-			pt, err := run(ctx, runSpec{scale: sc, engine: eng,
-				kind: roTxWorkload, mixParam: f})
-			if err != nil {
-				return nil, fmt.Errorf("fig3a %s fanout=%d: %w", eng, f, err)
-			}
-			thr[i] = pt.Throughput
-		}
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(f), fmtOps(thr[0]), fmtOps(thr[1]),
-			fmt.Sprintf("%.2f", ratio(thr[1], thr[0])),
-		})
-	}
-	return t, nil
-}
-
-// TxSweep runs the transactional load sweep shared by Fig. 3b, 3c and 3d:
-// RO-TX over half the partitions + PUT, sweeping clients per partition.
-func TxSweep(ctx context.Context, sc Scale, clientsPerPart []int) ([][2]Point, error) {
-	if len(clientsPerPart) == 0 {
-		clientsPerPart = []int{32, 64, 96, 128, 160, 192}
-	}
-	fanout := sc.Partitions / 2
-	if fanout < 1 {
-		fanout = 1
-	}
-	out := make([][2]Point, 0, len(clientsPerPart))
-	for _, cpp := range clientsPerPart {
-		var pair [2]Point
-		for i, eng := range bothEngines {
-			pt, err := run(ctx, runSpec{scale: sc, engine: eng,
-				kind: roTxWorkload, mixParam: fanout,
-				clients: cpp * sc.Partitions * sc.DCs})
-			if err != nil {
-				return nil, fmt.Errorf("tx sweep %s cpp=%d: %w", eng, cpp, err)
-			}
-			pt.Param = cpp
-			pair[i] = pt
-		}
-		out = append(out, pair)
-	}
-	return out, nil
-}
-
-// Fig3b — throughput and RO-TX response time vs clients per partition.
-func Fig3b(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig3b",
-		Title:   "Throughput and RO-TX response time vs clients/partition (tx over N/2 partitions)",
-		Columns: []string{"clients/part", "Cure* ops/s", "Cure* tx ms", "POCC ops/s", "POCC tx ms"},
-	}
-	for _, pair := range points {
-		cure, pocc := pair[0], pair[1]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(cure.Param),
-			fmtOps(cure.Throughput), fmtMs(cure.TxResp),
-			fmtOps(pocc.Throughput), fmtMs(pocc.TxResp),
-		})
-	}
-	return t
-}
-
-// Fig3c — POCC blocking behaviour under the transactional workload.
-func Fig3c(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig3c",
-		Title:   "POCC blocking behaviour, RO-TX + PUT workload",
-		Columns: []string{"clients/part", "ops/s", "block prob", "block time ms"},
-	}
-	for _, pair := range points {
-		pocc := pair[1]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(pocc.Param), fmtOps(pocc.Throughput),
-			fmtProb(pocc.BlockProb), fmtMs(pocc.MeanBlock),
-		})
-	}
-	return t
-}
-
-// Fig3d — staleness of transactional reads: % old items returned by POCC and
-// Cure*, % unmerged for Cure*. (In POCC transactional old and unmerged
-// coincide, §V-C.)
-func Fig3d(points [][2]Point) *Table {
-	t := &Table{
-		ID:      "fig3d",
-		Title:   "Transactional data staleness: POCC vs Cure*",
-		Columns: []string{"clients/part", "Cure* % old", "Cure* % unmerged", "POCC % old"},
-	}
-	for _, pair := range points {
-		cure, pocc := pair[0], pair[1]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(cure.Param),
-			fmtPct(cure.TxStale.PercentOld()), fmtPct(cure.TxStale.PercentUnmerged()),
-			fmtPct(pocc.TxStale.PercentOld()),
-		})
-	}
-	return t
-}
-
-// AblationStabilization sweeps Cure*'s stabilization interval, the
-// throughput-vs-staleness trade-off the paper points out in §V-B.
-func AblationStabilization(ctx context.Context, sc Scale, intervals []time.Duration) (*Table, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond}
-	}
-	t := &Table{
-		ID:      "ablation-stab",
-		Title:   "Cure*: stabilization interval vs throughput and staleness",
-		Columns: []string{"interval ms", "ops/s", "% old", "% unmerged"},
-	}
-	for _, iv := range intervals {
-		pt, err := run(ctx, runSpec{scale: sc, engine: cluster.Cure,
-			kind: getPutWorkload, mixParam: 8, stabilization: iv})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmtMs(iv), fmtOps(pt.Throughput),
-			fmtPct(pt.GetStale.PercentOld()), fmtPct(pt.GetStale.PercentUnmerged()),
-		})
-	}
-	return t, nil
-}
-
-// AblationHeartbeat sweeps POCC's heartbeat interval Δ against the blocking
-// time of stalled operations: heartbeats bound how long a blocked request
-// waits when the missing dependency does not exist.
-func AblationHeartbeat(ctx context.Context, sc Scale, intervals []time.Duration) (*Table, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{500 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-	}
-	t := &Table{
-		ID:      "ablation-hb",
-		Title:   "POCC: heartbeat interval vs blocking",
-		Columns: []string{"interval ms", "ops/s", "block prob", "block time ms"},
-	}
-	for _, iv := range intervals {
-		pt, err := run(ctx, runSpec{scale: sc, engine: cluster.POCC,
-			kind: getPutWorkload, mixParam: 4, heartbeat: iv})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmtMs(iv), fmtOps(pt.Throughput), fmtProb(pt.BlockProb), fmtMs(pt.MeanBlock),
-		})
-	}
-	return t, nil
-}
-
-// AblationClockSkew sweeps the emulated NTP skew against PUT latency, once
-// with raw skewed physical clocks and once with hybrid clocks. With raw
-// clocks the PUT clock-wait (Algorithm 2 line 7) stretches with the skew
-// while correctness is unaffected; the hybrid variant absorbs remote
-// timestamps into its logical component, so its wait — and hence its
-// response time — should stay flat across the sweep (skew-insensitive).
-func AblationClockSkew(ctx context.Context, sc Scale, skews []time.Duration) (*Table, error) {
-	if len(skews) == 0 {
-		skews = []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-	}
-	t := &Table{
-		ID:      "ablation-skew",
-		Title:   "POCC: clock skew vs throughput and response time, raw vs hybrid clocks",
-		Columns: []string{"skew ms", "raw ops/s", "raw resp ms", "hlc ops/s", "hlc resp ms"},
-	}
-	for _, sk := range skews {
-		row := []string{fmtMs(sk)}
-		for _, raw := range []bool{true, false} {
-			spec := runSpec{scale: sc, engine: cluster.POCC, kind: getPutWorkload,
-				mixParam: 2, rawClocks: raw}
-			if sk == 0 {
-				spec.clockSkew = -1
-			} else {
-				spec.clockSkew = sk
-			}
-			pt, err := run(ctx, spec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtOps(pt.Throughput), fmtMs(pt.MeanResp))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// AblationThinkTime sweeps the client think time against POCC's blocking
-// probability: longer think times give servers time to receive missing
-// dependencies before the next request (§V-A).
-func AblationThinkTime(ctx context.Context, sc Scale, thinks []time.Duration) (*Table, error) {
-	if len(thinks) == 0 {
-		thinks = []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
-	}
-	t := &Table{
-		ID:      "ablation-think",
-		Title:   "POCC: think time vs blocking probability",
-		Columns: []string{"think ms", "ops/s", "block prob"},
-	}
-	for _, th := range thinks {
-		pt, err := run(ctx, runSpec{scale: sc, engine: cluster.POCC,
-			kind: getPutWorkload, mixParam: 4, thinkTime: th})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{fmtMs(th), fmtOps(pt.Throughput), fmtProb(pt.BlockProb)})
-	}
-	return t, nil
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

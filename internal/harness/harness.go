@@ -4,17 +4,25 @@
 // (Fig. 3), plus ablations over the design parameters the paper discusses.
 // Experiments run against the emulated geo-deployment; the Scale controls
 // whether a run is CI-sized (seconds) or paper-sized (minutes).
+//
+// The evaluation is one table, Experiments (figures.go): each entry names a
+// swept axis, the arms compared at every value and the views that print the
+// result. Every point of every entry is measured by one driver, run (this
+// file), which brings up Scale.config's deployment and calls workload.Run.
 package harness
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"strings"
+	"text/tabwriter"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/keyspace"
 	"repro/internal/metrics"
-	"repro/internal/netemu"
 	"repro/internal/workload"
 )
 
@@ -73,10 +81,58 @@ func PaperScale() Scale {
 	}
 }
 
+// config is the one place the evaluation's deployment is written: every
+// experiment, the partition experiment and the visibility probe start from it
+// and edit the fields they vary on the result.
+func (sc Scale) config(engine cluster.Engine) cluster.Config {
+	return cluster.Config{
+		NumDCs:        sc.DCs,
+		NumPartitions: sc.Partitions,
+		Engine:        engine,
+		GCInterval:    100 * time.Millisecond,
+		PutDepWait:    true,
+		ClockSkew:     sc.ClockSkew,
+		Latency:       cluster.AWSLatency(sc.LatencyScale),
+		JitterFrac:    sc.JitterFrac,
+		Seed:          sc.Seed,
+	}
+}
+
+// deploy brings cfg up with every key of its keyspace seeded.
+func deploy(sc Scale, cfg cluster.Config) (*cluster.Cluster, *keyspace.Table, error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	table := keyspace.Build(cfg.NumPartitions, sc.KeysPerPartition)
+	c.SeedTable(table)
+	return c, table, nil
+}
+
+// openSessions opens n client sessions, spread round-robin over the DCs.
+func openSessions(c *cluster.Cluster, n int) ([]*client.Session, error) {
+	sessions := make([]*client.Session, n)
+	for i := range sessions {
+		var err error
+		if sessions[i], err = c.NewSession(i % c.NumDCs()); err != nil {
+			return nil, err
+		}
+	}
+	return sessions, nil
+}
+
+// Load is the client side of one experiment point: the paper's GET:PUT
+// workload (§V-B) when GetsPerPut is set, its RO-TX + PUT workload (§V-C)
+// when TxPartitions is.
+type Load struct {
+	GetsPerPut     int
+	TxPartitions   int
+	ClientsPerPart int // closed-loop clients per partition per DC
+	ThinkTime      time.Duration
+}
+
 // Point is one measured configuration of one system.
 type Point struct {
-	Engine     cluster.Engine
-	Param      int // sweep parameter (partitions, ratio, clients, ...)
 	Throughput float64
 	MeanResp   time.Duration
 	TxResp     time.Duration
@@ -85,153 +141,71 @@ type Point struct {
 	GetStale   metrics.StalenessSnapshot
 	TxStale    metrics.StalenessSnapshot
 	Messages   uint64
-	Errors     uint64
 }
 
-// workloadKind selects the paper's two workload families.
-type workloadKind int
-
-const (
-	getPutWorkload workloadKind = iota + 1
-	roTxWorkload
-)
-
-// runSpec fully describes one experiment point.
-type runSpec struct {
-	scale      Scale
-	engine     cluster.Engine
-	partitions int
-	kind       workloadKind
-	mixParam   int // GETs per PUT, or partitions per RO-TX
-	clients    int // total clients; 0 = ClientsPerPart × partitions × DCs
-	// overrides (ablations); zero means engine default
-	stabilization time.Duration
-	heartbeat     time.Duration
-	thinkTime     time.Duration // zero means scale.ThinkTime
-	clockSkew     time.Duration // negative means zero skew, zero means scale default
-	rawClocks     bool          // revert to raw skewed physical clocks (pre-HLC ablation)
-	leanStab      bool          // scalar HLC watermark stabilization instead of full vectors
-}
-
-// run executes one experiment point.
-func run(ctx context.Context, spec runSpec) (Point, error) {
-	sc := spec.scale
-	partitions := spec.partitions
-	if partitions == 0 {
-		partitions = sc.Partitions
-	}
-	skew := sc.ClockSkew
-	if spec.clockSkew > 0 {
-		skew = spec.clockSkew
-	} else if spec.clockSkew < 0 {
-		skew = 0
-	}
-	think := sc.ThinkTime
-	if spec.thinkTime != 0 {
-		think = spec.thinkTime
-	}
-
-	c, err := cluster.New(cluster.Config{
-		NumDCs:                sc.DCs,
-		NumPartitions:         partitions,
-		Engine:                spec.engine,
-		HeartbeatInterval:     spec.heartbeat,
-		StabilizationInterval: spec.stabilization,
-		GCInterval:            100 * time.Millisecond,
-		PutDepWait:            true,
-		ClockSkew:             skew,
-		Latency:               scaledAWS(sc.LatencyScale),
-		JitterFrac:            sc.JitterFrac,
-		Seed:                  sc.Seed,
-		RawPhysicalClocks:     spec.rawClocks,
-		LeanStabilization:     spec.leanStab,
-	})
+// run measures one point: the deployment cfg under load, driven by
+// workload.Run — the root module's one load driver. A point in which any
+// operation failed is an error, not a figure.
+func run(ctx context.Context, sc Scale, cfg cluster.Config, load Load) (Point, error) {
+	c, table, err := deploy(sc, cfg)
 	if err != nil {
 		return Point{}, err
 	}
 	defer c.Close()
-
-	table := keyspace.Build(partitions, sc.KeysPerPartition)
-	c.SeedTable(table)
+	sessions, err := openSessions(c, load.ClientsPerPart*cfg.NumPartitions*cfg.NumDCs)
+	if err != nil {
+		return Point{}, err
+	}
 	zipf := workload.NewZipf(sc.KeysPerPartition, 0.99)
-
-	clients := spec.clients
-	if clients == 0 {
-		clients = sc.ClientsPerPart * partitions * sc.DCs
-	}
-
-	newGen := func(i int) workload.Generator {
-		switch spec.kind {
-		case roTxWorkload:
-			return workload.NewROTxMix(table, zipf, spec.mixParam, sc.ValueSize)
-		default:
-			return workload.NewGetPutMix(table, zipf, spec.mixParam, sc.ValueSize)
-		}
-	}
-	newSess := func(i int) workload.Session {
-		s, errSess := c.NewSession(i % sc.DCs)
-		if errSess != nil {
-			panic(errSess) // layout is validated above; cannot happen
-		}
-		return s
-	}
 
 	// Snapshot server-side metrics when the measurement window opens so the
 	// warmup does not pollute blocking/staleness statistics.
-	baseCh := make(chan cluster.Aggregate, 1)
-	msgsCh := make(chan uint64, 1)
-	timer := time.AfterFunc(sc.Warmup, func() {
-		baseCh <- c.Metrics()
-		msgsCh <- c.Messages()
-	})
+	type snapshot struct {
+		agg  cluster.Aggregate
+		msgs uint64
+	}
+	baseCh := make(chan snapshot, 1)
+	timer := time.AfterFunc(sc.Warmup, func() { baseCh <- snapshot{c.Metrics(), c.Messages()} })
 	defer timer.Stop()
 
 	res, err := workload.Run(ctx, workload.RunnerConfig{
-		Clients:      clients,
-		NewSession:   newSess,
-		NewGenerator: newGen,
-		ThinkTime:    think,
-		Warmup:       sc.Warmup,
-		Measure:      sc.Measure,
-		Seed:         sc.Seed,
+		Clients:    len(sessions),
+		NewSession: func(i int) workload.Session { return sessions[i] },
+		NewGenerator: func(int) workload.Generator {
+			if load.TxPartitions > 0 {
+				return workload.NewROTxMix(table, zipf, load.TxPartitions, sc.ValueSize)
+			}
+			return workload.NewGetPutMix(table, zipf, load.GetsPerPut, sc.ValueSize)
+		},
+		ThinkTime: load.ThinkTime,
+		Warmup:    sc.Warmup,
+		Measure:   sc.Measure,
+		Seed:      sc.Seed,
 	})
 	if err != nil {
 		return Point{}, err
 	}
+	if res.Errors != 0 {
+		return Point{}, fmt.Errorf("harness: %d operations failed", res.Errors)
+	}
 
-	var base cluster.Aggregate
-	var baseMsgs uint64
+	var base snapshot
 	select {
 	case base = <-baseCh:
-		baseMsgs = <-msgsCh
 	default: // run was cancelled before the warmup elapsed
 	}
 	agg := c.Metrics()
-	blocking := agg.Blocking()
-	blocking = blocking.Sub(base.Blocking())
-
-	p := Point{
-		Engine:     spec.engine,
-		Param:      spec.mixParam,
+	blocking := agg.Blocking().Sub(base.agg.Blocking())
+	return Point{
 		Throughput: res.Throughput(),
 		MeanResp:   res.AllLatency.Mean(),
 		TxResp:     res.TxLatency.Mean(),
 		BlockProb:  blocking.Probability(),
 		MeanBlock:  blocking.MeanBlockTime(),
-		GetStale:   agg.GetStale.Sub(base.GetStale),
-		TxStale:    agg.TxStale.Sub(base.TxStale),
-		Messages:   c.Messages() - baseMsgs,
-		Errors:     res.Errors,
-	}
-	return p, nil
-}
-
-// scaledAWS maps the public latency scale onto the cluster AWS profile.
-func scaledAWS(scale float64) netemu.LatencyFunc {
-	if scale <= 0 {
-		return nil
-	}
-	return cluster.AWSLatency(scale)
+		GetStale:   agg.GetStale.Sub(base.agg.GetStale),
+		TxStale:    agg.TxStale.Sub(base.agg.TxStale),
+		Messages:   c.Messages() - base.msgs,
+	}, nil
 }
 
 // Table is a printable experiment result, one row per sweep point.
@@ -243,29 +217,13 @@ type Table struct {
 }
 
 // Fprint renders the table with aligned columns.
-func (t *Table) Fprint(write func(format string, args ...any)) {
-	write("== %s — %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, col := range t.Columns {
-		widths[i] = len(col)
+func (t *Table) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "== %s — %s ==\n", t.ID, t.Title)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{t.Columns}, t.Rows...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for i, col := range t.Columns {
-		write("%-*s  ", widths[i], col)
-	}
-	write("\n")
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			write("%-*s  ", widths[i], cell)
-		}
-		write("\n")
-	}
+	tw.Flush()
 }
 
 func fmtOps(v float64) string { return fmt.Sprintf("%.0f", v) }

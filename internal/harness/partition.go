@@ -3,226 +3,97 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
-	"sync"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/keyspace"
 	"repro/internal/workload"
 )
 
-// newPhaseRand builds a deterministic per-client random source.
-func newPhaseRand(seed uint64, dc, i int) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, uint64(dc*1000+i)))
-}
-
-// PartitionExperiment quantifies system behaviour before, during and after
-// an inter-DC network partition — the paper's stated future work ("we plan
-// to quantitatively assess the performance and behavior of POCC in presence
-// of network partitions"). For each engine it runs a GET/PUT workload in
-// three equal phases (healthy, partitioned between DC0 and DC1, healed) and
-// reports per-phase completed operations, errors and fallback counts.
+// partitionRows quantifies system behaviour before, during and after an
+// inter-DC network partition — the paper's stated future work ("we plan to
+// quantitatively assess the performance and behavior of POCC in presence of
+// network partitions"). For each engine it runs a GET/PUT workload in three
+// equal phases of sc.Measure/2 (healthy, partitioned between DC0 and DC1,
+// healed) and reports per phase the completed operations, the errors, the
+// requests that blocked and the sessions' fallbacks.
 //
 // Expected outcome: plain POCC completes the partition phase only for
 // operations that do not hit a missing dependency (requests on severed
 // dependencies block until the heal); HA-POCC falls back and keeps
-// completing every operation; Cure* is unaffected but stale.
-func PartitionExperiment(ctx context.Context, sc Scale, phase time.Duration) (*Table, error) {
-	if phase <= 0 {
-		phase = 500 * time.Millisecond
-	}
-	t := &Table{
-		ID:    "partition",
-		Title: "Behaviour across a network partition (phases: healthy / partitioned / healed)",
-		Columns: []string{"engine", "phase", "ops", "errors", "blocked",
-			"fallbacks"},
-	}
+// completing every operation; Cure* is unaffected but stale — except in the
+// runs where a remote write lands within a heartbeat of the cut, whose
+// readers then block like POCC's (ROADMAP arc 1, "Cure* across a cut").
+func partitionRows(ctx context.Context, sc Scale) ([][]string, error) {
+	phase := sc.Measure / 2
+	var rows [][]string
 	for _, eng := range []cluster.Engine{cluster.Cure, cluster.POCC, cluster.HAPOCC} {
-		rows, err := partitionRun(ctx, sc, eng, phase)
+		cfg := sc.config(eng)
+		if eng == cluster.HAPOCC {
+			// Stabilize often enough to bound fallback staleness in a short
+			// run, and suspect a partition well inside one phase.
+			cfg.StabilizationInterval = 20 * time.Millisecond
+			cfg.BlockTimeout = max(phase/10, 10*time.Millisecond)
+		}
+		engRows, err := partitionRun(ctx, sc, cfg, phase)
 		if err != nil {
 			return nil, fmt.Errorf("partition %s: %w", eng, err)
 		}
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
-}
-
-type phaseCounters struct {
-	ops    uint64
-	errors uint64
-}
-
-func partitionRun(ctx context.Context, sc Scale, eng cluster.Engine, phaseDur time.Duration) ([][]string, error) {
-	c, err := cluster.New(cluster.Config{
-		NumDCs:                sc.DCs,
-		NumPartitions:         sc.Partitions,
-		Engine:                eng,
-		HeartbeatInterval:     time.Millisecond,
-		StabilizationInterval: stabilizationFor(eng),
-		GCInterval:            100 * time.Millisecond,
-		PutDepWait:            true,
-		BlockTimeout:          blockTimeoutFor(eng, phaseDur),
-		ClockSkew:             sc.ClockSkew,
-		Latency:               scaledAWS(sc.LatencyScale),
-		JitterFrac:            sc.JitterFrac,
-		Seed:                  sc.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	table := keyspace.Build(sc.Partitions, sc.KeysPerPartition)
-	c.SeedTable(table)
-	zipf := workload.NewZipf(sc.KeysPerPartition, 0.99)
-
-	const clientsPerDC = 8
-	var phases [3]phaseCounters
-	phaseIdx := func(start time.Time) int {
-		i := int(time.Since(start) / phaseDur)
-		if i > 2 {
-			i = 2
-		}
-		return i
-	}
-
-	var mu sync.Mutex
-	var sessions []*sessionProbe
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	start := time.Now()
-
-	for dc := 0; dc < sc.DCs; dc++ {
-		for i := 0; i < clientsPerDC; i++ {
-			sess, errSess := c.NewSession(dc)
-			if errSess != nil {
-				return nil, errSess
-			}
-			probe := &sessionProbe{sess: sess}
-			mu.Lock()
-			sessions = append(sessions, probe)
-			mu.Unlock()
-			wg.Add(1)
-			go func(dc, i int, probe *sessionProbe) {
-				defer wg.Done()
-				gen := workload.NewGetPutMix(table, zipf, 4, sc.ValueSize)
-				rng := newPhaseRand(sc.Seed, dc, i)
-				for {
-					select {
-					case <-stop:
-						return
-					case <-ctx.Done():
-						return
-					default:
-					}
-					op := gen.Next(rng)
-					var errOp error
-					switch op.Kind {
-					case workload.OpGet:
-						_, errOp = probe.sess.Get(op.Keys[0])
-					case workload.OpPut:
-						errOp = probe.sess.Put(op.Keys[0], op.Value)
-					default:
-						_, errOp = probe.sess.ROTx(op.Keys)
-					}
-					idx := phaseIdx(start)
-					mu.Lock()
-					if errOp != nil {
-						phases[idx].errors++
-					} else {
-						phases[idx].ops++
-					}
-					mu.Unlock()
-					select {
-					case <-stop:
-						return
-					case <-time.After(sc.ThinkTime):
-					}
-				}
-			}(dc, i, probe)
-		}
-	}
-
-	// Phase transitions: cut after one phase, heal after two.
-	timer1 := time.AfterFunc(phaseDur, func() {
-		if net := c.Network(); net != nil {
-			net.PartitionDCs(0, 1, true)
-		}
-	})
-	defer timer1.Stop()
-	timer2 := time.AfterFunc(2*phaseDur, func() {
-		if net := c.Network(); net != nil {
-			net.PartitionDCs(0, 1, false)
-		}
-	})
-	defer timer2.Stop()
-
-	select {
-	case <-time.After(3*phaseDur + 100*time.Millisecond):
-	case <-ctx.Done():
-	}
-	close(stop)
-	// Heal before joining the clients: plain-POCC requests blocked on a
-	// severed dependency only return once the partition heals.
-	if net := c.Network(); net != nil {
-		net.PartitionDCs(0, 1, false)
-	}
-	wg.Wait()
-
-	var fallbacks uint64
-	for _, p := range sessions {
-		fallbacks += p.sess.Fallbacks()
-	}
-	blocked := c.Metrics().Blocking().Blocked
-
-	names := []string{"healthy", "partitioned", "healed"}
-	rows := make([][]string, 0, 3)
-	for i, name := range names {
-		fb, bl := "-", "-"
-		if i == 2 { // cumulative counters reported once, on the final row
-			fb = fmt.Sprintf("%d", fallbacks)
-			bl = fmt.Sprintf("%d", blocked)
-		}
-		rows = append(rows, []string{
-			eng.String(), name,
-			fmt.Sprintf("%d", phases[i].ops),
-			fmt.Sprintf("%d", phases[i].errors),
-			bl, fb,
-		})
+		rows = append(rows, engRows...)
 	}
 	return rows, nil
 }
 
-// sessionProbe lets the experiment read per-session fallback counters after
-// the run.
-type sessionProbe struct {
-	sess interface {
-		Get(string) ([]byte, error)
-		Put(string, []byte) error
-		ROTx([]string) (map[string][]byte, error)
-		Fallbacks() uint64
+// partitionRun is one engine's three phases: three workload.Run windows of
+// one phase each over the same sessions, so the phases are equal by
+// construction and every counter is read at a phase boundary.
+func partitionRun(ctx context.Context, sc Scale, cfg cluster.Config, phase time.Duration) ([][]string, error) {
+	c, table, err := deploy(sc, cfg)
+	if err != nil {
+		return nil, err
 	}
-}
+	defer c.Close()
+	const clientsPerDC = 8
+	sessions, err := openSessions(c, clientsPerDC*cfg.NumDCs)
+	if err != nil {
+		return nil, err
+	}
+	zipf := workload.NewZipf(sc.KeysPerPartition, 0.99)
 
-func stabilizationFor(eng cluster.Engine) time.Duration {
-	switch eng {
-	case cluster.Cure:
-		return 5 * time.Millisecond
-	case cluster.HAPOCC:
-		return 20 * time.Millisecond // frequent enough to bound fallback staleness in a short run
-	default:
-		return 0
+	var rows [][]string
+	var blocked, fallbacks uint64 // cumulative, as of the last phase boundary
+	for i, name := range []string{"healthy", "partitioned", "healed"} {
+		if i == 1 {
+			// The heal is armed with the cut, not issued after the window: a
+			// plain-POCC request blocked on a severed dependency returns only
+			// at the heal, and the window returns only once every client has.
+			c.Network().PartitionDCs(0, 1, true)
+			heal := time.AfterFunc(phase, func() { c.Network().PartitionDCs(0, 1, false) })
+			defer heal.Stop()
+		}
+		res, err := workload.Run(ctx, workload.RunnerConfig{
+			Clients:    len(sessions),
+			NewSession: func(j int) workload.Session { return sessions[j] },
+			NewGenerator: func(int) workload.Generator {
+				return workload.NewGetPutMix(table, zipf, 4, sc.ValueSize)
+			},
+			ThinkTime: sc.ThinkTime,
+			Measure:   phase,
+			Seed:      sc.Seed + uint64(i),
+		})
+		if err != nil {
+			return nil, err
+		}
+		nowBlocked, nowFallbacks := c.Metrics().Blocking().Blocked, uint64(0)
+		for _, s := range sessions {
+			nowFallbacks += s.Fallbacks()
+		}
+		rows = append(rows, []string{
+			cfg.Engine.String(), name,
+			strconv.FormatUint(res.Ops, 10), strconv.FormatUint(res.Errors, 10),
+			strconv.FormatUint(nowBlocked-blocked, 10), strconv.FormatUint(nowFallbacks-fallbacks, 10),
+		})
+		blocked, fallbacks = nowBlocked, nowFallbacks
 	}
-}
-
-func blockTimeoutFor(eng cluster.Engine, phase time.Duration) time.Duration {
-	if eng != cluster.HAPOCC {
-		return 0
-	}
-	bt := phase / 10
-	if bt < 10*time.Millisecond {
-		bt = 10 * time.Millisecond
-	}
-	return bt
+	return rows, nil
 }

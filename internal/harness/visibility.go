@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/item"
-	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
 	"repro/internal/vclock"
@@ -82,28 +81,16 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 	if samples == 0 {
 		samples = 200
 	}
-	c, err := cluster.New(cluster.Config{
-		NumDCs:                sc.DCs,
-		NumPartitions:         sc.Partitions,
-		Engine:                cluster.HAPOCC,
-		HeartbeatInterval:     time.Millisecond,
-		StabilizationInterval: 5 * time.Millisecond,
-		GCInterval:            100 * time.Millisecond,
-		PutDepWait:            true,
-		ClockSkew:             o.Skew,
-		Latency:               scaledAWS(sc.LatencyScale),
-		JitterFrac:            sc.JitterFrac,
-		Seed:                  sc.Seed,
-		RawPhysicalClocks:     o.RawClocks,
-		LeanStabilization:     o.LeanStab,
-	})
+	cfg := sc.config(cluster.HAPOCC)
+	cfg.StabilizationInterval = 5 * time.Millisecond
+	cfg.ClockSkew = o.Skew
+	cfg.RawPhysicalClocks = o.RawClocks
+	cfg.LeanStabilization = o.LeanStab
+	c, table, err := deploy(sc, cfg)
 	if err != nil {
 		return VisibilityStats{}, err
 	}
 	defer c.Close()
-
-	table := keyspace.Build(sc.Partitions, sc.KeysPerPartition)
-	c.SeedTable(table)
 	sess, err := c.NewSession(0)
 	if err != nil {
 		return VisibilityStats{}, err
@@ -264,13 +251,13 @@ func percentiles(ds []time.Duration) (p50, p99 time.Duration) {
 	return ds[idx(50)], ds[idx(99)]
 }
 
-// FigureVisibility measures update-visibility latency across the clock and
+// visibilityRows measures update-visibility latency across the clock and
 // stabilization variants: raw physical clocks with full-vector GSS exchange
 // (the pre-HLC system), hybrid clocks with full vectors, and hybrid clocks
 // with the lean watermark exchange — each with and without ±50 ms emulated
 // clock skew. The hybrid rows should be skew-insensitive; the watermark rows
 // should match the vector rows on visibility while sending fewer bytes.
-func FigureVisibility(ctx context.Context, sc Scale) (*Table, error) {
+func visibilityRows(ctx context.Context, sc Scale) ([][]string, error) {
 	variants := []struct {
 		name      string
 		raw, lean bool
@@ -279,12 +266,7 @@ func FigureVisibility(ctx context.Context, sc Scale) (*Table, error) {
 		{"hlc+vector", false, false},
 		{"hlc+watermark", false, true},
 	}
-	t := &Table{
-		ID:    "visibility",
-		Title: "HA-POCC: remote visibility and GSS lag by clock/stabilization variant",
-		Columns: []string{"variant", "skew ms", "vis p50 ms", "vis p99 ms",
-			"stable p50 ms", "stable p99 ms", "gss lag ms", "B/ver delta", "B/ver abs"},
-	}
+	var rows [][]string
 	for _, v := range variants {
 		for _, sk := range []time.Duration{0, 50 * time.Millisecond} {
 			st, err := VisibilityPoint(ctx, sc, VisibilityOpts{
@@ -293,7 +275,7 @@ func FigureVisibility(ctx context.Context, sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, []string{
+			rows = append(rows, []string{
 				v.name, fmtMs(sk), fmtMs(st.VisP50), fmtMs(st.VisP99),
 				fmtMs(st.StableP50), fmtMs(st.StableP99), fmtMs(st.GSSLagMean),
 				fmt.Sprintf("%.1f", st.DeltaBytesPerVersion),
@@ -301,5 +283,5 @@ func FigureVisibility(ctx context.Context, sc Scale) (*Table, error) {
 			})
 		}
 	}
-	return t, nil
+	return rows, nil
 }
