@@ -222,20 +222,25 @@
 //
 // # Partitioning and resharding
 //
-// Keys map to partitions through a first-class slot table rather than a
-// fixed hash: every key hashes (FNV-1a, allocation-free) to one of 256
-// slots, and an epoch-stamped slot map (internal/keyspace.SlotMap) assigns
-// each slot an owning partition. Absent a map the layout is the original
-// hash%N spread, byte-for-byte what pre-slot-table deployments used, so
-// fixed deployments pay nothing and durable data keeps its placement across
-// the upgrade; because that static layout is expressible as a slot table
-// only when N divides the slot universe (keyspace.SlotAligned), the first
-// reshard — and reserving MaxPartitions headroom — requires such a
-// partition count. The map is a lattice —
-// per-slot assignments carry the epoch that moved them and merge
+// Keys map to partitions through one layout, the slot table: every key
+// hashes (FNV-1a, allocation-free) to one of 256 slots, and an epoch-stamped
+// slot map (internal/keyspace.SlotMap) assigns each slot an owning
+// partition. A deployment of N partitions starts on the epoch-0 table (slot
+// s belongs to partition s mod N, keyspace.DefaultMap), installed on the
+// router and on every server before the first one starts, and a server
+// serves a key iff its table says so, from epoch 0 on. The map is a lattice
+// — per-slot assignments carry the epoch that moved them and merge
 // higher-stamp-wins — so concurrently gossiped tables converge on every
 // server, and replicated batches and catch-up chunks are stamped with the
 // sender's slot epoch.
+//
+// Two things are given up for having one layout and not a hash%N one beside
+// it. A data directory written by an earlier build at a partition count that
+// does not divide 256 is re-homed on reopen (where N divides 256 the two
+// placements are the same function): the WAL carries no layout stamp, and no
+// such deployment exists. And more than 256 partitions per DC are rejected
+// at construction: that only ever worked without a table, nothing asked for
+// it, and such a deployment could not reshard.
 //
 // With Config.MaxPartitions headroom the partition axis is elastic at
 // runtime, the partition-analogue of dynamic DC membership.

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/causaltest"
 	"repro/internal/cluster"
-	"repro/internal/keyspace"
 	"repro/internal/netemu"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -607,11 +606,7 @@ func (h *harness) runReshard(e Event) {
 			h.tracef("skip %v: single partition", e)
 			return
 		}
-		tbl := h.c.SlotTable()
-		if tbl == nil {
-			tbl = keyspace.DefaultMap(parts)
-		}
-		owned := tbl.SlotsOwnedBy(donor)
+		owned := h.c.SlotTable().SlotsOwnedBy(donor)
 		if len(owned) == 0 {
 			h.tracef("skip %v: p%d owns no slots", e, donor)
 			return

@@ -133,9 +133,9 @@ type Config struct {
 	// MaxPartitions reserves capacity for partition servers added at runtime
 	// (SplitPartition), the partition-axis analogue of MaxDCs: the server
 	// matrix and every server's per-partition state are sized to it up
-	// front. 0 means NumPartitions — a fixed keyspace layout. Capped by
-	// keyspace.NumSlots (a partition must own at least one slot to be
-	// useful, and slot owners are one byte on the wire).
+	// front. 0 means NumPartitions — a fixed partition count. Capped, like
+	// NumPartitions, by keyspace.NumSlots (a partition must own at least one
+	// slot to be useful, and slot owners are one byte on the wire).
 	MaxPartitions int
 	// ReshardTimeout bounds the drain phase of SplitPartition/MoveSlots
 	// (how long the coordinator waits for every member's donors to deliver
@@ -180,20 +180,20 @@ type Cluster struct {
 	maxParts int
 	net      *netemu.Network // nil in TCP mode
 
-	// Routing state for the slot table (tentpole of the resharding arc).
-	// slots is nil until the first reshard: routing then falls back to the
-	// static keyspace.PartitionOf layout, so pre-reshard deployments pay
-	// nothing. pendingSlots stages an in-flight reshard's next-epoch table
-	// from fence-install until the flip, so a server crash-restarted inside
-	// that window boots already fenced instead of resurrecting the
-	// pre-reshard table and accepting moved-slot writes the new owner will
-	// never see. parts is the number of live partition servers per DC (grows
-	// on SplitPartition); reshardMu serializes reshards so at most one slot
-	// migration is in flight.
-	slots        atomic.Pointer[keyspace.SlotMap]
-	pendingSlots atomic.Pointer[keyspace.SlotMap]
-	parts        atomic.Int32
-	reshardMu    sync.Mutex
+	// Routing state. slots is the slot table sessions route by, installed at
+	// epoch 0 (keyspace.DefaultMap) before any server starts and replaced by
+	// each reshard's flip. bootSlots is the table a server starting now must
+	// hold: the same table, except from a reshard's fence-install until its
+	// flip, when it is the staged next-epoch table — so a server
+	// crash-restarted inside that window boots already fenced instead of
+	// resurrecting the pre-reshard table and accepting moved-slot writes the
+	// new owner will never see. parts is the number of live partition
+	// servers per DC (grows on SplitPartition); reshardMu serializes reshards
+	// so at most one slot migration is in flight.
+	slots     atomic.Pointer[keyspace.SlotMap]
+	bootSlots atomic.Pointer[keyspace.SlotMap]
+	parts     atomic.Int32
+	reshardMu sync.Mutex
 
 	// nodes is the [dc][partition] matrix, allocated to MaxDCs × MaxPartitions
 	// up front so AddDC and SplitPartition only fill entries in and the
@@ -251,22 +251,17 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.MaxPartitions != 0 && cfg.MaxPartitions < cfg.NumPartitions {
 		return nil, fmt.Errorf("cluster: MaxPartitions %d below NumPartitions %d", cfg.MaxPartitions, cfg.NumPartitions)
 	}
-	if cfg.MaxPartitions > keyspace.NumSlots {
-		return nil, fmt.Errorf("cluster: MaxPartitions %d exceeds the slot universe (%d)", cfg.MaxPartitions, keyspace.NumSlots)
-	}
 	maxParts := cfg.MaxPartitions
 	if maxParts == 0 {
 		maxParts = cfg.NumPartitions
 	}
-	if maxParts > cfg.NumPartitions && !keyspace.SlotAligned(cfg.NumPartitions) {
-		// Reshard headroom is reserved, but the first reshard could never
-		// run: the static hash%N layout the deployment starts on is only
-		// expressible as a slot table when N divides the slot universe.
-		return nil, fmt.Errorf("cluster: MaxPartitions headroom requires NumPartitions dividing %d (got %d); the static layout cannot otherwise be adopted as a slot table",
-			keyspace.NumSlots, cfg.NumPartitions)
+	if maxParts > keyspace.NumSlots {
+		return nil, fmt.Errorf("cluster: %d partitions exceed the slot universe (at most %d per DC)", maxParts, keyspace.NumSlots)
 	}
 	c := &Cluster{cfg: cfg, maxDCs: maxDCs, maxParts: maxParts, status: make([]uint8, maxDCs)}
 	c.parts.Store(int32(cfg.NumPartitions))
+	c.slots.Store(keyspace.DefaultMap(cfg.NumPartitions))
+	c.bootSlots.Store(c.slots.Load())
 	if cfg.TCP {
 		c.tcpDir = make(map[netemu.NodeID]string)
 	} else {
@@ -396,19 +391,11 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 	if numDCs < c.cfg.NumDCs {
 		numDCs = c.cfg.NumDCs
 	}
-	// A server started or restarted after a reshard begins from the current
-	// slot table and partition count; pre-reshard (slots nil) it gets no
-	// table and routes by the static layout, exactly like the seed. An
-	// in-flight reshard's staged table takes precedence: a donor restarted
-	// between the fence install and the flip must come back fenced, or it
-	// would accept moved-slot writes that are stranded once routing flips.
+	// A server started or restarted begins from the current partition count
+	// and from bootSlots: a donor restarted between a reshard's fence install
+	// and its flip must come back fenced, or it would accept moved-slot
+	// writes that are stranded once routing flips.
 	numParts := int(c.parts.Load())
-	var slots *keyspace.SlotMap
-	if m := c.pendingSlots.Load(); m != nil {
-		slots = m.Clone()
-	} else if m := c.slots.Load(); m != nil {
-		slots = m.Clone()
-	}
 	view := msg.Membership{
 		Epoch:  c.epoch,
 		Status: append([]uint8(nil), c.status[:numDCs]...),
@@ -423,7 +410,7 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		NumDCs:                numDCs,
 		NumPartitions:         numParts,
 		MaxPartitions:         c.maxParts,
-		SlotMap:               slots,
+		SlotMap:               c.bootSlots.Load(),
 		Clock:                 c.newClock(dc, p),
 		Endpoint:              c.nodes[dc][p].transport,
 		DefaultMode:           mode,
@@ -517,33 +504,13 @@ func (c *Cluster) NumPartitions() int { return c.numParts() }
 // MaxPartitions returns the deployment's partition capacity.
 func (c *Cluster) MaxPartitions() int { return c.maxParts }
 
-// SlotTable returns a copy of the cluster's current routing table, or nil if
-// the deployment still routes by the static layout (no reshard has run).
-func (c *Cluster) SlotTable() *keyspace.SlotMap {
-	if m := c.slots.Load(); m != nil {
-		return m.Clone()
-	}
-	return nil
-}
+// SlotTable returns a copy of the cluster's current routing table (never
+// nil: the epoch-0 table until the first reshard).
+func (c *Cluster) SlotTable() *keyspace.SlotMap { return c.slots.Load().Clone() }
 
-// routingMap returns the effective slot table: the installed one, or the
-// default layout materialized (reshards start from it).
-func (c *Cluster) routingMap() *keyspace.SlotMap {
-	if m := c.slots.Load(); m != nil {
-		return m
-	}
-	return keyspace.DefaultMap(c.numParts())
-}
-
-// PartitionOf returns the partition responsible for key. Until the first
-// reshard this is the static hash layout; afterwards the slot table decides,
-// loaded atomically so sessions pick up an epoch flip between operations.
-func (c *Cluster) PartitionOf(key string) int {
-	if m := c.slots.Load(); m != nil {
-		return m.OwnerOf(key)
-	}
-	return keyspace.PartitionOf(key, c.cfg.NumPartitions)
-}
+// PartitionOf returns the partition the slot table assigns key to, loaded
+// atomically so sessions pick up an epoch flip between operations.
+func (c *Cluster) PartitionOf(key string) int { return c.slots.Load().OwnerOf(key) }
 
 // dcRouter routes a session's requests within one data center, resolving
 // servers per operation so sessions transparently follow a RestartServer.

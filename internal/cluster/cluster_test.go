@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +46,28 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{NumDCs: 1, NumPartitions: 1}); err == nil {
 		t.Fatal("missing engine must be rejected")
+	}
+	// A partition owns at least one slot, so the slot universe bounds the
+	// partition count — as a constructor error, with or without headroom.
+	for _, tt := range []struct {
+		parts, maxParts int
+		ok              bool
+	}{
+		{keyspace.NumSlots, 0, true},
+		{keyspace.NumSlots + 1, 0, false},
+		{3, keyspace.NumSlots, true},
+		{3, keyspace.NumSlots + 1, false},
+	} {
+		c, err := New(Config{NumDCs: 1, NumPartitions: tt.parts, MaxPartitions: tt.maxParts, Engine: POCC})
+		if err == nil {
+			c.Close()
+		}
+		if (err == nil) != tt.ok {
+			t.Fatalf("NumPartitions %d, MaxPartitions %d: err = %v", tt.parts, tt.maxParts, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), strconv.Itoa(keyspace.NumSlots)) {
+			t.Fatalf("error %q does not name the bound", err)
+		}
 	}
 }
 

@@ -58,10 +58,7 @@ func (c *Cluster) SplitPartition(donor int) (int, error) {
 	if np >= c.maxParts {
 		return 0, fmt.Errorf("cluster: no MaxPartitions headroom left (capacity %d used up)", c.maxParts)
 	}
-	if err := c.adoptableLayout(); err != nil {
-		return 0, err
-	}
-	cur := c.routingMap()
+	cur := c.slots.Load()
 	owned := cur.SlotsOwnedBy(donor)
 	if len(owned) < 2 {
 		return 0, fmt.Errorf("cluster: partition %d owns %d slot(s); nothing to split", donor, len(owned))
@@ -98,32 +95,12 @@ func (c *Cluster) MoveSlots(slots []int, to int) error {
 	if to < 0 || to >= np {
 		return fmt.Errorf("cluster: no partition %d", to)
 	}
-	if err := c.adoptableLayout(); err != nil {
-		return err
-	}
-	cur := c.routingMap()
+	cur := c.slots.Load()
 	next, err := cur.MoveSlots(slots, to)
 	if err != nil {
 		return err
 	}
 	return c.reshard(cur, next, slots, to, -1, c.memberDCs())
-}
-
-// adoptableLayout guards the static→slot-table transition. Until the first
-// reshard installs a table, the deployment routes by the seed's hash%N
-// layout, which the epoch-0 slot table reproduces only when N divides the
-// slot universe; adopting a misaligned table would silently re-home keys
-// away from the stores that hold them. Once a table is installed, any
-// further reshard is slot-to-slot and needs no alignment.
-func (c *Cluster) adoptableLayout() error {
-	if c.slots.Load() != nil {
-		return nil
-	}
-	if np := c.numParts(); !keyspace.SlotAligned(np) {
-		return fmt.Errorf("cluster: cannot reshard: the static layout over %d partitions is not expressible as a slot table (partition count must divide %d)",
-			np, keyspace.NumSlots)
-	}
-	return nil
 }
 
 // memberDCs lists the DC ids currently in the deployment (active or still
@@ -209,9 +186,10 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 	// keeping retrying clients parked until the flip. The table is staged in
 	// cluster state first, so a server crash-restarted anywhere in the
 	// fence-to-flip window boots from the fenced table instead of the
-	// pre-reshard one (serverConfigLocked consults the staged pointer);
-	// finishReshard clears the stage on every exit path, abort included.
-	c.pendingSlots.Store(next.Clone())
+	// pre-reshard one (serverConfigLocked boots servers from bootSlots);
+	// finishReshard settles it on the outcome on every exit path, abort
+	// included.
+	c.bootSlots.Store(next)
 	for _, srv := range c.live() {
 		srv.InstallSlotMap(next)
 	}
@@ -363,8 +341,8 @@ func (c *Cluster) finishReshard(m *keyspace.SlotMap, members []int, newPart int)
 	// the walk below (plus the re-install in RestartServer) catches servers
 	// that raced the stage. Fenced old owners bounce any early-routed
 	// operation, so clients just retry across the hand-over.
-	c.slots.Store(m.Clone())
-	c.pendingSlots.Store(nil)
+	c.slots.Store(m)
+	c.bootSlots.Store(m)
 	for _, srv := range c.live() {
 		srv.InstallSlotMap(m)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/causaltest"
 	"repro/internal/keyspace"
 	"repro/internal/vclock"
 )
@@ -39,8 +40,8 @@ func TestSplitPartitionBasic(t *testing.T) {
 		t.Fatalf("NumPartitions = %d, want 3", c.NumPartitions())
 	}
 	tbl := c.SlotTable()
-	if tbl == nil || tbl.Epoch == 0 {
-		t.Fatalf("slot table not installed after split: %+v", tbl)
+	if tbl.Epoch == 0 {
+		t.Fatal("split did not advance the slot epoch")
 	}
 	if got := len(tbl.SlotsOwnedBy(np)); got == 0 {
 		t.Fatal("split moved no slots to the new partition")
@@ -155,7 +156,7 @@ func TestMoveSlots(t *testing.T) {
 		}
 	}
 	// Move every slot p0 owns to p1: p1 becomes the whole keyspace's owner.
-	slots := c.routingMap().SlotsOwnedBy(0)
+	slots := c.SlotTable().SlotsOwnedBy(0)
 	if err := c.MoveSlots(slots, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestMoveSlotsLaggingTargetNoOverclaim(t *testing.T) {
 		t.Fatal("donor column at DC1 never advanced past the severed writes")
 	}
 
-	if err := c.MoveSlots(c.routingMap().SlotsOwnedBy(0), 1); err != nil {
+	if err := c.MoveSlots(c.SlotTable().SlotsOwnedBy(0), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Server(1, 1).VV().Get(0); got >= sevMin {
@@ -359,53 +360,137 @@ func TestMoveSlotsLaggingTargetNoOverclaim(t *testing.T) {
 	}
 }
 
-// TestRestartMidReshardBootsFenced checks that a server crash-restarted
-// inside a reshard's fence-to-flip window boots from the staged next-epoch
-// table, not the pre-reshard one: an unfenced donor incarnation would accept
+// TestRestartMidReshardBootsFenced checks which table a crash-restarted
+// server boots with: the cluster's own outside a reshard, and inside a
+// reshard's fence-to-flip window the staged next-epoch table, not the
+// pre-reshard one: an unfenced donor incarnation would accept
 // moved-slot writes that are stranded — acknowledged but invisible — once
 // routing flips to the new owner.
 func TestRestartMidReshardBootsFenced(t *testing.T) {
 	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2}, WithDataDir(t.TempDir()))
-	cur := c.routingMap()
+	cur := c.SlotTable()
+	// Outside any reshard — before the first one, too — a restarted server
+	// boots with the table the cluster routes by.
+	if err := c.RestartServer(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Server(0, 1).SlotTable(); cur.Epoch != 0 || *got != *cur {
+		t.Fatalf("server restarted before any reshard holds %+v, want the cluster's epoch-0 table", got)
+	}
 	next, err := cur.MoveSlots(cur.SlotsOwnedBy(0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stage the table exactly as reshard() does before installing the fence,
 	// then crash-restart a donor inside the window.
-	c.pendingSlots.Store(next.Clone())
-	defer c.pendingSlots.Store(nil)
+	c.bootSlots.Store(next)
+	defer c.bootSlots.Store(cur)
 	if err := c.RestartServer(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	tbl := c.Server(0, 0).SlotTable()
-	if tbl == nil || tbl.Epoch < next.Epoch {
-		t.Fatalf("restarted donor booted with table %+v, want the staged epoch %d (unfenced incarnation would strand moved-slot writes)",
-			tbl, next.Epoch)
+	if got := c.Server(0, 0).SlotEpoch(); got < next.Epoch {
+		t.Fatalf("restarted donor booted at slot epoch %d, want the staged epoch %d (unfenced incarnation would strand moved-slot writes)",
+			got, next.Epoch)
 	}
 }
 
-// TestUnalignedStaticLayoutCannotReshard pins the static→slot-table
-// transition guard: a hash%N layout is expressible as a slot table only when
-// N divides the slot universe, so reshard headroom over an unaligned count
-// is rejected at construction and a reshard attempt on a fixed unaligned
-// deployment fails cleanly instead of silently re-homing keys.
-func TestUnalignedStaticLayoutCannotReshard(t *testing.T) {
-	if _, err := New(Config{NumDCs: 1, NumPartitions: 3, MaxPartitions: 6, Engine: POCC}); err == nil {
-		t.Fatal("MaxPartitions headroom over an unaligned 3-partition layout must be rejected")
+// TestReshardFromThreePartitions reshards a deployment whose partition count
+// does not divide the slot universe: a 2 × 3 deployment with headroom is
+// split and slot-moved under a causally checked workload (one writer per DC
+// on its own keys, reading the other's). No session guarantee may break, no
+// acknowledged write may be lost, and the router and every server must end
+// on one table.
+func TestReshardFromThreePartitions(t *testing.T) {
+	const dcs, keys = 2, 24
+	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 3, MaxPartitions: 6},
+		WithLatency(UniformLatency(50*time.Microsecond, 300*time.Microsecond), 0))
+	key := func(w, i int) string { return fmt.Sprintf("three-w%d-k%d", w, i%keys) }
+
+	reg := causaltest.NewRegistry()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	lastAcked := make([]map[string]string, dcs)
+	for w := 0; w < dcs; w++ {
+		sess, err := c.NewSession(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastAcked[w] = make(map[string]string)
+		wg.Add(1)
+		go func(w int, cs *causaltest.Session) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				switch i % 4 {
+				case 0, 1:
+					v := fmt.Sprintf("w%d-i%d", w, i)
+					if err = cs.Put(key(w, i), []byte(v)); err == nil {
+						lastAcked[w][key(w, i)] = v
+					}
+				case 2:
+					_, err = cs.Get(key(1-w, i))
+				default:
+					_, err = cs.ROTx([]string{key(w, i), key(1-w, i), key(1-w, i+1)})
+				}
+				if err != nil {
+					t.Errorf("dc%d op %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w, causaltest.NewSession(reg, sess, sessionName(w, 0)))
 	}
-	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 3})
-	if err := c.MoveSlots([]int{0}, 1); err == nil {
-		t.Fatal("MoveSlots on an unaligned static layout must be rejected")
+	reshard := func() error {
+		time.Sleep(20 * time.Millisecond) // let the workload reach every partition
+		np, err := c.SplitPartition(0)
+		if err != nil {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+		return c.MoveSlots(c.SlotTable().SlotsOwnedBy(1), np)
 	}
-	// Aligned layouts still reshard, and once a table exists the partition
-	// count is free to grow past alignment (slot-to-slot moves).
-	a := NewTestCluster(t, Topology{DCs: 1, Partitions: 2, MaxPartitions: 5})
-	if _, err := a.SplitPartition(0); err != nil {
-		t.Fatalf("aligned split: %v", err)
+	err := reshard()
+	time.Sleep(20 * time.Millisecond) // keep going through the last epoch
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := a.SplitPartition(0); err != nil { // 3 partitions now — table installed, no alignment needed
-		t.Fatalf("post-table split to an unaligned count: %v", err)
+	for _, v := range reg.Violations() {
+		t.Error(v)
+	}
+
+	want := c.SlotTable()
+	if want.Epoch != 2 || want.Parts != 4 || len(want.SlotsOwnedBy(1)) != 0 {
+		t.Fatalf("router table after split + move: epoch %d, %d parts, p1 owns %d slots",
+			want.Epoch, want.Parts, len(want.SlotsOwnedBy(1)))
+	}
+	for dc := 0; dc < dcs; dc++ {
+		for p := 0; p < c.NumPartitions(); p++ {
+			if !waitUntil(t, 2*time.Second, func() bool { return *c.Server(dc, p).SlotTable() == *want }) {
+				t.Fatalf("dc%d-p%d holds a table other than the router's (epoch %d, want %d)",
+					dc, p, c.Server(dc, p).SlotEpoch(), want.Epoch)
+			}
+		}
+		sd, err := c.NewSession(dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range lastAcked {
+			for k, v := range lastAcked[w] {
+				if !waitUntil(t, 10*time.Second, func() bool {
+					got, errGet := sd.Get(k)
+					return errGet == nil && string(got) == v
+				}) {
+					got, _ := sd.Get(k)
+					t.Fatalf("acked write lost: dc%d key %q = %q, want %q (owner %d)", dc, k, got, v, c.PartitionOf(k))
+				}
+			}
+		}
 	}
 }
 
@@ -424,8 +509,7 @@ func TestSplitRoutingMatchesServers(t *testing.T) {
 				t.Fatalf("no server dc%d-p%d", dc, p)
 			}
 			if !waitUntil(t, 2*time.Second, func() bool {
-				tbl := srv.SlotTable()
-				return tbl != nil && tbl.Epoch >= want.Epoch
+				return srv.SlotEpoch() >= want.Epoch
 			}) {
 				t.Fatalf("dc%d-p%d stuck below epoch %d", dc, p, want.Epoch)
 			}

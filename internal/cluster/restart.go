@@ -115,11 +115,7 @@ func (c *Cluster) RestartServer(dc, p int) error {
 	// flipped (or aborted) between the config snapshot above and now has
 	// already walked the server matrix, so its install may have hit the dead
 	// predecessor. The lattice merge makes the re-install idempotent.
-	if m := c.pendingSlots.Load(); m != nil {
-		srv.InstallSlotMap(m)
-	} else if m := c.slots.Load(); m != nil {
-		srv.InstallSlotMap(m)
-	}
+	srv.InstallSlotMap(c.bootSlots.Load())
 	return nil
 }
 

@@ -104,7 +104,7 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 	blocked, err := NewServer(Config{
 		ID: id1, NumDCs: 3, NumPartitions: 3, Clock: clock.New(0),
 		Endpoint: r.fakeEP[id1], DefaultMode: Optimistic, Metrics: mx,
-		HeartbeatInterval: time.Millisecond,
+		HeartbeatInterval: time.Millisecond, SlotMap: allSlotsTo(3, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -198,9 +198,8 @@ type Config struct {
 	// a fixed partition count, the pre-reshard behavior and footprint.
 	MaxPartitions int
 	// SlotMap is the initial slot table routing keys to partition servers
-	// within the DC. Nil means the static layout: this server owns exactly
-	// the keys PartitionOf maps to its id, and no ownership checks run.
-	// With a map installed, operations on keys whose slot this server does
+	// within the DC; nil selects the epoch-0 table over NumPartitions
+	// (keyspace.DefaultMap). Operations on keys whose slot this server does
 	// not own fail with ErrWrongSlotEpoch, and the table is gossiped and
 	// lattice-merged across the deployment (see InstallSlotMap).
 	SlotMap *keyspace.SlotMap
@@ -235,13 +234,8 @@ func (c *Config) validate() error {
 	if c.MaxPartitions != 0 && c.MaxPartitions < c.NumPartitions {
 		return fmt.Errorf("core: MaxPartitions %d below NumPartitions %d", c.MaxPartitions, c.NumPartitions)
 	}
-	if c.MaxPartitions > keyspace.NumSlots {
-		return fmt.Errorf("core: MaxPartitions %d exceeds the slot universe (%d)", c.MaxPartitions, keyspace.NumSlots)
-	}
-	if c.SlotMap != nil {
-		if err := c.SlotMap.Validate(); err != nil {
-			return err
-		}
+	if n := c.maxPartitions(); n > keyspace.NumSlots {
+		return fmt.Errorf("core: %d partitions exceed the slot universe (at most %d per DC)", n, keyspace.NumSlots)
 	}
 	return nil
 }
@@ -276,8 +270,7 @@ type Server struct {
 	mx       *Metrics
 
 	// slots is the current slot table (immutable; swapped whole under
-	// slotMu, read lock-free on the per-operation routing check). Nil means
-	// the static layout with no ownership enforcement.
+	// slotMu, read lock-free on the per-operation ownership check).
 	slots  atomic.Pointer[keyspace.SlotMap]
 	slotMu sync.Mutex // serializes merge-and-swap of the slot table
 
@@ -330,6 +323,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.SlotMap == nil {
+		cfg.SlotMap = keyspace.DefaultMap(cfg.NumPartitions)
+	} else if err := cfg.SlotMap.Validate(); err != nil {
+		return nil, err
+	}
 	var eng storage.Engine
 	var durable *storage.Durable
 	var src repl.Source // stays nil without a durable log to serve from
@@ -363,9 +361,7 @@ func NewServer(cfg Config) (*Server, error) {
 		inflight:  make(map[uint64]*txPending),
 		stop:      make(chan struct{}),
 	}
-	if cfg.SlotMap != nil {
-		s.slots.Store(cfg.SlotMap.Clone())
-	}
+	s.slots.Store(cfg.SlotMap.Clone())
 	if !cfg.Joining && !cfg.Gated {
 		close(s.joined)
 		s.joinedOnce.Do(func() {})
@@ -623,12 +619,12 @@ func (b *replBackend) ApplyRemote(vs []*item.Version, slotEpoch uint64) {
 	s := (*Server)(b)
 	s.store.InsertBatch(vs)
 	sm := s.slots.Load()
-	if sm == nil || slotEpoch >= sm.Epoch {
+	if slotEpoch >= sm.Epoch {
 		return
 	}
 	var byOwner map[int][]*item.Version
 	for _, v := range vs {
-		if o := int(sm.Owner[keyspace.SlotOf(v.Key)]); o != s.n {
+		if o := sm.OwnerOf(v.Key); o != s.n {
 			if byOwner == nil {
 				byOwner = make(map[int][]*item.Version)
 			}

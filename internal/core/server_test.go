@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/item"
+	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
 	"repro/internal/vclock"
@@ -50,6 +51,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.DefaultMode == 0 {
 		cfg.DefaultMode = Optimistic
 	}
+	if cfg.SlotMap == nil {
+		cfg.SlotMap = allSlotsTo(cfg.NumPartitions, 0)
+	}
 	cfg.ID = netemu.NodeID{DC: 0, Partition: 0}
 	cfg.Endpoint = r.net.Register(cfg.ID, nil)
 	// Fake peers: same partition in other DCs, other partitions in DC 0.
@@ -72,6 +76,18 @@ func newRig(t *testing.T, cfg Config) *rig {
 		r.net.Close()
 	})
 	return r
+}
+
+// allSlotsTo returns the table a rig server runs on unless a test brings its
+// own: over n partitions, with partition p owning every slot, so the tests
+// drive one server with arbitrary keys.
+func allSlotsTo(n, p int) *keyspace.SlotMap {
+	all := make([]int, keyspace.NumSlots)
+	for s := range all {
+		all[s] = s
+	}
+	m, _ := keyspace.DefaultMap(n).MoveSlots(all, p)
+	return m
 }
 
 func (r *rig) registerFake(id netemu.NodeID) {
@@ -140,6 +156,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no metrics", func(c *Config) { c.Metrics = nil }},
 		{"bad mode", func(c *Config) { c.DefaultMode = 0 }},
 		{"pessimistic without stabilization", func(c *Config) { c.DefaultMode = Pessimistic }},
+		{"more partitions than slots", func(c *Config) { c.NumPartitions = keyspace.NumSlots + 1 }},
+		{"more capacity than slots", func(c *Config) { c.MaxPartitions = keyspace.NumSlots + 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -150,6 +168,13 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
+	cfg := base
+	cfg.NumPartitions = keyspace.NumSlots
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("%d partitions (one slot each) must be accepted: %v", keyspace.NumSlots, err)
+	}
+	srv.Close()
 }
 
 func TestPutAssignsIncreasingTimestamps(t *testing.T) {

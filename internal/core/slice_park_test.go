@@ -22,6 +22,7 @@ func (r *rig) sibling(cfg Config) *Server {
 	r.registerFake(netemu.NodeID{DC: 2, Partition: 1})
 	cfg.ID, cfg.NumDCs, cfg.NumPartitions = id, 3, 2
 	cfg.Clock, cfg.Endpoint, cfg.DefaultMode, cfg.Metrics = clock.New(0), r.fakeEP[id], Optimistic, &Metrics{}
+	cfg.SlotMap = allSlotsTo(2, 1)
 	s, err := NewServer(cfg)
 	if err != nil {
 		r.t.Fatal(err)

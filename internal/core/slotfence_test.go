@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/item"
 	"repro/internal/keyspace"
+	"repro/internal/msg"
+	"repro/internal/netemu"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -104,5 +106,38 @@ func TestInstallSlotMapIsWriteFence(t *testing.T) {
 	}
 	if got := r.srv.VV().Get(0); got != mark {
 		t.Fatalf("refused write moved VV[0] %d -> %d", mark, got)
+	}
+}
+
+// TestOwnershipEnforcedFromEpochZero: a server serves a key iff its table
+// says so, and the epoch-0 table is a table. A GET, a PUT and an RO-TX slice
+// for a key it assigns to the other partition are each refused with the
+// redirect a reshard's fence uses.
+func TestOwnershipEnforcedFromEpochZero(t *testing.T) {
+	r := newRig(t, Config{HeartbeatInterval: time.Hour, SlotMap: keyspace.DefaultMap(2)})
+	if e := r.srv.SlotEpoch(); e != 0 {
+		t.Fatalf("slot epoch = %d, want 0", e)
+	}
+	key := keyspace.Build(2, 1).Key(1, 0)
+	if _, err := r.srv.Get(key, vclock.New(3), Optimistic); err != ErrWrongSlotEpoch {
+		t.Fatalf("GET of partition 1's key: err = %v, want ErrWrongSlotEpoch", err)
+	}
+	if _, err := r.srv.Put(key, []byte("v"), vclock.New(3), Optimistic); err != ErrWrongSlotEpoch {
+		t.Fatalf("PUT of partition 1's key: err = %v, want ErrWrongSlotEpoch", err)
+	}
+	if r.srv.Store().Head(key) != nil {
+		t.Fatal("the refused PUT was stored")
+	}
+	peer := netemu.NodeID{DC: 0, Partition: 1}
+	r.inject(peer, &msg.SliceReq{TxID: 9, Coordinator: peer, Keys: []string{key}, TV: vclock.New(3)})
+	if !waitUntil(t, 2*time.Second, func() bool {
+		for _, m := range r.received(peer) {
+			if resp, ok := m.(*msg.SliceResp); ok && resp.TxID == 9 {
+				return resp.Err == ErrWrongSlotEpoch.Error()
+			}
+		}
+		return false
+	}) {
+		t.Fatal("the slice for partition 1's key was not refused with ErrWrongSlotEpoch")
 	}
 }

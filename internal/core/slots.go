@@ -10,25 +10,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// SlotTable returns the server's current slot table (nil under the static
-// layout). The returned map is immutable — callers must not modify it.
+// SlotTable returns the server's current slot table (never nil). The
+// returned map is immutable — callers must not modify it.
 func (s *Server) SlotTable() *keyspace.SlotMap { return s.slots.Load() }
 
-// SlotEpoch returns the epoch of the current slot table (0 under the static
-// layout).
-func (s *Server) SlotEpoch() uint64 {
-	if sm := s.slots.Load(); sm != nil {
-		return sm.Epoch
-	}
-	return 0
-}
+// SlotEpoch returns the epoch of the current slot table.
+func (s *Server) SlotEpoch() uint64 { return s.slots.Load().Epoch }
 
 // liveParts is the number of partition servers currently live in this DC:
 // the slot table's count when it exceeds the configured layout (a split
 // grew the DC after this server started), clamped to the reserved capacity.
 func (s *Server) liveParts() int {
 	n := s.cfg.NumPartitions
-	if sm := s.slots.Load(); sm != nil && sm.Parts > n {
+	if sm := s.slots.Load(); sm.Parts > n {
 		n = sm.Parts
 	}
 	if n > s.maxParts {
@@ -37,13 +31,9 @@ func (s *Server) liveParts() int {
 	return n
 }
 
-// ownsKey reports whether this server currently owns the key's slot. Under
-// the static layout (nil table) every key the old hash routed here is
-// accepted unchecked — the pre-reshard behavior.
-func (s *Server) ownsKey(key string) bool {
-	sm := s.slots.Load()
-	return sm == nil || int(sm.Owner[keyspace.SlotOf(key)]) == s.n
-}
+// ownsKey reports whether this server currently owns the key's slot: a
+// server serves a key iff its table says so, from epoch 0 on.
+func (s *Server) ownsKey(key string) bool { return s.slots.Load().OwnerOf(key) == s.n }
 
 // InstallSlotMap folds a slot table into the server's own by the lattice
 // merge and, when the merge changed anything, gossips the merged table to
@@ -55,15 +45,8 @@ func (s *Server) InstallSlotMap(m *keyspace.SlotMap) bool {
 		return false
 	}
 	s.slotMu.Lock()
-	cur := s.slots.Load()
-	var merged *keyspace.SlotMap
-	changed := false
-	if cur == nil {
-		merged, changed = m.Clone(), true
-	} else {
-		merged = cur.Clone()
-		changed = merged.Merge(m)
-	}
+	merged := s.slots.Load().Clone()
+	changed := merged.Merge(m)
 	if changed {
 		// Store under the replication manager's outbound lock — the same
 		// lock PrepareLocal checks ownership under — so the install is a

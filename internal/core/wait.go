@@ -55,8 +55,10 @@ func (a *atomicVC) load(dst vclock.VC) vclock.VC {
 // snapshot returns a fresh copy of the vector.
 func (a *atomicVC) snapshot() vclock.VC { return a.load(nil) }
 
-// covers reports whether the vector satisfies need on every entry except
-// skip (-1 checks all entries), the lock-free form of vclock.LessEqExcept.
+// covers reports whether need[i] ≤ the vector's entry i for every i != skip
+// (-1 checks all entries). With skip the local DC this is the GET wait
+// condition (Algorithm 2, line 2): dependencies on the local DC are
+// trivially satisfied.
 func (a *atomicVC) covers(need vclock.VC, skip int) bool {
 	for i, t := range need {
 		if i == skip {

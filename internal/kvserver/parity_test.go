@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/keyspace"
 	"repro/internal/wire"
 )
 
@@ -19,6 +20,13 @@ func TestTextBinaryParity(t *testing.T) {
 	text := dial(t, srv.Addr(0))
 	bin := dialRawFrontDoor(t, srv)
 	whereis := fmt.Sprintf("PARTITION %d", srv.store.PartitionOf("k"))
+	// The epoch-0 table over two partitions: even slots to 0, odd slots to 1.
+	var even, odd strings.Builder
+	for s := 0; s < keyspace.NumSlots; s += 2 {
+		fmt.Fprintf(&even, " %d", s)
+		fmt.Fprintf(&odd, " %d", s+1)
+	}
+	slots := "SLOTS epoch=0 parts=2\nSLOT 0" + even.String() + "\nSLOT 1" + odd.String() + "\nSLOTEND"
 
 	for _, tc := range []struct {
 		name string
@@ -36,7 +44,7 @@ func TestTextBinaryParity(t *testing.T) {
 		{name: "TX", line: "TX k ghost", op: wire.FDROTx, want: "TXVAL k hello world\nTXNIL ghost\nTXEND"},
 		{name: "STATS", line: "STATS", op: wire.FDStats, want: "STATS ops=…"},
 		{name: "WHEREIS", line: "WHEREIS k", op: wire.FDAdmin, want: whereis},
-		{name: "SLOTS", line: "SLOTS", op: wire.FDAdmin, want: "SLOTS epoch=0 parts=2\nSLOTEND"},
+		{name: "SLOTS", line: "SLOTS", op: wire.FDAdmin, want: slots},
 		{name: "unknown verb", line: "FLY me", op: wire.FDAdmin, want: `ERR unknown command "FLY"`},
 		{name: "admin usage error", line: "WHEREIS", op: wire.FDAdmin, want: "ERR usage: WHEREIS <key>"},
 		{name: "data usage error", line: "PUT onlykey", want: "ERR usage: PUT <key> <value>"},

@@ -45,8 +45,8 @@ type ReplicateBatch struct {
 	// SlotEpoch is the sender's slot-table epoch when the batch was flushed.
 	// A receiver whose table has moved past it re-routes versions of moved
 	// slots to their current in-DC owner (core's slot handoff) instead of
-	// applying them to a server that no longer serves the slot. Zero means
-	// the sender predates resharding (or runs the static layout).
+	// applying them to a server that no longer serves the slot. 0 = the
+	// epoch-0 table.
 	SlotEpoch uint64
 }
 

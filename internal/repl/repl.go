@@ -54,11 +54,11 @@ type Backend interface {
 	// ApplyRemote installs a batch of remote versions in storage. slotEpoch
 	// is the sender's slot-table epoch when the batch was stamped: a backend
 	// whose table has moved past it re-routes versions whose slots changed
-	// owner (see keyspace.SlotMap). Zero means the sender predates slot
-	// tables (or runs the default map) — versions apply in place.
+	// owner (see keyspace.SlotMap). 0 = the epoch-0 table, which no table
+	// has moved past — versions apply in place.
 	ApplyRemote(vs []*item.Version, slotEpoch uint64)
-	// SlotEpoch returns the backend's current slot-table epoch (0 when no
-	// table is installed); stamped on outbound batches and catch-up chunks.
+	// SlotEpoch returns the backend's current slot-table epoch (0 = the
+	// epoch-0 table); stamped on outbound batches and catch-up chunks.
 	SlotEpoch() uint64
 	// VVEntry returns the server's version-vector entry for dc.
 	VVEntry(dc int) vclock.Timestamp

@@ -200,25 +200,6 @@ func (v VC) LessEq(o VC) bool {
 	return true
 }
 
-// LessEqExcept reports whether v[i] ≤ o[i] for every entry i != skip. This is
-// the POCC GET wait condition: dependencies on the local DC are trivially
-// satisfied (Algorithm 2, line 2).
-func (v VC) LessEqExcept(o VC, skip int) bool {
-	for i := range v {
-		if i == skip {
-			continue
-		}
-		var oi Timestamp
-		if i < len(o) {
-			oi = o[i]
-		}
-		if v[i] > oi {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether v and o have identical entries (and lengths).
 func (v VC) Equal(o VC) bool {
 	if len(v) != len(o) {
@@ -238,20 +219,6 @@ func (v VC) MaxEntry() Timestamp {
 	var m Timestamp
 	for _, t := range v {
 		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// MinEntry returns the smallest entry of v (0 for an empty or nil vector).
-func (v VC) MinEntry() Timestamp {
-	if len(v) == 0 {
-		return 0
-	}
-	m := v[0]
-	for _, t := range v[1:] {
-		if t < m {
 			m = t
 		}
 	}
@@ -281,19 +248,6 @@ func AggregateMin(vs []VC) VC {
 	out := vs[0].Clone()
 	for _, v := range vs[1:] {
 		out.MinInPlace(v)
-	}
-	return out
-}
-
-// AggregateMax returns the entry-wise maximum across vs, or nil if vs is
-// empty.
-func AggregateMax(vs []VC) VC {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := vs[0].Clone()
-	for _, v := range vs[1:] {
-		out.MaxInPlace(v)
 	}
 	return out
 }

@@ -29,8 +29,8 @@ func TestNilVectorIsZero(t *testing.T) {
 	if v.Clone() != nil {
 		t.Fatal("Clone of nil must be nil")
 	}
-	if v.MaxEntry() != 0 || v.MinEntry() != 0 {
-		t.Fatal("nil vector MaxEntry/MinEntry must be 0")
+	if v.MaxEntry() != 0 {
+		t.Fatal("nil vector MaxEntry must be 0")
 	}
 }
 
@@ -95,24 +95,10 @@ func TestLessEq(t *testing.T) {
 	}
 }
 
-func TestLessEqExcept(t *testing.T) {
-	a := VC{9, 2, 3}
-	b := VC{1, 5, 5}
-	if !a.LessEqExcept(b, 0) {
-		t.Fatal("entry 0 must be skipped")
-	}
-	if a.LessEqExcept(b, 1) {
-		t.Fatal("entry 0 violates when not skipped")
-	}
-}
-
-func TestMaxMinEntry(t *testing.T) {
+func TestMaxEntry(t *testing.T) {
 	v := VC{4, 9, 1}
 	if v.MaxEntry() != 9 {
 		t.Fatalf("MaxEntry = %d", v.MaxEntry())
-	}
-	if v.MinEntry() != 1 {
-		t.Fatalf("MinEntry = %d", v.MinEntry())
 	}
 }
 
@@ -120,12 +106,6 @@ func TestAggregates(t *testing.T) {
 	vs := []VC{{5, 1}, {3, 4}, {4, 2}}
 	if got := AggregateMin(vs); !got.Equal(VC{3, 1}) {
 		t.Fatalf("AggregateMin = %v", got)
-	}
-	if got := AggregateMax(vs); !got.Equal(VC{5, 4}) {
-		t.Fatalf("AggregateMax = %v", got)
-	}
-	if AggregateMax(nil) != nil {
-		t.Fatal("AggregateMax(nil) must be nil")
 	}
 }
 

@@ -157,7 +157,7 @@ type Config struct {
 	MaxDataCenters int
 	// MaxPartitions reserves capacity for partition servers added at runtime
 	// (SplitPartition), the partition-axis analogue of MaxDataCenters. 0
-	// means Partitions — a fixed keyspace layout.
+	// means Partitions — a fixed partition count. At most keyspace.NumSlots.
 	MaxPartitions int
 	// JoinTimeout bounds how long a joining data center keeps soliciting the
 	// deployment before giving up; WaitForJoin then tears the half-joined DC
@@ -322,8 +322,7 @@ func (s *Store) Partitions() int { return s.inner.NumPartitions() }
 // MaxPartitions returns the store's partition capacity.
 func (s *Store) MaxPartitions() int { return s.inner.MaxPartitions() }
 
-// PartitionOf returns the partition currently responsible for key: the
-// static hash layout until the first reshard, the slot table afterwards.
+// PartitionOf returns the partition the slot table currently assigns key to.
 func (s *Store) PartitionOf(key string) int {
 	return s.inner.PartitionOf(key)
 }
@@ -351,8 +350,8 @@ func (s *Store) MoveSlots(slots []int, to int) error {
 	return nil
 }
 
-// SlotTable returns a copy of the store's slot routing table, or nil while
-// the deployment still routes by the static hash layout (no reshard ran).
+// SlotTable returns a copy of the store's slot routing table (never nil:
+// the epoch-0 table, keyspace.DefaultMap, until the first reshard).
 func (s *Store) SlotTable() *keyspace.SlotMap { return s.inner.SlotTable() }
 
 // Seed loads an initial value for key into every data center, immediately
@@ -487,8 +486,8 @@ type Stats struct {
 	FullScans    uint64
 	PartsSkipped uint64
 	// Partitions is the number of live partition servers per DC; SlotEpoch
-	// is the slot-table generation (0 until the first reshard — the static
-	// hash layout).
+	// is the slot-table generation (0 = the epoch-0 table, until the first
+	// reshard).
 	Partitions int
 	SlotEpoch  uint64
 }
@@ -550,9 +549,7 @@ func (s *Store) Stats() Stats {
 	st.FullScans = durable.FullScans
 	st.PartsSkipped = durable.PartsSkipped
 	st.Partitions = s.inner.NumPartitions()
-	if tbl := s.inner.SlotTable(); tbl != nil {
-		st.SlotEpoch = tbl.Epoch
-	}
+	st.SlotEpoch = s.inner.SlotTable().Epoch
 	if err := s.inner.StorageErr(); err != nil {
 		st.StorageError = err.Error()
 	}
