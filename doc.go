@@ -332,7 +332,8 @@
 // The rules, in path order — allocation guards and race-enabled ownership
 // tests pin them (make allocs; TestFrontDoorPutOwnsItsBytes,
 // TestFrontDoorLeaseSurvivesBlockedGet, TestFrontDoorLeaseCap,
-// TestDecodedBatchOwnsItsBytes, TestFrontDoorCallReuse*):
+// TestDecodedBatchOwnsItsBytes, TestFrontDoorCallReuse*,
+// TestPutCopiesCallerDeps, TestROTxInterleavedPutKeepsDeps):
 //
 //   - client.Pool → front-door frame. A request is encoded into the writer's
 //     scratch before its call completes; the pool keeps nothing of the
@@ -363,12 +364,13 @@
 //     and on a read or decode error or a refused dispatch, on its way out. A
 //     buffer above 64 KiB is dropped rather than returned, so one large frame
 //     pins neither the pool nor its connection. In-process callers use
-//     Session.Put, which makes the one copy at that edge; the session clones
-//     its dependency vector per PUT.
-//   - core.Put → engine. core.Server.Put takes ownership of value and
-//     dependency vector: they become the stored item.Version's, immutable
-//     from then on and shared by pointer with the replication buffer (and,
-//     on the emulated transport, with every replica).
+//     Session.Put, which makes the one copy at that edge; the session's
+//     dependency vector travels as its reusable scratch, as a GET's does.
+//   - core.Put → engine. value: handed over; dv: borrowed, copied into the
+//     version. The version is one object wherever it is born (item.New: the
+//     struct and its dependency vector in one allocation), immutable from
+//     then on and shared by pointer with the replication buffer (and, on the
+//     emulated transport, with every replica).
 //   - engine → wal. storage.Durable encodes a version's record into pooled
 //     scratch; wal.Log frames (copies) records into its staging buffer
 //     before Append/AppendAsync return and never retains the caller's bytes,
@@ -381,13 +383,15 @@
 //     reallocate.
 //   - wire batch → repl → engine. A decoded version list (ReplicateBatch,
 //     CatchUpReply, SlotHandoff) never aliases the decoder's reused frame
-//     buffer: the decoder copies the frame's tail once, and keys, values,
-//     version structs and dependency vectors are carved from that copy and
-//     two slabs sized from the list — so a batch allocates in proportion to
-//     its frame (5 allocations whatever its length) and a hostile count
-//     cannot size anything the remaining bytes could not encode. The price
-//     is retention at batch granularity: a live version keeps its batch's
-//     copy reachable, at most one frame of dead neighbors.
+//     buffer: the decoder copies the frame's tail once, keys and values
+//     alias that copy, and the versions — dependency vectors included — are
+//     carved from one slab of records (item.Slab) sized from the list — so a
+//     batch allocates in proportion to its frame (4 allocations whatever its
+//     length, a list of mixed vector lengths one more per size class) and a
+//     hostile count cannot size anything the remaining bytes could not
+//     encode. The price is retention at batch granularity: a live version
+//     keeps its batch's copy and slab reachable, at most one frame of dead
+//     neighbors.
 //   - what storage may keep of a decoded key. Only what it keeps of the
 //     version: the chain map's key is re-pointed at the chain head's Key on
 //     every insert, so it never pins the frame of a version that has been

@@ -225,9 +225,9 @@ func (s *Session) put(key string, value []byte) (vclock.Timestamp, int, error) {
 		}
 		s.mu.Lock()
 		mode := s.mode
-		// Cloned, not scratch: the server takes ownership of dv (it becomes
-		// the new version's dependency vector).
-		dv := s.dv.Clone()
+		// Scratch, as for a GET: the server copies dv into the new version.
+		s.opScratch = s.opScratch.CopyFrom(s.dv)
+		dv := s.opScratch
 		s.mu.Unlock()
 		ut, err := srv.Put(key, value, dv, mode)
 		if err != nil {

@@ -1,12 +1,16 @@
 package client_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/causaltest"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/racedetect"
+	"repro/internal/vclock"
 )
 
 // The client package is exercised against a tiny real cluster: its behaviour
@@ -210,5 +214,100 @@ func TestModeLifecycle(t *testing.T) {
 	}
 	if s.Fallbacks() != 0 || s.Promotions() != 0 {
 		t.Fatal("fresh session must have no fallbacks/promotions")
+	}
+}
+
+// TestROTxInterleavedPutKeepsDeps: a session hands the server its reusable
+// scratch vector on every operation, so a stored version's Deps must be the
+// session's DV as it stood at the PUT — still, after the GETs, RO-TXs and
+// PUTs that reused the scratch since. A second DC's writes keep the remote
+// entry of DV moving between PUTs.
+func TestROTxInterleavedPutKeepsDeps(t *testing.T) {
+	c := twoDC(t, cluster.POCC)
+	reg := causaltest.NewRegistry()
+	open := func(dc int, name string) *causaltest.Session {
+		s, err := c.NewSession(dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return causaltest.NewSession(reg, s, name)
+	}
+	local, remote := open(0, "local"), open(1, "remote")
+
+	type put struct {
+		key string
+		dv  vclock.VC
+	}
+	var puts []put
+	check := func(p put) {
+		t.Helper()
+		reply, err := c.ReadAt(0, p.key)
+		if err != nil || !reply.Exists {
+			t.Fatalf("read back %s: exists=%v err=%v", p.key, reply.Exists, err)
+		}
+		if !reply.Deps.Equal(p.dv) {
+			t.Fatalf("%s stored with Deps %v, session DV at the PUT was %v", p.key, reply.Deps, p.dv)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		rkey, key := fmt.Sprintf("r%d", i), fmt.Sprintf("k%d", i)
+		if err := remote.Put(rkey, []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+		for { // until the remote write is here: DV[1] moves on every round
+			v, err := local.Get(rkey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != nil {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		p := put{key, local.Unwrap().DV()}
+		if err := local.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		puts = append(puts, p)
+		check(p)
+		if _, err := local.ROTx([]string{key, rkey, "k0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range puts {
+		check(p)
+	}
+	if v := reg.Violations(); len(v) != 0 {
+		t.Fatalf("causal violations: %v", v)
+	}
+}
+
+// TestSessionPutAllocs: an in-process PUT costs the value's copy and the
+// version (struct and dependency vector in one object); PutOwned, whose
+// caller gives the value away, the version alone. As in core's TestPutAllocs
+// the Δ = 1 ms flush and chain growth amortize to less than one object.
+func TestSessionPutAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := twoDC(t, cluster.POCC)
+	s, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := []byte("value")
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := s.Put("k", value); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Session.Put allocates %v times per call, want at most 2 (value copy, version)", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := s.PutOwned("k", value); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Session.PutOwned allocates %v times per call, want at most 1 (the version)", n)
 	}
 }

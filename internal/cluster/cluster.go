@@ -577,18 +577,14 @@ func (c *Cluster) newSession(dc int, autoFallback bool) (*client.Session, error)
 func (c *Cluster) Seed(key string, value []byte) {
 	ut := vclock.Timestamp(c.seedSeq.Add(1))
 	p := c.PartitionOf(key)
+	value = append([]byte(nil), value...) // one copy: versions are immutable
 	for dc := 0; dc < c.NumDCs(); dc++ {
 		srv := c.Server(dc, p)
 		if srv == nil {
 			continue // departed DC
 		}
-		v := &item.Version{
-			Key:        key,
-			Value:      append([]byte(nil), value...),
-			SrcReplica: 0,
-			UpdateTime: ut,
-			Deps:       vclock.New(c.maxDCs),
-		}
+		v := item.New(c.maxDCs)
+		v.Key, v.Value, v.UpdateTime = key, value, ut
 		srv.Store().Insert(v)
 	}
 }

@@ -709,12 +709,13 @@ func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error
 // in timestamp order (buffered by repl.Manager.Publish, shipped on its flush
 // cadence: internal/repl/outbound.go).
 //
-// The server takes ownership of value and dv — they become the new version's
-// payload and dependency vector, shared with every replica of an emulated
-// deployment — so callers must not mutate either after the call. The copy
-// that protects a caller's buffer is made once, where one is needed: the
-// in-process session's Put (client.Session); a front-door PUT's key and value
-// left their frame together, in one private copy (wire's Detach).
+// The server takes ownership of value — it becomes the new version's payload,
+// shared with every replica of an emulated deployment — so callers must not
+// mutate it after the call. The copy that protects a caller's buffer is made
+// once, where one is needed: the in-process session's Put (client.Session); a
+// front-door PUT's key and value left their frame together, in one private
+// copy (wire's Detach). dv is only borrowed: it is copied into the version
+// (item.New: one allocation for both), so a session passes reusable scratch.
 func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
 	if !s.ownsKey(key) {
 		return 0, ErrWrongSlotEpoch
@@ -740,16 +741,13 @@ func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.
 	if value == nil {
 		value = []byte{} // a nil payload reads back as "no such key"
 	}
-	d := &item.Version{
-		Key:        key,
-		Value:      value,
-		SrcReplica: s.m,
-		Deps:       dv,
-		Optimistic: mode == Optimistic,
+	n := len(dv)
+	if dv == nil {
+		n = s.maxDCs
 	}
-	if d.Deps == nil {
-		d.Deps = vclock.New(s.maxDCs)
-	}
+	d := item.New(n)
+	d.Key, d.Value, d.SrcReplica, d.Optimistic = key, value, s.m, mode == Optimistic
+	copy(d.Deps, dv)
 
 	// Publish runs the write path under the replication manager's outbound
 	// lock: timestamp assignment, storage insert and the local VV advance

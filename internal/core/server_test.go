@@ -208,6 +208,24 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 	}
 }
 
+// TestPutCopiesCallerDeps: dv is borrowed — sessions pass reusable scratch —
+// so the stored version must not alias it.
+func TestPutCopiesCallerDeps(t *testing.T) {
+	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	dv := vclock.VC{3, 0, 0}
+	if _, err := r.srv.Put("k0", []byte("v"), dv, Optimistic); err != nil {
+		t.Fatal(err)
+	}
+	dv[0], dv[2] = 99, 99
+	reply, err := r.srv.Get("k0", vclock.New(3), Optimistic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (vclock.VC{3, 0, 0}); !reply.Deps.Equal(want) {
+		t.Fatalf("stored Deps = %v after the caller reused dv, want %v", reply.Deps, want)
+	}
+}
+
 func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 	// Each PUT waits for the Δ tick to flush its predecessor, so every one
 	// leaves as a single-version sequenced batch (the original

@@ -187,16 +187,15 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 		if i < 10 {
 			continue
 		}
+		v := item.New(len(deps))
+		v.Key, v.Value, v.UpdateTime = key, value, ut+visibilityEpochOffset
 		for d := range deps {
 			if deps[d] != 0 {
-				deps[d] += visibilityEpochOffset
+				v.Deps[d] = deps[d] + visibilityEpochOffset
 			}
 		}
-		pending = append(pending, &item.Version{
-			Key: key, Value: value, SrcReplica: 0,
-			UpdateTime: ut + visibilityEpochOffset, Deps: deps,
-		})
-		absBytes += len(wire.AppendVersion(nil, pending[len(pending)-1]))
+		pending = append(pending, v)
+		absBytes += len(wire.AppendVersion(nil, v))
 		if len(pending) >= visibilityBatchSize {
 			if err := flush(); err != nil {
 				return VisibilityStats{}, err

@@ -3,6 +3,10 @@
 // value, source replica (the DC where the PUT was executed), update time (the
 // physical timestamp assigned at the source replica) and dependency vector
 // (one entry per DC, tracking potential causal dependencies).
+//
+// New and Slab are where a version is born — a PUT, a decoded replica, a WAL
+// replay, the loader — so that the tuple is one heap object; outside tests no
+// other package writes a Version literal (`make vet` greps for one).
 package item
 
 import "repro/internal/vclock"
@@ -21,6 +25,70 @@ type Version struct {
 	// they are stable, because they may depend on remote items that have not
 	// been replicated yet (§IV-C).
 	Optimistic bool
+}
+
+// A fused record: a Version followed by the array its Deps slices, in one
+// allocation. The lengths are the closed set of size classes; a longer vector
+// is allocated beside its struct.
+type (
+	rec4 struct {
+		Version
+		deps [4]vclock.Timestamp
+	}
+	rec8 struct {
+		Version
+		deps [8]vclock.Timestamp
+	}
+	rec16 struct {
+		Version
+		deps [16]vclock.Timestamp
+	}
+)
+
+// New returns a zeroed version whose n-entry Deps (len == cap == n) shares
+// the version's allocation.
+func New(n int) *Version {
+	var s Slab
+	return s.Take(n, 1)
+}
+
+// Slab carves the versions of one decoded list out of one array per size
+// class instead of one allocation each. The zero value is ready; a version
+// keeps its slab's array reachable, neighbours included.
+type Slab struct {
+	r4  []rec4
+	r8  []rec8
+	r16 []rec16
+}
+
+// Take is New from the slab. When the array of n's class is used up (or not
+// made yet) it makes one of c records, c being the caller's bound on the
+// versions of that class still to come.
+func (s *Slab) Take(n, c int) *Version {
+	switch {
+	case n <= len(rec4{}.deps):
+		r := carve(&s.r4, c)
+		r.Deps = r.deps[:n:n]
+		return &r.Version
+	case n <= len(rec8{}.deps):
+		r := carve(&s.r8, c)
+		r.Deps = r.deps[:n:n]
+		return &r.Version
+	case n <= len(rec16{}.deps):
+		r := carve(&s.r16, c)
+		r.Deps = r.deps[:n:n]
+		return &r.Version
+	}
+	return &Version{Deps: make(vclock.VC, n)}
+}
+
+func carve[R any](s *[]R, c int) *R {
+	if len(*s) == 0 {
+		*s = make([]R, c)
+	}
+	r := &(*s)[0]
+	*s = (*s)[1:]
+	return r
 }
 
 // Newer reports whether v is ordered after o by the last-writer-wins rule:

@@ -1,6 +1,10 @@
 package item
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/racedetect"
+)
 
 func TestNewerByTimestamp(t *testing.T) {
 	a := &Version{UpdateTime: 10, SrcReplica: 2}
@@ -50,3 +54,60 @@ func TestSame(t *testing.T) {
 		t.Fatal("different source replicas are different versions")
 	}
 }
+
+// TestNewDepsExactlySized: at every class boundary Deps has len == cap == n,
+// so an append on one version's Deps reallocates instead of writing into the
+// record's spare entries or a slab neighbour.
+func TestNewDepsExactlySized(t *testing.T) {
+	largest := len(rec16{}.deps)
+	for _, n := range []int{0, 1, 4, 5, 8, 9, largest, largest + 1} {
+		v := New(n)
+		if v.Deps == nil || len(v.Deps) != n || cap(v.Deps) != n {
+			t.Fatalf("New(%d): Deps nil=%v len=%d cap=%d, want non-nil, len == cap == %d",
+				n, v.Deps == nil, len(v.Deps), cap(v.Deps), n)
+		}
+		if v.Key != "" || v.Value != nil || v.SrcReplica != 0 || v.UpdateTime != 0 || v.Optimistic {
+			t.Fatalf("New(%d) is not zeroed: %+v", n, v)
+		}
+	}
+}
+
+func TestSlabRecordsHoldDistinctVectors(t *testing.T) {
+	var s Slab
+	a, b := s.Take(3, 2), s.Take(3, 2)
+	for i := range a.Deps {
+		a.Deps[i] = 7
+	}
+	a.Deps = append(a.Deps, 8)
+	for i, d := range b.Deps {
+		if d != 0 {
+			t.Fatalf("neighbour's Deps[%d] = %d after writing and appending to the first record's", i, d)
+		}
+	}
+	if len(s.r4) != 0 {
+		t.Fatalf("slab made for 2 records has %d left after 2", len(s.r4))
+	}
+	// A record of another class gets an array of its own.
+	if c := s.Take(9, 1); len(c.Deps) != 9 || len(s.r4) != 0 {
+		t.Fatalf("Take(9) after a class-4 slab: len(Deps) = %d, class-4 records left = %d", len(c.Deps), len(s.r4))
+	}
+}
+
+// TestNewAllocs: a version and its vector are one object up to the largest
+// size class, struct and vector beyond it.
+func TestNewAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	largest := len(rec16{}.deps)
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{0, 1}, {3, 1}, {5, 1}, {largest, 1}, {largest + 1, 2}} {
+		if got := testing.AllocsPerRun(200, func() { sink = New(c.n) }); got != c.want {
+			t.Errorf("New(%d) allocates %v objects, want %v", c.n, got, c.want)
+		}
+	}
+}
+
+var sink *Version

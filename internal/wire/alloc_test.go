@@ -63,27 +63,30 @@ func decodeCost(t *testing.T, frame []byte) (allocs float64, bytesPer uint64) {
 	return allocs, (after.TotalAlloc - before.TotalAlloc) / rounds
 }
 
+// recordSize is what one version costs a list's slab when its vector has up
+// to four entries (or none): the struct and item's smallest inline array, in
+// one object.
+const recordSize = uint64(unsafe.Sizeof(item.Version{}) + 4*unsafe.Sizeof(vclock.Timestamp(0)))
+
 // TestBatchDecodeAllocs pins the batch decode to allocations in proportion
-// to its frame: the private copy of the frame's tail, the version slab, the
-// dependency slab, the pointer list and the boxed message — not one per key,
-// value and vector, and no fixed-size chunks.
+// to its frame: the private copy of the frame's tail, the record slab
+// (versions and their vectors), the pointer list and the boxed message — not
+// one per key, value and vector, and no fixed-size chunks.
 func TestBatchDecodeAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	versionSize := uint64(unsafe.Sizeof(item.Version{}))
-
 	frame := deltaBatchFrame(t, 8)
 	allocs, size := decodeCost(t, frame)
-	if limit := 2*uint64(len(frame)) + 8*versionSize; allocs > 6 || size > limit {
-		t.Fatalf("8-version batch (%d-byte frame): %v allocs, %d bytes per decode; want <= 6 allocs, <= %d bytes",
+	if limit := 2*uint64(len(frame)) + 8*recordSize; allocs > 4 || size > limit {
+		t.Fatalf("8-version batch (%d-byte frame): %v allocs, %d bytes per decode; want <= 4 allocs, <= %d bytes",
 			len(frame), allocs, size, limit)
 	}
 
 	frame = deltaBatchFrame(t, 1)
 	allocs, size = decodeCost(t, frame)
-	if allocs > 6 || size >= 1024 {
-		t.Fatalf("1-version batch (%d-byte frame): %v allocs, %d bytes per decode; want <= 6 allocs, < 1 KB",
+	if allocs > 4 || size >= 1024 {
+		t.Fatalf("1-version batch (%d-byte frame): %v allocs, %d bytes per decode; want <= 4 allocs, < 1 KB",
 			len(frame), allocs, size)
 	}
 }
@@ -141,14 +144,14 @@ func TestHostileCountAllocs(t *testing.T) {
 		t.Fatalf("%d-byte frame of nil versions allocated %d bytes, want <= %d", size, n, limit)
 	}
 
-	// One real (minimal) record in front: the struct slab is sized for the
+	// One real (minimal) record in front: the record slab is sized for the
 	// records the remaining bytes could hold, a seventh of the count.
 	copy(body, []byte{1, 0, 0, 0, 0, 0, 0})
 	n, err = decodeBytes(hostileListFrame(batchHead, size-4-(minVersionBytes-1), body))
 	if err != nil {
 		t.Fatalf("frame of one version and nil versions: %v", err)
 	}
-	slab := uint64(unsafe.Sizeof(item.Version{})) * (size/minVersionBytes + 1)
+	slab := recordSize * (size/minVersionBytes + 1)
 	if limit := uint64(size*(1+1+8)+slack) + slab; n > limit {
 		t.Fatalf("%d-byte frame claiming %d versions allocated %d bytes, want <= %d", size, size-10, n, limit)
 	}

@@ -18,8 +18,8 @@
 // decoder reuses its frame buffer and a decoded message never aliases it:
 // strings, payloads and vectors are allocated individually, except in the
 // version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff), which
-// copy the frame's tail once and carve everything out of that copy and two
-// right-sized slabs (see frameReader.versions).
+// copy the frame's tail once and carve everything out of that copy and one
+// right-sized slab of records (see frameReader.versions).
 package wire
 
 import (
@@ -502,7 +502,7 @@ func VersionTag(rec []byte) (src int, ts uint64, ok bool) {
 // only store real versions).
 func DecodeVersion(b []byte) (*item.Version, int, error) {
 	f := &frameReader{b: b}
-	v := f.version()
+	v := f.version(false, 0)
 	if f.err != nil {
 		return nil, 0, f.err
 	}
@@ -544,18 +544,17 @@ var errShortFrame = fmt.Errorf("wire: short frame")
 //
 // While owned is set, keys and values alias b instead of being copied out one
 // by one: the caller answers for b's lifetime. A version list sets it for a
-// private copy of the frame's tail (see versions), and carves version structs
-// and dependency entries from two slabs sized from the list's count and the
-// bytes left; a front-door request sets it for the frame itself, whose holder
-// decides how long the request lives (see DecodeFrontDoorRequest).
+// private copy of the frame's tail (see versions), and carves its records —
+// version and dependency vector in one — from a slab sized from the list's
+// count and the bytes left; a front-door request sets it for the frame itself,
+// whose holder decides how long the request lives (see DecodeFrontDoorRequest).
 type frameReader struct {
 	b   []byte
 	pos int
 	err error
 
 	owned bool
-	vers  []item.Version
-	deps  []vclock.Timestamp
+	slab  item.Slab
 	left  int // versions of the list not yet decoded, this one included
 }
 
@@ -630,125 +629,70 @@ func (f *frameReader) bytes() []byte {
 	return out
 }
 
-// newVC returns an n-entry vector: carved from the dependency slab inside a
-// version list, allocated on its own otherwise. The caller has checked that
-// n entries fit in the unread bytes.
-func (f *frameReader) newVC(n int) vclock.VC {
-	if !f.owned || n == 0 {
-		return make(vclock.VC, n)
+// vcLen reads a vector's nil-preserving length marker: the entry count and
+// whether there is a vector at all. Each entry takes at least one byte, so a
+// count the unread bytes cannot hold fails before anything is sized from it.
+func (f *frameReader) vcLen() (n int, present bool) {
+	marker := f.uint()
+	if marker == 0 || f.err != nil {
+		return 0, false
 	}
-	if cap(f.deps)-len(f.deps) < n {
-		// Versions of one list carry vectors of one length (an entry per
-		// DC), so size the slab for the versions still to come — capped by
-		// what the unread bytes can encode, an entry taking at least one.
-		c := n * f.left
-		if rest := len(f.b) - f.pos; c > rest {
-			c = rest
-		}
-		f.deps = make([]vclock.Timestamp, 0, c)
+	if uint64(len(f.b)-f.pos) < marker-1 {
+		f.fail()
+		return 0, false
 	}
-	s := f.deps[len(f.deps) : len(f.deps)+n : len(f.deps)+n]
-	f.deps = f.deps[:len(f.deps)+n]
-	return s
-}
-
-// newVersion returns a zeroed version struct: carved from the version slab
-// inside a version list, allocated on its own otherwise. The slab is sized
-// when the list's first record turns up, for the versions still to come —
-// capped by how many records the unread bytes can hold (this one's presence
-// byte is already read) — so a list of nil markers gets none.
-func (f *frameReader) newVersion() *item.Version {
-	if !f.owned {
-		return &item.Version{}
-	}
-	if len(f.vers) == cap(f.vers) {
-		c := (len(f.b) - f.pos + 1) / minVersionBytes
-		if c > f.left {
-			c = f.left
-		}
-		f.vers = make([]item.Version, 0, max(c, 1))
-	}
-	f.vers = f.vers[:len(f.vers)+1]
-	return &f.vers[len(f.vers)-1]
+	return int(marker - 1), true
 }
 
 func (f *frameReader) vc() vclock.VC {
-	marker := f.uint()
-	if marker == 0 || f.err != nil {
+	n, present := f.vcLen()
+	if !present {
 		return nil
 	}
-	n := marker - 1
-	// Each entry takes at least one byte; reject absurd counts before
-	// allocating.
-	if uint64(len(f.b)-f.pos) < n {
-		f.fail()
-		return nil
-	}
-	out := f.newVC(int(n))
+	out := make(vclock.VC, n)
 	for i := range out {
 		out[i] = vclock.Timestamp(f.uint())
 	}
 	return out
 }
 
-func (f *frameReader) version() *item.Version {
+// version decodes one version record: absolute timestamps, or — in a delta
+// batch — UpdateTime and nonzero dependency entries as zigzag deltas against
+// base (wraparound arithmetic, the exact inverse of appendVersionDelta). The
+// scalar fields and the vector's length come first, then the record itself:
+// version and vector in one allocation, carved inside a version list from a
+// slab made when a size class first turns up, for the versions still to come
+// — capped by how many records the unread bytes can hold — so a list of nil
+// markers gets none, and a record of another class gets a slab of its own.
+func (f *frameReader) version(delta bool, base uint64) *item.Version {
 	if f.byteVal() == 0 {
 		return nil
 	}
-	v := f.newVersion()
-	v.Key = f.string()
-	v.Value = f.bytes()
-	v.SrcReplica = int(f.uint())
-	v.UpdateTime = vclock.Timestamp(f.uint())
-	v.Deps = f.vc()
-	v.Optimistic = f.bool()
+	key, value, src, ut := f.string(), f.bytes(), int(f.uint()), f.uint()
+	if delta {
+		ut = base + unzigzag(ut)
+	}
+	n, present := f.vcLen()
 	if f.err != nil {
 		return nil
 	}
-	return v
-}
-
-// versionDelta decodes a version record in the delta format: UpdateTime and
-// nonzero dependency entries are zigzag deltas against base (wraparound
-// arithmetic, the exact inverse of appendVersionDelta).
-func (f *frameReader) versionDelta(base uint64) *item.Version {
-	if f.byteVal() == 0 {
-		return nil
-	}
-	v := f.newVersion()
-	v.Key = f.string()
-	v.Value = f.bytes()
-	v.SrcReplica = int(f.uint())
-	v.UpdateTime = vclock.Timestamp(base + unzigzag(f.uint()))
-	v.Deps = f.vcDelta(base)
-	v.Optimistic = f.bool()
-	if f.err != nil {
-		return nil
-	}
-	return v
-}
-
-func (f *frameReader) vcDelta(base uint64) vclock.VC {
-	marker := f.uint()
-	if marker == 0 || f.err != nil {
-		return nil
-	}
-	n := marker - 1
-	// Each entry takes at least one byte; reject absurd counts before
-	// allocating.
-	if uint64(len(f.b)-f.pos) < n {
-		f.fail()
-		return nil
-	}
-	out := f.newVC(int(n))
-	for i := range out {
-		if z := f.uint(); z != 0 {
-			out[i] = vclock.Timestamp(base + unzigzag(z-1))
-		} else {
-			out[i] = 0
+	v := f.slab.Take(n, max(min(f.left, (len(f.b)-f.pos)/minVersionBytes+1), 1))
+	v.Key, v.Value, v.SrcReplica, v.UpdateTime = key, value, src, vclock.Timestamp(ut)
+	for i := range v.Deps {
+		t := f.uint()
+		if delta && t != 0 {
+			t = base + unzigzag(t-1)
 		}
+		v.Deps[i] = vclock.Timestamp(t)
 	}
-	return out
+	if !present {
+		v.Deps = nil
+	}
+	v.Optimistic = f.bool()
+	if f.err != nil {
+		return nil
+	}
+	return v
 }
 
 // minVersionBytes is the shortest encoding of a non-nil version record:
@@ -760,13 +704,12 @@ const minVersionBytes = 7
 // ReplicateBatch (delta or absolute records), CatchUpReply and SlotHandoff —
 // allocating in proportion to the frame, not to the count it claims: one
 // copy of the unread bytes that every key and value then aliases, one slab
-// of version structs bounded by how many records those bytes can hold
-// (newVersion), one slab of dependency entries (newVC) and the pointer list.
-// The cost is retention at list granularity: a live version keeps its list's
-// copy and slabs reachable, so one that outlives its batch-mates holds at
-// most one frame's worth of neighbors. Whoever stores a decoded version must
-// keep nothing of it past the version itself (storage's chain map follows
-// that rule for the key, see storage.Mem).
+// of records bounded by how many those bytes can hold (version) and the
+// pointer list. The cost is retention at list granularity: a live version
+// keeps its list's copy and slab reachable, so one that outlives its
+// batch-mates holds at most one frame's worth of neighbors. Whoever stores a
+// decoded version must keep nothing of it past the version itself (storage's
+// chain map follows that rule for the key, see storage.Mem).
 func (f *frameReader) versions(delta bool, base uint64) []*item.Version {
 	marker := f.uint()
 	if marker == 0 || f.err != nil {
@@ -786,11 +729,7 @@ func (f *frameReader) versions(delta bool, base uint64) []*item.Version {
 	copy(own, f.b[f.pos:])
 	f.b, f.pos, f.owned = own, 0, true
 	for f.left = int(n); f.left > 0 && f.err == nil; f.left-- {
-		if delta {
-			out = append(out, f.versionDelta(base))
-		} else {
-			out = append(out, f.version())
-		}
+		out = append(out, f.version(delta, base))
 	}
 	f.owned = false
 	return out

@@ -40,6 +40,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 		msg.CatchUpReply{ReqID: 10, Done: true, Through: 123456, FullResync: true,
 			Departed: []msg.DepartedClaim{{DC: 2, Through: 777}}},
 		msg.CatchUpAck{ReqID: 9, Chunk: 2},
+		msg.CatchUpReply{ReqID: 11, Versions: mixedLengthVersions()},
 	}
 	for _, m := range seeds {
 		var buf bytes.Buffer
@@ -229,6 +230,7 @@ func FuzzHLCDecode(f *testing.F) {
 		msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
 			{Key: "fb", UpdateTime: 3, Deps: vclock.VC{2 + 1<<63}},
 		}},
+		msg.ReplicateBatch{HBTime: 1 << 20, Epoch: 1, Seq: 10, Versions: mixedLengthVersions()},
 		msg.VVExchange{Partition: 1, VV: vclock.VC{base, 0, base - 1}, Watermark: base - 1},
 		msg.VVExchange{Partition: 2, Watermark: base},
 		msg.Heartbeat{Time: base, Epoch: 77, Seq: 4, Floor: base - 5000},

@@ -356,6 +356,10 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
 			{Key: "k", UpdateTime: 2 + 1<<63, Deps: vclock.VC{2 + 1<<63}},
 		}},
+		// One list, several record size classes: delta and absolute layout.
+		msg.ReplicateBatch{HBTime: 1 << 20, Versions: mixedLengthVersions()},
+		msg.CatchUpReply{ReqID: 1, Versions: mixedLengthVersions(), Done: true},
+		msg.SlotHandoff{Versions: mixedLengthVersions()},
 	}
 	for i, m := range cases {
 		env := Envelope{Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m}
@@ -363,6 +367,48 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		if !reflect.DeepEqual(env, got) {
 			t.Fatalf("case %d (%T):\n in: %#v\nout: %#v", i, m, env, got)
 		}
+	}
+}
+
+// mixedLengthVersions is a version list whose records carry 3, then 9, then
+// no (nil), then 3, then 17 dependency entries: the decoder's record slab is
+// made for the class it meets first, so the 9-entry record needs one of
+// another class, the nil vector must stay nil, the second 3-entry record
+// comes from the first slab again and 17 entries are above every class.
+// Every entry is distinct, so a vector overlapping a neighbour's shows.
+func mixedLengthVersions() []*item.Version {
+	var out []*item.Version
+	next := vclock.Timestamp(1 << 20)
+	for i, n := range []int{3, 9, -1, 3, 17} {
+		v := &item.Version{Key: fmt.Sprintf("k%d", i), Value: []byte{byte(i)}, SrcReplica: i, UpdateTime: next}
+		next++
+		if n >= 0 {
+			v.Deps = make(vclock.VC, n)
+			for j := range v.Deps {
+				v.Deps[j] = next
+				next++
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestMixedVectorLengthsDecodeApart: whatever mix of size classes one list
+// holds, every decoded vector is exactly sized (len == cap), so appending to
+// one reallocates instead of writing into the record behind it.
+func TestMixedVectorLengthsDecodeApart(t *testing.T) {
+	want := mixedLengthVersions()
+	env := binaryRoundTrip(t, Envelope{Msg: msg.ReplicateBatch{HBTime: 1 << 20, Versions: want}})
+	got := env.Msg.(msg.ReplicateBatch).Versions
+	for _, v := range got {
+		if len(v.Deps) != cap(v.Deps) {
+			t.Fatalf("%s: len(Deps) = %d, cap = %d", v.Key, len(v.Deps), cap(v.Deps))
+		}
+		_ = append(v.Deps, 1, 2, 3)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("appending to decoded vectors changed a neighbour:\n in: %#v\nout: %#v", want, got)
 	}
 }
 
