@@ -18,7 +18,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18090
+LOC_CEILING = 18070
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -40,7 +40,8 @@ bench-module:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # The structural performance guards: allocation counts (testing.AllocsPerRun)
-# on the GET/PUT hot path, the RO-TX fan-out, a blocked request's park + wake,
+# on the GET/PUT hot path, the RO-TX fan-out (the coordinator's result alone,
+# and the session's map on top), a blocked request's park + wake,
 # a parked slice from arrival to reply (and no goroutine while it waits),
 # the netemu link queue, the durable insert (single and batched), the
 # replication batch decode, the front-door request decode, and a pooled round
@@ -103,7 +104,7 @@ race:
 # added here runs there too.
 define FUZZ_ROWS
 # Replication-plane decoders: catch-up chunks, membership views and the retired
-# view-only frames, slot tables, HLC delta batches, RO-TX slices into pooled replies.
+# view-only frames, slot tables, HLC delta batches, RO-TX slices into pooled messages.
 FuzzCatchUpDecode ./internal/wire/
 FuzzMembershipDecode ./internal/wire/
 FuzzSlotMapDecode ./internal/wire/

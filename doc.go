@@ -356,9 +356,10 @@
 //     (wire.FrontDoorRequest.Detach): a PUT's key and value become the stored
 //     version's and leave the frame in one allocation, which kvserver hands
 //     to Session.PutOwned — no second copy; an RO-TX's keys travel in slice
-//     requests that can outlive a first-error return; an admin line is rare;
-//     PING and STATS carry no bytes and detach for free. Who returns the
-//     lease: the session worker once execute has returned (or, the
+//     requests that copy string headers, not bytes, and can outlive a
+//     first-error return, so a parked slice would pin the frame; an admin
+//     line is rare; PING and STATS carry no bytes and detach for free. Who
+//     returns the lease: the session worker once execute has returned (or, the
 //     connection down, as it drains its queue unexecuted); the reader itself
 //     for a detached request — it reads the next frame into the same buffer —
 //     and on a read or decode error or a refused dispatch, on its way out. A
@@ -398,17 +399,19 @@
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
 //
-// A read-only transaction crosses fewer layers, and allocates only what no
-// one else can own (TestROTxCoordinatorAllocs: 4 objects for 4 partitions ×
-// 1 key; TestParkedSliceAllocs: 0 in a serving server, parked or not, and no
+// A read-only transaction crosses fewer layers, and allocates only what its
+// caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4
+// partitions × 1 key; TestSessionROTxAllocs: 3 with the session's map;
+// TestParkedSliceAllocs: 0 in a serving server, parked or not, and no
 // goroutine; TestWaitOnBlockedAllocs, TestNetemuSendAllocs, and under -race
-// TestROTxPendingReuseIgnoresLateReply, TestWaiterRecycleNoStaleWake):
+// TestROTxPendingReuseIgnoresLateReply, TestWaiterRecycleNoStaleWake,
+// TestParkedSliceOutlivesFailedTx):
 //
-//   - core.ROTx → slice requests. The keys are sorted by partition into one
-//     array, the snapshot vector TV is taken once, and the requests live in
-//     one array; each travels as a pointer into it. All three are shared
-//     read-only with requests that may still be parked after the transaction
-//     has failed, so they are allocated per transaction and never pooled.
+//   - core.ROTx → slice requests. Each key is appended, in request order, to
+//     its partition's pooled request; TV is loaded into the pooled fan-in
+//     state and copied into each request. A request owns copies of its keys'
+//     headers and of TV: it may be parked at a sibling after the transaction
+//     has failed and the fan-in state serves the next one.
 //   - one serving path. core's serveSlice never blocks its caller — a
 //     link's delivery goroutine, or the coordinator for its own slice. A
 //     snapshot the version vector covers (the local entry satisfied first,
@@ -422,18 +425,20 @@
 //     records a metric and sends). A park ends badly through the same door:
 //     the waiter's block timer (HA-POCC), if it wins the removal, or
 //     shutdown, which empties the list and answers ErrStopped.
-//   - slice reply → coordinator. A SliceResp and its Items buffer come from
-//     a pool in msg and have one owner, who releases them; Send transfers
-//     ownership. On netemu the same pointer reaches the coordinator, whose
-//     applySliceResp copies the items into the result and releases it
-//     (duplicates and replies to finished transactions too). On tcpnet the
-//     writer releases it once its flush succeeded — a broken connection
-//     retransmits the batch it still holds — and the decoder draws the
-//     inbound one from the pool, releasing it itself if the frame is bad.
-//     Release clears the items, which alias stored values. The fan-in
-//     completes on the last reply or the first error; replies find it by
-//     transaction id under the coordinator's lock, never by pointer, so a
-//     late or duplicate reply meets a missing id, not the state's next user.
+//   - both slice messages, one rule. A SliceReq and a SliceResp, with their
+//     buffers, come from pools in msg and have one owner, who releases them;
+//     Send transfers ownership. On netemu the same pointer reaches the
+//     receiver: replySlice releases a request once its reads are done (on
+//     arrival, after parking, or with an error), applySliceResp a reply once
+//     its items are in the result (duplicates and late ones too). On tcpnet
+//     the writer releases either once its flush succeeded — a broken
+//     connection retransmits the batch it still holds — and the decoder
+//     draws the inbound one from the pool, releasing it itself if the frame
+//     is bad. Release clears keys and items, which alias callers' strings
+//     and stored values. The fan-in completes on the last reply or the first
+//     error; replies find it by transaction id under the coordinator's lock,
+//     never by pointer, so a late or duplicate reply meets a missing id, not
+//     the state's next user.
 //   - coordinator → caller. The returned reply slice is the caller's, sized
 //     to the read set once. Fan-in state and waiters are recycled inside
 //     core and never escape it; each goes back to its pool only with its

@@ -9,6 +9,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/keyspace"
 	"repro/internal/racedetect"
 	"repro/internal/vclock"
 )
@@ -279,6 +280,35 @@ func TestROTxInterleavedPutKeepsDeps(t *testing.T) {
 	}
 	if v := reg.Violations(); len(v) != 0 {
 		t.Fatalf("causal violations: %v", v)
+	}
+}
+
+// TestSessionROTxAllocs: an in-process RO-TX over 4 partitions costs the
+// session what its signature returns — the coordinator's result array, and
+// the map ROTx turns it into (header and one group) — and nothing of the
+// fan-out itself (cluster's TestROTxCoordinatorAllocs takes that apart).
+func TestSessionROTxAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := cluster.NewTestCluster(t, cluster.Topology{DCs: 1, Partitions: 4}, cluster.WithHeartbeat(time.Hour))
+	tbl := keyspace.Build(4, 1)
+	c.SeedTable(tbl)
+	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}
+	s, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := func() {
+		if vals, err := s.ROTx(keys); err != nil || len(vals) != len(keys) {
+			t.Fatalf("ROTx = %d values, %v", len(vals), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		tx() // warm-up: pooled fan-in state, requests, replies, link queues
+	}
+	if n := testing.AllocsPerRun(1000, tx); n > 3 {
+		t.Fatalf("Session.ROTx over 4 partitions allocates %v times, want at most 3 (result, map header, map group)", n)
 	}
 }
 

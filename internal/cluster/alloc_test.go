@@ -13,12 +13,14 @@ import (
 // TestROTxCoordinatorAllocs is the structural guard of the RO-TX path: one
 // key on each of 4 partitions, every snapshot already covered (no heartbeat
 // ever moves a version vector here), so all four slices are read on arrival
-// and the count is exact. What a transaction allocates is what it alone can
-// own: the grouped key array, the snapshot vector, the result and the array
-// its three requests live in (4). Requests and replies travel as pointers, a
-// reply and its items are pooled, fan-in state and the netemu queues are
-// reused. (12 before: a boxed request, an items array and a boxed reply per
-// remote slice; 31 before that.)
+// and the count is exact. What a transaction allocates is what only its
+// caller keeps: the result (1). A request with its keys and its copy of the
+// snapshot vector, a reply with its items, the fan-in state with its snapshot
+// vector and per-partition request scratch, and the netemu queues are all
+// pooled or reused; requests and replies travel as pointers. (4 before: the
+// grouped key array, the snapshot vector and the request array, shared with
+// requests that could outlive the transaction; 12 before that, 31 before
+// that.)
 func TestROTxCoordinatorAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -37,10 +39,7 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tx() // warm-up: pooled fan-in state, link queues
 	}
-	const want = 4
-	if n := testing.AllocsPerRun(1000, tx); n > want+1 {
-		t.Fatalf("a 4-partition RO-TX allocates %v times, want at most %d", n, want+1)
-	} else {
-		t.Logf("a 4-partition RO-TX allocates %v times", n)
+	if n := testing.AllocsPerRun(1000, tx); n != 1 {
+		t.Fatalf("a 4-partition RO-TX allocates %v times, want 1 (the result)", n)
 	}
 }

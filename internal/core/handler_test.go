@@ -88,7 +88,7 @@ func TestEveryMessageHasOneHandler(t *testing.T) {
 	if got := s.Store().Stats().Versions; got != 1 {
 		t.Errorf("SlotHandoff: %d versions stored, want 1", got)
 	}
-	s.handle(peer, &msg.SliceReq{TxID: 77, Coordinator: peer, Keys: []string{"h"}})
+	s.handle(peer, sliceReq(77, peer, nil, "h"))
 	if !waitUntil(t, time.Second, func() bool {
 		for _, raw := range r.received(peer) {
 			if resp, ok := raw.(*msg.SliceResp); ok && resp.TxID == 77 {

@@ -27,61 +27,38 @@ import (
 // Replies reach one only by looking its txID up in Server.inflight under
 // txMu, so a late or duplicate reply can never touch the entry's next use.
 type txPending struct {
-	tv        vclock.VC       // snapshot vector; shared read-only with the slice requests
+	tv        vclock.VC       // snapshot vector; each slice request carries a copy
 	remaining int             // slices still awaited; 0 once completed or failed
 	seen      []bool          // by responder partition
 	items     []msg.ItemReply // replies folded in so far (the tail of the result array)
 	err       string          // first slice error
 	done      chan struct{}   // 1-buffered; one token when remaining reaches 0
 
-	// Scratch of the grouping pass, touched by the coordinating goroutine only.
-	part []int // partition of each key
-	end  []int // per partition: end offset of its keys in the grouped array
+	// By partition: the request its keys are routed into, nil for a
+	// partition that owns none. Touched by the coordinating goroutine only;
+	// a request leaves it as it is handed over (one of a transaction that
+	// never fans out is left to the collector).
+	reqs []*msg.SliceReq
 }
 
 var txPendingPool = sync.Pool{New: func() any { return &txPending{done: make(chan struct{}, 1)} }}
 
-// group sorts keys by owning partition into one freshly allocated array (a
-// stable counting sort; the array is shared with the slice requests, so it is
-// never pooled) and returns it with the number of partitions that own a key;
-// keysOf then cuts a partition's keys out of it.
-func (p *txPending) group(keys []string, partitionOf func(string) int, parts int) ([]string, int, error) {
-	p.part = p.part[:0]
-	p.end = slices.Grow(p.end[:0], parts)[:parts]
-	clear(p.end)
+// route appends each key, in request order, to the pooled request of the
+// partition that owns it, and returns how many partitions own a key.
+func (p *txPending) route(keys []string, partitionOf func(string) int, txID uint64, coord netemu.NodeID) (int, error) {
+	owners := 0
 	for _, k := range keys {
 		q := partitionOf(k)
-		if q < 0 || q >= parts {
-			return nil, 0, fmt.Errorf("core: key %q routed to partition %d outside the layout (%d)", k, q, parts)
+		if q < 0 || q >= len(p.reqs) {
+			return 0, fmt.Errorf("core: key %q routed to partition %d outside the layout (%d)", k, q, len(p.reqs))
 		}
-		p.part = append(p.part, q)
-		p.end[q]++
-	}
-	// Counts become start offsets; placing a partition's keys then advances
-	// its offset to its end.
-	owners, sum := 0, 0
-	for q, c := range p.end {
-		if c > 0 {
+		if p.reqs[q] == nil {
+			p.reqs[q] = msg.NewSliceReq(txID, coord)
 			owners++
 		}
-		p.end[q] = sum
-		sum += c
+		p.reqs[q].Keys = append(p.reqs[q].Keys, k)
 	}
-	grouped := make([]string, len(keys))
-	for i, k := range keys {
-		grouped[p.end[p.part[i]]] = k
-		p.end[p.part[i]]++
-	}
-	return grouped, owners, nil
-}
-
-// keysOf returns partition q's part of the array group built.
-func (p *txPending) keysOf(grouped []string, q int) []string {
-	lo := 0
-	if q > 0 {
-		lo = p.end[q-1]
-	}
-	return grouped[lo:p.end[q]]
+	return owners, nil
 }
 
 // ROTx coordinates a causally consistent read-only transaction (Algorithm 2,
@@ -94,8 +71,11 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 	if len(keys) == 0 {
 		return nil, nil
 	}
+	txID := s.txSeq.Add(1)
 	p := txPendingPool.Get().(*txPending)
-	grouped, owners, err := p.group(keys, partitionOf, s.maxParts)
+	p.reqs = slices.Grow(p.reqs[:0], s.maxParts)[:s.maxParts]
+	clear(p.reqs)
+	owners, err := p.route(keys, partitionOf, txID, s.cfg.ID)
 	if err != nil {
 		txPendingPool.Put(p)
 		return nil, err
@@ -112,35 +92,32 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 	// in-flight table, or it snapshotted the visibility vector before we did
 	// — in which case tv covers the GC base and no version inside the
 	// snapshot can be pruned.
-	txID := s.txSeq.Add(1)
 	s.txMu.Lock()
 	if s.stopped.Load() {
 		s.txMu.Unlock()
 		txPendingPool.Put(p)
 		return nil, ErrStopped
 	}
-	var tv vclock.VC
 	if mode == Pessimistic {
-		tv = s.gss.snapshot()
+		p.tv = s.gss.load(p.tv)
 	} else {
-		tv = s.vv.snapshot()
+		p.tv = s.vv.load(p.tv)
 	}
-	tv.MaxInPlace(rdv)
+	p.tv.MaxInPlace(rdv)
 	// The fan-in appends every slice's items to the result, the caller's.
-	p.tv, p.remaining, p.items = tv, owners, make([]msg.ItemReply, 0, len(keys))
+	p.remaining, p.items = owners, make([]msg.ItemReply, 0, len(keys))
 	s.inflight[txID] = p
 	s.txMu.Unlock()
 
-	// One array of requests per transaction, never pooled: a sibling may
-	// still hold a parked one after this transaction has failed.
-	reqs := make([]msg.SliceReq, 0, owners)
-	for q := range p.end {
-		ks := p.keysOf(grouped, q)
-		if len(ks) == 0 {
+	// Each request is handed over with a copy of TV: one may still be parked
+	// at a sibling after this transaction has failed and p serves the next.
+	for q, req := range p.reqs {
+		if req == nil {
 			continue
 		}
-		reqs = append(reqs, msg.SliceReq{TxID: txID, Coordinator: s.cfg.ID, Keys: ks, TV: tv})
-		if req := &reqs[len(reqs)-1]; q == s.n {
+		p.reqs[q] = nil
+		req.TV = append(req.TV[:0], p.tv...)
+		if q == s.n {
 			s.serveSlice(s.cfg.ID, req) // the coordinator's own: reads now, or parks
 		} else {
 			s.ep.Send(netemu.NodeID{DC: s.m, Partition: q}, req)
@@ -162,7 +139,7 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 		err = sliceError(p.err)
 	}
 	result := p.items
-	p.tv, p.items, p.err = nil, nil, ""
+	p.items, p.err = nil, ""
 	s.txMu.Unlock()
 	select {
 	case <-p.done:
@@ -274,7 +251,8 @@ func (s *Server) unpark(w *waiter, err error) {
 
 // replySlice answers a slice however it got here: with the freshest version
 // within TV of every key (the caller has established that VV covers TV) or
-// with the error that ended it. The pooled reply is the receiver's to release.
+// with the error that ended it. It releases the request; the pooled reply is
+// the receiver's to release.
 func (s *Server) replySlice(src netemu.NodeID, req *msg.SliceReq, err error) {
 	resp := msg.NewSliceResp(req.TxID)
 	if err != nil {
@@ -286,6 +264,7 @@ func (s *Server) replySlice(src netemu.NodeID, req *msg.SliceReq, err error) {
 			resp.Items = append(resp.Items, msg.FromVersion(k, res.V, res.Fresher, res.Invisible))
 		}
 	}
+	req.Release()
 	if src == s.cfg.ID {
 		s.applySliceResp(s.n, resp)
 		return

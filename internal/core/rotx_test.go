@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +29,15 @@ func startROTx(s *Server, keys []string, rdv vclock.VC) <-chan txResult {
 		done <- txResult{items, err}
 	}()
 	return done
+}
+
+// sliceReq draws a request from msg's pool, as a coordinator does, with
+// copies of tv and keys: handing it over gives away nothing the test keeps.
+func sliceReq(txID uint64, coord netemu.NodeID, tv vclock.VC, keys ...string) *msg.SliceReq {
+	req := msg.NewSliceReq(txID, coord)
+	req.Keys = append(req.Keys, keys...)
+	req.TV = append(req.TV, tv...)
+	return req
 }
 
 // sliceReqs returns the slice requests a fake peer has received so far.
@@ -144,6 +155,111 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 	}
 }
 
+// TestParkedSliceOutlivesFailedTx: a slice request owns its keys and its
+// snapshot. One parks at a fake sibling (held, unanswered), its transaction
+// fails fast on another slice's error, and the coordinator runs fifty more
+// over other keys and vectors — recycling the same fan-in state, its snapshot
+// vector and the pooled requests, which the siblings answer and release. The
+// parked request must then still hold exactly the keys and TV it arrived
+// with: one that aliased coordinator scratch would read another
+// transaction's. Run under -race.
+func TestParkedSliceOutlivesFailedTx(t *testing.T) {
+	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 3})
+	coord := r.srv.ID()
+	p1, p2 := netemu.NodeID{DC: 0, Partition: 1}, netemu.NodeID{DC: 0, Partition: 2}
+	// answer serves req as a sibling would — an item per key, or the error —
+	// and releases it.
+	answer := func(from netemu.NodeID, req *msg.SliceReq, err error) {
+		resp := msg.NewSliceResp(req.TxID)
+		if err != nil {
+			resp.Err = err.Error()
+		} else {
+			for _, k := range req.Keys {
+				resp.Items = append(resp.Items, msg.ItemReply{Key: k})
+			}
+		}
+		req.Release()
+		r.fakeEP[from].Send(coord, resp)
+	}
+	var parked *msg.SliceReq
+	var parkedKeys []string
+	var parkedTV vclock.VC
+	arrived := make(chan struct{})
+	r.fakeEP[p1].SetHandler(func(_ netemu.NodeID, m any) {
+		req := m.(*msg.SliceReq)
+		if parked == nil {
+			parked, parkedKeys, parkedTV = req, slices.Clone(req.Keys), req.TV.Clone()
+			close(arrived)
+			return
+		}
+		answer(p1, req, nil)
+	})
+	var failed atomic.Bool
+	r.fakeEP[p2].SetHandler(func(_ netemu.NodeID, m any) {
+		if failed.CompareAndSwap(false, true) {
+			answer(p2, m.(*msg.SliceReq), ErrWrongSlotEpoch)
+			return
+		}
+		answer(p2, m.(*msg.SliceReq), nil)
+	})
+
+	for round := 0; round <= 50; round++ {
+		// A vector of the round's own, which the coordinator covers: its own
+		// slice never parks.
+		rdv := vclock.VC{0, vclock.Timestamp(10 + round), vclock.Timestamp(20 + 2*round)}
+		r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: rdv[1]})
+		r.inject(netemu.NodeID{DC: 2, Partition: 0}, msg.Heartbeat{Time: rdv[2]})
+		if !waitUntil(t, 2*time.Second, func() bool { return rdv.LessEq(r.srv.VV()) }) {
+			t.Fatalf("round %d: the coordinator never applied the heartbeats", round)
+		}
+		keys := []string{fmt.Sprintf("p0/%d", round), fmt.Sprintf("p2/%d", round)}
+		for i := 0; i <= round%3; i++ {
+			keys = append(keys, fmt.Sprintf("p1/%d.%d", round, i))
+		}
+		items, err := r.srv.ROTx(keys, rdv, Optimistic, byPrefix)
+		if round == 0 {
+			if !errors.Is(err, ErrWrongSlotEpoch) {
+				t.Fatalf("the transaction with a parked slice returned %v, want partition 2's error", err)
+			}
+			<-arrived
+			continue
+		}
+		if err != nil || len(items) != len(keys) {
+			t.Fatalf("round %d: %d items for %d keys, %v", round, len(items), len(keys), err)
+		}
+		for _, it := range items {
+			if !slices.Contains(keys, it.Key) {
+				t.Fatalf("round %d: a reply for %q, which it never asked for", round, it.Key)
+			}
+		}
+	}
+	if !slices.Equal(parked.Keys, parkedKeys) || !parked.TV.Equal(parkedTV) || parkedTV[1] != 10 || parkedTV[2] != 20 {
+		t.Fatalf("the parked slice now reads %v within %v; it arrived with %v within %v", parked.Keys, parked.TV, parkedKeys, parkedTV)
+	}
+	parked.Release()
+}
+
+// TestShortSnapshotVectorIsServed: the decoder accepts a snapshot vector
+// shorter than the serving DC's index, and a shorter vector asks for nothing
+// on the entries it lacks (vectors of different lengths meet when
+// deployments change size), so the slice is answered — where it used to
+// panic the goroutine delivering it.
+func TestShortSnapshotVectorIsServed(t *testing.T) {
+	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	peer := netemu.NodeID{DC: 0, Partition: 1}
+	r.srv.handle(peer, &msg.SliceReq{TxID: 5, Coordinator: peer, Keys: []string{"k"}, TV: vclock.VC{}})
+	if !waitUntil(t, 2*time.Second, func() bool {
+		for _, m := range r.received(peer) {
+			if resp, ok := m.(*msg.SliceResp); ok && resp.TxID == 5 {
+				return resp.Err == "" && len(resp.Items) == 1
+			}
+		}
+		return false
+	}) {
+		t.Fatal("the slice with a short snapshot vector was not answered")
+	}
+}
+
 // TestROTxPendingReuseIgnoresLateReply: fan-in state is recycled, and replies
 // find it by txID under txMu only — so a duplicate or post-completion reply
 // of an earlier transaction never reaches the transaction now using the same
@@ -224,7 +340,7 @@ func TestWaiterRecycleNoStaleWake(t *testing.T) {
 			time.Sleep(timeout - 50*time.Microsecond)
 			(*replBackend)(r.srv).RaiseVV(1, vclock.Timestamp(round))
 		}()
-		r.srv.handle(peer, &msg.SliceReq{TxID: uint64(round), Coordinator: peer, Keys: []string{"k"}, TV: need})
+		r.srv.handle(peer, sliceReq(uint64(round), peer, need, "k"))
 		if _, err := r.srv.waitVV(need, 0); err != nil && !errors.Is(err, ErrSessionClosed) {
 			t.Fatal(err)
 		}

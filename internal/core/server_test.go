@@ -760,9 +760,7 @@ func TestSliceReqFromPeerGetsResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := netemu.NodeID{DC: 0, Partition: 1}
-	r.inject(peer, &msg.SliceReq{
-		TxID: 77, Coordinator: peer, Keys: []string{"a"}, TV: r.srv.VV(),
-	})
+	r.inject(peer, sliceReq(77, peer, r.srv.VV(), "a"))
 	if !waitUntil(t, 2*time.Second, func() bool {
 		for _, m := range r.received(peer) {
 			if resp, ok := m.(*msg.SliceResp); ok && resp.TxID == 77 {

@@ -61,10 +61,12 @@ func awaitTx(t *testing.T, done <-chan txResult) txResult {
 
 // TestParkedSliceAllocs: a slice that has to wait costs the serving server
 // nothing but the wait — no goroutine while it is parked, and after warm-up no
-// allocation for parking it, for waking it or for its reply: the waiter and
-// the reply with its items are pooled, the request is the one that arrived,
-// and whoever advances the vector reads and answers. (Before: a goroutine and
-// its closure per parked slice, an items array and a boxed reply per slice.)
+// allocation for parking it, for waking it or for its reply: the waiter, the
+// request with its keys and TV and the reply with its items are pooled, each
+// round hands over a fresh request as a coordinator or a decoder would, and
+// whoever advances the vector reads, answers and releases it. (Before: a
+// goroutine and its closure per parked slice, an items array and a boxed
+// reply per slice.)
 func TestParkedSliceAllocs(t *testing.T) {
 	skipUnderRace(t)
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
@@ -79,18 +81,18 @@ func TestParkedSliceAllocs(t *testing.T) {
 		replied <- len(resp.Items) == 1 && string(resp.Items[0].Value) == "value"
 		resp.Release()
 	})
-	req := &msg.SliceReq{TxID: 1, Coordinator: peer, Keys: []string{"k"}, TV: r.srv.VV()}
+	tv := r.srv.VV()
 	goroutines := -1
 	parkAndServe := func() {
-		req.TV[1]++ // ahead on DC 1's entry, which only its link can advance
-		r.srv.handle(peer, req)
+		tv[1]++ // ahead on DC 1's entry, which only its link can advance
+		r.srv.handle(peer, sliceReq(uint64(tv[1]), peer, tv, "k"))
 		if r.srv.vvWaiters.active.Load() != 1 {
 			t.Fatal("the slice did not park")
 		}
 		if n := runtime.NumGoroutine(); goroutines >= 0 && n != goroutines {
 			t.Fatalf("%d goroutines with a slice parked, %d without", n, goroutines)
 		}
-		(*replBackend)(r.srv).RaiseVV(1, req.TV[1])
+		(*replBackend)(r.srv).RaiseVV(1, tv[1])
 		if !<-replied {
 			t.Fatal("the woken slice did not read the stored value")
 		}
@@ -126,7 +128,7 @@ func TestHeartbeatsSurviveSliceTraffic(t *testing.T) {
 	for i := uint64(1); time.Since(start) < 40*delta; i++ {
 		tv := r.srv.VV()
 		tv[0] = r.srv.clk.Now() // newer than anything VV[0] has been raised to
-		r.inject(peer, &msg.SliceReq{TxID: i, Coordinator: peer, Keys: []string{"k"}, TV: tv})
+		r.inject(peer, sliceReq(i, peer, tv, "k"))
 		if !waitUntil(t, 2*time.Second, func() bool { return r.srv.VV()[0] >= tv[0] }) {
 			t.Fatal("a slice ahead on the local entry did not raise it")
 		}
@@ -216,7 +218,7 @@ func TestRawClockSliceParksOnLocalEntry(t *testing.T) {
 	ahead := r.srv.clk.Now() + vclock.Timestamp(250*time.Millisecond)
 	tv := r.srv.VV()
 	tv[0] = ahead
-	r.inject(peer, &msg.SliceReq{TxID: 1, Coordinator: peer, Keys: []string{"k"}, TV: tv})
+	r.inject(peer, sliceReq(1, peer, tv, "k"))
 	if !waitUntil(t, 2*time.Second, func() bool { return r.mx.TxParkLocal.Load() == 1 }) {
 		t.Fatal("the slice did not park on the local entry")
 	}
@@ -229,7 +231,7 @@ func TestRawClockSliceParksOnLocalEntry(t *testing.T) {
 	}
 	// The link is not blocked: a covered slice behind the parked one on the
 	// same link is answered first.
-	r.inject(peer, &msg.SliceReq{TxID: 2, Coordinator: peer, Keys: []string{"k"}, TV: r.srv.VV()})
+	r.inject(peer, sliceReq(2, peer, r.srv.VV(), "k"))
 	replies := func() (out []*msg.SliceResp) {
 		for _, m := range r.received(peer) {
 			if resp, ok := m.(*msg.SliceResp); ok {

@@ -129,7 +129,7 @@ func TestOwnershipEnforcedFromEpochZero(t *testing.T) {
 		t.Fatal("the refused PUT was stored")
 	}
 	peer := netemu.NodeID{DC: 0, Partition: 1}
-	r.inject(peer, &msg.SliceReq{TxID: 9, Coordinator: peer, Keys: []string{key}, TV: vclock.New(3)})
+	r.inject(peer, sliceReq(9, peer, vclock.New(3), key))
 	if !waitUntil(t, 2*time.Second, func() bool {
 		for _, m := range r.received(peer) {
 			if resp, ok := m.(*msg.SliceResp); ok && resp.TxID == 9 {

@@ -29,9 +29,9 @@ package kvserver
 //     the lease travels with the request through the session's queue and the
 //     worker returns it once execute has returned. Every other request is
 //     detached first — a PUT's key and value become the stored version's, an
-//     RO-TX's keys travel in slice requests that can outlive a first-error
-//     return, an admin line is rare — and the reader keeps the lease for the
-//     next frame.
+//     RO-TX's keys travel (as string headers, not bytes) in slice requests
+//     that can outlive a first-error return, an admin line is rare — and the
+//     reader keeps the lease for the next frame.
 
 import (
 	"bufio"

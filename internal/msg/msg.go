@@ -347,8 +347,9 @@ type SlotHandoff struct {
 // SliceReq asks a same-DC partition to read keys within the transactional
 // snapshot TV on behalf of a RO-TX coordinator. Visibility is fully encoded
 // in TV (the coordinator builds it from its GSS for pessimistic transactions).
-// Requests travel as pointers and are never reused: one may still be parked
-// at a sibling after its transaction has failed.
+// Requests are pooled and own their Keys and TV: one may still be parked at a
+// sibling after its transaction has failed. NewSliceReq draws one and whoever
+// answers it calls Release — Send hands that duty over.
 type SliceReq struct {
 	TxID        uint64
 	Coordinator netemu.NodeID
@@ -366,10 +367,34 @@ type SliceResp struct {
 	Err   string
 }
 
-// maxPooledItems is the largest Items buffer a released reply keeps.
-const maxPooledItems = 64
+var (
+	sliceReqPool  = sync.Pool{New: func() any { return new(SliceReq) }}
+	sliceRespPool = sync.Pool{New: func() any { return new(SliceResp) }}
+)
 
-var sliceRespPool = sync.Pool{New: func() any { return new(SliceResp) }}
+// recycled empties a released message's buffer, clearing what it aliases
+// (callers' keys, stored values), or drops one grown past 64 elements.
+func recycled[T any](buf []T) []T {
+	clear(buf)
+	if cap(buf) > 64 {
+		return nil
+	}
+	return buf[:0]
+}
+
+// NewSliceReq returns an empty request of transaction txID; Keys and TV keep
+// the capacity an earlier use grew.
+func NewSliceReq(txID uint64, coordinator netemu.NodeID) *SliceReq {
+	r := sliceReqPool.Get().(*SliceReq)
+	r.TxID, r.Coordinator = txID, coordinator
+	return r
+}
+
+// Release recycles r, which the caller must not touch again.
+func (r *SliceReq) Release() {
+	*r = SliceReq{Keys: recycled(r.Keys), TV: recycled(r.TV)}
+	sliceReqPool.Put(r)
+}
 
 // NewSliceResp returns an empty reply for txID; Items keeps the capacity an
 // earlier use grew.
@@ -379,14 +404,9 @@ func NewSliceResp(txID uint64) *SliceResp {
 	return r
 }
 
-// Release recycles r, which the caller must not touch again. The items alias
-// stored values, so they are cleared.
+// Release recycles r, which the caller must not touch again.
 func (r *SliceResp) Release() {
-	clear(r.Items)
-	if cap(r.Items) > maxPooledItems {
-		r.Items = nil
-	}
-	*r = SliceResp{Items: r.Items[:0]}
+	*r = SliceResp{Items: recycled(r.Items)}
 	sliceRespPool.Put(r)
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/netemu"
 	"repro/internal/wire"
 )
@@ -335,12 +334,12 @@ func (l *outLink) take() []any {
 }
 
 // recycle takes back a flushed batch: its references are dropped (a queued
-// replication batch pins its versions), a slice reply — this link's since
-// Send — is released now that no retransmission can need it, and the emptied
-// buffer is parked for the next swap.
+// replication batch pins its versions), a slice request or reply — this
+// link's since Send — is released now that no retransmission can need it, and
+// the emptied buffer is parked for the next swap.
 func (l *outLink) recycle(batch []any) {
 	for i, m := range batch {
-		if r, ok := m.(*msg.SliceResp); ok {
+		if r, ok := m.(interface{ Release() }); ok {
 			r.Release()
 		}
 		batch[i] = nil

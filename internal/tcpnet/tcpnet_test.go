@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"bytes"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,6 +228,66 @@ func TestHostileSourceIsDropped(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the valid frame behind two hostile ones was never answered")
+	}
+}
+
+// TestRetransmittedSliceReqIntact: a pooled slice request is the link's from
+// Send until a flush of it succeeds, and released only then. The peer here
+// resets the first connection, so the batch holding the request fails to
+// flush and is re-encoded on a second connection — which must carry the
+// request exactly as it was sent, not one already released (and zeroed, or
+// drawn by someone else) after the failed attempt.
+func TestRetransmittedSliceReqIntact(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	a, err := Listen(netemu.NodeID{DC: 0, Partition: 0}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	peer := netemu.NodeID{DC: 0, Partition: 1}
+	a.Connect(map[netemu.NodeID]string{peer: ln.Addr().String()})
+	accept := func() (net.Conn, *wire.BinaryDecoder) {
+		t.Helper()
+		_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return c, wire.NewBinaryDecoder(c)
+	}
+
+	// The link is up; then the peer resets it, and the writer learns of it
+	// only from its next flush.
+	a.Send(peer, msg.Heartbeat{Time: 1})
+	first, dec := accept()
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	_ = first.(*net.TCPConn).SetLinger(0)
+	_ = first.Close()
+	time.Sleep(50 * time.Millisecond) // let the reset reach the writer's socket
+
+	req := msg.NewSliceReq(7, a.ID())
+	req.Keys = append(req.Keys, "k1", "k2")
+	req.TV = append(req.TV, 3, 4, 5)
+	a.Send(peer, req)
+
+	second, dec := accept()
+	defer func() { _ = second.Close() }()
+	env, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := env.Msg.(*msg.SliceReq)
+	want := &msg.SliceReq{TxID: 7, Coordinator: a.ID(), Keys: []string{"k1", "k2"}, TV: vclock.VC{3, 4, 5}}
+	if !ok || got.TxID != want.TxID || got.Coordinator != want.Coordinator ||
+		!slices.Equal(got.Keys, want.Keys) || !got.TV.Equal(want.TV) {
+		t.Fatalf("retransmitted %#v, want %#v", env.Msg, want)
 	}
 }
 

@@ -64,9 +64,10 @@ func (v VC) Clone() VC {
 	return out
 }
 
-// Get returns entry i, or 0 if v is nil (a nil vector is the zero vector).
+// Get returns entry i, or 0 beyond v's length: a nil vector is the zero
+// vector, and a shorter one does not track the extra DCs (see MaxInPlace).
 func (v VC) Get(i int) Timestamp {
-	if v == nil {
+	if i >= len(v) {
 		return 0
 	}
 	return v[i]

@@ -23,6 +23,9 @@ func TestNilVectorIsZero(t *testing.T) {
 	if v.Get(0) != 0 || v.Get(5) != 0 {
 		t.Fatal("nil vector entries must read as 0")
 	}
+	if (VC{}).Get(0) != 0 || (VC{4, 5}).Get(2) != 0 || (VC{4, 5}).Get(1) != 5 {
+		t.Fatal("entries beyond a shorter vector must read as 0")
+	}
 	if !v.LessEq(New(3)) {
 		t.Fatal("nil vector must be <= any vector")
 	}

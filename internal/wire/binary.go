@@ -16,7 +16,8 @@
 // The encoder reuses two scratch buffers across calls, so a steady-state
 // Encode performs zero allocations and exactly one Write (one frame). The
 // decoder reuses its frame buffer and a decoded message never aliases it:
-// strings, payloads and vectors are allocated individually, except in the
+// strings, payloads and vectors are allocated individually (the RO-TX slice
+// pair fills the lists and vectors of a pooled message), except in the
 // version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff), which
 // copy the frame's tail once and carve everything out of that copy and one
 // right-sized slab of records (see frameReader.versions).
@@ -33,6 +34,7 @@ import (
 	"repro/internal/item"
 	"repro/internal/keyspace"
 	"repro/internal/msg"
+	"repro/internal/netemu"
 	"repro/internal/vclock"
 )
 
@@ -644,16 +646,44 @@ func (f *frameReader) vcLen() (n int, present bool) {
 	return int(marker - 1), true
 }
 
-func (f *frameReader) vc() vclock.VC {
+// list decodes a nil-preserving list into buf's storage (a pooled message's,
+// or none). Each element takes minBytes at least, so a count the unread bytes
+// cannot encode fails before buf is sized from it; an empty list gets room
+// for one, to stay distinct from nil.
+func list[T any](f *frameReader, buf []T, minBytes uint64, elem func() T) []T {
+	marker := f.uint()
+	if marker == 0 || f.err != nil {
+		return nil
+	}
+	n := marker - 1
+	if uint64(len(f.b)-f.pos)/minBytes < n {
+		f.fail()
+		return nil
+	}
+	buf = slices.Grow(buf[:0], max(int(n), 1))
+	for i := uint64(0); i < n && f.err == nil; i++ {
+		buf = append(buf, elem())
+	}
+	return buf
+}
+
+func (f *frameReader) vc() vclock.VC { return f.vcInto(nil) }
+
+// vcInto decodes a vector into dst's storage, allocating only when dst is nil
+// or too short.
+func (f *frameReader) vcInto(dst vclock.VC) vclock.VC {
 	n, present := f.vcLen()
 	if !present {
 		return nil
 	}
-	out := make(vclock.VC, n)
-	for i := range out {
-		out[i] = vclock.Timestamp(f.uint())
+	if dst == nil || cap(dst) < n {
+		dst = make(vclock.VC, n)
 	}
-	return out
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = vclock.Timestamp(f.uint())
+	}
+	return dst
 }
 
 // version decodes one version record: absolute timestamps, or — in a delta
@@ -807,38 +837,19 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.Heartbeat{Time: vclock.Timestamp(f.uint()), Epoch: f.uint(),
 			Seq: f.uint(), Floor: vclock.Timestamp(f.uint())}
 	case tagSliceReq:
-		m := &msg.SliceReq{TxID: f.uint()}
-		m.Coordinator.DC = int(f.uint())
-		m.Coordinator.Partition = int(f.uint())
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				m.Keys = make([]string, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					m.Keys = append(m.Keys, f.string())
-				}
-			}
+		// The slice pair is pooled: whoever answers a request, or folds in a
+		// reply, releases it — or this function, when the frame is bad.
+		m := msg.NewSliceReq(f.uint(), netemu.NodeID{DC: int(f.uint()), Partition: int(f.uint())})
+		m.Keys = list(f, m.Keys, 1, f.string)
+		m.TV = f.vcInto(m.TV)
+		if err := f.finish(); err != nil {
+			m.Release()
+			return env, err
 		}
-		m.TV = f.vc()
 		env.Msg = m
 	case tagSliceResp:
-		// Pooled: the coordinator releases the reply — or this function, when
-		// the frame is bad. A count the unread bytes cannot encode is refused
-		// before the pooled buffer is sized from it.
 		m := msg.NewSliceResp(f.uint())
-		if marker := f.uint(); marker == 0 || f.err != nil {
-			m.Items = nil
-		} else if n := marker - 1; uint64(len(f.b)-f.pos)/minItemReplyBytes < n {
-			f.fail()
-		} else {
-			// Room for one at least: an empty list stays distinct from nil.
-			m.Items = slices.Grow(m.Items[:0], max(int(n), 1))
-			for i := uint64(0); i < n && f.err == nil; i++ {
-				m.Items = append(m.Items, f.itemReply())
-			}
-		}
+		m.Items = list(f, m.Items, minItemReplyBytes, f.itemReply)
 		m.Err = f.string()
 		if err := f.finish(); err != nil {
 			m.Release()
@@ -863,18 +874,9 @@ func parsePayload(frame []byte) (Envelope, error) {
 		m.ResumeSeq = f.uint()
 		m.Through = vclock.Timestamp(f.uint())
 		m.FullResync = f.bool()
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				m.Departed = make([]msg.DepartedClaim, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					m.Departed = append(m.Departed, msg.DepartedClaim{
-						DC: int(f.uint()), Through: vclock.Timestamp(f.uint())})
-				}
-			}
-		}
+		m.Departed = list(f, nil, 2, func() msg.DepartedClaim {
+			return msg.DepartedClaim{DC: int(f.uint()), Through: vclock.Timestamp(f.uint())}
+		})
 		m.SlotEpoch = f.uint()
 		m.Progress = f.vc()
 		env.Msg = m

@@ -259,17 +259,7 @@ func DecodeFrontDoorRequest(frame []byte) (FrontDoorRequest, error) {
 	case FDGet:
 		r.Key = f.string()
 	case FDROTx:
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				r.Keys = make([]string, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					r.Keys = append(r.Keys, f.string())
-				}
-			}
-		}
+		r.Keys = list(f, nil, 1, f.string)
 	case FDAdmin:
 		r.Line = f.string()
 	default:
@@ -327,23 +317,10 @@ func DecodeFrontDoorResponse(frame []byte) (FrontDoorResponse, error) {
 		r.Exists = f.bool()
 		r.Value = f.bytes()
 	case FDTx:
-		if marker := f.uint(); marker > 0 && f.err == nil {
-			n := marker - 1
-			// Each item takes at least three bytes; reject absurd counts
-			// before allocating.
-			if uint64(len(f.b)-f.pos) < n {
-				f.fail()
-			} else {
-				r.Items = make([]FrontDoorTxItem, 0, n)
-				for i := uint64(0); i < n && f.err == nil; i++ {
-					r.Items = append(r.Items, FrontDoorTxItem{
-						Key:    f.string(),
-						Exists: f.bool(),
-						Value:  f.bytes(),
-					})
-				}
-			}
-		}
+		// Each item takes three bytes at least: key length, flag, value marker.
+		r.Items = list(f, nil, 3, func() FrontDoorTxItem {
+			return FrontDoorTxItem{Key: f.string(), Exists: f.bool(), Value: f.bytes()}
+		})
 	case FDText:
 		r.Text = f.string()
 	default:

@@ -282,33 +282,41 @@ func FuzzHLCDecode(f *testing.F) {
 }
 
 // FuzzSliceDecode drives the binary decoder with mutations of the RO-TX slice
-// pair, the two messages that travel as pointers. A decoded reply and its item
-// buffer come from msg's pool, so on top of the usual contract — corrupted
-// input fails cleanly, whatever decodes survives a re-encode — a frame must
-// not be able to size the pooled buffer from the count it claims (an item
-// takes minItemReplyBytes at least), and a decode that fails returns what it
-// drew: every reply a test run sees is released, so one corrupted by an
-// earlier failure would turn up here as a mangled round trip.
+// pair, the two messages that travel as pointers. Both come from msg's pool
+// with the buffers an earlier use grew, so on top of the usual contract —
+// corrupted input fails cleanly, whatever decodes survives a re-encode — a
+// frame must not be able to size a pooled buffer from the count it claims (an
+// item takes minItemReplyBytes at least, a key one byte), and a decode that
+// fails returns what it drew: every message a test run sees is released, so
+// one corrupted by an earlier failure, or left with a stale tail by a longer
+// one, would turn up here as a mangled round trip. Multi-frame seeds decode a
+// short request right behind a longer one, the nil TV included.
 func FuzzSliceDecode(f *testing.F) {
 	item := msg.ItemReply{
 		Key: "user:42", Exists: true, Value: []byte("payload"), SrcReplica: 1,
 		UpdateTime: 123456, Deps: vclock.VC{7, 0, 99}, Fresher: 2, Invisible: 1,
 	}
-	seeds := []any{
-		&msg.SliceReq{TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1}, Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}},
-		&msg.SliceReq{TxID: 9, Keys: []string{}, TV: vclock.VC{}},
-		&msg.SliceReq{TxID: 9},
-		&msg.SliceResp{TxID: 9, Items: []msg.ItemReply{item, item, item}},
-		&msg.SliceResp{TxID: 10},
-		&msg.SliceResp{TxID: 11, Items: []msg.ItemReply{}},
-		&msg.SliceResp{TxID: 13, Err: "core: server stopped"},
+	long := &msg.SliceReq{TxID: 8, Keys: []string{"a", "b", "c", "d", "e"}, TV: vclock.VC{1, 2, 3, 4, 5, 6}}
+	seeds := [][]any{
+		{&msg.SliceReq{TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1}, Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}}},
+		{&msg.SliceReq{TxID: 9, Keys: []string{}, TV: vclock.VC{}}},
+		{&msg.SliceReq{TxID: 9}},
+		{&msg.SliceResp{TxID: 9, Items: []msg.ItemReply{item, item, item}}},
+		{&msg.SliceResp{TxID: 10}},
+		{&msg.SliceResp{TxID: 11, Items: []msg.ItemReply{}}},
+		{&msg.SliceResp{TxID: 13, Err: "core: server stopped"}},
+		{long, &msg.SliceReq{TxID: 9, Keys: []string{"x"}, TV: vclock.VC{7, 8}}},
+		{long, &msg.SliceReq{TxID: 9, Keys: []string{}, TV: vclock.VC{}}},
+		{long, &msg.SliceReq{TxID: 9}, long, &msg.SliceReq{TxID: 9, Keys: []string{"x"}}},
 	}
-	for _, m := range seeds {
+	for _, stream := range seeds {
 		var buf bytes.Buffer
-		if err := NewBinaryEncoder(&buf).Encode(Envelope{
-			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
-		}); err != nil {
-			f.Fatal(err)
+		for _, m := range stream {
+			if err := NewBinaryEncoder(&buf).Encode(Envelope{
+				Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
+			}); err != nil {
+				f.Fatal(err)
+			}
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
@@ -321,20 +329,41 @@ func FuzzSliceDecode(f *testing.F) {
 	f.Add(hostileListFrame(respHead, 60, make([]byte, 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewBinaryDecoder(bytes.NewReader(data))
+		in := bytes.NewReader(data)
+		dec := NewBinaryDecoder(in)
+		read := 0 // bytes of data the frames decoded so far took
 		for {
 			env, err := dec.Decode()
 			if err != nil {
 				return // corrupted input must fail, not panic
 			}
+			frame := len(data) - in.Len() - dec.r.Buffered() - read
+			read += frame
 			// What the bytes can encode, doubled for the allocator's rounding,
 			// on top of what a recycled buffer may already hold.
-			if r, ok := env.Msg.(*msg.SliceResp); ok && cap(r.Items) > 64+2*len(data)/minItemReplyBytes {
-				t.Fatalf("a %d-byte input left a reply holding room for %d items", len(data), cap(r.Items))
+			switch r := env.Msg.(type) {
+			case *msg.SliceResp:
+				if cap(r.Items) > 64+2*len(data)/minItemReplyBytes {
+					t.Fatalf("a %d-byte input left a reply holding room for %d items", len(data), cap(r.Items))
+				}
+			case *msg.SliceReq:
+				if cap(r.Keys) > 64+2*len(data) || cap(r.TV) > 64+2*len(data) {
+					t.Fatalf("a %d-byte input left a request holding room for %d keys and %d entries", len(data), cap(r.Keys), cap(r.TV))
+				}
 			}
 			var buf bytes.Buffer
 			if err := NewBinaryEncoder(&buf).Encode(env); err != nil {
 				t.Fatalf("decoded envelope failed to re-encode: %v (%#v)", err, env)
+			}
+			// Re-encoding drops what a frame may carry redundantly (a varint
+			// longer than it need be, a bool byte other than 1) and adds
+			// nothing — unless the message kept a stale tail of a recycled
+			// buffer.
+			switch env.Msg.(type) {
+			case *msg.SliceReq, *msg.SliceResp:
+				if buf.Len() > frame {
+					t.Fatalf("a %d-byte frame re-encodes to %d bytes: %#v", frame, buf.Len(), env.Msg)
+				}
 			}
 			re, err := NewBinaryDecoder(bytes.NewReader(buf.Bytes())).Decode()
 			if err != nil {
@@ -344,7 +373,10 @@ func FuzzSliceDecode(f *testing.F) {
 				t.Fatalf("re-encode changed the message:\n in: %#v\nout: %#v", env, re)
 			}
 			for _, m := range []any{env.Msg, re.Msg} {
-				if r, ok := m.(*msg.SliceResp); ok {
+				switch r := m.(type) {
+				case *msg.SliceReq:
+					r.Release()
+				case *msg.SliceResp:
 					r.Release()
 				}
 			}

@@ -49,17 +49,24 @@ func TestRoundTripHeartbeat(t *testing.T) {
 	}
 }
 
-// The slice pair travels as pointers; nil and empty lists stay distinct.
+// The slice pair travels as pointers; nil and empty lists stay distinct. A
+// decoded request comes from msg's pool; each is released here so the next
+// row decodes into a recycled one that carried more keys and a longer TV,
+// which must not show: no stale tail, and a nil TV stays nil.
 func TestRoundTripSliceReq(t *testing.T) {
 	for _, in := range []*msg.SliceReq{
+		{TxID: 8, Coordinator: netemu.NodeID{DC: 4, Partition: 3}, Keys: []string{"a", "b", "c", "d"}, TV: vclock.VC{1, 2, 3, 4, 5}},
 		{TxID: 9, Coordinator: netemu.NodeID{DC: 2, Partition: 1}, Keys: []string{"a", "b"}, TV: vclock.VC{4, 5, 6}},
 		{TxID: 9, Keys: []string{}, TV: vclock.VC{}},
+		{TxID: 10, Keys: []string{"x", "y", "z"}, TV: vclock.VC{7, 8, 9, 10}},
 		{TxID: 9},
+		{TxID: 11, Keys: []string{"k"}, TV: vclock.VC{3}},
 	} {
 		out, ok := roundTrip(t, in).(*msg.SliceReq)
 		if !ok || !reflect.DeepEqual(in, out) {
 			t.Fatalf("decoded %+v, want %+v", out, in)
 		}
+		out.Release()
 	}
 }
 
