@@ -18,7 +18,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18070
+LOC_CEILING = 18120
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -46,8 +46,9 @@ bench-module:
 # the netemu link queue, the durable insert (single and batched), the
 # replication batch decode, the front-door request decode, and a pooled round
 # trip from both ends (client side against an echo server, server side against
-# the same operation in process), plus the replicated-apply heap retention
-# bound. Counts do not depend on host speed, so unlike wall-clock
+# the same operation in process), the loader's one version per key, plus the
+# replicated-apply heap retention bound and the chain cells' release of a
+# pruned version. Counts do not depend on host speed, so unlike wall-clock
 # ratios they are asserted on every run (-count=1: never from the test cache).
 allocs:
 	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...

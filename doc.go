@@ -398,6 +398,16 @@
 //     every insert, so it never pins the frame of a version that has been
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
+//   - the loader → every DC's engine. cluster.Seed makes one version per key
+//     (item.New) and one copy of the caller's value, and inserts that one
+//     version into every DC's chain — versions are immutable, so the DCs
+//     share it as a flushed batch's receivers do; a durable engine still
+//     encodes its own WAL record of it. storage.Mem carves a key's first
+//     chain from a per-shard block of cells rather than allocating it, so a
+//     key with one version costs an engine only its map growth; a second
+//     version moves the chain out and clears the cell behind it, so a block
+//     never keeps a pruned version alive (TestSeedSharesOneVersion,
+//     TestSeedAllocs, TestChainCellRetention).
 //
 // A read-only transaction crosses fewer layers, and allocates only what its
 // caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4

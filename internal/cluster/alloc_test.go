@@ -43,3 +43,26 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 		t.Fatalf("a 4-partition RO-TX allocates %v times, want 1 (the result)", n)
 	}
 }
+
+// TestSeedAllocs: the loader makes one version and one value copy per key,
+// whatever the number of DCs. A DC adds only its engine's map growth and
+// chain cells, well under one allocation per key (it added a version and a
+// chain slice, two per key, when every DC got a version of its own).
+func TestSeedAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	value := []byte("00000000")
+	perKey := func(dcs int) float64 {
+		c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 1}, WithHeartbeat(time.Hour))
+		keys := keyspace.Build(1, 4096).AllKeys(0)
+		i := 0
+		return testing.AllocsPerRun(len(keys)-1, func() {
+			c.Seed(keys[i], value)
+			i++
+		})
+	}
+	if one, three := perKey(1), perKey(3); three-one >= 1 {
+		t.Fatalf("Seed allocates %.2f times per key at 3 DCs, %.2f at 1: a DC must add less than one", three, one)
+	}
+}

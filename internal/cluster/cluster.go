@@ -573,19 +573,17 @@ func (c *Cluster) newSession(dc int, autoFallback bool) (*client.Session, error)
 // Seed pre-loads a key with an initial value into every data center, the way
 // the paper's loader populates each partition before an experiment. Seeded
 // versions carry tiny timestamps and empty dependency vectors, so they are
-// immediately visible and stable everywhere.
+// immediately visible and stable everywhere. A key costs one version and one
+// copy of value, whatever the number of DCs: versions are immutable, so every
+// DC's chain holds the same one (a durable engine still logs its own record).
 func (c *Cluster) Seed(key string, value []byte) {
-	ut := vclock.Timestamp(c.seedSeq.Add(1))
+	v := item.New(c.maxDCs)
+	v.Key, v.Value, v.UpdateTime = key, append([]byte(nil), value...), vclock.Timestamp(c.seedSeq.Add(1))
 	p := c.PartitionOf(key)
-	value = append([]byte(nil), value...) // one copy: versions are immutable
 	for dc := 0; dc < c.NumDCs(); dc++ {
-		srv := c.Server(dc, p)
-		if srv == nil {
-			continue // departed DC
+		if srv := c.Server(dc, p); srv != nil { // nil: departed DC
+			srv.Store().Insert(v)
 		}
-		v := item.New(c.maxDCs)
-		v.Key, v.Value, v.UpdateTime = key, value, ut
-		srv.Store().Insert(v)
 	}
 }
 

@@ -522,6 +522,42 @@ func TestSeedVisibleEverywhere(t *testing.T) {
 	}
 }
 
+// TestSeedSharesOneVersion: the loader makes one version per key and every
+// DC's chain holds it; the caller's buffer is copied once, so reusing it
+// changes no read; and a durable engine still logs the shared version as its
+// own record, so a restarted server reads it back.
+func TestSeedSharesOneVersion(t *testing.T) {
+	const dcs = 3
+	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 2}, WithDataDir(t.TempDir()), WithSeed(13))
+	value := []byte("seeded")
+	c.Seed("s1", value)
+	p := c.PartitionOf("s1")
+	head := c.Server(0, p).Store().Head("s1")
+	for dc := 1; dc < dcs; dc++ {
+		if got := c.Server(dc, p).Store().Head("s1"); got != head {
+			t.Fatalf("dc%d's head is %p, dc0's %p: Seed must share one version", dc, got, head)
+		}
+	}
+	copy(value, "XXXXXX")
+	read := func(dc int) {
+		t.Helper()
+		reply, err := c.ReadAt(dc, "s1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(reply.Value) != "seeded" {
+			t.Fatalf("dc%d reads %q, want %q", dc, reply.Value, "seeded")
+		}
+	}
+	for dc := 0; dc < dcs; dc++ {
+		read(dc)
+	}
+	if err := c.RestartServer(1, p); err != nil {
+		t.Fatal(err)
+	}
+	read(1)
+}
+
 func TestNewSessionBounds(t *testing.T) {
 	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1}, WithSeed(11))
 	if _, err := c.NewSession(-1); err == nil {

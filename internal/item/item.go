@@ -5,8 +5,9 @@
 // (one entry per DC, tracking potential causal dependencies).
 //
 // New and Slab are where a version is born — a PUT, a decoded replica, a WAL
-// replay, the loader — so that the tuple is one heap object; outside tests no
-// other package writes a Version literal (`make vet` greps for one).
+// replay, the loader (one per key, shared by every DC's chain) — so that the
+// tuple is one heap object; outside tests no other package writes a Version
+// literal (`make vet` greps for one).
 package item
 
 import "repro/internal/vclock"

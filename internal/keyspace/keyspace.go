@@ -15,6 +15,7 @@ package keyspace
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // NumSlots is the fixed size of the slot universe. Every key hashes to
@@ -24,8 +25,9 @@ import (
 const NumSlots = 256
 
 // hash32 is an inlined FNV-1a (identical output to hash/fnv's New32a) so the
-// per-operation routing path stays allocation-free.
-func hash32(key string) uint32 {
+// per-operation routing path stays allocation-free; Build hashes a candidate
+// key in its byte buffer, before the key is a string.
+func hash32[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -178,18 +180,29 @@ type Table struct {
 
 // Build generates perPartition keys for each of n partitions. Keys are drawn
 // from a deterministic sequence ("k<i>") and bucketed by PartitionOf, so the
-// same (n, perPartition) arguments always yield the same table.
+// same (n, perPartition) arguments always yield the same table. It panics
+// unless 1 <= n <= NumSlots and perPartition >= 1: beyond the slot universe a
+// partition owns no slot, and a partition of no keys is never full, so the
+// table could never be complete.
 func Build(n, perPartition int) *Table {
+	if n < 1 || n > NumSlots {
+		panic(fmt.Sprintf("keyspace: Build needs 1 <= n <= %d (NumSlots), got n = %d", NumSlots, n))
+	}
+	if perPartition < 1 {
+		panic(fmt.Sprintf("keyspace: Build needs perPartition >= 1, got %d", perPartition))
+	}
 	t := &Table{partitions: n, keys: make([][]string, n)}
 	for i := range t.keys {
 		t.keys[i] = make([]string, 0, perPartition)
 	}
-	filled := 0
-	for i := 0; filled < n; i++ {
-		key := fmt.Sprintf("k%d", i)
-		p := PartitionOf(key, n)
+	// Each candidate is written into one buffer and hashed there; only a key
+	// a partition accepts becomes a string.
+	buf := []byte("k")
+	for i, filled := 0, 0; filled < n; i++ {
+		buf = strconv.AppendInt(buf[:1], int64(i), 10)
+		p := int(hash32(buf)%NumSlots) % n // PartitionOf, on the buffer
 		if len(t.keys[p]) < perPartition {
-			t.keys[p] = append(t.keys[p], key)
+			t.keys[p] = append(t.keys[p], string(buf))
 			if len(t.keys[p]) == perPartition {
 				filled++
 			}

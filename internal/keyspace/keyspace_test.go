@@ -3,6 +3,7 @@ package keyspace
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,32 @@ func TestBuildDeterministic(t *testing.T) {
 				t.Fatal("Build must be deterministic")
 			}
 		}
+	}
+}
+
+// Build panics, naming the bound, on a shape no table can have, instead of
+// looping forever: a partition beyond the slot universe owns no slot, and a
+// partition of no keys is never full.
+func TestBuildRejectsImpossibleShapes(t *testing.T) {
+	for _, c := range []struct {
+		n, per int
+		bound  string
+	}{
+		{NumSlots + 1, 1, "n <= 256"}, {300, 1, "n <= 256"}, {0, 1, "1 <= n"},
+		{4, 0, "perPartition >= 1"}, {4, -1, "perPartition >= 1"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.bound) {
+					t.Errorf("Build(%d, %d) panicked with %q, want a message naming %q", c.n, c.per, msg, c.bound)
+				}
+			}()
+			Build(c.n, c.per)
+		}()
+	}
+	if tbl := Build(NumSlots, 1); tbl.Partitions() != NumSlots {
+		t.Fatalf("Build(%d, 1) has %d partitions", NumSlots, tbl.Partitions())
 	}
 }
 

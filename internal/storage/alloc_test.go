@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/item"
 	"repro/internal/msg"
@@ -155,4 +156,24 @@ func TestReplicatedApplyRetention(t *testing.T) {
 		t.Fatalf("heap in use grew by %d bytes over %d replicated batches, want <= %d", grown, batches, limit)
 	}
 	runtime.KeepAlive(store)
+}
+
+// TestChainCellRetention: a key's first chain is a cell of its shard's block,
+// and the block outlives the chain that moves out of it. Once a second
+// version has moved the chain and garbage collection has pruned the first,
+// nothing may keep the first version reachable — its old cell included.
+func TestChainCellRetention(t *testing.T) {
+	s := New()
+	first := v("k", 1, 0)
+	gone := weak.Make(first)
+	s.Insert(first)
+	s.Insert(v("k", 2, 0))
+	if n := s.CollectGarbage(vclock.VC{2}); n != 1 {
+		t.Fatalf("CollectGarbage removed %d versions, want 1 (the first)", n)
+	}
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Fatal("the pruned first version is still reachable: its chain cell keeps it")
+	}
+	runtime.KeepAlive(s)
 }

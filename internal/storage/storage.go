@@ -33,9 +33,20 @@ type Mem struct {
 	shards [numShards]shard
 }
 
+// cellsPerBlock is how many chain cells a shard allocates at a time.
+const cellsPerBlock = 64
+
 type shard struct {
 	mu     sync.RWMutex
 	chains map[string][]*item.Version // newest first, LWW order
+	// cells is the unused rest of the shard's current block of chain cells.
+	// A key's first chain is one cell (len == cap == 1), so a key that only
+	// ever has one version — every key the loader seeds — allocates no chain
+	// of its own. A second version's append moves the chain to a slice of
+	// its own, and insertLocked clears the cell it leaves: a block stays
+	// reachable while any of its cells is a chain, and must not keep alive a
+	// version that garbage collection has since pruned from the moved chain.
+	cells []*item.Version
 }
 
 // New returns an empty in-memory engine.
@@ -112,6 +123,15 @@ func (s *Mem) InsertBatch(vs []*item.Version) {
 
 func (sh *shard) insertLocked(v *item.Version) {
 	chain := sh.chains[v.Key]
+	if len(chain) == 0 {
+		if len(sh.cells) == 0 {
+			sh.cells = make([]*item.Version, cellsPerBlock)
+		}
+		chain, sh.cells = sh.cells[:1:1], sh.cells[1:]
+		chain[0] = v
+		sh.chains[v.Key] = chain
+		return
+	}
 	// Common case: the new version is the freshest (updates replicate in
 	// timestamp order), so it lands at the head.
 	i := 0
@@ -124,7 +144,11 @@ func (sh *shard) insertLocked(v *item.Version) {
 		}
 		i++
 	}
-	chain = append(chain, nil)
+	grown := append(chain, nil)
+	if cap(chain) == 1 {
+		chain[0] = nil // the chain leaves its cell (only a cell has cap 1)
+	}
+	chain = grown
 	copy(chain[i+1:], chain[i:])
 	chain[i] = v
 	// Assigning under the head's Key, not v's: Go stores the assigned key
