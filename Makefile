@@ -13,12 +13,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# The size the subtraction arc (ROADMAP arc 2) is measured in: non-test Go
+# The size the subtraction arc (ROADMAP arc 6) is measured in: non-test Go
 # lines of the root module, bench/ (a module of its own) excluded. The count
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 18120
+LOC_CEILING = 17460
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -84,6 +84,9 @@ define RACE_ROWS
 # lean watermark stabilization rule, the skew-insensitive PUT clock-wait and
 # the visibility probe (the clock's CAS loop runs on every hot-path message).
 -run 'HLC|ClockSkew|Skew|Watermark|Visibility|NegativeSkew' ./internal/clock/... ./internal/vclock/... ./internal/core/... ./internal/cluster/... ./internal/harness/...
+# The package's Examples: the blocked photo GET's goroutine and the RO-TX
+# reader racing its writer, on live sessions whose output is asserted.
+-run 'Example' .
 # The chaos plane, last: a seeded fault-injection soak (crash/restarts, DC
 # kills + forced removal, join/leave churn, link flaps, latency reprofiles)
 # with live causal checking. CHAOS_SECONDS sets its length, CHAOS_SEED

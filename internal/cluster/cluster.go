@@ -241,6 +241,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Engine != POCC && cfg.Engine != Cure && cfg.Engine != HAPOCC {
 		return nil, errors.New("cluster: unknown engine")
 	}
+	// withDefaults fills in only zero; a negative period or timeout would
+	// switch its loop (heartbeats, stabilization, suspicion) off unannounced.
+	for name, d := range map[string]time.Duration{"HeartbeatInterval": cfg.HeartbeatInterval, "StabilizationInterval": cfg.StabilizationInterval, "BlockTimeout": cfg.BlockTimeout} {
+		if d < 0 {
+			return nil, fmt.Errorf("cluster: negative %s %v", name, d)
+		}
+	}
 	if cfg.MaxDCs != 0 && cfg.MaxDCs < cfg.NumDCs {
 		return nil, fmt.Errorf("cluster: MaxDCs %d below NumDCs %d", cfg.MaxDCs, cfg.NumDCs)
 	}

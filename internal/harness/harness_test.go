@@ -21,6 +21,28 @@ func microScale() Scale {
 	}
 }
 
+// TestFreshness is the paper's central claim, run through the one load
+// driver: a POCC GET returns the head of its chain, so no read is old, while
+// Cure* hides the versions its stabilization has not yet declared stable.
+// microScale's latency is too small for a stabilization round to lag behind
+// replication, so this one point raises it (and the think time with it).
+func TestFreshness(t *testing.T) {
+	sc := microScale()
+	sc.LatencyScale, sc.ThinkTime = 0.2, 500*time.Microsecond
+	load := Load{GetsPerPut: 2, ClientsPerPart: sc.ClientsPerPart, ThinkTime: sc.ThinkTime}
+	old := map[cluster.Engine]float64{}
+	for _, engine := range []cluster.Engine{cluster.Cure, cluster.POCC} {
+		pt, err := run(context.Background(), sc, sc.config(engine), load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[engine] = pt.GetStale.PercentOld()
+	}
+	if old[cluster.POCC] != 0 || old[cluster.Cure] <= 0 {
+		t.Fatalf("old GETs: POCC %.3f%%, Cure* %.3f%%; want 0 and > 0", old[cluster.POCC], old[cluster.Cure])
+	}
+}
+
 func experiment(t *testing.T, id string) Experiment {
 	t.Helper()
 	for _, e := range Experiments() {

@@ -95,7 +95,8 @@ type Config struct {
 	// LeanStabilization switches the GSS exchange to scalar HLC watermarks
 	// on most ticks (Okapi-style lean stabilization).
 	LeanStabilization bool
-	// HeartbeatInterval is Δ of the protocol; defaults to 1 ms.
+	// HeartbeatInterval is Δ of the protocol; defaults to 1 ms. Open rejects
+	// a negative HeartbeatInterval, StabilizationInterval or BlockTimeout.
 	HeartbeatInterval time.Duration
 	// StabilizationInterval is the GSS exchange period; defaults to 5 ms for
 	// CureStar and 500 ms for HAPOCC.

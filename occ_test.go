@@ -1,6 +1,7 @@
 package occ_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,20 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := occ.Open(occ.Config{DataCenters: 0, Partitions: 2, Engine: occ.POCC}); err == nil {
 		t.Fatal("zero DCs must be rejected")
+	}
+	// A negative interval would switch its loop off without a word.
+	for field, cfg := range map[string]occ.Config{
+		"HeartbeatInterval":     {Engine: occ.POCC, HeartbeatInterval: -time.Millisecond},
+		"StabilizationInterval": {Engine: occ.CureStar, StabilizationInterval: -time.Millisecond},
+		"BlockTimeout":          {Engine: occ.HAPOCC, BlockTimeout: -time.Millisecond},
+	} {
+		cfg.DataCenters, cfg.Partitions = 2, 2
+		if s, err := occ.Open(cfg); err == nil {
+			s.Close()
+			t.Errorf("negative %s must be rejected", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %q does not name the field", field, err)
+		}
 	}
 }
 
