@@ -18,7 +18,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17460
+LOC_CEILING = 17550
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -46,10 +46,11 @@ bench-module:
 # the netemu link queue, the durable insert (single and batched), the
 # replication batch decode, the front-door request decode, and a pooled round
 # trip from both ends (client side against an echo server, server side against
-# the same operation in process), the loader's one version per key, plus the
-# replicated-apply heap retention bound and the chain cells' release of a
-# pruned version. Counts do not depend on host speed, so unlike wall-clock
-# ratios they are asserted on every run (-count=1: never from the test cache).
+# the same operation in process), the loader's one version per key and a
+# loaded key's share of its shard's head table, plus the replicated-apply heap
+# retention bound and the release of a pruned version by a key's tail. Counts
+# do not depend on host speed, so unlike wall-clock ratios they are asserted
+# on every run (-count=1: never from the test cache).
 allocs:
 	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...
 
@@ -118,6 +119,9 @@ FuzzSliceDecode ./internal/wire/
 FuzzFrontDoorDecode ./internal/wire/
 # WAL records and segment tails as recovery reads them.
 FuzzWALDecode ./internal/wal/
+# The in-memory engine's probe table of chain heads against a map-of-chains
+# model: inserts, garbage collection and DropAbove's backward-shift removal.
+FuzzMemOps ./internal/storage/
 endef
 export FUZZ_ROWS
 

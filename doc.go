@@ -394,20 +394,21 @@
 //     keeps its batch's copy and slab reachable, at most one frame of dead
 //     neighbors.
 //   - what storage may keep of a decoded key. Only what it keeps of the
-//     version: the chain map's key is re-pointed at the chain head's Key on
-//     every insert, so it never pins the frame of a version that has been
+//     version: a shard's table stores no key of its own — a key is its chain
+//     head's Key — so it never pins the frame of a version that has been
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
 //   - the loader → every DC's engine. cluster.Seed makes one version per key
 //     (item.New) and one copy of the caller's value, and inserts that one
 //     version into every DC's chain — versions are immutable, so the DCs
 //     share it as a flushed batch's receivers do; a durable engine still
-//     encodes its own WAL record of it. storage.Mem carves a key's first
-//     chain from a per-shard block of cells rather than allocating it, so a
-//     key with one version costs an engine only its map growth; a second
-//     version moves the chain out and clears the cell behind it, so a block
-//     never keeps a pruned version alive (TestSeedSharesOneVersion,
-//     TestSeedAllocs, TestChainCellRetention).
+//     encodes its own WAL record of it. A storage.Mem shard is an
+//     open-addressing table of chain heads with a parallel table of tails, so
+//     a key with one version costs an engine two table words and no chain;
+//     a key's first update makes its tail, whose first two versions live
+//     inline, and a third spills them out and clears the pair behind it, so a
+//     tail never keeps a pruned version alive (TestSeedSharesOneVersion,
+//     TestSeedAllocs, TestMemLoadAllocs, TestChainCellRetention).
 //
 // A read-only transaction crosses fewer layers, and allocates only what its
 // caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4

@@ -45,9 +45,9 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 }
 
 // TestSeedAllocs: the loader makes one version and one value copy per key,
-// whatever the number of DCs. A DC adds only its engine's map growth and
-// chain cells, well under one allocation per key (it added a version and a
-// chain slice, two per key, when every DC got a version of its own).
+// whatever the number of DCs. A DC adds only its engine's head-table growth,
+// well under one allocation per key (it added a version and a chain slice,
+// two per key, when every DC got a version of its own).
 func TestSeedAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -149,7 +149,7 @@ func TestReplicatedApplyRetention(t *testing.T) {
 	}
 	// A live version is ~200 bytes of struct, key, value and vector and keeps
 	// its batch of four reachable. Allow that four times over for span
-	// granularity, plus 64 KB for the empty engine (64 shard maps) and the
+	// granularity, plus 64 KB for the engine's 64 shard tables and the
 	// codec's buffers; the fixed-chunk arena held 27 KB per survivor, 1.8 MB.
 	const limit = 4*(live*batchLen*200) + 64<<10
 	if grown := int64(after) - int64(before); grown > limit {
@@ -158,22 +158,56 @@ func TestReplicatedApplyRetention(t *testing.T) {
 	runtime.KeepAlive(store)
 }
 
-// TestChainCellRetention: a key's first chain is a cell of its shard's block,
-// and the block outlives the chain that moves out of it. Once a second
-// version has moved the chain and garbage collection has pruned the first,
-// nothing may keep the first version reachable — its old cell included.
+// TestChainCellRetention: once garbage collection has pruned a version from
+// its chain, nothing may keep it reachable — neither the tail a key's first
+// update makes nor, once a third older version spills the tail out of its
+// inline pair, the pair it left.
 func TestChainCellRetention(t *testing.T) {
+	for _, n := range []int{2, 4} { // versions 1..n of one key, pruned to the head
+		s := New()
+		var gone []weak.Pointer[item.Version]
+		for ts := 1; ts <= n; ts++ {
+			ver := v("k", vclock.Timestamp(ts), 0)
+			if ts < n {
+				gone = append(gone, weak.Make(ver))
+			}
+			s.Insert(ver)
+		}
+		if got := s.CollectGarbage(vclock.VC{vclock.Timestamp(n)}); got != n-1 {
+			t.Fatalf("CollectGarbage removed %d of %d versions, want %d (all but the head)", got, n, n-1)
+		}
+		runtime.GC()
+		for i, w := range gone {
+			if w.Value() != nil {
+				t.Fatalf("pruned version %d of %d is still reachable: its chain's storage keeps it", i+1, n)
+			}
+		}
+		runtime.KeepAlive(s)
+	}
+}
+
+// TestMemLoadAllocs: loading keys of one version each — what the loader does
+// to every engine — costs a shard its table growth, two words a slot, and no
+// chain or map entry per key.
+func TestMemLoadAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const keys = 4096
+	vs := testVersions(0, keys, keys)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	s := New()
-	first := v("k", 1, 0)
-	gone := weak.Make(first)
-	s.Insert(first)
-	s.Insert(v("k", 2, 0))
-	if n := s.CollectGarbage(vclock.VC{2}); n != 1 {
-		t.Fatalf("CollectGarbage removed %d versions, want 1 (the first)", n)
+	for _, ver := range vs {
+		s.Insert(ver)
 	}
-	runtime.GC()
-	if gone.Value() != nil {
-		t.Fatal("the pruned first version is still reachable: its chain cell keeps it")
-	}
+	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
+	bytesPerKey := float64(after.TotalAlloc-before.TotalAlloc) / keys
+	allocsPerKey := float64(after.Mallocs-before.Mallocs) / keys
+	t.Logf("%.1f B and %.3f allocations per key", bytesPerKey, allocsPerKey)
+	if bytesPerKey > 96 || allocsPerKey >= 0.25 {
+		t.Fatalf("loading %d keys allocates %.1f B and %.3f times per key, want <= 96 B and < 0.25", keys, bytesPerKey, allocsPerKey)
+	}
 }

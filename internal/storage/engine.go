@@ -8,8 +8,9 @@ import (
 // Engine is the pluggable storage backend of a partition server. Two
 // implementations ship with the repository:
 //
-//   - Mem (the default): the sharded multiversion in-memory store — fastest,
-//     but a killed server loses its partition.
+//   - Mem (the default): the sharded multiversion in-memory store, each
+//     shard a probe table of chain heads — fastest, but a killed server
+//     loses its partition.
 //   - Durable: Mem fronting a segmented write-ahead log (internal/wal) with
 //     snapshot checkpoints, so a crashed server recovers its version chains
 //     (and version-vector floor) from disk via OpenDurable. It also replays

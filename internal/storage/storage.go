@@ -4,9 +4,9 @@
 // timestamp descending, ties broken by lowest source replica). Reads select
 // the freshest version that satisfies a caller-supplied visibility
 // predicate: the optimistic (POCC) mode passes an always-true predicate and
-// reads the chain head in O(1); the pessimistic (Cure*) mode passes a
-// stability predicate and traverses the chain — the extra work the paper
-// attributes to pessimistic designs.
+// reads the chain head — one probe of a table of heads, no chain touched;
+// the pessimistic (Cure*) mode passes a stability predicate and traverses
+// the chain — the extra work the paper attributes to pessimistic designs.
 //
 // Two engines are provided: Mem, the sharded in-memory store (the default),
 // and Durable, which fronts Mem with a write-ahead log for crash recovery
@@ -18,13 +18,19 @@ package storage
 
 import (
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"repro/internal/item"
 	"repro/internal/vclock"
 )
 
-const numShards = 64
+// A key's hash picks its shard with the low shardBits bits and its home slot
+// in the shard's table with the bits above them.
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
+)
 
 // Mem is the sharded multiversion key-value store. It is safe for concurrent
 // use.
@@ -33,48 +39,127 @@ type Mem struct {
 	shards [numShards]shard
 }
 
-// cellsPerBlock is how many chain cells a shard allocates at a time.
-const cellsPerBlock = 64
-
+// A shard is an open-addressing table of chain heads, probed linearly. Slot i
+// holds a key's freshest version in heads[i] (nil: empty) and its LWW-older
+// versions, if it ever had any, in tails[i]. A key is the Key of its head, so
+// the table keeps no key of its own that could pin the buffer of a version
+// that is gone (a replicated version's key aliases its decoded batch). The
+// length is a power of two, at most three quarters full; a key that only
+// ever has one version — every key the loader seeds — costs its shard two
+// table words and nothing else.
 type shard struct {
-	mu     sync.RWMutex
-	chains map[string][]*item.Version // newest first, LWW order
-	// cells is the unused rest of the shard's current block of chain cells.
-	// A key's first chain is one cell (len == cap == 1), so a key that only
-	// ever has one version — every key the loader seeds — allocates no chain
-	// of its own. A second version's append moves the chain to a slice of
-	// its own, and insertLocked clears the cell it leaves: a block stays
-	// reachable while any of its cells is a chain, and must not keep alive a
-	// version that garbage collection has since pruned from the moved chain.
-	cells []*item.Version
+	mu    sync.RWMutex
+	n     int // occupied slots
+	heads []*item.Version
+	tails []*tail
 }
 
-// New returns an empty in-memory engine.
-func New() *Mem {
-	s := &Mem{seed: maphash.MakeSeed()}
-	for i := range s.shards {
-		s.shards[i].chains = make(map[string][]*item.Version)
+// A tail holds one key's versions behind its head, newest first. The first
+// two live inline, so a key's first update costs one allocation; a third
+// moves them to a slice of their own (only the inline pair has cap 2), and
+// insert clears the pair it leaves, which must not keep alive a version that
+// garbage collection has since pruned from the moved slice.
+type tail struct {
+	vs     []*item.Version
+	inline [2]*item.Version
+}
+
+// insert puts v at index i of t's versions, making t if it is nil.
+func (t *tail) insert(i int, v *item.Version) *tail {
+	if t == nil {
+		t = new(tail)
+		t.vs = t.inline[:0]
 	}
-	return s
+	spills := len(t.vs) == cap(t.vs) && cap(t.vs) == len(t.inline)
+	t.vs = slices.Insert(t.vs, i, v)
+	if spills {
+		clear(t.inline[:])
+	}
+	return t
 }
 
-func (s *Mem) shardIndex(key string) int {
-	return int(maphash.String(s.seed, key) % numShards)
+// older returns the versions behind t's head, newest first.
+func (t *tail) older() []*item.Version {
+	if t == nil {
+		return nil
+	}
+	return t.vs
 }
 
-func (s *Mem) shardOf(key string) *shard {
-	return &s.shards[s.shardIndex(key)]
+// New returns an empty in-memory engine. Its shards allocate their tables on
+// their first insert.
+func New() *Mem {
+	return &Mem{seed: maphash.MakeSeed()}
+}
+
+func (s *Mem) hash(key string) uint64 { return maphash.String(s.seed, key) }
+
+// locate returns key's shard and its hash.
+func (s *Mem) locate(key string) (*shard, uint64) {
+	h := s.hash(key)
+	return &s.shards[h%numShards], h
+}
+
+// home returns the slot a key of hash h probes first.
+func (sh *shard) home(h uint64) int {
+	return int(h>>shardBits) & (len(sh.heads) - 1)
+}
+
+// slot returns the slot holding key, or the empty slot ending its probe run
+// (false), or -1 for a table not yet allocated.
+func (sh *shard) slot(key string, h uint64) (int, bool) {
+	if len(sh.heads) == 0 {
+		return -1, false
+	}
+	mask := len(sh.heads) - 1
+	for i := sh.home(h); ; i = (i + 1) & mask {
+		switch v := sh.heads[i]; {
+		case v == nil:
+			return i, false
+		case v.Key == key:
+			return i, true
+		}
+	}
+}
+
+// grow doubles the table (or makes the first one) and re-places every key.
+func (sh *shard) grow(s *Mem) {
+	heads, tails := sh.heads, sh.tails
+	size := max(2*len(heads), 8)
+	sh.heads, sh.tails = make([]*item.Version, size), make([]*tail, size)
+	for i, v := range heads {
+		if v == nil {
+			continue
+		}
+		j, _ := sh.slot(v.Key, s.hash(v.Key))
+		sh.heads[j], sh.tails[j] = v, tails[i]
+	}
+}
+
+// remove empties slot i. Rather than leave a tombstone it shifts back every
+// later key of the probe run that may move: one whose home is not in the
+// cyclic range (i, j] of the hole i and its own slot j.
+func (sh *shard) remove(s *Mem, i int) {
+	mask := len(sh.heads) - 1
+	for j := (i + 1) & mask; sh.heads[j] != nil; j = (j + 1) & mask {
+		if home := sh.home(s.hash(sh.heads[j].Key)); (j-home)&mask >= (j-i)&mask {
+			sh.heads[i], sh.tails[i] = sh.heads[j], sh.tails[j]
+			i = j
+		}
+	}
+	sh.heads[i], sh.tails[i] = nil, nil
+	sh.n--
 }
 
 // Insert adds a version to its key's chain, keeping the chain in LWW order.
 // Inserting the same version twice is a no-op, making replication delivery
 // idempotent. The engine keeps v and everything it references (key, value,
 // dependency vector) until garbage collection drops the version, and nothing
-// of it afterwards — see insertLocked for the chain map's key.
+// of it afterwards.
 func (s *Mem) Insert(v *item.Version) {
-	sh := s.shardOf(v.Key)
+	sh, h := s.locate(v.Key)
 	sh.mu.Lock()
-	sh.insertLocked(v)
+	sh.insertLocked(s, v, h)
 	sh.mu.Unlock()
 }
 
@@ -103,7 +188,7 @@ func (s *Mem) InsertBatch(vs []*item.Version) {
 		next = make([]int32, len(vs))
 	}
 	for i := len(vs) - 1; i >= 0; i-- {
-		sh := s.shardIndex(vs[i].Key)
+		sh := s.hash(vs[i].Key) % numShards
 		next[i] = head[sh]
 		head[sh] = int32(i)
 	}
@@ -115,47 +200,44 @@ func (s *Mem) InsertBatch(vs []*item.Version) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for ; j >= 0; j = next[j] {
-			sh.insertLocked(vs[j])
+			sh.insertLocked(s, vs[j], s.hash(vs[j].Key))
 		}
 		sh.mu.Unlock()
 	}
 }
 
-func (sh *shard) insertLocked(v *item.Version) {
-	chain := sh.chains[v.Key]
-	if len(chain) == 0 {
-		if len(sh.cells) == 0 {
-			sh.cells = make([]*item.Version, cellsPerBlock)
+func (sh *shard) insertLocked(s *Mem, v *item.Version, h uint64) {
+	i, found := sh.slot(v.Key, h)
+	if !found {
+		if 4*(sh.n+1) > 3*len(sh.heads) {
+			sh.grow(s)
+			i, _ = sh.slot(v.Key, h)
 		}
-		chain, sh.cells = sh.cells[:1:1], sh.cells[1:]
-		chain[0] = v
-		sh.chains[v.Key] = chain
+		sh.heads[i] = v
+		sh.n++
 		return
 	}
 	// Common case: the new version is the freshest (updates replicate in
-	// timestamp order), so it lands at the head.
-	i := 0
-	for i < len(chain) {
-		if v.Same(chain[i]) {
+	// timestamp order), so it becomes the head and the old head leads the
+	// tail.
+	head, t := sh.heads[i], sh.tails[i]
+	switch {
+	case v.Same(head):
+		return
+	case v.Newer(head):
+		sh.heads[i], sh.tails[i] = v, t.insert(0, head)
+		return
+	}
+	older, j := t.older(), 0
+	for ; j < len(older); j++ {
+		if v.Same(older[j]) {
 			return
 		}
-		if v.Newer(chain[i]) {
+		if v.Newer(older[j]) {
 			break
 		}
-		i++
 	}
-	grown := append(chain, nil)
-	if cap(chain) == 1 {
-		chain[0] = nil // the chain leaves its cell (only a cell has cap 1)
-	}
-	chain = grown
-	copy(chain[i+1:], chain[i:])
-	chain[i] = v
-	// Assigning under the head's Key, not v's: Go stores the assigned key
-	// string in place of an equal one, so the entry's key always belongs to a
-	// version that is in the chain and never keeps alive the buffer of one
-	// that is gone (a replicated version's key aliases its decoded batch).
-	sh.chains[chain[0].Key] = chain
+	sh.tails[i] = t.insert(j, v)
 }
 
 // ReadResult describes the outcome of a read.
@@ -175,40 +257,41 @@ type ReadResult struct {
 
 // Head returns the chain head (the freshest version) for key, or nil.
 func (s *Mem) Head(key string) *item.Version {
-	sh := s.shardOf(key)
+	sh, h := s.locate(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	chain := sh.chains[key]
-	if len(chain) == 0 {
-		return nil
+	if i, ok := sh.slot(key, h); ok {
+		return sh.heads[i]
 	}
-	return chain[0]
+	return nil
 }
 
 // ReadVisible returns the freshest version of key satisfying visible, along
 // with chain statistics. A nil predicate means every version is visible, so
 // the head is returned without traversing the chain (the POCC fast path).
 func (s *Mem) ReadVisible(key string, visible func(*item.Version) bool) ReadResult {
-	sh := s.shardOf(key)
+	sh, h := s.locate(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	chain := sh.chains[key]
-	res := ReadResult{ChainLen: len(chain)}
-	if len(chain) == 0 {
-		return res
+	i, ok := sh.slot(key, h)
+	if !ok {
+		return ReadResult{}
 	}
+	head, older := sh.heads[i], sh.tails[i].older()
+	res := ReadResult{ChainLen: 1 + len(older)}
 	if visible == nil {
-		res.V = chain[0]
+		res.V = head
 		return res
 	}
-	for i, v := range chain {
-		if visible(v) {
-			if res.V == nil {
-				res.V = v
-				res.Fresher = i
-			}
-		} else {
+	for j := range res.ChainLen {
+		v := head
+		if j > 0 {
+			v = older[j-1]
+		}
+		if !visible(v) {
 			res.Invisible++
+		} else if res.V == nil {
+			res.V, res.Fresher = v, j
 		}
 	}
 	return res
@@ -226,34 +309,31 @@ func (s *Mem) ReadWithin(key string, tv vclock.VC) ReadResult {
 // qualifies, the whole chain is kept (there is no safe version to anchor on).
 // It returns the number of versions removed.
 //
-// Chains that need no pruning (single-version chains, or chains whose anchor
-// is already the tail) are left untouched; pruned chains are truncated in
-// place with the dropped tail nilled out so the versions are released
-// without reallocating the chain slice.
+// Only keys with versions behind their head are examined; a pruned tail is
+// truncated in place with the dropped versions nilled out, so they are
+// released without reallocating it, and the tail stays for the key's next
+// update.
 func (s *Mem) CollectGarbage(gv vclock.VC) int {
 	removed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for key, chain := range sh.chains {
-			if len(chain) < 2 {
+		for j, t := range sh.tails {
+			if t == nil || len(t.vs) == 0 {
 				continue
 			}
-			anchor := -1
-			for j, v := range chain {
-				if v.Deps.LessEq(gv) {
-					anchor = j
-					break
+			keep := 0 // the head is the anchor
+			if !sh.heads[j].Deps.LessEq(gv) {
+				keep = len(t.vs) // no anchor
+				for k, v := range t.vs {
+					if v.Deps.LessEq(gv) {
+						keep = k + 1
+						break
+					}
 				}
 			}
-			if anchor < 0 || anchor+1 >= len(chain) {
-				continue
-			}
-			removed += len(chain) - anchor - 1
-			for j := anchor + 1; j < len(chain); j++ {
-				chain[j] = nil // release the pruned versions
-			}
-			sh.chains[key] = chain[:anchor+1]
+			removed += len(t.vs) - keep
+			t.vs = slices.Delete(t.vs, keep, len(t.vs))
 		}
 		sh.mu.Unlock()
 	}
@@ -267,30 +347,32 @@ func (s *Mem) CollectGarbage(gv vclock.VC) int {
 // survivors proved complete (their agreed final) would otherwise linger as
 // unreplicatable divergence.
 func (s *Mem) DropAbove(src int, after vclock.Timestamp) int {
+	drop := func(v *item.Version) bool { return v.SrcReplica == src && v.UpdateTime > after }
 	removed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for key, chain := range sh.chains {
-			kept := 0
-			for _, v := range chain {
-				if v.SrcReplica == src && v.UpdateTime > after {
-					continue
-				}
-				chain[kept] = v
-				kept++
+		// A removal shifts later keys back into slot j, so j is not advanced
+		// past it; a key the shift brings round from the table's start is
+		// visited again, and finds nothing left to drop.
+		for j := 0; j < len(sh.heads); {
+			head, t := sh.heads[j], sh.tails[j]
+			if t != nil {
+				n := len(t.vs)
+				t.vs = slices.DeleteFunc(t.vs, drop)
+				removed += n - len(t.vs)
 			}
-			if kept == len(chain) {
-				continue
-			}
-			removed += len(chain) - kept
-			for j := kept; j < len(chain); j++ {
-				chain[j] = nil // release the dropped versions
-			}
-			if kept == 0 {
-				delete(sh.chains, key)
-			} else {
-				sh.chains[chain[0].Key] = chain[:kept] // see insertLocked
+			switch {
+			case head == nil || !drop(head):
+				j++
+			case len(t.older()) == 0:
+				removed++
+				sh.remove(s, j)
+			default:
+				removed++
+				sh.heads[j] = t.vs[0]
+				t.vs = slices.Delete(t.vs, 0, 1)
+				j++
 			}
 		}
 		sh.mu.Unlock()
@@ -314,9 +396,12 @@ func (s *Mem) Stats() StoreStats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		st.Keys += len(sh.chains)
-		for _, chain := range sh.chains {
-			st.Versions += len(chain)
+		st.Keys += sh.n
+		st.Versions += sh.n
+		for _, t := range sh.tails {
+			if t != nil {
+				st.Versions += len(t.vs)
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -335,9 +420,9 @@ func (s *Mem) ForEachHead(fn func(key string, head *item.Version)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for key, chain := range sh.chains {
-			if len(chain) > 0 {
-				fn(key, chain[0])
+		for _, v := range sh.heads {
+			if v != nil {
+				fn(v.Key, v)
 			}
 		}
 		sh.mu.RUnlock()
@@ -351,9 +436,13 @@ func (s *Mem) ForEachVersion(fn func(v *item.Version)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, chain := range sh.chains {
-			for _, v := range chain {
-				fn(v)
+		for j, v := range sh.heads {
+			if v == nil {
+				continue
+			}
+			fn(v)
+			for _, o := range sh.tails[j].older() {
+				fn(o)
 			}
 		}
 		sh.mu.RUnlock()
