@@ -18,7 +18,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17550
+LOC_CEILING = 17590
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -46,9 +46,10 @@ bench-module:
 # the netemu link queue, the durable insert (single and batched), the
 # replication batch decode, the front-door request decode, and a pooled round
 # trip from both ends (client side against an echo server, server side against
-# the same operation in process), the loader's one version per key and a
-# loaded key's share of its shard's head table, plus the replicated-apply heap
-# retention bound and the release of a pruned version by a key's tail. Counts
+# the same operation in process), the loader's slab-carved versions (under one
+# allocation a key) and a loaded key's share of its shard's slot array, plus
+# the replicated-apply heap retention bound, the release of a pruned version
+# by a key's tail and of the loader's slabs and value chunks. Counts
 # do not depend on host speed, so unlike wall-clock ratios they are asserted
 # on every run (-count=1: never from the test cache).
 allocs:
@@ -64,6 +65,9 @@ define RACE_ROWS
 # end to end by the sessions' RO-TX tests.
 ./internal/core/... ./internal/storage/... ./internal/wal/... ./internal/tcpnet/... ./internal/netemu/...
 -run 'ROTx' ./internal/client/ ./internal/cluster/
+# The loader: concurrent Seed calls carving versions and value chunks from the
+# cluster's one slab under its mutex.
+-run 'Seed' ./internal/cluster/
 # Durability: mid-workload server restarts, cold restarts.
 -run 'Recovery|Durable' ./internal/cluster/... .
 # The replication plane: sequenced streams, gap detection and WAL-shipped

@@ -398,17 +398,22 @@
 //     head's Key — so it never pins the frame of a version that has been
 //     collected. InsertBatch retains neither the batch slice nor anything
 //     outside the versions themselves.
-//   - the loader → every DC's engine. cluster.Seed makes one version per key
-//     (item.New) and one copy of the caller's value, and inserts that one
-//     version into every DC's chain — versions are immutable, so the DCs
-//     share it as a flushed batch's receivers do; a durable engine still
-//     encodes its own WAL record of it. A storage.Mem shard is an
-//     open-addressing table of chain heads with a parallel table of tails, so
-//     a key with one version costs an engine two table words and no chain;
-//     a key's first update makes its tail, whose first two versions live
-//     inline, and a third spills them out and clears the pair behind it, so a
-//     tail never keeps a pruned version alive (TestSeedSharesOneVersion,
-//     TestSeedAllocs, TestMemLoadAllocs, TestChainCellRetention).
+//   - the loader → every DC's engine. cluster.Seed carves its versions as
+//     the decoder does, 64 to an item.Slab array, and copies values into
+//     shared 4 KiB chunks (three-index slices, so an append never spills
+//     into a neighbour), then inserts that one version into every DC's
+//     chain — versions are immutable, so the DCs share it as a flushed
+//     batch's receivers do; a durable engine still encodes its own WAL
+//     record of it. The price is the decoder's: a live seeded version keeps
+//     at most 63 dead neighbours and one value chunk reachable, never more
+//     than the loaded state itself; a spent array or chunk is dropped. A
+//     storage.Mem shard is one array of two-word slots (a key's head and
+//     its tail), 8 at first and quadrupled on growth, so a key with one
+//     version costs an engine one slot and no chain; a key's first update
+//     makes its tail, whose first two versions live inline, and a third
+//     spills them out and clears the pair behind it, so a tail never keeps a
+//     pruned version alive (TestSeedSharesOneVersion, TestSeedAllocs,
+//     TestSeedRetention, TestMemLoadAllocs, TestChainCellRetention).
 //
 // A read-only transaction crosses fewer layers, and allocates only what its
 // caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4

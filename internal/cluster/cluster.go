@@ -198,9 +198,14 @@ type Cluster struct {
 	// nodes is the [dc][partition] matrix, allocated to MaxDCs × MaxPartitions
 	// up front so AddDC and SplitPartition only fill entries in and the
 	// lock-free Server lookup never races a reshape.
-	nodes   [][]node
-	seedSeq atomic.Uint64 // timestamps for pre-loaded data
-	rr      atomic.Uint64 // round-robin coordinator placement
+	nodes [][]node
+	rr    atomic.Uint64 // round-robin coordinator placement
+
+	// seedMu guards the loader's state (see Seed).
+	seedMu   sync.Mutex
+	seedSeq  uint64 // timestamps for pre-loaded data
+	seedSlab item.Slab
+	seedVals []byte
 
 	// memberMu guards the deployment's membership mirror — the admin-side
 	// record of which DC slots exist and their statuses — plus the TCP
@@ -583,9 +588,30 @@ func (c *Cluster) newSession(dc int, autoFallback bool) (*client.Session, error)
 // immediately visible and stable everywhere. A key costs one version and one
 // copy of value, whatever the number of DCs: versions are immutable, so every
 // DC's chain holds the same one (a durable engine still logs its own record).
+// Both are carved as the batch decoder carves, with its price: a live seeded
+// version keeps its slab array's seedCarve-1 neighbours and its value chunk
+// reachable. A spent array or chunk is dropped. Seed is safe for concurrent use.
 func (c *Cluster) Seed(key string, value []byte) {
-	v := item.New(c.maxDCs)
-	v.Key, v.Value, v.UpdateTime = key, append([]byte(nil), value...), vclock.Timestamp(c.seedSeq.Add(1))
+	c.seedMu.Lock()
+	c.seedSeq++
+	v := c.seedSlab.Take(c.maxDCs, seedCarve)
+	if c.seedSeq%seedCarve == 0 { // every Take is of c.maxDCs' class
+		c.seedSlab = item.Slab{}
+	}
+	v.Key, v.UpdateTime = key, vclock.Timestamp(c.seedSeq)
+	if len(value) > 0 {
+		if len(value) > cap(c.seedVals)-len(c.seedVals) {
+			c.seedVals = make([]byte, 0, max(seedChunk, len(value)))
+		}
+		n := len(c.seedVals)
+		c.seedVals = append(c.seedVals, value...)
+		end := len(c.seedVals)
+		v.Value = c.seedVals[n:end:end] // an append copies, never spills into a neighbour
+		if end == cap(c.seedVals) {
+			c.seedVals = nil
+		}
+	}
+	c.seedMu.Unlock()
 	p := c.PartitionOf(key)
 	for dc := 0; dc < c.NumDCs(); dc++ {
 		if srv := c.Server(dc, p); srv != nil { // nil: departed DC
@@ -593,6 +619,8 @@ func (c *Cluster) Seed(key string, value []byte) {
 		}
 	}
 }
+
+const seedCarve, seedChunk = 64, 4 << 10 // versions per slab array, bytes per value chunk
 
 // SeedTable pre-loads every key of a keyspace table with an 8-byte value.
 func (c *Cluster) SeedTable(table *keyspace.Table) {

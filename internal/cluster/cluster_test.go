@@ -3,12 +3,14 @@ package cluster
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/keyspace"
 	"repro/internal/netemu"
+	"repro/internal/vclock"
 )
 
 func newCluster(t *testing.T, cfg Config) *Cluster {
@@ -524,13 +526,15 @@ func TestSeedVisibleEverywhere(t *testing.T) {
 
 // TestSeedSharesOneVersion: the loader makes one version per key and every
 // DC's chain holds it; the caller's buffer is copied once, so reusing it
-// changes no read; and a durable engine still logs the shared version as its
+// changes no read, and values share a chunk without an append to one spilling
+// into the next; and a durable engine still logs the shared version as its
 // own record, so a restarted server reads it back.
 func TestSeedSharesOneVersion(t *testing.T) {
 	const dcs = 3
 	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 2}, WithDataDir(t.TempDir()), WithSeed(13))
 	value := []byte("seeded")
 	c.Seed("s1", value)
+	c.Seed("s2", value)
 	p := c.PartitionOf("s1")
 	head := c.Server(0, p).Store().Head("s1")
 	for dc := 1; dc < dcs; dc++ {
@@ -539,23 +543,61 @@ func TestSeedSharesOneVersion(t *testing.T) {
 		}
 	}
 	copy(value, "XXXXXX")
-	read := func(dc int) {
+	_ = append(head.Value, "XXXXXX"...)
+	read := func(dc int, key string) {
 		t.Helper()
-		reply, err := c.ReadAt(dc, "s1")
+		reply, err := c.ReadAt(dc, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(reply.Value) != "seeded" {
-			t.Fatalf("dc%d reads %q, want %q", dc, reply.Value, "seeded")
+			t.Fatalf("dc%d reads %q for %s, want %q", dc, reply.Value, key, "seeded")
 		}
 	}
 	for dc := 0; dc < dcs; dc++ {
-		read(dc)
+		read(dc, "s1")
+		read(dc, "s2")
 	}
 	if err := c.RestartServer(1, p); err != nil {
 		t.Fatal(err)
 	}
-	read(1)
+	read(1, "s1")
+}
+
+// TestSeedConcurrent: Seed is safe for concurrent use. Loaders on several
+// goroutines, with values of several lengths across chunk boundaries, each
+// get a version, a timestamp and value bytes of their own.
+func TestSeedConcurrent(t *testing.T) {
+	const dcs, loaders, keys = 2, 4, 300
+	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 2}, WithHeartbeat(time.Hour))
+	key := func(g, i int) string { return "g" + strconv.Itoa(g) + "-" + strconv.Itoa(i) }
+	var wg sync.WaitGroup
+	for g := range loaders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range keys {
+				c.Seed(key(g, i), []byte("v"+key(g, i)))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[vclock.Timestamp]string{}
+	for g := range loaders {
+		for i := range keys {
+			k := key(g, i)
+			for dc := range dcs {
+				if reply, err := c.ReadAt(dc, k); err != nil || string(reply.Value) != "v"+k {
+					t.Fatalf("dc%d reads %q, %v for %s, want %q", dc, reply.Value, err, k, "v"+k)
+				}
+			}
+			ts := c.Server(0, c.PartitionOf(k)).Store().Head(k).UpdateTime
+			if other, dup := seen[ts]; dup {
+				t.Fatalf("%s and %s were seeded with one timestamp, %d", other, k, ts)
+			}
+			seen[ts] = k
+		}
+	}
 }
 
 func TestNewSessionBounds(t *testing.T) {

@@ -4,10 +4,10 @@
 // physical timestamp assigned at the source replica) and dependency vector
 // (one entry per DC, tracking potential causal dependencies).
 //
-// New and Slab are where a version is born — a PUT, a decoded replica, a WAL
-// replay, the loader (one per key, shared by every DC's chain) — so that the
-// tuple is one heap object; outside tests no other package writes a Version
-// literal (`make vet` greps for one).
+// New and Slab are where a version is born — a PUT (New), a decoded replica
+// or the loader (carved from a Slab; the loader's version is shared by every
+// DC's chain), a WAL replay — so that the tuple is one heap object; outside
+// tests no other package writes a Version literal (`make vet` greps for one).
 package item
 
 import "repro/internal/vclock"

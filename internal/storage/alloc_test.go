@@ -187,8 +187,8 @@ func TestChainCellRetention(t *testing.T) {
 }
 
 // TestMemLoadAllocs: loading keys of one version each — what the loader does
-// to every engine — costs a shard its table growth, two words a slot, and no
-// chain or map entry per key.
+// to every engine — costs a shard its table growth and nothing per key: one
+// array of two-word slots, made at 8 and quadrupled, one allocation a growth.
 func TestMemLoadAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -207,7 +207,7 @@ func TestMemLoadAllocs(t *testing.T) {
 	bytesPerKey := float64(after.TotalAlloc-before.TotalAlloc) / keys
 	allocsPerKey := float64(after.Mallocs-before.Mallocs) / keys
 	t.Logf("%.1f B and %.3f allocations per key", bytesPerKey, allocsPerKey)
-	if bytesPerKey > 96 || allocsPerKey >= 0.25 {
-		t.Fatalf("loading %d keys allocates %.1f B and %.3f times per key, want <= 96 B and < 0.25", keys, bytesPerKey, allocsPerKey)
+	if bytesPerKey > 56 || allocsPerKey >= 0.08 {
+		t.Fatalf("loading %d keys allocates %.1f B and %.3f times per key, want <= 56 B and < 0.08", keys, bytesPerKey, allocsPerKey)
 	}
 }

@@ -38,6 +38,21 @@ func BenchmarkStorageInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkStorageLoad measures what the loader costs one engine: 4 096 keys
+// of one version each into a fresh store, slot-table growth included (the
+// insert benchmarks above cycle 64 keys).
+func BenchmarkStorageLoad(b *testing.B) {
+	vs := testVersions(0, 4096, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New()
+		for _, v := range vs {
+			s.Insert(v)
+		}
+	}
+}
+
 // BenchmarkStorageInsertBatch measures the batched apply path (one shard
 // pass per batch) at the default replication batch size.
 func BenchmarkStorageInsertBatch(b *testing.B) {

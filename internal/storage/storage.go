@@ -4,9 +4,10 @@
 // timestamp descending, ties broken by lowest source replica). Reads select
 // the freshest version that satisfies a caller-supplied visibility
 // predicate: the optimistic (POCC) mode passes an always-true predicate and
-// reads the chain head — one probe of a table of heads, no chain touched;
-// the pessimistic (Cure*) mode passes a stability predicate and traverses
-// the chain — the extra work the paper attributes to pessimistic designs.
+// reads the chain head — one probe of a shard's slot array, no chain
+// touched; the pessimistic (Cure*) mode passes a stability predicate and
+// traverses the chain — the extra work the paper attributes to pessimistic
+// designs.
 //
 // Two engines are provided: Mem, the sharded in-memory store (the default),
 // and Durable, which fronts Mem with a write-ahead log for crash recovery
@@ -39,19 +40,27 @@ type Mem struct {
 	shards [numShards]shard
 }
 
-// A shard is an open-addressing table of chain heads, probed linearly. Slot i
-// holds a key's freshest version in heads[i] (nil: empty) and its LWW-older
-// versions, if it ever had any, in tails[i]. A key is the Key of its head, so
-// the table keeps no key of its own that could pin the buffer of a version
-// that is gone (a replicated version's key aliases its decoded batch). The
-// length is a power of two, at most three quarters full; a key that only
-// ever has one version — every key the loader seeds — costs its shard two
-// table words and nothing else.
+// A shard is an open-addressing array of slots, probed linearly. A slot holds
+// a key's freshest version (head, nil: empty) and its LWW-older versions, if
+// it ever had any (tail). A key is the Key of its head, so the table keeps no
+// key of its own that could pin the buffer of a version that is gone (a
+// replicated version's key aliases its decoded batch). A key that only ever
+// has one version — every key the loader seeds — costs its shard one
+// two-word slot and nothing else. The length is a power of two, at most three
+// quarters full: 8 at first, quadrupled on growth, so a 64-key shard grows
+// 8 → 32 → 128 — three sizes and 30 keys moved where doubling takes five and
+// 90, for the same expected bytes over a table's life. The price is a sparser
+// table: 3/16 full just after growing, not 3/8, and at some key counts twice
+// the final size (156 keys: 512 slots, not 256).
 type shard struct {
 	mu    sync.RWMutex
 	n     int // occupied slots
-	heads []*item.Version
-	tails []*tail
+	slots []slot
+}
+
+type slot struct {
+	head *item.Version
+	tail *tail
 }
 
 // A tail holds one key's versions behind its head, newest first. The first
@@ -102,18 +111,18 @@ func (s *Mem) locate(key string) (*shard, uint64) {
 
 // home returns the slot a key of hash h probes first.
 func (sh *shard) home(h uint64) int {
-	return int(h>>shardBits) & (len(sh.heads) - 1)
+	return int(h>>shardBits) & (len(sh.slots) - 1)
 }
 
-// slot returns the slot holding key, or the empty slot ending its probe run
+// find returns the slot holding key, or the empty slot ending its probe run
 // (false), or -1 for a table not yet allocated.
-func (sh *shard) slot(key string, h uint64) (int, bool) {
-	if len(sh.heads) == 0 {
+func (sh *shard) find(key string, h uint64) (int, bool) {
+	if len(sh.slots) == 0 {
 		return -1, false
 	}
-	mask := len(sh.heads) - 1
+	mask := len(sh.slots) - 1
 	for i := sh.home(h); ; i = (i + 1) & mask {
-		switch v := sh.heads[i]; {
+		switch v := sh.slots[i].head; {
 		case v == nil:
 			return i, false
 		case v.Key == key:
@@ -122,17 +131,15 @@ func (sh *shard) slot(key string, h uint64) (int, bool) {
 	}
 }
 
-// grow doubles the table (or makes the first one) and re-places every key.
+// grow quadruples the table (or makes the first one) and re-places every key.
 func (sh *shard) grow(s *Mem) {
-	heads, tails := sh.heads, sh.tails
-	size := max(2*len(heads), 8)
-	sh.heads, sh.tails = make([]*item.Version, size), make([]*tail, size)
-	for i, v := range heads {
-		if v == nil {
-			continue
+	old := sh.slots
+	sh.slots = make([]slot, max(4*len(old), 8))
+	for _, e := range old {
+		if e.head != nil {
+			j, _ := sh.find(e.head.Key, s.hash(e.head.Key))
+			sh.slots[j] = e
 		}
-		j, _ := sh.slot(v.Key, s.hash(v.Key))
-		sh.heads[j], sh.tails[j] = v, tails[i]
 	}
 }
 
@@ -140,14 +147,14 @@ func (sh *shard) grow(s *Mem) {
 // later key of the probe run that may move: one whose home is not in the
 // cyclic range (i, j] of the hole i and its own slot j.
 func (sh *shard) remove(s *Mem, i int) {
-	mask := len(sh.heads) - 1
-	for j := (i + 1) & mask; sh.heads[j] != nil; j = (j + 1) & mask {
-		if home := sh.home(s.hash(sh.heads[j].Key)); (j-home)&mask >= (j-i)&mask {
-			sh.heads[i], sh.tails[i] = sh.heads[j], sh.tails[j]
+	mask := len(sh.slots) - 1
+	for j := (i + 1) & mask; sh.slots[j].head != nil; j = (j + 1) & mask {
+		if home := sh.home(s.hash(sh.slots[j].head.Key)); (j-home)&mask >= (j-i)&mask {
+			sh.slots[i] = sh.slots[j]
 			i = j
 		}
 	}
-	sh.heads[i], sh.tails[i] = nil, nil
+	sh.slots[i] = slot{}
 	sh.n--
 }
 
@@ -207,28 +214,28 @@ func (s *Mem) InsertBatch(vs []*item.Version) {
 }
 
 func (sh *shard) insertLocked(s *Mem, v *item.Version, h uint64) {
-	i, found := sh.slot(v.Key, h)
+	i, found := sh.find(v.Key, h)
 	if !found {
-		if 4*(sh.n+1) > 3*len(sh.heads) {
+		if 4*(sh.n+1) > 3*len(sh.slots) {
 			sh.grow(s)
-			i, _ = sh.slot(v.Key, h)
+			i, _ = sh.find(v.Key, h)
 		}
-		sh.heads[i] = v
+		sh.slots[i].head = v
 		sh.n++
 		return
 	}
 	// Common case: the new version is the freshest (updates replicate in
 	// timestamp order), so it becomes the head and the old head leads the
 	// tail.
-	head, t := sh.heads[i], sh.tails[i]
+	e := &sh.slots[i]
 	switch {
-	case v.Same(head):
+	case v.Same(e.head):
 		return
-	case v.Newer(head):
-		sh.heads[i], sh.tails[i] = v, t.insert(0, head)
+	case v.Newer(e.head):
+		e.head, e.tail = v, e.tail.insert(0, e.head)
 		return
 	}
-	older, j := t.older(), 0
+	older, j := e.tail.older(), 0
 	for ; j < len(older); j++ {
 		if v.Same(older[j]) {
 			return
@@ -237,7 +244,7 @@ func (sh *shard) insertLocked(s *Mem, v *item.Version, h uint64) {
 			break
 		}
 	}
-	sh.tails[i] = t.insert(j, v)
+	e.tail = e.tail.insert(j, v)
 }
 
 // ReadResult describes the outcome of a read.
@@ -260,8 +267,8 @@ func (s *Mem) Head(key string) *item.Version {
 	sh, h := s.locate(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if i, ok := sh.slot(key, h); ok {
-		return sh.heads[i]
+	if i, ok := sh.find(key, h); ok {
+		return sh.slots[i].head
 	}
 	return nil
 }
@@ -273,11 +280,11 @@ func (s *Mem) ReadVisible(key string, visible func(*item.Version) bool) ReadResu
 	sh, h := s.locate(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	i, ok := sh.slot(key, h)
+	i, ok := sh.find(key, h)
 	if !ok {
 		return ReadResult{}
 	}
-	head, older := sh.heads[i], sh.tails[i].older()
+	head, older := sh.slots[i].head, sh.slots[i].tail.older()
 	res := ReadResult{ChainLen: 1 + len(older)}
 	if visible == nil {
 		res.V = head
@@ -318,12 +325,13 @@ func (s *Mem) CollectGarbage(gv vclock.VC) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for j, t := range sh.tails {
+		for _, e := range sh.slots {
+			t := e.tail
 			if t == nil || len(t.vs) == 0 {
 				continue
 			}
 			keep := 0 // the head is the anchor
-			if !sh.heads[j].Deps.LessEq(gv) {
+			if !e.head.Deps.LessEq(gv) {
 				keep = len(t.vs) // no anchor
 				for k, v := range t.vs {
 					if v.Deps.LessEq(gv) {
@@ -355,8 +363,8 @@ func (s *Mem) DropAbove(src int, after vclock.Timestamp) int {
 		// A removal shifts later keys back into slot j, so j is not advanced
 		// past it; a key the shift brings round from the table's start is
 		// visited again, and finds nothing left to drop.
-		for j := 0; j < len(sh.heads); {
-			head, t := sh.heads[j], sh.tails[j]
+		for j := 0; j < len(sh.slots); {
+			head, t := sh.slots[j].head, sh.slots[j].tail
 			if t != nil {
 				n := len(t.vs)
 				t.vs = slices.DeleteFunc(t.vs, drop)
@@ -370,7 +378,7 @@ func (s *Mem) DropAbove(src int, after vclock.Timestamp) int {
 				sh.remove(s, j)
 			default:
 				removed++
-				sh.heads[j] = t.vs[0]
+				sh.slots[j].head = t.vs[0]
 				t.vs = slices.Delete(t.vs, 0, 1)
 				j++
 			}
@@ -398,10 +406,8 @@ func (s *Mem) Stats() StoreStats {
 		sh.mu.RLock()
 		st.Keys += sh.n
 		st.Versions += sh.n
-		for _, t := range sh.tails {
-			if t != nil {
-				st.Versions += len(t.vs)
-			}
+		for _, e := range sh.slots {
+			st.Versions += len(e.tail.older())
 		}
 		sh.mu.RUnlock()
 	}
@@ -420,9 +426,9 @@ func (s *Mem) ForEachHead(fn func(key string, head *item.Version)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, v := range sh.heads {
-			if v != nil {
-				fn(v.Key, v)
+		for _, e := range sh.slots {
+			if e.head != nil {
+				fn(e.head.Key, e.head)
 			}
 		}
 		sh.mu.RUnlock()
@@ -436,12 +442,12 @@ func (s *Mem) ForEachVersion(fn func(v *item.Version)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for j, v := range sh.heads {
-			if v == nil {
+		for _, e := range sh.slots {
+			if e.head == nil {
 				continue
 			}
-			fn(v)
-			for _, o := range sh.tails[j].older() {
+			fn(e.head)
+			for _, o := range e.tail.older() {
 				fn(o)
 			}
 		}
