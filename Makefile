@@ -6,19 +6,24 @@ all: check
 
 # A version is born in internal/item (item.New, item.Slab) and nowhere else:
 # a Version literal in other non-test Go of the root module fails the step.
+# Every PUT waits for its dependencies: PutDepWait survives only as the
+# deprecated cluster.Config field bench/ still sets (ROADMAP arc 4 deletes
+# it), so the name anywhere else in the root module's Go, tests included,
+# fails the step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
+	@! grep -rn --include='*.go' --exclude-dir=bench 'PutDepWait' . | grep -v '^\./internal/cluster/cluster\.go:'
 
 build:
 	$(GO) build ./...
 
-# The size the subtraction arc (ROADMAP arc 6) is measured in: non-test Go
+# The size the subtraction arc (ROADMAP arc 7) is measured in: non-test Go
 # lines of the root module, bench/ (a module of its own) excluded. The count
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17590
+LOC_CEILING = 17530
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \

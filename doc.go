@@ -155,17 +155,18 @@
 //     message traffic to the fastest clock and hold the lag near the
 //     stabilization cadence under the same skew.
 //
-// Config.RawPhysicalClocks reverts to the old raw clock as the ablation
-// baseline. Two wire-level reductions ride the same timestamps: replicated
+// cluster.Config.RawPhysicalClocks reverts to the old raw clock as the
+// ablation baseline (the poccbench ablation-skew and visibility experiments
+// set it). Two wire-level reductions ride the same timestamps: replicated
 // batches encode each version's update time and dependency entries as
 // zigzag varint deltas against the batch's heartbeat timestamp (hybrid
 // timestamps of one flush window sit close together, so deltas are 1-3
 // bytes where absolute wall-clock values cost 9 — measured ~21% fewer bytes
-// per version end to end), and Config.LeanStabilization replaces most GSS
-// exchange ticks' full version vector with one scalar watermark — the
-// minimum nonzero member entry of the sender's VV — refreshed by a full
-// vector every few ticks (Okapi-style; core.Server.applyVVExchange carries
-// the safety argument). BenchmarkRemoteVisibility and the poccbench
+// per version end to end), and cluster.Config.LeanStabilization (an arm of
+// the poccbench visibility experiment) replaces most GSS exchange ticks'
+// full version vector with one scalar watermark — the minimum nonzero member
+// entry of the sender's VV — refreshed by a full vector every few ticks
+// (Okapi-style; core.Server.applyVVExchange carries the safety argument). BenchmarkRemoteVisibility and the poccbench
 // visibility experiment track the three axes — bytes per version, remote
 // visibility p50/p99, GSS lag — with and without emulated skew, and make
 // race guards the clock plane under -race.
@@ -215,10 +216,10 @@
 // A replica that is frozen, catching up or joining must not have the history
 // it still needs pruned from under its resync: each server clamps its GC
 // contribution to what the laggards it serves hold (repl.Manager.ClampGC,
-// argued in internal/repl/serve.go). Config.GCMaxHoldback bounds the
-// deferral; past it the laggard's next request is answered with a full
-// re-bootstrap, never a silently incomplete range. Stats surfaces the oldest
-// holdback age and the full-resync count.
+// argued in internal/repl/serve.go). cluster.Config.GCMaxHoldback bounds
+// the deferral (the chaos soak sets it to 2 s); past it the laggard's next
+// request is answered with a full re-bootstrap, never a silently incomplete
+// range. Stats surfaces the oldest holdback age and the full-resync count.
 //
 // # Partitioning and resharding
 //

@@ -124,12 +124,24 @@ func (e Event) String() string {
 	}
 }
 
+// The deployment every run starts from and the load it carries: a 3 × 2
+// layout with headroom for three DC joins (a departed DC's id is never
+// reused) and two partition splits, four checker sessions, 24 shared keys.
+const (
+	numDCs        = 3
+	numPartitions = 2
+	maxDCs        = numDCs + 3
+	maxPartitions = numPartitions + 2
+	numWorkers    = 4
+	numKeys       = 24
+)
+
 // Schedule computes the fault schedule for a run: a pure function of the
-// seed and the deployment shape. Replaying a seed therefore reproduces the
+// seed and the run's length. Replaying a seed therefore reproduces the
 // identical schedule; whether an individual event applies or is skipped is
 // decided against live cluster state at execution time (and recorded in the
 // trace), never fed back into the schedule.
-func Schedule(seed uint64, d time.Duration, parts, maxDCs int) []Event {
+func Schedule(seed uint64, d time.Duration) []Event {
 	rng := rand.New(rand.NewPCG(seed, 0xc4a05))
 	var evs []Event
 	at := 150*time.Millisecond + time.Duration(rng.Int64N(int64(250*time.Millisecond)))
@@ -139,7 +151,7 @@ func Schedule(seed uint64, d time.Duration, parts, maxDCs int) []Event {
 		case r < 30:
 			e.Kind = CrashRestart
 			e.DC = rng.IntN(maxDCs)
-			e.P = rng.IntN(parts)
+			e.P = rng.IntN(numPartitions)
 		case r < 52:
 			e.Kind = LinkFlap
 			e.DC = rng.IntN(maxDCs)
@@ -166,11 +178,11 @@ func Schedule(seed uint64, d time.Duration, parts, maxDCs int) []Event {
 			// live); the slots actually moved are picked at execution time
 			// from the live table and recorded in the trace.
 			e.Kind = SlotMove
-			e.P = rng.IntN(parts)
-			e.P2 = rng.IntN(parts)
+			e.P = rng.IntN(numPartitions)
+			e.P2 = rng.IntN(numPartitions)
 		default:
 			e.Kind = PartitionSplit
-			e.P = rng.IntN(parts)
+			e.P = rng.IntN(numPartitions)
 		}
 		evs = append(evs, e)
 		at += 120*time.Millisecond + time.Duration(rng.Int64N(int64(500*time.Millisecond)))
@@ -185,18 +197,9 @@ type Options struct {
 	// Duration is the fault-injection window (the epilogue adds to the wall
 	// time). Zero means 3 s.
 	Duration time.Duration
-	// DCs×Partitions is the initial layout (0 → 3×2). MaxDCs bounds the
-	// lifetime DC-slot capacity (0 → DCs+3); MaxPartitions bounds the
-	// partition axis so PartitionSplit faults have headroom (0 →
-	// Partitions+2).
-	DCs, Partitions, MaxDCs, MaxPartitions int
-	// Workers is the number of concurrent checker sessions (0 → 4).
-	Workers int
 	// DataDir roots the per-server WALs. Required: crash-restarts, kills and
 	// join bootstraps all need durable engines.
 	DataDir string
-	// Keys is the size of the shared chaos keyspace (0 → 24).
-	Keys int
 	// Logf, when set, receives the live fault trace (e.g. testing.T.Logf).
 	Logf func(format string, args ...any)
 }
@@ -204,24 +207,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Duration == 0 {
 		o.Duration = 3 * time.Second
-	}
-	if o.DCs == 0 {
-		o.DCs = 3
-	}
-	if o.Partitions == 0 {
-		o.Partitions = 2
-	}
-	if o.MaxDCs == 0 {
-		o.MaxDCs = o.DCs + 3
-	}
-	if o.MaxPartitions == 0 {
-		o.MaxPartitions = o.Partitions + 2
-	}
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
-	if o.Keys == 0 {
-		o.Keys = 24
 	}
 	return o
 }
@@ -302,15 +287,14 @@ func Run(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: Options.DataDir is required (crash faults need durable engines)")
 	}
 	c, err := cluster.New(cluster.Config{
-		NumDCs:        opts.DCs,
-		NumPartitions: opts.Partitions,
+		NumDCs:        numDCs,
+		NumPartitions: numPartitions,
 		Engine:        cluster.HAPOCC,
 		// Fast control loops so a few seconds of soak cover many heartbeat,
 		// stabilization and GC rounds.
 		HeartbeatInterval:     time.Millisecond,
 		StabilizationInterval: 20 * time.Millisecond,
 		GCInterval:            25 * time.Millisecond,
-		PutDepWait:            true,
 		// A short suspicion timeout makes wedged sessions fail fast; the
 		// checker reopens them rather than falling back (see NewRawSession).
 		BlockTimeout: 150 * time.Millisecond,
@@ -328,8 +312,8 @@ func Run(opts Options) (*Report, error) {
 		// grouped acks are exactly what the kill/restart faults must not be
 		// able to turn into causal violations.
 		Durable:       storage.DurableOptions{AckMode: storage.AckGrouped},
-		MaxDCs:        opts.MaxDCs,
-		MaxPartitions: opts.MaxPartitions,
+		MaxDCs:        maxDCs,
+		MaxPartitions: maxPartitions,
 		// An undrainable reshard (a member killed mid-drain) must abort and
 		// roll forward inside the soak window, not stall it for the default
 		// 30s.
@@ -349,19 +333,19 @@ func Run(opts Options) (*Report, error) {
 		opts:   opts,
 		c:      c,
 		reg:    causaltest.NewRegistry(),
-		active: make(map[int]bool, opts.DCs),
+		active: make(map[int]bool, numDCs),
 		down:   make(map[[2]int]bool),
 		stop:   make(chan struct{}),
 	}
-	for dc := 0; dc < opts.DCs; dc++ {
+	for dc := 0; dc < numDCs; dc++ {
 		h.active[dc] = true
 	}
-	for i := 0; i < opts.Keys; i++ {
+	for i := 0; i < numKeys; i++ {
 		c.Seed(h.key(i), []byte("seed"))
 	}
 
 	h.start = time.Now()
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < numWorkers; i++ {
 		h.workerWG.Add(1)
 		go h.worker(i)
 	}
@@ -369,7 +353,7 @@ func Run(opts Options) (*Report, error) {
 	h.wdWG.Add(1)
 	go h.watchdog(wdStop)
 
-	for _, e := range Schedule(opts.Seed, opts.Duration, opts.Partitions, opts.MaxDCs) {
+	for _, e := range Schedule(opts.Seed, opts.Duration) {
 		if d := time.Until(h.start.Add(e.At)); d > 0 {
 			time.Sleep(d)
 		}
@@ -691,14 +675,14 @@ func (h *harness) worker(id int) {
 		var err error
 		switch r := rng.IntN(10); {
 		case r < 5:
-			_, err = cs.Get(h.key(rng.IntN(h.opts.Keys)))
+			_, err = cs.Get(h.key(rng.IntN(numKeys)))
 		case r < 8:
-			err = cs.Put(h.key(rng.IntN(h.opts.Keys)),
+			err = cs.Put(h.key(rng.IntN(numKeys)),
 				[]byte(fmt.Sprintf("w%d-%d", id, h.ops.Load())))
 		default:
 			keys := make([]string, 3)
 			for i := range keys {
-				keys[i] = h.key(rng.IntN(h.opts.Keys))
+				keys[i] = h.key(rng.IntN(numKeys))
 			}
 			_, err = cs.ROTx(keys)
 		}
@@ -844,9 +828,9 @@ func (h *harness) convergenceLag(dcs []int, markerKey string, markerUT vclock.Ti
 		src    int
 		exists bool
 	}
-	for i := 0; i < h.opts.Keys+1; i++ {
+	for i := 0; i < numKeys+1; i++ {
 		key := markerKey
-		if i < h.opts.Keys {
+		if i < numKeys {
 			key = h.key(i)
 		}
 		var first head

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -12,8 +14,8 @@ import (
 // reproduces the identical fault sequence.
 func TestScheduleDeterministic(t *testing.T) {
 	const d = 30 * time.Second
-	a := Schedule(42, d, 2, 6)
-	b := Schedule(42, d, 2, 6)
+	a := Schedule(42, d)
+	b := Schedule(42, d)
 	if len(a) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -27,7 +29,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	// A different seed must not produce the same schedule (astronomically
 	// unlikely unless the seed is ignored).
-	c := Schedule(43, d, 2, 6)
+	c := Schedule(43, d)
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -42,12 +44,28 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestScheduleGolden pins replay across commits: a CHAOS_SEED that CI or the
+// nightly soak reports must draw the same faults on the commit that replays
+// it. The hash is of Schedule(7, 30 s), one Event.String line per event; a
+// change to the generator, its constants or Event.String that moves it breaks
+// every reported seed and must say so by updating the hash.
+func TestScheduleGolden(t *testing.T) {
+	const want = "f1f86da6e24997d4d74bd53d2d9e6beef197fdd4b669e8ef155276161849ac06"
+	h := sha256.New()
+	for _, e := range Schedule(7, 30*time.Second) {
+		fmt.Fprintln(h, e)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("Schedule(7, 30s) hashes to %s, want %s: the fault schedule drifted", got, want)
+	}
+}
+
 // TestScheduleCoversAllKinds checks the generator actually draws every fault
 // kind over a long window — a weight-table regression would silently shrink
 // the harness's coverage.
 func TestScheduleCoversAllKinds(t *testing.T) {
 	seen := make(map[Kind]bool)
-	for _, e := range Schedule(7, 60*time.Second, 2, 6) {
+	for _, e := range Schedule(7, 60*time.Second) {
 		seen[e.Kind] = true
 	}
 	for _, k := range []Kind{CrashRestart, LinkFlap, LatencyScale, AddDC, RemoveDC, KillAndEvict, SlotMove, PartitionSplit} {

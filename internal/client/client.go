@@ -34,14 +34,7 @@ var ErrNoDataCenter = errors.New("client: session's data center left the deploym
 // session retries with a fresh route resolution each attempt, so it lands on
 // the new owner automatically once the flip happens; Config.SlotRetryBudget
 // bounds how long a session camps on a reshard that never completes.
-const (
-	slotRetryDelay = 25 * time.Millisecond
-	// defaultSlotRetryBudget is twice the cluster's default reshard drain
-	// bound (30s), so a session never gives up on a slow but healthy
-	// reshard. Deployments with a custom drain bound pass a matching budget
-	// through Config.SlotRetryBudget instead.
-	defaultSlotRetryBudget = 60 * time.Second
-)
+const slotRetryDelay = 25 * time.Millisecond
 
 // Router maps keys to the partition servers of one data center.
 type Router interface {
@@ -70,8 +63,8 @@ type Config struct {
 	// core.ErrWrongSlotEpoch while a reshard migrates its key's slot. It
 	// must exceed the deployment's reshard drain bound, or a session parked
 	// on a fenced slot surfaces the error for a migration that completes
-	// moments later. 0 selects a default of 60s (twice the cluster's
-	// default drain bound).
+	// moments later. NewSession rejects a non-positive budget; the cluster
+	// passes twice its drain bound.
 	SlotRetryBudget time.Duration
 }
 
@@ -103,6 +96,9 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	if cfg.NumDCs < 1 {
 		return nil, errors.New("client: NumDCs must be positive")
+	}
+	if cfg.SlotRetryBudget <= 0 {
+		return nil, errors.New("client: SlotRetryBudget must be positive")
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = core.Optimistic
@@ -360,11 +356,7 @@ func (s *Session) handleSlotEpoch(err error, deadline *time.Time) bool {
 		return false
 	}
 	if deadline.IsZero() {
-		budget := s.cfg.SlotRetryBudget
-		if budget <= 0 {
-			budget = defaultSlotRetryBudget
-		}
-		*deadline = time.Now().Add(budget)
+		*deadline = time.Now().Add(s.cfg.SlotRetryBudget)
 	} else if time.Now().After(*deadline) {
 		return false
 	}

@@ -33,8 +33,14 @@ func twoDC(t *testing.T, engine cluster.Engine) *cluster.Cluster {
 }
 
 func TestNewSessionValidation(t *testing.T) {
-	if _, err := client.NewSession(client.Config{}); err == nil {
-		t.Fatal("missing router must be rejected")
+	router := struct{ client.Router }{} // never called: NewSession only checks it is set
+	for name, cfg := range map[string]client.Config{
+		"missing router":       {},
+		"no slot-retry budget": {Router: router, NumDCs: 1},
+	} {
+		if _, err := client.NewSession(cfg); err == nil {
+			t.Errorf("%s must be rejected", name)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ const (
 	// connections saturates a listener long before a socket per session
 	// would; request pipelining does the rest.
 	defaultPoolConns = 4
+	// poolDialTimeout bounds each connection attempt.
+	poolDialTimeout = 5 * time.Second
 	// poolWriteQueue bounds the per-connection queue of requests awaiting
 	// the writer. Deep enough for a few hundred pipelined requests in
 	// flight, shallow enough to apply backpressure to a runaway producer.
@@ -49,8 +51,6 @@ type PoolConfig struct {
 	Addr string
 	// Conns is how many TCP connections to open. 0 selects a default of 4.
 	Conns int
-	// DialTimeout bounds each connection attempt. 0 selects 5s.
-	DialTimeout time.Duration
 }
 
 // Pool is a set of pooled binary-protocol connections to one kvserver
@@ -68,12 +68,9 @@ func DialPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Conns <= 0 {
 		cfg.Conns = defaultPoolConns
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	p := &Pool{}
 	for i := 0; i < cfg.Conns; i++ {
-		pc, err := dialPoolConn(cfg.Addr, cfg.DialTimeout)
+		pc, err := dialPoolConn(cfg.Addr)
 		if err != nil {
 			p.Close()
 			return nil, err
@@ -329,8 +326,8 @@ type queuedCall struct {
 	call *Call
 }
 
-func dialPoolConn(addr string, timeout time.Duration) (*poolConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+func dialPoolConn(addr string) (*poolConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, poolDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial pool: %w", err)
 	}

@@ -25,7 +25,6 @@ func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 	c := newCluster(t, Config{
 		NumDCs: 2, NumPartitions: 2, Engine: POCC,
 		HeartbeatInterval: time.Millisecond,
-		PutDepWait:        true,
 		DataDir:           t.TempDir(),
 		Seed:              909,
 	})
@@ -114,7 +113,6 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 		GCInterval:        20 * time.Millisecond,
 		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
 		JitterFrac:        0.3,
-		PutDepWait:        true,
 		DataDir:           t.TempDir(),
 		Seed:              1010,
 	})

@@ -86,7 +86,9 @@ type Config struct {
 	StabilizationInterval time.Duration
 	// GCInterval enables the garbage-collection exchange (0 disables).
 	GCInterval time.Duration
-	// PutDepWait enables Algorithm 2 line 6 (the evaluation enables it).
+	// Deprecated: every PUT waits for its dependencies (Algorithm 2 line 6)
+	// and nothing reads this field. It stays only because the benchmark's
+	// deployment (bench/deploy.go) still sets it.
 	PutDepWait bool
 	// BlockTimeout enables HA-POCC partition suspicion (HAPOCC only).
 	BlockTimeout time.Duration
@@ -430,7 +432,6 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		StabilizationInterval: stab,
 		LeanStabilization:     c.cfg.LeanStabilization,
 		GCInterval:            c.cfg.GCInterval,
-		PutDepWait:            c.cfg.PutDepWait,
 		BlockTimeout:          blockTimeout,
 		DataDir:               dataDir,
 		DurableOptions:        c.cfg.Durable,

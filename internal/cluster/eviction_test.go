@@ -18,7 +18,6 @@ func evictionCluster(t *testing.T, maxDCs int) *Cluster {
 		StabilizationInterval: 10 * time.Millisecond,
 		GCInterval:            20 * time.Millisecond,
 		BlockTimeout:          200 * time.Millisecond,
-		PutDepWait:            true,
 		Latency:               UniformLatency(50*time.Microsecond, time.Millisecond),
 		JitterFrac:            0.2,
 		DataDir:               t.TempDir(),
@@ -290,7 +289,6 @@ func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 		// Enough latency that the join cannot complete before the test cuts
 		// the joiner's inbound links off.
 		Latency:     UniformLatency(20*time.Millisecond, 25*time.Millisecond),
-		PutDepWait:  true,
 		DataDir:     t.TempDir(),
 		JoinTimeout: 400 * time.Millisecond,
 		Seed:        9,
@@ -348,7 +346,6 @@ func TestEvictAfterSplitJoinLeave(t *testing.T) {
 		HeartbeatInterval:     time.Millisecond,
 		StabilizationInterval: 10 * time.Millisecond,
 		BlockTimeout:          200 * time.Millisecond,
-		PutDepWait:            true,
 		Latency:               UniformLatency(50*time.Microsecond, time.Millisecond),
 		JitterFrac:            0.2,
 		DataDir:               t.TempDir(),

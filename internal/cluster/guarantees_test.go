@@ -21,7 +21,6 @@ func guaranteeCluster(t *testing.T, engine Engine, seed uint64) *Cluster {
 		HeartbeatInterval: time.Millisecond,
 		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
 		JitterFrac:        0.3,
-		PutDepWait:        true,
 		Seed:              seed,
 	})
 }
@@ -210,9 +209,9 @@ func TestGuaranteeWritesFollowReads(t *testing.T) {
 // strictly greater than every entry of its dependency vector originating
 // from causality tracking... (2) dependencies recorded in a version are
 // covered by the chain's history. Concretely verifiable from metadata:
-// ut > deps[sr of any real dependency] is implied by ut > max entry only
-// when PutDepWait's clock wait ran, so we assert the protocol-level
-// invariant the PUT path enforces: ut > every deps entry.
+// ut > deps[sr of any real dependency] is implied by ut > max entry, which
+// the PUT path's clock wait (Algorithm 2 line 7) enforces, so we assert that
+// protocol-level invariant: ut > every deps entry.
 func TestProtocolInvariants(t *testing.T) {
 	c := guaranteeCluster(t, POCC, 1005)
 	tbl := keyspace.Build(2, 4)

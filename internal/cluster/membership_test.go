@@ -35,8 +35,7 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 		WithGC(20*time.Millisecond),
 		WithLatency(UniformLatency(50*time.Microsecond, 2*time.Millisecond), 0.3),
 		WithDataDir(t.TempDir()),
-		WithSeed(2024),
-		WithConfig(func(cfg *Config) { cfg.PutDepWait = true }))
+		WithSeed(2024))
 	tbl := keyspace.Build(partitions, keys)
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()
@@ -190,10 +189,7 @@ func TestMembershipLeave(t *testing.T) {
 		WithHeartbeat(time.Millisecond),
 		WithDataDir(t.TempDir()),
 		WithSeed(3030),
-		WithConfig(func(cfg *Config) {
-			cfg.StabilizationInterval = 5 * time.Millisecond
-			cfg.PutDepWait = true
-		}))
+		WithConfig(func(cfg *Config) { cfg.StabilizationInterval = 5 * time.Millisecond }))
 	tbl := keyspace.Build(partitions, keys)
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()

@@ -54,7 +54,6 @@ func TestDurableRecoveryMidWorkload(t *testing.T) {
 		GCInterval:        20 * time.Millisecond,
 		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
 		JitterFrac:        0.3,
-		PutDepWait:        true,
 		DataDir:           t.TempDir(),
 		Seed:              707,
 	})
@@ -179,7 +178,6 @@ func TestDurableColdRestart(t *testing.T) {
 		NumDCs: 2, NumPartitions: 2, Engine: POCC,
 		HeartbeatInterval: time.Millisecond,
 		Latency:           UniformLatency(50*time.Microsecond, time.Millisecond),
-		PutDepWait:        true,
 		DataDir:           dir,
 		Seed:              808,
 	}

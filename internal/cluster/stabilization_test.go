@@ -77,7 +77,6 @@ func TestHLCPutWaitSkewInsensitive(t *testing.T) {
 	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1},
 		WithHeartbeat(time.Millisecond),
 		WithClockSkew(skew),
-		WithConfig(func(cfg *Config) { cfg.PutDepWait = true }),
 	)
 	w, err := c.NewSession(0)
 	if err != nil {

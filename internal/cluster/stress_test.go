@@ -33,7 +33,6 @@ func runStress(t *testing.T, cfg stressConfig) *Cluster {
 		HeartbeatInterval: time.Millisecond,
 		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
 		JitterFrac:        0.5,
-		PutDepWait:        true,
 		Seed:              cfg.seed,
 	})
 	tbl := keyspace.Build(cfg.partitions, cfg.keys)

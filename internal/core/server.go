@@ -140,9 +140,6 @@ type Config struct {
 	LeanStabilization bool
 	// GCInterval is the garbage-collection exchange period; 0 disables GC.
 	GCInterval time.Duration
-	// PutDepWait enables the optional wait of Algorithm 2 line 6 (enabled in
-	// the paper's evaluation to emulate merge-based conflict handling).
-	PutDepWait bool
 	// BlockTimeout > 0 turns on HA-POCC's partition suspicion: optimistic
 	// requests blocked longer than this return ErrSessionClosed. 0 waits
 	// forever (the paper's POCC, evaluated without partitions).
@@ -703,8 +700,8 @@ func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error
 }
 
 // Put serves a PUT(k, v) with the client's dependency vector (Algorithm 2,
-// lines 5-15): optionally wait until the server's state covers the client's
-// dependencies, wait until the local clock exceeds every dependency, assign
+// lines 5-15): wait until the server's state covers the client's
+// dependencies (line 6, as in the paper's evaluation), wait until the local clock exceeds every dependency, assign
 // the update timestamp, store the version, and replicate it asynchronously
 // in timestamp order (buffered by repl.Manager.Publish, shipped on its flush
 // cadence: internal/repl/outbound.go).
@@ -720,16 +717,11 @@ func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.
 	if !s.ownsKey(key) {
 		return 0, ErrWrongSlotEpoch
 	}
-	var blocked time.Duration
-	if s.cfg.PutDepWait {
-		var err error
-		blocked, err = s.waitVV(dv, s.m)
-		if err != nil {
-			s.mx.PutBlocking.Record(blocked)
-			return 0, err
-		}
-	}
+	blocked, err := s.waitVV(dv, s.m)
 	s.mx.PutBlocking.Record(blocked)
+	if err != nil {
+		return 0, err
+	}
 
 	// Ensure the new version's timestamp exceeds all its dependencies (the
 	// clock-wait of Algorithm 2, line 7). A raw physical clock sleeps out

@@ -199,6 +199,9 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
 	future := r.srv.clk.Now() + vclock.Timestamp(2*time.Millisecond)
 	dv := vclock.VC{0, future, 0}
+	// The PUT first waits until the server has received its dependency
+	// (Algorithm 2 line 6): DC1's heartbeat delivers it.
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: future})
 	ut, err := r.srv.Put("k0", []byte("v"), dv, Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +286,7 @@ func TestGetReturnsFreshestAndMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	dv := vclock.VC{0, 7, 0}
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 7})
 	ut, err := r.srv.Put("k0", []byte("new"), dv, Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +424,10 @@ func TestGetIgnoresLocalEntryOfRDV(t *testing.T) {
 	}
 }
 
-func TestPutDepWaitBlocks(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, PutDepWait: true})
+// TestPutWaitsForDependencies: a default server runs Algorithm 2 line 6 — a
+// PUT waits until the partition's VV covers the client's dependencies.
+func TestPutWaitsForDependencies(t *testing.T) {
+	r := newRig(t, Config{HeartbeatInterval: time.Hour})
 	dv := vclock.VC{0, 4242, 0}
 	done := make(chan error, 1)
 	go func() {

@@ -90,7 +90,6 @@ func (sc Scale) config(engine cluster.Engine) cluster.Config {
 		NumPartitions: sc.Partitions,
 		Engine:        engine,
 		GCInterval:    100 * time.Millisecond,
-		PutDepWait:    true,
 		ClockSkew:     sc.ClockSkew,
 		Latency:       cluster.AWSLatency(sc.LatencyScale),
 		JitterFrac:    sc.JitterFrac,

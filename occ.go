@@ -86,15 +86,6 @@ type Config struct {
 	Latency LatencyProfile
 	// JitterFrac adds uniform jitter in [0, JitterFrac·delay) per message.
 	JitterFrac float64
-	// ClockSkew bounds the per-node physical-clock offset (emulated NTP).
-	ClockSkew time.Duration
-	// RawPhysicalClocks reverts nodes to raw skewed physical clocks. The
-	// default is hybrid logical/physical clocks, whose timestamp assignment
-	// is insensitive to ClockSkew (see cluster.Config.RawPhysicalClocks).
-	RawPhysicalClocks bool
-	// LeanStabilization switches the GSS exchange to scalar HLC watermarks
-	// on most ticks (Okapi-style lean stabilization).
-	LeanStabilization bool
 	// HeartbeatInterval is Δ of the protocol; defaults to 1 ms. Open rejects
 	// a negative HeartbeatInterval, StabilizationInterval or BlockTimeout.
 	HeartbeatInterval time.Duration
@@ -160,17 +151,6 @@ type Config struct {
 	// (SplitPartition), the partition-axis analogue of MaxDataCenters. 0
 	// means Partitions — a fixed partition count. At most keyspace.NumSlots.
 	MaxPartitions int
-	// JoinTimeout bounds how long a joining data center keeps soliciting the
-	// deployment before giving up; WaitForJoin then tears the half-joined DC
-	// down cleanly and reports the failure. 0 retries forever.
-	JoinTimeout time.Duration
-	// GCMaxHoldback bounds how long garbage collection defers pruning for a
-	// replication link that is frozen, catching up or joining: the GC vector
-	// is clamped to the laggard's resume floor until it drains or the bound
-	// expires. Past the bound the holdback is released — a laggard frozen
-	// longer must re-bootstrap via a full resync. 0 selects the default
-	// (10 s); negative holds back forever. Ignored without GCInterval.
-	GCMaxHoldback time.Duration
 }
 
 // AckMode selects where on the durability ladder local PUTs are
@@ -209,11 +189,7 @@ func Open(cfg Config) (*Store, error) {
 		HeartbeatInterval:     cfg.HeartbeatInterval,
 		StabilizationInterval: cfg.StabilizationInterval,
 		GCInterval:            cfg.GCInterval,
-		PutDepWait:            true,
 		BlockTimeout:          cfg.BlockTimeout,
-		ClockSkew:             cfg.ClockSkew,
-		RawPhysicalClocks:     cfg.RawPhysicalClocks,
-		LeanStabilization:     cfg.LeanStabilization,
 		Latency:               lat,
 		JitterFrac:            cfg.JitterFrac,
 		Seed:                  cfg.Seed,
@@ -228,8 +204,6 @@ func Open(cfg Config) (*Store, error) {
 		},
 		MaxDCs:        cfg.MaxDataCenters,
 		MaxPartitions: cfg.MaxPartitions,
-		JoinTimeout:   cfg.JoinTimeout,
-		GCMaxHoldback: cfg.GCMaxHoldback,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("occ: %w", err)
