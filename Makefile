@@ -23,7 +23,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17530
+LOC_CEILING = 17630
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -44,17 +44,20 @@ test:
 bench-module:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
-# The structural performance guards: allocation counts (testing.AllocsPerRun)
+# The structural performance guards: allocation counts (testing.AllocsPerRun,
+# or runtime.MemStats deltas where a fraction of one matters)
 # on the GET/PUT hot path, the RO-TX fan-out (the coordinator's result alone,
 # and the session's map on top), a blocked request's park + wake,
 # a parked slice from arrival to reply (and no goroutine while it waits),
-# the netemu link queue, the durable insert (single and batched), the
+# the netemu link queue, the durable insert (single and batched: a fraction of
+# an allocation per version over the in-memory insert, counted as a float), the
 # replication batch decode, the front-door request decode, and a pooled round
 # trip from both ends (client side against an echo server, server side against
 # the same operation in process), the loader's slab-carved versions (under one
 # allocation a key) and a loaded key's share of its shard's slot array, plus
 # the replicated-apply heap retention bound, the release of a pruned version
-# by a key's tail and of the loader's slabs and value chunks. Counts
+# by a key's tail, of the loader's slabs and value chunks and of a version
+# the WAL staged, once its commit group is written. Counts
 # do not depend on host speed, so unlike wall-clock ratios they are asserted
 # on every run (-count=1: never from the test cache).
 allocs:
@@ -128,6 +131,9 @@ FuzzSliceDecode ./internal/wire/
 FuzzFrontDoorDecode ./internal/wire/
 # WAL records and segment tails as recovery reads them.
 FuzzWALDecode ./internal/wal/
+# The WAL stage: byte records and committer-encoded Records, synchronous and
+# async, interleaved with checkpoints, replay in stage order after a reopen.
+FuzzWALStage ./internal/wal/
 # The in-memory engine's probe table of chain heads against a map-of-chains
 # model: inserts, garbage collection and DropAbove's backward-shift removal.
 FuzzMemOps ./internal/storage/

@@ -46,13 +46,16 @@
 // # The commit pipeline
 //
 // All durable commits flow through a pipelined group-commit queue: appends
-// from the server's concurrent partitions stage onto a shared buffer, and a
+// from the server's concurrent partitions stage onto a shared queue, and a
 // single committer goroutine writes and fsyncs whatever has accumulated as
-// one group — while it is in the kernel, the next group is already forming,
-// so under load the fsync cost amortizes over hundreds of commits without
-// any configured delay (Config.GroupCommitWindow can add a linger to deepen
-// groups further). Where the acknowledgement sits relative to that fsync is
-// the durability ladder, chosen per deployment:
+// one group. An insert stages the version itself — one lock and one slice
+// append — and the committer encodes, frames and checksums its record into a
+// reused buffer, off the inserting goroutine. While one group is in the
+// kernel the next is already forming, so under load the fsync cost
+// amortizes over hundreds of commits without any configured delay
+// (Config.GroupCommitWindow can add a linger to deepen groups further).
+// Where the acknowledgement sits relative to that fsync is the durability
+// ladder, chosen per deployment:
 //
 //   - sync (default): every PUT returns only after its commit group is on
 //     disk — a machine crash loses nothing acknowledged.
@@ -77,7 +80,7 @@
 // # Indexed catch-up
 //
 // Each WAL segment carries a per-origin [min,max] update-timestamp range,
-// maintained as records are staged, persisted as a trailer when the segment
+// maintained as the committer writes records, persisted as a trailer when the segment
 // seals, and rebuilt on recovery. There is one walk over durable history —
 // storage.Durable.ForEachDurable, which the replication plane declares as
 // repl.Source — and it always seeks through this index: snapshot and
@@ -373,10 +376,13 @@
 //     struct and its dependency vector in one allocation), immutable from
 //     then on and shared by pointer with the replication buffer (and, on the
 //     emulated transport, with every replica).
-//   - engine → wal. storage.Durable encodes a version's record into pooled
-//     scratch; wal.Log frames (copies) records into its staging buffer
-//     before Append/AppendAsync return and never retains the caller's bytes,
-//     so the scratch serves the next insert.
+//   - engine → wal. storage.Durable stages the version itself, as a
+//     wal.Record: the log holds the immutable version until its commit group
+//     is written, and the committer encodes it then and clears the slot, so
+//     the log's hold on versions is bounded by the staging cap plus one
+//     in-flight group (TestDurableStagedRetention). Byte records — the VV
+//     attestations — are copied onto the stage before
+//     Append/AppendAsync return; the caller's bytes are never retained.
 //   - repl flush → tcpnet. A flush hands its buffer to the ReplicateBatch
 //     message (boxed once for all target DCs) and starts the next window in
 //     a fresh one of the same capacity. tcpnet's out-queue holds a message
@@ -404,8 +410,8 @@
 //     shared 4 KiB chunks (three-index slices, so an append never spills
 //     into a neighbour), then inserts that one version into every DC's
 //     chain — versions are immutable, so the DCs share it as a flushed
-//     batch's receivers do; a durable engine still encodes its own WAL
-//     record of it. The price is the decoder's: a live seeded version keeps
+//     batch's receivers do; a durable engine stages that version on its WAL
+//     and its committer encodes the record. The price is the decoder's: a live seeded version keeps
 //     at most 63 dead neighbours and one value chunk reachable, never more
 //     than the loaded state itself; a spent array or chunk is dropped. A
 //     storage.Mem shard is one array of two-word slots (a key's head and

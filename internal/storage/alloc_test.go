@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 	"weak"
 
 	"repro/internal/item"
@@ -29,18 +30,37 @@ func testVersions(first, n, keys int) []*item.Version {
 	return vs
 }
 
+// mallocsPer returns the heap allocations per call of op over runs calls,
+// after runs warm-up calls, as a float from runtime.MemStats deltas:
+// testing.AllocsPerRun truncates to an integer, which would hide a fraction
+// of an allocation per call. The count is process-wide, so the WAL
+// committer's allocations are in it.
+func mallocsPer(runs int, op func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // TestDurableInsertAllocs: logging a local write costs no allocation on top
-// of the in-memory insert — the record is encoded into pooled scratch and the
-// log copies it into its staging buffer.
+// of the in-memory insert — the log stages the version itself, and its
+// committer encodes into a reused buffer.
 func TestDurableInsertAllocs(t *testing.T) {
 	if racedetect.Enabled {
-		t.Skip("allocation counts are not meaningful under -race (sync.Pool sheds items)")
+		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const runs = 2000
 	perInsert := func(e Engine) float64 {
-		vs := testVersions(0, runs+1, 64)
+		vs := testVersions(0, 2*runs, 64)
 		i := 0
-		return testing.AllocsPerRun(runs, func() {
+		return mallocsPer(runs, func() {
 			e.Insert(vs[i])
 			i++
 		})
@@ -50,8 +70,10 @@ func TestDurableInsertAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	if mem, d := perInsert(New()), perInsert(dur); d > mem {
-		t.Fatalf("Durable.Insert allocates %v times per call, Mem.Insert %v: the log append must add none", d, mem)
+	mem, d := perInsert(New()), perInsert(dur)
+	t.Logf("mallocs per insert: Durable %.3f, Mem %.3f", d, mem)
+	if d > mem+0.05 {
+		t.Fatalf("Durable.Insert allocates %.3f times per call, Mem.Insert %.3f: the log append may add at most 0.05", d, mem)
 	}
 	if err := dur.Err(); err != nil {
 		t.Fatal(err)
@@ -63,28 +85,70 @@ func TestDurableInsertAllocs(t *testing.T) {
 // even an error value when the append succeeds.
 func TestDurableInsertBatchAllocs(t *testing.T) {
 	if racedetect.Enabled {
-		t.Skip("allocation counts are not meaningful under -race (sync.Pool sheds items)")
+		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const runs, batchLen = 500, 4
-	perBatch := func(e Engine) float64 {
-		vs := testVersions(0, (runs+1)*batchLen, 64)
+	perInsert := func(e Engine) float64 {
+		vs := testVersions(0, 2*runs*batchLen, 64)
 		i := 0
-		return testing.AllocsPerRun(runs, func() {
+		return mallocsPer(runs, func() {
 			e.InsertBatch(vs[i : i+batchLen])
 			i += batchLen
-		})
+		}) / batchLen
 	}
 	dur, err := OpenDurable(t.TempDir(), DurableOptions{AckMode: AckGrouped, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	if mem, d := perBatch(New()), perBatch(dur); d > mem {
-		t.Fatalf("Durable.InsertBatch allocates %v times per batch, Mem.InsertBatch %v: the log append must add none", d, mem)
+	mem, d := perInsert(New()), perInsert(dur)
+	t.Logf("mallocs per batched insert: Durable %.3f, Mem %.3f", d, mem)
+	if d > mem+0.05 {
+		t.Fatalf("Durable.InsertBatch allocates %.3f times per version, Mem.InsertBatch %.3f: the log append may add at most 0.05", d, mem)
 	}
 	if err := dur.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDurableStagedRetention: the log holds a staged version only until its
+// commit group is written. Once the inserts are durable and newer versions
+// have let garbage collection prune them, nothing — not a recycled stage
+// slot — may keep them reachable. The group window makes each phase one
+// commit group, so a slot the committer failed to clear would still hold
+// every pruned version.
+func TestDurableStagedRetention(t *testing.T) {
+	const keys = 4096
+	dur, err := OpenDurable(t.TempDir(), DurableOptions{
+		AckMode: AckGrouped, NoSync: true, CheckpointBytes: -1, GroupWindow: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	vs := testVersions(0, keys, keys)
+	var gone []weak.Pointer[item.Version]
+	for i, ver := range vs {
+		if i%64 == 0 {
+			gone = append(gone, weak.Make(ver))
+		}
+		dur.Insert(ver)
+	}
+	vs = nil
+	if err := dur.ForEachDurable(nil, nil, func(*item.Version, bool) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	dur.InsertBatch(testVersions(keys, keys, keys))
+	if got := dur.CollectGarbage(vclock.VC{1 << 62, 1 << 62, 1 << 62}); got != keys {
+		t.Fatalf("CollectGarbage removed %d versions, want %d", got, keys)
+	}
+	runtime.GC()
+	for i, w := range gone {
+		if w.Value() != nil {
+			t.Fatalf("pruned version %d of %d is still reachable after its group committed", i, len(gone))
+		}
+	}
+	runtime.KeepAlive(dur)
 }
 
 // replicate runs vs through the wire as one ReplicateBatch and returns the

@@ -53,6 +53,30 @@ func BenchmarkStorageLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkStorageLoadDurable is BenchmarkStorageLoad through a durable
+// engine configured as the front-door loader's (AckGrouped, NoSync): 4 096
+// keys of one version each into a fresh engine. Opening and closing the
+// engine fall outside the timer.
+func BenchmarkStorageLoadDurable(b *testing.B) {
+	vs := testVersions(0, 4096, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := OpenDurable(b.TempDir(), DurableOptions{AckMode: AckGrouped, NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, v := range vs {
+			d.Insert(v)
+		}
+		b.StopTimer()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStorageInsertBatch measures the batched apply path (one shard
 // pass per batch) at the default replication batch size.
 func BenchmarkStorageInsertBatch(b *testing.B) {

@@ -91,12 +91,12 @@ func (s *DurableStats) Merge(o DurableStats) {
 }
 
 // Durable is the crash-tolerant storage engine: a Mem engine fronting a
-// segmented write-ahead log. Every Insert appends the version's wire
-// encoding to the log before it becomes readable, and InsertBatch commits a
-// whole replication batch with a single write+fsync (group commit). Snapshot
-// checkpoints ride the garbage-collection exchange: after a GC pass prunes
-// the chains, the engine serializes the surviving versions into a snapshot
-// and truncates the log's segments.
+// segmented write-ahead log. Every Insert stages the version on the log before
+// it becomes readable — the log's committer writes its wire encoding — and
+// InsertBatch commits a whole replication batch with a single fsync (group
+// commit). Snapshot checkpoints ride the garbage-collection exchange: after a
+// GC pass prunes the chains, the engine serializes the surviving versions
+// into a snapshot and truncates the log's segments.
 //
 // OpenDurable rebuilds the engine from disk — snapshot first, then the log
 // tail, tolerating a torn final record — and reports the replayed
@@ -231,11 +231,13 @@ func (d *Durable) fail(err error) {
 	}
 }
 
-// Insert logs the version, then installs it in memory. Under AckSync the
-// version is durable before Insert returns; under AckGrouped it is staged on
-// the commit pipeline and rides the next group's fsync — the local-PUT ack
-// decoupling of the durability ladder (a later commit failure marks the
-// engine sticky-failed rather than dropping the version silently).
+// Insert logs the version, then installs it in memory. The log's committer
+// encodes the record itself, so Insert only stages the version: under
+// AckSync it returns once the version's commit group is durable; under
+// AckGrouped it returns at once and the version rides the next group's fsync
+// — the local-PUT ack decoupling of the durability ladder (a later commit
+// failure marks the engine sticky-failed rather than dropping the version
+// silently).
 //
 // A version whose append fails is NOT installed: this node is the origin, so
 // an exposed-but-never-logged local version would be observable (local reads,
@@ -245,15 +247,12 @@ func (d *Durable) fail(err error) {
 func (d *Durable) Insert(v *item.Version) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	sc := recScratch.Get().(*recordScratch)
-	sc.buf = wire.AppendVersion(sc.buf[:0], v)
 	var err error
 	if d.ackGrouped {
-		err = d.log.AppendAsync(sc.buf)
+		err = d.log.AppendRecordAsync((*loggedVersion)(v))
 	} else {
-		err = d.log.Append(sc.buf)
+		err = d.log.AppendRecords(1, func(int) wal.Record { return (*loggedVersion)(v) })
 	}
-	recScratch.Put(sc)
 	if err != nil {
 		d.fail(err)
 		return
@@ -261,21 +260,22 @@ func (d *Durable) Insert(v *item.Version) {
 	d.mem.Insert(v)
 }
 
-// recordScratch is the reusable encode space of one Insert or InsertBatch
-// call: the log frames (copies) records into its staging buffer before an
-// append returns and keeps no reference to them, so the same bytes serve the
-// next call. Pooled rather than per-engine because local PUTs and the
-// replicated batches of every inbound link encode concurrently.
-type recordScratch struct {
-	buf  []byte   // record encodings, back to back
-	ends []int    // ends[i] is where record i stops in buf
-	recs [][]byte // buf resliced per record, for the log's append
+// loggedVersion is a version as the log sees it: a wal.Record whose payload
+// is the version's wire encoding. Versions are immutable once born, so the
+// log's committer may encode one after the insert that staged it returned.
+type loggedVersion item.Version
+
+func (v *loggedVersion) AppendTo(b []byte) []byte {
+	return wire.AppendVersion(b, (*item.Version)(v))
 }
 
-var recScratch = sync.Pool{New: func() any { return new(recordScratch) }}
+func (v *loggedVersion) MaxSize() int { return wire.MaxVersionSize((*item.Version)(v)) }
 
-// InsertBatch logs the whole batch as one commit — a single write and fsync
-// on the replication-batch boundary — then installs it in one shard pass.
+func (v *loggedVersion) Tag() (int, uint64) { return v.SrcReplica, uint64(v.UpdateTime) }
+
+// InsertBatch logs the whole batch as one commit — one fsync on the
+// replication-batch boundary — then installs it in one shard pass. It stages
+// the versions and waits while the committer encodes and writes them.
 // Replicated batches always commit synchronously, regardless of AckMode: the
 // caller advances version-vector entries (and answers eviction attestations)
 // over this history, claims that must be backed by fsynced bytes.
@@ -291,21 +291,7 @@ func (d *Durable) InsertBatch(vs []*item.Version) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	// Encode the whole batch back to back and reslice it afterwards (growth
-	// may move the buffer).
-	sc := recScratch.Get().(*recordScratch)
-	sc.buf, sc.ends, sc.recs = sc.buf[:0], sc.ends[:0], sc.recs[:0]
-	for _, v := range vs {
-		sc.buf = wire.AppendVersion(sc.buf, v)
-		sc.ends = append(sc.ends, len(sc.buf))
-	}
-	start := 0
-	for _, end := range sc.ends {
-		sc.recs = append(sc.recs, sc.buf[start:end])
-		start = end
-	}
-	d.fail(d.log.Append(sc.recs...))
-	recScratch.Put(sc)
+	d.fail(d.log.AppendRecords(len(vs), func(i int) wal.Record { return (*loggedVersion)(vs[i]) }))
 	d.mem.InsertBatch(vs)
 }
 

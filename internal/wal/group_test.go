@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,99 @@ func testTagOf(rec []byte) (int, uint64, bool) {
 		return 0, 0, false
 	}
 	return int(rec[0]), binary.BigEndian.Uint64(rec[1:]), true
+}
+
+// testRecord is testRec's format as a Record: the committer encodes it.
+type testRecord struct {
+	origin int
+	ts     uint64
+	body   string
+}
+
+func (r *testRecord) AppendTo(b []byte) []byte {
+	b = append(b, byte(r.origin))
+	b = binary.BigEndian.AppendUint64(b, r.ts)
+	return append(b, r.body...)
+}
+
+func (r *testRecord) MaxSize() int { return 9 + len(r.body) }
+
+func (r *testRecord) Tag() (int, uint64) { return r.origin, r.ts }
+
+// Records and byte records, synchronous and not, replay in exactly the order
+// they were staged, however the committer cuts their groups into encode
+// buffers: a group several buffers long, and a record — of either kind —
+// longer than a buffer.
+func TestStagedRecordsReplayInStageOrder(t *testing.T) {
+	dir := t.TempDir()
+	// The window makes the async appends between two synchronous ones share
+	// a group.
+	l, _ := replayAll(t, dir, Options{TagOf: testTagOf, GroupWindow: time.Millisecond})
+	var want [][]byte
+	ts := uint64(0)
+	record := func(body string) *testRecord {
+		ts++
+		r := &testRecord{origin: int(ts % 3), ts: ts, body: body}
+		want = append(want, r.AppendTo(nil))
+		return r
+	}
+	bytesRec := func(body string) []byte {
+		ts++
+		rec := testRec(int(ts%3), ts, body)
+		want = append(want, rec)
+		return rec
+	}
+	huge := strings.Repeat("h", encodeBufBytes+1)
+	for round := 0; round < 3; round++ {
+		if err := l.AppendRecordAsync(record("async-record")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendAsync(bytesRec("async-bytes"), bytesRec(huge)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendRecordAsync(record(huge)); err != nil {
+			t.Fatal(err)
+		}
+		// Several encode buffers' worth of records in one group.
+		group := make([]*testRecord, 0, 400)
+		for len(group) < cap(group) {
+			group = append(group, record(strings.Repeat("g", 500)))
+		}
+		if err := l.AppendRecords(len(group), func(i int) Record { return group[i] }); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(bytesRec("sync-bytes")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendRecords(1, func(int) Record { return record("sync-record") }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := l.Stats(); s.Records != uint64(len(want)) {
+		t.Fatalf("Records = %d, want %d", s.Records, len(want))
+	}
+	var seen [][]byte
+	if err := l.ReadFrom(0, func(_ uint64, rec []byte) error {
+		seen = append(seen, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got := replayAll(t, dir, Options{})
+	defer l2.Close()
+	for name, recs := range map[string][][]byte{"replay": got, "cursor": seen} {
+		if len(recs) != len(want) {
+			t.Fatalf("%s: %d records, want %d", name, len(recs), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(recs[i], want[i]) {
+				t.Fatalf("%s: record %d is %.20q (%d bytes), want %.20q (%d bytes)", name, i, recs[i], len(recs[i]), want[i], len(want[i]))
+			}
+		}
+	}
 }
 
 // Concurrent synchronous appends must coalesce into shared commit groups:

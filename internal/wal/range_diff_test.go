@@ -12,11 +12,26 @@ import (
 // filter must deliver exactly the records ReadFrom + the same filter would.
 // The workload forces every index transition — segment rolls (trailers),
 // checkpoints that prune records (snapshot ranges), async groups, and
-// close/reopen cycles (trailer and sift rebuilds).
+// close/reopen cycles (trailer and sift rebuilds). With records, half the
+// appends stage Records, so the index is built from their own tags as well.
 func TestReadRangeMatchesFullScan(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	type input struct {
+		seed    int64
+		records bool
+	}
+	var inputs []input
+	for _, records := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			inputs = append(inputs, input{seed, records})
+		}
+	}
+	for _, in := range inputs {
+		seed, records := in.seed, in.records
+		name := fmt.Sprintf("seed=%d", seed)
+		if records {
+			name = "records," + name
+		}
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			const origins = 4
@@ -43,18 +58,28 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 				switch r := rng.Intn(100); {
 				case r < 70: // append a small batch, sync or async
 					n := 1 + rng.Intn(6)
-					recs := make([][]byte, 0, n)
+					recs := make([]*testRecord, 0, n)
 					for i := 0; i < n; i++ {
 						o := rng.Intn(origins)
 						ts := next[o]
 						next[o] += uint64(1 + rng.Intn(3)) // leave ts gaps
-						recs = append(recs, testRec(o, ts, fmt.Sprintf("s%d", step)))
+						recs = append(recs, &testRecord{o, ts, fmt.Sprintf("s%d", step)})
 						live = append(live, trec{o, ts})
 					}
-					if rng.Intn(2) == 0 {
-						err = l.Append(recs...)
-					} else {
-						err = l.AppendAsync(recs...)
+					sync, staged := rng.Intn(2) == 0, records && rng.Intn(2) == 0
+					switch {
+					case staged && sync:
+						err = l.AppendRecords(n, func(i int) Record { return recs[i] })
+					case staged:
+						for _, r := range recs {
+							if err = l.AppendRecordAsync(r); err != nil {
+								break
+							}
+						}
+					case sync:
+						err = l.Append(encodeAll(recs)...)
+					default:
+						err = l.AppendAsync(encodeAll(recs)...)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -154,4 +179,13 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeAll encodes records as the byte records Append takes.
+func encodeAll(recs []*testRecord) [][]byte {
+	out := make([][]byte, len(recs))
+	for i, r := range recs {
+		out[i] = r.AppendTo(nil)
+	}
+	return out
 }

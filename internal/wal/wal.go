@@ -15,14 +15,18 @@
 //
 // # Pipelined group commit
 //
-// Commits are pipelined through a single background committer goroutine:
-// Append and AppendAsync frame their records into a staging buffer and
-// return (AppendAsync) or wait for durability (Append), while the committer
-// drains the entire staged buffer as one commit group — one Write and, unless
-// NoSync is set, one fsync per group, no matter how many concurrent appenders
-// contributed. While a group's fsync is in flight the next group accumulates,
-// so the disk is never idle between commits and the fsync cost amortizes
-// across every record staged meanwhile. Barrier waits until everything staged
+// Commits are pipelined through a single background committer goroutine.
+// Append and AppendAsync copy byte records onto the stage; AppendRecords and
+// AppendRecordAsync stage a Record — an immutable value the committer
+// encodes itself — so an appender's work per record is one lock and one slice
+// append. Appends then return (the Async forms) or wait for durability, while
+// the committer drains everything staged as one commit group: it frames the
+// group's records in stage order into one reused encode buffer, writing the
+// buffer out whenever the next record might not fit, and then, unless NoSync
+// is set, fsyncs once — no matter how many concurrent appenders contributed.
+// While a group's fsync is in flight the next group accumulates, so the disk
+// is never idle between commits and the fsync cost amortizes across every
+// record staged meanwhile. Barrier waits until everything staged
 // so far is durable; Err reports the sticky persistence error that fails the
 // log permanently once the committer cannot write (the error is also pushed
 // to Options.OnError, and every staged-but-unsynced append is failed rather
@@ -31,8 +35,9 @@
 //
 // # Per-segment range index
 //
-// When Options.TagOf is set, every record is tagged at stage time with an
-// (origin, timestamp) pair and each segment tracks the [min,max] timestamp
+// When Options.TagOf is set, every byte record is tagged with an (origin,
+// timestamp) pair as the committer frames it (a Record carries its own tag)
+// and each segment tracks the [min,max] timestamp
 // range it holds per origin. A rolled segment persists its range as an index
 // trailer record (a reserved payload the log filters out of replay and
 // cursor reads); Open rebuilds the in-memory index from the trailers and — for
@@ -88,9 +93,18 @@ const (
 	// recovery to allocate gigabytes (mirrors wire's frame limit).
 	maxRecordBytes = 1 << 28
 
-	// maxStageBytes bounds the staging buffer: appenders block once this much
-	// is waiting on the committer, bounding memory and the ack-to-durable gap.
+	// maxStageBytes bounds the stage: appenders block once this much is
+	// waiting on the committer, bounding memory and the ack-to-durable gap. A
+	// byte record counts its length, a Record its MaxSize bound.
 	maxStageBytes = 8 << 20
+
+	// encodeBufBytes is the committer's encode buffer. A commit group is
+	// written in as many buffers as it fills; only a record whose bound
+	// exceeds the buffer grows it, for that group alone.
+	encodeBufBytes = 64 << 10
+
+	// frameHeaderMax bounds a frame's header: the uvarint length and the CRC.
+	frameHeaderMax = binary.MaxVarintLen64 + 4
 )
 
 // Sentinel errors.
@@ -186,13 +200,27 @@ func (s Stats) GroupP50() uint64 {
 	return s.GroupMax
 }
 
-// tagEntry is a staged record's index tag; origin -1 means untagged, -2
-// means neutral (invisible to the index, see Options.Neutral).
-type tagEntry struct {
-	origin int32
-	ts     uint64
+// Record is a log record the committer encodes off the appender's goroutine.
+// The log reads a staged Record until its commit group is written and drops
+// it then, so a Record must not change once staged.
+type Record interface {
+	// AppendTo appends the record's payload to b.
+	AppendTo(b []byte) []byte
+	// MaxSize bounds the payload's length from above.
+	MaxSize() int
+	// Tag is the record's range-index tag; origin -1 leaves it untagged.
+	Tag() (origin int, ts uint64)
 }
 
+// staged is one record awaiting the committer: a Record, or (rec nil) the
+// byte record that ends at end in the stage's payload bytes.
+type staged struct {
+	rec Record
+	end int
+}
+
+// A record's index tag is an (origin, timestamp) pair; origin -1 means
+// untagged, tagNeutral invisible to the index (see Options.Neutral).
 const tagNeutral = -2
 
 // partRange is the per-origin [min,max] timestamp range of one log part
@@ -203,24 +231,34 @@ type partRange struct {
 	untagged bool // holds at least one record without a tag: never skippable
 }
 
-func (p *partRange) add(t tagEntry) {
-	if t.origin == tagNeutral {
+func (p *partRange) add(o int, ts uint64) {
+	if o == tagNeutral {
 		return
 	}
-	if t.origin < 0 {
+	if o < 0 {
 		p.untagged = true
 		return
 	}
-	o := int(t.origin)
 	for len(p.lo) <= o {
 		p.lo = append(p.lo, 0)
 		p.hi = append(p.hi, 0)
 	}
-	if p.lo[o] == 0 || t.ts < p.lo[o] {
-		p.lo[o] = t.ts
+	if p.lo[o] == 0 || ts < p.lo[o] {
+		p.lo[o] = ts
 	}
-	if t.ts > p.hi[o] {
-		p.hi[o] = t.ts
+	if ts > p.hi[o] {
+		p.hi[o] = ts
+	}
+}
+
+// merge widens p to cover o.
+func (p *partRange) merge(o *partRange) {
+	p.untagged = p.untagged || o.untagged
+	for i, lo := range o.lo {
+		if lo != 0 {
+			p.add(i, lo)
+			p.add(i, o.hi[i])
+		}
 	}
 }
 
@@ -274,11 +312,12 @@ type Log struct {
 	done     bool  // committer goroutine has exited
 	err      error // sticky persistence error; the log is dead once set
 
-	stage      []byte     // framed records awaiting the committer
-	stageTags  []tagEntry // index tags for the staged records
-	stageFirst time.Time  // when the oldest staged record arrived
-	spare      []byte     // recycled group buffer
-	spareTags  []tagEntry
+	stage      []staged  // records awaiting the committer, in stage order
+	stageBytes []byte    // the staged byte records' payloads, back to back
+	stageSize  int       // what the stage counts against maxStageBytes
+	stageFirst time.Time // when the oldest staged record arrived
+	spare      []staged  // recycled group slices, cleared
+	spareBytes []byte
 	stagedID   uint64 // id the currently-staging group will commit under
 	committed  uint64 // id of the last durably committed group
 	committing bool   // committer is writing a group outside the lock
@@ -409,17 +448,17 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 	return l, nil
 }
 
-// tag computes a staged record's index tag.
-func (l *Log) tag(rec []byte) tagEntry {
+// tag computes a byte record's index tag.
+func (l *Log) tag(rec []byte) (int, uint64) {
 	if l.neutral != nil && l.neutral(rec) {
-		return tagEntry{origin: tagNeutral}
+		return tagNeutral, 0
 	}
 	if l.tagOf != nil {
 		if o, ts, ok := l.tagOf(rec); ok && o >= 0 {
-			return tagEntry{origin: int32(o), ts: ts}
+			return o, ts
 		}
 	}
-	return tagEntry{origin: -1}
+	return -1, 0
 }
 
 // scanDir classifies the directory's files: ascending segment sequences
@@ -470,20 +509,53 @@ func scanDir(dir string) (segs []uint64, snapSeq uint64, err error) {
 // The commit pipeline
 // ---------------------------------------------------------------------------
 
-// stageLocked frames recs into the staging buffer and returns the id of the
-// commit group they will ride. Blocks while the stage is over its cap.
-func (l *Log) stageLocked(recs [][]byte) (uint64, error) {
+// Append commits the given records and waits until they are durable: the
+// records join the stage, coalesce with every other append staged meanwhile
+// into a single commit group — one fsync (unless NoSync) — and Append returns
+// once that group has committed. The record slices are copied before staging
+// and not retained.
+func (l *Log) Append(recs ...[]byte) error { return l.enqueue(recs, 0, nil, true) }
+
+// AppendAsync stages the given records for the committer and returns without
+// waiting for durability: the ack-to-durable gap is bounded by the staging
+// cap plus one in-flight commit group. A later persistence failure fails the
+// log (Err, Options.OnError) rather than dropping the records silently, and
+// Close/Checkpoint/Barrier drain the pipeline. The record slices are copied
+// before return and not retained.
+func (l *Log) AppendAsync(recs ...[]byte) error { return l.enqueue(recs, 0, nil, false) }
+
+// AppendRecords is Append for the n Records rec(0), ..., rec(n-1), staged in
+// that order: the committer encodes them.
+func (l *Log) AppendRecords(n int, rec func(i int) Record) error {
+	return l.enqueue(nil, n, rec, true)
+}
+
+// AppendRecordAsync is AppendAsync for one Record, which the log holds until
+// its commit group is written.
+func (l *Log) AppendRecordAsync(r Record) error {
+	return l.enqueue(nil, 1, func(int) Record { return r }, false)
+}
+
+// enqueue stages the byte records recs, then the n Records rec(i), blocking
+// first while the stage is over its cap, and with wait returns once their
+// commit group is durable.
+func (l *Log) enqueue(recs [][]byte, n int, rec func(int) Record, wait bool) error {
+	if len(recs) == 0 && n == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
 		if l.closed {
-			return 0, ErrClosed
+			return ErrClosed
 		}
 		if l.err != nil {
-			return 0, l.err
+			return l.err
 		}
 		if l.f == nil {
-			return 0, ErrClosed
+			return ErrClosed
 		}
-		if len(l.stage) < maxStageBytes {
+		if l.stageSize < maxStageBytes {
 			break
 		}
 		l.doneC.Wait()
@@ -492,29 +564,17 @@ func (l *Log) stageLocked(recs [][]byte) (uint64, error) {
 		l.stageFirst = time.Now()
 	}
 	for _, r := range recs {
-		l.stage = appendFrame(l.stage, r)
-		l.stageTags = append(l.stageTags, l.tag(r))
+		l.stageBytes = append(l.stageBytes, r...)
+		l.stage = append(l.stage, staged{end: len(l.stageBytes)})
+		l.stageSize += len(r)
+	}
+	for i := 0; i < n; i++ {
+		r := rec(i)
+		l.stage = append(l.stage, staged{rec: r, end: len(l.stageBytes)})
+		l.stageSize += r.MaxSize()
 	}
 	l.stageC.Signal()
-	return l.stagedID, nil
-}
-
-// Append commits the given records and waits until they are durable: the
-// records join the staging buffer, coalesce with every other append staged
-// meanwhile into a single commit group — one Write, one fsync (unless
-// NoSync) — and Append returns once that group has committed. The record
-// slices are not retained.
-func (l *Log) Append(recs ...[]byte) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id, err := l.stageLocked(recs)
-	if err != nil {
-		return err
-	}
-	for l.committed < id {
+	for id := l.stagedID; wait && l.committed < id; {
 		if l.err != nil {
 			return l.err
 		}
@@ -524,22 +584,6 @@ func (l *Log) Append(recs ...[]byte) error {
 		l.doneC.Wait()
 	}
 	return nil
-}
-
-// AppendAsync stages the given records for the committer and returns without
-// waiting for durability: the ack-to-durable gap is bounded by the staging
-// cap plus one in-flight commit group. A later persistence failure fails the
-// log (Err, Options.OnError) rather than dropping the records silently, and
-// Close/Checkpoint/Barrier drain the pipeline. The record slices are framed
-// (copied) before return and not retained.
-func (l *Log) AppendAsync(recs ...[]byte) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, err := l.stageLocked(recs)
-	return err
 }
 
 // Barrier waits until every record staged before the call is durable (or the
@@ -570,11 +614,14 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// committer is the single background goroutine that drains the staging
-// buffer: each cycle takes everything staged as one commit group, writes it
-// with one Write and (unless NoSync) one fsync — outside the lock, so the
-// next group accumulates meanwhile — then publishes the new durable boundary.
+// committer is the single background goroutine that drains the stage: each
+// cycle takes everything staged as one commit group, frames and writes it
+// through the encode buffer and (unless NoSync) fsyncs once — outside the
+// lock, so the next group accumulates meanwhile — then publishes the new
+// durable boundary.
 func (l *Log) committer() {
+	var enc []byte      // the encode buffer, made for the first group
+	rng := &partRange{} // the group's index range, merged into l.cur
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
@@ -602,8 +649,8 @@ func (l *Log) committer() {
 				}
 			}
 		}
-		group, tags, start := l.stage, l.stageTags, l.stageFirst
-		l.stage, l.stageTags = l.spare[:0], l.spareTags[:0]
+		group, payloads, start := l.stage, l.stageBytes, l.stageFirst
+		l.stage, l.stageBytes, l.stageSize = l.spare, l.spareBytes, 0
 		id := l.stagedID
 		l.stagedID++
 		l.committing = true
@@ -611,7 +658,7 @@ func (l *Log) committer() {
 		if l.size >= l.segBytes {
 			if err := l.rollLocked(); err != nil {
 				l.committing = false
-				l.spare, l.spareTags = group, tags
+				l.recycleLocked(group, payloads)
 				l.failLocked(err)
 				continue
 			}
@@ -619,24 +666,26 @@ func (l *Log) committer() {
 		f := l.f
 		l.mu.Unlock()
 
-		_, werr := f.Write(group)
+		if enc == nil {
+			enc = make([]byte, 0, encodeBufBytes)
+		}
+		*rng = partRange{lo: rng.lo[:0], hi: rng.hi[:0]}
+		written, werr := l.writeGroup(f, enc, group, payloads, rng)
 		if werr == nil && !l.noSync {
 			werr = f.Sync()
 		}
 
 		l.mu.Lock()
 		l.committing = false
-		l.spare, l.spareTags = group, tags
+		n := uint64(len(group))
+		l.recycleLocked(group, payloads)
 		if werr != nil {
 			l.failLocked(fmt.Errorf("wal: commit: %w", werr))
 			continue
 		}
-		l.size += int64(len(group))
-		l.since += int64(len(group))
-		for _, t := range tags {
-			l.cur.add(t)
-		}
-		n := uint64(len(tags))
+		l.size += written
+		l.since += written
+		l.cur.merge(rng)
 		l.stats.Groups++
 		l.stats.Records += n
 		if !l.noSync {
@@ -658,6 +707,45 @@ func (l *Log) committer() {
 		l.committed = id
 		l.doneC.Broadcast()
 	}
+}
+
+// writeGroup frames a commit group into enc in stage order, writing enc out
+// to f whenever the next record might not fit, and widens rng by each
+// record's tag. It returns the bytes written.
+func (l *Log) writeGroup(f *os.File, enc []byte, group []staged, payloads []byte, rng *partRange) (int64, error) {
+	var written int64
+	buf, start := enc, 0
+	for _, e := range group {
+		size := e.end - start
+		if e.rec != nil {
+			size = e.rec.MaxSize()
+		}
+		if len(buf) > 0 && len(buf)+frameHeaderMax+size > cap(buf) {
+			if _, err := f.Write(buf); err != nil {
+				return 0, err
+			}
+			written += int64(len(buf))
+			buf = buf[:0]
+		}
+		if e.rec != nil {
+			buf = appendRecordFrame(buf, e.rec)
+			rng.add(e.rec.Tag())
+		} else {
+			p := payloads[start:e.end]
+			buf = appendFrame(buf, p)
+			rng.add(l.tag(p))
+		}
+		start = e.end
+	}
+	_, err := f.Write(buf)
+	return written + int64(len(buf)), err
+}
+
+// recycleLocked keeps a group's slices for a later stage, clearing its
+// Records first so the log holds none past its commit.
+func (l *Log) recycleLocked(group []staged, payloads []byte) {
+	clear(group)
+	l.spare, l.spareBytes = group[:0], payloads[:0]
 }
 
 // failLocked records the sticky error, wakes everyone, and reports it to
@@ -1028,6 +1116,22 @@ func appendFrame(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// appendRecordFrame appends r's payload framed as appendFrame frames it: the
+// payload is encoded past room for the longest header, then slid down to meet
+// its real one.
+func appendRecordFrame(b []byte, r Record) []byte {
+	start := len(b)
+	b = r.AppendTo(append(b, make([]byte, frameHeaderMax)...))
+	payload := b[start+frameHeaderMax:]
+	var hdr [frameHeaderMax]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[h:], crc32.Checksum(payload, crcTable))
+	h += 4
+	n := copy(b[start+h:], payload)
+	copy(b[start:], hdr[:h])
+	return b[:start+h+n]
+}
+
 // appendIdxTrailer frames a segment's range index as a trailer record; nil if
 // there is nothing to persist (no tagged records and no untagged marker —
 // an empty segment needs no trailer).
@@ -1100,8 +1204,8 @@ func parseIdxTrailer(rec []byte) (*partRange, bool) {
 			return bad, true
 		}
 		b = b[un:]
-		r.add(tagEntry{origin: int32(o), ts: lo})
-		r.add(tagEntry{origin: int32(o), ts: hi})
+		r.add(int(o), lo)
+		r.add(int(o), hi)
 	}
 	return r, true
 }

@@ -459,11 +459,18 @@ func appendVersionDelta(b []byte, v *item.Version, base uint64) []byte {
 // so a WAL record and a shipped catch-up version agree byte for byte.
 func AppendVersion(b []byte, v *item.Version) []byte { return appendVersion(b, v) }
 
+// MaxVersionSize bounds len(AppendVersion(nil, v)) from above without
+// encoding: the marker and flag bytes, the key and value, and a longest
+// varint for each of the five lengths and numbers and every vector entry.
+func MaxVersionSize(v *item.Version) int {
+	return 2 + len(v.Key) + len(v.Value) + (5+len(v.Deps))*binary.MaxVarintLen64
+}
+
 // VersionTag extracts just (SrcReplica, UpdateTime) from an encoded version
 // record without decoding — or allocating — the rest. The write-ahead log
-// uses it to tag records for its per-segment range index on the append path,
-// so it must stay a few header reads, not a full decode. ok=false means the
-// bytes are not a well-formed version record prefix.
+// uses it to tag the records it replays and checkpoints for its per-segment
+// range index, so it must stay a few header reads, not a full decode.
+// ok=false means the bytes are not a well-formed version record prefix.
 func VersionTag(rec []byte) (src int, ts uint64, ok bool) {
 	if len(rec) < 1 || rec[0] != 1 {
 		return 0, 0, false

@@ -474,7 +474,9 @@ func TestBinaryRejectsTruncatedFrames(t *testing.T) {
 // HLC-shaped traffic: timestamps clustered within a flush window of the
 // HBTime base. Every batch must round-trip exactly, and the delta encoding
 // must beat the absolute (pre-HLC) layout on bytes per version — the
-// tentpole claim of the hybrid-clock arc, pinned here at the unit level.
+// tentpole claim of the hybrid-clock arc, pinned here at the unit level. Each
+// absolute version record must also fit MaxVersionSize, the bound the WAL's
+// stage cap and encode buffer count it at.
 func TestBinaryDeltaBatchProperty(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 13))
 	var deltaBytes, absBytes, versions int
@@ -511,7 +513,11 @@ func TestBinaryDeltaBatchProperty(t *testing.T) {
 		// The pre-HLC layout: absolute version records + absolute header.
 		abs := 0
 		for _, v := range m.Versions {
-			abs += len(AppendVersion(nil, v))
+			n := len(AppendVersion(nil, v))
+			if n > MaxVersionSize(v) {
+				t.Fatalf("version record of %d bytes exceeds MaxVersionSize %d", n, MaxVersionSize(v))
+			}
+			abs += n
 		}
 		absBytes += abs
 		versions += len(m.Versions)
