@@ -10,10 +10,14 @@ all: check
 # deprecated cluster.Config field bench/ still sets (ROADMAP arc 4 deletes
 # it), so the name anywhere else in the root module's Go, tests included,
 # fails the step.
+# The log parses no payload: a record is tagged by the code that encodes or
+# decodes it, so non-test Go under internal/wal importing a package of this
+# module (the engine's formats live there) fails the step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
 	@! grep -rn --include='*.go' --exclude-dir=bench 'PutDepWait' . | grep -v '^\./internal/cluster/cluster\.go:'
+	@! grep -rn --include='*.go' --exclude='*_test.go' '"$(shell $(GO) list -m)/' internal/wal
 
 build:
 	$(GO) build ./...
@@ -23,7 +27,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17630
+LOC_CEILING = 17550
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -131,8 +135,10 @@ FuzzSliceDecode ./internal/wire/
 FuzzFrontDoorDecode ./internal/wire/
 # WAL records and segment tails as recovery reads them.
 FuzzWALDecode ./internal/wal/
-# The WAL stage: byte records and committer-encoded Records, synchronous and
-# async, interleaved with checkpoints, replay in stage order after a reopen.
+# The WAL stage: untagged byte records and committer-encoded Records,
+# synchronous and async, interleaved with checkpoints of Records, replay in
+# stage order after a reopen, and a window read through the tags the Records,
+# the snapshot and replay gave the index matches a full scan.
 FuzzWALStage ./internal/wal/
 # The in-memory engine's probe table of chain heads against a map-of-chains
 # model: inserts, garbage collection and DropAbove's backward-shift removal.

@@ -80,14 +80,15 @@
 // # Indexed catch-up
 //
 // Each WAL segment carries a per-origin [min,max] update-timestamp range,
-// maintained as the committer writes records, persisted as a trailer when the segment
-// seals, and rebuilt on recovery. There is one walk over durable history —
-// storage.Durable.ForEachDurable, which the replication plane declares as
-// repl.Source — and it always seeks through this index: snapshot and
-// segments whose ranges cannot intersect the requested per-origin window are
-// skipped without being read, so re-shipping a brief outage's worth of
-// versions costs O(gap), not O(store), and a nil window (the reshard donor
-// copy) is the whole history. The index is advisory — readers keep their
+// maintained as the committer writes records, persisted as a trailer when
+// the segment seals, and rebuilt on recovery. The log parses no payload: a
+// record's tag comes from storage, which encodes and decodes versions. There
+// is one walk over durable history — storage.Durable.ForEachDurable, which
+// the replication plane declares as repl.Source — and it always seeks
+// through this index: snapshot and segments whose ranges cannot intersect
+// the requested per-origin window are skipped without being read, so
+// re-shipping a brief outage's worth of versions costs O(gap), not O(store),
+// and a nil window (the reshard donor copy) is the whole history. The index is advisory — readers keep their
 // per-version filters — and Stats reports seek hits (walks that skipped a
 // part), full scans (walks that skipped none) and parts skipped, alongside
 // the commit-pipeline counters (fsyncs, group sizes, ack-to-durable lag).
@@ -112,9 +113,8 @@
 // checkpoints so truncation cannot lose it. The invariant — every shared
 // contribution is recoverable — means a crash-restarted partition can never
 // report a vector below a floor its data center has already pruned to.
-// Attestation records are neutral to the segment range index
-// (wal.Options.Neutral), so they never force a catch-up seek to read a
-// cold segment.
+// Attestation records are neutral to the segment range index (their tag is
+// wal.Neutral), so they never force a catch-up seek to read a cold segment.
 //
 // # Hybrid clocks and stabilization
 //
@@ -380,9 +380,9 @@
 //     wal.Record: the log holds the immutable version until its commit group
 //     is written, and the committer encodes it then and clears the slot, so
 //     the log's hold on versions is bounded by the staging cap plus one
-//     in-flight group (TestDurableStagedRetention). Byte records — the VV
-//     attestations — are copied onto the stage before
-//     Append/AppendAsync return; the caller's bytes are never retained.
+//     in-flight group (TestDurableStagedRetention). A VV attestation is
+//     staged the same way, and its sync append returns only once the record
+//     is written, so the caller's vector is never retained.
 //   - repl flush → tcpnet. A flush hands its buffer to the ReplicateBatch
 //     message (boxed once for all target DCs) and starts the next window in
 //     a fresh one of the same capacity. tcpnet's out-queue holds a message

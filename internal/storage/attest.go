@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // Version-vector attestation records.
@@ -34,14 +35,23 @@ import (
 // sharing the log never collide.
 const attestMarker = 0x02
 
-func appendAttest(b []byte, vv vclock.VC) []byte {
+// attestRecord is an attestation as the log sees it: a wal.Record whose
+// payload is the marker and the vector, and whose tag keeps it out of the
+// range index, so a part carrying one stays skippable for catch-up seeks.
+type attestRecord vclock.VC
+
+func (a attestRecord) AppendTo(b []byte) []byte {
 	b = append(b, attestMarker)
-	b = binary.AppendUvarint(b, uint64(len(vv)))
-	for _, t := range vv {
+	b = binary.AppendUvarint(b, uint64(len(a)))
+	for _, t := range a {
 		b = binary.AppendUvarint(b, uint64(t))
 	}
 	return b
 }
+
+func (a attestRecord) MaxSize() int { return (2 + len(a)) * binary.MaxVarintLen64 }
+
+func (a attestRecord) Tag() (int, uint64) { return wal.Neutral, 0 }
 
 // isAttest reports whether rec is a VV-attestation record.
 func isAttest(rec []byte) bool { return len(rec) > 0 && rec[0] == attestMarker }
@@ -94,7 +104,7 @@ func (d *Durable) AttestVV(vv vclock.VC) vclock.VC {
 	// GC bookkeeping must not stall behind it. d.mu (held shared) already
 	// excludes the checkpoint writer, so the record cannot slip past a
 	// concurrent log truncation.
-	if err := d.log.Append(appendAttest(nil, vv)); err != nil {
+	if err := d.log.AppendRecords(1, func(int) wal.Record { return attestRecord(vv) }); err != nil {
 		d.fail(err)
 		safe := vv.Clone().GrowTo(len(prev))
 		safe.MinInPlace(prev)

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/item"
@@ -60,7 +62,7 @@ func TestAttestVVSurvivesCheckpoint(t *testing.T) {
 	// Prune and checkpoint: the pre-checkpoint segments (holding the
 	// attestation record) are truncated away.
 	d.CollectGarbage(vclock.VC{80, 900})
-	if d.log.SnapshotSeq() == 0 {
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap")); len(snaps) == 0 {
 		t.Fatal("checkpoint did not run; test needs the truncation")
 	}
 	if err := d.Close(); err != nil {
@@ -126,5 +128,59 @@ func TestAttestDoesNotDefeatRangeIndex(t *testing.T) {
 	st := d.DurableStats()
 	if st.SeekHits != 1 || st.PartsSkipped == 0 {
 		t.Fatalf("attestations defeated the range index: hits=%d skipped=%d", st.SeekHits, st.PartsSkipped)
+	}
+}
+
+// TestAttestNeutralAcrossCheckpointAndReopen: an attestation stays neutral to
+// the range index on the two paths that tag it other than the committer. A
+// checkpoint re-emits the attestation into the snapshot, and a window above
+// the snapshot's versions must still skip it. After a reopen, replay rebuilds
+// the ranges of the snapshot and of the tail segment, which holds further
+// attestations, and a window above every version must skip both.
+func TestAttestNeutralAcrossCheckpointAndReopen(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{CheckpointBytes: 1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(d *Durable, from, to int) {
+		for i := from; i <= to; i++ {
+			d.Insert(durableVersion(fmt.Sprintf("k%02d", i), 0, vclock.Timestamp(i), vclock.VC{0}))
+			d.AttestVV(vclock.VC{vclock.Timestamp(i)})
+		}
+	}
+	// skips walks the window and returns how many parts it skipped and how
+	// many versions it streamed.
+	skips := func(d *Durable, lo, hi vclock.VC) (uint64, int) {
+		before := d.DurableStats().PartsSkipped
+		n := 0
+		if err := d.ForEachDurable(lo, hi, func(*item.Version, bool) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return d.DurableStats().PartsSkipped - before, n
+	}
+	write(d, 1, 10)
+	d.CollectGarbage(vclock.VC{0}) // prunes nothing; takes the armed checkpoint
+	write(d, 11, 15)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if skipped, n := skips(d, vclock.VC{10}, vclock.VC{20}); skipped != 1 || n != 5 {
+		t.Fatalf("after a checkpoint: skipped %d parts and streamed %d versions, want the snapshot and 5", skipped, n)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenDurable(dir, DurableOptions{CheckpointBytes: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.RecoveredVV(); !got.Equal(vclock.VC{15}) {
+		t.Fatalf("RecoveredVV = %v, want [15]", got)
+	}
+	if skipped, n := skips(r, vclock.VC{15}, vclock.VC{20}); skipped != 2 || n != 0 {
+		t.Fatalf("after a reopen: skipped %d parts and streamed %d versions, want the snapshot, the tail segment and 0", skipped, n)
 	}
 }

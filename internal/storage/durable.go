@@ -155,27 +155,26 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		SegmentBytes: opts.SegmentBytes,
 		NoSync:       opts.NoSync,
 		GroupWindow:  opts.GroupWindow,
-		TagOf:        func(rec []byte) (int, uint64, bool) { return wire.VersionTag(rec) },
-		Neutral:      isAttest,
 		OnError: func(err error) {
 			if d != nil {
 				d.fail(err)
 			}
 		},
 	},
-		func(rec []byte) error {
+		// Replay tags each record as its Record did when it was logged.
+		func(rec []byte) (int, uint64, error) {
 			if isAttest(rec) {
 				av, ok := parseAttest(rec)
 				if !ok {
-					return fmt.Errorf("corrupt vv attestation")
+					return 0, 0, fmt.Errorf("corrupt vv attestation")
 				}
 				attested = attested.GrowTo(len(av))
 				attested.MaxInPlace(av)
-				return nil
+				return wal.Neutral, 0, nil
 			}
 			v, _, err := wire.DecodeVersion(rec)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			mem.Insert(v)
 			for len(floor) <= v.SrcReplica {
@@ -184,7 +183,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 			if v.UpdateTime > floor[v.SrcReplica] {
 				floor[v.SrcReplica] = v.UpdateTime
 			}
-			return nil
+			return v.SrcReplica, uint64(v.UpdateTime), nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("storage: open durable: %w", err)
@@ -343,10 +342,9 @@ func (d *Durable) CompactedFloor() vclock.VC {
 }
 
 // checkpoint streams the surviving versions into a snapshot while writers
-// are held out, so the snapshot equals the log contents exactly. One encode
-// scratch is reused for every record (the log frames each record into its
-// own buffer before emit returns), keeping peak memory constant regardless
-// of store size.
+// are held out, so the snapshot equals the log contents exactly. The log
+// encodes each emitted record into its own buffer, keeping peak memory
+// constant regardless of store size.
 func (d *Durable) checkpoint() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -360,16 +358,12 @@ func (d *Durable) checkpoint() {
 	floor := d.gcHigh.Clone()
 	attested := d.attested.Clone() // stable: d.mu excludes AttestVV here
 	d.gcMu.Unlock()
-	var scratch []byte
-	d.fail(d.log.Checkpoint(func(emit func(rec []byte)) {
-		d.mem.ForEachVersion(func(v *item.Version) {
-			scratch = wire.AppendVersion(scratch[:0], v)
-			emit(scratch)
-		})
+	d.fail(d.log.Checkpoint(func(emit func(wal.Record)) {
+		d.mem.ForEachVersion(func(v *item.Version) { emit((*loggedVersion)(v)) })
 		// The attestation floor must survive the truncation of the
 		// segments that carried it: re-emit the aggregate.
 		if len(attested) > 0 {
-			emit(appendAttest(nil, attested))
+			emit(attestRecord(attested))
 		}
 	}))
 	d.gcMu.Lock()
@@ -392,15 +386,15 @@ func (d *Durable) checkpoint() {
 // versions committed after the call starts are not included. This is the
 // replication catch-up feed (repl.Source) and the reshard donor copy.
 //
-// tail is true when the record was read from the live log — where records
-// sit in append order, so versions this node originated appear in ascending
-// timestamp order — and false for the unordered snapshot (and,
-// conservatively, for the first segment the walk touches when the snapshot
-// boundary cannot be pinned exactly). Every snapshot version is streamed
-// before any tail version, so once a tail version of some origin appears,
-// all earlier history of that origin in the walk's window has already been
-// delivered. This is what lets the catch-up server stamp sound mid-stream
-// progress claims.
+// tail is false for the first part the walk reads — the unordered snapshot
+// (the log cursor's part 0), or the first live segment when the snapshot is
+// skipped or absent — and true for every later part of the live log. The
+// catch-up server stamps mid-stream progress claims on tail versions of its
+// own origin, which is sound only if no later own version in the window has
+// a lower timestamp. A reshard copies a donor's history into the target's
+// live log out of timestamp order, so the first part, which is all of a
+// never-checkpointed engine's log, is never tail; later live parts can hold
+// such copies too (ROADMAP arc 1).
 //
 // A sticky persistence error fails the stream up front: once an append has
 // failed, the log may be missing versions the in-memory state acknowledged,
@@ -421,22 +415,10 @@ func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail
 	for i, t := range hi {
 		hi64[i] = uint64(t)
 	}
-	// Snapshot records are attributed to the snapshot's floor sequence and
-	// live segments always number above it. The floor is sampled before the
-	// read pins its cursor, so a checkpoint racing the sample could present
-	// a newer snapshot under a higher sequence: folding in the first segment
-	// the walk actually reports re-pins the boundary (a fresh snapshot is
-	// the walk's first segment). The fold is conservative — at worst the
-	// first live segment of a never-checkpointed store is flagged unordered
-	// and progress claims start one segment later.
-	boundary := d.log.SnapshotSeq()
-	first := true
+	first, head := true, uint64(0)
 	skipped, err := d.log.ReadRange(lo64, hi64, func(seg uint64, rec []byte) error {
 		if first {
-			first = false
-			if seg > boundary {
-				boundary = seg
-			}
+			first, head = false, seg
 		}
 		if isAttest(rec) {
 			return nil // local floor bookkeeping, not history to re-ship
@@ -445,7 +427,7 @@ func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail
 		if err != nil {
 			return err
 		}
-		return fn(v, seg > boundary)
+		return fn(v, seg != head)
 	})
 	if skipped > 0 {
 		d.seekHits.Add(1)

@@ -270,6 +270,34 @@ func TestDurableForEachDurable(t *testing.T) {
 	}
 }
 
+// TestDurableForEachDurableFirstPartNotTail: a never-checkpointed engine
+// keeps every version in its one live segment, here out of timestamp order
+// as a reshard copy leaves it. None may be flagged tail: a progress claim
+// stamped on the first would be contradicted by the next.
+func TestDurableForEachDurableFirstPartNotTail(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{CheckpointBytes: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 5; i >= 1; i-- {
+		d.Insert(durableVersion(fmt.Sprintf("k%d", i), 0, vclock.Timestamp(i*10), vclock.VC{0, 0}))
+	}
+	var n, tails int
+	if err := d.ForEachDurable(nil, nil, func(_ *item.Version, tail bool) error {
+		n++
+		if tail {
+			tails++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 || tails != 0 {
+		t.Fatalf("streamed %d versions, %d flagged tail; want 5 and 0", n, tails)
+	}
+}
+
 // TestDurableForEachDurableRefusesAfterStickyError: once an append has
 // failed, the log may be missing acknowledged versions, and the catch-up
 // feed must fail (the sender then answers Unsupported) rather than stream a

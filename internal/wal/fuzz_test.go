@@ -45,16 +45,15 @@ func FuzzWALDecode(f *testing.F) {
 				return nil
 			}, tolerate)
 		}
-		if p := validPrefix(data); p < 0 || p > len(data) {
-			t.Fatalf("validPrefix out of range: %d of %d", p, len(data))
-		}
 	})
 }
 
 // FuzzWALStage drives a log through an interleaving of byte appends and
 // Record appends, synchronous and not, of random sizes — up to a record
 // longer than the committer's encode buffer — and checkpoints, then reopens
-// it: the replay must be the model, every record in the order it was staged.
+// it: the replay must be the model, every record in the order it was staged,
+// and a window over each origin's newer half must read what a full scan does.
+// Records, checkpoints and replay tag; byte records do not.
 func FuzzWALStage(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 9})
 	f.Add([]byte{2, 255, 3, 254, 0, 255, 1, 63, 4, 0, 2, 7, 3, 255})
@@ -63,8 +62,9 @@ func FuzzWALStage(f *testing.F) {
 			ops = ops[:64]
 		}
 		dir := t.TempDir()
-		l, _ := replayAll(t, dir, Options{SegmentBytes: 4 << 10, TagOf: testTagOf, NoSync: true})
-		var model [][]byte
+		opts := Options{SegmentBytes: 4 << 10, NoSync: true}
+		l, _ := replayAll(t, dir, opts)
+		var model []*testRecord
 		var ts uint64
 		// stage makes 1 + size%4 records; size 255 makes them longer than an
 		// encode buffer.
@@ -77,7 +77,7 @@ func FuzzWALStage(f *testing.F) {
 					n = encodeBufBytes + 1
 				}
 				recs[i] = &testRecord{origin: int(ts % 3), ts: ts, body: strings.Repeat("x", n)}
-				model = append(model, recs[i].AppendTo(nil))
+				model = append(model, recs[i])
 			}
 			return recs
 		}
@@ -98,7 +98,11 @@ func FuzzWALStage(f *testing.F) {
 					}
 				}
 			case 4:
-				err = l.Checkpoint(emitAll(model))
+				err = l.Checkpoint(func(emit func(Record)) {
+					for _, r := range model {
+						emit(r)
+					}
+				})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -107,15 +111,23 @@ func FuzzWALStage(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, got := replayAll(t, dir, Options{})
+		var got [][]byte
+		l2, err := Open(dir, opts, func(rec []byte) (int, uint64, error) {
+			got = append(got, append([]byte(nil), rec...))
+			return tagReplay(rec)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer l2.Close()
 		if len(got) != len(model) {
 			t.Fatalf("replayed %d records, want %d", len(got), len(model))
 		}
-		for i := range model {
-			if !bytes.Equal(got[i], model[i]) {
-				t.Fatalf("record %d: replayed %d bytes, want %d", i, len(got[i]), len(model[i]))
+		for i, r := range model {
+			if want := r.AppendTo(nil); !bytes.Equal(got[i], want) {
+				t.Fatalf("record %d: replayed %d bytes, want %d", i, len(got[i]), len(want))
 			}
 		}
+		checkWindow(t, l2, []uint64{ts / 2, ts / 2, ts / 2}, []uint64{ts, ts, ts})
 	})
 }

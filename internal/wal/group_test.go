@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// testTag is the mini record format the index tests use: one origin byte
+// testRec is the mini record format the index tests use: one origin byte
 // followed by a big-endian timestamp, then arbitrary payload.
 func testRec(origin int, ts uint64, body string) []byte {
 	rec := make([]byte, 9, 9+len(body))
@@ -19,11 +19,13 @@ func testRec(origin int, ts uint64, body string) []byte {
 	return append(rec, body...)
 }
 
-func testTagOf(rec []byte) (int, uint64, bool) {
+// tagReplay is a replay callback that tags testRec's format, as an engine's
+// replay tags the records it decodes.
+func tagReplay(rec []byte) (int, uint64, error) {
 	if len(rec) < 9 {
-		return 0, 0, false
+		return -1, 0, nil
 	}
-	return int(rec[0]), binary.BigEndian.Uint64(rec[1:]), true
+	return int(rec[0]), binary.BigEndian.Uint64(rec[1:]), nil
 }
 
 // testRecord is testRec's format as a Record: the committer encodes it.
@@ -51,7 +53,7 @@ func TestStagedRecordsReplayInStageOrder(t *testing.T) {
 	dir := t.TempDir()
 	// The window makes the async appends between two synchronous ones share
 	// a group.
-	l, _ := replayAll(t, dir, Options{TagOf: testTagOf, GroupWindow: time.Millisecond})
+	l, _ := replayAll(t, dir, Options{GroupWindow: time.Millisecond})
 	var want [][]byte
 	ts := uint64(0)
 	record := func(body string) *testRecord {
@@ -232,16 +234,18 @@ func TestAppendAsyncSurvivesClose(t *testing.T) {
 	}
 }
 
-// ReadRange consults the per-segment range index: a query for a recent
-// window skips the cold segments entirely, and per-part ranges survive a
-// reopen via the persisted segment trailers.
+// ReadRange consults the per-segment range index, built from the tags of the
+// staged Records: a query for a recent window skips the cold segments
+// entirely, and per-part ranges survive a reopen via the persisted segment
+// trailers.
 func TestReadRangeSkipsColdSegments(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 512, TagOf: testTagOf}
+	opts := Options{SegmentBytes: 512}
 	l, _ := replayAll(t, dir, opts)
 	const n = 200
 	for ts := uint64(1); ts <= n; ts++ {
-		if err := l.Append(testRec(0, ts, "payload-padding-to-force-rolls")); err != nil {
+		r := &testRecord{origin: 0, ts: ts, body: "payload-padding-to-force-rolls"}
+		if err := l.AppendRecords(1, func(int) Record { return r }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +253,7 @@ func TestReadRangeSkipsColdSegments(t *testing.T) {
 	// A window covering only the newest few timestamps must skip segments.
 	var got []uint64
 	skipped, err := l.ReadRange([]uint64{n - 5}, []uint64{n}, func(_ uint64, rec []byte) error {
-		_, ts, _ := testTagOf(rec)
+		_, ts, _ := tagReplay(rec)
 		got = append(got, ts)
 		return nil
 	})
@@ -283,9 +287,10 @@ func TestReadRangeSkipsColdSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen WITHOUT TagOf: sealed segments still skip via their persisted
-	// trailers (only the tail segment, which has no trailer, must be read).
-	l2, recs := replayAll(t, dir, Options{SegmentBytes: 512})
+	// Reopen with a replay that tags nothing: sealed segments still skip via
+	// their persisted trailers (only the tail segment, which has no trailer,
+	// must be read).
+	l2, recs := replayAll(t, dir, opts)
 	defer l2.Close()
 	if len(recs) != n {
 		t.Fatalf("reopen replayed %d records, want %d (trailers must be filtered)", len(recs), n)
@@ -299,27 +304,31 @@ func TestReadRangeSkipsColdSegments(t *testing.T) {
 	}
 }
 
-// A checkpoint records the snapshot's range: windows above it skip the
-// snapshot wholesale.
+// A checkpoint records the snapshot's range from the tags of the Records it
+// emits: windows above it skip the snapshot wholesale.
 func TestReadRangeSkipsSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{TagOf: testTagOf}
-	l, _ := replayAll(t, dir, opts)
-	var history [][]byte
-	for ts := uint64(1); ts <= 100; ts++ {
-		rec := testRec(1, ts, "x")
-		history = append(history, rec)
-		if err := l.Append(rec); err != nil {
+	l, _ := replayAll(t, dir, Options{})
+	var history []*testRecord
+	appendRec := func(ts uint64) *testRecord {
+		r := &testRecord{origin: 1, ts: ts, body: "x"}
+		if err := l.AppendRecords(1, func(int) Record { return r }); err != nil {
 			t.Fatal(err)
 		}
+		return r
 	}
-	if err := l.Checkpoint(emitAll(history)); err != nil {
+	for ts := uint64(1); ts <= 100; ts++ {
+		history = append(history, appendRec(ts))
+	}
+	if err := l.Checkpoint(func(emit func(Record)) {
+		for _, r := range history {
+			emit(r)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for ts := uint64(101); ts <= 110; ts++ {
-		if err := l.Append(testRec(1, ts, "x")); err != nil {
-			t.Fatal(err)
-		}
+		appendRec(ts)
 	}
 	count := 0
 	skipped, err := l.ReadRange([]uint64{0, 100}, []uint64{0, 110}, func(_ uint64, rec []byte) error {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,9 +10,11 @@ import (
 // optimization: for any per-origin window, ReadRange + the caller's record
 // filter must deliver exactly the records ReadFrom + the same filter would.
 // The workload forces every index transition — segment rolls (trailers),
-// checkpoints that prune records (snapshot ranges), async groups, and
-// close/reopen cycles (trailer and sift rebuilds). With records, half the
-// appends stage Records, so the index is built from their own tags as well.
+// checkpoints that prune records (snapshot ranges, from the emitted Records'
+// tags), async groups, and close/reopen cycles (trailers, and the tags replay
+// returns). With records, the appends stage Records, so live segments are
+// indexed by their own tags; without, they are untagged byte records, whose
+// segments the index must never skip.
 func TestReadRangeMatchesFullScan(t *testing.T) {
 	type input struct {
 		seed    int64
@@ -35,7 +36,7 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			const origins = 4
-			opts := Options{SegmentBytes: 1 << 10, TagOf: testTagOf, NoSync: true}
+			opts := Options{SegmentBytes: 1 << 10, NoSync: true}
 
 			// live tracks the records currently in the log's history: the
 			// checkpoint fill emits a surviving subset (mimicking GC pruning)
@@ -47,8 +48,7 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 			var live []trec
 			next := [origins]uint64{1, 1, 1, 1}
 
-			replay := func(rec []byte) error { return nil }
-			l, err := Open(dir, opts, replay)
+			l, err := Open(dir, opts, tagReplay)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +66,10 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 						recs = append(recs, &testRecord{o, ts, fmt.Sprintf("s%d", step)})
 						live = append(live, trec{o, ts})
 					}
-					sync, staged := rng.Intn(2) == 0, records && rng.Intn(2) == 0
-					switch {
-					case staged && sync:
+					switch sync := rng.Intn(2) == 0; {
+					case records && sync:
 						err = l.AppendRecords(n, func(i int) Record { return recs[i] })
-					case staged:
+					case records:
 						for _, r := range recs {
 							if err = l.AppendRecordAsync(r); err != nil {
 								break
@@ -91,9 +90,9 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 							survivors = append(survivors, tr)
 						}
 					}
-					err := l.Checkpoint(func(emit func([]byte)) {
+					err := l.Checkpoint(func(emit func(Record)) {
 						for _, tr := range survivors {
-							emit(testRec(tr.origin, tr.ts, "snap"))
+							emit(&testRecord{tr.origin, tr.ts, "snap"})
 						}
 					})
 					if err != nil {
@@ -108,7 +107,7 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 					if err := l.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if l, err = Open(dir, opts, replay); err != nil {
+					if l, err = Open(dir, opts, tagReplay); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -118,9 +117,7 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 			}
 
 			// Probe random windows plus the empty and unbounded extremes.
-			parse := func(rec []byte) (int, uint64) {
-				return int(rec[0]), binary.BigEndian.Uint64(rec[1:9])
-			}
+			skipped := 0
 			for probe := 0; probe < 60; probe++ {
 				lo := make([]uint64, origins)
 				hi := make([]uint64, origins)
@@ -141,44 +138,57 @@ func TestReadRangeMatchesFullScan(t *testing.T) {
 						lo[o], hi[o] = 0, 0
 					}
 				}
-				inWindow := func(o int, ts uint64) bool {
-					return ts > lo[o] && ts <= hi[o]
-				}
-				full := map[string]int{}
-				if err := l.ReadFrom(0, func(_ uint64, rec []byte) error {
-					if o, ts := parse(rec); inWindow(o, ts) {
-						full[fmt.Sprintf("%d@%d", o, ts)]++
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				ranged := map[string]int{}
-				if _, err := l.ReadRange(lo, hi, func(_ uint64, rec []byte) error {
-					if o, ts := parse(rec); inWindow(o, ts) {
-						ranged[fmt.Sprintf("%d@%d", o, ts)]++
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for k, n := range full {
-					if ranged[k] != n {
-						t.Errorf("probe %d lo=%v hi=%v: %s seen %d times in full scan, %d in ranged read",
-							probe, lo, hi, k, n, ranged[k])
-					}
-				}
-				for k, n := range ranged {
-					if full[k] == 0 {
-						t.Errorf("probe %d: ranged read produced %s (%d) absent from full scan", probe, k, n)
-					}
-				}
-				if t.Failed() {
-					t.FailNow()
-				}
+				skipped += checkWindow(t, l, lo, hi)
+			}
+			if skipped == 0 {
+				t.Fatal("no probe skipped a part: the index went unexercised")
 			}
 		})
 	}
+}
+
+// checkWindow asserts that ReadRange plus the window filter delivers exactly
+// the records ReadFrom plus the same filter does, and returns how many parts
+// ReadRange skipped.
+func checkWindow(t testing.TB, l *Log, lo, hi []uint64) int {
+	t.Helper()
+	inWindow := func(rec []byte) (string, bool) {
+		o, ts, _ := tagReplay(rec)
+		return fmt.Sprintf("%d@%d", o, ts), o >= 0 && o < len(lo) && ts > lo[o] && ts <= hi[o]
+	}
+	full := map[string]int{}
+	if err := l.ReadFrom(0, func(_ uint64, rec []byte) error {
+		if k, ok := inWindow(rec); ok {
+			full[k]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ranged := map[string]int{}
+	skipped, err := l.ReadRange(lo, hi, func(_ uint64, rec []byte) error {
+		if k, ok := inWindow(rec); ok {
+			ranged[k]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, n := range full {
+		if ranged[k] != n {
+			t.Errorf("lo=%v hi=%v: %s seen %d times in full scan, %d in ranged read", lo, hi, k, n, ranged[k])
+		}
+	}
+	for k, n := range ranged {
+		if full[k] == 0 {
+			t.Errorf("lo=%v hi=%v: ranged read produced %s (%d) absent from full scan", lo, hi, k, n)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return skipped
 }
 
 // encodeAll encodes records as the byte records Append takes.

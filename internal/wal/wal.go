@@ -35,13 +35,15 @@
 //
 // # Per-segment range index
 //
-// When Options.TagOf is set, every byte record is tagged with an (origin,
-// timestamp) pair as the committer frames it (a Record carries its own tag)
-// and each segment tracks the [min,max] timestamp
-// range it holds per origin. A rolled segment persists its range as an index
+// The log parses no payload: a record's (origin, timestamp) index tag comes
+// from the code that knows its format. A Record reports its own (Tag) when
+// the committer or a checkpoint frames it, Open's replay callback returns the
+// tag of each record it decodes, and a byte record staged by Append or
+// AppendAsync is untagged. Each part tracks the [min,max] timestamp range it
+// holds per origin. A rolled segment persists its range as an index
 // trailer record (a reserved payload the log filters out of replay and
 // cursor reads); Open rebuilds the in-memory index from the trailers and — for
-// the tail segment, which has none — from the replayed records themselves.
+// the snapshot and the tail segment, which have none — from the replay tags.
 // ReadRange uses the index to skip the snapshot and every segment whose
 // ranges cannot intersect a requested per-origin (lo, hi] window, which turns
 // a catch-up of a small recent gap from an O(store) scan into an O(gap) read
@@ -59,11 +61,14 @@
 // ReadFrom is the cursor over the same history for a live log: it replays
 // snapshot + segments from a given segment sequence without blocking
 // appends, pinning the files open so concurrent checkpoints cannot yank
-// them away. The replication plane (internal/repl) streams catch-up data
-// through it, and SnapshotSeq exposes the durable floor below which history
-// exists only in compacted (snapshot) form. Cursors see only committed
-// bytes: records staged but not yet written by the committer are invisible,
-// so a cursor can never replay data that a crash could still lose.
+// them away; ReadRange is the same cursor behind the range index, and the
+// replication plane (internal/repl) streams catch-up data through it. A
+// cursor attributes each record to the part it was read from — the snapshot
+// is part 0, live segments number from 1 — so a reader tells compacted
+// history from the append-ordered log without sampling a floor. Cursors see
+// only committed bytes: records staged but not yet written by the committer
+// are invisible, so a cursor can never replay data that a crash could still
+// lose.
 package wal
 
 import (
@@ -137,15 +142,6 @@ type Options struct {
 	// commits as soon as the committer is free (pipelining alone already
 	// groups whatever accumulated during the previous fsync).
 	GroupWindow time.Duration
-	// TagOf extracts the (origin, timestamp) index tag from a record payload;
-	// ok=false marks the record untagged, which makes its segment never
-	// skippable by ReadRange. nil disables the range index.
-	TagOf func(rec []byte) (origin int, ts uint64, ok bool)
-	// Neutral, when set, marks records that are invisible to the range
-	// index: they neither tag their segment nor force it unskippable, so
-	// engine bookkeeping records (which TagOf cannot parse) do not defeat
-	// the seek optimization. Checked before TagOf.
-	Neutral func(rec []byte) bool
 	// OnError is invoked once, without internal locks held, when the
 	// background committer hits a persistence error and the log goes sticky-
 	// failed. Synchronous callers additionally get the error returned.
@@ -208,9 +204,15 @@ type Record interface {
 	AppendTo(b []byte) []byte
 	// MaxSize bounds the payload's length from above.
 	MaxSize() int
-	// Tag is the record's range-index tag; origin -1 leaves it untagged.
+	// Tag is the record's range-index tag; origin -1 leaves it untagged
+	// (its part is never skippable) and Neutral hides it from the index.
 	Tag() (origin int, ts uint64)
 }
+
+// Neutral is the origin a record's tag carries to stay invisible to the range
+// index: it neither tags its part nor makes it unskippable, so engine
+// bookkeeping records do not defeat the seek.
+const Neutral = -2
 
 // staged is one record awaiting the committer: a Record, or (rec nil) the
 // byte record that ends at end in the stage's payload bytes.
@@ -218,10 +220,6 @@ type staged struct {
 	rec Record
 	end int
 }
-
-// A record's index tag is an (origin, timestamp) pair; origin -1 means
-// untagged, tagNeutral invisible to the index (see Options.Neutral).
-const tagNeutral = -2
 
 // partRange is the per-origin [min,max] timestamp range of one log part
 // (segment or snapshot). lo[o] == 0 means origin o is absent (real tags
@@ -232,7 +230,7 @@ type partRange struct {
 }
 
 func (p *partRange) add(o int, ts uint64) {
-	if o == tagNeutral {
+	if o == Neutral {
 		return
 	}
 	if o < 0 {
@@ -294,8 +292,6 @@ type Log struct {
 	segBytes int64
 	noSync   bool
 	window   time.Duration
-	tagOf    func(rec []byte) (int, uint64, bool)
-	neutral  func(rec []byte) bool
 	onErr    func(error)
 
 	mu     sync.Mutex
@@ -332,9 +328,12 @@ type Log struct {
 // Open opens (creating if necessary) the log in dir and replays its state:
 // first the newest snapshot's records, then every younger segment's records
 // in append order, invoking replay for each payload. The payload slice is
-// only valid during the call. A torn record at the tail of the final segment
-// is truncated away; corruption anywhere else fails the open.
-func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error) {
+// only valid during the call. replay returns the record's index tag, with
+// Record.Tag's origin convention; it rebuilds the ranges of the snapshot and
+// of the tail segment, the parts that carry no trailer. A torn record at the
+// tail of the final segment is truncated away; corruption anywhere else fails
+// the open.
+func Open(dir string, opts Options, replay func(rec []byte) (origin int, ts uint64, err error)) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
@@ -351,8 +350,6 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 		segBytes: opts.SegmentBytes,
 		noSync:   opts.NoSync,
 		window:   opts.GroupWindow,
-		tagOf:    opts.TagOf,
-		neutral:  opts.Neutral,
 		onErr:    opts.OnError,
 		snap:     snapSeq,
 		stagedID: 1,
@@ -362,7 +359,7 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 	l.doneC.L = &l.mu
 
 	// sift wraps replay: index trailers are consumed into trailer (never shown
-	// to the engine), every other record is tagged into rng and replayed.
+	// to the engine), every other record is replayed and its tag added to rng.
 	sift := func(rng *partRange, trailer **partRange) func(rec []byte) error {
 		return func(rec []byte) error {
 			if tr, ok := parseIdxTrailer(rec); ok {
@@ -371,8 +368,12 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 				}
 				return nil
 			}
-			rng.add(l.tag(rec))
-			return replay(rec)
+			o, ts, err := replay(rec)
+			if err != nil {
+				return err
+			}
+			rng.add(o, ts)
+			return nil
 		}
 	}
 
@@ -403,8 +404,8 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 			return nil, fmt.Errorf("wal: segment %d: %w", seq, werr)
 		}
 		if trailer != nil {
-			// A sealed segment's persisted index is authoritative — it keeps
-			// ranges available even when this open has no TagOf.
+			// A sealed segment's persisted index is authoritative: it holds
+			// the tags the records had when they were committed.
 			rng = trailer
 		}
 		l.idx[seq] = rng
@@ -446,19 +447,6 @@ func Open(dir string, opts Options, replay func(rec []byte) error) (*Log, error)
 	}
 	go l.committer()
 	return l, nil
-}
-
-// tag computes a byte record's index tag.
-func (l *Log) tag(rec []byte) (int, uint64) {
-	if l.neutral != nil && l.neutral(rec) {
-		return tagNeutral, 0
-	}
-	if l.tagOf != nil {
-		if o, ts, ok := l.tagOf(rec); ok && o >= 0 {
-			return o, ts
-		}
-	}
-	return -1, 0
 }
 
 // scanDir classifies the directory's files: ascending segment sequences
@@ -513,7 +501,8 @@ func scanDir(dir string) (segs []uint64, snapSeq uint64, err error) {
 // records join the stage, coalesce with every other append staged meanwhile
 // into a single commit group — one fsync (unless NoSync) — and Append returns
 // once that group has committed. The record slices are copied before staging
-// and not retained.
+// and not retained. Byte records are untagged: the segment holding one is
+// never skipped by ReadRange.
 func (l *Log) Append(recs ...[]byte) error { return l.enqueue(recs, 0, nil, true) }
 
 // AppendAsync stages the given records for the committer and returns without
@@ -593,18 +582,7 @@ func (l *Log) enqueue(recs [][]byte, n int, rec func(int) Record, wait bool) err
 func (l *Log) Barrier() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.err != nil {
-			return l.err
-		}
-		if l.closed || l.f == nil {
-			return ErrClosed
-		}
-		if len(l.stage) == 0 && !l.committing {
-			return nil
-		}
-		l.doneC.Wait()
-	}
+	return l.drainLocked()
 }
 
 // Stats returns a snapshot of the log's durable-path counters.
@@ -731,9 +709,8 @@ func (l *Log) writeGroup(f *os.File, enc []byte, group []staged, payloads []byte
 			buf = appendRecordFrame(buf, e.rec)
 			rng.add(e.rec.Tag())
 		} else {
-			p := payloads[start:e.end]
-			buf = appendFrame(buf, p)
-			rng.add(l.tag(p))
+			buf = appendFrame(buf, payloads[start:e.end])
+			rng.add(-1, 0)
 		}
 		start = e.end
 	}
@@ -783,15 +760,15 @@ func (l *Log) drainLocked() error {
 }
 
 // Checkpoint atomically replaces the log's history with a snapshot: fill is
-// invoked once and emits every snapshot record (records are framed and
-// streamed to disk in chunks, so the snapshot never materializes in memory;
-// an emitted slice may be reused by the caller immediately after emit
-// returns). The caller must guarantee the emitted records capture every
+// invoked once and emits every snapshot record, which is framed and tagged as
+// the committer frames a staged Record (records are streamed to disk in
+// chunks, so the snapshot never materializes in memory, and emit is done with
+// a record when it returns). The caller must guarantee the emitted records capture every
 // record appended so far — the storage engine holds its writers out during
 // the call. The commit pipeline is drained first, so async appends are on
 // disk before the segments holding them are pruned. On return the old
 // segments are gone and a fresh, empty segment is active.
-func (l *Log) Checkpoint(fill func(emit func(rec []byte))) error {
+func (l *Log) Checkpoint(fill func(emit func(Record))) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.drainLocked(); err != nil {
@@ -805,12 +782,12 @@ func (l *Log) Checkpoint(fill func(emit func(rec []byte))) error {
 	var werr error
 	snapRng := &partRange{}
 	buf := l.buf[:0]
-	fill(func(rec []byte) {
+	fill(func(r Record) {
 		if werr != nil {
 			return
 		}
-		snapRng.add(l.tag(rec))
-		buf = appendFrame(buf, rec)
+		snapRng.add(r.Tag())
+		buf = appendRecordFrame(buf, r)
 		if len(buf) >= 1<<20 {
 			_, werr = f.Write(buf)
 			buf = buf[:0]
@@ -879,29 +856,20 @@ func (l *Log) SinceCheckpoint() int64 {
 	return l.since
 }
 
-// SnapshotSeq returns the sequence number of the current snapshot — the
-// log's durable floor: history at and below this sequence lives only in the
-// snapshot (its segments are gone). 0 means no checkpoint has been taken.
-func (l *Log) SnapshotSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snap
-}
-
 // cursorPart is one file of a ReadFrom iteration, pinned open while the
 // cursor runs so a concurrent checkpoint unlinking it cannot invalidate the
 // read.
 type cursorPart struct {
-	seq   uint64
+	seq   uint64 // segment sequence, 0 for the snapshot
 	f     *os.File
 	limit int64 // bytes to read; -1 = whole file
 }
 
 // ReadFrom replays the log's durable records in order, invoking fn with each
-// record's segment sequence number and payload (the payload slice is only
-// valid during the call). Iteration starts at segment seq: when seq is at or
-// below the snapshot floor (SnapshotSeq), the snapshot's records are
-// replayed first — attributed to the floor sequence — followed by every live
+// record's part — its segment sequence number, 0 for the snapshot — and
+// payload (the payload slice is only valid during the call). Iteration starts
+// at segment seq: when seq is at or below the sequence the snapshot was cut
+// at, the snapshot's records are replayed first, followed by every live
 // segment ≥ seq. The boundary is captured atomically at the call: records
 // durably committed before ReadFrom is invoked are included, staged or later
 // appends are not, and concurrent appends or checkpoints never corrupt the
@@ -947,7 +915,7 @@ func (l *Log) read(seq uint64, ranged bool, lo, hi []uint64, fn func(seg uint64,
 			if err != nil {
 				return skipped, fail(err)
 			}
-			parts = append(parts, cursorPart{seq: l.snap, f: f, limit: -1})
+			parts = append(parts, cursorPart{seq: 0, f: f, limit: -1})
 		}
 	}
 	first := l.firstSeg
@@ -1256,18 +1224,6 @@ func walk(data []byte, replay func(rec []byte) error, tolerateTorn bool) (int, e
 		}
 		if rerr := replay(payload); rerr != nil {
 			return pos, fmt.Errorf("offset %d: %w", pos, rerr)
-		}
-		pos += n
-	}
-}
-
-// validPrefix returns the length of data's longest prefix of whole records.
-func validPrefix(data []byte) int {
-	pos := 0
-	for {
-		_, n, err := nextFrame(data[pos:])
-		if err != nil {
-			return pos
 		}
 		pos += n
 	}

@@ -10,22 +10,31 @@ import (
 	"testing"
 )
 
+// rawRecord is a byte record as a Record: untagged, as Append stages it.
+type rawRecord []byte
+
+func (r rawRecord) AppendTo(b []byte) []byte { return append(b, r...) }
+
+func (r rawRecord) MaxSize() int { return len(r) }
+
+func (r rawRecord) Tag() (int, uint64) { return -1, 0 }
+
 // emitAll adapts a record slice to Checkpoint's streaming fill callback.
-func emitAll(recs [][]byte) func(emit func(rec []byte)) {
-	return func(emit func(rec []byte)) {
+func emitAll(recs [][]byte) func(emit func(Record)) {
+	return func(emit func(Record)) {
 		for _, r := range recs {
-			emit(r)
+			emit(rawRecord(r))
 		}
 	}
 }
 
-// replayAll opens the log and collects every replayed record.
+// replayAll opens the log and collects every replayed record, untagged.
 func replayAll(t *testing.T, dir string, opts Options) (*Log, [][]byte) {
 	t.Helper()
 	var recs [][]byte
-	l, err := Open(dir, opts, func(rec []byte) error {
+	l, err := Open(dir, opts, func(rec []byte) (int, uint64, error) {
 		recs = append(recs, append([]byte(nil), rec...))
-		return nil
+		return -1, 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +175,7 @@ func TestCorruptMiddleRecordFailsOpen(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, Options{}, func([]byte) error { return nil })
+	_, err = Open(dir, Options{}, func([]byte) (int, uint64, error) { return -1, 0, nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with mid-log corruption: err = %v, want ErrCorrupt", err)
 	}
@@ -380,8 +389,7 @@ func TestReadFromStartsMidLog(t *testing.T) {
 }
 
 // TestReadFromIncludesSnapshot: after a checkpoint, a cursor from 0 replays
-// the snapshot (attributed to the floor sequence) and then the younger
-// segments; SnapshotSeq exposes the floor.
+// the snapshot (attributed to part 0) and then the younger segments.
 func TestReadFromIncludesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := replayAll(t, dir, Options{NoSync: true})
@@ -393,10 +401,6 @@ func TestReadFromIncludesSnapshot(t *testing.T) {
 	}
 	if err := l.Checkpoint(emitAll([][]byte{[]byte("snap-0"), []byte("snap-1")})); err != nil {
 		t.Fatal(err)
-	}
-	floor := l.SnapshotSeq()
-	if floor == 0 {
-		t.Fatal("SnapshotSeq = 0 after a checkpoint")
 	}
 	if err := l.Append([]byte("post-0")); err != nil {
 		t.Fatal(err)
@@ -411,14 +415,15 @@ func TestReadFromIncludesSnapshot(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, recs[i], w)
 		}
 	}
-	if segs[0] != floor || segs[1] != floor {
-		t.Fatalf("snapshot records attributed to segments %v, want floor %d", segs[:2], floor)
+	if segs[0] != 0 || segs[1] != 0 {
+		t.Fatalf("snapshot records attributed to segments %v, want part 0", segs[:2])
 	}
-	if segs[2] <= floor {
-		t.Fatalf("post-checkpoint record attributed to segment %d ≤ floor %d", segs[2], floor)
+	if segs[2] == 0 {
+		t.Fatal("post-checkpoint record attributed to the snapshot's part 0")
 	}
-	// A cursor strictly above the floor skips the compacted history.
-	recs2, _ := readAll(t, l, floor+1)
+	// A cursor from the segment the checkpoint started skips the compacted
+	// history.
+	recs2, _ := readAll(t, l, segs[2])
 	if len(recs2) != 1 || string(recs2[0]) != "post-0" {
 		t.Fatalf("cursor above the floor yielded %q, want just post-0", recs2)
 	}
@@ -493,11 +498,8 @@ func TestReadFromCursorSurvivesCheckpointPrune(t *testing.T) {
 	}
 
 	// The floor moved; a resume at or below it is redirected through the
-	// snapshot, and one above it sees only post-checkpoint appends.
-	floor := l.SnapshotSeq()
-	if floor == 0 {
-		t.Fatal("SnapshotSeq = 0 after the mid-cursor checkpoint")
-	}
+	// snapshot, and one from the segment the checkpoint started sees only
+	// post-checkpoint appends.
 	if err := l.Append([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
@@ -505,10 +507,10 @@ func TestReadFromCursorSurvivesCheckpointPrune(t *testing.T) {
 	if len(recs) != 2 || string(recs[0]) != "compacted" || string(recs[1]) != "tail" {
 		t.Fatalf("resumed cursor yielded %q, want [compacted tail]", recs)
 	}
-	if segs[0] != floor {
-		t.Fatalf("snapshot record attributed to segment %d, want the floor %d", segs[0], floor)
+	if segs[0] != 0 || segs[1] == 0 {
+		t.Fatalf("resumed cursor attributed its records to parts %v, want the snapshot's 0, then a segment", segs)
 	}
-	recs2, _ := readAll(t, l, floor+1)
+	recs2, _ := readAll(t, l, segs[1])
 	if len(recs2) != 1 || string(recs2[0]) != "tail" {
 		t.Fatalf("cursor above the floor yielded %q, want just the tail", recs2)
 	}

@@ -466,45 +466,6 @@ func MaxVersionSize(v *item.Version) int {
 	return 2 + len(v.Key) + len(v.Value) + (5+len(v.Deps))*binary.MaxVarintLen64
 }
 
-// VersionTag extracts just (SrcReplica, UpdateTime) from an encoded version
-// record without decoding — or allocating — the rest. The write-ahead log
-// uses it to tag the records it replays and checkpoints for its per-segment
-// range index, so it must stay a few header reads, not a full decode.
-// ok=false means the bytes are not a well-formed version record prefix.
-func VersionTag(rec []byte) (src int, ts uint64, ok bool) {
-	if len(rec) < 1 || rec[0] != 1 {
-		return 0, 0, false
-	}
-	b := rec[1:]
-	for i := 0; i < 2; i++ { // key string, then value bytes: skip both
-		n, un := binary.Uvarint(b)
-		if un <= 0 {
-			return 0, 0, false
-		}
-		b = b[un:]
-		if i == 1 { // value length carries a +1 nil marker
-			if n == 0 {
-				continue
-			}
-			n--
-		}
-		if uint64(len(b)) < n {
-			return 0, 0, false
-		}
-		b = b[n:]
-	}
-	s, un := binary.Uvarint(b)
-	if un <= 0 {
-		return 0, 0, false
-	}
-	b = b[un:]
-	t, un := binary.Uvarint(b)
-	if un <= 0 {
-		return 0, 0, false
-	}
-	return int(s), t, true
-}
-
 // DecodeVersion parses one version record from the front of b, returning the
 // version and the number of bytes consumed. Corrupted or truncated input
 // yields an error, never a panic, and a nil-version marker is rejected (logs
