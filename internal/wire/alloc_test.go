@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -13,6 +14,25 @@ import (
 	"repro/internal/racedetect"
 	"repro/internal/vclock"
 )
+
+// TestBinaryEncodeAllocs pins the encoder's steady state: once its buffer has
+// grown, an Encode of any message type allocates nothing.
+func TestBinaryEncodeAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	enc := NewBinaryEncoder(io.Discard)
+	for name, m := range goldenMessages() {
+		env := Envelope{Src: goldenSrc, Msg: m}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := enc.Encode(env); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per Encode, want 0", name, n)
+		}
+	}
+}
 
 // deltaBatchFrame encodes a ReplicateBatch of n versions with 64-byte values
 // and timestamps of deployed magnitude (so it takes the delta layout).
