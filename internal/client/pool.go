@@ -45,6 +45,11 @@ const (
 // ErrPoolClosed is returned by operations on a closed Pool.
 var ErrPoolClosed = errors.New("client: pool closed")
 
+// ErrRequestTooLarge fails a request whose frame would exceed the front
+// door's limit. The pool never sends it, so the connection and every other
+// session on it carry on.
+var ErrRequestTooLarge = fmt.Errorf("client: request exceeds the front-door frame limit of %d bytes", wire.MaxFrontDoorFrame)
+
 // PoolConfig parameterizes a Pool.
 type PoolConfig struct {
 	// Addr is the kvserver listener address of one data center.
@@ -392,6 +397,15 @@ func (pc *poolConn) writer() {
 		call *Call
 	}
 	batch := make([]registration, 0, 64)
+	stage := func(q queuedCall) {
+		n := len(scratch)
+		if scratch = wire.AppendFrontDoorRequest(scratch, &q.req); len(scratch) == n {
+			// Too large for one frame: the request fails alone, unsent.
+			q.call.complete(q.req.ID, wire.FrontDoorResponse{}, ErrRequestTooLarge)
+			return
+		}
+		batch = append(batch, registration{q.req.ID, q.call})
+	}
 	for {
 		var q queuedCall
 		select {
@@ -400,17 +414,19 @@ func (pc *poolConn) writer() {
 			pc.drainQueue()
 			return
 		}
-		batch = append(batch[:0], registration{q.req.ID, q.call})
-		scratch = wire.AppendFrontDoorRequest(scratch[:0], &q.req)
+		batch, scratch = batch[:0], scratch[:0]
+		stage(q)
 	coalesce:
 		for len(scratch) < poolFlushBytes {
 			select {
 			case q = <-pc.wq:
-				batch = append(batch, registration{q.req.ID, q.call})
-				scratch = wire.AppendFrontDoorRequest(scratch, &q.req)
+				stage(q)
 			default:
 				break coalesce
 			}
+		}
+		if len(batch) == 0 {
+			continue
 		}
 		pc.mu.Lock()
 		if pc.err != nil {

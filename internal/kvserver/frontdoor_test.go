@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	occ "repro"
 	"repro/internal/client"
+	"repro/internal/wire"
 )
 
 func testPool(t *testing.T, srv *Server, dc, conns int) *client.Pool {
@@ -176,6 +178,42 @@ func TestFrontDoorLargeValue(t *testing.T) {
 	v, err := sess.Get("big")
 	if err != nil || !bytes.Equal(v, big) {
 		t.Fatalf("big value corrupted: len=%d err=%v", len(v), err)
+	}
+}
+
+// TestFrontDoorOversizeFrame: a request or a reply too large for one
+// front-door frame fails that request alone. The client refuses to send the
+// request and the server answers the reply with FDErr, each naming the
+// limit; another session pooled on the same connection keeps working.
+func TestFrontDoorOversizeFrame(t *testing.T) {
+	srv := testServer(t)
+	pool := testPool(t, srv, 0, 1)
+	a, b := pool.Session(), pool.Session()
+	limit := strconv.Itoa(wire.MaxFrontDoorFrame)
+
+	err := a.Put("huge", make([]byte, wire.MaxFrontDoorFrame+1))
+	if err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("oversize PUT: err=%v, want an error naming the %s-byte limit", err, limit)
+	}
+	if err := b.Put("small", []byte("s")); err != nil {
+		t.Fatalf("PUT after an oversize request: %v", err)
+	}
+	if v, err := b.Get("small"); err != nil || string(v) != "s" {
+		t.Fatalf("GET after an oversize request = %q, %v", v, err)
+	}
+
+	// Two values that fit a request each but not one reply together.
+	half := make([]byte, wire.MaxFrontDoorFrame/2)
+	for _, k := range []string{"half1", "half2"} {
+		if err := a.Put(k, half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.ROTx([]string{"half1", "half2"}); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("oversize reply: err=%v, want an error naming the %s-byte limit", err, limit)
+	}
+	if v, err := b.Get("small"); err != nil || string(v) != "s" {
+		t.Fatalf("GET after an oversize reply = %q, %v", v, err)
 	}
 }
 

@@ -111,6 +111,18 @@ func (f *frameReader) bytes() []byte {
 	return out
 }
 
+// finish returns the first recorded error, or a trailing-bytes error when
+// the frame was not fully consumed: every decode in this package is strict.
+func (f *frameReader) finish() error {
+	if f.err != nil {
+		return f.err
+	}
+	if f.pos != len(f.b) {
+		return fmt.Errorf("wire: %d trailing bytes in frame", len(f.b)-f.pos)
+	}
+	return nil
+}
+
 // vcLen reads a vector's nil-preserving length marker: the entry count and
 // whether there is a vector at all. Each entry takes at least one byte, so a
 // count the unread bytes cannot hold fails before anything is sized from it.

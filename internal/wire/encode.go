@@ -16,6 +16,7 @@ import (
 	"repro/internal/item"
 	"repro/internal/keyspace"
 	"repro/internal/msg"
+	"repro/internal/netemu"
 	"repro/internal/vclock"
 )
 
@@ -45,49 +46,12 @@ const (
 	tagSlotHandoff
 )
 
+// appendPayload appends env's payload: each case writes its message's tag
+// and the source header, then the fields.
 func appendPayload(b []byte, env Envelope) ([]byte, error) {
-	var tag byte
-	switch env.Msg.(type) {
-	case msg.ReplicateBatch:
-		tag = tagReplicateBatch
-	case msg.Heartbeat:
-		tag = tagHeartbeat
-	case *msg.SliceReq:
-		tag = tagSliceReq
-	case *msg.SliceResp:
-		tag = tagSliceResp
-	case msg.VVExchange:
-		tag = tagVVExchange
-	case msg.GCExchange:
-		tag = tagGCExchange
-	case msg.CatchUpRequest:
-		tag = tagCatchUpRequest
-	case msg.CatchUpReply:
-		tag = tagCatchUpReply
-	case msg.CatchUpAck:
-		tag = tagCatchUpAck
-	case msg.JoinRequest:
-		tag = tagJoinRequest
-	case msg.MembershipUpdate:
-		tag = tagMembershipUpdate
-	case msg.LeaveNotice:
-		tag = tagLeaveNotice
-	case msg.EvictProposal:
-		tag = tagEvictProposal
-	case msg.EvictAck:
-		tag = tagEvictAck
-	case msg.SlotMapUpdate:
-		tag = tagSlotMapUpdate
-	case msg.SlotHandoff:
-		tag = tagSlotHandoff
-	default:
-		return b, fmt.Errorf("wire: encode: unsupported message type %T", env.Msg)
-	}
-	b = append(b, tag)
-	b = appendUint(b, uint64(env.Src.DC))
-	b = appendUint(b, uint64(env.Src.Partition))
 	switch m := env.Msg.(type) {
 	case msg.ReplicateBatch:
+		b = appendHeader(b, tagReplicateBatch, env.Src)
 		// HBTime leads the payload: it is the delta base for the version
 		// timestamps that follow. A format byte picks between the compact
 		// zigzag-delta layout (the default — HLC timestamps inside one
@@ -96,132 +60,110 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		// represent (see canDeltaBatch).
 		b = appendUint(b, uint64(m.HBTime))
 		if canDeltaBatch(m) {
-			b = append(b, batchDelta)
 			base := uint64(m.HBTime)
-			if m.Versions == nil {
-				b = appendUint(b, 0)
-			} else {
-				b = appendUint(b, uint64(len(m.Versions))+1)
-				for _, v := range m.Versions {
-					b = appendVersionDelta(b, v, base)
-				}
-			}
+			b = append(b, batchDelta)
+			b = appendList(b, m.Versions, func(b []byte, v *item.Version) []byte {
+				return appendVersionDelta(b, v, base)
+			})
 		} else {
 			b = append(b, batchAbsolute)
-			if m.Versions == nil {
-				b = appendUint(b, 0)
-			} else {
-				b = appendUint(b, uint64(len(m.Versions))+1)
-				for _, v := range m.Versions {
-					b = appendVersion(b, v)
-				}
-			}
+			b = appendList(b, m.Versions, AppendVersion)
 		}
 		b = appendUint(b, m.Epoch)
 		b = appendUint(b, m.Seq)
 		b = appendUint(b, uint64(m.Floor))
 		b = appendUint(b, m.SlotEpoch)
 	case msg.Heartbeat:
+		b = appendHeader(b, tagHeartbeat, env.Src)
 		b = appendUint(b, uint64(m.Time))
 		b = appendUint(b, m.Epoch)
 		b = appendUint(b, m.Seq)
 		b = appendUint(b, uint64(m.Floor))
 	case *msg.SliceReq:
+		b = appendHeader(b, tagSliceReq, env.Src)
 		b = appendUint(b, m.TxID)
 		b = appendUint(b, uint64(m.Coordinator.DC))
 		b = appendUint(b, uint64(m.Coordinator.Partition))
-		if m.Keys == nil {
-			b = appendUint(b, 0)
-		} else {
-			b = appendUint(b, uint64(len(m.Keys))+1)
-			for _, k := range m.Keys {
-				b = appendString(b, k)
-			}
-		}
+		b = appendList(b, m.Keys, appendString)
 		b = appendVC(b, m.TV)
 	case *msg.SliceResp:
+		b = appendHeader(b, tagSliceResp, env.Src)
 		b = appendUint(b, m.TxID)
-		if m.Items == nil {
-			b = appendUint(b, 0)
-		} else {
-			b = appendUint(b, uint64(len(m.Items))+1)
-			for i := range m.Items {
-				b = appendItemReply(b, &m.Items[i])
-			}
-		}
+		b = appendList(b, m.Items, appendItemReply)
 		b = appendString(b, m.Err)
 	case msg.VVExchange:
+		b = appendHeader(b, tagVVExchange, env.Src)
 		b = appendUint(b, uint64(m.Partition))
 		b = appendVC(b, m.VV)
 		b = appendUint(b, uint64(m.Watermark))
 	case msg.GCExchange:
+		b = appendHeader(b, tagGCExchange, env.Src)
 		b = appendUint(b, uint64(m.Partition))
 		b = appendVC(b, m.TV)
 	case msg.CatchUpRequest:
+		b = appendHeader(b, tagCatchUpRequest, env.Src)
 		b = appendUint(b, m.ReqID)
 		b = appendUint(b, uint64(m.From))
 		b = appendVC(b, m.Have)
 	case msg.CatchUpReply:
+		b = appendHeader(b, tagCatchUpReply, env.Src)
 		b = appendUint(b, m.ReqID)
 		b = appendUint(b, m.Chunk)
-		if m.Versions == nil {
-			b = appendUint(b, 0)
-		} else {
-			b = appendUint(b, uint64(len(m.Versions))+1)
-			for _, v := range m.Versions {
-				b = appendVersion(b, v)
-			}
-		}
+		b = appendList(b, m.Versions, AppendVersion)
 		b = appendBool(b, m.Done)
 		b = appendBool(b, m.Unsupported)
 		b = appendUint(b, m.ResumeEpoch)
 		b = appendUint(b, m.ResumeSeq)
 		b = appendUint(b, uint64(m.Through))
 		b = appendBool(b, m.FullResync)
-		if m.Departed == nil {
-			b = appendUint(b, 0)
-		} else {
-			b = appendUint(b, uint64(len(m.Departed))+1)
-			for _, c := range m.Departed {
-				b = appendUint(b, uint64(c.DC))
-				b = appendUint(b, uint64(c.Through))
-			}
-		}
+		b = appendList(b, m.Departed, func(b []byte, c msg.DepartedClaim) []byte {
+			return appendUint(appendUint(b, uint64(c.DC)), uint64(c.Through))
+		})
 		b = appendUint(b, m.SlotEpoch)
 		b = appendVC(b, m.Progress)
 	case msg.CatchUpAck:
+		b = appendHeader(b, tagCatchUpAck, env.Src)
 		b = appendUint(b, m.ReqID)
 		b = appendUint(b, m.Chunk)
 	case msg.JoinRequest:
+		b = appendHeader(b, tagJoinRequest, env.Src)
 		b = appendUint(b, uint64(m.DC))
 		b = appendMembership(b, m.View)
 	case msg.MembershipUpdate:
+		b = appendHeader(b, tagMembershipUpdate, env.Src)
 		b = appendMembership(b, m.View)
 	case msg.LeaveNotice:
+		b = appendHeader(b, tagLeaveNotice, env.Src)
 		b = appendUint(b, uint64(m.DC))
 		b = appendUint(b, uint64(m.Final))
 		b = appendMembership(b, m.View)
 	case msg.EvictProposal:
+		b = appendHeader(b, tagEvictProposal, env.Src)
 		b = appendUint(b, uint64(m.DC))
 		b = appendUint(b, m.ReqID)
 		b = appendMembership(b, m.View)
 	case msg.EvictAck:
+		b = appendHeader(b, tagEvictAck, env.Src)
 		b = appendUint(b, uint64(m.DC))
 		b = appendUint(b, m.ReqID)
 		b = appendUint(b, uint64(m.Entry))
 	case msg.SlotMapUpdate:
+		b = appendHeader(b, tagSlotMapUpdate, env.Src)
 		b = appendSlotMap(b, m.Map)
 	case msg.SlotHandoff:
-		if m.Versions == nil {
-			b = appendUint(b, 0)
-		} else {
-			b = appendUint(b, uint64(len(m.Versions))+1)
-			for _, v := range m.Versions {
-				b = appendVersion(b, v)
-			}
-		}
+		b = appendHeader(b, tagSlotHandoff, env.Src)
+		b = appendList(b, m.Versions, AppendVersion)
+	default:
+		return b, fmt.Errorf("wire: encode: unsupported message type %T", env.Msg)
 	}
 	return b, nil
+}
+
+// appendHeader appends a payload's leading tag and source node.
+func appendHeader(b []byte, tag byte, src netemu.NodeID) []byte {
+	b = append(b, tag)
+	b = appendUint(b, uint64(src.DC))
+	return appendUint(b, uint64(src.Partition))
 }
 
 // appendSlotMap encodes an epoch-stamped slot table: presence byte, epoch,
@@ -255,30 +197,44 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendBytes encodes a byte slice with a nil-preserving length marker.
-func appendBytes(b, p []byte) []byte {
-	if p == nil {
-		return appendUint(b, 0)
+// appendMarker appends a nil-preserving length marker: 0 for nil, n+1 for
+// n elements.
+func appendMarker(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
 	}
-	b = appendUint(b, uint64(len(p))+1)
-	return append(b, p...)
+	return appendUint(b, uint64(n)+1)
 }
 
-// appendVC encodes a vector clock with a nil-preserving length marker and
-// varint entries (small timestamps — the common case after the per-process
-// epoch anchoring — take few bytes).
-func appendVC(b []byte, v vclock.VC) []byte {
-	if v == nil {
-		return appendUint(b, 0)
-	}
-	b = appendUint(b, uint64(len(v))+1)
-	for _, t := range v {
-		b = appendUint(b, uint64(t))
+// appendBytes encodes a byte slice behind a nil-preserving length marker.
+func appendBytes(b, p []byte) []byte {
+	return append(appendMarker(b, len(p), p == nil), p...)
+}
+
+// appendList encodes a list behind a nil-preserving length marker, then
+// each element — the encode twin of list.
+func appendList[T any](b []byte, l []T, elem func([]byte, T) []byte) []byte {
+	b = appendMarker(b, len(l), l == nil)
+	for _, x := range l {
+		b = elem(b, x)
 	}
 	return b
 }
 
-func appendVersion(b []byte, v *item.Version) []byte {
+// appendVC encodes a vector clock as a list of varint entries (small
+// timestamps — the common case after the per-process epoch anchoring — take
+// few bytes).
+func appendVC(b []byte, v vclock.VC) []byte {
+	return appendList(b, v, appendTimestamp)
+}
+
+func appendTimestamp(b []byte, t vclock.Timestamp) []byte { return appendUint(b, uint64(t)) }
+
+// AppendVersion appends the codec's encoding of a version record to b — the
+// same bytes an absolute-layout version list carries per version. The
+// write-ahead log (internal/wal) reuses it for its durable version records,
+// so a WAL record and a shipped catch-up version agree byte for byte.
+func AppendVersion(b []byte, v *item.Version) []byte {
 	if v == nil {
 		return append(b, 0)
 	}
@@ -340,27 +296,15 @@ func appendVersionDelta(b []byte, v *item.Version, base uint64) []byte {
 	b = appendBytes(b, v.Value)
 	b = appendUint(b, uint64(v.SrcReplica))
 	b = appendUint(b, zigzag(uint64(v.UpdateTime)-base))
-	if v.Deps == nil {
-		b = appendUint(b, 0)
-	} else {
-		b = appendUint(b, uint64(len(v.Deps))+1)
-		for _, t := range v.Deps {
-			if t == 0 {
-				b = appendUint(b, 0)
-			} else {
-				b = appendUint(b, zigzag(uint64(t)-base)+1)
-			}
+	b = appendList(b, v.Deps, func(b []byte, t vclock.Timestamp) []byte {
+		if t == 0 {
+			return appendUint(b, 0)
 		}
-	}
+		return appendUint(b, zigzag(uint64(t)-base)+1)
+	})
 	b = appendBool(b, v.Optimistic)
 	return b
 }
-
-// AppendVersion appends the codec's encoding of a version record to b — the
-// same bytes an absolute-layout version list carries per version. The
-// write-ahead log (internal/wal) reuses it for its durable version records,
-// so a WAL record and a shipped catch-up version agree byte for byte.
-func AppendVersion(b []byte, v *item.Version) []byte { return appendVersion(b, v) }
 
 // MaxVersionSize bounds len(AppendVersion(nil, v)) from above without
 // encoding: the marker and flag bytes, the key and value, and a longest
@@ -394,7 +338,7 @@ func appendMembership(b []byte, m msg.Membership) []byte {
 	return appendVC(b, m.Final)
 }
 
-func appendItemReply(b []byte, r *msg.ItemReply) []byte {
+func appendItemReply(b []byte, r msg.ItemReply) []byte {
 	b = appendString(b, r.Key)
 	b = appendBool(b, r.Exists)
 	b = appendBytes(b, r.Value)

@@ -1,10 +1,17 @@
-// Stream framing: both streams — replication envelopes between servers and
-// front-door requests and responses — are sequences of frames. Each
-// envelope is framed as
+// Stream framing, the one frame layer both streams share: replication
+// envelopes between servers (BinaryEncoder, BinaryDecoder) and front-door
+// requests and responses (AppendFrontDoorRequest/Response,
+// ReadFrontDoorFrame). Every frame is
 //
 //	uvarint(payload length) || payload
 //
-// The encoder reuses two scratch buffers across calls, so a steady-state
+// A frame is appended in place: openFrame reserves room for the prefix, the
+// payload is appended behind it, and closeFrame writes the prefix and moves
+// the payload down against it. Each stream bounds its payloads — maxFrame,
+// MaxFrontDoorFrame — on both sides: a payload over the limit is never
+// written, and a prefix over it is never read past.
+//
+// The encoder reuses one scratch buffer across calls, so a steady-state
 // Encode performs zero allocations and exactly one Write (one frame). The
 // decoder reuses its frame buffer.
 package wire
@@ -16,15 +23,62 @@ import (
 	"io"
 )
 
-// maxFrame bounds a frame's payload so a corrupted length prefix cannot ask
-// the decoder to allocate gigabytes.
+// maxFrame bounds a replication frame's payload so a corrupted length prefix
+// cannot ask the decoder to allocate gigabytes.
 const maxFrame = 1 << 28
+
+// framePrefix is the room openFrame reserves: the longest uvarint of a
+// payload length either stream allows (maxFrame takes five bytes).
+const framePrefix = 5
+
+// openFrame reserves the length prefix of a frame about to be appended to b
+// and returns where the frame starts.
+func openFrame(b []byte) ([]byte, int) {
+	return append(b, 0, 0, 0, 0, 0), len(b)
+}
+
+// closeFrame writes the length prefix of the frame opened at base and moves
+// the payload down against it. A payload over limit is cut off instead,
+// leaving b as it was before openFrame, and ok is false.
+func closeFrame(b []byte, base, limit int) (_ []byte, ok bool) {
+	n := len(b) - base - framePrefix
+	if n > limit {
+		return b[:base], false
+	}
+	p := binary.PutUvarint(b[base:base+framePrefix], uint64(n))
+	copy(b[base+p:], b[base+framePrefix:])
+	return b[:base+p+n], true
+}
+
+// readFrame reads one frame's payload into buf, or into a new buffer when
+// buf is too small, refusing a length over limit; stream names the stream in
+// its errors. It returns io.EOF unwrapped at a clean stream end so read loops
+// can terminate.
+func readFrame(r *bufio.Reader, buf []byte, limit uint64, stream string) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wire: %s: %w", stream, err)
+	}
+	if n > limit {
+		return nil, fmt.Errorf("wire: %s: frame of %d bytes exceeds the %d-byte limit", stream, n, limit)
+	}
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	frame := buf[:n]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, fmt.Errorf("wire: %s: truncated frame: %w", stream, err)
+	}
+	return frame, nil
+}
 
 // BinaryEncoder writes binary-encoded envelopes to a stream.
 type BinaryEncoder struct {
 	w   io.Writer
-	pay []byte // payload scratch, reused across Encode calls
-	out []byte // frame scratch (length prefix + payload)
+	buf []byte // frame scratch, reused across Encode calls
 }
 
 // NewBinaryEncoder wraps w.
@@ -32,16 +86,20 @@ func NewBinaryEncoder(w io.Writer) *BinaryEncoder {
 	return &BinaryEncoder{w: w}
 }
 
-// Encode writes one envelope as a single frame (one Write call).
+// Encode writes one envelope as a single frame (one Write call). An envelope
+// whose payload would exceed maxFrame is an error, and nothing is written.
 func (e *BinaryEncoder) Encode(env Envelope) error {
-	pay, err := appendPayload(e.pay[:0], env)
+	b, base := openFrame(e.buf[:0])
+	b, err := appendPayload(b, env)
 	if err != nil {
 		return err
 	}
-	e.pay = pay
-	e.out = binary.AppendUvarint(e.out[:0], uint64(len(pay)))
-	e.out = append(e.out, pay...)
-	if _, err := e.w.Write(e.out); err != nil {
+	b, ok := closeFrame(b, base, maxFrame)
+	e.buf = b
+	if !ok {
+		return fmt.Errorf("wire: encode: %T exceeds the %d-byte frame limit", env.Msg, maxFrame)
+	}
+	if _, err := e.w.Write(b); err != nil {
 		return fmt.Errorf("wire: encode: %w", err)
 	}
 	return nil
@@ -65,25 +123,12 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 // Decode reads one envelope. It returns io.EOF unwrapped at a clean stream
 // end so callers can end their read loops.
 func (d *BinaryDecoder) Decode() (Envelope, error) {
-	var env Envelope
-	n, err := binary.ReadUvarint(d.r)
+	frame, err := readFrame(d.r, d.buf, maxFrame, "decode")
 	if err != nil {
-		if err == io.EOF {
-			return env, io.EOF
-		}
-		return env, fmt.Errorf("wire: decode: %w", err)
+		return Envelope{}, err
 	}
-	if n > maxFrame {
-		return env, fmt.Errorf("wire: decode: frame of %d bytes exceeds limit", n)
-	}
-	if uint64(cap(d.buf)) < n {
-		d.buf = make([]byte, n)
-	}
-	frame := d.buf[:n]
-	if _, err := io.ReadFull(d.r, frame); err != nil {
-		return env, fmt.Errorf("wire: decode: truncated frame: %w", err)
-	}
-	env, err = parsePayload(frame)
+	d.buf = frame
+	env, err := parsePayload(frame)
 	if err != nil {
 		return env, fmt.Errorf("wire: decode: %w", err)
 	}

@@ -1,11 +1,8 @@
 // The front-door protocol: the framed binary request/response format the
 // kvserver serving path speaks to external clients (internal/client's
-// connection pool, cmd/pocccli). It reuses the binary codec's framing and
-// primitive encodings — every frame is
-//
-//	uvarint(payload length) || payload
-//
-// — but carries client operations instead of replication-plane messages.
+// connection pool, cmd/pocccli). It shares the replication stream's frames
+// (frame.go) and primitive encodings, but carries client operations instead
+// of replication-plane messages.
 //
 // A request payload is
 //
@@ -31,9 +28,7 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"unsafe"
 )
 
@@ -42,9 +37,10 @@ import (
 // selects the protocol.
 const FrontDoorMagic = 0xB1
 
-// MaxFrontDoorFrame bounds a front-door frame so a corrupted length prefix
-// cannot ask either side to allocate gigabytes. 16 MiB comfortably fits the
-// largest legal request (a PUT value) and response (a wide RO-TX).
+// MaxFrontDoorFrame bounds a front-door frame's payload so a corrupted length
+// prefix cannot ask either side to allocate gigabytes. 16 MiB comfortably
+// fits the largest legal request (a PUT value) and response (a wide RO-TX);
+// a frame that would exceed it is not encoded at all.
 const MaxFrontDoorFrame = 1 << 24
 
 // Front-door request ops.
@@ -139,12 +135,11 @@ type FrontDoorResponse struct {
 // included) to dst and returns the extended slice. Appending to a reused
 // buffer makes the steady-state encode path allocation-free, and many
 // frames appended to one buffer reach the socket in a single write — the
-// client-side pipelining primitive.
+// client-side pipelining primitive. A request whose payload would exceed
+// MaxFrontDoorFrame appends nothing: dst comes back as it was, and the
+// caller fails that request alone.
 func AppendFrontDoorRequest(dst []byte, r *FrontDoorRequest) []byte {
-	base := len(dst)
-	// Reserve a maximal length prefix, encode the payload after it, then
-	// fix the prefix up. 4 bytes of uvarint cover frames up to 256 MiB.
-	dst = append(dst, 0, 0, 0, 0)
+	dst, base := openFrame(dst)
 	dst = append(dst, r.Op)
 	dst = appendUint(dst, r.ID)
 	dst = appendUint(dst, r.Session)
@@ -155,25 +150,20 @@ func AppendFrontDoorRequest(dst []byte, r *FrontDoorRequest) []byte {
 	case FDGet:
 		dst = appendString(dst, r.Key)
 	case FDROTx:
-		if r.Keys == nil {
-			dst = appendUint(dst, 0)
-		} else {
-			dst = appendUint(dst, uint64(len(r.Keys))+1)
-			for _, k := range r.Keys {
-				dst = appendString(dst, k)
-			}
-		}
+		dst = appendList(dst, r.Keys, appendString)
 	case FDAdmin:
 		dst = appendString(dst, r.Line)
 	}
-	return fixupFramePrefix(dst, base)
+	dst, _ = closeFrame(dst, base, MaxFrontDoorFrame)
+	return dst
 }
 
 // AppendFrontDoorResponse appends one complete response frame (length
 // prefix included) to dst — the server-side twin of AppendFrontDoorRequest.
+// A response whose payload would exceed MaxFrontDoorFrame is answered with
+// an FDErr frame that names the limit instead.
 func AppendFrontDoorResponse(dst []byte, r *FrontDoorResponse) []byte {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
+	dst, base := openFrame(dst)
 	dst = append(dst, r.Kind)
 	dst = appendUint(dst, r.ID)
 	switch r.Kind {
@@ -184,59 +174,27 @@ func AppendFrontDoorResponse(dst []byte, r *FrontDoorResponse) []byte {
 		dst = appendBool(dst, r.Exists)
 		dst = appendBytes(dst, r.Value)
 	case FDTx:
-		if r.Items == nil {
-			dst = appendUint(dst, 0)
-		} else {
-			dst = appendUint(dst, uint64(len(r.Items))+1)
-			for i := range r.Items {
-				dst = appendString(dst, r.Items[i].Key)
-				dst = appendBool(dst, r.Items[i].Exists)
-				dst = appendBytes(dst, r.Items[i].Value)
-			}
-		}
+		dst = appendList(dst, r.Items, func(b []byte, it FrontDoorTxItem) []byte {
+			b = appendString(b, it.Key)
+			b = appendBool(b, it.Exists)
+			return appendBytes(b, it.Value)
+		})
 	case FDText:
 		dst = appendString(dst, r.Text)
 	}
-	return fixupFramePrefix(dst, base)
-}
-
-// fixupFramePrefix rewrites the 4-byte length reservation at base with the
-// real uvarint length of the payload that follows it, shifting the payload
-// down when the prefix is shorter than the reservation.
-func fixupFramePrefix(dst []byte, base int) []byte {
-	payLen := len(dst) - base - 4
-	var pfx [4]byte
-	n := binary.PutUvarint(pfx[:], uint64(payLen))
-	copy(dst[base:], pfx[:n])
-	if n < 4 {
-		copy(dst[base+n:], dst[base+4:])
-		dst = dst[:base+n+payLen]
+	dst, ok := closeFrame(dst, base, MaxFrontDoorFrame)
+	if !ok {
+		return AppendFrontDoorResponse(dst, &FrontDoorResponse{Kind: FDErr, ID: r.ID,
+			Text: fmt.Sprintf("wire: front door: response exceeds the %d-byte frame limit", MaxFrontDoorFrame)})
 	}
 	return dst
 }
 
-// ReadFrontDoorFrame reads one length-prefixed frame payload, reusing buf
-// when it is large enough. It returns io.EOF unwrapped at a clean stream
-// end so read loops can terminate.
+// ReadFrontDoorFrame reads one frame payload, reusing buf when it is large
+// enough. It returns io.EOF unwrapped at a clean stream end so read loops can
+// terminate.
 func ReadFrontDoorFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: front door: %w", err)
-	}
-	if n > MaxFrontDoorFrame {
-		return nil, fmt.Errorf("wire: front door: frame of %d bytes exceeds limit", n)
-	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	frame := buf[:n]
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, fmt.Errorf("wire: front door: truncated frame: %w", err)
-	}
-	return frame, nil
+	return readFrame(r, buf, MaxFrontDoorFrame, "front door")
 }
 
 // DecodeFrontDoorRequest parses one request payload (the frame body, length
@@ -329,16 +287,4 @@ func DecodeFrontDoorResponse(frame []byte) (FrontDoorResponse, error) {
 		}
 	}
 	return r, f.finish()
-}
-
-// finish returns the first recorded error, or a trailing-bytes error when
-// the frame was not fully consumed: every decode in this package is strict.
-func (f *frameReader) finish() error {
-	if f.err != nil {
-		return f.err
-	}
-	if f.pos != len(f.b) {
-		return fmt.Errorf("wire: %d trailing bytes in frame", len(f.b)-f.pos)
-	}
-	return nil
 }

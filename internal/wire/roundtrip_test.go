@@ -431,7 +431,7 @@ func TestBinaryRejectsReservedTag(t *testing.T) {
 func reservedTagFrames() map[byte][]byte {
 	view := msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 456}}
 	return map[byte][]byte{
-		1:  frameOf(appendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})), // Replicate{Version}
+		1:  frameOf(AppendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})), // Replicate{Version}
 		12: retiredJoinAccept(view, 77),
 		17: retiredEvictNotice(1, 456, view),
 	}
