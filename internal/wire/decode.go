@@ -7,6 +7,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -95,11 +96,11 @@ func (f *frameReader) string() string {
 }
 
 func (f *frameReader) bytes() []byte {
-	marker := f.uint()
-	if marker == 0 || f.err != nil {
+	n, present := f.listLen(1)
+	if !present {
 		return nil
 	}
-	raw := f.take(marker - 1)
+	raw := f.take(uint64(n))
 	if f.err != nil {
 		return nil
 	}
@@ -123,15 +124,16 @@ func (f *frameReader) finish() error {
 	return nil
 }
 
-// vcLen reads a vector's nil-preserving length marker: the entry count and
-// whether there is a vector at all. Each entry takes at least one byte, so a
-// count the unread bytes cannot hold fails before anything is sized from it.
-func (f *frameReader) vcLen() (n int, present bool) {
+// listLen reads a list's nil-preserving length marker: the element count
+// and whether there is a list at all. Each element takes minBytes at least,
+// so a count the unread bytes cannot hold fails before anything is sized
+// from it.
+func (f *frameReader) listLen(minBytes uint64) (n int, present bool) {
 	marker := f.uint()
 	if marker == 0 || f.err != nil {
 		return 0, false
 	}
-	if uint64(len(f.b)-f.pos) < marker-1 {
+	if uint64(len(f.b)-f.pos)/minBytes < marker-1 {
 		f.fail()
 		return 0, false
 	}
@@ -139,21 +141,14 @@ func (f *frameReader) vcLen() (n int, present bool) {
 }
 
 // list decodes a nil-preserving list into buf's storage (a pooled message's,
-// or none). Each element takes minBytes at least, so a count the unread bytes
-// cannot encode fails before buf is sized from it; an empty list gets room
-// for one, to stay distinct from nil.
+// or none); an empty list gets room for one, to stay distinct from nil.
 func list[T any](f *frameReader, buf []T, minBytes uint64, elem func() T) []T {
-	marker := f.uint()
-	if marker == 0 || f.err != nil {
+	n, present := f.listLen(minBytes)
+	if !present {
 		return nil
 	}
-	n := marker - 1
-	if uint64(len(f.b)-f.pos)/minBytes < n {
-		f.fail()
-		return nil
-	}
-	buf = slices.Grow(buf[:0], max(int(n), 1))
-	for i := uint64(0); i < n && f.err == nil; i++ {
+	buf = slices.Grow(buf[:0], max(n, 1))
+	for i := 0; i < n && f.err == nil; i++ {
 		buf = append(buf, elem())
 	}
 	return buf
@@ -164,7 +159,7 @@ func (f *frameReader) vc() vclock.VC { return f.vcInto(nil) }
 // vcInto decodes a vector into dst's storage, allocating only when dst is nil
 // or too short.
 func (f *frameReader) vcInto(dst vclock.VC) vclock.VC {
-	n, present := f.vcLen()
+	n, present := f.listLen(1)
 	if !present {
 		return nil
 	}
@@ -194,7 +189,7 @@ func (f *frameReader) version(delta bool, base uint64) *item.Version {
 	if delta {
 		ut = base + unzigzag(ut)
 	}
-	n, present := f.vcLen()
+	n, present := f.listLen(1)
 	if f.err != nil {
 		return nil
 	}
@@ -233,24 +228,17 @@ const minVersionBytes = 7
 // decoded version must keep nothing of it past the version itself (storage's
 // chain map follows that rule for the key, see storage.Mem).
 func (f *frameReader) versions(delta bool, base uint64) []*item.Version {
-	marker := f.uint()
-	if marker == 0 || f.err != nil {
-		return nil
-	}
-	n := marker - 1
-	rest := uint64(len(f.b) - f.pos)
-	if rest < n { // a nil version takes one byte
-		f.fail()
+	n, present := f.listLen(1) // a nil version takes one byte
+	if !present {
 		return nil
 	}
 	out := make([]*item.Version, 0, n)
 	if n == 0 {
 		return out
 	}
-	own := make([]byte, rest)
-	copy(own, f.b[f.pos:])
+	own := bytes.Clone(f.b[f.pos:])
 	f.b, f.pos, f.owned = own, 0, true
-	for f.left = int(n); f.left > 0 && f.err == nil; f.left-- {
+	for f.left = n; f.left > 0 && f.err == nil; f.left-- {
 		out = append(out, f.version(delta, base))
 	}
 	f.owned = false
