@@ -1,5 +1,5 @@
-// Microbenchmarks of the individual operations and of remote visibility:
-// the rows `make bench` publishes as BENCH_<date>.json. The paper's figures
+// Microbenchmarks of the individual operations and of remote visibility;
+// `go test -run '^$' -bench . .` runs them. The paper's figures
 // are not benchmarks here: cmd/poccbench prints them from
 // harness.Experiments, and the gated end-to-end numbers (getput_inproc is the
 // contention row: 24 zero-think clients on zipf-0.99 keys) live in bench/.

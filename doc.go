@@ -306,7 +306,10 @@
 //
 // Binary connections carry a stream of length-prefixed request frames,
 // each tagged with a request id and a client-chosen wire-session id, over
-// the same zero-allocation codec the replication plane uses. Three rules
+// the same zero-allocation codec and frame layer the replication plane uses.
+// A request or reply too large for one frame (wire.MaxFrontDoorFrame) fails
+// alone: the pool never sends the request, the server answers the reply
+// with FDErr, and the connection carries on. Three rules
 // shape the server: requests of one wire session execute in FIFO order (a
 // session is a single thread of execution in the causality order); requests
 // of different sessions complete out of order, so an optimistic GET parked
