@@ -40,7 +40,8 @@ const FrontDoorMagic = 0xB1
 // MaxFrontDoorFrame bounds a front-door frame's payload so a corrupted length
 // prefix cannot ask either side to allocate gigabytes. 16 MiB comfortably
 // fits the largest legal request (a PUT value) and response (a wide RO-TX);
-// a frame that would exceed it is not encoded at all.
+// a frame that would exceed it is never sent (see AppendFrontDoorRequest
+// and AppendFrontDoorResponse).
 const MaxFrontDoorFrame = 1 << 24
 
 // Front-door request ops.
