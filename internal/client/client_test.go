@@ -297,7 +297,15 @@ func TestSessionROTxAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := cluster.NewTestCluster(t, cluster.Topology{DCs: 1, Partitions: 4}, cluster.WithHeartbeat(time.Hour))
+	c, err := cluster.New(cluster.Config{
+		NumDCs: 1, NumPartitions: 4, Engine: cluster.POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
 	tbl := keyspace.Build(4, 1)
 	c.SeedTable(tbl)
 	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}

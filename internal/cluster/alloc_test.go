@@ -28,7 +28,11 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 4}, WithHeartbeat(time.Hour))
+	c := newCluster(t, Config{
+		NumDCs: 1, NumPartitions: 4, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
 	tbl := keyspace.Build(4, 1)
 	c.SeedTable(tbl)
 	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}
@@ -58,7 +62,11 @@ func TestSeedAllocs(t *testing.T) {
 	}
 	value := []byte("00000000")
 	perKey := func(dcs int) float64 {
-		c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 1}, WithHeartbeat(time.Hour))
+		c := newCluster(t, Config{
+			NumDCs: dcs, NumPartitions: 1, Engine: POCC,
+			HeartbeatInterval: time.Hour,
+			Seed:              1,
+		})
 		keys := keyspace.Build(1, 4096).AllKeys(0)
 		i := 0
 		return testing.AllocsPerRun(len(keys)-1, func() {
@@ -81,7 +89,11 @@ func TestSeedAllocs(t *testing.T) {
 // too: a seeded version that is still referenced keeps its slab reachable,
 // neighbours included.
 func TestSeedRetention(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 1}, WithHeartbeat(time.Hour))
+	c := newCluster(t, Config{
+		NumDCs: 1, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
 	keys := keyspace.Build(1, 4096).AllKeys(0)
 	for _, k := range keys {
 		c.Seed(k, []byte("00000000"))

@@ -257,8 +257,12 @@ func TestCatchUpCountersExposed(t *testing.T) {
 // names a node that exists or fails — a coordinate outside the matrix and a
 // slot nothing ever came up in are errors, not panics.
 func TestDropInboundReplicationValidates(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2, MaxDCs: 5},
-		WithHeartbeat(time.Millisecond), WithDataDir(t.TempDir()))
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxDCs: 5, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		DataDir:           t.TempDir(),
+		Seed:              1,
+	})
 	for _, at := range [][2]int{{5, 0}, {-1, 0}, {0, 2}, {0, -1}, {3, 0}} {
 		if err := c.DropInboundReplication(at[0], at[1], true); err == nil {
 			t.Errorf("DropInboundReplication(%d, %d) succeeded, want \"no server\"", at[0], at[1])

@@ -100,8 +100,11 @@ func TestParseEngine(t *testing.T) {
 }
 
 func TestPutIsReplicatedAcrossDCs(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2},
-		WithLatency(UniformLatency(100*time.Microsecond, 2*time.Millisecond), 0))
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, Engine: POCC,
+		Latency: UniformLatency(100*time.Microsecond, 2*time.Millisecond),
+		Seed:    1,
+	})
 	s0, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +129,11 @@ func TestPutIsReplicatedAcrossDCs(t *testing.T) {
 func TestReadYourWrites(t *testing.T) {
 	for _, engine := range []Engine{POCC, Cure, HAPOCC} {
 		t.Run(engine.String(), func(t *testing.T) {
-			c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-				WithEngine(engine),
-				WithLatency(UniformLatency(100*time.Microsecond, 5*time.Millisecond), 0),
-				WithSeed(2))
+			c := newCluster(t, Config{
+				NumDCs: 2, NumPartitions: 2, Engine: engine,
+				Latency: UniformLatency(100*time.Microsecond, 5*time.Millisecond),
+				Seed:    2,
+			})
 			s, err := c.NewSession(0)
 			if err != nil {
 				t.Fatal(err)
@@ -152,9 +156,11 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 func TestSessionDependencyVectors(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-		WithLatency(UniformLatency(50*time.Microsecond, time.Millisecond), 0),
-		WithSeed(3))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, time.Millisecond),
+		Seed:    3,
+	})
 	s, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +198,12 @@ func TestSessionDependencyVectors(t *testing.T) {
 // the stale version until stabilization catches up.
 func TestOptimisticFreshnessVsPessimisticStaleness(t *testing.T) {
 	build := func(engine Engine) (*Cluster, string, string) {
-		c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-			WithEngine(engine),
-			WithHeartbeat(time.Millisecond),
-			WithLatency(UniformLatency(50*time.Microsecond, time.Millisecond), 0),
-			WithSeed(4))
+		c := newCluster(t, Config{
+			NumDCs: 2, NumPartitions: 2, Engine: engine,
+			HeartbeatInterval: time.Millisecond,
+			Latency:           UniformLatency(50*time.Microsecond, time.Millisecond),
+			Seed:              4,
+		})
 		keyDep := keyInPartition(t, 2, 0) // dependency lives in partition 0
 		keyTop := keyInPartition(t, 2, 1) // dependent item in partition 1
 		c.Seed(keyDep, []byte("dep-old"))
@@ -272,10 +279,12 @@ func TestOptimisticFreshnessVsPessimisticStaleness(t *testing.T) {
 // X whose replication is stuck — the GET must block until the partition
 // heals, and then return the dependency.
 func TestLazyDependencyResolutionBlocks(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-		WithHeartbeat(time.Millisecond),
-		WithLatency(UniformLatency(50*time.Microsecond, time.Millisecond), 0),
-		WithSeed(5))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, time.Millisecond),
+		Seed:              5,
+	})
 	keyX := keyInPartition(t, 2, 0)
 	keyY := keyInPartition(t, 2, 1)
 	c.Seed(keyX, []byte("x-old"))
@@ -340,11 +349,12 @@ func TestLazyDependencyResolutionBlocks(t *testing.T) {
 func TestROTxAcrossPartitions(t *testing.T) {
 	for _, engine := range []Engine{POCC, Cure} {
 		t.Run(engine.String(), func(t *testing.T) {
-			c := NewTestCluster(t, Topology{DCs: 2, Partitions: 4},
-				WithEngine(engine),
-				WithHeartbeat(time.Millisecond),
-				WithLatency(UniformLatency(50*time.Microsecond, time.Millisecond), 0),
-				WithSeed(6))
+			c := newCluster(t, Config{
+				NumDCs: 2, NumPartitions: 4, Engine: engine,
+				HeartbeatInterval: time.Millisecond,
+				Latency:           UniformLatency(50*time.Microsecond, time.Millisecond),
+				Seed:              6,
+			})
 			tbl := keyspace.Build(4, 2)
 			c.SeedTable(tbl)
 			s, err := c.NewSession(0)
@@ -371,15 +381,14 @@ func TestROTxAcrossPartitions(t *testing.T) {
 }
 
 func TestHAPOCCFallbackAndPromotion(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-		WithEngine(HAPOCC),
-		WithHeartbeat(time.Millisecond),
-		WithLatency(UniformLatency(50*time.Microsecond, time.Millisecond), 0),
-		WithSeed(7),
-		WithConfig(func(cfg *Config) {
-			cfg.StabilizationInterval = 5 * time.Millisecond
-			cfg.BlockTimeout = 50 * time.Millisecond
-		}))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: HAPOCC,
+		HeartbeatInterval:     time.Millisecond,
+		StabilizationInterval: 5 * time.Millisecond,
+		BlockTimeout:          50 * time.Millisecond,
+		Latency:               UniformLatency(50*time.Microsecond, time.Millisecond),
+		Seed:                  7,
+	})
 	keyX := keyInPartition(t, 2, 0)
 	keyY := keyInPartition(t, 2, 1)
 	c.Seed(keyX, []byte("x-old"))
@@ -447,10 +456,13 @@ func TestHAPOCCFallbackAndPromotion(t *testing.T) {
 }
 
 func TestConvergenceAfterQuiescence(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2},
-		WithHeartbeat(time.Millisecond),
-		WithLatency(UniformLatency(50*time.Microsecond, 2*time.Millisecond), 0.3),
-		WithSeed(8))
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
+		JitterFrac:        0.3,
+		Seed:              8,
+	})
 	tbl := keyspace.Build(2, 4)
 	c.SeedTable(tbl)
 	// Concurrent conflicting writers in every DC.
@@ -492,11 +504,12 @@ func TestStabilizationMessageOverhead(t *testing.T) {
 	// idle POCC deployment only heartbeats. With heartbeats disabled by a
 	// huge interval, POCC should be nearly silent.
 	idleMessages := func(engine Engine) uint64 {
-		c := NewTestCluster(t, Topology{DCs: 2, Partitions: 4},
-			WithEngine(engine),
-			WithHeartbeat(time.Hour),
-			WithSeed(9),
-			WithConfig(func(cfg *Config) { cfg.StabilizationInterval = 2 * time.Millisecond }))
+		c := newCluster(t, Config{
+			NumDCs: 2, NumPartitions: 4, Engine: engine,
+			HeartbeatInterval:     time.Hour,
+			StabilizationInterval: 2 * time.Millisecond,
+			Seed:                  9,
+		})
 		time.Sleep(100 * time.Millisecond)
 		return c.Network().MessageCount()
 	}
@@ -511,7 +524,7 @@ func TestStabilizationMessageOverhead(t *testing.T) {
 }
 
 func TestSeedVisibleEverywhere(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2}, WithSeed(10))
+	c := newCluster(t, Config{NumDCs: 3, NumPartitions: 2, Engine: POCC, Seed: 10})
 	c.Seed("s1", []byte("seeded"))
 	for dc := 0; dc < 3; dc++ {
 		reply, err := c.ReadAt(dc, "s1")
@@ -531,7 +544,11 @@ func TestSeedVisibleEverywhere(t *testing.T) {
 // own record, so a restarted server reads it back.
 func TestSeedSharesOneVersion(t *testing.T) {
 	const dcs = 3
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 2}, WithDataDir(t.TempDir()), WithSeed(13))
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: 2, Engine: POCC,
+		DataDir: t.TempDir(),
+		Seed:    13,
+	})
 	value := []byte("seeded")
 	c.Seed("s1", value)
 	c.Seed("s2", value)
@@ -569,7 +586,11 @@ func TestSeedSharesOneVersion(t *testing.T) {
 // get a version, a timestamp and value bytes of their own.
 func TestSeedConcurrent(t *testing.T) {
 	const dcs, loaders, keys = 2, 4, 300
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 2}, WithHeartbeat(time.Hour))
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: 2, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
 	key := func(g, i int) string { return "g" + strconv.Itoa(g) + "-" + strconv.Itoa(i) }
 	var wg sync.WaitGroup
 	for g := range loaders {
@@ -601,7 +622,7 @@ func TestSeedConcurrent(t *testing.T) {
 }
 
 func TestNewSessionBounds(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1}, WithSeed(11))
+	c := newCluster(t, Config{NumDCs: 2, NumPartitions: 1, Engine: POCC, Seed: 11})
 	if _, err := c.NewSession(-1); err == nil {
 		t.Fatal("negative DC must be rejected")
 	}
@@ -611,11 +632,13 @@ func TestNewSessionBounds(t *testing.T) {
 }
 
 func TestGarbageCollectionAcrossCluster(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
-		WithHeartbeat(time.Millisecond),
-		WithGC(5*time.Millisecond),
-		WithLatency(UniformLatency(50*time.Microsecond, 500*time.Microsecond), 0),
-		WithSeed(12))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		GCInterval:        5 * time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, 500*time.Microsecond),
+		Seed:              12,
+	})
 	s, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -650,7 +673,11 @@ func TestGarbageCollectionAcrossCluster(t *testing.T) {
 // timestamp is the sibling's own to say, so under hybrid clocks it satisfies
 // the entry on arrival and the transaction neither hangs nor parks.
 func TestROTxDoesNotWaitForOwnDC(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 1, Partitions: 4}, WithHeartbeat(time.Hour))
+	c := newCluster(t, Config{
+		NumDCs: 1, NumPartitions: 4, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
 	tbl := keyspace.Build(4, 1)
 	c.SeedTable(tbl)
 	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}

@@ -30,12 +30,15 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 		sessions   = 2
 		opsPer     = 120
 	)
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: partitions, MaxDCs: dcs + 1},
-		WithHeartbeat(time.Millisecond),
-		WithGC(20*time.Millisecond),
-		WithLatency(UniformLatency(50*time.Microsecond, 2*time.Millisecond), 0.3),
-		WithDataDir(t.TempDir()),
-		WithSeed(2024))
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: partitions, MaxDCs: dcs + 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		GCInterval:        20 * time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
+		JitterFrac:        0.3,
+		DataDir:           t.TempDir(),
+		Seed:              2024,
+	})
 	tbl := keyspace.Build(partitions, keys)
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()
@@ -184,12 +187,13 @@ func TestMembershipLeave(t *testing.T) {
 		keys       = 8
 		opsPer     = 150
 	)
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: partitions},
-		WithEngine(HAPOCC),
-		WithHeartbeat(time.Millisecond),
-		WithDataDir(t.TempDir()),
-		WithSeed(3030),
-		WithConfig(func(cfg *Config) { cfg.StabilizationInterval = 5 * time.Millisecond }))
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: partitions, Engine: HAPOCC,
+		HeartbeatInterval:     time.Millisecond,
+		StabilizationInterval: 5 * time.Millisecond,
+		DataDir:               t.TempDir(),
+		Seed:                  3030,
+	})
 	tbl := keyspace.Build(partitions, keys)
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()
@@ -331,14 +335,21 @@ func TestMembershipLeave(t *testing.T) {
 // TestMembershipValidation pins the admin-facing error surface: joins need
 // durability and headroom, leaves need a survivor.
 func TestMembershipValidation(t *testing.T) {
-	mem := NewTestCluster(t, Topology{DCs: 2, Partitions: 1, MaxDCs: 3},
-		WithHeartbeat(time.Millisecond))
+	mem := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 1, MaxDCs: 3, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Seed:              1,
+	})
 	if _, err := mem.AddDC(); err == nil {
 		t.Fatal("AddDC on an in-memory cluster must fail (nothing to bootstrap from)")
 	}
 
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1},
-		WithHeartbeat(time.Millisecond), WithDataDir(t.TempDir()), WithSeed(2))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		DataDir:           t.TempDir(),
+		Seed:              2,
+	})
 	if _, err := c.AddDC(); err == nil {
 		t.Fatal("AddDC without MaxDCs headroom must fail")
 	}
@@ -459,11 +470,13 @@ func TestJoinerStabilizationGate(t *testing.T) {
 // endpoints, new nodes learn everyone) and the joiner must bootstrap the
 // pre-join history over actual loopback connections.
 func TestMembershipJoinOverTCP(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2, MaxDCs: 3},
-		WithHeartbeat(time.Millisecond),
-		WithTCP(),
-		WithDataDir(t.TempDir()),
-		WithSeed(5050))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, MaxDCs: 3, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		TCP:               true,
+		DataDir:           t.TempDir(),
+		Seed:              5050,
+	})
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)

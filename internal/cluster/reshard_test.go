@@ -14,8 +14,11 @@ import (
 // TestSplitPartitionBasic splits a quiescent deployment and checks that the
 // moved history survives and routing follows the new layout.
 func TestSplitPartitionBasic(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2, MaxPartitions: 4},
-		WithLatency(UniformLatency(50*time.Microsecond, 500*time.Microsecond), 0))
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxPartitions: 4, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, 500*time.Microsecond),
+		Seed:    1,
+	})
 
 	s, err := c.NewSession(0)
 	if err != nil {
@@ -96,8 +99,11 @@ func TestSplitPartitionBasic(t *testing.T) {
 // out of the donors' WALs) and restarts a new-partition server afterwards
 // to check the inherited history is durable at the new owner.
 func TestSplitPartitionDurable(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2, MaxPartitions: 3},
-		WithDataDir(t.TempDir()))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, MaxPartitions: 3, Engine: POCC,
+		DataDir: t.TempDir(),
+		Seed:    1,
+	})
 
 	s, err := c.NewSession(0)
 	if err != nil {
@@ -142,7 +148,7 @@ func TestSplitPartitionDurable(t *testing.T) {
 // TestMoveSlots moves a slot range between existing partitions and checks
 // history and routing follow.
 func TestMoveSlots(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2})
+	c := newCluster(t, Config{NumDCs: 2, NumPartitions: 2, Engine: POCC, Seed: 1})
 
 	s, err := c.NewSession(0)
 	if err != nil {
@@ -184,8 +190,11 @@ func TestMoveSlots(t *testing.T) {
 // acknowledged write may be lost (each key is written by one session, so
 // the last acknowledged value must be the LWW winner everywhere).
 func TestSplitPartitionUnderLoad(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 3, Partitions: 2, MaxPartitions: 4},
-		WithLatency(UniformLatency(50*time.Microsecond, 300*time.Microsecond), 0))
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxPartitions: 4, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, 300*time.Microsecond),
+		Seed:    1,
+	})
 
 	const writers = 3 // one per DC, disjoint key spaces
 	var wg sync.WaitGroup
@@ -278,7 +287,11 @@ func TestSplitPartitionUnderLoad(t *testing.T) {
 // writes into the hole, reshards, and requires (a) the target's vector not
 // to jump over the hole and (b) the hole to heal once the link is restored.
 func TestMoveSlotsLaggingTargetNoOverclaim(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2}, WithDataDir(t.TempDir()))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: POCC,
+		DataDir: t.TempDir(),
+		Seed:    1,
+	})
 
 	s, err := c.NewSession(0)
 	if err != nil {
@@ -367,7 +380,11 @@ func TestMoveSlotsLaggingTargetNoOverclaim(t *testing.T) {
 // moved-slot writes that are stranded — acknowledged but invisible — once
 // routing flips to the new owner.
 func TestRestartMidReshardBootsFenced(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2}, WithDataDir(t.TempDir()))
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 2, Engine: POCC,
+		DataDir: t.TempDir(),
+		Seed:    1,
+	})
 	cur := c.SlotTable()
 	// Outside any reshard — before the first one, too — a restarted server
 	// boots with the table the cluster routes by.
@@ -402,8 +419,11 @@ func TestRestartMidReshardBootsFenced(t *testing.T) {
 // on one table.
 func TestReshardFromThreePartitions(t *testing.T) {
 	const dcs, keys = 2, 24
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: 3, MaxPartitions: 6},
-		WithLatency(UniformLatency(50*time.Microsecond, 300*time.Microsecond), 0))
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: 3, MaxPartitions: 6, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, 300*time.Microsecond),
+		Seed:    1,
+	})
 	key := func(w, i int) string { return fmt.Sprintf("three-w%d-k%d", w, i%keys) }
 
 	reg := causaltest.NewRegistry()
@@ -497,7 +517,7 @@ func TestReshardFromThreePartitions(t *testing.T) {
 // TestSplitRoutingMatchesServers checks the cluster router and every
 // server's own table agree after a split (no server left on the old epoch).
 func TestSplitRoutingMatchesServers(t *testing.T) {
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2, MaxPartitions: 4})
+	c := newCluster(t, Config{NumDCs: 2, NumPartitions: 2, MaxPartitions: 4, Engine: POCC, Seed: 1})
 	if _, err := c.SplitPartition(0); err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,14 @@ import (
 // (raising entries past what the sender has actually seen) would break it.
 func TestLeanStabilizationWatermark(t *testing.T) {
 	const dcs, parts = 3, 2
-	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: parts},
-		WithEngine(HAPOCC),
-		WithLeanStabilization(),
-		WithHeartbeat(time.Millisecond),
-		WithClockSkew(5*time.Millisecond),
-		WithConfig(func(cfg *Config) { cfg.StabilizationInterval = 2 * time.Millisecond }),
-	)
+	c := newCluster(t, Config{
+		NumDCs: dcs, NumPartitions: parts, Engine: HAPOCC,
+		HeartbeatInterval:     time.Millisecond,
+		StabilizationInterval: 2 * time.Millisecond,
+		ClockSkew:             5 * time.Millisecond,
+		LeanStabilization:     true,
+		Seed:                  1,
+	})
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -74,10 +75,12 @@ func TestLeanStabilizationWatermark(t *testing.T) {
 // ablation-skew benchmark; asserting a lower bound here would be flaky).
 func TestHLCPutWaitSkewInsensitive(t *testing.T) {
 	const skew = 30 * time.Millisecond
-	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1},
-		WithHeartbeat(time.Millisecond),
-		WithClockSkew(skew),
-	)
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		ClockSkew:         skew,
+		Seed:              1,
+	})
 	w, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
