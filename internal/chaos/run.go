@@ -1,27 +1,3 @@
-// Package chaos is the repository's continuous fault-injection harness: it
-// drives a live HA-POCC deployment through an interleaved schedule of server
-// crash/restarts, whole-DC membership churn (joins, graceful leaves, kills
-// followed by forced removal), inter-DC link flaps and live latency
-// reprofiles, while concurrent checker sessions assert causal consistency
-// (internal/causaltest) and a watchdog asserts that global stabilization
-// keeps making progress whenever no fault legitimately freezes it.
-//
-// The fault schedule is computed up front as a pure function of a seed
-// (Schedule), so a failing soak is replayed exactly by re-running with the
-// seed it reports. Execution-time skips (an event drawn against a DC that
-// already departed, say) are decided by cluster state and recorded in the
-// trace, but the schedule itself — times, kinds, targets — never depends on
-// runtime state.
-//
-// A run ends with a heal-and-quiesce epilogue: every link is restored, the
-// latency profile reset, in-flight joins settled, and the harness then
-// requires (1) a marker written after the heal to become visible at every
-// surviving DC, (2) every surviving DC to converge to identical heads for
-// the whole chaos keyspace, and (3) the GSS of every survivor to advance
-// past the marker — the "no permanent wedge" guarantee that forced removal
-// and catch-up exist to provide. Violations of any of these, or any
-// causality violation observed mid-run, fail the run; Report.Dump renders
-// the seed plus the executed fault trace for reproduction.
 package chaos
 
 import (
@@ -37,158 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/netemu"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
-
-// Kind enumerates the fault types the scheduler draws from.
-type Kind int
-
-// Fault kinds.
-const (
-	// CrashRestart crash-restarts one partition server (kill -9 plus
-	// WAL recovery plus catch-up resync).
-	CrashRestart Kind = iota
-	// LinkFlap partitions two DCs for Event.Dur, then heals.
-	LinkFlap
-	// LatencyScale multiplies every link's base latency by Event.Scale.
-	LatencyScale
-	// AddDC grows the deployment by a joining DC (bootstrapped by catch-up).
-	AddDC
-	// RemoveDC gracefully removes a DC (announced finals, flushed history).
-	RemoveDC
-	// KillAndEvict crashes a whole DC and forcibly removes it: the survivors
-	// agree on its final replicated timestamps and discard the rest.
-	KillAndEvict
-	// SlotMove reshards part of one partition's slot range onto another
-	// existing partition (drain-then-flip under the next slot-table epoch).
-	SlotMove
-	// PartitionSplit grows the keyspace by one partition server per DC and
-	// moves half of a donor's slots onto it, bootstrapped from the donors'
-	// history while the checked workload keeps writing.
-	PartitionSplit
-)
-
-func (k Kind) String() string {
-	switch k {
-	case CrashRestart:
-		return "crash-restart"
-	case LinkFlap:
-		return "link-flap"
-	case LatencyScale:
-		return "latency-scale"
-	case AddDC:
-		return "add-dc"
-	case RemoveDC:
-		return "remove-dc"
-	case KillAndEvict:
-		return "kill+evict"
-	case SlotMove:
-		return "slot-move"
-	case PartitionSplit:
-		return "partition-split"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Event is one scheduled fault.
-type Event struct {
-	// At is the offset from the start of the run.
-	At   time.Duration
-	Kind Kind
-	// DC (and P for CrashRestart, the donor partition for SlotMove and
-	// PartitionSplit) is the primary target; DC2 is the peer of a LinkFlap.
-	DC, DC2, P int
-	// P2 is the receiving partition of a SlotMove.
-	P2 int
-	// Dur is the down window of a LinkFlap.
-	Dur time.Duration
-	// Scale is the LatencyScale multiplier.
-	Scale float64
-}
-
-func (e Event) String() string {
-	switch e.Kind {
-	case CrashRestart:
-		return fmt.Sprintf("%v %v dc%d-p%d", e.At, e.Kind, e.DC, e.P)
-	case LinkFlap:
-		return fmt.Sprintf("%v %v dc%d<->dc%d for %v", e.At, e.Kind, e.DC, e.DC2, e.Dur)
-	case LatencyScale:
-		return fmt.Sprintf("%v %v x%g", e.At, e.Kind, e.Scale)
-	case SlotMove:
-		return fmt.Sprintf("%v %v p%d->p%d", e.At, e.Kind, e.P, e.P2)
-	case PartitionSplit:
-		return fmt.Sprintf("%v %v p%d", e.At, e.Kind, e.P)
-	default:
-		return fmt.Sprintf("%v %v dc%d", e.At, e.Kind, e.DC)
-	}
-}
-
-// The deployment every run starts from and the load it carries: a 3 × 2
-// layout with headroom for three DC joins (a departed DC's id is never
-// reused) and two partition splits, four checker sessions, 24 shared keys.
-const (
-	numDCs        = 3
-	numPartitions = 2
-	maxDCs        = numDCs + 3
-	maxPartitions = numPartitions + 2
-	numWorkers    = 4
-	numKeys       = 24
-)
-
-// Schedule computes the fault schedule for a run: a pure function of the
-// seed and the run's length. Replaying a seed therefore reproduces the
-// identical schedule; whether an individual event applies or is skipped is
-// decided against live cluster state at execution time (and recorded in the
-// trace), never fed back into the schedule.
-func Schedule(seed uint64, d time.Duration) []Event {
-	rng := rand.New(rand.NewPCG(seed, 0xc4a05))
-	var evs []Event
-	at := 150*time.Millisecond + time.Duration(rng.Int64N(int64(250*time.Millisecond)))
-	for at < d {
-		e := Event{At: at}
-		switch r := rng.IntN(100); {
-		case r < 30:
-			e.Kind = CrashRestart
-			e.DC = rng.IntN(maxDCs)
-			e.P = rng.IntN(numPartitions)
-		case r < 52:
-			e.Kind = LinkFlap
-			e.DC = rng.IntN(maxDCs)
-			e.DC2 = rng.IntN(maxDCs - 1)
-			if e.DC2 >= e.DC {
-				e.DC2++
-			}
-			e.Dur = 100*time.Millisecond + time.Duration(rng.Int64N(int64(600*time.Millisecond)))
-		case r < 62:
-			e.Kind = LatencyScale
-			e.Scale = []float64{0.25, 0.5, 2, 4, 1}[rng.IntN(5)]
-		case r < 70:
-			e.Kind = AddDC
-		case r < 78:
-			e.Kind = RemoveDC
-			// DC 0 is never removed: the harness needs one anchor DC to write
-			// the convergence marker from and to keep at least one seed member.
-			e.DC = 1 + rng.IntN(maxDCs-1)
-		case r < 86:
-			e.Kind = KillAndEvict
-			e.DC = 1 + rng.IntN(maxDCs-1)
-		case r < 93:
-			// Donor and receiver are drawn from the initial layout (always
-			// live); the slots actually moved are picked at execution time
-			// from the live table and recorded in the trace.
-			e.Kind = SlotMove
-			e.P = rng.IntN(numPartitions)
-			e.P2 = rng.IntN(numPartitions)
-		default:
-			e.Kind = PartitionSplit
-			e.P = rng.IntN(numPartitions)
-		}
-		evs = append(evs, e)
-		at += 120*time.Millisecond + time.Duration(rng.Int64N(int64(500*time.Millisecond)))
-	}
-	return evs
-}
 
 // Options parameterizes a chaos run.
 type Options struct {
@@ -693,176 +518,4 @@ func (h *harness) worker(id int) {
 		}
 		h.ops.Add(1)
 	}
-}
-
-// watchdog asserts GSS liveness: DC 0's stabilization cursor for its own
-// updates must keep advancing whenever no fault (kill awaiting eviction,
-// link down) can legitimately freeze the deployment. A stall without an
-// active fault is exactly the permanent wedge the eviction and catch-up
-// machinery exists to rule out.
-func (h *harness) watchdog(stop <-chan struct{}) {
-	defer h.wdWG.Done()
-	const window = 10 * time.Second
-	var last vclock.Timestamp
-	lastProgress := time.Now()
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		h.mu.Lock()
-		faultActive := len(h.down) > 0
-		h.mu.Unlock()
-		if faultActive || h.evicting.Load() > 0 || h.flapping.Load() > 0 {
-			lastProgress = time.Now() // legitimate freeze window
-			continue
-		}
-		cur := vclock.Timestamp(0)
-		ok := true
-		// Live partition count: splits grow it mid-run, and a freshly
-		// flipped partition's cursor folds in once its servers stabilize.
-		for p := 0; p < h.c.NumPartitions(); p++ {
-			srv := h.c.Server(0, p)
-			if srv == nil {
-				ok = false // mid-restart; try next tick
-				break
-			}
-			g := srv.GSS().Get(0)
-			if p == 0 || g < cur {
-				cur = g
-			}
-		}
-		if !ok {
-			continue
-		}
-		if cur > last {
-			last = cur
-			lastProgress = time.Now()
-			continue
-		}
-		if time.Since(lastProgress) > window {
-			h.violatef("GSS stalled: dc0's own stabilization cursor stuck at %d for %v with no active fault",
-				last, time.Since(lastProgress).Round(time.Millisecond))
-			lastProgress = time.Now() // don't spam
-		}
-	}
-}
-
-// epilogue heals every injected fault, settles in-flight joins, stops the
-// workers, and verifies the deployment converged: marker visibility, head
-// agreement on the whole keyspace across every surviving DC, and GSS
-// advancement past the marker.
-func (h *harness) epilogue() {
-	// Restore the network profile and every downed link (AfterFunc heals are
-	// idempotent with this).
-	h.c.Network().SetLatencyScale(1)
-	h.mu.Lock()
-	pairs := make([][2]int, 0, len(h.down))
-	for p := range h.down {
-		pairs = append(pairs, p)
-	}
-	h.mu.Unlock()
-	for _, p := range pairs {
-		h.c.Network().PartitionDCs(p[0], p[1], false)
-	}
-	h.healWG.Wait()
-	h.joinWG.Wait()
-	h.reshardWG.Wait()
-	h.tracef("healed; joins and reshards settled; quiescing")
-
-	close(h.stop)
-	h.workerWG.Wait()
-
-	if err := h.c.StorageErr(); err != nil {
-		h.violatef("sticky storage error: %v", err)
-	}
-
-	// Write the convergence marker from DC 0 (never removed). Retries cover
-	// a marker write racing the tail of a crash-restart.
-	markerKey := "chaos-marker"
-	var markerUT vclock.Timestamp
-	var markerDC int
-	wrote := false
-	for attempt := 0; attempt < 50 && !wrote; attempt++ {
-		s, err := h.c.NewRawSession(0)
-		if err == nil {
-			if ut, dc, perr := s.PutMeta(markerKey, []byte("converge")); perr == nil {
-				markerUT, markerDC = ut, dc
-				wrote = true
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !wrote {
-		h.violatef("could not write the convergence marker at dc0 after healing")
-		return
-	}
-
-	dcs := h.activeDCs()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		lag := h.convergenceLag(dcs, markerKey, markerUT, markerDC)
-		if lag == "" {
-			h.tracef("converged across dc%v", dcs)
-			return
-		}
-		if time.Now().After(deadline) {
-			h.violatef("no convergence within 30s after healing: %s (repl stats %+v)",
-				lag, h.c.ReplicationStats())
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// convergenceLag returns "" when every surviving DC agrees: the marker is
-// visible and stable everywhere and every chaos key resolves to the same
-// head version at every DC. Otherwise it describes the first divergence.
-func (h *harness) convergenceLag(dcs []int, markerKey string, markerUT vclock.Timestamp, markerDC int) string {
-	type head struct {
-		ut     vclock.Timestamp
-		src    int
-		exists bool
-	}
-	for i := 0; i < numKeys+1; i++ {
-		key := markerKey
-		if i < numKeys {
-			key = h.key(i)
-		}
-		var first head
-		for n, dc := range dcs {
-			r, err := h.c.ReadAt(dc, key)
-			if err != nil {
-				return fmt.Sprintf("dc%d read %s: %v", dc, key, err)
-			}
-			cur := head{r.UpdateTime, r.SrcReplica, r.Exists}
-			if key == markerKey && (!cur.exists || cur.ut < markerUT) {
-				return fmt.Sprintf("dc%d has not seen the marker (%d@dc%d)", dc, markerUT, markerDC)
-			}
-			if n == 0 {
-				first = cur
-			} else if cur != first {
-				return fmt.Sprintf("heads diverge on %s: dc%d=%+v dc%d=%+v", key, dcs[0], first, dc, cur)
-			}
-		}
-	}
-	// GSS must cover the marker at every surviving server: stabilization
-	// resumed after the last eviction/heal.
-	for _, dc := range dcs {
-		for p := 0; p < h.c.NumPartitions(); p++ {
-			srv := h.c.Server(dc, p)
-			if srv == nil {
-				return fmt.Sprintf("dc%d-p%d not running", dc, p)
-			}
-			if g := srv.GSS().Get(markerDC); g < markerUT {
-				return fmt.Sprintf("dc%d-p%d GSS[%d]=%d below marker %d (stabilization wedged)",
-					dc, p, markerDC, g, markerUT)
-			}
-		}
-	}
-	return ""
 }
