@@ -28,7 +28,7 @@ func (h *harness) watchdog(stop <-chan struct{}) {
 		h.mu.Lock()
 		faultActive := len(h.down) > 0
 		h.mu.Unlock()
-		if faultActive || h.evicting.Load() > 0 || h.flapping.Load() > 0 {
+		if faultActive || h.evicting.Load() > 0 {
 			lastProgress = time.Now() // legitimate freeze window
 			continue
 		}

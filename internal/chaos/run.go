@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/causaltest"
 	"repro/internal/cluster"
-	"repro/internal/netemu"
 	"repro/internal/storage"
 )
 
@@ -20,20 +19,13 @@ type Options struct {
 	// Seed drives the fault schedule, the emulated network and the workers.
 	Seed uint64
 	// Duration is the fault-injection window (the epilogue adds to the wall
-	// time). Zero means 3 s.
+	// time).
 	Duration time.Duration
 	// DataDir roots the per-server WALs. Required: crash-restarts, kills and
 	// join bootstraps all need durable engines.
 	DataDir string
 	// Logf, when set, receives the live fault trace (e.g. testing.T.Logf).
 	Logf func(format string, args ...any)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Duration == 0 {
-		o.Duration = 3 * time.Second
-	}
-	return o
 }
 
 // Report is the outcome of a run.
@@ -90,7 +82,6 @@ type harness struct {
 	viols      []string
 
 	evicting atomic.Int32 // kill+evict rounds in flight (watchdog license)
-	flapping atomic.Int32 // link flaps in flight (watchdog license)
 
 	ops, reopens, opErrs atomic.Uint64
 
@@ -107,7 +98,6 @@ type harness struct {
 // failures only (e.g. the cluster could not be built); fault-induced
 // failures are Report.Violations.
 func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("chaos: Options.DataDir is required (crash faults need durable engines)")
 	}
@@ -124,15 +114,10 @@ func Run(opts Options) (*Report, error) {
 		// checker reopens them rather than falling back (see NewRawSession).
 		BlockTimeout: 150 * time.Millisecond,
 		ClockSkew:    2 * time.Millisecond,
-		Latency: func(src, dst netemu.NodeID) time.Duration {
-			if src.DC == dst.DC {
-				return 200 * time.Microsecond
-			}
-			return 2 * time.Millisecond
-		},
-		JitterFrac: 0.2,
-		Seed:       opts.Seed,
-		DataDir:    opts.DataDir,
+		Latency:      cluster.UniformLatency(200*time.Microsecond, 2*time.Millisecond),
+		JitterFrac:   0.2,
+		Seed:         opts.Seed,
+		DataDir:      opts.DataDir,
 		// Soak the pipelined commit path in its loosest acknowledged mode:
 		// grouped acks are exactly what the kill/restart faults must not be
 		// able to turn into causal violations.
@@ -191,7 +176,7 @@ func Run(opts Options) (*Report, error) {
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rep := &Report{
+	return &Report{
 		Seed:       opts.Seed,
 		Trace:      h.trace,
 		Violations: append(h.viols, h.reg.Violations()...),
@@ -199,8 +184,7 @@ func Run(opts Options) (*Report, error) {
 		Reopens:    h.reopens.Load(),
 		OpErrors:   h.opErrs.Load(),
 		Stats:      c.ReplicationStats(),
-	}
-	return rep, nil
+	}, nil
 }
 
 func (h *harness) key(i int) string { return fmt.Sprintf("chaos-%03d", i) }
@@ -271,19 +255,16 @@ func (h *harness) apply(e Event) {
 			h.tracef("skip %v: endpoint not active", e)
 			return
 		}
-		h.flapping.Add(1)
 		h.c.Network().PartitionDCs(e.DC, e.DC2, true)
 		h.tracef("%v (down)", e)
 		h.healWG.Add(1)
-		a, b := e.DC, e.DC2
 		time.AfterFunc(e.Dur, func() {
 			defer h.healWG.Done()
-			h.c.Network().PartitionDCs(a, b, false)
+			h.c.Network().PartitionDCs(e.DC, e.DC2, false)
 			h.mu.Lock()
-			delete(h.down, [2]int{a, b})
+			delete(h.down, [2]int{e.DC, e.DC2})
 			h.mu.Unlock()
-			h.flapping.Add(-1)
-			h.tracef("heal dc%d<->dc%d", a, b)
+			h.tracef("heal dc%d<->dc%d", e.DC, e.DC2)
 		})
 
 	case LatencyScale:
@@ -291,14 +272,7 @@ func (h *harness) apply(e Event) {
 		h.tracef("%v", e)
 
 	case AddDC:
-		h.mu.Lock()
-		busy := h.joining
-		if !busy {
-			h.joining = true
-		}
-		h.mu.Unlock()
-		if busy {
-			h.tracef("skip %v: a join is already in flight", e)
+		if !h.claim(&h.joining, e, "a join") {
 			return
 		}
 		dc, err := h.c.AddDC()
@@ -330,14 +304,7 @@ func (h *harness) apply(e Event) {
 		}()
 
 	case SlotMove, PartitionSplit:
-		h.mu.Lock()
-		busy := h.resharding
-		if !busy {
-			h.resharding = true
-		}
-		h.mu.Unlock()
-		if busy {
-			h.tracef("skip %v: a reshard is already in flight", e)
+		if !h.claim(&h.resharding, e, "a reshard") {
 			return
 		}
 		// Reshards run off the schedule loop: a drain defeated by an
@@ -421,19 +388,26 @@ func (h *harness) runReshard(e Event) {
 			return
 		}
 		// Move a modest prefix so repeated draws keep both sides populated.
-		n := len(owned) / 4
-		if n == 0 {
-			n = 1
-		}
-		if n > 8 {
-			n = 8
-		}
+		n := min(max(len(owned)/4, 1), 8)
 		if err := h.c.MoveSlots(owned[:n], target); err != nil {
 			h.tracef("skip %v: %v", e, err)
 			return
 		}
 		h.tracef("%v: %d slot(s) p%d->p%d at slot epoch %d", e, n, donor, target, h.c.SlotTable().Epoch)
 	}
+}
+
+// claim sets an at-most-one-in-flight flag (joining, resharding), or traces e
+// as skipped because what is already in flight; true means the caller owns it.
+func (h *harness) claim(flag *bool, e Event, what string) bool {
+	h.mu.Lock()
+	busy := *flag
+	*flag = true
+	h.mu.Unlock()
+	if busy {
+		h.tracef("skip %v: %s is already in flight", e, what)
+	}
+	return !busy
 }
 
 // claimRemoval atomically checks a removal's preconditions (target active,
@@ -482,11 +456,7 @@ func (h *harness) worker(id int) {
 		default:
 		}
 		if cs == nil {
-			dcs := h.activeDCs()
-			if len(dcs) == 0 {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
+			dcs := h.activeDCs() // never empty: claimRemoval keeps dc0
 			dc := dcs[rng.IntN(len(dcs))]
 			s, err := h.c.NewRawSession(dc)
 			if err != nil {
