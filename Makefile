@@ -16,12 +16,17 @@ all: check
 # Stream framing lives in one place: binary.ReadUvarint, the length-prefix
 # read, in non-test Go of the root module outside internal/wire/frame.go
 # fails the step.
+# A test's knobs are test flags, which reach only the binary they are passed
+# to; an exported environment variable reaches every test binary go test
+# ./... starts. os.Getenv or os.LookupEnv in a _test.go file of the root
+# module fails the step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
 	@! grep -rn --include='*.go' --exclude-dir=bench 'PutDepWait' . | grep -v '^\./internal/cluster/cluster\.go:'
 	@! grep -rn --include='*.go' --exclude='*_test.go' '"$(shell $(GO) list -m)/' internal/wal
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'binary\.ReadUvarint' . | grep -v '^\./internal/wire/frame\.go:'
+	@! grep -rn --include='*_test.go' --exclude-dir=bench -E 'os\.(Getenv|LookupEnv)\(' .
 
 build:
 	$(GO) build ./...
@@ -31,7 +36,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17390
+LOC_CEILING = 17280
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -110,13 +115,19 @@ define RACE_ROWS
 -run 'Example' .
 # The chaos plane, last: a seeded fault-injection soak (crash/restarts, DC
 # kills + forced removal, join/leave churn, link flaps, latency reprofiles)
-# with live causal checking. CHAOS_SECONDS sets its length, CHAOS_SEED
-# replays a reported failure, CHAOS_TRACE_FILE keeps the fault trace.
--v -run 'TestChaosSoak' ./internal/chaos/
+# with live causal checking, set by the make variables below.
+-v -run 'TestChaosSoak' ./internal/chaos/ -chaos.duration=$(CHAOS_SECONDS)s -chaos.seed=$(CHAOS_SEED) -chaos.trace=$(abspath $(CHAOS_TRACE_FILE))
 endef
 export RACE_ROWS
 
-race: export CHAOS_SECONDS ?= 30
+# The soak's test flags: its length in seconds, the seed (a failure report
+# names both), and the file the failure report is written to, kept at the
+# path given here rather than under the test's package directory. Replay a
+# failure with `make race CHAOS_SEED=<seed> CHAOS_SECONDS=<seconds>`.
+CHAOS_SECONDS ?= 30
+CHAOS_SEED ?= 1
+CHAOS_TRACE_FILE ?=
+
 race:
 	@echo "$$RACE_ROWS" | while read -r row; do \
 		case "$$row" in ''|'#'*) continue;; esac; \

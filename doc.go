@@ -486,9 +486,10 @@
 // mirroring real client failover) assert causal consistency and a watchdog
 // asserts stabilization progress whenever no fault legitimately freezes it.
 // Every run ends with a heal-and-quiesce epilogue that requires full
-// convergence. A failure reports the seed and the executed fault trace;
-// replaying the seed reproduces the identical schedule (the last row of
-// make race, CHAOS_SECONDS/CHAOS_SEED).
+// convergence. A failure reports the command that replays it (the
+// -chaos.seed and -chaos.duration test flags; make race passes them from
+// CHAOS_SEED and CHAOS_SECONDS) and the executed fault trace; replaying the
+// seed at the same length reproduces the identical schedule.
 //
 // # Reproducing the evaluation
 //

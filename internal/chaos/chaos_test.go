@@ -2,11 +2,23 @@ package chaos
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+)
+
+// The soak's knobs are test flags, so they reach only the test binary they
+// are passed to: make race's last row and the nightly job set them, and a
+// failure report's replay command names them.
+var (
+	soakDuration = flag.Duration("chaos.duration", 2*time.Second, "TestChaosSoak's fault-injection window")
+	soakSeed     = flag.Uint64("chaos.seed", 1, "TestChaosSoak's seed (a failure report names it)")
+	soakTrace    = flag.String("chaos.trace", "", "file TestChaosSoak writes its failure report to")
 )
 
 // TestScheduleDeterministic pins the harness's replay guarantee: the fault
@@ -44,7 +56,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleGolden pins replay across commits: a CHAOS_SEED that CI or the
+// TestScheduleGolden pins replay across commits: a -chaos.seed that CI or the
 // nightly soak reports must draw the same faults on the commit that replays
 // it. The hash is of Schedule(7, 30 s), one Event.String line per event; a
 // change to the generator, its constants or Event.String that moves it breaks
@@ -78,34 +90,17 @@ func TestScheduleCoversAllKinds(t *testing.T) {
 // TestChaosSoak runs the full fault-injection soak. The default is a short
 // smoke (make race's last row and the nightly job raise it):
 //
-//	CHAOS_SECONDS=30 CHAOS_SEED=12345 go test -race -run TestChaosSoak ./internal/chaos
+//	go test -race -run TestChaosSoak ./internal/chaos/ -chaos.seed=12345 -chaos.duration=30s
 //
-// On failure the seed and the executed fault trace are written to
-// CHAOS_TRACE_FILE (if set) so the run can be replayed bit-for-bit.
+// On failure the report — the replay command, the violations and the
+// executed fault trace — is written to -chaos.trace (if set).
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	dur := 2 * time.Second
-	if v := os.Getenv("CHAOS_SECONDS"); v != "" {
-		secs, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			t.Fatalf("bad CHAOS_SECONDS %q: %v", v, err)
-		}
-		dur = time.Duration(secs * float64(time.Second))
-	}
-	seed := uint64(1)
-	if v := os.Getenv("CHAOS_SEED"); v != "" {
-		s, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad CHAOS_SEED %q: %v", v, err)
-		}
-		seed = s
-	}
-
 	rep, err := Run(Options{
-		Seed:     seed,
-		Duration: dur,
+		Seed:     *soakSeed,
+		Duration: *soakDuration,
 		DataDir:  t.TempDir(),
 		Logf:     t.Logf,
 	})
@@ -119,7 +114,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if rep.Failed() {
 		dump := rep.Dump()
-		if path := os.Getenv("CHAOS_TRACE_FILE"); path != "" {
+		if path := *soakTrace; path != "" {
 			if werr := os.WriteFile(path, []byte(dump), 0o644); werr != nil {
 				t.Logf("could not write %s: %v", path, werr)
 			} else {
@@ -128,4 +123,66 @@ func TestChaosSoak(t *testing.T) {
 		}
 		t.Fatalf("chaos soak failed:\n%s", dump)
 	}
+}
+
+// TestReportDumpReplays: a failure report names the command that replays its
+// run, with the seed and the run length both. Schedule draws faults only while
+// At < Duration, so a replay at the default length would drop every fault
+// after it (the known seed-7 failure follows a fault at 29.683 s).
+func TestReportDumpReplays(t *testing.T) {
+	r := &Report{Seed: 7, Duration: 30 * time.Second, Violations: []string{"heads diverge"}}
+	dump := r.Dump()
+	for _, f := range []struct{ name, value string }{{"chaos.seed", "7"}, {"chaos.duration", "30s"}} {
+		if !strings.Contains(dump, "-"+f.name+"="+f.value) {
+			t.Errorf("Dump does not pass -%s=%s:\n%s", f.name, f.value, dump)
+		}
+		if flag.Lookup(f.name) == nil {
+			t.Errorf("Dump names -%s, which is not a flag of this test binary", f.name)
+		}
+	}
+}
+
+// TestConvergenceLagNamesTheLaggard drives the epilogue's convergence check
+// on a live 2-DC HA-POCC deployment: a marker written at dc0 while the
+// dc0<->dc1 link is cut is reported missing at dc1, and once the link heals
+// the check comes back clean within convergeBound.
+func TestConvergenceLagNamesTheLaggard(t *testing.T) {
+	const convergeBound = 2 * time.Second
+	c, err := cluster.New(cluster.Config{
+		NumDCs: 2, NumPartitions: 1, Engine: cluster.HAPOCC,
+		StabilizationInterval: 5 * time.Millisecond,
+		Seed:                  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	h := &harness{c: c}
+	dcs := []int{0, 1}
+
+	c.Network().PartitionDCs(0, 1, true)
+	s, err := c.NewRawSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = "chaos-marker"
+	ut, src, err := s.PutMeta(marker, []byte("converge"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // ten stabilization rounds: the cut, not a race, holds the marker back
+	want := fmt.Sprintf("dc1 has not seen the marker (%d@dc%d)", ut, src)
+	if lag := h.convergenceLag(dcs, marker, ut, src); lag != want {
+		t.Fatalf("with the link cut, convergenceLag = %q, want %q", lag, want)
+	}
+
+	c.Network().PartitionDCs(0, 1, false)
+	start := time.Now()
+	for lag := h.convergenceLag(dcs, marker, ut, src); lag != ""; lag = h.convergenceLag(dcs, marker, ut, src) {
+		if time.Since(start) > convergeBound {
+			t.Fatalf("%v after the heal, convergenceLag still reports: %s", convergeBound, lag)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("clean %v after the heal", time.Since(start).Round(time.Millisecond))
 }

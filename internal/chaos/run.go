@@ -30,7 +30,10 @@ type Options struct {
 
 // Report is the outcome of a run.
 type Report struct {
-	Seed uint64
+	// Seed and Duration are the run's Options.Seed and Options.Duration: the
+	// schedule draws events only while At < Duration, so a replay needs both.
+	Seed     uint64
+	Duration time.Duration
 	// Trace is the executed fault trace: every event with its outcome
 	// (applied, skipped and why, or failed), plus the epilogue milestones.
 	Trace []string
@@ -48,12 +51,13 @@ type Report struct {
 // Failed reports whether the run recorded any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// Dump renders the seed, violations and executed fault trace — everything
-// needed to reproduce and diagnose a failed soak (CI uploads it as an
-// artifact).
+// Dump renders the command that replays the run, the violations and the
+// executed fault trace — everything needed to reproduce and diagnose a failed
+// soak (CI uploads it as an artifact).
 func (r *Report) Dump() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos seed %d (replay: CHAOS_SEED=%d)\n", r.Seed, r.Seed)
+	fmt.Fprintf(&b, "chaos seed %d, %v of faults; replay with\n  go test -race -count=1 -v -run TestChaosSoak ./internal/chaos/ -chaos.seed=%d -chaos.duration=%v\n",
+		r.Seed, r.Duration, r.Seed, r.Duration)
 	fmt.Fprintf(&b, "ops=%d reopens=%d op_errors=%d\n", r.Ops, r.Reopens, r.OpErrors)
 	fmt.Fprintf(&b, "violations (%d):\n", len(r.Violations))
 	for _, v := range r.Violations {
@@ -178,6 +182,7 @@ func Run(opts Options) (*Report, error) {
 	defer h.mu.Unlock()
 	return &Report{
 		Seed:       opts.Seed,
+		Duration:   opts.Duration,
 		Trace:      h.trace,
 		Violations: append(h.viols, h.reg.Violations()...),
 		Ops:        h.ops.Load(),

@@ -6,9 +6,9 @@
 // (internal/causaltest) and a watchdog asserts that global stabilization
 // keeps making progress whenever no fault legitimately freezes it.
 //
-// The fault schedule is computed up front as a pure function of a seed
-// (Schedule), so a failing soak is replayed exactly by re-running with the
-// seed it reports. Execution-time skips (an event drawn against a DC that
+// The fault schedule is computed up front as a pure function of a seed and
+// the run's length (Schedule), so a failing soak is replayed exactly by
+// re-running with the seed and length it reports. Execution-time skips (an event drawn against a DC that
 // already departed, say) are decided by cluster state and recorded in the
 // trace, but the schedule itself — times, kinds, targets — never depends on
 // runtime state.
@@ -21,7 +21,13 @@
 // past the marker — the "no permanent wedge" guarantee that forced removal
 // and catch-up exist to provide. Violations of any of these, or any
 // causality violation observed mid-run, fail the run; Report.Dump renders
-// the seed plus the executed fault trace for reproduction.
+// the replay command plus the executed fault trace for reproduction.
+//
+// The package is three files: schedule.go draws the faults, run.go executes
+// them against the deployment under the checker sessions, and check.go holds
+// the watchdog and the epilogue's convergence check. TestChaosSoak takes its
+// length, seed and trace file as test flags: -chaos.duration, -chaos.seed and
+// -chaos.trace.
 package chaos
 
 import (

@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// cursorPart is one file of a ReadFrom iteration, pinned open while the
-// cursor runs so a concurrent checkpoint unlinking it cannot invalidate the
-// read.
+// cursorPart is one file of a cursor's iteration (ReadFrom's or ReadRange's),
+// pinned open while the cursor runs so a concurrent checkpoint unlinking it
+// cannot invalidate the read.
 type cursorPart struct {
 	seq   uint64 // segment sequence, 0 for the snapshot
 	f     *os.File
@@ -24,9 +24,11 @@ type cursorPart struct {
 // segment ≥ seq. The boundary is captured atomically at the call: records
 // durably committed before ReadFrom is invoked are included, staged or later
 // appends are not, and concurrent appends or checkpoints never corrupt the
-// iteration (files are pinned open before the lock is released). This is the
-// replication catch-up read path: it shares nothing with the hot append path
-// beyond the boundary capture.
+// iteration (files are pinned open before the lock is released). Replication
+// catch-up does not read through it: it reads through ReadRange
+// (storage.Durable.ForEachDurable). ReadFrom's callers are tests, which use it
+// as the full scan that range_diff_test.go checks ReadRange against; that
+// reference is why it stays.
 func (l *Log) ReadFrom(seq uint64, fn func(seg uint64, rec []byte) error) error {
 	_, err := l.read(seq, false, nil, nil, fn)
 	return err
