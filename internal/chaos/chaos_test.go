@@ -170,7 +170,6 @@ func TestConvergenceLagNamesTheLaggard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // ten stabilization rounds: the cut, not a race, holds the marker back
 	want := fmt.Sprintf("dc1 has not seen the marker (%d@dc%d)", ut, src)
 	if lag := h.convergenceLag(dcs, marker, ut, src); lag != want {
 		t.Fatalf("with the link cut, convergenceLag = %q, want %q", lag, want)
