@@ -20,6 +20,9 @@ all: check
 # to; an exported environment variable reaches every test binary go test
 # ./... starts. os.Getenv or os.LookupEnv in a _test.go file of the root
 # module fails the step.
+# A batch and a heartbeat travel as pointers, which the TCP decoder lends: a
+# value literal msg.ReplicateBatch{ or msg.Heartbeat{ without & in the root
+# module's Go, tests included, fails the step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
@@ -27,6 +30,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude='*_test.go' '"$(shell $(GO) list -m)/' internal/wal
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'binary\.ReadUvarint' . | grep -v '^\./internal/wire/frame\.go:'
 	@! grep -rn --include='*_test.go' --exclude-dir=bench -E 'os\.(Getenv|LookupEnv)\(' .
+	@! grep -rn --include='*.go' --exclude-dir=bench -E '(^|[^&*])msg\.(ReplicateBatch|Heartbeat)\{' .
 
 build:
 	$(GO) build ./...
@@ -36,7 +40,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17280
+LOC_CEILING = 17350
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \

@@ -386,23 +386,27 @@
 //     in-flight group (TestDurableStagedRetention). A VV attestation is
 //     staged the same way, and its sync append returns only once the record
 //     is written, so the caller's vector is never retained.
-//   - repl flush → tcpnet. A flush hands its buffer to the ReplicateBatch
-//     message (boxed once for all target DCs) and starts the next window in
-//     a fresh one of the same capacity. tcpnet's out-queue holds a message
+//   - repl flush → tcpnet. A flush hands its buffer to one *ReplicateBatch
+//     for all target DCs, immutable from then on, and starts the next window
+//     in a fresh one of the same capacity. tcpnet's out-queue holds a message
 //     until its flush succeeds, then clears the slot: a drained link
 //     references nothing it sent, and its two queue buffers swap rather than
 //     reallocate.
 //   - wire batch → repl → engine. A decoded version list (ReplicateBatch,
 //     CatchUpReply, SlotHandoff) never aliases the decoder's reused frame
-//     buffer: the decoder copies the frame's tail once, keys and values
-//     alias that copy, and the versions — dependency vectors included — are
-//     carved from one slab of records (item.Slab) sized from the list — so a
-//     batch allocates in proportion to its frame (4 allocations whatever its
-//     length, a list of mixed vector lengths one more per size class) and a
-//     hostile count cannot size anything the remaining bytes could not
-//     encode. The price is retention at batch granularity: a live version
-//     keeps its batch's copy and slab reachable, at most one frame of dead
-//     neighbors.
+//     buffer: its frame is read into a buffer of its own, exactly sized,
+//     keys and values alias that buffer, and the versions — dependency
+//     vectors included — are carved from one slab of records (item.Slab)
+//     sized from the list — so a batch allocates in proportion to its frame
+//     (2 allocations whatever its length, a list of mixed vector lengths one
+//     more per size class) and a hostile count cannot size anything the
+//     remaining bytes could not encode. The price is retention at batch
+//     granularity: a live version keeps its batch's frame and slab
+//     reachable, at most one frame of dead neighbors. The *ReplicateBatch
+//     and *Heartbeat themselves, and the batch's pointer list, are the
+//     decoder's, lent until the handler returns (netemu.Handler): the one
+//     consumer that keeps the list, a batch parked while its link catches up
+//     (repl's deferWhilePending), copies it.
 //   - what storage may keep of a decoded key. Only what it keeps of the
 //     version: a shard's table stores no key of its own — a key is its chain
 //     head's Key — so it never pins the frame of a version that has been

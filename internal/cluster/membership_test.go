@@ -452,7 +452,7 @@ func TestJoinerStabilizationGate(t *testing.T) {
 	// incarnation (seq 0, floor 0), so the link is adopted, the bootstrap
 	// completes, and stabilization opens up.
 	remoteEP.Send(netemu.NodeID{DC: 1, Partition: 0},
-		msg.Heartbeat{Time: vclock.Timestamp(time.Now().UnixNano()), Epoch: 7, Seq: 0, Floor: 0})
+		&msg.Heartbeat{Time: vclock.Timestamp(time.Now().UnixNano()), Epoch: 7, Seq: 0, Floor: 0})
 	if !waitUntil(t, 2*time.Second, func() bool { return srv.Repl().Bootstrapped() }) {
 		t.Fatal("joiner did not bootstrap after first contact")
 	}

@@ -38,7 +38,7 @@ type relay struct {
 // joiner's re-sent requests).
 func isReplPlane(m any) bool {
 	switch m.(type) {
-	case msg.ReplicateBatch, msg.Heartbeat,
+	case *msg.ReplicateBatch, *msg.Heartbeat,
 		msg.CatchUpRequest, msg.CatchUpReply, msg.CatchUpAck,
 		msg.JoinRequest, msg.MembershipUpdate, msg.LeaveNotice,
 		msg.EvictProposal, msg.EvictAck,

@@ -27,7 +27,7 @@ func TestReplicationBatchFlushOnSize(t *testing.T) {
 	if !waitUntil(t, time.Second, func() bool {
 		total := 0
 		for _, m := range r.received(id) {
-			if b, ok := m.(msg.ReplicateBatch); ok {
+			if b, ok := m.(*msg.ReplicateBatch); ok {
 				total += len(b.Versions)
 			}
 		}
@@ -38,7 +38,7 @@ func TestReplicationBatchFlushOnSize(t *testing.T) {
 	// Versions inside each batch must be in update-timestamp order.
 	var prev vclock.Timestamp
 	for _, m := range r.received(id) {
-		b, ok := m.(msg.ReplicateBatch)
+		b, ok := m.(*msg.ReplicateBatch)
 		if !ok {
 			t.Fatalf("unexpected message %T", m)
 		}
@@ -69,7 +69,7 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 		total := 0
 		for _, m := range r.received(id) {
 			switch mm := m.(type) {
-			case msg.ReplicateBatch:
+			case *msg.ReplicateBatch:
 				total += len(mm.Versions)
 			}
 		}
@@ -105,7 +105,7 @@ func TestReplicationFlushIntervalKnob(t *testing.T) {
 	if !waitUntil(t, delta/4, func() bool { return len(r.received(id)) >= 1 }) {
 		t.Fatal("a buffer at the batch cap was not flushed inline")
 	}
-	if b, ok := r.received(id)[0].(msg.ReplicateBatch); !ok || len(b.Versions) != batchCap {
+	if b, ok := r.received(id)[0].(*msg.ReplicateBatch); !ok || len(b.Versions) != batchCap {
 		t.Fatalf("first message = %T, want one batch of %d versions", r.received(id)[0], batchCap)
 	}
 }
@@ -115,7 +115,7 @@ func TestReplicationFlushIntervalKnob(t *testing.T) {
 // the covering heartbeat timestamp.
 func TestApplyReplicateBatchAdvancesVVAndServesVersions(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
-	batch := msg.ReplicateBatch{
+	batch := &msg.ReplicateBatch{
 		Versions: []*item.Version{
 			{Key: "a", Value: []byte("v1"), SrcReplica: 1, UpdateTime: 100, Deps: vclock.New(3)},
 			{Key: "b", Value: []byte("v2"), SrcReplica: 1, UpdateTime: 200, Deps: vclock.New(3)},
@@ -154,7 +154,7 @@ func TestBatchUnblocksWaitingGet(t *testing.T) {
 		t.Fatalf("GET returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{
 		Versions: []*item.Version{
 			{Key: "k0", Value: []byte("dep"), SrcReplica: 1, UpdateTime: 5000, Deps: vclock.New(3)},
 		},

@@ -123,7 +123,7 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 	defer blocked.Close()
 
 	// The client has seen DC 1 at time 5; the coordinator has too.
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 5})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 5})
 	if !waitUntil(t, 2*time.Second, func() bool { return r.srv.VV()[1] >= 5 }) {
 		t.Fatal("coordinator never applied the heartbeat")
 	}
@@ -207,8 +207,8 @@ func TestParkedSliceOutlivesFailedTx(t *testing.T) {
 		// A vector of the round's own, which the coordinator covers: its own
 		// slice never parks.
 		rdv := vclock.VC{0, vclock.Timestamp(10 + round), vclock.Timestamp(20 + 2*round)}
-		r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: rdv[1]})
-		r.inject(netemu.NodeID{DC: 2, Partition: 0}, msg.Heartbeat{Time: rdv[2]})
+		r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: rdv[1]})
+		r.inject(netemu.NodeID{DC: 2, Partition: 0}, &msg.Heartbeat{Time: rdv[2]})
 		if !waitUntil(t, 2*time.Second, func() bool { return rdv.LessEq(r.srv.VV()) }) {
 			t.Fatalf("round %d: the coordinator never applied the heartbeats", round)
 		}

@@ -116,9 +116,9 @@ func TestHeartbeatSuppressedByPuts(t *testing.T) {
 	hb, repl := 0, 0
 	for _, m := range r.received(netemu.NodeID{DC: 1, Partition: 0}) {
 		switch mm := m.(type) {
-		case msg.Heartbeat:
+		case *msg.Heartbeat:
 			hb++
-		case msg.ReplicateBatch:
+		case *msg.ReplicateBatch:
 			repl += len(mm.Versions)
 		}
 	}
@@ -145,8 +145,8 @@ func TestGSSMonotonic(t *testing.T) {
 	if _, err := r.srv.Put("k", []byte("v"), vclock.New(3), Pessimistic); err != nil {
 		t.Fatal(err)
 	}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 100})
-	r.inject(netemu.NodeID{DC: 2, Partition: 0}, msg.Heartbeat{Time: 100})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 100})
+	r.inject(netemu.NodeID{DC: 2, Partition: 0}, &msg.Heartbeat{Time: 100})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(2) >= 100 }) {
 		t.Fatal("heartbeats not applied")
 	}
@@ -237,9 +237,9 @@ func TestVVNeverRegresses(t *testing.T) {
 				}
 				ts += vclock.Timestamp(i%3 + 1)
 				if i%2 == 0 {
-					r.inject(netemu.NodeID{DC: dc, Partition: 0}, msg.Heartbeat{Time: ts})
+					r.inject(netemu.NodeID{DC: dc, Partition: 0}, &msg.Heartbeat{Time: ts})
 				} else {
-					r.inject(netemu.NodeID{DC: dc, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{{
+					r.inject(netemu.NodeID{DC: dc, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{{
 						Key: fmt.Sprintf("k%d", i%4), Value: []byte("x"),
 						SrcReplica: dc, UpdateTime: ts, Deps: vclock.New(3),
 					}}})
@@ -284,7 +284,7 @@ func TestPessimisticROTxExcludesUnstable(t *testing.T) {
 		SrcReplica: 1, UpdateTime: 1, Deps: vclock.VC{0, 0, 0}})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 50000, Deps: vclock.VC{0, 40000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 50000 }) {
 		t.Fatal("replication not applied")
 	}

@@ -115,11 +115,11 @@ func (r *rig) inject(from netemu.NodeID, m any) {
 	r.mu.Lock()
 	defer r.mu.Unlock() // stamp and send as one step: link order is sequence order
 	switch mm := m.(type) {
-	case msg.ReplicateBatch:
+	case *msg.ReplicateBatch:
 		r.seq[from]++
 		mm.Epoch, mm.Seq = 1, r.seq[from]
 		m = mm
-	case msg.Heartbeat:
+	case *msg.Heartbeat:
 		mm.Epoch, mm.Seq = 1, r.seq[from]
 		m = mm
 	}
@@ -201,7 +201,7 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 	dv := vclock.VC{0, future, 0}
 	// The PUT first waits until the server has received its dependency
 	// (Algorithm 2 line 6): DC1's heartbeat delivers it.
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: future})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: future})
 	ut, err := r.srv.Put("k0", []byte("v"), dv, Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -235,13 +235,13 @@ func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 	// one-message-per-update protocol, with the link's gap-free sequence
 	// numbers); idle heartbeats may interleave.
 	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
-	batches := func(id netemu.NodeID) []msg.ReplicateBatch {
-		var out []msg.ReplicateBatch
+	batches := func(id netemu.NodeID) []*msg.ReplicateBatch {
+		var out []*msg.ReplicateBatch
 		for i, m := range r.received(id) {
 			switch mm := m.(type) {
-			case msg.ReplicateBatch:
+			case *msg.ReplicateBatch:
 				out = append(out, mm)
-			case msg.Heartbeat:
+			case *msg.Heartbeat:
 			default:
 				t.Fatalf("message %d is %T, want ReplicateBatch or Heartbeat", i, m)
 			}
@@ -286,7 +286,7 @@ func TestGetReturnsFreshestAndMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	dv := vclock.VC{0, 7, 0}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 7})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 7})
 	ut, err := r.srv.Put("k0", []byte("new"), dv, Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
 	v := &item.Version{Key: "k0", Value: []byte("remote"), SrcReplica: 1,
 		UpdateTime: 12345, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{v}})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{v}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 12345 }) {
 		t.Fatalf("VV[1] = %d, want 12345", r.srv.VV().Get(1))
 	}
@@ -336,7 +336,7 @@ func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
 
 func TestHeartbeatAdvancesVV(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
-	r.inject(netemu.NodeID{DC: 2, Partition: 0}, msg.Heartbeat{Time: 999})
+	r.inject(netemu.NodeID{DC: 2, Partition: 0}, &msg.Heartbeat{Time: 999})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(2) == 999 }) {
 		t.Fatalf("VV[2] = %d", r.srv.VV().Get(2))
 	}
@@ -366,7 +366,7 @@ func TestGetBlocksUntilDependencyArrives(t *testing.T) {
 	// The missing dependency arrives.
 	v := &item.Version{Key: "k0", Value: []byte("dep"), SrcReplica: 1,
 		UpdateTime: need, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{v}})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{v}})
 
 	select {
 	case res := <-done:
@@ -393,7 +393,7 @@ func TestGetUnblocksOnHeartbeat(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 8000})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 8000})
 	select {
 	case err := <-done:
 		if err != nil {
@@ -439,7 +439,7 @@ func TestPutWaitsForDependencies(t *testing.T) {
 		t.Fatalf("PUT returned before dependencies arrived: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 5000})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 5000})
 	select {
 	case err := <-done:
 		if err != nil {
@@ -498,7 +498,7 @@ func TestPessimisticGetHidesUnstableVersion(t *testing.T) {
 	// fake peer partition never exchanges a VV.
 	fresh := &item.Version{Key: "k0", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 100000, Deps: vclock.VC{0, 90000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 100000 }) {
 		t.Fatal("replication not applied")
 	}
@@ -572,7 +572,7 @@ func TestHAPessimisticHidesOptimisticLocalWrite(t *testing.T) {
 	// this DC has not stabilized. Pessimistic sessions must not see it
 	// (§IV-C).
 	dv := vclock.VC{0, 70000, 0}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 80000})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 80000})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 80000 }) {
 		t.Fatal("heartbeat not applied")
 	}
@@ -623,7 +623,7 @@ func TestHeartbeatLoopBroadcastsWhenIdle(t *testing.T) {
 	id := netemu.NodeID{DC: 1, Partition: 0}
 	if !waitUntil(t, time.Second, func() bool {
 		for _, m := range r.received(id) {
-			if _, ok := m.(msg.Heartbeat); ok {
+			if _, ok := m.(*msg.Heartbeat); ok {
 				return true
 			}
 		}
@@ -719,7 +719,7 @@ func TestROTxSnapshotIncludesUnstableReceived(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 1})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 60000, Deps: vclock.VC{0, 50000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{Versions: []*item.Version{fresh}})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{fresh}})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 60000 }) {
 		t.Fatal("replication not applied")
 	}
@@ -744,7 +744,7 @@ func TestROTxRespectsSnapshotBoundary(t *testing.T) {
 	r.srv.Store().Insert(&item.Version{Key: "a", Value: []byte("beyond"),
 		SrcReplica: 1, UpdateTime: 20, Deps: vclock.VC{0, 10, 999}})
 	// Make VV[1] cover ut=20 so the slice wait passes.
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: 30})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: 30})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 30 }) {
 		t.Fatal("heartbeat not applied")
 	}

@@ -36,7 +36,7 @@ func (r *rig) sibling(cfg Config) *Server {
 // returns once the sibling has parked its slice.
 func (r *rig) startParkedTx(sib *Server, dc1 vclock.Timestamp) <-chan txResult {
 	r.t.Helper()
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Heartbeat{Time: dc1})
+	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.Heartbeat{Time: dc1})
 	if !waitUntil(r.t, 2*time.Second, func() bool { return r.srv.VV()[1] >= dc1 }) {
 		r.t.Fatal("coordinator never applied the heartbeat")
 	}
@@ -118,7 +118,7 @@ func TestHeartbeatsSurviveSliceTraffic(t *testing.T) {
 	peer, remote := netemu.NodeID{DC: 0, Partition: 1}, netemu.NodeID{DC: 1, Partition: 0}
 	heartbeats := func() (times []vclock.Timestamp) {
 		for _, m := range r.received(remote) {
-			if hb, ok := m.(msg.Heartbeat); ok {
+			if hb, ok := m.(*msg.Heartbeat); ok {
 				times = append(times, hb.Time)
 			}
 		}

@@ -164,7 +164,7 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 		seq++
 		return enc.Encode(wire.Envelope{
 			Src: netemu.NodeID{DC: 0},
-			Msg: msg.ReplicateBatch{Versions: pending, HBTime: hb, Epoch: 1, Seq: seq},
+			Msg: &msg.ReplicateBatch{Versions: pending, HBTime: hb, Epoch: 1, Seq: seq},
 		})
 	}
 

@@ -36,6 +36,9 @@ import (
 // contact with the link adopts the stream only when its own progress covers
 // Floor — otherwise the sender holds history the receiver never saw and a
 // catch-up round is needed first.
+//
+// A batch travels as a *ReplicateBatch, and a heartbeat as a *Heartbeat: one
+// flush is shared by every sibling, so a receiver never writes to *m.
 type ReplicateBatch struct {
 	Versions []*item.Version
 	HBTime   vclock.Timestamp

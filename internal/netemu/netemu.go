@@ -29,6 +29,12 @@ func (id NodeID) String() string {
 // Handler processes a message delivered to an endpoint. Handlers are invoked
 // sequentially per link (preserving FIFO order per channel); a handler that
 // may block for a long time must hand the message off to another goroutine.
+//
+// A message is valid for the call: the TCP transport lends a decoded
+// *msg.ReplicateBatch or *msg.Heartbeat, and the batch's version list, until
+// the handler returns. A pointer message is immutable — one flush is shared
+// by every sibling — and a handler that hands off or keeps a lent slice
+// copies it (the versions in it are independent objects and may be kept).
 type Handler func(src NodeID, m any)
 
 // LatencyFunc returns the base one-way delay for a directed link.

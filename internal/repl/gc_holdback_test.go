@@ -134,7 +134,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	// A gap starts a round: seq 5 with no history known resyncs.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "z")}, HBTime: 500, Epoch: 3, Seq: 5})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "z")}, HBTime: 500, Epoch: 3, Seq: 5})
 	out := tr.msgs(src)
 	if len(out) == 0 {
 		t.Fatal("no catch-up request sent")

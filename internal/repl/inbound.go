@@ -42,6 +42,7 @@
 package repl
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -219,7 +220,7 @@ func capRaiseLocked(st *inLink, t vclock.Timestamp) vclock.Timestamp {
 // version-vector entry when the link's sequence is intact. Versions are
 // always installed — POCC serves the freshest received version regardless —
 // only the VV advance (the claim "I hold the complete prefix") is gated.
-func (r *Manager) handleBatch(src netemu.NodeID, m msg.ReplicateBatch) {
+func (r *Manager) handleBatch(src netemu.NodeID, m *msg.ReplicateBatch) {
 	if !r.validSrc(src.DC) {
 		return
 	}
@@ -246,8 +247,9 @@ func (r *Manager) handleBatch(src netemu.NodeID, m msg.ReplicateBatch) {
 // application is postponed until the round completes (or the link retires),
 // so chunk application is never starved of CPU by fresh traffic. A VV raise
 // is not owed here: a pending link's entry is frozen by definition, and the
-// drain runs before the completion raises.
-func (r *Manager) deferWhilePending(dc int, m msg.ReplicateBatch, adv vclock.Timestamp) bool {
+// drain runs before the completion raises. The parked list is a copy: m's
+// is lent by the transport only until the handler returns (netemu.Handler).
+func (r *Manager) deferWhilePending(dc int, m *msg.ReplicateBatch, adv vclock.Timestamp) bool {
 	st := r.in[dc]
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -259,7 +261,7 @@ func (r *Manager) deferWhilePending(dc int, m msg.ReplicateBatch, adv vclock.Tim
 			st.deferredBytes += versionBytes(v)
 		}
 	}
-	st.deferred = append(st.deferred, deferredBatch{vs: m.Versions, slotEpoch: m.SlotEpoch})
+	st.deferred = append(st.deferred, deferredBatch{vs: slices.Clone(m.Versions), slotEpoch: m.SlotEpoch})
 	r.statDeferred.Add(1)
 	r.noteChainLocked(st, m.Epoch, m.Seq, adv, true)
 	if time.Since(st.reqAt) > r.reRequest {
@@ -272,7 +274,7 @@ func (r *Manager) deferWhilePending(dc int, m msg.ReplicateBatch, adv vclock.Tim
 // (Algorithm 2, lines 27-28), gated on the link sequence like a batch: a
 // heartbeat re-attests the sender's current sequence, which is exactly how
 // an idle restarted sender (whose buffered tail died with it) is detected.
-func (r *Manager) handleHeartbeat(src netemu.NodeID, m msg.Heartbeat) {
+func (r *Manager) handleHeartbeat(src netemu.NodeID, m *msg.Heartbeat) {
 	if !r.validSrc(src.DC) {
 		return
 	}

@@ -19,8 +19,8 @@ type linkRig struct {
 
 var linkSrc = netemu.NodeID{DC: 1, Partition: 0}
 
-func linkBatch(epoch, seq uint64, ts ...vclock.Timestamp) msg.ReplicateBatch {
-	b := msg.ReplicateBatch{HBTime: ts[len(ts)-1], Epoch: epoch, Seq: seq}
+func linkBatch(epoch, seq uint64, ts ...vclock.Timestamp) *msg.ReplicateBatch {
+	b := &msg.ReplicateBatch{HBTime: ts[len(ts)-1], Epoch: epoch, Seq: seq}
 	for _, t := range ts {
 		b.Versions = append(b.Versions, ver(1, t, "k"))
 	}
@@ -108,7 +108,7 @@ func TestLinkTransitions(t *testing.T) {
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 1, 100)) }},
 		{name: "Idle: heartbeat at seq 0, floor covered: adopt", from: idle, want: LinkActive, vv: 90,
 			event: func(r linkRig, _ *testing.T) {
-				r.m.handleHeartbeat(linkSrc, msg.Heartbeat{Time: 90, Epoch: 7})
+				r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 90, Epoch: 7})
 			}},
 		{name: "Idle: first message mid-stream", from: idle, want: LinkCatchingUp,
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 9, 900)) }},
@@ -122,7 +122,7 @@ func TestLinkTransitions(t *testing.T) {
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 2, 200)) }},
 		{name: "Active: re-attesting heartbeat", from: active, want: LinkActive, vv: 300,
 			event: func(r linkRig, _ *testing.T) {
-				r.m.handleHeartbeat(linkSrc, msg.Heartbeat{Time: 300, Epoch: 7, Seq: 1})
+				r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 300, Epoch: 7, Seq: 1})
 			}},
 		{name: "Active: next batch under an eviction freeze", from: active, want: LinkActive, vv: 100,
 			event: func(r linkRig, _ *testing.T) {
@@ -137,7 +137,7 @@ func TestLinkTransitions(t *testing.T) {
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 4, 400)) }},
 		{name: "Active: new epoch", from: active, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, _ *testing.T) {
-				r.m.handleHeartbeat(linkSrc, msg.Heartbeat{Time: 900, Epoch: 8})
+				r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 900, Epoch: 8})
 			}},
 		{name: "Active: a departed DC's final exceeds VV", from: active, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, _ *testing.T) {
@@ -184,7 +184,7 @@ func TestLinkTransitions(t *testing.T) {
 		{name: "CatchingUp: sequenced message on a quiet round re-requests", from: catchingUp, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, _ *testing.T) {
 				r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-2 * r.m.reRequest) })
-				r.m.handleHeartbeat(linkSrc, msg.Heartbeat{Time: 450, Epoch: 7, Seq: 4})
+				r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 450, Epoch: 7, Seq: 4})
 			},
 			also: func(r linkRig, t *testing.T, _ int) {
 				if n := r.rounds(); n != 2 {

@@ -74,8 +74,8 @@ func (r *Manager) flushLocked() {
 	if hb > r.lastTS {
 		r.lastTS = hb
 	}
-	// Boxed once: every target DC's link gets the same immutable message.
-	var m any = msg.ReplicateBatch{Versions: r.buf, HBTime: hb, Epoch: r.epoch, Seq: r.seq,
+	// One message for every target DC's link, immutable from here on.
+	m := &msg.ReplicateBatch{Versions: r.buf, HBTime: hb, Epoch: r.epoch, Seq: r.seq,
 		Floor: r.floor, SlotEpoch: r.be.SlotEpoch()}
 	// The message owns the old buffer now. The next window starts with the
 	// capacity this one reached — one allocation per flush instead of a
@@ -117,7 +117,7 @@ func (r *Manager) heartbeatLoop() {
 			if ct > r.lastTS {
 				r.lastTS = ct
 			}
-			var hb any = msg.Heartbeat{Time: ct, Epoch: r.epoch, Seq: r.seq, Floor: r.floor}
+			hb := &msg.Heartbeat{Time: ct, Epoch: r.epoch, Seq: r.seq, Floor: r.floor}
 			for _, dc := range *r.targets.Load() {
 				r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, hb)
 			}

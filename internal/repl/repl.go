@@ -55,7 +55,8 @@ type Backend interface {
 	// is the sender's slot-table epoch when the batch was stamped: a backend
 	// whose table has moved past it re-routes versions whose slots changed
 	// owner (see keyspace.SlotMap). 0 = the epoch-0 table, which no table
-	// has moved past — versions apply in place.
+	// has moved past — versions apply in place. vs may be a transport's lent
+	// list (netemu.Handler): the backend reads it during the call only.
 	ApplyRemote(vs []*item.Version, slotEpoch uint64)
 	// SlotEpoch returns the backend's current slot-table epoch (0 = the
 	// epoch-0 table); stamped on outbound batches and catch-up chunks.
@@ -375,9 +376,9 @@ func (r *Manager) Stats() Stats {
 // replication plane; anything else is left alone.
 func (r *Manager) Handle(src netemu.NodeID, m any) bool {
 	switch mm := m.(type) {
-	case msg.ReplicateBatch:
+	case *msg.ReplicateBatch:
 		r.handleBatch(src, mm)
-	case msg.Heartbeat:
+	case *msg.Heartbeat:
 		r.handleHeartbeat(src, mm)
 	case msg.CatchUpRequest:
 		r.handleCatchUpRequest(src, mm)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/netemu"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // fakeTransport records every send.
@@ -213,7 +214,7 @@ func TestPublishSequencesBatches(t *testing.T) {
 			t.Fatalf("dc%d got %d messages, want 3 batches", dc, len(got))
 		}
 		for i, raw := range got {
-			b, ok := raw.(msg.ReplicateBatch)
+			b, ok := raw.(*msg.ReplicateBatch)
 			if !ok {
 				t.Fatalf("dc%d message %d is %T", dc, i, raw)
 			}
@@ -235,8 +236,8 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	b1 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1}
-	b2 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2}
+	b1 := &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1}
+	b2 := &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2}
 	m.handleBatch(src, b1)
 	m.handleBatch(src, b2)
 	m.handleBatch(src, b2) // at-least-once redelivery
@@ -249,7 +250,7 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 	if reqs := tr.msgs(src); len(reqs) != 0 {
 		t.Fatalf("unexpected outbound traffic %v", reqs)
 	}
-	m.handleHeartbeat(src, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 2})
+	m.handleHeartbeat(src, &msg.Heartbeat{Time: 500, Epoch: 7, Seq: 2})
 	if got := be.VVEntry(1); got != 500 {
 		t.Fatalf("VV[1] = %d after in-sequence heartbeat, want 500", got)
 	}
@@ -264,9 +265,9 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2 and 3 lost; 4 arrives.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after a gap, want it frozen at 100", got)
 	}
@@ -282,7 +283,7 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Batch 5 arrives during the round: applied, chained, VV still frozen.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d during catch-up, want 100", got)
 	}
@@ -302,12 +303,69 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The link is resynced: seq 6 continues normally.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
 	if got := be.VVEntry(1); got != 600 {
 		t.Fatalf("VV[1] = %d after resync, want 600", got)
 	}
 	if st := m.Stats(); st.Requested != 1 {
 		t.Fatalf("resynced link re-requested: %+v", st)
+	}
+}
+
+// TestCatchUpDeferredBatchOutlivesNextDecode: a batch parked while a round is
+// pending outlives its lease. The TCP decoder lends a batch and its version
+// list only until the next Decode, so the parked list must be a copy: batch
+// A, decoded and parked, then batch B, decoded through the same decoder —
+// the round's completion must apply A's versions, not whatever B left in
+// the lent list.
+func TestCatchUpDeferredBatchOutlivesNextDecode(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+	})
+	src := netemu.NodeID{DC: 1, Partition: 0}
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	if st := m.LinkStates()[1]; st != LinkCatchingUp {
+		t.Fatalf("link state %v after a gap, want catching-up", st)
+	}
+	req := tr.msgs(src)[0].(msg.CatchUpRequest)
+
+	var stream bytes.Buffer
+	enc := wire.NewBinaryEncoder(&stream)
+	for _, b := range []*msg.ReplicateBatch{
+		{Versions: []*item.Version{ver(1, 500, "A1"), ver(1, 510, "A2")}, HBTime: 510, Epoch: 7, Seq: 5},
+		{Versions: []*item.Version{ver(1, 600, "B1")}, HBTime: 600, Epoch: 7, Seq: 6},
+	} {
+		if err := enc.Encode(wire.Envelope{Src: src, Msg: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := wire.NewBinaryDecoder(&stream)
+	env, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := be.appliedCount()
+	if !m.Handle(env.Src, env.Msg) || m.Stats().Deferred != 1 || be.appliedCount() != before {
+		t.Fatalf("batch A was not parked: stats %+v", m.Stats())
+	}
+	if _, err := dec.Decode(); err != nil { // batch B takes the lent list
+		t.Fatal(err)
+	}
+
+	m.handleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+	})
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	applied := make(map[string]vclock.Timestamp)
+	for _, v := range be.applied[before:] {
+		if v != nil {
+			applied[v.Key] = v.UpdateTime
+		}
+	}
+	if applied["A1"] != 500 || applied["A2"] != 510 || len(applied) != 2 {
+		t.Fatalf("the round applied %v, want batch A's versions A1@500 and A2@510", applied)
 	}
 }
 
@@ -321,12 +379,12 @@ func TestDoneWithHoleGoesAgain(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	first := tr.msgs(src)[0].(msg.CatchUpRequest)
 	// A second hole opens during the round: seq 5-6 are lost too, so the
 	// chain restarts at 7 and cannot splice onto a resume point of 4.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 700, "g")}, HBTime: 700, Epoch: 7, Seq: 7})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 700, "g")}, HBTime: 700, Epoch: 7, Seq: 7})
 	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: first.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
@@ -379,14 +437,14 @@ func TestEpochZeroIsNoBypass(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2 and 3 lost; 4 arrives and freezes the entry at 100.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after an epoch-0 batch on a frozen link, want 100", got)
 	}
-	m.handleHeartbeat(src, msg.Heartbeat{Time: 950})
+	m.handleHeartbeat(src, &msg.Heartbeat{Time: 950})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d after an epoch-0 heartbeat on a frozen link, want 100", got)
 	}
@@ -399,8 +457,8 @@ func TestEpochChangeTriggersCatchUp(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.handleHeartbeat(src, msg.Heartbeat{Time: 900, Epoch: 8, Seq: 0}) // new incarnation
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleHeartbeat(src, &msg.Heartbeat{Time: 900, Epoch: 8, Seq: 0}) // new incarnation
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d, want the heartbeat of a new epoch held back", got)
 	}
@@ -421,7 +479,7 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	be.RaiseVV(1, 250) // recovered floor from the WAL
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
 	if got := be.VVEntry(1); got != 250 {
 		t.Fatalf("VV[1] = %d, want the floor held at 250", got)
 	}
@@ -446,9 +504,9 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2-3 lost; the gap opens round 1.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	out := tr.msgs(src)
 	req1, ok := out[len(out)-1].(msg.CatchUpRequest)
 	if !ok || req1.From != 100 {
@@ -474,7 +532,7 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	// The stream dies here (no Done). After the re-request interval the next
 	// sequenced arrival re-opens the round from the resume floor.
 	time.Sleep(120 * time.Millisecond)
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
 	out = tr.msgs(src)
 	req2, ok := out[len(out)-1].(msg.CatchUpRequest)
 	if !ok || req2.ReqID == req1.ReqID {
@@ -499,7 +557,7 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 		t.Fatalf("VV[1] = %d after resumed round, want 500", got)
 	}
 	// The link is healthy again: sequencing continues without a new round.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
 	if got := be.VVEntry(1); got != 600 {
 		t.Fatalf("VV[1] = %d after resync, want 600", got)
 	}
@@ -635,7 +693,7 @@ func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
 	out := tr.msgs(src)
 	req := out[0].(msg.CatchUpRequest)
 	m.handleCatchUpReply(src, msg.CatchUpReply{
@@ -644,7 +702,7 @@ func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 	if got := be.VVEntry(1); got != 300 {
 		t.Fatalf("VV[1] = %d, want the optimistic fallback advance to 300", got)
 	}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want 400 (link resynced)", got)
 	}
@@ -682,7 +740,7 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 	flush(m)
 	batches := 0
 	for _, raw := range tr.msgs(joiner) {
-		if _, ok := raw.(msg.ReplicateBatch); ok {
+		if _, ok := raw.(*msg.ReplicateBatch); ok {
 			batches++
 		}
 	}
@@ -711,7 +769,7 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("outbound = %v, want [batch, notice]", out)
 	}
-	b, ok := out[0].(msg.ReplicateBatch)
+	b, ok := out[0].(*msg.ReplicateBatch)
 	if !ok {
 		t.Fatalf("first message is %T, want the final flush", out[0])
 	}
@@ -744,8 +802,8 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if st := m.Stats(); st.ActiveIn != 1 {
 		t.Fatalf("stats = %+v, want one frozen link", st)
 	}
@@ -765,7 +823,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 	}
 	flush(m)
 	for _, raw := range tr.msgs(src) {
-		if _, ok := raw.(msg.ReplicateBatch); ok {
+		if _, ok := raw.(*msg.ReplicateBatch); ok {
 			t.Fatal("batch sent to a departed DC")
 		}
 	}
@@ -773,7 +831,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 		t.Fatal("surviving sibling fell out of the fan-out")
 	}
 	// A straggler from the departed DC is applied but starts no round.
-	m.handleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 380, "s")}, HBTime: 380, Epoch: 7, Seq: 3})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 380, "s")}, HBTime: 380, Epoch: 7, Seq: 3})
 	if st := m.Stats(); st.ActiveIn != 0 {
 		t.Fatalf("stats = %+v after a straggler, want no round toward the dead DC", st)
 	}
@@ -804,7 +862,7 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 
 	// dc0 has history (seq 5): the joiner must pull it via catch-up.
-	m.handleHeartbeat(sib0, msg.Heartbeat{Time: 500, Epoch: 7, Seq: 5, Floor: 0})
+	m.handleHeartbeat(sib0, &msg.Heartbeat{Time: 500, Epoch: 7, Seq: 5, Floor: 0})
 	var req msg.CatchUpRequest
 	found := false
 	for _, raw := range tr.msgs(sib0) {
@@ -820,7 +878,7 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 
 	// dc1 is fresh (seq 0, floor 0): first contact adopts it outright.
-	m.handleHeartbeat(sib1, msg.Heartbeat{Time: 400, Epoch: 9, Seq: 0, Floor: 0})
+	m.handleHeartbeat(sib1, &msg.Heartbeat{Time: 400, Epoch: 9, Seq: 0, Floor: 0})
 	if m.Bootstrapped() {
 		t.Fatal("bootstrapped while dc0's catch-up is still pending")
 	}

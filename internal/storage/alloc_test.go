@@ -153,18 +153,18 @@ func TestDurableStagedRetention(t *testing.T) {
 
 // replicate runs vs through the wire as one ReplicateBatch and returns the
 // receiver's decoded copy, as a tcpnet read loop would hand it to the apply
-// path.
+// path: the list is dec's, lent until its next Decode.
 func replicate(t testing.TB, enc *wire.BinaryEncoder, dec *wire.BinaryDecoder, vs []*item.Version) []*item.Version {
 	t.Helper()
 	hb := vs[len(vs)-1].UpdateTime
-	if err := enc.Encode(wire.Envelope{Src: netemu.NodeID{DC: 1}, Msg: msg.ReplicateBatch{Versions: vs, HBTime: hb, Epoch: 1}}); err != nil {
+	if err := enc.Encode(wire.Envelope{Src: netemu.NodeID{DC: 1}, Msg: &msg.ReplicateBatch{Versions: vs, HBTime: hb, Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env.Msg.(msg.ReplicateBatch).Versions
+	return env.Msg.(*msg.ReplicateBatch).Versions
 }
 
 // TestReplicatedApplyRetention: after garbage collection the heap holds the

@@ -11,8 +11,8 @@ import (
 )
 
 // TestDecodedBatchOwnsItsBytes pins the wire → repl → engine hand-off: a
-// decoded batch aliases its own private copy of the frame, never the
-// decoder's reused frame buffer, so versions stored from one batch are
+// decoded batch aliases its own frame, never the decoder's reused frame
+// buffer or lent list, so versions stored from one batch are
 // untouched by every later frame read through the same decoder — and the
 // durable engine's pooled record scratch, reused by every later append,
 // leaves the logged records intact too.
@@ -26,8 +26,9 @@ func TestDecodedBatchOwnsItsBytes(t *testing.T) {
 	var stream bytes.Buffer
 	enc, dec := wire.NewBinaryEncoder(&stream), wire.NewBinaryDecoder(&stream)
 
-	// Same-shaped batches, so every frame lands on the same bytes of the
-	// decoder's buffer; distinct keys, so every version stays a chain head.
+	// Same-shaped batches, so a decoder that reused one buffer for them would
+	// put every frame on the same bytes; distinct keys, so every version
+	// stays a chain head.
 	const rounds, batchLen = 50, 4
 	want := map[string]*item.Version{}
 	for r := 0; r < rounds; r++ {

@@ -156,7 +156,9 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop decodes envelopes from one inbound connection and dispatches them
-// sequentially, preserving the sender's FIFO order. A frame whose source is
+// sequentially, preserving the sender's FIFO order. The handler runs before
+// the next Decode, so what the decoder lends stays valid for the call
+// (netemu.Handler). A frame whose source is
 // not a directory peer is dropped: handlers answer with Send(src, …), which
 // panics on an unknown node, and a corrupt or hostile frame must not be able
 // to bring that about. A peer's link stamps every frame with the one source,

@@ -56,11 +56,11 @@ func TestSendReceive(t *testing.T) {
 	var srcs []netemu.NodeID
 	b.SetHandler(func(src netemu.NodeID, m any) {
 		mu.Lock()
-		got = append(got, m.(msg.Heartbeat))
+		got = append(got, *m.(*msg.Heartbeat)) // lent for the call: keep a copy
 		srcs = append(srcs, src)
 		mu.Unlock()
 	})
-	a.Send(b.ID(), msg.Heartbeat{Time: 42})
+	a.Send(b.ID(), &msg.Heartbeat{Time: 42})
 	if !waitCond(t, 2*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -82,11 +82,11 @@ func TestFIFOOrder(t *testing.T) {
 	var got []vclock.Timestamp
 	b.SetHandler(func(_ netemu.NodeID, m any) {
 		mu.Lock()
-		got = append(got, m.(msg.Heartbeat).Time)
+		got = append(got, m.(*msg.Heartbeat).Time)
 		mu.Unlock()
 	})
 	for i := 1; i <= count; i++ {
-		a.Send(b.ID(), msg.Heartbeat{Time: vclock.Timestamp(i)})
+		a.Send(b.ID(), &msg.Heartbeat{Time: vclock.Timestamp(i)})
 	}
 	if !waitCond(t, 5*time.Second, func() bool {
 		mu.Lock()
@@ -110,10 +110,10 @@ func TestBidirectional(t *testing.T) {
 	a, b := pair(t)
 	gotA := make(chan vclock.Timestamp, 1)
 	gotB := make(chan vclock.Timestamp, 1)
-	a.SetHandler(func(_ netemu.NodeID, m any) { gotA <- m.(msg.Heartbeat).Time })
-	b.SetHandler(func(_ netemu.NodeID, m any) { gotB <- m.(msg.Heartbeat).Time })
-	a.Send(b.ID(), msg.Heartbeat{Time: 1})
-	b.Send(a.ID(), msg.Heartbeat{Time: 2})
+	a.SetHandler(func(_ netemu.NodeID, m any) { gotA <- m.(*msg.Heartbeat).Time })
+	b.SetHandler(func(_ netemu.NodeID, m any) { gotB <- m.(*msg.Heartbeat).Time })
+	a.Send(b.ID(), &msg.Heartbeat{Time: 1})
+	b.Send(a.ID(), &msg.Heartbeat{Time: 2})
 	select {
 	case ts := <-gotB:
 		if ts != 1 {
@@ -150,7 +150,7 @@ func TestSendBeforePeerListensRetries(t *testing.T) {
 
 	bID := netemu.NodeID{DC: 1, Partition: 0}
 	a.Connect(map[netemu.NodeID]string{bID: addr})
-	a.Send(bID, msg.Heartbeat{Time: 99})
+	a.Send(bID, &msg.Heartbeat{Time: 99})
 
 	time.Sleep(20 * time.Millisecond) // let a few dial attempts fail
 	got := make(chan vclock.Timestamp, 1)
@@ -160,7 +160,7 @@ func TestSendBeforePeerListensRetries(t *testing.T) {
 	}
 	b := bl
 	defer b.Close()
-	b.SetHandler(func(_ netemu.NodeID, m any) { got <- m.(msg.Heartbeat).Time })
+	b.SetHandler(func(_ netemu.NodeID, m any) { got <- m.(*msg.Heartbeat).Time })
 	select {
 	case ts := <-got:
 		if ts != 99 {
@@ -183,7 +183,7 @@ func TestSendToUnknownPanics(t *testing.T) {
 			t.Fatal("send to unknown node must panic")
 		}
 	}()
-	a.Send(netemu.NodeID{DC: 9, Partition: 9}, msg.Heartbeat{})
+	a.Send(netemu.NodeID{DC: 9, Partition: 9}, &msg.Heartbeat{})
 }
 
 // TestHostileSourceIsDropped: what an accepted connection decodes is outside
@@ -198,7 +198,7 @@ func TestHostileSourceIsDropped(t *testing.T) {
 	answered := make(chan any, 1)
 	a.SetHandler(func(_ netemu.NodeID, m any) { answered <- m })
 	b.SetHandler(func(src netemu.NodeID, m any) {
-		if hb, ok := m.(msg.Heartbeat); ok {
+		if hb, ok := m.(*msg.Heartbeat); ok {
 			b.Send(src, msg.CatchUpAck{ReqID: uint64(hb.Time)}) // as repl and core do
 			return
 		}
@@ -215,7 +215,7 @@ func TestHostileSourceIsDropped(t *testing.T) {
 	for _, env := range []wire.Envelope{
 		{Src: stranger, Msg: msg.CatchUpRequest{ReqID: 1, From: 5}},
 		{Src: stranger, Msg: &msg.SliceReq{TxID: 2, Coordinator: stranger, Keys: []string{"k"}}},
-		{Src: a.ID(), Msg: msg.Heartbeat{Time: 77}},
+		{Src: a.ID(), Msg: &msg.Heartbeat{Time: 77}},
 	} {
 		if err := enc.Encode(env); err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestRetransmittedSliceReqIntact(t *testing.T) {
 
 	// The link is up; then the peer resets it, and the writer learns of it
 	// only from its next flush.
-	a.Send(peer, msg.Heartbeat{Time: 1})
+	a.Send(peer, &msg.Heartbeat{Time: 1})
 	first, dec := accept()
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
@@ -295,14 +295,14 @@ func TestSentCounterAndCloseIdempotent(t *testing.T) {
 	a, b := pair(t)
 	b.SetHandler(func(netemu.NodeID, any) {})
 	for i := 0; i < 5; i++ {
-		a.Send(b.ID(), msg.Heartbeat{Time: vclock.Timestamp(i + 1)})
+		a.Send(b.ID(), &msg.Heartbeat{Time: vclock.Timestamp(i + 1)})
 	}
 	if got := a.Sent(); got != 5 {
 		t.Fatalf("Sent = %d", got)
 	}
 	a.Close()
 	a.Close() // must not panic or deadlock
-	a.Send(b.ID(), msg.Heartbeat{Time: 6})
+	a.Send(b.ID(), &msg.Heartbeat{Time: 6})
 	if got := a.Sent(); got != 5 {
 		t.Fatalf("send after close must be dropped, Sent = %d", got)
 	}
@@ -318,7 +318,7 @@ func TestManySendersOneReceiver(t *testing.T) {
 	perSrc := map[netemu.NodeID][]vclock.Timestamp{}
 	recv.SetHandler(func(src netemu.NodeID, m any) {
 		mu.Lock()
-		perSrc[src] = append(perSrc[src], m.(msg.Heartbeat).Time)
+		perSrc[src] = append(perSrc[src], m.(*msg.Heartbeat).Time)
 		mu.Unlock()
 	})
 
@@ -340,7 +340,7 @@ func TestManySendersOneReceiver(t *testing.T) {
 		go func(i int, n *Node) {
 			defer wg.Done()
 			for j := 1; j <= per; j++ {
-				n.Send(recv.ID(), msg.Heartbeat{Time: vclock.Timestamp(j)})
+				n.Send(recv.ID(), &msg.Heartbeat{Time: vclock.Timestamp(j)})
 			}
 		}(i, n)
 	}
@@ -378,8 +378,11 @@ func TestBurstDrainsInBatches(t *testing.T) {
 	var mu sync.Mutex
 	var got []msg.ReplicateBatch
 	b.SetHandler(func(_ netemu.NodeID, m any) {
+		// The batch and its list are lent for the call, its versions are not.
+		kept := *m.(*msg.ReplicateBatch)
+		kept.Versions = slices.Clone(kept.Versions)
 		mu.Lock()
-		got = append(got, m.(msg.ReplicateBatch))
+		got = append(got, kept)
 		mu.Unlock()
 	})
 	payload := make([]byte, 512)
@@ -387,7 +390,7 @@ func TestBurstDrainsInBatches(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	for i := 1; i <= count; i++ {
-		a.Send(b.ID(), msg.ReplicateBatch{
+		a.Send(b.ID(), &msg.ReplicateBatch{
 			Seq: uint64(i),
 			Versions: []*item.Version{{
 				Key: "burst", Value: payload, UpdateTime: vclock.Timestamp(i),
@@ -422,7 +425,7 @@ func TestBurstDrainsInBatches(t *testing.T) {
 func TestOutLinkQueueSwapsBuffers(t *testing.T) {
 	l := &outLink{}
 	l.cond = sync.NewCond(&l.mu)
-	var m any = msg.Heartbeat{Time: 42} // boxed once, as repl's flush does
+	var m any = &msg.Heartbeat{Time: 42} // one message for every send, as repl's flush does
 	round := func() []any {
 		for i := 0; i < 8; i++ {
 			l.enqueue(m)
@@ -466,7 +469,7 @@ func TestOutLinkDrainedHoldsNoMessages(t *testing.T) {
 	b.SetHandler(func(netemu.NodeID, any) { received.Add(1) })
 	const sent = 200
 	for i := 0; i < sent; i++ {
-		a.Send(b.ID(), msg.ReplicateBatch{HBTime: 7, Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}})
+		a.Send(b.ID(), &msg.ReplicateBatch{HBTime: 7, Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}})
 		if i%16 == 0 {
 			time.Sleep(200 * time.Microsecond) // let the writer take a few partial backlogs
 		}

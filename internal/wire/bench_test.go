@@ -15,7 +15,7 @@ import (
 // versions with 3-entry dependency vectors and 8-byte payloads, the shape
 // the Δ-flush produces under the paper's workload.
 func benchEnvelope() Envelope {
-	batch := msg.ReplicateBatch{HBTime: 123456789}
+	batch := &msg.ReplicateBatch{HBTime: 123456789}
 	for i := 0; i < 8; i++ {
 		batch.Versions = append(batch.Versions, &item.Version{
 			Key:        "bench-key-42",
@@ -63,7 +63,7 @@ func BenchmarkWireCodecDecodeBinary(b *testing.B) {
 // BenchmarkWireCodecHeartbeat measures the smallest frame — the steady
 // idle-DC traffic.
 func BenchmarkWireCodecHeartbeat(b *testing.B) {
-	env := Envelope{Src: netemu.NodeID{DC: 2, Partition: 0}, Msg: msg.Heartbeat{Time: 987654321}}
+	env := Envelope{Src: netemu.NodeID{DC: 2, Partition: 0}, Msg: &msg.Heartbeat{Time: 987654321}}
 	enc := NewBinaryEncoder(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,13 +1,13 @@
-// Decoding: a decoded message never aliases the frame buffer — strings,
-// payloads and vectors are allocated individually (the RO-TX slice pair
-// fills the lists and vectors of a pooled message), except in the
-// version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff), which
-// copy the frame's tail once and carve everything out of that copy and one
-// right-sized slab of records (see frameReader.versions).
+// Decoding: a decoded message never aliases the decoder's reused frame
+// buffer — strings, payloads and vectors are allocated individually (the
+// RO-TX slice pair fills the lists and vectors of a pooled message), except
+// in the version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff),
+// whose frame is their own: everything in the list is carved out of it and
+// one right-sized slab of records (see frameReader.versions). A batch and a
+// heartbeat are the decoder's, lent (see BinaryDecoder.Decode).
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -26,11 +26,12 @@ var errShortFrame = fmt.Errorf("wire: short frame")
 // caller checks err once at the end.
 //
 // While owned is set, keys and values alias b instead of being copied out one
-// by one: the caller answers for b's lifetime. A version list sets it for a
-// private copy of the frame's tail (see versions), and carves its records —
-// version and dependency vector in one — from a slab sized from the list's
-// count and the bytes left; a front-door request sets it for the frame itself,
-// whose holder decides how long the request lives (see DecodeFrontDoorRequest).
+// by one: the caller answers for b's lifetime. A version list's frame is its
+// own (BinaryDecoder.Decode reads it into a fresh buffer), and the list
+// carves its records — version and dependency vector in one — from a slab
+// sized from the list's count and the bytes left; a front-door request's frame
+// is its holder's, who decides how long the request lives (see
+// DecodeFrontDoorRequest).
 type frameReader struct {
 	b   []byte
 	pos int
@@ -91,7 +92,7 @@ func (f *frameReader) string() string {
 		return string(raw)
 	}
 	// Nobody writes to b while the string is in use: b is a version list's
-	// private copy, or a request frame its holder keeps untouched.
+	// own frame, or a request frame its holder keeps untouched.
 	return unsafe.String(&raw[0], len(raw))
 }
 
@@ -219,30 +220,31 @@ const minVersionBytes = 7
 
 // versions decodes a nil-preserving version list — the body of
 // ReplicateBatch (delta or absolute records), CatchUpReply and SlotHandoff —
-// allocating in proportion to the frame, not to the count it claims: one
-// copy of the unread bytes that every key and value then aliases, one slab
-// of records bounded by how many those bytes can hold (version) and the
-// pointer list. The cost is retention at list granularity: a live version
-// keeps its list's copy and slab reachable, so one that outlives its
-// batch-mates holds at most one frame's worth of neighbors. Whoever stores a
-// decoded version must keep nothing of it past the version itself (storage's
-// chain map follows that rule for the key, see storage.Mem).
-func (f *frameReader) versions(delta bool, base uint64) []*item.Version {
+// into dst's storage (the decoder's lent list, or none), allocating in
+// proportion to the frame, not to the count it claims: keys and values alias
+// the frame, which is the list's own, and the records come from one slab
+// bounded by how many the unread bytes can hold (version). The cost is
+// retention at frame granularity: a live version keeps its frame and slab
+// reachable, so one that outlives its batch-mates holds at most one frame's
+// worth of neighbors. Whoever stores a decoded version must keep nothing of
+// it past the version itself (storage's chain map follows that rule for the
+// key, see storage.Mem).
+func (f *frameReader) versions(dst []*item.Version, delta bool, base uint64) []*item.Version {
 	n, present := f.listLen(1) // a nil version takes one byte
 	if !present {
 		return nil
 	}
-	out := make([]*item.Version, 0, n)
-	if n == 0 {
-		return out
-	}
-	own := bytes.Clone(f.b[f.pos:])
-	f.b, f.pos, f.owned = own, 0, true
+	out := slices.Grow(dst[:0], max(n, 1))
 	for f.left = n; f.left > 0 && f.err == nil; f.left-- {
 		out = append(out, f.version(delta, base))
 	}
-	f.owned = false
 	return out
+}
+
+// listsVersions reports whether a frame of this tag carries a version list,
+// and so is read into a buffer of its own.
+func listsVersions(tag byte) bool {
+	return tag == tagReplicateBatch || tag == tagCatchUpReply || tag == tagSlotHandoff
 }
 
 func (f *frameReader) membership() msg.Membership {
@@ -293,29 +295,34 @@ func (f *frameReader) itemReply() msg.ItemReply {
 	return r
 }
 
-func parsePayload(frame []byte) (Envelope, error) {
+// parse decodes one frame's payload; owned says the frame is the message's
+// own (a version list's, see Decode).
+func (d *BinaryDecoder) parse(frame []byte, owned bool) (Envelope, error) {
 	var env Envelope
-	f := &frameReader{b: frame}
+	f := &frameReader{b: frame, owned: owned}
 	tag := f.byteVal()
 	env.Src.DC = int(f.uint())
 	env.Src.Partition = int(f.uint())
 	switch tag {
 	case tagReplicateBatch:
-		var m msg.ReplicateBatch
+		m := &d.batch
 		m.HBTime = vclock.Timestamp(f.uint())
 		format := f.byteVal()
 		if format > batchDelta {
 			f.fail()
 		}
-		m.Versions = f.versions(format == batchDelta, uint64(m.HBTime))
+		if m.Versions = f.versions(d.vs, format == batchDelta, uint64(m.HBTime)); m.Versions != nil {
+			d.vs = m.Versions
+		}
 		m.Epoch = f.uint()
 		m.Seq = f.uint()
 		m.Floor = vclock.Timestamp(f.uint())
 		m.SlotEpoch = f.uint()
 		env.Msg = m
 	case tagHeartbeat:
-		env.Msg = msg.Heartbeat{Time: vclock.Timestamp(f.uint()), Epoch: f.uint(),
-			Seq: f.uint(), Floor: vclock.Timestamp(f.uint())}
+		m := &d.hb
+		m.Time, m.Epoch, m.Seq, m.Floor = vclock.Timestamp(f.uint()), f.uint(), f.uint(), vclock.Timestamp(f.uint())
+		env.Msg = m
 	case tagSliceReq:
 		// The slice pair is pooled: whoever answers a request, or folds in a
 		// reply, releases it — or this function, when the frame is bad.
@@ -347,7 +354,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		var m msg.CatchUpReply
 		m.ReqID = f.uint()
 		m.Chunk = f.uint()
-		m.Versions = f.versions(false, 0)
+		m.Versions = f.versions(nil, false, 0)
 		m.Done = f.bool()
 		m.Unsupported = f.bool()
 		m.ResumeEpoch = f.uint()
@@ -376,7 +383,7 @@ func parsePayload(frame []byte) (Envelope, error) {
 		env.Msg = msg.SlotMapUpdate{Map: f.slotMap()}
 	case tagSlotHandoff:
 		var m msg.SlotHandoff
-		m.Versions = f.versions(false, 0)
+		m.Versions = f.versions(nil, false, 0)
 		env.Msg = m
 	default:
 		return env, fmt.Errorf("wire: unknown message tag %d", tag)

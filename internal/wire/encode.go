@@ -50,35 +50,16 @@ const (
 // and the source header, then the fields.
 func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	switch m := env.Msg.(type) {
+	case *msg.ReplicateBatch:
+		b = appendBatch(b, env.Src, m)
+	case *msg.Heartbeat:
+		b = appendHeartbeat(b, env.Src, m)
+	// The value forms only bench/probes.go still sends; ROADMAP arc 4's
+	// leftover "pointer-typed messages" converts the probe and deletes them.
 	case msg.ReplicateBatch:
-		b = appendHeader(b, tagReplicateBatch, env.Src)
-		// HBTime leads the payload: it is the delta base for the version
-		// timestamps that follow. A format byte picks between the compact
-		// zigzag-delta layout (the default — HLC timestamps inside one
-		// batch cluster tightly around HBTime) and the absolute pre-HLC
-		// layout, kept for the one delta value the dep encoding cannot
-		// represent (see canDeltaBatch).
-		b = appendUint(b, uint64(m.HBTime))
-		if canDeltaBatch(m) {
-			base := uint64(m.HBTime)
-			b = append(b, batchDelta)
-			b = appendList(b, m.Versions, func(b []byte, v *item.Version) []byte {
-				return appendVersionDelta(b, v, base)
-			})
-		} else {
-			b = append(b, batchAbsolute)
-			b = appendList(b, m.Versions, AppendVersion)
-		}
-		b = appendUint(b, m.Epoch)
-		b = appendUint(b, m.Seq)
-		b = appendUint(b, uint64(m.Floor))
-		b = appendUint(b, m.SlotEpoch)
+		b = appendBatch(b, env.Src, &m)
 	case msg.Heartbeat:
-		b = appendHeader(b, tagHeartbeat, env.Src)
-		b = appendUint(b, uint64(m.Time))
-		b = appendUint(b, m.Epoch)
-		b = appendUint(b, m.Seq)
-		b = appendUint(b, uint64(m.Floor))
+		b = appendHeartbeat(b, env.Src, &m)
 	case *msg.SliceReq:
 		b = appendHeader(b, tagSliceReq, env.Src)
 		b = appendUint(b, m.TxID)
@@ -157,6 +138,39 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		return b, fmt.Errorf("wire: encode: unsupported message type %T", env.Msg)
 	}
 	return b, nil
+}
+
+// appendBatch appends a ReplicateBatch's payload. HBTime leads it: it is
+// the delta base for the version timestamps that follow. A format byte picks
+// between the compact zigzag-delta layout (the default — HLC timestamps
+// inside one batch cluster tightly around HBTime) and the absolute pre-HLC
+// layout, kept for the one delta value the dep encoding cannot represent
+// (see canDeltaBatch).
+func appendBatch(b []byte, src netemu.NodeID, m *msg.ReplicateBatch) []byte {
+	b = appendHeader(b, tagReplicateBatch, src)
+	b = appendUint(b, uint64(m.HBTime))
+	if canDeltaBatch(m) {
+		base := uint64(m.HBTime)
+		b = append(b, batchDelta)
+		b = appendList(b, m.Versions, func(b []byte, v *item.Version) []byte {
+			return appendVersionDelta(b, v, base)
+		})
+	} else {
+		b = append(b, batchAbsolute)
+		b = appendList(b, m.Versions, AppendVersion)
+	}
+	b = appendUint(b, m.Epoch)
+	b = appendUint(b, m.Seq)
+	b = appendUint(b, uint64(m.Floor))
+	return appendUint(b, m.SlotEpoch)
+}
+
+func appendHeartbeat(b []byte, src netemu.NodeID, m *msg.Heartbeat) []byte {
+	b = appendHeader(b, tagHeartbeat, src)
+	b = appendUint(b, uint64(m.Time))
+	b = appendUint(b, m.Epoch)
+	b = appendUint(b, m.Seq)
+	return appendUint(b, uint64(m.Floor))
 }
 
 // appendHeader appends a payload's leading tag and source node.
@@ -268,7 +282,7 @@ func unzigzag(z uint64) uint64 { return (z >> 1) ^ -(z & 1) }
 // the +1 wraps onto the marker for the single delta value 1<<63. The encoder
 // falls back to the absolute layout for such a batch; the decoder accepts
 // both.
-func canDeltaBatch(m msg.ReplicateBatch) bool {
+func canDeltaBatch(m *msg.ReplicateBatch) bool {
 	base := uint64(m.HBTime)
 	for _, v := range m.Versions {
 		if v == nil {

@@ -13,7 +13,9 @@
 //
 // The encoder reuses one scratch buffer across calls, so a steady-state
 // Encode performs zero allocations and exactly one Write (one frame). The
-// decoder reuses its frame buffer.
+// decoder reuses its frame buffer, except for a version list's frame, which
+// it reads into an exactly sized buffer of its own that the keys and values
+// alias; it lends the batch and heartbeat it decodes (BinaryDecoder.Decode).
 package wire
 
 import (
@@ -21,6 +23,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/item"
+	"repro/internal/msg"
 )
 
 // maxFrame bounds a replication frame's payload so a corrupted length prefix
@@ -50,21 +55,26 @@ func closeFrame(b []byte, base, limit int) (_ []byte, ok bool) {
 	return b[:base+p+n], true
 }
 
-// readFrame reads one frame's payload into buf, or into a new buffer when
-// buf is too small, refusing a length over limit; stream names the stream in
-// its errors. It returns io.EOF unwrapped at a clean stream end so read loops
-// can terminate.
-func readFrame(r *bufio.Reader, buf []byte, limit uint64, stream string) ([]byte, error) {
+// readLen reads a frame's length prefix, refusing a length over limit;
+// stream names the stream in its errors. It returns io.EOF unwrapped at a
+// clean stream end so read loops can terminate.
+func readLen(r *bufio.Reader, limit uint64, stream string) (uint64, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, io.EOF
 		}
-		return nil, fmt.Errorf("wire: %s: %w", stream, err)
+		return 0, fmt.Errorf("wire: %s: %w", stream, err)
 	}
 	if n > limit {
-		return nil, fmt.Errorf("wire: %s: frame of %d bytes exceeds the %d-byte limit", stream, n, limit)
+		return 0, fmt.Errorf("wire: %s: frame of %d bytes exceeds the %d-byte limit", stream, n, limit)
 	}
+	return n, nil
+}
+
+// readBody reads the n-byte payload behind a length prefix into buf, or into
+// a new buffer when buf is too small.
+func readBody(r *bufio.Reader, buf []byte, n uint64, stream string) ([]byte, error) {
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
@@ -109,6 +119,12 @@ func (e *BinaryEncoder) Encode(env Envelope) error {
 type BinaryDecoder struct {
 	r   *bufio.Reader
 	buf []byte // frame buffer, reused across Decode calls
+
+	// Lent by Decode, valid until the next call: the last batch, the last
+	// heartbeat and the batch's pointer list.
+	batch msg.ReplicateBatch
+	hb    msg.Heartbeat
+	vs    []*item.Version
 }
 
 // NewBinaryDecoder wraps r.
@@ -122,13 +138,30 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 
 // Decode reads one envelope. It returns io.EOF unwrapped at a clean stream
 // end so callers can end their read loops.
+//
+// A decoded *msg.ReplicateBatch or *msg.Heartbeat, and the batch's Versions
+// slice, belong to the decoder and are valid until the next Decode; the
+// versions themselves are independent objects and may be kept. Every other
+// message is the caller's.
 func (d *BinaryDecoder) Decode() (Envelope, error) {
-	frame, err := readFrame(d.r, d.buf, maxFrame, "decode")
+	clear(d.vs) // the lent list pins no version past its lease
+	n, err := readLen(d.r, maxFrame, "decode")
 	if err != nil {
 		return Envelope{}, err
 	}
-	d.buf = frame
-	env, err := parsePayload(frame)
+	buf, owned := d.buf, false
+	// An empty frame has no tag to wait for: Peek(0) returns at once.
+	if tag, _ := d.r.Peek(min(int(n), 1)); len(tag) == 1 && listsVersions(tag[0]) {
+		buf, owned = nil, true
+	}
+	frame, err := readBody(d.r, buf, n, "decode")
+	if err != nil {
+		return Envelope{}, err
+	}
+	if !owned {
+		d.buf = frame
+	}
+	env, err := d.parse(frame, owned)
 	if err != nil {
 		return env, fmt.Errorf("wire: decode: %w", err)
 	}

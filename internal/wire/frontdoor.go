@@ -195,7 +195,11 @@ func AppendFrontDoorResponse(dst []byte, r *FrontDoorResponse) []byte {
 // enough. It returns io.EOF unwrapped at a clean stream end so read loops can
 // terminate.
 func ReadFrontDoorFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	return readFrame(r, buf, MaxFrontDoorFrame, "front door")
+	n, err := readLen(r, MaxFrontDoorFrame, "front door")
+	if err != nil {
+		return nil, err
+	}
+	return readBody(r, buf, n, "front door")
 }
 
 // DecodeFrontDoorRequest parses one request payload (the frame body, length

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,19 +17,21 @@ import (
 // decoder, asserting that corrupted or truncated frames — including the
 // catch-up and sequenced-replication message set the recovery path depends
 // on — only ever produce errors, never panics or runaway allocations. This
-// is exactly what a tcpnet reader does with bytes off an untrusted wire.
+// is exactly what a tcpnet reader does with bytes off an untrusted wire, with
+// one decoder for the whole stream: each frame is decoded as well behind the
+// valid seeds, and must come out the same (decodeAfter).
 func FuzzCatchUpDecode(f *testing.F) {
 	// Seed with well-formed frames of every replication-plane message so the
 	// fuzzer mutates realistic input.
 	seeds := []any{
-		msg.ReplicateBatch{
+		&msg.ReplicateBatch{
 			Versions: []*item.Version{{
 				Key: "user:42", Value: []byte("payload"), SrcReplica: 1,
 				UpdateTime: 123456, Deps: vclock.VC{7, 0, 99}, Optimistic: true,
 			}},
 			HBTime: 123456, Epoch: 77, Seq: 3, Floor: 1000,
 		},
-		msg.Heartbeat{Time: 4242, Epoch: 77, Seq: 3, Floor: 1000},
+		&msg.Heartbeat{Time: 4242, Epoch: 77, Seq: 3, Floor: 1000},
 		msg.CatchUpRequest{ReqID: 9, From: 500},
 		msg.CatchUpReply{
 			ReqID: 9, Chunk: 2,
@@ -42,16 +45,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 		msg.CatchUpAck{ReqID: 9, Chunk: 2},
 		msg.CatchUpReply{ReqID: 11, Versions: mixedLengthVersions()},
 	}
-	for _, m := range seeds {
-		var buf bytes.Buffer
-		if err := NewBinaryEncoder(&buf).Encode(Envelope{
-			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
-		}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
-	}
+	lead := addSeeds(f, seeds)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	// Short frames whose version list claims a huge count: the decoder must
@@ -62,20 +56,62 @@ func FuzzCatchUpDecode(f *testing.F) {
 	f.Add(reservedTagFrames()[1]) // the retired single-version message: an unknown tag
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewBinaryDecoder(bytes.NewReader(data))
-		for {
-			env, err := dec.Decode()
-			if err != nil {
-				return // an error is the accepted outcome
-			}
-			// A frame that decodes must re-encode: the codec round-trips
-			// every value it is willing to produce.
+		// An error is the accepted outcome; a frame that decodes must
+		// re-encode: the codec round-trips every value it is willing to
+		// produce.
+		decodeAfter(t, lead, data, func(env Envelope) {
 			var buf bytes.Buffer
 			if err := NewBinaryEncoder(&buf).Encode(env); err != nil {
 				t.Fatalf("decoded envelope failed to re-encode: %v (%#v)", err, env)
 			}
-		}
+		})
 	})
+}
+
+// addSeeds adds each message's frame, and its first half, to the corpus, and
+// returns the whole frames.
+func addSeeds(f *testing.F, seeds []any) (frames [][]byte) {
+	for _, m := range seeds {
+		var buf bytes.Buffer
+		if err := NewBinaryEncoder(&buf).Encode(Envelope{
+			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
+		}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
+		frames = append(frames, buf.Bytes())
+	}
+	return frames
+}
+
+// decodeAfter decodes data through a fresh decoder and, in lockstep, through
+// one that has decoded the valid frames lead first — lent a batch, a
+// heartbeat and its pointer list, and grown its frame buffer. Every frame
+// must give both the same message or the same error: a decoder's lending
+// leaks nothing from one frame into the next. each sees every envelope that
+// decodes, before either decoder moves on.
+func decodeAfter(t *testing.T, lead [][]byte, data []byte, each func(Envelope)) {
+	t.Helper()
+	fresh := NewBinaryDecoder(bytes.NewReader(data))
+	used := NewBinaryDecoder(bytes.NewReader(append(bytes.Join(lead, nil), data...)))
+	for range lead {
+		if _, err := used.Decode(); err != nil {
+			t.Fatalf("lead frame: %v", err)
+		}
+	}
+	for {
+		env, err := fresh.Decode()
+		got, gotErr := used.Decode()
+		if fmt.Sprint(err) != fmt.Sprint(gotErr) || err == nil && !reflect.DeepEqual(env, got) {
+			t.Fatalf("a used decoder disagrees with a fresh one:\nfresh: %v %+v, %v\n used: %v %+v, %v",
+				env.Src, env.Msg, err, got.Src, got.Msg, gotErr)
+		}
+		if err != nil {
+			return
+		}
+		each(env)
+	}
 }
 
 // FuzzMembershipDecode drives the binary decoder with mutations of the
@@ -163,20 +199,11 @@ func FuzzSlotMapDecode(f *testing.F) {
 			Key: "user:42", Value: []byte("payload"), SrcReplica: 1,
 			UpdateTime: 123456, Deps: vclock.VC{7, 0, 99},
 		}}},
-		msg.ReplicateBatch{HBTime: 123456, Epoch: 77, Seq: 3, Floor: 1000, SlotEpoch: 2},
+		&msg.ReplicateBatch{HBTime: 123456, Epoch: 77, Seq: 3, Floor: 1000, SlotEpoch: 2},
 		msg.CatchUpReply{ReqID: 9, Done: true, Through: 123456, SlotEpoch: 2,
 			Progress: vclock.VC{7, 0, 99}},
 	}
-	for _, m := range seeds {
-		var buf bytes.Buffer
-		if err := NewBinaryEncoder(&buf).Encode(Envelope{
-			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
-		}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
-	}
+	addSeeds(f, seeds)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -212,44 +239,37 @@ func FuzzSlotMapDecode(f *testing.F) {
 // VVExchange frames. Corrupted input must fail cleanly, and any frame that
 // decodes must survive re-encoding semantically — the encoder is free to pick
 // the canonical format byte, so equality is checked on the decoded message,
-// not the bytes.
+// not the bytes. Behind the valid seeds, in a decoder that has lent batches
+// and heartbeats already, every frame must decode as in a fresh one
+// (decodeAfter).
 func FuzzHLCDecode(f *testing.F) {
 	base := vclock.Timestamp(1 << 44)
 	seeds := []any{
-		msg.ReplicateBatch{HBTime: base, Epoch: 77, Seq: 3, Floor: base - 5000,
+		&msg.ReplicateBatch{HBTime: base, Epoch: 77, Seq: 3, Floor: base - 5000,
 			Versions: []*item.Version{{
 				Key: "user:42", Value: []byte("payload"), SrcReplica: 1,
 				UpdateTime: base - 700, Deps: vclock.VC{base - 900, 0, base - 40000}, Optimistic: true,
 			}}},
-		msg.ReplicateBatch{HBTime: base, Epoch: 1, Seq: 9,
+		&msg.ReplicateBatch{HBTime: base, Epoch: 1, Seq: 9,
 			Versions: []*item.Version{
 				{Key: "lo", UpdateTime: 1, Deps: vclock.VC{0, 1, 1 << 62}},
 				{Key: "hi", UpdateTime: base + 1<<50, Deps: vclock.VC{base + 1, 0}},
 			}},
 		// Absolute-fallback batch: a dep delta of exactly 1<<63.
-		msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
+		&msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
 			{Key: "fb", UpdateTime: 3, Deps: vclock.VC{2 + 1<<63}},
 		}},
-		msg.ReplicateBatch{HBTime: 1 << 20, Epoch: 1, Seq: 10, Versions: mixedLengthVersions()},
+		&msg.ReplicateBatch{HBTime: 1 << 20, Epoch: 1, Seq: 10, Versions: mixedLengthVersions()},
 		msg.VVExchange{Partition: 1, VV: vclock.VC{base, 0, base - 1}, Watermark: base - 1},
 		msg.VVExchange{Partition: 2, Watermark: base},
-		msg.Heartbeat{Time: base, Epoch: 77, Seq: 4, Floor: base - 5000},
+		&msg.Heartbeat{Time: base, Epoch: 77, Seq: 4, Floor: base - 5000},
 	}
-	for _, m := range seeds {
-		var buf bytes.Buffer
-		if err := NewBinaryEncoder(&buf).Encode(Envelope{
-			Src: netemu.NodeID{DC: 1, Partition: 2}, Msg: m,
-		}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated frame
-	}
+	lead := addSeeds(f, seeds)
 	// Hand-built frame with an unknown batch format byte: must be rejected.
 	var bad bytes.Buffer
 	if err := NewBinaryEncoder(&bad).Encode(Envelope{
 		Src: netemu.NodeID{DC: 1, Partition: 2},
-		Msg: msg.ReplicateBatch{HBTime: base},
+		Msg: &msg.ReplicateBatch{HBTime: base},
 	}); err != nil {
 		f.Fatal(err)
 	}
@@ -260,12 +280,8 @@ func FuzzHLCDecode(f *testing.F) {
 	f.Add(hostileListFrame(batchHead, 60, make([]byte, 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewBinaryDecoder(bytes.NewReader(data))
-		for {
-			env, err := dec.Decode()
-			if err != nil {
-				return // corrupted input must fail, not panic
-			}
+		// Corrupted input must fail, not panic.
+		decodeAfter(t, lead, data, func(env Envelope) {
 			var buf bytes.Buffer
 			if err := NewBinaryEncoder(&buf).Encode(env); err != nil {
 				t.Fatalf("decoded envelope failed to re-encode: %v (%#v)", err, env)
@@ -277,7 +293,7 @@ func FuzzHLCDecode(f *testing.F) {
 			if !reflect.DeepEqual(env, re) {
 				t.Fatalf("re-encode changed the message:\n in: %#v\nout: %#v", env, re)
 			}
-		}
+		})
 	})
 }
 

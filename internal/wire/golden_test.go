@@ -53,16 +53,16 @@ var goldenSrc = netemu.NodeID{DC: 1, Partition: 2}
 func goldenMessages() map[string]any {
 	view := msg.Membership{Epoch: 4, Status: []uint8{1, 2, 0, 3}, Final: vclock.VC{0, goldenBase}}
 	return map[string]any{
-		"batch-delta": msg.ReplicateBatch{HBTime: goldenBase, Versions: goldenVersions(),
+		"batch-delta": &msg.ReplicateBatch{HBTime: goldenBase, Versions: goldenVersions(),
 			Epoch: 3, Seq: 1 << 16, Floor: goldenBase - 5000, SlotEpoch: 2},
-		"batch-delta-nil":   msg.ReplicateBatch{HBTime: goldenBase, Epoch: 1, Seq: 1},
-		"batch-delta-empty": msg.ReplicateBatch{HBTime: goldenBase, Versions: []*item.Version{}, Seq: 2},
+		"batch-delta-nil":   &msg.ReplicateBatch{HBTime: goldenBase, Epoch: 1, Seq: 1},
+		"batch-delta-empty": &msg.ReplicateBatch{HBTime: goldenBase, Versions: []*item.Version{}, Seq: 2},
 		// 1<<63 past the base is the one dependency delta the compact layout
 		// cannot carry, so the batch falls back to absolute timestamps.
-		"batch-absolute": msg.ReplicateBatch{HBTime: goldenBase, Versions: append(goldenVersions(),
+		"batch-absolute": &msg.ReplicateBatch{HBTime: goldenBase, Versions: append(goldenVersions(),
 			&item.Version{Key: "k4", Value: []byte("v4"), SrcReplica: 1, UpdateTime: goldenBase,
 				Deps: vclock.VC{goldenBase + 1<<63}}), Epoch: 3, Seq: 9},
-		"heartbeat": msg.Heartbeat{Time: goldenBase, Epoch: 3, Seq: 300, Floor: goldenBase - 1},
+		"heartbeat": &msg.Heartbeat{Time: goldenBase, Epoch: 3, Seq: 300, Floor: goldenBase - 1},
 		"slice-req": &msg.SliceReq{TxID: 77, Coordinator: netemu.NodeID{DC: 2, Partition: 1},
 			Keys: []string{"a", "", "bcd"}, TV: vclock.VC{goldenBase, 0}},
 		"slice-req-nil":   &msg.SliceReq{TxID: 1},

@@ -132,7 +132,7 @@ func genSlotMap(r *rand.Rand) *keyspace.SlotMap {
 func genMsg(r *rand.Rand, kind int) any {
 	switch kind % numMsgKinds {
 	case 0:
-		m := msg.ReplicateBatch{
+		m := &msg.ReplicateBatch{
 			HBTime:    vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch:     r.Uint64(),
 			Seq:       r.Uint64(),
@@ -150,7 +150,7 @@ func genMsg(r *rand.Rand, kind int) any {
 		}
 		return m
 	case 1:
-		return msg.Heartbeat{
+		return &msg.Heartbeat{
 			Time:  vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch: r.Uint64(),
 			Seq:   r.Uint64(),
@@ -289,10 +289,10 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	cases := []any{
 		msg.SlotHandoff{Versions: []*item.Version{{}}},
 		msg.SlotHandoff{Versions: []*item.Version{{Deps: vclock.VC{}}}},
-		msg.ReplicateBatch{},
-		msg.ReplicateBatch{Versions: []*item.Version{}},
-		msg.ReplicateBatch{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}, HBTime: 9},
-		msg.Heartbeat{},
+		&msg.ReplicateBatch{},
+		&msg.ReplicateBatch{Versions: []*item.Version{}},
+		&msg.ReplicateBatch{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}, HBTime: 9},
+		&msg.Heartbeat{},
 		&msg.SliceReq{},
 		&msg.SliceReq{Keys: []string{}},
 		&msg.SliceReq{Keys: []string{""}, TV: vclock.VC{0}},
@@ -311,8 +311,8 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.CatchUpReply{Done: true, Unsupported: true},
 		msg.CatchUpAck{},
 		msg.CatchUpAck{ReqID: 3, Chunk: 4},
-		msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3},
-		msg.Heartbeat{Time: 5, Epoch: 6, Seq: 7, Floor: 8},
+		&msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3},
+		&msg.Heartbeat{Time: 5, Epoch: 6, Seq: 7, Floor: 8},
 		msg.JoinRequest{},
 		msg.JoinRequest{DC: 3, View: msg.Membership{Epoch: 9, Status: []uint8{}}},
 		msg.JoinRequest{DC: 3, View: msg.Membership{Epoch: 9, Status: []uint8{msg.DCActive, msg.DCJoining}}},
@@ -333,7 +333,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 456}}},
 		msg.SlotMapUpdate{},
 		msg.SlotMapUpdate{Map: keyspace.DefaultMap(4)},
-		msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3, SlotEpoch: 4},
+		&msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3, SlotEpoch: 4},
 		msg.CatchUpReply{Done: true, SlotEpoch: 5, Progress: vclock.VC{1, 0, 9}},
 		msg.CatchUpReply{Done: true, Progress: vclock.VC{}},
 		msg.SlotHandoff{},
@@ -346,18 +346,18 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		// HBTime base (wraparound zigzag deltas), zero dep entries mixed
 		// with nonzero ones, and the one dep delta (1<<63) the delta
 		// format cannot carry — the encoder must fall back to absolute.
-		msg.ReplicateBatch{HBTime: 1 << 61, Versions: []*item.Version{
+		&msg.ReplicateBatch{HBTime: 1 << 61, Versions: []*item.Version{
 			{Key: "lo", UpdateTime: 1, Deps: vclock.VC{0, 1, 1 << 62}},
 			{Key: "hi", UpdateTime: 1<<63 + 9, Deps: vclock.VC{1<<61 + 1, 0}},
 		}},
-		msg.ReplicateBatch{HBTime: 0, Versions: []*item.Version{
+		&msg.ReplicateBatch{HBTime: 0, Versions: []*item.Version{
 			{Key: "fallback", UpdateTime: 3, Deps: vclock.VC{1 << 63}},
 		}},
-		msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
+		&msg.ReplicateBatch{HBTime: 2, Versions: []*item.Version{
 			{Key: "k", UpdateTime: 2 + 1<<63, Deps: vclock.VC{2 + 1<<63}},
 		}},
 		// One list, several record size classes: delta and absolute layout.
-		msg.ReplicateBatch{HBTime: 1 << 20, Versions: mixedLengthVersions()},
+		&msg.ReplicateBatch{HBTime: 1 << 20, Versions: mixedLengthVersions()},
 		msg.CatchUpReply{ReqID: 1, Versions: mixedLengthVersions(), Done: true},
 		msg.SlotHandoff{Versions: mixedLengthVersions()},
 	}
@@ -399,8 +399,8 @@ func mixedLengthVersions() []*item.Version {
 // one reallocates instead of writing into the record behind it.
 func TestMixedVectorLengthsDecodeApart(t *testing.T) {
 	want := mixedLengthVersions()
-	env := binaryRoundTrip(t, Envelope{Msg: msg.ReplicateBatch{HBTime: 1 << 20, Versions: want}})
-	got := env.Msg.(msg.ReplicateBatch).Versions
+	env := binaryRoundTrip(t, Envelope{Msg: &msg.ReplicateBatch{HBTime: 1 << 20, Versions: want}})
+	got := env.Msg.(*msg.ReplicateBatch).Versions
 	for _, v := range got {
 		if len(v.Deps) != cap(v.Deps) {
 			t.Fatalf("%s: len(Deps) = %d, cap = %d", v.Key, len(v.Deps), cap(v.Deps))
@@ -482,7 +482,7 @@ func TestBinaryDeltaBatchProperty(t *testing.T) {
 	var deltaBytes, absBytes, versions int
 	for i := 0; i < 300; i++ {
 		base := vclock.Timestamp(1<<40 + r.Uint64N(1<<44))
-		m := msg.ReplicateBatch{HBTime: base, Epoch: 1 + r.Uint64N(9), Seq: r.Uint64N(1 << 20)}
+		m := &msg.ReplicateBatch{HBTime: base, Epoch: 1 + r.Uint64N(9), Seq: r.Uint64N(1 << 20)}
 		for j := 0; j < 1+r.IntN(8); j++ {
 			deps := make(vclock.VC, 3)
 			for d := range deps {

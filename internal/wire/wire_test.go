@@ -32,18 +32,18 @@ func roundTrip(t *testing.T, m any) any {
 }
 
 func TestRoundTripReplicateBatch(t *testing.T) {
-	in := msg.ReplicateBatch{Versions: []*item.Version{{
+	in := &msg.ReplicateBatch{Versions: []*item.Version{{
 		Key: "k", Value: []byte("v"), SrcReplica: 2, UpdateTime: 42,
 		Deps: vclock.VC{1, 2, 3}, Optimistic: true,
 	}}, HBTime: 50, Epoch: 7, Seq: 1}
-	out, ok := roundTrip(t, in).(msg.ReplicateBatch)
+	out, ok := roundTrip(t, in).(*msg.ReplicateBatch)
 	if !ok || !reflect.DeepEqual(in, out) {
 		t.Fatalf("decoded %+v", out)
 	}
 }
 
 func TestRoundTripHeartbeat(t *testing.T) {
-	out, ok := roundTrip(t, msg.Heartbeat{Time: 7}).(msg.Heartbeat)
+	out, ok := roundTrip(t, &msg.Heartbeat{Time: 7}).(*msg.Heartbeat)
 	if !ok || out.Time != 7 {
 		t.Fatalf("decoded %+v", out)
 	}
@@ -109,7 +109,7 @@ func TestStreamMultipleEnvelopes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if err := enc.Encode(Envelope{
 			Src: netemu.NodeID{DC: 0, Partition: i},
-			Msg: msg.Heartbeat{Time: vclock.Timestamp(i)},
+			Msg: &msg.Heartbeat{Time: vclock.Timestamp(i)},
 		}); err != nil {
 			t.Fatal(err)
 		}
