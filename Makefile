@@ -40,7 +40,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17350
+LOC_CEILING = 17410
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -73,10 +73,10 @@ bench-module:
 # the same operation in process), the loader's slab-carved versions (under one
 # allocation a key) and a loaded key's share of its shard's slot array, plus
 # the replicated-apply heap retention bound, the release of a pruned version
-# by a key's tail, of the loader's slabs and value chunks and of a version
-# the WAL staged, once its commit group is written. Counts
-# do not depend on host speed, so unlike wall-clock ratios they are asserted
-# on every run (-count=1: never from the test cache).
+# by a key's tail, of the loader's slabs and value chunks, of the client
+# pool's value chunks and of a version the WAL staged, once its commit group
+# is written. Counts do not depend on host speed, so unlike wall-clock ratios
+# they are asserted on every run (-count=1: never from the test cache).
 allocs:
 	$(GO) test -count=1 -run 'Allocs|Retention' ./internal/...
 
@@ -107,8 +107,8 @@ define RACE_ROWS
 -run 'Split|MoveSlots|Slot|Reshard' ./internal/keyspace/... ./internal/cluster/... ./internal/kvserver/...
 # The front door: the one dispatcher behind both encodings, the pipelined
 # binary path (per-session FIFO workers, out-of-order completion, single
-# coalescing writer), the client pool, the blocked-GET no-stall and churn
-# scenarios, and the leased request frames.
+# coalescing writer), the client pool and its carved values, the blocked-GET
+# no-stall and churn scenarios, and the leased request frames.
 -run 'FrontDoor|Text' ./internal/kvserver/ ./internal/client/ ./internal/wire/
 # The hybrid-clock plane: HLC packing/merge, the negative-skew clamp, the
 # lean watermark stabilization rule, the skew-insensitive PUT clock-wait and

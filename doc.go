@@ -347,9 +347,13 @@
 //     caller's key or value afterwards. A synchronous RemoteSession call
 //     reuses the session's one Call (completion is a CAS on the request id,
 //     so a teardown racing a response cannot reach the next use); *Async
-//     calls allocate their own. A response's value is copied out of the
-//     reader's buffer once and is the caller's: the reader zeroes a run's
-//     slots once delivered, so an idle connection pins no response.
+//     calls allocate their own. A response's values (an RO-TX's keys too)
+//     are carved out of the reader's buffer into the connection's
+//     item.Chunk (4 KiB; a value over 512 B is an allocation of its own), so
+//     a GET round trip allocates nothing on either end. They are the
+//     caller's, at the loader's retention price: a kept value keeps its
+//     chunk reachable. The reader zeroes a run's slots once delivered, so an
+//     idle connection pins no response, only its current chunk.
 //   - front-door frame → session worker → core. The connection reader takes
 //     a frame buffer on lease from a pool, reads one frame into it and
 //     decodes it in place: wire.DecodeFrontDoorRequest aliases the frame, so

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/item"
 	"repro/internal/wire"
 )
 
@@ -172,7 +173,9 @@ func (c *Call) complete(id uint64, resp wire.FrontDoorResponse, err error) {
 func (c *Call) Done() <-chan struct{} { return c.done }
 
 // Wait blocks for completion and returns the response. A server-reported
-// error (FDErr) surfaces as a *RemoteError.
+// error (FDErr) surfaces as a *RemoteError. The response's values and keys
+// are the caller's, carved from a chunk the connection shares among its
+// responses: a value that is kept keeps its chunk (at most 4 KiB) reachable.
 func (c *Call) Wait() (wire.FrontDoorResponse, error) {
 	<-c.done
 	if c.err != nil {
@@ -241,7 +244,8 @@ func (s *RemoteSession) Put(key string, value []byte) error {
 	return err
 }
 
-// Get reads key; nil means the key has no visible version.
+// Get reads key; nil means the key has no visible version. A kept value keeps
+// the chunk it was carved from reachable (see Call.Wait).
 func (s *RemoteSession) Get(key string) ([]byte, error) {
 	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDGet, Key: key})
 	if err != nil || !resp.Exists {
@@ -251,7 +255,7 @@ func (s *RemoteSession) Get(key string) ([]byte, error) {
 }
 
 // ROTx reads keys atomically from a causal snapshot; missing keys map to
-// nil, matching the in-process Session.
+// nil, matching the in-process Session; keys and values are carved as Get's.
 func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
 	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Keys: keys})
 	if err != nil {
@@ -316,9 +320,10 @@ type poolConn struct {
 	inflight map[uint64]*Call
 	err      error // sticky death reason
 
-	// Owned by the reader goroutine: the frame buffer and the run of
-	// responses being delivered (see readRun).
+	// Owned by the reader goroutine: the frame buffer, the value chunk and
+	// the run of responses being delivered (see readRun).
 	rbuf     []byte
+	vals     item.Chunk
 	arrivals []arrival
 }
 
@@ -486,8 +491,10 @@ func (pc *poolConn) reader() {
 // readRun delivers one run of responses: the frames already sitting in the
 // read buffer (the server coalesces its writes, so they arrive in runs) are
 // decoded together and resolved against the in-flight table under one lock.
-// A delivered response belongs to its caller: the run's slots are zeroed, so
-// an idle connection keeps no value, item list or text reachable.
+// Values are carved from the connection's chunk, ordered before the caller
+// reads them by the channel send that completes its call. A delivered
+// response belongs to its caller: the run's slots are zeroed, so an idle
+// connection keeps no item list or text, and only its current chunk, reachable.
 func (pc *poolConn) readRun(br *bufio.Reader) error {
 	batch := pc.arrivals[:0]
 	for {
@@ -496,7 +503,7 @@ func (pc *poolConn) readRun(br *bufio.Reader) error {
 			return fmt.Errorf("client: pool read: %w", err)
 		}
 		pc.rbuf = frame[:0]
-		resp, err := wire.DecodeFrontDoorResponse(frame)
+		resp, err := wire.DecodeFrontDoorResponseChunked(frame, &pc.vals)
 		if err != nil {
 			return fmt.Errorf("client: pool decode: %w", err)
 		}

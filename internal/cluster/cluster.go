@@ -207,7 +207,7 @@ type Cluster struct {
 	seedMu   sync.Mutex
 	seedSeq  uint64 // timestamps for pre-loaded data
 	seedSlab item.Slab
-	seedVals []byte
+	seedVals item.Chunk
 
 	// memberMu guards the deployment's membership mirror — the admin-side
 	// record of which DC slots exist and their statuses — plus the TCP
@@ -589,9 +589,10 @@ func (c *Cluster) newSession(dc int, autoFallback bool) (*client.Session, error)
 // immediately visible and stable everywhere. A key costs one version and one
 // copy of value, whatever the number of DCs: versions are immutable, so every
 // DC's chain holds the same one (a durable engine still logs its own record).
-// Both are carved as the batch decoder carves, with its price: a live seeded
-// version keeps its slab array's seedCarve-1 neighbours and its value chunk
-// reachable. A spent array or chunk is dropped. Seed is safe for concurrent use.
+// Both are carved (item.Slab, item.Chunk), at the price the batch decoder and
+// the client pool pay: a live seeded version keeps its slab array's
+// seedCarve-1 neighbours and its value chunk reachable. A spent array or chunk
+// is dropped. Seed is safe for concurrent use.
 func (c *Cluster) Seed(key string, value []byte) {
 	c.seedMu.Lock()
 	c.seedSeq++
@@ -601,16 +602,7 @@ func (c *Cluster) Seed(key string, value []byte) {
 	}
 	v.Key, v.UpdateTime = key, vclock.Timestamp(c.seedSeq)
 	if len(value) > 0 {
-		if len(value) > cap(c.seedVals)-len(c.seedVals) {
-			c.seedVals = make([]byte, 0, max(seedChunk, len(value)))
-		}
-		n := len(c.seedVals)
-		c.seedVals = append(c.seedVals, value...)
-		end := len(c.seedVals)
-		v.Value = c.seedVals[n:end:end] // an append copies, never spills into a neighbour
-		if end == cap(c.seedVals) {
-			c.seedVals = nil
-		}
+		v.Value = c.seedVals.Copy(value)
 	}
 	c.seedMu.Unlock()
 	p := c.PartitionOf(key)
@@ -621,7 +613,7 @@ func (c *Cluster) Seed(key string, value []byte) {
 	}
 }
 
-const seedCarve, seedChunk = 64, 4 << 10 // versions per slab array, bytes per value chunk
+const seedCarve = 64 // versions per slab array
 
 // SeedTable pre-loads every key of a keyspace table with an 8-byte value.
 func (c *Cluster) SeedTable(table *keyspace.Table) {

@@ -84,7 +84,9 @@ func TestEveryMessageHasOneHandler(t *testing.T) {
 	if s.SlotTable() == nil {
 		t.Error("SlotMapUpdate: no table installed")
 	}
-	s.handle(peer, msg.SlotHandoff{Versions: []*item.Version{{Key: "h", Value: []byte("v"), SrcReplica: 1, UpdateTime: 9, Deps: vclock.New(3)}}})
+	handoff := []*item.Version{{Key: "h", Value: []byte("v"), SrcReplica: 1, UpdateTime: 9, Deps: vclock.New(3)}, nil}
+	s.handle(peer, msg.SlotHandoff{Versions: handoff}) // a nil marker: dropped unread
+	s.handle(peer, msg.SlotHandoff{Versions: handoff[:1]})
 	if got := s.Store().Stats().Versions; got != 1 {
 		t.Errorf("SlotHandoff: %d versions stored, want 1", got)
 	}

@@ -40,6 +40,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -557,8 +558,11 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		s.InstallSlotMap(mm.Map)
 	case msg.SlotHandoff:
 		// Idempotent store inserts only: the forwarder cannot vouch for the
-		// origins' gap-free prefixes, so the VV must not move here.
-		s.store.InsertBatch(mm.Versions)
+		// origins' gap-free prefixes, so the VV must not move here. A list
+		// holding a nil version (a wire nil marker) is dropped unread.
+		if !slices.Contains(mm.Versions, nil) {
+			s.store.InsertBatch(mm.Versions)
+		}
 	case *msg.SliceReq:
 		s.serveSlice(src, mm) // never blocks the link: reads now, or parks
 	case *msg.SliceResp:

@@ -8,6 +8,8 @@
 // or the loader (carved from a Slab; the loader's version is shared by every
 // DC's chain), a WAL replay — so that the tuple is one heap object; outside
 // tests no other package writes a Version literal (`make vet` greps for one).
+// Chunk is Slab's twin for values: it carves small byte values out of shared
+// chunks, for the loader and for the client pool's decoded responses.
 package item
 
 import "repro/internal/vclock"
@@ -90,6 +92,34 @@ func carve[R any](s *[]R, c int) *R {
 	r := &(*s)[0]
 	*s = (*s)[1:]
 	return r
+}
+
+// Chunk carves small byte values out of shared 4 KiB chunks instead of one
+// allocation each. The zero value is ready; a nil *Chunk copies exactly. The
+// price is Slab's: a carved value keeps its whole chunk reachable,
+// neighbours included, so a chunk is dropped once full and a value over
+// chunkMaxValue gets an allocation of its own, neither wasting a chunk nor
+// sharing one.
+type Chunk struct{ b []byte }
+
+const chunkSize, chunkMaxValue = 4 << 10, 512
+
+// Copy returns a copy of b (never nil) with cap == len, so an append to it
+// copies and never spills into a neighbour.
+func (c *Chunk) Copy(b []byte) []byte {
+	if c == nil || len(b) == 0 || len(b) > chunkMaxValue {
+		return append(make([]byte, 0, len(b)), b...)
+	}
+	if len(b) > cap(c.b)-len(c.b) {
+		c.b = make([]byte, 0, chunkSize)
+	}
+	n := len(c.b)
+	c.b = append(c.b, b...)
+	out := c.b[n:len(c.b):len(c.b)]
+	if len(c.b) == cap(c.b) {
+		c.b = nil // full: its values alone keep it reachable
+	}
+	return out
 }
 
 // Newer reports whether v is ordered after o by the last-writer-wins rule:

@@ -111,3 +111,37 @@ func TestNewAllocs(t *testing.T) {
 }
 
 var sink *Version
+
+// TestChunkCopy: values up to chunkMaxValue are carved back to back from one
+// chunk, each with cap == len, and a full chunk is let go; a larger value, an
+// empty one and anything a nil *Chunk copies get an exact allocation.
+func TestChunkCopy(t *testing.T) {
+	var c Chunk
+	a, b := c.Copy([]byte("abc")), c.Copy([]byte("de"))
+	if string(a) != "abc" || string(b) != "de" || cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("carved %q (cap %d) and %q (cap %d)", a, cap(a), b, cap(b))
+	}
+	if &c.b[0] != &a[0] || &c.b[3] != &b[0] {
+		t.Fatal("two small values were not carved back to back")
+	}
+	if v := c.Copy(make([]byte, chunkMaxValue+1)); cap(v) != chunkMaxValue+1 || len(c.b) != 5 {
+		t.Fatal("a value over chunkMaxValue was carved")
+	}
+	var none *Chunk
+	if v := none.Copy([]byte("xyz")); string(v) != "xyz" || cap(v) != 3 {
+		t.Fatalf("a nil chunk copied %q with cap %d", v, cap(v))
+	}
+	if v := c.Copy(nil); v == nil || len(v) != 0 || len(c.b) != 5 {
+		t.Fatalf("an empty copy is %#v, want non-nil, empty and not carved", v)
+	}
+	c = Chunk{}
+	for i := 0; i < chunkSize/chunkMaxValue; i++ {
+		c.Copy(make([]byte, chunkMaxValue))
+	}
+	if c.b != nil {
+		t.Fatal("a full chunk is kept")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Copy([]byte("12345678")) }); n != 0 && !racedetect.Enabled {
+		t.Fatalf("Copy of 8 bytes allocates %v times on average, want 0 (a chunk's share)", n)
+	}
+}

@@ -220,8 +220,12 @@ func capRaiseLocked(st *inLink, t vclock.Timestamp) vclock.Timestamp {
 // version-vector entry when the link's sequence is intact. Versions are
 // always installed — POCC serves the freshest received version regardless —
 // only the VV advance (the claim "I hold the complete prefix") is gated.
+//
+// A batch holding a nil version (the wire carries nil markers in a version
+// list) is dropped before anything reads it: its sequence number becomes a
+// hole that catch-up repairs, as it does a lost batch.
 func (r *Manager) handleBatch(src netemu.NodeID, m *msg.ReplicateBatch) {
-	if !r.validSrc(src.DC) {
+	if !r.validSrc(src.DC) || slices.Contains(m.Versions, nil) {
 		return
 	}
 	adv := m.HBTime
@@ -257,9 +261,7 @@ func (r *Manager) deferWhilePending(dc int, m *msg.ReplicateBatch, adv vclock.Ti
 		return false
 	}
 	for _, v := range m.Versions {
-		if v != nil {
-			st.deferredBytes += versionBytes(v)
-		}
+		st.deferredBytes += versionBytes(v)
 	}
 	st.deferred = append(st.deferred, deferredBatch{vs: slices.Clone(m.Versions), slotEpoch: m.SlotEpoch})
 	r.statDeferred.Add(1)
@@ -484,9 +486,11 @@ func (r *Manager) noteChainLocked(st *inLink, epoch, seq uint64, ts vclock.Times
 // sender's backpressure window), and on the final chunk completes the round:
 // raise the VV through the streamed history, splice the chain of batches
 // that arrived meanwhile, and either resume normal sequencing or start the
-// next round from the new floor.
+// next round from the new floor. A chunk holding a nil version is dropped
+// unread and unacknowledged, as a lost chunk is: the round's re-request
+// repairs it.
 func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
-	if !r.validSrc(src.DC) {
+	if !r.validSrc(src.DC) || slices.Contains(m.Versions, nil) {
 		return
 	}
 	if len(m.Versions) > 0 {

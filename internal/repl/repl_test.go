@@ -312,6 +312,56 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 	}
 }
 
+// TestNilVersionListDropped: the wire carries nil markers in a version list,
+// so a peer can deliver a batch or a catch-up chunk holding a nil version.
+// Nothing may read such a list — not the VV advance, not the store — so it is
+// dropped unapplied and unacknowledged, without advancing the link: the
+// batch's sequence number becomes a hole that catch-up repairs, as it does a
+// lost batch.
+func TestNilVersionListDropped(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+	})
+	src := netemu.NodeID{DC: 1, Partition: 0}
+	for _, vs := range [][]*item.Version{{nil}, {nil, ver(1, 90, "a")}, {ver(1, 90, "a"), nil}} {
+		if !m.Handle(src, &msg.ReplicateBatch{Versions: vs, HBTime: 5, Epoch: 7, Seq: 1}) {
+			t.Fatal("a batch is not the plane's")
+		}
+	}
+	if n, vv := be.appliedCount(), be.VVEntry(1); n != 0 || vv != 0 {
+		t.Fatalf("a batch holding a nil version was read: %d versions applied, VV[1] = %d", n, vv)
+	}
+	// Seq 1 never counted: seq 2 is a hole, repaired by catch-up.
+	m.Handle(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2})
+	out := tr.msgs(src)
+	if len(out) != 1 {
+		t.Fatalf("outbound = %v, want one CatchUpRequest", out)
+	}
+	req, ok := out[0].(msg.CatchUpRequest)
+	if !ok {
+		t.Fatalf("outbound = %#v, want a CatchUpRequest", out[0])
+	}
+	if got := be.VVEntry(1); got != 0 {
+		t.Fatalf("VV[1] = %d past the dropped batch, want it frozen at 0", got)
+	}
+	applied := be.appliedCount()
+	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Chunk: 1, Versions: []*item.Version{ver(1, 100, "a"), nil}})
+	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Done: true, Versions: []*item.Version{nil},
+		ResumeEpoch: 7, ResumeSeq: 1, Through: 100})
+	if n := be.appliedCount(); n != applied || len(tr.msgs(src)) != 1 {
+		t.Fatalf("a chunk holding a nil version was read: %d versions applied (want %d), outbound %v", n, applied, tr.msgs(src))
+	}
+	if st := m.LinkStates()[1]; st != LinkCatchingUp {
+		t.Fatalf("link state %v after a dropped Done, want still catching-up", st)
+	}
+	// The repaired round completes as usual.
+	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Done: true, Versions: []*item.Version{ver(1, 100, "a")},
+		ResumeEpoch: 7, ResumeSeq: 1, Through: 100})
+	if got := be.VVEntry(1); got != 200 {
+		t.Fatalf("VV[1] = %d after catch-up, want 200 (Through + spliced chain)", got)
+	}
+}
+
 // TestCatchUpDeferredBatchOutlivesNextDecode: a batch parked while a round is
 // pending outlives its lease. The TCP decoder lends a batch and its version
 // list only until the next Decode, so the parked list must be a copy: batch

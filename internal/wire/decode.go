@@ -1,6 +1,8 @@
 // Decoding: a decoded message never aliases the decoder's reused frame
 // buffer — strings, payloads and vectors are allocated individually (the
-// RO-TX slice pair fills the lists and vectors of a pooled message), except
+// RO-TX slice pair fills the lists and vectors of a pooled message; the
+// chunked front-door response form carves its strings and payloads from the
+// caller's item.Chunk, see DecodeFrontDoorResponseChunked), except
 // in the version-list messages (ReplicateBatch, CatchUpReply, SlotHandoff),
 // whose frame is their own: everything in the list is carved out of it and
 // one right-sized slab of records (see frameReader.versions). A batch and a
@@ -31,13 +33,15 @@ var errShortFrame = fmt.Errorf("wire: short frame")
 // carves its records — version and dependency vector in one — from a slab
 // sized from the list's count and the bytes left; a front-door request's frame
 // is its holder's, who decides how long the request lives (see
-// DecodeFrontDoorRequest).
+// DecodeFrontDoorRequest). Otherwise keys and values are copied out through
+// chunk, which carves them when set and allocates each exactly when nil.
 type frameReader struct {
 	b   []byte
 	pos int
 	err error
 
 	owned bool
+	chunk *item.Chunk
 	slab  item.Slab
 	left  int // versions of the list not yet decoded, this one included
 }
@@ -88,11 +92,15 @@ func (f *frameReader) take(n uint64) []byte {
 
 func (f *frameReader) string() string {
 	raw := f.take(f.uint())
-	if !f.owned || len(raw) == 0 {
-		return string(raw)
+	if len(raw) == 0 {
+		return ""
 	}
-	// Nobody writes to b while the string is in use: b is a version list's
-	// own frame, or a request frame its holder keeps untouched.
+	if !f.owned {
+		raw = f.chunk.Copy(raw)
+	}
+	// Nobody writes to the bytes while the string is in use: b is a version
+	// list's own frame or a request frame its holder keeps untouched, and a
+	// copy is handed out once, as this string.
 	return unsafe.String(&raw[0], len(raw))
 }
 
@@ -108,9 +116,7 @@ func (f *frameReader) bytes() []byte {
 	if f.owned {
 		return raw[:len(raw):len(raw)]
 	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out
+	return f.chunk.Copy(raw)
 }
 
 // finish returns the first recorded error, or a trailing-bytes error when

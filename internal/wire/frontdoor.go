@@ -30,6 +30,8 @@ import (
 	"bufio"
 	"fmt"
 	"unsafe"
+
+	"repro/internal/item"
 )
 
 // FrontDoorMagic is the first byte of a binary front-door connection. Text
@@ -265,10 +267,18 @@ func detachString(own []byte, s string) ([]byte, string) {
 	return own, unsafe.String(&own[len(own)-len(s)], len(s))
 }
 
-// DecodeFrontDoorResponse parses one response payload.
+// DecodeFrontDoorResponse parses one response payload into exact copies.
 func DecodeFrontDoorResponse(frame []byte) (FrontDoorResponse, error) {
+	return DecodeFrontDoorResponseChunked(frame, nil)
+}
+
+// DecodeFrontDoorResponseChunked is DecodeFrontDoorResponse with a GET's
+// value and an RO-TX's keys and values carved from vals (a nil vals
+// allocates each exactly): the response never aliases frame, and keeps the
+// chunks it was carved from reachable for as long as it is held.
+func DecodeFrontDoorResponseChunked(frame []byte, vals *item.Chunk) (FrontDoorResponse, error) {
 	var r FrontDoorResponse
-	f := &frameReader{b: frame}
+	f := &frameReader{b: frame, chunk: vals}
 	r.Kind = f.byteVal()
 	r.ID = f.uint()
 	switch r.Kind {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/item"
 )
 
 // FuzzFrontDoorDecode feeds arbitrary bytes through the front-door frame
@@ -16,7 +18,9 @@ import (
 // responses surviving re-serialization in proxies and tests). A request is
 // decoded in place, so it is first detached the way kvserver detaches what a
 // PUT or an RO-TX keeps, and its frame overwritten: the round trip runs on
-// the copies alone.
+// the copies alone. A response decodes through both forms alike — exact
+// copies, and carved from one chunk the way the client pool decodes — and a
+// carved response is never overwritten by later decodes through its chunk.
 func FuzzFrontDoorDecode(f *testing.F) {
 	reqs := []FrontDoorRequest{
 		{Op: FDPing, ID: 1, Session: 1},
@@ -44,16 +48,28 @@ func FuzzFrontDoorDecode(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2]) // truncated frame
 	}
+	var stream []byte // every response, one after another through one chunk
 	for i := range resps {
 		b := AppendFrontDoorResponse(nil, &resps[i])
 		f.Add(b)
 		f.Add(b[:len(b)/2])
+		stream = append(stream, b...)
 	}
+	f.Add(stream)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
+		var vals item.Chunk
+		var carved, exact []FrontDoorResponse // carved[i] decoded equal to exact[i]
+		defer func() {
+			for i := range carved {
+				if !reflect.DeepEqual(carved[i], exact[i]) {
+					t.Fatalf("a later decode through the chunk changed response %d:\n was: %#v\n now: %#v", i, exact[i], carved[i])
+				}
+			}
+		}()
 		for {
 			frame, err := ReadFrontDoorFrame(br, nil)
 			if err != nil {
@@ -82,8 +98,21 @@ func FuzzFrontDoorDecode(f *testing.F) {
 				}
 			}
 			// The same bytes interpreted as a response must also fail cleanly
-			// or round-trip.
-			if resp, err := DecodeFrontDoorResponse(frame); err == nil {
+			// or round-trip, and decode alike through the chunk, twice over:
+			// each copy is carved past the last.
+			resp, err := DecodeFrontDoorResponse(frame)
+			for range 2 {
+				scratch = bytes.Clone(frame)
+				c, cerr := DecodeFrontDoorResponseChunked(scratch, &vals)
+				if (cerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(c, resp) {
+					t.Fatalf("the chunked decode differs:\n exact: %#v, %v\n chunked: %#v, %v", resp, err, c, cerr)
+				}
+				clear(scratch) // a carved response never aliases its frame
+				if cerr == nil {
+					carved, exact = append(carved, c), append(exact, resp)
+				}
+			}
+			if err == nil {
 				re := AppendFrontDoorResponse(nil, &resp)
 				frame2, err := ReadFrontDoorFrame(bufio.NewReader(bytes.NewReader(re)), nil)
 				if err != nil {
