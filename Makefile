@@ -23,6 +23,9 @@ all: check
 # A batch and a heartbeat travel as pointers, which the TCP decoder lends: a
 # value literal msg.ReplicateBatch{ or msg.Heartbeat{ without & in the root
 # module's Go, tests included, fails the step.
+# The transport contract is declared once, in internal/netemu next to NodeID
+# and Handler: a Transport interface declared in non-test Go of the root
+# module outside internal/netemu fails the step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
@@ -31,6 +34,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'binary\.ReadUvarint' . | grep -v '^\./internal/wire/frame\.go:'
 	@! grep -rn --include='*_test.go' --exclude-dir=bench -E 'os\.(Getenv|LookupEnv)\(' .
 	@! grep -rn --include='*.go' --exclude-dir=bench -E '(^|[^&*])msg\.(ReplicateBatch|Heartbeat)\{' .
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -E 'Transport +interface' . | grep -v '^\./internal/netemu/'
 
 build:
 	$(GO) build ./...
@@ -40,7 +44,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17410
+LOC_CEILING = 17340
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \

@@ -88,7 +88,7 @@
 // through this index: snapshot and segments whose ranges cannot intersect
 // the requested per-origin window are skipped without being read, so
 // re-shipping a brief outage's worth of versions costs O(gap), not O(store),
-// and a nil window (the reshard donor copy) is the whole history. The index is advisory — readers keep their
+// and a nil window is the whole history. The index is advisory — readers keep their
 // per-version filters — and Stats reports seek hits (walks that skipped a
 // part), full scans (walks that skipped none) and parts skipped, alongside
 // the commit-pipeline counters (fsyncs, group sizes, ack-to-durable lag).
@@ -259,7 +259,10 @@
 // table: the moved-slot version universe provably freezes before the drain
 // marks are taken — wait for every data center's donors to deliver their streams
 // everywhere (the drain), then copy the moved history from each DC's local
-// donors into its new owner, release the gate, and flip routing. The
+// donors into its new owner, release the gate, and flip routing. The copy
+// reads the donors' version chains (storage.Engine.ForEachVersion), the
+// state they serve, never their logs: until the next checkpoint a log still
+// holds a forcibly removed DC's discarded suffix. The
 // next-epoch table is staged in cluster state for the whole fence-to-flip
 // window, so a server crash-restarted mid-reshard boots already fenced. A
 // freshly split owner additionally adopts the donors' version-vector claim

@@ -23,6 +23,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/storage"
 	"repro/internal/tcpnet"
 	"repro/internal/vclock"
@@ -146,13 +147,13 @@ type Config struct {
 	// inside the soak window instead of stalling it.
 	ReshardTimeout time.Duration
 	// JoinTimeout bounds how long a joining DC's servers keep soliciting the
-	// deployment before giving up (core.Config.JoinTimeout); WaitForJoin
+	// deployment before giving up (repl.Config.JoinTimeout); WaitForJoin
 	// tears a failed join down cleanly. 0 retries forever.
 	JoinTimeout time.Duration
 	// GCMaxHoldback bounds how long garbage collection is deferred for a
 	// frozen, catching-up or joining replication link
-	// (core.Config.GCMaxHoldback). 0 selects the core default (10 s);
-	// negative never releases.
+	// (repl.Config.GCMaxHoldback). 0 selects the replication plane's
+	// default (10 s); negative never releases.
 	GCMaxHoldback time.Duration
 }
 
@@ -233,7 +234,7 @@ type node struct {
 	srv atomic.Pointer[core.Server]
 	// transport is what servers attach to: the network endpoint, behind the
 	// relay on a durable deployment. Nil until the node is registered.
-	transport core.Transport
+	transport netemu.Transport
 	relay     *relay // non-nil only on durable (restartable) deployments
 	skew      time.Duration
 	mx        *core.Metrics
@@ -420,26 +421,28 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		}
 	}
 	return core.Config{
-		ID:                    netemu.NodeID{DC: dc, Partition: p},
-		NumDCs:                numDCs,
+		Config: repl.Config{
+			ID:                netemu.NodeID{DC: dc, Partition: p},
+			NumDCs:            numDCs,
+			MaxDCs:            c.maxDCs,
+			Clock:             c.newClock(dc, p),
+			Endpoint:          c.nodes[dc][p].transport,
+			HeartbeatInterval: c.cfg.HeartbeatInterval,
+			Joining:           joining,
+			JoinTimeout:       c.cfg.JoinTimeout,
+			GCMaxHoldback:     c.cfg.GCMaxHoldback,
+			Membership:        view,
+		},
 		NumPartitions:         numParts,
 		MaxPartitions:         c.maxParts,
 		SlotMap:               c.bootSlots.Load(),
-		Clock:                 c.newClock(dc, p),
-		Endpoint:              c.nodes[dc][p].transport,
 		DefaultMode:           mode,
-		HeartbeatInterval:     c.cfg.HeartbeatInterval,
 		StabilizationInterval: stab,
 		LeanStabilization:     c.cfg.LeanStabilization,
 		GCInterval:            c.cfg.GCInterval,
 		BlockTimeout:          blockTimeout,
 		DataDir:               dataDir,
 		DurableOptions:        c.cfg.Durable,
-		MaxDCs:                c.maxDCs,
-		Joining:               joining,
-		JoinTimeout:           c.cfg.JoinTimeout,
-		GCMaxHoldback:         c.cfg.GCMaxHoldback,
-		Membership:            view,
 		Metrics:               c.nodes[dc][p].mx,
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -417,15 +418,17 @@ func TestJoinerStabilizationGate(t *testing.T) {
 	joinerEP := net.Register(netemu.NodeID{DC: 1, Partition: 0}, nil)
 
 	srv, err := core.NewServer(core.Config{
-		ID:                    netemu.NodeID{DC: 1, Partition: 0},
-		NumDCs:                2,
+		Config: repl.Config{
+			ID:                netemu.NodeID{DC: 1, Partition: 0},
+			NumDCs:            2,
+			Clock:             clock.New(0),
+			Endpoint:          joinerEP,
+			HeartbeatInterval: time.Millisecond,
+			Joining:           true,
+		},
 		NumPartitions:         2,
-		Clock:                 clock.New(0),
-		Endpoint:              joinerEP,
 		DefaultMode:           core.Optimistic,
-		HeartbeatInterval:     time.Millisecond,
 		StabilizationInterval: time.Millisecond,
-		Joining:               true,
 		Metrics:               &core.Metrics{},
 	})
 	if err != nil {

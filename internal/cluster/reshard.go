@@ -10,7 +10,6 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
-	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
@@ -237,13 +236,15 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 	}
 
 	// 3. Copy. Each member DC bootstraps its target from its local donors'
-	// history: durable donors stream their WAL-backed store, in-memory
-	// donors enumerate their chains. The donor's version vector is captured
-	// before the walk — it only covers versions already in the store, and
-	// no moved-slot version is created after the drain — so for a freshly
-	// split owner (which routes nothing but the moved slots) seeding it
-	// into the target is a sound completeness claim for everything the
-	// target serves. A pre-existing target also owns slots the donors know
+	// chains — what a donor serves, durable or not. A durable donor's log
+	// is no substitute: until its next checkpoint it still holds a forcibly
+	// removed DC's discarded suffix, whose dependencies can never arrive.
+	// The donor's version vector is captured before the walk — it only
+	// covers versions already in the store, and no moved-slot version is
+	// created after the drain — so for a freshly split owner (which routes
+	// nothing but the moved slots) seeding it into the target is a sound
+	// completeness claim for everything the target serves. A pre-existing
+	// target also owns slots the donors know
 	// nothing about: its own replication streams may lag the donors', and
 	// adopting their VV would overclaim versions it never received —
 	// reads would skip causal waits and the inflated catch-up floor would
@@ -276,21 +277,7 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 				}
 				batch = append(batch, v)
 			}
-			var err error
-			switch st := src.Store().(type) {
-			case *storage.Durable:
-				err = st.ForEachDurable(nil, nil, func(v *item.Version, _ bool) error {
-					collect(v)
-					return nil
-				})
-			case *storage.Mem:
-				st.ForEachVersion(collect)
-			default:
-				err = fmt.Errorf("cluster: reshard: donor dc%d-p%d store cannot enumerate history", dc, p)
-			}
-			if err != nil {
-				return c.abortReshard(cur, next, moved, members, newPart, err)
-			}
+			src.Store().ForEachVersion(collect)
 			for len(batch) > 0 {
 				n := len(batch)
 				if n > copyBatchSize {

@@ -543,3 +543,115 @@ func TestSplitRoutingMatchesServers(t *testing.T) {
 		}
 	}
 }
+
+// TestReshardCopyOmitsEvictedSuffix: a forced removal discards the dead DC's
+// versions above the agreed final from every survivor's chains, but the
+// survivors' write-ahead logs keep them until the next checkpoint. A split
+// afterwards must copy what the donors serve, not what their logs hold: the
+// new owner may not bring the discarded suffix back, whose dependencies can
+// never arrive.
+func TestReshardCopyOmitsEvictedSuffix(t *testing.T) {
+	const dead = 2
+	// An hour-long Δ: a batch leaves only when the buffer fills.
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxPartitions: 4, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		DataDir:           t.TempDir(),
+		Seed:              1,
+	})
+	// A key whose slot the split of its partition moves: the donor keeps the
+	// even half of its slots.
+	var key string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("suffix-%d", i)
+		owned := c.SlotTable().SlotsOwnedBy(c.PartitionOf(k))
+		for j := 1; j < len(owned); j += 2 {
+			if owned[j] == keyspace.SlotOf(k) {
+				key = k
+			}
+		}
+	}
+	p := c.PartitionOf(key)
+	s, err := c.NewSession(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := func(prefix string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := retry(func() error { return s.Put(key, []byte(fmt.Sprintf("%s-%d", prefix, i))) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// One full buffer replicates: the survivors attest it.
+	puts("attested", 128)
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for _, dc := range []int{0, 1} {
+			if r, err := c.ReadAt(dc, key); err != nil || string(r.Value) != "attested-127" {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the first batch never reached the survivors")
+	}
+	attested, err := c.ReadAt(0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A buffered tail dies with a crash, so the restarted server's next
+	// batch reaches the survivors over a hole: they install it, freeze the
+	// link and ask for catch-up, which the dead-to-be DC never hears.
+	puts("lost", 64)
+	if err := c.RestartServer(dead, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropInboundReplication(dead, p, true); err != nil {
+		t.Fatal(err)
+	}
+	puts("above", 128)
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for _, dc := range []int{0, 1} {
+			if r, err := c.ReadAt(dc, key); err != nil || string(r.Value) != "above-127" {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the batch past the hole never reached the survivors")
+	}
+
+	if err := c.ForceRemoveDC(dead, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for _, dc := range []int{0, 1} {
+			if r, err := c.ReadAt(dc, key); err != nil || r.UpdateTime != attested.UpdateTime {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the survivors never fell back to the attested head")
+	}
+
+	np, err := c.SplitPartition(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.PartitionOf(key) != np {
+		t.Fatalf("key %q routes to p%d after the split, want the new owner p%d", key, c.PartitionOf(key), np)
+	}
+	for _, dc := range []int{0, 1} {
+		r, err := c.ReadAt(dc, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.UpdateTime != attested.UpdateTime {
+			t.Errorf("dc%d: new owner p%d reads %q at %d, want the attested head %q at %d (evicted suffix copied back)",
+				dc, np, r.Value, r.UpdateTime, attested.Value, attested.UpdateTime)
+		}
+	}
+}

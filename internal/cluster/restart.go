@@ -25,30 +25,27 @@ import (
 // deployment it rides an RPC layer with its own retries, and dropping it
 // would wedge remote RO-TX coordinators.
 type relay struct {
-	inner    core.Transport
+	inner    netemu.Transport
 	gate     sync.RWMutex
 	dropRepl atomic.Bool
 	h        atomic.Pointer[netemu.Handler]
 }
 
 // isReplPlane reports whether m belongs to the replication plane — the
-// messages a crashed or cut-off receiver genuinely loses. Membership
-// traffic rides the same plane: a dead machine hears of no joins or leaves
-// either (views re-converge afterwards through the lattice merge and the
-// joiner's re-sent requests).
+// messages a crashed or cut-off receiver genuinely loses. That is every
+// message but the same-DC request/response traffic named here. Membership
+// and slot-table traffic rides the plane too: a dead machine hears of no
+// joins, leaves or reshards either (views and tables re-converge afterwards
+// through their lattice merges and the senders' retries).
 func isReplPlane(m any) bool {
 	switch m.(type) {
-	case *msg.ReplicateBatch, *msg.Heartbeat,
-		msg.CatchUpRequest, msg.CatchUpReply, msg.CatchUpAck,
-		msg.JoinRequest, msg.MembershipUpdate, msg.LeaveNotice,
-		msg.EvictProposal, msg.EvictAck,
-		msg.SlotMapUpdate, msg.SlotHandoff:
-		return true
+	case msg.VVExchange, msg.GCExchange, *msg.SliceReq, *msg.SliceResp:
+		return false
 	}
-	return false
+	return true
 }
 
-func newRelay(inner core.Transport) *relay {
+func newRelay(inner netemu.Transport) *relay {
 	r := &relay{inner: inner}
 	inner.SetHandler(func(src netemu.NodeID, m any) {
 		if r.dropRepl.Load() && isReplPlane(m) {

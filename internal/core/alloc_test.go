@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/racedetect"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -46,7 +47,7 @@ func TestGetAllocs(t *testing.T) {
 // to the session edge, two while the vector was an object of its own.)
 func TestPutAllocs(t *testing.T) {
 	skipUnderRace(t)
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	value, dv := []byte("value"), vclock.New(3)
 	if n := testing.AllocsPerRun(1000, func() {
 		if _, err := r.srv.Put("k", value, dv, Optimistic); err != nil {
@@ -63,7 +64,7 @@ func TestPutAllocs(t *testing.T) {
 // and the channel that was closed to release it.)
 func TestWaitOnBlockedAllocs(t *testing.T) {
 	skipUnderRace(t)
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	need := vclock.New(3)
 	park, woken := make(chan struct{}), make(chan error)
 	go func() {

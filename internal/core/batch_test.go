@@ -7,6 +7,7 @@ import (
 	"repro/internal/item"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -15,7 +16,7 @@ import (
 // needed.
 func TestReplicationBatchFlushOnSize(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval: time.Hour, // timed flush effectively disabled
+		Config: repl.Config{HeartbeatInterval: time.Hour}, // timed flush effectively disabled
 	})
 	const puts = 2 * 128
 	for i := 0; i < puts; i++ {
@@ -58,7 +59,7 @@ func TestReplicationBatchFlushOnSize(t *testing.T) {
 // buffer drains on the heartbeat tick (Δ), bounding the added replication
 // delay by one heartbeat period.
 func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	for i := 0; i < 3; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
 			t.Fatal(err)
@@ -86,7 +87,7 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 func TestReplicationFlushIntervalKnob(t *testing.T) {
 	const delta = 2 * time.Second
 	const batchCap = 128 // repl's inline-flush threshold
-	r := newRig(t, Config{HeartbeatInterval: delta})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: delta}})
 	start := time.Now()
 	put := func(n int) {
 		for i := 0; i < n; i++ {
@@ -114,7 +115,7 @@ func TestReplicationFlushIntervalKnob(t *testing.T) {
 // installs every version of a batch and advances the sender's VV entry to
 // the covering heartbeat timestamp.
 func TestApplyReplicateBatchAdvancesVVAndServesVersions(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	batch := &msg.ReplicateBatch{
 		Versions: []*item.Version{
 			{Key: "a", Value: []byte("v1"), SrcReplica: 1, UpdateTime: 100, Deps: vclock.New(3)},
@@ -142,7 +143,7 @@ func TestApplyReplicateBatchAdvancesVVAndServesVersions(t *testing.T) {
 // TestBatchUnblocksWaitingGet: a GET blocked on a missing dependency is
 // released when the dependency arrives inside a batch.
 func TestBatchUnblocksWaitingGet(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	rdv := vclock.VC{0, 5000, 0}
 	done := make(chan error, 1)
 	go func() {
@@ -174,7 +175,7 @@ func TestBatchUnblocksWaitingGet(t *testing.T) {
 // buffer are handed to the transport on Close, so siblings do not lose the
 // tail of the update stream.
 func TestCloseFlushesBufferedReplication(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	if _, err := r.srv.Put("k0", []byte("tail"), vclock.New(3), Optimistic); err != nil {
 		t.Fatal(err)
 	}

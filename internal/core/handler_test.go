@@ -9,6 +9,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -39,7 +40,7 @@ func wireMessages(t *testing.T) []any {
 // takes exactly those: a type neither serves, or both would, fails here
 // rather than as a silently dropped message in a soak.
 func TestEveryMessageHasOneHandler(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	s := r.srv
 	sibling := netemu.NodeID{DC: 1, Partition: 0}
 	peer := netemu.NodeID{DC: 0, Partition: 1}

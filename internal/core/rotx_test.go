@@ -11,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -62,7 +63,7 @@ func (r *rig) awaitSliceReq(id netemu.NodeID, n int) *msg.SliceReq {
 // TestROTxGroupsKeysByPartition: one request per owning partition, carrying
 // that partition's keys in request order, repeated keys included.
 func TestROTxGroupsKeysByPartition(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 4})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 4})
 	keys := []string{"p2/a", "p0/a", "p1/a", "p2/b", "p0/b", "p2/a"}
 	done := startROTx(r.srv, keys, vclock.New(3))
 	want := map[int][]string{1: {"p1/a"}, 2: {"p2/a", "p2/b", "p2/a"}}
@@ -105,7 +106,7 @@ func TestROTxGroupsKeysByPartition(t *testing.T) {
 // so it can never cover the snapshot. Waiting for it would hold the client's
 // retry back for as long as the partition lasts.
 func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 3})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}, NumPartitions: 3})
 	// Replace the fake partition 1 with a real server on the same network; its
 	// siblings in the other DCs are fakes that never send.
 	id1 := netemu.NodeID{DC: 0, Partition: 1}
@@ -113,9 +114,11 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 	r.registerFake(netemu.NodeID{DC: 2, Partition: 1})
 	mx := &Metrics{}
 	blocked, err := NewServer(Config{
-		ID: id1, NumDCs: 3, NumPartitions: 3, Clock: clock.New(0),
-		Endpoint: r.fakeEP[id1], DefaultMode: Optimistic, Metrics: mx,
-		HeartbeatInterval: time.Millisecond, SlotMap: allSlotsTo(3, 1),
+		Config: repl.Config{
+			ID: id1, NumDCs: 3, Clock: clock.New(0),
+			Endpoint: r.fakeEP[id1], HeartbeatInterval: time.Millisecond,
+		},
+		NumPartitions: 3, DefaultMode: Optimistic, Metrics: mx, SlotMap: allSlotsTo(3, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +167,7 @@ func TestROTxFirstErrorCompletesFanIn(t *testing.T) {
 // with: one that aliased coordinator scratch would read another
 // transaction's. Run under -race.
 func TestParkedSliceOutlivesFailedTx(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 3})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 3})
 	coord := r.srv.ID()
 	p1, p2 := netemu.NodeID{DC: 0, Partition: 1}, netemu.NodeID{DC: 0, Partition: 2}
 	// answer serves req as a sibling would — an item per key, or the error —
@@ -245,7 +248,7 @@ func TestParkedSliceOutlivesFailedTx(t *testing.T) {
 // deployments change size), so the slice is answered — where it used to
 // panic the goroutine delivering it.
 func TestShortSnapshotVectorIsServed(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	peer := netemu.NodeID{DC: 0, Partition: 1}
 	r.srv.handle(peer, &msg.SliceReq{TxID: 5, Coordinator: peer, Keys: []string{"k"}, TV: vclock.VC{}})
 	if !waitUntil(t, 2*time.Second, func() bool {
@@ -268,7 +271,7 @@ func TestShortSnapshotVectorIsServed(t *testing.T) {
 // so a late or duplicate one is, more often than not, an object an earlier
 // reply already travelled in. Run under -race.
 func TestROTxPendingReuseIgnoresLateReply(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 3})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 3})
 	p1 := netemu.NodeID{DC: 0, Partition: 1}
 	p2 := netemu.NodeID{DC: 0, Partition: 2}
 	keys := []string{"p0/k", "p1/k", "p2/k"}
@@ -329,7 +332,7 @@ func TestROTxPendingReuseIgnoresLateReply(t *testing.T) {
 func TestWaiterRecycleNoStaleWake(t *testing.T) {
 	const timeout = time.Millisecond
 	const rounds = 200
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, BlockTimeout: timeout})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, BlockTimeout: timeout})
 	peer := netemu.NodeID{DC: 0, Partition: 1}
 	never := vclock.VC{0, 0, 1 << 60}
 	for round := 1; round <= rounds; round++ {

@@ -56,20 +56,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// Transport carries protocol messages between partition servers. The
-// emulated network (netemu.Endpoint) and the TCP transport (tcpnet.Node)
-// both implement it; the protocol only requires lossless FIFO delivery per
-// (src, dst) pair.
-type Transport interface {
-	// ID returns the local node's coordinate.
-	ID() netemu.NodeID
-	// Send enqueues m for delivery to dst without blocking.
-	Send(dst netemu.NodeID, m any)
-	// SetHandler installs the message handler; it is invoked sequentially
-	// per source link.
-	SetHandler(h netemu.Handler)
-}
-
 // Mode selects the visibility protocol a request is served under.
 type Mode int
 
@@ -111,24 +97,18 @@ type Metrics struct {
 	TxParkLocal, TxParkRemote atomic.Uint64
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. The embedded repl.Config holds the options
+// the server shares with its replication plane — its coordinate, layout,
+// clock and endpoint, Δ, the DC capacity and membership, the join and GC
+// holdback bounds — and is handed to repl.NewManager whole.
 type Config struct {
-	// ID is the server's (data center, partition) coordinate.
-	ID netemu.NodeID
-	// NumDCs (M) and NumPartitions (N) describe the layout.
-	NumDCs        int
+	repl.Config
+	// NumPartitions (N) is the number of partitions per data center.
 	NumPartitions int
-	// Clock is the node's physical clock.
-	Clock *clock.Clock
-	// Endpoint attaches the server to the network (emulated or TCP). The
-	// server installs its own handler.
-	Endpoint Transport
 	// DefaultMode is the visibility protocol of the deployment: Optimistic
 	// for POCC and HA-POCC, Pessimistic for Cure*. Individual requests carry
 	// their session's mode, enabling HA-POCC's mixed operation.
 	DefaultMode Mode
-	// HeartbeatInterval is Δ of Algorithm 2 (1 ms in the evaluation).
-	HeartbeatInterval time.Duration
 	// StabilizationInterval is the GSS exchange period: 5 ms for Cure*,
 	// infrequent (e.g. 500 ms) for HA-POCC, 0 to disable (pure POCC).
 	StabilizationInterval time.Duration
@@ -159,36 +139,6 @@ type Config struct {
 	// (checkpoint trigger, segment size, fsync policy). Ignored when DataDir
 	// is empty.
 	DurableOptions storage.DurableOptions
-	// MaxDCs caps the data-center ids this server can ever track: the
-	// version-vector and GSS capacity, reserved up front because the hot
-	// path reads those vectors lock-free and cannot repoint them. 0 means
-	// NumDCs — fixed membership, the pre-membership behavior and footprint.
-	// Headroom beyond NumDCs lets whole DCs join at runtime (internal/repl
-	// membership); a departed DC's id is never reused.
-	MaxDCs int
-	// Joining marks this server's DC as bootstrapping into an existing
-	// deployment: its replication manager pulls every partition's history
-	// from its siblings through WAL-shipped catch-up, and the stabilization
-	// loop does not start — this server contributes nothing to the GSS —
-	// until the bootstrap completes.
-	Joining bool
-	// JoinTimeout bounds how long a Joining server keeps soliciting the
-	// deployment before giving up: past it the join solicitation stops and
-	// JoinFailed reports true, so the operator can tear the half-joined
-	// server down cleanly. 0 retries forever (the pre-timeout behavior).
-	JoinTimeout time.Duration
-	// GCMaxHoldback bounds how long the garbage-collection exchange defers
-	// pruning for a frozen, catching-up or joining replication link (the
-	// membership-aware GC clamp, repl.Manager.ClampGC). Past the bound the
-	// holdback is released and GC advances — a laggard frozen longer than
-	// this must re-bootstrap via full resync, because the history it still
-	// needs may now be pruned past. 0 selects the default (10 s); negative
-	// never releases (GC waits for the laggard indefinitely).
-	GCMaxHoldback time.Duration
-	// Membership is the initial membership view (zero value: the first
-	// NumDCs DCs are active). Deployments that grew or shrank pass the
-	// current view so restarted and joining servers start from reality.
-	Membership msg.Membership
 	// MaxPartitions caps the partition ids this server can ever track
 	// within its DC — the headroom for splitting partitions at runtime,
 	// mirroring MaxDCs: the same-DC peer state (stabilization and GC
@@ -226,8 +176,8 @@ func (c *Config) validate() error {
 	if c.DefaultMode == Pessimistic && c.StabilizationInterval <= 0 {
 		return errors.New("core: pessimistic mode requires a stabilization interval")
 	}
-	if c.MaxDCs != 0 && c.MaxDCs < c.NumDCs {
-		return fmt.Errorf("core: MaxDCs %d below NumDCs %d", c.MaxDCs, c.NumDCs)
+	if _, err := c.DCCapacity(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.MaxPartitions != 0 && c.MaxPartitions < c.NumPartitions {
 		return fmt.Errorf("core: MaxPartitions %d below NumPartitions %d", c.MaxPartitions, c.NumPartitions)
@@ -236,14 +186,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: %d partitions exceed the slot universe (at most %d per DC)", n, keyspace.NumSlots)
 	}
 	return nil
-}
-
-// maxDCs resolves the version-vector capacity.
-func (c *Config) maxDCs() int {
-	if c.MaxDCs != 0 {
-		return c.MaxDCs
-	}
-	return c.NumDCs
 }
 
 // maxPartitions resolves the same-DC peer-state capacity.
@@ -262,7 +204,7 @@ type Server struct {
 	maxDCs   int // version-vector capacity (DC ids this server can track)
 	maxParts int // same-DC peer-state capacity (partition ids trackable)
 	clk      *clock.Clock
-	ep       Transport
+	ep       netemu.Transport
 	store    storage.Engine
 	durable  *storage.Durable // store, when DataDir opened it from a log; nil in memory
 	mx       *Metrics
@@ -338,7 +280,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		eng, durable, src = d, d, d
 	}
-	maxDCs := cfg.maxDCs()
+	maxDCs, _ := cfg.DCCapacity() // validated above
 	maxParts := cfg.maxPartitions()
 	s := &Server{
 		cfg:       cfg,
@@ -419,19 +361,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// The replication manager must exist before the handler is installed
 	// (inbound messages delegate to it) and after the VV floor is restored
 	// (its resume floor starts at the recovered local entry).
-	mgr, err := repl.NewManager(repl.Config{
-		ID:                cfg.ID,
-		NumDCs:            cfg.NumDCs,
-		Clock:             cfg.Clock,
-		Endpoint:          cfg.Endpoint,
-		Backend:           (*replBackend)(s),
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		Source:            src,
-		MaxDCs:            cfg.MaxDCs,
-		Joining:           cfg.Joining,
-		JoinTimeout:       cfg.JoinTimeout,
-		Membership:        cfg.Membership,
-	})
+	mgr, err := repl.NewManager(cfg.Config, (*replBackend)(s), src)
 	if err != nil {
 		_ = eng.Close()
 		return nil, fmt.Errorf("core: %w", err)

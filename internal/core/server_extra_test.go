@@ -9,6 +9,7 @@ import (
 	"repro/internal/item"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -17,9 +18,9 @@ import (
 // transaction can still read survive.
 func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval: time.Millisecond,
-		GCInterval:        2 * time.Millisecond,
-		NumPartitions:     2,
+		Config:        repl.Config{HeartbeatInterval: time.Millisecond},
+		GCInterval:    2 * time.Millisecond,
+		NumPartitions: 2,
 	})
 	// Three versions of k0 with growing dependency vectors.
 	if _, err := r.srv.Put("k0", []byte("v0"), vclock.New(3), Optimistic); err != nil {
@@ -91,7 +92,7 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 // TestHeartbeatSuppressedByPuts: while PUTs keep advancing VV[m], the
 // heartbeat loop must not broadcast (Algorithm 2 line 21's condition).
 func TestHeartbeatSuppressedByPuts(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: 3 * time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: 3 * time.Millisecond}})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -136,7 +137,7 @@ func TestHeartbeatSuppressedByPuts(t *testing.T) {
 // stale VVs out of order.
 func TestGSSMonotonic(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Hour,
+		Config:                repl.Config{HeartbeatInterval: time.Hour},
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,
 	})
@@ -167,7 +168,7 @@ func TestGSSMonotonic(t *testing.T) {
 // TestDuplicateSliceRespIgnored: at-least-once transports may replay a
 // SliceResp; the coordinator must not double-count it.
 func TestDuplicateSliceRespIgnored(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 2})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}, NumPartitions: 2})
 	peer := netemu.NodeID{DC: 0, Partition: 1}
 	type res struct {
 		items []msg.ItemReply
@@ -220,7 +221,7 @@ func TestDuplicateSliceRespIgnored(t *testing.T) {
 // TestVVNeverRegresses: version vectors are monotone under any interleaving
 // of replication, heartbeats and puts.
 func TestVVNeverRegresses(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Feed replication and heartbeats from two fake DCs.
@@ -265,7 +266,7 @@ func TestVVNeverRegresses(t *testing.T) {
 
 // TestDoubleCloseIsSafe: Close must be idempotent.
 func TestDoubleCloseIsSafe(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	r.srv.Close()
 	r.srv.Close()
 }
@@ -275,7 +276,7 @@ func TestDoubleCloseIsSafe(t *testing.T) {
 // (the Fig. 3d mechanism).
 func TestPessimisticROTxExcludesUnstable(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Millisecond,
+		Config:                repl.Config{HeartbeatInterval: time.Millisecond},
 		DefaultMode:           Pessimistic,
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,

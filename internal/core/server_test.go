@@ -10,6 +10,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -142,9 +143,11 @@ func TestConfigValidation(t *testing.T) {
 	net := netemu.New(netemu.Config{})
 	defer net.Close()
 	base := Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, NumPartitions: 1,
-		Clock: clock.New(0), Endpoint: net.Register(netemu.NodeID{DC: 0, Partition: 0}, nil),
-		DefaultMode: Optimistic, Metrics: &Metrics{},
+		Config: repl.Config{
+			ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+			Clock: clock.New(0), Endpoint: net.Register(netemu.NodeID{DC: 0, Partition: 0}, nil),
+		},
+		NumPartitions: 1, DefaultMode: Optimistic, Metrics: &Metrics{},
 	}
 	tests := []struct {
 		name   string
@@ -178,7 +181,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPutAssignsIncreasingTimestamps(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	var prev vclock.Timestamp
 	for i := 0; i < 50; i++ {
 		ut, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic)
@@ -196,7 +199,7 @@ func TestPutAssignsIncreasingTimestamps(t *testing.T) {
 }
 
 func TestPutTimestampExceedsDependencies(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	future := r.srv.clk.Now() + vclock.Timestamp(2*time.Millisecond)
 	dv := vclock.VC{0, future, 0}
 	// The PUT first waits until the server has received its dependency
@@ -214,7 +217,7 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 // TestPutCopiesCallerDeps: dv is borrowed — sessions pass reusable scratch —
 // so the stored version must not alias it.
 func TestPutCopiesCallerDeps(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	dv := vclock.VC{3, 0, 0}
 	if _, err := r.srv.Put("k0", []byte("v"), dv, Optimistic); err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 	// leaves as a single-version sequenced batch (the original
 	// one-message-per-update protocol, with the link's gap-free sequence
 	// numbers); idle heartbeats may interleave.
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	batches := func(id netemu.NodeID) []*msg.ReplicateBatch {
 		var out []*msg.ReplicateBatch
 		for i, m := range r.received(id) {
@@ -281,7 +284,7 @@ func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 }
 
 func TestGetReturnsFreshestAndMetadata(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	if _, err := r.srv.Put("k0", []byte("old"), vclock.New(3), Optimistic); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +310,7 @@ func TestGetReturnsFreshestAndMetadata(t *testing.T) {
 }
 
 func TestGetMissingKey(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	reply, err := r.srv.Get("absent", vclock.New(3), Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +321,7 @@ func TestGetMissingKey(t *testing.T) {
 }
 
 func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	v := &item.Version{Key: "k0", Value: []byte("remote"), SrcReplica: 1,
 		UpdateTime: 12345, Deps: vclock.VC{0, 0, 0}}
 	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{v}})
@@ -335,7 +338,7 @@ func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
 }
 
 func TestHeartbeatAdvancesVV(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	r.inject(netemu.NodeID{DC: 2, Partition: 0}, &msg.Heartbeat{Time: 999})
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(2) == 999 }) {
 		t.Fatalf("VV[2] = %d", r.srv.VV().Get(2))
@@ -343,7 +346,7 @@ func TestHeartbeatAdvancesVV(t *testing.T) {
 }
 
 func TestGetBlocksUntilDependencyArrives(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	need := vclock.Timestamp(50000)
 	rdv := vclock.VC{0, need, 0}
 
@@ -385,7 +388,7 @@ func TestGetBlocksUntilDependencyArrives(t *testing.T) {
 }
 
 func TestGetUnblocksOnHeartbeat(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	rdv := vclock.VC{0, 7777, 0}
 	done := make(chan error, 1)
 	go func() {
@@ -405,7 +408,7 @@ func TestGetUnblocksOnHeartbeat(t *testing.T) {
 }
 
 func TestGetIgnoresLocalEntryOfRDV(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	// A dependency on the local DC is trivially satisfied (Algorithm 2 line
 	// 2 skips entry m) even when it exceeds VV[m].
 	rdv := vclock.VC{1 << 60, 0, 0}
@@ -427,7 +430,7 @@ func TestGetIgnoresLocalEntryOfRDV(t *testing.T) {
 // TestPutWaitsForDependencies: a default server runs Algorithm 2 line 6 — a
 // PUT waits until the partition's VV covers the client's dependencies.
 func TestPutWaitsForDependencies(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	dv := vclock.VC{0, 4242, 0}
 	done := make(chan error, 1)
 	go func() {
@@ -454,7 +457,7 @@ func TestPutWaitsForDependencies(t *testing.T) {
 }
 
 func TestBlockTimeoutClosesSession(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, BlockTimeout: 25 * time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, BlockTimeout: 25 * time.Millisecond})
 	rdv := vclock.VC{0, 1 << 50, 0}
 	start := time.Now()
 	_, err := r.srv.Get("k0", rdv, Optimistic)
@@ -470,7 +473,7 @@ func TestBlockTimeoutClosesSession(t *testing.T) {
 }
 
 func TestSuspectedClearsAfterWindow(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, BlockTimeout: 5 * time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, BlockTimeout: 5 * time.Millisecond})
 	if r.srv.Suspected() {
 		t.Fatal("fresh server must not be suspected")
 	}
@@ -485,7 +488,7 @@ func TestSuspectedClearsAfterWindow(t *testing.T) {
 
 func TestPessimisticGetHidesUnstableVersion(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Hour,
+		Config:                repl.Config{HeartbeatInterval: time.Hour},
 		DefaultMode:           Pessimistic,
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,
@@ -539,7 +542,7 @@ func TestPessimisticGetHidesUnstableVersion(t *testing.T) {
 
 func TestPessimisticLocalWritesAlwaysVisible(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Hour,
+		Config:                repl.Config{HeartbeatInterval: time.Hour},
 		DefaultMode:           Pessimistic,
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,
@@ -562,7 +565,7 @@ func TestPessimisticLocalWritesAlwaysVisible(t *testing.T) {
 
 func TestHAPessimisticHidesOptimisticLocalWrite(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Hour,
+		Config:                repl.Config{HeartbeatInterval: time.Hour},
 		DefaultMode:           Optimistic,
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,
@@ -589,7 +592,7 @@ func TestHAPessimisticHidesOptimisticLocalWrite(t *testing.T) {
 }
 
 func TestOperationsAfterCloseFail(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	r.srv.Close()
 	if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != ErrStopped {
 		t.Fatalf("Put err = %v, want ErrStopped", err)
@@ -600,7 +603,7 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 }
 
 func TestCloseReleasesBlockedRequests(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.srv.Get("k0", vclock.VC{0, 1 << 50, 0}, Optimistic)
@@ -619,7 +622,7 @@ func TestCloseReleasesBlockedRequests(t *testing.T) {
 }
 
 func TestHeartbeatLoopBroadcastsWhenIdle(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})
 	id := netemu.NodeID{DC: 1, Partition: 0}
 	if !waitUntil(t, time.Second, func() bool {
 		for _, m := range r.received(id) {
@@ -635,7 +638,7 @@ func TestHeartbeatLoopBroadcastsWhenIdle(t *testing.T) {
 
 func TestStabilizationBroadcastsVV(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval:     time.Hour,
+		Config:                repl.Config{HeartbeatInterval: time.Hour},
 		StabilizationInterval: time.Millisecond,
 		NumPartitions:         2,
 	})
@@ -654,9 +657,9 @@ func TestStabilizationBroadcastsVV(t *testing.T) {
 
 func TestGCPrunesOldVersions(t *testing.T) {
 	r := newRig(t, Config{
-		HeartbeatInterval: time.Millisecond,
-		GCInterval:        2 * time.Millisecond,
-		NumPartitions:     2,
+		Config:        repl.Config{HeartbeatInterval: time.Millisecond},
+		GCInterval:    2 * time.Millisecond,
+		NumPartitions: 2,
 	})
 	for i := 0; i < 5; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
@@ -679,7 +682,7 @@ func TestGCPrunesOldVersions(t *testing.T) {
 }
 
 func TestROTxLocalSlice(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 1})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}, NumPartitions: 1})
 	if _, err := r.srv.Put("a", []byte("va"), vclock.New(3), Optimistic); err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +706,7 @@ func TestROTxLocalSlice(t *testing.T) {
 }
 
 func TestROTxEmptyKeys(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	items, err := r.srv.ROTx(nil, vclock.New(3), Optimistic, func(string) int { return 0 })
 	if err != nil || items != nil {
 		t.Fatalf("items=%v err=%v", items, err)
@@ -716,7 +719,7 @@ func TestROTxEmptyKeys(t *testing.T) {
 // snapshot is returned even though a stabilization protocol has not declared
 // it stable.
 func TestROTxSnapshotIncludesUnstableReceived(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 1})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}, NumPartitions: 1})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 60000, Deps: vclock.VC{0, 50000, 0}}
 	r.inject(netemu.NodeID{DC: 1, Partition: 0}, &msg.ReplicateBatch{Versions: []*item.Version{fresh}})
@@ -736,7 +739,7 @@ func TestROTxSnapshotIncludesUnstableReceived(t *testing.T) {
 // covered by the snapshot (deps beyond TV) is excluded, and the older
 // version is returned instead (Algorithm 2, line 43).
 func TestROTxRespectsSnapshotBoundary(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, NumPartitions: 1})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 1})
 	r.srv.Store().Insert(&item.Version{Key: "a", Value: []byte("old"),
 		SrcReplica: 1, UpdateTime: 10, Deps: vclock.VC{0, 0, 0}})
 	// Version that depends on a DC2 item this server has not received:
@@ -761,7 +764,7 @@ func TestROTxRespectsSnapshotBoundary(t *testing.T) {
 }
 
 func TestSliceReqFromPeerGetsResponse(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 2})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}, NumPartitions: 2})
 	if _, err := r.srv.Put("a", []byte("va"), vclock.New(3), Optimistic); err != nil {
 		t.Fatal(err)
 	}

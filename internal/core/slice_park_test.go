@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/msg"
 	"repro/internal/netemu"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -69,7 +70,7 @@ func awaitTx(t *testing.T, done <-chan txResult) txResult {
 // reply per slice.)
 func TestParkedSliceAllocs(t *testing.T) {
 	skipUnderRace(t)
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	if _, err := r.srv.Put("k", []byte("value"), vclock.New(3), Optimistic); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestParkedSliceAllocs(t *testing.T) {
 // reshard drain waiting on this DC's entry would hang.
 func TestHeartbeatsSurviveSliceTraffic(t *testing.T) {
 	const delta = 10 * time.Millisecond
-	r := newRig(t, Config{HeartbeatInterval: delta, Clock: clock.NewHLC(0)})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: delta, Clock: clock.NewHLC(0)}})
 	peer, remote := netemu.NodeID{DC: 0, Partition: 1}, netemu.NodeID{DC: 1, Partition: 0}
 	heartbeats := func() (times []vclock.Timestamp) {
 		for _, m := range r.received(remote) {
@@ -161,8 +162,8 @@ func TestHeartbeatsSurviveSliceTraffic(t *testing.T) {
 // stop channel, so shutdown itself answers it — a live coordinator's
 // transaction on a crashed sibling fails instead of hanging.
 func TestCrashFailsParkedSlices(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
-	sib := r.sibling(Config{HeartbeatInterval: time.Hour})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
+	sib := r.sibling(Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
 	done := r.startParkedTx(sib, 5)
 	sib.Crash()
 	if out := awaitTx(t, done); !errors.Is(out.err, ErrStopped) {
@@ -178,8 +179,8 @@ func TestCrashFailsParkedSlices(t *testing.T) {
 // its timer, so nothing is suspected later on its behalf.
 func TestBlockTimeoutFailsParkedSlice(t *testing.T) {
 	const timeout = 100 * time.Millisecond // a stall that long between park and wake fails the first half
-	r := newRig(t, Config{HeartbeatInterval: time.Hour})
-	sib := r.sibling(Config{HeartbeatInterval: time.Hour, BlockTimeout: timeout})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}})
+	sib := r.sibling(Config{Config: repl.Config{HeartbeatInterval: time.Hour}, BlockTimeout: timeout})
 
 	done := r.startParkedTx(sib, 5)
 	(*replBackend)(sib).RaiseVV(1, 5)
@@ -213,7 +214,7 @@ func TestBlockTimeoutFailsParkedSlice(t *testing.T) {
 // holding up its link, and the tick that carries the clock past TV[m] serves
 // it, with everything written in between inside the snapshot.
 func TestRawClockSliceParksOnLocalEntry(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: 5 * time.Millisecond}) // a raw clock
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: 5 * time.Millisecond}}) // a raw clock
 	peer := netemu.NodeID{DC: 0, Partition: 1}
 	ahead := r.srv.clk.Now() + vclock.Timestamp(250*time.Millisecond)
 	tv := r.srv.VV()

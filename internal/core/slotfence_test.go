@@ -10,7 +10,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/msg"
 	"repro/internal/netemu"
-	"repro/internal/storage"
+	"repro/internal/repl"
 	"repro/internal/vclock"
 )
 
@@ -24,7 +24,7 @@ import (
 // shows up as a version above the mark: exactly the write that would
 // escape a reshard's drain and copy, stranding it on a donor forever.
 func TestInstallSlotMapIsWriteFence(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, SlotMap: keyspace.DefaultMap(2)})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, SlotMap: keyspace.DefaultMap(2)})
 
 	// Keys this server (partition 0 of 2) owns under the default layout.
 	var keys []string
@@ -67,7 +67,7 @@ func TestInstallSlotMapIsWriteFence(t *testing.T) {
 		mark := r.srv.VV().Get(0)
 
 		var maxTS vclock.Timestamp
-		r.srv.Store().(*storage.Mem).ForEachVersion(func(v *item.Version) {
+		r.srv.Store().ForEachVersion(func(v *item.Version) {
 			if v.UpdateTime > maxTS {
 				maxTS = v.UpdateTime
 			}
@@ -114,7 +114,7 @@ func TestInstallSlotMapIsWriteFence(t *testing.T) {
 // for a key it assigns to the other partition are each refused with the
 // redirect a reshard's fence uses.
 func TestOwnershipEnforcedFromEpochZero(t *testing.T) {
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, SlotMap: keyspace.DefaultMap(2)})
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, SlotMap: keyspace.DefaultMap(2)})
 	if e := r.srv.SlotEpoch(); e != 0 {
 		t.Fatalf("slot epoch = %d, want 0", e)
 	}

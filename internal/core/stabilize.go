@@ -181,10 +181,6 @@ func (s *Server) GSSLag() time.Duration {
 	return lag
 }
 
-// defaultGCMaxHoldback is how long a frozen or catching-up replication link
-// defers garbage collection before being released (Config.GCMaxHoldback).
-const defaultGCMaxHoldback = 10 * time.Second
-
 // applyGCExchange records a peer's GC contribution; when contributions from
 // every partition are known, prune with their aggregate minimum.
 func (s *Server) applyGCExchange(m msg.GCExchange) {
@@ -239,7 +235,7 @@ func (s *Server) localGCContribution() vclock.VC {
 	// Clamp to the replication plane's holdback floors: a frozen or
 	// catching-up link must not have the history it still needs pruned out
 	// from under its resume point (bounded by GCMaxHoldback).
-	c := s.repl.ClampGC(base, s.gcMaxHoldback())
+	c := s.repl.ClampGC(base)
 	// A contribution is a promise about this node's post-crash state: the
 	// DC prunes to the aggregate of these vectors, so a restart must never
 	// recover a VV below one — heartbeat-attested entries with no backing
@@ -251,15 +247,6 @@ func (s *Server) localGCContribution() vclock.VC {
 		c = s.durable.AttestVV(c)
 	}
 	return c
-}
-
-// gcMaxHoldback resolves Config.GCMaxHoldback: 0 selects the default,
-// negative means hold back forever.
-func (s *Server) gcMaxHoldback() time.Duration {
-	if s.cfg.GCMaxHoldback == 0 {
-		return defaultGCMaxHoldback
-	}
-	return s.cfg.GCMaxHoldback
 }
 
 // gcLoop periodically broadcasts this node's GC contribution and prunes with

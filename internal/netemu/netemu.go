@@ -37,6 +37,19 @@ func (id NodeID) String() string {
 // copies it (the versions in it are independent objects and may be kept).
 type Handler func(src NodeID, m any)
 
+// Transport carries protocol messages between partition servers. Endpoint
+// and the TCP transport (tcpnet.Node) both implement it; the protocol only
+// requires lossless FIFO delivery per (src, dst) pair.
+type Transport interface {
+	// ID returns the local node's coordinate.
+	ID() NodeID
+	// Send enqueues m for delivery to dst without blocking.
+	Send(dst NodeID, m any)
+	// SetHandler installs the message handler; it is invoked sequentially
+	// per source link.
+	SetHandler(h Handler)
+}
+
 // LatencyFunc returns the base one-way delay for a directed link.
 type LatencyFunc func(src, dst NodeID) time.Duration
 

@@ -40,9 +40,9 @@ func TestFullResyncBelowCompactedFloor(t *testing.T) {
 		},
 		floor: vclock.VC{200, 0},
 	}
-	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
-	})
+	m, tr, _ := newServingManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+	}, src)
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
@@ -94,9 +94,9 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 		},
 		floor: vclock.VC{200, 0},
 	}
-	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
-	})
+	m, tr, _ := newServingManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+	}, src)
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
@@ -162,7 +162,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 // garbage forever.
 func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, GCMaxHoldback: -1,
 	})
 	dst := netemu.NodeID{DC: 1, Partition: 0}
 	m.handleCatchUpRequest(dst, msg.CatchUpRequest{
@@ -170,7 +170,7 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	})
 	// The laggard holds (60, 80, 120): our own entry is its request floor
 	// (From > Have[0] of the snapshot it sent).
-	gv := m.ClampGC(vclock.VC{500, 500, 500}, -1)
+	gv := m.ClampGC(vclock.VC{500, 500, 500})
 	want := vclock.VC{60, 80, 120}
 	if !gv.Equal(want) {
 		t.Fatalf("ClampGC = %v, want pinned at %v", gv, want)
@@ -182,16 +182,17 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	m.handleCatchUpRequest(dst, msg.CatchUpRequest{
 		ReqID: 2, From: 90, Have: vclock.VC{90, 200, 100},
 	})
-	gv = m.ClampGC(vclock.VC{500, 500, 500}, -1)
+	gv = m.ClampGC(vclock.VC{500, 500, 500})
 	want = vclock.VC{90, 200, 120}
 	if !gv.Equal(want) {
 		t.Fatalf("ClampGC after progress = %v, want %v", gv, want)
 	}
-	// The escape hatch: a holdback older than maxAge no longer pins GC.
+	// The escape hatch: a holdback older than GCMaxHoldback no longer pins GC.
 	time.Sleep(2 * time.Millisecond)
-	gv = m.ClampGC(vclock.VC{500, 500, 500}, time.Millisecond)
+	m.cfg.GCMaxHoldback = time.Millisecond
+	gv = m.ClampGC(vclock.VC{500, 500, 500})
 	if !gv.Equal(vclock.VC{500, 500, 500}) {
-		t.Fatalf("ClampGC past maxAge = %v, want released to 500s", gv)
+		t.Fatalf("ClampGC past GCMaxHoldback = %v, want released to 500s", gv)
 	}
 }
 
@@ -199,13 +200,13 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 // presence zeroes the GC contribution entirely until it announces Active.
 func TestClampGCJoinerPinsZero(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3, GCMaxHoldback: -1,
 		Membership: msg.Membership{
 			Epoch:  4,
 			Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining},
 		},
 	})
-	gv := m.ClampGC(vclock.VC{500, 500, 500}, -1)
+	gv := m.ClampGC(vclock.VC{500, 500, 500})
 	if !gv.Equal(vclock.VC{0, 0, 0}) {
 		t.Fatalf("ClampGC with a joiner = %v, want all-zero", gv)
 	}
@@ -240,7 +241,7 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 			}
 		}
 		m, _, _ := newTestManager(t, Config{
-			ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: maxDCs, MaxDCs: maxDCs,
+			ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: maxDCs, MaxDCs: maxDCs, GCMaxHoldback: -1,
 			Membership: msg.Membership{Epoch: uint64(iter), Status: append([]uint8(nil), status...)},
 		})
 
@@ -275,7 +276,7 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 			gv[i] = vclock.Timestamp(rng.IntN(2000))
 		}
 		orig := gv.Clone()
-		got := m.ClampGC(gv, -1)
+		got := m.ClampGC(gv)
 
 		for i := range got {
 			if got[i] > orig[i] {

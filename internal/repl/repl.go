@@ -29,14 +29,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// Transport carries protocol messages between partition servers (the same
-// contract as core.Transport: lossless FIFO delivery per (src, dst) pair,
-// non-blocking Send).
-type Transport interface {
-	ID() netemu.NodeID
-	Send(dst netemu.NodeID, m any)
-}
-
 // Backend is the surface the manager needs from its partition server. All
 // methods must be safe for concurrent use; PrepareLocal is invoked under the
 // manager's outbound lock so the assigned timestamps leave each link in
@@ -115,46 +107,73 @@ const (
 	// proposer (no verdict ever arrives), the freeze expires and the link
 	// resumes — the false-positive recovery path.
 	evictFreezeGrace = 10 * time.Second
+
+	// defaultGCMaxHoldback is the GC holdback bound a zero
+	// Config.GCMaxHoldback selects.
+	defaultGCMaxHoldback = 10 * time.Second
 )
 
-// Config parameterizes a Manager.
+// Config holds a manager's options. The partition server embeds it whole
+// (core.Config), so each is declared here and nowhere else; the server
+// itself is no option — it hands NewManager its Backend and Source.
 type Config struct {
 	// ID is the server's (data center, partition) coordinate.
 	ID netemu.NodeID
-	// NumDCs is the number of data centers (sibling replicas = NumDCs-1).
+	// NumDCs (M) is the number of data centers (sibling replicas = NumDCs-1).
 	NumDCs int
+	// MaxDCs caps the data-center ids this server can ever track: the
+	// capacity of the membership view, the inbound link table and the
+	// server's version vector and GSS, reserved up front because the hot
+	// path reads those vectors lock-free and cannot repoint them. 0 means
+	// NumDCs — fixed membership, no joins possible. Headroom beyond NumDCs
+	// lets whole DCs join at runtime; a departed DC's id is never reused.
+	MaxDCs int
 	// Clock is the node's physical clock (timestamps and the incarnation
 	// epoch are drawn from it).
 	Clock *clock.Clock
-	// Endpoint attaches the manager to the network. The manager never
-	// installs a handler; the server passes inbound messages to Handle.
-	Endpoint Transport
-	// Backend is the owning partition server.
-	Backend Backend
-	// HeartbeatInterval is Δ: the idle-heartbeat cadence and the flush
-	// cadence (a buffered update waits at most one Δ).
+	// Endpoint attaches the server to the network (emulated or TCP). The
+	// server installs its own handler and passes the plane's messages to
+	// Manager.Handle.
+	Endpoint netemu.Transport
+	// HeartbeatInterval is Δ of Algorithm 2 (1 ms in the evaluation): the
+	// idle-heartbeat cadence and the flush cadence (a buffered update waits
+	// at most one Δ).
 	HeartbeatInterval time.Duration
-	// Source serves outbound catch-up streams; nil answers requests with
-	// Unsupported.
-	Source Source
-	// MaxDCs caps the DC ids this node can ever track — the capacity of the
-	// membership view and the inbound link table. 0 means NumDCs: fixed
-	// membership, no joins possible.
-	MaxDCs int
-	// Joining marks this node's DC as bootstrapping into an existing
+	// Joining marks this server's DC as bootstrapping into an existing
 	// deployment: the manager sends JoinRequests to every active sibling,
 	// pulls each link's history through catch-up, and announces the DC
-	// Active when every link is synced.
+	// Active when every link is synced. Until then the server contributes
+	// nothing to the GSS (Backend.Joined releases it).
 	Joining bool
 	// JoinTimeout abandons a bootstrap that has not completed within the
 	// given duration: the manager stops soliciting and JoinFailed reports
 	// true, so the operator can unwind the half-joined DC cleanly instead
 	// of letting it solicit forever. 0 means no deadline.
 	JoinTimeout time.Duration
+	// GCMaxHoldback bounds how long the garbage-collection exchange defers
+	// pruning for a frozen, catching-up or joining replication link
+	// (ClampGC). Past the bound the holdback is released and GC advances —
+	// a laggard frozen longer than this must re-bootstrap via full resync,
+	// because the history it still needs may now be pruned past. 0 selects
+	// the default (10 s); negative never releases (GC waits for the laggard
+	// indefinitely).
+	GCMaxHoldback time.Duration
 	// Membership is the initial view (zero value: the first NumDCs DCs are
 	// active). Deployments that grew or shrank pass the current view so
 	// restarted and joining servers start from reality.
 	Membership msg.Membership
+}
+
+// DCCapacity resolves MaxDCs: 0 means NumDCs, and a cap below NumDCs is an
+// error.
+func (c *Config) DCCapacity() (int, error) {
+	switch {
+	case c.MaxDCs == 0:
+		return c.NumDCs, nil
+	case c.MaxDCs < c.NumDCs:
+		return 0, fmt.Errorf("MaxDCs %d below NumDCs %d", c.MaxDCs, c.NumDCs)
+	}
+	return c.MaxDCs, nil
 }
 
 // Stats counts the manager's catch-up activity.
@@ -186,13 +205,14 @@ type Stats struct {
 // flush and heartbeat cadence, per-link sequence numbers, and both sides of
 // the catch-up protocol.
 type Manager struct {
-	cfg    Config
-	m, n   int
-	maxDCs int
-	clk    *clock.Clock
-	ep     Transport
-	be     Backend
-	epoch  uint64 // incarnation id, immutable
+	cfg     Config
+	m, n    int
+	maxDCs  int
+	clk     *clock.Clock
+	ep      netemu.Transport
+	be      Backend
+	history Source // nil: catch-up requests are answered Unsupported
+	epoch   uint64 // incarnation id, immutable
 
 	// viewMu guards the membership view; targets caches the fan-out set
 	// (remote member DCs) so the flush path reads it with one atomic load.
@@ -256,21 +276,22 @@ type Manager struct {
 	wg      sync.WaitGroup
 }
 
-// NewManager builds and starts a replication manager: its heartbeat loop is
-// running when it returns.
-func NewManager(cfg Config) (*Manager, error) {
-	if cfg.Clock == nil || cfg.Endpoint == nil || cfg.Backend == nil {
+// NewManager builds and starts the replication manager of the partition
+// server be; src serves its outbound catch-up streams (nil answers requests
+// with Unsupported). Its heartbeat loop is running when it returns.
+func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
+	if cfg.Clock == nil || cfg.Endpoint == nil || be == nil {
 		return nil, errors.New("repl: Clock, Endpoint and Backend are required")
 	}
 	if cfg.NumDCs < 1 {
 		return nil, fmt.Errorf("repl: invalid NumDCs %d", cfg.NumDCs)
 	}
-	maxDCs := cfg.MaxDCs
-	if maxDCs == 0 {
-		maxDCs = cfg.NumDCs
+	maxDCs, err := cfg.DCCapacity()
+	if err != nil {
+		return nil, fmt.Errorf("repl: %w", err)
 	}
-	if maxDCs < cfg.NumDCs {
-		return nil, fmt.Errorf("repl: MaxDCs %d below NumDCs %d", maxDCs, cfg.NumDCs)
+	if cfg.GCMaxHoldback == 0 {
+		cfg.GCMaxHoldback = defaultGCMaxHoldback
 	}
 	if len(cfg.Membership.Status) > maxDCs {
 		return nil, fmt.Errorf("repl: initial membership names %d DCs, capacity is %d",
@@ -286,7 +307,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		maxDCs:    maxDCs,
 		clk:       cfg.Clock,
 		ep:        cfg.Endpoint,
-		be:        cfg.Backend,
+		be:        be,
+		history:   src,
 		epoch:     uint64(cfg.Clock.Now()), // monotone across in-process restarts
 		fanout:    maxDCs > 1,
 		serving:   make(map[int]*catchUpServe),

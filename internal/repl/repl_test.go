@@ -28,6 +28,8 @@ type fakeTransport struct {
 
 func (t *fakeTransport) ID() netemu.NodeID { return t.id }
 
+func (t *fakeTransport) SetHandler(netemu.Handler) {}
+
 func (t *fakeTransport) Send(dst netemu.NodeID, m any) {
 	t.mu.Lock()
 	t.sent = append(t.sent, struct {
@@ -163,6 +165,13 @@ func flush(m *Manager) {
 
 func newTestManager(t *testing.T, cfg Config) (*Manager, *fakeTransport, *fakeBackend) {
 	t.Helper()
+	return newServingManager(t, cfg, nil)
+}
+
+// newServingManager is newTestManager with a durable history to serve
+// catch-up streams from.
+func newServingManager(t *testing.T, cfg Config, src Source) (*Manager, *fakeTransport, *fakeBackend) {
+	t.Helper()
 	tr := &fakeTransport{id: cfg.ID}
 	dcs := cfg.MaxDCs
 	if dcs == 0 {
@@ -171,8 +180,7 @@ func newTestManager(t *testing.T, cfg Config) (*Manager, *fakeTransport, *fakeBa
 	be := newFakeBackend(dcs)
 	cfg.Clock = be.clk
 	cfg.Endpoint = tr
-	cfg.Backend = be
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg, be, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,9 +631,9 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 		ver(0, 250, "b"),      // shipped
 		ver(1, 180, "remote"), // other DC's origin: not ours to ship
 	}}
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
-	})
+	m, tr, be := newServingManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+	}, src)
 	be.RaiseVV(0, 300) // local progress; NewManager picked up 0, raise lastTS via publishes instead
 	// Publish one version so lastTS covers the history (the manager's
 	// resume floor was captured at construction, before RaiseVV above).
@@ -691,10 +699,9 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		v.Value = big
 		vs = append(vs, v)
 	}
-	m, tr, _ := newTestManager(t, Config{
+	m, tr, _ := newServingManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
-		Source: &fakeSource{vs: vs},
-	})
+	}, &fakeSource{vs: vs})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}

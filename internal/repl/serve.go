@@ -16,7 +16,7 @@
 // again from the new, strictly higher floor, so rounds always make
 // progress.
 //
-// A sender without a durable engine (Config.Source nil: an in-memory
+// A sender without a durable engine (a nil Source: an in-memory
 // deployment, where a crashed replica has nothing to re-ship anyway) answers
 // Unsupported, and the receiver resumes on the reply's word — the optimistic
 // pre-catch-up semantics, reached through the sequenced rule.
@@ -29,7 +29,7 @@
 // therefore remembers the floors of every catch-up request it has served
 // recently and clamps the server's local GC contribution to them (ClampGC),
 // holding the global prune point back until the laggard drains. The
-// holdback ages out after GCMaxHoldback (see core.Config): past that, GC
+// holdback ages out after Config.GCMaxHoldback: past that, GC
 // advances and the laggard's next incremental request is answered with a
 // CatchUpReply.FullResync full re-bootstrap instead of a silently
 // incomplete range — the serving side detects the request floor is below
@@ -201,7 +201,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		ResumeEpoch: r.epoch, ResumeSeq: resumeSeq, Through: through,
 		Departed: claims, SlotEpoch: r.be.SlotEpoch(),
 	}
-	if r.cfg.Source == nil {
+	if r.history == nil {
 		done.Unsupported = true
 		r.ep.Send(src, done)
 		return
@@ -210,7 +210,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	// Per-origin stream bounds: own origin in (from, through], each claimed
 	// departed origin in (Have[d], claim]. A floor below the checkpoint-
 	// compacted boundary drops to zero and flags the full resync.
-	compacted := r.cfg.Source.CompactedFloor()
+	compacted := r.history.CompactedFloor()
 	if from < compacted.Get(r.m) {
 		from = 0
 		done.FullResync = true
@@ -330,7 +330,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	// Seek plus provenance: segments outside the requested windows are
 	// skipped, so a small gap is served in O(gap), and tail versions carry
 	// the ordering guarantee the progress claims need.
-	err := r.cfg.Source.ForEachDurable(shipFloor, shipCeil, walk)
+	err := r.history.ForEachDurable(shipFloor, shipCeil, walk)
 	if err == nil {
 		err = sendChunk()
 	}
@@ -363,15 +363,15 @@ func (r *Manager) servingTo(dc int) bool {
 // and a Joining DC mid-bootstrap pins it at zero (it needs everything).
 // Entries are clamped in place and gv is returned for convenience.
 //
-// A holdback older than maxAge is released — GC advances and the laggard's
-// next incremental request is answered with a full resync instead (the
-// GCMaxHoldback escape hatch, so one wedged replica cannot pin the
-// deployment's garbage forever). A negative maxAge never releases. Expired
+// A holdback older than Config.GCMaxHoldback is released — GC advances and
+// the laggard's next incremental request is answered with a full resync
+// instead (the escape hatch, so one wedged replica cannot pin the
+// deployment's garbage forever). A negative bound never releases. Expired
 // holdbacks (no request within the re-request grace and no stream in
 // flight) are dropped: the laggard either caught up or died, and a dead
 // laggard that returns re-bootstraps through the same full-resync path.
-func (r *Manager) ClampGC(gv vclock.VC, maxAge time.Duration) vclock.VC {
-	now := time.Now()
+func (r *Manager) ClampGC(gv vclock.VC) vclock.VC {
+	now, maxAge := time.Now(), r.cfg.GCMaxHoldback
 	r.viewMu.Lock()
 	var joining []int
 	for dc, st := range r.view.Status {

@@ -384,7 +384,7 @@ func (d *Durable) checkpoint() {
 // their per-version filter. The read goes through a WAL cursor that pins its
 // files open, so concurrent inserts and checkpoints proceed untouched;
 // versions committed after the call starts are not included. This is the
-// replication catch-up feed (repl.Source) and the reshard donor copy.
+// replication catch-up feed (repl.Source).
 //
 // tail is false for the first part the walk reads — the unordered snapshot
 // (the log cursor's part 0), or the first live segment when the snapshot is
@@ -466,8 +466,10 @@ func (d *Durable) DurableStats() DurableStats {
 // Stats counts keys and versions in a single pass.
 func (d *Durable) Stats() StoreStats { return d.mem.Stats() }
 
-// ForEachHead calls fn with every key's chain head.
-func (d *Durable) ForEachHead(fn func(key string, head *item.Version)) { d.mem.ForEachHead(fn) }
+// ForEachVersion calls fn with every version the engine serves: the
+// in-memory chains, not the log, which keeps a forced removal's purged
+// suffix until the next checkpoint.
+func (d *Durable) ForEachVersion(fn func(v *item.Version)) { d.mem.ForEachVersion(fn) }
 
 // Close flushes and closes the log. It returns the first persistence error
 // encountered over the engine's lifetime, if any.

@@ -96,9 +96,9 @@ func TestDurableGroupedAckCrashLosesOnlySuffix(t *testing.T) {
 		t.Fatal("no floor recovered despite surviving versions")
 	}
 	var worst vclock.Timestamp
-	r.ForEachHead(func(_ string, head *item.Version) {
-		if head.UpdateTime > worst {
-			worst = head.UpdateTime
+	r.ForEachVersion(func(v *item.Version) {
+		if v.UpdateTime > worst {
+			worst = v.UpdateTime
 		}
 	})
 	if floor[0] != worst {

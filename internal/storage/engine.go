@@ -20,8 +20,8 @@ import (
 //     nothing to re-ship.
 //
 // All methods must be safe for concurrent use. Read methods (Head,
-// ReadVisible, ReadWithin, Stats, ForEachHead) sit on the protocol hot path
-// and must not block behind writers longer than a shard lock.
+// ReadVisible, ReadWithin, Stats, ForEachVersion) sit on the protocol hot
+// path and must not block behind writers longer than a shard lock.
 type Engine interface {
 	// Insert adds one version to its key's chain (idempotently).
 	Insert(v *item.Version)
@@ -47,9 +47,11 @@ type Engine interface {
 	// Stats counts keys and versions in a single pass (snapshot-consistent
 	// per shard).
 	Stats() StoreStats
-	// ForEachHead calls fn with every key's chain head; fn must not call
-	// back into the engine.
-	ForEachHead(fn func(key string, head *item.Version))
+	// ForEachVersion calls fn with every version the engine serves, chain by
+	// chain in LWW order — the state a reshard copies to a slot's new owner
+	// and a durable checkpoint serializes. fn must not call back into the
+	// engine.
+	ForEachVersion(fn func(v *item.Version))
 	// Close releases the engine's resources (flushing and closing any
 	// stable-storage files). The engine must not be used afterwards.
 	Close() error

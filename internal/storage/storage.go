@@ -420,24 +420,8 @@ func (s *Mem) Keys() int { return s.Stats().Keys }
 // Versions returns the total number of stored versions across all chains.
 func (s *Mem) Versions() int { return s.Stats().Versions }
 
-// ForEachHead calls fn with every key's chain head. Used by convergence
-// checks in tests; fn must not call back into the store.
-func (s *Mem) ForEachHead(fn func(key string, head *item.Version)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.slots {
-			if e.head != nil {
-				fn(e.head.Key, e.head)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // ForEachVersion calls fn with every stored version, chain by chain in LWW
-// order. The durable engine's snapshot checkpoints use it to serialize the
-// full store; fn must not call back into the store.
+// order; fn must not call back into the store.
 func (s *Mem) ForEachVersion(fn func(v *item.Version)) {
 	for i := range s.shards {
 		sh := &s.shards[i]

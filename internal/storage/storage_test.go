@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -152,7 +153,6 @@ func TestCollectGarbage(t *testing.T) {
 	// The anchor version (ut=5) must survive: it is the oldest version a
 	// transaction with snapshot >= GV may still need.
 	found := false
-	s.ForEachHead(func(string, *item.Version) {})
 	if got := s.ReadWithin("k", vclock.VC{4, 4}); got.V != nil && got.V.UpdateTime == 5 {
 		found = true
 	}
@@ -197,15 +197,15 @@ func TestKeysAndVersions(t *testing.T) {
 	}
 }
 
-func TestForEachHead(t *testing.T) {
+func TestForEachVersion(t *testing.T) {
 	s := New()
 	s.Insert(v("a", 1, 0))
 	s.Insert(v("a", 5, 0))
 	s.Insert(v("b", 3, 1))
-	heads := map[string]vclock.Timestamp{}
-	s.ForEachHead(func(k string, h *item.Version) { heads[k] = h.UpdateTime })
-	if heads["a"] != 5 || heads["b"] != 3 {
-		t.Fatalf("heads = %v", heads)
+	chains := map[string][]vclock.Timestamp{}
+	s.ForEachVersion(func(v *item.Version) { chains[v.Key] = append(chains[v.Key], v.UpdateTime) })
+	if len(chains) != 2 || !slices.Equal(chains["a"], []vclock.Timestamp{5, 1}) || !slices.Equal(chains["b"], []vclock.Timestamp{3}) {
+		t.Fatalf("chains = %v", chains)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Node is a TCP-backed core.Transport.
+// Node is a TCP-backed netemu.Transport.
 type Node struct {
 	id       netemu.NodeID
 	listener net.Listener
@@ -59,10 +59,10 @@ func Listen(id netemu.NodeID, addr string) (*Node, error) {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.listener.Addr().String() }
 
-// ID implements core.Transport.
+// ID implements netemu.Transport.
 func (n *Node) ID() netemu.NodeID { return n.id }
 
-// SetHandler implements core.Transport.
+// SetHandler implements netemu.Transport.
 func (n *Node) SetHandler(h netemu.Handler) { n.handler.Store(&h) }
 
 // Connect installs the directory of peer addresses. It must be called before
@@ -78,7 +78,7 @@ func (n *Node) Connect(directory map[netemu.NodeID]string) {
 // Sent returns the number of messages handed to the transport.
 func (n *Node) Sent() uint64 { return n.sent.Load() }
 
-// Send implements core.Transport: it enqueues m on the persistent ordered
+// Send implements netemu.Transport: it enqueues m on the persistent ordered
 // connection to dst and never blocks on the network.
 func (n *Node) Send(dst netemu.NodeID, m any) {
 	n.mu.Lock()
