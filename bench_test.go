@@ -227,7 +227,7 @@ func BenchmarkCatchUpSmallGap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shipped := 0
-		if err := d.ForEachDurable(lo, hi, func(v *item.Version, _ bool) error {
+		if err := d.ForEachDurable(lo, hi, func(v *item.Version) error {
 			if v.UpdateTime > total-gap {
 				shipped++
 			}
@@ -293,7 +293,7 @@ func BenchmarkCatchUpThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shipped := 0
-		if err := d.ForEachDurable(nil, nil, func(v *item.Version, _ bool) error {
+		if err := d.ForEachDurable(nil, nil, func(v *item.Version) error {
 			if v.SrcReplica == 0 && v.UpdateTime > 0 {
 				shipped++
 			}

@@ -185,10 +185,10 @@
 // only while the sequence is gap-free, and a hole, a restarted sender or
 // unseen history freezes it and opens a catch-up round — the link's state
 // machine is a table there, walked row by row by TestLinkTransitions.
-// serve.go answers a round out of the write-ahead log in acknowledged chunks
-// (without a log: Unsupported, and the receiver resumes on its word), which
-// makes crash recovery a per-replica resync. Stats exposes per-DC and
-// per-link lag, link states and catch-up counters.
+// serve.go answers a round out of the write-ahead log in acknowledged,
+// counted chunks, all or nothing (without a log: Unsupported, and the
+// receiver resumes on its word), which makes crash recovery a per-replica
+// resync. Stats exposes per-DC and per-link lag, link states and counters.
 //
 // # Dynamic membership
 //

@@ -107,8 +107,9 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
-	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d full_resyncs=%d",
-		rep.Seed, rep.Ops, rep.Reopens, rep.OpErrors, rep.Stats.FullResyncs)
+	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d full_resyncs=%d catchups_requested=%d catchups_completed=%d",
+		rep.Seed, rep.Ops, rep.Reopens, rep.OpErrors, rep.Stats.FullResyncs,
+		rep.Stats.CatchUpsRequested, rep.Stats.CatchUpsCompleted)
 	if rep.Ops == 0 {
 		t.Error("checker performed no successful operations — the harness is not exercising the cluster")
 	}

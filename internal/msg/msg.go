@@ -99,9 +99,9 @@ type DepartedClaim struct {
 // CatchUpReply carries one chunk of a catch-up stream, served straight out
 // of the sender's write-ahead log. Chunks are numbered from 1 and
 // acknowledged individually (CatchUpAck) so the sender can bound the data in
-// flight. The final chunk has Done set and carries the resume point: the
-// sender guarantees the requester now holds every version it originated
-// with a timestamp ≤ Through, and that batches after (ResumeEpoch,
+// flight. The final chunk has Done set and carries the resume point: with
+// every chunk applied, the requester holds every version the sender
+// originated with a timestamp ≤ Through, and batches after (ResumeEpoch,
 // ResumeSeq) continue the link's sequence from there. Unsupported marks a
 // sender without a durable log to stream from; the requester falls back to
 // optimistic (pre-catch-up) semantics for the link.
@@ -115,7 +115,10 @@ type DepartedClaim struct {
 // early. Departed carries the per-DC bounds of re-shipped departed history
 // (see CatchUpRequest.Have); it is only set on the Done reply.
 type CatchUpReply struct {
-	ReqID       uint64
+	ReqID uint64
+	// Chunk numbers a data chunk of the round, from 1. On the Done reply it
+	// counts the chunks sent before it: the requester completes the round
+	// only if it applied chunks 1..Chunk, and otherwise asks again.
 	Chunk       uint64
 	Versions    []*item.Version
 	Done        bool
@@ -129,15 +132,6 @@ type CatchUpReply struct {
 	// ReplicateBatch.SlotEpoch); caught-up versions of since-moved slots get
 	// re-routed by the receiver exactly like live traffic.
 	SlotEpoch uint64
-	// Progress is the sender's per-origin claim for this chunk: for every
-	// origin d with Progress[d] > 0, the requester — once it has applied
-	// chunks 1..Chunk of this round — holds every version d originated in
-	// the round's shipped window with UpdateTime ≤ Progress[d]. The sender
-	// only advances an origin's claim while its log walk visits that
-	// origin's versions in ascending timestamp order (checkpoint-snapshot
-	// segments are not globally ordered), so the claim is always safe to
-	// resume a later round from. Nil when the chunk advances no claim.
-	Progress vclock.VC
 }
 
 // CatchUpAck acknowledges receipt of one catch-up chunk, opening the

@@ -17,7 +17,8 @@
 //	| Active | hole, or new epoch | CatchingUp | open round, start chain |
 //	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > re-request | CatchingUp | open round (Have carries the gap) |
 //	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; park the batch (≤ 1 MiB); re-request if quiet |
-//	| CatchingUp | chunk of the live round | CatchingUp | apply, ack, refresh the quiet clock, fold Progress if contiguous |
+//	| CatchingUp | chunk of the live round | CatchingUp | apply, ack, refresh the quiet clock, count it if contiguous |
+//	| CatchingUp | Done of the live round, a chunk missing | CatchingUp | open the next round (nothing raised) |
 //	| CatchingUp | Done of the live round; no chain, or the chain connects | Active | drain parked batches, raise Through (+ chain tip) |
 //	| CatchingUp | Done of the live round; a hole remains | CatchingUp | raise Through, open the next round |
 //	| any | chunk or Done of a stale round | same | versions applied, nothing else |
@@ -114,27 +115,16 @@ type inLink struct {
 	// Catch-up round state. While the link is catching up, arriving versions
 	// are installed but the VV entry is frozen; chain* tracks the contiguous
 	// run of sequenced messages seen during the round so it can be spliced
-	// onto the resume point when Done arrives.
+	// onto the resume point when Done arrives. nextChunk counts reqID's
+	// chunks in order: a Done it does not match proves one went missing.
 	reqID      uint64
 	reqAt      time.Time
+	nextChunk  uint64
 	chainSet   bool
 	chainEpoch uint64
 	chainBase  uint64 // sequence immediately before the chain's first batch
 	chainSeq   uint64
 	chainTS    vclock.Timestamp
-
-	// Resumable rounds. resume records, per origin, the floor below which
-	// streamed chunks have already been applied contiguously — the round's
-	// persisted progress. A round that dies mid-stream (frozen link, lost
-	// chunk, superseding re-request) restarts from max(VV, resume) instead
-	// of re-streaming everything after the VV floor, so a slow link makes
-	// forward progress across rounds instead of starving. nextChunk is the
-	// next contiguous chunk number expected for reqID: a chunk's Progress
-	// claim is only valid once chunks 1..k have all been applied, so a gap
-	// in the stream stops resume (but never version installs) from
-	// advancing. Cleared when a round completes — the Done raise covers it.
-	resume    vclock.VC
-	nextChunk uint64
 
 	// Eviction freeze. Acking an EvictProposal attests "I hold everything
 	// through evictCap" — the entry must not pass that point before the
@@ -443,14 +433,6 @@ func (r *Manager) startCatchUpLocked(st *inLink, dc int) {
 	st.nextChunk = 1
 	r.statReq.Add(1)
 	have := r.haveVV()
-	if len(st.resume) > 0 {
-		// A prior round for this link died mid-stream: ask only for history
-		// past its persisted progress, not the whole range again.
-		if st.resume.Get(dc) > have[dc] {
-			r.statResumed.Add(1)
-		}
-		have.MaxInPlace(st.resume)
-	}
 	r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n},
 		msg.CatchUpRequest{ReqID: st.reqID, From: have[dc], Have: have})
 }
@@ -486,9 +468,10 @@ func (r *Manager) noteChainLocked(st *inLink, epoch, seq uint64, ts vclock.Times
 // sender's backpressure window), and on the final chunk completes the round:
 // raise the VV through the streamed history, splice the chain of batches
 // that arrived meanwhile, and either resume normal sequencing or start the
-// next round from the new floor. A chunk holding a nil version is dropped
-// unread and unacknowledged, as a lost chunk is: the round's re-request
-// repairs it.
+// next round from the new floor. A Done that counts a chunk this node never
+// applied completes nothing and opens the next round from the same floor;
+// a chunk holding a nil version is dropped unread and unacknowledged, as a
+// lost chunk is, so that round repairs it.
 func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	if !r.validSrc(src.DC) || slices.Contains(m.Versions, nil) {
 		return
@@ -502,17 +485,11 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		st.mu.Lock()
 		if st.state == LinkCatchingUp && st.reqID == m.ReqID {
 			// A flowing stream is alive: refresh the re-request clock so a
-			// long stream is not superseded mid-flight, and persist the
-			// sender's progress claim once every chunk up to this one has
-			// been applied — the resume point a follow-up round starts from
-			// if this stream dies before Done.
+			// long stream is not superseded mid-flight, and count the chunk
+			// if it is the next one, for the completeness check at Done.
 			st.reqAt = time.Now()
 			if m.Chunk == st.nextChunk {
 				st.nextChunk++
-				if len(m.Progress) > 0 {
-					st.resume = st.resume.GrowTo(len(m.Progress))
-					st.resume.MaxInPlace(m.Progress)
-				}
 			}
 		}
 		st.mu.Unlock()
@@ -543,7 +520,14 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		}
 		st.mu.Lock()
 	}
-	st.resume, st.nextChunk = nil, 0
+	if st.nextChunk != m.Chunk+1 {
+		// A chunk of this round never arrived (lost with a broken
+		// connection, or dropped unread): Through and the Departed claims
+		// vouch for it. Raise nothing and ask again from the same floor.
+		r.startCatchUpLocked(st, src.DC)
+		st.mu.Unlock()
+		return
+	}
 	r.statDone.Add(1)
 	if m.FullResync {
 		r.statFullResync.Add(1)

@@ -195,7 +195,6 @@ func TestLinkTransitions(t *testing.T) {
 			event: func(r linkRig, t *testing.T) {
 				r.m.handleCatchUpReply(linkSrc, msg.CatchUpReply{
 					ReqID: r.round(t).ReqID, Chunk: 1, Versions: []*item.Version{ver(1, 200, "b")},
-					Progress: vclock.VC{0, 250, 0},
 				})
 			},
 			also: func(r linkRig, t *testing.T, applied int) {
@@ -205,10 +204,22 @@ func TestLinkTransitions(t *testing.T) {
 					t.Errorf("last message on the link = %#v, want the chunk's ack", out[len(out)-1])
 				}
 				r.link(1, func(st *inLink) {
-					if st.resume.Get(1) != 250 || st.nextChunk != 2 {
-						t.Errorf("resume = %v, next chunk %d; want the contiguous chunk's Progress folded", st.resume, st.nextChunk)
+					if st.nextChunk != 2 {
+						t.Errorf("next chunk %d, want 2: the contiguous chunk counted", st.nextChunk)
 					}
 				})
+			}},
+		{name: "CatchingUp: Done, a chunk missing", from: catchingUp, want: LinkCatchingUp, vv: 100,
+			event: func(r linkRig, t *testing.T) {
+				// Chunk 1 is lost; the Done counts it.
+				r.m.handleCatchUpReply(linkSrc, msg.CatchUpReply{
+					ReqID: r.round(t).ReqID, Chunk: 1, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+				})
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				if n := r.rounds(); n != 2 || r.round(t).From != 100 {
+					t.Errorf("%d requests, newest from %d; want a second round from the unraised floor 100", n, r.round(t).From)
+				}
 			}},
 		{name: "CatchingUp: Done, the chain connects", from: catchingUp, want: LinkActive, vv: 500,
 			event: func(r linkRig, t *testing.T) {
@@ -288,5 +299,39 @@ func TestLinkTransitions(t *testing.T) {
 				row.also(r, t, applied)
 			}
 		})
+	}
+}
+
+// TestSlowLiveStreamCompletesInOneRound: a live stream whose chunks arrive
+// slowly, each just inside the re-request interval while the sender's
+// heartbeats keep coming, is never superseded (every chunk refreshes the
+// quiet clock), so it completes in one round without any mid-stream
+// progress claim.
+func TestSlowLiveStreamCompletesInOneRound(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
+	r := linkRig{m, tr, be}
+	m.handleBatch(linkSrc, linkBatch(7, 1, 100))
+	m.handleBatch(linkSrc, linkBatch(7, 4, 400)) // seq 2-3 lost: the round opens
+	reqID := r.round(t).ReqID
+	const chunks = 8
+	for c := uint64(1); c <= chunks; c++ {
+		// The stream stalls for 0.9 × the re-request interval, and a
+		// heartbeat arrives during the stall.
+		r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-9 * m.reRequest / 10) })
+		m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 400, Epoch: 7, Seq: 4})
+		m.handleCatchUpReply(linkSrc, msg.CatchUpReply{ReqID: reqID, Chunk: c,
+			Versions: []*item.Version{ver(1, vclock.Timestamp(100+30*c), "k")}})
+	}
+	m.handleCatchUpReply(linkSrc, msg.CatchUpReply{
+		ReqID: reqID, Chunk: chunks, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+	})
+	if st := m.Stats(); st.Requested != 1 || st.Completed != 1 {
+		t.Fatalf("stats = %+v, want one round requested and completed", st)
+	}
+	if got := be.VVEntry(1); got != 400 {
+		t.Fatalf("VV[1] = %d, want the round's Through 400", got)
+	}
+	if got := r.stored(1); got != LinkActive {
+		t.Fatalf("link = %v, want active", got)
 	}
 }

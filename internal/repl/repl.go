@@ -77,15 +77,10 @@ type Source interface {
 	// per-origin (lo, hi] window — snapshot first, then the log tail — using
 	// a storage-side index to skip cold parts; a nil window is the whole
 	// history. The window is advisory (versions outside it may still be
-	// visited), so callers keep their per-version filter. tail is true for a
-	// version read from the append-ordered live log rather than the
-	// unordered snapshot: own-origin tail versions arrive in ascending
-	// timestamp order after all own-origin snapshot history, which is what
-	// lets serveCatchUp stamp sound mid-stream progress claims — once an
-	// own-origin tail version with timestamp t has been shipped, every
-	// own-origin version at or below t the requester asked for is in the
-	// chunks sent so far.
-	ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error
+	// visited), so callers keep their per-version filter. No order is
+	// promised: a catch-up round proves nothing until its Done, so the walk
+	// need not.
+	ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version) error) error
 	// CompactedFloor is the per-origin boundary below which checkpoints have
 	// discarded superseded history: an incremental catch-up range starting
 	// under it cannot be proven complete, so the manager answers with a full
@@ -181,7 +176,7 @@ type Stats struct {
 	// Requested counts inbound catch-up rounds this node started (gaps or
 	// sender restarts it detected).
 	Requested uint64
-	// Completed counts inbound rounds that finished (Done received).
+	// Completed counts inbound rounds that finished (Done after every chunk).
 	Completed uint64
 	// Served counts outbound streams this node served to lagging siblings.
 	Served uint64
@@ -189,10 +184,6 @@ type Stats struct {
 	// because the requested floor was below the sender's checkpoint-
 	// compacted boundary (the GC-overran-the-laggard degraded path).
 	FullResyncs uint64
-	// Resumed counts inbound rounds that picked up a dead predecessor's
-	// persisted mid-stream progress instead of re-requesting its whole
-	// range — the catch-up starvation fix for flaky links.
-	Resumed uint64
 	// Deferred counts fresh inbound batches parked while a catch-up round
 	// was in flight on their link, so the round's chunk and Done-claim
 	// application gets the CPU first (the oversubscription starvation fix).
@@ -267,7 +258,6 @@ type Manager struct {
 	statDone       atomic.Uint64
 	statServed     atomic.Uint64
 	statFullResync atomic.Uint64
-	statResumed    atomic.Uint64
 	statDeferred   atomic.Uint64
 	activeIn       atomic.Int64
 
@@ -387,7 +377,6 @@ func (r *Manager) Stats() Stats {
 		Completed:   r.statDone.Load(),
 		Served:      r.statServed.Load(),
 		FullResyncs: r.statFullResync.Load(),
-		Resumed:     r.statResumed.Load(),
 		Deferred:    r.statDeferred.Load(),
 		ActiveIn:    int(r.activeIn.Load()),
 	}

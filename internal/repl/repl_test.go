@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -135,18 +136,17 @@ func (b *fakeBackend) appliedCount() int {
 	return len(b.applied)
 }
 
-// fakeSource serves a fixed version list as the durable history — unordered
-// and unindexed, like a snapshot: the window skips nothing and no version is
-// flagged tail. floor is the checkpoint-compacted boundary
+// fakeSource serves a fixed version list as the durable history, unindexed:
+// the window skips nothing. floor is the checkpoint-compacted boundary
 // (storage.Durable.CompactedFloor).
 type fakeSource struct {
 	vs    []*item.Version
 	floor vclock.VC
 }
 
-func (s *fakeSource) ForEachDurable(_, _ vclock.VC, fn func(v *item.Version, tail bool) error) error {
+func (s *fakeSource) ForEachDurable(_, _ vclock.VC, fn func(v *item.Version) error) error {
 	for _, v := range s.vs {
-		if err := fn(v, false); err != nil {
+		if err := fn(v); err != nil {
 			return err
 		}
 	}
@@ -301,7 +301,7 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 		Versions: []*item.Version{ver(1, 200, "b"), ver(1, 300, "c")},
 	})
 	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+		ReqID: req.ReqID, Chunk: 1, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
 	// Through=400 plus the chained seq-5 batch: VV lands at 500.
 	if got := be.VVEntry(1); got != 500 {
@@ -354,7 +354,7 @@ func TestNilVersionListDropped(t *testing.T) {
 	}
 	applied := be.appliedCount()
 	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Chunk: 1, Versions: []*item.Version{ver(1, 100, "a"), nil}})
-	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Done: true, Versions: []*item.Version{nil},
+	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Chunk: 1, Done: true, Versions: []*item.Version{nil},
 		ResumeEpoch: 7, ResumeSeq: 1, Through: 100})
 	if n := be.appliedCount(); n != applied || len(tr.msgs(src)) != 1 {
 		t.Fatalf("a chunk holding a nil version was read: %d versions applied (want %d), outbound %v", n, applied, tr.msgs(src))
@@ -362,11 +362,25 @@ func TestNilVersionListDropped(t *testing.T) {
 	if st := m.LinkStates()[1]; st != LinkCatchingUp {
 		t.Fatalf("link state %v after a dropped Done, want still catching-up", st)
 	}
-	// The repaired round completes as usual.
-	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Done: true, Versions: []*item.Version{ver(1, 100, "a")},
+	// The round's Done counts the dropped chunk: it raises nothing, and the
+	// round goes again from the unraised floor.
+	m.Handle(src, msg.CatchUpReply{ReqID: req.ReqID, Chunk: 1, Done: true,
 		ResumeEpoch: 7, ResumeSeq: 1, Through: 100})
+	if got := be.VVEntry(1); got != 0 {
+		t.Fatalf("VV[1] = %d after a round missing its chunk, want it frozen at 0", got)
+	}
+	out = tr.msgs(src)
+	again, ok := out[len(out)-1].(msg.CatchUpRequest)
+	if !ok || again.ReqID == req.ReqID || again.From != 0 {
+		t.Fatalf("last message = %#v, want a new round from 0", out[len(out)-1])
+	}
+	// The repaired round completes as usual.
+	m.Handle(src, msg.CatchUpReply{ReqID: again.ReqID, Chunk: 1,
+		Versions: []*item.Version{ver(1, 100, "a"), ver(1, 200, "b")}})
+	m.Handle(src, msg.CatchUpReply{ReqID: again.ReqID, Chunk: 1, Done: true,
+		ResumeEpoch: 7, ResumeSeq: 2, Through: 200})
 	if got := be.VVEntry(1); got != 200 {
-		t.Fatalf("VV[1] = %d after catch-up, want 200 (Through + spliced chain)", got)
+		t.Fatalf("VV[1] = %d after catch-up, want the repaired round's Through 200", got)
 	}
 }
 
@@ -486,6 +500,46 @@ func TestDoneWithHoleGoesAgain(t *testing.T) {
 	}
 }
 
+// TestDoneOverLostChunkGoesAgain: a round is all or nothing. A Done whose
+// chunk count shows a chunk missing (lost with a broken connection, or
+// dropped unread) raises nothing: its Through and its departed-origin claims
+// would vouch for the lost chunk's versions. The link stays catching-up and
+// the next round asks from the floor held before the round.
+func TestDoneOverLostChunkGoesAgain(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+	})
+	src := netemu.NodeID{DC: 1, Partition: 0}
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+	first := tr.msgs(src)[0].(msg.CatchUpRequest)
+	// Chunk 1 never arrives; chunk 2 and the Done counting both do.
+	m.handleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: first.ReqID, Chunk: 2, Versions: []*item.Version{ver(1, 300, "c")},
+	})
+	m.handleCatchUpReply(src, msg.CatchUpReply{
+		ReqID: first.ReqID, Chunk: 2, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+		Departed: []msg.DepartedClaim{{DC: 2, Through: 300}},
+	})
+	if got := be.VVEntry(1); got != 100 {
+		t.Fatalf("VV[1] = %d, want the floor 100: chunk 1 of the round never arrived", got)
+	}
+	if got := be.VVEntry(2); got != 0 {
+		t.Fatalf("VV[2] = %d, want 0: the incomplete round's departed claim is not raised", got)
+	}
+	if got := m.LinkStates()[1]; got != LinkCatchingUp {
+		t.Fatalf("link = %v after an incomplete round, want catching-up", got)
+	}
+	out := tr.msgs(src)
+	again, ok := out[len(out)-1].(msg.CatchUpRequest)
+	if !ok || again.ReqID == first.ReqID || again.From != 100 {
+		t.Fatalf("last message = %#v, want a new round from the floor 100", out[len(out)-1])
+	}
+	if st := m.Stats(); st.Completed != 0 || st.Requested != 2 || st.ActiveIn != 1 {
+		t.Fatalf("stats = %+v, want two rounds requested, none completed", st)
+	}
+}
+
 // TestEpochZeroIsNoBypass: epoch 0 used to mark an unsequenced sender whose
 // messages raised the receiver's VV with no gap check. No sender stamps it —
 // an epoch is a clock reading — so off the wire it is a corrupt or hostile
@@ -550,77 +604,6 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 	}
 }
 
-// TestResumableRoundPersistsChunkProgress: a catch-up stream that dies
-// mid-round must not restart from scratch. Contiguously applied chunks
-// carry Progress claims that persist as the link's resume floor; a chunk
-// arriving out of order contributes versions but no claim (a gap in the
-// stream means later claims cover history this node may not hold). The
-// follow-up round then asks from max(VV, resume) — strictly past the dead
-// round's applied prefix — instead of the frozen VV entry.
-func TestResumableRoundPersistsChunkProgress(t *testing.T) {
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
-	})
-	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
-	// Seq 2-3 lost; the gap opens round 1.
-	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
-	out := tr.msgs(src)
-	req1, ok := out[len(out)-1].(msg.CatchUpRequest)
-	if !ok || req1.From != 100 {
-		t.Fatalf("round 1 request = %#v, want From=100", out[len(out)-1])
-	}
-	// Chunk 1 applies contiguously: its claim (own history ≤ 250 delivered)
-	// becomes the persisted resume floor.
-	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req1.ReqID, Chunk: 1,
-		Versions: []*item.Version{ver(1, 200, "b")},
-		Progress: vclock.VC{0, 250, 0},
-	})
-	// Chunk 3 arrives with chunk 2 missing: versions install, but the claim
-	// must be ignored — it vouches for chunk 2's contents too.
-	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req1.ReqID, Chunk: 3,
-		Versions: []*item.Version{ver(1, 380, "c2")},
-		Progress: vclock.VC{0, 380, 0},
-	})
-	if got := be.VVEntry(1); got != 100 {
-		t.Fatalf("VV[1] = %d mid-round, want it frozen at 100", got)
-	}
-	// The stream dies here (no Done). After the re-request interval the next
-	// sequenced arrival re-opens the round from the resume floor.
-	time.Sleep(120 * time.Millisecond)
-	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
-	out = tr.msgs(src)
-	req2, ok := out[len(out)-1].(msg.CatchUpRequest)
-	if !ok || req2.ReqID == req1.ReqID {
-		t.Fatalf("round 2 never opened: %#v", out[len(out)-1])
-	}
-	if req2.From != 250 {
-		t.Fatalf("round 2 From = %d, want 250 (chunk 1's claim, not the frozen VV 100, not the gapped chunk's 380)", req2.From)
-	}
-	if st := m.Stats(); st.Resumed != 1 {
-		t.Fatalf("stats = %+v, want Resumed=1", st)
-	}
-	// Round 2 completes at the sender's live resume point (its stream is at
-	// seq 5, everything through ts 500 streamed or previously delivered).
-	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req2.ReqID, Chunk: 1,
-		Versions: []*item.Version{ver(1, 300, "c")},
-	})
-	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req2.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 5, Through: 500,
-	})
-	if got := be.VVEntry(1); got != 500 {
-		t.Fatalf("VV[1] = %d after resumed round, want 500", got)
-	}
-	// The link is healthy again: sequencing continues without a new round.
-	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 600, "f")}, HBTime: 600, Epoch: 7, Seq: 6})
-	if got := be.VVEntry(1); got != 600 {
-		t.Fatalf("VV[1] = %d after resync, want 600", got)
-	}
-}
-
 // TestServeCatchUpStreamsAndResumes: the serving side flushes, snapshots the
 // resume point, streams the durable history filtered to (From, Through] and
 // own-origin versions, and finishes with Done.
@@ -656,6 +639,7 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 	}
 	var shipped []string
 	var done msg.CatchUpReply
+	var chunks uint64
 	for _, raw := range tr.msgs(dst) {
 		rep, ok := raw.(msg.CatchUpReply)
 		if !ok {
@@ -669,14 +653,16 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 		}
 		if rep.Done {
 			done = rep
+		} else {
+			chunks++
 		}
 	}
 	want := []string{"a", "b"}
 	if len(shipped) != len(want) || shipped[0] != "a" || shipped[1] != "b" {
 		t.Fatalf("shipped %v, want %v", shipped, want)
 	}
-	if done.Unsupported || done.ResumeEpoch != m.Epoch() {
-		t.Fatalf("done = %+v", done)
+	if done.Unsupported || done.ResumeEpoch != m.Epoch() || done.Chunk != chunks {
+		t.Fatalf("done = %+v, want the resume point after %d chunks", done, chunks)
 	}
 	if st := m.Stats(); st.Served != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -730,8 +716,8 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		rs := replies()
 		last := rs[len(rs)-1]
 		if last.Done {
-			if last.Unsupported {
-				t.Fatalf("done = %+v", last)
+			if last.Unsupported || last.Chunk != uint64(len(rs)-1) {
+				t.Fatalf("done = %+v, want the count of the %d chunks before it", last, len(rs)-1)
 			}
 			return
 		}
@@ -741,6 +727,112 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		}
 	}
 	t.Fatal("stream never finished")
+}
+
+// pipe connects managers directly: a send is handled at once by the manager
+// at its destination, unless drop claims it (called under the pipe's lock).
+type pipe struct {
+	mu    sync.Mutex
+	nodes map[netemu.NodeID]*Manager
+	drop  func(m any) bool
+}
+
+// pipeEnd is one manager's transport on a pipe.
+type pipeEnd struct {
+	p  *pipe
+	id netemu.NodeID
+}
+
+func (e pipeEnd) ID() netemu.NodeID { return e.id }
+
+func (e pipeEnd) SetHandler(netemu.Handler) {}
+
+func (e pipeEnd) Send(dst netemu.NodeID, m any) {
+	e.p.mu.Lock()
+	to := e.p.nodes[dst]
+	lost := e.p.drop != nil && e.p.drop(m)
+	e.p.mu.Unlock()
+	if to != nil && !lost {
+		to.Handle(e.id, m)
+	}
+}
+
+// join starts a manager at id on the pipe.
+func (p *pipe) join(t *testing.T, id netemu.NodeID, be *fakeBackend, src Source) *Manager {
+	t.Helper()
+	m, err := NewManager(Config{ID: id, NumDCs: 2, Clock: be.clk, Endpoint: pipeEnd{p, id}}, be, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close(false) })
+	p.mu.Lock()
+	p.nodes[id] = m
+	p.mu.Unlock()
+	return m
+}
+
+// TestLostChunkCostsOneMoreRound: a chunk lost mid-stream costs exactly one
+// more round, served whole, and nothing else. A recovered sender holds a
+// backlog larger than the in-flight window that the receiver never saw; its
+// first batch opens the round, and the wire loses chunk 3 of that round
+// only. The receiver completes nothing over the hole, asks again from the
+// floor, and the second round completes at the sender's Through with every
+// version applied.
+func TestLostChunkCostsOneMoreRound(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 40<<10)
+	src := &fakeSource{}
+	for i := 0; i < 2*catchUpWindow/len(big); i++ {
+		v := ver(0, vclock.Timestamp(100+i), fmt.Sprintf("k%03d", i))
+		v.Value = big
+		src.vs = append(src.vs, v)
+	}
+	senderID, recvID := netemu.NodeID{DC: 0, Partition: 0}, netemu.NodeID{DC: 1, Partition: 0}
+	lost := false
+	p := &pipe{nodes: make(map[netemu.NodeID]*Manager), drop: func(m any) bool {
+		if rep, ok := m.(msg.CatchUpReply); ok && !lost && !rep.Done && rep.Chunk == 3 {
+			lost = true
+			return true
+		}
+		return false
+	}}
+	senderBe, recvBe := newFakeBackend(2), newFakeBackend(2)
+	senderBe.RaiseVV(0, src.vs[len(src.vs)-1].UpdateTime) // the recovered floor
+	sender := p.join(t, senderID, senderBe, src)
+	recv := p.join(t, recvID, recvBe, nil)
+
+	v := &item.Version{Key: "fresh", Value: []byte("v"), SrcReplica: 0, Deps: vclock.New(2)}
+	through, err := sender.Publish(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.vs = append(src.vs, v) // logged before it is flushed
+	flush(sender)              // batch 1 above the receiver's floor: the round opens
+	if !waitUntil(t, 10*time.Second, func() bool { return recvBe.VVEntry(0) == through }) {
+		t.Fatalf("VV[0] = %d, want the sender's Through %d (stats %+v)", recvBe.VVEntry(0), through, recv.Stats())
+	}
+	p.mu.Lock()
+	reached := lost
+	p.mu.Unlock()
+	if !reached {
+		t.Fatal("the stream never reached chunk 3")
+	}
+	if st := recv.Stats(); st.Requested != 2 || st.Completed != 1 {
+		t.Fatalf("receiver stats = %+v, want 2 rounds requested, 1 completed", st)
+	}
+	got := make(map[string]bool)
+	recvBe.mu.Lock()
+	for _, a := range recvBe.applied {
+		got[a.Key] = true
+	}
+	recvBe.mu.Unlock()
+	for _, w := range src.vs {
+		if !got[w.Key] {
+			t.Fatalf("version %s@%d never applied", w.Key, w.UpdateTime)
+		}
+	}
+	if st := recv.LinkStates()[0]; st != LinkActive {
+		t.Fatalf("link = %v, want active", st)
+	}
 }
 
 // TestUnsupportedFallsBackOptimistically: a sender without a durable source
@@ -945,7 +1037,7 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 		ReqID: req.ReqID, Chunk: 1, Versions: []*item.Version{ver(0, 100, "a"), ver(0, 450, "b")},
 	})
 	m.handleCatchUpReply(sib0, msg.CatchUpReply{
-		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 5, Through: 500,
+		ReqID: req.ReqID, Chunk: 1, Done: true, ResumeEpoch: 7, ResumeSeq: 5, Through: 500,
 	})
 
 	if !m.Bootstrapped() || !be.isJoined() {

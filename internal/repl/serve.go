@@ -9,12 +9,13 @@
 // of its durable log (Source: storage.Durable over the internal/wal cursor)
 // in acknowledged chunks, never holding more than catchUpWindow (1 MiB) of
 // un-acked data on the wire — backpressure instead of unbounded buffers.
-// The final chunk carries the resume point (epoch, sequence, timestamp): on
-// receipt the receiver raises its VV through the streamed history, splices
-// the batches that arrived during the round back onto the sequence, and
-// resumes normal operation — or detects another discontinuity and goes
-// again from the new, strictly higher floor, so rounds always make
-// progress.
+// The final chunk (Done) carries the resume point (epoch, sequence,
+// timestamp) and the number of chunks sent before it. A round is all or
+// nothing: if the receiver applied every chunk, it raises its VV through the
+// streamed history, splices the batches that arrived during the round back
+// onto the sequence, and resumes normal operation — or detects another
+// discontinuity and goes again from the new, strictly higher floor. If a
+// chunk went missing, it raises nothing and goes again from the same floor.
 //
 // A sender without a durable engine (a nil Source: an in-memory
 // deployment, where a crashed replica has nothing to re-ship anyway) answers
@@ -155,7 +156,8 @@ func versionBytes(v *item.Version) int {
 
 // serveCatchUp streams every version this node originated in (from,
 // through] out of the durable log, in acknowledged chunks no larger than
-// the in-flight window, then sends the resume point. The through/resumeSeq
+// the in-flight window, then sends the resume point with the chunk count
+// (a read error's Unsupported reply carries it too). The through/resumeSeq
 // pair is captured under the outbound lock after a flush, which establishes
 // the invariant the receiver relies on: every version ≤ through has been
 // handed to the transport in a batch with sequence ≤ resumeSeq (and is in
@@ -227,22 +229,6 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		shipFloor[c.DC], shipCeil[c.DC] = f, c.Through
 	}
 
-	// Resumable rounds: mid-stream progress claims for this node's own
-	// origin. A claim stamped on chunk k asserts that every own-origin
-	// version at or below it that the requester asked for rides in chunks
-	// 1..k — so a round that dies mid-stream can resume past the claim
-	// instead of restarting from the request floor. The claim only advances
-	// on own-origin tail versions: those arrive in ascending
-	// timestamp order after all own-origin snapshot history, making the
-	// assertion sound the moment the version is shipped. It freezes if the
-	// ascending order is ever violated (defensive — local commits append in
-	// timestamp order) and never advances through an unordered snapshot,
-	// where no mid-stream completeness claim can be proven.
-	var (
-		ownClaim   vclock.Timestamp
-		ownLast    vclock.Timestamp
-		ownOrdered = true
-	)
 	var (
 		chunkID    uint64
 		chunk      []*item.Version
@@ -274,14 +260,8 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 			}
 		}
 		chunkID++
-		cm := msg.CatchUpReply{ReqID: s.reqID, Chunk: chunkID, Versions: chunk,
-			SlotEpoch: r.be.SlotEpoch()}
-		if ownClaim > 0 {
-			p := make(vclock.VC, r.maxDCs)
-			p[r.m] = ownClaim
-			cm.Progress = p
-		}
-		r.ep.Send(src, cm)
+		r.ep.Send(src, msg.CatchUpReply{ReqID: s.reqID, Chunk: chunkID, Versions: chunk,
+			SlotEpoch: r.be.SlotEpoch()})
 		window = append(window, struct {
 			id    uint64
 			bytes int
@@ -291,7 +271,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		return nil
 	}
 
-	walk := func(v *item.Version, tail bool) error {
+	walk := func(v *item.Version) error {
 		select {
 		case <-s.cancel:
 			return errCanceled
@@ -300,23 +280,6 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		default:
 		}
 		d := v.SrcReplica
-		if tail && d == r.m && ownOrdered {
-			if v.UpdateTime <= ownLast {
-				ownOrdered = false
-			} else {
-				ownLast = v.UpdateTime
-				// Below the floor the requester already holds it; above the
-				// ceiling it is outside the round — either way every needed
-				// own version at or below t is shipped once this one is.
-				t := v.UpdateTime
-				if c := shipCeil[d]; t > c {
-					t = c
-				}
-				if t > ownClaim {
-					ownClaim = t
-				}
-			}
-		}
 		if d < 0 || d >= r.maxDCs || v.UpdateTime <= shipFloor[d] || v.UpdateTime > shipCeil[d] {
 			return nil
 		}
@@ -327,13 +290,13 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		}
 		return nil
 	}
-	// Seek plus provenance: segments outside the requested windows are
-	// skipped, so a small gap is served in O(gap), and tail versions carry
-	// the ordering guarantee the progress claims need.
+	// Seek: segments outside the requested windows are skipped, so a small
+	// gap is served in O(gap).
 	err := r.history.ForEachDurable(shipFloor, shipCeil, walk)
 	if err == nil {
 		err = sendChunk()
 	}
+	done.Chunk = chunkID
 	if err != nil {
 		if errors.Is(err, errCanceled) {
 			return // superseded or shutting down; no resume point

@@ -135,7 +135,7 @@ func TestDurableStagedRetention(t *testing.T) {
 		dur.Insert(ver)
 	}
 	vs = nil
-	if err := dur.ForEachDurable(nil, nil, func(*item.Version, bool) error { return nil }); err != nil {
+	if err := dur.ForEachDurable(nil, nil, func(*item.Version) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	dur.InsertBatch(testVersions(keys, keys, keys))

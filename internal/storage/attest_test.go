@@ -38,7 +38,7 @@ func TestAttestVVRestoresFloor(t *testing.T) {
 	// The attestation is floor bookkeeping, not history: catch-up streams
 	// must not see it.
 	n := 0
-	if err := r.ForEachDurable(nil, nil, func(*item.Version, bool) error { n++; return nil }); err != nil {
+	if err := r.ForEachDurable(nil, nil, func(*item.Version) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -120,7 +120,7 @@ func TestAttestDoesNotDefeatRangeIndex(t *testing.T) {
 		t.Fatal("writes did not roll enough segments for a meaningful skip test")
 	}
 	// A range above all stored versions must skip the sealed segments.
-	if err := d.ForEachDurable(vclock.VC{10000}, vclock.VC{20000}, func(*item.Version, bool) error {
+	if err := d.ForEachDurable(vclock.VC{10000}, vclock.VC{20000}, func(*item.Version) error {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestAttestNeutralAcrossCheckpointAndReopen(t *testing.T) {
 	skips := func(d *Durable, lo, hi vclock.VC) (uint64, int) {
 		before := d.DurableStats().PartsSkipped
 		n := 0
-		if err := d.ForEachDurable(lo, hi, func(*item.Version, bool) error { n++; return nil }); err != nil {
+		if err := d.ForEachDurable(lo, hi, func(*item.Version) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return d.DurableStats().PartsSkipped - before, n

@@ -386,16 +386,6 @@ func (d *Durable) checkpoint() {
 // versions committed after the call starts are not included. This is the
 // replication catch-up feed (repl.Source).
 //
-// tail is false for the first part the walk reads — the unordered snapshot
-// (the log cursor's part 0), or the first live segment when the snapshot is
-// skipped or absent — and true for every later part of the live log. The
-// catch-up server stamps mid-stream progress claims on tail versions of its
-// own origin, which is sound only if no later own version in the window has
-// a lower timestamp. A reshard copies a donor's history into the target's
-// live log out of timestamp order, so the first part, which is all of a
-// never-checkpointed engine's log, is never tail; later live parts can hold
-// such copies too (ROADMAP arc 1).
-//
 // A sticky persistence error fails the stream up front: once an append has
 // failed, the log may be missing versions the in-memory state acknowledged,
 // and a catch-up stream served from it would falsely claim completeness —
@@ -403,7 +393,7 @@ func (d *Durable) checkpoint() {
 // also waits on the WAL barrier first: with grouped acks, versions the local
 // server acknowledged may still be in flight on the commit pipeline, and a
 // completeness claim ("everything through t") must only cover fsynced bytes.
-func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail bool) error) error {
+func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version) error) error {
 	if err := d.barrier(); err != nil {
 		return err
 	}
@@ -415,11 +405,7 @@ func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail
 	for i, t := range hi {
 		hi64[i] = uint64(t)
 	}
-	first, head := true, uint64(0)
-	skipped, err := d.log.ReadRange(lo64, hi64, func(seg uint64, rec []byte) error {
-		if first {
-			first, head = false, seg
-		}
+	skipped, err := d.log.ReadRange(lo64, hi64, func(_ uint64, rec []byte) error {
 		if isAttest(rec) {
 			return nil // local floor bookkeeping, not history to re-ship
 		}
@@ -427,7 +413,7 @@ func (d *Durable) ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version, tail
 		if err != nil {
 			return err
 		}
-		return fn(v, seg != head)
+		return fn(v)
 	})
 	if skipped > 0 {
 		d.seekHits.Add(1)

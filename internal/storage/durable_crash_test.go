@@ -134,7 +134,7 @@ func TestDurableCatchUpWaitsForGroupedAcks(t *testing.T) {
 	}
 
 	var got int
-	if err := d.ForEachDurable(nil, nil, func(*item.Version, bool) error {
+	if err := d.ForEachDurable(nil, nil, func(*item.Version) error {
 		got++
 		return nil
 	}); err != nil {
@@ -173,7 +173,7 @@ func TestDurableForEachDurableRangeSkipsColdParts(t *testing.T) {
 	lo := vclock.VC{vclock.Timestamp(n - 10)}
 	hi := vclock.VC{vclock.Timestamp(n)}
 	seen := make(map[vclock.Timestamp]bool)
-	if err := d.ForEachDurable(lo, hi, func(v *item.Version, _ bool) error {
+	if err := d.ForEachDurable(lo, hi, func(v *item.Version) error {
 		seen[v.UpdateTime] = true
 		return nil
 	}); err != nil {

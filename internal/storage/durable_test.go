@@ -219,7 +219,7 @@ func TestDurableIdempotentReplay(t *testing.T) {
 
 // TestDurableForEachDurable: the catch-up feed streams every committed
 // version in order — across a checkpoint (compacted history first, then the
-// log tail, flagged as such) — while the engine keeps serving writes.
+// log tail) — while the engine keeps serving writes.
 func TestDurableForEachDurable(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{CheckpointBytes: 1, NoSync: true})
@@ -237,12 +237,8 @@ func TestDurableForEachDurable(t *testing.T) {
 	d.Insert(durableVersion("k99", 0, 999, vclock.VC{0, 0}))
 
 	var got []vclock.Timestamp
-	var tails int
-	if err := d.ForEachDurable(nil, nil, func(v *item.Version, tail bool) error {
+	if err := d.ForEachDurable(nil, nil, func(v *item.Version) error {
 		got = append(got, v.UpdateTime)
-		if tail {
-			tails++
-		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -254,11 +250,6 @@ func TestDurableForEachDurable(t *testing.T) {
 	if got[len(got)-1] != 999 {
 		t.Fatalf("tail version = %d, want the post-checkpoint 999", got[len(got)-1])
 	}
-	// The checkpoint compacted the 20 into the unordered snapshot; only the
-	// version appended after it comes from the append-ordered live log.
-	if tails != 1 {
-		t.Fatalf("%d versions flagged tail, want only the post-checkpoint one", tails)
-	}
 	seen := make(map[vclock.Timestamp]bool, len(got))
 	for _, ts := range got {
 		seen[ts] = true
@@ -267,34 +258,6 @@ func TestDurableForEachDurable(t *testing.T) {
 		if !seen[vclock.Timestamp(i*10)] {
 			t.Fatalf("version %d missing from the durable stream", i*10)
 		}
-	}
-}
-
-// TestDurableForEachDurableFirstPartNotTail: a never-checkpointed engine
-// keeps every version in its one live segment, here out of timestamp order
-// as a reshard copy leaves it. None may be flagged tail: a progress claim
-// stamped on the first would be contradicted by the next.
-func TestDurableForEachDurableFirstPartNotTail(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), DurableOptions{CheckpointBytes: -1, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for i := 5; i >= 1; i-- {
-		d.Insert(durableVersion(fmt.Sprintf("k%d", i), 0, vclock.Timestamp(i*10), vclock.VC{0, 0}))
-	}
-	var n, tails int
-	if err := d.ForEachDurable(nil, nil, func(_ *item.Version, tail bool) error {
-		n++
-		if tail {
-			tails++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 || tails != 0 {
-		t.Fatalf("streamed %d versions, %d flagged tail; want 5 and 0", n, tails)
 	}
 }
 
@@ -318,7 +281,7 @@ func TestDurableForEachDurableRefusesAfterStickyError(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("no sticky error after insert-on-closed; the scenario lost its teeth")
 	}
-	if err := d.ForEachDurable(nil, nil, func(*item.Version, bool) error { return nil }); err == nil {
+	if err := d.ForEachDurable(nil, nil, func(*item.Version) error { return nil }); err == nil {
 		t.Fatal("ForEachDurable streamed from an engine with a sticky persistence error")
 	}
 }

@@ -307,7 +307,8 @@ func (l *outLink) run() {
 			// fresh connection (the codec cannot resume mid-stream). A
 			// partially-flushed batch means duplicates on the receiver,
 			// which the protocol tolerates: sequenced replication drops
-			// already-seen (epoch, seq) pairs, and a gap triggers catch-up.
+			// already-seen (epoch, seq) pairs, a gap triggers catch-up, and
+			// a lost catch-up chunk sends its round again.
 			_ = conn.Close()
 			conn, bw, enc = nil, nil, nil
 			continue

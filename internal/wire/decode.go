@@ -371,7 +371,6 @@ func (d *BinaryDecoder) parse(frame []byte, owned bool) (Envelope, error) {
 			return msg.DepartedClaim{DC: int(f.uint()), Through: vclock.Timestamp(f.uint())}
 		})
 		m.SlotEpoch = f.uint()
-		m.Progress = f.vc()
 		env.Msg = m
 	case tagCatchUpAck:
 		env.Msg = msg.CatchUpAck{ReqID: f.uint(), Chunk: f.uint()}

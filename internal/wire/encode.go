@@ -101,7 +101,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 			return appendUint(appendUint(b, uint64(c.DC)), uint64(c.Through))
 		})
 		b = appendUint(b, m.SlotEpoch)
-		b = appendVC(b, m.Progress)
 	case msg.CatchUpAck:
 		b = appendHeader(b, tagCatchUpAck, env.Src)
 		b = appendUint(b, m.ReqID)

@@ -200,8 +200,7 @@ func FuzzSlotMapDecode(f *testing.F) {
 			UpdateTime: 123456, Deps: vclock.VC{7, 0, 99},
 		}}},
 		&msg.ReplicateBatch{HBTime: 123456, Epoch: 77, Seq: 3, Floor: 1000, SlotEpoch: 2},
-		msg.CatchUpReply{ReqID: 9, Done: true, Through: 123456, SlotEpoch: 2,
-			Progress: vclock.VC{7, 0, 99}},
+		msg.CatchUpReply{ReqID: 9, Done: true, Through: 123456, SlotEpoch: 2},
 	}
 	addSeeds(f, seeds)
 	f.Add([]byte{})

@@ -81,9 +81,9 @@ func goldenMessages() map[string]any {
 		"catchup-reply": msg.CatchUpReply{ReqID: 5, Chunk: 2, Versions: goldenVersions(),
 			Done: true, ResumeEpoch: 3, ResumeSeq: 44, Through: goldenBase, FullResync: true,
 			Departed:  []msg.DepartedClaim{{DC: 2, Through: goldenBase - 9}, {DC: 4}},
-			SlotEpoch: 6, Progress: vclock.VC{goldenBase, goldenBase + 1}},
+			SlotEpoch: 6},
 		"catchup-reply-nil":   msg.CatchUpReply{ReqID: 6, Chunk: 1, Unsupported: true},
-		"catchup-reply-empty": msg.CatchUpReply{ReqID: 7, Versions: []*item.Version{}, Departed: []msg.DepartedClaim{}, Progress: vclock.VC{}},
+		"catchup-reply-empty": msg.CatchUpReply{ReqID: 7, Versions: []*item.Version{}, Departed: []msg.DepartedClaim{}},
 		"catchup-ack":         msg.CatchUpAck{ReqID: 5, Chunk: 2},
 		"join-request":        msg.JoinRequest{DC: 3, View: view},
 		"membership-update":   msg.MembershipUpdate{View: msg.Membership{Epoch: 1, Status: []uint8{}}},

@@ -203,7 +203,6 @@ func genMsg(r *rand.Rand, kind int) any {
 			FullResync:  r.IntN(2) == 0,
 			Departed:    genDeparted(r),
 			SlotEpoch:   r.Uint64N(1 << 40),
-			Progress:    genVC(r),
 		}
 		switch r.IntN(4) {
 		case 0: // nil Versions
@@ -334,8 +333,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.SlotMapUpdate{},
 		msg.SlotMapUpdate{Map: keyspace.DefaultMap(4)},
 		&msg.ReplicateBatch{Epoch: 1, Seq: 2, Floor: 3, SlotEpoch: 4},
-		msg.CatchUpReply{Done: true, SlotEpoch: 5, Progress: vclock.VC{1, 0, 9}},
-		msg.CatchUpReply{Done: true, Progress: vclock.VC{}},
+		msg.CatchUpReply{Done: true, SlotEpoch: 5},
 		msg.SlotHandoff{},
 		msg.SlotHandoff{Versions: []*item.Version{}},
 		msg.SlotHandoff{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}},
