@@ -393,12 +393,17 @@
 //     in-flight group (TestDurableStagedRetention). A VV attestation is
 //     staged the same way, and its sync append returns only once the record
 //     is written, so the caller's vector is never retained.
-//   - repl flush → tcpnet. A flush hands its buffer to one *ReplicateBatch
-//     for all target DCs, immutable from then on, and starts the next window
-//     in a fresh one of the same capacity. tcpnet's out-queue holds a message
-//     until its flush succeeds, then clears the slot: a drained link
-//     references nothing it sent, and its two queue buffers swap rather than
-//     reallocate.
+//   - repl flush → tcpnet. A flush hands its buffer to one pooled
+//     *ReplicateBatch for all target DCs, immutable from then on with one
+//     reference per target link, and starts the next window in the list a
+//     recycled batch left (an idle heartbeat is pooled the same way).
+//     tcpnet's out-queue holds a message until its flush succeeds, then
+//     releases the link's reference and clears the slot; netemu releases
+//     once the handler returns. The last release recycles the message, so
+//     a flush and a heartbeat allocate nothing (TestReplicationFlushAllocs);
+//     one a closed link never delivers is left to the collector. A drained
+//     link references nothing it sent, and its two queue buffers swap
+//     rather than reallocate.
 //   - wire batch → repl → engine. A decoded version list (ReplicateBatch,
 //     CatchUpReply, SlotHandoff) never aliases the decoder's reused frame
 //     buffer: its frame is read into a buffer of its own, exactly sized,

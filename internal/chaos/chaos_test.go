@@ -143,6 +143,21 @@ func TestReportDumpReplays(t *testing.T) {
 	}
 }
 
+// TestReportDumpCountsCatchUps: a failure report carries the catch-up rate
+// next to the operation counts — a soak that converged only through repeated
+// catch-up rounds reads differently from one that never needed any.
+func TestReportDumpCountsCatchUps(t *testing.T) {
+	r := &Report{Ops: 900, Stats: cluster.ReplicationStats{
+		CatchUpsRequested: 11, CatchUpsCompleted: 10, CatchUpsServed: 12, FullResyncs: 3,
+	}}
+	dump := r.Dump()
+	for _, f := range []string{"ops=900", "catchups_requested=11", "catchups_completed=10", "catchups_served=12", "full_resyncs=3"} {
+		if !strings.Contains(dump, f) {
+			t.Errorf("Dump lacks %s:\n%s", f, dump)
+		}
+	}
+}
+
 // TestConvergenceLagNamesTheLaggard drives the epilogue's convergence check
 // on a live 2-DC HA-POCC deployment: a marker written at dc0 while the
 // dc0<->dc1 link is cut is reported missing at dc1, and once the link heals

@@ -51,14 +51,15 @@ type Report struct {
 // Failed reports whether the run recorded any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// Dump renders the command that replays the run, the violations and the
-// executed fault trace — everything needed to reproduce and diagnose a failed
-// soak (CI uploads it as an artifact).
+// Dump renders the command that replays the run, the operation and catch-up
+// counts, the violations and the executed fault trace — everything needed to
+// reproduce and diagnose a failed soak (CI uploads it as an artifact).
 func (r *Report) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos seed %d, %v of faults; replay with\n  go test -race -count=1 -v -run TestChaosSoak ./internal/chaos/ -chaos.seed=%d -chaos.duration=%v\n",
 		r.Seed, r.Duration, r.Seed, r.Duration)
-	fmt.Fprintf(&b, "ops=%d reopens=%d op_errors=%d\n", r.Ops, r.Reopens, r.OpErrors)
+	fmt.Fprintf(&b, "ops=%d reopens=%d op_errors=%d catchups_requested=%d catchups_completed=%d catchups_served=%d full_resyncs=%d\n",
+		r.Ops, r.Reopens, r.OpErrors, r.Stats.CatchUpsRequested, r.Stats.CatchUpsCompleted, r.Stats.CatchUpsServed, r.Stats.FullResyncs)
 	fmt.Fprintf(&b, "violations (%d):\n", len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)

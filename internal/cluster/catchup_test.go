@@ -211,22 +211,29 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 // inbound replication message to the same (epoch, seq) rule as a durable one.
 // Its links are lossless and FIFO, so under a checked workload the rule must
 // never fire: every link adopts its stream at first contact and stays active,
-// and no catch-up round is ever requested.
+// and no catch-up round is ever requested. It is also the end-to-end guard on
+// pooled batches, over both transports: a receiver reading a batch recycled
+// under it sees nil versions and drops the batch as a hole, which catch-up
+// would repair silently — but not without requesting a round.
 func TestCatchUpSilentOnLosslessLinks(t *testing.T) {
-	c := runStress(t, stressConfig{
-		engine: POCC, dcs: 3, partitions: 2, keys: 8,
-		sessions: 4, opsPer: 200, txEvery: 10, putEvery: 3, seed: 1717,
-	})
-	st := c.ReplicationStats()
-	if st.CatchUpsRequested != 0 || st.CatchUpsActive != 0 {
-		t.Fatalf("catch-up rounds on lossless links: %+v", st)
-	}
-	for dst, row := range st.LinkStates {
-		for src, state := range row {
-			if src != dst && state != repl.LinkActive {
-				t.Errorf("link dc%d<-dc%d is %v, want %v", dst, src, state, repl.LinkActive)
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "netemu", true: "tcp"}[tcp], func(t *testing.T) {
+			c := runStress(t, stressConfig{
+				engine: POCC, dcs: 3, partitions: 2, keys: 8,
+				sessions: 4, opsPer: 200, txEvery: 10, putEvery: 3, seed: 1717, tcp: tcp,
+			})
+			st := c.ReplicationStats()
+			if st.CatchUpsRequested != 0 || st.CatchUpsActive != 0 {
+				t.Fatalf("catch-up rounds on lossless links: %+v", st)
 			}
-		}
+			for dst, row := range st.LinkStates {
+				for src, state := range row {
+					if src != dst && state != repl.LinkActive {
+						t.Errorf("link dc%d<-dc%d is %v, want %v", dst, src, state, repl.LinkActive)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -250,6 +257,53 @@ func TestCatchUpCountersExposed(t *testing.T) {
 		return st.CatchUpsActive == 0 && st.MaxLag() < 250*time.Millisecond
 	}) {
 		t.Fatalf("replication plane never settled: %+v", c.ReplicationStats())
+	}
+}
+
+// TestCatchUpCountersSurviveRestart: each server incarnation starts its
+// catch-up counters at zero, so the deployment's totals must carry what a
+// restarted server counted before — or a restart would hide every round it
+// requested. Three dropped windows make the requester open rounds, then it
+// is restarted: the totals may only grow.
+func TestCatchUpCountersSurviveRestart(t *testing.T) {
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		DataDir:           t.TempDir(),
+		Seed:              1313,
+	})
+	sess, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		if err := c.DropInboundReplication(1, 0, true); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := sess.Put(fmt.Sprintf("k%d", i), []byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond) // the flushes are dropped at DC1's door
+		if err := c.DropInboundReplication(1, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if !waitUntil(t, 5*time.Second, func() bool {
+			st := c.ReplicationStats()
+			return st.CatchUpsCompleted >= uint64(round) && st.CatchUpsActive == 0
+		}) {
+			t.Fatalf("round %d: the gap was never caught up (%+v)", round, c.ReplicationStats())
+		}
+	}
+	before := c.ReplicationStats()
+	if err := c.RestartServer(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := c.ReplicationStats()
+	if after.CatchUpsRequested < before.CatchUpsRequested || after.CatchUpsCompleted < before.CatchUpsCompleted ||
+		after.CatchUpsServed < before.CatchUpsServed {
+		t.Fatalf("catch-up counters fell across the requester's restart: before %+v, after %+v", before, after)
 	}
 }
 

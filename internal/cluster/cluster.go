@@ -238,6 +238,46 @@ type node struct {
 	relay     *relay // non-nil only on durable (restartable) deployments
 	skew      time.Duration
 	mx        *core.Metrics
+	// retired tallies the catch-up counters of the servers swap replaced or
+	// removed here: each starts a fresh repl.Manager at zero, and like mx
+	// the slot's totals must outlive it. swapMu orders a swap against
+	// replStats' read of srv and retired.
+	swapMu  sync.Mutex
+	retired repl.Stats
+}
+
+// swap installs srv in the slot (nil removes the server) and returns the
+// server it replaces, whose catch-up counters join the slot's tally.
+func (n *node) swap(srv *core.Server) *core.Server {
+	n.swapMu.Lock()
+	defer n.swapMu.Unlock()
+	old := n.srv.Swap(srv)
+	if old != nil {
+		st := old.Repl().Stats()
+		st.ActiveIn = 0 // its frozen links died with it
+		addStats(&n.retired, st)
+	}
+	return old
+}
+
+// replStats returns the catch-up counters of every server that has run in
+// the slot, the running one included.
+func (n *node) replStats() repl.Stats {
+	n.swapMu.Lock()
+	defer n.swapMu.Unlock()
+	st := n.retired
+	if srv := n.srv.Load(); srv != nil {
+		addStats(&st, srv.Repl().Stats())
+	}
+	return st
+}
+
+func addStats(dst *repl.Stats, s repl.Stats) {
+	dst.Requested += s.Requested
+	dst.Completed += s.Completed
+	dst.Served += s.Served
+	dst.FullResyncs += s.FullResyncs
+	dst.ActiveIn += s.ActiveIn
 }
 
 // New builds and starts a cluster.

@@ -54,7 +54,7 @@ func (c *Cluster) AddDC() (int, error) {
 			// announce their departure (so siblings that merged the join
 			// drop the dead links) and close; the id stays burned.
 			for q := 0; q < p; q++ {
-				if started := c.nodes[dc][q].srv.Swap(nil); started != nil {
+				if started := c.nodes[dc][q].swap(nil); started != nil {
 					started.Repl().Leave()
 					started.Close()
 				}
@@ -113,7 +113,7 @@ func (c *Cluster) WaitForJoin(dc int, timeout time.Duration) error {
 // links) and closes, and the mirror marks the slot Left for good.
 func (c *Cluster) unwindJoin(dc int) {
 	for p := 0; p < c.numParts(); p++ {
-		if srv := c.nodes[dc][p].srv.Swap(nil); srv != nil {
+		if srv := c.nodes[dc][p].swap(nil); srv != nil {
 			srv.Repl().Leave()
 			srv.Close()
 		}
@@ -159,7 +159,7 @@ func (c *Cluster) RemoveDC(dc int) error {
 	c.epoch++
 	c.memberMu.Unlock()
 	for p := 0; p < c.numParts(); p++ {
-		srv := c.nodes[dc][p].srv.Swap(nil)
+		srv := c.nodes[dc][p].swap(nil)
 		if srv == nil {
 			continue // half-started join slot; nothing ever ran here
 		}
@@ -197,7 +197,7 @@ func (c *Cluster) KillDC(dc int) error {
 			continue // nothing was ever brought up here
 		}
 		n.relay.dropRepl.Store(true) // a dead machine receives nothing
-		if srv := n.srv.Swap(nil); srv != nil {
+		if srv := n.swap(nil); srv != nil {
 			srv.Crash()
 		}
 	}

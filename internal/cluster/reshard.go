@@ -141,7 +141,7 @@ func (c *Cluster) startPartitionServers(np int, next *keyspace.SlotMap, members 
 		srv, err := core.NewServer(cfg)
 		if err != nil {
 			for _, q := range members {
-				if started := c.nodes[q][np].srv.Swap(nil); started != nil {
+				if started := c.nodes[q][np].swap(nil); started != nil {
 					started.Close()
 				}
 			}

@@ -59,7 +59,8 @@ type ReplicationStats struct {
 	LagPerLink [][]time.Duration
 	// CatchUpsRequested / CatchUpsCompleted count inbound catch-up rounds
 	// started and finished across all servers; CatchUpsServed counts the
-	// WAL-shipped streams served to lagging siblings.
+	// WAL-shipped streams served to lagging siblings. All three (and
+	// FullResyncs) count every incarnation: a restart does not reset them.
 	CatchUpsRequested uint64
 	CatchUpsCompleted uint64
 	CatchUpsServed    uint64
@@ -89,8 +90,9 @@ func (r ReplicationStats) MaxLag() time.Duration {
 	return max
 }
 
-// ReplicationStats samples every server's replication lag and catch-up
-// counters.
+// ReplicationStats samples every server's replication lag and the catch-up
+// counters of every server the deployment has run, restarted and departed
+// ones included.
 func (c *Cluster) ReplicationStats() ReplicationStats {
 	dcs := c.NumDCs()
 	st := ReplicationStats{
@@ -125,13 +127,17 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 		if age := srv.Repl().HoldbackAge(); age > st.GCHoldbackAge {
 			st.GCHoldbackAge = age
 		}
-		cs := srv.Repl().Stats()
-		st.CatchUpsRequested += cs.Requested
-		st.CatchUpsCompleted += cs.Completed
-		st.CatchUpsServed += cs.Served
-		st.CatchUpsActive += cs.ActiveIn
-		st.FullResyncs += cs.FullResyncs
 	}
+	// Counters come from every slot, dead incarnations and departed DCs
+	// included (node.retired), so they never fall.
+	var cs repl.Stats
+	for dc := range c.nodes {
+		for p := range c.nodes[dc] {
+			addStats(&cs, c.nodes[dc][p].replStats())
+		}
+	}
+	st.CatchUpsRequested, st.CatchUpsCompleted, st.CatchUpsServed = cs.Requested, cs.Completed, cs.Served
+	st.CatchUpsActive, st.FullResyncs = cs.ActiveIn, cs.FullResyncs
 	return st
 }
 

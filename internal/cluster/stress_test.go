@@ -24,6 +24,7 @@ type stressConfig struct {
 	putEvery    int // issue a PUT every putEvery ops
 	seed        uint64
 	partitioned bool // flap one inter-DC link mid-run
+	tcp         bool // loopback TCP instead of the emulated network
 }
 
 func runStress(t *testing.T, cfg stressConfig) *Cluster {
@@ -34,6 +35,7 @@ func runStress(t *testing.T, cfg stressConfig) *Cluster {
 		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
 		JitterFrac:        0.5,
 		Seed:              cfg.seed,
+		TCP:               cfg.tcp,
 	})
 	tbl := keyspace.Build(cfg.partitions, cfg.keys)
 	c.SeedTable(tbl)

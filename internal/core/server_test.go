@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -91,13 +92,29 @@ func allSlotsTo(n, p int) *keyspace.SlotMap {
 	return m
 }
 
+// registerFake records what a fake peer receives. A replication batch or
+// heartbeat is lent for the handler call only (netemu.Handler), so the inbox
+// keeps a copy.
 func (r *rig) registerFake(id netemu.NodeID) {
 	ep := r.net.Register(id, func(_ netemu.NodeID, m any) {
 		r.mu.Lock()
-		r.inbox[id] = append(r.inbox[id], m)
+		r.inbox[id] = append(r.inbox[id], kept(m))
 		r.mu.Unlock()
 	})
 	r.fakeEP[id] = ep
+}
+
+// kept returns what a handler may keep of m past the call: a copy of a
+// batch (its list included) or a heartbeat, anything else as it is.
+func kept(m any) any {
+	switch mm := m.(type) {
+	case *msg.ReplicateBatch:
+		return &msg.ReplicateBatch{Versions: slices.Clone(mm.Versions), HBTime: mm.HBTime,
+			Epoch: mm.Epoch, Seq: mm.Seq, Floor: mm.Floor, SlotEpoch: mm.SlotEpoch}
+	case *msg.Heartbeat:
+		return &msg.Heartbeat{Time: mm.Time, Epoch: mm.Epoch, Seq: mm.Seq, Floor: mm.Floor}
+	}
+	return m
 }
 
 func (r *rig) received(id netemu.NodeID) []any {

@@ -6,6 +6,7 @@ package msg
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/item"
 	"repro/internal/keyspace"
@@ -38,7 +39,11 @@ import (
 // catch-up round is needed first.
 //
 // A batch travels as a *ReplicateBatch, and a heartbeat as a *Heartbeat: one
-// flush is shared by every sibling, so a receiver never writes to *m.
+// flush is shared by every sibling, so a receiver never writes to *m. The
+// sender draws both from a pool with one reference per target link, and each
+// link releases its own once done (netemu.Lent): the last release recycles
+// the message, Versions array included. A decoded or literal message is not
+// pooled, and its Release does nothing.
 type ReplicateBatch struct {
 	Versions []*item.Version
 	HBTime   vclock.Timestamp
@@ -51,6 +56,8 @@ type ReplicateBatch struct {
 	// applying them to a server that no longer serves the slot. 0 = the
 	// epoch-0 table.
 	SlotEpoch uint64
+
+	refs
 }
 
 // Heartbeat advertises the sender's current clock so idle replicas keep the
@@ -59,12 +66,74 @@ type ReplicateBatch struct {
 // sequence, letting receivers verify the link is gap-free before advancing
 // their version vector on an otherwise data-free message (an idle restarted
 // sender is detected exactly here). Floor is the incarnation's starting
-// history floor (see ReplicateBatch).
+// history floor (see ReplicateBatch), and a heartbeat is pooled the same way.
 type Heartbeat struct {
 	Time  vclock.Timestamp
 	Epoch uint64
 	Seq   uint64
 	Floor vclock.Timestamp
+
+	refs
+}
+
+// refs counts the links still holding a pooled message; the zero value
+// marks one that is not pooled. n is touched only atomically.
+type refs struct {
+	n      int32
+	pooled bool
+}
+
+// Refs reports the references still held (0 for a message not pooled).
+func (r *refs) Refs() int32 { return atomic.LoadInt32(&r.n) }
+
+// release drops one reference and reports whether it was the last. An
+// over-release panics: it would recycle a message another DC still reads.
+func (r *refs) release() bool {
+	if !r.pooled {
+		return false
+	}
+	n := atomic.AddInt32(&r.n, -1)
+	if n < 0 {
+		panic("msg: pooled replication message released more often than referenced")
+	}
+	return n == 0
+}
+
+var (
+	batchPool     = sync.Pool{New: func() any { return &ReplicateBatch{refs: refs{pooled: true}} }}
+	heartbeatPool = sync.Pool{New: func() any { return &Heartbeat{refs: refs{pooled: true}} }}
+)
+
+// NewReplicateBatch draws a batch holding n references, one per link it is
+// sent on; Versions is empty at the capacity an earlier use left it.
+func NewReplicateBatch(n int) *ReplicateBatch {
+	b := batchPool.Get().(*ReplicateBatch)
+	atomic.StoreInt32(&b.n, int32(n))
+	return b
+}
+
+// Release drops one reference; the last clears the version slots and
+// recycles b, which no holder may touch again.
+func (b *ReplicateBatch) Release() {
+	if b.release() {
+		clear(b.Versions)
+		b.Versions = b.Versions[:0]
+		batchPool.Put(b)
+	}
+}
+
+// NewHeartbeat draws a heartbeat holding n references, one per link.
+func NewHeartbeat(n int) *Heartbeat {
+	h := heartbeatPool.Get().(*Heartbeat)
+	atomic.StoreInt32(&h.n, int32(n))
+	return h
+}
+
+// Release drops one reference; the last recycles h.
+func (h *Heartbeat) Release() {
+	if h.release() {
+		heartbeatPool.Put(h)
+	}
 }
 
 // CatchUpRequest asks the sibling replica that feeds this link to re-ship

@@ -30,12 +30,22 @@ func (id NodeID) String() string {
 // sequentially per link (preserving FIFO order per channel); a handler that
 // may block for a long time must hand the message off to another goroutine.
 //
-// A message is valid for the call: the TCP transport lends a decoded
-// *msg.ReplicateBatch or *msg.Heartbeat, and the batch's version list, until
-// the handler returns. A pointer message is immutable — one flush is shared
-// by every sibling — and a handler that hands off or keeps a lent slice
-// copies it (the versions in it are independent objects and may be kept).
+// A *msg.ReplicateBatch or *msg.Heartbeat, and the batch's version list, is
+// valid for the call only: the TCP transport lends what it decoded, and
+// this one releases the link's reference to the sender's pooled message
+// (Lent) when the handler returns. Such a message is immutable — one flush
+// is shared by every sibling — and a handler that keeps it, or its list,
+// copies it (the versions in the list may be kept). Any other message is the
+// receiver's: a pooled slice request or reply is released by whoever
+// answers or folds it in, never by the transport.
 type Handler func(src NodeID, m any)
+
+// Lent is a message fanned out to several links, each holding one reference
+// (Refs counts those left) and calling Release once when done with it.
+type Lent interface {
+	Refs() int32
+	Release()
+}
 
 // Transport carries protocol messages between partition servers. Endpoint
 // and the TCP transport (tcpnet.Node) both implement it; the protocol only
@@ -365,6 +375,9 @@ func (l *link) run() {
 		}
 		if hp := l.ep.handler.Load(); hp != nil {
 			(*hp)(l.src, e.msg)
+		}
+		if m, ok := e.msg.(Lent); ok {
+			m.Release()
 		}
 	}
 }

@@ -60,8 +60,9 @@ func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
 // flushLocked stamps the buffered updates with the next batch sequence and
 // sends them to every member DC. Called with mu held so batches (and
 // heartbeats) leave each link in timestamp order. The buffer's slice is
-// handed to the message (versions are immutable and shared across DCs;
-// receivers of an emulated deployment read the very same slice).
+// handed to a pooled message holding one reference per target link
+// (versions are immutable and shared across DCs; receivers of an emulated
+// deployment read the very same slice until their link releases it).
 // With an empty fan-out (a deployment not yet grown) the sequence still
 // advances and the versions rest in the WAL — a later joiner's first
 // contact sees the sequence and pulls them through catch-up.
@@ -74,19 +75,29 @@ func (r *Manager) flushLocked() {
 	if hb > r.lastTS {
 		r.lastTS = hb
 	}
+	targets := *r.targets.Load()
+	if len(targets) == 0 {
+		clear(r.buf)
+		r.buf = r.buf[:0]
+		return
+	}
 	// One message for every target DC's link, immutable from here on.
-	m := &msg.ReplicateBatch{Versions: r.buf, HBTime: hb, Epoch: r.epoch, Seq: r.seq,
-		Floor: r.floor, SlotEpoch: r.be.SlotEpoch()}
-	// The message owns the old buffer now. The next window starts with the
-	// capacity this one reached — one allocation per flush instead of a
-	// doubling chain from nil — halved after a window that left most of it
-	// unused, so it follows the load down as well as up.
+	m := msg.NewReplicateBatch(len(targets))
+	next := m.Versions
+	m.Versions, m.HBTime, m.Epoch, m.Seq, m.Floor, m.SlotEpoch = r.buf, hb, r.epoch, r.seq, r.floor, r.be.SlotEpoch()
+	// The message owns the old buffer now; the next window starts in the
+	// list a recycled batch left behind, as long as it has the capacity this
+	// window reached — halved after a window that left most of it unused, so
+	// it follows the load down as well as up.
 	c := cap(r.buf)
 	if len(r.buf) < c/4 {
 		c /= 2
 	}
-	r.buf = make([]*item.Version, 0, c)
-	for _, dc := range *r.targets.Load() {
+	if cap(next) < c {
+		next = make([]*item.Version, 0, c)
+	}
+	r.buf = next
+	for _, dc := range targets {
 		r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, m)
 	}
 }
@@ -117,9 +128,12 @@ func (r *Manager) heartbeatLoop() {
 			if ct > r.lastTS {
 				r.lastTS = ct
 			}
-			hb := &msg.Heartbeat{Time: ct, Epoch: r.epoch, Seq: r.seq, Floor: r.floor}
-			for _, dc := range *r.targets.Load() {
-				r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, hb)
+			if targets := *r.targets.Load(); len(targets) > 0 {
+				hb := msg.NewHeartbeat(len(targets))
+				hb.Time, hb.Epoch, hb.Seq, hb.Floor = ct, r.epoch, r.seq, r.floor
+				for _, dc := range targets {
+					r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, hb)
+				}
 			}
 		}
 		r.mu.Unlock()

@@ -337,9 +337,10 @@ func (l *outLink) take() []any {
 }
 
 // recycle takes back a flushed batch: its references are dropped (a queued
-// replication batch pins its versions), a slice request or reply — this
-// link's since Send — is released now that no retransmission can need it, and
-// the emptied buffer is parked for the next swap.
+// replication batch pins its versions), a pooled message is released now
+// that no retransmission can need it — a replication batch's or heartbeat's
+// reference of this link, or a slice request or reply, this link's since
+// Send — and the emptied buffer is parked for the next swap.
 func (l *outLink) recycle(batch []any) {
 	for i, m := range batch {
 		if r, ok := m.(interface{ Release() }); ok {

@@ -494,3 +494,55 @@ func TestOutLinkDrainedHoldsNoMessages(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedBatchRecycledAfterEveryFlush: one pooled batch sent to two links
+// holds a reference per link, and each link's writer releases its own once
+// the batch is flushed (outLink.recycle) — so the batch is recycled only
+// after both flushes. The second destination is not listening at first: its
+// writer keeps redialing and holds its reference until it gets through.
+func TestSharedBatchRecycledAfterEveryFlush(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateAddr := ln.Addr().String()
+	_ = ln.Close() // reserved for the late receiver
+	s, err := Listen(netemu.NodeID{DC: 0}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	early, err := Listen(netemu.NodeID{DC: 1}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer early.Close()
+	late := netemu.NodeID{DC: 2}
+	s.Connect(map[netemu.NodeID]string{early.ID(): early.Addr(), late: lateAddr})
+	got := make(chan int, 1)
+	early.SetHandler(func(_ netemu.NodeID, m any) { got <- len(m.(*msg.ReplicateBatch).Versions) })
+
+	b := msg.NewReplicateBatch(2)
+	b.Versions = append(b.Versions, &item.Version{Key: "k", UpdateTime: 1})
+	s.Send(early.ID(), b)
+	s.Send(late, b)
+	if n := <-got; n != 1 {
+		t.Fatalf("receiver got %d versions, want 1", n)
+	}
+	if !waitCond(t, 2*time.Second, func() bool { return b.Refs() == 1 }) {
+		t.Fatalf("refs = %d after the first flush, want 1", b.Refs())
+	}
+	time.Sleep(50 * time.Millisecond) // the late link redials meanwhile
+	if r := b.Refs(); r != 1 {
+		t.Fatalf("refs = %d while the late link holds the batch unflushed, want 1", r)
+	}
+
+	r, err := Listen(late, lateAddr)
+	if err != nil {
+		t.Skipf("the reserved port was taken meanwhile: %v", err)
+	}
+	defer r.Close()
+	if !waitCond(t, 2*time.Second, func() bool { return b.Refs() == 0 }) {
+		t.Fatalf("refs = %d after both flushes, want 0", b.Refs())
+	}
+}
