@@ -48,7 +48,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17400
+LOC_CEILING = 17360
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -105,12 +105,15 @@ define RACE_ROWS
 # Durability: mid-workload server restarts, cold restarts.
 -run 'Recovery|Durable' ./internal/cluster/... .
 # The replication plane: sequenced streams, gap detection and WAL-shipped
-# catch-up (crashed buffer tails, dropped links), the catch-up counters across
-# restarts, and the pooled-batch guard: lossless links over netemu and TCP
-# must never request a round, which a receiver reading a recycled batch would.
+# catch-up (crashed buffer tails, dropped links, a crash in the middle of a
+# round, which must not restore the entry over the round's hole), the
+# catch-up counters across restarts, and the pooled-batch guard: lossless
+# links over netemu and TCP must never request a round, which a receiver
+# reading a recycled batch would.
 -run 'CatchUp' ./internal/repl/... ./internal/cluster/...
 # Dynamic membership: DC joins bootstrapped by catch-up under a live
-# causally-checked workload, graceful leaves, the stabilization gate.
+# causally-checked workload, graceful leaves (one overtaking a catch-up round,
+# whose hole the survivors fill), the stabilization gate.
 -run 'Membership|Join|Leave' ./internal/repl/... ./internal/cluster/... .
 # Elastic resharding: slot-table epochs, live splits and slot moves under a
 # checked workload (drain-then-flip, WAL bootstrap of the new owner, client

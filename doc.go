@@ -113,8 +113,12 @@
 // checkpoints so truncation cannot lose it. The invariant — every shared
 // contribution is recoverable — means a crash-restarted partition can never
 // report a vector below a floor its data center has already pruned to.
-// Attestation records are neutral to the segment range index (their tag is
-// wal.Neutral), so they never force a catch-up seek to read a cold segment.
+// Only the local entry starts from the replayed versions; a remote entry
+// starts from the attestation alone (storage.Durable.AttestedVV), because
+// a link catching up installs versions above a hole and their maximum
+// would claim the hole complete. Attestation records are neutral to the
+// segment range index (their tag is wal.Neutral), so they never force a
+// catch-up seek to read a cold segment.
 //
 // # Hybrid clocks and stabilization
 //
@@ -416,9 +420,9 @@
 //     granularity: a live version keeps its batch's frame and slab
 //     reachable, at most one frame of dead neighbors. The *ReplicateBatch
 //     and *Heartbeat themselves, and the batch's pointer list, are the
-//     decoder's, lent until the handler returns (netemu.Handler): the one
-//     consumer that keeps the list, a batch parked while its link catches up
-//     (repl's deferWhilePending), copies it.
+//     decoder's, lent until the handler returns (netemu.Handler): no
+//     consumer keeps the list — repl applies every batch inline, on a
+//     catching-up link too, before the handler returns.
 //   - what storage may keep of a decoded key. Only what it keeps of the
 //     version: a shard's table stores no key of its own — a key is its chain
 //     head's Key — so it never pins the frame of a version that has been

@@ -307,6 +307,150 @@ func TestCatchUpCountersSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestLeaveDuringCatchUpFillsFromSurvivors: a DC departs while a sibling's
+// link from it is catching up. The leave notice must not raise the
+// sibling's entry over the hole the round was fetching — the round is
+// cancelled, nobody is left to answer it — so the hole is filled from the
+// surviving DC, whose Departed claim then raises the entry. Every version
+// the leaver wrote lands on both survivors.
+func TestLeaveDuringCatchUpFillsFromSurvivors(t *testing.T) {
+	const keys = 20
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, 5*time.Millisecond),
+		DataDir:           t.TempDir(),
+		Seed:              4343,
+	})
+	if err := c.DropInboundReplication(0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := sess.Put(fmt.Sprintf("leaver-%d", i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The drop is at delivery: heal only once the batches have reached dc2,
+	// and dc0's door a moment later (the same 5 ms link).
+	if !waitUntil(t, 5*time.Second, func() bool {
+		for i := 0; i < keys; i++ {
+			if c.Server(2, 0).Store().Head(fmt.Sprintf("leaver-%d", i)) == nil {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("dc2 never received dc1's writes")
+	}
+	time.Sleep(5 * time.Millisecond)
+	if err := c.DropInboundReplication(0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	// The heartbeats arriving after the heal show dc0 the hole and open a
+	// round toward dc1; the leave overtakes its answer.
+	time.Sleep(2 * time.Millisecond)
+	if err := c.RemoveDC(1); err != nil {
+		t.Fatal(err)
+	}
+	missing := func() (n int) {
+		for i := 0; i < keys; i++ {
+			key := fmt.Sprintf("leaver-%d", i)
+			h0, h2 := c.Server(0, 0).Store().Head(key), c.Server(2, 0).Store().Head(key)
+			if h0 == nil || h2 == nil || !h0.Same(h2) {
+				n++
+			}
+		}
+		return n
+	}
+	if !waitUntil(t, 10*time.Second, func() bool { return missing() == 0 }) {
+		t.Fatalf("dc0 lacks %d of dc2's %d heads written by the departed dc1 (VV %v, catch-up stats %+v)",
+			missing(), keys, c.Server(0, 0).VV(), c.ReplicationStats())
+	}
+}
+
+// TestCatchUpHoleSurvivesRestart: a link catching up has installed versions
+// above its frozen entry. A crash in the middle of the round must not
+// recover the entry above the hole — the round after the restart would
+// then start past the hole and never ship it. Heartbeats are off, so the
+// only replication traffic is one batch per 128 writes (batchCap) and the
+// rounds those batches open.
+func TestCatchUpHoleSurvivesRestart(t *testing.T) {
+	const batch = 128
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Latency:           UniformLatency(50*time.Microsecond, 5*time.Millisecond),
+		DataDir:           t.TempDir(),
+		Seed:              4444,
+	})
+	sess, err := c.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(prefix string) {
+		for i := 0; i < batch; i++ {
+			if err := sess.Put(fmt.Sprintf("%s%d", prefix, i), []byte(prefix)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	holds := func(dc int, prefix string) (n int) {
+		for i := 0; i < batch; i++ {
+			if reply, err := c.ReadAt(dc, fmt.Sprintf("%s%d", prefix, i)); err == nil && reply.Exists {
+				n++
+			}
+		}
+		return n
+	}
+	drop := func(on bool) {
+		if err := c.DropInboundReplication(0, 0, on); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Batch 1 (the a* writes) is lost at dc0's door; dc2 receives it.
+	drop(true)
+	put("a")
+	if !waitUntil(t, 5*time.Second, func() bool { return holds(2, "a") == batch }) {
+		t.Fatal("dc2 never received batch 1")
+	}
+	time.Sleep(5 * time.Millisecond) // batch 1 reaches dc0's door too, and is dropped
+	drop(false)
+
+	// Batch 2 (b*) arrives over the hole: dc0 installs it and opens a round.
+	before := c.ReplicationStats()
+	put("b")
+	if !waitUntil(t, 5*time.Second, func() bool {
+		return holds(0, "b") == batch && c.ReplicationStats().CatchUpsRequested > before.CatchUpsRequested
+	}) {
+		t.Fatalf("dc0 never opened a round over batch 2 (b* %d/%d, stats %+v)", holds(0, "b"), batch, c.ReplicationStats())
+	}
+	// The round's chunks and Done are lost, then dc0 crashes.
+	drop(true)
+	if !waitUntil(t, 5*time.Second, func() bool {
+		return c.ReplicationStats().CatchUpsServed > before.CatchUpsServed
+	}) {
+		t.Fatalf("dc1 never served the round (stats %+v)", c.ReplicationStats())
+	}
+	time.Sleep(10 * time.Millisecond) // the Done, sent last, reaches dc0's door
+	if err := c.RestartServer(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	drop(false)
+
+	// Batch 3 (c*) is the restarted dc0's first contact: its round must
+	// reach back over the hole.
+	put("c")
+	if !waitUntil(t, 10*time.Second, func() bool { return holds(0, "a") == batch && holds(0, "c") == batch }) {
+		t.Fatalf("dc0 holds a* %d/%d, c* %d/%d after the restart (VV %v, links %v)",
+			holds(0, "a"), batch, holds(0, "c"), batch, c.Server(0, 0).VV(), c.ReplicationStats().LinkStates[0])
+	}
+}
+
 // TestDropInboundReplicationValidates: like RestartServer, cutting a node off
 // names a node that exists or fails — a coordinate outside the matrix and a
 // slot nothing ever came up in are errors, not panics.

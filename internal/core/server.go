@@ -129,9 +129,11 @@ type Config struct {
 	// fresh in-memory engine (storage.New); otherwise a durable WAL-backed
 	// engine opened (and crash-recovered) from this directory, tuned by
 	// DurableOptions. The server owns its engine and closes it on Close. A
-	// recovered engine reports a version-vector floor (Durable.RecoveredVV) and
-	// the server's VV starts from it, so reads never miss versions the
-	// replayed state already contains. A durable engine also serves the
+	// recovered engine reports a version-vector floor: the local entry
+	// starts from the replayed versions (Durable.RecoveredVV), so reads never
+	// miss versions the replayed state already contains, and a remote entry
+	// from the durable attestation (Durable.AttestedVV), so it never claims a
+	// catch-up hole complete. A durable engine also serves the
 	// replication plane's catch-up streams out of its log (internal/repl); a
 	// server without one answers Unsupported and peers resume on its word.
 	DataDir string
@@ -314,13 +316,18 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	// A recovered engine replays a version-vector floor: every entry must be
 	// restored before the server goes on the network, or a read at the old
-	// VV could miss versions the replayed chains already contain. The clock
-	// must clear the floor too: recovered timestamps are anchored to the
+	// VV could miss versions the replayed chains already contain. Only the
+	// local entry is the replayed maximum; a remote entry is the durable
+	// attestation, because a link that was catching up had installed
+	// versions above a hole, and an entry restored above them would make the
+	// round after the restart skip what the hole lost. The clock must clear
+	// every replayed timestamp: recovered timestamps are anchored to the
 	// previous process's epoch and can sit ahead of this process's wall
 	// clock, and a new write assigned a timestamp below existing versions
 	// would be shadowed by LWW and fall outside the catch-up protocol's
 	// completion claims.
 	if durable != nil {
+		attested := durable.AttestedVV()
 		var maxFloor vclock.Timestamp
 		for i, t := range durable.RecoveredVV() {
 			// A DC the view records as departed is frozen at its final
@@ -332,11 +339,14 @@ func NewServer(cfg Config) (*Server, error) {
 					t = f
 				}
 			}
-			if i < maxDCs {
-				s.vv.raiseTo(i, t)
-			}
 			if t > maxFloor {
 				maxFloor = t
+			}
+			if i != s.m {
+				t = min(t, attested.Get(i))
+			}
+			if i < maxDCs {
+				s.vv.raiseTo(i, t)
 			}
 		}
 		cfg.Clock.AdvanceTo(maxFloor)

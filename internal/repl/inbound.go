@@ -16,13 +16,15 @@
 //	| Active | duplicate (seq ≤ cursor) | Active | nothing |
 //	| Active | hole, or new epoch | CatchingUp | open round, start chain |
 //	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > re-request | CatchingUp | open round (Have carries the gap) |
-//	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; park the batch (≤ 1 MiB); re-request if quiet |
+//	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; re-request if quiet |
 //	| CatchingUp | chunk of the live round | CatchingUp | apply, ack, refresh the quiet clock, count it if contiguous |
 //	| CatchingUp | Done of the live round, a chunk missing | CatchingUp | open the next round (nothing raised) |
-//	| CatchingUp | Done of the live round; no chain, or the chain connects | Active | drain parked batches, raise Through (+ chain tip) |
+//	| CatchingUp | Done of the live round; no chain, or the chain connects | Active | raise Through (+ chain tip) |
 //	| CatchingUp | Done of the live round; a hole remains | CatchingUp | raise Through, open the next round |
 //	| any | chunk or Done of a stale round | same | versions applied, nothing else |
-//	| CatchingUp | the DC is marked Left | Idle | round cancelled, parked batches applied through filterDeparted |
+//	| CatchingUp | the DC is marked Left | Idle | round cancelled; versions past the final dropped |
+//	| Active, the DC Left | next batch or re-attesting heartbeat | Active | raise (capped at the final) |
+//	| any other, the DC Left | sequenced message | same | nothing: gap-fill rounds on the survivors close the hole |
 //
 // # Sequenced streams
 //
@@ -133,29 +135,7 @@ type inLink struct {
 	// follows.
 	evictCap      vclock.Timestamp
 	evictCapUntil time.Time
-
-	// Done-claim priority. While a catch-up round is pending, fresh inbound
-	// batches are parked here (bounded by deferMaxBytes) instead of applied
-	// inline, so under CPU oversubscription the round's chunk and Done
-	// application is not starved by a firehose of new version traffic. The
-	// buffer drains — outside the link lock — before the round's completion
-	// raises the VV, and on link retirement. Past the byte cap batches fall
-	// back to inline application (store inserts are idempotent and
-	// order-independent, so mixing is safe).
-	deferred      []deferredBatch
-	deferredBytes int
 }
-
-// deferredBatch is one parked fresh batch: the versions to apply and the
-// slot epoch they were fenced under.
-type deferredBatch struct {
-	vs        []*item.Version
-	slotEpoch uint64
-}
-
-// deferMaxBytes bounds the parked fresh traffic per link while a catch-up
-// round is pending.
-const deferMaxBytes = 1 << 20
 
 // cursor is a position in a sender's sequenced stream. A link keeps two — the
 // one it is synced to (epoch, seq) and, during a catch-up round, the tip of the
@@ -208,8 +188,11 @@ func capRaiseLocked(st *inLink, t vclock.Timestamp) vclock.Timestamp {
 
 // handleBatch installs a replicated batch and advances the sender DC's
 // version-vector entry when the link's sequence is intact. Versions are
-// always installed — POCC serves the freshest received version regardless —
-// only the VV advance (the claim "I hold the complete prefix") is gated.
+// always installed on arrival, on a catching-up link too — POCC serves the
+// freshest received version regardless — only the VV advance (the claim "I
+// hold the complete prefix") is gated. The batch is applied before
+// handleSequenced records it in a round's chain, so a Done that raises
+// through the chain tip raises over versions already installed.
 //
 // A batch holding a nil version (the wire carries nil markers in a version
 // list) is dropped before anything reads it: its sequence number becomes a
@@ -227,39 +210,8 @@ func (r *Manager) handleBatch(src netemu.NodeID, m *msg.ReplicateBatch) {
 	// HLC receive rule: fold the remote attestation into the local clock so
 	// the next local write is stamped past everything it could depend on.
 	r.clk.Observe(adv)
-	if r.deferWhilePending(src.DC, m, adv) {
-		return
-	}
 	r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
 	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, adv, true)
-}
-
-// deferWhilePending parks a fresh sequenced batch while a catch-up round is
-// in flight on its link, returning true if the batch was consumed. The
-// round's bookkeeping still runs — the chain must record the batch for the
-// splice at Done, and a quiet round must be re-requested — but the store
-// application is postponed until the round completes (or the link retires),
-// so chunk application is never starved of CPU by fresh traffic. A VV raise
-// is not owed here: a pending link's entry is frozen by definition, and the
-// drain runs before the completion raises. The parked list is a copy: m's
-// is lent by the transport only until the handler returns (netemu.Handler).
-func (r *Manager) deferWhilePending(dc int, m *msg.ReplicateBatch, adv vclock.Timestamp) bool {
-	st := r.in[dc]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.state != LinkCatchingUp || st.deferredBytes >= deferMaxBytes {
-		return false
-	}
-	for _, v := range m.Versions {
-		st.deferredBytes += versionBytes(v)
-	}
-	st.deferred = append(st.deferred, deferredBatch{vs: slices.Clone(m.Versions), slotEpoch: m.SlotEpoch})
-	r.statDeferred.Add(1)
-	r.noteChainLocked(st, m.Epoch, m.Seq, adv, true)
-	if time.Since(st.reqAt) > r.reRequest {
-		r.startCatchUpLocked(st, dc)
-	}
-	return true
 }
 
 // handleHeartbeat advances the sender DC's version-vector entry
@@ -331,24 +283,24 @@ func (r *Manager) filterDeparted(vs []*item.Version) []*item.Version {
 // carries when the sequence is intact; floor is the sender incarnation's
 // starting history floor.
 func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.Timestamp, isBatch bool) {
-	if final, left := r.leftFinal(dc); left {
-		// A straggler from a departed DC (in flight when the notice overtook
-		// it on another link): after a graceful leave nothing it attests can
-		// exceed the announced final, and after a forced removal anything
-		// beyond the agreed final is the dead DC's un-agreed suffix — never
-		// attested, so the advance is capped there. No catch-up round may
-		// start toward a DC that no longer answers.
-		if final > 0 && adv > final {
-			adv = final
-		}
-		r.be.RaiseVV(dc, adv)
-		return
+	// A straggler from a departed DC (in flight when the notice overtook it
+	// on another link): after a graceful leave nothing it attests can exceed
+	// the announced final, and after a forced removal anything beyond the
+	// agreed final is the dead DC's un-agreed suffix — never attested, so
+	// the advance is capped there.
+	final, left := r.leftFinal(dc)
+	if left && final > 0 && adv > final {
+		adv = final
 	}
 	st := r.in[dc]
 	var raise vclock.Timestamp
 	st.mu.Lock()
 	at := cursor{st.epoch, st.seq}.classify(epoch, seq, isBatch)
 	switch {
+	case left && (st.state != LinkActive || at == seqBreak):
+		// A departed DC's entry rises only on a synced link, in sequence. No
+		// round may start toward a DC that no longer answers: sealDeparted's
+		// gap-fill rounds on the surviving links close the hole.
 	case st.state == LinkCatchingUp:
 		// Catch-up in flight: track the chain for the splice at Done, and
 		// re-issue the request if the round has gone quiet (a request lost
@@ -498,27 +450,9 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	r.clk.Observe(m.Through)
 	st := r.in[src.DC]
 	st.mu.Lock()
-	for {
-		if st.state != LinkCatchingUp || st.reqID != m.ReqID {
-			st.mu.Unlock()
-			return // a stale stream; the live round will complete on its own
-		}
-		if len(st.deferred) == 0 {
-			break
-		}
-		// Drain the fresh traffic parked during the round before its
-		// completion raises the VV: the chain splice below may attest the
-		// chain tip, which covers these batches. Application happens
-		// outside the link lock (ApplyRemote and filterDeparted take their
-		// own locks); re-check the round afterwards — a concurrent
-		// supersede or retirement ends this completion.
-		batches := st.deferred
-		st.deferred, st.deferredBytes = nil, 0
+	if st.state != LinkCatchingUp || st.reqID != m.ReqID {
 		st.mu.Unlock()
-		for _, b := range batches {
-			r.be.ApplyRemote(r.filterDeparted(b.vs), b.slotEpoch)
-		}
-		st.mu.Lock()
+		return // a stale stream; the live round will complete on its own
 	}
 	if st.nextChunk != m.Chunk+1 {
 		// A chunk of this round never arrived (lost with a broken

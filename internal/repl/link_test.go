@@ -90,6 +90,11 @@ func TestLinkTransitions(t *testing.T) {
 			})
 		}
 	}
+	leave1 := func(r linkRig, final vclock.Timestamp) {
+		r.m.handleMembershipUpdate(netemu.NodeID{DC: 2}, msg.MembershipUpdate{View: msg.Membership{
+			Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}, Final: vclock.VC{0, final, 0},
+		}})
+	}
 	appliedOne := func(r linkRig, t *testing.T, before int) {
 		if got := r.be.appliedCount(); got != before+1 {
 			t.Errorf("applied %d versions, want %d: the event installs exactly one", got, before+1)
@@ -157,12 +162,10 @@ func TestLinkTransitions(t *testing.T) {
 					Epoch: 2, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 500},
 				}})
 			}},
-		{name: "CatchingUp: sequenced batch extends the chain and parks", from: catchingUp, want: LinkCatchingUp, vv: 100,
+		{name: "CatchingUp: sequenced batch extends the chain and applies", from: catchingUp, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 5, 500)) },
 			also: func(r linkRig, t *testing.T, applied int) {
-				if got := r.be.appliedCount(); got != applied {
-					t.Errorf("applied %d versions, want %d: the batch parks until the round completes", got, applied)
-				}
+				appliedOne(r, t, applied) // installed on arrival, as on an active link
 				r.link(1, func(st *inLink) {
 					if st.chainBase != 3 || st.chainSeq != 5 || st.chainTS != 500 {
 						t.Errorf("chain = (base %d, seq %d, ts %d), want (3, 5, 500)", st.chainBase, st.chainSeq, st.chainTS)
@@ -223,11 +226,11 @@ func TestLinkTransitions(t *testing.T) {
 			}},
 		{name: "CatchingUp: Done, the chain connects", from: catchingUp, want: LinkActive, vv: 500,
 			event: func(r linkRig, t *testing.T) {
-				r.m.handleBatch(linkSrc, linkBatch(7, 5, 500)) // parked; chain tip
+				r.m.handleBatch(linkSrc, linkBatch(7, 5, 500)) // applied; chain tip
 				done(r, t, 4, 400)
 			},
 			also: func(r linkRig, t *testing.T, applied int) {
-				appliedOne(r, t, applied) // the parked batch drained
+				appliedOne(r, t, applied) // the chain tip's batch, applied before the Done raised over it
 			}},
 		{name: "CatchingUp: Done, no chain", from: active, want: LinkActive, vv: 150,
 			event: func(r linkRig, t *testing.T) {
@@ -259,17 +262,40 @@ func TestLinkTransitions(t *testing.T) {
 			}},
 		{name: "CatchingUp: the DC is marked Left", from: catchingUp, want: LinkIdle, vv: 100,
 			event: func(r linkRig, _ *testing.T) {
-				r.m.handleBatch(linkSrc, linkBatch(7, 5, 420, 500)) // parked
-				r.m.handleMembershipUpdate(netemu.NodeID{DC: 2}, msg.MembershipUpdate{View: msg.Membership{
-					Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}, Final: vclock.VC{0, 450, 0},
-				}})
+				r.m.handleBatch(linkSrc, linkBatch(7, 5, 420, 500)) // applied on arrival
+				leave1(r, 450)
 			},
 			also: func(r linkRig, t *testing.T, applied int) {
-				appliedOne(r, t, applied) // 420 installs, 500 is past the final
+				appliedOne(r, t, applied) // 420 stays, the seal drops 500 past the final
 				// VV[1] = 100 is short of the final, so the gap-fill row fires
 				// on the surviving link.
 				if got := r.stored(2); got != LinkCatchingUp {
 					t.Errorf("link from dc2 = %v, want catching-up (gap-fill toward the final)", got)
+				}
+			}},
+		{name: "Left, Active: next batch raises, capped at the final", from: active, want: LinkActive, vv: 150,
+			event: func(r linkRig, _ *testing.T) {
+				leave1(r, 150)
+				r.m.handleBatch(linkSrc, linkBatch(7, 2, 200))
+			}},
+		{name: "Left, Active: a hole raises nothing", from: active, want: LinkActive, vv: 100,
+			event: func(r linkRig, _ *testing.T) {
+				leave1(r, 450)
+				r.m.handleBatch(linkSrc, linkBatch(7, 4, 400))
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				if n := r.rounds(); n != 0 {
+					t.Errorf("%d requests toward the departed DC, want none", n)
+				}
+			}},
+		{name: "Left, cancelled round: a straggler raises nothing", from: catchingUp, want: LinkIdle, vv: 100,
+			event: func(r linkRig, _ *testing.T) {
+				leave1(r, 450)
+				r.m.handleBatch(linkSrc, linkBatch(7, 5, 420))
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				if n := r.rounds(); n != 1 {
+					t.Errorf("%d requests toward the departed DC, want only the cancelled round", n)
 				}
 			}},
 	}

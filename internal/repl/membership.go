@@ -20,10 +20,12 @@
 // A leaving DC calls Leave: under the outbound lock it flushes the buffered
 // tail, then sends msg.LeaveNotice carrying its final timestamp on the same
 // FIFO links — so by the time the notice arrives, the receiver holds every
-// version the leaver originated. Receivers freeze the departed entry at
-// Final, cancel catch-up rounds pending on the link (nobody is left to
-// answer), and drop the DC from the fan-out: stabilization keeps advancing
-// on the survivors because no achievable dependency can exceed Final.
+// version the leaver originated — if the link is synced. Receivers raise
+// the departed entry to Final on a synced link only, cancel catch-up rounds
+// pending on the link (nobody is left to answer) and fill that hole from
+// the survivors instead (sealDeparted), and drop the DC from the fan-out:
+// stabilization keeps advancing on the survivors because no achievable
+// dependency can exceed Final.
 
 package repl
 
@@ -151,17 +153,8 @@ func (r *Manager) retireLink(dc int) {
 		// is marked Left, which every handler and LinkStates check first).
 		r.setStateLocked(st, LinkIdle)
 	}
-	batches := st.deferred
-	st.deferred, st.deferredBytes = nil, 0
 	st.evictCap = 0 // the verdict is in; the Left status caps from here on
 	st.mu.Unlock()
-	// Fresh batches parked during a round the departure cancelled are still
-	// applied — filterDeparted screens the un-agreed suffix now that the DC
-	// is marked Left. Applied outside the link lock: filterDeparted takes
-	// the view lock.
-	for _, b := range batches {
-		r.be.ApplyRemote(r.filterDeparted(b.vs), b.slotEpoch)
-	}
 	r.serveMu.Lock()
 	if s := r.serving[dc]; s != nil {
 		close(s.cancel)
@@ -357,16 +350,24 @@ func (r *Manager) handleMembershipUpdate(src netemu.NodeID, m msg.MembershipUpda
 	r.maybeFinishJoin() // a joiner no longer waits on a link the view retired
 }
 
-// handleLeaveNotice retires a departed DC: the version-vector entry is
-// raised to the leaver's final timestamp — complete by FIFO order, since
-// the notice follows the leaver's last flush on the same link — the final
-// is recorded in the membership lattice (so later joiners and restarted
-// survivors inherit the cap), and the view merge drops the DC from the
-// fan-out and cancels catch-up state on the link. The raise runs first so
-// the departure seal sees a closed gap and skips the gap-fill rounds.
+// handleLeaveNotice retires a departed DC: on a synced link the
+// version-vector entry is raised to the leaver's final timestamp — complete
+// by FIFO order, since the notice follows the leaver's last flush on the
+// same link — the final is recorded in the membership lattice (so later
+// joiners and restarted survivors inherit the cap), and the view merge
+// drops the DC from the fan-out and cancels catch-up state on the link. The
+// raise runs first so the departure seal sees a closed gap and skips the
+// gap-fill rounds. A link that is catching up, or never made contact, has
+// a hole below the final: the entry stays, the round toward the leaver is
+// cancelled, and the seal's gap-fill rounds fetch the rest from survivors.
 func (r *Manager) handleLeaveNotice(src netemu.NodeID, m msg.LeaveNotice) {
-	if m.DC == src.DC && src.DC >= 0 && src.DC < r.maxDCs {
-		r.be.RaiseVV(src.DC, m.Final)
+	if m.DC == src.DC && r.validSrc(src.DC) {
+		st := r.in[src.DC]
+		st.mu.Lock()
+		if st.state == LinkActive {
+			r.be.RaiseVV(src.DC, m.Final)
+		}
+		st.mu.Unlock()
 	}
 	r.setFinal(m.DC, m.Final)
 	r.applyView(m.View)

@@ -184,10 +184,6 @@ type Stats struct {
 	// because the requested floor was below the sender's checkpoint-
 	// compacted boundary (the GC-overran-the-laggard degraded path).
 	FullResyncs uint64
-	// Deferred counts fresh inbound batches parked while a catch-up round
-	// was in flight on their link, so the round's chunk and Done-claim
-	// application gets the CPU first (the oversubscription starvation fix).
-	Deferred uint64
 	// ActiveIn is the number of links currently frozen awaiting catch-up.
 	ActiveIn int
 }
@@ -258,7 +254,6 @@ type Manager struct {
 	statDone       atomic.Uint64
 	statServed     atomic.Uint64
 	statFullResync atomic.Uint64
-	statDeferred   atomic.Uint64
 	activeIn       atomic.Int64
 
 	stopped atomic.Bool
@@ -377,7 +372,6 @@ func (r *Manager) Stats() Stats {
 		Completed:   r.statDone.Load(),
 		Served:      r.statServed.Load(),
 		FullResyncs: r.statFullResync.Load(),
-		Deferred:    r.statDeferred.Load(),
 		ActiveIn:    int(r.activeIn.Load()),
 	}
 }

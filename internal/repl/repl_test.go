@@ -384,13 +384,14 @@ func TestNilVersionListDropped(t *testing.T) {
 	}
 }
 
-// TestCatchUpDeferredBatchOutlivesNextDecode: a batch parked while a round is
-// pending outlives its lease. The TCP decoder lends a batch and its version
-// list only until the next Decode, so the parked list must be a copy: batch
-// A, decoded and parked, then batch B, decoded through the same decoder —
-// the round's completion must apply A's versions, not whatever B left in
-// the lent list.
-func TestCatchUpDeferredBatchOutlivesNextDecode(t *testing.T) {
+// TestCatchUpBatchAppliedBeforeNextDecode: a batch arriving while a round is
+// pending is applied inline, like one on an active link. The TCP decoder
+// lends a batch and its version list only until the next Decode, so nothing
+// may hold the list past the handler: batch A, decoded and handled, must be
+// in the store before batch B is decoded through the same decoder, and the
+// round's Done then raises through A's chain tip over versions already
+// installed.
+func TestCatchUpBatchAppliedBeforeNextDecode(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
@@ -418,26 +419,35 @@ func TestCatchUpDeferredBatchOutlivesNextDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := be.appliedCount()
-	if !m.Handle(env.Src, env.Msg) || m.Stats().Deferred != 1 || be.appliedCount() != before {
-		t.Fatalf("batch A was not parked: stats %+v", m.Stats())
+	appliedA := func() map[string]vclock.Timestamp {
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		out := make(map[string]vclock.Timestamp)
+		for _, v := range be.applied[before:] {
+			if v != nil {
+				out[v.Key] = v.UpdateTime
+			}
+		}
+		return out
+	}
+	if !m.Handle(env.Src, env.Msg) {
+		t.Fatal("batch A not handled by the replication plane")
+	}
+	if got := appliedA(); got["A1"] != 500 || got["A2"] != 510 || len(got) != 2 {
+		t.Fatalf("Handle applied %v, want batch A's versions A1@500 and A2@510 before the next decode", got)
 	}
 	if _, err := dec.Decode(); err != nil { // batch B takes the lent list
 		t.Fatal(err)
+	}
+	if got := appliedA(); got["A1"] != 500 || got["A2"] != 510 || len(got) != 2 {
+		t.Fatalf("after the next decode the store holds %v, want A1@500 and A2@510", got)
 	}
 
 	m.handleCatchUpReply(src, msg.CatchUpReply{
 		ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
 	})
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	applied := make(map[string]vclock.Timestamp)
-	for _, v := range be.applied[before:] {
-		if v != nil {
-			applied[v.Key] = v.UpdateTime
-		}
-	}
-	if applied["A1"] != 500 || applied["A2"] != 510 || len(applied) != 2 {
-		t.Fatalf("the round applied %v, want batch A's versions A1@500 and A2@510", applied)
+	if got := be.VVEntry(1); got != 510 {
+		t.Fatalf("VV[1] = %d after the Done, want batch A's chain tip 510", got)
 	}
 }
 
@@ -944,13 +954,16 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 }
 
 // TestLeaveNoticeRetiresLink: a notice cancels the catch-up round pending
-// on the link (nobody is left to answer it), raises the entry to the
-// announced final timestamp, and drops the DC from the fan-out.
+// on the link (nobody is left to answer it) and drops the DC from the
+// fan-out. The link has a hole below the announced final, so the entry is
+// not raised over it: a gap-fill round toward the survivor fetches the
+// departed history, and the survivor's Departed claim raises the entry.
 func TestLeaveNoticeRetiresLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
+	survivor := netemu.NodeID{DC: 2, Partition: 0}
 	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
 	if st := m.Stats(); st.ActiveIn != 1 {
@@ -958,14 +971,24 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 	}
 	view := msg.Membership{Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}}
 	m.handleLeaveNotice(src, msg.LeaveNotice{DC: 1, Final: 400, View: view})
-	if st := m.Stats(); st.ActiveIn != 0 {
-		t.Fatalf("stats = %+v, want the pending round cancelled", st)
-	}
-	if got := be.VVEntry(1); got != 400 {
-		t.Fatalf("VV[1] = %d, want the final timestamp 400", got)
+	if got := be.VVEntry(1); got != 100 {
+		t.Fatalf("VV[1] = %d, want 100: seq 2-3 never arrived, so the final is not attested", got)
 	}
 	if m.View().Get(1) != msg.DCLeft {
 		t.Fatalf("view = %+v, want dc1 departed", m.View())
+	}
+	var fill msg.CatchUpRequest
+	var fills int
+	for _, raw := range tr.msgs(survivor) {
+		if req, ok := raw.(msg.CatchUpRequest); ok {
+			fill, fills = req, fills+1
+		}
+	}
+	if fills != 1 || fill.Have.Get(1) != 100 {
+		t.Fatalf("%d gap-fill rounds toward dc2 (last %+v), want one with Have[1] = 100", fills, fill)
+	}
+	if st := m.Stats(); st.ActiveIn != 1 || m.LinkStates()[2] != LinkCatchingUp {
+		t.Fatalf("stats = %+v, links %v: want the round toward dc1 cancelled and only the gap-fill open", st, m.LinkStates())
 	}
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -976,13 +999,20 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 			t.Fatal("batch sent to a departed DC")
 		}
 	}
-	if got := len(tr.msgs(netemu.NodeID{DC: 2, Partition: 0})); got == 0 {
+	if got := len(tr.msgs(survivor)); got == 0 {
 		t.Fatal("surviving sibling fell out of the fan-out")
 	}
-	// A straggler from the departed DC is applied but starts no round.
+	// A straggler from the departed DC is applied but raises nothing and
+	// starts no round: the link it came on has a hole.
 	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 380, "s")}, HBTime: 380, Epoch: 7, Seq: 3})
-	if st := m.Stats(); st.ActiveIn != 0 {
-		t.Fatalf("stats = %+v after a straggler, want no round toward the dead DC", st)
+	if st := m.Stats(); st.ActiveIn != 1 || be.VVEntry(1) != 100 {
+		t.Fatalf("stats = %+v, VV[1] = %d after a straggler, want no round toward the dead DC and no raise", st, be.VVEntry(1))
+	}
+	// The survivor's Done claims the departed DC through the final.
+	m.handleCatchUpReply(survivor, msg.CatchUpReply{ReqID: fill.ReqID, Done: true,
+		Through: be.VVEntry(2), Departed: []msg.DepartedClaim{{DC: 1, Through: 400}}})
+	if got := be.VVEntry(1); got != 400 {
+		t.Fatalf("VV[1] = %d after the survivor's claim, want the final 400", got)
 	}
 }
 

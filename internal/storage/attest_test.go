@@ -46,6 +46,31 @@ func TestAttestVVRestoresFloor(t *testing.T) {
 	}
 }
 
+// TestAttestedVVIgnoresReplayedVersions: the attested floor is what the
+// node claimed complete, never raised by a replayed version — a remote
+// version installed above a hole must not lift it the way it lifts
+// RecoveredVV.
+func TestAttestedVVIgnoresReplayedVersions(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AttestVV(vclock.VC{0, 300})
+	d.Insert(durableVersion("k", 1, 800, vclock.VC{0, 0}))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, att := r.RecoveredVV().Get(1), r.AttestedVV().Get(1); got != 800 || att != 300 {
+		t.Fatalf("RecoveredVV[1] = %d, AttestedVV[1] = %d; want 800 and 300", got, att)
+	}
+}
+
 // TestAttestVVSurvivesCheckpoint: checkpoints rewrite the log from the
 // surviving versions; the attestation floor must be re-emitted or the
 // truncation would silently lower the recovered VV.

@@ -211,6 +211,16 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 // started empty.
 func (d *Durable) RecoveredVV() vclock.VC { return d.floor.Clone() }
 
+// AttestedVV returns the durably attested version-vector floor: the
+// entry-wise maximum of every committed AttestVV, replayed at open. Unlike
+// RecoveredVV it is never raised by a replayed version, so an entry holds
+// only what the node claimed complete before the crash.
+func (d *Durable) AttestedVV() vclock.VC {
+	d.gcMu.Lock()
+	defer d.gcMu.Unlock()
+	return d.attested.Clone()
+}
+
 // Err returns the first persistence error, or nil. The in-memory state keeps
 // serving after a failure, but durability is gone until the engine is
 // reopened.
