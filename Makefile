@@ -29,6 +29,10 @@ all: check
 # A flush and an idle heartbeat draw their messages from msg's pools, one
 # reference per target link: a &msg.ReplicateBatch{ or &msg.Heartbeat{
 # literal in non-test Go under internal/repl fails the step.
+# Every request the replication plane retries waits through one backoff,
+# repl.Manager.nextWait, next to the cap it doubles up to: maxReRequestInterval
+# in non-test Go of the root module outside internal/repl/repl.go fails the
+# step.
 vet:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=item 'item\.Version{' .
@@ -39,6 +43,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude-dir=bench -E '(^|[^&*])msg\.(ReplicateBatch|Heartbeat)\{' .
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -E 'Transport +interface' . | grep -v '^\./internal/netemu/'
 	@! grep -rn --include='*.go' --exclude='*_test.go' -E '&msg\.(ReplicateBatch|Heartbeat)\{' internal/repl
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'maxReRequestInterval' . | grep -v '^\./internal/repl/repl\.go:'
 
 build:
 	$(GO) build ./...
@@ -109,7 +114,11 @@ define RACE_ROWS
 # round, which must not restore the entry over the round's hole), the
 # catch-up counters across restarts, and the pooled-batch guard: lossless
 # links over netemu and TCP must never request a round, which a receiver
-# reading a recycled batch would.
+# reading a recycled batch would. The quiet re-ask's pins: it backs off, so a
+# slow serve completes (TestCatchUpSlowServeCompletesAfterBackoff), and it
+# stays, so a request lost at a sender that restarts and a Done lost while
+# the sender idles are asked again (TestCatchUpReaskAfterSenderRestart,
+# TestCatchUpLostDoneIdleSender).
 -run 'CatchUp' ./internal/repl/... ./internal/cluster/...
 # Dynamic membership: DC joins bootstrapped by catch-up under a live
 # causally-checked workload, graceful leaves (one overtaking a catch-up round,

@@ -192,7 +192,9 @@
 // serve.go answers a round out of the write-ahead log in acknowledged,
 // counted chunks, all or nothing (without a log: Unsupported, and the
 // receiver resumes on its word), which makes crash recovery a per-replica
-// resync. Stats exposes per-DC and per-link lag, link states and counters.
+// resync. A retried request (a quiet round, a gap-fill round, a join, an
+// eviction) waits through one backoff, doubling up to 2 s. Stats exposes
+// per-DC and per-link lag, link states and counters.
 //
 // # Dynamic membership
 //

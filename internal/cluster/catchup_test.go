@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/causaltest"
 	"repro/internal/keyspace"
+	"repro/internal/netemu"
 	"repro/internal/repl"
 )
 
@@ -449,6 +450,105 @@ func TestCatchUpHoleSurvivesRestart(t *testing.T) {
 		t.Fatalf("dc0 holds a* %d/%d, c* %d/%d after the restart (VV %v, links %v)",
 			holds(0, "a"), batch, holds(0, "c"), batch, c.Server(0, 0).VV(), c.ReplicationStats().LinkStates[0])
 	}
+}
+
+// lossRig is a durable 2 DC × 1 partition deployment whose dc1 writes
+// lossKeys keys dc0 must end up holding, with the replication plane's door of
+// each node under the test's control.
+type lossRig struct {
+	t *testing.T
+	c *Cluster
+}
+
+const lossKeys = 20
+
+func newLossRig(t *testing.T, latency netemu.LatencyFunc, seed uint64) lossRig {
+	return lossRig{t, newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           latency,
+		DataDir:           t.TempDir(),
+		Seed:              seed,
+	})}
+}
+
+func (r lossRig) drop(dc int, on bool) {
+	if err := r.c.DropInboundReplication(dc, 0, on); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// writeMissed has dc1 write the keys while dc0's door drops them.
+func (r lossRig) writeMissed() {
+	r.drop(0, true)
+	sess, err := r.c.NewSession(1)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for i := 0; i < lossKeys; i++ {
+		if err := sess.Put(fmt.Sprintf("lost-%d", i), []byte{byte(i)}); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the last flush reaches dc0's door, and is dropped
+}
+
+// await waits until cond holds of the deployment's replication stats.
+func (r lossRig) await(what string, cond func(ReplicationStats) bool) {
+	r.t.Helper()
+	if !waitUntil(r.t, 5*time.Second, func() bool { return cond(r.c.ReplicationStats()) }) {
+		r.t.Fatalf("%s never happened (stats %+v)", what, r.c.ReplicationStats())
+	}
+}
+
+// converges requires dc0 to hold every key and its link from dc1 to be synced.
+func (r lossRig) converges() {
+	r.t.Helper()
+	held := func() (n int) {
+		for i := 0; i < lossKeys; i++ {
+			if reply, err := r.c.ReadAt(0, fmt.Sprintf("lost-%d", i)); err == nil && reply.Exists {
+				n++
+			}
+		}
+		return n
+	}
+	link := func() repl.LinkState { return r.c.ReplicationStats().LinkStates[0][1] }
+	if !waitUntil(r.t, 10*time.Second, func() bool { return held() == lossKeys && link() == repl.LinkActive }) {
+		r.t.Fatalf("dc0 holds %d/%d keys, link from dc1 %v (stats %+v)", held(), lossKeys, link(), r.c.ReplicationStats())
+	}
+}
+
+// TestCatchUpReaskAfterSenderRestart: a round whose request is lost at a
+// sender that then restarts is answered by nobody — the new incarnation never
+// saw the request, and its heartbeats (a new epoch) only restart the round's
+// chain. The quiet re-ask is what recovers the link, so it must not go.
+func TestCatchUpReaskAfterSenderRestart(t *testing.T) {
+	r := newLossRig(t, nil, 4545)
+	r.writeMissed()
+	before := r.c.ReplicationStats()
+	r.drop(1, true) // dc0's request will be lost at dc1's door
+	r.drop(0, false)
+	r.await("dc0's round", func(s ReplicationStats) bool { return s.CatchUpsRequested > before.CatchUpsRequested })
+	if err := r.c.RestartServer(1, 0); err != nil { // and dc1's door reopens
+		t.Fatal(err)
+	}
+	r.converges()
+}
+
+// TestCatchUpLostDoneIdleSender: a round's answer is lost at the receiver
+// while the sender is idle — no write, no restart, only same-epoch
+// heartbeats. Nothing but the quiet re-ask asks again.
+func TestCatchUpLostDoneIdleSender(t *testing.T) {
+	r := newLossRig(t, UniformLatency(50*time.Microsecond, 5*time.Millisecond), 4646)
+	r.writeMissed()
+	before := r.c.ReplicationStats()
+	r.drop(0, false)
+	r.await("dc0's round", func(s ReplicationStats) bool { return s.CatchUpsRequested > before.CatchUpsRequested })
+	r.drop(0, true) // before the answer's 5 ms trip back
+	r.await("dc1's serve", func(s ReplicationStats) bool { return s.CatchUpsServed > before.CatchUpsServed })
+	time.Sleep(20 * time.Millisecond) // the Done reaches dc0's door, and is dropped
+	r.drop(0, false)
+	r.converges()
 }
 
 // TestDropInboundReplicationValidates: like RestartServer, cutting a node off

@@ -62,9 +62,9 @@ type evictRound struct {
 // was acknowledged by nobody. On agreement the proposer freezes the view
 // (Status Left, final recorded in the lattice), reconciles its own state
 // (sealDeparted), and broadcasts the view (msg.MembershipUpdate) so the
-// survivors do the same. Proposals are re-sent with backoff until every ack arrives or the
-// timeout elapses; evicting an already-departed DC returns its recorded
-// final immediately.
+// survivors do the same. Proposals are re-sent, each wait the plane's
+// backoff (nextWait), until every ack arrives or the timeout elapses;
+// evicting an already-departed DC returns its recorded final immediately.
 //
 // Only one round may run per manager at a time. Concurrent proposers (split
 // views) are safe: finals merge by maximum in the membership lattice and
@@ -154,12 +154,7 @@ func (r *Manager) ProposeEvict(dead int, timeout time.Duration) (vclock.Timestam
 				return 0, fmt.Errorf("repl: eviction of DC %d timed out awaiting survivor acks", dead)
 			case <-resend.C:
 				send()
-				if backoff < maxReRequestInterval {
-					backoff *= 2
-					if backoff > maxReRequestInterval {
-						backoff = maxReRequestInterval
-					}
-				}
+				backoff = r.nextWait(backoff)
 				resend.Reset(backoff)
 			}
 		}

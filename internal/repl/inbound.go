@@ -11,12 +11,12 @@
 //	| state | event | next | what happens |
 //	|---|---|---|---|
 //	| Idle | first message, nothing precedes it (base == 0) and floor ≤ VV[dc] | Active | adopt (epoch, seq), raise |
-//	| Idle | any other first message | CatchingUp | open round, start chain |
+//	| Idle | any other first message | CatchingUp | reset reqWait, open round, start chain |
 //	| Active | next batch (seq+1) or re-attesting heartbeat (seq) | Active | raise (capped by an eviction freeze) |
 //	| Active | duplicate (seq ≤ cursor) | Active | nothing |
-//	| Active | hole, or new epoch | CatchingUp | open round, start chain |
-//	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > re-request | CatchingUp | open round (Have carries the gap) |
-//	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; re-request if quiet |
+//	| Active | hole, or new epoch | CatchingUp | reset reqWait, open round, start chain |
+//	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > reqWait | CatchingUp | open round (Have carries the gap), double reqWait |
+//	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; if quiet > reqWait, re-request and double reqWait |
 //	| CatchingUp | chunk of the live round | CatchingUp | apply, ack, refresh the quiet clock, count it if contiguous |
 //	| CatchingUp | Done of the live round, a chunk missing | CatchingUp | open the next round (nothing raised) |
 //	| CatchingUp | Done of the live round; no chain, or the chain connects | Active | raise Through (+ chain tip) |
@@ -121,6 +121,7 @@ type inLink struct {
 	// chunks in order: a Done it does not match proves one went missing.
 	reqID      uint64
 	reqAt      time.Time
+	reqWait    time.Duration // quiet allowed before the next re-ask (nextWait)
 	nextChunk  uint64
 	chainSet   bool
 	chainEpoch uint64
@@ -303,10 +304,13 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		// gap-fill rounds on the surviving links close the hole.
 	case st.state == LinkCatchingUp:
 		// Catch-up in flight: track the chain for the splice at Done, and
-		// re-issue the request if the round has gone quiet (a request lost
-		// to a dropping link must not freeze the link forever).
+		// re-issue the request once the round is quiet for reqWait (a lost
+		// request, or a sender that restarted, must not freeze the link).
+		// Each re-ask cancels the serve in progress, so the wait doubles: a
+		// slow sender is superseded a few times, not forever.
 		r.noteChainLocked(st, epoch, seq, adv, isBatch)
-		if time.Since(st.reqAt) > r.reRequest {
+		if time.Since(st.reqAt) > st.reqWait {
+			st.reqWait = r.nextWait(st.reqWait)
 			r.startCatchUpLocked(st, dc)
 		}
 	case st.state == LinkIdle:
@@ -321,6 +325,7 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		} else {
 			// The link has history this node never saw — it is the one that
 			// restarted (or came up late). Resync from the recovered floor.
+			st.reqWait = r.reRequest
 			r.startCatchUpLocked(st, dc)
 			r.noteChainLocked(st, epoch, seq, adv, isBatch)
 		}
@@ -335,6 +340,7 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		// A sequence hole, or a new sender incarnation whose pre-crash
 		// buffer tail is gone: freeze the VV entry and fetch the missing
 		// history out of the sender's log.
+		st.reqWait = r.reRequest
 		r.startCatchUpLocked(st, dc)
 		r.noteChainLocked(st, epoch, seq, adv, isBatch)
 	}
@@ -520,6 +526,7 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		st.mu.Lock()
 		// Unless a quiet-round re-request already replaced the round this
 		// Done closed, or the link retired, while the lock was released.
+		// reqWait stays, here and for a missing chunk: the sender answered.
 		if st.state == LinkCatchingUp && st.reqID == m.ReqID {
 			r.startCatchUpLocked(st, src.DC)
 		}

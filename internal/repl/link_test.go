@@ -193,6 +193,17 @@ func TestLinkTransitions(t *testing.T) {
 				if n := r.rounds(); n != 2 {
 					t.Errorf("%d requests, want the quiet round re-requested", n)
 				}
+				// The re-ask doubled the wait: the next one waits 2 × reRequest.
+				for _, c := range []struct {
+					quiet time.Duration
+					want  int
+				}{{3 * r.m.reRequest / 2, 2}, {5 * r.m.reRequest / 2, 3}} {
+					r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-c.quiet) })
+					r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 450, Epoch: 7, Seq: 4})
+					if n := r.rounds(); n != c.want {
+						t.Errorf("quiet %v after the re-ask: %d requests, want %d", c.quiet, n, c.want)
+					}
+				}
 			}},
 		{name: "CatchingUp: chunk of the live round", from: catchingUp, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, t *testing.T) {
@@ -353,6 +364,52 @@ func TestSlowLiveStreamCompletesInOneRound(t *testing.T) {
 	})
 	if st := m.Stats(); st.Requested != 1 || st.Completed != 1 {
 		t.Fatalf("stats = %+v, want one round requested and completed", st)
+	}
+	if got := be.VVEntry(1); got != 400 {
+		t.Fatalf("VV[1] = %d, want the round's Through 400", got)
+	}
+	if got := r.stored(1); got != LinkActive {
+		t.Fatalf("link = %v, want active", got)
+	}
+}
+
+// TestCatchUpSlowServeCompletesAfterBackoff: a sender whose every serve
+// answers 2.5 × reRequest after the request, while its heartbeats keep
+// arriving, is superseded by the quiet re-ask only until the doubling wait
+// outlasts it: round 1 gives up at 1 × reRequest, round 2 at 2 ×, and round
+// 3 (wait 4 ×) completes. A fixed wait supersedes every round before its
+// first chunk — a livelock.
+func TestCatchUpSlowServeCompletesAfterBackoff(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
+	r := linkRig{m, tr, be}
+	m.handleBatch(linkSrc, linkBatch(7, 1, 100))
+	m.handleBatch(linkSrc, linkBatch(7, 4, 400)) // seq 2-3 lost: the round opens
+	for round := 1; ; round++ {
+		if round > 3 {
+			t.Fatalf("round %d opened: each slow serve was superseded before it answered (stats %+v)", round, m.Stats())
+		}
+		reqID := r.round(t).ReqID
+		superseded := false
+		// Heartbeats at 0.6, 1.2, 1.8 and 2.4 × reRequest after the request.
+		for k := 1; k <= 4 && !superseded; k++ {
+			r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-time.Duration(6*k) * m.reRequest / 10) })
+			m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 400, Epoch: 7, Seq: 4})
+			superseded = r.round(t).ReqID != reqID
+		}
+		if superseded {
+			continue
+		}
+		// The serve answers at 2.5 × reRequest: one chunk, then the Done.
+		r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-5 * m.reRequest / 2) })
+		m.handleCatchUpReply(linkSrc, msg.CatchUpReply{ReqID: reqID, Chunk: 1,
+			Versions: []*item.Version{ver(1, 200, "k")}})
+		m.handleCatchUpReply(linkSrc, msg.CatchUpReply{
+			ReqID: reqID, Chunk: 1, Done: true, ResumeEpoch: 7, ResumeSeq: 4, Through: 400,
+		})
+		break
+	}
+	if st := m.Stats(); st.Requested > 3 || st.Completed != 1 {
+		t.Fatalf("stats = %+v, want at most three rounds requested and one completed", st)
 	}
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want the round's Through 400", got)

@@ -193,7 +193,8 @@ func (r *Manager) sealDeparted(dc int, final vclock.Timestamp) {
 // holding the missing departed-origin history re-ships it and bounds the
 // claim in its Done chunk. Re-invoked from the heartbeat loop until the gap
 // closes — a single shot could race a survivor that has not yet learned of
-// the departure and would answer without a claim.
+// the departure and would answer without a claim — each link paced by its
+// reqWait, which doubles per round (nextWait) up to the cap.
 func (r *Manager) fillDepartedGaps() {
 	r.viewMu.Lock()
 	var gap bool
@@ -217,7 +218,8 @@ func (r *Manager) fillDepartedGaps() {
 	for _, dc := range live {
 		st := r.in[dc]
 		st.mu.Lock()
-		if st.state != LinkCatchingUp && time.Since(st.reqAt) > r.reRequest {
+		if st.state != LinkCatchingUp && time.Since(st.reqAt) > st.reqWait {
+			st.reqWait = r.nextWait(st.reqWait)
 			r.startCatchUpLocked(st, dc)
 		}
 		st.mu.Unlock()
@@ -225,21 +227,14 @@ func (r *Manager) fillDepartedGaps() {
 }
 
 // sendJoinRequests asks the sibling partition in every active DC to add
-// this (joining) DC to its fan-out. Idempotent; re-sent with exponential
-// backoff (jittered, capped) until every link makes first contact, so a
-// lost request cannot wedge the join and a wedged join cannot flood the
-// deployment with solicitations.
+// this (joining) DC to its fan-out. Idempotent; re-sent until every link
+// makes first contact, each wait the plane's backoff (nextWait) plus jitter,
+// so a lost request cannot wedge the join and a wedged join cannot flood
+// the deployment with solicitations.
 func (r *Manager) sendJoinRequests() {
 	r.viewMu.Lock()
 	r.joinAskAt = time.Now()
-	if r.joinBackoff == 0 {
-		r.joinBackoff = r.reRequest
-	} else if r.joinBackoff < maxReRequestInterval {
-		r.joinBackoff *= 2
-		if r.joinBackoff > maxReRequestInterval {
-			r.joinBackoff = maxReRequestInterval
-		}
-	}
+	r.joinBackoff = r.nextWait(r.joinBackoff)
 	view := r.view.Clone()
 	r.viewMu.Unlock()
 	for dc, st := range view.Status {

@@ -206,7 +206,7 @@ type Manager struct {
 	viewMu      sync.Mutex
 	view        msg.Membership
 	joinAskAt   time.Time     // last JoinRequest broadcast (rate limit)
-	joinBackoff time.Duration // current re-solicit interval (doubles per send)
+	joinBackoff time.Duration // current re-solicit interval (nextWait per send)
 	joinStart   time.Time     // when the bootstrap began (JoinTimeout anchor)
 	targets     atomic.Pointer[[]int]
 	joining     atomic.Bool // this DC is bootstrapping
@@ -326,13 +326,7 @@ func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
 	}
 	r.view = msg.Membership{Epoch: cfg.Membership.Epoch, Status: status, Final: final}
 	r.rebuildTargetsLocked()
-	r.reRequest = reRequestPerHeartbeat * cfg.HeartbeatInterval
-	if r.reRequest < minReRequestInterval {
-		r.reRequest = minReRequestInterval
-	}
-	if r.reRequest > maxReRequestInterval {
-		r.reRequest = maxReRequestInterval
-	}
+	r.reRequest = min(max(reRequestPerHeartbeat*cfg.HeartbeatInterval, minReRequestInterval), maxReRequestInterval)
 	// The resume floor: a recovered server starts its stream at its replayed
 	// local entry, so a catch-up snapshot taken before its first flush still
 	// covers everything the previous incarnation acknowledged — and every
@@ -360,6 +354,13 @@ func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
 		go r.heartbeatLoop()
 	}
 	return r, nil
+}
+
+// nextWait is the plane's one backoff, which every retried request waits
+// through: after last (0 before the first ask), the next wait — reRequest,
+// then doubling up to maxReRequestInterval.
+func (r *Manager) nextWait(last time.Duration) time.Duration {
+	return max(r.reRequest, min(2*last, maxReRequestInterval))
 }
 
 // Epoch returns the manager's incarnation id.

@@ -67,7 +67,7 @@ type catchUpServe struct {
 type holdback struct {
 	floors  vclock.VC // entry-wise: prune nothing above these
 	since   time.Time // when the laggard was first seen (holdback age)
-	lastReq time.Time // last request or served chunk (expiry clock)
+	lastReq time.Time // expiry clock: the last request (noteHoldback); servingTo covers a live stream
 }
 
 // handleCatchUpRequest serves a lagging sibling: it snapshots the resume
