@@ -53,7 +53,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17360
+LOC_CEILING = 17280
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -118,8 +118,10 @@ define RACE_ROWS
 # slow serve completes (TestCatchUpSlowServeCompletesAfterBackoff), and it
 # stays, so a request lost at a sender that restarts and a Done lost while
 # the sender idles are asked again (TestCatchUpReaskAfterSenderRestart,
-# TestCatchUpLostDoneIdleSender).
--run 'CatchUp' ./internal/repl/... ./internal/cluster/...
+# TestCatchUpLostDoneIdleSender). The GC holdback: ClampGC runs on core's GC
+# goroutines and nests serveMu under holdMu, while catch-up requests and a
+# retiring link write the table (TestHoldbackConcurrentClamp).
+-run 'CatchUp|Holdback|ClampGC' ./internal/repl/... ./internal/cluster/...
 # Dynamic membership: DC joins bootstrapped by catch-up under a live
 # causally-checked workload, graceful leaves (one overtaking a catch-up round,
 # whose hole the survivors fill), the stabilization gate.

@@ -224,11 +224,12 @@
 //
 // A replica that is frozen, catching up or joining must not have the history
 // it still needs pruned from under its resync: each server clamps its GC
-// contribution to what the laggards it serves hold (repl.Manager.ClampGC,
-// argued in internal/repl/serve.go). cluster.Config.GCMaxHoldback bounds
-// the deferral (the chaos soak sets it to 2 s); past it the laggard's next
-// request is answered with a full re-bootstrap, never a silently incomplete
-// range. Stats surfaces the oldest holdback age and the full-resync count.
+// contribution to the floors its catch-up requesters asked from, a joiner's
+// included (repl.Manager.ClampGC, argued in internal/repl/serve.go).
+// cluster.Config.GCMaxHoldback bounds the deferral (the chaos soak sets it
+// to 2 s); past it GC advances, and a round later served from a floor GC
+// has passed counts as a GC overrun. Stats surfaces the oldest holdback age
+// and the overrun count.
 //
 // # Partitioning and resharding
 //

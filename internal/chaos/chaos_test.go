@@ -107,8 +107,8 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
-	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d full_resyncs=%d catchups_requested=%d catchups_completed=%d",
-		rep.Seed, rep.Ops, rep.Reopens, rep.OpErrors, rep.Stats.FullResyncs,
+	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d gc_overruns=%d catchups_requested=%d catchups_completed=%d",
+		rep.Seed, rep.Ops, rep.Reopens, rep.OpErrors, rep.Stats.GCOverruns,
 		rep.Stats.CatchUpsRequested, rep.Stats.CatchUpsCompleted)
 	if rep.Ops == 0 {
 		t.Error("checker performed no successful operations — the harness is not exercising the cluster")
@@ -148,10 +148,10 @@ func TestReportDumpReplays(t *testing.T) {
 // catch-up rounds reads differently from one that never needed any.
 func TestReportDumpCountsCatchUps(t *testing.T) {
 	r := &Report{Ops: 900, Stats: cluster.ReplicationStats{
-		CatchUpsRequested: 11, CatchUpsCompleted: 10, CatchUpsServed: 12, FullResyncs: 3,
+		CatchUpsRequested: 11, CatchUpsCompleted: 10, CatchUpsServed: 12, GCOverruns: 3,
 	}}
 	dump := r.Dump()
-	for _, f := range []string{"ops=900", "catchups_requested=11", "catchups_completed=10", "catchups_served=12", "full_resyncs=3"} {
+	for _, f := range []string{"ops=900", "catchups_requested=11", "catchups_completed=10", "catchups_served=12", "gc_overruns=3"} {
 		if !strings.Contains(dump, f) {
 			t.Errorf("Dump lacks %s:\n%s", f, dump)
 		}

@@ -276,7 +276,7 @@ func addStats(dst *repl.Stats, s repl.Stats) {
 	dst.Requested += s.Requested
 	dst.Completed += s.Completed
 	dst.Served += s.Served
-	dst.FullResyncs += s.FullResyncs
+	dst.GCOverruns += s.GCOverruns
 	dst.ActiveIn += s.ActiveIn
 }
 

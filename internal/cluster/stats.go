@@ -60,15 +60,15 @@ type ReplicationStats struct {
 	// CatchUpsRequested / CatchUpsCompleted count inbound catch-up rounds
 	// started and finished across all servers; CatchUpsServed counts the
 	// WAL-shipped streams served to lagging siblings. All three (and
-	// FullResyncs) count every incarnation: a restart does not reset them.
+	// GCOverruns) count every incarnation: a restart does not reset them.
 	CatchUpsRequested uint64
 	CatchUpsCompleted uint64
 	CatchUpsServed    uint64
 	// CatchUpsActive is the number of links currently frozen mid-round.
 	CatchUpsActive int
-	// FullResyncs counts catch-up rounds answered with a full-history resync
-	// (the requested range was checkpoint-pruned on the sender).
-	FullResyncs uint64
+	// GCOverruns counts catch-up streams served from a nonzero floor GC had
+	// already passed (repl.Stats.GCOverruns); a joiner's bootstrap is not one.
+	GCOverruns uint64
 	// LinkStates[dst][src] is the health of DC dst's inbound link from DC
 	// src — the worst state any of dst's partition servers reports
 	// (repl.LinkState is ordered by severity), LinkSelf on the diagonal. The
@@ -137,7 +137,7 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 		}
 	}
 	st.CatchUpsRequested, st.CatchUpsCompleted, st.CatchUpsServed = cs.Requested, cs.Completed, cs.Served
-	st.CatchUpsActive, st.FullResyncs = cs.ActiveIn, cs.FullResyncs
+	st.CatchUpsActive, st.GCOverruns = cs.ActiveIn, cs.GCOverruns
 	return st
 }
 

@@ -425,7 +425,7 @@ func (s *Server) admin(line string) (string, error) {
 // statsLine renders the store's counters as the one-line STATS reply.
 func (s *Server) statsLine() string {
 	st := s.store.Stats()
-	return fmt.Sprintf("STATS ops=%d blocked=%d block_prob=%.3e old_pct=%.3f unmerged_pct=%.3f keys=%d versions=%d messages=%d dcs=%d max_lag_ms=%.3f link_lag_ms=%s catchups=%d catchups_served=%d catchups_active=%d full_resyncs=%d links=%s gc_holdback_ms=%.3f fsyncs=%d commit_groups=%d wal_records=%d group_p50=%d group_max=%d ack_lag_mean_us=%.1f ack_lag_max_us=%.1f seek_hits=%d full_scans=%d parts_skipped=%d partitions=%d slot_epoch=%d",
+	return fmt.Sprintf("STATS ops=%d blocked=%d block_prob=%.3e old_pct=%.3f unmerged_pct=%.3f keys=%d versions=%d messages=%d dcs=%d max_lag_ms=%.3f link_lag_ms=%s catchups=%d catchups_served=%d catchups_active=%d gc_overruns=%d links=%s gc_holdback_ms=%.3f fsyncs=%d commit_groups=%d wal_records=%d group_p50=%d group_max=%d ack_lag_mean_us=%.1f ack_lag_max_us=%.1f seek_hits=%d full_scans=%d parts_skipped=%d partitions=%d slot_epoch=%d",
 		st.Operations, st.BlockedOperations, st.BlockingProbability,
 		st.PercentOldReads, st.PercentUnmergedReads, st.Keys, st.Versions, s.store.Messages(),
 		s.store.DataCenters(),
@@ -434,7 +434,7 @@ func (s *Server) statsLine() string {
 			return strconv.FormatFloat(float64(l)/float64(time.Millisecond), 'f', 3, 64)
 		}),
 		st.CatchUps, st.CatchUpsServed, st.CatchUpsActive,
-		st.FullResyncs, formatLinks(st.LinkStates, func(state string) string { return state }),
+		st.GCOverruns, formatLinks(st.LinkStates, func(state string) string { return state }),
 		float64(st.GCHoldbackAge)/float64(time.Millisecond),
 		st.Fsyncs, st.CommitGroups, st.WALRecords, st.CommitGroupP50, st.CommitGroupMax,
 		float64(st.AckToDurableMean)/float64(time.Microsecond),

@@ -173,16 +173,9 @@ type DepartedClaim struct {
 // originated with a timestamp ≤ Through, and batches after (ResumeEpoch,
 // ResumeSeq) continue the link's sequence from there. Unsupported marks a
 // sender without a durable log to stream from; the requester falls back to
-// optimistic (pre-catch-up) semantics for the link.
-// FullResync marks a stream the sender had to restart from timestamp zero:
-// the requested From lies below the sender's checkpoint-compaction floor, so
-// the (From, Through] range alone could silently miss versions a checkpoint
-// pruned as superseded. Rather than ship an incomplete range, the sender
-// streams its complete surviving history and says so — the signal (plus the
-// GC holdback that normally prevents compacting past a lagging link's floor)
-// is the documented degraded path when GCMaxHoldback released the floor
-// early. Departed carries the per-DC bounds of re-shipped departed history
-// (see CatchUpRequest.Have); it is only set on the Done reply.
+// optimistic (pre-catch-up) semantics for the link. Departed carries the
+// per-DC bounds of re-shipped departed history (see CatchUpRequest.Have); it
+// is only set on the Done reply.
 type CatchUpReply struct {
 	ReqID uint64
 	// Chunk numbers a data chunk of the round, from 1. On the Done reply it
@@ -195,7 +188,6 @@ type CatchUpReply struct {
 	ResumeEpoch uint64
 	ResumeSeq   uint64
 	Through     vclock.Timestamp
-	FullResync  bool
 	Departed    []DepartedClaim
 	// SlotEpoch is the sender's slot-table epoch for this chunk (see
 	// ReplicateBatch.SlotEpoch); caught-up versions of since-moved slots get

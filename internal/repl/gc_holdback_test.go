@@ -1,7 +1,9 @@
 package repl
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,20 +25,44 @@ func catchUpReplies(tr *fakeTransport, dst netemu.NodeID) []msg.CatchUpReply {
 	return out
 }
 
-// TestFullResyncBelowCompactedFloor: a catch-up request whose resume floor
-// falls below the sender's checkpoint-compacted boundary cannot be served
-// incrementally (superseded versions in the range are gone). The sender must
-// restart the stream from zero and say so — never ship a silently
-// incomplete range.
-func TestFullResyncBelowCompactedFloor(t *testing.T) {
+// serveOnce hands m one catch-up request from dst and waits until the
+// served stream's Done is out, returning the keys shipped and the Done.
+func serveOnce(t *testing.T, m *Manager, tr *fakeTransport, dst netemu.NodeID, req msg.CatchUpRequest) ([]string, msg.CatchUpReply) {
+	t.Helper()
+	served := m.Stats().Served
+	m.handleCatchUpRequest(dst, req)
+	if !waitUntil(t, 2*time.Second, func() bool { return m.Stats().Served > served }) {
+		t.Fatal("catch-up stream never finished")
+	}
+	var shipped []string
+	var done msg.CatchUpReply
+	for _, rep := range catchUpReplies(tr, dst) {
+		if rep.ReqID != req.ReqID {
+			continue
+		}
+		for _, v := range rep.Versions {
+			shipped = append(shipped, v.Key)
+		}
+		if rep.Done {
+			done = rep
+		}
+	}
+	return shipped, done
+}
+
+// TestCatchUpBelowCompactedFloorShipsFromFloor: a request whose floor lies
+// under the sender's checkpoint-compacted boundary is served like any other,
+// (From, Through], and the sender counts the GC overrun. A surviving head
+// below the floor is not shipped: the requester's VV entry already covers it.
+func TestCatchUpBelowCompactedFloorShipsFromFloor(t *testing.T) {
 	src := &fakeSource{
 		vs: []*item.Version{
-			// Everything below 200 was compacted: only the surviving heads
-			// remain in the log. 150's survival is incidental (it is a head);
-			// other versions below 200 are gone for good.
-			ver(0, 150, "head-a"),
-			ver(0, 250, "b"),
-			ver(0, 400, "c"),
+			// Everything at or below 200 was compacted: only the surviving
+			// heads remain in the log.
+			ver(0, 50, "head-a"),
+			ver(0, 150, "head-b"),
+			ver(0, 250, "c"),
+			ver(0, 400, "d"),
 		},
 		floor: vclock.VC{200, 0},
 	}
@@ -46,46 +72,22 @@ func TestFullResyncBelowCompactedFloor(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
-	dst := netemu.NodeID{DC: 1, Partition: 0}
-	// The requester resumes from 100 — below the compacted boundary 200.
-	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 7, From: 100})
-	if !waitUntil(t, 2*time.Second, func() bool {
-		reps := catchUpReplies(tr, dst)
-		return len(reps) > 0 && reps[len(reps)-1].Done
-	}) {
-		t.Fatal("catch-up stream never finished")
-	}
-	var shipped []string
-	var done msg.CatchUpReply
-	for _, rep := range catchUpReplies(tr, dst) {
-		for _, v := range rep.Versions {
-			shipped = append(shipped, v.Key)
-		}
-		if rep.Done {
-			done = rep
-		}
-	}
-	if !done.FullResync {
-		t.Fatalf("done = %+v, want FullResync (floor 100 < compacted 200)", done)
-	}
+	// The requester resumes from 100, under the compacted boundary 200.
+	shipped, done := serveOnce(t, m, tr, netemu.NodeID{DC: 1, Partition: 0},
+		msg.CatchUpRequest{ReqID: 7, From: 100})
 	if done.Unsupported {
 		t.Fatalf("done = %+v, want a served stream", done)
 	}
-	// The stream restarted from zero: every surviving own-origin version is
-	// shipped, including the one below the requested floor.
-	want := map[string]bool{"head-a": true, "b": true, "c": true}
-	if len(shipped) != len(want) {
-		t.Fatalf("shipped %v, want all of %v (full restream)", shipped, want)
+	if want := []string{"head-b", "c", "d"}; fmt.Sprint(shipped) != fmt.Sprint(want) {
+		t.Fatalf("shipped %v, want %v: the range (100, Through]", shipped, want)
 	}
-	for _, k := range shipped {
-		if !want[k] {
-			t.Fatalf("shipped unexpected %q", k)
-		}
+	if st := m.Stats(); st.GCOverruns != 1 {
+		t.Fatalf("GCOverruns = %d, want 1 (floor 100 < compacted 200; stats %+v)", st.GCOverruns, st)
 	}
 }
 
 // TestIncrementalAboveCompactedFloor: a resume floor at or above the
-// compacted boundary is served incrementally, no resync flag.
+// compacted boundary is served from the floor, and no overrun is counted.
 func TestIncrementalAboveCompactedFloor(t *testing.T) {
 	src := &fakeSource{
 		vs: []*item.Version{
@@ -100,59 +102,58 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
-	dst := netemu.NodeID{DC: 1, Partition: 0}
-	m.handleCatchUpRequest(dst, msg.CatchUpRequest{ReqID: 8, From: 250})
-	if !waitUntil(t, 2*time.Second, func() bool {
-		reps := catchUpReplies(tr, dst)
-		return len(reps) > 0 && reps[len(reps)-1].Done
-	}) {
-		t.Fatal("catch-up stream never finished")
-	}
-	var shipped []string
-	var done msg.CatchUpReply
-	for _, rep := range catchUpReplies(tr, dst) {
-		for _, v := range rep.Versions {
-			shipped = append(shipped, v.Key)
-		}
-		if rep.Done {
-			done = rep
-		}
-	}
-	if done.FullResync {
-		t.Fatalf("done = %+v, want incremental (floor 250 ≥ compacted 200)", done)
-	}
+	shipped, _ := serveOnce(t, m, tr, netemu.NodeID{DC: 1, Partition: 0},
+		msg.CatchUpRequest{ReqID: 8, From: 250})
 	if len(shipped) != 1 || shipped[0] != "c" {
 		t.Fatalf("shipped %v, want [c]", shipped)
 	}
+	if st := m.Stats(); st.GCOverruns != 0 {
+		t.Fatalf("GCOverruns = %d, want 0 (floor 250 >= compacted 200)", st.GCOverruns)
+	}
 }
 
-// TestReceiverCountsFullResync: the receiving side surfaces a full resync in
-// its stats — the regression is observable, not silent.
-func TestReceiverCountsFullResync(t *testing.T) {
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
-	})
-	src := netemu.NodeID{DC: 1, Partition: 0}
-	// A gap starts a round: seq 5 with no history known resyncs.
-	m.handleBatch(src, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "z")}, HBTime: 500, Epoch: 3, Seq: 5})
-	out := tr.msgs(src)
-	if len(out) == 0 {
-		t.Fatal("no catch-up request sent")
-	}
-	req, ok := out[len(out)-1].(msg.CatchUpRequest)
-	if !ok {
-		t.Fatalf("outbound = %#v, want CatchUpRequest", out[len(out)-1])
-	}
-	m.handleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req.ReqID, Done: true, FullResync: true,
-		ResumeEpoch: 3, ResumeSeq: 5, Through: 500,
-	})
-	st := m.Stats()
-	if st.FullResyncs != 1 {
-		t.Fatalf("FullResyncs = %d, want 1 (stats %+v)", st.FullResyncs, st)
-	}
-	if got := be.VVEntry(1); got != 500 {
-		t.Fatalf("VV[1] = %d, want 500 (round completed)", got)
+// TestCatchUpGCOverrunCountsNonzeroFloors: the sender counts a round as a GC
+// overrun when a nonzero floor it ships from — its own origin's From, or a
+// claimed departed origin's Have entry — lies under the compacted boundary.
+// A floor of zero is a bootstrap (a joiner's first round), never an overrun.
+func TestCatchUpGCOverrunCountsNonzeroFloors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  msg.CatchUpRequest
+		want uint64
+	}{
+		{"bootstrap", msg.CatchUpRequest{From: 0, Have: vclock.VC{0, 0, 0}}, 0},
+		{"own floor under", msg.CatchUpRequest{From: 100, Have: vclock.VC{0, 0, 300}}, 1},
+		{"departed bootstrap", msg.CatchUpRequest{From: 300, Have: vclock.VC{0, 0, 0}}, 0},
+		{"departed floor under", msg.CatchUpRequest{From: 300, Have: vclock.VC{0, 0, 100}}, 1},
+		{"both above", msg.CatchUpRequest{From: 300, Have: vclock.VC{0, 0, 300}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &fakeSource{
+				vs:    []*item.Version{ver(0, 150, "a"), ver(2, 150, "x"), ver(2, 400, "y")},
+				floor: vclock.VC{200, 0, 200},
+			}
+			// DC2 has left with final 500, which this node holds: its
+			// history rides along under a Departed claim.
+			m, tr, be := newServingManager(t, Config{
+				ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+				Membership: msg.Membership{
+					Epoch:  2,
+					Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft},
+					Final:  vclock.VC{0, 0, 500},
+				},
+			}, src)
+			be.RaiseVV(2, 500)
+			req := tc.req
+			req.ReqID = 1
+			_, done := serveOnce(t, m, tr, netemu.NodeID{DC: 1, Partition: 0}, req)
+			if len(done.Departed) != 1 || done.Departed[0].DC != 2 {
+				t.Fatalf("done.Departed = %v, want a claim for dc2", done.Departed)
+			}
+			if got := m.Stats().GCOverruns; got != tc.want {
+				t.Fatalf("GCOverruns = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -196,9 +197,10 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	}
 }
 
-// TestClampGCJoinerPinsZero: a DC mid-bootstrap needs the full history — its
-// presence zeroes the GC contribution entirely until it announces Active.
-func TestClampGCJoinerPinsZero(t *testing.T) {
+// TestClampGCJoinerHeldByItsRequest: a joining DC is held back like any
+// laggard, by what it asks for. Before its first request it pins nothing;
+// its first request pins the GC contribution at its Have.
+func TestClampGCJoinerHeldByItsRequest(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3, GCMaxHoldback: -1,
 		Membership: msg.Membership{
@@ -206,34 +208,122 @@ func TestClampGCJoinerPinsZero(t *testing.T) {
 			Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining},
 		},
 	})
-	gv := m.ClampGC(vclock.VC{500, 500, 500})
-	if !gv.Equal(vclock.VC{0, 0, 0}) {
-		t.Fatalf("ClampGC with a joiner = %v, want all-zero", gv)
+	if gv := m.ClampGC(vclock.VC{500, 500, 500}); !gv.Equal(vclock.VC{500, 500, 500}) {
+		t.Fatalf("ClampGC with a joiner that never asked = %v, want unclamped", gv)
+	}
+	if age := m.HoldbackAge(); age != 0 {
+		t.Fatalf("HoldbackAge = %v before the joiner asked, want 0", age)
+	}
+	// The joiner has bootstrapped dc1's history through 70 and asks this
+	// link from zero.
+	m.handleCatchUpRequest(netemu.NodeID{DC: 2, Partition: 0},
+		msg.CatchUpRequest{ReqID: 1, From: 0, Have: vclock.VC{0, 70, 0}})
+	if gv := m.ClampGC(vclock.VC{500, 500, 500}); !gv.Equal(vclock.VC{0, 70, 0}) {
+		t.Fatalf("ClampGC after the joiner's request = %v, want pinned at its Have [0 70 0]", gv)
 	}
 	if m.HoldbackAge() <= 0 {
-		t.Fatal("HoldbackAge = 0, want the joiner accounted")
+		t.Fatal("HoldbackAge = 0, want the joiner's holdback accounted")
 	}
 }
 
-// TestClampGCNeverPrunesBelowResumeFloor is the satellite property test:
-// across randomized membership views and laggard populations, the clamped
-// GC vector never passes any live laggard's catch-up resume floor (per
-// entry, for every origin it still needs), never rises above the input, and
-// zeroes out while any DC is still joining. Pruning above a resume floor
-// would make the laggard's next incremental catch-up silently incomplete —
-// exactly the regression the holdback exists to prevent.
+// TestGCHoldbackOutlivesReaskBackoff: a laggard whose request or Done was
+// lost waits up to maxReRequestInterval before it asks again (nextWait). Its
+// holdback must outlast that wait with no stream in flight, and be dropped
+// once the laggard has been quiet past holdbackGrace.
+func TestGCHoldbackOutlivesReaskBackoff(t *testing.T) {
+	m, _, _ := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, GCMaxHoldback: -1,
+	})
+	// No durable history: the serve answers Unsupported and ends at once.
+	m.handleCatchUpRequest(netemu.NodeID{DC: 1, Partition: 0},
+		msg.CatchUpRequest{ReqID: 1, From: 60, Have: vclock.VC{50, 80}})
+	if !waitUntil(t, 2*time.Second, func() bool { return !m.servingTo(1) }) {
+		t.Fatal("serve never ended")
+	}
+	age := func(d time.Duration) {
+		m.holdMu.Lock()
+		m.holdbacks[1].lastReq = time.Now().Add(-d)
+		m.holdMu.Unlock()
+	}
+	age(maxReRequestInterval - 100*time.Millisecond)
+	if gv := m.ClampGC(vclock.VC{500, 500}); !gv.Equal(vclock.VC{60, 80}) {
+		t.Fatalf("ClampGC %v after the last request = %v, want still pinned at [60 80] (reRequest %v)",
+			maxReRequestInterval-100*time.Millisecond, gv, m.reRequest)
+	}
+	age(holdbackGrace + time.Second)
+	if gv := m.ClampGC(vclock.VC{500, 500}); !gv.Equal(vclock.VC{500, 500}) {
+		t.Fatalf("ClampGC past holdbackGrace = %v, want the holdback dropped", gv)
+	}
+	if age := m.HoldbackAge(); age != 0 {
+		t.Fatalf("HoldbackAge = %v after the drop, want 0", age)
+	}
+}
+
+// TestHoldbackConcurrentClamp runs the holdback table's readers — ClampGC,
+// which the GC exchange calls from core's goroutines and which nests serveMu
+// under holdMu, and HoldbackAge — against its writers: catch-up requests
+// (with the serve goroutines they start) and a link retiring. Run under
+// -race.
+func TestHoldbackConcurrentClamp(t *testing.T) {
+	src := &fakeSource{vs: []*item.Version{ver(0, 150, "a"), ver(0, 250, "b")}, floor: vclock.VC{200, 0, 0}}
+	m, _, _ := newServingManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+	}, src)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = m.ClampGC(vclock.VC{500, 500, 500})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = m.HoldbackAge()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		dc := 1 + i%2
+		m.handleCatchUpRequest(netemu.NodeID{DC: dc, Partition: 0}, msg.CatchUpRequest{
+			ReqID: uint64(i + 1), From: vclock.Timestamp(i), Have: vclock.VC{0, vclock.Timestamp(i), 0},
+		})
+		if i == 100 {
+			m.retireLink(2)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestClampGCNeverPrunesBelowResumeFloor is the holdback's property test:
+// across randomized membership views and laggard populations, Joining DCs
+// included, the clamped GC vector never passes any live requester's
+// catch-up resume floor (per entry, for every origin it still needs) and
+// never rises above the input. Pruning above a resume floor would make the
+// laggard's next catch-up silently incomplete — exactly the regression the
+// holdback exists to prevent.
 func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x6c0, 0x5eed))
 	for iter := 0; iter < 40; iter++ {
 		maxDCs := 3 + rng.IntN(4)
 		status := make([]uint8, maxDCs)
 		status[0] = msg.DCActive // self
-		joining := false
 		for dc := 1; dc < maxDCs; dc++ {
 			switch rng.IntN(4) {
 			case 0:
 				status[dc] = msg.DCJoining
-				joining = true
 			case 1:
 				status[dc] = msg.DCLeft
 			default:
@@ -282,15 +372,6 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 			if got[i] > orig[i] {
 				t.Fatalf("iter %d: ClampGC raised entry %d: %v -> %v", iter, i, orig, got)
 			}
-		}
-		if joining {
-			for i := range got {
-				if got[i] != 0 {
-					t.Fatalf("iter %d: joiner present but ClampGC = %v, want all-zero (status %v)",
-						iter, got, status)
-				}
-			}
-			continue
 		}
 		for dc, f := range floors {
 			for i := range got {

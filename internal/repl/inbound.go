@@ -469,9 +469,6 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		return
 	}
 	r.statDone.Add(1)
-	if m.FullResync {
-		r.statFullResync.Add(1)
-	}
 	var chainRaise vclock.Timestamp
 	again := false
 	switch {

@@ -163,7 +163,6 @@ func (r *Manager) retireLink(dc int) {
 	r.serveMu.Unlock()
 	r.holdMu.Lock()
 	delete(r.holdbacks, dc)
-	delete(r.joinSeen, dc)
 	r.holdMu.Unlock()
 	r.excuseFromEvict(dc)
 }

@@ -82,9 +82,9 @@ type Source interface {
 	// need not.
 	ForEachDurable(lo, hi vclock.VC, fn func(v *item.Version) error) error
 	// CompactedFloor is the per-origin boundary below which checkpoints have
-	// discarded superseded history: an incremental catch-up range starting
-	// under it cannot be proven complete, so the manager answers with a full
-	// resync instead. Nil when nothing has been compacted.
+	// discarded superseded history: a catch-up round served from a nonzero
+	// floor under it counts as a GC overrun (Stats.GCOverruns). Nil when
+	// nothing has been compacted.
 	CompactedFloor() vclock.VC
 }
 
@@ -96,6 +96,12 @@ const (
 	minReRequestInterval  = 100 * time.Millisecond
 	maxReRequestInterval  = 2 * time.Second
 	reRequestPerHeartbeat = 50
+
+	// holdbackGrace is how long a GC holdback outlives its requester's last
+	// request with no stream in flight: two of the longest re-ask waits
+	// (nextWait), so a laggard whose request or Done was lost keeps its
+	// floor while it waits to ask again.
+	holdbackGrace = 2 * maxReRequestInterval
 
 	// evictFreezeGrace bounds the provisional version-vector freeze a node
 	// holds after acking an eviction proposal: if the round dies with its
@@ -146,12 +152,12 @@ type Config struct {
 	// of letting it solicit forever. 0 means no deadline.
 	JoinTimeout time.Duration
 	// GCMaxHoldback bounds how long the garbage-collection exchange defers
-	// pruning for a frozen, catching-up or joining replication link
-	// (ClampGC). Past the bound the holdback is released and GC advances —
-	// a laggard frozen longer than this must re-bootstrap via full resync,
-	// because the history it still needs may now be pruned past. 0 selects
-	// the default (10 s); negative never releases (GC waits for the laggard
-	// indefinitely).
+	// pruning for a catch-up requester, a joiner included (ClampGC), counted
+	// from its first request. Past the bound the holdback is released and GC
+	// advances: the laggard's later rounds still ship from its floor, but
+	// superseded versions it never received may be pruned (counted in
+	// Stats.GCOverruns). 0 selects the default (10 s); negative never
+	// releases (GC waits for the laggard indefinitely).
 	GCMaxHoldback time.Duration
 	// Membership is the initial view (zero value: the first NumDCs DCs are
 	// active). Deployments that grew or shrank pass the current view so
@@ -180,10 +186,11 @@ type Stats struct {
 	Completed uint64
 	// Served counts outbound streams this node served to lagging siblings.
 	Served uint64
-	// FullResyncs counts inbound rounds answered with a full re-bootstrap
-	// because the requested floor was below the sender's checkpoint-
-	// compacted boundary (the GC-overran-the-laggard degraded path).
-	FullResyncs uint64
+	// GCOverruns counts served streams whose nonzero request floor (its
+	// From, or the Have entry of a claimed departed origin) lay under this
+	// node's checkpoint-compacted boundary: GC had passed what the requester
+	// held.
+	GCOverruns uint64
 	// ActiveIn is the number of links currently frozen awaiting catch-up.
 	ActiveIn int
 }
@@ -219,11 +226,9 @@ type Manager struct {
 	evict   *evictRound
 
 	// holdMu guards the GC holdback table: per requesting DC, the floors the
-	// local GC contribution must not pass while the laggard is draining, and
-	// the first-seen time of any Joining DC (a joiner needs everything).
+	// local GC contribution must not pass while the laggard is draining.
 	holdMu    sync.Mutex
 	holdbacks map[int]*holdback
-	joinSeen  map[int]time.Time
 
 	fanout    bool // MaxDCs > 1: there may be someone to replicate to
 	reRequest time.Duration
@@ -249,12 +254,12 @@ type Manager struct {
 	serveMu sync.Mutex
 	serving map[int]*catchUpServe // outbound streams by destination DC
 
-	reqSeq         atomic.Uint64
-	statReq        atomic.Uint64
-	statDone       atomic.Uint64
-	statServed     atomic.Uint64
-	statFullResync atomic.Uint64
-	activeIn       atomic.Int64
+	reqSeq        atomic.Uint64
+	statReq       atomic.Uint64
+	statDone      atomic.Uint64
+	statServed    atomic.Uint64
+	statGCOverrun atomic.Uint64
+	activeIn      atomic.Int64
 
 	stopped atomic.Bool
 	stop    chan struct{}
@@ -298,7 +303,6 @@ func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
 		fanout:    maxDCs > 1,
 		serving:   make(map[int]*catchUpServe),
 		holdbacks: make(map[int]*holdback),
-		joinSeen:  make(map[int]time.Time),
 		stop:      make(chan struct{}),
 	}
 	// The membership view lives at full capacity; slots beyond the current
@@ -369,11 +373,11 @@ func (r *Manager) Epoch() uint64 { return r.epoch }
 // Stats returns a snapshot of the catch-up counters.
 func (r *Manager) Stats() Stats {
 	return Stats{
-		Requested:   r.statReq.Load(),
-		Completed:   r.statDone.Load(),
-		Served:      r.statServed.Load(),
-		FullResyncs: r.statFullResync.Load(),
-		ActiveIn:    int(r.activeIn.Load()),
+		Requested:  r.statReq.Load(),
+		Completed:  r.statDone.Load(),
+		Served:     r.statServed.Load(),
+		GCOverruns: r.statGCOverrun.Load(),
+		ActiveIn:   int(r.activeIn.Load()),
 	}
 }
 

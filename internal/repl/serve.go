@@ -26,16 +26,17 @@
 //
 // The GC exchange prunes superseded versions once every replica's snapshot
 // has moved past them — but a replica frozen in catch-up (or a joiner mid-
-// bootstrap) still needs the history below its resume floor. The manager
-// therefore remembers the floors of every catch-up request it has served
-// recently and clamps the server's local GC contribution to them (ClampGC),
-// holding the global prune point back until the laggard drains. The
-// holdback ages out after Config.GCMaxHoldback: past that, GC
-// advances and the laggard's next incremental request is answered with a
-// CatchUpReply.FullResync full re-bootstrap instead of a silently
-// incomplete range — the serving side detects the request floor is below
-// the WAL's checkpoint-compacted boundary (storage.Durable.CompactedFloor)
-// and restreams from zero.
+// bootstrap) still needs the history above what it holds. The manager
+// therefore records what each catch-up requester asked for — its request
+// floor for this link and its Have entries — and clamps the server's local
+// GC contribution to those floors (ClampGC), holding the global prune point
+// back until the laggard drains. A joiner is held back the same way, by its
+// own requests. The holdback is released after Config.GCMaxHoldback, so one
+// wedged replica cannot pin the deployment's garbage forever. Every round
+// ships (floor, ceiling] per origin either way; a round served from a
+// nonzero floor under the WAL's checkpoint-compacted boundary
+// (storage.Durable.CompactedFloor) is counted as a GC overrun
+// (Stats.GCOverruns): GC passed what that requester held.
 
 package repl
 
@@ -60,10 +61,9 @@ type catchUpServe struct {
 	cancel chan struct{}
 }
 
-// holdback is the GC floor owed to one lagging catch-up requester: the
-// server must not let the global prune point pass what the laggard has not
-// received yet (its request floor for this link, its Have entries for
-// departed origins).
+// holdback is the GC floor owed to one catch-up requester: what it asked
+// for, its request floor for this link and its Have entries. The server must
+// not let the global prune point pass it while the laggard drains.
 type holdback struct {
 	floors  vclock.VC // entry-wise: prune nothing above these
 	since   time.Time // when the laggard was first seen (holdback age)
@@ -154,7 +154,7 @@ func versionBytes(v *item.Version) int {
 	return len(v.Key) + len(v.Value) + 10*len(v.Deps) + 24
 }
 
-// serveCatchUp streams every version this node originated in (from,
+// serveCatchUp streams every version this node originated in (From,
 // through] out of the durable log, in acknowledged chunks no larger than
 // the in-flight window, then sends the resume point with the chunk count
 // (a read error's Unsupported reply carries it too). The through/resumeSeq
@@ -170,10 +170,10 @@ func versionBytes(v *item.Version) int {
 // this is how survivors close their eviction gaps and how joiners bootstrap
 // the history of DCs that left before they arrived.
 //
-// If a requested range starts below the WAL's checkpoint-compacted boundary
-// it cannot be served incrementally (superseded versions in it are gone):
-// the stream restarts from zero and the Done chunk says so (FullResync) —
-// never a silently incomplete range.
+// A round served from a nonzero floor under the WAL's checkpoint-compacted
+// boundary counts as a GC overrun: superseded versions the requester never
+// received may have been pruned. A floor of zero is a bootstrap, which holds
+// nothing that could have been passed.
 func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.CatchUpRequest) {
 	r.mu.Lock()
 	r.flushLocked()
@@ -181,7 +181,6 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	resumeSeq := r.seq
 	r.mu.Unlock()
 
-	from := req.From
 	r.viewMu.Lock()
 	var claims []msg.DepartedClaim
 	for dc, st := range r.view.Status {
@@ -209,24 +208,19 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		return
 	}
 
-	// Per-origin stream bounds: own origin in (from, through], each claimed
-	// departed origin in (Have[d], claim]. A floor below the checkpoint-
-	// compacted boundary drops to zero and flags the full resync.
-	compacted := r.history.CompactedFloor()
-	if from < compacted.Get(r.m) {
-		from = 0
-		done.FullResync = true
-	}
+	// Per-origin stream bounds: own origin in (From, through], each claimed
+	// departed origin in (Have[d], claim].
 	shipFloor := make(vclock.VC, r.maxDCs)
 	shipCeil := make(vclock.VC, r.maxDCs)
-	shipFloor[r.m], shipCeil[r.m] = from, through
+	shipFloor[r.m], shipCeil[r.m] = req.From, through
 	for _, c := range claims {
-		f := req.Have.Get(c.DC)
-		if f < compacted.Get(c.DC) {
-			f = 0
-			done.FullResync = true
+		shipFloor[c.DC], shipCeil[c.DC] = req.Have.Get(c.DC), c.Through
+	}
+	compacted, overrun := r.history.CompactedFloor(), false
+	for d, f := range shipFloor {
+		if f > 0 && f < compacted.Get(d) {
+			overrun = true
 		}
-		shipFloor[c.DC], shipCeil[c.DC] = f, c.Through
 	}
 
 	var (
@@ -311,6 +305,9 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 	}
 	r.ep.Send(src, done)
 	r.statServed.Add(1)
+	if overrun {
+		r.statGCOverrun.Add(1)
+	}
 }
 
 // servingTo reports whether an outbound catch-up stream to dc is live.
@@ -322,96 +319,38 @@ func (r *Manager) servingTo(dc int) bool {
 
 // ClampGC caps the server's local GC contribution so the global prune point
 // never passes history a laggard still needs: each recently-served catch-up
-// requester pins the vector at its recorded floors (what it actually holds),
-// and a Joining DC mid-bootstrap pins it at zero (it needs everything).
-// Entries are clamped in place and gv is returned for convenience.
+// requester, a joiner included, pins the vector at the floors it asked from
+// (what it actually holds). Entries are clamped in place and gv is returned
+// for convenience.
 //
-// A holdback older than Config.GCMaxHoldback is released — GC advances and
-// the laggard's next incremental request is answered with a full resync
-// instead (the escape hatch, so one wedged replica cannot pin the
-// deployment's garbage forever). A negative bound never releases. Expired
-// holdbacks (no request within the re-request grace and no stream in
-// flight) are dropped: the laggard either caught up or died, and a dead
-// laggard that returns re-bootstraps through the same full-resync path.
+// A holdback older than Config.GCMaxHoldback is released and GC advances
+// (the escape hatch, so one wedged replica cannot pin the deployment's
+// garbage forever); a negative bound never releases. Its age runs from the
+// laggard's first request, so a released holdback stays released while the
+// laggard keeps asking within holdbackGrace. A holdback with no request
+// within holdbackGrace and no stream in flight is dropped: the laggard either
+// caught up or died, and one that returns is held back again by its next
+// request.
 func (r *Manager) ClampGC(gv vclock.VC) vclock.VC {
 	now, maxAge := time.Now(), r.cfg.GCMaxHoldback
-	r.viewMu.Lock()
-	var joining []int
-	for dc, st := range r.view.Status {
-		if dc != r.m && st == msg.DCJoining {
-			joining = append(joining, dc)
-		}
-	}
-	r.viewMu.Unlock()
-
-	grace := 4 * r.reRequest
 	r.holdMu.Lock()
-	for _, dc := range joining {
-		if _, ok := r.joinSeen[dc]; !ok {
-			r.joinSeen[dc] = now
-		}
-	}
-	for dc := range r.joinSeen {
-		still := false
-		for _, j := range joining {
-			if j == dc {
-				still = true
-				break
-			}
-		}
-		if !still {
-			delete(r.joinSeen, dc)
-		}
-	}
-	zero := false
-	for _, t := range r.joinSeen {
-		if maxAge < 0 || now.Sub(t) <= maxAge {
-			zero = true
-		}
-	}
-	var floors vclock.VC
-	constrained := false
+	defer r.holdMu.Unlock()
 	for dc, hb := range r.holdbacks {
-		if now.Sub(hb.lastReq) > grace && !r.servingTo(dc) {
+		switch {
+		case now.Sub(hb.lastReq) > holdbackGrace && !r.servingTo(dc):
 			delete(r.holdbacks, dc)
-			continue
-		}
-		if maxAge >= 0 && now.Sub(hb.since) > maxAge {
-			continue // released: the laggard re-bootstraps via full resync
-		}
-		if !constrained {
-			floors = hb.floors.Clone()
-			constrained = true
-			continue
-		}
-		// Two laggards: the effective floor is the entry-wise minimum.
-		floors = floors.GrowTo(len(hb.floors))
-		for i := range floors {
-			if f := hb.floors.Get(i); f < floors[i] {
-				floors[i] = f
-			}
-		}
-	}
-	r.holdMu.Unlock()
-	if zero {
-		for i := range gv {
-			gv[i] = 0
-		}
-		return gv
-	}
-	if constrained {
-		for i := range gv {
-			if f := floors.Get(i); gv[i] > f {
-				gv[i] = f
-			}
+		case maxAge >= 0 && now.Sub(hb.since) > maxAge:
+			// released
+		default:
+			gv.MinInPlace(hb.floors)
 		}
 	}
 	return gv
 }
 
 // HoldbackAge reports how long the oldest live GC holdback (a lagging
-// catch-up requester, or a joiner mid-bootstrap) has pinned the prune
-// point; zero when nothing is held. Observability for the stats surface.
+// catch-up requester, a joiner included) has pinned the prune point; zero
+// when nothing is held. Observability for the stats surface.
 func (r *Manager) HoldbackAge() time.Duration {
 	now := time.Now()
 	r.holdMu.Lock()
@@ -420,11 +359,6 @@ func (r *Manager) HoldbackAge() time.Duration {
 	for _, hb := range r.holdbacks {
 		if oldest.IsZero() || hb.since.Before(oldest) {
 			oldest = hb.since
-		}
-	}
-	for _, t := range r.joinSeen {
-		if oldest.IsZero() || t.Before(oldest) {
-			oldest = t
 		}
 	}
 	if oldest.IsZero() {

@@ -132,8 +132,8 @@ type Durable struct {
 	// compacted snapshots gcHigh at each checkpoint — the proof boundary for
 	// catch-up serving. A version with UpdateTime at or below compacted[its
 	// origin] may have been pruned from the log by a checkpoint, so a catch-up
-	// range starting below that floor cannot be served incrementally
-	// (internal/repl answers with a full resync instead).
+	// range starting (nonzero) below that floor may miss superseded versions
+	// (internal/repl counts it as a GC overrun).
 	gcMu      sync.Mutex
 	gcHigh    vclock.VC
 	compacted vclock.VC

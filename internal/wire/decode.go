@@ -366,7 +366,6 @@ func (d *BinaryDecoder) parse(frame []byte, owned bool) (Envelope, error) {
 		m.ResumeEpoch = f.uint()
 		m.ResumeSeq = f.uint()
 		m.Through = vclock.Timestamp(f.uint())
-		m.FullResync = f.bool()
 		m.Departed = list(f, nil, 2, func() msg.DepartedClaim {
 			return msg.DepartedClaim{DC: int(f.uint()), Through: vclock.Timestamp(f.uint())}
 		})

@@ -96,7 +96,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		b = appendUint(b, m.ResumeEpoch)
 		b = appendUint(b, m.ResumeSeq)
 		b = appendUint(b, uint64(m.Through))
-		b = appendBool(b, m.FullResync)
 		b = appendList(b, m.Departed, func(b []byte, c msg.DepartedClaim) []byte {
 			return appendUint(appendUint(b, uint64(c.DC)), uint64(c.Through))
 		})

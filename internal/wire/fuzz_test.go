@@ -40,7 +40,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 		msg.CatchUpReply{ReqID: 9, Done: true, ResumeEpoch: 77, ResumeSeq: 3, Through: 123456},
 		msg.CatchUpReply{ReqID: 9, Done: true, Unsupported: true},
 		msg.CatchUpRequest{ReqID: 10, From: 500, Have: vclock.VC{7, 0, 99}},
-		msg.CatchUpReply{ReqID: 10, Done: true, Through: 123456, FullResync: true,
+		msg.CatchUpReply{ReqID: 10, Done: true, Through: 123456,
 			Departed: []msg.DepartedClaim{{DC: 2, Through: 777}}},
 		msg.CatchUpAck{ReqID: 9, Chunk: 2},
 		msg.CatchUpReply{ReqID: 11, Versions: mixedLengthVersions()},

@@ -79,7 +79,7 @@ func goldenMessages() map[string]any {
 		"gc-exchange":      msg.GCExchange{Partition: 1, TV: nil},
 		"catchup-request":  msg.CatchUpRequest{ReqID: 5, From: goldenBase - 100, Have: vclock.VC{}},
 		"catchup-reply": msg.CatchUpReply{ReqID: 5, Chunk: 2, Versions: goldenVersions(),
-			Done: true, ResumeEpoch: 3, ResumeSeq: 44, Through: goldenBase, FullResync: true,
+			Done: true, ResumeEpoch: 3, ResumeSeq: 44, Through: goldenBase,
 			Departed:  []msg.DepartedClaim{{DC: 2, Through: goldenBase - 9}, {DC: 4}},
 			SlotEpoch: 6},
 		"catchup-reply-nil":   msg.CatchUpReply{ReqID: 6, Chunk: 1, Unsupported: true},

@@ -200,7 +200,6 @@ func genMsg(r *rand.Rand, kind int) any {
 			ResumeEpoch: r.Uint64(),
 			ResumeSeq:   r.Uint64(),
 			Through:     vclock.Timestamp(r.Uint64N(1 << 62)),
-			FullResync:  r.IntN(2) == 0,
 			Departed:    genDeparted(r),
 			SlotEpoch:   r.Uint64N(1 << 40),
 		}
@@ -321,7 +320,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.LeaveNotice{DC: 1, Final: 1234, View: msg.Membership{Epoch: 5, Status: []uint8{msg.DCActive, msg.DCLeft}}},
 		msg.CatchUpRequest{ReqID: 2, From: 7, Have: vclock.VC{1, 2, 3}},
 		msg.CatchUpRequest{ReqID: 2, Have: vclock.VC{}},
-		msg.CatchUpReply{Done: true, FullResync: true, Through: 42},
+		msg.CatchUpReply{Done: true, Through: 42},
 		msg.CatchUpReply{Done: true, Departed: []msg.DepartedClaim{}},
 		msg.CatchUpReply{Done: true, Departed: []msg.DepartedClaim{{DC: 2, Through: 99}}},
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 4, Status: []uint8{msg.DCLeft}, Final: vclock.VC{77}}},

@@ -423,10 +423,11 @@ type Stats struct {
 	// CatchUpsActive is the number of replication links currently frozen
 	// awaiting a catch-up stream.
 	CatchUpsActive int
-	// FullResyncs counts catch-up rounds that had to re-ship the full
-	// history because the incremental range was checkpoint-pruned away on
-	// the sender.
-	FullResyncs uint64
+	// GCOverruns counts catch-up streams served from a floor garbage
+	// collection had already passed: the holdback owed to the lagging
+	// replica was released (GCMaxHoldback), so superseded versions it never
+	// received may be gone. A joining data center's bootstrap is not one.
+	GCOverruns uint64
 	// LinkStates[dst][src] is the health of DC dst's inbound replication
 	// link from DC src, by name (repl.LinkState.String): the worst state
 	// across dst's partition servers, self on the diagonal.
@@ -500,7 +501,7 @@ func (s *Store) Stats() Stats {
 		CatchUps:              repl.CatchUpsCompleted,
 		CatchUpsServed:        repl.CatchUpsServed,
 		CatchUpsActive:        repl.CatchUpsActive,
-		FullResyncs:           repl.FullResyncs,
+		GCOverruns:            repl.GCOverruns,
 		LinkStates:            make([][]string, len(repl.LinkStates)),
 		GCHoldbackAge:         repl.GCHoldbackAge,
 	}
