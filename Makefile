@@ -6,6 +6,10 @@ all: check
 
 # A version is born in internal/item (item.New, item.Slab) and nowhere else:
 # a Version literal in other non-test Go of the root module fails the step.
+# A PUT's key and value are born in item.New too, which copies them into the
+# version's record: every caller only borrows them, so there is no owning
+# variant of Put to choose, and PutOwned in the root module's Go, tests
+# included, fails the step.
 # Every PUT waits for its dependencies: PutDepWait survives only as the
 # deprecated cluster.Config field bench/ still sets (ROADMAP arc 4 deletes
 # it), so the name anywhere else in the root module's Go, tests included,
@@ -44,6 +48,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -E 'Transport +interface' . | grep -v '^\./internal/netemu/'
 	@! grep -rn --include='*.go' --exclude='*_test.go' -E '&msg\.(ReplicateBatch|Heartbeat)\{' internal/repl
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'maxReRequestInterval' . | grep -v '^\./internal/repl/repl\.go:'
+	@! grep -rn --include='*.go' --exclude-dir=bench 'PutOwned' .
 
 build:
 	$(GO) build ./...
@@ -53,7 +58,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17280
+LOC_CEILING = 17330
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -101,8 +106,10 @@ allocs:
 define RACE_ROWS
 # Fine-grained server locking: the packages that own or exercise the
 # lock-free hot path, and the recycled RO-TX fan-in state and waiters driven
-# end to end by the sessions' RO-TX tests.
-./internal/core/... ./internal/storage/... ./internal/wal/... ./internal/tcpnet/... ./internal/netemu/...
+# end to end by the sessions' RO-TX tests. internal/item rides here for
+# checkptr, which -race turns on: a PUT's record points its Key and Value
+# into itself (unsafe.String).
+./internal/core/... ./internal/storage/... ./internal/wal/... ./internal/tcpnet/... ./internal/netemu/... ./internal/item/
 -run 'ROTx' ./internal/client/ ./internal/cluster/
 # The loader: concurrent Seed calls carving versions and value chunks from the
 # cluster's one slab under its mutex.
@@ -187,6 +194,10 @@ FuzzWALStage ./internal/wal/
 # The in-memory engine's probe table of chain heads against a map-of-chains
 # model: inserts, garbage collection and DropAbove's backward-shift removal.
 FuzzMemOps ./internal/storage/
+# A PUT's version: any key, value and vector width round-trip through
+# item.New, survive the caller rewriting its buffers, and share no byte with
+# a twin made from the same inputs.
+FuzzItemNew ./internal/item/
 endef
 export FUZZ_ROWS
 

@@ -348,6 +348,7 @@
 // side may keep a key, value or dependency slice and at most one side copies.
 // The rules, in path order — allocation guards and race-enabled ownership
 // tests pin them (make allocs; TestFrontDoorPutOwnsItsBytes,
+// TestNewCopiesKeyAndValue, FuzzItemNew,
 // TestFrontDoorLeaseSurvivesBlockedGet, TestFrontDoorLeaseCap,
 // TestDecodedBatchOwnsItsBytes, TestFrontDoorCallReuse*,
 // TestPutCopiesCallerDeps, TestROTxInterleavedPutKeepsDeps):
@@ -369,14 +370,18 @@
 //     decodes it in place: wire.DecodeFrontDoorRequest aliases the frame, so
 //     the request lives as long as whoever holds the lease lets it. The
 //     borrowing rule: a request borrows its lease iff nothing can read its
-//     strings after execute returns. A GET qualifies — its key is looked up,
-//     never stored (client.Session.getReply, core.Server.Get, the wait lists
-//     and trackRead keep nothing of it) — so the lease rides the session's
-//     queue with the request, and a GET crosses the server without a copy.
+//     strings after execute returns. The borrowers are GET and PUT. A GET's
+//     key is looked up, never stored (client.Session.getReply,
+//     core.Server.Get, the wait lists and trackRead keep nothing of it); a
+//     PUT's key and value are copied into the new version before it is
+//     stored (core.Put below). So the lease rides the session's queue with
+//     the request, and neither crosses the server with a copy of its own.
+//     The price is retention: a queued or parked borrower (a GET or a PUT in
+//     waitVV, a PUT in the clock wait) pins its whole lease, 512 B to 64 KiB,
+//     so a session whose queue fills behind one blocked request pins up to
+//     1024 of them.
 //     Everything else is detached before it is queued
-//     (wire.FrontDoorRequest.Detach): a PUT's key and value become the stored
-//     version's and leave the frame in one allocation, which kvserver hands
-//     to Session.PutOwned — no second copy; an RO-TX's keys travel in slice
+//     (wire.FrontDoorRequest.Detach): an RO-TX's keys travel in slice
 //     requests that copy string headers, not bytes, and can outlive a
 //     first-error return, so a parked slice would pin the frame; an admin
 //     line is rare; PING and STATS carry no bytes and detach for free. Who
@@ -386,13 +391,18 @@
 //     and on a read or decode error or a refused dispatch, on its way out. A
 //     buffer above 64 KiB is dropped rather than returned, so one large frame
 //     pins neither the pool nor its connection. In-process callers use
-//     Session.Put, which makes the one copy at that edge; the session's
+//     Session.Put, which borrows their buffers the same way; the session's
 //     dependency vector travels as its reusable scratch, as a GET's does.
-//   - core.Put → engine. value: handed over; dv: borrowed, copied into the
-//     version. The version is one object wherever it is born (item.New: the
-//     struct and its dependency vector in one allocation), immutable from
-//     then on and shared by pointer with the replication buffer (and, on the
-//     emulated transport, with every replica).
+//   - core.Put → engine. key, value and dv: borrowed, copied once into the
+//     version, on every path (in process, binary, text). The version is one
+//     object wherever it is born: item.New puts the struct, its dependency
+//     vector, its key and its value in one record of 144 or 192 B (a
+//     vector over 4 entries or a key and value over 72 B add one exact
+//     allocation beside it). It is immutable from then on and shared by
+//     pointer with the replication buffer (and, on the emulated transport,
+//     with every replica). The price is retention: a GET's value aliases
+//     the record, so a value the caller keeps pins its record, at most
+//     192 B (or the value's own allocation), and nothing else.
 //   - engine → wal. storage.Durable stages the version itself, as a
 //     wal.Record: the log holds the immutable version until its commit group
 //     is written, and the committer encodes it then and clears the slot, so

@@ -12,7 +12,6 @@
 package client
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -190,29 +189,18 @@ func (s *Session) getReply(key string) (msg.ItemReply, error) {
 	}
 }
 
-// Put writes key (Algorithm 1, lines 9-13). The value is copied: the caller
-// may reuse its buffer as soon as Put returns.
+// Put writes key (Algorithm 1, lines 9-13). Key and value are borrowed: the
+// server copies them into the new version (core.Server.Put), so the caller
+// may reuse its buffers as soon as Put returns.
 func (s *Session) Put(key string, value []byte) error {
 	_, _, err := s.PutMeta(key, value)
 	return err
 }
 
-// PutOwned is Put without the copy: the store keeps value itself as the new
-// version's payload, so the caller must never modify it again. For callers
-// whose value is already a private buffer (the front door's detached PUTs).
-func (s *Session) PutOwned(key string, value []byte) error {
-	_, _, err := s.put(key, value)
-	return err
-}
-
-// PutMeta writes key and returns the new version's identity (update time and
-// source replica), which test checkers use to track real dependencies.
+// PutMeta is Put returning the new version's identity (update time and source
+// replica), which test checkers use to track real dependencies. It borrows
+// key and value as Put does.
 func (s *Session) PutMeta(key string, value []byte) (vclock.Timestamp, int, error) {
-	return s.put(key, bytes.Clone(value))
-}
-
-// put hands value to the owning server, which keeps it.
-func (s *Session) put(key string, value []byte) (vclock.Timestamp, int, error) {
 	var slotDeadline time.Time
 	for {
 		srv := s.cfg.Router.ServerFor(key)

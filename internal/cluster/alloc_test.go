@@ -117,8 +117,8 @@ func TestSeedRetention(t *testing.T) {
 	lastChunk := weak.Make(&store.Head(keys[len(keys)-1]).Value[0])
 
 	for i, k := range keys {
-		v := item.New(len(kept.Deps))
-		v.Key, v.UpdateTime = k, vclock.Timestamp(1<<40+i)
+		v := item.New(len(kept.Deps), k, nil)
+		v.UpdateTime = vclock.Timestamp(1<<40 + i)
 		store.Insert(v)
 	}
 	if removed := store.CollectGarbage(make(vclock.VC, len(kept.Deps))); removed != len(keys) {

@@ -39,12 +39,12 @@ func TestGetAllocs(t *testing.T) {
 }
 
 // TestPutAllocs: a PUT on the in-memory engine allocates the version it
-// stores — struct and dependency vector in one object (item.New) — and
-// nothing else: the value is the caller's, handed over, and dv is the
-// caller's reusable scratch, copied. The deployment's Δ = 1 ms batches
+// stores — struct, dependency vector, key and value in one object
+// (item.New) — and nothing else: key, value and dv are the caller's,
+// borrowed and copied into it. The deployment's Δ = 1 ms batches
 // replication, so the flush — like chain growth — is amortized over the
-// window's PUTs to less than one each. (Three before the value copy moved out
-// to the session edge, two while the vector was an object of its own.)
+// window's PUTs to less than one each. (Two while the vector was an object of
+// its own.)
 func TestPutAllocs(t *testing.T) {
 	skipUnderRace(t)
 	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Millisecond}})

@@ -650,13 +650,11 @@ func (s *Server) Get(key string, rdv vclock.VC, mode Mode) (msg.ItemReply, error
 // in timestamp order (buffered by repl.Manager.Publish, shipped on its flush
 // cadence: internal/repl/outbound.go).
 //
-// The server takes ownership of value — it becomes the new version's payload,
-// shared with every replica of an emulated deployment — so callers must not
-// mutate it after the call. The copy that protects a caller's buffer is made
-// once, where one is needed: the in-process session's Put (client.Session); a
-// front-door PUT's key and value left their frame together, in one private
-// copy (wire's Detach). dv is only borrowed: it is copied into the version
-// (item.New: one allocation for both), so a session passes reusable scratch.
+// Key, value and dv are only borrowed: item.New copies all three into the new
+// version, one allocation for the traffic served, so the caller may reuse
+// them as soon as Put returns. That is the one copy of a PUT on every path —
+// an in-process session passes its caller's buffer, the front door a key and
+// value still in their leased frame, a session its reusable dv scratch.
 func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.Timestamp, error) {
 	if !s.ownsKey(key) {
 		return 0, ErrWrongSlotEpoch
@@ -674,15 +672,12 @@ func (s *Server) Put(key string, value []byte, dv vclock.VC, mode Mode) (vclock.
 	// nothing here.
 	s.clk.SleepUntilAfter(dv.MaxEntry())
 
-	if value == nil {
-		value = []byte{} // a nil payload reads back as "no such key"
-	}
 	n := len(dv)
 	if dv == nil {
 		n = s.maxDCs
 	}
-	d := item.New(n)
-	d.Key, d.Value, d.SrcReplica, d.Optimistic = key, value, s.m, mode == Optimistic
+	d := item.New(n, key, value)
+	d.SrcReplica, d.Optimistic = s.m, mode == Optimistic
 	copy(d.Deps, dv)
 
 	// Publish runs the write path under the replication manager's outbound

@@ -187,8 +187,8 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 		if i < 10 {
 			continue
 		}
-		v := item.New(len(deps))
-		v.Key, v.Value, v.UpdateTime = key, value, ut+visibilityEpochOffset
+		v := item.New(len(deps), key, value)
+		v.UpdateTime = ut + visibilityEpochOffset
 		for d := range deps {
 			if deps[d] != 0 {
 				v.Deps[d] = deps[d] + visibilityEpochOffset

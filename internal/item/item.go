@@ -8,11 +8,18 @@
 // or the loader (carved from a Slab; the loader's version is shared by every
 // DC's chain), a WAL replay — so that the tuple is one heap object; outside
 // tests no other package writes a Version literal (`make vet` greps for one).
+// A PUT's version holds its own key and value too: New copies them into the
+// record, so the caller's bytes are only borrowed, and a value read back
+// keeps its record (at most 192 B) reachable, nothing else.
 // Chunk is Slab's twin for values: it carves small byte values out of shared
 // chunks, for the loader and for the client pool's decoded responses.
 package item
 
-import "repro/internal/vclock"
+import (
+	"unsafe"
+
+	"repro/internal/vclock"
+)
 
 // Version is one immutable version of a data item. Versions are never
 // mutated after creation, so they can be shared across goroutines and DCs
@@ -48,11 +55,58 @@ type (
 	}
 )
 
-// New returns a zeroed version whose n-entry Deps (len == cap == n) shares
-// the version's allocation.
-func New(n int) *Version {
-	var s Slab
-	return s.Take(n, 1)
+// version points r's Deps at its own first n entries and returns it.
+func (r *rec4) version(n int) *Version {
+	r.Deps = r.deps[:n:n]
+	return &r.Version
+}
+
+// A put record: a class-4 record followed by the payload its Key and Value
+// point into, in one allocation. The payload classes are the two shapes the
+// traffic has — a short key with an 8 B value fits 24, with a 64 B value 72 —
+// and make records of 144 and 192 B, Go size classes both, so no record
+// rounds up. A larger payload takes a class-4 record plus an exact copy: the
+// next fused class (256 B) would cost more heap than that pair for most of
+// its range, and no workload sends such a payload.
+type (
+	put24 struct {
+		rec4
+		b [24]byte
+	}
+	put72 struct {
+		rec4
+		b [72]byte
+	}
+)
+
+// New returns the version a PUT makes: key and value are copied into it, so
+// the caller may reuse both as soon as New returns, and its n-entry Deps
+// (len == cap == n) is zeroed. A vector of up to 4 entries and key plus value
+// of up to 72 B are one allocation; a larger payload or a wider vector gets
+// one exact allocation beside the record (two, a vector over 16 entries). A
+// nil value is stored as an empty one, since a nil payload reads back as "no
+// such key"; Value always has len == cap.
+func New(n int, key string, value []byte) *Version {
+	p := len(key) + len(value)
+	var v *Version
+	var b []byte
+	switch {
+	case n > len(rec4{}.deps) || p > len(put72{}.b):
+		var s Slab
+		v, b = s.Take(n, 1), make([]byte, p)
+	case p <= len(put24{}.b):
+		r := new(put24)
+		v, b = r.version(n), r.b[:p]
+	default:
+		r := new(put72)
+		v, b = r.version(n), r.b[:p]
+	}
+	copy(b[copy(b, key):], value)
+	if key != "" {
+		v.Key = unsafe.String(&b[0], len(key))
+	}
+	v.Value = b[len(key):p:p]
+	return v
 }
 
 // Slab carves the versions of one decoded list out of one array per size
@@ -64,15 +118,14 @@ type Slab struct {
 	r16 []rec16
 }
 
-// Take is New from the slab. When the array of n's class is used up (or not
-// made yet) it makes one of c records, c being the caller's bound on the
-// versions of that class still to come.
+// Take returns a zeroed version whose n-entry Deps (len == cap == n) shares
+// the version's record. When the array of n's class is used up (or not made
+// yet) it makes one of c records, c being the caller's bound on the versions
+// of that class still to come.
 func (s *Slab) Take(n, c int) *Version {
 	switch {
 	case n <= len(rec4{}.deps):
-		r := carve(&s.r4, c)
-		r.Deps = r.deps[:n:n]
-		return &r.Version
+		return carve(&s.r4, c).version(n)
 	case n <= len(rec8{}.deps):
 		r := carve(&s.r8, c)
 		r.Deps = r.deps[:n:n]

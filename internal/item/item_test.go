@@ -1,9 +1,13 @@
 package item
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/racedetect"
+	"repro/internal/vclock"
 )
 
 func TestNewerByTimestamp(t *testing.T) {
@@ -57,16 +61,16 @@ func TestSame(t *testing.T) {
 
 // TestNewDepsExactlySized: at every class boundary Deps has len == cap == n,
 // so an append on one version's Deps reallocates instead of writing into the
-// record's spare entries or a slab neighbour.
+// record's spare entries, its payload or a slab neighbour.
 func TestNewDepsExactlySized(t *testing.T) {
 	largest := len(rec16{}.deps)
 	for _, n := range []int{0, 1, 4, 5, 8, 9, largest, largest + 1} {
-		v := New(n)
+		v := New(n, "", nil)
 		if v.Deps == nil || len(v.Deps) != n || cap(v.Deps) != n {
 			t.Fatalf("New(%d): Deps nil=%v len=%d cap=%d, want non-nil, len == cap == %d",
 				n, v.Deps == nil, len(v.Deps), cap(v.Deps), n)
 		}
-		if v.Key != "" || v.Value != nil || v.SrcReplica != 0 || v.UpdateTime != 0 || v.Optimistic {
+		if v.Key != "" || len(v.Value) != 0 || v.SrcReplica != 0 || v.UpdateTime != 0 || v.Optimistic {
 			t.Fatalf("New(%d) is not zeroed: %+v", n, v)
 		}
 	}
@@ -93,21 +97,149 @@ func TestSlabRecordsHoldDistinctVectors(t *testing.T) {
 	}
 }
 
-// TestNewAllocs: a version and its vector are one object up to the largest
-// size class, struct and vector beyond it.
+// payload returns p bytes of key and value, a 6-byte key (the length of the
+// benchmark's) where p leaves room for one.
+func payload(p int) (string, []byte) {
+	k := min(p, 6)
+	return "k12345"[:k], bytes.Repeat([]byte{'v'}, p-k)
+}
+
+// TestNewAllocs: a PUT's version — struct, vector, key and value — is one
+// object up to the top byte of each payload class; one byte more, or a
+// vector wider than the put records' 4 entries, adds one exact allocation
+// beside the record, and a vector wider than the slab classes another.
 func TestNewAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	largest := len(rec16{}.deps)
+	fused, largest := len(rec4{}.deps), len(rec16{}.deps)
 	for _, c := range []struct {
-		n    int
+		n, p int
 		want float64
-	}{{0, 1}, {3, 1}, {5, 1}, {largest, 1}, {largest + 1, 2}} {
-		if got := testing.AllocsPerRun(200, func() { sink = New(c.n) }); got != c.want {
-			t.Errorf("New(%d) allocates %v objects, want %v", c.n, got, c.want)
+	}{
+		{0, 0, 1}, {3, 14, 1}, {fused, len(put24{}.b), 1}, {fused, len(put72{}.b), 1},
+		{fused, len(put72{}.b) + 1, 2}, {fused + 1, 14, 2}, {largest, 14, 2}, {largest + 1, 14, 3},
+	} {
+		key, value := payload(c.p)
+		if got := testing.AllocsPerRun(200, func() { sink = New(c.n, key, value) }); got != c.want {
+			t.Errorf("New(%d, %d B of key and value) allocates %v objects, want %v", c.n, c.p, got, c.want)
 		}
 	}
+}
+
+// TestNewAllocsBytesPerRecord: the benchmark's two payload shapes, a 6-byte
+// key with an 8 or a 64 B value, cost no more heap than a front-door PUT's
+// version (128 B) plus its detached copy of key and value (16 or 80 B) did:
+// 144 and 192 B, the put24 and put72 records exactly. An in-process PUT used
+// to keep its caller's key and clone only the value (128 + 8 or 64 B), so
+// there the same shapes cost 8 B more per version than they did.
+func TestNewAllocsBytesPerRecord(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	const n = 4096
+	kept := make([]*Version, n)
+	for _, c := range []struct {
+		value int
+		max   uint64
+	}{{8, 144}, {64, 192}} {
+		key, value := "own-42", make([]byte, c.value)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range kept {
+			kept[i] = New(3, key, value)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / n; got > c.max {
+			t.Errorf("New(3, %d B key, %d B value) costs %d B of heap per record, want <= %d", len(key), c.value, got, c.max)
+		}
+	}
+	runtime.KeepAlive(kept)
+}
+
+// TestNewCopiesKeyAndValue: New borrows its key and value. A caller that
+// clears both afterwards — a front-door PUT's key and value alias a frame the
+// reader reuses — leaves every version intact; Value has len == cap, so an
+// append to it cannot reach a neighbour; a nil value is stored as a non-nil
+// empty one; an empty key stays empty. One case per record class.
+func TestNewCopiesKeyAndValue(t *testing.T) {
+	for _, c := range []struct{ n, p int }{
+		{3, 0}, {3, 6}, {3, 14}, {3, 70}, {4, 72}, {4, 73}, {5, 14}, {17, 70},
+	} {
+		for _, nilValue := range []bool{false, true} {
+			key, value := payload(c.p)
+			if nilValue {
+				value = nil
+			}
+			wantKey, wantValue := key, string(value)
+			keyBuf := []byte(key)
+			if key != "" {
+				key = unsafe.String(&keyBuf[0], len(keyBuf)) // aliases keyBuf, as a decoded frame's key does
+			}
+			v := New(c.n, key, value)
+			clear(keyBuf)
+			clear(value)
+			if v.Key != wantKey || string(v.Value) != wantValue {
+				t.Fatalf("New(%d, %q, %q) reads %q, %q after the caller cleared its buffers", c.n, wantKey, wantValue, v.Key, v.Value)
+			}
+			if v.Value == nil || len(v.Value) != cap(v.Value) {
+				t.Fatalf("New(%d, %q, %q): Value nil=%v len=%d cap=%d, want non-nil with len == cap",
+					c.n, wantKey, wantValue, v.Value == nil, len(v.Value), cap(v.Value))
+			}
+		}
+	}
+}
+
+// FuzzItemNew: any key, value and vector width round-trips through New; the
+// version stays intact after the caller rewrites its buffers; and two
+// versions made from the same inputs share no byte of key, value or vector.
+func FuzzItemNew(f *testing.F) {
+	f.Add([]byte("k12345"), []byte("12345678"), uint8(3))
+	f.Add([]byte("own-42"), bytes.Repeat([]byte{'x'}, 64), uint8(4))
+	f.Add([]byte{}, []byte{}, uint8(128))
+	f.Add(bytes.Repeat([]byte{'k'}, 100), bytes.Repeat([]byte{'v'}, 37), uint8(17))
+	f.Fuzz(func(t *testing.T, key, value []byte, n uint8) {
+		width := int(n % 24)
+		if len(value) == 0 && n >= 128 {
+			value = nil
+		}
+		wantKey, wantValue := string(key), bytes.Clone(value)
+		k := unsafe.String(unsafe.SliceData(key), len(key)) // aliases key
+		a, b := New(width, k, value), New(width, k, value)
+		for i := range key {
+			key[i] ^= 0xFF
+		}
+		for i := range value {
+			value[i] ^= 0xFF
+		}
+		check := func(what string, v *Version) {
+			t.Helper()
+			if v.Key != wantKey || !bytes.Equal(v.Value, wantValue) || v.Value == nil || len(v.Value) != cap(v.Value) {
+				t.Fatalf("%s: New(%d, %q, %q) reads %q, %q (len %d, cap %d, nil %v)",
+					what, width, wantKey, wantValue, v.Key, v.Value, len(v.Value), cap(v.Value), v.Value == nil)
+			}
+			if len(v.Deps) != width || cap(v.Deps) != width {
+				t.Fatalf("%s: Deps len %d cap %d, want %d", what, len(v.Deps), cap(v.Deps), width)
+			}
+			for i, d := range v.Deps {
+				if d != 0 {
+					t.Fatalf("%s: Deps[%d] = %d, want 0", what, i, d)
+				}
+			}
+		}
+		check("after the caller rewrote its buffers", a)
+		check("after the caller rewrote its buffers", b)
+		for i := range a.Value {
+			a.Value[i] ^= 0xFF
+		}
+		if a.Key != "" {
+			clear(unsafe.Slice(unsafe.StringData(a.Key), len(a.Key)))
+		}
+		for i := range a.Deps {
+			a.Deps[i] = ^vclock.Timestamp(0)
+		}
+		check("after its twin's bytes were rewritten", b)
+	})
 }
 
 var sink *Version

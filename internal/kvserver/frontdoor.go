@@ -25,13 +25,19 @@ package kvserver
 //
 //  4. A request borrows its frame iff nothing can read its strings after
 //     execute returns. The reader decodes each frame in place, in a buffer
-//     on lease from fdLeases. A GET's key is looked up and never stored, so
-//     the lease travels with the request through the session's queue and the
-//     worker returns it once execute has returned. Every other request is
-//     detached first — a PUT's key and value become the stored version's, an
-//     RO-TX's keys travel (as string headers, not bytes) in slice requests
-//     that can outlive a first-error return, an admin line is rare — and the
-//     reader keeps the lease for the next frame.
+//     on lease from fdLeases. The borrowers are GET and PUT: a GET's key is
+//     looked up and never stored, and a PUT's key and value are copied into
+//     the new version (item.New) before it is stored. Their lease travels
+//     with the request through the session's queue and the worker returns it
+//     once execute has returned. The price is retention: a borrower pins its
+//     whole lease (fdLeaseMin at least, up to fdLeaseMax once a pooled
+//     buffer has grown) while it is queued and while it parks in execute — a
+//     GET or a PUT in waitVV, a PUT in the clock wait — so a session whose
+//     queue fills up behind one blocked request pins up to fdSessionQueue
+//     leases. Every other request is detached first — an RO-TX's keys travel
+//     (as string headers, not bytes) in slice requests that can outlive a
+//     first-error return, an admin line is rare — and the reader keeps the
+//     lease for the next frame.
 
 import (
 	"bufio"
@@ -135,7 +141,7 @@ func (s *Server) handleBinaryConn(dc int, conn net.Conn, br *bufio.Reader) {
 			break
 		}
 		w := fdWork{req: req}
-		if req.Op == wire.FDGet {
+		if req.Op == wire.FDGet || req.Op == wire.FDPut {
 			w.lease, lease = lease, nil // borrowed: the worker returns it
 		} else {
 			w.req.Detach()

@@ -59,10 +59,21 @@ func cycleLeases(sess *client.RemoteSession, n int) error {
 // when it wakes (the chain lookup); in between, ten thousand frames of other
 // sessions on the same connection cycle the lease pool. It must come back
 // with its own key's value — and an RO-TX parked beside it, whose keys were
-// detached from a frame the reader has long reused, with its own keys'.
+// detached from a frame the reader has long reused, with its own keys'. A
+// PUT parked in waitVV on the same partition borrows its frame too and
+// copies its key and value only when it wakes (item.New), so its lease stays
+// pinned through the same churn: what it stores must be what it was sent.
 func TestFrontDoorLeaseSurvivesBlockedGet(t *testing.T) {
 	store, srv, keys := severedDeps(t, occ.Config{Partitions: 2, Seed: 7}, 0)
+	t.Cleanup(func() { store.PartitionReplication(0, 1, 0, false) }) // a failure must not leave Close waiting on parked requests
 	kA, kB := keys[0], keys[1]
+	kPut := "" // on kA's partition, but read by neither parked reader
+	for i := 0; kPut == ""; i++ {
+		if k := fmt.Sprintf("put-while-parked-%d", i); store.PartitionOf(k) == store.PartitionOf(kA) {
+			kPut = k
+		}
+	}
+	putValue := bytes.Repeat([]byte("parked-put;"), 6)
 
 	pool := testPool(t, srv, 1, 1)
 	s1 := pool.Session()
@@ -75,6 +86,11 @@ func TestFrontDoorLeaseSurvivesBlockedGet(t *testing.T) {
 		t.Fatalf("sTx read kB = %q err=%v", v, err)
 	}
 	blockedTx := sTx.ROTxAsync(keys) // its slice on partition 0 parks too
+	sPut := pool.Session()
+	if v, err := sPut.Get(kB); err != nil || string(v) != "v-"+kB {
+		t.Fatalf("sPut read kB = %q err=%v", v, err)
+	}
+	blockedPut := sPut.PutAsync(kPut, bytes.Clone(putValue)) // parks in waitVV
 
 	for _, sess := range []*client.RemoteSession{pool.Session(), pool.Session(), pool.Session(), pool.Session()} {
 		if err := cycleLeases(sess, 2500); err != nil {
@@ -82,11 +98,11 @@ func TestFrontDoorLeaseSurvivesBlockedGet(t *testing.T) {
 		}
 	}
 	scribbleLeases()
-	for _, c := range []*client.Call{blocked, blockedTx} {
+	for i, c := range []*client.Call{blocked, blockedTx, blockedPut} {
 		select {
 		case <-c.Done():
 			resp, err := c.Wait()
-			t.Fatalf("a blocked request completed before the link healed: %+v err=%v", resp, err)
+			t.Fatalf("blocked request %d (GET, RO-TX, PUT) completed before the link healed: %+v err=%v", i, resp, err)
 		default:
 		}
 	}
@@ -108,24 +124,32 @@ func TestFrontDoorLeaseSurvivesBlockedGet(t *testing.T) {
 			t.Fatalf("blocked RO-TX item %d = %q: %q, want %q: %q", i, it.Key, it.Value, keys[i], "v-"+keys[i])
 		}
 	}
+	if _, err := blockedPut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// A lookup finds the chain only if the stored key is intact.
+	if v, err := sPut.Get(kPut); err != nil || !bytes.Equal(v, putValue) {
+		t.Fatalf("blocked PUT stored %q err=%v, want %q: its frame was overwritten while it was parked", v, err, putValue)
+	}
 }
 
 // TestFrontDoorPutOwnsItsBytes pins the hand-off from the front door's leased
-// frames to everything that outlives a request. A PUT's key and value are
-// detached from the frame (one private copy) and stored as they are
-// (PutOwned, no second copy): the frames that follow through the same
-// buffers, a scribble over every pooled buffer, and whatever the client does
-// to its own slices afterwards must not reach a stored version. The
-// in-process session makes its one copy at its own edge. An RO-TX's keys are
-// detached too: they travel in slice requests, and a slice still parked when
-// the transaction fails reads them long after the frame has been recycled.
+// frames to everything that outlives a request. A PUT borrows its frame: its
+// key and value are copied from the lease into the stored version (item.New,
+// the one copy) before the worker returns the lease, so the frames that
+// follow through the same buffers, a scribble over every pooled buffer, and
+// whatever the client does to its own slices afterwards must not reach a
+// stored version. The in-process session borrows its caller's buffer the
+// same way. An RO-TX's keys are detached instead: they travel in slice
+// requests, and a slice still parked when the transaction fails reads them
+// long after the frame has been recycled.
 func TestFrontDoorPutOwnsItsBytes(t *testing.T) {
 	t.Run("put", func(t *testing.T) {
 		srv := testServer(t)
 		sess := testPool(t, srv, 0, 1).Session()
 
-		// Same-sized frames, pipelined: each lands on the same bytes of the
-		// reader's buffer while its predecessors are still being executed.
+		// Same-sized frames, pipelined: each lands on the bytes of a lease a
+		// predecessor returned once it had executed.
 		const n = 64
 		key := func(i int) string { return fmt.Sprintf("own-%03d", i) }
 		want := func(i int) []byte { return bytes.Repeat([]byte{byte('A' + i%26)}, 48) }
@@ -277,9 +301,9 @@ func (c rawFrontDoor) roundTrip(t *testing.T, scratch []byte, req *wire.FrontDoo
 
 // TestFrontDoorLeaseCap: a frame above fdLeaseMax is read into a buffer of
 // its own that neither the pool nor the connection keeps. Eight connections
-// each carry one 1 MiB GET (the worker ends that lease) and one 1 MiB PUT
-// (the reader does), and stay open; afterwards the heap holds the eight
-// stored values and not eight frame buffers beside them.
+// each carry one 1 MiB GET and one 1 MiB PUT (both borrow their frame, and
+// the worker ends each lease), and stay open; afterwards the heap holds the
+// eight stored values and not eight frame buffers beside them.
 func TestFrontDoorLeaseCap(t *testing.T) {
 	store, err := occ.Open(occ.Config{
 		DataCenters: 1, Partitions: 1, Engine: occ.POCC,
@@ -340,15 +364,15 @@ func TestFrontDoorLeaseCap(t *testing.T) {
 // server-side twin of client.TestRemoteSessionAllocs: whole round trips
 // through a pool against a deployment with nothing running in the background,
 // compared with the same operations on an in-process session. Both PUT passes
-// make the same kind of write, a first update of a key written once. A GET
-// may add a value's share of the client's chunk and nothing on the server
-// (the frame is leased, the key borrowed, and the pool carves the value from
-// its connection's chunk: 8 B of 4 KiB, one chunk per pass, 0.002 a GET);
-// a PUT may add nothing at all — the one
-// allocation that detaches key and value from the frame stands in for the
-// in-process Put's copy of the value. The counts are fractional:
-// testing.AllocsPerRun truncates to a whole number, which hides an
-// allocation made on some operations only.
+// make the same kind of write, a first update of a key written once, which
+// costs two objects in process: the version, holding its key and value
+// (item.New), and the key's tail (storage). Either front-door operation may
+// add a value's share of the client's chunk and nothing on the server: a GET
+// and a PUT borrow their leased frame, a PUT's key and value are copied from
+// it into the version alone, and the pool carves a GET's value from its
+// connection's chunk (8 B of 4 KiB, one chunk per pass, 0.002 a GET). The
+// counts are fractional: testing.AllocsPerRun truncates to a whole number,
+// which hides an allocation made on some operations only.
 func TestFrontDoorServerAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool sheds items)")
@@ -419,8 +443,12 @@ func TestFrontDoorServerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if in, fd := mallocs(0, put(local)), mallocs(runs, put(remote)); fd > in+0.25 {
-		t.Fatalf("a front-door PUT allocates %.3f times, an in-process Put %.3f: key and value must leave the frame in one allocation", fd, in)
+	in, fd := mallocs(0, put(local)), mallocs(runs, put(remote))
+	if in > 2.01 {
+		t.Fatalf("an in-process Put allocates %.3f times, want at most 2: the version, holding its key and value, and the key's first tail", in)
+	}
+	if fd > in+0.01 {
+		t.Fatalf("a front-door PUT allocates %.3f times, an in-process Put %.3f: key and value must be copied from the frame into the version and nowhere else", fd, in)
 	}
 	if in, fd := mallocs(0, get(local)), mallocs(runs, get(remote)); fd > in+0.01 {
 		t.Fatalf("a front-door GET allocates %.3f times, an in-process Get %.3f: neither end may add more than the value's share of a chunk", fd, in)

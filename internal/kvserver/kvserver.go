@@ -264,9 +264,9 @@ func (s *Server) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontDo
 	case wire.FDPing:
 		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}
 	case wire.FDPut:
-		// Key and value are the request's own (a binary frame's were
-		// detached, in one private copy): hand them over.
-		if err := ss.sess.PutOwned(req.Key, req.Value); err != nil {
+		// Key and value are borrowed (a binary frame's still lie in its
+		// lease): the store copies them into the new version.
+		if err := ss.sess.Put(req.Key, req.Value); err != nil {
 			return fdError(req.ID, err)
 		}
 		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: req.ID}

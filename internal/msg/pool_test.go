@@ -11,7 +11,7 @@ import (
 // still holds it — and release n+1 panics.
 func TestReplicateBatchRefs(t *testing.T) {
 	const links = 3
-	v := item.New(2)
+	v := item.New(2, "", nil)
 	b := NewReplicateBatch(links)
 	b.Versions = append(b.Versions, v, v)
 	vs := b.Versions
@@ -58,7 +58,7 @@ func TestHeartbeatRefs(t *testing.T) {
 // TestUnpooledReleaseIsNoop: a decoder-lent or literal message is nobody's to
 // recycle — Release leaves it intact however often it is called.
 func TestUnpooledReleaseIsNoop(t *testing.T) {
-	v := item.New(2)
+	v := item.New(2, "", nil)
 	var dec struct { // the TCP decoder lends messages it holds by value
 		batch ReplicateBatch
 		hb    Heartbeat

@@ -17,7 +17,7 @@ func TestLentReleasedAfterHandler(t *testing.T) {
 	n := netemu.New(netemu.Config{})
 	defer n.Close()
 	src := n.Register(netemu.NodeID{DC: 0}, nil)
-	v := item.New(2)
+	v := item.New(2, "", nil)
 	type seen struct {
 		refs     int32
 		versions int

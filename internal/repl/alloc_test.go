@@ -44,7 +44,7 @@ func TestReplicationFlushAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(false)
-	v := item.New(3)
+	v := item.New(3, "", nil)
 	tick := func() {
 		b, h := batches.Load(), beats.Load()
 		if _, err := m.Publish(v); err != nil {

@@ -173,9 +173,10 @@ func (r *Manager) retireLink(dc int) {
 // was decided — are dropped from storage, and if this node's prefix is
 // still short of the final, gap-fill catch-up rounds are started on the
 // surviving links (every live sibling re-ships departed-origin history it
-// holds, see serveCatchUp). With no recorded final (a legacy graceful leave
-// whose notice carried it out of band) there is nothing to reconcile
-// against, so only the link teardown in applyView applies.
+// holds, see serveCatchUp). A final of 0 means that no one holds anything
+// the departed DC sent — a leaver that never wrote, or a forced removal no
+// survivor attested an entry for — so there is nothing to drop or fill, and
+// only the link teardown in applyView applies.
 func (r *Manager) sealDeparted(dc int, final vclock.Timestamp) {
 	if final == 0 {
 		return
@@ -290,8 +291,13 @@ func (r *Manager) maybeFinishJoin() {
 
 // Leave announces this node's departure: the buffered tail is flushed and a
 // LeaveNotice carrying the final timestamp follows it on the same FIFO
-// links, so every receiver holds the leaver's complete history when the
-// notice arrives. The notice is this node's last word — the fan-out is
+// links. A receiver whose link from this node is synced (active) holds the
+// leaver's complete history when the notice arrives, and raises its entry to
+// the final. One whose link is catching up does not: the notice raises
+// nothing over its hole, and it gap-fills from the other survivors, which
+// may lack the same history. Leave waits for no survivor to hold the final,
+// so when no survivor's link is synced, writes acknowledged here can be lost
+// (ROADMAP arc 15). The notice is this node's last word — the fan-out is
 // emptied and new writes are refused under the same critical section, so
 // nothing (no batch, no heartbeat, no acked-but-unreplicated write) can
 // postdate it. It returns the announced final timestamp.

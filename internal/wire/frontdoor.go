@@ -235,25 +235,21 @@ func DecodeFrontDoorRequest(frame []byte) (FrontDoorRequest, error) {
 	return r, f.finish()
 }
 
-// Detach makes the request independent of the frame it was decoded from:
-// every byte that aliases the frame moves into one allocation — a PUT's key
-// and value share the stored version's lifetime, as the versions of a decoded
-// replication batch share one copy — after which the frame may be reused. A
-// request that carries no bytes (PING, STATS) allocates nothing.
+// Detach moves the bytes the server keeps past execution out of the frame
+// they were decoded from — an RO-TX's keys and an admin line, into one
+// allocation — after which the frame may be reused. Key and Value stay in
+// the frame: the requests that carry them, GET and PUT, borrow it instead (a
+// PUT's key and value are copied into the stored version by item.New). A
+// request without keys or a line (PING, STATS) detaches for free.
 func (r *FrontDoorRequest) Detach() {
-	n := len(r.Key) + len(r.Value) + len(r.Line)
+	n := len(r.Line)
 	for _, k := range r.Keys {
 		n += len(k)
 	}
 	own := make([]byte, 0, n)
-	own, r.Key = detachString(own, r.Key)
 	own, r.Line = detachString(own, r.Line)
 	for i, k := range r.Keys {
 		own, r.Keys[i] = detachString(own, k)
-	}
-	if r.Value != nil { // nil and empty stay distinct
-		own = append(own, r.Value...)
-		r.Value = own[len(own)-len(r.Value) : len(own) : len(own)]
 	}
 }
 

@@ -563,13 +563,9 @@ func (s *Session) DC() int { return s.dc }
 func (s *Session) Get(key string) ([]byte, error) { return s.inner.Get(key) }
 
 // Put assigns value to key, creating a new version that causally depends on
-// everything the session has read and written.
+// everything the session has read and written. The store copies key and
+// value, so the caller may reuse both as soon as Put returns.
 func (s *Session) Put(key string, value []byte) error { return s.inner.Put(key, value) }
-
-// PutOwned is Put without the defensive copy of value: the store keeps the
-// slice itself, so the caller must never modify it afterwards. The serving
-// path uses it for values it has already copied off the wire.
-func (s *Session) PutOwned(key string, value []byte) error { return s.inner.PutOwned(key, value) }
 
 // ROTx reads keys atomically from a causally consistent snapshot. Missing
 // keys map to nil values.
