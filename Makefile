@@ -33,6 +33,9 @@ all: check
 # A flush and an idle heartbeat draw their messages from msg's pools, one
 # reference per target link: a &msg.ReplicateBatch{ or &msg.Heartbeat{
 # literal in non-test Go under internal/repl fails the step.
+# A DC departs through one round, graceful or forced (internal/repl/evict.go):
+# LeaveNotice, the retired leave protocol, in the root module's Go, tests
+# included, fails the step.
 # Every request the replication plane retries waits through one backoff,
 # repl.Manager.nextWait, next to the cap it doubles up to: maxReRequestInterval
 # in non-test Go of the root module outside internal/repl/repl.go fails the
@@ -49,6 +52,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude='*_test.go' -E '&msg\.(ReplicateBatch|Heartbeat)\{' internal/repl
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'maxReRequestInterval' . | grep -v '^\./internal/repl/repl\.go:'
 	@! grep -rn --include='*.go' --exclude-dir=bench 'PutOwned' .
+	@! grep -rn --include='*.go' --exclude-dir=bench 'LeaveNotice' .
 
 build:
 	$(GO) build ./...
@@ -58,7 +62,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17330
+LOC_CEILING = 17320
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -130,8 +134,9 @@ define RACE_ROWS
 # retiring link write the table (TestHoldbackConcurrentClamp).
 -run 'CatchUp|Holdback|ClampGC' ./internal/repl/... ./internal/cluster/...
 # Dynamic membership: DC joins bootstrapped by catch-up under a live
-# causally-checked workload, graceful leaves (one overtaking a catch-up round,
-# whose hole the survivors fill), the stabilization gate.
+# causally-checked workload, graceful leaves (the departure round: one during
+# a catch-up round, one that no survivor had synced, whose history the leaver
+# serves until each holds it), the stabilization gate.
 -run 'Membership|Join|Leave' ./internal/repl/... ./internal/cluster/... .
 # Elastic resharding: slot-table epochs, live splits and slot moves under a
 # checked workload (drain-then-flip, WAL bootstrap of the new owner, client

@@ -202,23 +202,24 @@
 // — the lock-free hot path cannot repoint its atomic vectors) and durable
 // storage, AddDataCenter grows a running deployment, WaitForJoin blocks
 // until the joiner has bootstrapped every link through catch-up and
-// announced itself Active, and RemoveDataCenter retires a DC behind a final
-// flush; a departed DC's id is never reused. internal/repl/membership.go
-// argues the view lattice, the join and the leave. The kvserver JOIN/LEAVE
-// admin commands (which poccshell forwards like any other line) and pocckv
+// announced itself Active (internal/repl/membership.go argues the view
+// lattice and the join), and a DC departs through one round
+// (internal/repl/evict.go): the survivors attest how much of its history
+// each holds, and a verdict freezes it at a final an attesting survivor
+// provably holds. RemoveDataCenter is the graceful case: the leaver refuses
+// writes, proposes its last timestamp as the final and serves catch-up until
+// every survivor holds its history through it (a timeout leaves it serving;
+// calling again resumes). ForceRemoveDataCenter evicts a crashed DC, which
+// would otherwise freeze the survivors' stable snapshot on its entry: they
+// agree on the maximum attested entry as its final, discard what lies above
+// and re-ship each other what lies below; sessions that read a discarded
+// version are re-initialized. So an acknowledged write is lost in two ways
+// only: a forced removal loses what lay above the attested maximum, and a
+// machine crash under AckGrouped loses at most its staging window (NoSync
+// opts out of durability altogether). A departed DC's id is never reused.
+// The kvserver JOIN/LEAVE/EVICT admin commands (which poccshell forwards
+// like any other line; its kill crashes a DC first) and pocckv
 // -max-dcs/-join expose the same operations.
-//
-// # Forced removal of a crashed data center
-//
-// A whole DC that crashes announces nothing, and the survivors' stable
-// snapshot would freeze on its entry forever. ForceRemoveDataCenter evicts
-// it: the survivors attest how much of its history each holds, agree on the
-// maximum as its final, discard what lies above and re-ship each other what
-// lies below (internal/repl/evict.go has the round and its consistency
-// argument). Sessions that read a now-discarded suffix version are
-// re-initialized rather than served an impossible dependency. Exposed as
-// cluster.ForceRemoveDC, occ.Store.ForceRemoveDataCenter and the kvserver
-// EVICT command; poccshell forwards EVICT and has kill to crash the DC first.
 //
 // # Catch-up- and membership-aware garbage collection
 //

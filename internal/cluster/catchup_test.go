@@ -309,11 +309,11 @@ func TestCatchUpCountersSurviveRestart(t *testing.T) {
 }
 
 // TestLeaveDuringCatchUpFillsFromSurvivors: a DC departs while a sibling's
-// link from it is catching up. The leave notice must not raise the
-// sibling's entry over the hole the round was fetching — the round is
-// cancelled, nobody is left to answer it — so the hole is filled from the
-// surviving DC, whose Departed claim then raises the entry. Every version
-// the leaver wrote lands on both survivors.
+// link from it is catching up. The leave waits until that sibling's round
+// has fetched the hole — or, if the sibling's entry reaches the final some
+// other way first, the hole is filled from the surviving DC, whose Departed
+// claim raises the entry. Either way every version the leaver wrote lands on
+// both survivors.
 func TestLeaveDuringCatchUpFillsFromSurvivors(t *testing.T) {
 	const keys = 20
 	c := newCluster(t, Config{
@@ -352,7 +352,7 @@ func TestLeaveDuringCatchUpFillsFromSurvivors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The heartbeats arriving after the heal show dc0 the hole and open a
-	// round toward dc1; the leave overtakes its answer.
+	// round toward dc1; the leave starts while it is in flight.
 	time.Sleep(2 * time.Millisecond)
 	if err := c.RemoveDC(1); err != nil {
 		t.Fatal(err)
@@ -370,6 +370,58 @@ func TestLeaveDuringCatchUpFillsFromSurvivors(t *testing.T) {
 	if !waitUntil(t, 10*time.Second, func() bool { return missing() == 0 }) {
 		t.Fatalf("dc0 lacks %d of dc2's %d heads written by the departed dc1 (VV %v, catch-up stats %+v)",
 			missing(), keys, c.Server(0, 0).VV(), c.ReplicationStats())
+	}
+}
+
+// TestLeaveKeepsAckedWritesNoSurvivorSynced: a DC departs while neither
+// survivor holds its last writes — both dropped its batches, and the leave
+// follows the heal before any heartbeat can expose the hole. Nobody else can
+// fill it, so the leaver must stay until each survivor has fetched its
+// history: every write it acknowledged lands on both survivors.
+func TestLeaveKeepsAckedWritesNoSurvivorSynced(t *testing.T) {
+	const keys = 20
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 1, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           UniformLatency(50*time.Microsecond, 5*time.Millisecond),
+		DataDir:           t.TempDir(),
+		Seed:              4343,
+	})
+	survivors := []int{0, 2}
+	drop := func(on bool) {
+		for _, dc := range survivors {
+			if err := c.DropInboundReplication(dc, 0, on); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drop(true)
+	sess, err := c.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := sess.Put(fmt.Sprintf("leaver-%d", i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	drop(false)
+	time.Sleep(2 * time.Millisecond)
+	if err := c.RemoveDC(1); err != nil {
+		t.Fatal(err)
+	}
+	holds := func(dc int) (n int) {
+		for i := 0; i < keys; i++ {
+			if c.Server(dc, 0).Store().Head(fmt.Sprintf("leaver-%d", i)) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return holds(0) == keys && holds(2) == keys }) {
+		t.Fatalf("dc0 holds %d, dc2 holds %d of %d acknowledged writes (VV[1] %d, %d; catch-up stats %+v)",
+			holds(0), holds(2), keys, c.Server(0, 0).VV().Get(1), c.Server(2, 0).VV().Get(1), c.ReplicationStats())
 	}
 }
 

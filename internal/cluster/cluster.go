@@ -216,9 +216,9 @@ type Cluster struct {
 	memberMu sync.Mutex
 	status   []uint8 // per-DC membership status (msg.DC*), len maxDCs
 	epoch    uint64  // membership view epoch handed to new/restarted servers
-	// finals records, for each forcibly removed DC, the per-partition final
-	// timestamp the survivors agreed on, so restarted servers are seeded with
-	// the freeze (and re-apply the purge on recovery).
+	// finals records, for each departed DC, the per-partition final
+	// timestamp its departure round settled, so restarted servers are seeded
+	// with the freeze (and re-apply the purge on recovery).
 	finals   map[int][]vclock.Timestamp
 	tcpNodes []*tcpnet.Node           // nil in emulated mode
 	tcpDir   map[netemu.NodeID]string // TCP address directory (TCP mode)

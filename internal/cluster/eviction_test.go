@@ -281,7 +281,9 @@ func TestForcedRemovalValidation(t *testing.T) {
 // TestJoinTimeoutUnwindsCleanly: a joiner that cannot complete its bootstrap
 // (its inbound links are severed) gives up after JoinTimeout, and
 // WaitForJoin tears the half-joined DC down: servers gone, slot burned, the
-// rest of the deployment unaffected.
+// rest of the deployment unaffected. The joiner cannot hear the survivors'
+// acks, so its leave times out and the survivors evict it instead: their
+// views mark it Left.
 func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 	c := newCluster(t, Config{
 		NumDCs: 2, NumPartitions: 2, MaxDCs: 3, Engine: POCC,
@@ -315,6 +317,18 @@ func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 	}
 	if got := c.Membership().Status[joiner]; got != msg.DCLeft {
 		t.Fatalf("unwound joiner status = %d, want Left (slot burned)", got)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool {
+		for dc := 0; dc < 2; dc++ {
+			for p := 0; p < 2; p++ {
+				if c.Server(dc, p).Repl().View().Get(joiner) != msg.DCLeft {
+					return false
+				}
+			}
+		}
+		return true
+	}) {
+		t.Fatal("a survivor's view never marked the unwound joiner Left")
 	}
 	// The seed members are unaffected.
 	s, err := c.NewSession(0)

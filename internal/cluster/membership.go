@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -27,12 +28,13 @@ import (
 // reused.
 func (c *Cluster) AddDC() (int, error) {
 	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
 	if c.cfg.DataDir == "" {
+		c.memberMu.Unlock()
 		return 0, errors.New("cluster: AddDC requires Config.DataDir (joiners bootstrap from the siblings' WALs)")
 	}
 	dc := int(c.dcs.Load())
 	if dc >= c.maxDCs {
+		c.memberMu.Unlock()
 		return 0, fmt.Errorf("cluster: no MaxDCs headroom left (capacity %d used up)", c.maxDCs)
 	}
 	// Register the new DC's nodes before any server — ours or a sibling
@@ -42,6 +44,7 @@ func (c *Cluster) AddDC() (int, error) {
 		ids[p] = netemu.NodeID{DC: dc, Partition: p}
 	}
 	if err := c.registerNodes(ids, rand.New(rand.NewPCG(c.cfg.Seed, 0xadd<<16|uint64(dc)))); err != nil {
+		c.memberMu.Unlock()
 		return 0, fmt.Errorf("cluster: join dc%d: %w", dc, err)
 	}
 	c.epoch++
@@ -50,21 +53,12 @@ func (c *Cluster) AddDC() (int, error) {
 	for p := 0; p < c.numParts(); p++ {
 		srv, err := core.NewServer(c.serverConfigLocked(dc, p, true))
 		if err != nil {
-			// Unwind the half-started DC: the servers already running
-			// announce their departure (so siblings that merged the join
-			// drop the dead links) and close; the id stays burned.
-			for q := 0; q < p; q++ {
-				if started := c.nodes[dc][q].swap(nil); started != nil {
-					started.Repl().Leave()
-					started.Close()
-				}
-			}
-			c.status[dc] = msg.DCLeft
-			c.epoch++
-			return 0, fmt.Errorf("cluster: join dc%d-p%d: %w", dc, p, err)
+			c.memberMu.Unlock()
+			return 0, c.unwindJoin(dc, fmt.Errorf("cluster: join dc%d-p%d: %w", dc, p, err))
 		}
 		c.nodes[dc][p].srv.Store(srv)
 	}
+	c.memberMu.Unlock()
 	return dc, nil
 }
 
@@ -73,9 +67,8 @@ func (c *Cluster) AddDC() (int, error) {
 // Active — or the timeout expires. On success the admin-side membership
 // mirror is promoted too, so servers restarted later start from the settled
 // view. If a server gave up soliciting (Config.JoinTimeout elapsed before
-// the bootstrap completed), the half-joined DC is torn down cleanly — its
-// servers announce their departure and close, the slot's id stays burned —
-// and WaitForJoin reports the failure.
+// the bootstrap completed), the half-joined DC is torn down (unwindJoin) and
+// WaitForJoin reports the failure.
 func (c *Cluster) WaitForJoin(dc int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -83,8 +76,7 @@ func (c *Cluster) WaitForJoin(dc int, timeout time.Duration) error {
 		for p := 0; p < c.numParts(); p++ {
 			srv := c.Server(dc, p)
 			if srv != nil && srv.Repl().JoinFailed() {
-				c.unwindJoin(dc)
-				return fmt.Errorf("cluster: dc%d gave up joining (JoinTimeout %v); torn down", dc, c.cfg.JoinTimeout)
+				return c.unwindJoin(dc, fmt.Errorf("cluster: dc%d gave up joining (JoinTimeout %v); torn down", dc, c.cfg.JoinTimeout))
 			}
 			if srv == nil || !srv.Repl().Bootstrapped() {
 				done = false
@@ -108,14 +100,18 @@ func (c *Cluster) WaitForJoin(dc int, timeout time.Duration) error {
 	}
 }
 
-// unwindJoin tears a half-joined DC down: every still-running server
-// announces its departure (so siblings that merged the join drop the dead
-// links) and closes, and the mirror marks the slot Left for good.
-func (c *Cluster) unwindJoin(dc int) {
-	for p := 0; p < c.numParts(); p++ {
-		if srv := c.nodes[dc][p].swap(nil); srv != nil {
-			srv.Repl().Leave()
-			srv.Close()
+// unwindJoin tears a half-joined DC down for cause, which it returns; the
+// id stays burned. Each running server leaves, waiting up to
+// Config.JoinTimeout (5 s when unset) for every active survivor to hold what
+// it acknowledged, and closes. If a leave times out (a joiner that cannot
+// hear the survivors, the usual reason a join fails), the survivors evict
+// the DC instead. Called without memberMu held.
+func (c *Cluster) unwindJoin(dc int, cause error) error {
+	_, err := c.leaveDC(dc, c.cfg.JoinTimeout)
+	c.closeDC(dc)
+	if err != nil {
+		if err = c.ForceRemoveDC(dc, 0); err != nil {
+			cause = fmt.Errorf("%w; evicting it: %v", cause, err)
 		}
 	}
 	c.memberMu.Lock()
@@ -124,17 +120,48 @@ func (c *Cluster) unwindJoin(dc int) {
 		c.epoch++
 	}
 	c.memberMu.Unlock()
+	return cause
 }
 
-// RemoveDC removes a data center from the deployment. Each of its partition
-// servers announces the departure — flushing its replication buffer and
-// following it with a LeaveNotice on the same FIFO links, so the surviving
-// DCs hold the departed history in full and freeze its version-vector
-// entries at the announced final timestamps — and is then closed. The slot
-// is retired for good: its id is never reused (its timestamps live on in
-// the survivors' stores), sessions pinned to it fail their next operation,
-// and stabilization on the survivors keeps advancing because nothing can
-// depend on the departed DC beyond its final timestamp.
+// leaveDC runs every running partition server of dc through its leave
+// (repl.Manager.Leave) and returns the finals by partition. An error names
+// each partition whose leave failed and, on a timeout, the survivors short.
+func (c *Cluster) leaveDC(dc int, timeout time.Duration) ([]vclock.Timestamp, error) {
+	finals := make([]vclock.Timestamp, c.numParts())
+	var short []string // one line: the text protocol answers an error on one
+	for p := range finals {
+		if srv := c.Server(dc, p); srv != nil { // nil: a half-started join slot
+			var err error
+			if finals[p], err = srv.Repl().Leave(timeout); err != nil {
+				short = append(short, fmt.Sprintf("partition %d: %v", p, err))
+			}
+		}
+	}
+	if short != nil {
+		return finals, fmt.Errorf("cluster: leave of dc%d: %s", dc, strings.Join(short, "; "))
+	}
+	return finals, nil
+}
+
+// closeDC removes every partition server of dc from the matrix and closes it.
+func (c *Cluster) closeDC(dc int) {
+	for p := 0; p < c.numParts(); p++ {
+		if srv := c.nodes[dc][p].swap(nil); srv != nil {
+			srv.Close()
+		}
+	}
+}
+
+// RemoveDC removes a data center gracefully. Each of its partition servers
+// leaves (repl.Manager.Leave): it stops taking writes, flushes its tail and
+// serves the survivors' catch-up rounds until every active survivor holds
+// its history through its final timestamp, where they freeze its entry; only
+// then is it closed. The slot is retired for good: its id is never reused,
+// sessions pinned to it fail their next operation, and stabilization on the
+// survivors keeps advancing, as nothing can depend on the departed DC beyond
+// its finals. If a leave times out, the error names the partition and the
+// survivors short of its final; the servers stay up (serving catch-up,
+// refusing writes) and the DC is not marked Left, so calling again resumes.
 func (c *Cluster) RemoveDC(dc int) error {
 	c.memberMu.Lock()
 	if dc < 0 || dc >= int(c.dcs.Load()) {
@@ -151,21 +178,18 @@ func (c *Cluster) RemoveDC(dc int) error {
 			live++
 		}
 	}
+	c.memberMu.Unlock()
 	if live <= 1 {
-		c.memberMu.Unlock()
 		return errors.New("cluster: cannot remove the last data center")
 	}
-	c.status[dc] = msg.DCLeft
-	c.epoch++
-	c.memberMu.Unlock()
-	for p := 0; p < c.numParts(); p++ {
-		srv := c.nodes[dc][p].swap(nil)
-		if srv == nil {
-			continue // half-started join slot; nothing ever ran here
-		}
-		srv.Repl().Leave()
-		srv.Close()
+	finals, err := c.leaveDC(dc, 0)
+	if err != nil {
+		return err
 	}
+	c.closeDC(dc)
+	c.memberMu.Lock()
+	c.recordFinalsLocked(dc, finals)
+	c.memberMu.Unlock()
 	return nil
 }
 
@@ -262,16 +286,22 @@ func (c *Cluster) ForceRemoveDC(dead int, timeout time.Duration) error {
 		finals[p] = f
 	}
 	c.memberMu.Lock()
+	c.recordFinalsLocked(dead, finals)
+	c.memberMu.Unlock()
+	return nil
+}
+
+// recordFinalsLocked marks dc Left in the membership mirror with its
+// per-partition finals. Called with memberMu held.
+func (c *Cluster) recordFinalsLocked(dc int, finals []vclock.Timestamp) {
 	if c.finals == nil {
 		c.finals = make(map[int][]vclock.Timestamp)
 	}
-	c.finals[dead] = finals
-	if c.status[dead] != msg.DCLeft {
-		c.status[dead] = msg.DCLeft
+	c.finals[dc] = finals
+	if c.status[dc] != msg.DCLeft {
+		c.status[dc] = msg.DCLeft
 		c.epoch++
 	}
-	c.memberMu.Unlock()
-	return nil
 }
 
 // Membership returns the admin-side membership mirror. The authoritative

@@ -177,8 +177,8 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 
 // TestMembershipLeave shrinks a deployment under load: a DC with live
 // history departs gracefully mid-workload. The survivors must hold its
-// complete history (the final flush precedes the LeaveNotice on the same
-// FIFO links), keep serving the checked workload, and — the part the paper's
+// complete history (the leave returns only once each attests the leaver's
+// final), keep serving the checked workload, and — the part the paper's
 // stabilization protocol makes delicate — keep advancing the GSS: a departed
 // DC's frozen vector entry must not stall stable visibility.
 func TestMembershipLeave(t *testing.T) {
@@ -252,7 +252,7 @@ func TestMembershipLeave(t *testing.T) {
 		t.Error(v)
 	}
 
-	// The survivors' views must mark dc2 departed (the notices may still be
+	// The survivors' views must mark dc2 departed (the verdicts may still be
 	// in flight when the workload drains), and its slot is gone.
 	if !waitUntil(t, 5*time.Second, func() bool {
 		for dc := 0; dc < 2; dc++ {

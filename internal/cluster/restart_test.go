@@ -40,7 +40,7 @@ func TestRelayPausesOnlySameDCRequests(t *testing.T) {
 			}
 		}
 	}
-	if paused != 4 || len(all) < 16 {
-		t.Fatalf("%d wire types found (16 when this was written), %d of them paused (want 4)", len(all), paused)
+	if paused != 4 || len(all) < 15 {
+		t.Fatalf("%d wire types found (15 when this was written), %d of them paused (want 4)", len(all), paused)
 	}
 }

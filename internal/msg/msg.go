@@ -217,7 +217,7 @@ const (
 	// DCActive marks a fully synchronized member.
 	DCActive
 	// DCLeft marks a departed member. Its version-vector entries freeze at
-	// the final timestamp it announced (LeaveNotice.Final).
+	// the final its departure round settled (Membership.Final).
 	DCLeft
 )
 
@@ -229,8 +229,9 @@ const (
 // changes a single admin drives while the entry-wise lattice merge keeps
 // concurrent changes convergent.
 // Final records, per DC id, the final timestamp a departed (DCLeft) member
-// was frozen at: a graceful leaver announces its own (LeaveNotice.Final), a
-// forcibly evicted DC gets the value the survivors agreed on (repl's ProposeEvict).
+// was frozen at: a graceful leaver's own last timestamp, which every
+// survivor attested before the verdict (EvictProposal.Final), or for a
+// forcibly evicted DC the value the survivors agreed on (repl's ProposeEvict).
 // Entries merge by numeric maximum alongside the statuses, so the view
 // carries the freeze point wherever it travels; zero means "not known /
 // no cap". Entries for non-departed DCs are meaningless and stay zero.
@@ -340,42 +341,32 @@ type JoinRequest struct {
 
 // MembershipUpdate carries a view to be folded in by the lattice merge: a
 // joiner announcing itself DCActive once every inbound link has bootstrapped,
-// a sibling's answer to a JoinRequest, or the verdict of a forced removal —
-// the evicted DC recorded DCLeft with the final the survivors agreed on. What
-// a receiver does on learning of a departure is repl's applyView.
+// a sibling's answer to a JoinRequest, or the verdict of a departure round —
+// the departed DC recorded DCLeft with the final the survivors attested.
+// What a receiver does on learning of a departure is repl's applyView.
 type MembershipUpdate struct {
 	View Membership
 }
 
-// LeaveNotice is a departing DC's final word on a replication link. It is
-// sent after the sender's last flush on the same FIFO link, so by the time
-// it arrives the receiver holds every version the leaver originated — and
-// none of them exceeds Final. Receivers freeze the leaver's version-vector
-// entry at Final, cancel any catch-up round pending on the link (nobody is
-// left to answer it), and drop the DC from their fan-out.
-type LeaveNotice struct {
-	DC    int
-	Final vclock.Timestamp
-	View  Membership
-}
-
-// EvictProposal opens a forced-removal round for a *crashed* DC: a proposer
-// (one surviving server per partition, usually driven by an administrator's
-// ForceRemoveDC) asks every surviving sibling to report how much of the dead
-// DC's history it provably holds. Unlike a graceful leave there is no final
-// flush to trust — the survivors must agree on the freeze point themselves.
-// ReqID identifies the round; proposals are re-sent with backoff until every
+// EvictProposal opens a departure round: the proposer asks every surviving
+// sibling how much of the departing DC's history it provably holds. A
+// leaver proposes itself with Final, its last timestamp (> 0), which a
+// survivor short of it fetches from the leaver; a survivor proposes a
+// crashed DC with Final 0, whose final the survivors agree on. ReqID
+// identifies the round; proposals are re-sent with backoff until every
 // survivor has acknowledged, and acknowledging is idempotent.
 type EvictProposal struct {
 	DC    int
 	ReqID uint64
+	Final vclock.Timestamp
 	View  Membership
 }
 
 // EvictAck answers an EvictProposal: Entry is the responder's version-vector
-// entry for the DC being evicted — the timestamp through which its received
-// prefix from that DC is gap-free and complete. The proposer takes the
-// maximum over all acks (and its own entry) as the agreed final timestamp.
+// entry for the departing DC — the timestamp through which its received
+// prefix from that DC is gap-free and complete. An evicting proposer takes
+// the maximum over all acks (and its own entry) as the agreed final; a
+// leaver counts only an Entry at or above its Final.
 type EvictAck struct {
 	DC    int
 	ReqID uint64

@@ -1,41 +1,47 @@
-// Forced removal: the coordination round that evicts a crashed DC.
+// Departure: the one round that removes a DC, graceful or forced.
 //
-// A crashed DC never sends a LeaveNotice, so the survivors' GSS freezes at
-// its last heartbeat and stays there. ProposeEvict runs the coordination
-// round that unblocks them: the proposer broadcasts msg.EvictProposal to
-// every active survivor, each answers msg.EvictAck carrying its
-// version-vector entry for the dead DC — a prefix-complete "I hold
-// everything it originated through t" claim — and the agreed final is the
-// maximum of those entries. The proposer freezes the view (Status Left,
-// Final recorded in the membership lattice) and broadcasts the view, the
-// verdict, as a msg.MembershipUpdate.
+// A proposer — the leaver itself (Leave), or a survivor for a crashed DC
+// (ProposeEvict) — sends msg.EvictProposal to every active survivor, and
+// each answers msg.EvictAck with its version-vector entry for the departing
+// DC: a prefix-complete "I hold everything it originated through t" claim.
+// Once every survivor has answered, the proposer freezes the view (Status
+// Left, the final in the membership lattice) and broadcasts it, the verdict,
+// as a msg.MembershipUpdate. Proposals are re-sent, each wait the plane's
+// backoff (nextWait), until every awaited ack is in or the timeout elapses.
 //
-// Unlike a graceful leave's notice, the verdict does not ride the departed
-// DC's own FIFO links, so a receiver may hold versions *beyond* the final
-// (applied optimistically from the dead DC's last, un-agreed flush) or may be
-// *behind* it. Both sides are reconciled at the merge: versions above the
-// final are dropped from storage (Backend.DropAbove — they were replicated
-// to nobody provably, so keeping them is unreplicatable divergence), and a
-// receiver below the final gap-fills through ordinary catch-up rounds on
-// the surviving links. Every msg.CatchUpRequest carries the requester's
-// full version vector (Have), and the server streams — besides its own
-// history — every departed-origin version the requester lacks up to the
-// agreed final, bounding each claim in the Done chunk's Departed list. The
-// same mechanism re-ships a departed DC's history to joiners that arrive
-// after it left.
+// The two differ only in who knows the final. A crashed DC cannot say: the
+// survivors agree on the maximum attested entry, each freezing its entry at
+// the attested point until the verdict (a gap-free straggler must not lift
+// it past a claim already sent). A leaver knows: it refuses writes, flushes
+// its tail and proposes its last timestamp (Final > 0). A survivor short of
+// it opens a catch-up round toward the leaver — the tail batch may have been
+// lost, and no heartbeat follows to expose the hole — and the leaver counts
+// only acks at or above the final, serving catch-up until the verdict. So a
+// leave loses nothing unless the leaver crashes first, and then it is a
+// forced removal.
 //
-// The consistency argument is the leave argument with the attested maximum
-// substituted for the announced final: below the agreed final the surviving
-// history is provably prefix-complete, above it the suffix existed only on
-// the dead machine — the same loss a client sees when its coordinator dies
-// before replicating, surfaced as a membership event instead of silent
-// divergence.
+// A receiver of the verdict may hold versions beyond the final (applied
+// optimistically from a dead DC's un-agreed flush) or be behind it (a DC
+// that was not asked). Both are reconciled at the merge: versions above the
+// final are dropped (Backend.DropAbove — replicated to nobody provably), and
+// a receiver below it gap-fills through catch-up rounds on the surviving
+// links: every msg.CatchUpRequest carries the requester's version vector
+// (Have), and the server also streams the departed-origin history it lacks
+// up to the final, bounded by a claim in the Done chunk's Departed list —
+// which is also how joiners get the history of DCs that left before them.
+//
+// Below the final the surviving history is provably prefix-complete at an
+// attesting survivor. Above it nothing exists after a leave; after a forced
+// removal the suffix existed only on the dead machine — a coordinator dying
+// before it replicates, surfaced as a membership event, not divergence.
 
 package repl
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/msg"
@@ -43,10 +49,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// evictRound is one forced-removal coordination round in progress: the
-// proposer waits for an EvictAck from every survivor in need, folding the
-// acked version-vector entries into the agreed final.
-type evictRound struct {
+// departRound is one departure round in progress: the proposer waits for an
+// EvictAck from every survivor in need. An eviction folds the acked entries
+// into the agreed final; a leave's final is fixed, and an ack below it is
+// not counted.
+type departRound struct {
 	dc    int
 	reqID uint64
 	need  map[int]bool
@@ -54,17 +61,14 @@ type evictRound struct {
 	done  chan struct{}
 }
 
-// ProposeEvict runs the forced-removal round for a crashed DC: every active
-// survivor is asked to attest its version-vector entry for the dead DC (a
-// prefix-complete "I hold everything it originated through t" claim), and
+// ProposeEvict runs the departure round for a crashed DC: every active
+// survivor is asked to attest its version-vector entry for the dead DC, and
 // the agreed final is the maximum attestation — every version at or below
 // it provably survives at the attesting survivor, and everything above it
-// was acknowledged by nobody. On agreement the proposer freezes the view
-// (Status Left, final recorded in the lattice), reconciles its own state
-// (sealDeparted), and broadcasts the view (msg.MembershipUpdate) so the
-// survivors do the same. Proposals are re-sent, each wait the plane's
-// backoff (nextWait), until every ack arrives or the timeout elapses;
-// evicting an already-departed DC returns its recorded final immediately.
+// was acknowledged by nobody. On agreement the proposer adopts the verdict
+// (reconciling its own state, sealDeparted) and broadcasts it so the
+// survivors do the same; evicting an already-departed DC returns its
+// recorded final immediately. timeout <= 0 selects 5 s.
 //
 // Only one round may run per manager at a time. Concurrent proposers (split
 // views) are safe: finals merge by maximum in the membership lattice and
@@ -76,64 +80,70 @@ func (r *Manager) ProposeEvict(dead int, timeout time.Duration) (vclock.Timestam
 	if dead == r.m {
 		return 0, errors.New("repl: a DC cannot propose its own eviction")
 	}
+	return r.depart(dead, 0, timeout)
+}
+
+// depart runs the departure round for dc: a leave when dc is this node's own
+// DC, with final its last timestamp, or an eviction, which passes final 0
+// and agrees on the maximum attested entry. It returns the final once the
+// verdict is adopted and sent.
+func (r *Manager) depart(dc int, final vclock.Timestamp, timeout time.Duration) (vclock.Timestamp, error) {
 	if r.stopped.Load() {
 		return 0, errors.New("repl: manager stopped")
 	}
-	if final, left := r.leftFinal(dead); left {
-		return final, nil
+	if f, left := r.leftFinal(dc); left {
+		return f, nil
 	}
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-
-	// Freeze and attest the proposer's own entry first, exactly like an
-	// acking survivor: the agreed final must not fall below an entry any
-	// participant keeps raising during the round.
-	st := r.in[dead]
-	st.mu.Lock()
-	entry := r.be.VVEntry(dead)
-	st.evictCap = entry
-	st.evictCapUntil = time.Now().Add(evictFreezeGrace)
-	st.mu.Unlock()
-
-	r.viewMu.Lock()
-	view := r.view.Clone()
-	r.viewMu.Unlock()
+	// A leaver's view still marks it Active: a survivor that saw it Left
+	// would retire the link and cancel the very round that fetches its tail.
+	view := r.View()
 	need := make(map[int]bool)
-	for dc, s := range view.Status {
-		if dc != r.m && dc != dead && s == msg.DCActive {
-			need[dc] = true
+	for peer, s := range view.Status {
+		if peer != r.m && peer != dc && s == msg.DCActive {
+			need[peer] = true
 		}
 	}
-	round := &evictRound{
-		dc: dead, reqID: r.reqSeq.Add(1), need: need,
-		final: entry, done: make(chan struct{}),
+	round := &departRound{
+		dc: dc, reqID: r.reqSeq.Add(1), need: need,
+		final: final, done: make(chan struct{}),
 	}
-	r.evictMu.Lock()
-	if r.evict != nil {
-		r.evictMu.Unlock()
-		return 0, errors.New("repl: an eviction round is already in progress")
+	if dc != r.m {
+		// Freeze and attest the proposer's own entry first, exactly like an
+		// acking survivor: the agreed final must not fall below an entry any
+		// participant keeps raising during the round.
+		st := r.in[dc]
+		st.mu.Lock()
+		round.final = r.be.VVEntry(dc)
+		st.evictCap, st.evictCapUntil = round.final, time.Now().Add(evictFreezeGrace)
+		st.mu.Unlock()
 	}
-	r.evict = round
-	r.evictMu.Unlock()
+	r.departMu.Lock()
+	if r.departing != nil {
+		r.departMu.Unlock()
+		return 0, errors.New("repl: a departure round is already in progress")
+	}
+	r.departing = round
+	r.departMu.Unlock()
 	defer func() {
-		r.evictMu.Lock()
-		if r.evict == round {
-			r.evict = nil
+		r.departMu.Lock()
+		if r.departing == round {
+			r.departing = nil
 		}
-		r.evictMu.Unlock()
+		r.departMu.Unlock()
 	}()
 
-	prop := msg.EvictProposal{DC: dead, ReqID: round.reqID, View: view}
+	prop := msg.EvictProposal{DC: dc, ReqID: round.reqID, Final: final, View: view}
+	awaited := func() []int {
+		r.departMu.Lock()
+		defer r.departMu.Unlock()
+		return slices.Sorted(maps.Keys(round.need))
+	}
 	send := func() {
-		r.evictMu.Lock()
-		targets := make([]int, 0, len(round.need))
-		for dc := range round.need {
-			targets = append(targets, dc)
-		}
-		r.evictMu.Unlock()
-		for _, dc := range targets {
-			r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, prop)
+		for _, peer := range awaited() {
+			r.ep.Send(netemu.NodeID{DC: peer, Partition: r.n}, prop)
 		}
 	}
 	if len(need) > 0 {
@@ -151,7 +161,7 @@ func (r *Manager) ProposeEvict(dead int, timeout time.Duration) (vclock.Timestam
 			case <-r.stop:
 				return 0, errors.New("repl: manager stopped")
 			case <-deadline.C:
-				return 0, fmt.Errorf("repl: eviction of DC %d timed out awaiting survivor acks", dead)
+				return 0, fmt.Errorf("repl: departure of DC %d timed out awaiting DCs %v", dc, awaited())
 			case <-resend.C:
 				send()
 				backoff = r.nextWait(backoff)
@@ -159,37 +169,38 @@ func (r *Manager) ProposeEvict(dead int, timeout time.Duration) (vclock.Timestam
 			}
 		}
 	}
-	r.evictMu.Lock()
-	final := round.final
-	r.evictMu.Unlock()
+	r.departMu.Lock()
+	final = round.final
+	r.departMu.Unlock()
 
-	// Adopt the verdict and tell everyone. The broadcast rides the rebuilt
-	// fan-out (survivors and joiners; the dead DC is out of it), and the
-	// lattice-merged view travels with it so even a receiver that missed
-	// the proposal converges in one hop.
-	r.viewMu.Lock()
-	if r.view.Get(dead) != msg.DCLeft {
-		r.view.Status[dead] = msg.DCLeft
-		r.view.Epoch++
+	// Adopt the verdict and tell everyone still a member. The merge retires
+	// a leaver (writes refused, fan-out emptied) or seals an evicted DC, and
+	// the whole view travels with the verdict, so even a receiver that
+	// missed the proposal converges in one hop.
+	verdict := r.View()
+	if verdict.Get(dc) != msg.DCLeft {
+		verdict.Status[dc] = msg.DCLeft
+		verdict.Epoch++
 	}
-	r.view.SetFinal(dead, final)
-	r.rebuildTargetsLocked()
-	view = r.view.Clone()
-	r.viewMu.Unlock()
-	r.retireLink(dead)
-	r.sealDeparted(dead, final)
-	verdict := msg.MembershipUpdate{View: view}
-	for _, dc := range *r.targets.Load() {
-		r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n}, verdict)
+	verdict.SetFinal(dc, final)
+	r.applyView(verdict)
+	update := msg.MembershipUpdate{View: r.View()}
+	for peer := range update.View.Status {
+		if peer != r.m && update.View.IsMember(peer) {
+			r.ep.Send(netemu.NodeID{DC: peer, Partition: r.n}, update)
+		}
 	}
 	return final, nil
 }
 
-// handleEvictProposal attests this node's version-vector entry for the DC
-// under eviction and freezes it there until the verdict (or the freeze
-// grace) — between the ack and the verdict a gap-free straggler must not
-// push the entry past what was attested, or the agreed final could cut
-// below an already-claimed prefix.
+// handleEvictProposal attests this node's version-vector entry for the
+// departing DC. For an eviction it freezes the entry there until the verdict
+// (or the freeze grace) — between the ack and the verdict a gap-free
+// straggler must not push the entry past what was attested, or the agreed
+// final could cut below an already-claimed prefix. A leave's final is fixed,
+// so nothing is frozen; an entry short of it fetches the rest from the
+// leaver: a round opens unless one is in flight, and one in flight that has
+// gone quiet is asked again — the leaver sends no heartbeat that would.
 func (r *Manager) handleEvictProposal(src netemu.NodeID, m msg.EvictProposal) {
 	if !r.validSrc(src.DC) || m.DC < 0 || m.DC >= r.maxDCs {
 		return
@@ -198,48 +209,65 @@ func (r *Manager) handleEvictProposal(src netemu.NodeID, m msg.EvictProposal) {
 	if m.DC == r.m {
 		return // nobody attests their own eviction; the view to come is the verdict
 	}
+	left := r.statusOf(m.DC) == msg.DCLeft
 	st := r.in[m.DC]
 	st.mu.Lock()
 	entry := r.be.VVEntry(m.DC)
-	st.evictCap = entry
-	st.evictCapUntil = time.Now().Add(evictFreezeGrace)
+	switch {
+	case m.Final == 0:
+		st.evictCap = entry
+		st.evictCapUntil = time.Now().Add(evictFreezeGrace)
+	case entry >= m.Final || left: // attested, or nobody is left to ask
+	case st.state != LinkCatchingUp:
+		st.reqWait = r.reRequest
+		r.startCatchUpLocked(st, m.DC)
+	case time.Since(st.reqAt) > st.reqWait:
+		st.reqWait = r.nextWait(st.reqWait)
+		r.startCatchUpLocked(st, m.DC)
+	}
 	st.mu.Unlock()
 	r.ep.Send(src, msg.EvictAck{DC: m.DC, ReqID: m.ReqID, Entry: entry})
 }
 
 // handleEvictAck folds one survivor's attestation into the round in
-// progress; the last awaited ack completes it.
+// progress; the last awaited ack completes it. An ack short of a leaver's
+// final is not counted: the survivor stays awaited, and the next proposal
+// finds its round toward the leaver done or re-asks it.
 func (r *Manager) handleEvictAck(src netemu.NodeID, m msg.EvictAck) {
 	if !r.validSrc(src.DC) {
 		return
 	}
-	r.evictMu.Lock()
-	round := r.evict
-	if round == nil || round.dc != m.DC || round.reqID != m.ReqID || !round.need[src.DC] {
-		r.evictMu.Unlock()
+	r.departMu.Lock()
+	defer r.departMu.Unlock()
+	round := r.departing
+	if round == nil || round.dc != m.DC || round.reqID != m.ReqID || !round.need[src.DC] ||
+		(round.dc == r.m && m.Entry < round.final) {
 		return
 	}
-	delete(round.need, src.DC)
-	if m.Entry > round.final {
-		round.final = m.Entry
+	if round.dc != r.m {
+		round.final = max(round.final, m.Entry)
 	}
-	if len(round.need) == 0 {
-		close(round.done)
-	}
-	r.evictMu.Unlock()
+	round.drop(src.DC)
 }
 
-// excuseFromEvict stops the round this node is proposing, if any, from
-// awaiting dc's ack: the DC departed while the round was open (its leave
-// notice was still in flight when the proposals went out), so nobody is left
-// to answer — and whatever it held of the dead DC's history left with it.
-func (r *Manager) excuseFromEvict(dc int) {
-	r.evictMu.Lock()
-	if round := r.evict; round != nil && round.need[dc] {
-		delete(round.need, dc)
-		if len(round.need) == 0 {
-			close(round.done)
-		}
+// excuseFromDeparture stops the round this node is proposing, if any, from
+// awaiting dc's ack: the DC departed while the round was open (its own
+// verdict was still in flight when the proposals went out), so nobody is
+// left to answer — and whatever it held of the departing DC's history left
+// with it.
+func (r *Manager) excuseFromDeparture(dc int) {
+	r.departMu.Lock()
+	if round := r.departing; round != nil && round.need[dc] {
+		round.drop(dc)
 	}
-	r.evictMu.Unlock()
+	r.departMu.Unlock()
+}
+
+// drop stops awaiting dc's ack; the last one awaited completes the round.
+// Called with departMu held.
+func (d *departRound) drop(dc int) {
+	delete(d.need, dc)
+	if len(d.need) == 0 {
+		close(d.done)
+	}
 }

@@ -16,7 +16,9 @@
 //	| Active | duplicate (seq ≤ cursor) | Active | nothing |
 //	| Active | hole, or new epoch | CatchingUp | reset reqWait, open round, start chain |
 //	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > reqWait | CatchingUp | open round (Have carries the gap), double reqWait |
+//	| Idle, Active | the DC's leave proposal carries a final above VV | CatchingUp | reset reqWait, open round |
 //	| CatchingUp | sequenced message | CatchingUp | extend or restart chain; if quiet > reqWait, re-request and double reqWait |
+//	| CatchingUp | the DC's leave proposal, quiet > reqWait | CatchingUp | re-request, double reqWait |
 //	| CatchingUp | chunk of the live round | CatchingUp | apply, ack, refresh the quiet clock, count it if contiguous |
 //	| CatchingUp | Done of the live round, a chunk missing | CatchingUp | open the next round (nothing raised) |
 //	| CatchingUp | Done of the live round; no chain, or the chain connects | Active | raise Through (+ chain tip) |
@@ -284,11 +286,11 @@ func (r *Manager) filterDeparted(vs []*item.Version) []*item.Version {
 // carries when the sequence is intact; floor is the sender incarnation's
 // starting history floor.
 func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.Timestamp, isBatch bool) {
-	// A straggler from a departed DC (in flight when the notice overtook it
-	// on another link): after a graceful leave nothing it attests can exceed
-	// the announced final, and after a forced removal anything beyond the
-	// agreed final is the dead DC's un-agreed suffix — never attested, so
-	// the advance is capped there.
+	// A straggler from a departed DC (in flight when the verdict overtook
+	// it): after a graceful leave nothing it attests can exceed the final
+	// every survivor attested, and after a forced removal anything beyond
+	// the agreed final is the dead DC's un-agreed suffix — never attested,
+	// so the advance is capped there.
 	final, left := r.leftFinal(dc)
 	if left && final > 0 && adv > final {
 		adv = final

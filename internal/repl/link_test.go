@@ -162,6 +162,30 @@ func TestLinkTransitions(t *testing.T) {
 					Epoch: 2, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 500},
 				}})
 			}},
+		{name: "Active: the DC's leave proposal exceeds VV", from: active, want: LinkCatchingUp, vv: 100,
+			event: func(r linkRig, _ *testing.T) {
+				r.m.handleEvictProposal(linkSrc, msg.EvictProposal{DC: 1, ReqID: 1, Final: 400})
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				if from := r.round(t).From; from != 100 {
+					t.Errorf("round from %d, want the entry 100", from)
+				}
+			}},
+		{name: "Idle: the DC's leave proposal exceeds VV", from: idle, want: LinkCatchingUp,
+			event: func(r linkRig, _ *testing.T) {
+				r.m.handleEvictProposal(linkSrc, msg.EvictProposal{DC: 1, ReqID: 1, Final: 400})
+			}},
+		{name: "CatchingUp: a leave proposal on a quiet round re-requests", from: catchingUp, want: LinkCatchingUp, vv: 100,
+			event: func(r linkRig, _ *testing.T) {
+				r.m.handleEvictProposal(linkSrc, msg.EvictProposal{DC: 1, ReqID: 1, Final: 400})
+				r.link(1, func(st *inLink) { st.reqAt = time.Now().Add(-2 * r.m.reRequest) })
+				r.m.handleEvictProposal(linkSrc, msg.EvictProposal{DC: 1, ReqID: 1, Final: 400})
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				if n := r.rounds(); n != 2 {
+					t.Errorf("%d requests, want the open round left alone, then the quiet one re-requested", n)
+				}
+			}},
 		{name: "CatchingUp: sequenced batch extends the chain and applies", from: catchingUp, want: LinkCatchingUp, vv: 100,
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 5, 500)) },
 			also: func(r linkRig, t *testing.T, applied int) {

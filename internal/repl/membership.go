@@ -1,4 +1,4 @@
-// Membership: the view, the fan-out it drives, joins and graceful leaves.
+// Membership: the view, the fan-out it drives, and joins.
 //
 // The manager owns an epoch-stamped membership view (msg.Membership): the
 // per-DC statuses Joining → Active → Left, merged entry-wise as a lattice so
@@ -17,15 +17,11 @@
 // (Joined) — the server only then enters the stabilization protocol, so a
 // half-bootstrapped replica can never inject its partial state into the GSS.
 //
-// A leaving DC calls Leave: under the outbound lock it flushes the buffered
-// tail, then sends msg.LeaveNotice carrying its final timestamp on the same
-// FIFO links — so by the time the notice arrives, the receiver holds every
-// version the leaver originated — if the link is synced. Receivers raise
-// the departed entry to Final on a synced link only, cancel catch-up rounds
-// pending on the link (nobody is left to answer) and fill that hole from
-// the survivors instead (sealDeparted), and drop the DC from the fan-out:
-// stabilization keeps advancing on the survivors because no achievable
-// dependency can exceed Final.
+// A DC leaves through evict.go's departure round, whose verdict marks it
+// Left at its final. Merging it (applyView) retires the link (its pending
+// catch-up round is cancelled: nobody is left to answer), fills any hole
+// below the final from the survivors (sealDeparted) and drops the DC from the
+// fan-out; stabilization advances, as no dependency can exceed the final.
 
 package repl
 
@@ -75,33 +71,22 @@ func (r *Manager) leftFinal(dc int) (vclock.Timestamp, bool) {
 	return r.view.FinalOf(dc), r.view.Get(dc) == msg.DCLeft
 }
 
-// setFinal records the final timestamp of a departed DC in the membership
-// lattice (entries only ever rise), so it travels with every view this node
-// relays and survives restarts that seed from a sibling's view.
-func (r *Manager) setFinal(dc int, final vclock.Timestamp) {
-	if dc < 0 || dc >= r.maxDCs || final == 0 {
-		return
-	}
-	r.viewMu.Lock()
-	r.view.SetFinal(dc, final)
-	r.viewMu.Unlock()
-}
-
 // rebuildTargetsLocked recomputes the fan-out set — every remote Joining or
-// Active DC — from the view. A departed node sends nothing and accepts no
-// new writes (a write acked after the departure would replicate to nobody).
-// Called with viewMu held (or from the constructor before the manager is
-// shared).
+// Active DC — from the view. A departed or leaving (retired) node sends
+// nothing and accepts no new writes (a write acked after its final would
+// replicate to nobody). Called with viewMu held (or from the constructor
+// before the manager is shared).
 func (r *Manager) rebuildTargetsLocked() {
+	if r.view.Get(r.m) == msg.DCLeft {
+		r.retired.Store(true)
+	}
 	ts := make([]int, 0, len(r.view.Status))
-	if r.view.Get(r.m) != msg.DCLeft {
+	if !r.retired.Load() {
 		for dc, st := range r.view.Status {
 			if dc != r.m && (st == msg.DCActive || st == msg.DCJoining) {
 				ts = append(ts, dc)
 			}
 		}
-	} else {
-		r.retired.Store(true)
 	}
 	r.targets.Store(&ts)
 }
@@ -143,8 +128,8 @@ func (r *Manager) applyView(v msg.Membership) {
 
 // retireLink tears down the replication state owed to a departed DC: an
 // inbound catch-up round pending on the link is cancelled (nobody is left
-// to answer it), an outbound stream serving the DC is stopped, and an
-// eviction round stops awaiting its ack.
+// to answer it), an outbound stream serving the DC is stopped, and a
+// departure round stops awaiting its ack.
 func (r *Manager) retireLink(dc int) {
 	st := r.in[dc]
 	st.mu.Lock()
@@ -164,7 +149,7 @@ func (r *Manager) retireLink(dc int) {
 	r.holdMu.Lock()
 	delete(r.holdbacks, dc)
 	r.holdMu.Unlock()
-	r.excuseFromEvict(dc)
+	r.excuseFromDeparture(dc)
 }
 
 // sealDeparted reconciles this node against a DC that just transitioned to
@@ -289,43 +274,24 @@ func (r *Manager) maybeFinishJoin() {
 	r.be.Joined()
 }
 
-// Leave announces this node's departure: the buffered tail is flushed and a
-// LeaveNotice carrying the final timestamp follows it on the same FIFO
-// links. A receiver whose link from this node is synced (active) holds the
-// leaver's complete history when the notice arrives, and raises its entry to
-// the final. One whose link is catching up does not: the notice raises
-// nothing over its hole, and it gap-fills from the other survivors, which
-// may lack the same history. Leave waits for no survivor to hold the final,
-// so when no survivor's link is synced, writes acknowledged here can be lost
-// (ROADMAP arc 15). The notice is this node's last word — the fan-out is
-// emptied and new writes are refused under the same critical section, so
-// nothing (no batch, no heartbeat, no acked-but-unreplicated write) can
-// postdate it. It returns the announced final timestamp.
-func (r *Manager) Leave() vclock.Timestamp {
-	r.viewMu.Lock()
-	if r.view.Status[r.m] != msg.DCLeft {
-		r.view.Status[r.m] = msg.DCLeft
-		r.view.Epoch++
-	}
-	view := r.view.Clone()
-	// Targets are not rebuilt yet: the final flush and the notice itself
-	// still ride the existing links.
-	r.viewMu.Unlock()
+// Leave removes this node from the deployment through the departure round
+// (evict.go). Under the outbound lock it hands the buffered tail to the
+// links, refuses every later write and empties the fan-out, so nothing — no
+// batch, no heartbeat, no acked write — postdates the final it proposes. It
+// returns that final once every active survivor holds its history through
+// it and the verdict is sent, serving their catch-up rounds meanwhile. On a
+// timeout (<= 0 selects 5 s) the error names the survivors still short, the
+// node stays retired and serving, and calling Leave again resumes.
+func (r *Manager) Leave(timeout time.Duration) (vclock.Timestamp, error) {
 	r.mu.Lock()
 	r.flushLocked()
-	final := r.lastTS
-	for _, dc := range *r.targets.Load() {
-		r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n},
-			msg.LeaveNotice{DC: r.m, Final: final, View: view})
-	}
-	// Retire while still holding the outbound lock: the heartbeat loop and
-	// Publish both serialize on it, so the first thing either sees after
-	// the notice is an empty fan-out and a refused write path.
-	empty := make([]int, 0)
-	r.targets.Store(&empty)
 	r.retired.Store(true)
+	final := r.lastTS
+	r.viewMu.Lock()
+	r.rebuildTargetsLocked() // retired: the fan-out empties
+	r.viewMu.Unlock()
 	r.mu.Unlock()
-	return final
+	return r.depart(r.m, final, timeout)
 }
 
 // handleJoinRequest merges the joiner into the view — adding it to the
@@ -340,36 +306,12 @@ func (r *Manager) handleJoinRequest(src netemu.NodeID, m msg.JoinRequest) {
 }
 
 // handleMembershipUpdate merges a view someone sent: a joiner announcing
-// itself Active, the answer to a JoinRequest, or the verdict of a forced
-// removal (see evict.go). A verdict naming this node's own DC means the
+// itself Active, the answer to a JoinRequest, or the verdict of a departure
+// round (see evict.go). A verdict naming this node's own DC means the
 // deployment declared *us* dead while we were merely unreachable: the merge
 // retires this node (writes refused, fan-out emptied) — the data is safe on
 // the survivors up to the final, and rejoining requires a fresh join.
 func (r *Manager) handleMembershipUpdate(src netemu.NodeID, m msg.MembershipUpdate) {
 	r.applyView(m.View)
 	r.maybeFinishJoin() // a joiner no longer waits on a link the view retired
-}
-
-// handleLeaveNotice retires a departed DC: on a synced link the
-// version-vector entry is raised to the leaver's final timestamp — complete
-// by FIFO order, since the notice follows the leaver's last flush on the
-// same link — the final is recorded in the membership lattice (so later
-// joiners and restarted survivors inherit the cap), and the view merge
-// drops the DC from the fan-out and cancels catch-up state on the link. The
-// raise runs first so the departure seal sees a closed gap and skips the
-// gap-fill rounds. A link that is catching up, or never made contact, has
-// a hole below the final: the entry stays, the round toward the leaver is
-// cancelled, and the seal's gap-fill rounds fetch the rest from survivors.
-func (r *Manager) handleLeaveNotice(src netemu.NodeID, m msg.LeaveNotice) {
-	if m.DC == src.DC && r.validSrc(src.DC) {
-		st := r.in[src.DC]
-		st.mu.Lock()
-		if st.state == LinkActive {
-			r.be.RaiseVV(src.DC, m.Final)
-		}
-		st.mu.Unlock()
-	}
-	r.setFinal(m.DC, m.Final)
-	r.applyView(m.View)
-	r.maybeFinishJoin() // a joiner no longer waits on the departed link
 }

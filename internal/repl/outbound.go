@@ -122,8 +122,10 @@ func (r *Manager) heartbeatLoop() {
 		}
 		r.mu.Lock()
 		r.flushLocked()
+		// A retired node's links carry nothing more: lastTS stays the final
+		// its leave proposed, which a resumed leave proposes again.
 		ct := r.clk.Now()
-		idle := len(r.buf) == 0 && ct >= r.lastTS+vclock.Timestamp(r.cfg.HeartbeatInterval)
+		idle := len(r.buf) == 0 && ct >= r.lastTS+vclock.Timestamp(r.cfg.HeartbeatInterval) && !r.retired.Load()
 		if idle {
 			if ct > r.lastTS {
 				r.lastTS = ct

@@ -11,8 +11,9 @@
 //     (its transition table), gap detection, the catch-up client.
 //   - serve.go: WAL-shipped catch-up from the serving side, and the
 //     garbage-collection holdbacks owed to the laggards it serves.
-//   - membership.go: the epoch-stamped view, the fan-out, joins and leaves.
-//   - evict.go: forced removal of a crashed DC.
+//   - membership.go: the epoch-stamped view, the fan-out, joins.
+//   - evict.go: the one departure round — a graceful leave, or the forced
+//     removal of a crashed DC.
 package repl
 
 import (
@@ -220,10 +221,10 @@ type Manager struct {
 	joinFailed  atomic.Bool // bootstrap abandoned (JoinTimeout elapsed)
 	retired     atomic.Bool // this DC has left: Publish refuses new writes
 
-	// evictMu guards the forced-removal round this node is proposing (at
-	// most one at a time).
-	evictMu sync.Mutex
-	evict   *evictRound
+	// departMu guards the departure round this node is proposing (at most
+	// one at a time): its own leave, or another DC's eviction.
+	departMu  sync.Mutex
+	departing *departRound
 
 	// holdMu guards the GC holdback table: per requesting DC, the floors the
 	// local GC contribution must not pass while the laggard is draining.
@@ -400,8 +401,6 @@ func (r *Manager) Handle(src netemu.NodeID, m any) bool {
 		r.handleJoinRequest(src, mm)
 	case msg.MembershipUpdate:
 		r.handleMembershipUpdate(src, mm)
-	case msg.LeaveNotice:
-		r.handleLeaveNotice(src, mm)
 	case msg.EvictProposal:
 		r.handleEvictProposal(src, mm)
 	case msg.EvictAck:

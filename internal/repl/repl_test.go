@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -911,10 +912,46 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 	}
 }
 
-// TestLeaveFlushesThenNotifies: Leave sends the buffered tail first and the
-// LeaveNotice second on the same link (the FIFO order the receiver's
-// completeness claim rests on), then goes silent.
-func TestLeaveFlushesThenNotifies(t *testing.T) {
+// departResult is what a departure round returned.
+type departResult struct {
+	final vclock.Timestamp
+	err   error
+}
+
+// goLeave starts m's Leave on its own goroutine: the call blocks until the
+// survivors attest the final.
+func goLeave(m *Manager, timeout time.Duration) <-chan departResult {
+	done := make(chan departResult, 1)
+	go func() {
+		final, err := m.Leave(timeout)
+		done <- departResult{final, err}
+	}()
+	return done
+}
+
+// proposalTo waits for the newest EvictProposal sent to dst.
+func proposalTo(t *testing.T, tr *fakeTransport, dst netemu.NodeID) (prop msg.EvictProposal) {
+	t.Helper()
+	if !waitUntil(t, time.Second, func() bool {
+		for _, raw := range tr.msgs(dst) {
+			if p, ok := raw.(msg.EvictProposal); ok {
+				prop = p
+			}
+		}
+		return prop.ReqID != 0
+	}) {
+		t.Fatalf("no proposal reached %v", dst)
+	}
+	return prop
+}
+
+// TestLeaveFlushesThenProposes: Leave sends the buffered tail first and then
+// proposes its own departure on the same link, with a final that covers the
+// tail and a view that still counts the leaver Active (a survivor that saw
+// it Left would cancel the round fetching its tail). Writes are refused from
+// the start of the leave; the verdict, sent once the survivor attests the
+// final, is the leaver's last message.
+func TestLeaveFlushesThenProposes(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 		HeartbeatInterval: time.Hour,
@@ -922,43 +959,171 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
-	final := m.Leave()
+	done := goLeave(m, 5*time.Second)
 	sib := netemu.NodeID{DC: 1, Partition: 0}
+	prop := proposalTo(t, tr, sib)
 	out := tr.msgs(sib)
-	if len(out) != 2 {
-		t.Fatalf("outbound = %v, want [batch, notice]", out)
-	}
 	b, ok := out[0].(*msg.ReplicateBatch)
 	if !ok {
 		t.Fatalf("first message is %T, want the final flush", out[0])
 	}
-	n, ok := out[1].(msg.LeaveNotice)
-	if !ok {
-		t.Fatalf("second message is %T, want the LeaveNotice", out[1])
+	if _, ok := out[1].(msg.EvictProposal); !ok {
+		t.Fatalf("second message is %T, want the proposal", out[1])
 	}
-	if n.DC != 0 || n.Final != final || n.Final < b.Versions[len(b.Versions)-1].UpdateTime {
-		t.Fatalf("notice = %+v (final %d), must cover the flushed tail", n, final)
+	if prop.DC != 0 || prop.Final < b.Versions[len(b.Versions)-1].UpdateTime {
+		t.Fatalf("proposal = %+v, its final must cover the flushed tail", prop)
 	}
-	if n.View.Get(0) != msg.DCLeft {
-		t.Fatalf("notice view = %+v, must mark the leaver departed", n.View)
+	if prop.View.Get(0) != msg.DCActive {
+		t.Fatalf("proposal view = %+v, must still count the leaver Active", prop.View)
 	}
-	// A departed node refuses new writes — an acked write after the notice
-	// would replicate to nobody — and sends nothing more.
+	// A leaving node refuses new writes: one acked after the final would
+	// replicate to nobody.
 	if _, err := m.Publish(&item.Version{Key: "k2", SrcReplica: 0}); err == nil {
-		t.Fatal("publish accepted after the leave announcement")
+		t.Fatal("publish accepted after the leave started")
+	}
+	m.handleEvictAck(sib, msg.EvictAck{DC: 0, ReqID: prop.ReqID, Entry: prop.Final})
+	select {
+	case res := <-done:
+		if res.err != nil || res.final != prop.Final {
+			t.Fatalf("Leave = (%d, %v), want the proposed final %d", res.final, res.err, prop.Final)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Leave did not return after the survivor attested the final")
+	}
+	out = tr.msgs(sib)
+	up, ok := out[len(out)-1].(msg.MembershipUpdate)
+	if !ok || up.View.Get(0) != msg.DCLeft || up.View.FinalOf(0) != prop.Final {
+		t.Fatalf("last message = %#v, want the verdict: dc0 Left at %d", out[len(out)-1], prop.Final)
 	}
 	m.Close(true)
-	if got := len(tr.msgs(sib)); got != 2 {
-		t.Fatalf("outbound after leave = %d messages, want the original 2", got)
+	if got := len(tr.msgs(sib)); got != len(out) {
+		t.Fatalf("outbound after the verdict = %d messages, want the %d before it", got, len(out))
 	}
 }
 
-// TestLeaveNoticeRetiresLink: a notice cancels the catch-up round pending
-// on the link (nobody is left to answer it) and drops the DC from the
-// fan-out. The link has a hole below the announced final, so the entry is
-// not raised over it: a gap-fill round toward the survivor fetches the
+// TestLeaveProposalOpensRoundOnActiveLink: the leaver's tail batch was lost
+// on a synced link, and no heartbeat follows it to expose the hole. The
+// proposal's final does: the survivor opens a round toward the leaver,
+// freezes nothing (a leave's final is fixed, not agreed), and acks its short
+// entry — which the leaver does not count.
+func TestLeaveProposalOpensRoundOnActiveLink(t *testing.T) {
+	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
+	leaver := netemu.NodeID{DC: 1, Partition: 0}
+	m.handleBatch(leaver, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+	view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive}}
+	m.handleEvictProposal(leaver, msg.EvictProposal{DC: 1, ReqID: 9, Final: 400, View: view})
+	var req msg.CatchUpRequest
+	var ack msg.EvictAck
+	for _, raw := range tr.msgs(leaver) {
+		switch mm := raw.(type) {
+		case msg.CatchUpRequest:
+			req = mm
+		case msg.EvictAck:
+			ack = mm
+		}
+	}
+	if req.ReqID == 0 || req.From != 100 || m.LinkStates()[1] != LinkCatchingUp {
+		t.Fatalf("request %+v, link %v: want a round toward the leaver from 100", req, m.LinkStates()[1])
+	}
+	m.in[1].mu.Lock()
+	capped := m.in[1].evictCap
+	m.in[1].mu.Unlock()
+	if capped != 0 {
+		t.Fatalf("evictCap = %d, want no freeze for a leave", capped)
+	}
+	if ack.DC != 1 || ack.ReqID != 9 || ack.Entry != 100 {
+		t.Fatalf("ack = %+v, want the entry 100", ack)
+	}
+	// The round completes at the leaver's Through; the next proposal finds
+	// the entry at the final.
+	m.handleCatchUpReply(leaver, msg.CatchUpReply{ReqID: req.ReqID, Done: true, ResumeEpoch: 7, ResumeSeq: 2, Through: 400})
+	if got := be.VVEntry(1); got != 400 {
+		t.Fatalf("VV[1] = %d after the round, want the final 400", got)
+	}
+
+	// The leaver's side: an ack below its final leaves the survivor awaited.
+	l, ltr, _ := newTestManager(t, Config{ID: netemu.NodeID{DC: 1, Partition: 0}, NumDCs: 2, HeartbeatInterval: time.Hour})
+	if _, err := l.Publish(&item.Version{Key: "k", SrcReplica: 1}); err != nil {
+		t.Fatal(err)
+	}
+	done := goLeave(l, 5*time.Second)
+	sv := netemu.NodeID{DC: 0, Partition: 0}
+	prop := proposalTo(t, ltr, sv)
+	l.handleEvictAck(sv, msg.EvictAck{DC: 1, ReqID: prop.ReqID, Entry: prop.Final - 1})
+	select {
+	case res := <-done:
+		t.Fatalf("Leave returned (%d, %v) on an ack below its final", res.final, res.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	l.handleEvictAck(sv, msg.EvictAck{DC: 1, ReqID: prop.ReqID, Entry: prop.Final})
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Leave did not return on an ack at its final")
+	}
+}
+
+// TestLeaveTimeoutNamesShortSurvivors: a survivor that never reaches the
+// final holds the leave until its timeout, whose error names that DC. The
+// leaver stays retired, and a second Leave resumes the round: the same final
+// is proposed — the heartbeat loop, running throughout, moves nothing on a
+// retired node — and once the survivor attests it, the leave completes.
+func TestLeaveTimeoutNamesShortSurvivors(t *testing.T) {
+	m, tr, _ := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, HeartbeatInterval: time.Millisecond})
+	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
+		t.Fatal(err)
+	}
+	sib1, sib2 := netemu.NodeID{DC: 1, Partition: 0}, netemu.NodeID{DC: 2, Partition: 0}
+	done := goLeave(m, 200*time.Millisecond)
+	first := proposalTo(t, tr, sib1)
+	m.handleEvictAck(sib1, msg.EvictAck{DC: 0, ReqID: first.ReqID, Entry: first.Final})
+	m.handleEvictAck(sib2, msg.EvictAck{DC: 0, ReqID: first.ReqID, Entry: first.Final - 1})
+	res := <-done
+	if res.err == nil || !strings.Contains(res.err.Error(), "awaiting DCs [2]") {
+		t.Fatalf("Leave = (%d, %v), want a timeout naming dc2 alone", res.final, res.err)
+	}
+	if _, err := m.Publish(&item.Version{Key: "k2", SrcReplica: 0}); !errors.Is(err, ErrRetired) {
+		t.Fatalf("publish after a timed-out leave = %v, want ErrRetired", err)
+	}
+	if m.View().Get(0) != msg.DCActive {
+		t.Fatalf("view = %+v, a timed-out leave must not mark itself Left", m.View())
+	}
+
+	done = goLeave(m, 5*time.Second)
+	var again msg.EvictProposal
+	if !waitUntil(t, time.Second, func() bool {
+		again = proposalTo(t, tr, sib2)
+		return again.ReqID != first.ReqID
+	}) {
+		t.Fatal("the second Leave sent no new proposal")
+	}
+	if again.Final != first.Final {
+		t.Fatalf("resumed final %d, want the first round's %d", again.Final, first.Final)
+	}
+	m.handleEvictAck(sib1, msg.EvictAck{DC: 0, ReqID: again.ReqID, Entry: again.Final})
+	m.handleEvictAck(sib2, msg.EvictAck{DC: 0, ReqID: again.ReqID, Entry: again.Final})
+	select {
+	case res := <-done:
+		if res.err != nil || res.final != first.Final {
+			t.Fatalf("resumed Leave = (%d, %v), want the final %d", res.final, res.err, first.Final)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the resumed Leave did not complete")
+	}
+	if m.View().Get(0) != msg.DCLeft {
+		t.Fatalf("view = %+v after the verdict, want dc0 Left", m.View())
+	}
+}
+
+// TestLeaveVerdictRetiresLink: the verdict of dc1's leave cancels the
+// catch-up round pending on the link (nobody is left to answer it) and drops
+// the DC from the fan-out. The link has a hole below the final, so the entry
+// is not raised over it: a gap-fill round toward the survivor fetches the
 // departed history, and the survivor's Departed claim raises the entry.
-func TestLeaveNoticeRetiresLink(t *testing.T) {
+func TestLeaveVerdictRetiresLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
@@ -969,8 +1134,8 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 	if st := m.Stats(); st.ActiveIn != 1 {
 		t.Fatalf("stats = %+v, want one frozen link", st)
 	}
-	view := msg.Membership{Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}}
-	m.handleLeaveNotice(src, msg.LeaveNotice{DC: 1, Final: 400, View: view})
+	view := msg.Membership{Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}, Final: vclock.VC{0, 400, 0}}
+	m.handleMembershipUpdate(src, msg.MembershipUpdate{View: view})
 	if got := be.VVEntry(1); got != 100 {
 		t.Fatalf("VV[1] = %d, want 100: seq 2-3 never arrived, so the final is not attested", got)
 	}
@@ -1096,7 +1261,7 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 }
 
 // TestEvictRoundExcusesDepartedSurvivor: a survivor that leaves while an
-// eviction round is open — its LeaveNotice was in flight when the proposals
+// eviction round is open — its verdict was in flight when the proposals
 // went out — will never ack, and the round must not wait for it.
 func TestEvictRoundExcusesDepartedSurvivor(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 4})
@@ -1124,8 +1289,8 @@ func TestEvictRoundExcusesDepartedSurvivor(t *testing.T) {
 		t.Fatal("no proposal reached the survivor that is about to leave")
 	}
 	m.handleEvictAck(sib2, msg.EvictAck{DC: 1, ReqID: prop.ReqID, Entry: 400})
-	m.handleLeaveNotice(sib3, msg.LeaveNotice{DC: 3, Final: 900, View: msg.Membership{
-		Epoch: 2, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive, msg.DCLeft},
+	m.handleMembershipUpdate(sib3, msg.MembershipUpdate{View: msg.Membership{
+		Epoch: 2, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 0, 900},
 	}})
 	select {
 	case v := <-done:

@@ -377,10 +377,8 @@ func (d *BinaryDecoder) parse(frame []byte, owned bool) (Envelope, error) {
 		env.Msg = msg.JoinRequest{DC: int(f.uint()), View: f.membership()}
 	case tagMembershipUpdate:
 		env.Msg = msg.MembershipUpdate{View: f.membership()}
-	case tagLeaveNotice:
-		env.Msg = msg.LeaveNotice{DC: int(f.uint()), Final: vclock.Timestamp(f.uint()), View: f.membership()}
 	case tagEvictProposal:
-		env.Msg = msg.EvictProposal{DC: int(f.uint()), ReqID: f.uint(), View: f.membership()}
+		env.Msg = msg.EvictProposal{DC: int(f.uint()), ReqID: f.uint(), Final: vclock.Timestamp(f.uint()), View: f.membership()}
 	case tagEvictAck:
 		env.Msg = msg.EvictAck{DC: int(f.uint()), ReqID: f.uint(), Entry: vclock.Timestamp(f.uint())}
 	case tagSlotMapUpdate:

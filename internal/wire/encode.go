@@ -20,10 +20,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// Message tags. Three are reserved, so a frame that carries one is an
+// Message tags. Four are reserved, so a frame that carries one is an
 // unknown-tag decode error: tag 1 carried the single-version Replicate
 // message, tags 12 and 17 JoinAccept and EvictNotice — each a membership view
-// under a tag of its own, sent as a MembershipUpdate now.
+// under a tag of its own, sent as a MembershipUpdate now — and tag 14 the
+// leave notice, a leave being a departure round (EvictProposal) now.
 const (
 	_ = iota + 1
 	tagReplicateBatch
@@ -38,7 +39,7 @@ const (
 	tagJoinRequest
 	_ // 12, reserved
 	tagMembershipUpdate
-	tagLeaveNotice
+	_ // 14, reserved
 	tagEvictProposal
 	tagEvictAck
 	_ // 17, reserved
@@ -111,15 +112,11 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	case msg.MembershipUpdate:
 		b = appendHeader(b, tagMembershipUpdate, env.Src)
 		b = appendMembership(b, m.View)
-	case msg.LeaveNotice:
-		b = appendHeader(b, tagLeaveNotice, env.Src)
-		b = appendUint(b, uint64(m.DC))
-		b = appendUint(b, uint64(m.Final))
-		b = appendMembership(b, m.View)
 	case msg.EvictProposal:
 		b = appendHeader(b, tagEvictProposal, env.Src)
 		b = appendUint(b, uint64(m.DC))
 		b = appendUint(b, m.ReqID)
+		b = appendUint(b, uint64(m.Final))
 		b = appendMembership(b, m.View)
 	case msg.EvictAck:
 		b = appendHeader(b, tagEvictAck, env.Src)

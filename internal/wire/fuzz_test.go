@@ -135,11 +135,11 @@ func FuzzMembershipDecode(f *testing.F) {
 		seeds = append(seeds,
 			msg.JoinRequest{DC: 3, View: v},
 			msg.MembershipUpdate{View: v},
-			msg.LeaveNotice{DC: 1, Final: 98765, View: v},
 			msg.EvictProposal{DC: 1, ReqID: 7, View: v},
+			msg.EvictProposal{DC: 1, ReqID: 7, Final: 98765, View: v},
 		)
-		// The two retired view-only frames, as they were encoded.
-		for _, frame := range [][]byte{retiredJoinAccept(v, 123456), retiredEvictNotice(1, 98765, v)} {
+		// The three retired membership frames, as they were encoded.
+		for _, frame := range [][]byte{retiredJoinAccept(v, 123456), retiredFinalView(14, 1, 98765, v), retiredFinalView(17, 1, 98765, v)} {
 			f.Add(frame)
 			f.Add(frame[:len(frame)/2])
 		}

@@ -88,8 +88,7 @@ func goldenMessages() map[string]any {
 		"join-request":        msg.JoinRequest{DC: 3, View: view},
 		"membership-update":   msg.MembershipUpdate{View: msg.Membership{Epoch: 1, Status: []uint8{}}},
 		"membership-nil":      msg.MembershipUpdate{},
-		"leave-notice":        msg.LeaveNotice{DC: 1, Final: goldenBase, View: view},
-		"evict-proposal":      msg.EvictProposal{DC: 2, ReqID: 8, View: view},
+		"evict-proposal":      msg.EvictProposal{DC: 2, ReqID: 8, Final: goldenBase, View: view},
 		"evict-ack":           msg.EvictAck{DC: 2, ReqID: 8, Entry: goldenBase + 5},
 		"slotmap-update":      msg.SlotMapUpdate{Map: goldenSlotMap()},
 		"slotmap-update-nil":  msg.SlotMapUpdate{},

@@ -219,9 +219,9 @@ func genMsg(r *rand.Rand, kind int) any {
 		return msg.JoinRequest{DC: r.IntN(8), View: genMembership(r)}
 	case 10:
 		return msg.MembershipUpdate{View: genMembership(r)}
-	case 11:
-		return msg.LeaveNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 12:
+	case 11: // a leaver's proposal of its own departure
+		return msg.EvictProposal{DC: r.IntN(8), ReqID: r.Uint64(), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
+	case 12: // an eviction of a silent DC
 		return msg.EvictProposal{DC: r.IntN(8), ReqID: r.Uint64(), View: genMembership(r)}
 	case 13:
 		return msg.EvictAck{DC: r.IntN(8), ReqID: r.Uint64(), Entry: vclock.Timestamp(r.Uint64N(1 << 62))}
@@ -242,7 +242,7 @@ func genMsg(r *rand.Rand, kind int) any {
 	}
 }
 
-// numMsgKinds is the number of distinct message types genMsg produces —
+// numMsgKinds is the number of distinct message shapes genMsg produces —
 // keep it in sync with the switch above so the property tests cover every
 // wire type.
 const numMsgKinds = 16
@@ -316,8 +316,6 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.JoinRequest{DC: 3, View: msg.Membership{Epoch: 9, Status: []uint8{msg.DCActive, msg.DCJoining}}},
 		msg.MembershipUpdate{},
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 4, Status: []uint8{msg.DCLeft, msg.DCActive, msg.DCUnknown}}},
-		msg.LeaveNotice{},
-		msg.LeaveNotice{DC: 1, Final: 1234, View: msg.Membership{Epoch: 5, Status: []uint8{msg.DCActive, msg.DCLeft}}},
 		msg.CatchUpRequest{ReqID: 2, From: 7, Have: vclock.VC{1, 2, 3}},
 		msg.CatchUpRequest{ReqID: 2, Have: vclock.VC{}},
 		msg.CatchUpReply{Done: true, Through: 42},
@@ -326,6 +324,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 4, Status: []uint8{msg.DCLeft}, Final: vclock.VC{77}}},
 		msg.EvictProposal{},
 		msg.EvictProposal{DC: 2, ReqID: 9, View: msg.Membership{Epoch: 3, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive}}},
+		msg.EvictProposal{DC: 1, ReqID: 9, Final: 1234, View: msg.Membership{Epoch: 5, Status: []uint8{msg.DCActive, msg.DCActive}}},
 		msg.EvictAck{},
 		msg.EvictAck{DC: 2, ReqID: 9, Entry: 123},
 		msg.MembershipUpdate{View: msg.Membership{Epoch: 7, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft}, Final: vclock.VC{0, 0, 456}}},
@@ -409,9 +408,10 @@ func TestMixedVectorLengthsDecodeApart(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectsReservedTag: three tags carried messages nothing sends
+// TestBinaryRejectsReservedTag: four tags carried messages nothing sends
 // anymore — 1 the single-version Replicate, 12 and 17 the two view-only
-// membership messages that are a MembershipUpdate now. The tags stay reserved,
+// membership messages that are a MembershipUpdate now, 14 the leave notice a
+// leaver's EvictProposal replaced. The tags stay reserved,
 // so a frame that carries one — here the exact bytes the old encoder produced,
 // from node (1,2) — is a decode error, not a message.
 func TestBinaryRejectsReservedTag(t *testing.T) {
@@ -430,7 +430,8 @@ func reservedTagFrames() map[byte][]byte {
 	return map[byte][]byte{
 		1:  frameOf(AppendVersion([]byte{1, 1, 2}, &item.Version{Key: "k"})), // Replicate{Version}
 		12: retiredJoinAccept(view, 77),
-		17: retiredEvictNotice(1, 456, view),
+		14: retiredFinalView(14, 1, 456, view),
+		17: retiredFinalView(17, 1, 456, view),
 	}
 }
 
@@ -439,9 +440,10 @@ func retiredJoinAccept(view msg.Membership, through uint64) []byte {
 	return frameOf(appendUint(appendMembership([]byte{12, 1, 2}, view), through))
 }
 
-// retiredEvictNotice is the frame EvictNotice{DC, Final, View} was, from node (1,2).
-func retiredEvictNotice(dc, final uint64, view msg.Membership) []byte {
-	return frameOf(appendMembership(appendUint(appendUint([]byte{17, 1, 2}, dc), final), view))
+// retiredFinalView is the frame the leave notice (tag 14) or EvictNotice
+// (tag 17) {DC, Final, View} was, from node (1,2).
+func retiredFinalView(tag byte, dc, final uint64, view msg.Membership) []byte {
+	return frameOf(appendMembership(appendUint(appendUint([]byte{tag, 1, 2}, dc), final), view))
 }
 
 // frameOf length-prefixes a payload short enough for a one-byte prefix.

@@ -251,11 +251,13 @@ func (s *Store) WaitForJoin(dc int, timeout time.Duration) error {
 	return nil
 }
 
-// RemoveDataCenter removes a data center: its servers flush their
-// replication buffers, announce the departure on every link (so the
-// surviving DCs hold its complete history and freeze its vector entries at
-// the final timestamp), and shut down. Sessions pinned to the removed DC
-// fail their next operation; the DC id is retired for good.
+// RemoveDataCenter removes a data center: its servers stop taking writes,
+// flush their replication buffers and shut down only once every surviving
+// DC holds their complete history (the survivors then freeze its vector
+// entries at the final timestamps). Sessions pinned to the removed DC fail
+// their next operation; the DC id is retired for good. If a survivor stays
+// short of a final past the timeout, the error names it, the DC keeps
+// serving reads and catch-up, and calling RemoveDataCenter again resumes.
 func (s *Store) RemoveDataCenter(dc int) error {
 	if err := s.inner.RemoveDC(dc); err != nil {
 		return fmt.Errorf("occ: %w", err)
