@@ -62,7 +62,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17320
+LOC_CEILING = 17580
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -147,6 +147,10 @@ define RACE_ROWS
 # coalescing writer), the client pool and its carved values, the blocked-GET
 # no-stall and churn scenarios, and the leased request frames.
 -run 'FrontDoor|Text' ./internal/kvserver/ ./internal/client/ ./internal/wire/
+# The decoder's hostile-count guard, whose byte bound holds under the race
+# runtime only through its measured race factor: without this row a bound
+# that the runtime alone overruns fails where no CI step looks.
+-run 'Hostile' ./internal/wire/
 # The hybrid-clock plane: HLC packing/merge, the negative-skew clamp, the
 # lean watermark stabilization rule, the skew-insensitive PUT clock-wait and
 # the visibility probe (the clock's CAS loop runs on every hot-path message).

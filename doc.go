@@ -206,8 +206,8 @@
 // lattice and the join), and a DC departs through one round
 // (internal/repl/evict.go): the survivors attest how much of its history
 // each holds, and a verdict freezes it at a final an attesting survivor
-// provably holds. RemoveDataCenter is the graceful case: the leaver refuses
-// writes, proposes its last timestamp as the final and serves catch-up until
+// provably holds. RemoveDataCenter is the graceful case, its partitions
+// leaving in parallel: the leaver refuses writes, proposes its last timestamp as the final and serves catch-up until
 // every survivor holds its history through it (a timeout leaves it serving;
 // calling again resumes). ForceRemoveDataCenter evicts a crashed DC, which
 // would otherwise freeze the survivors' stable snapshot on its entry: they
@@ -461,10 +461,14 @@
 //
 // A read-only transaction crosses fewer layers, and allocates only what its
 // caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4
-// partitions × 1 key; TestSessionROTxAllocs: 3 with the session's map;
-// TestParkedSliceAllocs: 0 in a serving server, parked or not, and no
-// goroutine; TestWaitOnBlockedAllocs, TestNetemuSendAllocs, and under -race
-// TestROTxPendingReuseIgnoresLateReply, TestWaiterRecycleNoStaleWake,
+// partitions × 1 key, when the caller asks for a fresh one;
+// TestROTxAppendAllocs: 0 into a buffer the caller reuses, as a session
+// does — TestSessionROTxAllocs: 2, the session's map, header and group; the
+// session clears the buffer after each transaction, so it pins no version,
+// TestSessionROTxScratchRetention; TestParkedSliceAllocs: 0 in a serving
+// server, parked or not, and no goroutine; TestWaitOnBlockedAllocs,
+// TestNetemuSendAllocs, and under -race TestROTxPendingReuseIgnoresLateReply,
+// TestSessionROTxBufferIgnoresLateSlice, TestWaiterRecycleNoStaleWake,
 // TestParkedSliceOutlivesFailedTx):
 //
 //   - core.ROTx → slice requests. Each key is appended, in request order, to
@@ -499,8 +503,13 @@
 //     error; replies find it by transaction id under the coordinator's lock,
 //     never by pointer, so a late or duplicate reply meets a missing id, not
 //     the state's next user.
-//   - coordinator → caller. The returned reply slice is the caller's, sized
-//     to the read set once. Fan-in state and waiters are recycled inside
+//   - coordinator → caller. The replies are gathered into the caller's
+//     buffer (ROTxAppend), grown to the read set at most once; ROTx hands
+//     the fan-in a nil one, so its result is a fresh slice. The buffer is
+//     written only until the call returns: a slice still out finds no
+//     transaction id by then. A client session keeps its buffer from one
+//     transaction to the next, copies what it returns into the map, and
+//     clears it. Fan-in state and waiters are recycled inside
 //     core and never escape it; each goes back to its pool only with its
 //     channel empty — a waiter whose timer could not be stopped, not at all.
 //   - netemu. A link's queue is a ring that clears a slot as it delivers
@@ -520,7 +529,12 @@
 // mirroring real client failover) assert causal consistency and a watchdog
 // asserts stabilization progress whenever no fault legitimately freezes it.
 // Every run ends with a heal-and-quiesce epilogue that requires full
-// convergence. A failure reports the command that replays it (the
+// convergence, then holds every write a worker had acknowledged against each
+// surviving DC's head for its key (the ledger): a loss is a violation unless
+// its origin was force-removed and the write lies above the agreed final, or
+// its origin partition crashed under AckGrouped and the write lies above the
+// entry the replay restored — the two losses "Dynamic membership" allows;
+// the summary line counts each. A failure reports the command that replays it (the
 // -chaos.seed and -chaos.duration test flags; make race passes them from
 // CHAOS_SEED and CHAOS_SECONDS) and the executed fault trace; replaying the
 // seed at the same length reproduces the identical schedule.

@@ -26,9 +26,10 @@ type VersionID struct {
 // zero reports whether the id is the placeholder "no version".
 func (v VersionID) zero() bool { return v.UpdateTime == 0 }
 
-// newerOrEqual is the LWW order of the protocols: higher timestamp wins,
-// ties go to the lowest source replica.
-func (v VersionID) newerOrEqual(o VersionID) bool {
+// NewerOrEqual is the LWW order of the protocols: higher timestamp wins,
+// ties go to the lowest source replica. A head NewerOrEqual to a write is
+// that write, or one that supersedes it.
+func (v VersionID) NewerOrEqual(o VersionID) bool {
 	if v == o {
 		return true
 	}
@@ -129,14 +130,20 @@ func (c *Session) Get(key string) ([]byte, error) {
 
 // Put writes key and registers the new version's real dependency context.
 func (c *Session) Put(key string, value []byte) error {
+	_, err := c.PutMeta(key, value)
+	return err
+}
+
+// PutMeta is Put returning the new version's identity.
+func (c *Session) PutMeta(key string, value []byte) (VersionID, error) {
 	ut, dc, err := c.s.PutMeta(key, value)
 	if err != nil {
-		return err
+		return VersionID{}, err
 	}
 	id := VersionID{ut, dc}
 	c.reg.record(key, id, c.deps)
 	c.deps[key] = maxID(c.deps[key], id)
-	return nil
+	return id, nil
 }
 
 // ROTx reads keys transactionally, checking both the session guarantees and
@@ -171,7 +178,7 @@ func (c *Session) ROTx(keys []string) (map[string][]byte, error) {
 			if !inTx {
 				continue
 			}
-			if got.zero() || !got.newerOrEqual(dep) {
+			if got.zero() || !got.NewerOrEqual(dep) {
 				c.reg.violate("%s: RO-TX snapshot broken: returned %s@%v which depends on %s@%v, but %s resolved to %v",
 					c.name, k, id, k2, dep, k2, got)
 			}
@@ -194,7 +201,7 @@ func (c *Session) checkRead(op, key string, got VersionID) {
 		c.reg.violate("%s: %s(%s) returned no version but client depends on %v", c.name, op, key, want)
 		return
 	}
-	if !got.newerOrEqual(want) {
+	if !got.NewerOrEqual(want) {
 		c.reg.violate("%s: %s(%s) returned %v, causally older than required %v", c.name, op, key, got, want)
 	}
 }
@@ -218,7 +225,7 @@ func maxID(a, b VersionID) VersionID {
 	if b.zero() {
 		return a
 	}
-	if a.newerOrEqual(b) {
+	if a.NewerOrEqual(b) {
 		return a
 	}
 	return b

@@ -8,14 +8,14 @@ import (
 func TestVersionIDOrder(t *testing.T) {
 	a := VersionID{UpdateTime: 10, SrcReplica: 1}
 	b := VersionID{UpdateTime: 5, SrcReplica: 0}
-	if !a.newerOrEqual(b) || b.newerOrEqual(a) {
+	if !a.NewerOrEqual(b) || b.NewerOrEqual(a) {
 		t.Fatal("higher timestamp must win")
 	}
 	tieLow := VersionID{UpdateTime: 10, SrcReplica: 0}
-	if !tieLow.newerOrEqual(a) || a.newerOrEqual(tieLow) {
+	if !tieLow.NewerOrEqual(a) || a.NewerOrEqual(tieLow) {
 		t.Fatal("ties must go to the lowest replica")
 	}
-	if !a.newerOrEqual(a) {
+	if !a.NewerOrEqual(a) {
 		t.Fatal("order must be reflexive")
 	}
 }

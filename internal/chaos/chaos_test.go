@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/causaltest"
 	"repro/internal/cluster"
+	"repro/internal/vclock"
 )
 
 // The soak's knobs are test flags, so they reach only the test binary they
@@ -107,9 +109,10 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
-	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d gc_overruns=%d catchups_requested=%d catchups_completed=%d",
+	t.Logf("chaos: seed=%d ops=%d reopens=%d op_errors=%d gc_overruns=%d catchups_requested=%d catchups_completed=%d acked_writes=%d excused_forced=%d excused_crash=%d",
 		rep.Seed, rep.Ops, rep.Reopens, rep.OpErrors, rep.Stats.GCOverruns,
-		rep.Stats.CatchUpsRequested, rep.Stats.CatchUpsCompleted)
+		rep.Stats.CatchUpsRequested, rep.Stats.CatchUpsCompleted,
+		rep.Ledger.Writes, rep.Ledger.ExcusedForced, rep.Ledger.ExcusedCrash)
 	if rep.Ops == 0 {
 		t.Error("checker performed no successful operations — the harness is not exercising the cluster")
 	}
@@ -145,13 +148,15 @@ func TestReportDumpReplays(t *testing.T) {
 
 // TestReportDumpCountsCatchUps: a failure report carries the catch-up rate
 // next to the operation counts — a soak that converged only through repeated
-// catch-up rounds reads differently from one that never needed any.
+// catch-up rounds reads differently from one that never needed any — and the
+// ledger's counts of acknowledged writes and excused losses.
 func TestReportDumpCountsCatchUps(t *testing.T) {
 	r := &Report{Ops: 900, Stats: cluster.ReplicationStats{
 		CatchUpsRequested: 11, CatchUpsCompleted: 10, CatchUpsServed: 12, GCOverruns: 3,
-	}}
+	}, Ledger: Ledger{Writes: 270, ExcusedForced: 4, ExcusedCrash: 2}}
 	dump := r.Dump()
-	for _, f := range []string{"ops=900", "catchups_requested=11", "catchups_completed=10", "catchups_served=12", "gc_overruns=3"} {
+	for _, f := range []string{"ops=900", "catchups_requested=11", "catchups_completed=10", "catchups_served=12", "gc_overruns=3",
+		"acked_writes=270", "excused_forced=4", "excused_crash=2"} {
 		if !strings.Contains(dump, f) {
 			t.Errorf("Dump lacks %s:\n%s", f, dump)
 		}
@@ -200,4 +205,63 @@ func TestConvergenceLagNamesTheLaggard(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Logf("clean %v after the heal", time.Since(start).Round(time.Millisecond))
+}
+
+// TestLedgerExcusesOnlyItsFaults drives the epilogue's ledger check on a live
+// 2-DC deployment with a write written at dc1 and one made up above it, which
+// no head holds: the made-up write is a violation naming its key, unless a
+// restart of its origin partition that completed after its issue replayed an
+// entry below it, or its origin was force-removed at a final below it.
+func TestLedgerExcusesOnlyItsFaults(t *testing.T) {
+	c, err := cluster.New(cluster.Config{NumDCs: 2, NumPartitions: 1, Engine: cluster.HAPOCC, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	s, err := c.NewRawSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ut, src, err := s.PutMeta("k", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r, err := c.ReadAt(0, "k"); err != nil || r.UpdateTime != ut; r, err = c.ReadAt(0, "k") {
+		if time.Now().After(deadline) {
+			t.Fatal("dc0 never saw dc1's write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held := ackedWrite{key: "k", id: causaltest.VersionID{UpdateTime: ut, SrcReplica: src}, issued: 4}
+	lost := ackedWrite{key: "k", id: causaltest.VersionID{UpdateTime: ut + 1, SrcReplica: src}, issued: 5}
+	h := &harness{c: c, start: time.Now(), evicted: map[int]bool{}, writes: []ackedWrite{held, lost}}
+	for _, tc := range []struct {
+		name     string
+		restarts []restart
+		want     Ledger
+	}{
+		{"no fault", nil, Ledger{Writes: 2}},
+		{"a restart completed before the issue", []restart{{dc: src, p: 0, floor: ut, done: 5}}, Ledger{Writes: 2}},
+		{"a restart of another DC", []restart{{dc: 0, p: 0, floor: ut, done: 6}}, Ledger{Writes: 2}},
+		{"a restart replaying the write", []restart{{dc: src, p: 0, floor: ut + 1, done: 6}}, Ledger{Writes: 2}},
+		{"a restart below the write", []restart{{dc: src, p: 0, floor: ut, done: 6}}, Ledger{Writes: 2, ExcusedCrash: 1}},
+	} {
+		h.restarts, h.viols = tc.restarts, nil
+		led := h.checkLedger([]int{0, 1})
+		if led != tc.want {
+			t.Errorf("%s: ledger %+v, want %+v", tc.name, led, tc.want)
+		}
+		if excused := tc.want.ExcusedCrash > 0; excused != (len(h.viols) == 0) ||
+			!excused && !strings.Contains(h.viols[0], fmt.Sprintf("acknowledged write k=%v", lost.id)) {
+			t.Errorf("%s: violations %q", tc.name, h.viols)
+		}
+	}
+	h.restarts = nil
+	if got := h.excuse(lost, map[int][]vclock.Timestamp{src: {ut}}); got != "forced" {
+		t.Errorf("a write above its force-removed origin's final: excuse %q, want forced", got)
+	}
+	if got := h.excuse(lost, map[int][]vclock.Timestamp{src: {ut + 1}}); got != "" {
+		t.Errorf("a write at its force-removed origin's final: excuse %q, want none", got)
+	}
 }

@@ -66,7 +66,7 @@ func (h *harness) watchdog(stop <-chan struct{}) {
 // epilogue heals every injected fault, settles in-flight joins, stops the
 // workers, and verifies the deployment converged: marker visibility, head
 // agreement on the whole keyspace across every surviving DC, and GSS
-// advancement past the marker.
+// advancement past the marker; then it checks the acknowledged-write ledger.
 func (h *harness) epilogue() {
 	// Restore the network profile and every downed link (AfterFunc heals are
 	// idempotent with this).
@@ -120,15 +120,20 @@ func (h *harness) epilogue() {
 		lag := h.convergenceLag(dcs, markerKey, markerUT, markerDC)
 		if lag == "" {
 			h.tracef("converged across dc%v", dcs)
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			h.violatef("no convergence within 30s after healing: %s (repl stats %+v)",
 				lag, h.c.ReplicationStats())
-			return
+			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+	// Converged or not: a loss the heads share passes the check above, and
+	// one that split them is named here by the write it lost.
+	h.ledger = h.checkLedger(dcs)
+	h.tracef("ledger: %d acknowledged writes, %d excused by a forced removal, %d by a crash",
+		h.ledger.Writes, h.ledger.ExcusedForced, h.ledger.ExcusedCrash)
 }
 
 // convergenceLag returns "" when every surviving DC agrees: the marker is

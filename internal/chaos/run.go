@@ -46,6 +46,8 @@ type Report struct {
 	Ops, Reopens, OpErrors uint64
 	// Stats is the deployment's replication-plane summary sampled at the end.
 	Stats cluster.ReplicationStats
+	// Ledger is the acknowledged-write check of the epilogue (ledger.go).
+	Ledger Ledger
 }
 
 // Failed reports whether the run recorded any violation.
@@ -60,6 +62,8 @@ func (r *Report) Dump() string {
 		r.Seed, r.Duration, r.Seed, r.Duration)
 	fmt.Fprintf(&b, "ops=%d reopens=%d op_errors=%d catchups_requested=%d catchups_completed=%d catchups_served=%d gc_overruns=%d\n",
 		r.Ops, r.Reopens, r.OpErrors, r.Stats.CatchUpsRequested, r.Stats.CatchUpsCompleted, r.Stats.CatchUpsServed, r.Stats.GCOverruns)
+	fmt.Fprintf(&b, "acked_writes=%d excused_forced=%d excused_crash=%d\n",
+		r.Ledger.Writes, r.Ledger.ExcusedForced, r.Ledger.ExcusedCrash)
 	fmt.Fprintf(&b, "violations (%d):\n", len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)
@@ -84,7 +88,17 @@ type harness struct {
 	resharding bool         // a SlotMove/PartitionSplit is in flight (at most one)
 	down       map[[2]int]bool
 	trace      []string
+	traceAt    []time.Duration // when each trace line was written, since start
 	viols      []string
+
+	// The acknowledged-write ledger (ledger.go), under mu: the writes, and
+	// the crash-restarts and forced removals that may excuse a loss.
+	writes   []ackedWrite
+	restarts []restart
+	evicted  map[int]bool
+
+	ledger Ledger        // the epilogue's check, once the workers stopped
+	seq    atomic.Uint64 // orders a PUT's issue against restarts' completion
 
 	evicting atomic.Int32 // kill+evict rounds in flight (watchdog license)
 
@@ -145,12 +159,13 @@ func Run(opts Options) (*Report, error) {
 	defer c.Close()
 
 	h := &harness{
-		opts:   opts,
-		c:      c,
-		reg:    causaltest.NewRegistry(),
-		active: make(map[int]bool, numDCs),
-		down:   make(map[[2]int]bool),
-		stop:   make(chan struct{}),
+		opts:    opts,
+		c:       c,
+		reg:     causaltest.NewRegistry(),
+		active:  make(map[int]bool, numDCs),
+		down:    make(map[[2]int]bool),
+		evicted: make(map[int]bool),
+		stop:    make(chan struct{}),
 	}
 	for dc := 0; dc < numDCs; dc++ {
 		h.active[dc] = true
@@ -190,6 +205,7 @@ func Run(opts Options) (*Report, error) {
 		Reopens:    h.reopens.Load(),
 		OpErrors:   h.opErrs.Load(),
 		Stats:      c.ReplicationStats(),
+		Ledger:     h.ledger,
 	}, nil
 }
 
@@ -197,9 +213,11 @@ func (h *harness) key(i int) string { return fmt.Sprintf("chaos-%03d", i) }
 
 // tracef appends a line to the executed fault trace.
 func (h *harness) tracef(format string, args ...any) {
-	line := fmt.Sprintf("%8.3fs %s", time.Since(h.start).Seconds(), fmt.Sprintf(format, args...))
+	at := time.Since(h.start)
+	line := fmt.Sprintf("%8.3fs %s", at.Seconds(), fmt.Sprintf(format, args...))
 	h.mu.Lock()
 	h.trace = append(h.trace, line)
+	h.traceAt = append(h.traceAt, at)
 	h.mu.Unlock()
 	if h.opts.Logf != nil {
 		h.opts.Logf("chaos: %s", line)
@@ -248,6 +266,7 @@ func (h *harness) apply(e Event) {
 			h.tracef("skip %v: %v", e, err)
 			return
 		}
+		h.restarted(e.DC, e.P)
 		h.tracef("%v", e)
 
 	case LinkFlap:
@@ -353,6 +372,9 @@ func (h *harness) apply(e Event) {
 			h.violatef("forced removal of dc%d failed: %v", e.DC, err)
 			return
 		}
+		h.mu.Lock()
+		h.evicted[e.DC] = true
+		h.mu.Unlock()
 		h.tracef("%v: dc%d evicted at agreed finals", e, e.DC)
 	}
 }
@@ -478,7 +500,7 @@ func (h *harness) worker(id int) {
 		case r < 5:
 			_, err = cs.Get(h.key(rng.IntN(numKeys)))
 		case r < 8:
-			err = cs.Put(h.key(rng.IntN(numKeys)),
+			err = h.put(cs, h.key(rng.IntN(numKeys)),
 				[]byte(fmt.Sprintf("w%d-%d", id, h.ops.Load())))
 		default:
 			keys := make([]string, 3)

@@ -83,6 +83,11 @@ type Session struct {
 	// session runs one operation at a time, so the buffer is reused across
 	// operations instead of cloning the RDV per request.
 	opScratch vclock.VC
+	// txScratch is the reply buffer the coordinator's fan-in fills for one
+	// ROTx (core.Server.ROTxAppend). The map ROTx returns copies what a
+	// caller keeps out of it, so the buffer is reused, cleared after each
+	// transaction so that it pins no version past the call.
+	txScratch []msg.ItemReply
 
 	fallbacks  uint64 // times the session fell back to pessimistic
 	promotions uint64 // times it was promoted back to optimistic
@@ -238,23 +243,34 @@ func (s *Session) PutMeta(key string, value []byte) (vclock.Timestamp, int, erro
 // lines 14-20) and returns the read values keyed by item key. Missing keys
 // map to nil values.
 func (s *Session) ROTx(keys []string) (map[string][]byte, error) {
-	replies, err := s.ROTxReplies(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(replies))
-	for _, r := range replies {
-		if r.Exists {
-			out[r.Key] = r.Value
-		} else {
-			out[r.Key] = nil
+	replies, err := s.rotx(s.txScratch, keys)
+	var out map[string][]byte
+	if err == nil {
+		out = make(map[string][]byte, len(replies))
+		for _, r := range replies {
+			if r.Exists {
+				out[r.Key] = r.Value
+			} else {
+				out[r.Key] = nil
+			}
 		}
+		s.txScratch = replies[:0]
 	}
-	return out, nil
+	// Cleared to its capacity: a failed attempt may have gathered replies
+	// past the length of the one that succeeded.
+	clear(s.txScratch[:cap(s.txScratch)])
+	return out, err
 }
 
-// ROTxReplies is ROTx returning full replies including causal metadata.
+// ROTxReplies is ROTx returning full replies including causal metadata, in a
+// slice the caller owns.
 func (s *Session) ROTxReplies(keys []string) ([]msg.ItemReply, error) {
+	return s.rotx(nil, keys)
+}
+
+// rotx runs the transaction, retrying it through a session recovery or a
+// reshard, with the replies gathered into dst[:0] (grown when short).
+func (s *Session) rotx(dst []msg.ItemReply, keys []string) ([]msg.ItemReply, error) {
 	var slotDeadline time.Time
 	for {
 		// Coordinator and the per-key slicing function are resolved per
@@ -274,7 +290,7 @@ func (s *Session) ROTxReplies(keys []string) ([]msg.ItemReply, error) {
 		s.opScratch = vclock.MaxInto(s.opScratch, s.rdv, s.dv)
 		rdv := s.opScratch
 		s.mu.Unlock()
-		replies, err := coord.ROTx(keys, rdv, mode, s.cfg.Router.PartitionOf)
+		replies, err := coord.ROTxAppend(dst, keys, rdv, mode, s.cfg.Router.PartitionOf)
 		if err != nil {
 			if s.handleSessionError(err) {
 				continue

@@ -1,15 +1,19 @@
 package client_test
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/causaltest"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/keyspace"
+	"repro/internal/netemu"
 	"repro/internal/racedetect"
 	"repro/internal/vclock"
 )
@@ -290,9 +294,10 @@ func TestROTxInterleavedPutKeepsDeps(t *testing.T) {
 }
 
 // TestSessionROTxAllocs: an in-process RO-TX over 4 partitions costs the
-// session what its signature returns — the coordinator's result array, and
-// the map ROTx turns it into (header and one group) — and nothing of the
-// fan-out itself (cluster's TestROTxCoordinatorAllocs takes that apart).
+// session what its signature returns — the map (header and one group) — and
+// nothing of the fan-out itself (cluster's TestROTxCoordinatorAllocs takes
+// that apart): the coordinator's fan-in fills the session's reused reply
+// buffer (3 when it allocated a result array per transaction).
 func TestSessionROTxAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -321,8 +326,152 @@ func TestSessionROTxAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tx() // warm-up: pooled fan-in state, requests, replies, link queues
 	}
-	if n := testing.AllocsPerRun(1000, tx); n > 3 {
-		t.Fatalf("Session.ROTx over 4 partitions allocates %v times, want at most 3 (result, map header, map group)", n)
+	if n := testing.AllocsPerRun(1000, tx); n > 2 {
+		t.Fatalf("Session.ROTx over 4 partitions allocates %v times, want at most 2 (map header, map group)", n)
+	}
+}
+
+// TestSessionROTxScratchRetention: the reply buffer a session keeps between
+// RO-TXs is cleared after each one, so a version a transaction read is
+// collectable once it is overwritten and pruned, while the session lives on.
+func TestSessionROTxScratchRetention(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		NumDCs: 1, NumPartitions: 1, Engine: cluster.POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	s, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", []byte("read by the RO-TX")); err != nil {
+		t.Fatal(err)
+	}
+	if vals, err := s.ROTx([]string{"k"}); err != nil || string(vals["k"]) != "read by the RO-TX" {
+		t.Fatalf("ROTx = %q, %v", vals, err)
+	}
+	store := c.Server(0, 0).Store()
+	read := weak.Make(store.Head("k"))
+	if err := s.Put("k", []byte("newer")); err != nil {
+		t.Fatal(err)
+	}
+	if removed := store.CollectGarbage(c.Server(0, 0).VV()); removed != 1 {
+		t.Fatalf("CollectGarbage removed %d versions, want 1 (the one the RO-TX read)", removed)
+	}
+	runtime.GC()
+	if read.Value() != nil {
+		t.Fatal("a pruned version a RO-TX read is still reachable: the session's reply buffer pins it")
+	}
+	runtime.KeepAlive(s)
+}
+
+// misroute is a one-DC router that sends one key's slice to a partition
+// that does not own it, which answers core.ErrWrongSlotEpoch at once.
+type misroute struct {
+	c   *cluster.Cluster
+	key string
+	to  int
+}
+
+func (r misroute) ServerFor(key string) *core.Server { return r.c.Server(0, r.PartitionOf(key)) }
+func (r misroute) Coordinator() *core.Server         { return r.c.Server(0, 0) }
+func (r misroute) PartitionOf(key string) int {
+	if key == r.key {
+		return r.to
+	}
+	return r.c.PartitionOf(key)
+}
+
+// TestSessionROTxBufferIgnoresLateSlice: a session's RO-TXs share one reply
+// buffer, which a slice still out when its transaction ended must never
+// reach. A RO-TX fails on one slice's error while another slice stays parked;
+// the same session's next RO-TX completes before the parked slice answers,
+// and its values are its own keys' alone, as are those of the RO-TXs running
+// while the parked slices answer. Run under -race.
+func TestSessionROTxBufferIgnoresLateSlice(t *testing.T) {
+	const lag = 300 * time.Millisecond
+	slow := netemu.NodeID{DC: 0, Partition: 1}
+	c, err := cluster.New(cluster.Config{
+		NumDCs: 2, NumPartitions: 4, Engine: cluster.POCC,
+		HeartbeatInterval: time.Millisecond,
+		// DC 1's stream into partition 1 runs lag behind its stream into the
+		// coordinator, partition 0: a slice at partition 1 parks on the
+		// coordinator's fresher vector for about that long.
+		Latency: func(src, dst netemu.NodeID) time.Duration {
+			if src.DC == 1 && dst == slow {
+				return lag
+			}
+			return 50 * time.Microsecond
+		},
+		Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	tbl := keyspace.Build(4, 1)
+	c.SeedTable(tbl)
+	key := func(p int) string { return tbl.Key(p, 0) }
+	for p := 0; p < 4; p++ {
+		if got := c.PartitionOf(key(p)); got != p {
+			t.Fatalf("key %q is on partition %d, want %d", key(p), got, p)
+		}
+		c.Seed(key(p), []byte("value of "+key(p)))
+	}
+	s, err := client.NewSession(client.Config{
+		Router: misroute{c: c, key: key(3), to: 2},
+		NumDCs: 2,
+		// One retry through the rejection, then the error.
+		SlotRetryBudget: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := []string{key(0), key(2)}
+	check := func(what string) {
+		vals, err := s.ROTx(own)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(vals) != len(own) {
+			t.Fatalf("%s: values %q, want exactly %q", what, vals, own)
+		}
+		for _, k := range own {
+			if string(vals[k]) != "value of "+k {
+				t.Fatalf("%s: values %q, want each of %q with its own value", what, vals, own)
+			}
+		}
+	}
+	parked := func() (out, answered uint64) {
+		agg := c.Metrics()
+		return agg.TxParkLocal + agg.TxParkRemote, agg.TxBlocking.Blocked
+	}
+	for round := 1; round <= 3; round++ {
+		start := time.Now()
+		if _, err := s.ROTx([]string{key(1), key(3)}); !errors.Is(err, core.ErrWrongSlotEpoch) {
+			t.Fatalf("round %d: the misrouted RO-TX returned %v, want ErrWrongSlotEpoch", round, err)
+		}
+		check(fmt.Sprintf("round %d, the RO-TX after the failed one", round))
+		// The slices at partition 1 travel as the rejection does: wait for
+		// them to park, which is long before they can be answered.
+		for out, answered := parked(); answered >= out; out, answered = parked() {
+			if time.Since(start) > lag/2 {
+				t.Fatalf("round %d: %d slices parked, %d answered: the failed RO-TX left none out", round, out, answered)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		deadline := time.Now().Add(10 * lag)
+		for out, answered := parked(); answered < out; out, answered = parked() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d parked slices still out after %v", round, out-answered, out, 10*lag)
+			}
+			check(fmt.Sprintf("round %d, while the parked slices answer", round))
+		}
+		check(fmt.Sprintf("round %d, after the parked slices answered", round))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/item"
 	"repro/internal/keyspace"
+	"repro/internal/msg"
 	"repro/internal/racedetect"
 	"repro/internal/vclock"
 )
@@ -17,7 +18,8 @@ import (
 // key on each of 4 partitions, every snapshot already covered (no heartbeat
 // ever moves a version vector here), so all four slices are read on arrival
 // and the count is exact. What a transaction allocates is what only its
-// caller keeps: the result (1). A request with its keys and its copy of the
+// caller keeps, when the caller asks for a fresh slice: the result (1;
+// TestROTxAppendAllocs fills a reused one and allocates nothing). A request with its keys and its copy of the
 // snapshot vector, a reply with its items, the fan-in state with its snapshot
 // vector and per-partition request scratch, and the netemu queues are all
 // pooled or reused; requests and replies travel as pointers. (4 before: the
@@ -48,6 +50,38 @@ func TestROTxCoordinatorAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, tx); n != 1 {
 		t.Fatalf("a 4-partition RO-TX allocates %v times, want 1 (the result)", n)
+	}
+}
+
+// TestROTxAppendAllocs: the same 4-partition RO-TX gathered into a reply
+// buffer the caller keeps from one transaction to the next, as a client
+// session does, allocates nothing at all.
+func TestROTxAppendAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := newCluster(t, Config{
+		NumDCs: 1, NumPartitions: 4, Engine: POCC,
+		HeartbeatInterval: time.Hour,
+		Seed:              1,
+	})
+	tbl := keyspace.Build(4, 1)
+	c.SeedTable(tbl)
+	keys := []string{tbl.Key(0, 0), tbl.Key(1, 0), tbl.Key(2, 0), tbl.Key(3, 0)}
+	coord, rdv := c.Server(0, 0), vclock.New(1)
+	var dst []msg.ItemReply
+	tx := func() {
+		items, err := coord.ROTxAppend(dst, keys, rdv, core.Optimistic, c.PartitionOf)
+		if err != nil || len(items) != len(keys) {
+			t.Fatalf("ROTxAppend = %d items, %v", len(items), err)
+		}
+		dst = items
+	}
+	for i := 0; i < 100; i++ {
+		tx() // warm-up: the buffer, pooled fan-in state, link queues
+	}
+	if n := testing.AllocsPerRun(1000, tx); n != 0 {
+		t.Fatalf("a 4-partition RO-TX into a warmed buffer allocates %v times, want 0", n)
 	}
 }
 

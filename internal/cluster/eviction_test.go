@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -343,6 +344,62 @@ func TestJoinTimeoutUnwindsCleanly(t *testing.T) {
 		return err == nil && r.Exists
 	}) {
 		t.Fatal("replication between the seed DCs broken after the unwind")
+	}
+}
+
+// TestLeaveDCPartitionsInParallel: a DC's partitions leave in parallel, so
+// leaves that cannot finish cost the caller one timeout, not one per
+// partition, and the error still names every partition, in order. The
+// joiner here is TestJoinTimeoutUnwindsCleanly's, at three partitions: it
+// cannot hear the survivors' acks, so each of its leaves times out.
+func TestLeaveDCPartitionsInParallel(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	c := newCluster(t, Config{
+		NumDCs: 2, NumPartitions: 3, MaxDCs: 3, Engine: POCC,
+		HeartbeatInterval: time.Millisecond,
+		Latency:           UniformLatency(20*time.Millisecond, 25*time.Millisecond),
+		DataDir:           t.TempDir(),
+		JoinTimeout:       timeout,
+		Seed:              9,
+	})
+	joiner, err := c.AddDC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 3; p++ {
+		if err := c.DropInboundReplication(joiner, p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for p := 0; p < 3; p++ {
+			if !c.Server(joiner, p).Repl().JoinFailed() {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the cut-off joiner never gave up joining")
+	}
+	start := time.Now()
+	_, err = c.leaveDC(joiner, timeout)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("the cut-off joiner's leave succeeded; want a timeout on every partition")
+	}
+	msg := err.Error()
+	for p, at := 0, 0; p < 3; p++ {
+		i := strings.Index(msg[at:], fmt.Sprintf("partition %d:", p))
+		if i < 0 {
+			t.Fatalf("leave error does not name partition %d after the ones before it: %v", p, err)
+		}
+		at += i
+	}
+	if limit := timeout * 3 / 2; elapsed > limit {
+		t.Fatalf("three leaves that cannot finish took %v, want at most %v (one %v timeout)", elapsed, limit, timeout)
+	}
+	if err := c.WaitForJoin(joiner, 20*time.Second); err == nil {
+		t.Fatal("WaitForJoin succeeded with the joiner cut off; want a JoinTimeout unwind")
 	}
 }
 

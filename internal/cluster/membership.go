@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -124,17 +125,28 @@ func (c *Cluster) unwindJoin(dc int, cause error) error {
 }
 
 // leaveDC runs every running partition server of dc through its leave
-// (repl.Manager.Leave) and returns the finals by partition. An error names
-// each partition whose leave failed and, on a timeout, the survivors short.
+// (repl.Manager.Leave), the partitions in parallel, so a leave that cannot
+// finish costs one timeout, not one per partition, and returns the finals by
+// partition. An error names each partition whose leave failed, in partition
+// order, and, on a timeout, the survivors short.
 func (c *Cluster) leaveDC(dc int, timeout time.Duration) ([]vclock.Timestamp, error) {
 	finals := make([]vclock.Timestamp, c.numParts())
-	var short []string // one line: the text protocol answers an error on one
+	errs := make([]error, len(finals))
+	var wg sync.WaitGroup
 	for p := range finals {
 		if srv := c.Server(dc, p); srv != nil { // nil: a half-started join slot
-			var err error
-			if finals[p], err = srv.Repl().Leave(timeout); err != nil {
-				short = append(short, fmt.Sprintf("partition %d: %v", p, err))
-			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				finals[p], errs[p] = srv.Repl().Leave(timeout)
+			}()
+		}
+	}
+	wg.Wait()
+	var short []string // one line: the text protocol answers an error on one
+	for p, err := range errs {
+		if err != nil {
+			short = append(short, fmt.Sprintf("partition %d: %v", p, err))
 		}
 	}
 	if short != nil {
@@ -152,11 +164,11 @@ func (c *Cluster) closeDC(dc int) {
 	}
 }
 
-// RemoveDC removes a data center gracefully. Each of its partition servers
-// leaves (repl.Manager.Leave): it stops taking writes, flushes its tail and
-// serves the survivors' catch-up rounds until every active survivor holds
-// its history through its final timestamp, where they freeze its entry; only
-// then is it closed. The slot is retired for good: its id is never reused,
+// RemoveDC removes a data center gracefully. Its partition servers leave in
+// parallel (repl.Manager.Leave): each stops taking writes, flushes its tail
+// and serves the survivors' catch-up rounds until every active survivor
+// holds its history through its final timestamp, where they freeze its
+// entry; only then is the DC closed. The slot is retired for good: its id is never reused,
 // sessions pinned to it fail their next operation, and stabilization on the
 // survivors keeps advancing, as nothing can depend on the departed DC beyond
 // its finals. If a leave times out, the error names the partition and the

@@ -65,11 +65,22 @@ func (p *txPending) route(keys []string, partitionOf func(string) int, txID uint
 // lines 29-38): compute the snapshot vector TV, fan SliceReqs out to the
 // partitions holding the keys, and gather the replies. The first slice error
 // fails the transaction without waiting for the remaining slices. The
-// returned slice is the caller's: one reply per requested key, grouped by
-// partition in no particular order.
+// returned slice is the caller's, freshly allocated: one reply per requested
+// key, grouped by partition in no particular order.
 func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
+	return s.ROTxAppend(nil, keys, rdv, mode, partitionOf)
+}
+
+// ROTxAppend is ROTx gathering the replies into dst[:0], grown only when its
+// capacity is short of len(keys): a caller that keeps the returned slice for
+// its next transaction allocates no result. dst is written until ROTxAppend
+// returns and never after, whatever slices are still out: a reply reaches the
+// fan-in only through its transaction's entry in the in-flight table, which
+// is deleted before the return. On an error the slice is dropped, but dst may
+// hold the replies folded in before it.
+func (s *Server) ROTxAppend(dst []msg.ItemReply, keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
 	if len(keys) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	txID := s.txSeq.Add(1)
 	p := txPendingPool.Get().(*txPending)
@@ -105,7 +116,7 @@ func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(
 	}
 	p.tv.MaxInPlace(rdv)
 	// The fan-in appends every slice's items to the result, the caller's.
-	p.remaining, p.items = owners, make([]msg.ItemReply, 0, len(keys))
+	p.remaining, p.items = owners, slices.Grow(dst[:0], len(keys))
 	s.inflight[txID] = p
 	s.txMu.Unlock()
 

@@ -193,6 +193,16 @@ func TestHostileCountAllocs(t *testing.T) {
 	// The reader's own buffers, size-class rounding, and whatever else the
 	// process allocates meanwhile.
 	const slack = 128 << 10
+	// What a byte of the frame may cost: its buffer, the list's copy and an
+	// 8-byte pointer. The race runtime adds 8 bytes a byte on top (both
+	// frames below measured exactly 524 288 B more under -race at 64 KiB:
+	// 1 126 544 B for the nil versions, 2 257 040 B with one record), so
+	// under -race the per-byte budget doubles. A list sized from a claimed
+	// count of 2^27 would still overrun it a thousandfold.
+	perByte := uint64(1 + 1 + 8)
+	if racedetect.Enabled {
+		perByte *= 2
+	}
 
 	// A short frame claiming 2^27 versions is rejected before anything is
 	// sized from the count.
@@ -209,7 +219,7 @@ func TestHostileCountAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frame of nil versions: %v", err)
 	}
-	if limit := uint64(size*(1+1+8) + slack); n > limit {
+	if limit := size*perByte + slack; n > limit {
 		t.Fatalf("%d-byte frame of nil versions allocated %d bytes, want <= %d", size, n, limit)
 	}
 
@@ -221,7 +231,7 @@ func TestHostileCountAllocs(t *testing.T) {
 		t.Fatalf("frame of one version and nil versions: %v", err)
 	}
 	slab := recordSize * (size/minVersionBytes + 1)
-	if limit := uint64(size*(1+1+8)+slack) + slab; n > limit {
+	if limit := size*perByte + slack + slab; n > limit {
 		t.Fatalf("%d-byte frame claiming %d versions allocated %d bytes, want <= %d", size, size-10, n, limit)
 	}
 }
