@@ -205,17 +205,19 @@
 // announced itself Active (internal/repl/membership.go argues the view
 // lattice and the join), and a DC departs through one round
 // (internal/repl/evict.go): the survivors attest how much of its history
-// each holds, and a verdict freezes it at a final an attesting survivor
-// provably holds. RemoveDataCenter is the graceful case, its partitions
-// leaving in parallel: the leaver refuses writes, proposes its last timestamp as the final and serves catch-up until
-// every survivor holds its history through it (a timeout leaves it serving;
-// calling again resumes). ForceRemoveDataCenter evicts a crashed DC, which
-// would otherwise freeze the survivors' stable snapshot on its entry: they
-// agree on the maximum attested entry as its final, discard what lies above
-// and re-ship each other what lies below; sessions that read a discarded
-// version are re-initialized. So an acknowledged write is lost in two ways
-// only: a forced removal loses what lay above the attested maximum, and a
-// machine crash under AckGrouped loses at most its staging window (NoSync
+// each holds, and a verdict records a final a survivor provably holds.
+// RemoveDataCenter is the graceful case, its partitions leaving in parallel:
+// the leaver refuses writes, proposes its last timestamp as the final and
+// serves catch-up until every survivor holds its history through it (a
+// timeout leaves it serving; calling again resumes). ForceRemoveDataCenter
+// evicts a crashed DC, which would otherwise freeze the survivors' stable
+// snapshot on its entry: they agree on the maximum attested entry as its
+// final, a survivor whose entry rose past it by the verdict raises it to
+// that entry, and they discard what lies above and re-ship each other what
+// lies below; sessions that read a discarded version are re-initialized. So
+// an acknowledged write is lost in two ways only: a forced removal loses
+// what lay above every running survivor's entry when the final settled, and
+// a machine crash under AckGrouped loses at most its staging window (NoSync
 // opts out of durability altogether). A departed DC's id is never reused.
 // The kvserver JOIN/LEAVE/EVICT admin commands (which poccshell forwards
 // like any other line; its kill crashes a DC first) and pocckv

@@ -14,10 +14,11 @@ import (
 // in the epilogue against every surviving DC's head for its key. The head
 // must be the write or one that supersedes it in LWW order. A loss that every
 // survivor shares passes the convergence check (the heads agree), so only
-// the ledger sees it. Two losses are the deployment's to take, and only they
-// are excused: the writes above the agreed final of a force-removed origin
-// (they existed only on the dead DC), and those above the replayed own entry
-// of an origin partition that crashed under AckGrouped (its staging window).
+// the ledger sees it, unless a later write superseded it: hence write-once
+// keys. Two losses are the deployment's to take, and only they are excused:
+// the writes above the agreed final of a force-removed origin (they existed
+// only on the dead DC), and those above the replayed own entry of an origin
+// partition that crashed under AckGrouped (its staging window).
 
 // ackedWrite is one acknowledged PUT. owners are the key's partition when
 // the PUT was issued and when it was acknowledged (they differ only across a

@@ -476,7 +476,7 @@ func (h *harness) worker(id int) {
 	defer h.workerWG.Done()
 	rng := rand.New(rand.NewPCG(h.opts.Seed, 0x3077+uint64(id)))
 	var cs *causaltest.Session
-	gen := 0
+	gen, puts, once := 0, 0, 0
 	for {
 		select {
 		case <-h.stop:
@@ -502,6 +502,11 @@ func (h *harness) worker(id int) {
 		case r < 8:
 			err = h.put(cs, h.key(rng.IntN(numKeys)),
 				[]byte(fmt.Sprintf("w%d-%d", id, h.ops.Load())))
+			// Every fourth PUT adds a write-once key, whose loss none hides.
+			if puts++; err == nil && puts%4 == 0 {
+				err = h.put(cs, fmt.Sprintf("once-w%d-%d", id, once), []byte("once"))
+				once++
+			}
 		default:
 			keys := make([]string, 3)
 			for i := range keys {

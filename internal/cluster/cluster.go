@@ -217,8 +217,9 @@ type Cluster struct {
 	status   []uint8 // per-DC membership status (msg.DC*), len maxDCs
 	epoch    uint64  // membership view epoch handed to new/restarted servers
 	// finals records, for each departed DC, the per-partition final
-	// timestamp its departure round settled, so restarted servers are seeded
-	// with the freeze (and re-apply the purge on recovery).
+	// timestamp its departure settled on (a leaver's own, or settleFinal's),
+	// so restarted servers are seeded with it (and re-apply the purge on
+	// recovery).
 	finals   map[int][]vclock.Timestamp
 	tcpNodes []*tcpnet.Node           // nil in emulated mode
 	tcpDir   map[netemu.NodeID]string // TCP address directory (TCP mode)
@@ -237,47 +238,7 @@ type node struct {
 	transport netemu.Transport
 	relay     *relay // non-nil only on durable (restartable) deployments
 	skew      time.Duration
-	mx        *core.Metrics
-	// retired tallies the catch-up counters of the servers swap replaced or
-	// removed here: each starts a fresh repl.Manager at zero, and like mx
-	// the slot's totals must outlive it. swapMu orders a swap against
-	// replStats' read of srv and retired.
-	swapMu  sync.Mutex
-	retired repl.Stats
-}
-
-// swap installs srv in the slot (nil removes the server) and returns the
-// server it replaces, whose catch-up counters join the slot's tally.
-func (n *node) swap(srv *core.Server) *core.Server {
-	n.swapMu.Lock()
-	defer n.swapMu.Unlock()
-	old := n.srv.Swap(srv)
-	if old != nil {
-		st := old.Repl().Stats()
-		st.ActiveIn = 0 // its frozen links died with it
-		addStats(&n.retired, st)
-	}
-	return old
-}
-
-// replStats returns the catch-up counters of every server that has run in
-// the slot, the running one included.
-func (n *node) replStats() repl.Stats {
-	n.swapMu.Lock()
-	defer n.swapMu.Unlock()
-	st := n.retired
-	if srv := n.srv.Load(); srv != nil {
-		addStats(&st, srv.Repl().Stats())
-	}
-	return st
-}
-
-func addStats(dst *repl.Stats, s repl.Stats) {
-	dst.Requested += s.Requested
-	dst.Completed += s.Completed
-	dst.Served += s.Served
-	dst.GCOverruns += s.GCOverruns
-	dst.ActiveIn += s.ActiveIn
+	mx        *core.Metrics // outlives the servers, catch-up counters included
 }
 
 // New builds and starts a cluster.
@@ -423,9 +384,9 @@ func (c *Cluster) newClock(dc, p int) *clock.Clock {
 }
 
 // serverConfigLocked is serverConfig with memberMu held: the membership
-// mirror (DC count, statuses, epoch) feeds the server's initial view, so a
-// server started or restarted after the deployment grew or shrank begins
-// from reality instead of the seed layout.
+// mirror (DC count, statuses, epoch, finals) feeds the server's initial view,
+// so a server started or restarted after the deployment grew or shrank
+// begins from reality instead of the seed layout.
 func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 	mode := core.Optimistic
 	stab := c.cfg.StabilizationInterval

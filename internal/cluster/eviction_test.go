@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/netemu"
 )
 
 // evictionCluster builds the 3-DC durable HA-POCC deployment the forced-
@@ -486,5 +487,91 @@ func TestEvictAfterSplitJoinLeave(t *testing.T) {
 		return true
 	}) {
 		t.Fatalf("GSS never covered a post-eviction write (%d): %+v", ut, c.ReplicationStats())
+	}
+}
+
+// TestForcedRemovalMirrorsRaisedFinal: the membership mirror records the
+// final the survivors' views settle on (settleFinal), not the one the
+// departure round returned. dc0, cut off before the dead DC's last write,
+// has already adopted a verdict below that write, so its round returns that
+// final at once; dc1, which holds the write, raises the final to its entry
+// as ForceRemoveDC hands it the verdict, and the settled view reaches dc0
+// too. dc0, once its link is back, fetches the write up to the raised final,
+// and dc1 restarted from the mirror keeps it: started at the round's final,
+// it would drop the write from its replay, and no sibling's view would tell
+// it otherwise (dc0 missed the raised view dc1 sent).
+func TestForcedRemovalMirrorsRaisedFinal(t *testing.T) {
+	const dead, key = 2, "straggler"
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 1, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, time.Millisecond),
+		DataDir: t.TempDir(),
+		Seed:    5,
+	})
+	if err := c.DropInboundReplication(0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.NewSession(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.ReadAt(dead, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ut := r.UpdateTime
+	if !waitUntil(t, 5*time.Second, func() bool { return c.Server(1, 0).VV()[dead] >= ut }) {
+		t.Fatal("dc1 never held the dead DC's write")
+	}
+	if err := c.KillDC(dead); err != nil {
+		t.Fatal(err)
+	}
+	if e := c.Server(0, 0).VV()[dead]; e >= ut {
+		t.Fatalf("dc0 entry %d: the cut let the write through (%d)", e, ut)
+	}
+	c.Server(0, 0).Repl().Handle(netemu.NodeID{DC: 1}, msg.MembershipUpdate{View: msg.Membership{
+		Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft},
+	}})
+	if err := c.ForceRemoveDC(dead, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.memberMu.Lock()
+	f := c.finals[dead][0]
+	c.memberMu.Unlock()
+	if f < ut {
+		t.Fatalf("mirror final %d, want dc1's raise to its entry (>= %d)", f, ut)
+	}
+	for dc := range 2 {
+		if got := c.Server(dc, 0).Repl().View().FinalOf(dead); got != f {
+			t.Fatalf("dc%d final = %d, want the mirror's %d", dc, got, f)
+		}
+	}
+	if err := c.DropInboundReplication(0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 10*time.Second, func() bool { return c.Server(0, 0).VV()[dead] >= ut }) {
+		t.Fatalf("dc0 VV = %v, want the gap to the raised final filled (>= %d)", c.Server(0, 0).VV(), ut)
+	}
+	if r, err := c.ReadAt(0, key); err != nil || !r.Exists || r.UpdateTime != ut {
+		t.Fatalf("ReadAt(dc0, %q) = %+v, %v, want the write at %d", key, r, err, ut)
+	}
+
+	if err := c.RestartServer(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.Server(1, 0)
+	if got := srv.Repl().View().FinalOf(dead); got != f {
+		t.Fatalf("restarted at final %d, want the mirror's %d", got, f)
+	}
+	if r, err := c.ReadAt(1, key); err != nil || !r.Exists || r.UpdateTime != ut {
+		t.Fatalf("ReadAt(dc1, %q) = %+v, %v after the restart, want the write at %d", key, r, err, ut)
+	}
+	// The entry restarts at the durable attestation and catches up to the
+	// final from dc0; capped at a lower final it never could.
+	if !waitUntil(t, 5*time.Second, func() bool { return srv.VV()[dead] >= ut }) {
+		t.Fatalf("restarted VV = %v, want the entry for dc%d at or above %d", srv.VV(), dead, ut)
 	}
 }

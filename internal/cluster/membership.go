@@ -158,7 +158,7 @@ func (c *Cluster) leaveDC(dc int, timeout time.Duration) ([]vclock.Timestamp, er
 // closeDC removes every partition server of dc from the matrix and closes it.
 func (c *Cluster) closeDC(dc int) {
 	for p := 0; p < c.numParts(); p++ {
-		if srv := c.nodes[dc][p].swap(nil); srv != nil {
+		if srv := c.nodes[dc][p].srv.Swap(nil); srv != nil {
 			srv.Close()
 		}
 	}
@@ -167,7 +167,7 @@ func (c *Cluster) closeDC(dc int) {
 // RemoveDC removes a data center gracefully. Its partition servers leave in
 // parallel (repl.Manager.Leave): each stops taking writes, flushes its tail
 // and serves the survivors' catch-up rounds until every active survivor
-// holds its history through its final timestamp, where they freeze its
+// holds its history through its final timestamp, where they cap its
 // entry; only then is the DC closed. The slot is retired for good: its id is never reused,
 // sessions pinned to it fail their next operation, and stabilization on the
 // survivors keeps advancing, as nothing can depend on the departed DC beyond
@@ -233,7 +233,7 @@ func (c *Cluster) KillDC(dc int) error {
 			continue // nothing was ever brought up here
 		}
 		n.relay.dropRepl.Store(true) // a dead machine receives nothing
-		if srv := n.swap(nil); srv != nil {
+		if srv := n.srv.Swap(nil); srv != nil {
 			srv.Crash()
 		}
 	}
@@ -242,9 +242,11 @@ func (c *Cluster) KillDC(dc int) error {
 
 // ForceRemoveDC forcibly removes a crashed data center: the surviving DCs
 // run the eviction protocol (repl.Manager.ProposeEvict) for every partition,
-// agreeing per link on the highest update timestamp any of them replicated
-// from the dead DC; each survivor freezes its membership entry at that final
-// and discards any version above it. If the DC's servers are still running
+// agreeing per link on the highest update timestamp any of them holds
+// without a gap from the dead DC; each survivor records that final in its
+// view — raising it to its own entry if that is above — and discards any
+// version above it, and the mirror records the final the running survivors
+// settle on (settleFinal). If the DC's servers are still running
 // they are killed first — forced removal is for dead DCs, and an evicted
 // slot can never come back (its un-agreed suffix is gone). timeout bounds
 // each partition's proposal round (0 selects a default). On an error the
@@ -279,28 +281,51 @@ func (c *Cluster) ForceRemoveDC(dead int, timeout time.Duration) error {
 	finals := make([]vclock.Timestamp, c.numParts())
 	for p := range finals {
 		var prop *core.Server
+		var src netemu.NodeID
 		for dc := 0; dc < int(c.dcs.Load()); dc++ {
 			if dc == dead || status[dc] != msg.DCActive {
 				continue
 			}
 			if srv := c.Server(dc, p); srv != nil {
-				prop = srv
+				prop, src = srv, netemu.NodeID{DC: dc, Partition: p}
 				break
 			}
 		}
 		if prop == nil {
 			return fmt.Errorf("cluster: no running survivor holds partition %d", p)
 		}
-		f, err := prop.Repl().ProposeEvict(dead, timeout)
-		if err != nil {
+		if _, err := prop.Repl().ProposeEvict(dead, timeout); err != nil {
 			return fmt.Errorf("cluster: evict dc%d (partition %d): %w", dead, p, err)
 		}
-		finals[p] = f
+		finals[p] = c.settleFinal(dead, src, prop.Repl().View())
 	}
 	c.memberMu.Lock()
 	c.recordFinalsLocked(dead, finals)
 	c.memberMu.Unlock()
 	return nil
+}
+
+// settleFinal hands verdict, the view of src (the round's proposer), to every
+// running survivor of its partition and returns the final their views settle
+// on for dead: a survivor whose entry lay above the round's final raises it
+// as it adopts the verdict, and no entry passes it after. The settled view
+// goes back to each, and the mirror records it, so a restart does not drop
+// the raised prefix from its replay.
+func (c *Cluster) settleFinal(dead int, src netemu.NodeID, verdict msg.Membership) vclock.Timestamp {
+	var sibs []*core.Server
+	for dc := 0; dc < int(c.dcs.Load()); dc++ {
+		if srv := c.Server(dc, src.Partition); dc != dead && srv != nil {
+			sibs = append(sibs, srv)
+		}
+	}
+	for _, srv := range sibs {
+		srv.Repl().Handle(src, msg.MembershipUpdate{View: verdict.Clone()})
+		verdict.Merge(srv.Repl().View(), c.maxDCs)
+	}
+	for _, srv := range sibs {
+		srv.Repl().Handle(src, msg.MembershipUpdate{View: verdict.Clone()})
+	}
+	return verdict.FinalOf(dead)
 }
 
 // recordFinalsLocked marks dc Left in the membership mirror with its

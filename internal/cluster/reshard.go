@@ -141,7 +141,7 @@ func (c *Cluster) startPartitionServers(np int, next *keyspace.SlotMap, members 
 		srv, err := core.NewServer(cfg)
 		if err != nil {
 			for _, q := range members {
-				if started := c.nodes[q][np].swap(nil); started != nil {
+				if started := c.nodes[q][np].srv.Swap(nil); started != nil {
 					started.Close()
 				}
 			}
@@ -297,6 +297,7 @@ func (c *Cluster) reshard(cur, next *keyspace.SlotMap, moved []int, target, newP
 		// inherited history (LWW would resurrect moved versions over fresh
 		// writes).
 		tgt.AdvanceClock(maxTS)
+		tgt.Repl().AdoptHistory(seed.Get(dc)) // a later joiner fetches the copy
 		if newPart >= 0 {
 			// Only a fresh split owner adopts the donors' VV claim (see the
 			// soundness note above); it also sets the catch-up floor so the

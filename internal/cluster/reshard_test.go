@@ -655,3 +655,53 @@ func TestReshardCopyOmitsEvictedSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitHistoryReachesLaterJoiner: a DC that joins after a split holds
+// the moved history written before it. The split owner holds that history
+// through the reshard's copy, not its own stream, so the copy raises the
+// floor the owner's stream advertises (repl.Manager.AdoptHistory): a
+// joiner's first contact fetches the history instead of adopting the
+// stream over it.
+func TestSplitHistoryReachesLaterJoiner(t *testing.T) {
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 2, MaxDCs: 4, MaxPartitions: 3, Engine: HAPOCC,
+		StabilizationInterval: 20 * time.Millisecond,
+		Latency:               UniformLatency(50*time.Microsecond, time.Millisecond),
+		DataDir:               t.TempDir(),
+		Seed:                  5,
+	})
+	s, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("before-split-%d", i)
+		if err := s.Put(keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	np, err := c.SplitPartition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.AddDC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitForJoin(j, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, k := range keys {
+		if c.PartitionOf(k) == np {
+			moved++
+		}
+		if r, err := c.ReadAt(j, k); err != nil || !r.Exists {
+			t.Errorf("joiner dc%d lacks %s (p%d): %+v, %v", j, k, c.PartitionOf(k), r, err)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no key moved to the split's new partition: the test checks nothing")
+	}
+}

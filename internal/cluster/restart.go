@@ -107,7 +107,7 @@ func (c *Cluster) RestartServer(dc, p int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: restart dc%d-p%d: %w", dc, p, err)
 	}
-	n.swap(srv)
+	n.srv.Swap(srv)
 	// Re-read the routing state after publishing the server: a reshard that
 	// flipped (or aborted) between the config snapshot above and now has
 	// already walked the server matrix, so its install may have hit the dead

@@ -104,6 +104,7 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 		st.LagPerLink[dc] = make([]time.Duration, dcs)
 	}
 	for id, srv := range c.live() {
+		st.CatchUpsActive += srv.Repl().Stats().ActiveIn // a gauge: running servers
 		dc := id.DC
 		if dc >= dcs {
 			continue // joined after the sample began
@@ -129,15 +130,17 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 		}
 	}
 	// Counters come from every slot, dead incarnations and departed DCs
-	// included (node.retired), so they never fall.
-	var cs repl.Stats
+	// included (core.Metrics outlives its servers), so they never fall.
 	for dc := range c.nodes {
 		for p := range c.nodes[dc] {
-			addStats(&cs, c.nodes[dc][p].replStats())
+			if m := c.nodes[dc][p].mx; m != nil {
+				st.CatchUpsRequested += m.Repl.Requested.Load()
+				st.CatchUpsCompleted += m.Repl.Completed.Load()
+				st.CatchUpsServed += m.Repl.Served.Load()
+				st.GCOverruns += m.Repl.GCOverruns.Load()
+			}
 		}
 	}
-	st.CatchUpsRequested, st.CatchUpsCompleted, st.CatchUpsServed = cs.Requested, cs.Completed, cs.Served
-	st.CatchUpsActive, st.GCOverruns = cs.ActiveIn, cs.GCOverruns
 	return st
 }
 

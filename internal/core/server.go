@@ -95,6 +95,8 @@ type Metrics struct {
 	// Parked slices by where they waited: on the local DC's entry (the cost
 	// of skew under raw clocks; 0 under hybrid ones) or on remote updates only.
 	TxParkLocal, TxParkRemote atomic.Uint64
+	// Repl is the replication plane's catch-up counters (repl.NewManager).
+	Repl repl.Counters
 }
 
 // Config parameterizes a Server. The embedded repl.Config holds the options
@@ -371,7 +373,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// The replication manager must exist before the handler is installed
 	// (inbound messages delegate to it) and after the VV floor is restored
 	// (its resume floor starts at the recovered local entry).
-	mgr, err := repl.NewManager(cfg.Config, (*replBackend)(s), src)
+	mgr, err := repl.NewManager(cfg.Config, (*replBackend)(s), src, &cfg.Metrics.Repl)
 	if err != nil {
 		_ = eng.Close()
 		return nil, fmt.Errorf("core: %w", err)

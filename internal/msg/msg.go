@@ -149,7 +149,8 @@ func (h *Heartbeat) Release() {
 // of its own log, and claims the shipped bound per DC on the Done reply
 // (CatchUpReply.Departed). This is how a joiner — or a survivor left short by
 // a forced eviction — obtains history whose origin is no longer around to
-// serve it. Nil Have requests own-origin history only.
+// serve it. A nil Have reads as zeros (vclock.VC.Get): every departed DC's
+// history from 0, and a zero GC holdback floor at the sender.
 type CatchUpRequest struct {
 	ReqID uint64
 	From  vclock.Timestamp
@@ -228,13 +229,14 @@ const (
 // Epoch to one past the largest epoch it has seen, so epochs order the
 // changes a single admin drives while the entry-wise lattice merge keeps
 // concurrent changes convergent.
-// Final records, per DC id, the final timestamp a departed (DCLeft) member
-// was frozen at: a graceful leaver's own last timestamp, which every
-// survivor attested before the verdict (EvictProposal.Final), or for a
-// forcibly evicted DC the value the survivors agreed on (repl's ProposeEvict).
-// Entries merge by numeric maximum alongside the statuses, so the view
-// carries the freeze point wherever it travels; zero means "not known /
-// no cap". Entries for non-departed DCs are meaningless and stay zero.
+// Final records, per DC id, the final timestamp of a departed (DCLeft)
+// member: a graceful leaver's own last timestamp, which every survivor
+// attested before the verdict (EvictProposal.Final), or for a forcibly
+// evicted DC the value the survivors agreed on (repl's ProposeEvict), raised
+// by any survivor whose entry lay above it at the verdict. Entries merge by
+// numeric maximum alongside the statuses, so the view carries the final
+// wherever it travels; zero means "not known / no cap". Entries for
+// non-departed DCs are meaningless and stay zero.
 type Membership struct {
 	Epoch  uint64
 	Status []uint8
@@ -253,7 +255,7 @@ func (m Membership) Clone() Membership {
 	return out
 }
 
-// FinalOf returns the final (freeze) timestamp recorded for a departed dc,
+// FinalOf returns the final timestamp recorded for a departed dc,
 // or zero when none is known.
 func (m Membership) FinalOf(dc int) vclock.Timestamp {
 	if dc < 0 || dc >= len(m.Final) {

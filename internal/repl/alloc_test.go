@@ -39,7 +39,7 @@ func TestReplicationFlushAllocs(t *testing.T) {
 		ID: netemu.NodeID{DC: 0}, NumDCs: 3, Clock: be.clk,
 		Endpoint:          nw.Register(netemu.NodeID{DC: 0}, nil),
 		HeartbeatInterval: 200 * time.Microsecond,
-	}, be, nil)
+	}, be, nil, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}

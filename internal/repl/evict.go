@@ -4,36 +4,42 @@
 // (ProposeEvict) — sends msg.EvictProposal to every active survivor, and
 // each answers msg.EvictAck with its version-vector entry for the departing
 // DC: a prefix-complete "I hold everything it originated through t" claim.
-// Once every survivor has answered, the proposer freezes the view (Status
-// Left, the final in the membership lattice) and broadcasts it, the verdict,
-// as a msg.MembershipUpdate. Proposals are re-sent, each wait the plane's
-// backoff (nextWait), until every awaited ack is in or the timeout elapses.
+// Once every survivor has answered, the proposer marks the DC Left at the
+// final in its view and broadcasts it, the verdict, as a
+// msg.MembershipUpdate. Proposals are re-sent, each wait the plane's backoff
+// (nextWait), until every awaited ack is in or the timeout elapses.
 //
 // The two differ only in who knows the final. A crashed DC cannot say: the
-// survivors agree on the maximum attested entry, each freezing its entry at
-// the attested point until the verdict (a gap-free straggler must not lift
-// it past a claim already sent). A leaver knows: it refuses writes, flushes
-// its tail and proposes its last timestamp (Final > 0). A survivor short of
-// it opens a catch-up round toward the leaver — the tail batch may have been
-// lost, and no heartbeat follows to expose the hole — and the leaver counts
-// only acks at or above the final, serving catch-up until the verdict. So a
-// leave loses nothing unless the leaver crashes first, and then it is a
-// forced removal.
+// survivors agree on the maximum attested entry, and an entry that rises
+// past it by the verdict — a straggler the dead DC flushed before it died
+// still arrives in sequence — raises it (applyView's seal). A leaver knows: it
+// refuses writes, flushes its tail and proposes its last timestamp (Final >
+// 0). A survivor short of it opens a catch-up round toward the leaver — the
+// tail batch may have been lost, and no heartbeat follows to expose the hole
+// — and the leaver counts only acks at or above the final, serving catch-up
+// until the verdict. So a leave loses nothing unless the leaver crashes
+// first, and then it is a forced removal.
 //
-// A receiver of the verdict may hold versions beyond the final (applied
-// optimistically from a dead DC's un-agreed flush) or be behind it (a DC
-// that was not asked). Both are reconciled at the merge: versions above the
-// final are dropped (Backend.DropAbove — replicated to nobody provably), and
-// a receiver below it gap-fills through catch-up rounds on the surviving
-// links: every msg.CatchUpRequest carries the requester's version vector
-// (Have), and the server also streams the departed-origin history it lacks
-// up to the final, bounded by a claim in the Done chunk's Departed list —
-// which is also how joiners get the history of DCs that left before them.
+// The verdict is reconciled at the merge (applyView), which no inbound raise
+// interleaves with. A receiver whose entry is above the final (a straggler,
+// or a DC that was not asked) raises it, seals there and sends the raised
+// view to every member; finals merge by maximum.
+// Versions above the final are dropped (Backend.DropAbove — replicated to
+// nobody provably). A receiver below it gap-fills through catch-up rounds on
+// the surviving links: every msg.CatchUpRequest carries the requester's
+// version vector (Have), and the server also streams the departed-origin
+// history it lacks up to the final, bounded by a claim in the Done chunk's
+// Departed list — which is also how joiners get the history of DCs that left
+// before them.
 //
-// Below the final the surviving history is provably prefix-complete at an
-// attesting survivor. Above it nothing exists after a leave; after a forced
-// removal the suffix existed only on the dead machine — a coordinator dying
-// before it replicates, surfaced as a membership event, not divergence.
+// Below the final the surviving history is provably prefix-complete at the
+// survivor that attested or raised it. Above it nothing exists after a
+// leave; after a forced removal the suffix lay above every survivor's entry
+// at the verdict — a coordinator dying before it replicates, surfaced as a
+// membership event, not divergence. A raised final lives in the survivors'
+// views; a survivor restarted before its raised view reached anyone else (or
+// its owner's record, see cluster.settleFinal) starts from the lower final
+// and drops what lay above it.
 
 package repl
 
@@ -64,11 +70,12 @@ type departRound struct {
 // ProposeEvict runs the departure round for a crashed DC: every active
 // survivor is asked to attest its version-vector entry for the dead DC, and
 // the agreed final is the maximum attestation — every version at or below
-// it provably survives at the attesting survivor, and everything above it
-// was acknowledged by nobody. On agreement the proposer adopts the verdict
-// (reconciling its own state, sealDeparted) and broadcasts it so the
-// survivors do the same; evicting an already-departed DC returns its
-// recorded final immediately. timeout <= 0 selects 5 s.
+// it provably survives at the attesting survivor. On agreement the proposer
+// adopts the verdict (reconciling its own state, applyView) and
+// broadcasts it so the survivors do the same; a survivor whose entry rose
+// past the final meanwhile raises the final, so the returned final is a
+// floor for the one the views settle on. Evicting an already-departed DC
+// returns its recorded final immediately. timeout <= 0 selects 5 s.
 //
 // Only one round may run per manager at a time. Concurrent proposers (split
 // views) are safe: finals merge by maximum in the membership lattice and
@@ -85,8 +92,9 @@ func (r *Manager) ProposeEvict(dead int, timeout time.Duration) (vclock.Timestam
 
 // depart runs the departure round for dc: a leave when dc is this node's own
 // DC, with final its last timestamp, or an eviction, which passes final 0
-// and agrees on the maximum attested entry. It returns the final once the
-// verdict is adopted and sent.
+// and agrees on the maximum attested entry, the proposer's own included (an
+// entry that rises after its ack raises the final at the merge). It returns
+// the final once the verdict is adopted and sent.
 func (r *Manager) depart(dc int, final vclock.Timestamp, timeout time.Duration) (vclock.Timestamp, error) {
 	if r.stopped.Load() {
 		return 0, errors.New("repl: manager stopped")
@@ -111,14 +119,7 @@ func (r *Manager) depart(dc int, final vclock.Timestamp, timeout time.Duration) 
 		final: final, done: make(chan struct{}),
 	}
 	if dc != r.m {
-		// Freeze and attest the proposer's own entry first, exactly like an
-		// acking survivor: the agreed final must not fall below an entry any
-		// participant keeps raising during the round.
-		st := r.in[dc]
-		st.mu.Lock()
-		round.final = r.be.VVEntry(dc)
-		st.evictCap, st.evictCapUntil = round.final, time.Now().Add(evictFreezeGrace)
-		st.mu.Unlock()
+		round.final = r.be.VVEntry(dc) // the proposer attests, as a survivor does
 	}
 	r.departMu.Lock()
 	if r.departing != nil {
@@ -184,23 +185,16 @@ func (r *Manager) depart(dc int, final vclock.Timestamp, timeout time.Duration) 
 	}
 	verdict.SetFinal(dc, final)
 	r.applyView(verdict)
-	update := msg.MembershipUpdate{View: r.View()}
-	for peer := range update.View.Status {
-		if peer != r.m && update.View.IsMember(peer) {
-			r.ep.Send(netemu.NodeID{DC: peer, Partition: r.n}, update)
-		}
-	}
+	r.sendView(r.View())
 	return final, nil
 }
 
 // handleEvictProposal attests this node's version-vector entry for the
-// departing DC. For an eviction it freezes the entry there until the verdict
-// (or the freeze grace) — between the ack and the verdict a gap-free
-// straggler must not push the entry past what was attested, or the agreed
-// final could cut below an already-claimed prefix. A leave's final is fixed,
-// so nothing is frozen; an entry short of it fetches the rest from the
-// leaver: a round opens unless one is in flight, and one in flight that has
-// gone quiet is asked again — the leaver sends no heartbeat that would.
+// departing DC and holds nothing there: a verdict below the entry, which a
+// straggler may still lift, is raised at the merge (applyView). A leave's
+// final is fixed; an entry short of it fetches the rest from the leaver: a
+// round opens unless one is in flight, and one in flight that has gone quiet
+// is asked again — the leaver sends no heartbeat that would.
 func (r *Manager) handleEvictProposal(src netemu.NodeID, m msg.EvictProposal) {
 	if !r.validSrc(src.DC) || m.DC < 0 || m.DC >= r.maxDCs {
 		return
@@ -209,15 +203,12 @@ func (r *Manager) handleEvictProposal(src netemu.NodeID, m msg.EvictProposal) {
 	if m.DC == r.m {
 		return // nobody attests their own eviction; the view to come is the verdict
 	}
-	left := r.statusOf(m.DC) == msg.DCLeft
+	_, left := r.leftFinal(m.DC)
 	st := r.in[m.DC]
 	st.mu.Lock()
 	entry := r.be.VVEntry(m.DC)
 	switch {
-	case m.Final == 0:
-		st.evictCap = entry
-		st.evictCapUntil = time.Now().Add(evictFreezeGrace)
-	case entry >= m.Final || left: // attested, or nobody is left to ask
+	case entry >= m.Final || left: // an eviction, attested, or nobody is left to ask
 	case st.state != LinkCatchingUp:
 		st.reqWait = r.reRequest
 		r.startCatchUpLocked(st, m.DC)

@@ -12,7 +12,7 @@
 //	|---|---|---|---|
 //	| Idle | first message, nothing precedes it (base == 0) and floor ≤ VV[dc] | Active | adopt (epoch, seq), raise |
 //	| Idle | any other first message | CatchingUp | reset reqWait, open round, start chain |
-//	| Active | next batch (seq+1) or re-attesting heartbeat (seq) | Active | raise (capped by an eviction freeze) |
+//	| Active | next batch (seq+1) or re-attesting heartbeat (seq) | Active | raise |
 //	| Active | duplicate (seq ≤ cursor) | Active | nothing |
 //	| Active | hole, or new epoch | CatchingUp | reset reqWait, open round, start chain |
 //	| Idle, Active | a departed DC's final exceeds VV and the link has been quiet > reqWait | CatchingUp | open round (Have carries the gap), double reqWait |
@@ -25,6 +25,7 @@
 //	| CatchingUp | Done of the live round; a hole remains | CatchingUp | raise Through, open the next round |
 //	| any | chunk or Done of a stale round | same | versions applied, nothing else |
 //	| CatchingUp | the DC is marked Left | Idle | round cancelled; versions past the final dropped |
+//	| Idle, Active | the DC is marked Left at a final below VV, once an install and raise in flight finish | same | final raised to VV and sealed there; the view goes to every member |
 //	| Active, the DC Left | next batch or re-attesting heartbeat | Active | raise (capped at the final) |
 //	| any other, the DC Left | sequenced message | same | nothing: gap-fill rounds on the survivors close the hole |
 //
@@ -130,14 +131,6 @@ type inLink struct {
 	chainBase  uint64 // sequence immediately before the chain's first batch
 	chainSeq   uint64
 	chainTS    vclock.Timestamp
-
-	// Eviction freeze. Acking an EvictProposal attests "I hold everything
-	// through evictCap" — the entry must not pass that point before the
-	// verdict, or the agreed final could cut below an already-attested
-	// prefix. The freeze self-expires (evictFreezeGrace) if no verdict
-	// follows.
-	evictCap      vclock.Timestamp
-	evictCapUntil time.Time
 }
 
 // cursor is a position in a sender's sequenced stream. A link keeps two — the
@@ -180,15 +173,6 @@ func seqBase(seq uint64, isBatch bool) uint64 {
 	return seq
 }
 
-// capRaiseLocked clamps a version-vector raise on a link frozen by a
-// pending eviction round. Called with st.mu held.
-func capRaiseLocked(st *inLink, t vclock.Timestamp) vclock.Timestamp {
-	if st.evictCap > 0 && t > st.evictCap && time.Now().Before(st.evictCapUntil) {
-		return st.evictCap
-	}
-	return t
-}
-
 // handleBatch installs a replicated batch and advances the sender DC's
 // version-vector entry when the link's sequence is intact. Versions are
 // always installed on arrival, on a catching-up link too — POCC serves the
@@ -213,8 +197,7 @@ func (r *Manager) handleBatch(src netemu.NodeID, m *msg.ReplicateBatch) {
 	// HLC receive rule: fold the remote attestation into the local clock so
 	// the next local write is stamped past everything it could depend on.
 	r.clk.Observe(adv)
-	r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
-	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, adv, true)
+	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, adv, m)
 }
 
 // handleHeartbeat advances the sender DC's version-vector entry
@@ -226,7 +209,7 @@ func (r *Manager) handleHeartbeat(src netemu.NodeID, m *msg.Heartbeat) {
 		return
 	}
 	r.clk.Observe(m.Time)
-	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, m.Time, false)
+	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, m.Time, nil)
 }
 
 // validSrc reports whether dc is a plausible remote source this node can
@@ -281,16 +264,24 @@ func (r *Manager) filterDeparted(vs []*item.Version) []*item.Version {
 }
 
 // handleSequenced runs the receiver state machine for one sequenced message
-// on the link from dc. A batch consumes the next sequence number; a
-// heartbeat re-attests the current one. adv is the VV advance the message
-// carries when the sequence is intact; floor is the sender incarnation's
-// starting history floor.
-func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.Timestamp, isBatch bool) {
+// on the link from dc: b, a batch, whose versions it installs first and
+// which consumes the next sequence number, or nil for a heartbeat, which
+// re-attests the current one. adv is the VV advance the message carries
+// when the sequence is intact; floor is the sender incarnation's starting
+// history floor. It holds sealMu shared: a departure merged meanwhile seals
+// at the entry it leaves.
+func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.Timestamp, b *msg.ReplicateBatch) {
+	isBatch := b != nil
+	r.sealMu.RLock()
+	defer r.sealMu.RUnlock()
+	if isBatch {
+		r.be.ApplyRemote(r.filterDeparted(b.Versions), b.SlotEpoch)
+	}
 	// A straggler from a departed DC (in flight when the verdict overtook
 	// it): after a graceful leave nothing it attests can exceed the final
 	// every survivor attested, and after a forced removal anything beyond
-	// the agreed final is the dead DC's un-agreed suffix — never attested,
-	// so the advance is capped there.
+	// the final is the dead DC's un-agreed suffix — never attested, so the
+	// advance is capped there.
 	final, left := r.leftFinal(dc)
 	if left && final > 0 && adv > final {
 		adv = final
@@ -302,7 +293,7 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 	switch {
 	case left && (st.state != LinkActive || at == seqBreak):
 		// A departed DC's entry rises only on a synced link, in sequence. No
-		// round may start toward a DC that no longer answers: sealDeparted's
+		// round may start toward a DC that no longer answers: the seal's
 		// gap-fill rounds on the surviving links close the hole.
 	case st.state == LinkCatchingUp:
 		// Catch-up in flight: track the chain for the splice at Done, and
@@ -346,11 +337,8 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		r.startCatchUpLocked(st, dc)
 		r.noteChainLocked(st, epoch, seq, adv, isBatch)
 	}
-	// The raise happens under the link lock so an eviction ack (which reads
-	// the entry and freezes it at the attested point, also under the lock)
-	// serializes with it — no raise can slip past a just-sent attestation.
 	if raise > 0 {
-		r.be.RaiseVV(dc, capRaiseLocked(st, raise))
+		r.be.RaiseVV(dc, raise)
 	}
 	st.mu.Unlock()
 	r.maybeFinishJoin() // a first-contact adoption may have been the last link
@@ -391,7 +379,7 @@ func (r *Manager) startCatchUpLocked(st *inLink, dc int) {
 	st.reqID = r.reqSeq.Add(1)
 	st.reqAt = time.Now()
 	st.nextChunk = 1
-	r.statReq.Add(1)
+	r.ctr.Requested.Add(1)
 	have := r.haveVV()
 	r.ep.Send(netemu.NodeID{DC: dc, Partition: r.n},
 		msg.CatchUpRequest{ReqID: st.reqID, From: have[dc], Have: have})
@@ -436,6 +424,8 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	if !r.validSrc(src.DC) || slices.Contains(m.Versions, nil) {
 		return
 	}
+	r.sealMu.RLock() // from the install through the claims, as handleSequenced
+	defer r.sealMu.RUnlock()
 	if len(m.Versions) > 0 {
 		r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
 	}
@@ -470,7 +460,7 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 		st.mu.Unlock()
 		return
 	}
-	r.statDone.Add(1)
+	r.ctr.Completed.Add(1)
 	var chainRaise vclock.Timestamp
 	again := false
 	switch {
@@ -499,11 +489,10 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	// The sender guarantees every version it originated with a timestamp ≤
 	// Through is now present (previously received, or streamed in this
 	// round). An Unsupported reply makes the same advance on the optimistic
-	// fallback semantics instead. Raised under the link lock (capped by a
-	// pending eviction attestation) like every sequenced advance.
-	r.be.RaiseVV(src.DC, capRaiseLocked(st, m.Through))
+	// fallback semantics instead.
+	r.be.RaiseVV(src.DC, m.Through)
 	if chainRaise > 0 {
-		r.be.RaiseVV(src.DC, capRaiseLocked(st, chainRaise))
+		r.be.RaiseVV(src.DC, chainRaise)
 	}
 	st.mu.Unlock()
 	// Departed-origin claims: the sender streamed every version in
@@ -516,7 +505,7 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 			continue
 		}
 		t := c.Through
-		if f := r.finalOf(c.DC); f > 0 && t > f {
+		if f, _ := r.leftFinal(c.DC); f > 0 && t > f {
 			t = f
 		}
 		r.be.RaiseVV(c.DC, t)

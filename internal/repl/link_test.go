@@ -129,12 +129,42 @@ func TestLinkTransitions(t *testing.T) {
 			event: func(r linkRig, _ *testing.T) {
 				r.m.handleHeartbeat(linkSrc, &msg.Heartbeat{Time: 300, Epoch: 7, Seq: 1})
 			}},
-		{name: "Active: next batch under an eviction freeze", from: active, want: LinkActive, vv: 100,
+		{name: "Active: next batch after an eviction ack raises", from: active, want: LinkActive, vv: 200,
 			event: func(r linkRig, _ *testing.T) {
-				// Acking a proposal to evict DC 1 attests VV[1] = 100 and caps
-				// the entry there until the verdict.
+				// Acking a proposal to evict DC 1 attests VV[1] = 100 and holds
+				// nothing there: the verdict raises its final to what follows.
 				r.m.handleEvictProposal(netemu.NodeID{DC: 2}, msg.EvictProposal{DC: 1, ReqID: 1})
 				r.m.handleBatch(linkSrc, linkBatch(7, 2, 200))
+			},
+			also: func(r linkRig, t *testing.T, _ int) {
+				out := r.tr.msgs(netemu.NodeID{DC: 2})
+				if ack, ok := out[len(out)-1].(msg.EvictAck); !ok || ack.Entry != 100 {
+					t.Errorf("last message to the proposer = %#v, want the ack of entry 100", out[len(out)-1])
+				}
+			}},
+		{name: "Idle: a verdict below a raise in flight waits for it, then raises the final", from: idle, want: LinkActive, vv: 200,
+			event: func(r linkRig, _ *testing.T) {
+				// The verdict (DC 1 Left at 150) arrives after the batch is
+				// installed and before its raise: the seal waits for the raise.
+				merged := make(chan struct{})
+				r.be.onVVEntry = func() {
+					go func() { leave1(r, 150); close(merged) }()
+					time.Sleep(10 * time.Millisecond)
+				}
+				r.m.handleBatch(linkSrc, linkBatch(7, 1, 200))
+				<-merged
+			},
+			also: func(r linkRig, t *testing.T, applied int) {
+				appliedOne(r, t, applied) // sealed at 200, not 150
+				var up msg.MembershipUpdate
+				for _, raw := range r.tr.msgs(netemu.NodeID{DC: 2}) {
+					if u, ok := raw.(msg.MembershipUpdate); ok {
+						up = u
+					}
+				}
+				if up.View.FinalOf(1) != 200 {
+					t.Errorf("view sent to dc2 = %+v, want it raised to the entry 200", up.View)
+				}
 			}},
 		{name: "Active: duplicate", from: active, want: LinkActive, vv: 100,
 			event: func(r linkRig, _ *testing.T) { r.m.handleBatch(linkSrc, linkBatch(7, 1, 100)) }},

@@ -19,9 +19,10 @@
 //
 // A DC leaves through evict.go's departure round, whose verdict marks it
 // Left at its final. Merging it (applyView) retires the link (its pending
-// catch-up round is cancelled: nobody is left to answer), fills any hole
-// below the final from the survivors (sealDeparted) and drops the DC from the
-// fan-out; stabilization advances, as no dependency can exceed the final.
+// catch-up round is cancelled: nobody is left to answer), seals at the final
+// — raised to this node's entry when that is above, any hole below it filled
+// from the survivors — and drops the DC from the fan-out; stabilization
+// advances, as no dependency can exceed the final.
 
 package repl
 
@@ -49,20 +50,6 @@ func (r *Manager) Bootstrapped() bool { return !r.joining.Load() }
 // elapsed before every active link synced. The manager has stopped
 // soliciting; the owner should tear the node down.
 func (r *Manager) JoinFailed() bool { return r.joinFailed.Load() }
-
-// statusOf returns the membership status of dc.
-func (r *Manager) statusOf(dc int) uint8 {
-	r.viewMu.Lock()
-	defer r.viewMu.Unlock()
-	return r.view.Get(dc)
-}
-
-// finalOf returns the recorded final timestamp of dc (0 = none known).
-func (r *Manager) finalOf(dc int) vclock.Timestamp {
-	r.viewMu.Lock()
-	defer r.viewMu.Unlock()
-	return r.view.FinalOf(dc)
-}
 
 // leftFinal reports whether dc has departed, and its recorded final.
 func (r *Manager) leftFinal(dc int) (vclock.Timestamp, bool) {
@@ -93,36 +80,55 @@ func (r *Manager) rebuildTargetsLocked() {
 
 // applyView merges v into the local view. On change it rebuilds the fan-out
 // targets, retires the links of any DC the merge marked departed, and seals
-// any DC that departed *in this merge* — reconciling storage and the
-// version vector against its recorded final timestamp.
+// any DC that departed *in this merge*, all under sealMu: no inbound raise
+// lands between the seal's entry read and its drop. An entry above the final
+// (a straggler the dead DC flushed before it died) raises the final to it, a
+// prefix this node holds whole, and the raised view goes to every member.
+// Versions above the final, applied on a link with a hole, are dropped
+// (Backend.DropAbove: replicated to nobody provably); an entry short of it
+// starts gap-fill rounds on the surviving links (fillDepartedGaps). A final
+// of 0 leaves nothing to drop.
 func (r *Manager) applyView(v msg.Membership) {
+	r.sealMu.Lock()
 	r.viewMu.Lock()
-	was := r.view.Status
-	prev := make([]uint8, len(was))
-	copy(prev, was)
+	prev := r.view.Clone()
 	if !r.view.Merge(v, r.maxDCs) {
 		r.viewMu.Unlock()
+		r.sealMu.Unlock()
 		return
 	}
 	r.rebuildTargetsLocked()
 	var left, newly []int
-	var finals []vclock.Timestamp
+	raised := false
 	for dc, st := range r.view.Status {
 		if st != msg.DCLeft || dc == r.m {
 			continue
 		}
 		left = append(left, dc)
-		if dc >= len(prev) || prev[dc] != msg.DCLeft {
+		if prev.Get(dc) != msg.DCLeft {
 			newly = append(newly, dc)
-			finals = append(finals, r.view.FinalOf(dc))
+			if e := r.be.VVEntry(dc); e > r.view.FinalOf(dc) {
+				r.view.SetFinal(dc, e)
+				raised = true
+			}
 		}
 	}
+	view := r.view.Clone()
 	r.viewMu.Unlock()
 	for _, dc := range left {
 		r.retireLink(dc)
 	}
-	for i, dc := range newly {
-		r.sealDeparted(dc, finals[i])
+	for _, dc := range newly {
+		if f := view.FinalOf(dc); f > 0 {
+			r.be.DropAbove(dc, f)
+		}
+	}
+	r.sealMu.Unlock()
+	if raised {
+		r.sendView(view)
+	}
+	if len(newly) > 0 {
+		r.fillDepartedGaps()
 	}
 }
 
@@ -138,7 +144,6 @@ func (r *Manager) retireLink(dc int) {
 		// is marked Left, which every handler and LinkStates check first).
 		r.setStateLocked(st, LinkIdle)
 	}
-	st.evictCap = 0 // the verdict is in; the Left status caps from here on
 	st.mu.Unlock()
 	r.serveMu.Lock()
 	if s := r.serving[dc]; s != nil {
@@ -152,23 +157,12 @@ func (r *Manager) retireLink(dc int) {
 	r.excuseFromDeparture(dc)
 }
 
-// sealDeparted reconciles this node against a DC that just transitioned to
-// Left with the recorded final timestamp: versions beyond the final — the
-// dead DC's un-agreed suffix, applied optimistically before the eviction
-// was decided — are dropped from storage, and if this node's prefix is
-// still short of the final, gap-fill catch-up rounds are started on the
-// surviving links (every live sibling re-ships departed-origin history it
-// holds, see serveCatchUp). A final of 0 means that no one holds anything
-// the departed DC sent — a leaver that never wrote, or a forced removal no
-// survivor attested an entry for — so there is nothing to drop or fill, and
-// only the link teardown in applyView applies.
-func (r *Manager) sealDeparted(dc int, final vclock.Timestamp) {
-	if final == 0 {
-		return
-	}
-	r.be.DropAbove(dc, final)
-	if r.be.VVEntry(dc) < final {
-		r.fillDepartedGaps()
+// sendView sends view to every other member as a msg.MembershipUpdate.
+func (r *Manager) sendView(view msg.Membership) {
+	for peer := range view.Status {
+		if peer != r.m && view.IsMember(peer) {
+			r.ep.Send(netemu.NodeID{DC: peer, Partition: r.n}, msg.MembershipUpdate{View: view})
+		}
 	}
 }
 

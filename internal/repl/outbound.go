@@ -174,3 +174,13 @@ func (r *Manager) heartbeatLoop() {
 		r.fillDepartedGaps()
 	}
 }
+
+// AdoptHistory raises the floor and resume point of this node's stream to t:
+// a reshard copied in history of its own DC up to t that the stream never
+// carried, which a later joiner must then fetch, not adopt the stream over.
+func (r *Manager) AdoptHistory(t vclock.Timestamp) {
+	r.mu.Lock()
+	r.floor = max(r.floor, t)
+	r.lastTS = max(r.lastTS, t)
+	r.mu.Unlock()
+}

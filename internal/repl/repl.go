@@ -104,12 +104,6 @@ const (
 	// floor while it waits to ask again.
 	holdbackGrace = 2 * maxReRequestInterval
 
-	// evictFreezeGrace bounds the provisional version-vector freeze a node
-	// holds after acking an eviction proposal: if the round dies with its
-	// proposer (no verdict ever arrives), the freeze expires and the link
-	// resumes — the false-positive recovery path.
-	evictFreezeGrace = 10 * time.Second
-
 	// defaultGCMaxHoldback is the GC holdback bound a zero
 	// Config.GCMaxHoldback selects.
 	defaultGCMaxHoldback = 10 * time.Second
@@ -178,6 +172,12 @@ func (c *Config) DCCapacity() (int, error) {
 	return c.MaxDCs, nil
 }
 
+// Counters are the catch-up counters a manager adds to: core.Metrics holds
+// them, which a cluster keeps per slot, so the counts outlive a restart.
+type Counters struct {
+	Requested, Completed, Served, GCOverruns atomic.Uint64
+}
+
 // Stats counts the manager's catch-up activity.
 type Stats struct {
 	// Requested counts inbound catch-up rounds this node started (gaps or
@@ -221,6 +221,12 @@ type Manager struct {
 	joinFailed  atomic.Bool // bootstrap abandoned (JoinTimeout elapsed)
 	retired     atomic.Bool // this DC has left: Publish refuses new writes
 
+	// sealMu orders a departure's seal against the inbound plane: a handler
+	// that installs versions or raises an entry holds it shared, applyView
+	// exclusively from the merge through the seal. Never taken under viewMu
+	// or a link lock.
+	sealMu sync.RWMutex
+
 	// departMu guards the departure round this node is proposing (at most
 	// one at a time): its own leave, or another DC's eviction.
 	departMu  sync.Mutex
@@ -255,12 +261,9 @@ type Manager struct {
 	serveMu sync.Mutex
 	serving map[int]*catchUpServe // outbound streams by destination DC
 
-	reqSeq        atomic.Uint64
-	statReq       atomic.Uint64
-	statDone      atomic.Uint64
-	statServed    atomic.Uint64
-	statGCOverrun atomic.Uint64
-	activeIn      atomic.Int64
+	reqSeq   atomic.Uint64
+	ctr      *Counters
+	activeIn atomic.Int64
 
 	stopped atomic.Bool
 	stop    chan struct{}
@@ -269,10 +272,11 @@ type Manager struct {
 
 // NewManager builds and starts the replication manager of the partition
 // server be; src serves its outbound catch-up streams (nil answers requests
-// with Unsupported). Its heartbeat loop is running when it returns.
-func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
-	if cfg.Clock == nil || cfg.Endpoint == nil || be == nil {
-		return nil, errors.New("repl: Clock, Endpoint and Backend are required")
+// with Unsupported), and ctr receives its counters. Its heartbeat loop is
+// running when it returns.
+func NewManager(cfg Config, be Backend, src Source, ctr *Counters) (*Manager, error) {
+	if cfg.Clock == nil || cfg.Endpoint == nil || be == nil || ctr == nil {
+		return nil, errors.New("repl: Clock, Endpoint, Backend and Counters are required")
 	}
 	if cfg.NumDCs < 1 {
 		return nil, fmt.Errorf("repl: invalid NumDCs %d", cfg.NumDCs)
@@ -304,6 +308,7 @@ func NewManager(cfg Config, be Backend, src Source) (*Manager, error) {
 		fanout:    maxDCs > 1,
 		serving:   make(map[int]*catchUpServe),
 		holdbacks: make(map[int]*holdback),
+		ctr:       ctr,
 		stop:      make(chan struct{}),
 	}
 	// The membership view lives at full capacity; slots beyond the current
@@ -374,10 +379,10 @@ func (r *Manager) Epoch() uint64 { return r.epoch }
 // Stats returns a snapshot of the catch-up counters.
 func (r *Manager) Stats() Stats {
 	return Stats{
-		Requested:  r.statReq.Load(),
-		Completed:  r.statDone.Load(),
-		Served:     r.statServed.Load(),
-		GCOverruns: r.statGCOverrun.Load(),
+		Requested:  r.ctr.Requested.Load(),
+		Completed:  r.ctr.Completed.Load(),
+		Served:     r.ctr.Served.Load(),
+		GCOverruns: r.ctr.GCOverruns.Load(),
 		ActiveIn:   int(r.activeIn.Load()),
 	}
 }

@@ -62,6 +62,9 @@ type fakeBackend struct {
 	applied []*item.Version
 	stopped bool
 	joined  bool
+	// onVVEntry, when set, runs once on the next VVEntry, before it reads:
+	// a test's way into the middle of a handler.
+	onVVEntry func()
 }
 
 func newFakeBackend(dcs int) *fakeBackend {
@@ -103,6 +106,13 @@ func (b *fakeBackend) ApplyRemote(vs []*item.Version, _ uint64) {
 func (b *fakeBackend) SlotEpoch() uint64 { return 0 }
 
 func (b *fakeBackend) VVEntry(dc int) vclock.Timestamp {
+	b.mu.Lock()
+	hook := b.onVVEntry
+	b.onVVEntry = nil
+	b.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.vv[dc]
@@ -181,7 +191,7 @@ func newServingManager(t *testing.T, cfg Config, src Source) (*Manager, *fakeTra
 	be := newFakeBackend(dcs)
 	cfg.Clock = be.clk
 	cfg.Endpoint = tr
-	m, err := NewManager(cfg, be, src)
+	m, err := NewManager(cfg, be, src, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +781,7 @@ func (e pipeEnd) Send(dst netemu.NodeID, m any) {
 // join starts a manager at id on the pipe.
 func (p *pipe) join(t *testing.T, id netemu.NodeID, be *fakeBackend, src Source) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{ID: id, NumDCs: 2, Clock: be.clk, Endpoint: pipeEnd{p, id}}, be, src)
+	m, err := NewManager(Config{ID: id, NumDCs: 2, Clock: be.clk, Endpoint: pipeEnd{p, id}}, be, src, new(Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1003,9 +1013,8 @@ func TestLeaveFlushesThenProposes(t *testing.T) {
 
 // TestLeaveProposalOpensRoundOnActiveLink: the leaver's tail batch was lost
 // on a synced link, and no heartbeat follows it to expose the hole. The
-// proposal's final does: the survivor opens a round toward the leaver,
-// freezes nothing (a leave's final is fixed, not agreed), and acks its short
-// entry — which the leaver does not count.
+// proposal's final does: the survivor opens a round toward the leaver and
+// acks its short entry — which the leaver does not count.
 func TestLeaveProposalOpensRoundOnActiveLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
 	leaver := netemu.NodeID{DC: 1, Partition: 0}
@@ -1024,12 +1033,6 @@ func TestLeaveProposalOpensRoundOnActiveLink(t *testing.T) {
 	}
 	if req.ReqID == 0 || req.From != 100 || m.LinkStates()[1] != LinkCatchingUp {
 		t.Fatalf("request %+v, link %v: want a round toward the leaver from 100", req, m.LinkStates()[1])
-	}
-	m.in[1].mu.Lock()
-	capped := m.in[1].evictCap
-	m.in[1].mu.Unlock()
-	if capped != 0 {
-		t.Fatalf("evictCap = %d, want no freeze for a leave", capped)
 	}
 	if ack.DC != 1 || ack.ReqID != 9 || ack.Entry != 100 {
 		t.Fatalf("ack = %+v, want the entry 100", ack)
@@ -1178,6 +1181,80 @@ func TestLeaveVerdictRetiresLink(t *testing.T) {
 		Through: be.VVEntry(2), Departed: []msg.DepartedClaim{{DC: 1, Through: 400}}})
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d after the survivor's claim, want the final 400", got)
+	}
+}
+
+// TestEvictVerdictBelowEntryRaisesFinal: a survivor acks an eviction at its
+// entry 100, and a straggler the dead DC flushed before it died lifts the
+// entry to 200 before the verdict arrives with a lower final (150, or 0: no
+// survivor attested anything). The survivor holds the prefix through 200, so
+// the cut moves up to keep it: the entry and the version at 200 stay, the
+// view's final becomes 200, and the raised view goes to the proposer.
+func TestEvictVerdictBelowEntryRaisesFinal(t *testing.T) {
+	for _, final := range []vclock.Timestamp{150, 0} {
+		t.Run(fmt.Sprintf("final %d", final), func(t *testing.T) {
+			m, tr, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
+			dead, proposer := netemu.NodeID{DC: 1, Partition: 0}, netemu.NodeID{DC: 2, Partition: 0}
+			m.handleBatch(dead, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+			view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCActive}}
+			m.handleEvictProposal(proposer, msg.EvictProposal{DC: 1, ReqID: 5, View: view})
+			out := tr.msgs(proposer)
+			if ack, ok := out[len(out)-1].(msg.EvictAck); !ok || ack.Entry != 100 {
+				t.Fatalf("answer to the proposal = %#v, want the ack of entry 100", out[len(out)-1])
+			}
+			m.handleBatch(dead, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2})
+			m.handleMembershipUpdate(proposer, msg.MembershipUpdate{View: msg.Membership{
+				Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}, Final: vclock.VC{0, final, 0},
+			}})
+			if got := be.VVEntry(1); got != 200 {
+				t.Fatalf("VV[1] = %d, want the straggler's 200 kept", got)
+			}
+			if got := be.appliedCount(); got != 2 {
+				t.Fatalf("%d versions stored, want both: the seal is at the entry", got)
+			}
+			if f := m.View().FinalOf(1); f != 200 {
+				t.Fatalf("final = %d, want it raised to the entry 200", f)
+			}
+			out = tr.msgs(proposer)
+			if up, ok := out[len(out)-1].(msg.MembershipUpdate); !ok || up.View.FinalOf(1) != 200 || up.View.Get(1) != msg.DCLeft {
+				t.Fatalf("last message to the proposer = %#v, want the view raised to 200", out[len(out)-1])
+			}
+		})
+	}
+}
+
+// TestEvictVerdictRacesStraggler delivers a straggler batch (the dead DC's
+// next in sequence, holding its version at 200) concurrently with a verdict
+// at final 150, again and again. Whichever runs first, the entry never
+// claims what the store lacks: at 200 the version is kept and the final is
+// raised to it; otherwise the entry stays at or below the final.
+func TestEvictVerdictRacesStraggler(t *testing.T) {
+	dead := netemu.NodeID{DC: 1, Partition: 0}
+	for i := range 200 {
+		m, _, be := newTestManager(t, Config{ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3})
+		m.handleBatch(dead, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			m.handleBatch(dead, &msg.ReplicateBatch{Versions: []*item.Version{ver(1, 200, "b")}, HBTime: 200, Epoch: 7, Seq: 2})
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			m.handleMembershipUpdate(netemu.NodeID{DC: 2}, msg.MembershipUpdate{View: msg.Membership{
+				Epoch: 2, Status: []uint8{msg.DCActive, msg.DCLeft, msg.DCActive}, Final: vclock.VC{0, 150, 0},
+			}})
+		}()
+		close(start)
+		wg.Wait()
+		vv, final, held := be.VVEntry(1), m.View().FinalOf(1), be.appliedCount()
+		if vv > final || (vv >= 200) != (held == 2) {
+			t.Fatalf("run %d: VV[1] = %d, final %d, %d versions stored: the entry claims what the store lacks, or the reverse", i, vv, final, held)
+		}
+		m.Close(false)
 	}
 }
 

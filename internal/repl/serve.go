@@ -75,7 +75,7 @@ type holdback struct {
 // dedicated goroutine. A newer request from the same DC supersedes the
 // stream in progress.
 func (r *Manager) handleCatchUpRequest(src netemu.NodeID, m msg.CatchUpRequest) {
-	if !r.validSrc(src.DC) || r.statusOf(src.DC) == msg.DCLeft {
+	if _, left := r.leftFinal(src.DC); left || !r.validSrc(src.DC) {
 		return // nothing is owed to a departed DC
 	}
 	r.noteHoldback(src.DC, m)
@@ -304,9 +304,9 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 		return
 	}
 	r.ep.Send(src, done)
-	r.statServed.Add(1)
+	r.ctr.Served.Add(1)
 	if overrun {
-		r.statGCOverrun.Add(1)
+		r.ctr.GCOverruns.Add(1)
 	}
 }
 

@@ -253,7 +253,7 @@ func (s *Store) WaitForJoin(dc int, timeout time.Duration) error {
 
 // RemoveDataCenter removes a data center: its servers stop taking writes,
 // flush their replication buffers and shut down only once every surviving
-// DC holds their complete history (the survivors then freeze its vector
+// DC holds their complete history (the survivors then cap its vector
 // entries at the final timestamps). Sessions pinned to the removed DC fail
 // their next operation; the DC id is retired for good. If a survivor stays
 // short of a final past the timeout, the error names it, the DC keeps
@@ -267,9 +267,12 @@ func (s *Store) RemoveDataCenter(dc int) error {
 
 // ForceRemoveDataCenter forcibly removes a crashed data center — one that
 // can no longer announce its own departure. The surviving DCs agree, per
-// replication link, on the highest update timestamp any of them received
-// from the dead DC, freeze its membership entry at that final, discard any
-// version above it, and resume stabilization; a subsequent joiner bootstraps
+// replication link, on the highest update timestamp any of them holds
+// without a gap from the dead DC, record it as the DC's final (a survivor
+// that holds more by the verdict raises it to what it holds), discard any
+// version above it, and resume stabilization; it returns once the running
+// survivors have settled the final, which restarts start from (a survivor
+// that crashed before that keeps no raise of its own). A joiner bootstraps
 // the departed history from the survivors. If the DC's servers are somehow
 // still running they are killed first: an evicted DC can never come back
 // (its un-acknowledged suffix is gone for good). timeout bounds each
