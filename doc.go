@@ -465,7 +465,7 @@
 // caller keeps (TestROTxCoordinatorAllocs: the result, 1 object for 4
 // partitions × 1 key, when the caller asks for a fresh one;
 // TestROTxAppendAllocs: 0 into a buffer the caller reuses, as a session
-// does — TestSessionROTxAllocs: 2, the session's map, header and group; the
+// does — TestSessionROTxAllocs: 1, the session's slice of values; the
 // session clears the buffer after each transaction, so it pins no version,
 // TestSessionROTxScratchRetention; TestParkedSliceAllocs: 0 in a serving
 // server, parked or not, and no goroutine; TestWaitOnBlockedAllocs,
@@ -474,8 +474,9 @@
 // TestParkedSliceOutlivesFailedTx):
 //
 //   - core.ROTx → slice requests. Each key is appended, in request order, to
-//     its partition's pooled request; TV is loaded into the pooled fan-in
-//     state and copied into each request. A request owns copies of its keys'
+//     its partition's pooled request, and its index in the read set to the
+//     partition's positions, kept in the pooled fan-in state and never sent;
+//     TV is loaded into that state and copied into each request. A request owns copies of its keys'
 //     headers and of TV: it may be parked at a sibling after the transaction
 //     has failed and the fan-in state serves the next one.
 //   - one serving path. core's serveSlice never blocks its caller — a
@@ -505,12 +506,16 @@
 //     error; replies find it by transaction id under the coordinator's lock,
 //     never by pointer, so a late or duplicate reply meets a missing id, not
 //     the state's next user.
-//   - coordinator → caller. The replies are gathered into the caller's
-//     buffer (ROTxAppend), grown to the read set at most once; ROTx hands
-//     the fan-in a nil one, so its result is a fresh slice. The buffer is
+//   - coordinator → caller. The replies are placed in the caller's buffer
+//     (ROTxAppend), grown to the read set at most once, each at its key's
+//     index: reply i answers keys[i] (TestROTxRepliesInKeyOrder), and a
+//     slice reply whose item count is not its request's key count fails the
+//     transaction (TestROTxSliceItemCountMismatchFails). ROTx hands the
+//     fan-in a nil buffer, so its result is a fresh slice. The buffer is
 //     written only until the call returns: a slice still out finds no
 //     transaction id by then. A client session keeps its buffer from one
-//     transaction to the next, copies what it returns into the map, and
+//     transaction to the next, copies the values into the slice it returns
+//     (vals[i] for keys[i], nil for a key with no visible version), and
 //     clears it. Fan-in state and waiters are recycled inside
 //     core and never escape it; each goes back to its pool only with its
 //     channel empty — a waiter whose timer could not be stopped, not at all.

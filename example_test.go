@@ -40,7 +40,7 @@ func Example() {
 	// The city depends on the name, so a snapshot holding one holds both.
 	snap, err := ireland.ROTx([]string{"user:42:name", "user:42:city"})
 	check(err)
-	fmt.Printf("ireland RO-TX: name=%s city=%s\n", snap["user:42:name"], snap["user:42:city"])
+	fmt.Printf("ireland RO-TX: name=%s city=%s\n", snap[0], snap[1])
 	// Output:
 	// oregon reads name = ada
 	// ireland reads city = london
@@ -140,8 +140,8 @@ func ExampleSession_ROTx() {
 	for summary := 0; summary < rounds; time.Sleep(500 * time.Microsecond) {
 		snap, err := reader.ROTx([]string{detailKey, summaryKey})
 		check(err)
-		summary = roundOf(snap[summaryKey])
-		if summary > roundOf(snap[detailKey]) {
+		summary = roundOf(snap[1])
+		if summary > roundOf(snap[0]) {
 			torn++
 		}
 	}

@@ -146,22 +146,30 @@ func (c *Session) PutMeta(key string, value []byte) (VersionID, error) {
 	return id, nil
 }
 
-// ROTx reads keys transactionally, checking both the session guarantees and
-// the causal-snapshot property.
-func (c *Session) ROTx(keys []string) (map[string][]byte, error) {
+// ROTx reads keys transactionally, checking that reply i answers keys[i],
+// the session guarantees and the causal-snapshot property. It returns the
+// values in key order, as client.Session.ROTx does.
+func (c *Session) ROTx(keys []string) ([][]byte, error) {
 	replies, err := c.s.ROTxReplies(keys)
 	if err != nil {
 		return nil, err
 	}
+	if len(replies) != len(keys) {
+		c.reg.violate("%s: RO-TX of %d keys returned %d replies", c.name, len(keys), len(replies))
+	}
 	returned := make(map[string]VersionID, len(replies))
-	out := make(map[string][]byte, len(replies))
-	for _, r := range replies {
+	vals := make([][]byte, len(replies))
+	for i, r := range replies {
+		if i < len(keys) && r.Key != keys[i] {
+			c.reg.violate("%s: RO-TX reply %d answers %q, but key %d is %q", c.name, i, r.Key, i, keys[i])
+		}
 		id := VersionID{r.UpdateTime, r.SrcReplica}
 		if !r.Exists {
 			id = VersionID{}
+		} else {
+			vals[i] = r.Value
 		}
 		returned[r.Key] = id
-		out[r.Key] = r.Value
 	}
 	// Session guarantee per key.
 	for k, id := range returned {
@@ -187,7 +195,7 @@ func (c *Session) ROTx(keys []string) (map[string][]byte, error) {
 	for k, id := range returned {
 		c.absorb(k, id)
 	}
-	return out, nil
+	return vals, nil
 }
 
 // checkRead asserts the session guarantee: the returned version must not be

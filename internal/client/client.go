@@ -84,9 +84,9 @@ type Session struct {
 	// operations instead of cloning the RDV per request.
 	opScratch vclock.VC
 	// txScratch is the reply buffer the coordinator's fan-in fills for one
-	// ROTx (core.Server.ROTxAppend). The map ROTx returns copies what a
-	// caller keeps out of it, so the buffer is reused, cleared after each
-	// transaction so that it pins no version past the call.
+	// ROTx (core.Server.ROTxAppend). The values ROTx returns are copied out
+	// of it, so the buffer is reused, cleared after each transaction so that
+	// it pins no version past the call.
 	txScratch []msg.ItemReply
 
 	fallbacks  uint64 // times the session fell back to pessimistic
@@ -240,18 +240,17 @@ func (s *Session) PutMeta(key string, value []byte) (vclock.Timestamp, int, erro
 }
 
 // ROTx executes a causally consistent read-only transaction (Algorithm 1,
-// lines 14-20) and returns the read values keyed by item key. Missing keys
-// map to nil values.
-func (s *Session) ROTx(keys []string) (map[string][]byte, error) {
+// lines 14-20) and returns the read values in key order: vals[i] answers
+// keys[i], and is nil when that key has no visible version, as Get's is. The
+// slice is freshly allocated and the caller's.
+func (s *Session) ROTx(keys []string) ([][]byte, error) {
 	replies, err := s.rotx(s.txScratch, keys)
-	var out map[string][]byte
+	var vals [][]byte
 	if err == nil {
-		out = make(map[string][]byte, len(replies))
-		for _, r := range replies {
+		vals = make([][]byte, len(replies))
+		for i, r := range replies {
 			if r.Exists {
-				out[r.Key] = r.Value
-			} else {
-				out[r.Key] = nil
+				vals[i] = r.Value
 			}
 		}
 		s.txScratch = replies[:0]
@@ -259,11 +258,11 @@ func (s *Session) ROTx(keys []string) (map[string][]byte, error) {
 	// Cleared to its capacity: a failed attempt may have gathered replies
 	// past the length of the one that succeeded.
 	clear(s.txScratch[:cap(s.txScratch)])
-	return out, err
+	return vals, err
 }
 
-// ROTxReplies is ROTx returning full replies including causal metadata, in a
-// slice the caller owns.
+// ROTxReplies is ROTx returning full replies including causal metadata, in
+// key order, in a slice the caller owns.
 func (s *Session) ROTxReplies(keys []string) ([]msg.ItemReply, error) {
 	return s.rotx(nil, keys)
 }

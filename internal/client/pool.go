@@ -254,22 +254,25 @@ func (s *RemoteSession) Get(key string) ([]byte, error) {
 	return resp.Value, nil
 }
 
-// ROTx reads keys atomically from a causal snapshot; missing keys map to
-// nil, matching the in-process Session; keys and values are carved as Get's.
-func (s *RemoteSession) ROTx(keys []string) (map[string][]byte, error) {
+// ROTx reads keys atomically from a causal snapshot and returns the values in
+// key order, as the in-process Session does: vals[i] answers keys[i], nil when
+// that key has no visible version. Values are carved as Get's. A reply with
+// an item count other than len(keys) is an error.
+func (s *RemoteSession) ROTx(keys []string) ([][]byte, error) {
 	resp, err := s.RoundTrip(wire.FrontDoorRequest{Op: wire.FDROTx, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]byte, len(resp.Items))
-	for _, it := range resp.Items {
+	if len(resp.Items) != len(keys) {
+		return nil, fmt.Errorf("client: RO-TX of %d keys answered with %d items", len(keys), len(resp.Items))
+	}
+	vals := make([][]byte, len(keys))
+	for i, it := range resp.Items {
 		if it.Exists {
-			out[it.Key] = it.Value
-		} else {
-			out[it.Key] = nil
+			vals[i] = it.Value
 		}
 	}
-	return out, nil
+	return vals, nil
 }
 
 // Stats returns the raw stats line.

@@ -21,12 +21,16 @@ import (
 	"repro/internal/wire"
 )
 
+// stubReply answers one request: rest is the frame after its session id (for
+// the keyed ops: uvarint(len(key)) || key ...), and items the connection's
+// list for an FDTx answer, empty and reused from one request to the next.
+type stubReply func(op byte, id uint64, rest []byte, items []wire.FrontDoorTxItem) wire.FrontDoorResponse
+
 // frontDoorStub speaks just enough of the binary front door to drive a Pool
 // without a deployment behind it — and without allocating per request, so
 // allocation counts taken around a client call are the client's own. Every
-// request is answered with reply(op, id, rest), rest being the frame after
-// its session id (for the keyed ops: uvarint(len(key)) || key ...).
-func frontDoorStub(t testing.TB, reply func(op byte, id uint64, rest []byte) wire.FrontDoorResponse) string {
+// request is answered with reply.
+func frontDoorStub(t testing.TB, reply stubReply) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -45,25 +49,41 @@ func frontDoorStub(t testing.TB, reply func(op byte, id uint64, rest []byte) wir
 	return ln.Addr().String()
 }
 
-// echoServer is the stub that answers a GET with its key as the value and
-// everything else with OK.
+// echoServer is the stub that answers a GET with its key as the value, a
+// RO-TX with one item per key, each key its value (the item's key is left
+// empty: a reply answers by position), and everything else with OK.
 func echoServer(t testing.TB) string { return frontDoorStub(t, echoReply) }
 
-func echoReply(op byte, id uint64, rest []byte) wire.FrontDoorResponse {
-	if op != wire.FDGet {
-		return wire.FrontDoorResponse{Kind: wire.FDOK, ID: id}
+func echoReply(op byte, id uint64, rest []byte, items []wire.FrontDoorTxItem) wire.FrontDoorResponse {
+	// key reads uvarint(len(key)) || key off the front of rest.
+	key := func() []byte {
+		klen, n := binary.Uvarint(rest)
+		k := rest[n : n+int(klen)]
+		rest = rest[n+int(klen):]
+		return k
 	}
-	klen, n := binary.Uvarint(rest)
-	return wire.FrontDoorResponse{Kind: wire.FDValue, ID: id, Exists: true, Value: rest[n : n+int(klen)]}
+	switch op {
+	case wire.FDGet:
+		return wire.FrontDoorResponse{Kind: wire.FDValue, ID: id, Exists: true, Value: key()}
+	case wire.FDROTx:
+		marker, n := binary.Uvarint(rest) // the key count + 1
+		rest = rest[n:]
+		for range int(marker) - 1 {
+			items = append(items, wire.FrontDoorTxItem{Exists: true, Value: key()})
+		}
+		return wire.FrontDoorResponse{Kind: wire.FDTx, ID: id, Items: items}
+	}
+	return wire.FrontDoorResponse{Kind: wire.FDOK, ID: id}
 }
 
-func stubConn(conn net.Conn, reply func(op byte, id uint64, rest []byte) wire.FrontDoorResponse) {
+func stubConn(conn net.Conn, reply stubReply) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	if magic, err := br.ReadByte(); err != nil || magic != wire.FrontDoorMagic {
 		return
 	}
 	var buf, out []byte
+	var items []wire.FrontDoorTxItem
 	for {
 		frame, err := wire.ReadFrontDoorFrame(br, buf)
 		if err != nil || len(frame) == 0 {
@@ -75,8 +95,11 @@ func stubConn(conn net.Conn, reply func(op byte, id uint64, rest []byte) wire.Fr
 		id, n := binary.Uvarint(rest)
 		rest = rest[n:]
 		_, n = binary.Uvarint(rest)
-		resp := reply(op, id, rest[n:])
+		resp := reply(op, id, rest[n:], items[:0])
 		out = wire.AppendFrontDoorResponse(out[:0], &resp)
+		if resp.Kind == wire.FDTx {
+			items = resp.Items
+		}
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
@@ -97,7 +120,9 @@ func dialEcho(t testing.TB, addr string) *Pool {
 // call — no Call, no channel per request — and a GET's value is carved from
 // the connection's chunk, so all a GET leaves on the client side is its
 // value's share of a chunk: 10 B of 4 KiB here, 0.0024 a call. The GET count
-// is a fractional MemStats delta, since testing.AllocsPerRun truncates it.
+// is a fractional MemStats delta, since testing.AllocsPerRun truncates it. A
+// RO-TX leaves the decoded item list and what it returns, one slice of
+// values in key order (a map of them cost two: header and group).
 func TestRemoteSessionAllocs(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -120,6 +145,15 @@ func TestRemoteSessionAllocs(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Fatalf("RemoteSession.Put allocates %v times per call on the client side, want 0", n)
+	}
+	keys := []string{key, "p1-k000007", key}
+	if n := mallocsPerCall(2000, func() {
+		vals, err := sess.ROTx(keys)
+		if err != nil || len(vals) != len(keys) || string(vals[1]) != keys[1] {
+			t.Fatalf("ROTx = %q, %v", vals, err)
+		}
+	}); n > 2.02 {
+		t.Fatalf("RemoteSession.ROTx allocates %.4f times per call on the client side, want <= 2.02 (the decoded item list, the slice of values and the values' share of a 4 KiB chunk; 3.011 when it returned a map)", n)
 	}
 }
 
@@ -239,12 +273,12 @@ func TestFrontDoorPoolSurfacesWrongSlotEpoch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var requests atomic.Int32
 			// Rejects the first request only: a retry would succeed.
-			addr := frontDoorStub(t, func(op byte, id uint64, rest []byte) wire.FrontDoorResponse {
+			addr := frontDoorStub(t, func(op byte, id uint64, rest []byte, items []wire.FrontDoorTxItem) wire.FrontDoorResponse {
 				if requests.Add(1) == 1 {
 					return wire.FrontDoorResponse{Kind: wire.FDErr, ID: id,
 						Code: wire.FDCodeWrongSlotEpoch, Text: "slot moved"}
 				}
-				return echoReply(op, id, rest)
+				return echoReply(op, id, rest, items)
 			})
 			err := op(dialEcho(t, addr).Session())
 			if !errors.Is(err, core.ErrWrongSlotEpoch) {

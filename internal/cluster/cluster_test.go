@@ -372,8 +372,8 @@ func TestROTxAcrossPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, k := range keys {
-				if string(got[k]) != string([]byte{byte('A' + i)}) {
-					t.Fatalf("tx[%s] = %q", k, got[k])
+				if string(got[i]) != string([]byte{byte('A' + i)}) {
+					t.Fatalf("tx[%s] = %q", k, got[i])
 				}
 			}
 		})
@@ -689,7 +689,7 @@ func TestROTxDoesNotWaitForOwnDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	type result struct {
-		vals map[string][]byte
+		vals [][]byte
 		err  error
 	}
 	done := make(chan result, 1)
@@ -699,7 +699,7 @@ func TestROTxDoesNotWaitForOwnDC(t *testing.T) {
 	}()
 	select {
 	case out := <-done:
-		if out.err != nil || string(out.vals[keys[0]]) != "fresh" || len(out.vals) != len(keys) {
+		if out.err != nil || string(out.vals[0]) != "fresh" || len(out.vals) != len(keys) {
 			t.Fatalf("ROTx = %q, %v; want the session's own write and all four keys", out.vals, out.err)
 		}
 	case <-time.After(time.Second):

@@ -73,7 +73,7 @@ func TestTCPROTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got[keys[0]]) != "a" || string(got[keys[1]]) != "b" {
+	if string(got[0]) != "a" || string(got[1]) != "b" {
 		t.Fatalf("tx = %v", got)
 	}
 }

@@ -103,7 +103,7 @@ func TestEveryMessageHasOneHandler(t *testing.T) {
 		t.Error("SliceReq: no reply reached the coordinator")
 	}
 	p := txPendingPool.Get().(*txPending)
-	p.remaining, p.seen = 1, make([]bool, 2)
+	p.remaining, p.seen, p.pos = 1, make([]bool, 2), make([][]int, 2)
 	s.txMu.Lock()
 	s.inflight[78] = p
 	s.txMu.Unlock()

@@ -18,10 +18,10 @@ import (
 
 // txPending is one in-flight RO-TX at its coordinator: the snapshot vector
 // the GC contribution must not overtake, and the fan-in of its slice replies.
-// seen marks the partitions that already responded: transports are
-// at-least-once (TCP reconnects redeliver), and a duplicate reply must not
-// decrement remaining or the fan-in would complete with another partition's
-// items missing.
+// seen marks the partitions that already responded (or were asked nothing):
+// transports are at-least-once (TCP reconnects redeliver), and a duplicate
+// reply must not decrement remaining or the fan-in would complete with
+// another partition's items missing.
 //
 // Entries are recycled through txPendingPool and never leave the package.
 // Replies reach one only by looking its txID up in Server.inflight under
@@ -30,7 +30,7 @@ type txPending struct {
 	tv        vclock.VC       // snapshot vector; each slice request carries a copy
 	remaining int             // slices still awaited; 0 once completed or failed
 	seen      []bool          // by responder partition
-	items     []msg.ItemReply // replies folded in so far (the tail of the result array)
+	items     []msg.ItemReply // the result, one reply per key in key order
 	err       string          // first slice error
 	done      chan struct{}   // 1-buffered; one token when remaining reaches 0
 
@@ -39,24 +39,31 @@ type txPending struct {
 	// a request leaves it as it is handed over (one of a transaction that
 	// never fans out is left to the collector).
 	reqs []*msg.SliceReq
+	// By partition: the index in the read set of each key of its request, in
+	// the request's order — where the reply's items go. Coordinator-side
+	// only: a slice reply answers its keys in the order they were asked.
+	pos [][]int
 }
 
 var txPendingPool = sync.Pool{New: func() any { return &txPending{done: make(chan struct{}, 1)} }}
 
 // route appends each key, in request order, to the pooled request of the
-// partition that owns it, and returns how many partitions own a key.
+// partition that owns it, and its index to that partition's positions; it
+// returns how many partitions own a key.
 func (p *txPending) route(keys []string, partitionOf func(string) int, txID uint64, coord netemu.NodeID) (int, error) {
 	owners := 0
-	for _, k := range keys {
+	for i, k := range keys {
 		q := partitionOf(k)
 		if q < 0 || q >= len(p.reqs) {
 			return 0, fmt.Errorf("core: key %q routed to partition %d outside the layout (%d)", k, q, len(p.reqs))
 		}
 		if p.reqs[q] == nil {
 			p.reqs[q] = msg.NewSliceReq(txID, coord)
+			p.pos[q] = p.pos[q][:0]
 			owners++
 		}
 		p.reqs[q].Keys = append(p.reqs[q].Keys, k)
+		p.pos[q] = append(p.pos[q], i)
 	}
 	return owners, nil
 }
@@ -64,20 +71,23 @@ func (p *txPending) route(keys []string, partitionOf func(string) int, txID uint
 // ROTx coordinates a causally consistent read-only transaction (Algorithm 2,
 // lines 29-38): compute the snapshot vector TV, fan SliceReqs out to the
 // partitions holding the keys, and gather the replies. The first slice error
-// fails the transaction without waiting for the remaining slices. The
-// returned slice is the caller's, freshly allocated: one reply per requested
-// key, grouped by partition in no particular order.
+// fails the transaction without waiting for the remaining slices, and so does
+// a slice reply whose item count is not its request's key count (it would
+// leave a key unanswered or misplace another's answer). The returned slice is
+// the caller's, freshly allocated: one reply per requested key, in key order
+// — reply i answers keys[i], a repeated key included.
 func (s *Server) ROTx(keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
 	return s.ROTxAppend(nil, keys, rdv, mode, partitionOf)
 }
 
-// ROTxAppend is ROTx gathering the replies into dst[:0], grown only when its
-// capacity is short of len(keys): a caller that keeps the returned slice for
-// its next transaction allocates no result. dst is written until ROTxAppend
-// returns and never after, whatever slices are still out: a reply reaches the
-// fan-in only through its transaction's entry in the in-flight table, which
-// is deleted before the return. On an error the slice is dropped, but dst may
-// hold the replies folded in before it.
+// ROTxAppend is ROTx placing the replies, in key order and count-checked as
+// ROTx's, in dst[:len(keys)], grown only when its capacity is short of
+// len(keys): a caller that keeps the returned slice for its next transaction
+// allocates no result. dst is written until ROTxAppend returns and never
+// after, whatever slices are still out: a reply reaches the fan-in only
+// through its transaction's entry in the in-flight table, which is deleted
+// before the return. On an error the slice is dropped, but dst may hold the
+// replies folded in before it.
 func (s *Server) ROTxAppend(dst []msg.ItemReply, keys []string, rdv vclock.VC, mode Mode, partitionOf func(string) int) ([]msg.ItemReply, error) {
 	if len(keys) == 0 {
 		return dst[:0], nil
@@ -86,13 +96,18 @@ func (s *Server) ROTxAppend(dst []msg.ItemReply, keys []string, rdv vclock.VC, m
 	p := txPendingPool.Get().(*txPending)
 	p.reqs = slices.Grow(p.reqs[:0], s.maxParts)[:s.maxParts]
 	clear(p.reqs)
+	p.pos = slices.Grow(p.pos[:0], s.maxParts)[:s.maxParts]
 	owners, err := p.route(keys, partitionOf, txID, s.cfg.ID)
 	if err != nil {
 		txPendingPool.Put(p)
 		return nil, err
 	}
+	// A partition asked for nothing has nothing to answer: a reply from it
+	// is dropped as a duplicate is (its positions are an earlier use's).
 	p.seen = slices.Grow(p.seen[:0], s.maxParts)[:s.maxParts]
-	clear(p.seen)
+	for q, req := range p.reqs {
+		p.seen[q] = req == nil
+	}
 
 	// Snapshot boundary: the optimistic protocol snapshots what the
 	// coordinator has *received* (VV); the pessimistic one snapshots what is
@@ -115,8 +130,8 @@ func (s *Server) ROTxAppend(dst []msg.ItemReply, keys []string, rdv vclock.VC, m
 		p.tv = s.vv.load(p.tv)
 	}
 	p.tv.MaxInPlace(rdv)
-	// The fan-in appends every slice's items to the result, the caller's.
-	p.remaining, p.items = owners, slices.Grow(dst[:0], len(keys))
+	// The fan-in places every slice's items in the result, the caller's.
+	p.remaining, p.items = owners, slices.Grow(dst[:0], len(keys))[:len(keys)]
 	s.inflight[txID] = p
 	s.txMu.Unlock()
 
@@ -293,9 +308,11 @@ func (s *Server) ownsAll(keys []string) bool {
 }
 
 // applySliceResp folds partition from's slice reply into the coordinator's
-// fan-in and releases it: the items are copied into the result. The fan-in
-// completes when the last slice has replied or the first one fails — the
-// slices still out then answer to a finished transaction and are dropped here.
+// fan-in and releases it: item j is copied to the result at the index of its
+// request's key j. A reply with an item count other than its request's key
+// count fails the transaction. The fan-in completes when the last slice has
+// replied or the first one fails — the slices still out then answer to a
+// finished transaction and are dropped here.
 func (s *Server) applySliceResp(from int, m *msg.SliceResp) {
 	defer m.Release()
 	s.txMu.Lock()
@@ -307,15 +324,22 @@ func (s *Server) applySliceResp(from int, m *msg.SliceResp) {
 	}
 	if from < 0 || from >= len(p.seen) || p.seen[from] {
 		// Duplicate delivery (TCP reconnects are at-least-once): this
-		// partition's items are already folded in.
+		// partition's items are already folded in, or it was asked nothing.
 		return
 	}
 	p.seen[from] = true
-	if m.Err != "" {
+	pos := p.pos[from]
+	switch {
+	case m.Err != "":
 		p.err = m.Err
 		p.remaining = 0
-	} else {
-		p.items = append(p.items, m.Items...)
+	case len(m.Items) != len(pos):
+		p.err = fmt.Sprintf("core: partition %d answered %d items for %d keys", from, len(m.Items), len(pos))
+		p.remaining = 0
+	default:
+		for j, it := range m.Items {
+			p.items[pos[j]] = it
+		}
 		p.remaining--
 	}
 	if p.remaining == 0 {

@@ -100,6 +100,99 @@ func TestROTxGroupsKeysByPartition(t *testing.T) {
 	}
 }
 
+// TestROTxRepliesInKeyOrder: the result answers the read set index by index,
+// whatever order the slices arrive in. Partitions 1-3 answer in reverse
+// partition order, and partition 1 answers a key named twice once per
+// naming; each item is marked with its partition and its place in the reply,
+// so one at another index than its key's shows. Partition 4, asked nothing,
+// sends a stray reply first, which must land nowhere.
+func TestROTxRepliesInKeyOrder(t *testing.T) {
+	r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 5})
+	keys := []string{"p1/a", "p2/b", "p1/a", "p3/c"}
+	done := startROTx(r.srv, keys, vclock.New(3))
+	reqs := map[int]*msg.SliceReq{}
+	for p := 1; p <= 3; p++ {
+		reqs[p] = r.awaitSliceReq(netemu.NodeID{DC: 0, Partition: p}, 1)
+	}
+	stray := msg.NewSliceResp(reqs[1].TxID)
+	stray.Items = append(stray.Items, msg.ItemReply{Key: "p1/a", Exists: true, Value: []byte("stray")})
+	r.inject(netemu.NodeID{DC: 0, Partition: 4}, stray)
+	for p := 3; p >= 1; p-- {
+		resp := msg.NewSliceResp(reqs[p].TxID)
+		for j, k := range reqs[p].Keys {
+			resp.Items = append(resp.Items, msg.ItemReply{Key: k, Exists: true, Value: []byte(fmt.Sprintf("p%d#%d", p, j))})
+		}
+		r.inject(netemu.NodeID{DC: 0, Partition: p}, resp)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	want := []string{"p1#0", "p2#0", "p1#1", "p3#0"}
+	if len(out.items) != len(keys) {
+		t.Fatalf("%d replies for %d keys", len(out.items), len(keys))
+	}
+	for i, it := range out.items {
+		if it.Key != keys[i] || string(it.Value) != want[i] {
+			t.Fatalf("reply %d = %s (%s), want %s (%s): replies must sit at their keys' indices", i, it.Key, it.Value, keys[i], want[i])
+		}
+	}
+}
+
+// TestROTxSliceItemCountMismatchFails: a slice reply carrying one item too
+// many, or one too few, for the keys its request asked fails the
+// transaction at once: no panic, no reply placed at another key's index, and
+// the sibling that answers afterwards finds the transaction gone.
+func TestROTxSliceItemCountMismatchFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		items int
+	}{{"one too many", 3}, {"one too few", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, Config{Config: repl.Config{HeartbeatInterval: time.Hour}, NumPartitions: 3})
+			p1, p2 := netemu.NodeID{DC: 0, Partition: 1}, netemu.NodeID{DC: 0, Partition: 2}
+			keys := []string{"p1/a", "p2/b", "p1/c"}
+			untouched := msg.ItemReply{Key: "untouched"}
+			dst := []msg.ItemReply{untouched, untouched, untouched}
+			done := make(chan txResult, 1)
+			go func() {
+				items, err := r.srv.ROTxAppend(dst, keys, vclock.New(3), Optimistic, byPrefix)
+				done <- txResult{items, err}
+			}()
+			req := r.awaitSliceReq(p1, 1)
+			r.awaitSliceReq(p2, 1)
+			bad := msg.NewSliceResp(req.TxID)
+			for j := 0; j < tc.items; j++ {
+				bad.Items = append(bad.Items, msg.ItemReply{Key: "p1/a", Exists: true, Value: []byte("misplaced")})
+			}
+			r.inject(p1, bad)
+			var out txResult
+			select {
+			case out = <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the transaction waited past a reply of the wrong length")
+			}
+			if out.err == nil || out.items != nil {
+				t.Fatalf("ROTx = %d replies, %v; want an error and no replies", len(out.items), out.err)
+			}
+			for i, it := range dst {
+				if it.Key != "untouched" {
+					t.Fatalf("reply buffer index %d = %+v: the bad reply was folded in", i, it)
+				}
+			}
+			late := msg.NewSliceResp(req.TxID)
+			late.Items = append(late.Items, msg.ItemReply{Key: "p2/b"})
+			r.inject(p2, late)
+			r.srv.txMu.Lock()
+			n := len(r.srv.inflight)
+			r.srv.txMu.Unlock()
+			if n != 0 {
+				t.Fatalf("%d transactions still in flight after the failure", n)
+			}
+		})
+	}
+}
+
 // TestROTxFirstErrorCompletesFanIn: a failed slice (here the redirect of a
 // reshard) fails the transaction at once, although another slice is parked —
 // partition 1 is a real server whose source of DC 1's heartbeats is severed,

@@ -28,15 +28,11 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 	}
 	tvOld := r.srv.VV() // snapshot that can only see v0
 
-	// Hold a transaction open at the old snapshot by blocking its slice on
-	// a key of the fake peer partition... simpler: register the snapshot the
-	// way ROTx would, via a slow transaction against the local partition.
-	// We emulate "active" by injecting the snapshot directly through a
-	// long-running ROTx on another goroutine whose SliceReq to the fake
-	// peer never gets answered.
+	// Hold a transaction open at the old snapshot: its slice request to the
+	// fake peer partition 1 is never answered until the end.
+	peer := netemu.NodeID{DC: 0, Partition: 1}
 	txDone := make(chan error, 1)
 	go func() {
-		// "k1p1" maps to partition 1 (the fake peer) by construction below.
 		_, err := r.srv.ROTx([]string{"k0", "peer-key"}, tvOld, Optimistic,
 			func(k string) int {
 				if k == "peer-key" {
@@ -46,10 +42,17 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 			})
 		txDone <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // transaction is now registered
+	// A transaction is registered before it fans out, so the request at the
+	// peer proves its snapshot is in the in-flight table.
+	txID := r.awaitSliceReq(peer, 1).TxID
 
-	// Newer versions arrive; their deps exceed the old snapshot.
-	later := r.srv.VV()
+	// Newer versions arrive; their deps exceed the old snapshot, once a
+	// heartbeat tick has moved the local entry past it (a version is visible
+	// within a snapshot that covers its deps).
+	var later vclock.VC
+	if !waitUntil(t, 2*time.Second, func() bool { later = r.srv.VV(); return later[0] > tvOld[0] }) {
+		t.Fatal("the local entry never advanced")
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte('a' + i)}, later, Optimistic); err != nil {
 			t.Fatal(err)
@@ -57,9 +60,22 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 	}
 	// Peer contributes a huge GC vector; without the active-tx guard the
 	// chain would be pruned down to the head.
-	r.inject(netemu.NodeID{DC: 0, Partition: 1},
-		msg.GCExchange{Partition: 1, TV: vclock.VC{1 << 40, 1 << 40, 1 << 40}})
-	time.Sleep(20 * time.Millisecond) // several GC rounds
+	r.inject(peer, msg.GCExchange{Partition: 1, TV: vclock.VC{1 << 40, 1 << 40, 1 << 40}})
+	// Each GC pass sends the peer its contribution, then prunes: a third
+	// contribution past this point comes after a whole pass that knew the
+	// peer's vector.
+	gcPasses := func() int {
+		n := 0
+		for _, m := range r.received(peer) {
+			if _, ok := m.(msg.GCExchange); ok {
+				n++
+			}
+		}
+		return n
+	}
+	if passes := gcPasses(); !waitUntil(t, 2*time.Second, func() bool { return gcPasses() >= passes+3 }) {
+		t.Fatal("no GC pass ran")
+	}
 
 	// The version readable at the old snapshot must still exist.
 	res := r.srv.Store().ReadWithin("k0", tvOld)
@@ -67,20 +83,8 @@ func TestGCSparesActiveTransactionSnapshot(t *testing.T) {
 		t.Fatalf("GC pruned a version an active transaction still needs: %+v", res)
 	}
 
-	// Unblock the transaction and let GC finish its work. The TxID comes
-	// from the SliceReq the fake peer captured (IDs are clock-seeded per
-	// server incarnation, not 1-based).
-	var txID uint64
-	for _, m := range r.received(netemu.NodeID{DC: 0, Partition: 1}) {
-		if req, ok := m.(*msg.SliceReq); ok {
-			txID = req.TxID
-		}
-	}
-	if txID == 0 {
-		t.Fatal("fake peer never received the SliceReq")
-	}
-	r.inject(netemu.NodeID{DC: 0, Partition: 1},
-		&msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "peer-key"}}})
+	// Unblock the transaction and let GC finish its work.
+	r.inject(peer, &msg.SliceResp{TxID: txID, Items: []msg.ItemReply{{Key: "peer-key"}}})
 	if err := <-txDone; err != nil {
 		t.Fatal(err)
 	}

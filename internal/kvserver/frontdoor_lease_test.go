@@ -182,8 +182,8 @@ func TestFrontDoorPutOwnsItsBytes(t *testing.T) {
 			t.Fatalf("rotx = %d items, err=%v", len(vals), err)
 		}
 		for i, k := range keys {
-			if !bytes.Equal(vals[k], want(i)) {
-				t.Fatalf("rotx[%s] = %q, want %q", k, vals[k], want(i))
+			if !bytes.Equal(vals[i], want(i)) {
+				t.Fatalf("rotx[%s] = %q, want %q", k, vals[i], want(i))
 			}
 		}
 

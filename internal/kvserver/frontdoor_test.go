@@ -121,8 +121,26 @@ func TestFrontDoorBasicOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(vals["lang"]) != "go" || string(vals["b"]) != "2" || vals["ghost"] != nil {
-		t.Fatalf("rotx = %v", vals)
+	if len(vals) != 3 || string(vals[0]) != "go" || string(vals[1]) != "2" || vals[2] != nil {
+		t.Fatalf("rotx = %q", vals)
+	}
+	// A read set naming a key twice and a missing key twice answers each
+	// index as the in-process session does.
+	local, err := srv.store.Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"ghost", "b", "lang", "ghost", "b"}
+	remote, err := sess.ROTx(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := local.ROTx(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%q", remote) != fmt.Sprintf("%q", inproc) || len(remote) != len(keys) || remote[0] != nil || remote[3] != nil || string(remote[4]) != "2" {
+		t.Fatalf("rotx %q: front door %q, in process %q", keys, remote, inproc)
 	}
 	stats, err := sess.Stats()
 	if err != nil || !strings.HasPrefix(stats, "STATS ") {

@@ -285,12 +285,9 @@ func (s *Server) execute(ss *fdSession, req *wire.FrontDoorRequest) wire.FrontDo
 			if err != nil {
 				return fdError(req.ID, err)
 			}
-			items = make([]wire.FrontDoorTxItem, 0, len(req.Keys))
-			for _, k := range req.Keys {
-				v := vals[k]
-				items = append(items, wire.FrontDoorTxItem{
-					Key: k, Exists: v != nil, Value: v,
-				})
+			items = make([]wire.FrontDoorTxItem, len(req.Keys))
+			for i, k := range req.Keys {
+				items[i] = wire.FrontDoorTxItem{Key: k, Exists: vals[i] != nil, Value: vals[i]}
 			}
 		}
 		return wire.FrontDoorResponse{Kind: wire.FDTx, ID: req.ID, Items: items}

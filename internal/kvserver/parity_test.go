@@ -42,6 +42,8 @@ func TestTextBinaryParity(t *testing.T) {
 		{name: "GET hit", line: "GET k", op: wire.FDGet, want: "VALUE hello world"},
 		{name: "GET miss", line: "get ghost", op: wire.FDGet, want: "NIL"},
 		{name: "TX", line: "TX k ghost", op: wire.FDROTx, want: "TXVAL k hello world\nTXNIL ghost\nTXEND"},
+		{name: "TX duplicate and missing keys", line: "TX ghost k ghost k", op: wire.FDROTx,
+			want: "TXNIL ghost\nTXVAL k hello world\nTXNIL ghost\nTXVAL k hello world\nTXEND"},
 		{name: "STATS", line: "STATS", op: wire.FDStats, want: "STATS ops=…"},
 		{name: "WHEREIS", line: "WHEREIS k", op: wire.FDAdmin, want: whereis},
 		{name: "SLOTS", line: "SLOTS", op: wire.FDAdmin, want: slots},

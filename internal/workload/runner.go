@@ -16,7 +16,7 @@ import (
 type Session interface {
 	Get(key string) ([]byte, error)
 	Put(key string, value []byte) error
-	ROTx(keys []string) (map[string][]byte, error)
+	ROTx(keys []string) ([][]byte, error) // vals[i] answers keys[i]
 }
 
 // RunnerConfig parameterizes a closed-loop load run.

@@ -188,12 +188,12 @@ func (f *fakeSession) Put(string, []byte) error {
 	return f.err
 }
 
-func (f *fakeSession) ROTx(keys []string) (map[string][]byte, error) {
+func (f *fakeSession) ROTx(keys []string) ([][]byte, error) {
 	f.mu.Lock()
 	f.txs++
 	f.mu.Unlock()
 	time.Sleep(100 * time.Microsecond)
-	return map[string][]byte{}, f.err
+	return make([][]byte, len(keys)), f.err
 }
 
 func TestRunnerBasic(t *testing.T) {

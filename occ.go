@@ -572,9 +572,10 @@ func (s *Session) Get(key string) ([]byte, error) { return s.inner.Get(key) }
 // value, so the caller may reuse both as soon as Put returns.
 func (s *Session) Put(key string, value []byte) error { return s.inner.Put(key, value) }
 
-// ROTx reads keys atomically from a causally consistent snapshot. Missing
-// keys map to nil values.
-func (s *Session) ROTx(keys []string) (map[string][]byte, error) { return s.inner.ROTx(keys) }
+// ROTx reads keys atomically from a causally consistent snapshot and returns
+// their values in key order: vals[i] answers keys[i], and is nil when that key
+// has no visible version, as Get's is. The slice is the caller's.
+func (s *Session) ROTx(keys []string) ([][]byte, error) { return s.inner.ROTx(keys) }
 
 // Pessimistic reports whether the session currently runs the pessimistic
 // fallback protocol (HA-POCC during a suspected partition).

@@ -124,8 +124,8 @@ func TestROTxSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if string(vals[k]) != string([]byte{byte('0' + i)}) {
-			t.Fatalf("tx[%s] = %q", k, vals[k])
+		if string(vals[i]) != string([]byte{byte('0' + i)}) {
+			t.Fatalf("tx[%s] = %q", k, vals[i])
 		}
 	}
 }
