@@ -45,6 +45,9 @@ all: check
 # slice of values, vals[i] for keys[i]. A map-returning RO-TX —
 # "ROTx(keys []string) (map[" — in the root module's Go, tests included, fails
 # the step.
+# Stabilization is one full-vector exchange per tick: the retired scalar
+# watermark arm — LeanStab*, Watermark, leanFullVVEvery — in the root
+# module's Go, tests included, fails the step.
 # Every request the replication plane retries waits through one backoff,
 # repl.Manager.nextWait, next to the cap it doubles up to: maxReRequestInterval
 # in non-test Go of the root module outside internal/repl/repl.go fails the
@@ -64,6 +67,7 @@ vet:
 	@! grep -rn --include='*.go' --exclude-dir=bench 'LeaveNotice' .
 	@! grep -rn --include='*.go' --exclude-dir=bench -E 'evictCap|capRaiseLocked|evictFreezeGrace' .
 	@! grep -rn --include='*.go' --exclude-dir=bench -F 'ROTx(keys []string) (map[' .
+	@! grep -rn --include='*.go' --exclude-dir=bench -E 'LeanStab|Watermark|leanFullVVEvery' .
 
 build:
 	$(GO) build ./...
@@ -73,7 +77,7 @@ build:
 # is a gate, not a printout: LOC_CEILING is the last recorded result rounded
 # up to the next 10, so a PR that grows the root module has to raise it in
 # its own diff, where review sees it (and one that shrinks it lowers it).
-LOC_CEILING = 17610
+LOC_CEILING = 17550
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
 	n=$$(cat $$files | wc -l); \
@@ -164,9 +168,10 @@ define RACE_ROWS
 # that the runtime alone overruns fails where no CI step looks.
 -run 'Hostile' ./internal/wire/
 # The hybrid-clock plane: HLC packing/merge, the negative-skew clamp, the
-# lean watermark stabilization rule, the skew-insensitive PUT clock-wait and
-# the visibility probe (the clock's CAS loop runs on every hot-path message).
--run 'HLC|ClockSkew|Skew|Watermark|Visibility|NegativeSkew' ./internal/clock/... ./internal/vclock/... ./internal/core/... ./internal/cluster/... ./internal/harness/...
+# stability invariant (no GSS passes a same-DC VV, across a forced removal),
+# the skew-insensitive PUT clock-wait and the visibility probe (the clock's
+# CAS loop runs on every hot-path message).
+-run 'HLC|ClockSkew|Skew|GSSNeverPasses|Visibility|NegativeSkew' ./internal/clock/... ./internal/vclock/... ./internal/core/... ./internal/cluster/... ./internal/harness/...
 # The package's Examples: the blocked photo GET's goroutine and the RO-TX
 # reader racing its writer, on live sessions whose output is asserted.
 -run 'Example' .

@@ -164,19 +164,15 @@
 //
 // cluster.Config.RawPhysicalClocks reverts to the old raw clock as the
 // ablation baseline (the poccbench ablation-skew and visibility experiments
-// set it). Two wire-level reductions ride the same timestamps: replicated
-// batches encode each version's update time and dependency entries as
-// zigzag varint deltas against the batch's heartbeat timestamp (hybrid
-// timestamps of one flush window sit close together, so deltas are 1-3
-// bytes where absolute wall-clock values cost 9 — measured ~21% fewer bytes
-// per version end to end), and cluster.Config.LeanStabilization (an arm of
-// the poccbench visibility experiment) replaces most GSS exchange ticks'
-// full version vector with one scalar watermark — the minimum nonzero member
-// entry of the sender's VV — refreshed by a full vector every few ticks
-// (Okapi-style; core.Server.applyVVExchange carries the safety argument). BenchmarkRemoteVisibility and the poccbench
-// visibility experiment track the three axes — bytes per version, remote
-// visibility p50/p99, GSS lag — with and without emulated skew, and make
-// race guards the clock plane under -race.
+// set it). Replicated batches encode each version's update time and
+// dependency entries as zigzag varint deltas against the batch's heartbeat
+// timestamp (hybrid timestamps of one flush window sit close together, so
+// deltas are 1-3 bytes where absolute wall-clock values cost 9 — measured
+// ~21% fewer bytes per version end to end). Stabilization is the paper's
+// full-vector exchange (core.Server.applyVVExchange). BenchmarkRemoteVisibility
+// and the poccbench visibility experiment track the three axes — bytes per
+// version, remote visibility p50/p99, GSS lag — with and without emulated
+// skew, and make race guards the clock plane under -race.
 //
 // # Replication plane and catch-up
 //

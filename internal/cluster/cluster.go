@@ -103,9 +103,6 @@ type Config struct {
 	// assignment — in particular the PUT clock-wait — is insensitive to
 	// ClockSkew. The skew ablation sets this to measure the raw variant.
 	RawPhysicalClocks bool
-	// LeanStabilization switches the GSS exchange to the Okapi-style scalar
-	// HLC watermark on most ticks (core.Config.LeanStabilization).
-	LeanStabilization bool
 	// Latency is the inter-node latency function (see AWSLatency). Nil means
 	// zero latency.
 	Latency netemu.LatencyFunc
@@ -439,7 +436,6 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		SlotMap:               c.bootSlots.Load(),
 		DefaultMode:           mode,
 		StabilizationInterval: stab,
-		LeanStabilization:     c.cfg.LeanStabilization,
 		GCInterval:            c.cfg.GCInterval,
 		BlockTimeout:          blockTimeout,
 		DataDir:               dataDir,

@@ -575,3 +575,103 @@ func TestForcedRemovalMirrorsRaisedFinal(t *testing.T) {
 		t.Fatalf("restarted VV = %v, want the entry for dc%d at or above %d", srv.VV(), dead, ut)
 	}
 }
+
+// TestRestartedSurvivorReachesDepartedFinal: dc1, the survivor that holds
+// the dead DC's last write, restarts after the forced removal while dc0, the
+// only other survivor, is cut off and short of the final. No catch-up round
+// can lift dc1 back there — dc0's claim stops at its own entry — so the
+// restart must restore the entry from what dc1 durably holds, or a GET that
+// depends on the write blocks at dc1 for good. The seal attests it; a
+// catch-up claim that fills a gap to the final does too, which dc0's own
+// restart checks.
+func TestRestartedSurvivorReachesDepartedFinal(t *testing.T) {
+	const dead, key = 2, "departed"
+	c := newCluster(t, Config{
+		NumDCs: 3, NumPartitions: 1, Engine: POCC,
+		Latency: UniformLatency(50*time.Microsecond, time.Millisecond),
+		DataDir: t.TempDir(),
+		Seed:    7,
+	})
+	if err := c.DropInboundReplication(0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.NewSession(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ut, _, err := w.PutMeta(key, []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return c.Server(1, 0).VV()[dead] >= ut }) {
+		t.Fatal("dc1 never held the dead DC's write")
+	}
+	// A reader at dc1 that has seen the write depends on it.
+	reader, err := c.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := reader.Get(key); err != nil || string(v) != "v" {
+		t.Fatalf("Get(%q) at dc1 = %q, %v", key, v, err)
+	}
+	if err := c.KillDC(dead); err != nil {
+		t.Fatal(err)
+	}
+	// dc0 adopts the removal directly (the cut drops the round's acks), so
+	// its round returns at once and dc1 raises the final to its entry.
+	c.Server(0, 0).Repl().Handle(netemu.NodeID{DC: 1}, msg.MembershipUpdate{View: msg.Membership{
+		Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCLeft},
+	}})
+	if err := c.ForceRemoveDC(dead, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f := c.Server(1, 0).Repl().View().FinalOf(dead)
+	if f < ut {
+		t.Fatalf("dc1 final %d, want its raise to its entry (>= %d)", f, ut)
+	}
+	if e := c.Server(0, 0).VV()[dead]; e >= ut {
+		t.Fatalf("dc0 entry %d: the cut let the write through (%d)", e, ut)
+	}
+
+	if err := c.RestartServer(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.Server(1, 0)
+	if !waitUntil(t, 2*time.Second, func() bool { return srv.VV()[dead] >= f }) {
+		t.Fatalf("restarted VV = %v, want the entry for dc%d back at the final %d", srv.VV(), dead, f)
+	}
+	got := make(chan error, 1)
+	go func() {
+		v, err := reader.Get(key)
+		if err == nil && string(v) != "v" {
+			err = fmt.Errorf("read %q", v)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("Get(%q) at the restarted dc1: %v", key, err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Get(%q) at the restarted dc1 still blocked on the write at %d", key, ut)
+	}
+
+	// dc0, healed, fills its gap to the final through dc1's catch-up claim;
+	// restarted while dc1 hears nothing, it must come back at the final too.
+	if err := c.DropInboundReplication(0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return c.Server(0, 0).VV()[dead] >= f }) {
+		t.Fatalf("dc0 VV = %v, want the gap to the final %d filled", c.Server(0, 0).VV(), f)
+	}
+	if err := c.DropInboundReplication(1, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e := c.Server(0, 0).VV()[dead]; e < f {
+		t.Fatalf("restarted dc0 entry %d, want the final %d", e, f)
+	}
+}

@@ -114,13 +114,6 @@ type Config struct {
 	// StabilizationInterval is the GSS exchange period: 5 ms for Cure*,
 	// infrequent (e.g. 500 ms) for HA-POCC, 0 to disable (pure POCC).
 	StabilizationInterval time.Duration
-	// LeanStabilization switches most GSS exchange ticks from a full
-	// version vector to a single scalar HLC watermark (Okapi-style): the
-	// minimum nonzero member entry of the sender's VV, folded by the
-	// receiver into the sender's last full vector. Cuts stabilization
-	// traffic from O(MaxDCs) varints to one per tick; full vectors are
-	// still sent every leanFullVVEvery ticks to refresh the baseline.
-	LeanStabilization bool
 	// GCInterval is the garbage-collection exchange period; 0 disables GC.
 	GCInterval time.Duration
 	// BlockTimeout > 0 turns on HA-POCC's partition suspicion: optimistic
@@ -587,6 +580,15 @@ func (b *replBackend) SlotEpoch() uint64 { return (*Server)(b).SlotEpoch() }
 // purge of a departed DC's un-agreed suffix.
 func (b *replBackend) DropAbove(dc int, after vclock.Timestamp) int {
 	return (*Server)(b).store.DropAbove(dc, after)
+}
+
+// AttestEntry persists t as the floor of dc's entry (Durable.AttestVV).
+func (b *replBackend) AttestEntry(dc int, t vclock.Timestamp) {
+	if d := (*Server)(b).durable; d != nil {
+		vv := make(vclock.VC, dc+1)
+		vv[dc] = t
+		d.AttestVV(vv)
+	}
 }
 
 // VVEntry returns one version-vector entry, lock-free.

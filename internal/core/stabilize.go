@@ -15,47 +15,17 @@ import (
 
 // applyVVExchange records a same-DC peer's version vector and recomputes the
 // GSS as the aggregate minimum (§IV-C).
-//
-// A lean exchange (VV nil, Watermark set) raises the already-nonzero entries
-// of the sender's last known full vector to the watermark. Safety of the
-// fold — no entry may ever exceed the sender's true VV entry — follows from
-// three facts:
-//
-//  1. The sender computed the watermark as the minimum over its nonzero
-//     member entries, so for every DC that is still a member, watermark ≤
-//     that entry of the sender's VV. An entry nonzero in our (older) copy is
-//     necessarily nonzero at the (monotone) sender, hence in that minimum.
-//  2. An entry that is zero in our copy is never raised, so a DC that joined
-//     after the sender's last full exchange stays conservatively at zero
-//     until the next full vector arrives (bounded by leanFullVVEvery ticks).
-//  3. A DC departed since our copy was taken has a frozen final timestamp;
-//     raising its entry past the final is vacuous — the leave/evict
-//     protocols guarantee no version beyond the final exists anywhere.
-//
-// A watermark arriving before any full vector has nothing to fold into and
-// is dropped; the sender's periodic full exchanges repair this.
 func (s *Server) applyVVExchange(m msg.VVExchange) {
 	if m.Partition < 0 || m.Partition >= s.maxParts {
 		return
 	}
 	s.gssMu.Lock()
-	if m.VV == nil {
-		if pv := s.peerVV[m.Partition]; pv != nil {
-			for i, t := range pv {
-				if t > 0 && m.Watermark > t {
-					pv[i] = m.Watermark
-				}
-			}
-			s.recomputeGSSLocked()
-		}
-	} else {
-		// Copy rather than alias: the sender broadcasts one VV slice to every
-		// same-DC peer, and the watermark fold above writes into peerVV
-		// entries — mutating the shared message would race with the other
-		// receivers.
-		s.peerVV[m.Partition] = s.peerVV[m.Partition].CopyFrom(m.VV)
-		s.recomputeGSSLocked()
-	}
+	// Copy rather than alias: the sender broadcasts one VV slice to every
+	// same-DC peer, and recomputeGSSLocked reloads this node's own VV into
+	// peerVV[s.n] in place — a message naming the receiver's own partition
+	// would otherwise write into a slice the other receivers share.
+	s.peerVV[m.Partition] = s.peerVV[m.Partition].CopyFrom(m.VV)
+	s.recomputeGSSLocked()
 	s.gssMu.Unlock()
 }
 
@@ -102,7 +72,6 @@ func (s *Server) stabilizationLoop() {
 	}
 	t := time.NewTicker(s.cfg.StabilizationInterval)
 	defer t.Stop()
-	tick := 0
 	for {
 		select {
 		case <-s.stop:
@@ -114,45 +83,12 @@ func (s *Server) stabilizationLoop() {
 		s.recomputeGSSLocked()
 		s.gssMu.Unlock()
 		out := msg.VVExchange{Partition: s.n, VV: vv}
-		if s.cfg.LeanStabilization && tick%leanFullVVEvery != 0 {
-			if w := s.stableWatermark(vv); w > 0 {
-				out = msg.VVExchange{Partition: s.n, Watermark: w}
-			}
-		}
-		tick++
 		for p := 0; p < s.liveParts(); p++ {
 			if p != s.n {
 				s.ep.Send(netemu.NodeID{DC: s.m, Partition: p}, out)
 			}
 		}
 	}
-}
-
-// leanFullVVEvery is the cadence of full-vector exchanges under lean
-// stabilization: one full VV establishes/refreshes the per-entry baseline,
-// then leanFullVVEvery-1 scalar watermark ticks ride on it.
-const leanFullVVEvery = 16
-
-// stableWatermark computes the scalar attestation a lean stabilization tick
-// broadcasts: the minimum over the node's nonzero VV entries of member DCs.
-// Zero entries (a member with no shipped data yet, typically a fresh joiner)
-// are excluded — including them would pin the watermark at zero — which is
-// safe because receivers never raise a zero entry from a watermark. Departed
-// DCs are excluded so their frozen final timestamps do not pin the watermark
-// in the past. Returns 0 when no entry qualifies; the caller then falls back
-// to a full-vector exchange.
-func (s *Server) stableWatermark(vv vclock.VC) vclock.Timestamp {
-	view := s.repl.View()
-	var w vclock.Timestamp
-	for d, t := range vv {
-		if t == 0 || !view.IsMember(d) {
-			continue
-		}
-		if w == 0 || t < w {
-			w = t
-		}
-	}
-	return w
 }
 
 // GSSLag reports how far the globally-stable snapshot trails this node's own

@@ -224,7 +224,7 @@ func Experiments() []Experiment {
 		ID:   "visibility",
 		rows: visibilityRows,
 		Views: []View{{
-			ID: "visibility", Title: "HA-POCC: remote visibility and GSS lag by clock/stabilization variant",
+			ID: "visibility", Title: "HA-POCC: remote visibility and GSS lag by clock variant",
 			Columns: []string{"variant", "skew ms", "vis p50 ms", "vis p99 ms",
 				"stable p50 ms", "stable p99 ms", "gss lag ms", "B/ver delta", "B/ver abs"},
 		}},

@@ -23,9 +23,8 @@ type VisibilityOpts struct {
 	// unskewed baseline is itself a measured variant here).
 	Skew time.Duration
 	// RawClocks reverts to raw skewed physical clocks (the pre-HLC ablation
-	// variant); LeanStab switches GSS exchange to scalar HLC watermarks.
+	// variant).
 	RawClocks bool
-	LeanStab  bool
 	// Samples is the number of probe writes; zero means 200.
 	Samples int
 }
@@ -85,7 +84,6 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 	cfg.StabilizationInterval = 5 * time.Millisecond
 	cfg.ClockSkew = o.Skew
 	cfg.RawPhysicalClocks = o.RawClocks
-	cfg.LeanStabilization = o.LeanStab
 	c, table, err := deploy(sc, cfg)
 	if err != nil {
 		return VisibilityStats{}, err
@@ -250,26 +248,23 @@ func percentiles(ds []time.Duration) (p50, p99 time.Duration) {
 	return ds[idx(50)], ds[idx(99)]
 }
 
-// visibilityRows measures update-visibility latency across the clock and
-// stabilization variants: raw physical clocks with full-vector GSS exchange
-// (the pre-HLC system), hybrid clocks with full vectors, and hybrid clocks
-// with the lean watermark exchange — each with and without ±50 ms emulated
-// clock skew. The hybrid rows should be skew-insensitive; the watermark rows
-// should match the vector rows on visibility while sending fewer bytes.
+// visibilityRows measures update-visibility latency across the two clock
+// variants, both with the full-vector GSS exchange: raw physical clocks (the
+// pre-HLC system) and hybrid clocks — each with and without ±50 ms emulated
+// clock skew. The hybrid rows should be skew-insensitive.
 func visibilityRows(ctx context.Context, sc Scale) ([][]string, error) {
 	variants := []struct {
-		name      string
-		raw, lean bool
+		name string
+		raw  bool
 	}{
-		{"raw+vector", true, false},
-		{"hlc+vector", false, false},
-		{"hlc+watermark", false, true},
+		{"raw+vector", true},
+		{"hlc+vector", false},
 	}
 	var rows [][]string
 	for _, v := range variants {
 		for _, sk := range []time.Duration{0, 50 * time.Millisecond} {
 			st, err := VisibilityPoint(ctx, sc, VisibilityOpts{
-				Skew: sk, RawClocks: v.raw, LeanStab: v.lean,
+				Skew: sk, RawClocks: v.raw,
 			})
 			if err != nil {
 				return nil, err

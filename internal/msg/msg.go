@@ -464,17 +464,9 @@ func (r *SliceResp) Release() {
 // VVExchange is the stabilization message of the pessimistic protocol: nodes
 // within a DC periodically broadcast their version vectors and compute the
 // Globally Stable Snapshot as the aggregate minimum (§IV-C).
-//
-// In the lean (Okapi-style) stabilization variant most ticks carry only
-// Watermark — a scalar HLC attestation equal to the minimum nonzero member
-// entry of the sender's VV — with VV nil; full vectors are still sent
-// periodically to establish and refresh the per-entry baseline. A receiver
-// folds a watermark into the sender's last known full vector (see
-// core.Server.applyVVExchange for the safety argument).
 type VVExchange struct {
 	Partition int
 	VV        vclock.VC
-	Watermark vclock.Timestamp
 }
 
 // GCExchange carries a node's garbage-collection contribution: the aggregate

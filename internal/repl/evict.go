@@ -40,6 +40,10 @@
 // views; a survivor restarted before its raised view reached anyone else (or
 // its owner's record, see cluster.settleFinal) starts from the lower final
 // and drops what lay above it.
+// A survivor's entry for a departed DC is attested durably once it reaches
+// the final (Backend.AttestEntry), logged after the versions it covers: a
+// restart restores a remote entry only to its attestation, and no sibling's
+// catch-up claim passes that sibling's own entry, which may be short.
 
 package repl
 

@@ -341,6 +341,9 @@ func (r *Manager) handleSequenced(dc int, epoch, seq uint64, floor, adv vclock.T
 		r.be.RaiseVV(dc, raise)
 	}
 	st.mu.Unlock()
+	if left && raise > 0 {
+		r.attestDeparted(dc)
+	}
 	r.maybeFinishJoin() // a first-contact adoption may have been the last link
 }
 
@@ -509,6 +512,7 @@ func (r *Manager) handleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 			t = f
 		}
 		r.be.RaiseVV(c.DC, t)
+		r.attestDeparted(c.DC)
 	}
 	if again {
 		st.mu.Lock()

@@ -86,8 +86,9 @@ func (r *Manager) rebuildTargetsLocked() {
 // prefix this node holds whole, and the raised view goes to every member.
 // Versions above the final, applied on a link with a hole, are dropped
 // (Backend.DropAbove: replicated to nobody provably); an entry short of it
-// starts gap-fill rounds on the surviving links (fillDepartedGaps). A final
-// of 0 leaves nothing to drop.
+// starts gap-fill rounds on the surviving links (fillDepartedGaps), and an
+// entry at the final is attested durably (attestDeparted). A final of 0
+// leaves nothing to drop.
 func (r *Manager) applyView(v msg.Membership) {
 	r.sealMu.Lock()
 	r.viewMu.Lock()
@@ -124,11 +125,22 @@ func (r *Manager) applyView(v msg.Membership) {
 		}
 	}
 	r.sealMu.Unlock()
+	for _, dc := range newly {
+		r.attestDeparted(dc)
+	}
 	if raised {
 		r.sendView(view)
 	}
 	if len(newly) > 0 {
 		r.fillDepartedGaps()
+	}
+}
+
+// attestDeparted attests this node's entry for departed dc once it holds
+// the history through the final (see evict.go).
+func (r *Manager) attestDeparted(dc int) {
+	if f, left := r.leftFinal(dc); left && f > 0 && r.be.VVEntry(dc) >= f {
+		r.be.AttestEntry(dc, f)
 	}
 }
 

@@ -63,6 +63,10 @@ type Backend interface {
 	// timestamp strictly greater than after, returning the number removed —
 	// the forced-removal purge of a crashed DC's un-agreed suffix.
 	DropAbove(dc int, after vclock.Timestamp) int
+	// AttestEntry durably records t as a floor a restart restores the
+	// version-vector entry for dc to; a backend without durable state
+	// does nothing.
+	AttestEntry(dc int, t vclock.Timestamp)
 	// Joined signals that this node's bootstrap finished: every active
 	// inbound link is synced and the DC announced itself Active. Called at
 	// most once, and never when Config.Joining is unset.

@@ -126,6 +126,8 @@ func (b *fakeBackend) RaiseVV(dc int, t vclock.Timestamp) {
 	b.mu.Unlock()
 }
 
+func (b *fakeBackend) AttestEntry(int, vclock.Timestamp) {}
+
 func (b *fakeBackend) DropAbove(dc int, after vclock.Timestamp) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

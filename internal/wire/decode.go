@@ -350,8 +350,7 @@ func (d *BinaryDecoder) parse(frame []byte, owned bool) (Envelope, error) {
 		}
 		env.Msg = m
 	case tagVVExchange:
-		env.Msg = msg.VVExchange{Partition: int(f.uint()), VV: f.vc(),
-			Watermark: vclock.Timestamp(f.uint())}
+		env.Msg = msg.VVExchange{Partition: int(f.uint()), VV: f.vc()}
 	case tagGCExchange:
 		env.Msg = msg.GCExchange{Partition: int(f.uint()), TV: f.vc()}
 	case tagCatchUpRequest:

@@ -77,7 +77,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 		b = appendHeader(b, tagVVExchange, env.Src)
 		b = appendUint(b, uint64(m.Partition))
 		b = appendVC(b, m.VV)
-		b = appendUint(b, uint64(m.Watermark))
 	case msg.GCExchange:
 		b = appendHeader(b, tagGCExchange, env.Src)
 		b = appendUint(b, uint64(m.Partition))

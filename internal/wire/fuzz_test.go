@@ -234,13 +234,13 @@ func FuzzSlotMapDecode(f *testing.F) {
 
 // FuzzHLCDecode drives the binary decoder with mutations of the hybrid-clock
 // message set: delta-encoded ReplicateBatch frames (zigzag timestamps against
-// the HBTime base, absolute-fallback format byte) and watermark-carrying
-// VVExchange frames. Corrupted input must fail cleanly, and any frame that
-// decodes must survive re-encoding semantically — the encoder is free to pick
-// the canonical format byte, so equality is checked on the decoded message,
-// not the bytes. Behind the valid seeds, in a decoder that has lent batches
-// and heartbeats already, every frame must decode as in a fresh one
-// (decodeAfter).
+// the HBTime base, absolute-fallback format byte) and VVExchange frames with
+// HLC-sized entries or a nil vector. Corrupted input must fail cleanly, and
+// any frame that decodes must survive re-encoding semantically — the encoder
+// is free to pick the canonical format byte, so equality is checked on the
+// decoded message, not the bytes. Behind the valid seeds, in a decoder that
+// has lent batches and heartbeats already, every frame must decode as in a
+// fresh one (decodeAfter).
 func FuzzHLCDecode(f *testing.F) {
 	base := vclock.Timestamp(1 << 44)
 	seeds := []any{
@@ -259,8 +259,8 @@ func FuzzHLCDecode(f *testing.F) {
 			{Key: "fb", UpdateTime: 3, Deps: vclock.VC{2 + 1<<63}},
 		}},
 		&msg.ReplicateBatch{HBTime: 1 << 20, Epoch: 1, Seq: 10, Versions: mixedLengthVersions()},
-		msg.VVExchange{Partition: 1, VV: vclock.VC{base, 0, base - 1}, Watermark: base - 1},
-		msg.VVExchange{Partition: 2, Watermark: base},
+		msg.VVExchange{Partition: 1, VV: vclock.VC{base, 0, base - 1}},
+		msg.VVExchange{Partition: 2},
 		&msg.Heartbeat{Time: base, Epoch: 77, Seq: 4, Floor: base - 5000},
 	}
 	lead := addSeeds(f, seeds)

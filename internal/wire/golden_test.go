@@ -75,7 +75,7 @@ func goldenMessages() map[string]any {
 		}, Err: ""},
 		"slice-resp-nil":   &msg.SliceResp{TxID: 1, Err: "block timeout"},
 		"slice-resp-empty": &msg.SliceResp{TxID: 2, Items: []msg.ItemReply{}},
-		"vv-exchange":      msg.VVExchange{Partition: 3, VV: vclock.VC{goldenBase, 0, 9}, Watermark: goldenBase - 2},
+		"vv-exchange":      msg.VVExchange{Partition: 3, VV: vclock.VC{goldenBase, 0, 9}},
 		"gc-exchange":      msg.GCExchange{Partition: 1, TV: nil},
 		"catchup-request":  msg.CatchUpRequest{ReqID: 5, From: goldenBase - 100, Have: vclock.VC{}},
 		"catchup-reply": msg.CatchUpReply{ReqID: 5, Chunk: 2, Versions: goldenVersions(),

@@ -185,8 +185,7 @@ func genMsg(r *rand.Rand, kind int) any {
 		}
 		return m
 	case 4:
-		return msg.VVExchange{Partition: r.IntN(8), VV: genVC(r),
-			Watermark: vclock.Timestamp(r.Uint64N(1 << 62))}
+		return msg.VVExchange{Partition: r.IntN(8), VV: genVC(r)}
 	case 5:
 		return msg.GCExchange{Partition: r.IntN(8), TV: genVC(r)}
 	case 6:
@@ -335,9 +334,10 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		msg.SlotHandoff{},
 		msg.SlotHandoff{Versions: []*item.Version{}},
 		msg.SlotHandoff{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}},
-		// Lean stabilization: watermark-only exchange (VV nil).
-		msg.VVExchange{Partition: 3, Watermark: 1 << 61},
-		msg.VVExchange{Partition: 1, VV: vclock.VC{5, 6}, Watermark: 7},
+		// Stabilization: a nil vector from a nonzero partition, and
+		// HLC-sized entries beside small ones.
+		msg.VVExchange{Partition: 3},
+		msg.VVExchange{Partition: 1, VV: vclock.VC{1 << 61, 6, 7}},
 		// Delta batch extremes: timestamps far below and far above the
 		// HBTime base (wraparound zigzag deltas), zero dep entries mixed
 		// with nonzero ones, and the one dep delta (1<<63) the delta
